@@ -1,175 +1,22 @@
 package hermes
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
-	"megammap/internal/blob"
-	"megammap/internal/cluster"
 	"megammap/internal/device"
-	"megammap/internal/simnet"
 	"megammap/internal/topology"
-	"megammap/internal/vtime"
 )
 
-// placePoolScan is the linear oracle for placePool: the first alive
-// memory pool (lowest node id) whose arena fits the size.
-func (h *Hermes) placePoolScan(size int64) (int, bool) {
-	for id := h.computes; id < len(h.c.Nodes); id++ {
-		if h.alive(id) && h.c.Nodes[id].Devices[topology.PoolTier].Free() >= size {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// placeDisaggScan is the linear oracle for place on a disaggregated
-// cluster: preferred compute node's tiers fastest first (the spill tier
-// stands down while the pool bias is on), then — bias on — the pools,
-// then the cross-node local-tier walk, then the pools as last resort.
-func (h *Hermes) placeDisaggScan(size int64, prefNode int) (int, string, bool) {
-	if prefNode < h.computes && h.alive(prefNode) {
-		for ti, t := range h.tiers {
-			if h.poolBias && ti == len(h.tiers)-1 {
-				break
-			}
-			if h.c.Nodes[prefNode].Devices[t].Free() >= size {
-				return prefNode, t, true
-			}
-		}
-	}
-	if h.poolBias {
-		if n, ok := h.placePoolScan(size); ok {
-			return n, topology.PoolTier, true
-		}
-	}
-	for _, t := range h.tiers {
-		for _, n := range h.c.Nodes[:h.computes] {
-			if n.ID == prefNode || !h.alive(n.ID) {
-				continue
-			}
-			if n.Devices[t].Free() >= size {
-				return n.ID, t, true
-			}
-		}
-	}
-	if n, ok := h.placePoolScan(size); ok {
-		return n, topology.PoolTier, true
-	}
-	return 0, "", false
-}
-
-// placeBackupDisaggScan is the linear oracle for placeBackup on a
-// disaggregated cluster: the (primary+i)%nodes rotation over compute
-// nodes (pool nodes never appear in the rotation), then the pools in
-// node-id order for copies that fit nowhere local.
-func (h *Hermes) placeBackupDisaggScan(size int64, primary int, id blob.ID) (int, string, bool) {
-	nodes := len(h.c.Nodes)
-	for i := 1; i < nodes; i++ {
-		node := (primary + i) % nodes
-		if node >= h.computes || !h.alive(node) || h.holdsCopy(node, id) {
-			continue
-		}
-		for _, t := range h.tiers {
-			if h.c.Nodes[node].Devices[t].Free() >= size {
-				return node, t, true
-			}
-		}
-	}
-	for node := h.computes; node < nodes; node++ {
-		if node == primary || !h.alive(node) || h.holdsCopy(node, id) {
-			continue
-		}
-		if h.c.Nodes[node].Devices[topology.PoolTier].Free() >= size {
-			return node, topology.PoolTier, true
-		}
-	}
-	return 0, "", false
-}
-
-// TestPoolPlaceIndexMatchesScan drives a randomized fill/delete/crash/
-// revive schedule — crashing and cold-reviving pool nodes too, and
-// flipping the spill-vs-pool bias throughout — against a disaggregated
-// cluster and asserts, at every step, that the indexed place and
-// placeBackup answers equal the linear-scan oracles'.
+// TestPoolPlaceIndexMatchesScan runs the placement churn on a
+// disaggregated cluster (9 compute nodes, 3 memory pools), with one and
+// with two backup copies per blob: the pool legs of place, placeBackup
+// and replicate against the linear scans'.
 func TestPoolPlaceIndexMatchesScan(t *testing.T) {
-	const computes, pools = 9, 3
-	spec := cluster.Spec{
-		Nodes:    computes,
-		CoresPer: 2,
-		DRAMPer:  device.MB,
-		Tiers: []cluster.TierSpec{
-			{Name: "nvme", Profile: device.NVMeProfile(96 * device.KB)},
-			{Name: "ssd", Profile: device.SSDProfile(192 * device.KB)},
-		},
-		Link: simnet.RoCE40(),
-		PFS:  device.PFSProfile(64 * device.MB),
-		Topology: topology.Spec{
-			Pools:     pools,
-			PoolBytes: 256 * device.KB,
-		},
-	}
-	c := cluster.New(spec)
-	h := New(c, []string{"nvme", "ssd"})
-	h.SetReplicas(1)
-	rng := rand.New(rand.NewSource(23))
-	total := computes + pools
-
-	var live []blob.ID
-	c.Engine.Spawn("churn", func(p *vtime.Proc) {
-		for op := 0; op < 1500; op++ {
-			size := int64(1+rng.Intn(48)) << 10
-			pref := rng.Intn(computes)
-
-			gn, gt, gok := h.place(size, pref)
-			wn, wt, wok := h.placeDisaggScan(size, pref)
-			if gn != wn || gt != wt || gok != wok {
-				t.Fatalf("op %d (bias %v): place(%d, %d) = (%d, %s, %v), scan = (%d, %s, %v)",
-					op, h.PoolBias(), size, pref, gn, gt, gok, wn, wt, wok)
-			}
-			probe := h.Key(fmt.Sprintf("probe%d", rng.Intn(64)))
-			gn, gt, gok = h.placeBackup(size, pref, probe)
-			wn, wt, wok = h.placeBackupDisaggScan(size, pref, probe)
-			if gn != wn || gt != wt || gok != wok {
-				t.Fatalf("op %d (bias %v): placeBackup(%d, %d) = (%d, %s, %v), scan = (%d, %s, %v)",
-					op, h.PoolBias(), size, pref, gn, gt, gok, wn, wt, wok)
-			}
-
-			switch r := rng.Intn(12); {
-			case r < 5: // put (exercises the pool-aware replicate rotation too)
-				id := h.Key(fmt.Sprintf("blob%d", rng.Intn(96)))
-				if err := h.Put(p, pref, id, make([]byte, size), rng.Float64(), pref); err != nil {
-					var noCap *ErrNoCapacity
-					if !errors.As(err, &noCap) {
-						t.Fatalf("op %d: put: %v", op, err)
-					}
-				} else {
-					live = append(live, id)
-				}
-			case r < 7: // delete
-				if len(live) > 0 {
-					i := rng.Intn(len(live))
-					h.Delete(p, rng.Intn(computes), live[i])
-					live = append(live[:i], live[i+1:]...)
-				}
-			case r < 8: // crash a random node — compute or pool
-				h.FailNode(rng.Intn(total))
-			case r < 10: // revive (cold: wipe devices first, as the cluster does)
-				id := rng.Intn(total)
-				if !h.alive(id) {
-					for _, dev := range c.Nodes[id].Devices {
-						dev.Purge()
-					}
-					h.ReviveNode(id)
-				}
-			default: // flip the spill-vs-pool governor bias
-				h.SetPoolBias(rng.Intn(2) == 0)
-			}
-		}
-	})
-	if err := c.Engine.Run(); err != nil {
-		t.Fatal(err)
+	topo := topology.Spec{Pools: 3, PoolBytes: 256 * device.KB}
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas%d", replicas), func(t *testing.T) {
+			placementChurn(t, churnSpec(9, topo), 23, 1500, replicas)
+		})
 	}
 }
