@@ -214,7 +214,7 @@ func runDisaggKMeans(nodes, procs int, bytesPerNode int64, disagg bool, fp *faul
 	d := core.New(c, disaggConfig(disagg))
 	start := c.Engine.Now()
 	if fp != nil {
-		c.InstallFaults(shiftFaultPlan(fp, start))
+		c.InstallFaults(fp.Shift(start))
 	}
 	mcfg := cfg
 	mcfg.DatasetURL = ptsURL
@@ -280,7 +280,7 @@ func runDisaggBFS(nodes, procs int, vertices, seed int64, disagg bool, fp *fault
 	d := core.New(c, disaggConfig(disagg))
 	start := c.Engine.Now()
 	if fp != nil {
-		c.InstallFaults(shiftFaultPlan(fp, start))
+		c.InstallFaults(fp.Shift(start))
 	}
 	ranks := nodes * procs
 	var res bfs.Result

@@ -5,10 +5,7 @@ import (
 	"reflect"
 
 	"megammap/internal/apps/kmeans"
-	"megammap/internal/core"
-	"megammap/internal/datagen"
 	"megammap/internal/faults"
-	"megammap/internal/mpi"
 	"megammap/internal/stats"
 	"megammap/internal/vtime"
 )
@@ -32,7 +29,7 @@ func Failover(prof Profile, spec string) (*stats.Table, error) {
 	total := prof.Fig5BytesPerNode * int64(nodes)
 	n := particlesFor(total)
 
-	clean, err := failoverRun(prof, cfg, nil, nodes, ranks, n, total)
+	clean, err := mttrRun(prof, cfg, nil, nodes, ranks, n, total, nil)
 	if err != nil {
 		return nil, fmt.Errorf("failover: clean run: %w", err)
 	}
@@ -62,7 +59,7 @@ func Failover(prof Profile, spec string) (*stats.Table, error) {
 		plan.Crashes = []faults.Crash{{Node: 1, At: clean.genEnd + clean.m.Runtime/2}}
 	}
 
-	faulted, err := failoverRun(prof, cfg, plan, nodes, ranks, n, total)
+	faulted, err := mttrRun(prof, cfg, plan, nodes, ranks, n, total, nil)
 	if err != nil {
 		return nil, fmt.Errorf("failover: faulted run: %w", err)
 	}
@@ -82,44 +79,4 @@ func Failover(prof Profile, spec string) (*stats.Table, error) {
 		t.Add("fault."+ct.Name, ct.Value)
 	}
 	return t, nil
-}
-
-type failoverOut struct {
-	m        measured
-	genEnd   vtime.Duration
-	result   kmeans.Result
-	counters []faults.Counter
-}
-
-// failoverRun executes one KMeans run on a fresh testbed, optionally
-// under a fault plan, with one backup replica per scache page.
-func failoverRun(prof Profile, cfg kmeans.Config, plan *faults.Plan, nodes, ranks, n int, total int64) (failoverOut, error) {
-	c := newCluster(testbedSpec(nodes, fig5DRAMTier(total, nodes)))
-	ptsURL, _, err := genParticles(c, n, cfg.K, false)
-	if err != nil {
-		return failoverOut{}, err
-	}
-	out := failoverOut{genEnd: c.Engine.Now()}
-	var inj *faults.Injector
-	if plan != nil {
-		inj = c.InstallFaults(*plan)
-	}
-	ccfg := inMemoryConfig()
-	ccfg.Replicas = 1
-	d := core.New(c, ccfg)
-	cfg.DatasetURL = ptsURL
-	cfg.InitSpan = total / datagen.ParticleSize / int64(ranks)
-	cfg.BoundBytes = total / int64(ranks) * 3 / 4
-	out.m, err = runWorld(c, d, ranks, func(r *mpi.Rank) error {
-		res, err := kmeans.Mega(r, d, cfg)
-		if r.Rank() == 0 {
-			out.result = res
-		}
-		return err
-	})
-	if err != nil {
-		return failoverOut{}, err
-	}
-	out.counters = inj.Counters()
-	return out, nil
 }

@@ -97,40 +97,6 @@ func GrayFaultPlan() *faults.Plan {
 	}
 }
 
-// shiftFaultPlan returns a copy of fp with every absolute time moved
-// forward by start: plans are authored relative to serving start, but
-// the injector's clock starts at cluster construction.
-func shiftFaultPlan(fp *faults.Plan, start vtime.Duration) faults.Plan {
-	s := *fp
-	s.Crashes = append([]faults.Crash(nil), fp.Crashes...)
-	for i := range s.Crashes {
-		s.Crashes[i].At += start
-	}
-	s.Revives = append([]faults.Revive(nil), fp.Revives...)
-	for i := range s.Revives {
-		s.Revives[i].At += start
-	}
-	s.Partitions = append([]faults.Partition(nil), fp.Partitions...)
-	for i := range s.Partitions {
-		s.Partitions[i].From += start
-		s.Partitions[i].To += start
-	}
-	s.Devices = append([]faults.DeviceFault(nil), fp.Devices...)
-	for i := range s.Devices {
-		s.Devices[i].SlowFrom += start
-	}
-	s.Jitters = append([]faults.Jitter(nil), fp.Jitters...)
-	for i := range s.Jitters {
-		s.Jitters[i].From += start
-	}
-	s.Flaps = append([]faults.Flap(nil), fp.Flaps...)
-	for i := range s.Flaps {
-		s.Flaps[i].From += start
-		s.Flaps[i].To += start
-	}
-	return s
-}
-
 // grayHealthConfig tunes the health plane for the ablation's short
 // horizon: default thresholds, but a window needs only one op to count so
 // the modest open-loop rate still produces evidence.
@@ -208,7 +174,7 @@ func RunGrayCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int64,
 	// worker procs spread across the nodes drain it.
 	start := c.Engine.Now()
 	if fp != nil {
-		c.InstallFaults(shiftFaultPlan(fp, start))
+		c.InstallFaults(fp.Shift(start))
 	}
 	var ops, errsN int64
 	q := vtime.NewChan[grayReq](256)

@@ -153,16 +153,7 @@ func RunTenantsCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int
 	// the loop every tick.
 	start := c.Engine.Now()
 	if fp != nil {
-		shifted := *fp
-		shifted.Crashes = append([]faults.Crash(nil), fp.Crashes...)
-		for i := range shifted.Crashes {
-			shifted.Crashes[i].At += start
-		}
-		shifted.Revives = append([]faults.Revive(nil), fp.Revives...)
-		for i := range shifted.Revives {
-			shifted.Revives[i].At += start
-		}
-		c.InstallFaults(shifted)
+		c.InstallFaults(fp.Shift(start))
 	}
 	for i, ts := range specs {
 		i, ts := i, ts

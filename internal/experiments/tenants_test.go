@@ -86,9 +86,12 @@ func TestTenantsIsolationAblation(t *testing.T) {
 }
 
 // TestTenantsChaosReplay: the serving plane under a mid-serving node
-// crash and revive (fault-plan times relative to serving start) stays
-// deterministic — two same-seed chaos runs are byte-identical — and
-// still completes work for every tenant.
+// crash and revive and a partition window (fault-plan times relative to
+// serving start) stays deterministic — two same-seed chaos runs are
+// byte-identical — and still completes work for every tenant. Every
+// kind of rule is shifted to serving start, not only crashes: prefill
+// outlasts the whole horizon, so a partition left at its authored time
+// would be over before serving begins and change nothing.
 func TestTenantsChaosReplay(t *testing.T) {
 	prof := Small()
 	horizon := vtime.Duration(prof.TenantMillis) * vtime.Millisecond
@@ -97,6 +100,11 @@ func TestTenantsChaosReplay(t *testing.T) {
 		Crashes: []faults.Crash{{Node: 1, At: horizon / 3}},
 		Revives: []faults.Revive{{Node: 1, At: 2 * horizon / 3}},
 	}
+	unpartitioned, err := RunTenantsCell(prof.TenantNodes, prof.TenantPoolBytes, horizon, 42, true, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp.Partitions = []faults.Partition{{Src: 0, Dst: faults.AnyNode, From: horizon / 10, To: horizon / 5}}
 	a, err := RunTenantsCell(prof.TenantNodes, prof.TenantPoolBytes, horizon, 42, true, fp)
 	if err != nil {
 		t.Fatal(err)
@@ -107,6 +115,9 @@ func TestTenantsChaosReplay(t *testing.T) {
 	}
 	if sa, sb := tenantCellString(a), tenantCellString(b); sa != sb {
 		t.Errorf("chaos replay diverged:\n--- run 1\n%s--- run 2\n%s", sa, sb)
+	}
+	if tenantCellString(a) == tenantCellString(unpartitioned) {
+		t.Errorf("a partition window inside the serving phase changed nothing: it did not land there")
 	}
 	for _, to := range a.PerTenant {
 		if to.Ops == 0 {

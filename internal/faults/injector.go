@@ -401,8 +401,8 @@ func (in *Injector) Backoff(p *vtime.Proc, name string, attempt int) {
 }
 
 // Do runs op under the retry policy, backing off between attempts while
-// the error is transient. Not for hot paths (closure allocation) — the
-// pcache fault path writes its retry loop inline.
+// the error is transient. op is only called, never kept, so a closure
+// passed here stays on the caller's stack.
 func (in *Injector) Do(p *vtime.Proc, name string, op func() error) error {
 	err := op()
 	for attempt := 1; err != nil && Transient(err) && in.Allow(attempt); attempt++ {

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -163,6 +164,40 @@ type Plan struct {
 	Crashes    []Crash
 	Revives    []Revive
 	Retry      Policy
+}
+
+// Shift returns a copy of the plan with every absolute time moved
+// forward by d. Plans are authored relative to the start of the phase
+// they disturb (serving, the measured run), but the injector's clock
+// starts at cluster construction.
+func (pl Plan) Shift(d vtime.Duration) Plan {
+	pl.Crashes = slices.Clone(pl.Crashes)
+	for i := range pl.Crashes {
+		pl.Crashes[i].At += d
+	}
+	pl.Revives = slices.Clone(pl.Revives)
+	for i := range pl.Revives {
+		pl.Revives[i].At += d
+	}
+	pl.Partitions = slices.Clone(pl.Partitions)
+	for i := range pl.Partitions {
+		pl.Partitions[i].From += d
+		pl.Partitions[i].To += d
+	}
+	pl.Devices = slices.Clone(pl.Devices)
+	for i := range pl.Devices {
+		pl.Devices[i].SlowFrom += d
+	}
+	pl.Jitters = slices.Clone(pl.Jitters)
+	for i := range pl.Jitters {
+		pl.Jitters[i].From += d
+	}
+	pl.Flaps = slices.Clone(pl.Flaps)
+	for i := range pl.Flaps {
+		pl.Flaps[i].From += d
+		pl.Flaps[i].To += d
+	}
+	return pl
 }
 
 // ParseSpec parses the compact fault-plan DSL used by the mmbench

@@ -468,70 +468,6 @@ func (e *ErrNoCapacity) Error() string {
 	return fmt.Sprintf("hermes: no DMSH capacity for blob %q (%d bytes)", e.Key, e.Size)
 }
 
-// place picks a target for size bytes: the preferred node's tiers fastest
-// first, then other nodes' tiers fastest first (lowest node ID wins, the
-// order the old linear scan produced). Failed nodes are never chosen. It
-// returns node, tier and whether a target was found. Off the preferred
-// node, each tier is one O(log N) index query.
-func (h *Hermes) place(size int64, prefNode int) (int, string, bool) {
-	// Quarantine-aware pass: while any node is quarantined (and the bias
-	// is on), try to place on non-quarantined nodes only, falling back to
-	// the unbiased path below when nothing else fits. With bias 0 or no
-	// quarantined nodes this branch is never taken, so placement is
-	// byte-for-byte today's.
-	if h.quarBias > 0 && h.quarCount > 0 {
-		if n, t, ok := h.placeAvoiding(size, prefNode); ok {
-			return n, t, ok
-		}
-	}
-	if prefNode < h.computes && h.alive(prefNode) {
-		for ti, t := range h.tiers {
-			if h.poolBias && ti == len(h.tiers)-1 {
-				break // bias on: the pool stands in for the spill tier
-			}
-			if h.pidx.free[ti][prefNode] >= size {
-				return prefNode, t, true
-			}
-		}
-	}
-	// Governor actuation: with the pool bias on, overflow off the
-	// preferred node's fast tiers rides the fabric to a memory pool
-	// before touching the local spill tier or other compute nodes.
-	if h.poolBias {
-		if n, ok := h.placePool(size); ok {
-			return n, topology.PoolTier, true
-		}
-	}
-	for ti, t := range h.tiers {
-		i := h.pidx.tiers[ti].firstAtLeast(0, size)
-		if i == prefNode {
-			i = h.pidx.tiers[ti].firstAtLeast(prefNode+1, size)
-		}
-		if i >= 0 {
-			return i, t, true
-		}
-	}
-	// Every local tier is full: fall back to the memory pools. A uniform
-	// cluster has none, so this returns not-found exactly as before.
-	if n, ok := h.placePool(size); ok {
-		return n, topology.PoolTier, true
-	}
-	return 0, "", false
-}
-
-// placePool picks the first memory pool (lowest node id) with capacity,
-// or ok=false when the cluster has no pools or none fits. Dead pools sit
-// at -1 in the pool tree and are never chosen.
-func (h *Hermes) placePool(size int64) (int, bool) {
-	if h.pools == 0 {
-		return 0, false
-	}
-	if i := h.pidx.pool.firstAtLeast(h.computes, size); i >= 0 {
-		return i, true
-	}
-	return 0, false
-}
-
 // SetPoolBias steers placement overflow toward the memory pools (true)
 // or back to cross-node local-tier spill (false) — the spill-vs-pool
 // governor's actuation. A uniform cluster ignores it.
@@ -552,58 +488,33 @@ func (h *Hermes) PoolStats() (poolReads, reads, poolPlaced int64) {
 	return h.poolReads, h.readsTotal, h.poolPlaced
 }
 
-// placeAvoiding is place restricted to non-quarantined nodes: the same
-// preferred-node-then-first-fit walk, skipping quarantined candidates.
-// The skip loop advances the index query past each rejected node; at
-// most quarCount extra queries per tier.
-func (h *Hermes) placeAvoiding(size int64, prefNode int) (int, string, bool) {
-	if prefNode < h.computes && h.alive(prefNode) && !h.quar[prefNode] {
-		for ti, t := range h.tiers {
-			if h.pidx.free[ti][prefNode] >= size {
-				return prefNode, t, true
-			}
-		}
-	}
-	for ti, t := range h.tiers {
-		for from := 0; ; {
-			i := h.pidx.tiers[ti].firstAtLeast(from, size)
-			if i < 0 {
-				break
-			}
-			if i == prefNode || h.quar[i] {
-				from = i + 1
-				continue
-			}
-			return i, t, true
-		}
-	}
-	return 0, "", false
-}
-
 // nodeDownErr reports a blob whose every copy died with a crashed node.
 func (h *Hermes) nodeDownErr(id blob.ID) error {
 	return fmt.Errorf("hermes: blob %q unreachable, no live replica: %w", h.DisplayName(id), faults.ErrNodeDown)
 }
 
 // writeRetry writes a blob to dev, absorbing injected transient faults
-// under the retry policy.
+// under the retry policy. (The closures here and below never outlive the
+// call, so they stay on the stack: the put path allocates nothing more.)
 func (h *Hermes) writeRetry(p *vtime.Proc, dev *device.Device, id blob.ID, data []byte) error {
-	err := dev.Write(p, id, data)
-	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
-		h.inj.Backoff(p, "retry.scache_write", attempt)
-		err = dev.Write(p, id, data)
-	}
-	return err
+	return h.inj.Do(p, "retry.scache_write", func() error { return dev.Write(p, id, data) })
 }
 
 // writeAtRetry is writeRetry for partial-range writes.
 func (h *Hermes) writeAtRetry(p *vtime.Proc, dev *device.Device, id blob.ID, off int64, data []byte) error {
-	err := dev.WriteAt(p, id, off, data)
-	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
-		h.inj.Backoff(p, "retry.scache_write", attempt)
-		err = dev.WriteAt(p, id, off, data)
-	}
-	return err
+	return h.inj.Do(p, "retry.scache_write", func() error { return dev.WriteAt(p, id, off, data) })
+}
+
+// readRetry reads a blob from dev under the retry policy; counter names
+// the site's retry counter. For reads that stay on one device: get,
+// getRange and the hedged legs re-check reachability (and fail over)
+// between attempts, so they loop themselves.
+func (h *Hermes) readRetry(p *vtime.Proc, dev *device.Device, id blob.ID, counter string) (data []byte, ok bool, err error) {
+	err = h.inj.Do(p, counter, func() (e error) {
+		data, ok, e = dev.Read(p, id)
+		return e
+	})
+	return data, ok, err
 }
 
 // Put stores (or replaces) a blob, choosing a target near prefNode. The
@@ -666,52 +577,52 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 }
 
 // replicate writes the backup copies of a freshly (re)put blob to
-// distinct nodes other than the primary, best effort. The rotation walks
-// nodes in (primary+i)%nodes order via the placement index, jumping
-// straight to the next node with capacity instead of probing every node.
-// As in the original scan, a slot's stale backup is cleaned up on
-// reaching the first alive candidate — before its capacity check, since
-// the cleanup itself can free the space the new copy lands in.
+// distinct nodes other than the primary, best effort, each slot on the
+// first target of the rotation from the primary that takes the write.
+// pos carries the rotation offset from slot to slot, so a later slot
+// never revisits an earlier slot's nodes (which is why the local walk
+// needs no holds-copy filter; the pool leg, walked from the start for
+// every slot, does).
 func (h *Hermes) replicate(p *vtime.Proc, primary int, id blob.ID, data []byte) {
 	if h.replicas == 0 || id.Kind == blob.KindBackup {
 		return
 	}
-	placed := 0
-	pos := 1 // rotation offset: the candidate walk never revisits a node
-	for placed < h.replicas {
-		candidates := h.rotFirst(primary, pos, 0) >= 0
-		if !candidates && h.pools == 0 {
-			break // no alive candidates remain in the rotation
+	size := int64(len(data))
+	placed, pos := 0, 1
+	for ; placed < h.replicas; placed++ {
+		probe := walk{h: h, rotate: true, origin: primary, at: pos, pool: poolNever}
+		_, _, local := probe.next() // an alive compute node remains in the rotation
+		if !local && h.pools == 0 {
+			break
 		}
+		// The slot's stale copy goes before any capacity check: the cleanup
+		// itself can free the space the new copy lands in.
 		bk := id.Backup(placed)
 		if old, ok := h.meta[bk]; ok {
 			h.deleteData(p, old, bk)
 			h.metaDelete(bk)
 		}
-		// Same two-pass quarantine gating as placeBackup: prefer
-		// non-quarantined targets, fall back to any target so redundancy
-		// beats avoidance. With bias 0 or nothing quarantined the avoid
-		// pass IS the plain walk, byte for byte.
-		var next int
-		var stored bool
-		if candidates {
-			avoid := h.quarBias > 0 && h.quarCount > 0
-			next, stored = h.replicateSlot(p, primary, bk, data, pos, avoid)
-			if !stored && avoid {
-				next, stored = h.replicateSlot(p, primary, bk, data, pos, false)
+		stored := false
+		for pass := h.quarPasses(); local && !stored && pass > 0; pass-- {
+			w := walk{h: h, size: size, rotate: true, origin: primary, at: pos, skipQuar: pass > 1, pool: poolNever}
+			for node, tier, ok := w.next(); ok; node, tier, ok = w.next() {
+				if stored = h.storeBackup(p, primary, bk, node, tier, data, nil); stored {
+					pos = w.at
+					break
+				}
 			}
 		}
-		// Local tiers exhausted: redundancy beats locality, so the copy
-		// falls back to a memory pool (never reached on a uniform cluster).
 		if !stored && h.pools > 0 {
-			stored = h.replicatePool(p, primary, bk, data)
-			next = pos
+			// Local tiers exhausted: redundancy beats locality, so the copy
+			// falls back to the first pool holding no copy of the blob yet.
+			w := walk{h: h, size: size, origin: primary, holders: true, id: bk.Base(), pool: poolOnly}
+			if node, tier, ok := w.next(); ok {
+				stored = h.storeBackup(p, primary, bk, node, tier, data, nil)
+			}
 		}
 		if !stored {
 			break // the current slot fits nowhere; later slots cannot either
 		}
-		pos = next
-		placed++
 	}
 	if id.IsPrimary() && placed < h.replicas {
 		// Degraded write: fewer copies than configured exist right now.
@@ -721,58 +632,22 @@ func (h *Hermes) replicate(p *vtime.Proc, primary int, id blob.ID, data []byte) 
 	}
 }
 
-// replicateSlot walks the rotation from searchPos looking for a node to
-// hold one backup slot, optionally skipping quarantined nodes. Returns
-// the rotation offset the next slot should start from and whether the
-// copy was stored.
-func (h *Hermes) replicateSlot(p *vtime.Proc, primary int, bk blob.ID, data []byte, searchPos int, avoidQuar bool) (int, bool) {
+// storeBackup ships one backup copy from the primary's node to (node,
+// tier) and records it there; false when the device refused the write.
+// stale, when non-nil, is the old copy the new one replaces (repair
+// moving a backup off the primary's node): its bytes are freed once the
+// new ones are down.
+func (h *Hermes) storeBackup(p *vtime.Proc, primary int, bk blob.ID, node int, tier string, data []byte, stale *Placement) bool {
 	size := int64(len(data))
-	for {
-		fitPos := h.rotFirst(primary, searchPos, size)
-		if fitPos < 0 {
-			return searchPos, false
-		}
-		node := (primary + fitPos) % len(h.c.Nodes)
-		if avoidQuar && h.quar[node] {
-			searchPos = fitPos + 1
-			continue
-		}
-		for ti, t := range h.tiers {
-			dev := h.c.Nodes[node].Devices[t]
-			if h.pidx.free[ti][node] >= size {
-				h.c.Fabric.Transfer(p, primary, node, size)
-				if err := h.writeRetry(p, dev, bk, data); err == nil {
-					h.metaPut(bk, &Placement{Node: node, Tier: t, Size: size, Score: 0.05, ScoreNode: node})
-					return fitPos + 1, true
-				}
-				break
-			}
-		}
-		searchPos = fitPos + 1
+	h.c.Fabric.Transfer(p, primary, node, size)
+	if err := h.writeRetry(p, h.c.Nodes[node].Devices[tier], bk, data); err != nil {
+		return false
 	}
-}
-
-// replicatePool stores one backup slot on a memory pool that holds no
-// copy of the blob yet, walking pools in node order. It reports whether
-// the copy was stored.
-func (h *Hermes) replicatePool(p *vtime.Proc, primary int, bk blob.ID, data []byte) bool {
-	size := int64(len(data))
-	for from := h.computes; ; {
-		node := h.pidx.pool.firstAtLeast(from, size)
-		if node < 0 {
-			return false
-		}
-		if node == primary || h.holdsCopy(node, bk.Base()) {
-			from = node + 1
-			continue
-		}
-		h.c.Fabric.Transfer(p, primary, node, size)
-		if err := h.writeRetry(p, h.c.Nodes[node].Devices[topology.PoolTier], bk, data); err != nil {
-			return false
-		}
-		h.metaPut(bk, &Placement{Node: node, Tier: topology.PoolTier, Size: size, Score: 0.05, ScoreNode: node})
-		return true
+	if stale != nil {
+		h.deleteData(p, stale, bk)
 	}
+	h.metaPut(bk, &Placement{Node: node, Tier: tier, Size: size, Score: 0.05, ScoreNode: node})
+	return true
 }
 
 // ------------------------------------------------- anti-entropy repair --
@@ -912,11 +787,7 @@ func (h *Hermes) repairBlob(p *vtime.Proc, id blob.ID) (requeue, worked bool) {
 		return true, worked
 	}
 	src := h.c.Nodes[pl.Node].Devices[pl.Tier]
-	data, ok, err := src.Read(p, id)
-	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
-		h.inj.Backoff(p, "retry.repair_read", attempt)
-		data, ok, err = src.Read(p, id)
-	}
+	data, ok, err := h.readRetry(p, src, id, "retry.repair_read")
 	if err != nil || !ok {
 		return true, true
 	}
@@ -938,87 +809,16 @@ func (h *Hermes) repairReplicate(p *vtime.Proc, primary int, id blob.ID, data []
 		if bp != nil && h.reachable(bp) && bp.Node != primary {
 			continue // healthy and on a distinct node
 		}
+		// A reachable bp is co-located with the primary and is freed once a
+		// distinct copy exists; a stale dead-incarnation record holds no
+		// live bytes, and the new record overwrites it either way.
 		node, tier, ok := h.placeBackup(int64(len(data)), primary, id)
-		if !ok {
+		if !ok || !h.storeBackup(p, primary, bk, node, tier, data, bp) {
 			break
 		}
-		h.c.Fabric.Transfer(p, primary, node, int64(len(data)))
-		if err := h.writeRetry(p, h.c.Nodes[node].Devices[tier], bk, data); err != nil {
-			break
-		}
-		if bp != nil && h.reachable(bp) {
-			// Co-located with the primary: free the old bytes now that a
-			// distinct copy exists. (Stale dead-incarnation records hold no
-			// live bytes; metaPut overwrites the record either way.)
-			h.c.Nodes[bp.Node].Devices[bp.Tier].Delete(p, bk)
-		}
-		h.metaPut(bk, &Placement{Node: node, Tier: tier, Size: int64(len(data)), Score: 0.05, ScoreNode: node})
 		filled++
 	}
 	return filled
-}
-
-// placeBackup picks a target for a backup copy: a live node other than
-// the primary that holds no reachable copy of the blob, fastest tier
-// with capacity. Walked in (primary+i)%nodes order like replicate, so
-// repair placement is deterministic. The index query jumps straight to
-// candidates with capacity; at most replicas+1 nodes can hold a copy, so
-// the skip loop is bounded.
-func (h *Hermes) placeBackup(size int64, primary int, id blob.ID) (int, string, bool) {
-	// Same two-pass quarantine gating as place: prefer non-quarantined
-	// targets, fall back to any target so redundancy beats avoidance.
-	if h.quarBias > 0 && h.quarCount > 0 {
-		if n, t, ok := h.placeBackupPass(size, primary, id, true); ok {
-			return n, t, ok
-		}
-	}
-	if n, t, ok := h.placeBackupPass(size, primary, id, false); ok {
-		return n, t, ok
-	}
-	// Local tiers exhausted: repair copies fall back to the memory pools.
-	if n, ok := h.placeBackupPool(size, primary, id); ok {
-		return n, topology.PoolTier, true
-	}
-	return 0, "", false
-}
-
-// placeBackupPool picks a memory pool for a backup copy: capacity for
-// size, distinct from the primary, holding no reachable copy already.
-func (h *Hermes) placeBackupPool(size int64, primary int, id blob.ID) (int, bool) {
-	if h.pools == 0 {
-		return 0, false
-	}
-	for from := h.computes; ; {
-		node := h.pidx.pool.firstAtLeast(from, size)
-		if node < 0 {
-			return 0, false
-		}
-		if node == primary || h.holdsCopy(node, id) {
-			from = node + 1
-			continue
-		}
-		return node, true
-	}
-}
-
-func (h *Hermes) placeBackupPass(size int64, primary int, id blob.ID, avoidQuar bool) (int, string, bool) {
-	for pos := 1; ; {
-		fitPos := h.rotFirst(primary, pos, size)
-		if fitPos < 0 {
-			return 0, "", false
-		}
-		node := (primary + fitPos) % len(h.c.Nodes)
-		if h.holdsCopy(node, id) || (avoidQuar && h.quar[node]) {
-			pos = fitPos + 1
-			continue
-		}
-		for ti, t := range h.tiers {
-			if h.pidx.free[ti][node] >= size {
-				return node, t, true
-			}
-		}
-		pos = fitPos + 1 // unreachable: rotFirst guarantees a fitting tier
-	}
 }
 
 // holdsCopy reports whether a reachable copy of the blob (primary or
@@ -1046,11 +846,7 @@ func (h *Hermes) ReadBackup(p *vtime.Proc, fromNode int, id blob.ID, slot int) (
 		return nil, false
 	}
 	dev := h.c.Nodes[bp.Node].Devices[bp.Tier]
-	data, ok, err := dev.Read(p, bk)
-	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
-		h.inj.Backoff(p, "retry.scache_read", attempt)
-		data, ok, err = dev.Read(p, bk)
-	}
+	data, ok, err := h.readRetry(p, dev, bk, "retry.scache_read")
 	if err != nil || !ok {
 		return nil, false
 	}
@@ -1077,17 +873,12 @@ func (h *Hermes) PutLocal(p *vtime.Proc, node int, id blob.ID, data []byte, scor
 }
 
 func (h *Hermes) putLocal(p *vtime.Proc, node int, id blob.ID, data []byte, score float64) bool {
-	n := h.c.Nodes[node]
-	for _, t := range h.tiers {
-		if n.Devices[t].Free() >= int64(len(data)) {
-			if err := h.writeRetry(p, n.Devices[t], id, data); err != nil {
-				return false
-			}
-			h.metaPut(id, &Placement{Node: node, Tier: t, Size: int64(len(data)), Score: score, ScoreNode: node})
-			return true
-		}
+	ti := h.fitTier(node, int64(len(data)), len(h.tiers))
+	if ti < 0 || h.writeRetry(p, h.c.Nodes[node].Devices[h.tiers[ti]], id, data) != nil {
+		return false
 	}
-	return false
+	h.metaPut(id, &Placement{Node: node, Tier: h.tiers[ti], Size: int64(len(data)), Score: score, ScoreNode: node})
+	return true
 }
 
 // recoverPrimary rebuilds a blob whose primary node crashed: the bytes
@@ -1117,11 +908,7 @@ func (h *Hermes) recoverPrimaryData(p *vtime.Proc, id blob.ID) (*Placement, erro
 		return nil, h.nodeDownErr(id)
 	}
 	src := h.c.Nodes[bp.Node].Devices[bp.Tier]
-	data, ok, err := src.Read(p, bk)
-	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
-		h.inj.Backoff(p, "retry.scache_read", attempt)
-		data, ok, err = src.Read(p, bk)
-	}
+	data, ok, err := h.readRetry(p, src, bk, "retry.scache_read")
 	if err != nil || !ok {
 		if err == nil {
 			err = h.nodeDownErr(id)
@@ -1543,11 +1330,7 @@ func (h *Hermes) Organize(p *vtime.Proc, budget int64) {
 func (h *Hermes) move(p *vtime.Proc, id blob.ID, pl *Placement, node int, tier string) {
 	src := h.c.Nodes[pl.Node].Devices[pl.Tier]
 	dst := h.c.Nodes[node].Devices[tier]
-	data, ok, err := src.Read(p, id)
-	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
-		h.inj.Backoff(p, "retry.organize", attempt)
-		data, ok, err = src.Read(p, id)
-	}
+	data, ok, err := h.readRetry(p, src, id, "retry.organize")
 	if !ok || err != nil {
 		return // unreadable right now; the next pass can retry the move
 	}

@@ -1,6 +1,10 @@
 package hermes
 
-import "megammap/internal/topology"
+import (
+	"slices"
+
+	"megammap/internal/topology"
+)
 
 // Placement index: per-tier max segment trees over node free space,
 // answering the placement engine's first-fit queries in O(log N) instead
@@ -80,42 +84,41 @@ func (t *tierTree) firstAtLeast(from int, need int64) int {
 	}
 }
 
-// placeIndex is the Hermes placement engine's search structure.
+// placeIndex is the Hermes placement engine's search structure: one tree
+// per tier rank. Ranks follow h.tiers; a disaggregated cluster adds one
+// more, the remote_pool tier, below them. Only pool nodes have that tier
+// and they have no other, so a node sits at -1 in the trees of tiers it
+// lacks: local-tier queries never return a pool, pool-rank queries never
+// return a compute node, and neither needs a filter.
 type placeIndex struct {
-	tiers []*tierTree // per tier rank: alive nodes' free bytes on that tier
-	any   *tierTree   // per node: max free across tiers (alive nodes only)
-	free  [][]int64   // [tier][node] free bytes, mirrored from device hooks
-
-	// Disaggregated topology: memory-pool nodes never enter the local-tier
-	// trees (they stay parked at -1, so rotations and first-fit walks skip
-	// them); their remote_pool free space lives in a dedicated tree. Both
-	// are nil on a uniform cluster.
-	pool     *tierTree
-	poolFree []int64 // [node] pool free bytes (compute entries unused)
+	names []string    // tier name per rank
+	tiers []*tierTree // per rank: alive nodes' free bytes on that tier
+	any   *tierTree   // per node: max free across the local tiers (alive nodes only)
+	free  [][]int64   // [rank][node] free bytes mirrored from device hooks; -1 without the tier
 }
 
 // idxInit builds the index from current device state and subscribes to
-// every managed device's used-byte changes. Compute nodes feed the
-// local-tier trees; memory-pool nodes feed only the pool tree.
+// every managed device's used-byte changes.
 func (h *Hermes) idxInit() {
 	n := len(h.c.Nodes)
-	h.pidx.tiers = make([]*tierTree, len(h.tiers))
-	h.pidx.free = make([][]int64, len(h.tiers))
-	for ti, t := range h.tiers {
+	h.pidx.names = h.tiers
+	if h.pools > 0 {
+		h.pidx.names = append(slices.Clone(h.tiers), topology.PoolTier)
+	}
+	h.pidx.tiers = make([]*tierTree, len(h.pidx.names))
+	h.pidx.free = make([][]int64, len(h.pidx.names))
+	h.pidx.any = newTierTree(n)
+	for ti, t := range h.pidx.names {
 		h.pidx.tiers[ti] = newTierTree(n)
 		h.pidx.free[ti] = make([]int64, n)
-		for _, node := range h.c.Nodes[:h.computes] {
-			h.pidx.free[ti][node.ID] = node.Devices[t].Free()
-		}
-	}
-	h.pidx.any = newTierTree(n)
-	for i := 0; i < h.computes; i++ {
-		h.idxRefreshNode(i)
-	}
-	for _, node := range h.c.Nodes[:h.computes] {
-		for ti, t := range h.tiers {
-			nodeID, ti := node.ID, ti
-			node.Devices[t].OnUsedChange(func(delta int64) {
+		for _, node := range h.c.Nodes {
+			nodeID, d := node.ID, node.Devices[t]
+			if d == nil {
+				h.pidx.free[ti][nodeID] = -1
+				continue
+			}
+			h.pidx.free[ti][nodeID] = d.Free()
+			d.OnUsedChange(func(delta int64) {
 				h.pidx.free[ti][nodeID] -= delta
 				if h.alive(nodeID) {
 					h.idxRefreshTier(nodeID, ti)
@@ -123,27 +126,13 @@ func (h *Hermes) idxInit() {
 			})
 		}
 	}
-	if h.pools == 0 {
-		return
-	}
-	h.pidx.pool = newTierTree(n)
-	h.pidx.poolFree = make([]int64, n)
-	for _, node := range h.c.Nodes[h.computes:] {
-		nodeID := node.ID
-		d := node.Devices[topology.PoolTier]
-		h.pidx.poolFree[nodeID] = d.Free()
-		h.pidx.pool.set(nodeID, d.Free())
-		d.OnUsedChange(func(delta int64) {
-			h.pidx.poolFree[nodeID] -= delta
-			if h.alive(nodeID) {
-				h.pidx.pool.set(nodeID, h.pidx.poolFree[nodeID])
-			}
-		})
+	for i := range h.c.Nodes {
+		h.idxRefreshNode(i)
 	}
 }
 
-// idxRefreshTier pushes one (node, tier) free value and the node's
-// any-tier maximum into the trees. The node must be alive.
+// idxRefreshTier pushes one (node, rank) free value and the node's
+// any-local-tier maximum into the trees. The node must be alive.
 func (h *Hermes) idxRefreshTier(node, ti int) {
 	h.pidx.tiers[ti].set(node, h.pidx.free[ti][node])
 	m := int64(-1)
@@ -157,37 +146,18 @@ func (h *Hermes) idxRefreshTier(node, ti int) {
 
 // idxRefreshNode re-publishes a node after a liveness change: a dead
 // node parks at -1 (matched by no query), a live one restores its
-// mirrored free values. Memory-pool nodes publish only to the pool tree
-// (their local-tier leaves stay parked forever).
+// mirrored free values.
 func (h *Hermes) idxRefreshNode(node int) {
-	if node >= h.computes {
-		if h.pidx.pool == nil {
-			return
-		}
-		if !h.alive(node) {
-			h.pidx.pool.set(node, -1)
-		} else {
-			h.pidx.pool.set(node, h.pidx.poolFree[node])
+	if h.alive(node) {
+		for ti := range h.pidx.tiers {
+			h.idxRefreshTier(node, ti)
 		}
 		return
 	}
-	if !h.alive(node) {
-		for ti := range h.tiers {
-			h.pidx.tiers[ti].set(node, -1)
-		}
-		h.pidx.any.set(node, -1)
-		return
+	for _, tree := range h.pidx.tiers {
+		tree.set(node, -1)
 	}
-	for ti := range h.tiers {
-		h.pidx.tiers[ti].set(node, h.pidx.free[ti][node])
-	}
-	m := int64(-1)
-	for ti := range h.tiers {
-		if f := h.pidx.free[ti][node]; f > m {
-			m = f
-		}
-	}
-	h.pidx.any.set(node, m)
+	h.pidx.any.set(node, -1)
 }
 
 // rotFirst maps the placement rotation (primary+1, primary+2, ...,
