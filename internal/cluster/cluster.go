@@ -474,6 +474,12 @@ func (c *Cluster) pfsLookup(key string) (blob.ID, bool) {
 // key is interned here; the stage backends are the only layer still
 // addressing data by name.
 func (c *Cluster) PFSWrite(p *vtime.Proc, node int, key string, off int64, data []byte) error {
+	return c.PFSWriteSized(p, node, key, off, data, 0)
+}
+
+// PFSWriteSized is PFSWrite for a writer that knows the object's final
+// extent; see device.WriteAtSized. Charges are those of PFSWrite.
+func (c *Cluster) PFSWriteSized(p *vtime.Proc, node int, key string, off int64, data []byte, extent int64) error {
 	trc := c.tel.Tracer()
 	sp := trc.Begin(telemetry.OpPFSWrite, node, telemetry.SpanID(p.TraceSpan()), p.Now())
 	var prev uint32
@@ -483,10 +489,10 @@ func (c *Cluster) PFSWrite(p *vtime.Proc, node int, key string, off int64, data 
 	c.chargePFSNet(p, node, int64(len(data)))
 	id := c.pfsID(key)
 	c.pfsSrv.Acquire(p, 1)
-	err := c.PFS.WriteAt(p, id, off, data)
+	err := c.PFS.WriteAtSized(p, id, off, data, extent)
 	for attempt := 1; err != nil && faults.Transient(err) && c.inj.Allow(attempt); attempt++ {
 		c.inj.Backoff(p, "retry.pfs_write", attempt)
-		err = c.PFS.WriteAt(p, id, off, data)
+		err = c.PFS.WriteAtSized(p, id, off, data, extent)
 	}
 	c.pfsSrv.Release(1)
 	if sp != 0 {
@@ -505,6 +511,13 @@ func (c *Cluster) PFSWrite(p *vtime.Proc, node int, key string, off int64, data 
 // cluster's backoff policy; a persistent fault surfaces as an error with
 // ok=true (the object exists but cannot be served).
 func (c *Cluster) PFSRead(p *vtime.Proc, node int, key string, off, length int64) ([]byte, bool, error) {
+	return c.PFSReadInto(p, node, key, off, length, nil)
+}
+
+// PFSReadInto is PFSRead reusing dst's storage for the result when it is
+// large enough (see device.ReadInto); the caller owns the returned slice
+// either way.
+func (c *Cluster) PFSReadInto(p *vtime.Proc, node int, key string, off, length int64, dst []byte) ([]byte, bool, error) {
 	id, ok := c.pfsLookup(key)
 	if !ok {
 		return nil, false, nil
@@ -516,10 +529,10 @@ func (c *Cluster) PFSRead(p *vtime.Proc, node int, key string, off, length int64
 		prev = p.SetTraceSpan(uint32(sp))
 	}
 	c.pfsSrv.Acquire(p, 1)
-	data, ok, err := c.PFS.ReadAt(p, id, off, length)
+	data, ok, err := c.PFS.ReadAtInto(p, id, off, length, dst)
 	for attempt := 1; err != nil && faults.Transient(err) && c.inj.Allow(attempt); attempt++ {
 		c.inj.Backoff(p, "retry.pfs_read", attempt)
-		data, ok, err = c.PFS.ReadAt(p, id, off, length)
+		data, ok, err = c.PFS.ReadAtInto(p, id, off, length, dst)
 	}
 	c.pfsSrv.Release(1)
 	if err == nil && ok {

@@ -38,13 +38,16 @@ type DSM struct {
 	taskFree   []*MemoryTask // recycled tasks; every fault/commit churns one
 	busyChains int
 
-	// bufFree recycles page data buffers, completing the allocation-free
-	// fault path: reads copy device bytes into a pooled buffer that
-	// becomes the page's data; the pcache returns it when the page drops
-	// clean, and commit payloads return through recycleTask once the
-	// scache holds its own copy. getBuf zeroes on acquisition, so the
-	// write-allocate and stage-in paths may treat pooled buffers as fresh.
+	// bufFree is the one page-buffer pool of the data path (DESIGN.md
+	// "Page-buffer ownership"): every page image that crosses a layer
+	// boundary — fault, fill, commit payload, stage-in, stage-out, repair,
+	// hermes relay — is a getBuf buffer with exactly one owner at a time
+	// and one way back (putBuf, or recycleTask for a buffer left on a
+	// task). bufOut counts the buffers out of the pool; once every task
+	// drained it equals the pages resident in the pcaches, which the
+	// pool-balance test holds.
 	bufFree [][]byte
+	bufOut  int64
 
 	// pendingMoves counts organizer relocations still queued or running;
 	// the organizer never plans from a state its own unfinished moves are
@@ -172,6 +175,7 @@ func New(c *cluster.Cluster, cfg Config) *DSM {
 	d.trc = d.tel.Tracer()
 	d.inj = c.Faults()
 	d.registerMetrics()
+	d.h.SetScratch(d.getBuf, d.putBuf)
 	if cfg.Replicas > 0 {
 		d.h.SetReplicas(cfg.Replicas)
 	}
@@ -635,32 +639,39 @@ func (d *DSM) recycleTask(t *MemoryTask) {
 // to the garbage collector rather than hoarded.
 const maxPooledBufs = 256
 
-// getBuf returns a zeroed buffer of length size, reusing a pooled one
-// that fits. The caller owns it until handing it to the pcache (page
-// data) or leaving it on a task for recycleTask to reclaim.
+// getBuf takes a buffer of length size out of the pool, reusing the most
+// recently returned one that fits. Its contents are unspecified: the
+// caller overwrites every byte (a read fills it, fullPage and stageIn
+// clear what the read left) or clears it itself (write-allocate). The
+// caller owns it until it hands it on — to the pcache as page data, to a
+// task as t.data — or returns it with putBuf.
 func (d *DSM) getBuf(size int64) []byte {
-	for n := len(d.bufFree); n > 0; n = len(d.bufFree) {
-		b := d.bufFree[n-1]
-		d.bufFree[n-1] = nil
-		d.bufFree = d.bufFree[:n-1]
-		if int64(cap(b)) >= size {
-			b = b[:size]
-			clear(b)
-			return b
+	d.bufOut++
+	for i := len(d.bufFree) - 1; i >= 0; i-- {
+		if b := d.bufFree[i]; int64(cap(b)) >= size {
+			// Buffers of a smaller page size stay pooled for their own vector.
+			last := len(d.bufFree) - 1
+			d.bufFree[i] = d.bufFree[last]
+			d.bufFree[last] = nil
+			d.bufFree = d.bufFree[:last]
+			return b[:size]
 		}
-		// Sized for a smaller page; let the GC take it.
 	}
 	return make([]byte, size)
 }
 
-// putBuf returns a buffer to the pool. The caller guarantees no other
-// reference to it remains (rule: whoever nils the owning pointer pools
-// the buffer). nil is accepted and ignored.
+// putBuf returns a getBuf buffer to the pool. The caller guarantees no
+// other reference to it remains (rule: whoever nils the owning pointer
+// pools the buffer). nil is accepted and ignored; past the cap the buffer
+// goes to the garbage collector.
 func (d *DSM) putBuf(b []byte) {
-	if b == nil || len(d.bufFree) >= maxPooledBufs {
+	if b == nil {
 		return
 	}
-	d.bufFree = append(d.bufFree, b)
+	d.bufOut--
+	if len(d.bufFree) < maxPooledBufs {
+		d.bufFree = append(d.bufFree, b)
+	}
 }
 
 // pageDone releases a page's chain after a task completes and dispatches
@@ -752,7 +763,11 @@ func (d *DSM) stageOut(p *vtime.Proc, m *vecMeta, page int64, node int) error {
 
 func (d *DSM) stageOutData(p *vtime.Proc, m *vecMeta, page int64, node int) error {
 	defer delete(m.staging, page)
-	data, ok, err := d.h.Get(p, node, m.pageID(page))
+	// The image only passes through on its way to the backend, which
+	// stores its own copy.
+	buf := d.getBuf(m.pageSize)
+	defer d.putBuf(buf)
+	data, ok, err := d.h.GetInto(p, node, m.pageID(page), buf)
 	if err != nil {
 		return fmt.Errorf("core: staging out %s page %d: %w", m.name, page, err)
 	}

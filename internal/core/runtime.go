@@ -171,9 +171,9 @@ func (r *Runtime) exec(p *vtime.Proc, t *MemoryTask) {
 func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 	m := t.vec
 	key := m.pageID(t.page)
-	// One pooled buffer serves the whole read: device bytes copy into it
-	// and it leaves as the page's data (dropPage returns it once the page
-	// drops clean). It arrives zeroed, so short blobs pad for free.
+	// One pooled buffer serves the whole read — scache get, stage-in or
+	// checksum repair all fill it — and it leaves as the page's data
+	// (dropPage returns it). Every leg below overwrites all of it.
 	buf := r.d.getBuf(m.pageSize)
 	// Replicated phase: serve from (or install) a replica local to the
 	// requesting node.
@@ -228,9 +228,11 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 			// stale or zero fill, and re-Putting it would propagate the
 			// bad bytes over the surviving backup replicas. Repair from a
 			// good copy instead; repairPage reinstalls the primary itself.
-			good, rerr := r.repairPage(p, m, t.page, want)
-			r.d.putBuf(buf) // the corrupt image; zeroed again on reuse
+			// buf's corrupt image is no use to anyone: the repair reads its
+			// candidates over it.
+			good, rerr := r.repairPage(p, m, t.page, want, buf)
 			if rerr != nil {
+				r.d.putBuf(buf)
 				return nil, rerr
 			}
 			data = good
@@ -268,7 +270,8 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 // (refreshing its backups) with the good image, and counts the repair.
 // When no good copy survives, the corruption is unrepairable and the
 // fault surfaces faults.ErrCorrupt instead of silently returning zeros.
-func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32) ([]byte, error) {
+// The good image is returned in buf, a caller-owned page buffer.
+func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32, buf []byte) ([]byte, error) {
 	sp := r.d.trc.Begin(telemetry.OpRepair, r.node.ID, telemetry.SpanID(p.TraceSpan()), p.Now())
 	var prev uint32
 	if sp != 0 {
@@ -276,7 +279,7 @@ func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32)
 		s.Vec, s.Arg = m.id, page
 		prev = p.SetTraceSpan(uint32(sp))
 	}
-	good, err := r.repairSource(p, m, page, want)
+	good, err := r.repairSource(p, m, page, want, buf)
 	if sp != 0 {
 		p.SetTraceSpan(prev)
 		if s := r.d.trc.At(sp); s != nil {
@@ -300,19 +303,15 @@ func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32)
 
 // repairSource finds a page image matching the recorded checksum: backup
 // replicas first (cheapest, scache-resident), then a backend re-stage for
-// pages whose last commit was staged out.
-func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint32) ([]byte, error) {
+// pages whose last commit was staged out. Each candidate is read over buf.
+func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint32, buf []byte) ([]byte, error) {
 	key := m.pageID(page)
 	for slot := 0; slot < r.d.cfg.Replicas; slot++ {
-		if data, ok := r.d.h.ReadBackup(p, r.node.ID, key, slot); ok {
+		if data, ok := r.d.h.ReadBackup(p, r.node.ID, key, slot, buf); ok {
 			// Backups of volatile pages are stored trimmed like their
 			// primaries; pad before checksumming or a good short copy
 			// would never match the full-page CRC.
-			if int64(len(data)) < m.pageSize {
-				img := make([]byte, m.pageSize)
-				copy(img, data)
-				data = img
-			}
+			data = fullPage(data, buf, m.pageSize)
 			if crc32.ChecksumIEEE(data) == want {
 				r.d.inj.Note("core.repair_replica")
 				return data, nil
@@ -320,7 +319,7 @@ func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint3
 		}
 	}
 	if m.backend != nil && !m.dirty[page] {
-		if data, err := r.stageIn(p, m, page, nil); err == nil && crc32.ChecksumIEEE(data) == want {
+		if data, err := r.stageIn(p, m, page, buf); err == nil && crc32.ChecksumIEEE(data) == want {
 			r.d.inj.Note("core.repair_restage")
 			return data, nil
 		}
@@ -328,25 +327,24 @@ func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint3
 	return nil, fmt.Errorf("core: checksum mismatch on %s page %d: %w", m.name, page, faults.ErrCorrupt)
 }
 
-// fullPage pads a short (trimmed volatile) blob image back to page size.
-// data normally aliases buf — device reads copy into the caller's pooled
-// buffer, whose tail past the blob is still zeroed — so padding is a free
-// reslice; a non-aliasing image is copied and tail-cleared.
+// fullPage returns a scache read's image as the full page in buf, the
+// pooled buffer the read was given. data normally aliases buf (device
+// reads copy into the caller's buffer); an image that arrived elsewhere —
+// a hedged read's winner — is copied in, so the page's buffer is always
+// the pooled one. Volatile blobs are stored trimmed to their written
+// extent: the tail past the blob is cleared (buf holds stale bytes).
 func fullPage(data, buf []byte, size int64) []byte {
-	if int64(len(data)) >= size {
-		return data
-	}
 	full := buf[:size]
 	if len(data) > 0 && &full[0] != &data[0] {
-		n := copy(full, data)
-		clear(full[n:])
+		copy(full, data)
 	}
+	clear(full[min(int64(len(data)), size):])
 	return full
 }
 
 // stageIn materializes a page image from the vector's backend (or zeros
-// for volatile/unwritten pages) into dst when it is large enough (nil or
-// undersized dst allocates a fresh image).
+// for volatile/unwritten pages) over dst, a page buffer of the caller's
+// whose contents are unspecified on entry.
 func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, dst []byte) ([]byte, error) {
 	sp := r.d.trc.Begin(telemetry.OpStageIn, r.node.ID, telemetry.SpanID(p.TraceSpan()), p.Now())
 	if sp == 0 {
@@ -363,30 +361,22 @@ func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, dst []byte) ([]
 }
 
 func (r *Runtime) stageInData(p *vtime.Proc, m *vecMeta, page int64, dst []byte) ([]byte, error) {
-	var data []byte
-	if int64(cap(dst)) >= m.pageSize {
-		data = dst[:m.pageSize]
-		clear(data) // dst may hold stale bytes (e.g. a discarded corrupt read)
-	} else {
-		data = make([]byte, m.pageSize)
+	data := dst[:m.pageSize]
+	var n int64 // bytes the backend holds for this page
+	if m.backend != nil {
+		off := page * m.pageSize
+		if have := m.backend.Size(); off < have {
+			n = min(m.pageSize, have-off)
+			// Backend bytes land straight in the page buffer: data is
+			// large enough, so got is data[:len(got)].
+			got, err := m.backend.ReadRangeInto(p, r.node.ID, off, n, data)
+			if err != nil {
+				return nil, err
+			}
+			n = int64(len(got))
+		}
 	}
-	if m.backend == nil {
-		return data, nil
-	}
-	off := page * m.pageSize
-	have := m.backend.Size()
-	if off >= have {
-		return data, nil
-	}
-	n := m.pageSize
-	if off+n > have {
-		n = have - off
-	}
-	got, err := m.backend.ReadRange(p, r.node.ID, off, n)
-	if err != nil {
-		return nil, err
-	}
-	copy(data, got)
+	clear(data[n:]) // dst holds stale bytes past what the backend filled
 	return data, nil
 }
 
@@ -407,7 +397,11 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 		// pays); incremental PutAt is bypassed.
 		image := t.data
 		if !whole {
-			base, err := r.pageImage(p, m, t.page)
+			// The merged post-image only passes through to the scache,
+			// which stores its own copy.
+			buf := r.d.getBuf(m.pageSize)
+			defer r.d.putBuf(buf)
+			base, err := r.pageImage(p, m, t.page, buf)
 			if err != nil {
 				return err
 			}
@@ -429,9 +423,12 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 		if whole {
 			base = t.data
 		} else {
-			// Read-modify-write against the backend image (or zeros).
+			// Read-modify-write against the backend image (or zeros), in a
+			// buffer that only passes through to the scache.
+			buf := r.d.getBuf(m.pageSize)
+			defer r.d.putBuf(buf)
 			var err error
-			base, err = r.stageIn(p, m, t.page, nil)
+			base, err = r.stageIn(p, m, t.page, buf)
 			if err != nil {
 				return err
 			}
@@ -467,24 +464,19 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 }
 
 // pageImage returns the current full page image from the scache (padded)
-// or the backend/zeros when absent.
-func (r *Runtime) pageImage(p *vtime.Proc, m *vecMeta, page int64) ([]byte, error) {
-	data, ok, err := r.d.h.Get(p, r.node.ID, m.pageID(page))
+// or the backend/zeros when absent, in buf (a caller-owned page buffer).
+func (r *Runtime) pageImage(p *vtime.Proc, m *vecMeta, page int64, buf []byte) ([]byte, error) {
+	data, ok, err := r.d.h.GetInto(p, r.node.ID, m.pageID(page), buf)
 	if err != nil {
 		if errors.Is(err, faults.ErrNodeDown) && !m.dirty[page] {
-			return r.stageIn(p, m, page, nil) // clean page: the backend is truth
+			return r.stageIn(p, m, page, buf) // clean page: the backend is truth
 		}
 		return nil, err
 	}
 	if ok {
-		if int64(len(data)) < m.pageSize {
-			full := make([]byte, m.pageSize)
-			copy(full, data)
-			data = full
-		}
-		return data, nil
+		return fullPage(data, buf, m.pageSize), nil
 	}
-	return r.stageIn(p, m, page, nil)
+	return r.stageIn(p, m, page, buf)
 }
 
 // invalidateReplicas removes every replica of a page (write-after-read

@@ -298,7 +298,8 @@ func (v *Vector[T]) TxEnd() {
 }
 
 // releaseFills drops every pending prefetch fill (all complete after a
-// Drain) so fills never leak across transaction phases.
+// Drain) so fills never leak across transaction phases: the reservation
+// is released and the fill's task and page buffer re-pool.
 func (v *Vector[T]) releaseFills() {
 	if len(v.fills) == 0 {
 		return
@@ -309,10 +310,14 @@ func (v *Vector[T]) releaseFills() {
 	}
 	sortInt64s(pgs)
 	for _, pg := range pgs {
+		f := v.fills[pg]
 		delete(v.fills, pg)
 		v.pc.used -= v.m.pageSize
 		v.c.node.Free(v.m.pageSize)
 		v.c.d.fillWaste++
+		if f.t.done.Fired() { // else a worker still holds the task
+			v.c.d.recycleTask(f.t)
+		}
 	}
 }
 
@@ -621,7 +626,8 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 	partial := false
 	switch {
 	case writeAlloc:
-		data = v.c.d.getBuf(m.pageSize) // arrives zeroed: correct zero fill
+		data = v.c.d.getBuf(m.pageSize)
+		clear(data) // write-allocate: the unwritten rest of the page is zero fill
 		partial = true
 	case v.fills[pg] != nil:
 		f := v.fills[pg]
@@ -757,10 +763,10 @@ func (v *Vector[T]) evict(cp *cachedPage) {
 	v.dropPage(cp)
 }
 
-// dropPage releases a page's pcache residency and DRAM accounting. A
-// clean page still owns its buffer, which re-pools here; a dirty page's
-// buffer was handed to the eviction commit task (which pools it after the
-// device copies the payload).
+// dropPage releases a page's pcache residency and DRAM accounting. The
+// page's buffer re-pools here, unless an eviction commit took it (then
+// cp.data is nil and recycleTask pools it after the device copied the
+// payload).
 func (v *Vector[T]) dropPage(cp *cachedPage) {
 	v.pc.remove(cp.idx)
 	v.pc.used -= v.m.pageSize
@@ -768,17 +774,15 @@ func (v *Vector[T]) dropPage(cp *cachedPage) {
 	if v.last == cp {
 		v.last = nil
 	}
-	if !cp.isDirty() {
-		v.c.d.putBuf(cp.data)
-		cp.data = nil
-	}
+	v.c.d.putBuf(cp.data)
 	v.pc.recycle(cp)
 }
 
 // commitPage submits an asynchronous write task carrying the page's dirty
 // regions. With retain the page stays cached: the buffer is snapshotted
-// so later writes don't race the commit. Without retain (eviction) the
-// buffer's ownership transfers to the task.
+// into a pooled one so later writes don't race the commit. Without retain
+// (eviction) the buffer's ownership transfers to the task. Either way
+// recycleTask pools the payload once the scache holds its own copy.
 func (v *Vector[T]) commitPage(cp *cachedPage, retain bool) {
 	regions := mergeRanges(cp.dirty)
 	// A write-allocated page whose every byte was locally written holds
@@ -790,7 +794,7 @@ func (v *Vector[T]) commitPage(cp *cachedPage, retain bool) {
 	}
 	data := cp.data
 	if retain {
-		data = make([]byte, len(cp.data))
+		data = v.c.d.getBuf(int64(len(cp.data)))
 		copy(data, cp.data)
 		// mergeRanges coalesced in place, so regions still aliases
 		// cp.dirty's backing array; snapshot it before resetting cp.dirty,
@@ -798,6 +802,8 @@ func (v *Vector[T]) commitPage(cp *cachedPage, retain bool) {
 		// would clobber the in-flight region list.
 		regions = append([]dirtyRange(nil), regions...)
 		cp.dirty = cp.dirty[:0]
+	} else {
+		cp.data = nil // the task owns the buffer now
 	}
 	t := v.c.d.newTask()
 	t.kind, t.vec, t.page = taskWrite, v.m, cp.idx

@@ -330,6 +330,13 @@ func (d *Device) charge(p *vtime.Proc, n int64, bw float64) {
 
 // Write stores data under key, replacing any previous contents, and
 // charges write cost. It fails with ErrNoSpace if the device is full.
+//
+// The device always stores its own copy, never the caller's slice. A
+// payload of the stored blob's length is copied over the stored bytes in
+// place (every whole-page commit and replica reinstall);
+// any other length gets a fresh array of exactly that length, so stored
+// blobs carry no capacity slack. The order is charge, injected fault, and
+// only then the copy: a failed write leaves the old contents whole.
 func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) error {
 	old := int64(len(d.blobs[key]))
 	delta := int64(len(data)) - old
@@ -344,9 +351,13 @@ func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) error {
 			return err
 		}
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	d.blobs[key] = buf
+	// Looked up again: the charge yielded, and the blob may have been
+	// replaced or deleted meanwhile.
+	if cur, ok := d.blobs[key]; ok && len(cur) == len(data) {
+		copy(cur, data)
+	} else {
+		d.blobs[key] = fill(nil, data)
+	}
 	d.note(delta)
 	d.writeOps++
 	d.bytesWrite += int64(len(data))
@@ -357,6 +368,17 @@ func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) error {
 // WriteAt overwrites a byte range of an existing blob, extending it if the
 // range runs past the current end, and charges write cost for the range.
 func (d *Device) WriteAt(p *vtime.Proc, key blob.ID, off int64, data []byte) error {
+	return d.WriteAtSized(p, key, off, data, 0)
+}
+
+// WriteAtSized is WriteAt for a writer that knows the object's final
+// extent (a row group, a preallocated file): when the write has to grow
+// the object, its array is allocated once with exactly extent bytes of
+// capacity, and later extending writes up to that extent reslice instead
+// of reallocating and copying the whole object. Only the host array is
+// sized ahead; the blob's length, Used, Peak and every charge are those
+// of WriteAt. An extent below the write's end is ignored.
+func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte, extent int64) error {
 	blob := d.blobs[key]
 	end := off + int64(len(data))
 	if end > int64(len(blob)) {
@@ -364,9 +386,13 @@ func (d *Device) WriteAt(p *vtime.Proc, key blob.ID, off int64, data []byte) err
 		if delta > d.Free() {
 			return &ErrNoSpace{Device: d.name, Need: delta, Free: d.Free()}
 		}
-		grown := make([]byte, end)
-		copy(grown, blob)
-		blob = grown
+		if end <= int64(cap(blob)) {
+			blob = blob[:end] // sized ahead and never written: still zero
+		} else {
+			grown := make([]byte, end, max(end, extent))
+			copy(grown, blob)
+			blob = grown
+		}
 		d.note(delta)
 		d.blobs[key] = blob
 	}
@@ -385,36 +411,35 @@ func (d *Device) WriteAt(p *vtime.Proc, key blob.ID, off int64, data []byte) err
 	return nil
 }
 
+// fill copies src into dst's storage when it is large enough, else into a
+// fresh array of exactly len(src) bytes, and returns the copy. Every read
+// goes through it: stored bytes are overwritten in place by Write, WriteAt
+// and CorruptBit, so a slice aliasing them would change under its holder.
+// A nil dst always allocates, so even an empty blob reads as non-nil.
+func fill(dst, src []byte) []byte {
+	if dst != nil && cap(dst) >= len(src) {
+		dst = dst[:len(src)]
+		copy(dst, src)
+		return dst
+	}
+	out := make([]byte, len(src)) // make+copy compiles to one unzeroed allocation
+	copy(out, src)
+	return out
+}
+
 // Read returns a copy of the blob and charges read cost. It returns
 // ok=false if the blob is absent (no cost is charged for a miss). An
 // injected transient fault charges the failed attempt's cost and returns
 // (nil, true, err).
 func (d *Device) Read(p *vtime.Proc, key blob.ID) ([]byte, bool, error) {
-	blob, ok := d.blobs[key]
-	if !ok {
-		return nil, false, nil
-	}
-	sp := d.beginSpan(p, telemetry.OpDeviceRead, key)
-	d.charge(p, int64(len(blob)), d.prof.ReadBW)
-	if d.inj != nil {
-		if err := d.inj.DeviceRead(d.fnode, d.ftier); err != nil {
-			d.endSpan(p, sp, int64(len(blob)), true)
-			return nil, true, err
-		}
-	}
-	out := make([]byte, len(blob))
-	copy(out, blob)
-	d.readOps++
-	d.bytesRead += int64(len(blob))
-	d.endSpan(p, sp, int64(len(blob)), false)
-	return out, true, nil
+	return d.ReadInto(p, key, nil)
 }
 
 // ReadInto is Read reusing dst's storage when it is large enough: the
 // blob is copied into dst[:len(blob)] and that slice returned, otherwise
 // a fresh buffer is allocated. The returned slice is owned by the caller
 // either way (it never aliases device storage); this is the
-// allocation-free leg of the page-fault path's buffer pool.
+// allocation-free leg of the page-buffer path.
 func (d *Device) ReadInto(p *vtime.Proc, key blob.ID, dst []byte) ([]byte, bool, error) {
 	blob, ok := d.blobs[key]
 	if !ok {
@@ -428,13 +453,7 @@ func (d *Device) ReadInto(p *vtime.Proc, key blob.ID, dst []byte) ([]byte, bool,
 			return nil, true, err
 		}
 	}
-	var out []byte
-	if cap(dst) >= len(blob) {
-		out = dst[:len(blob)]
-	} else {
-		out = make([]byte, len(blob))
-	}
-	copy(out, blob)
+	out := fill(dst, blob)
 	d.readOps++
 	d.bytesRead += int64(len(blob))
 	d.endSpan(p, sp, int64(len(blob)), false)
@@ -444,6 +463,12 @@ func (d *Device) ReadInto(p *vtime.Proc, key blob.ID, dst []byte) ([]byte, bool,
 // ReadAt reads length bytes of a blob starting at off and charges read
 // cost for the range. Reads past the end are truncated.
 func (d *Device) ReadAt(p *vtime.Proc, key blob.ID, off, length int64) ([]byte, bool, error) {
+	return d.ReadAtInto(p, key, off, length, nil)
+}
+
+// ReadAtInto is ReadAt reusing dst's storage when it is large enough (see
+// ReadInto).
+func (d *Device) ReadAtInto(p *vtime.Proc, key blob.ID, off, length int64, dst []byte) ([]byte, bool, error) {
 	blob, ok := d.blobs[key]
 	if !ok {
 		return nil, false, nil
@@ -463,8 +488,7 @@ func (d *Device) ReadAt(p *vtime.Proc, key blob.ID, off, length int64) ([]byte, 
 			return nil, true, err
 		}
 	}
-	out := make([]byte, end-off)
-	copy(out, blob[off:end])
+	out := fill(dst, blob[off:end])
 	d.readOps++
 	d.bytesRead += end - off
 	d.endSpan(p, sp, end-off, false)
@@ -515,9 +539,7 @@ func (d *Device) Peek(key blob.ID) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := make([]byte, len(blob))
-	copy(out, blob)
-	return out, true
+	return fill(nil, blob), true
 }
 
 // List returns all blob IDs in blob.Less order (deterministic).

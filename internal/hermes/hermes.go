@@ -157,6 +157,12 @@ type Hermes struct {
 	mdLookups int64
 	moved     int64
 	movedByte int64
+
+	// borrow/giveBack lend page buffers for reads whose bytes hermes
+	// discards before returning (move, repair, primary recovery); see
+	// SetScratch.
+	borrow   func(size int64) []byte
+	giveBack func([]byte)
 }
 
 // bucketMember is one blob registered under a bucket namespace.
@@ -218,9 +224,21 @@ func New(c *cluster.Cluster, tiers []string) *Hermes {
 		h.org.tierIdx[topology.PoolTier] = len(tiers) // pool ranks below every local tier
 	}
 	h.idxInit()
+	h.SetScratch(func(int64) []byte { return nil }, func([]byte) {})
 	h.SetFaults(c.Faults())
 	h.SetTelemetry(c.Telemetry())
 	return h
+}
+
+// SetScratch lends hermes the owner's page-buffer pool (core's DSM pool)
+// for internal reads that only relay a blob between devices: borrow must
+// return a buffer of at least size bytes whose contents hermes may
+// overwrite (or nil: the read then allocates), and every borrowed buffer
+// goes back through giveBack once the destination device has stored its
+// own copy. Raw hermes deployments have no owner: New installs a lender
+// that returns nil.
+func (h *Hermes) SetScratch(borrow func(size int64) []byte, giveBack func([]byte)) {
+	h.borrow, h.giveBack = borrow, giveBack
 }
 
 // SetTelemetry attaches the telemetry plane: scache operations record
@@ -505,13 +523,14 @@ func (h *Hermes) writeAtRetry(p *vtime.Proc, dev *device.Device, id blob.ID, off
 	return h.inj.Do(p, "retry.scache_write", func() error { return dev.WriteAt(p, id, off, data) })
 }
 
-// readRetry reads a blob from dev under the retry policy; counter names
-// the site's retry counter. For reads that stay on one device: get,
-// getRange and the hedged legs re-check reachability (and fail over)
-// between attempts, so they loop themselves.
-func (h *Hermes) readRetry(p *vtime.Proc, dev *device.Device, id blob.ID, counter string) (data []byte, ok bool, err error) {
+// readRetry reads a blob from dev into dst's storage (see
+// device.ReadInto) under the retry policy; counter names the site's retry
+// counter. For reads that stay on one device: get, getRange and the
+// hedged legs re-check reachability (and fail over) between attempts, so
+// they loop themselves.
+func (h *Hermes) readRetry(p *vtime.Proc, dev *device.Device, id blob.ID, counter string, dst []byte) (data []byte, ok bool, err error) {
 	err = h.inj.Do(p, counter, func() (e error) {
-		data, ok, e = dev.Read(p, id)
+		data, ok, e = dev.ReadInto(p, id, dst)
 		return e
 	})
 	return data, ok, err
@@ -787,7 +806,9 @@ func (h *Hermes) repairBlob(p *vtime.Proc, id blob.ID) (requeue, worked bool) {
 		return true, worked
 	}
 	src := h.c.Nodes[pl.Node].Devices[pl.Tier]
-	data, ok, err := h.readRetry(p, src, id, "retry.repair_read")
+	buf := h.borrow(pl.Size)
+	defer h.giveBack(buf)
+	data, ok, err := h.readRetry(p, src, id, "retry.repair_read", buf)
 	if err != nil || !ok {
 		return true, true
 	}
@@ -835,18 +856,19 @@ func (h *Hermes) holdsCopy(node int, id blob.ID) bool {
 	return false
 }
 
-// ReadBackup reads backup slot's bytes, charging device and fabric
-// costs. The corruption-repair path uses it to fetch replica bytes and
-// verify their checksum before rewriting a mismatched primary. ok is
-// false when the slot is missing, unreachable, or unreadable.
-func (h *Hermes) ReadBackup(p *vtime.Proc, fromNode int, id blob.ID, slot int) ([]byte, bool) {
+// ReadBackup reads backup slot's bytes into dst's storage (see GetInto),
+// charging device and fabric costs. The corruption-repair path uses it to
+// fetch replica bytes and verify their checksum before rewriting a
+// mismatched primary. ok is false when the slot is missing, unreachable,
+// or unreadable.
+func (h *Hermes) ReadBackup(p *vtime.Proc, fromNode int, id blob.ID, slot int, dst []byte) ([]byte, bool) {
 	bk := id.Backup(slot)
 	bp := h.meta[bk]
 	if bp == nil || !h.reachable(bp) {
 		return nil, false
 	}
 	dev := h.c.Nodes[bp.Node].Devices[bp.Tier]
-	data, ok, err := h.readRetry(p, dev, bk, "retry.scache_read")
+	data, ok, err := h.readRetry(p, dev, bk, "retry.scache_read", dst)
 	if err != nil || !ok {
 		return nil, false
 	}
@@ -908,7 +930,9 @@ func (h *Hermes) recoverPrimaryData(p *vtime.Proc, id blob.ID) (*Placement, erro
 		return nil, h.nodeDownErr(id)
 	}
 	src := h.c.Nodes[bp.Node].Devices[bp.Tier]
-	data, ok, err := h.readRetry(p, src, bk, "retry.scache_read")
+	buf := h.borrow(bp.Size)
+	defer h.giveBack(buf)
+	data, ok, err := h.readRetry(p, src, bk, "retry.scache_read", buf)
 	if err != nil || !ok {
 		if err == nil {
 			err = h.nodeDownErr(id)
@@ -1330,7 +1354,9 @@ func (h *Hermes) Organize(p *vtime.Proc, budget int64) {
 func (h *Hermes) move(p *vtime.Proc, id blob.ID, pl *Placement, node int, tier string) {
 	src := h.c.Nodes[pl.Node].Devices[pl.Tier]
 	dst := h.c.Nodes[node].Devices[tier]
-	data, ok, err := h.readRetry(p, src, id, "retry.organize")
+	buf := h.borrow(pl.Size)
+	defer h.giveBack(buf)
+	data, ok, err := h.readRetry(p, src, id, "retry.organize", buf)
 	if !ok || err != nil {
 		return // unreadable right now; the next pass can retry the move
 	}

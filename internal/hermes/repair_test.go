@@ -202,15 +202,15 @@ func TestReadBackupReturnsSlotBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for slot := 0; slot < 2; slot++ {
-			got, ok := h.ReadBackup(p, 0, h.Key("v/0"), slot)
+			got, ok := h.ReadBackup(p, 0, h.Key("v/0"), slot, nil)
 			if !ok || !bytes.Equal(got, data) {
 				t.Errorf("ReadBackup slot %d = %q ok=%v", slot, got, ok)
 			}
 		}
-		if _, ok := h.ReadBackup(p, 0, h.Key("v/0"), 2); ok {
+		if _, ok := h.ReadBackup(p, 0, h.Key("v/0"), 2, nil); ok {
 			t.Error("ReadBackup returned a slot that was never placed")
 		}
-		if _, ok := h.ReadBackup(p, 0, h.Key("ghost"), 0); ok {
+		if _, ok := h.ReadBackup(p, 0, h.Key("ghost"), 0, nil); ok {
 			t.Error("ReadBackup returned bytes for a missing blob")
 		}
 	})

@@ -1,0 +1,115 @@
+package stager
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"megammap/internal/vtime"
+)
+
+// TestReadRangeIntoFillsTheCallersBuffer: on every backend the
+// fill-the-destination read returns exactly ReadRange's bytes, in the
+// caller's storage when it is large enough, whatever that held before.
+func TestReadRangeIntoFillsTheCallersBuffer(t *testing.T) {
+	c, s := newStager()
+	run(t, c, func(p *vtime.Proc) {
+		pattern := func(n int) []byte {
+			out := make([]byte, n)
+			for i := range out {
+				out[i] = byte(i%251 + 1) // never zero: holes stand out
+			}
+			return out
+		}
+		for i := 0; i < 3; i++ {
+			part, _ := s.Open(fmt.Sprintf("file:///into/part.%d", i))
+			if err := part.WriteRange(p, 0, 0, pattern(100+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		type probe struct{ off, length int64 }
+		cases := []struct {
+			url    string
+			write  func(b Backend) error
+			probes []probe
+		}{
+			{"file:///into/flat.bin", func(b Backend) error { return b.WriteRange(p, 0, 0, pattern(1000)) },
+				[]probe{{0, 1000}, {10, 500}, {900, 500}}},
+			{"h5:///into/c.h5:grid", func(b Backend) error { return b.WriteRange(p, 0, 0, pattern(1000)) },
+				[]probe{{0, 1000}, {990, 100}}},
+			{"file:///into/part.*", nil, // spans all three members
+				[]probe{{0, 303}, {50, 200}, {99, 3}, {300, 50}}},
+			{"pq:///into/t.pq:t", func(b Backend) error {
+				// Two row groups, the second written first: the first then
+				// holds only its 10-byte head, and reads past that inside
+				// it are zero fill the backend must write over stale bytes.
+				if err := b.WriteRange(p, 0, pqChunkSize+500, pattern(100)); err != nil {
+					return err
+				}
+				return b.WriteRange(p, 0, 0, pattern(10))
+			}, []probe{{0, 300}, {5, 100}, {pqChunkSize - 100, 700}, {pqChunkSize + 550, 500}}},
+		}
+		for _, tc := range cases {
+			b, err := s.Open(tc.url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.write != nil {
+				if err := tc.write(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, pr := range tc.probes {
+				want, err := b.ReadRange(p, 0, pr.off, pr.length)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst := bytes.Repeat([]byte{0xEE}, int(pr.length)) // stale page contents
+				got, err := b.ReadRangeInto(p, 0, pr.off, pr.length, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s [%d,+%d): ReadRangeInto differs from ReadRange", tc.url, pr.off, pr.length)
+				}
+				if len(got) > 0 && &got[0] != &dst[0] {
+					t.Errorf("%s [%d,+%d): result is not in the caller's buffer", tc.url, pr.off, pr.length)
+				}
+				small, err := b.ReadRangeInto(p, 0, pr.off, pr.length, make([]byte, 1))
+				if err != nil || !bytes.Equal(small, want) {
+					t.Errorf("%s [%d,+%d): undersized destination: %v", tc.url, pr.off, pr.length, err)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkStageInPath is the backend leg of a cold page fault on a pq://
+// dataset: one page read into the caller's buffer. The budget is no
+// page-sized allocation (the row-group key string is all that remains).
+func BenchmarkStageInPath(b *testing.B) {
+	const page = 48 << 10
+	c, s := newStager()
+	c.Engine.Spawn("bench", func(p *vtime.Proc) {
+		be, err := s.Open("pq:///bench/pts.pq:p")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := be.WriteRange(p, 0, 0, make([]byte, 4*pqChunkSize)); err != nil {
+			b.Fatal(err)
+		}
+		pages := be.Size() / page
+		buf := make([]byte, page)
+		b.ReportAllocs()
+		b.SetBytes(page)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := be.ReadRangeInto(p, 0, int64(i)%pages*page, page, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if err := c.Engine.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

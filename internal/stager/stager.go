@@ -71,6 +71,11 @@ type Backend interface {
 	// ReadRange reads length bytes starting at off on behalf of node.
 	// Short reads happen at end of dataset.
 	ReadRange(p *vtime.Proc, node int, off, length int64) ([]byte, error)
+	// ReadRangeInto is ReadRange reusing dst's storage for the result
+	// when it is large enough (the page-fault path reads straight into
+	// its pooled page buffer); otherwise a fresh buffer is allocated. The
+	// caller owns the returned slice either way.
+	ReadRangeInto(p *vtime.Proc, node int, off, length int64, dst []byte) ([]byte, error)
 	// WriteRange writes data at off, growing the dataset if needed.
 	WriteRange(p *vtime.Proc, node int, off int64, data []byte) error
 }
@@ -121,7 +126,11 @@ func (b *fileBackend) Size() int64 {
 }
 
 func (b *fileBackend) ReadRange(p *vtime.Proc, node int, off, length int64) ([]byte, error) {
-	data, ok, err := b.c.PFSRead(p, node, b.u.Path, off, length)
+	return b.ReadRangeInto(p, node, off, length, nil)
+}
+
+func (b *fileBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, dst []byte) ([]byte, error) {
+	data, ok, err := b.c.PFSReadInto(p, node, b.u.Path, off, length, dst)
 	if err != nil {
 		return nil, fmt.Errorf("stager: %s: %w", b.u, err)
 	}
@@ -171,34 +180,39 @@ func (b *globBackend) URL() URL    { return b.u }
 func (b *globBackend) Size() int64 { return b.total }
 
 func (b *globBackend) ReadRange(p *vtime.Proc, node int, off, length int64) ([]byte, error) {
+	return b.ReadRangeInto(p, node, off, length, nil)
+}
+
+func (b *globBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, dst []byte) ([]byte, error) {
 	if off >= b.total {
 		return nil, nil
 	}
 	if off+length > b.total {
 		length = b.total - off
 	}
-	out := make([]byte, 0, length)
-	var base int64
+	out := sized(dst, length)
+	var base, n int64
 	for i, name := range b.names {
 		end := base + b.sizes[i]
 		if off < end && off+length > base {
 			localOff := max64(0, off-base)
 			localLen := min64(end, off+length) - (base + localOff)
-			data, ok, err := b.c.PFSRead(p, node, name, localOff, localLen)
+			// Each member's piece lands directly in its place in out.
+			data, ok, err := b.c.PFSReadInto(p, node, name, localOff, localLen, out[n:n:n+localLen])
 			if err != nil {
 				return nil, fmt.Errorf("stager: %s: %w", b.u, err)
 			}
 			if !ok {
 				return nil, fmt.Errorf("stager: %s: member %q vanished", b.u, name)
 			}
-			out = append(out, data...)
+			n += int64(len(data))
 		}
 		base = end
 		if base >= off+length {
 			break
 		}
 	}
-	return out, nil
+	return out[:n], nil
 }
 
 func (b *globBackend) WriteRange(p *vtime.Proc, node int, off int64, data []byte) error {
@@ -228,7 +242,11 @@ func (b *h5Backend) Size() int64 {
 }
 
 func (b *h5Backend) ReadRange(p *vtime.Proc, node int, off, length int64) ([]byte, error) {
-	data, ok, err := b.c.PFSRead(p, node, b.key, off, length)
+	return b.ReadRangeInto(p, node, off, length, nil)
+}
+
+func (b *h5Backend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, dst []byte) ([]byte, error) {
+	data, ok, err := b.c.PFSReadInto(p, node, b.key, off, length, dst)
 	if err != nil {
 		return nil, fmt.Errorf("stager: %s: %w", b.u, err)
 	}
@@ -379,6 +397,10 @@ func (b *pqBackend) Size() int64 {
 }
 
 func (b *pqBackend) ReadRange(p *vtime.Proc, node int, off, length int64) ([]byte, error) {
+	return b.ReadRangeInto(p, node, off, length, nil)
+}
+
+func (b *pqBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, dst []byte) ([]byte, error) {
 	b.loadFooter(p, node)
 	if off >= b.footer.Size {
 		return nil, nil
@@ -387,25 +409,23 @@ func (b *pqBackend) ReadRange(p *vtime.Proc, node int, off, length int64) ([]byt
 		length = b.footer.Size - off
 	}
 	cs := b.footer.ChunkSize
-	out := make([]byte, 0, length)
-	for length > 0 {
-		ci := off / cs
-		localOff := off % cs
-		localLen := min64(cs-localOff, length)
-		data, ok, err := b.c.PFSRead(p, node, b.chunkKey(ci), localOff, localLen)
+	out := sized(dst, length)
+	for n := int64(0); n < length; {
+		ci := (off + n) / cs
+		localOff := (off + n) % cs
+		localLen := min64(cs-localOff, length-n)
+		// Each row group's piece lands directly in its place in out.
+		piece := out[n : n+localLen : n+localLen]
+		data, ok, err := b.c.PFSReadInto(p, node, b.chunkKey(ci), localOff, localLen, piece[:0])
 		if err != nil {
 			return nil, fmt.Errorf("stager: %s: %w", b.u, err)
 		}
 		if !ok {
 			return nil, fmt.Errorf("stager: %s: missing row group %d", b.u, ci)
 		}
-		if int64(len(data)) < localLen {
-			// Sparse tail inside a chunk: zero-fill.
-			data = append(data, make([]byte, localLen-int64(len(data)))...)
-		}
-		out = append(out, data...)
-		off += localLen
-		length -= localLen
+		// Sparse tail inside a chunk: zero-fill (out may hold stale bytes).
+		clear(piece[len(data):])
+		n += localLen
 	}
 	return out, nil
 }
@@ -418,7 +438,9 @@ func (b *pqBackend) WriteRange(p *vtime.Proc, node int, off int64, data []byte) 
 		ci := pos / cs
 		localOff := pos % cs
 		localLen := min64(cs-localOff, end-pos)
-		if err := b.c.PFSWrite(p, node, b.chunkKey(ci), localOff, data[pos-off:pos-off+localLen]); err != nil {
+		// A row group never outgrows the chunk size, so its object is sized
+		// once instead of regrown by every extending write.
+		if err := b.c.PFSWriteSized(p, node, b.chunkKey(ci), localOff, data[pos-off:pos-off+localLen], cs); err != nil {
 			return err
 		}
 		pos += localLen
@@ -428,6 +450,15 @@ func (b *pqBackend) WriteRange(p *vtime.Proc, node int, off int64, data []byte) 
 		return b.flushFooter(p, node)
 	}
 	return nil
+}
+
+// sized returns dst resliced to n bytes when its storage is large enough,
+// else a fresh buffer; contents are unspecified until the caller fills it.
+func sized(dst []byte, n int64) []byte {
+	if int64(cap(dst)) >= n {
+		return dst[:n]
+	}
+	return make([]byte, n)
 }
 
 func min64(a, b int64) int64 {
