@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"megammap/internal/core"
 )
@@ -61,14 +62,18 @@ func (SlotCodec) Decode(src []byte) Slot {
 // ErrFull reports that a Put found no free slot within the probe limit.
 var ErrFull = errors.New("kvstore: table full (probe limit reached)")
 
+// stripes is the number of lock stripes a table is divided into.
+const stripes = 16
+
 // Store is a shared key-value table handle; every rank opens its own.
 type Store struct {
 	cl       *core.Client
 	v        *core.Vector[Slot]
-	name     string
 	capacity int64
-	stripes  int
 	probeMax int64
+	// locks are the stripes' distributed-lock names ("<name>/stripe<i>"),
+	// resolved once here so an operation formats nothing.
+	locks [stripes]string
 }
 
 // Open connects to (or creates) the named store with the given slot
@@ -91,10 +96,11 @@ func Open(cl *core.Client, name string, capacity int64, opts ...core.VectorOpt) 
 	if probe > 64 {
 		probe = 64
 	}
-	return &Store{
-		cl: cl, v: v, name: name,
-		capacity: cap2, stripes: 16, probeMax: probe,
-	}, nil
+	s := &Store{cl: cl, v: v, capacity: cap2, probeMax: probe}
+	for i := range s.locks {
+		s.locks[i] = name + "/stripe" + strconv.Itoa(i)
+	}
+	return s, nil
 }
 
 // Capacity returns the slot capacity.
@@ -115,35 +121,41 @@ func (s *Store) hash(key uint64) int64 {
 // stripeSpan returns the slots covered by one lock stripe; it is at
 // least the probe window, so any window touches at most two stripes.
 func (s *Store) stripeSpan() int64 {
-	span := s.capacity / int64(s.stripes)
+	span := s.capacity / stripes
 	if span < s.probeMax {
 		span = s.probeMax
 	}
 	return span
 }
 
+// heldStripes are the one or two lock stripes (lo <= hi) an operation
+// holds over its probe window.
+type heldStripes struct{ lo, hi int64 }
+
 // lockWindow acquires the stripe locks covering the probe window
 // starting at home, in ascending stripe order (deadlock-free), and
-// returns the unlock function. Two keys whose probe chains overlap are
+// returns them for unlockWindow. Two keys whose probe chains overlap are
 // always serialized by a common stripe, so concurrent inserts can never
 // claim the same empty slot.
-func (s *Store) lockWindow(home int64) func() {
+func (s *Store) lockWindow(home int64) heldStripes {
 	span := s.stripeSpan()
-	s1 := home / span
-	s2 := ((home + s.probeMax - 1) & (s.capacity - 1)) / span
-	if s1 == s2 {
-		name := fmt.Sprintf("%s/stripe%d", s.name, s1)
-		s.cl.Lock(name)
-		return func() { s.cl.Unlock(name) }
+	h := heldStripes{lo: home / span, hi: ((home + s.probeMax - 1) & (s.capacity - 1)) / span}
+	if h.hi < h.lo {
+		h.lo, h.hi = h.hi, h.lo
 	}
-	if s2 < s1 {
-		s1, s2 = s2, s1
+	s.cl.Lock(s.locks[h.lo])
+	if h.hi != h.lo {
+		s.cl.Lock(s.locks[h.hi])
 	}
-	a := fmt.Sprintf("%s/stripe%d", s.name, s1)
-	b := fmt.Sprintf("%s/stripe%d", s.name, s2)
-	s.cl.Lock(a)
-	s.cl.Lock(b)
-	return func() { s.cl.Unlock(b); s.cl.Unlock(a) }
+	return h
+}
+
+// unlockWindow releases what lockWindow took, in reverse order.
+func (s *Store) unlockWindow(h heldStripes) {
+	if h.hi != h.lo {
+		s.cl.Unlock(s.locks[h.hi])
+	}
+	s.cl.Unlock(s.locks[h.lo])
 }
 
 // probeTx opens a read-write global transaction over the probe window
@@ -162,8 +174,7 @@ func (s *Store) probeTx(home int64) {
 // escalate to synchronization primitives).
 func (s *Store) Put(key uint64, val int64) error {
 	home := s.hash(key)
-	unlock := s.lockWindow(home)
-	defer unlock()
+	defer s.unlockWindow(s.lockWindow(home))
 	s.probeTx(home)
 	defer s.v.TxEnd()
 	firstFree := int64(-1)
@@ -195,8 +206,7 @@ func (s *Store) Put(key uint64, val int64) error {
 // Get looks a key up.
 func (s *Store) Get(key uint64) (int64, bool) {
 	home := s.hash(key)
-	unlock := s.lockWindow(home)
-	defer unlock()
+	defer s.unlockWindow(s.lockWindow(home))
 	s.probeTx(home)
 	defer s.v.TxEnd()
 	for i := int64(0); i < s.probeMax; i++ {
@@ -215,8 +225,7 @@ func (s *Store) Get(key uint64) (int64, bool) {
 // Delete removes a key, reporting whether it was present.
 func (s *Store) Delete(key uint64) bool {
 	home := s.hash(key)
-	unlock := s.lockWindow(home)
-	defer unlock()
+	defer s.unlockWindow(s.lockWindow(home))
 	s.probeTx(home)
 	defer s.v.TxEnd()
 	for i := int64(0); i < s.probeMax; i++ {

@@ -251,3 +251,86 @@ func TestReopenValidatesCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// quietStore opens a 4096-slot store on a two-node deployment with the
+// periodic organizer and stager off, so an allocation count sees only the
+// request path, and fills it with keys 0..799.
+func quietStore(t testing.TB, body func(s *Store)) {
+	c := testCluster(2)
+	cfg := coreConfig()
+	cfg.OrganizePeriod, cfg.StagePeriod = 0, 0
+	d := core.New(c, cfg)
+	c.Engine.Spawn("app", func(p *vtime.Proc) {
+		s, err := Open(d.NewClient(p, 0), "kv", 4096)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for key := uint64(0); key < 800; key++ {
+			if err := s.Put(key, int64(key)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		body(s)
+		if err := d.Shutdown(p); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := c.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRequestAllocationBudget: a request's stripe-lock names, transaction
+// record, page lists, fill and commit records all have long-lived owners
+// (the store, the vector handle, the page frame, the pooled task), so in
+// steady state neither a Get that finds its key nor a Put allocates. Every
+// request runs the whole path — two lock round trips, a page fault (global
+// phases end residency at TxEnd), prefetcher, commit — not a cached
+// shortcut.
+func TestRequestAllocationBudget(t *testing.T) {
+	quietStore(t, func(s *Store) {
+		key, misses := uint64(0), 0
+		get := func() {
+			key = (key + 37) % 800
+			if v, ok := s.Get(key); !ok || v != int64(key) {
+				misses++
+			}
+		}
+		put := func() {
+			key = (key + 37) % 800
+			if err := s.Put(key, int64(key)); err != nil {
+				misses++
+			}
+		}
+		for i := 0; i < 400; i++ { // steady state: pools and scratch grown
+			get()
+			put()
+		}
+		if n := testing.AllocsPerRun(400, get); n != 0 {
+			t.Errorf("Get of a present key allocates %v times, want 0", n)
+		}
+		if n := testing.AllocsPerRun(400, put); n != 0 {
+			t.Errorf("Put allocates %v times, want 0", n)
+		}
+		if misses != 0 {
+			t.Errorf("%d requests missed or failed", misses)
+		}
+	})
+}
+
+// BenchmarkKVGetPath measures one Get of a present key end to end.
+func BenchmarkKVGetPath(b *testing.B) {
+	quietStore(b, func(s *Store) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			key := uint64(i*37) % 800
+			if v, ok := s.Get(key); !ok || v != int64(key) {
+				b.Fatalf("Get(%d) = %d, %v", key, v, ok)
+			}
+		}
+		b.StopTimer()
+	})
+}

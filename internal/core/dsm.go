@@ -25,6 +25,10 @@ type DSM struct {
 
 	runtimes []*Runtime
 	vecs     map[string]*vecMeta
+	// vecOrder caches vecNames' sorted key list between Open and Destroy
+	// (nil = stale); the stager, scrubber and shutdown walks ask for it
+	// every period.
+	vecOrder []string
 	vecByID  map[uint32]*vecMeta // interned vec -> meta (hedge CRC verify)
 	handles  []vectorHandle      // every open Vector, for invariant audits
 	barriers map[string]*barrierState
@@ -507,13 +511,20 @@ func (d *DSM) clearDirtyPage(m *vecMeta, pg int64) {
 // backup replica or the backend.
 func (d *DSM) PageRepairs() int64 { return d.pageRepairs }
 
+// vecNames returns the vector names in ascending order. The list is
+// shared and read-only: a vector created or destroyed while a caller walks
+// it (the walks yield) gets a fresh list built for the next call, and the
+// walker keeps its snapshot — which is why the periodic walkers re-check
+// d.vecs[name].
 func (d *DSM) vecNames() []string {
-	names := make([]string, 0, len(d.vecs))
-	for n := range d.vecs {
-		names = append(names, n)
+	if d.vecOrder == nil && len(d.vecs) > 0 {
+		d.vecOrder = make([]string, 0, len(d.vecs))
+		for n := range d.vecs {
+			d.vecOrder = append(d.vecOrder, n)
+		}
+		sort.Strings(d.vecOrder)
 	}
-	sort.Strings(names)
-	return names
+	return d.vecOrder
 }
 
 // pageChain tracks the in-flight status of one page's task stream.
@@ -618,9 +629,9 @@ func (d *DSM) newTask() *MemoryTask {
 }
 
 // recycleTask resets a completed task and returns it to the pool. Only
-// call once per task, when no other reference to it remains. The done
-// event is reset rather than replaced so its waiter queue's capacity
-// survives the round trip.
+// call once per task, when no other reference to it remains. The region
+// list is emptied rather than dropped, so a pooled task's next commit
+// copies the page's dirty ranges into storage it already has.
 //
 // Buffer-ownership rule: a non-nil t.data here is unclaimed and reverts
 // to the buffer pool. Readers that keep a result buffer (the fault path
@@ -629,9 +640,7 @@ func (d *DSM) newTask() *MemoryTask {
 // (devices always store copies, never the caller's slice).
 func (d *DSM) recycleTask(t *MemoryTask) {
 	d.putBuf(t.data)
-	done := t.done
-	done.Reset()
-	*t = MemoryTask{done: done}
+	*t = MemoryTask{regions: t.regions[:0]}
 	d.taskFree = append(d.taskFree, t)
 }
 
@@ -865,24 +874,10 @@ func (m *vecMeta) pageCount() int64 {
 
 // sumPages returns the checksummed page indices in ascending order
 // (the scrubber's sweep set).
-func (m *vecMeta) sumPages() []int64 {
-	out := make([]int64, 0, len(m.sums))
-	for pg := range m.sums {
-		out = append(out, pg)
-	}
-	sortInt64s(out)
-	return out
-}
+func (m *vecMeta) sumPages() []int64 { return sortedKeys(nil, m.sums) }
 
 // dirtyPages returns the dirty page indices in ascending order.
-func (m *vecMeta) dirtyPages() []int64 {
-	out := make([]int64, 0, len(m.dirty))
-	for pg := range m.dirty {
-		out = append(out, pg)
-	}
-	sortInt64s(out)
-	return out
-}
+func (m *vecMeta) dirtyPages() []int64 { return sortedKeys(nil, m.dirty) }
 
 // --------------------------------------------------- distributed sync --
 

@@ -97,18 +97,18 @@ func (pc *pcache) newPage(idx int64, data []byte, score float64, partial bool) *
 	if n := len(pc.free); n > 0 {
 		cp := pc.free[n-1]
 		pc.free = pc.free[:n-1]
-		*cp = cachedPage{idx: idx, data: data, score: score, partial: partial}
+		*cp = cachedPage{idx: idx, data: data, dirty: cp.dirty[:0], score: score, partial: partial}
 		return cp
 	}
 	return &cachedPage{idx: idx, data: data, score: score, partial: partial}
 }
 
-// recycle returns a removed page's frame to the freelist. The data and
-// dirty slices may have escaped into in-flight commit tasks, so their
-// references are dropped rather than reused.
+// recycle returns a removed page's frame to the freelist. The data buffer
+// has gone back to the pool or into an in-flight commit task, so its
+// reference is dropped; the dirty list never leaves the frame (commit
+// tasks carry a copy) and keeps its capacity for the frame's next page.
 func (pc *pcache) recycle(cp *cachedPage) {
 	cp.data = nil
-	cp.dirty = nil
 	pc.free = append(pc.free, cp)
 }
 

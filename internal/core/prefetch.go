@@ -49,20 +49,23 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 		maxPages = ctl.acts.PrefetchDepth
 	}
 
-	future := a.pagesIn(a.tail, a.tail+maxPages*epp, epp)
+	// The page lists and sets below are the handle's (Vector.future, spent,
+	// seen, soon), refilled on every run: nothing here allocates once they
+	// have grown to the window.
+	future := a.pagesIn(v.future[:0], v.seen, a.tail, a.tail+maxPages*epp, epp)
 
 	// Evict phase.
 	if !distrust {
-		futureSet := make(map[int64]struct{}, len(future))
+		clear(v.soon)
 		for _, pg := range future {
-			futureSet[pg] = struct{}{}
+			v.soon[pg] = struct{}{}
 		}
-		touched := a.pagesIn(a.head, a.tail, epp)
-		for _, pg := range touched {
+		v.spent = a.pagesIn(v.spent[:0], v.seen, a.head, a.tail, epp)
+		for _, pg := range v.spent {
 			if pg == current {
 				continue
 			}
-			if _, soon := futureSet[pg]; soon {
+			if _, soon := v.soon[pg]; soon {
 				continue // will be re-touched; keep it hot
 			}
 			v.scoreAsync(pg, 0)
@@ -81,7 +84,7 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 	}
 	// Fills only make sense when the transaction reads: a write-only
 	// phase overwrites pages wholesale and must not read them first.
-	fillable := a.tx.Flags().Has(Read)
+	fillable := a.flags.Has(Read)
 	base := 0.0 // seconds to re-read the fill window from its tiers
 	filled := int64(0)
 	i := 0
@@ -95,7 +98,7 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 		if depth := effectiveDepth(pol.pattern, pol.depth); depth >= 0 && int64(i) >= depth {
 			continue // the page's hint caps the fill window before here
 		}
-		if !fillable || pg >= m.pageCount() || v.pc.get(pg) != nil || v.fills[pg] != nil {
+		if !fillable || pg >= m.pageCount() || v.pc.get(pg) != nil || v.hasFill(pg) {
 			continue
 		}
 		v.issueFill(pg, current)
@@ -110,8 +113,8 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 		est := base
 		scored := 0
 		horizon := a.tail + maxPages*epp
-		distant := append(future[i:], a.pagesIn(horizon, horizon+maxPages*epp, epp)...)
-		for _, pg := range distant {
+		future = a.pagesIn(future, v.seen, horizon, horizon+maxPages*epp, epp)
+		for _, pg := range future[i:] {
 			est += float64(ps) / v.tierReadBW(pg)
 			score := base / est
 			if score <= v.c.d.cfg.MinScore {
@@ -125,6 +128,7 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 		}
 	}
 
+	v.future = future
 	a.head = a.tail
 }
 
@@ -157,7 +161,13 @@ func (v *Vector[T]) issueFill(pg, pinned int64) {
 	} else {
 		v.c.submitAsync(t)
 	}
-	v.fills[pg] = &fillReq{t: t, stamp: v.pageWrites[pg]}
+	v.fills[pg] = fillReq{t: t, stamp: v.pageWrites[pg]}
+}
+
+// hasFill reports whether a prefetch fill of pg is in flight.
+func (v *Vector[T]) hasFill(pg int64) bool {
+	_, ok := v.fills[pg]
+	return ok
 }
 
 // tierReadBW estimates the read bandwidth of the tier currently holding a

@@ -1,6 +1,10 @@
 package core
 
-import "megammap/internal/telemetry"
+import (
+	"math"
+
+	"megammap/internal/telemetry"
+)
 
 // Transactions declare the access pattern a region of shared memory is
 // about to incur, between TxBegin and TxEnd (paper §III-A). The declared
@@ -156,9 +160,30 @@ func (t StrideTx) Count() int64 { return t.N }
 // ElemAt implements Tx.
 func (t StrideTx) ElemAt(i int64) int64 { return t.Off + i*t.Stride }
 
-// activeTx is the per-vector state of a running transaction.
+// txKind selects how an active transaction enumerates its accesses: the
+// three built-in patterns are held by value and evaluated without an
+// interface call; anything else goes through the caller's Tx.
+type txKind uint8
+
+const (
+	txCustom txKind = iota
+	txSeq
+	txRand
+	txStride
+)
+
+// activeTx is the per-vector state of a running transaction. The vector
+// owns exactly one (Vector.txState) and reuses it for every phase, so
+// beginning a transaction allocates nothing; a built-in pattern is unpacked
+// into the fields below instead of being boxed into a Tx.
 type activeTx struct {
-	tx   Tx
+	kind   txKind
+	flags  AccessFlags
+	off, n int64  // first element (built-in patterns), access count
+	seed   uint64 // txRand only
+	stride int64  // txStride only
+	custom Tx     // txCustom only
+
 	head int64 // accesses acknowledged by the prefetcher
 	tail int64 // accesses performed so far
 
@@ -167,61 +192,70 @@ type activeTx struct {
 	span telemetry.SpanID
 }
 
-// pagesIn returns the distinct page indices touched by accesses
-// [from, to) of the transaction, in first-touch order. elemsPerPage is
-// the page capacity in elements. Sequential and strided transactions are
-// enumerated analytically; other patterns walk their access sequence.
-func (a *activeTx) pagesIn(from, to int64, elemsPerPage int64) []int64 {
-	if to > a.tx.Count() {
-		to = a.tx.Count()
-	}
-	if from >= to {
-		return nil
-	}
-	switch tx := a.tx.(type) {
+// newActiveTx unpacks a pattern. The built-in value types are recognised
+// so a SeqTx handed to TxBegin is enumerated analytically like one begun
+// with SeqTxBegin.
+func newActiveTx(tx Tx) activeTx {
+	switch tx := tx.(type) {
 	case SeqTx:
-		first := (tx.Off + from) / elemsPerPage
-		last := (tx.Off + to - 1) / elemsPerPage
-		out := make([]int64, 0, last-first+1)
-		for pg := first; pg <= last; pg++ {
-			out = append(out, pg)
-		}
-		return out
+		return activeTx{kind: txSeq, flags: tx.F, off: tx.Off, n: tx.N}
+	case RandTx:
+		return activeTx{kind: txRand, flags: tx.F, off: tx.Off, n: tx.N, seed: tx.Seed}
 	case StrideTx:
-		var out []int64
-		prev := int64(-1)
-		for i := from; i < to; i++ {
-			pg := tx.ElemAt(i) / elemsPerPage
-			if pg != prev {
-				out = append(out, pg)
-				prev = pg
-			}
-		}
-		return dedupInOrder(out)
+		return activeTx{kind: txStride, flags: tx.F, off: tx.Off, n: tx.N, stride: tx.Stride}
 	default:
-		var out []int64
-		seen := make(map[int64]struct{})
-		for i := from; i < to; i++ {
-			pg := a.tx.ElemAt(i) / elemsPerPage
-			if _, ok := seen[pg]; !ok {
-				seen[pg] = struct{}{}
-				out = append(out, pg)
-			}
-		}
-		return out
+		return activeTx{kind: txCustom, flags: tx.Flags(), n: tx.Count(), custom: tx}
 	}
 }
 
-// dedupInOrder removes repeated page indices, keeping first occurrence
-// order (strides can revisit pages non-adjacently).
-func dedupInOrder(pgs []int64) []int64 {
-	seen := make(map[int64]struct{}, len(pgs))
-	out := pgs[:0]
-	for _, pg := range pgs {
+// elemAt returns the element index touched by access i.
+func (a *activeTx) elemAt(i int64) int64 {
+	switch a.kind {
+	case txSeq:
+		return a.off + i
+	case txRand:
+		return a.off + permute(uint64(i), uint64(a.n), a.seed)
+	case txStride:
+		return a.off + i*a.stride
+	default:
+		return a.custom.ElemAt(i)
+	}
+}
+
+// pagesIn appends to dst the distinct page indices touched by accesses
+// [from, to) of the transaction, in first-touch order, and returns the
+// extended slice (distinct among the appended pages; dst's earlier content
+// is not consulted). elemsPerPage is the page capacity in elements.
+// Sequential transactions are enumerated analytically; other patterns walk
+// their access sequence, using seen — cleared here, the caller only lends
+// the storage — to drop revisits.
+func (a *activeTx) pagesIn(dst []int64, seen map[int64]struct{}, from, to int64, elemsPerPage int64) []int64 {
+	if to > a.n {
+		to = a.n
+	}
+	if from >= to {
+		return dst
+	}
+	if a.kind == txSeq {
+		first := (a.off + from) / elemsPerPage
+		last := (a.off + to - 1) / elemsPerPage
+		for pg := first; pg <= last; pg++ {
+			dst = append(dst, pg)
+		}
+		return dst
+	}
+	clear(seen)
+	prev := int64(math.MinInt64) // consecutive accesses mostly share a page
+	for i := from; i < to; i++ {
+		pg := a.elemAt(i) / elemsPerPage
+		if pg == prev {
+			continue
+		}
+		prev = pg
 		if _, ok := seen[pg]; !ok {
 			seen[pg] = struct{}{}
-			out = append(out, pg)
+			dst = append(dst, pg)
 		}
 	}
-	return out
+	return dst
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -87,14 +88,12 @@ func TestRandTxCoversRange(t *testing.T) {
 func TestPagesInSeqMatchesGeneric(t *testing.T) {
 	f := func(off uint16, n uint16, from uint8, span uint8) bool {
 		tx := SeqTx{Off: int64(off), N: int64(n)%1000 + 1}
-		a := &activeTx{tx: tx}
 		epp := int64(16)
 		lo := int64(from) % tx.N
 		hi := lo + int64(span)
-		fast := a.pagesIn(lo, hi, epp)
+		fast := pagesOf(tx, lo, hi, epp)
 		// Generic path via a wrapper that hides the concrete type.
-		g := &activeTx{tx: opaqueTx{tx}}
-		slow := g.pagesIn(lo, hi, epp)
+		slow := pagesOf(opaqueTx{tx}, lo, hi, epp)
 		if len(fast) != len(slow) {
 			return false
 		}
@@ -117,13 +116,115 @@ func (o opaqueTx) Flags() AccessFlags   { return o.inner.Flags() }
 func (o opaqueTx) Count() int64         { return o.inner.Count() }
 func (o opaqueTx) ElemAt(i int64) int64 { return o.inner.ElemAt(i) }
 
+// pagesOf runs pagesIn for tx the way a fresh handle would.
+func pagesOf(tx Tx, from, to, epp int64) []int64 {
+	a := newActiveTx(tx)
+	return a.pagesIn(nil, make(map[int64]struct{}), from, to, epp)
+}
+
 func TestPagesInEmptyWindow(t *testing.T) {
-	a := &activeTx{tx: SeqTx{Off: 0, N: 10}}
-	if got := a.pagesIn(5, 5, 4); got != nil {
+	tx := SeqTx{Off: 0, N: 10}
+	if got := pagesOf(tx, 5, 5, 4); got != nil {
 		t.Errorf("empty window = %v, want nil", got)
 	}
-	if got := a.pagesIn(20, 30, 4); got != nil {
+	if got := pagesOf(tx, 20, 30, 4); got != nil {
 		t.Errorf("past-end window = %v, want nil", got)
+	}
+}
+
+// refPagesIn is pagesIn as it stood before the handle owned its page
+// lists (a fresh slice and set per call, the pattern found by a type
+// switch on the boxed Tx): the reference the scratch-reusing version is
+// held to.
+func refPagesIn(tx Tx, from, to int64, elemsPerPage int64) []int64 {
+	if to > tx.Count() {
+		to = tx.Count()
+	}
+	if from >= to {
+		return nil
+	}
+	switch tx := tx.(type) {
+	case SeqTx:
+		first := (tx.Off + from) / elemsPerPage
+		last := (tx.Off + to - 1) / elemsPerPage
+		out := make([]int64, 0, last-first+1)
+		for pg := first; pg <= last; pg++ {
+			out = append(out, pg)
+		}
+		return out
+	case StrideTx:
+		var out []int64
+		prev := int64(-1)
+		for i := from; i < to; i++ {
+			pg := tx.ElemAt(i) / elemsPerPage
+			if pg != prev {
+				out = append(out, pg)
+				prev = pg
+			}
+		}
+		return dedupInOrder(out)
+	default:
+		var out []int64
+		seen := make(map[int64]struct{})
+		for i := from; i < to; i++ {
+			pg := tx.ElemAt(i) / elemsPerPage
+			if _, ok := seen[pg]; !ok {
+				seen[pg] = struct{}{}
+				out = append(out, pg)
+			}
+		}
+		return out
+	}
+}
+
+// dedupInOrder removes repeated page indices, keeping first occurrence
+// order (strides can revisit pages non-adjacently).
+func dedupInOrder(pgs []int64) []int64 {
+	seen := make(map[int64]struct{}, len(pgs))
+	out := pgs[:0]
+	for _, pg := range pgs {
+		if _, ok := seen[pg]; !ok {
+			seen[pg] = struct{}{}
+			out = append(out, pg)
+		}
+	}
+	return out
+}
+
+// TestPagesInMatchesReference holds the prefetcher's page lists to the
+// old pagesIn for every pattern, window by window the way runPrefetcher
+// asks (future, then spent through the same seen set, then the distant
+// pages appended behind future), with the scratch dirty from the window
+// before.
+func TestPagesInMatchesReference(t *testing.T) {
+	txs := map[string]Tx{
+		"seq":         SeqTx{Off: 37, N: 900},
+		"rand":        RandTx{Off: 5, N: 700, Seed: 42},
+		"stride":      StrideTx{Off: 3, N: 400, Stride: 7},
+		"stride-wrap": StrideTx{Off: 600, N: 300, Stride: -2},
+		"custom":      opaqueTx{RandTx{Off: 0, N: 500, Seed: 7}},
+	}
+	const epp = 16
+	for name, tx := range txs {
+		a := newActiveTx(tx)
+		seen := make(map[int64]struct{})
+		var future, spent []int64
+		for tail := int64(0); tail < tx.Count()+40; tail += 23 {
+			head, win := max(tail-23, 0), int64(5*epp)
+			future = a.pagesIn(future[:0], seen, tail, tail+win, epp)
+			if want := refPagesIn(tx, tail, tail+win, epp); !slices.Equal(future, want) {
+				t.Fatalf("%s future at %d = %v, want %v", name, tail, future, want)
+			}
+			spent = a.pagesIn(spent[:0], seen, head, tail, epp)
+			if want := refPagesIn(tx, head, tail, epp); !slices.Equal(spent, want) {
+				t.Fatalf("%s spent at %d = %v, want %v", name, tail, spent, want)
+			}
+			future = a.pagesIn(future, seen, tail+win, tail+2*win, epp)
+			want := append(refPagesIn(tx, tail, tail+win, epp), refPagesIn(tx, tail+win, tail+2*win, epp)...)
+			if !slices.Equal(future, want) {
+				t.Fatalf("%s future+distant at %d = %v, want %v", name, tail, future, want)
+			}
+		}
 	}
 }
 

@@ -23,9 +23,23 @@ type Vector[T any] struct {
 	m     *vecMeta
 	codec Codec[T]
 	pc    *pcache
-	tx    *activeTx
+	tx    *activeTx // &txState while a transaction is open, else nil
 	last  *cachedPage
-	fills map[int64]*fillReq // page -> in-flight prefetch fill
+	fills map[int64]fillReq // page -> in-flight prefetch fill
+
+	// Per-operation state the handle owns and reuses, so the steady-state
+	// transaction cycle allocates nothing (DESIGN.md "the allocation-free
+	// hot path"). The handle belongs to one process and none of the users
+	// below nests inside another, so each list has one user at a time:
+	// residentPages and fillPages hand out pgScratch, valid until the next
+	// call of either — every caller finishes its loop (whose body only
+	// evicts, drops, commits or installs pages) before anything lists
+	// pages again; the prefetcher, which never re-enters itself, owns the
+	// other four.
+	txState       activeTx
+	pgScratch     []int64
+	future, spent []int64            // prefetcher: upcoming pages; pages just consumed
+	seen, soon    map[int64]struct{} // pagesIn's revisit filter; the evict phase's keep set
 
 	// pageWrites counts local commits per page; a prefetch fill that was
 	// issued before a commit of the same page is stale and must never be
@@ -149,6 +163,7 @@ func Open[T any](c *Client, name string, codec Codec[T], opts ...VectorOpt) (*Ve
 			m.length = b.Size() / es
 		}
 		c.d.vecs[name] = m
+		c.d.vecOrder = nil
 		c.d.vecByID[m.id] = m
 	} else {
 		if m.access != o.accessKey {
@@ -166,7 +181,9 @@ func Open[T any](c *Client, name string, codec Codec[T], opts ...VectorOpt) (*Ve
 		m:          m,
 		codec:      codec,
 		pc:         newPCache(),
-		fills:      make(map[int64]*fillReq),
+		fills:      make(map[int64]fillReq),
+		seen:       make(map[int64]struct{}),
+		soon:       make(map[int64]struct{}),
 		pageWrites: make(map[int64]int64),
 	}
 	c.d.handles = append(c.d.handles, v)
@@ -236,40 +253,51 @@ func (v *Vector[T]) Resize(n int64) {
 // SeqTxBegin starts a sequential transaction over elements [off, off+n)
 // with the declared intent.
 func (v *Vector[T]) SeqTxBegin(off, n int64, flags AccessFlags) {
-	v.TxBegin(SeqTx{F: flags, Off: off, N: n})
+	v.begin(activeTx{kind: txSeq, flags: flags, off: off, n: n})
 }
 
 // RandTxBegin starts a seeded pseudo-random transaction over
 // [off, off+n): the same seed yields the same permutation for the
 // accessor and the prefetcher.
 func (v *Vector[T]) RandTxBegin(off, n int64, seed uint64, flags AccessFlags) {
-	v.TxBegin(RandTx{F: flags, Off: off, N: n, Seed: seed})
+	v.begin(activeTx{kind: txRand, flags: flags, off: off, n: n, seed: seed})
 }
 
-// TxBegin starts a custom transaction. Entering a phase with global read
-// intent evicts write-allocated (partial) pages: their unwritten regions
-// are zero fill, not data, and a global read may stray into regions other
-// ranks wrote — the scache holds the merged truth. Local reads keep
-// partial pages: by the Pgas contract a rank's local phase only reads
-// what it itself produced.
-func (v *Vector[T]) TxBegin(tx Tx) {
+// StrideTxBegin starts a strided transaction of n accesses: off,
+// off+stride, off+2*stride, ...
+func (v *Vector[T]) StrideTxBegin(off, n, stride int64, flags AccessFlags) {
+	v.begin(activeTx{kind: txStride, flags: flags, off: off, n: n, stride: stride})
+}
+
+// TxBegin starts a custom transaction (the built-in patterns have their
+// own Begin methods, which skip the interface).
+func (v *Vector[T]) TxBegin(tx Tx) { v.begin(newActiveTx(tx)) }
+
+// begin opens the transaction a describes. Entering a phase with global
+// read intent evicts write-allocated (partial) pages: their unwritten
+// regions are zero fill, not data, and a global read may stray into
+// regions other ranks wrote — the scache holds the merged truth. Local
+// reads keep partial pages: by the Pgas contract a rank's local phase only
+// reads what it itself produced.
+func (v *Vector[T]) begin(a activeTx) {
 	if v.tx != nil {
 		panic(fmt.Sprintf("core: vector %q already has an active transaction", v.m.name))
 	}
-	if tx.Flags().Has(Read) && tx.Flags().Has(Global) {
+	if a.flags.Has(Read) && a.flags.Has(Global) {
 		for _, idx := range v.residentPages() {
 			if cp := v.pc.pages[idx]; cp.partial {
 				v.evict(cp)
 			}
 		}
 	}
-	v.tx = &activeTx{tx: tx}
+	v.txState = a
+	v.tx = &v.txState
 	if sp := v.c.d.trc.Begin(telemetry.OpTx, v.c.node.ID, telemetry.SpanID(v.c.p.TraceSpan()), v.c.p.Now()); sp != 0 {
 		s := v.c.d.trc.At(sp)
-		s.Vec, s.Arg = v.m.id, int64(tx.Flags())
+		s.Vec, s.Arg = v.m.id, int64(a.flags)
 		v.tx.span = sp
 	}
-	v.m.flags = tx.Flags()
+	v.m.flags = a.flags
 }
 
 // TxEnd commits all unflushed modifications made during the transaction
@@ -285,7 +313,7 @@ func (v *Vector[T]) TxEnd() {
 	// write concurrently; the local copies are partial views (only this
 	// rank's modifications are real), so residency ends with the phase.
 	// The committed state in the scache is the merged truth.
-	f := v.tx.tx.Flags()
+	f := v.tx.flags
 	if f.Has(Global) && (f.Has(Write) || f.Has(Append)) {
 		for _, idx := range v.residentPages() {
 			v.dropPage(v.pc.pages[idx])
@@ -301,15 +329,7 @@ func (v *Vector[T]) TxEnd() {
 // Drain) so fills never leak across transaction phases: the reservation
 // is released and the fill's task and page buffer re-pool.
 func (v *Vector[T]) releaseFills() {
-	if len(v.fills) == 0 {
-		return
-	}
-	pgs := make([]int64, 0, len(v.fills))
-	for pg := range v.fills {
-		pgs = append(pgs, pg)
-	}
-	sortInt64s(pgs)
-	for _, pg := range pgs {
+	for _, pg := range v.fillPages() {
 		f := v.fills[pg]
 		delete(v.fills, pg)
 		v.pc.used -= v.m.pageSize
@@ -332,14 +352,19 @@ func (v *Vector[T]) Flush() {
 }
 
 // residentPages returns the resident page indices in ascending order so
-// map iteration never perturbs the deterministic simulation.
+// map iteration never perturbs the deterministic simulation. The list is
+// a snapshot in pgScratch: callers may drop the pages they walk, and must
+// be done with it before the next residentPages or fillPages call.
 func (v *Vector[T]) residentPages() []int64 {
-	out := make([]int64, 0, len(v.pc.pages))
-	for idx := range v.pc.pages {
-		out = append(out, idx)
-	}
-	sortInt64s(out)
-	return out
+	v.pgScratch = sortedKeys(v.pgScratch, v.pc.pages)
+	return v.pgScratch
+}
+
+// fillPages is residentPages for the pages with a prefetch fill in
+// flight, under the same pgScratch rule.
+func (v *Vector[T]) fillPages() []int64 {
+	v.pgScratch = sortedKeys(v.pgScratch, v.fills)
+	return v.pgScratch
 }
 
 // RandomAt returns the element index the active random transaction
@@ -348,7 +373,7 @@ func (v *Vector[T]) RandomAt(i int64) int64 {
 	if v.tx == nil {
 		panic("core: RandomAt outside a transaction")
 	}
-	return v.tx.tx.ElemAt(i)
+	return v.tx.elemAt(i)
 }
 
 // Get reads element i.
@@ -501,6 +526,7 @@ func (v *Vector[T]) Destroy() {
 	}
 	v.c.Drain()
 	delete(v.c.d.vecs, v.m.name)
+	v.c.d.vecOrder = nil
 	delete(v.c.d.vecByID, v.m.id)
 }
 
@@ -619,7 +645,7 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 	m := v.m
 	f := AccessFlags(0)
 	if v.tx != nil {
-		f = v.tx.tx.Flags()
+		f = v.tx.flags
 	}
 	writeAlloc := forWrite && (f.Has(Write) || f.Has(Append)) && !f.Has(Read)
 	var data []byte
@@ -629,7 +655,7 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		data = v.c.d.getBuf(m.pageSize)
 		clear(data) // write-allocate: the unwritten rest of the page is zero fill
 		partial = true
-	case v.fills[pg] != nil:
+	case v.hasFill(pg):
 		f := v.fills[pg]
 		delete(v.fills, pg)
 		if err := f.t.Wait(v.c.p); err != nil {
@@ -671,7 +697,7 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		t.origin, t.replicate = v.c.node.ID, v.replicable()
 		// Collective phases coalesce faults: one fetch per (page, node),
 		// later ranks share the arriving data (Fig. 3's tree pattern).
-		collective := v.tx != nil && v.tx.tx.Flags().Has(Collective)
+		collective := v.tx != nil && v.tx.flags.Has(Collective)
 		if collective {
 			if lead, shared := v.c.d.coalesceRead(t); shared {
 				v.c.d.coalesced++
@@ -708,7 +734,7 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 // replicable reports whether the current phase allows node-local
 // replication of fetched pages.
 func (v *Vector[T]) replicable() bool {
-	return !v.c.d.cfg.DisableReplication && v.tx != nil && v.tx.tx.Flags().replicable()
+	return !v.c.d.cfg.DisableReplication && v.tx != nil && v.tx.flags.replicable()
 }
 
 // ensureSpace reserves one page of pcache space, evicting victims while
@@ -796,18 +822,19 @@ func (v *Vector[T]) commitPage(cp *cachedPage, retain bool) {
 	if retain {
 		data = v.c.d.getBuf(int64(len(cp.data)))
 		copy(data, cp.data)
-		// mergeRanges coalesced in place, so regions still aliases
-		// cp.dirty's backing array; snapshot it before resetting cp.dirty,
-		// or writes landing between Flush and the async commit's execution
-		// would clobber the in-flight region list.
-		regions = append([]dirtyRange(nil), regions...)
-		cp.dirty = cp.dirty[:0]
 	} else {
 		cp.data = nil // the task owns the buffer now
 	}
 	t := v.c.d.newTask()
 	t.kind, t.vec, t.page = taskWrite, v.m, cp.idx
-	t.regions, t.data, t.origin, t.recycle = regions, data, v.c.node.ID, true
+	// mergeRanges coalesced in place, so regions aliases cp.dirty's backing
+	// array, which stays with the page frame (writes landing between Flush
+	// and the async commit's execution append to it, and a dropped frame
+	// keeps it for its next page). The task carries its own copy, in the
+	// list its pooled MemoryTask kept from earlier commits.
+	t.regions = append(t.regions[:0], regions...)
+	cp.dirty = cp.dirty[:0]
+	t.data, t.origin, t.recycle = data, v.c.node.ID, true
 	v.pageWrites[cp.idx]++
 	if sp := v.c.d.trc.Begin(telemetry.OpCommit, v.c.node.ID, v.parentSpan(), v.c.p.Now()); sp != 0 {
 		s := v.c.d.trc.At(sp)
@@ -824,15 +851,7 @@ func (v *Vector[T]) commitPage(cp *cachedPage, retain bool) {
 // integrateFills installs completed prefetch fills into the pcache and
 // releases reservations of fills that became redundant.
 func (v *Vector[T]) integrateFills() {
-	if len(v.fills) == 0 {
-		return
-	}
-	pgs := make([]int64, 0, len(v.fills))
-	for pg := range v.fills {
-		pgs = append(pgs, pg)
-	}
-	sortInt64s(pgs)
-	for _, pg := range pgs {
+	for _, pg := range v.fillPages() {
 		f := v.fills[pg]
 		if !f.t.done.Fired() {
 			continue
@@ -864,4 +883,13 @@ func min64i(a, b int64) int64 {
 	return b
 }
 
-func sortInt64s(s []int64) { slices.Sort(s) }
+// sortedKeys returns m's keys in ascending order, in dst's storage when
+// it is large enough (dst's contents are overwritten; nil is fine).
+func sortedKeys[V any](dst []int64, m map[int64]V) []int64 {
+	dst = slices.Grow(dst[:0], len(m))
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
+}

@@ -84,9 +84,43 @@ func TestReadRangeIntoFillsTheCallersBuffer(t *testing.T) {
 	})
 }
 
+// TestPQRangeReadAllocatesNothing: the pq backend's object names are fixed
+// by its URL — base and footer keys built at construction, each row-group
+// key the first time it is touched — so a stage-in into the caller's buffer
+// formats no string and allocates nothing, across row-group boundaries too.
+func TestPQRangeReadAllocatesNothing(t *testing.T) {
+	const page = 48 << 10
+	c, s := newStager()
+	run(t, c, func(p *vtime.Proc) {
+		be, err := s.Open("pq:///keys/pts.pq:p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := be.WriteRange(p, 0, 0, bytes.Repeat([]byte{7}, 3*int(pqChunkSize))); err != nil {
+			t.Fatal(err)
+		}
+		buf, off, bad := make([]byte, page), int64(0), 0
+		read := func() {
+			off = (off + 5*page) % (3*pqChunkSize - page) // straddles a row-group boundary now and then
+			got, err := be.ReadRangeInto(p, 0, off, page, buf)
+			if err != nil || len(got) != page || got[0] != 7 || got[page-1] != 7 {
+				bad++
+			}
+		}
+		for i := 0; i < 64; i++ { // every row-group key seen once
+			read()
+		}
+		if n := testing.AllocsPerRun(200, read); n != 0 {
+			t.Errorf("pq range read allocates %v times, want 0", n)
+		}
+		if bad != 0 {
+			t.Errorf("%d reads failed or returned the wrong bytes", bad)
+		}
+	})
+}
+
 // BenchmarkStageInPath is the backend leg of a cold page fault on a pq://
-// dataset: one page read into the caller's buffer. The budget is no
-// page-sized allocation (the row-group key string is all that remains).
+// dataset: one page read into the caller's buffer, nothing allocated.
 func BenchmarkStageInPath(b *testing.B) {
 	const page = 48 << 10
 	c, s := newStager()

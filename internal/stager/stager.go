@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path"
+	"strconv"
 	"strings"
 
 	"megammap/internal/cluster"
@@ -325,24 +326,35 @@ type pqBackend struct {
 	u      URL
 	footer pqFooter
 	loaded bool
+
+	// PFS object names, fixed by the URL: base and footerKey are built at
+	// construction and row-group keys the first time each is touched, so a
+	// range read formats nothing.
+	base      string
+	footerKey string
+	chunkKeys map[int64]string // row group -> base::rg<i>
 }
 
 func newPQBackend(c *cluster.Cluster, u URL) (*pqBackend, error) {
-	b := &pqBackend{c: c, u: u, footer: pqFooter{ChunkSize: pqChunkSize}}
+	b := &pqBackend{c: c, u: u, footer: pqFooter{ChunkSize: pqChunkSize}, base: u.Path,
+		chunkKeys: make(map[int64]string)}
+	if u.Param != "" {
+		b.base += "::" + u.Param
+	}
+	b.footerKey = b.base + "::#footer"
 	return b, nil
 }
 
 func (b *pqBackend) URL() URL { return b.u }
 
-func (b *pqBackend) base() string {
-	if b.u.Param != "" {
-		return b.u.Path + "::" + b.u.Param
+func (b *pqBackend) chunkKey(i int64) string {
+	k, ok := b.chunkKeys[i]
+	if !ok {
+		k = b.base + "::rg" + strconv.FormatInt(i, 10)
+		b.chunkKeys[i] = k
 	}
-	return b.u.Path
+	return k
 }
-
-func (b *pqBackend) footerKey() string       { return b.base() + "::#footer" }
-func (b *pqBackend) chunkKey(i int64) string { return fmt.Sprintf("%s::rg%d", b.base(), i) }
 
 // loadFooter reads the footer once; absent footers mean an empty dataset.
 // The loaded flag is set only after the (yielding) read completes so
@@ -351,12 +363,12 @@ func (b *pqBackend) loadFooter(p *vtime.Proc, node int) {
 	if b.loaded {
 		return
 	}
-	n := b.c.PFSSize(b.footerKey())
+	n := b.c.PFSSize(b.footerKey)
 	if n <= 0 {
 		b.loaded = true
 		return
 	}
-	raw, ok, err := b.c.PFSRead(p, node, b.footerKey(), 0, n)
+	raw, ok, err := b.c.PFSRead(p, node, b.footerKey, 0, n)
 	if b.loaded {
 		return // a concurrent reader finished first
 	}
@@ -375,15 +387,15 @@ func (b *pqBackend) flushFooter(p *vtime.Proc, node int) error {
 	if err != nil {
 		return err
 	}
-	b.c.PFSDelete(p, b.footerKey())
-	return b.c.PFSWrite(p, node, b.footerKey(), 0, enc)
+	b.c.PFSDelete(p, b.footerKey)
+	return b.c.PFSWrite(p, node, b.footerKey, 0, enc)
 }
 
 func (b *pqBackend) Size() int64 {
 	if !b.loaded {
 		// Size is a metadata peek used at open time, before any process
 		// context exists; it must not charge virtual time.
-		raw, ok := b.c.PFSPeek(b.footerKey())
+		raw, ok := b.c.PFSPeek(b.footerKey)
 		if !ok {
 			return 0
 		}

@@ -158,7 +158,6 @@ var ErrAdmissionShed = errors.New("admission queue full")
 // arrival sheds on every same-seed replay). The governor actuates
 // SetMaxInFlight to squeeze or relax a tenant.
 type Admission struct {
-	name        string
 	maxInFlight int
 	queueDepth  int
 
@@ -168,6 +167,11 @@ type Admission struct {
 	admitted  int64 // arrivals accepted into the queue
 	shed      int64 // arrivals rejected with ErrAdmissionShed
 	completed int64 // requests finished
+
+	// shedErr is what every shed Arrive returns. Name and depth are fixed
+	// at construction, so it is built once: overload is when the most
+	// requests pay for it.
+	shedErr error
 }
 
 // NewAdmission returns an admission controller for one tenant.
@@ -178,7 +182,10 @@ func NewAdmission(name string, maxInFlight, queueDepth int) *Admission {
 	if queueDepth < 1 {
 		queueDepth = 1
 	}
-	return &Admission{name: name, maxInFlight: maxInFlight, queueDepth: queueDepth}
+	return &Admission{
+		maxInFlight: maxInFlight, queueDepth: queueDepth,
+		shedErr: fmt.Errorf("tenant %q: %w (depth %d)", name, ErrAdmissionShed, queueDepth),
+	}
 }
 
 // Arrive admits one request into the waiting queue, or sheds it with an
@@ -186,7 +193,7 @@ func NewAdmission(name string, maxInFlight, queueDepth int) *Admission {
 func (a *Admission) Arrive() error {
 	if a.queued >= a.queueDepth {
 		a.shed++
-		return fmt.Errorf("tenant %q: %w (depth %d)", a.name, ErrAdmissionShed, a.queueDepth)
+		return a.shedErr
 	}
 	a.queued++
 	a.admitted++

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -115,6 +116,26 @@ func TestAdmissionCaps(t *testing.T) {
 	}
 	if !a.Dispatch() {
 		t.Fatal("freed slot not dispatchable")
+	}
+}
+
+// TestShedAllocatesNothing: the overload path is the one that runs most
+// per second, so a shed hands back the Admission's one prebuilt error —
+// same text as a freshly formatted one, still matching ErrAdmissionShed.
+func TestShedAllocatesNothing(t *testing.T) {
+	a := NewAdmission("front", 1, 2)
+	for a.Arrive() == nil {
+	}
+	var err error
+	if n := testing.AllocsPerRun(100, func() { err = a.Arrive() }); n != 0 {
+		t.Errorf("a shed Arrive allocates %v times, want 0", n)
+	}
+	want := fmt.Sprintf("tenant %q: %v (depth %d)", "front", ErrAdmissionShed, 2)
+	if !errors.Is(err, ErrAdmissionShed) || err.Error() != want {
+		t.Errorf("shed error = %q, want %q wrapping ErrAdmissionShed", err, want)
+	}
+	if a.Shed() != 102 { // the fill loop's one + AllocsPerRun's warm-up + 100
+		t.Errorf("shed count = %d, want 102", a.Shed())
 	}
 }
 

@@ -369,6 +369,7 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		p.daemon = daemon
 		p.done = false
 		p.span = 0
+		p.waitOK, p.waitN, p.waitNext = false, 0, nil
 	} else {
 		p = &Proc{e: e, name: name, daemon: daemon, fn: fn, resume: make(chan struct{})}
 		go p.loop()
@@ -600,8 +601,17 @@ type Proc struct {
 	pending int32
 	done    bool
 	daemon  bool
-	span    uint32
-	resume  chan struct{}
+	// waitOK, waitN and waitNext are the process's wait record (sync.go): a
+	// process blocks on at most one primitive at a time, so the primitives
+	// queue the process itself instead of allocating a record per wait.
+	// waitOK is set by the primitive that grants the wait (a Resource's
+	// units, a Chan taking a blocked send); waitN is the units asked of a
+	// Resource; waitNext links the primitive's FIFO.
+	waitOK   bool
+	span     uint32
+	resume   chan struct{}
+	waitN    int
+	waitNext *Proc
 
 	e    *Engine
 	fn   func(*Proc)

@@ -3,12 +3,53 @@ package vtime
 // This file provides synchronization primitives for simulation processes.
 // Because the engine serializes execution, none of these need host-level
 // locking; they only manage wait queues and wake-ups in virtual time.
+//
+// A parked process is its own wait record. A process blocks on at most one
+// primitive at a time, so the link to the next waiter, the units it asked a
+// Resource for and the "your turn" flag live on the Proc (waitNext, waitN,
+// waitOK), and blocking allocates nothing: Resource, WaitGroup and Event
+// thread their waiters through the processes themselves, and a Chan's
+// blocked senders sit by value in a ring that keeps its capacity.
+
+// waitQueue is an intrusive FIFO of parked processes, linked through
+// Proc.waitNext. The zero value is an empty queue.
+type waitQueue struct {
+	head, tail *Proc
+}
+
+// push appends p, which must not be on any wait queue.
+func (q *waitQueue) push(p *Proc) {
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.waitNext = p
+	}
+	q.tail = p
+}
+
+// pop removes and returns the oldest waiter; the queue must be non-empty.
+func (q *waitQueue) pop() *Proc {
+	p := q.head
+	q.head = p.waitNext
+	if q.head == nil {
+		q.tail = nil
+	}
+	p.waitNext = nil
+	return p
+}
+
+// wakeAll empties the queue, waking every waiter in arrival order.
+func (q *waitQueue) wakeAll() {
+	for q.head != nil {
+		q.pop().wake()
+	}
+}
 
 // Event is a one-shot broadcast: processes Wait until Fire is called, after
 // which Wait returns immediately. The zero value is an unfired event.
 type Event struct {
 	fired   bool
-	waiters []*Proc
+	waiters waitQueue
 }
 
 // Fired reports whether the event has fired.
@@ -20,18 +61,7 @@ func (ev *Event) Fire() {
 		return
 	}
 	ev.fired = true
-	for _, w := range ev.waiters {
-		w.wake()
-	}
-	ev.waiters = ev.waiters[:0]
-}
-
-// Reset returns a fired event to its unfired state, retaining the waiter
-// queue's capacity. For owners that pool their events (the DSM task pool);
-// resetting an event someone still waits on is a caller bug.
-func (ev *Event) Reset() {
-	ev.fired = false
-	ev.waiters = ev.waiters[:0]
+	ev.waiters.wakeAll()
 }
 
 // Wait blocks p until the event fires.
@@ -39,14 +69,14 @@ func (ev *Event) Wait(p *Proc) {
 	if ev.fired {
 		return
 	}
-	ev.waiters = append(ev.waiters, p)
+	ev.waiters.push(p)
 	p.park()
 }
 
 // WaitGroup counts outstanding work, as sync.WaitGroup does for goroutines.
 type WaitGroup struct {
 	n       int
-	waiters []*Proc
+	waiters waitQueue
 }
 
 // Add adds delta to the counter. It panics if the counter goes negative.
@@ -56,10 +86,7 @@ func (wg *WaitGroup) Add(delta int) {
 		panic("vtime: negative WaitGroup counter")
 	}
 	if wg.n == 0 {
-		for _, w := range wg.waiters {
-			w.wake()
-		}
-		wg.waiters = nil
+		wg.waiters.wakeAll()
 	}
 }
 
@@ -72,7 +99,7 @@ func (wg *WaitGroup) Pending() int { return wg.n }
 // Wait blocks p until the counter is zero.
 func (wg *WaitGroup) Wait(p *Proc) {
 	for wg.n > 0 {
-		wg.waiters = append(wg.waiters, p)
+		wg.waiters.push(p)
 		p.park()
 	}
 }
@@ -94,14 +121,9 @@ type LoadSum struct {
 type Resource struct {
 	capacity int
 	inUse    int
-	waiters  []*resWaiter
-	load     *LoadSum // optional group accumulator, nil when detached
-}
-
-type resWaiter struct {
-	p       *Proc
-	n       int
-	granted bool
+	waiters  waitQueue // each waiter's request is its Proc.waitN
+	waiting  int       // len(waiters)
+	load     *LoadSum  // optional group accumulator, nil when detached
 }
 
 // NewResource returns a resource with the given capacity (units > 0).
@@ -116,7 +138,7 @@ func NewResource(capacity int) *Resource {
 // in-use units and queue depth from now on. The resource must be idle
 // (nothing held, nothing queued) when attached; attach at construction.
 func (r *Resource) AttachLoad(sum *LoadSum) {
-	if r.inUse != 0 || len(r.waiters) != 0 {
+	if r.inUse != 0 || r.waiting != 0 {
 		panic("vtime: AttachLoad on a busy resource")
 	}
 	r.load = sum
@@ -130,7 +152,7 @@ func (r *Resource) InUse() int { return r.inUse }
 
 // Waiting returns the number of queued acquisitions — the facility's queue
 // depth, used by telemetry samplers to expose contention.
-func (r *Resource) Waiting() int { return len(r.waiters) }
+func (r *Resource) Waiting() int { return r.waiting }
 
 // Acquire blocks p until n units are available and takes them. It panics if
 // n exceeds the resource capacity (the request could never be satisfied).
@@ -141,19 +163,20 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if n > r.capacity {
 		panic("vtime: acquire exceeds resource capacity")
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.waiting == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
 		if r.load != nil {
 			r.load.InUse += n
 		}
 		return
 	}
-	w := &resWaiter{p: p, n: n}
-	r.waiters = append(r.waiters, w)
+	p.waitN, p.waitOK = n, false
+	r.waiters.push(p)
+	r.waiting++
 	if r.load != nil {
 		r.load.Waiting++
 	}
-	for !w.granted {
+	for !p.waitOK {
 		p.park()
 	}
 }
@@ -170,19 +193,20 @@ func (r *Resource) Release(n int) {
 	if r.load != nil {
 		r.load.InUse -= n
 	}
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
-		if r.inUse+w.n > r.capacity {
+	for r.waiting > 0 {
+		want := r.waiters.head.waitN
+		if r.inUse+want > r.capacity {
 			break
 		}
-		r.inUse += w.n
-		w.granted = true
-		r.waiters = r.waiters[1:]
+		w := r.waiters.pop()
+		r.waiting--
+		r.inUse += want
+		w.waitOK = true
 		if r.load != nil {
-			r.load.InUse += w.n
+			r.load.InUse += want
 			r.load.Waiting--
 		}
-		w.p.wake()
+		w.wake()
 	}
 }
 
@@ -211,7 +235,7 @@ func (m *Mutex) Unlock() { m.r.Release(1) }
 type Chan[T any] struct {
 	capacity int
 	buf      []T
-	sendq    []*chanSender[T]
+	sendq    []chanSender[T] // blocked senders by value; done is p.waitOK
 	recvq    []*chanReceiver[T]
 	closed   bool
 	// Queues pop from a head index instead of re-slicing: a [1:] pop
@@ -227,9 +251,8 @@ type Chan[T any] struct {
 }
 
 type chanSender[T any] struct {
-	p    *Proc
-	v    T
-	done bool
+	p *Proc
+	v T
 }
 
 type chanReceiver[T any] struct {
@@ -263,16 +286,18 @@ func (c *Chan[T]) popBuf() T {
 	return v
 }
 
-// popSend removes and returns the oldest blocked sender.
-func (c *Chan[T]) popSend() *chanSender[T] {
+// popSend unblocks the oldest blocked sender and returns its value.
+func (c *Chan[T]) popSend() T {
 	sw := c.sendq[c.sendHead]
-	c.sendq[c.sendHead] = nil
+	c.sendq[c.sendHead] = chanSender[T]{}
 	c.sendHead++
 	if c.sendHead == len(c.sendq) {
 		c.sendq = c.sendq[:0]
 		c.sendHead = 0
 	}
-	return sw
+	sw.p.waitOK = true
+	sw.p.wake()
+	return sw.v
 }
 
 // popRecv removes and returns the oldest parked receiver.
@@ -320,9 +345,9 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 		c.buf = append(c.buf, v)
 		return
 	}
-	sw := &chanSender[T]{p: p, v: v}
-	c.sendq = append(c.sendq, sw)
-	for !sw.done {
+	p.waitOK = false
+	c.sendq = append(c.sendq, chanSender[T]{p: p, v: v})
+	for !p.waitOK {
 		p.park()
 	}
 }
@@ -357,10 +382,7 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 		return v, true
 	}
 	if len(c.sendq) > c.sendHead { // rendezvous (capacity 0)
-		sw := c.popSend()
-		sw.done = true
-		sw.p.wake()
-		return sw.v, true
+		return c.popSend(), true
 	}
 	if c.closed {
 		return v, false
@@ -390,10 +412,7 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 		return v, true
 	}
 	if len(c.sendq) > c.sendHead {
-		sw := c.popSend()
-		sw.done = true
-		sw.p.wake()
-		return sw.v, true
+		return c.popSend(), true
 	}
 	return v, false
 }
@@ -401,9 +420,6 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 // refill moves a blocked sender's value into freed buffer space.
 func (c *Chan[T]) refill() {
 	for len(c.sendq) > c.sendHead && c.Len() < c.capacity {
-		sw := c.popSend()
-		c.buf = append(c.buf, sw.v)
-		sw.done = true
-		sw.p.wake()
+		c.buf = append(c.buf, c.popSend())
 	}
 }

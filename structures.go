@@ -63,7 +63,7 @@ func (m *Matrix[T]) RowTxBegin(r0, nrows int64, flags AccessFlags) {
 // ColTxBegin declares intent over column c of rows [r0, r0+nrows) — a
 // strided transaction (one element per row).
 func (m *Matrix[T]) ColTxBegin(c, r0, nrows int64, flags AccessFlags) {
-	m.v.TxBegin(StrideTx{F: flags, Off: r0*m.cols + c, N: nrows, Stride: m.cols})
+	m.v.StrideTxBegin(r0*m.cols+c, nrows, m.cols, flags)
 }
 
 // TxEnd commits the active transaction.
@@ -92,7 +92,7 @@ func (m *Matrix[T]) TransposeInto(dst *Matrix[T], r0, nrows int64) error {
 	}
 	m.RowTxBegin(r0, nrows, ReadOnly)
 	// Each source row becomes a strided column write in the destination.
-	dst.v.TxBegin(StrideTx{F: WriteOnly | Global, Off: r0, N: nrows * m.cols, Stride: 1})
+	dst.v.StrideTxBegin(r0, nrows*m.cols, 1, WriteOnly|Global)
 	row := make([]T, m.cols)
 	for r := r0; r < r0+nrows; r++ {
 		m.GetRow(r, row)
