@@ -124,8 +124,11 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 
 		if cfg.PlotGap > 0 && (step+1)%cfg.PlotGap == 0 && ckpt != nil {
 			// Checkpoint: copy the local slab into the nonvolatile vector.
-			// Commits are asynchronous and the staging engine persists them
-			// in the background while the next step computes.
+			// TxEnd waits for the commits to reach the scache, not the
+			// backend: the staging engine writes the pages out on its own
+			// lanes while the next step computes. The backend's pace shows
+			// only at the next checkpoint, whose commit of a page queues
+			// behind that page's stage-out if it is still in flight.
 			cur.SeqTxBegin(lo, hi-lo, core.ReadOnly)
 			ckpt.SeqTxBegin(lo, hi-lo, core.WriteOnly)
 			for off := lo; off < hi; off += int64(L) {

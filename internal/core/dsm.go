@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"megammap/internal/blob"
@@ -49,9 +50,11 @@ type DSM struct {
 	// and one way back (putBuf, or recycleTask for a buffer left on a
 	// task). bufOut counts the buffers out of the pool; once every task
 	// drained it equals the pages resident in the pcaches, which the
-	// pool-balance test holds.
+	// pool-balance test holds. bufPeak is its high-water mark, the pool's
+	// size bound (putBuf). Shutdown releases the pool.
 	bufFree [][]byte
 	bufOut  int64
+	bufPeak int64
 
 	// pendingMoves counts organizer relocations still queued or running;
 	// the organizer never plans from a state its own unfinished moves are
@@ -67,6 +70,11 @@ type DSM struct {
 	pendingReads map[pendingKey]*MemoryTask
 	stop         vtime.Event
 	shutdown     bool
+	// stageWalk is held by a stager tick while it walks the dirty sets:
+	// submitting yields (a control round-trip to the page's owner), and
+	// Shutdown must not take its final walk past a page the tick has
+	// marked staging but not yet queued.
+	stageWalk vtime.WaitGroup
 
 	// Counters for evaluation.
 	faults     int64
@@ -312,6 +320,7 @@ func (d *DSM) organizerLoop(p *vtime.Proc) {
 // synchronous I/O phases). Under dirty-ratio pressure the write-back
 // governor divides the period, flushing faster until the latch clears.
 func (d *DSM) stagerLoop(p *vtime.Proc) {
+	var pages []int64 // stageDirty's page list, reused every tick
 	for !d.stop.Fired() {
 		period := d.cfg.StagePeriod
 		if d.ctl != nil && d.ctl.cfg.Evict {
@@ -326,23 +335,80 @@ func (d *DSM) stagerLoop(p *vtime.Proc) {
 		if d.stop.Fired() {
 			return
 		}
-		for _, name := range d.vecNames() {
-			m := d.vecs[name]
-			if m == nil || m.backend == nil {
-				continue
+		// Fire-and-forget: the lanes drain the tasks; Shutdown waits for
+		// the walk (submit may yield) and then for them.
+		d.stageWalk.Add(1)
+		pages = d.stageDirty(p, pages, nil)
+		d.stageWalk.Done()
+	}
+}
+
+// stageDirty submits a stage-out for every dirty page of every backed
+// vector that has none in flight, in (vector name, page) order. It is the
+// one producer of taskStage, for the stager's ticks and Shutdown's final
+// flush alike. With a nil batch the tasks recycle themselves; a batch
+// keeps them for its owner to wait on and read. pages is the caller's
+// list storage, returned for its next call.
+func (d *DSM) stageDirty(p *vtime.Proc, pages []int64, batch *taskBatch) []int64 {
+	for _, name := range d.vecNames() {
+		m := d.vecs[name]
+		if m == nil || m.backend == nil {
+			continue
+		}
+		// Pages with a stage-out in flight are left out before the sort,
+		// not after: while the backend is the bottleneck that is nearly
+		// every dirty page on nearly every tick.
+		pages = pages[:0]
+		for pg := range m.dirty {
+			if !m.staging[pg] {
+				pages = append(pages, pg)
 			}
-			for _, pg := range m.dirtyPages() {
-				if m.staging[pg] {
-					continue // already in flight; don't pile up duplicates
-				}
-				m.staging[pg] = true
-				t := d.newTask()
-				t.kind, t.vec, t.page, t.recycle = taskStage, m, pg, true
+		}
+		slices.Sort(pages)
+		for _, pg := range pages {
+			m.staging[pg] = true
+			t := d.newTask()
+			t.kind, t.vec, t.page = taskStage, m, pg
+			if batch == nil {
+				t.recycle = true
 				d.submit(p, t)
-				// Fire-and-forget: workers drain them; Shutdown waits.
+			} else {
+				batch.submit(d, p, t)
 			}
 		}
 	}
+	return pages
+}
+
+// taskBatch is a set of tasks whose submitter waits for all of them and
+// then reads their results (a scrub sweep, Shutdown's final flush).
+type taskBatch struct {
+	wg    vtime.WaitGroup
+	tasks []*MemoryTask
+}
+
+func (b *taskBatch) submit(d *DSM, p *vtime.Proc, t *MemoryTask) {
+	t.notify = &b.wg
+	b.wg.Add(1)
+	d.submit(p, t)
+	b.tasks = append(b.tasks, t)
+}
+
+// wait blocks until every task of the batch completed, recycles them
+// (an unclaimed t.data re-pools there) and empties the batch. It returns
+// how many there were and the first error in submission order.
+func (b *taskBatch) wait(d *DSM, p *vtime.Proc) (n int, first error) {
+	b.wg.Wait(p)
+	n = len(b.tasks)
+	for i, t := range b.tasks {
+		if t.err != nil && first == nil {
+			first = t.err
+		}
+		d.recycleTask(t)
+		b.tasks[i] = nil
+	}
+	b.tasks = b.tasks[:0]
+	return n, first
 }
 
 // repairGoverned reports whether the AIMD governor owns repair pacing.
@@ -397,9 +463,9 @@ type scrubTarget struct {
 // never floods the chains, while successive sweeps still reach every
 // page (a completed pass is one coverage cycle).
 func (d *DSM) scrubberLoop(p *vtime.Proc) {
-	var wg vtime.WaitGroup
-	var batch []*MemoryTask
+	var batch taskBatch
 	var list []scrubTarget
+	var pages []int64 // one vector's checksummed pages
 	cursor := 0
 	for !d.stop.Fired() {
 		p.Sleep(d.cfg.ScrubPeriod)
@@ -419,7 +485,8 @@ func (d *DSM) scrubberLoop(p *vtime.Proc) {
 			if m == nil || len(m.sums) == 0 {
 				continue
 			}
-			for _, pg := range m.sumPages() {
+			pages = sortedKeys(pages, m.sums)
+			for _, pg := range pages {
 				if _, ok := d.h.PlacementOf(m.pageID(pg)); !ok {
 					continue // not scache-resident; nothing at rest to verify
 				}
@@ -433,34 +500,26 @@ func (d *DSM) scrubberLoop(p *vtime.Proc) {
 		for i := 0; i < n; i++ {
 			tgt := list[(from+i)%len(list)]
 			t := d.newTask()
-			t.kind, t.vec, t.page, t.notify = taskRead, tgt.m, tgt.pg, &wg
-			wg.Add(1)
-			d.submit(p, t)
-			batch = append(batch, t)
+			t.kind, t.vec, t.page = taskRead, tgt.m, tgt.pg
+			batch.submit(d, p, t)
 		}
 		cursor = next
-		wg.Wait(p)
-		pages := len(batch)
+		swept, err := batch.wait(d, p)
 		d.scrubSweeps++
-		d.scrubPages += int64(pages)
-		if int64(pages) > d.scrubMaxSweep {
-			d.scrubMaxSweep = int64(pages)
+		d.scrubPages += int64(swept)
+		if int64(swept) > d.scrubMaxSweep {
+			d.scrubMaxSweep = int64(swept)
 		}
 		if n > 0 && from+n >= len(list) {
 			d.scrubCycles++ // the window touched the end of the set
 		}
-		for i, t := range batch {
-			if t.err != nil && d.scrubErr == nil {
-				d.scrubErr = fmt.Errorf("core: scrub: %w", t.err)
-			}
-			d.recycleTask(t) // t.data unclaimed: the buffer re-pools here
-			batch[i] = nil
+		if err != nil && d.scrubErr == nil {
+			d.scrubErr = fmt.Errorf("core: scrub: %w", err)
 		}
-		batch = batch[:0]
 		if sp != 0 {
 			p.SetTraceSpan(prev)
 			if s := d.trc.At(sp); s != nil {
-				s.Arg = int64(pages)
+				s.Arg = int64(swept)
 			}
 			d.trc.End(sp, p.Now())
 		}
@@ -644,10 +703,6 @@ func (d *DSM) recycleTask(t *MemoryTask) {
 	d.taskFree = append(d.taskFree, t)
 }
 
-// maxPooledBufs caps the page-buffer pool; beyond it buffers are dropped
-// to the garbage collector rather than hoarded.
-const maxPooledBufs = 256
-
 // getBuf takes a buffer of length size out of the pool, reusing the most
 // recently returned one that fits. Its contents are unspecified: the
 // caller overwrites every byte (a read fills it, fullPage and stageIn
@@ -656,6 +711,7 @@ const maxPooledBufs = 256
 // task as t.data — or returns it with putBuf.
 func (d *DSM) getBuf(size int64) []byte {
 	d.bufOut++
+	d.bufPeak = max(d.bufPeak, d.bufOut)
 	for i := len(d.bufFree) - 1; i >= 0; i-- {
 		if b := d.bufFree[i]; int64(cap(b)) >= size {
 			// Buffers of a smaller page size stay pooled for their own vector.
@@ -671,14 +727,17 @@ func (d *DSM) getBuf(size int64) []byte {
 
 // putBuf returns a getBuf buffer to the pool. The caller guarantees no
 // other reference to it remains (rule: whoever nils the owning pointer
-// pools the buffer). nil is accepted and ignored; past the cap the buffer
-// goes to the garbage collector.
+// pools the buffer). nil is accepted and ignored. The pool sizes itself:
+// buffers pooled plus buffers out never exceed bufPeak, the most the
+// deployment has had out at once, so a burst it has absorbed before costs
+// no allocation again and nothing beyond that is hoarded — the rest goes
+// to the garbage collector.
 func (d *DSM) putBuf(b []byte) {
 	if b == nil {
 		return
 	}
 	d.bufOut--
-	if len(d.bufFree) < maxPooledBufs {
+	if int64(len(d.bufFree))+d.bufOut < d.bufPeak {
 		d.bufFree = append(d.bufFree, b)
 	}
 }
@@ -718,8 +777,25 @@ func (d *DSM) Shutdown(p *vtime.Proc) error {
 	}
 	d.shutdown = true
 	d.stop.Fire()
-	// Chained tasks re-dispatch on completion, possibly to a runtime that
-	// already drained; loop until everything is quiescent.
+	d.stageWalk.Wait(p) // a stager tick caught mid-walk finishes submitting
+	d.quiesce(p)
+	// Final stage-out of the remaining dirty pages, through the same lanes
+	// as the background stager's; the first error in (vector, page) order
+	// is the one reported.
+	var batch taskBatch
+	d.stageDirty(p, nil, &batch)
+	_, err := batch.wait(d, p)
+	d.bufFree = nil
+	for _, r := range d.runtimes {
+		r.close()
+	}
+	return err
+}
+
+// quiesce blocks until no task is queued, running or chained. Chained
+// tasks re-dispatch on completion, possibly to a runtime that already
+// drained, so it loops until everything is idle.
+func (d *DSM) quiesce(p *vtime.Proc) {
 	for {
 		for _, r := range d.runtimes {
 			r.drain(p)
@@ -731,26 +807,9 @@ func (d *DSM) Shutdown(p *vtime.Proc) error {
 			}
 		}
 		if idle {
-			break
+			return
 		}
 	}
-	// Final stage-out of remaining dirty pages, in deterministic order.
-	var firstErr error
-	for _, name := range d.vecNames() {
-		m := d.vecs[name]
-		if m.backend == nil {
-			continue
-		}
-		for _, pg := range m.dirtyPages() {
-			if err := d.stageOut(p, m, pg, 0); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	for _, r := range d.runtimes {
-		r.close()
-	}
-	return firstErr
 }
 
 // stageOut persists one page to the vector's backend and clears its dirty
@@ -871,13 +930,6 @@ func (m *vecMeta) sizeBytes() int64 { return m.length * m.elemSize }
 func (m *vecMeta) pageCount() int64 {
 	return (m.sizeBytes() + m.pageSize - 1) / m.pageSize
 }
-
-// sumPages returns the checksummed page indices in ascending order
-// (the scrubber's sweep set).
-func (m *vecMeta) sumPages() []int64 { return sortedKeys(nil, m.sums) }
-
-// dirtyPages returns the dirty page indices in ascending order.
-func (m *vecMeta) dirtyPages() []int64 { return sortedKeys(nil, m.dirty) }
 
 // --------------------------------------------------- distributed sync --
 

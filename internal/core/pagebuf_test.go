@@ -122,6 +122,40 @@ func TestGetBufKeepsSmallerBuffers(t *testing.T) {
 	}
 }
 
+// TestPoolKeepsWhatABurstNeeded: the pool holds as many buffers as the
+// deployment has had out at once and no more, so a burst it has absorbed
+// before allocates nothing the second time; Shutdown lets the pool go.
+func TestPoolKeepsWhatABurstNeeded(t *testing.T) {
+	const burst = 600 // past the fixed cap the pool used to have
+	c, d := newTestDSM(1)
+	out := make([][]byte, 0, burst)
+	take := func(n int) {
+		for i := 0; i < n; i++ {
+			out = append(out, d.getBuf(4<<10))
+		}
+	}
+	giveBack := func() {
+		for _, b := range out {
+			d.putBuf(b)
+		}
+		out = out[:0]
+	}
+	take(burst)
+	giveBack()
+	if got := testing.AllocsPerRun(5, func() { take(burst); giveBack() }); got != 0 {
+		t.Errorf("a repeated burst of %d buffers allocates %v times, want 0", burst, got)
+	}
+	take(burst / 2)
+	if got := len(d.bufFree) + len(out); got != burst {
+		t.Errorf("%d buffers pooled or out after a burst of %d", got, burst)
+	}
+	giveBack()
+	runDSM(t, c, d, func(*vtime.Proc) {})
+	if len(d.bufFree) != 0 {
+		t.Errorf("%d buffers still pooled after Shutdown", len(d.bufFree))
+	}
+}
+
 // allocBytesPerOp returns the heap bytes one op allocates in steady state
 // (after warm-up has filled the pools). It must run on the simulation
 // process that op runs on.

@@ -18,12 +18,20 @@ import (
 // scache operations (paper §III-B). Per-page hashing orders all tasks for
 // one page through one worker, giving read-after-write consistency
 // without a coherence protocol.
+//
+// Stage-outs run beside the workers, on the staging engine's own lanes
+// (DESIGN.md "Staging lanes"): a stage task holds its process for the
+// scache read plus the queued backend write, and a fault or commit must
+// never wait behind that.
 type Runtime struct {
 	d    *DSM
 	node *cluster.Node
 
-	lowQ   []*vtime.Chan[*MemoryTask]
-	highQ  []*vtime.Chan[*MemoryTask]
+	lowQ  []*vtime.Chan[*MemoryTask]
+	highQ []*vtime.Chan[*MemoryTask]
+	// stageQ feeds this node's staging lanes; nil until the node's first
+	// stage-out, so a deployment that never stages out spawns none.
+	stageQ *vtime.Chan[*MemoryTask]
 	inWork vtime.WaitGroup // submitted but not completed tasks
 	closed bool
 }
@@ -70,22 +78,43 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// submit enqueues a task on the worker selected by payload size and page
-// hash. It must be called from a vtime process; enqueueing never blocks
-// (queues are deep; sustained overload is flow-controlled by pcache
-// eviction rate upstream).
+// submit enqueues a task: a stage-out on the node's staging lanes, any
+// other on the worker selected by payload size and page hash. It must be
+// called from a vtime process; enqueueing never blocks (queues are deep;
+// sustained overload is flow-controlled by pcache eviction rate upstream).
 func (r *Runtime) submit(t *MemoryTask) {
-	group := r.highQ
-	if len(r.lowQ) > 0 && t.bytes() < r.d.cfg.LowLatThreshold {
-		group = r.lowQ
+	var q *vtime.Chan[*MemoryTask]
+	if t.kind == taskStage {
+		q = r.stageLanes()
+	} else {
+		group := r.highQ
+		if len(r.lowQ) > 0 && t.bytes() < r.d.cfg.LowLatThreshold {
+			group = r.lowQ
+		}
+		q = group[t.blobID().Hash()%uint32(len(group))]
 	}
-	w := int(t.blobID().Hash() % uint32(len(group)))
 	r.inWork.Add(1)
 	// Queue depth is effectively unbounded for simulation purposes; the
 	// buffer is far deeper than any burst, so enqueueing never fails.
-	if !group[w].TrySend(t) {
+	if !q.TrySend(t) {
 		panic("core: runtime queue overflow")
 	}
+}
+
+// stageLanes returns the queue of this node's staging lanes, spawning
+// them on first use. The lanes share one queue — the per-page chain
+// already keeps same-page tasks apart, so any free lane may take the next
+// page — and there are as many as the PFS has servers: one node alone can
+// then keep every server busy, and a further lane could only queue behind
+// them.
+func (r *Runtime) stageLanes() *vtime.Chan[*MemoryTask] {
+	if r.stageQ == nil {
+		r.stageQ = vtime.NewChan[*MemoryTask](runtimeQueueDepth)
+		for i := 0; i < r.d.c.Spec.PFSFanout; i++ {
+			r.d.c.Engine.SpawnDaemon(workerName(r.node.ID, "stage", i), func(p *vtime.Proc) { r.worker(p, r.stageQ) })
+		}
+	}
+	return r.stageQ
 }
 
 // drain blocks until every submitted task completed.
@@ -103,10 +132,14 @@ func (r *Runtime) close() {
 	for _, q := range r.highQ {
 		q.Close()
 	}
+	if r.stageQ != nil {
+		r.stageQ.Close()
+	}
 }
 
-// worker executes tasks serially: the scheduler's hashing guarantees all
-// tasks of one page arrive at exactly one worker.
+// worker executes the tasks of one queue serially. For the low- and
+// high-latency groups the scheduler's hashing sends all tasks of one page
+// to exactly one worker; the staging lanes share their queue.
 func (r *Runtime) worker(p *vtime.Proc, q *vtime.Chan[*MemoryTask]) {
 	for {
 		t, ok := q.Recv(p)

@@ -22,6 +22,7 @@ const (
 	// Organizer.
 	taskScore
 	// taskStage persists a page from the scache to the vector's backend.
+	// It runs on the staging lanes, not on the workers (Runtime.submit).
 	taskStage
 	// taskDestroy removes a page (and its replicas) from the scache.
 	taskDestroy
@@ -136,7 +137,8 @@ type MemoryTask struct {
 	recycle bool
 }
 
-// bytes returns the payload size used for low/high-latency routing.
+// bytes returns the payload size: what low/high-latency routing goes by
+// (stage-outs have lanes of their own) and what the task's span reports.
 func (t *MemoryTask) bytes() int64 {
 	switch t.kind {
 	case taskWrite:

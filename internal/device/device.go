@@ -404,6 +404,11 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 			return err
 		}
 	}
+	// Looked up again: the charge yielded, and a concurrent write that
+	// grew the object past its capacity moved it to a new array.
+	if cur := d.blobs[key]; int64(len(cur)) >= end {
+		blob = cur
+	}
 	copy(blob[off:end], data)
 	d.writeOps++
 	d.bytesWrite += int64(len(data))

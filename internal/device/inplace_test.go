@@ -91,6 +91,32 @@ func TestOverwriteHealsCorruptBit(t *testing.T) {
 	})
 }
 
+// TestConcurrentExtendingWritesKeepEveryRange: a write that is charging
+// while another grows the object to a new array must still land in the
+// object (stage-outs of a growing file run in parallel).
+func TestConcurrentExtendingWritesKeepEveryRange(t *testing.T) {
+	e := vtime.NewEngine()
+	d := New("pfs", PFSProfile(MB))
+	k := bid("growing")
+	const chunk = 100
+	for i := 0; i < 4; i++ {
+		e.Spawn("writer", func(p *vtime.Proc) {
+			if err := d.WriteAt(p, k, int64(i)*chunk, bytes.Repeat([]byte{byte(i + 1)}, chunk)); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := d.Peek(k)
+	for i := 0; i < 4; i++ {
+		if want := bytes.Repeat([]byte{byte(i + 1)}, chunk); !bytes.Equal(got[i*chunk:(i+1)*chunk], want) {
+			t.Errorf("range %d holds %v..., want %d's", i, got[i*chunk:i*chunk+4], i+1)
+		}
+	}
+}
+
 // TestWriteAtSizedChangesOnlyTheHostArray: sizing an object ahead must be
 // invisible to everything the simulation can observe.
 func TestWriteAtSizedChangesOnlyTheHostArray(t *testing.T) {

@@ -574,7 +574,10 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 			h.replicate(p, pl.Node, id, data)
 			return nil
 		}
+		// The record goes with the bytes: if no tier takes the new size,
+		// nothing is left pointing at freed space.
 		h.deleteData(p, pl, id)
+		h.metaDelete(id)
 	}
 	node, tier, ok := h.place(int64(len(data)), prefNode)
 	if !ok {

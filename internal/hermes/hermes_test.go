@@ -134,6 +134,51 @@ func TestNoCapacityError(t *testing.T) {
 	})
 }
 
+// TestFailedRegrowLeavesNoRecord: a Put that frees the old copy to
+// re-place a grown blob and then finds no room must not leave a placement
+// pointing at the freed bytes (a later Put trusted its size and ran into
+// the device's ErrNoSpace).
+func TestFailedRegrowLeavesNoRecord(t *testing.T) {
+	c := testCluster(1)
+	h := New(c, []string{"dram"}) // one 1 MB tier
+	run(t, c, func(p *vtime.Proc) {
+		kb := func(n int) []byte { return bytes.Repeat([]byte{byte(n)}, n<<10) }
+		filler, g := h.Key("filler"), h.Key("g")
+		if err := h.Put(p, 0, filler, kb(600), 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Put(p, 0, g, kb(300), 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		var nc *ErrNoCapacity
+		if err := h.Put(p, 0, g, kb(500), 1, 0); !errors.As(err, &nc) {
+			t.Fatalf("growing past capacity: %v, want ErrNoCapacity", err)
+		}
+		if _, ok := h.PlacementOf(g); ok {
+			t.Error("the failed Put left a placement for the freed blob")
+		}
+		if bad := h.CheckIntegrity(); len(bad) != 0 {
+			t.Errorf("after the failed Put: %v", bad)
+		}
+		// 400 KB are free: 450 would fit the stale record's arithmetic
+		// (450-300 <= 400) but not the device.
+		if err := h.Put(p, 0, g, kb(450), 1, 0); !errors.As(err, &nc) {
+			t.Errorf("a Put that still does not fit: %v, want ErrNoCapacity", err)
+		}
+		h.Delete(p, 0, filler)
+		want := kb(500)
+		if err := h.Put(p, 0, g, want, 1, 0); err != nil {
+			t.Fatalf("Put after space was freed: %v", err)
+		}
+		if got, ok, err := h.Get(p, 0, g); err != nil || !ok || !bytes.Equal(got, want) {
+			t.Errorf("Get after the retried Put: ok=%v err=%v, %d bytes", ok, err, len(got))
+		}
+		if bad := h.CheckIntegrity(); len(bad) != 0 {
+			t.Errorf("after the retried Put: %v", bad)
+		}
+	})
+}
+
 func TestPutReplaceInPlace(t *testing.T) {
 	c, h := newHermes(1)
 	run(t, c, func(p *vtime.Proc) {
