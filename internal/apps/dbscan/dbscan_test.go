@@ -5,6 +5,7 @@ import (
 
 	"megammap/internal/cluster"
 	"megammap/internal/core"
+	"megammap/internal/core/coretest"
 	"megammap/internal/datagen"
 	"megammap/internal/device"
 	"megammap/internal/mpi"
@@ -54,6 +55,8 @@ func genDataset(t *testing.T, c *cluster.Cluster, n, k int) string {
 	}
 	return url
 }
+
+func TestIdxPtCodecConforms(t *testing.T) { coretest.Codec(t, idxPtCodec{}) }
 
 func TestBBoxGap(t *testing.T) {
 	a := leaf{lo: [3]float64{0, 0, 0}, hi: [3]float64{1, 1, 1}}

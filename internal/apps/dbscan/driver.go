@@ -26,6 +26,9 @@ type idxPtCodec struct{}
 
 func (idxPtCodec) Size() int { return idxPtSize }
 
+// MemoryImage: six float32s then an int64 at offset 24, no padding.
+func (idxPtCodec) MemoryImage() {}
+
 func (idxPtCodec) Encode(dst []byte, v idxPt) {
 	datagen.EncodeParticle(dst, v.Pt)
 	binary.LittleEndian.PutUint64(dst[24:], uint64(v.Idx))

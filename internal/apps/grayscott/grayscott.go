@@ -31,6 +31,10 @@ type CellCodec struct{}
 // Size implements core.Codec.
 func (CellCodec) Size() int { return CellSize }
 
+// MemoryImage declares the encoding to be a Cell's memory image (two
+// little-endian float64s, no padding); core.RunsOf verifies it.
+func (CellCodec) MemoryImage() {}
+
 // Encode implements core.Codec.
 func (CellCodec) Encode(dst []byte, c Cell) {
 	binary.LittleEndian.PutUint64(dst, math.Float64bits(c.U))

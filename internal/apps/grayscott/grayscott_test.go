@@ -1,11 +1,13 @@
 package grayscott
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"megammap/internal/cluster"
 	"megammap/internal/core"
+	"megammap/internal/core/coretest"
 	"megammap/internal/device"
 	"megammap/internal/mpi"
 	"megammap/internal/simnet"
@@ -120,6 +122,30 @@ func TestMegaCheckpointPersists(t *testing.T) {
 		t.Errorf("checkpoint file = %d bytes, want %d", got, want)
 	}
 }
+
+// TestMegaCheckpointBytesEqualMPIs: the two variants encode a slab by the
+// same run encoder, and the files they leave are the same bytes. (Two
+// steps: from the third on Mega's grid itself leaves MPI's at this size,
+// ROADMAP "Gray-Scott diverges from MPI".)
+func TestMegaCheckpointBytesEqualMPIs(t *testing.T) {
+	cfg := Config{L: 16, Steps: 2, PlotGap: 1, CkptURL: "file:///ckpt/gs.bin"}
+	_, mc := runMega(t, 2, 4, cfg)
+	mega, _ := mc.PFSPeek("/ckpt/gs.bin")
+	c := testCluster(2, 64*device.MB)
+	st := stager.New(c)
+	if err := mpi.NewWorld(c, 4).Run(func(r *mpi.Rank) {
+		if _, err := MPI(r, st, cfg); err != nil {
+			r.Fail(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ref, _ := c.PFSPeek("/ckpt/gs.bin"); len(ref) != 16*16*16*CellSize || !bytes.Equal(mega, ref) {
+		t.Errorf("Mega's checkpoint (%d bytes) differs from MPI's (%d bytes)", len(mega), len(ref))
+	}
+}
+
+func TestCellCodecConforms(t *testing.T) { coretest.Codec(t, CellCodec{}) }
 
 func TestMPICheckpointPersists(t *testing.T) {
 	cfg := Config{L: 16, Steps: 4, PlotGap: 2, CkptURL: "file:///ckpt/gs-mpi.bin"}

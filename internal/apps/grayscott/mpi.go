@@ -3,6 +3,7 @@ package grayscott
 import (
 	"fmt"
 
+	"megammap/internal/core"
 	"megammap/internal/mpi"
 	"megammap/internal/stager"
 	"megammap/internal/vtime"
@@ -35,6 +36,7 @@ func MPI(r *mpi.Rank, st *stager.Stager, cfg Config) (Result, error) {
 	haloHi := make([]Cell, plane) // plane z1 from the rank above
 
 	var ck stager.Backend
+	cells := core.RunsOf[Cell](CellCodec{})
 	if cfg.PlotGap > 0 && cfg.CkptURL != "" {
 		var err error
 		if ck, err = st.Open(cfg.CkptURL); err != nil {
@@ -104,9 +106,7 @@ func MPI(r *mpi.Rank, st *stager.Stager, cfg Config) (Result, error) {
 			// Synchronous checkpoint: serialize the slab and write it to
 			// the PFS before the next step may begin (the I/O phase).
 			buf := make([]byte, slabCells*CellSize)
-			for i, c := range curSlab {
-				(CellCodec{}).Encode(buf[i*CellSize:], c)
-			}
+			cells.Encode(buf, curSlab)
 			if err := ck.WriteRange(r.Proc(), r.Node().ID, int64(z0)*plane*CellSize, buf); err != nil {
 				return Result{}, err
 			}

@@ -37,7 +37,9 @@ type Slot struct {
 // SlotSize is the encoded slot size in bytes.
 const SlotSize = 24
 
-// SlotCodec encodes slots for MegaMmap vectors.
+// SlotCodec encodes slots for MegaMmap vectors. It does not declare
+// MemoryImage: a Slot in memory ends in 7 padding bytes that Encode never
+// writes, so copying slots would put whatever the padding held into pages.
 type SlotCodec struct{}
 
 // Size implements core.Codec.

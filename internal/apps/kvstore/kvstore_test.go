@@ -7,6 +7,7 @@ import (
 
 	"megammap/internal/cluster"
 	"megammap/internal/core"
+	"megammap/internal/core/coretest"
 	"megammap/internal/device"
 	"megammap/internal/simnet"
 	"megammap/internal/vtime"
@@ -46,6 +47,10 @@ func TestSlotCodecRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestSlotCodecConforms: the one codec that cannot declare MemoryImage
+// (see SlotCodec) takes the per-element path and leaves its padding be.
+func TestSlotCodecConforms(t *testing.T) { coretest.Codec(t, SlotCodec{}) }
 
 func TestSingleRankMatchesMap(t *testing.T) {
 	c := testCluster(1)

@@ -419,7 +419,7 @@ func TestWriteInvalidatesReplicas(t *testing.T) {
 				for _, cp := range v.pc.pages {
 					v.dropPage(cp)
 				}
-				v.last = nil
+				v.setLast(nil)
 				v.SeqTxBegin(0, 512, ReadOnly|Global)
 				sum = 0
 				for i := int64(0); i < 512; i++ {

@@ -21,11 +21,19 @@ import (
 type Vector[T any] struct {
 	c     *Client
 	m     *vecMeta
-	codec Codec[T]
+	runs  Runs[T]
 	pc    *pcache
-	tx    *activeTx // &txState while a transaction is open, else nil
-	last  *cachedPage
+	tx    *activeTx         // &txState while a transaction is open, else nil
 	fills map[int64]fillReq // page -> in-flight prefetch fill
+
+	// last is the page of the most recent access, and [winLo, winLo+winSet)
+	// the elements of it that are in bounds: an index inside is resident,
+	// so Get and Set reach last.data with one compare and no page() call.
+	// winGet is winSet for reads, or zero while last is a write-allocated
+	// page, whose reads page() must see (healPartial). setLast derives all
+	// three; nothing else assigns last.
+	last                  *cachedPage
+	winLo, winGet, winSet int64
 
 	// Per-operation state the handle owns and reuses, so the steady-state
 	// transaction cycle allocates nothing (DESIGN.md "the allocation-free
@@ -45,6 +53,8 @@ type Vector[T any] struct {
 	// issued before a commit of the same page is stale and must never be
 	// installed.
 	pageWrites map[int64]int64
+
+	allBuf []T // All's chunk buffer, absent while an All loop has it
 
 	pgasOff, pgasN int64
 }
@@ -179,7 +189,7 @@ func Open[T any](c *Client, name string, codec Codec[T], opts ...VectorOpt) (*Ve
 	v := &Vector[T]{
 		c:          c,
 		m:          m,
-		codec:      codec,
+		runs:       RunsOf(codec),
 		pc:         newPCache(),
 		fills:      make(map[int64]fillReq),
 		seen:       make(map[int64]struct{}),
@@ -245,9 +255,7 @@ func (v *Vector[T]) Resize(n int64) {
 			v.dropPage(v.pc.pages[idx])
 		}
 	}
-	if v.last != nil && v.last.idx >= maxPage {
-		v.last = nil
-	}
+	v.setLast(v.last) // dropPage cleared a dropped one; the window is clipped to the length
 }
 
 // SeqTxBegin starts a sequential transaction over elements [off, off+n)
@@ -378,82 +386,66 @@ func (v *Vector[T]) RandomAt(i int64) int64 {
 
 // Get reads element i.
 func (v *Vector[T]) Get(i int64) T {
-	v.checkBounds(i)
-	cp := v.page(i/v.m.epp, false)
-	off := (i % v.m.epp) * v.m.elemSize
-	val := v.codec.Decode(cp.data[off:])
+	cp, o := v.last, uint64(i-v.winLo)
+	if o >= uint64(v.winGet) {
+		v.checkBounds(i)
+		cp, o = v.page(i/v.m.epp, false), uint64(i%v.m.epp)
+	}
+	val := v.runs.get(cp.data[o*uint64(v.runs.es):])
 	v.step()
 	return val
 }
 
 // Set writes element i.
 func (v *Vector[T]) Set(i int64, val T) {
-	v.checkBounds(i)
-	cp := v.page(i/v.m.epp, true)
-	off := (i % v.m.epp) * v.m.elemSize
-	v.codec.Encode(cp.data[off:], val)
-	cp.markDirty(off, off+v.m.elemSize)
+	cp, o := v.last, uint64(i-v.winLo)
+	if o >= uint64(v.winSet) {
+		v.checkBounds(i)
+		cp, o = v.page(i/v.m.epp, true), uint64(i%v.m.epp)
+	}
+	es := int64(v.runs.es)
+	off := int64(o) * es
+	v.runs.put(cp.data[off:], val)
+	cp.markDirty(off, off+es)
 	v.step()
 }
 
 // GetRange bulk-reads elements [off, off+len(dst)) into dst. It is
-// equivalent to len(dst) Get calls but decodes page runs contiguously
-// (the fast path stencil and scan kernels need).
+// equivalent to len(dst) Get calls but moves each page run at once (the
+// fast path stencil and scan kernels need).
 func (v *Vector[T]) GetRange(off int64, dst []T) {
-	n := int64(len(dst))
-	if n == 0 {
-		return
-	}
-	v.checkBounds(off)
-	v.checkBounds(off + n - 1)
-	es, epp := v.m.elemSize, v.m.epp
-	for done := int64(0); done < n; {
-		i := off + done
-		cp := v.page(i/epp, false)
-		po := i % epp
-		run := epp - po
-		if run > n-done {
-			run = n - done
-		}
-		base := po * es
-		for j := int64(0); j < run; j++ {
-			dst[done+j] = v.codec.Decode(cp.data[base+j*es:])
-		}
-		done += run
-		if v.tx != nil {
-			v.tx.tail += run
-		}
+	for len(dst) > 0 {
+		cp, base, run := v.pageRun(off, int64(len(dst)), false)
+		v.runs.Decode(dst[:run], cp.data[base:])
+		off, dst = off+run, dst[run:]
 	}
 }
 
 // SetRange bulk-writes src at offset off, dirtying whole page runs at
 // once.
 func (v *Vector[T]) SetRange(off int64, src []T) {
-	n := int64(len(src))
-	if n == 0 {
-		return
+	for len(src) > 0 {
+		cp, base, run := v.pageRun(off, int64(len(src)), true)
+		v.runs.Encode(cp.data[base:], src[:run])
+		cp.markDirty(base, base+run*v.m.elemSize)
+		off, src = off+run, src[run:]
 	}
-	v.checkBounds(off)
-	v.checkBounds(off + n - 1)
-	es, epp := v.m.elemSize, v.m.epp
-	for done := int64(0); done < n; {
-		i := off + done
-		cp := v.page(i/epp, true)
-		po := i % epp
-		run := epp - po
-		if run > n-done {
-			run = n - done
-		}
-		base := po * es
-		for j := int64(0); j < run; j++ {
-			v.codec.Encode(cp.data[base+j*es:], src[done+j])
-		}
-		cp.markDirty(base, base+run*es)
-		done += run
-		if v.tx != nil {
-			v.tx.tail += run
-		}
+}
+
+// pageRun returns the page holding element i, the byte offset of i in it
+// and how many of the n elements from i on lie in that page, and counts
+// them as accessed.
+func (v *Vector[T]) pageRun(i, n int64, forWrite bool) (cp *cachedPage, base, run int64) {
+	v.checkBounds(i)
+	v.checkBounds(i + n - 1)
+	epp := v.m.epp
+	cp = v.page(i/epp, forWrite)
+	po := i % epp
+	run = min(epp-po, n)
+	if v.tx != nil {
+		v.tx.tail += run
 	}
+	return cp, po * v.m.elemSize, run
 }
 
 // All returns an iterator over elements [off, off+n), for use with
@@ -465,20 +457,25 @@ func (v *Vector[T]) SetRange(off int64, src []T) {
 //	pts.TxEnd()
 func (v *Vector[T]) All(off, n int64) func(yield func(int64, T) bool) {
 	return func(yield func(int64, T) bool) {
-		buf := make([]T, min64i(n, 512))
+		// The handle's chunk buffer, taken for the loop so an All nested
+		// in the body makes its own.
+		buf := v.allBuf
+		v.allBuf = nil
+		if want := min(n, 512); int64(len(buf)) < want {
+			buf = make([]T, want)
+		}
+	scan:
 		for done := int64(0); done < n; {
-			m := int64(len(buf))
-			if m > n-done {
-				m = n - done
-			}
-			v.GetRange(off+done, buf[:m])
-			for j := int64(0); j < m; j++ {
-				if !yield(off+done+j, buf[j]) {
-					return
+			chunk := buf[:min(int64(len(buf)), n-done)]
+			v.GetRange(off+done, chunk)
+			for j, x := range chunk {
+				if !yield(off+done+int64(j), x) {
+					break scan
 				}
 			}
-			done += m
+			done += int64(len(chunk))
 		}
+		v.allBuf = buf
 	}
 }
 
@@ -508,7 +505,6 @@ func (v *Vector[T]) Close() {
 	for _, idx := range v.residentPages() {
 		v.dropPage(v.pc.pages[idx])
 	}
-	v.last = nil
 }
 
 // Destroy removes the vector's pages from the scache and detaches it.
@@ -518,7 +514,6 @@ func (v *Vector[T]) Destroy() {
 	for _, idx := range v.residentPages() {
 		v.dropPage(v.pc.pages[idx])
 	}
-	v.last = nil
 	for pg := int64(0); pg < v.m.pageCount(); pg++ {
 		t := v.c.d.newTask()
 		t.kind, t.vec, t.page, t.origin, t.recycle = taskDestroy, v.m, pg, v.c.node.ID, true
@@ -552,6 +547,7 @@ func (v *Vector[T]) page(pg int64, forWrite bool) *cachedPage {
 		if !forWrite && v.last.partial && v.pageWrites[pg] > 0 {
 			v.healPartial(v.last)
 		}
+		v.setLast(v.last) // the heal, a commit or an Append may have widened the window
 		return v.last
 	}
 	cp := v.pc.get(pg)
@@ -565,7 +561,7 @@ func (v *Vector[T]) page(pg int64, forWrite bool) *cachedPage {
 	if !forWrite && cp.partial && v.pageWrites[pg] > 0 {
 		v.healPartial(cp)
 	}
-	v.last = cp
+	v.setLast(cp)
 	// Run the prefetcher on page transitions, rate-limited to once per
 	// page worth of accesses so random patterns (which change pages on
 	// nearly every access) don't rescan their window each element.
@@ -574,6 +570,20 @@ func (v *Vector[T]) page(pg int64, forWrite bool) *cachedPage {
 		v.runPrefetcher(pg)
 	}
 	return cp
+}
+
+// setLast makes cp (nil for none) the page Get and Set try first and
+// derives its window.
+func (v *Vector[T]) setLast(cp *cachedPage) {
+	v.last, v.winGet, v.winSet = cp, 0, 0
+	if cp == nil {
+		return
+	}
+	v.winLo = cp.idx * v.m.epp
+	v.winSet = min(v.m.epp, v.m.length-v.winLo)
+	if !cp.partial {
+		v.winGet = v.winSet
+	}
 }
 
 // healPartial replaces a write-allocated page's zero fill with the
@@ -798,7 +808,7 @@ func (v *Vector[T]) dropPage(cp *cachedPage) {
 	v.pc.used -= v.m.pageSize
 	v.c.node.Free(v.m.pageSize)
 	if v.last == cp {
-		v.last = nil
+		v.setLast(nil)
 	}
 	v.c.d.putBuf(cp.data)
 	v.pc.recycle(cp)

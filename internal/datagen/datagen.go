@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 
+	"megammap/internal/core"
 	"megammap/internal/stager"
 	"megammap/internal/vtime"
 )
@@ -120,32 +121,36 @@ func (g *Generator) Next() (Particle, int) {
 func (g *Generator) WriteTo(p *vtime.Proc, b stager.Backend, node int) ([]int, error) {
 	labels := make([]int, g.spec.Particles)
 	const chunk = 4096 // particles per write
-	buf := make([]byte, 0, chunk*ParticleSize)
+	runs := core.RunsOf[Particle](ParticleCodec{})
+	pts := make([]Particle, 0, chunk)
+	buf := make([]byte, chunk*ParticleSize)
 	var off int64
-	for i := 0; i < g.spec.Particles; i++ {
+	for i := range labels {
 		pt, h := g.Next()
 		labels[i] = h
-		var enc [ParticleSize]byte
-		EncodeParticle(enc[:], pt)
-		buf = append(buf, enc[:]...)
-		if len(buf) == cap(buf) || i == g.spec.Particles-1 {
-			if err := b.WriteRange(p, node, off, buf); err != nil {
+		pts = append(pts, pt)
+		if len(pts) == chunk || i == len(labels)-1 {
+			enc := buf[:len(pts)*ParticleSize]
+			runs.Encode(enc, pts)
+			if err := b.WriteRange(p, node, off, enc); err != nil {
 				return nil, err
 			}
-			off += int64(len(buf))
-			buf = buf[:0]
+			off += int64(len(enc))
+			pts = pts[:0]
 		}
 	}
 	return labels, nil
 }
 
-// ParticleCodec adapts Particle to the core.Codec interface shape (it is
-// redeclared here to avoid a dependency cycle; core's generic constraint
-// is structural).
+// ParticleCodec is the core.Codec of a Particle.
 type ParticleCodec struct{}
 
 // Size returns the encoded particle size.
 func (ParticleCodec) Size() int { return ParticleSize }
+
+// MemoryImage declares the encoding to be a Particle's memory image (six
+// little-endian float32s, no padding); core.RunsOf verifies it.
+func (ParticleCodec) MemoryImage() {}
 
 // Encode implements the codec.
 func (ParticleCodec) Encode(dst []byte, v Particle) { EncodeParticle(dst, v) }

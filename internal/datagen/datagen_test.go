@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"megammap/internal/cluster"
+	"megammap/internal/core/coretest"
 	"megammap/internal/stager"
 	"megammap/internal/vtime"
 )
@@ -120,6 +121,8 @@ func TestLabelBalance(t *testing.T) {
 		}
 	}
 }
+
+func TestParticleCodecConforms(t *testing.T) { coretest.Codec(t, ParticleCodec{}) }
 
 func TestParticleCodecInterface(t *testing.T) {
 	c := ParticleCodec{}

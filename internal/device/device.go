@@ -375,9 +375,13 @@ func (d *Device) WriteAt(p *vtime.Proc, key blob.ID, off int64, data []byte) err
 // extent (a row group, a preallocated file): when the write has to grow
 // the object, its array is allocated once with exactly extent bytes of
 // capacity, and later extending writes up to that extent reslice instead
-// of reallocating and copying the whole object. Only the host array is
+// of reallocating and copying the whole object. A writer that names no
+// extent (or one below the write's end) gets geometric growth instead:
+// the array doubles up to 1 MB and grows by a quarter beyond, so N
+// extending writes copy the object O(log N) times, not N, and a large
+// object carries at most a quarter of slack. Only the host array is
 // sized ahead; the blob's length, Used, Peak and every charge are those
-// of WriteAt. An extent below the write's end is ignored.
+// of WriteAt.
 func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte, extent int64) error {
 	blob := d.blobs[key]
 	end := off + int64(len(data))
@@ -389,7 +393,16 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 		if end <= int64(cap(blob)) {
 			blob = blob[:end] // sized ahead and never written: still zero
 		} else {
-			grown := make([]byte, end, max(end, extent))
+			room := extent
+			if room < end {
+				room = int64(cap(blob))
+				if room < MB {
+					room *= 2
+				} else {
+					room += room / 4
+				}
+			}
+			grown := make([]byte, end, max(end, room))
 			copy(grown, blob)
 			blob = grown
 		}

@@ -148,8 +148,8 @@ func TestWriteAtSizedChangesOnlyTheHostArray(t *testing.T) {
 			t.Errorf("write %d: sized ahead differs: %+v vs %+v", i, b, a)
 		}
 	}
-	// And it is what removes the regrow: one array per object instead of
-	// one per extending write.
+	// And it is what removes the regrow: one array per object, where an
+	// unsized writer's geometric growth makes a handful.
 	run(t, func(p *vtime.Proc) {
 		d := New("pfs", PFSProfile(GB))
 		chunk := make([]byte, 100)
@@ -164,10 +164,65 @@ func TestWriteAtSizedChangesOnlyTheHostArray(t *testing.T) {
 				}
 			})
 		}
-		if plain, sized := grow(0), grow(1000); plain < 10 || sized >= 2 {
-			t.Errorf("10 extending writes allocate %.1f arrays plain, %.1f sized ahead; want 10 and 1", plain, sized)
+		grow(0) // the blob map and the engine's queues reach their size
+		if plain, sized := grow(0), grow(1000); plain != 5 || sized >= 2 {
+			t.Errorf("10 extending writes allocate %.1f arrays plain, %.1f sized ahead; want 5 (100, 200, 400, 800, 1600 B) and 1", plain, sized)
 		}
 	})
+}
+
+// TestUnsizedExtendingWritesGrowGeometrically: a writer that appends N
+// chunks without naming an extent (KMeans' assignment file) makes O(log N)
+// arrays, carries at most a quarter of slack once past 1 MB, and every
+// write leaves exactly the length, Used, Peak, busy time and clock that
+// exact-length arrays left.
+func TestUnsizedExtendingWritesGrowGeometrically(t *testing.T) {
+	const chunk, n = 16 * KB, 256 // 4 MB in all
+	type obs struct {
+		size, used, peak int64
+		busy, now        vtime.Duration
+	}
+	// exact-length growth is what an extent equal to each write's end asks for.
+	write := func(exact bool) (out []obs, arrays int, slack int64, data []byte) {
+		run(t, func(p *vtime.Proc) {
+			d := New("pfs", PFSProfile(GB))
+			k := bid("assign")
+			var last *byte
+			for i := int64(0); i < n; i++ {
+				extent := int64(0)
+				if exact {
+					extent = (i + 1) * chunk
+				}
+				if err := d.WriteAtSized(p, k, i*chunk, bytes.Repeat([]byte{byte(i + 1)}, int(chunk)), extent); err != nil {
+					t.Fatal(err)
+				}
+				if b := d.blobs[k]; &b[0] != last {
+					arrays, last = arrays+1, &b[0]
+				}
+				out = append(out, obs{d.BlobSize(k), d.Used(), d.Peak(), d.Busy(), p.Now()})
+			}
+			slack = int64(cap(d.blobs[k]) - len(d.blobs[k]))
+			data, _ = d.Peek(k)
+		})
+		return
+	}
+	exact, exactArrays, _, exactData := write(true)
+	geo, geoArrays, slack, geoData := write(false)
+	for i := range exact {
+		if exact[i] != geo[i] {
+			t.Fatalf("write %d: geometric growth is observable: %+v vs %+v", i, geo[i], exact[i])
+		}
+	}
+	if !bytes.Equal(exactData, geoData) {
+		t.Error("geometric growth changed the object's bytes")
+	}
+	// 16 KB doubles 6 times to 1 MB, then x1.25 7 times to pass 4 MB.
+	if exactArrays != n || geoArrays > 16 {
+		t.Errorf("%d extending writes made %d arrays exact and %d geometric; want %d and at most 16", n, exactArrays, geoArrays, n)
+	}
+	if slack > n*chunk/4 {
+		t.Errorf("a %d-byte object carries %d bytes of slack, more than a quarter", n*chunk, slack)
+	}
 }
 
 // benchDevice runs fn as the only process of a fresh engine.
