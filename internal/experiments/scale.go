@@ -20,13 +20,13 @@ import (
 // get, periodic delete, think time — so total simulated work grows
 // linearly with node count while per-node work stays constant. The rows
 // report how the host pays for that growth: engine throughput
-// (events/sec of host time), slowdown (wall-seconds per simulated
-// second), and host RAM per simulated node. A flat events/sec column
-// across the sweep is the tentpole claim: no O(N) work left on the
-// per-event hot path.
+// (events/sec of host time, and how many of the events switched
+// process), slowdown (wall-seconds per simulated second), and host RAM
+// per simulated node. A flat events/sec column across the sweep is the
+// tentpole claim: no O(N) work left on the per-event hot path.
 func Scale(prof Profile) (*stats.Table, error) {
 	t := stats.NewTable("scale-weak-scaling",
-		"nodes", "procs", "vtime_s", "events", "events_per_s",
+		"nodes", "procs", "vtime_s", "events", "switches", "events_per_s",
 		"wall_s", "wall_s_per_vtime_s", "host_mb_per_node")
 	for _, nodes := range prof.ScaleNodes {
 		if err := scaleRun(prof, t, nodes); err != nil {
@@ -124,6 +124,6 @@ func scaleRun(prof Profile, t *stats.Table, nodes int) error {
 	if vts > 0 {
 		slowdown = wall / vts
 	}
-	t.Add(nodes, nodes, vts, events, evPerS, wall, slowdown, hostMB/float64(nodes))
+	t.Add(nodes, nodes, vts, events, c.Engine.Switches(), evPerS, wall, slowdown, hostMB/float64(nodes))
 	return nil
 }

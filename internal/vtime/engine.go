@@ -1,30 +1,34 @@
 // Package vtime implements a cooperative discrete-event simulation engine.
 //
-// A simulation consists of processes (Proc) that run as goroutines, but the
-// engine guarantees that at most one process executes at any instant: a
-// process runs until it blocks on a virtual-time primitive (Sleep, channel
-// operation, resource acquisition, ...), at which point control passes to
-// the process owning the next scheduled event. Because execution is
-// serialized, simulation state shared between processes needs no locking,
-// and runs are fully deterministic: events at equal timestamps fire in
-// FIFO order.
+// A simulation consists of processes (Proc) that run as coroutines of the
+// goroutine that calls Run, so at most one process executes at any
+// instant: a process runs until it blocks on a virtual-time primitive
+// (Sleep, channel operation, resource acquisition, ...), at which point
+// control passes to the process owning the next scheduled event. Because
+// execution is serialized, simulation state shared between processes needs
+// no locking, and runs are fully deterministic: events at equal timestamps
+// fire in FIFO order.
 //
 // The engine is the substrate for every timed component in this repository:
 // storage devices, network fabrics, the MegaMmap runtime, and the baseline
 // systems all charge their costs to this clock. Its per-event cost is the
 // hardware ceiling of every experiment, so the scheduler is engineered for
-// throughput at four points (see DESIGN.md "Engine & cluster scalability"):
+// throughput at five points (see DESIGN.md "Engine & cluster scalability"):
 //
-//   - direct handoff: a parking process resumes the next event's process
-//     itself — one goroutine switch per event instead of a bounce through
-//     a central scheduler goroutine (two switches);
+//   - coroutine processes: a process is an iter.Pull coroutine and Run's
+//     goroutine is the one dispatcher. A parking process pops the next
+//     event itself and keeps running when it is its own; otherwise it
+//     yields and the dispatcher resumes the event's owner — two runtime
+//     coroutine switches, which hand the thread over directly and never
+//     enter the Go scheduler, where a channel handoff pays a send, a
+//     park, a wake-up and a run-queue pass;
 //   - a same-instant ready ring in front of the binary heap: wake-ups and
 //     yields at the current instant (the synchronization fast path — every
 //     resource grant, channel op and rendezvous) enqueue FIFO in O(1)
 //     instead of paying two O(log n) heap operations;
-//   - pooled processes: finished Procs park their goroutine and are reused
-//     by later Spawns, so short-lived worker processes cost no goroutine
-//     or channel allocation in steady state;
+//   - pooled processes: finished Procs park their coroutine and are reused
+//     by later Spawns, so short-lived worker processes cost no coroutine
+//     allocation in steady state;
 //   - a timer wheel for near-future timers (the µs-scale device, NIC and
 //     runtime delays that dominate simulation activity): 256 slots of 64ns
 //     hold the next 16.4µs in insertion-sorted buckets with a bitmap
@@ -39,6 +43,7 @@ package vtime
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"sort"
 )
@@ -175,6 +180,12 @@ const (
 	wheelSlots = 256
 	wheelWords = wheelSlots / 64
 	wheelSpan  = Duration(wheelSlots << wheelShift)
+
+	// wheelCarve is how many entries of each bucket NewEngine carves out of
+	// one shared array. Buckets otherwise grow 1 → 2 → 4 on first use —
+	// three allocations for each of the 256, the largest allocation site of
+	// a short run — and few ever hold more than four.
+	wheelCarve = 4
 )
 
 // timerWheel holds timers due within wheelSpan of the current instant in
@@ -298,7 +309,7 @@ func (r *readyRing) grow() {
 
 // poolCap bounds the number of finished processes kept parked for reuse.
 // The pool absorbs any realistic churn concurrency; the cap only bounds
-// the goroutines a pathological fan-out would leave parked between runs.
+// the coroutines a pathological fan-out would leave parked until Run ends.
 const poolCap = 1 << 14
 
 // Engine is a discrete-event simulation engine. The zero value is not
@@ -310,10 +321,10 @@ type Engine struct {
 	pq    eventHeap  // far-future timers (beyond the wheel window)
 	ready readyRing  // events at the current instant, FIFO
 
-	// ctl wakes Run's controller when dispatching stops (no events,
-	// every non-daemon finished, failure, starvation). Buffered so the
-	// stop signal never blocks the process reporting it.
-	ctl chan struct{}
+	// next is the process Run's dispatcher resumes next. A process that
+	// parks or finishes leaves the owner of the event it popped here (nil
+	// when dispatching must stop) and yields.
+	next *Proc
 
 	live       int // spawned processes that have not finished
 	nonDaemon  int // live processes that keep the simulation running
@@ -321,15 +332,21 @@ type Engine struct {
 	liveHead   *Proc // intrusive list of live processes (deadlock reports)
 	failed     error
 	events     int64 // dispatched events (Events accessor)
+	switches   int64 // dispatched events that changed process (Switches accessor)
 	daemonOnly int   // consecutive daemon dispatches (starvation guard)
 
-	free      *Proc // pooled finished processes, goroutine parked
+	free      *Proc // pooled finished processes, coroutine parked
 	freeCount int
 }
 
 // NewEngine returns an engine with the clock at zero and no processes.
 func NewEngine() *Engine {
-	return &Engine{ctl: make(chan struct{}, 1)}
+	e := &Engine{}
+	first := make([]event, wheelSlots*wheelCarve)
+	for i := range e.tw.slot {
+		e.tw.slot[i] = first[i*wheelCarve : i*wheelCarve : (i+1)*wheelCarve]
+	}
+	return e
 }
 
 // Now returns the current virtual time.
@@ -341,6 +358,12 @@ func (e *Engine) Live() int { return e.live }
 // Events returns the cumulative number of dispatched scheduler events —
 // the denominator of the engine's events/sec throughput metric.
 func (e *Engine) Events() int64 { return e.events }
+
+// Switches returns how many of those events resumed a process other than
+// the one that popped them, each at the cost of a pass through the
+// dispatcher; the other Events() − Switches() were a process's own
+// wake-up and it simply kept running.
+func (e *Engine) Switches() int64 { return e.switches }
 
 // Spawn creates a new process running fn and schedules it to start at the
 // current virtual time. It may be called before Run or from inside a
@@ -371,8 +394,8 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		p.span = 0
 		p.waitOK, p.waitN, p.waitNext = false, 0, nil
 	} else {
-		p = &Proc{e: e, name: name, daemon: daemon, fn: fn, resume: make(chan struct{})}
-		go p.loop()
+		p = &Proc{e: e, name: name, daemon: daemon, fn: fn}
+		p.resume, p.stop = iter.Pull(p.loop)
 	}
 	p.id = e.nextID
 	e.nextID++
@@ -426,11 +449,6 @@ func (e *Engine) schedule(p *Proc, at Duration) {
 	p.pending++
 }
 
-// pendingEvents reports whether any scheduler event is queued.
-func (e *Engine) pendingEvents() bool {
-	return e.ready.n > 0 || e.tw.n > 0 || len(e.pq) > 0
-}
-
 // migrate moves heap timers whose bucket has come within the wheel's
 // window of the (just advanced) clock into the wheel. Together with
 // schedule's split this maintains the invariant that every heap event's
@@ -447,21 +465,19 @@ func (e *Engine) migrate() {
 	}
 }
 
-// transfer hands execution to the process owning the next event, in
-// strict (at, seq) order across the ready ring, the timer wheel and the
-// overflow heap. When
-// dispatching must stop — no events left, every non-daemon process
-// finished, a failure, or daemon starvation — it wakes Run's controller
-// instead. It is called by the goroutine currently holding execution
-// (a parking or finishing process, or Run itself) with that process as
-// self (nil for Run and finished processes); the caller blocks (or
-// returns to Run) immediately after, so at most one process ever runs.
+// popNext pops the next event, in strict (at, seq) order across the ready
+// ring, the timer wheel and the overflow heap, and returns the process it
+// resumes. When dispatching must stop — no events left, every non-daemon
+// process finished, a failure, or daemon starvation — it returns nil. It
+// is called by whoever holds execution (a parking or finishing process, or
+// Run itself) with that process as self (nil for Run and finished
+// processes).
 //
-// When the next event belongs to self — a Sleep whose wake-up is the
-// earliest pending event, the single-process fast path — transfer
-// returns true and the caller simply keeps running: no channel
-// operation, no goroutine switch.
-func (e *Engine) transfer(self *Proc) bool {
+// When the event belongs to self — a Sleep whose wake-up is the earliest
+// pending event, the single-process fast path — the caller simply keeps
+// running; any other result it leaves in e.next for the dispatcher and
+// yields, which is what Switches counts.
+func (e *Engine) popNext(self *Proc) *Proc {
 	if e.failed == nil && e.nonDaemon > 0 && e.daemonOnly <= starvationLimit {
 		for {
 			var ev event
@@ -506,15 +522,13 @@ func (e *Engine) transfer(self *Proc) bool {
 			} else {
 				e.daemonOnly = 0
 			}
-			if p == self {
-				return true
+			if p != self {
+				e.switches++
 			}
-			p.resume <- struct{}{}
-			return false
+			return p
 		}
 	}
-	e.ctl <- struct{}{}
-	return false
+	return nil
 }
 
 // DeadlockError reports that processes remained blocked with no pending
@@ -541,23 +555,23 @@ const starvationLimit = 4 << 20
 // non-daemon processes remain blocked with no way to make progress (a
 // deadlock) — including the masked form where periodic daemons keep the
 // event queue alive while every application process is stuck.
+//
+// Processes run as coroutines of the calling goroutine, which resumes them
+// one at a time. A process that calls runtime.Goexit — what t.Fatal and
+// t.FailNow do in a test — therefore ends the goroutine that called Run,
+// running its deferred calls, and leaves the engine unusable.
 func (e *Engine) Run() error {
 	if e.failed != nil {
 		return e.failed
 	}
 	e.daemonOnly = 0
-	for e.nonDaemon > 0 && e.pendingEvents() {
-		e.transfer(nil)
-		<-e.ctl
-		if e.failed != nil {
-			e.drainPool()
-			return e.failed
-		}
-		if e.daemonOnly > starvationLimit {
-			break
-		}
+	for e.next = e.popNext(nil); e.next != nil; {
+		e.next.resume()
 	}
 	e.drainPool()
+	if e.failed != nil {
+		return e.failed
+	}
 	if e.nonDaemon > 0 {
 		var names []string
 		for p := e.liveHead; p != nil; p = p.nextLive {
@@ -571,15 +585,14 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// drainPool releases the goroutines of pooled finished processes. Run
-// calls it before returning so back-to-back simulations (and sweeps over
-// many engines) do not accumulate parked goroutines.
+// drainPool ends the coroutines of pooled finished processes. Run calls it
+// before returning so back-to-back simulations (and sweeps over many
+// engines) do not accumulate parked coroutines.
 func (e *Engine) drainPool() {
 	for p := e.free; p != nil; {
 		next := p.poolNext
 		p.poolNext = nil
-		p.fn = nil
-		p.resume <- struct{}{} // loop() sees fn == nil and exits
+		p.stop() // loop's yield returns false and it returns
 		p = next
 	}
 	e.free = nil
@@ -587,12 +600,13 @@ func (e *Engine) drainPool() {
 }
 
 // Proc is a simulation process. All its methods must be called only from
-// the goroutine running the process body.
+// the process body.
 //
-// Field order is deliberate: dispatch (Engine.transfer) touches pending,
-// done, daemon and resume for a process that has been cold since its last
-// event, so those live together at the head of the struct — one cache
-// line per dispatched process instead of several.
+// Field order is deliberate: dispatch touches pending, done and daemon
+// (Engine.popNext), resume (Run) and yield (the process's next park) for a
+// process that has been cold since its last event, so those live together
+// at the head of the struct — one cache line per dispatched process
+// instead of several.
 type Proc struct {
 	// pending counts this process's queued scheduler events. It is 0 or 1
 	// in steady state (a process is parked on at most one wake-up); a
@@ -607,32 +621,35 @@ type Proc struct {
 	// waitOK is set by the primitive that grants the wait (a Resource's
 	// units, a Chan taking a blocked send); waitN is the units asked of a
 	// Resource; waitNext links the primitive's FIFO.
-	waitOK   bool
-	span     uint32
-	resume   chan struct{}
+	waitOK bool
+	span   uint32
+	// resume, yield and stop are the process's coroutine (iter.Pull over
+	// loop): Run's dispatcher calls resume to switch to the process, the
+	// process calls yield to switch back, and stop ends a pooled one.
+	resume   func() (struct{}, bool)
+	yield    func(struct{}) bool
 	waitN    int
 	waitNext *Proc
 
 	e    *Engine
 	fn   func(*Proc)
+	stop func()
 	name string
 	id   int
 
 	prevLive, nextLive *Proc // engine's live list (deadlock reporting)
-	poolNext           *Proc // engine's free list (goroutine reuse)
+	poolNext           *Proc // engine's free list (coroutine reuse)
 }
 
-// loop is the body of a process goroutine: run the spawned function,
-// retire the process, hand execution to the next event, then park for
-// reuse by a later Spawn. A nil fn on wake-up is the engine draining the
-// pool — the goroutine exits.
-func (p *Proc) loop() {
+// loop is the body of a process coroutine: run the spawned function,
+// retire the process, leave the next event's process to the dispatcher,
+// then park for reuse by a later Spawn. The coroutine ends when the
+// process is not pooled or the engine drains the pool (yield reports
+// false).
+func (p *Proc) loop(yield func(struct{}) bool) {
 	e := p.e
+	p.yield = yield
 	for {
-		<-p.resume
-		if p.fn == nil {
-			return
-		}
 		p.body()
 		p.done = true
 		p.fn = nil
@@ -647,11 +664,8 @@ func (p *Proc) loop() {
 			e.free = p
 			e.freeCount++
 		}
-		// After this transfer another process may already be running —
-		// and may even have re-Spawned this slot — so touch nothing but
-		// the resume channel (or the goroutine's own exit) beyond it.
-		e.transfer(nil)
-		if !pooled {
+		e.next = e.popNext(nil)
+		if !pooled || !yield(struct{}{}) {
 			return
 		}
 	}
@@ -682,7 +696,7 @@ func (p *Proc) Name() string { return p.name }
 // opaque to the engine: instrumented layers (hermes, devices, the stager)
 // read it to parent their spans without threading a context argument
 // through every call signature. Per-process state is safe here because Proc
-// methods are only ever called from the owning goroutine.
+// methods are only ever called from the process's own body.
 func (p *Proc) TraceSpan() uint32 { return p.span }
 
 // SetTraceSpan installs s as the current span slot and returns the previous
@@ -717,12 +731,13 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // process is next resumed. The caller must have arranged a wake-up (a
 // scheduled event or a registration with a primitive that will call
 // wake). If the next event is the caller's own wake-up, park returns
-// immediately without blocking.
+// immediately without switching.
 func (p *Proc) park() {
-	if p.e.transfer(p) {
-		return
+	e := p.e
+	if next := e.popNext(p); next != p {
+		e.next = next
+		p.yield(struct{}{})
 	}
-	<-p.resume
 }
 
 // wake schedules p to resume at the current virtual time. It is used by

@@ -2,8 +2,12 @@ package vtime
 
 // Engine throughput benchmarks. One Sleep is one scheduler event, so
 // ns/op here is the engine's per-event cost and 1e9/ns_per_op its
-// events/sec — the hardware ceiling for every experiment in this repo
-// (BENCH_engine.json records before/after medians).
+// events/sec — the hardware ceiling for every experiment in this repo.
+// Run with
+//
+//	go test -run '^$' -bench 'EngineThroughput|WakeHandoff|ResourceContended|SpawnChurn' -cpu 1 ./internal/vtime
+//
+// (DESIGN.md "Engine throughput" records this machine's numbers).
 
 import (
 	"fmt"
