@@ -1,12 +1,15 @@
 // Command mmbench regenerates the paper's evaluation: one sub-experiment
 // per table/figure (fig4-fig8) plus the ablation studies. Results print
 // as aligned tables and, with -o, also land as CSV files (the pipeline's
-// stats_dict.csv analog).
+// stats_dict.csv analog). The fault, control, tenant, gray-failure and
+// disaggregation studies are scenario plans: -exp <name> runs and gates
+// configs/plan-<name>.yaml, exactly as -exp plan -plan <file> does.
 //
 // Usage:
 //
 //	mmbench -exp all -profile small -o results/
 //	mmbench -exp fig6 -profile full
+//	mmbench -exp mttr
 package main
 
 import (
@@ -25,10 +28,9 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig4|fig5|fig6|fig7|fig8|ablations|failover|mttr|control|scale|tenants|gray|disagg|plan|all")
+	exp := flag.String("exp", "all", "experiment: fig4|fig5|fig6|fig7|fig8|ablations|scale|plan|all, or failover|mttr|control|tenants|gray|disagg (= -exp plan -plan configs/plan-<name>.yaml; control also runs plan-scrub)")
 	profName := flag.String("profile", "small", "size profile: small|full")
 	outDir := flag.String("o", "", "directory for CSV output (optional)")
-	faultSpec := flag.String("faults", "", "fault plan for -exp failover/mttr, e.g. \"seed=42;drop=0.02;crash=1@40ms;revive=1@80ms\" (empty = default plan)")
 	planPath := flag.String("plan", "", "scenario-plan file for -exp plan (gated against the plan's baseline when one is configured)")
 	telem := flag.Bool("telemetry", false, "install the telemetry plane on every experiment cluster and write per-run metric/sample tables under <o>/telemetry/ (requires -o)")
 	flag.Parse()
@@ -66,28 +68,26 @@ func main() {
 		{"fig7", func() (*stats.Table, error) { return experiments.Fig7(prof) }},
 		{"fig8", func() (*stats.Table, error) { return experiments.Fig8(prof) }},
 		{"ablations", func() (*stats.Table, error) { return nil, nil }}, // expanded below
-		// failover and mttr are opt-in (not part of "all"): they exercise
-		// the fault plane, which the paper's figures run without.
-		{"failover", func() (*stats.Table, error) { return experiments.Failover(prof, *faultSpec) }},
-		{"mttr", func() (*stats.Table, error) { return experiments.MTTR(prof, *faultSpec) }},
-		{"control", func() (*stats.Table, error) { return experiments.Control(prof, *faultSpec) }},
-		// scale is opt-in too: it benchmarks the simulator itself (engine
-		// throughput and host RAM per node), not a paper figure.
+		// scale is opt-in (not part of "all"): it benchmarks the simulator
+		// itself (engine throughput and host RAM per node), not a paper
+		// figure.
 		{"scale", func() (*stats.Table, error) { return experiments.Scale(prof) }},
-		// tenants is the multi-tenant QoS ablation (isolation off vs on);
-		// opt-in because the paper's figures are single-tenant.
-		{"tenants", func() (*stats.Table, error) { return experiments.Tenants(prof) }},
-		// gray is the gray-failure resilience ablation (hedged reads and
-		// quarantine-aware placement, off vs on under a scripted
-		// straggler); opt-in for the same reason.
-		{"gray", func() (*stats.Table, error) { return experiments.Gray(prof) }},
-		// disagg is the disaggregated-memory ablation (local-tiered vs
-		// compute + fabric-attached memory pools, incl. a mid-run pool
-		// node crash); opt-in because the paper's testbed is uniform.
-		{"disagg", func() (*stats.Table, error) { return experiments.Disagg(prof) }},
 		// plan runs a declarative scenario plan (-plan file) and gates it
 		// against the golden baseline the plan names.
 		{"plan", func() (*stats.Table, error) { return runPlan(*planPath) }},
+	}
+
+	// planAliases are the opt-in studies that exist as checked-in scenario
+	// plans (run from the repository root): the fault plane (failover,
+	// mttr), adaptive vs. fixed maintenance (control: repair and scrub),
+	// multi-tenant QoS, gray-failure resilience, disaggregated memory.
+	planAliases := map[string][]string{
+		"failover": {"failover"},
+		"mttr":     {"mttr"},
+		"control":  {"control", "scrub"},
+		"tenants":  {"tenants"},
+		"gray":     {"gray"},
+		"disagg":   {"disagg"},
 	}
 
 	ablations := []driver{
@@ -109,6 +109,15 @@ func main() {
 	case "ablations":
 		selected = ablations
 	default:
+		plans := planAliases[*exp]
+		if plans != nil && *profName != "small" {
+			fmt.Fprintf(os.Stderr, "mmbench: -exp %s runs configs/plan-%s.yaml, which states its own sizes: -profile %s does not apply (copy the plan, edit it, run it with -exp plan -plan <file>)\n", *exp, plans[0], *profName)
+			os.Exit(2)
+		}
+		for _, name := range plans {
+			path := filepath.Join("configs", "plan-"+name+".yaml")
+			selected = append(selected, driver{name, func() (*stats.Table, error) { return runPlan(path) }})
+		}
 		for _, d := range drivers {
 			if d.name == *exp && d.name != "ablations" {
 				selected = append(selected, d)

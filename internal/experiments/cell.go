@@ -1,0 +1,158 @@
+package experiments
+
+import (
+	"fmt"
+	"hash/fnv"
+
+	"megammap/internal/cluster"
+	"megammap/internal/core"
+	"megammap/internal/datagen"
+	"megammap/internal/faults"
+	"megammap/internal/mpi"
+	"megammap/internal/stager"
+	"megammap/internal/telemetry"
+	"megammap/internal/vtime"
+)
+
+// The cell runners (RunKMeansCell, RunScrubCell, RunBFSCell,
+// RunDisaggCell, RunGrayCell, RunTenantsCell) are what a scenario plan's
+// matrix cells execute. Each goes through one of two skeletons — batch
+// (this file) or serving (serving.go) — and reports what it measured as
+// a Report.
+
+// Report is what one cell measured, in the shape plan baselines store:
+// Metrics are time-derived values gated within a tolerance band, Digests
+// exact values (checksums, counters, percentiles of a deterministic run)
+// gated byte for byte. Start and Runtime place the measured phase on the
+// cluster clock, for a caller that derives another cell's fault schedule
+// or slowdown from this one.
+type Report struct {
+	Start, Runtime vtime.Duration
+	Metrics        map[string]float64
+	Digests        map[string]int64
+}
+
+func newReport(start, runtime vtime.Duration) Report {
+	return Report{
+		Start: start, Runtime: runtime,
+		Metrics: map[string]float64{"runtime_s": runtime.Seconds()},
+		Digests: map[string]int64{},
+	}
+}
+
+// digestOf folds a workload result's printed form into the exact value
+// baselines store for it.
+func digestOf(v any) int64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%v", v)
+	return int64(h.Sum64())
+}
+
+// phase runs the processes spawn starts until the engine has nothing
+// left to do. A process reports failure through fail (the engine
+// serializes processes, so the plain write is safe); the phase returns
+// the engine's error, else the first failure reported.
+func phase(c *cluster.Cluster, spawn func(fail func(error))) error {
+	var first error
+	spawn(func(err error) {
+		if first == nil {
+			first = err
+		}
+	})
+	if err := c.Engine.Run(); err != nil {
+		return err
+	}
+	return first
+}
+
+// installFaults installs fp (nil = fault-free) with its times counted
+// from the given instant: plans are authored relative to the phase they
+// disturb, the injector's clock starts at cluster construction.
+func installFaults(c *cluster.Cluster, fp *faults.Plan, from vtime.Duration) {
+	if fp != nil {
+		c.InstallFaults(fp.Shift(from))
+	}
+}
+
+// withMetrics makes sure the cluster has a metrics registry, for cells
+// whose report reads counters or percentiles out of it: a metrics-only
+// plane is installed when the caller didn't ask for telemetry.
+func withMetrics(c *cluster.Cluster) {
+	if c.Telemetry().Registry() == nil {
+		c.InstallTelemetry(telemetry.Options{Metrics: true})
+	}
+}
+
+// batchCell is the skeleton of a cell that runs an MPI-style app to
+// completion: build the cluster, stage the dataset, construct the DSM,
+// install the fault plan, run the ranks and shut down (runWorld).
+type batchCell struct {
+	spec    cluster.Spec
+	metrics bool                                          // the report reads the metrics registry
+	stage   func(p *vtime.Proc, c *cluster.Cluster) error // writes the dataset; nil = the app has none
+	config  core.Config
+	// faults, nil for a fault-free cell, is installed once the dataset is
+	// staged, which is where the measured phase starts. Its times count
+	// from there unless absolute is set (they are on the cluster clock
+	// already: the caller derived them from a reference cell's Start).
+	faults   *faults.Plan
+	absolute bool
+	ranks    int
+	body     func(r *mpi.Rank, d *core.DSM) error
+}
+
+// batchRun is a finished batch cell: the cluster and the shut-down DSM
+// to read counters from, and the report opened over the measured phase
+// for the runner to fill in.
+type batchRun struct {
+	c   *cluster.Cluster
+	d   *core.DSM
+	out Report
+}
+
+func (b batchCell) run() (batchRun, error) {
+	c := newCluster(b.spec)
+	if b.metrics {
+		withMetrics(c)
+	}
+	if b.stage != nil {
+		if err := stage(c, b.stage); err != nil {
+			return batchRun{}, err
+		}
+	}
+	d := core.New(c, b.config)
+	start := c.Engine.Now()
+	from := start
+	if b.absolute {
+		from = 0
+	}
+	installFaults(c, b.faults, from)
+	m, err := runWorld(c, d, b.ranks, func(r *mpi.Rank) error { return b.body(r, d) })
+	if err != nil {
+		return batchRun{}, err
+	}
+	return batchRun{c, d, newReport(start, m.Runtime)}, nil
+}
+
+// CSR graph files of the BFS cells.
+const (
+	graphOffsetsURL = "file:///data/graph.offsets"
+	graphEdgesURL   = "file:///data/graph.edges"
+)
+
+// stageGraph returns the stage step that writes the deterministic skewed
+// CSR graph the BFS cells traverse.
+func stageGraph(vertices, seed int64) func(p *vtime.Proc, c *cluster.Cluster) error {
+	return func(p *vtime.Proc, c *cluster.Cluster) error {
+		st := stager.New(c)
+		ob, err := st.Open(graphOffsetsURL)
+		if err != nil {
+			return err
+		}
+		eb, err := st.Open(graphEdgesURL)
+		if err != nil {
+			return err
+		}
+		return datagen.NewGraph(datagen.DefaultGraphSpec(vertices, seed)).WriteTo(p, ob, eb, 0)
+	}
+}

@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"megammap/internal/apps/kmeans"
 	"megammap/internal/device"
 	"megammap/internal/stats"
 	"megammap/internal/telemetry"
+	"megammap/internal/vtime"
 )
 
 // TestDisaggCellReplayIsByteIdentical: one disaggregated cell — with
@@ -16,18 +18,18 @@ import (
 // result digest exactly, for both workloads.
 func TestDisaggCellReplayIsByteIdentical(t *testing.T) {
 	for _, w := range []string{"kmeans", "bfs"} {
-		a, err := RunDisaggCell(w, 2, 2, 768*device.KB, 4096, 42, true, DisaggFaultPlan(2))
+		a, err := RunDisaggCell(w, 2, 2, 768*device.KB, 4096, 42, true, PoolCrashPlan(2))
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
-		b, err := RunDisaggCell(w, 2, 2, 768*device.KB, 4096, 42, true, DisaggFaultPlan(2))
+		b, err := RunDisaggCell(w, 2, 2, 768*device.KB, 4096, 42, true, PoolCrashPlan(2))
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: same seed, different cells:\n%+v\n%+v", w, a, b)
 		}
-		if a.PoolPlaced == 0 || a.PoolUsedPeak == 0 {
+		if a.Digests["pool_placed"] == 0 || a.Digests["pool_peak"] == 0 {
 			t.Errorf("%s: disaggregated cell never used a pool: %+v", w, a)
 		}
 	}
@@ -42,15 +44,17 @@ func TestDisaggLocalCellHasNoPoolActivity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
-		if local.PoolReads != 0 || local.PoolPlaced != 0 || local.PoolUsedPeak != 0 || local.BiasFlips != 0 {
-			t.Errorf("%s: local cell reports pool activity: %+v", w, local)
+		for _, k := range []string{"pool_reads", "pool_placed", "pool_peak", "bias_flips"} {
+			if local.Digests[k] != 0 {
+				t.Errorf("%s: local cell reports pool activity: %+v", w, local)
+			}
 		}
-		dis, err := RunDisaggCell(w, 2, 2, 768*device.KB, 4096, 42, true, DisaggFaultPlan(2))
+		dis, err := RunDisaggCell(w, 2, 2, 768*device.KB, 4096, 42, true, PoolCrashPlan(2))
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
-		if local.Digest != dis.Digest {
-			t.Errorf("%s: disaggregation changed the answer: local %d, disagg %d", w, local.Digest, dis.Digest)
+		if l, d := local.Digests["digest"], dis.Digests["digest"]; l != d {
+			t.Errorf("%s: disaggregation changed the answer: local %d, disagg %d", w, l, d)
 		}
 	}
 }
@@ -65,22 +69,47 @@ func metricRow(tb *stats.Table, name string) (int, bool) {
 	return 0, false
 }
 
-// TestDisaggTelemetryExport: a disaggregated run under the telemetry
-// plane must export the remote_pool observables — arena used/peak
-// gauges, the hermes placement counter and hit-ratio gauge, and the
-// fabric's pool-queue wait histogram (p50/p99) — in the standard
-// metrics and histogram tables.
+// TestDisaggTelemetryExport: with the telemetry plane enabled (mmbench
+// -telemetry) every kind of cell builds its cluster through newCluster,
+// so every kind leaves one plane to drain — the BFS cell used to build
+// its own cluster and export nothing. The disaggregated run's plane must
+// also export the remote_pool observables — arena used/peak gauges, the
+// hermes placement counter and hit-ratio gauge, and the fabric's
+// pool-queue wait histogram (p50/p99) — in the standard metrics and
+// histogram tables.
 func TestDisaggTelemetryExport(t *testing.T) {
 	EnableTelemetry(telemetry.Options{Metrics: true})
 	defer func() { telemetryOpts = nil; telemetryRuns = nil }()
-	if _, err := RunDisaggCell("kmeans", 2, 2, 768*device.KB, 4096, 42, true, DisaggFaultPlan(2)); err != nil {
-		t.Fatal(err)
+	var tel *telemetry.Telemetry
+	for _, tc := range []struct {
+		kind string
+		run  func() (Report, error)
+	}{
+		{"kmeans", func() (Report, error) {
+			cfg := kmeans.Config{K: 8, MaxIter: 2, CostPerDist: 3 * vtime.Nanosecond}
+			return RunKMeansCell(2, 2, 192*device.KB, cfg, nil, false)
+		}},
+		{"grayscott", func() (Report, error) { return RunScrubCell(2, 2, 256*device.KB, 1, "off") }},
+		{"bfs", func() (Report, error) { return RunBFSCell(2, 2, 4096, 42, 0, 0, nil) }},
+		{"tenants", func() (Report, error) {
+			return RunTenantsCell(2, 192*device.KB, 20*vtime.Millisecond, 42, false, nil)
+		}},
+		{"gray", func() (Report, error) {
+			return RunGrayCell(3, 192*device.KB, 20*vtime.Millisecond, 42, false, nil)
+		}},
+		{"disagg", func() (Report, error) {
+			return RunDisaggCell("kmeans", 2, 2, 768*device.KB, 4096, 42, true, PoolCrashPlan(2))
+		}},
+	} {
+		if _, err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		runs := DrainTelemetry()
+		if len(runs) != 1 {
+			t.Fatalf("%s cell left %d telemetry planes to drain, want 1", tc.kind, len(runs))
+		}
+		tel = runs[0] // the disagg cell's, after the last round
 	}
-	runs := DrainTelemetry()
-	if len(runs) != 1 {
-		t.Fatalf("want 1 telemetry plane, got %d", len(runs))
-	}
-	tel := runs[0]
 
 	mt := tel.MetricsTable()
 	for _, m := range []string{"pool.used", "pool.peak", "pool.placements", "pool.hit_ratio_pm"} {

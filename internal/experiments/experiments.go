@@ -5,6 +5,10 @@
 // same rows/series the paper plots. The simulation is deterministic, so
 // the paper's run-3-times-and-average protocol is unnecessary.
 //
+// It also holds the cell runners scenario plans execute (cell.go): the
+// fault, control, tenant, gray-failure and disaggregation studies have
+// no driver here, they are configs/plan-*.yaml run by internal/plan.
+//
 // Capacities are the paper's divided by 1024 (48 GB DRAM -> 48 MB, ...);
 // reported "paper-scale" columns multiply back up so figures read in the
 // paper's units. Device and network bandwidths are unscaled, so relative
@@ -78,22 +82,6 @@ type Profile struct {
 	// Engine-scalability sweep (mmbench -exp scale).
 	ScaleNodes      []int // simulated node counts, weak scaling
 	ScaleOpsPerNode int   // put/get/delete rounds per node
-
-	// Multi-tenant serving ablation (mmbench -exp tenants).
-	TenantNodes     int
-	TenantPoolBytes int64 // pooled pcache budget shared by all tenants
-	TenantMillis    int   // serving-phase horizon, virtual ms
-
-	// Gray-failure resilience ablation (mmbench -exp gray).
-	GrayNodes     int
-	GrayPoolBytes int64 // DRAM scache tier per node
-	GrayMillis    int   // serving-phase horizon, virtual ms
-
-	// Disaggregated-memory ablation (mmbench -exp disagg).
-	DisaggNodes    int
-	DisaggProcs    int   // app procs per compute node
-	DisaggBytes    int64 // KMeans dataset per node; also sizes the tiers
-	DisaggVertices int64 // BFS graph size
 }
 
 // Small returns the test/bench profile: the same shapes at sizes that
@@ -117,16 +105,6 @@ func Small() Profile {
 		Fig8Fracs:        []float64{1, 0.75, 0.5, 0.375, 0.25, 0.125},
 		ScaleNodes:       []int{64, 256},
 		ScaleOpsPerNode:  60,
-		TenantNodes:      2,
-		TenantPoolBytes:  192 * device.KB,
-		TenantMillis:     150,
-		GrayNodes:        3,
-		GrayPoolBytes:    192 * device.KB,
-		GrayMillis:       500,
-		DisaggNodes:      2,
-		DisaggProcs:      2,
-		DisaggBytes:      768 * device.KB,
-		DisaggVertices:   4096,
 	}
 }
 
@@ -152,22 +130,12 @@ func Full() Profile {
 		Fig8Fracs:        []float64{1, 0.75, 0.5, 0.375, 0.25, 0.125},
 		ScaleNodes:       []int{64, 128, 256, 512, 1024},
 		ScaleOpsPerNode:  200,
-		TenantNodes:      4,
-		TenantPoolBytes:  384 * device.KB,
-		TenantMillis:     500,
-		GrayNodes:        4,
-		GrayPoolBytes:    256 * device.KB,
-		GrayMillis:       500,
-		DisaggNodes:      4,
-		DisaggProcs:      4,
-		DisaggBytes:      2 * device.MB,
-		DisaggVertices:   16384,
 	}
 }
 
 // telemetryOpts, when non-nil, is installed on every cluster the drivers
-// build (mmbench -telemetry); the resulting planes accumulate in
-// telemetryRuns for the caller to drain after each driver.
+// and cell runners build (mmbench -telemetry); the resulting planes
+// accumulate in telemetryRuns for the caller to drain after each driver.
 var (
 	telemetryOpts *telemetry.Options
 	telemetryRuns []*telemetry.Telemetry
@@ -189,8 +157,8 @@ func DrainTelemetry() []*telemetry.Telemetry {
 	return out
 }
 
-// newCluster is the drivers' cluster constructor: cluster.New plus the
-// optional telemetry plane.
+// newCluster is the one cluster constructor of the drivers and cell
+// runners: cluster.New plus the optional telemetry plane.
 func newCluster(spec cluster.Spec) *cluster.Cluster {
 	c := cluster.New(spec)
 	if telemetryOpts != nil {
@@ -218,49 +186,57 @@ func testbedSpec(nodes int, dramTier int64) cluster.Spec {
 	}
 }
 
-// genParticles writes a clustered dataset (plus optional labels) on a
-// fresh cluster and returns its URL; the generation phase runs to
-// completion before time measurement starts.
-func genParticles(c *cluster.Cluster, n int, k int, withLabels bool) (ptsURL, labURL string, err error) {
-	ptsURL = "pq:///data/gadget.parquet:pts"
-	if withLabels {
-		labURL = "file:///data/gadget.labels"
-	}
-	g := datagen.New(datagen.DefaultSpec(n, k, 42))
-	var genErr error
-	c.Engine.Spawn("datagen", func(p *vtime.Proc) {
-		st := stager.New(c)
-		b, err := st.Open(ptsURL)
-		if err != nil {
-			genErr = err
-			return
-		}
-		labels, err := g.WriteTo(p, b, 0)
-		if err != nil {
-			genErr = err
-			return
-		}
-		if !withLabels {
-			return
-		}
-		raw := make([]byte, len(labels)*4)
-		for i, l := range labels {
-			raw[i*4] = byte(l)
-			raw[i*4+1] = byte(l >> 8)
-			raw[i*4+2] = byte(l >> 16)
-			raw[i*4+3] = byte(l >> 24)
-		}
-		lb, err := st.Open(labURL)
-		if err != nil {
-			genErr = err
-			return
-		}
-		genErr = lb.WriteRange(p, 0, 0, raw)
+// Dataset files genParticles writes.
+const (
+	particlesURL = "pq:///data/gadget.parquet:pts"
+	labelsURL    = "file:///data/gadget.labels"
+)
+
+// stage runs one dataset-writing process to completion: generation ends
+// before time measurement starts.
+func stage(c *cluster.Cluster, write func(p *vtime.Proc, c *cluster.Cluster) error) error {
+	return phase(c, func(fail func(error)) {
+		c.Engine.Spawn("datagen", func(p *vtime.Proc) {
+			if err := write(p, c); err != nil {
+				fail(err)
+			}
+		})
 	})
-	if err := c.Engine.Run(); err != nil {
-		return "", "", err
+}
+
+// genParticles writes a clustered dataset (plus optional labels) on a
+// fresh cluster and returns its URLs.
+func genParticles(c *cluster.Cluster, n int, k int, withLabels bool) (ptsURL, labURL string, err error) {
+	if withLabels {
+		labURL = labelsURL
 	}
-	return ptsURL, labURL, genErr
+	return particlesURL, labURL, stage(c, func(p *vtime.Proc, c *cluster.Cluster) error {
+		return writeParticles(p, c, n, k, withLabels)
+	})
+}
+
+func writeParticles(p *vtime.Proc, c *cluster.Cluster, n int, k int, withLabels bool) error {
+	st := stager.New(c)
+	b, err := st.Open(particlesURL)
+	if err != nil {
+		return err
+	}
+	labels, err := datagen.New(datagen.DefaultSpec(n, k, 42)).WriteTo(p, b, 0)
+	if err != nil || !withLabels {
+		return err
+	}
+	raw := make([]byte, len(labels)*4)
+	for i, l := range labels {
+		raw[i*4] = byte(l)
+		raw[i*4+1] = byte(l >> 8)
+		raw[i*4+2] = byte(l >> 16)
+		raw[i*4+3] = byte(l >> 24)
+	}
+	lb, err := st.Open(labelsURL)
+	if err != nil {
+		return err
+	}
+	return lb.WriteRange(p, 0, 0, raw)
 }
 
 // measured captures one run's headline metrics.
@@ -289,7 +265,8 @@ func peakMemMB(c *cluster.Cluster) float64 {
 
 // runWorld launches ranks on the cluster, measures virtual runtime from
 // launch to completion, and shuts the DSM down (when non-nil) before
-// reading the clock.
+// reading the clock. A failed shutdown (a final stage-out that could not
+// be written) fails the run.
 func runWorld(c *cluster.Cluster, d *core.DSM, ranks int, body func(r *mpi.Rank) error) (measured, error) {
 	w := mpi.NewWorld(c, ranks)
 	start := c.Engine.Now()
@@ -299,13 +276,11 @@ func runWorld(c *cluster.Cluster, d *core.DSM, ranks int, body func(r *mpi.Rank)
 		}
 	})
 	var end vtime.Duration
+	var shutErr error
 	c.Engine.Spawn("harness", func(p *vtime.Proc) {
 		w.Wait(p)
 		if d != nil {
-			if err := d.Shutdown(p); err != nil && w.Failed() == nil {
-				// Report staging failures through the world error path.
-				fmt.Println("experiments: shutdown:", err)
-			}
+			shutErr = d.Shutdown(p)
 		}
 		end = p.Now()
 	})
@@ -320,6 +295,9 @@ func runWorld(c *cluster.Cluster, d *core.DSM, ranks int, body func(r *mpi.Rank)
 	}
 	if err := w.Failed(); err != nil {
 		return measured{}, err
+	}
+	if shutErr != nil {
+		return measured{}, fmt.Errorf("shutdown: %w", shutErr)
 	}
 	return measured{Runtime: end - start, PeakMemMB: peakMemMB(c)}, nil
 }

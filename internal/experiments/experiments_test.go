@@ -3,8 +3,6 @@ package experiments
 import (
 	"strconv"
 	"testing"
-
-	"megammap/internal/stats"
 )
 
 // cellF parses a float cell, failing the test on garbage.
@@ -312,37 +310,4 @@ func TestFig8OneSingleApp(t *testing.T) {
 			t.Errorf("row %d app = %q", i, tb.Cell(i, "app"))
 		}
 	}
-}
-
-func TestFailoverShape(t *testing.T) {
-	tb, err := Failover(Small(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := map[string]string{}
-	for i := 0; i < tb.Len(); i++ {
-		vals[tb.Cell(i, "metric")] = tb.Cell(i, "value")
-	}
-	if vals["checksum_match"] != "1" {
-		t.Errorf("faulted run diverged from clean run (checksum_match = %s)", vals["checksum_match"])
-	}
-	if vals["fault.crash"] != "1" {
-		t.Errorf("crash counter = %s, want 1 (crash never fired mid-run)", vals["fault.crash"])
-	}
-	slow := cellF(t, tb, rowOf(t, tb, "slowdown"), "value")
-	if slow <= 1 {
-		t.Errorf("slowdown = %.3f; faults cost nothing, plan likely inert", slow)
-	}
-}
-
-// rowOf finds the row whose metric column equals name.
-func rowOf(t *testing.T, tb *stats.Table, name string) int {
-	t.Helper()
-	for i := 0; i < tb.Len(); i++ {
-		if tb.Cell(i, "metric") == name {
-			return i
-		}
-	}
-	t.Fatalf("table has no %q row", name)
-	return -1
 }

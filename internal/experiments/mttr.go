@@ -1,150 +1,84 @@
 package experiments
 
 import (
-	"fmt"
-	"reflect"
-
 	"megammap/internal/apps/kmeans"
+	"megammap/internal/cluster"
+	"megammap/internal/control"
 	"megammap/internal/core"
 	"megammap/internal/datagen"
 	"megammap/internal/faults"
 	"megammap/internal/mpi"
-	"megammap/internal/stats"
 	"megammap/internal/vtime"
 )
 
-// MTTR measures the self-healing plane end to end: the KMeans workload
-// runs once fault-free and once with node 1's storage crashing
-// mid-workload and reviving (cold) later, with one backup replica per
-// page and background anti-entropy repair re-replicating what the crash
-// degraded. spec is the compact fault DSL accepted by faults.ParseSpec
-// ("" picks a default crash-then-revive schedule derived from the clean
-// run's measured time).
+// adaptiveRepairConfig switches repair pacing from the fixed period to
+// the AIMD governor, with the other governors off so the ablation
+// isolates one control loop.
+func adaptiveRepairConfig(cfg *core.Config) {
+	cfg.RepairPeriod = 0
+	cc := control.Default()
+	cc.Scrub, cc.Prefetch, cc.Evict = false, false, false
+	cfg.Control = cc
+}
+
+// RunKMeansCell executes one KMeans run on a fresh in-memory testbed with
+// one backup replica per scache page and the anti-entropy repair daemon
+// active — the cell of the failover, MTTR and repair-governor plans.
+// cfg carries K, MaxIter and the real-scale CostPerDist; fp, nil for a
+// clean run, is a fault plan on the cluster clock (crash and revive
+// points are derived from a clean cell's Start and Runtime); adaptive
+// hands the repair pace to the AIMD governor.
 //
-// The emitted table reports both runtimes, whether the results
-// checksum-matched, the time to full redundancy (the MTTR headline:
-// from redundancy lost at the crash to the repair queue draining), the
-// under-replicated gauge at run end (0 = fully healed), and the repair
-// and fault counters.
-func MTTR(prof Profile, spec string) (*stats.Table, error) {
-	cfg := kmeans.Config{
-		K: 8, MaxIter: 4,
-		CostPerDist: scaleCost(3 * vtime.Nanosecond),
-	}
-	const nodes = 2
-	ranks := nodes * prof.ProcsPerNode
-	total := prof.Fig5BytesPerNode * int64(nodes)
-	n := particlesFor(total)
-
-	clean, err := mttrRun(prof, cfg, nil, nodes, ranks, n, total, nil)
-	if err != nil {
-		return nil, fmt.Errorf("mttr: clean run: %w", err)
-	}
-
-	var plan *faults.Plan
-	if spec != "" {
-		plan, err = faults.ParseSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		plan = &faults.Plan{Seed: 42}
-	}
-	if len(plan.Crashes) == 0 {
-		// Crash a third of the way through the measured phase and revive
-		// two thirds in: the workload runs degraded in between and the
-		// repair plane must rebuild the revived node afterwards. Times are
-		// absolute; dataset generation precedes the workload.
-		plan.Crashes = []faults.Crash{{Node: 1, At: clean.genEnd + clean.m.Runtime/3}}
-		plan.Revives = []faults.Revive{{Node: 1, At: clean.genEnd + 2*clean.m.Runtime/3}}
-	}
-
-	faulted, err := mttrRun(prof, cfg, plan, nodes, ranks, n, total, nil)
-	if err != nil {
-		return nil, fmt.Errorf("mttr: faulted run: %w", err)
-	}
-
-	t := stats.NewTable("mttr", "metric", "value")
-	t.Add("nodes", nodes)
-	t.Add("ranks", ranks)
-	t.Add("clean_runtime_s", clean.m.Runtime.Seconds())
-	t.Add("faulted_runtime_s", faulted.m.Runtime.Seconds())
-	t.Add("slowdown", float64(faulted.m.Runtime)/float64(clean.m.Runtime))
-	match := 0
-	if reflect.DeepEqual(clean.result, faulted.result) {
-		match = 1
-	}
-	t.Add("checksum_match", match)
-	t.Add("redundancy_restored", boolInt(faulted.redundancyOK))
-	t.Add("time_to_full_redundancy_s", faulted.mttr.Seconds())
-	t.Add("under_replicated_end", faulted.underReplicated)
-	t.Add("page_repairs", faulted.pageRepairs)
-	for _, ct := range faulted.counters {
-		t.Add("fault."+ct.Name, ct.Value)
-	}
-	return t, nil
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-type mttrOut struct {
-	m               measured
-	genEnd          vtime.Duration
-	result          kmeans.Result
-	counters        []faults.Counter
-	mttr            vtime.Duration
-	redundancyOK    bool
-	underReplicated int
-	pageRepairs     int64
-}
-
-// mttrRun executes one KMeans run on a fresh testbed, optionally under a
-// crash/revive plan, with one backup replica per scache page and the
-// anti-entropy repair daemon active. mod, when non-nil, edits the DSM
-// config before construction (the control ablation swaps fixed repair
-// pacing for the AIMD governor this way).
-func mttrRun(prof Profile, cfg kmeans.Config, plan *faults.Plan, nodes, ranks, n int, total int64, mod func(*core.Config)) (mttrOut, error) {
-	c := newCluster(testbedSpec(nodes, fig5DRAMTier(total, nodes)))
-	ptsURL, _, err := genParticles(c, n, cfg.K, false)
-	if err != nil {
-		return mttrOut{}, err
-	}
-	out := mttrOut{genEnd: c.Engine.Now()}
-	var inj *faults.Injector
-	if plan != nil {
-		inj = c.InstallFaults(*plan)
-	}
+// The report holds the time to full redundancy (mttr_s: from redundancy
+// lost at the crash to the repair queue draining; 0 when it never
+// drained), the under-replicated gauge at run end (0 = fully healed),
+// and the repair and fault counters.
+func RunKMeansCell(nodes, procs int, bytesPerNode int64, cfg kmeans.Config, fp *faults.Plan, adaptive bool) (Report, error) {
+	ranks := nodes * procs
+	total := bytesPerNode * int64(nodes)
 	ccfg := inMemoryConfig()
 	ccfg.Replicas = 1
-	if mod != nil {
-		mod(&ccfg)
+	if adaptive {
+		adaptiveRepairConfig(&ccfg)
 	}
-	d := core.New(c, ccfg)
-	cfg.DatasetURL = ptsURL
+	cfg.CostPerDist = scaleCost(cfg.CostPerDist)
+	cfg.DatasetURL = particlesURL
 	cfg.InitSpan = total / datagen.ParticleSize / int64(ranks)
 	cfg.BoundBytes = total / int64(ranks) * 3 / 4
-	out.m, err = runWorld(c, d, ranks, func(r *mpi.Rank) error {
-		res, err := kmeans.Mega(r, d, cfg)
-		if r.Rank() == 0 {
-			out.result = res
-		}
-		return err
-	})
+	var result kmeans.Result
+	run, err := batchCell{
+		spec: testbedSpec(nodes, fig5DRAMTier(total, nodes)),
+		stage: func(p *vtime.Proc, c *cluster.Cluster) error {
+			return writeParticles(p, c, particlesFor(total), cfg.K, false)
+		},
+		config: ccfg,
+		faults: fp, absolute: true,
+		ranks: ranks,
+		body: func(r *mpi.Rank, d *core.DSM) error {
+			res, err := kmeans.Mega(r, d, cfg)
+			if r.Rank() == 0 {
+				result = res
+			}
+			return err
+		},
+	}.run()
 	if err != nil {
-		return mttrOut{}, err
+		return Report{}, err
 	}
-	h := d.Hermes()
-	out.underReplicated = h.UnderReplicated()
-	out.pageRepairs = d.PageRepairs()
+	out := run.out
+	h := run.d.Hermes()
+	var mttr vtime.Duration
+	var healed int64
 	if lost, restored, ok := h.RedundancyWindow(); ok {
-		out.mttr = restored - lost
-		out.redundancyOK = true
+		mttr, healed = restored-lost, 1
 	}
-	out.counters = inj.Counters()
+	out.Metrics["mttr_s"] = mttr.Seconds()
+	out.Digests["redundancy_restored"] = healed
+	out.Digests["result"] = digestOf(result)
+	out.Digests["under_replicated"] = int64(h.UnderReplicated())
+	out.Digests["page_repairs"] = run.d.PageRepairs()
+	for _, ct := range run.c.Faults().Counters() {
+		out.Digests["fault."+ct.Name] = ct.Value
+	}
 	return out, nil
 }

@@ -200,8 +200,8 @@ func (pl Plan) Shift(d vtime.Duration) Plan {
 	return pl
 }
 
-// ParseSpec parses the compact fault-plan DSL used by the mmbench
-// -faults flag: semicolon-separated key=value clauses.
+// ParseSpec parses the compact fault-plan DSL of a scenario plan's
+// `faults: spec:` line: semicolon-separated key=value clauses.
 //
 //	seed=42              PRNG seed
 //	drop=0.02            message drop probability (all links)

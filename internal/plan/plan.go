@@ -7,10 +7,11 @@
 // (tolerance bands for time metrics, byte-exact comparison for
 // checksums and telemetry digests).
 //
-// Cells execute through the same helpers the ad-hoc experiment drivers
-// use (internal/experiments), so a plan that mirrors a driver's
-// parameters reproduces its numbers bit for bit — the equivalence the
-// porting tests assert.
+// Cells execute through the cell runners of internal/experiments, the
+// one package that builds clusters; the app table (exec.go) maps a
+// plan's app and a cell's axis values onto them. `mmbench -exp
+// failover|mttr|control|tenants|gray|disagg` are names for the checked-in
+// configs/plan-*.yaml.
 package plan
 
 import (
@@ -19,6 +20,7 @@ import (
 	"strings"
 
 	"megammap/internal/core"
+	"megammap/internal/experiments"
 	"megammap/internal/faults"
 	"megammap/internal/vtime"
 )
@@ -38,7 +40,7 @@ var (
 // the fault specs, policy hints, and assertions its cells reference.
 type Plan struct {
 	Name string
-	App  string // kmeans | grayscott | bfs | tenants | gray
+	App  string // a key of the app table (exec.go)
 
 	Nodes        int
 	Procs        int   // ranks per node
@@ -69,7 +71,7 @@ type Workload struct {
 	Source      int64          // bfs root vertex
 }
 
-// defaultWorkload mirrors the ad-hoc drivers' constants.
+// defaultWorkload is what a plan that omits the workload section runs.
 func defaultWorkload() Workload {
 	return Workload{K: 8, MaxIter: 4, CostPerDist: 3 * vtime.Nanosecond, Steps: 3, Seed: 42}
 }
@@ -88,8 +90,7 @@ type Frac struct{ Num, Den int64 }
 // FaultSpec composes an explicit fault-DSL string (absolute times and
 // probabilistic rules) with crash/revive points derived from the clean
 // cell: "1@1/3" crashes node 1 a third of the way through the clean
-// cell's measured phase, counted from dataset-generation end — exactly
-// the schedule the ad-hoc drivers derive.
+// cell's measured phase, counted from dataset-generation end.
 type FaultSpec struct {
 	Spec       string
 	CrashNode  int
@@ -100,20 +101,18 @@ type FaultSpec struct {
 	parsed *faults.Plan
 }
 
-// derived reports whether the spec needs a clean reference run.
-func (fs *FaultSpec) derived() bool { return fs.CrashFrac.Den > 0 || fs.ReviveFrac.Den > 0 }
-
-// build instantiates the fault plan against the clean cell's
-// generation-end time and measured runtime.
-func (fs *FaultSpec) build(genEnd, runtime vtime.Duration) *faults.Plan {
+// build instantiates the fault plan against the clean cell's measured
+// phase (it starts where dataset generation ended).
+func (fs *FaultSpec) build(clean *experiments.Report) *faults.Plan {
 	p := *fs.parsed
+	at := func(f Frac) vtime.Duration {
+		return clean.Start + clean.Runtime*vtime.Duration(f.Num)/vtime.Duration(f.Den)
+	}
 	if fs.CrashFrac.Den > 0 {
-		at := genEnd + runtime*vtime.Duration(fs.CrashFrac.Num)/vtime.Duration(fs.CrashFrac.Den)
-		p.Crashes = append(append([]faults.Crash(nil), p.Crashes...), faults.Crash{Node: fs.CrashNode, At: at})
+		p.Crashes = append(append([]faults.Crash(nil), p.Crashes...), faults.Crash{Node: fs.CrashNode, At: at(fs.CrashFrac)})
 	}
 	if fs.ReviveFrac.Den > 0 {
-		at := genEnd + runtime*vtime.Duration(fs.ReviveFrac.Num)/vtime.Duration(fs.ReviveFrac.Den)
-		p.Revives = append(append([]faults.Revive(nil), p.Revives...), faults.Revive{Node: fs.ReviveNode, At: at})
+		p.Revives = append(append([]faults.Revive(nil), p.Revives...), faults.Revive{Node: fs.ReviveNode, At: at(fs.ReviveFrac)})
 	}
 	return &p
 }
@@ -193,16 +192,6 @@ func (p *Plan) Cells() []Cell {
 	}
 }
 
-// axesFor lists the matrix axes each app understands.
-var axesFor = map[string][]string{
-	"kmeans":    {"fault", "governor"},
-	"grayscott": {"scrub"},
-	"bfs":       {"hints", "bound"},
-	"tenants":   {"isolation"},
-	"gray":      {"resilience"},
-	"disagg":    {"workload", "topology"},
-}
-
 // axisValues constrains the enumerated axes ("" = free-form, validated
 // by the executor).
 var axisValues = map[string][]string{
@@ -221,27 +210,17 @@ func (p *Plan) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("%w: missing plan.name", ErrBadPlan)
 	}
-	known, ok := axesFor[p.App]
+	app, ok := apps[p.App]
 	if !ok {
-		return fmt.Errorf("%w %q (want kmeans, grayscott, bfs, tenants, gray, or disagg)", ErrUnknownApp, p.App)
+		return fmt.Errorf("%w %q (want one of %v)", ErrUnknownApp, p.App, sortedKeys(apps))
 	}
 	if p.Nodes < 1 || p.Procs < 1 {
 		return fmt.Errorf("%w: nodes and procs_per_node must be >= 1 (got %d, %d)", ErrBadPlan, p.Nodes, p.Procs)
 	}
-	switch {
-	case p.App == "bfs":
-		if p.Vertices < 1 {
-			return fmt.Errorf("%w: bfs needs vertices >= 1", ErrBadPlan)
-		}
-	case p.App == "disagg":
-		// disagg runs both workloads, so it needs both shape parameters.
-		if p.Vertices < 1 {
-			return fmt.Errorf("%w: disagg needs vertices >= 1", ErrBadPlan)
-		}
-		if p.BytesPerNode < 1 {
-			return fmt.Errorf("%w: disagg needs bytes_per_node >= 1", ErrBadPlan)
-		}
-	case p.BytesPerNode < 1:
+	if app.needsVertex && p.Vertices < 1 {
+		return fmt.Errorf("%w: %s needs vertices >= 1", ErrBadPlan, p.App)
+	}
+	if app.needsBytes && p.BytesPerNode < 1 {
 		return fmt.Errorf("%w: %s needs bytes_per_node >= 1", ErrBadPlan, p.App)
 	}
 	if p.Tolerance < 0 {
@@ -260,11 +239,11 @@ func (p *Plan) Validate() error {
 		}
 		seen[a.Name] = true
 		valid := false
-		for _, k := range known {
+		for _, k := range app.axes {
 			valid = valid || k == a.Name
 		}
 		if !valid {
-			return fmt.Errorf("%w %q for app %s (want one of %v)", ErrUnknownAxis, a.Name, p.App, known)
+			return fmt.Errorf("%w %q for app %s (want one of %v)", ErrUnknownAxis, a.Name, p.App, app.axes)
 		}
 		if allowed, ok := axisValues[a.Name]; ok {
 			for _, v := range a.Values {
@@ -281,6 +260,9 @@ func (p *Plan) Validate() error {
 	if err := p.validateFaultAxis(); err != nil {
 		return err
 	}
+	if first := p.Cells()[0]; app.reference != nil && !app.reference(first) {
+		return fmt.Errorf("%w: the first cell is the reference run the others' slowdown, checksum_match and derived fault times are measured against, and %s cannot be it", ErrFaultTimeline, first.ID())
+	}
 	for name, fs := range p.Faults {
 		if err := fs.validate(); err != nil {
 			return fmt.Errorf("fault spec %q: %w", name, err)
@@ -295,27 +277,15 @@ func (p *Plan) Validate() error {
 }
 
 // validateFaultAxis checks that every fault-axis value names a declared
-// spec and that any spec deriving its schedule from the clean run has a
-// "none" cell ordered before it.
+// spec.
 func (p *Plan) validateFaultAxis() error {
 	for _, a := range p.Axes {
 		if a.Name != "fault" {
 			continue
 		}
-		noneAt := -1
-		for i, v := range a.Values {
-			if v == "none" {
-				if noneAt < 0 {
-					noneAt = i
-				}
-				continue
-			}
-			fs, ok := p.Faults[v]
-			if !ok {
+		for _, v := range a.Values {
+			if _, ok := p.Faults[v]; !ok && v != "none" {
 				return fmt.Errorf("%w: %q", ErrUnknownFault, v)
-			}
-			if fs.derived() && (noneAt < 0 || noneAt > i) {
-				return fmt.Errorf("%w: spec %q derives times from the clean run but no fault=none cell precedes it", ErrFaultTimeline, v)
 			}
 		}
 	}

@@ -34,7 +34,7 @@ func TestLoadBasePlan(t *testing.T) {
 	if p.BytesPerNode != 192<<10 {
 		t.Fatalf("bytes_per_node = %d", p.BytesPerNode)
 	}
-	// Workload defaults mirror the drivers' constants.
+	// What a plan that omits the workload section runs.
 	if p.Workload.K != 8 || p.Workload.MaxIter != 4 {
 		t.Fatalf("workload defaults: %+v", p.Workload)
 	}
@@ -82,6 +82,12 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"unknown axis", editPlan("fault: [none, f]", "faultiness: [none, f]"), ErrUnknownAxis},
 		{"unnamed fault", editPlan("fault: [none, f]", "fault: [none, g]"), ErrUnknownFault},
 		{"faulted before clean", editPlan("fault: [none, f]", "fault: [f, none]"), ErrFaultTimeline},
+		// No reference run to measure against, even with absolute times only
+		// (this one used to load, then end in a nil dereference at Run).
+		{"faulted only", strings.Replace(editPlan("fault: [none, f]", "fault: [f]"), "    crash: 1@1/2\n", "", 1), ErrFaultTimeline},
+		{"scrubbed before baseline",
+			"plan:\n  name: x\n  app: grayscott\n  nodes: 1\n  procs_per_node: 1\n  bytes_per_node: 1MB\nmatrix:\n  scrub: [fixed, off]\n",
+			ErrFaultTimeline},
 		{"revive before crash", editPlan("crash: 1@1/2", "crash: 1@2/3\n    revive: 1@1/3"), ErrFaultTimeline},
 		{"revive without crash", editPlan("crash: 1@1/2", "revive: 1@1/3"), ErrFaultTimeline},
 		{"explicit revive before crash",

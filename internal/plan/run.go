@@ -2,12 +2,11 @@ package plan
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 
+	"megammap/internal/experiments"
 	"megammap/internal/stats"
-	"megammap/internal/vtime"
 )
 
 // CellResult is one cell's outcome. Metrics are time-derived values
@@ -36,17 +35,6 @@ func (r *Result) Cell(id string) (CellResult, bool) {
 	return CellResult{}, false
 }
 
-// refRun carries the first reference cell's measurements: the clean
-// (fault=none) cell for kmeans plans, the scrub=off cell for grayscott
-// plans. Derived fault schedules and slowdown metrics are computed
-// against it, exactly as the ad-hoc drivers derive them from their
-// clean runs.
-type refRun struct {
-	genEnd  vtime.Duration
-	runtime vtime.Duration
-	digest  int64 // result digest, for checksum_match
-}
-
 // Run expands the matrix and executes every cell in order, then checks
 // the plan's assertions. Cells run on fresh clusters under virtual
 // time, so a re-run of the same plan is byte-identical.
@@ -54,29 +42,27 @@ func (p *Plan) Run() (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	app := apps[p.App]
 	res := &Result{Plan: p.Name}
-	var ref *refRun
+	var ref *experiments.Report
 	for _, cell := range p.Cells() {
-		var cr CellResult
-		var err error
-		switch p.App {
-		case "kmeans":
-			cr, err = p.runKMeansCell(cell, &ref)
-		case "grayscott":
-			cr, err = p.runScrubCell(cell, &ref)
-		case "bfs":
-			cr, err = p.runBFSCell(cell, &ref)
-		case "tenants":
-			cr, err = p.runTenantsCell(cell)
-		case "gray":
-			cr, err = p.runGrayCell(cell)
-		case "disagg":
-			cr, err = p.runDisaggCell(cell)
-		}
+		out, err := app.run(p, cell, ref)
 		if err != nil {
 			return nil, fmt.Errorf("plan %s: cell %s: %w", p.Name, cell.ID(), err)
 		}
-		res.Cells = append(res.Cells, cr)
+		if app.reference != nil {
+			if ref == nil {
+				ref = &out // Validate holds the first cell to be the reference
+			}
+			out.Metrics["slowdown"] = float64(out.Runtime) / float64(ref.Runtime)
+			if want, ok := ref.Digests["result"]; ok {
+				out.Digests["checksum_match"] = 0
+				if out.Digests["result"] == want {
+					out.Digests["checksum_match"] = 1
+				}
+			}
+		}
+		res.Cells = append(res.Cells, CellResult{Cell: cell.ID(), Metrics: out.Metrics, Digests: out.Digests})
 	}
 	if err := p.CheckAsserts(res); err != nil {
 		return res, err
@@ -176,12 +162,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// digestOf folds any value's canonical formatting into an int64 — the
-// byte-exact checksum stored in baselines for structured results.
-func digestOf(v any) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%v", v)
-	return int64(h.Sum64())
 }

@@ -3,9 +3,25 @@ package plan
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// loadConfigPlan loads a checked-in plan document from configs/.
+func loadConfigPlan(t *testing.T, name string) *Plan {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "configs", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Load(string(doc))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return p
+}
 
 // replayPlanDoc is a small BFS plan used by the replay test: two cells
 // over the hints axis, sized to run in well under a second.
@@ -110,20 +126,44 @@ func TestBFSHintsPlanShowsWin(t *testing.T) {
 	}
 }
 
-// TestFailoverPlanGatesAgainstStoredBaseline pins the golden-baseline
-// workflow itself: the checked-in results/plans/failover.json must
-// still reproduce from the checked-in plan document.
-func TestFailoverPlanGatesAgainstStoredBaseline(t *testing.T) {
-	p := loadConfigPlan(t, "plan-failover.yaml")
-	r, err := p.Run()
+// TestCheckedInPlansGateAgainstStoredBaselines is the golden-baseline
+// workflow over everything checked in: each configs/plan-*.yaml runs,
+// holds its own assertions, and still reproduces the baseline it names;
+// and results/plans/ holds no baseline that no plan names.
+func TestCheckedInPlansGateAgainstStoredBaselines(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "configs", "plan-*.yaml"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no checked-in plans found (%v)", err)
+	}
+	named := map[string]bool{}
+	for _, path := range paths {
+		file := filepath.Base(path)
+		t.Run(strings.TrimSuffix(file, ".yaml"), func(t *testing.T) {
+			p := loadConfigPlan(t, file)
+			if p.Baseline == "" {
+				t.Fatal("plan names no baseline")
+			}
+			named[filepath.Base(p.Baseline)] = true
+			r, err := p.Run() // fails on any declared assertion
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := LoadBaseline(filepath.Join("..", "..", p.Baseline))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Gate(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	stored, err := filepath.Glob(filepath.Join("..", "..", "results", "plans", "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadBaseline(filepath.Join("..", "..", p.Baseline))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Gate(r); err != nil {
-		t.Fatal(err)
+	for _, path := range stored {
+		if !named[filepath.Base(path)] {
+			t.Errorf("%s is the baseline of no checked-in plan", path)
+		}
 	}
 }
