@@ -5,17 +5,18 @@
 // Every page fault, commit, prefetch fill, and organizer pass addresses
 // blobs; with string keys each of those operations re-formats, re-hashes
 // and substring-scans a key like "vec/p0000042@n3". An ID is a fixed
-// 16-byte struct instead: comparable (usable as a map key), hashable
-// with a handful of integer mixes, and classifiable by a Kind tag rather
-// than a substring scan. Names are interned exactly once — at vector
-// Open or at a stage-backend boundary — and never touched again on the
-// hot path.
+// 16-byte struct with no padding instead: comparable (usable as a map
+// key), hashed and compared by the runtime as one 128-bit word, and
+// classifiable by a Kind tag rather than a substring scan. Names are
+// interned exactly once — at vector Open or at a stage-backend boundary —
+// and never touched again on the hot path.
 package blob
 
 import "fmt"
 
-// Kind classifies a blob's role in the DMSH.
-type Kind uint8
+// Kind classifies a blob's role in the DMSH. It is 16 bits wide only to
+// fill ID's last two bytes (see ID).
+type Kind uint16
 
 const (
 	// KindPage is a primary vector page (the string scheme's
@@ -43,17 +44,24 @@ func (k Kind) String() string {
 	case KindBackup:
 		return "backup"
 	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
+		return fmt.Sprintf("kind(%d)", uint16(k))
 	}
 }
 
 // ID is the typed identity of one blob. The zero ID is invalid (no
 // interner ever assigns Vec 0).
+//
+// The fields are ordered and sized so the struct is 16 bytes with no
+// padding hole: Go hashes and compares such a map key as plain memory
+// (memhash128/memequal128). A hole anywhere makes the compiler generate a
+// field-by-field hash instead — one hash call per run of fields between
+// holes on every map operation — so a new field must fit the 16 bytes
+// (TestIDIsOneHashWord).
 type ID struct {
-	Vec  uint32 // interned vector/dataset name
 	Page int64  // page index; -1 for raw blobs
+	Vec  uint32 // interned vector/dataset name
+	Node int16  // replica node or backup copy index
 	Kind Kind
-	Node int16 // replica node or backup copy index
 }
 
 // Raw returns the primary raw-blob ID of an interned name. Raw blobs use

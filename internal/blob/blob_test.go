@@ -4,7 +4,69 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"unsafe"
 )
+
+// TestIDIsOneHashWord pins the layout the map-keyed hot path depends on:
+// 16 bytes and no padding, so the runtime hashes and compares an ID as
+// plain memory. A field added later that opens a hole (or grows the
+// struct) brings back the generated field-by-field hash — four hash calls
+// per map operation instead of one.
+func TestIDIsOneHashWord(t *testing.T) {
+	var id ID
+	if got := unsafe.Sizeof(id); got != 16 {
+		t.Fatalf("unsafe.Sizeof(ID{}) = %d, want 16", got)
+	}
+	fields := unsafe.Sizeof(id.Page) + unsafe.Sizeof(id.Vec) + unsafe.Sizeof(id.Node) + unsafe.Sizeof(id.Kind)
+	if fields != unsafe.Sizeof(id) {
+		t.Fatalf("ID's fields sum to %d bytes of %d: the struct has a padding hole", fields, unsafe.Sizeof(id))
+	}
+}
+
+// TestIDValuesAreLayoutIndependent holds Hash, Less, Base, Replica and
+// Backup to the values they returned under the previous field layout
+// ({Vec, Page, Kind uint8, Node}): the metadata shard owner, the worker
+// queue and a vector's home node all derive from Hash, and every sorted
+// index from Less, so none may move with the struct's memory order. The
+// rows are in ascending Less order.
+func TestIDValuesAreLayoutIndependent(t *testing.T) {
+	rows := []struct {
+		id   ID
+		hash uint32
+		base ID
+	}{
+		{PageID(1, 0), 0xa5f1419, PageID(1, 0)},
+		{PageID(1, 1), 0xabd5e507, PageID(1, 1)},
+		{Raw(1), 0x1d25eb75, Raw(1)},
+		{Raw(3), 0x3ef9426f, Raw(3)},
+		{Raw(3).Replica(255), 0x48669f41, Raw(3)},
+		{Raw(3).Backup(0), 0x72736287, Raw(3)},
+		{PageID(7, 42), 0x9044a658, PageID(7, 42)},
+		{PageID(7, 1<<33+5), 0x64ffc2f, PageID(7, 1<<33+5)},
+		{PageID(7, 42).Replica(3), 0x78224d1c, PageID(7, 42)},
+		{PageID(7, 42).Backup(1), 0x6cb2eb70, PageID(7, 42)},
+		{PageID(0xfffffffe, 9).Replica(-1), 0xc866bd13, PageID(0xfffffffe, 9)},
+	}
+	for i, r := range rows {
+		if got := r.id.Hash(); got != r.hash {
+			t.Errorf("%+v: Hash = %#x, want %#x", r.id, got, r.hash)
+		}
+		if got := r.id.Base(); got != r.base {
+			t.Errorf("%+v: Base = %+v, want %+v", r.id, got, r.base)
+		}
+		for j, o := range rows {
+			if got := r.id.Less(o.id); got != (i < j) {
+				t.Errorf("Less(%+v, %+v) = %v, want %v", r.id, o.id, got, i < j)
+			}
+		}
+	}
+	if got, want := PageID(7, 42).Replica(3), (ID{Page: 42, Vec: 7, Node: 3, Kind: KindReplica}); got != want {
+		t.Errorf("Replica = %+v, want %+v", got, want)
+	}
+	if got, want := Raw(3).Backup(2), (ID{Page: -1, Vec: 3, Node: 2, Kind: KindBackup}); got != want {
+		t.Errorf("Backup = %+v, want %+v", got, want)
+	}
+}
 
 func TestInternStable(t *testing.T) {
 	in := NewInterner()

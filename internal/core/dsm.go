@@ -30,17 +30,13 @@ type DSM struct {
 	// (nil = stale); the stager, scrubber and shutdown walks ask for it
 	// every period.
 	vecOrder []string
-	vecByID  map[uint32]*vecMeta // interned vec -> meta (hedge CRC verify)
+	vecByID  map[uint32]*vecMeta // interned vec -> meta (hedge CRC verify, organizer moves)
 	handles  []vectorHandle      // every open Vector, for invariant audits
 	barriers map[string]*barrierState
 	locks    map[string]*dsmLock
-	// chains serialize data-bearing tasks per page in submission order:
-	// one in flight, followers queued. Page-hashed workers alone cannot
-	// guarantee this because the low/high-latency split and cross-node
-	// routing may place same-page tasks on different workers.
-	chains     map[blob.ID]*pageChain
-	chainFree  []*pageChain  // recycled chains; page faults churn them
-	taskFree   []*MemoryTask // recycled tasks; every fault/commit churns one
+	taskFree []*MemoryTask // recycled tasks; every fault/commit churns one
+	// busyChains counts the page chains (vecMeta.chains) with a task in
+	// flight; quiesce waits for zero.
 	busyChains int
 
 	// bufFree is the one page-buffer pool of the data path (DESIGN.md
@@ -180,7 +176,6 @@ func New(c *cluster.Cluster, cfg Config) *DSM {
 		vecByID:      make(map[uint32]*vecMeta),
 		barriers:     make(map[string]*barrierState),
 		locks:        make(map[string]*dsmLock),
-		chains:       make(map[blob.ID]*pageChain),
 		pendingReads: make(map[pendingKey]*MemoryTask),
 	}
 	d.tel = c.Telemetry()
@@ -306,13 +301,22 @@ func (d *DSM) organizerLoop(p *vtime.Proc) {
 		if d.pendingMoves == 0 {
 			for _, mv := range d.h.PlanOrganize(d.cfg.OrganizeBudget) {
 				d.pendingMoves++
-				t := d.newTask()
-				t.kind, t.move, t.chainID, t.recycle = taskMove, mv, mv.ID, true
-				d.submit(p, t)
+				d.submit(p, d.newMoveTask(mv))
 			}
 		}
 		d.h.DecayScores(d.cfg.ScoreDecay)
 	}
+}
+
+// newMoveTask wraps one planned relocation as a recycling task, queued on
+// the chain of the open vector the blob is a page of, if it is one.
+func (d *DSM) newMoveTask(mv hermes.Move) *MemoryTask {
+	t := d.newTask()
+	t.kind, t.move, t.recycle = taskMove, mv, true
+	if mv.ID.Kind == blob.KindPage {
+		t.moveVec = d.vecByID[mv.ID.Vec]
+	}
+	return t
 }
 
 // stagerLoop actively flushes modified pages of nonvolatile vectors to
@@ -487,7 +491,7 @@ func (d *DSM) scrubberLoop(p *vtime.Proc) {
 			}
 			pages = sortedKeys(pages, m.sums)
 			for _, pg := range pages {
-				if _, ok := d.h.PlacementOf(m.pageID(pg)); !ok {
+				if _, ok := d.h.NodeOf(m.pageID(pg)); !ok {
 					continue // not scache-resident; nothing at rest to verify
 				}
 				list = append(list, scrubTarget{m, pg})
@@ -586,16 +590,58 @@ func (d *DSM) vecNames() []string {
 	return d.vecOrder
 }
 
-// pageChain tracks the in-flight status of one page's task stream.
+// pageChain serializes the data-bearing tasks of one page in submission
+// order: one in flight, the followers queued behind it, linked through
+// MemoryTask.next so that queueing allocates nothing. Page-hashed workers
+// alone cannot guarantee the order, because the low/high-latency split and
+// cross-node routing may place same-page tasks on different workers.
 type pageChain struct {
-	busy    bool
-	pending []*MemoryTask
+	busy       bool
+	head, tail *MemoryTask
 }
 
-// blobID returns the chain/blob ID a task addresses.
+// chainOf returns the chain of the page a task addresses: a slot of its
+// vector's page table, reached through the vecMeta the task carries and
+// grown here to cover the page. Slots are values, so the pointer is good
+// until the table next grows: callers use it before they yield.
+//
+// It is nil for the one task with no vector behind it, an organizer move
+// of a blob that is not a page of an open vector. Only a blob put through
+// DSM.Hermes() behind core's back, or a page left in the scache by a
+// vector destroyed since, is one; core submits no other task on such an
+// ID (faults, commits, stage-outs, destroys and scrub reads all carry their
+// vecMeta), the organizer plans at most one move per blob per pass and no
+// pass while a move is pending, so the move has nothing to be ordered
+// against and runs unchained.
+func (d *DSM) chainOf(t *MemoryTask) *pageChain {
+	m, pg := t.vec, t.page
+	if t.kind == taskMove {
+		m, pg = t.moveVec, t.move.ID.Page
+	}
+	if m == nil {
+		return nil
+	}
+	if n := max(pg+1, m.pageCount()); pg >= int64(len(m.chains)) {
+		m.chains = append(m.chains, make([]pageChain, n-int64(len(m.chains)))...)
+	}
+	return &m.chains[pg]
+}
+
+// owner returns the node whose runtime executes a task on id submitted
+// from origin: the node holding the page, else the submitter's.
+// Pool-resident pages execute at the client too: pool nodes run no
+// workers, and hermes charges the pool-link transfer either way.
+func (d *DSM) owner(id blob.ID, origin int) int {
+	if node, ok := d.h.NodeOf(id); ok && node < len(d.runtimes) {
+		return node
+	}
+	return origin
+}
+
+// blobID returns the blob a task addresses.
 func (t *MemoryTask) blobID() blob.ID {
-	if t.chainID.Valid() {
-		return t.chainID
+	if t.kind == taskMove {
+		return t.move.ID
 	}
 	return t.vec.pageID(t.page)
 }
@@ -637,41 +683,30 @@ func (d *DSM) submit(p *vtime.Proc, t *MemoryTask) {
 			if t.vec != nil {
 				s.Vec = t.vec.id
 			} else {
-				s.Vec = t.chainID.Vec
+				s.Vec = t.move.ID.Vec
 			}
 			s.Arg = t.page
 		}
 	}
-	id := t.blobID()
-	owner := t.origin
-	// Pool-resident pages execute at the client: pool nodes run no
-	// workers, and hermes charges the pool-link transfer either way.
-	if pl, ok := d.h.PlacementOf(id); ok && pl.Node < len(d.runtimes) {
-		owner = pl.Node
-	}
+	owner := d.owner(t.blobID(), t.origin)
 	if owner != t.origin {
 		d.c.Fabric.RoundTrip(p, t.origin, owner)
 	}
-	if t.kind == taskScore {
-		d.runtimes[owner].submit(t)
-		return
-	}
-	ch := d.chains[id]
-	if ch == nil {
-		if n := len(d.chainFree); n > 0 {
-			ch = d.chainFree[n-1]
-			d.chainFree = d.chainFree[:n-1]
-		} else {
-			ch = &pageChain{}
+	if t.kind != taskScore {
+		if ch := d.chainOf(t); ch != nil {
+			if ch.busy {
+				if ch.tail == nil {
+					ch.head = t
+				} else {
+					ch.tail.next = t
+				}
+				ch.tail = t
+				return
+			}
+			ch.busy = true
+			d.busyChains++
 		}
-		d.chains[id] = ch
 	}
-	if ch.busy {
-		ch.pending = append(ch.pending, t)
-		return
-	}
-	ch.busy = true
-	d.busyChains++
 	d.runtimes[owner].submit(t)
 }
 
@@ -746,26 +781,20 @@ func (d *DSM) putBuf(b []byte) {
 // the next queued task (re-resolving the owner, since the completed task
 // may have moved the page).
 func (d *DSM) pageDone(t *MemoryTask) {
-	id := t.blobID()
-	ch := d.chains[id]
+	ch := d.chainOf(t)
 	if ch == nil {
 		return
 	}
-	if len(ch.pending) == 0 {
+	next := ch.head
+	if next == nil {
 		ch.busy = false
 		d.busyChains--
-		delete(d.chains, id)
-		ch.pending = nil
-		d.chainFree = append(d.chainFree, ch)
 		return
 	}
-	next := ch.pending[0]
-	ch.pending = ch.pending[1:]
-	owner := next.origin
-	if pl, ok := d.h.PlacementOf(id); ok && pl.Node < len(d.runtimes) {
-		owner = pl.Node
+	if ch.head, next.next = next.next, nil; ch.head == nil {
+		ch.tail = nil
 	}
-	d.runtimes[owner].submit(next)
+	d.runtimes[d.owner(next.blobID(), next.origin)].submit(next)
 }
 
 // Shutdown drains all runtimes, persists every nonvolatile vector to its
@@ -876,6 +905,7 @@ type vecMeta struct {
 	staging  map[int64]bool         // pages with an in-flight stage task
 	replicas map[int64]map[int]bool // page -> nodes holding replicas
 	sums     map[int64]uint32       // page CRC-32s (ChecksumPages mode)
+	chains   []pageChain            // page table of task chains, indexed by page (chainOf)
 	flags    AccessFlags            // current phase intent (last TxBegin)
 	hints    *resolvedHints         // paging policy (nil = default behaviour)
 
@@ -958,18 +988,22 @@ func (d *DSM) Barrier(p *vtime.Proc, key string, n int, fromNode int) {
 	b.ev.Wait(p)
 }
 
-type dsmLock struct{ mu *vtime.Mutex }
+// dsmLock is one named lock and the node serving it (the name's hash
+// owner, worked out when the lock is first taken).
+type dsmLock struct {
+	mu    *vtime.Mutex
+	owner int
+}
 
 // Lock acquires the named distributed lock (one control round-trip to the
 // lock's owner node per acquire).
 func (d *DSM) Lock(p *vtime.Proc, key string, fromNode int) {
-	owner := int(hashString(key) % uint32(d.c.Computes()))
-	d.c.Fabric.RoundTrip(p, fromNode, owner)
 	l := d.locks[key]
 	if l == nil {
-		l = &dsmLock{mu: vtime.NewMutex()}
+		l = &dsmLock{mu: vtime.NewMutex(), owner: int(hashString(key) % uint32(d.c.Computes()))}
 		d.locks[key] = l
 	}
+	d.c.Fabric.RoundTrip(p, fromNode, l.owner)
 	l.mu.Lock(p)
 }
 

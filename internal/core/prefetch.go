@@ -1,6 +1,11 @@
 package core
 
-import "megammap/internal/telemetry"
+import (
+	"cmp"
+	"slices"
+
+	"megammap/internal/telemetry"
+)
 
 // The private cache prefetcher (paper Algorithm 1). It runs on every page
 // transition of an active transaction and, using the transaction's
@@ -135,7 +140,7 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 // scoreAsync sends an importance score to the Data Organizer for pages
 // that exist in the scache (pcache-only pages have nothing to organize).
 func (v *Vector[T]) scoreAsync(pg int64, score float64) {
-	if _, ok := v.c.d.h.PlacementOf(v.m.pageID(pg)); !ok {
+	if _, ok := v.c.d.h.NodeOf(v.m.pageID(pg)); !ok {
 		return
 	}
 	t := v.c.d.newTask()
@@ -161,20 +166,28 @@ func (v *Vector[T]) issueFill(pg, pinned int64) {
 	} else {
 		v.c.submitAsync(t)
 	}
-	v.fills[pg] = fillReq{t: t, stamp: v.pageWrites[pg]}
+	i, _ := v.fillAt(pg)
+	v.fills = slices.Insert(v.fills, i, fillReq{pg: pg, t: t, stamp: v.pageWrites[pg]})
+}
+
+// fillAt returns where pg's fill sits in v.fills, or would be inserted,
+// and whether one is in flight. The list is as short as the fill window,
+// so keeping it sorted costs less than hashing the page.
+func (v *Vector[T]) fillAt(pg int64) (int, bool) {
+	return slices.BinarySearchFunc(v.fills, pg, func(f fillReq, pg int64) int { return cmp.Compare(f.pg, pg) })
 }
 
 // hasFill reports whether a prefetch fill of pg is in flight.
 func (v *Vector[T]) hasFill(pg int64) bool {
-	_, ok := v.fills[pg]
+	_, ok := v.fillAt(pg)
 	return ok
 }
 
 // tierReadBW estimates the read bandwidth of the tier currently holding a
 // page; pages not in the scache would stage in from the PFS backend.
 func (v *Vector[T]) tierReadBW(pg int64) float64 {
-	if pl, ok := v.c.d.h.PlacementOf(v.m.pageID(pg)); ok {
-		return v.c.d.c.Nodes[pl.Node].Devices[pl.Tier].Profile().ReadBW
+	if dev := v.c.d.h.DeviceOf(v.m.pageID(pg)); dev != nil {
+		return dev.Profile().ReadBW
 	}
 	return v.c.d.c.PFS.Profile().ReadBW
 }

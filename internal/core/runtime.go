@@ -7,7 +7,6 @@ import (
 
 	"megammap/internal/cluster"
 	"megammap/internal/faults"
-	"megammap/internal/hermes"
 	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
@@ -195,7 +194,12 @@ func (r *Runtime) exec(p *vtime.Proc, t *MemoryTask) {
 	case taskDestroy:
 		r.destroyPage(p, t)
 	case taskMove:
-		r.d.h.ApplyMove(p, t.move.(hermes.Move))
+		// A plan for a page of a vector destroyed since is stale, like one
+		// whose blob has gone (ApplyMove): the name may be open again, with
+		// a page table this move is not queued on.
+		if t.moveVec == nil || r.d.vecByID[t.moveVec.id] == t.moveVec {
+			r.d.h.ApplyMove(p, t.move)
+		}
 	}
 }
 
@@ -278,8 +282,7 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 		_ = r.d.h.Put(p, r.node.ID, key, data, m.placeScore(0.5), t.origin)
 	}
 	if t.replicate {
-		pl, havePl := r.d.h.PlacementOf(key)
-		if havePl && pl.Node != t.origin {
+		if node, ok := r.d.h.NodeOf(key); ok && node != t.origin {
 			rkey := m.replicaID(t.page, t.origin)
 			if r.d.h.PutLocal(p, t.origin, rkey, data, 0.4) {
 				if m.replicas[t.page] == nil {

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"megammap/internal/blob"
+	"megammap/internal/hermes"
 	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
@@ -119,10 +119,14 @@ type MemoryTask struct {
 	// origin: node of the submitting client (locality + replica target).
 	origin int
 
-	// move: the planned relocation; chainID overrides the chain/blob ID
-	// for tasks that address raw blobs rather than vector pages.
-	move    any // hermes.Move, typed any to keep the import local
-	chainID blob.ID
+	// move: the planned relocation, whose blob blobID returns in place of
+	// a page of vec (a move carries no vec: its span and its routing are
+	// those of a raw blob). moveVec is the open vector the blob is a page
+	// of, nil when it is none: whose chain the move queues on (chainOf).
+	move    hermes.Move
+	moveVec *vecMeta
+
+	next *MemoryTask // the task queued behind this one on its page's chain
 
 	done      vtime.Event
 	err       error
@@ -147,11 +151,10 @@ func (t *MemoryTask) bytes() int64 {
 			n += r.end - r.off
 		}
 		return n
-	case taskRead, taskStage, taskDestroy, taskMove:
-		if t.vec == nil {
-			return 1 << 20 // raw blob moves route to the bulk group
-		}
+	case taskRead, taskStage, taskDestroy:
 		return t.vec.pageSize
+	case taskMove:
+		return 1 << 20 // moves route to the bulk group
 	default:
 		return 8
 	}

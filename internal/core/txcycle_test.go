@@ -2,7 +2,7 @@ package core
 
 // Tests of the ownership rule for per-operation state (DESIGN.md "the
 // allocation-free hot path"): the handle owns its transaction record, its
-// page-index scratch and its fill records, a page frame keeps its dirty
+// resident-page snapshot and its fill records, a page frame keeps its dirty
 // list, a pooled task keeps its region list — so the steady-state cycle
 // TxBegin → touch resident pages → TxEnd allocates nothing, and sharing
 // the scratch loses no page.
@@ -107,14 +107,14 @@ func TestTxCycleAllocatesNothing(t *testing.T) {
 	})
 }
 
-// TestSharedPageScratchLosesNoPage drives the three walks that share the
-// handle's page-index scratch back to back while they mutate what they
+// TestSharedPageScratchLosesNoPage drives the walks that share the
+// handle's resident-page snapshot back to back while they mutate what they
 // walk: TxEnd of a global write phase (Flush walks the resident pages and
-// commits, releaseFills walks the fills, then the phase drops every page
-// it walked), and the next global read's TxBegin (evicts the partial pages
-// among the residents). Two ranks on two nodes interleave at every yield.
-// A walk that refilled the scratch under another would skip pages: they
-// would stay resident, stay dirty, or read back stale.
+// commits, releaseFills empties the fill list, then the phase drops every
+// page it walked), and the next global read's TxBegin (evicts the partial
+// pages among the residents). Two ranks on two nodes interleave at every
+// yield. A walk that refilled the snapshot under another would skip pages:
+// they would stay resident, stay dirty, or read back stale.
 func TestSharedPageScratchLosesNoPage(t *testing.T) {
 	const ranks, pages = 2, 12
 	c, d := newTestDSM(ranks)

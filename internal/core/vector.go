@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -23,8 +24,8 @@ type Vector[T any] struct {
 	m     *vecMeta
 	runs  Runs[T]
 	pc    *pcache
-	tx    *activeTx         // &txState while a transaction is open, else nil
-	fills map[int64]fillReq // page -> in-flight prefetch fill
+	tx    *activeTx // &txState while a transaction is open, else nil
+	fills []fillReq // in-flight prefetch fills, ascending by page (fillAt)
 
 	// last is the page of the most recent access, and [winLo, winLo+winSet)
 	// the elements of it that are in bounds: an index inside is resident,
@@ -39,13 +40,12 @@ type Vector[T any] struct {
 	// transaction cycle allocates nothing (DESIGN.md "the allocation-free
 	// hot path"). The handle belongs to one process and none of the users
 	// below nests inside another, so each list has one user at a time:
-	// residentPages and fillPages hand out pgScratch, valid until the next
-	// call of either — every caller finishes its loop (whose body only
-	// evicts, drops, commits or installs pages) before anything lists
-	// pages again; the prefetcher, which never re-enters itself, owns the
-	// other four.
+	// residentPages hands out cpScratch, valid until its next call — every
+	// caller finishes its loop (whose body only evicts, drops or commits
+	// pages) before anything lists pages again; the prefetcher, which never
+	// re-enters itself, owns the other four.
 	txState       activeTx
-	pgScratch     []int64
+	cpScratch     []*cachedPage
 	future, spent []int64            // prefetcher: upcoming pages; pages just consumed
 	seen, soon    map[int64]struct{} // pagesIn's revisit filter; the evict phase's keep set
 
@@ -59,9 +59,10 @@ type Vector[T any] struct {
 	pgasOff, pgasN int64
 }
 
-// fillReq is an asynchronous prefetch read plus the page-write stamp at
-// issue time (stale-fill guard).
+// fillReq is an asynchronous prefetch read of page pg plus the page-write
+// stamp at issue time (stale-fill guard).
 type fillReq struct {
+	pg    int64
 	t     *MemoryTask
 	stamp int64
 }
@@ -191,7 +192,6 @@ func Open[T any](c *Client, name string, codec Codec[T], opts ...VectorOpt) (*Ve
 		m:          m,
 		runs:       RunsOf(codec),
 		pc:         newPCache(),
-		fills:      make(map[int64]fillReq),
 		seen:       make(map[int64]struct{}),
 		soon:       make(map[int64]struct{}),
 		pageWrites: make(map[int64]int64),
@@ -250,9 +250,9 @@ func (v *Vector[T]) LocalLen() int64 { return v.pgasN }
 func (v *Vector[T]) Resize(n int64) {
 	v.m.length = n
 	maxPage := v.m.pageCount()
-	for _, idx := range v.residentPages() {
-		if idx >= maxPage {
-			v.dropPage(v.pc.pages[idx])
+	for _, cp := range v.residentPages() {
+		if cp.idx >= maxPage {
+			v.dropPage(cp)
 		}
 	}
 	v.setLast(v.last) // dropPage cleared a dropped one; the window is clipped to the length
@@ -292,8 +292,8 @@ func (v *Vector[T]) begin(a activeTx) {
 		panic(fmt.Sprintf("core: vector %q already has an active transaction", v.m.name))
 	}
 	if a.flags.Has(Read) && a.flags.Has(Global) {
-		for _, idx := range v.residentPages() {
-			if cp := v.pc.pages[idx]; cp.partial {
+		for _, cp := range v.residentPages() {
+			if cp.partial {
 				v.evict(cp)
 			}
 		}
@@ -323,8 +323,8 @@ func (v *Vector[T]) TxEnd() {
 	// The committed state in the scache is the merged truth.
 	f := v.tx.flags
 	if f.Has(Global) && (f.Has(Write) || f.Has(Append)) {
-		for _, idx := range v.residentPages() {
-			v.dropPage(v.pc.pages[idx])
+		for _, cp := range v.residentPages() {
+			v.dropPage(cp)
 		}
 	}
 	if v.tx.span != 0 {
@@ -337,9 +337,7 @@ func (v *Vector[T]) TxEnd() {
 // Drain) so fills never leak across transaction phases: the reservation
 // is released and the fill's task and page buffer re-pool.
 func (v *Vector[T]) releaseFills() {
-	for _, pg := range v.fillPages() {
-		f := v.fills[pg]
-		delete(v.fills, pg)
+	for _, f := range v.fills {
 		v.pc.used -= v.m.pageSize
 		v.c.node.Free(v.m.pageSize)
 		v.c.d.fillWaste++
@@ -347,32 +345,32 @@ func (v *Vector[T]) releaseFills() {
 			v.c.d.recycleTask(f.t)
 		}
 	}
+	clear(v.fills)
+	v.fills = v.fills[:0]
 }
 
 // Flush asynchronously commits every dirty pcache page (pages stay
 // cached). Use Drain or TxEnd to wait for visibility.
 func (v *Vector[T]) Flush() {
-	for _, idx := range v.residentPages() {
-		if cp := v.pc.pages[idx]; cp != nil && cp.isDirty() {
+	for _, cp := range v.residentPages() {
+		if cp.isDirty() {
 			v.commitPage(cp, true)
 		}
 	}
 }
 
-// residentPages returns the resident page indices in ascending order so
-// map iteration never perturbs the deterministic simulation. The list is
-// a snapshot in pgScratch: callers may drop the pages they walk, and must
-// be done with it before the next residentPages or fillPages call.
-func (v *Vector[T]) residentPages() []int64 {
-	v.pgScratch = sortedKeys(v.pgScratch, v.pc.pages)
-	return v.pgScratch
-}
-
-// fillPages is residentPages for the pages with a prefetch fill in
-// flight, under the same pgScratch rule.
-func (v *Vector[T]) fillPages() []int64 {
-	v.pgScratch = sortedKeys(v.pgScratch, v.fills)
-	return v.pgScratch
+// residentPages returns the resident pages in ascending page order, so
+// that no walk over them depends on how they are stored. The pcache's
+// eviction heap holds exactly the resident pages; the list is a snapshot of
+// it in cpScratch: callers may drop the pages they walk, and must be done
+// with it before the next residentPages call.
+func (v *Vector[T]) residentPages() []*cachedPage {
+	if len(v.pc.heap) == 0 {
+		return nil // every kvstore transaction ends with nothing resident
+	}
+	v.cpScratch = append(v.cpScratch[:0], v.pc.heap...)
+	slices.SortFunc(v.cpScratch, func(a, b *cachedPage) int { return cmp.Compare(a.idx, b.idx) })
+	return v.cpScratch
 }
 
 // RandomAt returns the element index the active random transaction
@@ -502,8 +500,8 @@ func (v *Vector[T]) Close() {
 	v.Flush()
 	v.c.Drain()
 	v.releaseFills()
-	for _, idx := range v.residentPages() {
-		v.dropPage(v.pc.pages[idx])
+	for _, cp := range v.residentPages() {
+		v.dropPage(cp)
 	}
 }
 
@@ -511,8 +509,8 @@ func (v *Vector[T]) Close() {
 // Shared vectors are never destroyed implicitly (paper §III-A); exactly
 // one process calls Destroy after all others detached.
 func (v *Vector[T]) Destroy() {
-	for _, idx := range v.residentPages() {
-		v.dropPage(v.pc.pages[idx])
+	for _, cp := range v.residentPages() {
+		v.dropPage(cp)
 	}
 	for pg := int64(0); pg < v.m.pageCount(); pg++ {
 		t := v.c.d.newTask()
@@ -660,14 +658,14 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 	writeAlloc := forWrite && (f.Has(Write) || f.Has(Append)) && !f.Has(Read)
 	var data []byte
 	partial := false
-	switch {
+	switch fi, filling := v.fillAt(pg); {
 	case writeAlloc:
 		data = v.c.d.getBuf(m.pageSize)
 		clear(data) // write-allocate: the unwritten rest of the page is zero fill
 		partial = true
-	case v.hasFill(pg):
-		f := v.fills[pg]
-		delete(v.fills, pg)
+	case filling:
+		f := v.fills[fi]
+		v.fills = slices.Delete(v.fills, fi, fi+1)
 		if err := f.t.Wait(v.c.p); err != nil {
 			panic(fmt.Errorf("core: prefetch of %s page %d failed: %w", m.name, pg, err))
 		}
@@ -861,12 +859,13 @@ func (v *Vector[T]) commitPage(cp *cachedPage, retain bool) {
 // integrateFills installs completed prefetch fills into the pcache and
 // releases reservations of fills that became redundant.
 func (v *Vector[T]) integrateFills() {
-	for _, pg := range v.fillPages() {
-		f := v.fills[pg]
+	pending := v.fills[:0]
+	for _, f := range v.fills {
+		pg := f.pg
 		if !f.t.done.Fired() {
+			pending = append(pending, f)
 			continue
 		}
-		delete(v.fills, pg)
 		stale := f.stamp != v.pageWrites[pg]
 		if f.t.err != nil || stale || v.pc.get(pg) != nil || pg >= v.m.pageCount() {
 			// Redundant, stale, or failed: release the reserved space.
@@ -884,6 +883,8 @@ func (v *Vector[T]) integrateFills() {
 		v.pc.insert(v.pc.newPage(pg, filled, v.m.insertScore(pg), false))
 		v.c.d.recycleTask(f.t)
 	}
+	clear(v.fills[len(pending):])
+	v.fills = pending
 }
 
 func min64i(a, b int64) int64 {

@@ -179,7 +179,7 @@ func (h *Hermes) readCopy(p *vtime.Proc, fromNode int, pl *Placement, rid blob.I
 	if !h.reachable(pl) {
 		return &hedgeResult{err: h.nodeDownErr(rid)}
 	}
-	dev := h.c.Nodes[pl.Node].Devices[pl.Tier]
+	dev := pl.dev
 	data, ok, err := dev.Read(p, rid)
 	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
 		h.inj.Backoff(p, "retry.scache_read", attempt)

@@ -30,23 +30,31 @@ import (
 	"megammap/internal/vtime"
 )
 
-// Placement locates a blob in the DMSH.
+// Placement locates a blob in the DMSH. The record is 64 bytes — one
+// allocator size class and one cache line, which is why the small
+// integers are 32-bit: a store allocates one per put and per backup.
 type Placement struct {
 	Node int    // node holding the bytes
 	Tier string // tier name on that node
-	// Inc is the incarnation of the holding node when the bytes were
-	// written. A revived node restarts cold under a higher incarnation,
-	// so placements from its previous life are unreachable even though
-	// the node itself is up again.
-	Inc  int
 	Size int64
 	// Score is the blob's current importance in [0,1]; the organizer
 	// promotes high scores into fast tiers. ScoreNode is the node that set
 	// the score (locality hint); PrevScoreNode is the hint from the
 	// previous organization period (migration hysteresis).
-	Score         float64
-	ScoreNode     int
-	PrevScoreNode int
+	Score float64
+	// Inc is the incarnation of the holding node when the bytes were
+	// written. A revived node restarts cold under a higher incarnation,
+	// so placements from its previous life are unreachable even though
+	// the node itself is up again.
+	Inc           int32
+	ScoreNode     int32
+	PrevScoreNode int32
+
+	// slot is the record's position in Hermes.slab. dev is the device
+	// (Node, Tier) names, resolved when the record is built and re-pointed
+	// by move, so no access to the blob looks a tier up by name.
+	slot int32
+	dev  *device.Device
 }
 
 // Hermes is a distributed, tiered blob store over the cluster's devices.
@@ -57,6 +65,11 @@ type Hermes struct {
 	// The map itself is process-wide (the simulation is single-threaded);
 	// the owning shard determines the charged lookup cost.
 	meta map[blob.ID]*Placement
+	// slab holds exactly meta's values, each at its Placement.slot, in no
+	// particular order (metaDrop swap-removes): the walk for whoever needs
+	// every placement and no order, which costs a slice scan where ranging
+	// over meta costs the map iterator — DecayScores does it every period.
+	slab []*Placement
 	ids  *blob.Interner // blob/vector name table
 
 	// byNode indexes the primary blobs currently placed on each node,
@@ -77,8 +90,8 @@ type Hermes struct {
 	// node revives, invalidating every placement stamped under the old
 	// life.
 	replicas int
-	failed   map[int]bool
-	inc      []int
+	failed   []bool // per node; reachable consults it on every get
+	inc      []int32
 
 	// repairq is the anti-entropy queue: primary IDs of blobs that lost
 	// a copy (crash) or could not be fully replicated (degraded write),
@@ -206,8 +219,8 @@ func New(c *cluster.Cluster, tiers []string) *Hermes {
 		ids:      blob.NewInterner(),
 		byNode:   make([][]blob.ID, len(c.Nodes)),
 		replCnt:  make(map[blob.ID]int),
-		failed:   make(map[int]bool),
-		inc:      make([]int, len(c.Nodes)),
+		failed:   make([]bool, len(c.Nodes)),
+		inc:      make([]int32, len(c.Nodes)),
 		queued:   make(map[blob.ID]bool),
 		buckets:  make(map[uint32][]bucketMember),
 		memberOf: make(map[uint32]bool),
@@ -359,7 +372,7 @@ func (h *Hermes) ReviveNode(id int) {
 		return
 	}
 	h.inc[id]++
-	delete(h.failed, id)
+	h.failed[id] = false
 	h.idxRefreshNode(id)
 }
 
@@ -386,14 +399,29 @@ func (h *Hermes) shardOwner(id blob.ID) int {
 	return int(id.Hash() % uint32(h.computes))
 }
 
+// device resolves a node's tier by name. It is a string-keyed map lookup,
+// paid where a placement is built or moved and nowhere per access.
+func (h *Hermes) device(node int, tier string) *device.Device {
+	return h.c.Nodes[node].Devices[tier]
+}
+
+// newPlacement builds the record of size bytes about to be written to
+// (node, tier); the caller writes through its dev and then installs it
+// with metaPut.
+func (h *Hermes) newPlacement(node int, tier string, size int64, score float64, scoreNode int) *Placement {
+	return &Placement{Node: node, Tier: tier, Size: size, Score: score, ScoreNode: int32(scoreNode), dev: h.device(node, tier)}
+}
+
 // metaPut installs (or replaces) a blob's placement, maintaining the
-// per-node primary index and the replica counter. The placement is
-// stamped with its node's current incarnation.
+// slab, the per-node primary index and the replica counter. The placement
+// is stamped with its node's current incarnation.
 func (h *Hermes) metaPut(id blob.ID, pl *Placement) {
 	if old, ok := h.meta[id]; ok {
 		h.metaDrop(id, old)
 	}
 	pl.Inc = h.inc[pl.Node]
+	pl.slot = int32(len(h.slab))
+	h.slab = append(h.slab, pl)
 	h.meta[id] = pl
 	if id.IsPrimary() {
 		h.idxInsert(pl.Node, id)
@@ -411,6 +439,11 @@ func (h *Hermes) metaDelete(id blob.ID) {
 }
 
 func (h *Hermes) metaDrop(id blob.ID, pl *Placement) {
+	last := len(h.slab) - 1
+	h.slab[pl.slot] = h.slab[last]
+	h.slab[pl.slot].slot = pl.slot
+	h.slab[last] = nil
+	h.slab = h.slab[:last]
 	if id.IsPrimary() {
 		h.idxRemove(pl.Node, id)
 	} else if id.Kind == blob.KindReplica {
@@ -560,17 +593,16 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 	}
 	if pl != nil {
 		// Replace in place if the target still fits the new size.
-		dev := h.c.Nodes[pl.Node].Devices[pl.Tier]
-		if int64(len(data))-pl.Size <= dev.Free() {
+		if int64(len(data))-pl.Size <= pl.dev.Free() {
 			if pl.Node != fromNode {
 				h.c.Fabric.Transfer(p, fromNode, pl.Node, int64(len(data)))
 			}
-			if err := h.writeRetry(p, dev, id, data); err != nil {
+			if err := h.writeRetry(p, pl.dev, id, data); err != nil {
 				return err
 			}
 			pl.Size = int64(len(data))
 			pl.Score = score
-			pl.ScoreNode = prefNode
+			pl.ScoreNode = int32(prefNode)
 			h.replicate(p, pl.Node, id, data)
 			return nil
 		}
@@ -590,10 +622,11 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 	if node != fromNode {
 		h.c.Fabric.Transfer(p, fromNode, node, int64(len(data)))
 	}
-	if err := h.writeRetry(p, h.c.Nodes[node].Devices[tier], id, data); err != nil {
+	pl = h.newPlacement(node, tier, int64(len(data)), score, prefNode)
+	if err := h.writeRetry(p, pl.dev, id, data); err != nil {
 		return err
 	}
-	h.metaPut(id, &Placement{Node: node, Tier: tier, Size: int64(len(data)), Score: score, ScoreNode: prefNode})
+	h.metaPut(id, pl)
 	h.replicate(p, node, id, data)
 	return nil
 }
@@ -662,13 +695,14 @@ func (h *Hermes) replicate(p *vtime.Proc, primary int, id blob.ID, data []byte) 
 func (h *Hermes) storeBackup(p *vtime.Proc, primary int, bk blob.ID, node int, tier string, data []byte, stale *Placement) bool {
 	size := int64(len(data))
 	h.c.Fabric.Transfer(p, primary, node, size)
-	if err := h.writeRetry(p, h.c.Nodes[node].Devices[tier], bk, data); err != nil {
+	bp := h.newPlacement(node, tier, size, 0.05, node)
+	if err := h.writeRetry(p, bp.dev, bk, data); err != nil {
 		return false
 	}
 	if stale != nil {
 		h.deleteData(p, stale, bk)
 	}
-	h.metaPut(bk, &Placement{Node: node, Tier: tier, Size: size, Score: 0.05, ScoreNode: node})
+	h.metaPut(bk, bp)
 	return true
 }
 
@@ -808,10 +842,9 @@ func (h *Hermes) repairBlob(p *vtime.Proc, id blob.ID) (requeue, worked bool) {
 	if _, _, ok := h.placeBackup(pl.Size, pl.Node, id); !ok {
 		return true, worked
 	}
-	src := h.c.Nodes[pl.Node].Devices[pl.Tier]
 	buf := h.borrow(pl.Size)
 	defer h.giveBack(buf)
-	data, ok, err := h.readRetry(p, src, id, "retry.repair_read", buf)
+	data, ok, err := h.readRetry(p, pl.dev, id, "retry.repair_read", buf)
 	if err != nil || !ok {
 		return true, true
 	}
@@ -870,8 +903,7 @@ func (h *Hermes) ReadBackup(p *vtime.Proc, fromNode int, id blob.ID, slot int, d
 	if bp == nil || !h.reachable(bp) {
 		return nil, false
 	}
-	dev := h.c.Nodes[bp.Node].Devices[bp.Tier]
-	data, ok, err := h.readRetry(p, dev, bk, "retry.scache_read", dst)
+	data, ok, err := h.readRetry(p, bp.dev, bk, "retry.scache_read", dst)
 	if err != nil || !ok {
 		return nil, false
 	}
@@ -899,10 +931,14 @@ func (h *Hermes) PutLocal(p *vtime.Proc, node int, id blob.ID, data []byte, scor
 
 func (h *Hermes) putLocal(p *vtime.Proc, node int, id blob.ID, data []byte, score float64) bool {
 	ti := h.fitTier(node, int64(len(data)), len(h.tiers))
-	if ti < 0 || h.writeRetry(p, h.c.Nodes[node].Devices[h.tiers[ti]], id, data) != nil {
+	if ti < 0 {
 		return false
 	}
-	h.metaPut(id, &Placement{Node: node, Tier: h.tiers[ti], Size: int64(len(data)), Score: score, ScoreNode: node})
+	pl := h.newPlacement(node, h.tiers[ti], int64(len(data)), score, node)
+	if h.writeRetry(p, pl.dev, id, data) != nil {
+		return false
+	}
+	h.metaPut(id, pl)
 	return true
 }
 
@@ -932,10 +968,9 @@ func (h *Hermes) recoverPrimaryData(p *vtime.Proc, id blob.ID) (*Placement, erro
 	if bp == nil {
 		return nil, h.nodeDownErr(id)
 	}
-	src := h.c.Nodes[bp.Node].Devices[bp.Tier]
 	buf := h.borrow(bp.Size)
 	defer h.giveBack(buf)
-	data, ok, err := h.readRetry(p, src, bk, "retry.scache_read", buf)
+	data, ok, err := h.readRetry(p, bp.dev, bk, "retry.scache_read", buf)
 	if err != nil || !ok {
 		if err == nil {
 			err = h.nodeDownErr(id)
@@ -950,10 +985,10 @@ func (h *Hermes) recoverPrimaryData(p *vtime.Proc, id blob.ID) (*Placement, erro
 	if node != bp.Node {
 		h.c.Fabric.Transfer(p, bp.Node, node, int64(len(data)))
 	}
-	if err := h.writeRetry(p, h.c.Nodes[node].Devices[tier], id, data); err != nil {
+	pl := h.newPlacement(node, tier, int64(len(data)), 0.5, node)
+	if err := h.writeRetry(p, pl.dev, id, data); err != nil {
 		return nil, err
 	}
-	pl := &Placement{Node: node, Tier: tier, Size: int64(len(data)), Score: 0.5, ScoreNode: node}
 	h.metaPut(id, pl)
 	h.inj.Note("hermes.failover_recover")
 	return pl, nil
@@ -988,8 +1023,7 @@ func (h *Hermes) putAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data 
 	if pl.Node != fromNode {
 		h.c.Fabric.Transfer(p, fromNode, pl.Node, int64(len(data)))
 	}
-	dev := h.c.Nodes[pl.Node].Devices[pl.Tier]
-	if err := h.writeAtRetry(p, dev, id, off, data); err != nil {
+	if err := h.writeAtRetry(p, pl.dev, id, off, data); err != nil {
 		return err
 	}
 	if end := off + int64(len(data)); end > pl.Size {
@@ -1005,7 +1039,7 @@ func (h *Hermes) putAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data 
 		if bp.Node != pl.Node {
 			h.c.Fabric.Transfer(p, pl.Node, bp.Node, int64(len(data)))
 		}
-		if err := h.writeAtRetry(p, h.c.Nodes[bp.Node].Devices[bp.Tier], bk, off, data); err == nil {
+		if err := h.writeAtRetry(p, bp.dev, bk, off, data); err == nil {
 			if end := off + int64(len(data)); end > bp.Size {
 				bp.Size = end
 			}
@@ -1059,7 +1093,7 @@ func (h *Hermes) get(p *vtime.Proc, fromNode int, id blob.ID, dst []byte) ([]byt
 			return data, ok, err
 		}
 	}
-	data, ok, err := h.c.Nodes[pl.Node].Devices[pl.Tier].ReadInto(p, readID, dst)
+	data, ok, err := pl.dev.ReadInto(p, readID, dst)
 	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
 		h.inj.Backoff(p, "retry.scache_read", attempt)
 		if !h.reachable(pl) { // a crash can land during the backoff sleep
@@ -1068,7 +1102,7 @@ func (h *Hermes) get(p *vtime.Proc, fromNode int, id blob.ID, dst []byte) ([]byt
 				return nil, false, h.nodeDownErr(id)
 			}
 		}
-		data, ok, err = h.c.Nodes[pl.Node].Devices[pl.Tier].ReadInto(p, readID, dst)
+		data, ok, err = pl.dev.ReadInto(p, readID, dst)
 	}
 	if err != nil {
 		return nil, ok, fmt.Errorf("hermes: reading blob %q: %w", h.DisplayName(id), err)
@@ -1132,7 +1166,7 @@ func (h *Hermes) getRange(p *vtime.Proc, fromNode int, id blob.ID, off, length i
 			return nil, false, h.nodeDownErr(id)
 		}
 	}
-	data, ok, err := h.c.Nodes[pl.Node].Devices[pl.Tier].ReadAt(p, readID, off, length)
+	data, ok, err := pl.dev.ReadAt(p, readID, off, length)
 	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
 		h.inj.Backoff(p, "retry.scache_read", attempt)
 		if !h.reachable(pl) {
@@ -1141,7 +1175,7 @@ func (h *Hermes) getRange(p *vtime.Proc, fromNode int, id blob.ID, off, length i
 				return nil, false, h.nodeDownErr(id)
 			}
 		}
-		data, ok, err = h.c.Nodes[pl.Node].Devices[pl.Tier].ReadAt(p, readID, off, length)
+		data, ok, err = pl.dev.ReadAt(p, readID, off, length)
 	}
 	if err != nil {
 		return nil, ok, fmt.Errorf("hermes: reading blob %q: %w", h.DisplayName(id), err)
@@ -1176,7 +1210,7 @@ func (h *Hermes) deleteData(p *vtime.Proc, pl *Placement, id blob.ID) {
 	if !h.reachable(pl) {
 		return // the data died with the node (or its previous incarnation)
 	}
-	h.c.Nodes[pl.Node].Devices[pl.Tier].Delete(p, id)
+	pl.dev.Delete(p, id)
 }
 
 // SetScore updates a blob's importance score; the Data Organizer acts on
@@ -1189,7 +1223,7 @@ func (h *Hermes) SetScore(p *vtime.Proc, fromNode int, id blob.ID, score float64
 	}
 	if score >= pl.Score {
 		pl.Score = score
-		pl.ScoreNode = fromNode
+		pl.ScoreNode = int32(fromNode)
 	}
 }
 
@@ -1203,11 +1237,32 @@ func (h *Hermes) PlacementOf(id blob.ID) (Placement, bool) {
 	return *pl, true
 }
 
+// NodeOf returns the node holding a blob's bytes, ok=false when the blob
+// does not exist. Like PlacementOf it charges no time, but copies nothing:
+// it is what core routes a task to its page's owner with, and how it asks
+// whether a page is in the scache at all.
+func (h *Hermes) NodeOf(id blob.ID) (node int, ok bool) {
+	if pl := h.meta[id]; pl != nil {
+		return pl.Node, true
+	}
+	return 0, false
+}
+
+// DeviceOf returns the device holding a blob's bytes, nil when the blob
+// does not exist, uncharged like NodeOf: the prefetcher reads the tier's
+// bandwidth off it.
+func (h *Hermes) DeviceOf(id blob.ID) *device.Device {
+	if pl := h.meta[id]; pl != nil {
+		return pl.dev
+	}
+	return nil
+}
+
 // DecayScores multiplies every blob score by f in [0,1); the organizer
 // calls it between periods so stale hints age out. It also rotates the
 // locality hint history used for migration hysteresis.
 func (h *Hermes) DecayScores(f float64) {
-	for _, pl := range h.meta {
+	for _, pl := range h.slab {
 		pl.Score *= f
 		pl.PrevScoreNode = pl.ScoreNode
 	}
@@ -1247,10 +1302,10 @@ func (h *Hermes) PlanOrganize(budget int64) []Move {
 			// chasing the last reader ping-pongs pages between nodes. Pages
 			// with node-local replicas are shared by construction — replicas
 			// already provide locality, so the primary stays put.
-			if pl.Score > 0.5 && pl.ScoreNode != pl.Node &&
-				pl.ScoreNode == pl.PrevScoreNode && h.alive(pl.ScoreNode) &&
+			if hint := int(pl.ScoreNode); pl.Score > 0.5 && hint != pl.Node &&
+				pl.ScoreNode == pl.PrevScoreNode && h.alive(hint) &&
 				!h.hasReplicas(id) {
-				want = pl.ScoreNode
+				want = hint
 			}
 			o.byWant[want] = append(o.byWant[want], orgEntry{id: id, pl: pl})
 		}
@@ -1355,8 +1410,7 @@ func (h *Hermes) Organize(p *vtime.Proc, budget int64) {
 // move relocates a blob to (node, tier), charging the read, transfer and
 // write costs.
 func (h *Hermes) move(p *vtime.Proc, id blob.ID, pl *Placement, node int, tier string) {
-	src := h.c.Nodes[pl.Node].Devices[pl.Tier]
-	dst := h.c.Nodes[node].Devices[tier]
+	src, dst := pl.dev, h.device(node, tier)
 	buf := h.borrow(pl.Size)
 	defer h.giveBack(buf)
 	data, ok, err := h.readRetry(p, src, id, "retry.organize", buf)
@@ -1371,8 +1425,7 @@ func (h *Hermes) move(p *vtime.Proc, id blob.ID, pl *Placement, node int, tier s
 	}
 	src.Delete(p, id)
 	h.reindex(id, pl.Node, node)
-	pl.Node = node
-	pl.Tier = tier
+	pl.Node, pl.Tier, pl.dev = node, tier, dst
 	h.moved++
 	h.movedByte += int64(len(data))
 }

@@ -36,14 +36,14 @@ func benchCluster() *cluster.Cluster {
 	})
 }
 
-// BenchmarkOrganizePath measures one PlanOrganize pass over a DMSH of
-// 1024 blobs spread across 4 nodes with mixed scores.
-func BenchmarkOrganizePath(b *testing.B) {
+// benchStore fills a DMSH with n 4 KB blobs spread across benchCluster's 4
+// nodes with mixed scores.
+func benchStore(b *testing.B, n int) *Hermes {
 	c := benchCluster()
 	h := New(c, []string{"dram", "nvme"})
 	c.Engine.Spawn("setup", func(p *vtime.Proc) {
 		blobData := make([]byte, 4<<10)
-		for i := 0; i < 1024; i++ {
+		for i := 0; i < n; i++ {
 			key := keyForBench(h, i)
 			score := float64(i%10) / 10
 			if err := h.Put(p, i%4, key, blobData, score, i%4); err != nil {
@@ -54,11 +54,33 @@ func BenchmarkOrganizePath(b *testing.B) {
 	if err := c.Engine.Run(); err != nil {
 		b.Fatal(err)
 	}
+	return h
+}
+
+// BenchmarkOrganizePath measures one PlanOrganize pass over a DMSH of
+// 1024 blobs.
+func BenchmarkOrganizePath(b *testing.B) {
+	h := benchStore(b, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if moves := h.PlanOrganize(0); moves == nil {
 			_ = moves
 		}
+	}
+}
+
+// BenchmarkDecayScoresPath measures one DecayScores pass over 2048
+// placements, the order of gs_ckpt's population. The organizer runs it
+// every period whether or not anything moves, so it is a tax per 20 ms of
+// virtual time: 18 % of gs_ckpt's host time while it ranged over the
+// metadata map. The factor is 1 so that b.N passes do not decay the scores
+// into denormals, which multiply slowly.
+func BenchmarkDecayScoresPath(b *testing.B) {
+	h := benchStore(b, 2048)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.DecayScores(1)
 	}
 }

@@ -15,6 +15,8 @@ import (
 //     recorded size;
 //   - every blob stored on a managed tier of a live node is reachable
 //     from exactly one placement (no orphans, no double-registration);
+//   - the slab holds exactly the placements, each at its slot, and each
+//     placement's resolved device is the one its (node, tier) names;
 //   - the per-node primary indices mirror the primary placements;
 //   - replica counters match a recount of the replica placements;
 //   - no primary has more backup copies than SetReplicas allows.
@@ -38,10 +40,19 @@ func (h *Hermes) CheckIntegrity() []string {
 		managed[topology.PoolTier] = true
 	}
 
+	if len(h.slab) != len(h.meta) {
+		bad = append(bad, fmt.Sprintf("slab holds %d placements, metadata holds %d", len(h.slab), len(h.meta)))
+	}
 	replCnt := make(map[blob.ID]int)
 	backups := make(map[blob.ID]int)
 	for _, id := range ids {
 		pl := h.meta[id]
+		if int(pl.slot) >= len(h.slab) || h.slab[pl.slot] != pl {
+			bad = append(bad, fmt.Sprintf("blob %q is not at its slab slot %d", h.DisplayName(id), pl.slot))
+		}
+		if pl.dev != h.device(pl.Node, pl.Tier) {
+			bad = append(bad, fmt.Sprintf("blob %q resolved to a device other than node%d/%s", h.DisplayName(id), pl.Node, pl.Tier))
+		}
 		switch id.Kind {
 		case blob.KindReplica:
 			replCnt[id.Base()]++
@@ -51,7 +62,7 @@ func (h *Hermes) CheckIntegrity() []string {
 		if !h.alive(pl.Node) {
 			continue // data died with the node; stale meta is tolerated
 		}
-		dev := h.c.Nodes[pl.Node].Devices[pl.Tier]
+		dev := pl.dev
 		if dev == nil {
 			bad = append(bad, fmt.Sprintf("blob %q placed on missing tier node%d/%s", h.DisplayName(id), pl.Node, pl.Tier))
 			continue

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"megammap/internal/blob"
 	"megammap/internal/cluster"
@@ -304,12 +305,41 @@ func churnSpec(computes int, topo topology.Spec) cluster.Spec {
 	}
 }
 
-// placementChurn drives a randomized fill/delete/crash/revive schedule —
-// crashing and cold-reviving pool nodes too, quarantining nodes and
-// flipping the quarantine and spill-vs-pool biases throughout — and
+// slabMirrorsMeta is the placement slab's oracle, the map it shadows: the
+// slab is as long as meta, and every placement in meta sits at its own
+// slot (so the slab holds exactly meta's values) with the device its
+// (node, tier) names resolved.
+func slabMirrorsMeta(h *Hermes) error {
+	if len(h.slab) != len(h.meta) {
+		return fmt.Errorf("slab holds %d placements, meta %d", len(h.slab), len(h.meta))
+	}
+	for id, pl := range h.meta {
+		if int(pl.slot) >= len(h.slab) || h.slab[pl.slot] != pl {
+			return fmt.Errorf("%s is not at its slab slot %d", h.DisplayName(id), pl.slot)
+		}
+		if pl.dev != h.c.Nodes[pl.Node].Devices[pl.Tier] {
+			return fmt.Errorf("%s on node%d/%s resolved to another device", h.DisplayName(id), pl.Node, pl.Tier)
+		}
+	}
+	return nil
+}
+
+// TestPlacementIsOneSizeClass: a store allocates a Placement per put and
+// per backup (hermes_scale: 4 096 blobs rewritten throughout), and 64 bytes
+// is an allocator size class; a 65th byte makes every record cost 80.
+func TestPlacementIsOneSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Placement{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(Placement{}) = %d, want 64", got)
+	}
+}
+
+// placementChurn drives a randomized fill/delete/move/repair/crash/revive
+// schedule — crashing and cold-reviving pool nodes too, quarantining nodes
+// and flipping the quarantine and spill-vs-pool biases throughout — and
 // asserts, at every step, that the indexed place and placeBackup answers
-// equal the linear scans', and after every Put that the primary and each
-// backup slot were recorded where predictPut said they would be.
+// equal the linear scans' and that the slab mirrors the metadata map, and
+// after every Put that the primary and each backup slot were recorded
+// where predictPut said they would be.
 func placementChurn(t *testing.T, spec cluster.Spec, seed int64, ops, replicas int) {
 	c := cluster.New(spec)
 	h := New(c, []string{"nvme", "ssd"})
@@ -341,7 +371,7 @@ func placementChurn(t *testing.T, spec cluster.Spec, seed int64, ops, replicas i
 				return
 			}
 
-			switch r := rng.Intn(14); {
+			switch r := rng.Intn(16); {
 			case r < 5: // put: place, then replicate's rotation
 				id := h.Key(fmt.Sprintf("blob%d", rng.Intn(96)))
 				want, fits := predictPut(h, id, size, pref)
@@ -397,13 +427,26 @@ func placementChurn(t *testing.T, spec cluster.Spec, seed int64, ops, replicas i
 				h.SetPoolBias(rng.Intn(2) == 0)
 			case r < 13: // quarantine or release a node
 				h.SetQuarantined(rng.Intn(total), rng.Intn(3) > 0)
-			default: // switch quarantine avoidance off or on
+			case r < 14: // switch quarantine avoidance off or on
 				h.SetQuarantineBias(float64(rng.Intn(2)) / 2)
+			case r < 15: // move a blob; a full or dead target leaves it where it is
+				if len(live) > 0 {
+					h.ApplyMove(p, Move{ID: live[rng.Intn(len(live))], Node: rng.Intn(computes), Tier: h.tiers[rng.Intn(len(h.tiers))]})
+				}
+			default: // anti-entropy: re-replicate one blob a crash left short
+				h.RepairStep(p)
+			}
+			if err := slabMirrorsMeta(h); err != nil {
+				t.Errorf("%s: %v", state, err)
+				return
 			}
 		}
 	})
 	if err := c.Engine.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if h.moved == 0 {
+		t.Error("no move step relocated a blob: the slab's move path went unchecked")
 	}
 }
 

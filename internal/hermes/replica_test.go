@@ -226,7 +226,7 @@ func TestPlanOrganizePinsBackupsAndReplicas(t *testing.T) {
 			if err := c.Nodes[node].Devices[tier].Write(p, k, big); err != nil {
 				t.Fatal(err)
 			}
-			h.metaPut(k, &Placement{Node: node, Tier: tier, Size: 1024, Score: 1.0, ScoreNode: node, PrevScoreNode: node})
+			h.metaPut(k, h.newPlacement(node, tier, 1024, 1.0, node))
 		}
 		moves := h.PlanOrganize(0)
 		for _, m := range moves {
@@ -278,7 +278,7 @@ func TestPlanOrganizeBudgetCapsBytes(t *testing.T) {
 			if err := c.Nodes[0].Devices["nvme"].Write(p, k, bytes.Repeat([]byte{2}, 1024)); err != nil {
 				t.Fatal(err)
 			}
-			h.metaPut(k, &Placement{Node: 0, Tier: "nvme", Size: 1024, Score: 0.9, ScoreNode: 0, PrevScoreNode: 0})
+			h.metaPut(k, h.newPlacement(0, "nvme", 1024, 0.9, 0))
 		}
 		all := h.PlanOrganize(0)
 		capped := h.PlanOrganize(2048)
