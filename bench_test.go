@@ -1,238 +1,19 @@
-// Package megammap's benchmark harness regenerates every table and
-// figure of the paper's evaluation as testing.B benchmarks, plus the
-// ablation studies of DESIGN.md's design choices. Reported metrics are
-// virtual-time results from the deterministic simulation; host ns/op
-// only reflects how fast the simulator itself runs.
-//
-//	go test -bench=. -benchmem
-//
-// Each benchmark runs the Small profile (the same shapes as the paper at
-// laptop scale); use cmd/mmbench -profile full for the paper-faithful
-// sweep sizes.
 package megammap_test
 
 import (
-	"strconv"
 	"testing"
 
 	"megammap"
-	"megammap/internal/experiments"
-	"megammap/internal/stats"
 )
-
-// reportTable surfaces headline cells of an experiment as benchmark
-// metrics so regressions in the reproduced shapes are visible in bench
-// output.
-func reportTable(b *testing.B, tb *stats.Table, metric func(t *stats.Table) map[string]float64) {
-	b.Helper()
-	for name, v := range metric(tb) {
-		b.ReportMetric(v, name)
-	}
-}
-
-func cell(tb *stats.Table, row int, col string) float64 {
-	v, _ := strconv.ParseFloat(tb.Cell(row, col), 64)
-	return v
-}
-
-// BenchmarkFig4LOC regenerates the paper's Fig. 4 code-volume table.
-func BenchmarkFig4LOC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.Fig4()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportTable(b, tb, func(t *stats.Table) map[string]float64 {
-				out := map[string]float64{}
-				for r := 0; r < t.Len(); r++ {
-					out[t.Cell(r, "app")+"_mega_loc"] = cell(t, r, "megammap_loc")
-				}
-				return out
-			})
-		}
-	}
-}
-
-// BenchmarkFig5WeakScaling regenerates the paper's Fig. 5 weak-scaling
-// study (all four apps, MegaMmap vs Spark-model/MPI).
-func BenchmarkFig5WeakScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.Fig5(experiments.Small())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportTable(b, tb, func(t *stats.Table) map[string]float64 {
-				out := map[string]float64{}
-				for r := 0; r < t.Len(); r++ {
-					key := t.Cell(r, "app") + "_" + t.Cell(r, "variant") + "_n" + t.Cell(r, "nodes") + "_s"
-					out[key] = cell(t, r, "runtime_s")
-				}
-				return out
-			})
-		}
-	}
-}
-
-// BenchmarkFig6Resolution regenerates the paper's Fig. 6 resolution
-// study (Gray-Scott grid sweep; MPI OOMs, MegaMmap continues).
-func BenchmarkFig6Resolution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.Fig6(experiments.Small())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			oom := 0.0
-			for r := 0; r < tb.Len(); r++ {
-				if tb.Cell(r, "status") == "OOM" {
-					oom++
-				}
-			}
-			b.ReportMetric(oom, "mpi_oom_points")
-		}
-	}
-}
-
-// BenchmarkFig7Tiering regenerates the paper's Fig. 7 DMSH tiering and
-// cost study.
-func BenchmarkFig7Tiering(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.Fig7(experiments.Small())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportTable(b, tb, func(t *stats.Table) map[string]float64 {
-				out := map[string]float64{}
-				for r := 0; r < t.Len(); r++ {
-					out[t.Cell(r, "config")+"_s"] = cell(t, r, "runtime_s")
-				}
-				return out
-			})
-		}
-	}
-}
-
-// BenchmarkFig8MemScaling regenerates the paper's Fig. 8 DRAM-scaling
-// study for all four applications.
-func BenchmarkFig8MemScaling(b *testing.B) {
-	prof := experiments.Small()
-	prof.Fig8Fracs = []float64{1, 0.5, 0.125}
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.Fig8(prof)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportTable(b, tb, func(t *stats.Table) map[string]float64 {
-				out := map[string]float64{}
-				for r := 0; r < t.Len(); r++ {
-					key := t.Cell(r, "app") + "_frac" + t.Cell(r, "dram_frac") + "_s"
-					out[key] = cell(t, r, "runtime_s")
-				}
-				return out
-			})
-		}
-	}
-}
-
-// BenchmarkAblationPrefetch isolates the transaction-informed prefetcher.
-func BenchmarkAblationPrefetch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.AblationPrefetch(experiments.Small())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(cell(tb, 0, "runtime_s"), "prefetch_on_s")
-			b.ReportMetric(cell(tb, 1, "runtime_s"), "prefetch_off_s")
-		}
-	}
-}
-
-// BenchmarkAblationWorkerSplit isolates the low/high-latency worker
-// split.
-func BenchmarkAblationWorkerSplit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.AblationWorkerSplit(experiments.Small())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(cell(tb, 0, "runtime_s"), "split_on_s")
-			b.ReportMetric(cell(tb, 1, "runtime_s"), "split_off_s")
-		}
-	}
-}
-
-// BenchmarkAblationPartialPaging isolates dirty-region commits vs
-// whole-page commits.
-func BenchmarkAblationPartialPaging(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.AblationPartialPaging(experiments.Small())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(cell(tb, 0, "scache_write_mb"), "partial_write_mb")
-			b.ReportMetric(cell(tb, 1, "scache_write_mb"), "wholepage_write_mb")
-		}
-	}
-}
-
-// BenchmarkAblationPageSize sweeps the configurable page size.
-func BenchmarkAblationPageSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.AblationPageSize(experiments.Small())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for r := 0; r < tb.Len(); r++ {
-				b.ReportMetric(cell(tb, r, "runtime_s"), "page"+tb.Cell(r, "page_kb")+"k_s")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationCoherence isolates read-only global replication.
-func BenchmarkAblationCoherence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.AblationCoherence(experiments.Small())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(cell(tb, 0, "net_bytes_mb"), "replication_net_mb")
-			b.ReportMetric(cell(tb, 1, "net_bytes_mb"), "noreplication_net_mb")
-		}
-	}
-}
-
-// BenchmarkAblationBagOrder isolates sorted-index bagging in RF.
-func BenchmarkAblationBagOrder(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.AblationBagOrder(experiments.Small())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(cell(tb, 0, "runtime_s"), "sorted_s")
-			b.ReportMetric(cell(tb, 1, "runtime_s"), "raw_order_s")
-		}
-	}
-}
 
 // BenchmarkIndexingOverhead measures the paper's §III-E claim — reading
 // through a MegaMmap vector adds only integer operations and a
 // conditional over a plain array access (~5% in an iterative workload) —
 // as host-time ns/op of a fully resident sequential scan versus the same
-// scan over a native slice. (All other benchmarks report virtual time;
-// this one is about real per-access overhead of the library path, so the
-// scan runs inside the engine with prefetching off and everything
-// resident: no faults, no tasks, just the indexing fast path.)
+// scan over a native slice. (The studies report virtual time; this is
+// about real per-access overhead of the library path, so the scan runs
+// inside the engine with prefetching off and everything resident: no
+// faults, no tasks, just the indexing fast path.)
 func BenchmarkIndexingOverhead(b *testing.B) {
 	const n = 1 << 16
 	cfg := megammap.DefaultConfig()

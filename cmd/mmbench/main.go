@@ -1,15 +1,18 @@
-// Command mmbench regenerates the paper's evaluation: one sub-experiment
-// per table/figure (fig4-fig8) plus the ablation studies. Results print
-// as aligned tables and, with -o, also land as CSV files (the pipeline's
-// stats_dict.csv analog). The fault, control, tenant, gray-failure and
-// disaggregation studies are scenario plans: -exp <name> runs and gates
-// configs/plan-<name>.yaml, exactly as -exp plan -plan <file> does.
+// Command mmbench runs the repo's studies by name. Every simulated
+// experiment — the paper's Figs. 5-8, the design-choice ablations, the
+// fault, control, tenant, gray-failure and disaggregation studies — is a
+// checked-in scenario plan: -exp <name> runs configs/plan-<name>.yaml and
+// gates it against the golden the plan names, exactly as -exp plan -plan
+// <file> does (run from the repository root). fig4 counts the repo's own
+// lines and scale times the simulator itself; neither simulates anything.
+// Results print as aligned tables and, with -o, also land as CSV files.
 //
 // Usage:
 //
-//	mmbench -exp all -profile small -o results/
-//	mmbench -exp fig6 -profile full
-//	mmbench -exp mttr
+//	mmbench -exp all
+//	mmbench -exp fig6
+//	mmbench -exp plan -plan configs/full/plan-fig8.yaml
+//	mmbench -exp scale -profile full
 package main
 
 import (
@@ -17,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"megammap/internal/experiments"
@@ -27,121 +29,100 @@ import (
 	"megammap/internal/vtime"
 )
 
+// run is one table to produce: a plan file, or one of the two host-side
+// studies (label says which sizes it ran at).
+type run struct {
+	name, label string
+	table       func() (*stats.Table, error)
+}
+
+func planRun(path string) run {
+	return run{path, "plan " + path, func() (*stats.Table, error) { return runPlan(path) }}
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig4|fig5|fig6|fig7|fig8|ablations|scale|plan|all, or failover|mttr|control|tenants|gray|disagg (= -exp plan -plan configs/plan-<name>.yaml; control also runs plan-scrub)")
-	profName := flag.String("profile", "small", "size profile: small|full")
+	exp := flag.String("exp", "all", "study: a checked-in plan by name (fig5..fig8, ablation-<mechanism>, failover, mttr, control, tenants, gray, disagg, ... = configs/plan-<name>.yaml), ablations (all six), fig4, all (fig4-fig8 + ablations), scale, or plan (with -plan)")
+	profName := flag.String("profile", "", "size of the -exp scale sweep: small|full (every other study states its sizes in its plan file)")
 	outDir := flag.String("o", "", "directory for CSV output (optional)")
 	planPath := flag.String("plan", "", "scenario-plan file for -exp plan (gated against the plan's baseline when one is configured)")
 	telem := flag.Bool("telemetry", false, "install the telemetry plane on every experiment cluster and write per-run metric/sample tables under <o>/telemetry/ (requires -o)")
 	flag.Parse()
 
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "mmbench: "+format+"\n", args...)
+		os.Exit(2)
+	}
 	if *telem {
 		if *outDir == "" {
-			fmt.Fprintln(os.Stderr, "mmbench: -telemetry requires -o")
-			os.Exit(2)
+			usage("-telemetry requires -o")
 		}
 		experiments.EnableTelemetry(telemetry.Options{
 			Metrics:      true,
 			SamplePeriod: vtime.Millisecond,
 		})
 	}
-
-	var prof experiments.Profile
-	switch *profName {
-	case "small":
-		prof = experiments.Small()
-	case "full":
-		prof = experiments.Full()
-	default:
-		fmt.Fprintf(os.Stderr, "mmbench: unknown profile %q\n", *profName)
-		os.Exit(2)
+	if *profName != "" && *exp != "scale" {
+		usage("-profile sizes only -exp scale: every other study states its sizes in its plan file (to run -exp %s at other sizes, copy its plan, edit it, run it with -exp plan -plan <file>)", *exp)
+	}
+	if *planPath != "" && *exp != "plan" {
+		usage("-plan goes with -exp plan, not -exp %s", *exp)
 	}
 
-	type driver struct {
-		name string
-		run  func() (*stats.Table, error)
+	plans := func(pattern string) []run {
+		paths, _ := filepath.Glob(filepath.Join("configs", "plan-"+pattern+".yaml"))
+		var out []run
+		for _, path := range paths {
+			out = append(out, planRun(path))
+		}
+		return out
 	}
-	drivers := []driver{
-		{"fig4", func() (*stats.Table, error) { return experiments.Fig4() }},
-		{"fig5", func() (*stats.Table, error) { return experiments.Fig5(prof) }},
-		{"fig6", func() (*stats.Table, error) { return experiments.Fig6(prof) }},
-		{"fig7", func() (*stats.Table, error) { return experiments.Fig7(prof) }},
-		{"fig8", func() (*stats.Table, error) { return experiments.Fig8(prof) }},
-		{"ablations", func() (*stats.Table, error) { return nil, nil }}, // expanded below
+	fig4 := run{"fig4", "", experiments.Fig4}
+	var selected []run
+	switch *exp {
+	case "all":
+		selected = append(append([]run{fig4}, plans("fig[5-8]")...), plans("ablation-*")...)
+	case "fig4":
+		selected = []run{fig4}
+	case "ablations":
+		selected = plans("ablation-*")
+	case "control": // adaptive vs. fixed maintenance: the repair and the scrub governor
+		selected = append(plans("control"), plans("scrub")...)
+	case "scale":
 		// scale is opt-in (not part of "all"): it benchmarks the simulator
 		// itself (engine throughput and host RAM per node), not a paper
 		// figure.
-		{"scale", func() (*stats.Table, error) { return experiments.Scale(prof) }},
-		// plan runs a declarative scenario plan (-plan file) and gates it
-		// against the golden baseline the plan names.
-		{"plan", func() (*stats.Table, error) { return runPlan(*planPath) }},
-	}
-
-	// planAliases are the opt-in studies that exist as checked-in scenario
-	// plans (run from the repository root): the fault plane (failover,
-	// mttr), adaptive vs. fixed maintenance (control: repair and scrub),
-	// multi-tenant QoS, gray-failure resilience, disaggregated memory.
-	planAliases := map[string][]string{
-		"failover": {"failover"},
-		"mttr":     {"mttr"},
-		"control":  {"control", "scrub"},
-		"tenants":  {"tenants"},
-		"gray":     {"gray"},
-		"disagg":   {"disagg"},
-	}
-
-	ablations := []driver{
-		{"ablation-prefetch", func() (*stats.Table, error) { return experiments.AblationPrefetch(prof) }},
-		{"ablation-worker-split", func() (*stats.Table, error) { return experiments.AblationWorkerSplit(prof) }},
-		{"ablation-partial-paging", func() (*stats.Table, error) { return experiments.AblationPartialPaging(prof) }},
-		{"ablation-page-size", func() (*stats.Table, error) { return experiments.AblationPageSize(prof) }},
-		{"ablation-coherence", func() (*stats.Table, error) { return experiments.AblationCoherence(prof) }},
-		{"ablation-bag-order", func() (*stats.Table, error) { return experiments.AblationBagOrder(prof) }},
-	}
-
-	var selected []driver
-	switch *exp {
-	case "all":
-		for _, d := range drivers[:5] {
-			selected = append(selected, d)
+		prof := experiments.Small()
+		switch *profName {
+		case "", "small":
+		case "full":
+			prof = experiments.Full()
+		default:
+			usage("unknown profile %q", *profName)
 		}
-		selected = append(selected, ablations...)
-	case "ablations":
-		selected = ablations
+		selected = []run{{"scale", "profile " + prof.Name, func() (*stats.Table, error) { return experiments.Scale(prof) }}}
+	case "plan":
+		if *planPath == "" {
+			usage("-exp plan requires -plan <file>")
+		}
+		selected = []run{planRun(*planPath)}
 	default:
-		plans := planAliases[*exp]
-		if plans != nil && *profName != "small" {
-			fmt.Fprintf(os.Stderr, "mmbench: -exp %s runs configs/plan-%s.yaml, which states its own sizes: -profile %s does not apply (copy the plan, edit it, run it with -exp plan -plan <file>)\n", *exp, plans[0], *profName)
-			os.Exit(2)
+		if selected = plans(*exp); len(selected) != 1 {
+			usage("unknown study %q: no configs/plan-%s.yaml (run from the repository root)", *exp, *exp)
 		}
-		for _, name := range plans {
-			path := filepath.Join("configs", "plan-"+name+".yaml")
-			selected = append(selected, driver{name, func() (*stats.Table, error) { return runPlan(path) }})
-		}
-		for _, d := range drivers {
-			if d.name == *exp && d.name != "ablations" {
-				selected = append(selected, d)
-			}
-		}
-		for _, d := range ablations {
-			if d.name == *exp || strings.TrimPrefix(d.name, "ablation-") == strings.TrimPrefix(*exp, "ablation-") {
-				selected = append(selected, d)
-			}
-		}
-	}
-	if len(selected) == 0 {
-		fmt.Fprintf(os.Stderr, "mmbench: unknown experiment %q\n", *exp)
-		os.Exit(2)
 	}
 
-	for _, d := range selected {
+	for _, r := range selected {
 		start := time.Now()
-		tb, err := d.run()
+		tb, err := r.table()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmbench: %s: %v\n", d.name, err)
+			fmt.Fprintf(os.Stderr, "mmbench: %s: %v\n", r.name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("%s(host time %.1fs, profile %s)\n\n", tb.String(), time.Since(start).Seconds(), prof.Name)
+		footer := fmt.Sprintf("host time %.1fs", time.Since(start).Seconds())
+		if r.label != "" {
+			footer += ", " + r.label
+		}
+		fmt.Printf("%s(%s)\n\n", tb.String(), footer)
 		if *outDir != "" {
 			if err := writeCSV(*outDir, tb); err != nil {
 				fmt.Fprintf(os.Stderr, "mmbench: writing %s: %v\n", tb.Name(), err)
@@ -149,8 +130,8 @@ func main() {
 			}
 		}
 		if *telem {
-			if err := writeTelemetry(*outDir, d.name); err != nil {
-				fmt.Fprintf(os.Stderr, "mmbench: telemetry for %s: %v\n", d.name, err)
+			if err := writeTelemetry(*outDir, tb.Name()); err != nil {
+				fmt.Fprintf(os.Stderr, "mmbench: telemetry for %s: %v\n", r.name, err)
 				os.Exit(1)
 			}
 		}
@@ -159,9 +140,6 @@ func main() {
 
 // runPlan loads, runs, and baseline-gates one scenario plan.
 func runPlan(path string) (*stats.Table, error) {
-	if path == "" {
-		return nil, fmt.Errorf("-exp plan requires -plan <file>")
-	}
 	doc, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

@@ -688,7 +688,20 @@ func (d *Deployment) loadPool(n *node) error {
 //	    prefetch_depth: 8
 //	    evict: pin
 func (d *Deployment) loadHints(n *node) error {
-	for i, item := range n.items {
+	hints, err := LoadHints(&Sec{n: n})
+	if err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
+	d.Runtime.Hints = hints
+	return nil
+}
+
+// LoadHints parses a hints section — the one schema deployment files and
+// scenario plans share. A list item with a region field is a region
+// override of the named vector; every hint is validated.
+func LoadHints(s *Sec) ([]core.VectorHint, error) {
+	var hints []core.VectorHint
+	for i, item := range s.n.items {
 		h := core.VectorHint{PrefetchDepth: -1}
 		r := core.RegionHint{PrefetchDepth: -1}
 		hasRegion := false
@@ -720,20 +733,20 @@ func (d *Deployment) loadHints(n *node) error {
 				return err
 			},
 		})
-		if e != nil {
-			return fmt.Errorf("config: hints[%d]: %w", i, e)
-		}
-		if hasRegion {
+		if e == nil && hasRegion {
 			h.PrefetchDepth = -1
 			h.Pattern, h.Evict = core.PatternDefault, core.EvictDefault
 			h.Regions = []core.RegionHint{r}
 		}
-		if e := h.Validate(); e != nil {
-			return fmt.Errorf("config: hints[%d]: %w", i, e)
+		if e == nil {
+			e = h.Validate()
 		}
-		d.Runtime.Hints = append(d.Runtime.Hints, h)
+		if e != nil {
+			return nil, fmt.Errorf("hints[%d]: %w", i, e)
+		}
+		hints = append(hints, h)
 	}
-	return nil
+	return hints, nil
 }
 
 // loadTenants parses the multi-tenant serving-plane section: an

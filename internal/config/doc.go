@@ -1,11 +1,15 @@
 // Exported views over the restricted-YAML parser, so higher-level
 // harnesses (the scenario-plan runner) can parse their own sections of a
-// document with the same subset, instead of growing a second parser. The
-// views are read-only; config.Load remains the only constructor of
-// Deployments.
+// document with the same subset, field walker and scalar syntax, instead
+// of growing a second parser. The views are read-only; config.Load
+// remains the only constructor of Deployments.
 package config
 
-import "megammap/internal/vtime"
+import (
+	"strconv"
+
+	"megammap/internal/vtime"
+)
 
 // Doc is a parsed restricted-YAML document.
 type Doc struct{ root *node }
@@ -73,16 +77,29 @@ func ParseSizeValue(v string) (int64, error) {
 	return n, err
 }
 
-// ParseElemRange parses an element range "off..end" (end exclusive) or
-// "off+n".
-func ParseElemRange(v string) (off, n int64, err error) {
-	err = parseElemRange(v, &off, &n)
-	return off, n, err
+// Fields applies every present key of a mapping through schema, in
+// document order, rejecting keys the schema does not know.
+func (s *Sec) Fields(schema map[string]func(string) error) error { return loadFields(s.n, schema) }
+
+// String, Int, Int64, Float, Size and Duration are Fields setters: each
+// parses a scalar into dst with the syntax Load accepts for its kind.
+func String(dst *string) func(string) error { return func(v string) error { *dst = v; return nil } }
+
+func Int(dst *int) func(string) error { return func(v string) error { return parseInt(v, dst) } }
+
+func Int64(dst *int64) func(string) error {
+	return func(v string) (err error) {
+		*dst, err = strconv.ParseInt(v, 10, 64)
+		return err
+	}
 }
 
-// ParseDurationValue parses "500ns", "20us", "20ms", "1.5s".
-func ParseDurationValue(v string) (vtime.Duration, error) {
-	var d vtime.Duration
-	err := parseDuration(v, &d)
-	return d, err
+func Float(dst *float64) func(string) error {
+	return func(v string) error { return parseFloat(v, dst) }
+}
+
+func Size(dst *int64) func(string) error { return func(v string) error { return parseSize(v, dst) } }
+
+func Duration(dst *vtime.Duration) func(string) error {
+	return func(v string) error { return parseDuration(v, dst) }
 }

@@ -34,28 +34,24 @@ func RunBFSCell(nodes, procs int, vertices, seed, source, bound int64, hints []c
 	cc.Tiers = []string{"dram", "nvme"}
 	cc.DefaultPageSize = 4 << 10
 	cc.Hints = hints
-	var res bfs.Result
 	run, err := batchCell{
 		spec:   bfsTestbed(nodes),
 		stage:  stageGraph(vertices, seed),
 		config: cc,
 		ranks:  nodes * procs,
-		body: func(r *mpi.Rank, d *core.DSM) error {
-			out, err := bfs.Mega(r, d, bfs.Config{
+		body: func(r *mpi.Rank, d *core.DSM) (any, error) {
+			return anyOf(bfs.Mega(r, d, bfs.Config{
 				OffsetsURL: graphOffsetsURL,
 				EdgesURL:   graphEdgesURL,
 				Source:     source,
 				BoundBytes: bound,
-			})
-			if r.Rank() == 0 {
-				res = out
-			}
-			return err
+			}))
 		},
 	}.run()
 	if err != nil {
 		return Report{}, err
 	}
+	res := run.answer.(bfs.Result)
 	out := run.out
 	out.Digests["result"] = digestOf(res)
 	out.Digests["visited"] = res.Visited

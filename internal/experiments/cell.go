@@ -14,11 +14,9 @@ import (
 	"megammap/internal/vtime"
 )
 
-// The cell runners (RunKMeansCell, RunScrubCell, RunBFSCell,
-// RunDisaggCell, RunGrayCell, RunTenantsCell) are what a scenario plan's
-// matrix cells execute. Each goes through one of two skeletons — batch
-// (this file) or serving (serving.go) — and reports what it measured as
-// a Report.
+// The cell runners (Run*Cell) are what a scenario plan's matrix cells
+// execute. Each goes through one of two skeletons — batch (this file) or
+// serving (serving.go) — and reports what it measured as a Report.
 
 // Report is what one cell measured, in the shape plan baselines store:
 // Metrics are time-derived values gated within a tolerance band, Digests
@@ -91,6 +89,9 @@ type batchCell struct {
 	metrics bool                                          // the report reads the metrics registry
 	stage   func(p *vtime.Proc, c *cluster.Cluster) error // writes the dataset; nil = the app has none
 	config  core.Config
+	// baseline cells run an app's MPI or Spark-model implementation on the
+	// same testbed: no DSM is built (config is unused, the body's d is nil).
+	baseline bool
 	// faults, nil for a fault-free cell, is installed once the dataset is
 	// staged, which is where the measured phase starts. Its times count
 	// from there unless absolute is set (they are on the cluster clock
@@ -98,16 +99,18 @@ type batchCell struct {
 	faults   *faults.Plan
 	absolute bool
 	ranks    int
-	body     func(r *mpi.Rank, d *core.DSM) error
+	// body is one rank; what rank 0 returns is the cell's answer.
+	body func(r *mpi.Rank, d *core.DSM) (any, error)
 }
 
 // batchRun is a finished batch cell: the cluster and the shut-down DSM
-// to read counters from, and the report opened over the measured phase
-// for the runner to fill in.
+// to read counters from, rank 0's answer, and the report opened over the
+// measured phase for the runner to fill in.
 type batchRun struct {
-	c   *cluster.Cluster
-	d   *core.DSM
-	out Report
+	c      *cluster.Cluster
+	d      *core.DSM
+	answer any
+	out    Report
 }
 
 func (b batchCell) run() (batchRun, error) {
@@ -120,18 +123,28 @@ func (b batchCell) run() (batchRun, error) {
 			return batchRun{}, err
 		}
 	}
-	d := core.New(c, b.config)
+	var d *core.DSM
+	if !b.baseline {
+		d = core.New(c, b.config)
+	}
 	start := c.Engine.Now()
 	from := start
 	if b.absolute {
 		from = 0
 	}
 	installFaults(c, b.faults, from)
-	m, err := runWorld(c, d, b.ranks, func(r *mpi.Rank) error { return b.body(r, d) })
+	var answer any
+	runtime, err := runWorld(c, d, b.ranks, func(r *mpi.Rank) error {
+		res, err := b.body(r, d)
+		if r.Rank() == 0 {
+			answer = res
+		}
+		return err
+	})
 	if err != nil {
 		return batchRun{}, err
 	}
-	return batchRun{c, d, newReport(start, m.Runtime)}, nil
+	return batchRun{c, d, answer, newReport(start, runtime)}, nil
 }
 
 // CSR graph files of the BFS cells.

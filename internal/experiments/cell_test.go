@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"megammap/internal/core"
 	"megammap/internal/device"
 	"megammap/internal/mpi"
+	"megammap/internal/stager"
 )
 
 // TestFailedShutdownFailsTheCell: a final stage-out that cannot be
@@ -22,10 +24,10 @@ func TestFailedShutdownFailsTheCell(t *testing.T) {
 		spec:   spec,
 		config: cfg,
 		ranks:  1,
-		body: func(r *mpi.Rank, d *core.DSM) error {
+		body: func(r *mpi.Rank, d *core.DSM) (any, error) {
 			v, err := core.Open[int64](d.NewClient(r.Proc(), 0), "file:///too/big.bin", core.Int64Codec{})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			const n = 8192
 			v.Resize(n)
@@ -34,10 +36,33 @@ func TestFailedShutdownFailsTheCell(t *testing.T) {
 				v.Set(i, i)
 			}
 			v.TxEnd()
-			return nil
+			return nil, nil
 		},
 	}.run()
 	if err == nil || !strings.Contains(err.Error(), "shutdown") || !strings.Contains(err.Error(), "staging out") {
 		t.Fatalf("cell error = %v, want the shutdown's staging failure", err)
+	}
+}
+
+// TestOOMKilledBaselineIsAResult: an MPI Gray-Scott cell past the memory
+// wall (two copies of the L=64 grid on nodes sized for L=48) reports the
+// kill — oom 1, the DRAM it was bounded by, no runtime — and no error,
+// while MegaMmap completes the same point. Any other failure of a
+// baseline still fails the cell.
+func TestOOMKilledBaselineIsAResult(t *testing.T) {
+	out, err := RunFig6Cell(64, 48, true, 2, 4, 1)
+	if err != nil {
+		t.Fatalf("a killed baseline is a result, got error %v", err)
+	}
+	if _, timed := out.Metrics["runtime_s"]; out.Digests["oom"] != 1 || timed || out.Metrics["mem_mb"] <= 0 {
+		t.Fatalf("killed cell report = %+v, want oom 1, mem_mb and no runtime_s", out)
+	}
+	if out, err = RunFig6Cell(64, 48, false, 2, 4, 1); err != nil || out.Metrics["runtime_s"] <= 0 {
+		t.Fatalf("megammap past the wall: %+v, %v", out, err)
+	}
+	boom := errors.New("boom")
+	failing := app{base: func(*mpi.Rank, *stager.Stager, job) (any, error) { return nil, boom }}
+	if _, err := figureCell(failing, true, testbedSpec(1, device.MB), tieredConfig(), job{ranks: 1}); !errors.Is(err, boom) {
+		t.Fatalf("baseline error = %v, want %v", err, boom)
 	}
 }

@@ -17,11 +17,9 @@ import (
 	"fmt"
 
 	"megammap/internal/apps/bfs"
-	"megammap/internal/apps/kmeans"
 	"megammap/internal/cluster"
 	"megammap/internal/control"
 	"megammap/internal/core"
-	"megammap/internal/datagen"
 	"megammap/internal/device"
 	"megammap/internal/faults"
 	"megammap/internal/mpi"
@@ -121,34 +119,17 @@ func RunDisaggCell(workload string, nodes, procs int, bytesPerNode, vertices, se
 		return Report{}, fmt.Errorf("disagg: bad cell shape (nodes=%d procs=%d)", nodes, procs)
 	}
 	ranks := nodes * procs
-	cell := batchCell{metrics: true, config: disaggConfig(disagg), faults: fp, ranks: ranks}
-	var answer any
+	var cell batchCell
 	switch workload {
 	case "kmeans":
 		if bytesPerNode < 48<<10 {
 			return Report{}, fmt.Errorf("disagg: kmeans needs bytes_per_node >= 48KB (got %d)", bytesPerNode)
 		}
 		total := bytesPerNode * int64(nodes)
-		cfg := kmeans.Config{
-			K: 8, MaxIter: 4,
-			CostPerDist: scaleCost(3 * vtime.Nanosecond),
-			InitSpan:    total / datagen.ParticleSize / int64(ranks),
-			DatasetURL:  particlesURL,
-			// A tight pcache keeps the sweep paging through the scache,
-			// where the local-vs-pool placement decision lives.
-			BoundBytes: total / int64(ranks) / 4,
-		}
+		// A tight pcache keeps the sweep paging through the scache, where
+		// the local-vs-pool placement decision lives.
+		cell = catalogue["kmeans"].cell(job{total: total, ranks: ranks, bound: total / int64(ranks) / 4}, false)
 		cell.spec = disaggSpec(nodes, bytesPerNode, disagg)
-		cell.stage = func(p *vtime.Proc, c *cluster.Cluster) error {
-			return writeParticles(p, c, particlesFor(total), cfg.K, false)
-		}
-		cell.body = func(r *mpi.Rank, d *core.DSM) error {
-			out, err := kmeans.Mega(r, d, cfg)
-			if r.Rank() == 0 {
-				answer = out
-			}
-			return err
-		}
 	case "bfs":
 		if vertices < 1024 {
 			return Report{}, fmt.Errorf("disagg: bfs needs vertices >= 1024 (got %d)", vertices)
@@ -158,22 +139,22 @@ func RunDisaggCell(workload string, nodes, procs int, bytesPerNode, vertices, se
 		// vertex — so the frontier sweep overflows the tight DRAM tier
 		// whatever the vertex count.
 		perNode := vertices * 40 / int64(nodes)
-		cell.spec = disaggSpec(nodes, perNode, disagg)
-		cell.stage = stageGraph(vertices, seed)
-		cell.body = func(r *mpi.Rank, d *core.DSM) error {
-			out, err := bfs.Mega(r, d, bfs.Config{
-				OffsetsURL: graphOffsetsURL,
-				EdgesURL:   graphEdgesURL,
-				BoundBytes: perNode / 2,
-			})
-			if r.Rank() == 0 {
-				answer = out
-			}
-			return err
+		cell = batchCell{
+			spec:  disaggSpec(nodes, perNode, disagg),
+			stage: stageGraph(vertices, seed),
+			ranks: ranks,
+			body: func(r *mpi.Rank, d *core.DSM) (any, error) {
+				return anyOf(bfs.Mega(r, d, bfs.Config{
+					OffsetsURL: graphOffsetsURL,
+					EdgesURL:   graphEdgesURL,
+					BoundBytes: perNode / 2,
+				}))
+			},
 		}
 	default:
 		return Report{}, fmt.Errorf("disagg: unknown workload %q (kmeans|bfs)", workload)
 	}
+	cell.metrics, cell.config, cell.faults = true, disaggConfig(disagg), fp
 	run, err := cell.run()
 	if err != nil {
 		return Report{}, err
@@ -187,7 +168,7 @@ func RunDisaggCell(workload string, nodes, procs int, bytesPerNode, vertices, se
 	out.Digests["pool_reads"], out.Digests["reads"], out.Digests["pool_placed"] = d.Hermes().PoolStats()
 	out.Digests["pool_peak"] = c.PoolPeak()
 	_, out.Digests["bias_flips"], _ = d.PoolBiasStats()
-	out.Digests["digest"] = digestOf(answer)
+	out.Digests["digest"] = digestOf(run.answer)
 	var spill int64
 	for i := 0; i < c.Computes(); i++ {
 		if dev := c.Nodes[i].Devices["nvme"]; dev != nil {

@@ -1,19 +1,21 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (Figs. 4-8) plus ablation studies of MegaMmap's design
-// choices. Each driver assembles a simulated testbed at the profile's
-// scale, runs the MegaMmap and baseline implementations, and reports the
-// same rows/series the paper plots. The simulation is deterministic, so
-// the paper's run-3-times-and-average protocol is unnecessary.
+// Package experiments holds what a scenario plan's cells execute: the
+// paper's four applications as one catalogue (apps.go), the batch and
+// serving cell skeletons every run goes through (cell.go, serving.go),
+// and the cell runners of the paper's figures (figures.go: Figs. 5-8 and
+// the design-choice ablations) and of the fault, control, tenant,
+// gray-failure and disaggregation studies. No study has a driver here:
+// each is a configs/plan-*.yaml run by internal/plan, which states the
+// sizes, asserts the shapes and gates the numbers against a golden. The
+// two exceptions are not simulated experiments: Fig. 4 counts the repo's
+// own lines (fig4.go) and Scale times the simulator itself (scale.go).
+// The simulation is deterministic, so the paper's
+// run-3-times-and-average protocol is unnecessary.
 //
-// It also holds the cell runners scenario plans execute (cell.go): the
-// fault, control, tenant, gray-failure and disaggregation studies have
-// no driver here, they are configs/plan-*.yaml run by internal/plan.
-//
-// Capacities are the paper's divided by 1024 (48 GB DRAM -> 48 MB, ...);
-// reported "paper-scale" columns multiply back up so figures read in the
-// paper's units. Device and network bandwidths are unscaled, so relative
-// runtimes — who wins, by what factor, where the crossovers sit — carry
-// over (see DESIGN.md).
+// Capacities are the paper's divided by 1024 (48 GB DRAM -> 48 MB, ...).
+// Device and network bandwidths are divided by the same factor and
+// per-element compute costs multiplied by it, so relative runtimes — who
+// wins, by what factor, where the crossovers sit — carry over (see
+// DESIGN.md).
 package experiments
 
 import (
@@ -53,97 +55,37 @@ func scaleLink(l simnet.LinkProfile) simnet.LinkProfile {
 	return l
 }
 
-// Profile selects the size of every experiment.
+// Profile sizes the engine-scalability sweep (mmbench -exp scale), the
+// one study that is not a plan file: it measures the host, so it has no
+// golden to state sizes beside.
 type Profile struct {
-	Name string
-
-	// Fig. 5 weak scaling.
-	Fig5Nodes        []int
-	ProcsPerNode     int
-	Fig5BytesPerNode int64 // KMeans/DBSCAN dataset per node (paper 2GB>>10)
-	Fig5RFBytes      int64 // RF dataset per node (paper 128MB>>10)
-	Fig5GSBytes      int64 // Gray-Scott grid bytes per node (paper 16GB>>10)
-
-	// Fig. 6 resolution sweep.
-	Fig6Nodes int
-	Fig6Ls    []int
-	Fig6Steps int
-
-	// Fig. 7 tiering study.
-	Fig7Nodes int
-	Fig7L     int
-	Fig7Steps int
-
-	// Fig. 8 DRAM scaling.
-	Fig8Nodes        int
-	Fig8BytesPerNode int64
-	Fig8Fracs        []float64 // DRAM cap as fraction of per-node dataset
-
-	// Engine-scalability sweep (mmbench -exp scale).
+	Name            string
 	ScaleNodes      []int // simulated node counts, weak scaling
 	ScaleOpsPerNode int   // put/get/delete rounds per node
 }
 
-// Small returns the test/bench profile: the same shapes at sizes that
-// regenerate every figure in seconds.
+// Small returns the smoke-test sweep.
 func Small() Profile {
-	return Profile{
-		Name:             "small",
-		Fig5Nodes:        []int{1, 2, 4},
-		ProcsPerNode:     4,
-		Fig5BytesPerNode: 768 * device.KB,
-		Fig5RFBytes:      192 * device.KB,
-		Fig5GSBytes:      1 * device.MB,
-		Fig6Nodes:        2,
-		Fig6Ls:           []int{32, 40, 48, 56, 64},
-		Fig6Steps:        2,
-		Fig7Nodes:        2,
-		Fig7L:            56,
-		Fig7Steps:        3,
-		Fig8Nodes:        2,
-		Fig8BytesPerNode: 2 * device.MB,
-		Fig8Fracs:        []float64{1, 0.75, 0.5, 0.375, 0.25, 0.125},
-		ScaleNodes:       []int{64, 256},
-		ScaleOpsPerNode:  60,
-	}
+	return Profile{Name: "small", ScaleNodes: []int{64, 256}, ScaleOpsPerNode: 60}
 }
 
-// Full returns the paper-faithful profile at 1/1024 capacity scale:
-// 16-node weak scaling, the L sweep crossing the MPI OOM point, the
-// four-tier DMSH study, and the 6-point DRAM sweep. Minutes, not hours.
+// Full returns the sweep to 1024 simulated nodes.
 func Full() Profile {
-	return Profile{
-		Name:             "full",
-		Fig5Nodes:        []int{1, 2, 4, 8, 16},
-		ProcsPerNode:     8,
-		Fig5BytesPerNode: 2 * device.MB,
-		Fig5RFBytes:      512 * device.KB,
-		Fig5GSBytes:      4 * device.MB,
-		Fig6Nodes:        4,
-		Fig6Ls:           []int{64, 80, 96, 112, 128, 144},
-		Fig6Steps:        2,
-		Fig7Nodes:        4,
-		Fig7L:            112,
-		Fig7Steps:        3,
-		Fig8Nodes:        4,
-		Fig8BytesPerNode: 8 * device.MB,
-		Fig8Fracs:        []float64{1, 0.75, 0.5, 0.375, 0.25, 0.125},
-		ScaleNodes:       []int{64, 128, 256, 512, 1024},
-		ScaleOpsPerNode:  200,
-	}
+	return Profile{Name: "full", ScaleNodes: []int{64, 128, 256, 512, 1024}, ScaleOpsPerNode: 200}
 }
 
-// telemetryOpts, when non-nil, is installed on every cluster the drivers
-// and cell runners build (mmbench -telemetry); the resulting planes
-// accumulate in telemetryRuns for the caller to drain after each driver.
+// telemetryOpts, when non-nil, is installed on every cluster the cell
+// runners build (mmbench -telemetry); the resulting planes accumulate in
+// telemetryRuns for the caller to drain after each study.
 var (
 	telemetryOpts *telemetry.Options
 	telemetryRuns []*telemetry.Telemetry
 )
 
 // EnableTelemetry installs a telemetry plane with the given options on
-// every experiment cluster built from now on. Not safe for concurrent
-// drivers (mmbench runs them sequentially).
+// every experiment cluster built from now on. Not safe once cells run
+// side by side (mmbench runs them one at a time; tests that run plans in
+// parallel leave telemetry off).
 func EnableTelemetry(opts telemetry.Options) {
 	telemetryOpts = &opts
 	telemetryRuns = nil
@@ -157,8 +99,8 @@ func DrainTelemetry() []*telemetry.Telemetry {
 	return out
 }
 
-// newCluster is the one cluster constructor of the drivers and cell
-// runners: cluster.New plus the optional telemetry plane.
+// newCluster is the one cluster constructor of the cell runners:
+// cluster.New plus the optional telemetry plane.
 func newCluster(spec cluster.Spec) *cluster.Cluster {
 	c := cluster.New(spec)
 	if telemetryOpts != nil {
@@ -186,7 +128,7 @@ func testbedSpec(nodes int, dramTier int64) cluster.Spec {
 	}
 }
 
-// Dataset files genParticles writes.
+// Dataset files writeParticles writes.
 const (
 	particlesURL = "pq:///data/gadget.parquet:pts"
 	labelsURL    = "file:///data/gadget.labels"
@@ -204,17 +146,8 @@ func stage(c *cluster.Cluster, write func(p *vtime.Proc, c *cluster.Cluster) err
 	})
 }
 
-// genParticles writes a clustered dataset (plus optional labels) on a
-// fresh cluster and returns its URLs.
-func genParticles(c *cluster.Cluster, n int, k int, withLabels bool) (ptsURL, labURL string, err error) {
-	if withLabels {
-		labURL = labelsURL
-	}
-	return particlesURL, labURL, stage(c, func(p *vtime.Proc, c *cluster.Cluster) error {
-		return writeParticles(p, c, n, k, withLabels)
-	})
-}
-
+// writeParticles writes a clustered dataset of n particles around k
+// centres (plus, withLabels, each particle's class).
 func writeParticles(p *vtime.Proc, c *cluster.Cluster, n int, k int, withLabels bool) error {
 	st := stager.New(c)
 	b, err := st.Open(particlesURL)
@@ -239,16 +172,8 @@ func writeParticles(p *vtime.Proc, c *cluster.Cluster, n int, k int, withLabels 
 	return lb.WriteRange(p, 0, 0, raw)
 }
 
-// measured captures one run's headline metrics.
-type measured struct {
-	Runtime vtime.Duration
-	// PeakMemMB is the largest per-node memory footprint observed:
-	// process DRAM (pcache + app buffers) plus the scache DRAM tier.
-	PeakMemMB float64
-}
-
-// peakMemMB computes the per-node peak memory across DRAM allocations
-// and the scache dram tier.
+// peakMemMB is the largest per-node memory footprint observed: process
+// DRAM (pcache + app buffers) plus the scache DRAM tier.
 func peakMemMB(c *cluster.Cluster) float64 {
 	var m int64
 	for _, n := range c.Nodes {
@@ -263,11 +188,11 @@ func peakMemMB(c *cluster.Cluster) float64 {
 	return float64(m) / float64(device.MB)
 }
 
-// runWorld launches ranks on the cluster, measures virtual runtime from
-// launch to completion, and shuts the DSM down (when non-nil) before
-// reading the clock. A failed shutdown (a final stage-out that could not
-// be written) fails the run.
-func runWorld(c *cluster.Cluster, d *core.DSM, ranks int, body func(r *mpi.Rank) error) (measured, error) {
+// runWorld launches ranks on the cluster and returns the virtual runtime
+// from launch to completion, the DSM (when non-nil) shut down before the
+// clock is read. A failed shutdown (a final stage-out that could not be
+// written) fails the run.
+func runWorld(c *cluster.Cluster, d *core.DSM, ranks int, body func(r *mpi.Rank) error) (vtime.Duration, error) {
 	w := mpi.NewWorld(c, ranks)
 	start := c.Engine.Now()
 	w.Launch(func(r *mpi.Rank) {
@@ -289,17 +214,17 @@ func runWorld(c *cluster.Cluster, d *core.DSM, ranks int, body func(r *mpi.Rank)
 		// collectives; the root cause outranks the resulting deadlock,
 		// exactly as mpirun reports the aborting rank.
 		if ferr := w.Failed(); ferr != nil {
-			return measured{}, ferr
+			return 0, ferr
 		}
-		return measured{}, err
+		return 0, err
 	}
 	if err := w.Failed(); err != nil {
-		return measured{}, err
+		return 0, err
 	}
 	if shutErr != nil {
-		return measured{}, fmt.Errorf("shutdown: %w", shutErr)
+		return 0, fmt.Errorf("shutdown: %w", shutErr)
 	}
-	return measured{Runtime: end - start, PeakMemMB: peakMemMB(c)}, nil
+	return end - start, nil
 }
 
 // inMemoryConfig is the Fig. 5 DSM configuration: "no optimizations
@@ -325,8 +250,3 @@ func tieredConfig() core.Config {
 	cfg.WorkersHighLat = 8
 	return cfg
 }
-
-// particle aliases the dataset record for experiment-local scans.
-type particle = datagen.Particle
-
-type particleCodec = datagen.ParticleCodec

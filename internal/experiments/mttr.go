@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"megammap/internal/apps/kmeans"
-	"megammap/internal/cluster"
 	"megammap/internal/control"
 	"megammap/internal/core"
-	"megammap/internal/datagen"
 	"megammap/internal/faults"
-	"megammap/internal/mpi"
 	"megammap/internal/vtime"
 )
 
@@ -42,26 +39,10 @@ func RunKMeansCell(nodes, procs int, bytesPerNode int64, cfg kmeans.Config, fp *
 		adaptiveRepairConfig(&ccfg)
 	}
 	cfg.CostPerDist = scaleCost(cfg.CostPerDist)
-	cfg.DatasetURL = particlesURL
-	cfg.InitSpan = total / datagen.ParticleSize / int64(ranks)
-	cfg.BoundBytes = total / int64(ranks) * 3 / 4
-	var result kmeans.Result
-	run, err := batchCell{
-		spec: testbedSpec(nodes, fig5DRAMTier(total, nodes)),
-		stage: func(p *vtime.Proc, c *cluster.Cluster) error {
-			return writeParticles(p, c, particlesFor(total), cfg.K, false)
-		},
-		config: ccfg,
-		faults: fp, absolute: true,
-		ranks: ranks,
-		body: func(r *mpi.Rank, d *core.DSM) error {
-			res, err := kmeans.Mega(r, d, cfg)
-			if r.Rank() == 0 {
-				result = res
-			}
-			return err
-		},
-	}.run()
+	cell := catalogue["kmeans"].cell(job{total: total, ranks: ranks, bound: total / int64(ranks) * 3 / 4, km: cfg}, false)
+	cell.spec, cell.config = testbedSpec(nodes, fig5DRAMTier(total, nodes)), ccfg
+	cell.faults, cell.absolute = fp, true
+	run, err := cell.run()
 	if err != nil {
 		return Report{}, err
 	}
@@ -74,7 +55,7 @@ func RunKMeansCell(nodes, procs int, bytesPerNode int64, cfg kmeans.Config, fp *
 	}
 	out.Metrics["mttr_s"] = mttr.Seconds()
 	out.Digests["redundancy_restored"] = healed
-	out.Digests["result"] = digestOf(result)
+	out.Digests["result"] = digestOf(run.answer)
 	out.Digests["under_replicated"] = int64(h.UnderReplicated())
 	out.Digests["page_repairs"] = run.d.PageRepairs()
 	for _, ct := range run.c.Faults().Counters() {

@@ -6,7 +6,6 @@ import (
 	"megammap/internal/apps/grayscott"
 	"megammap/internal/control"
 	"megammap/internal/core"
-	"megammap/internal/mpi"
 	"megammap/internal/vtime"
 )
 
@@ -49,19 +48,12 @@ func RunScrubCell(nodes, procs int, bytesPerNode int64, steps int, mode string) 
 	}
 	ranks := nodes * procs
 	total := bytesPerNode * int64(nodes)
-	run, err := batchCell{
-		spec:   testbedSpec(nodes, bytesPerNode),
-		config: ccfg,
-		ranks:  ranks,
-		body: func(r *mpi.Rank, d *core.DSM) error {
-			_, err := grayscott.Mega(r, d, grayscott.Config{
-				L: gsSideFor(total / 2), Steps: steps,
-				BoundBytes:  total / int64(ranks),
-				CostPerCell: scaleCost(36 * vtime.Nanosecond),
-			})
-			return err
-		},
-	}.run()
+	cell := catalogue["grayscott"].cell(job{
+		ranks: ranks, bound: total / int64(ranks),
+		gs: grayscott.Config{L: gsSideFor(total / 2), Steps: steps},
+	}, false)
+	cell.spec, cell.config = testbedSpec(nodes, bytesPerNode), ccfg
+	run, err := cell.run()
 	if err != nil {
 		return Report{}, err
 	}

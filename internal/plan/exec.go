@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"strconv"
+
 	"megammap/internal/apps/kmeans"
 	"megammap/internal/config"
 	"megammap/internal/experiments"
@@ -13,8 +15,10 @@ import (
 // cell onto the app's cell runner in internal/experiments.
 type appDef struct {
 	axes        []string
-	needsBytes  bool // plan.bytes_per_node
-	needsVertex bool // plan.vertices
+	needs       []string // the axes a plan cannot leave out
+	oneAxis     bool     // the matrix is one axis: which one picks the study
+	needsBytes  bool     // plan.bytes_per_node
+	needsVertex bool     // plan.vertices
 	// reference reports whether a cell can be the plan's reference run,
 	// which the first cell must be: every cell's slowdown and
 	// checksum_match, and every derived fault time, are measured against
@@ -45,6 +49,17 @@ var apps = map[string]appDef{
 	"gray":    {axes: []string{"resilience"}, needsBytes: true, run: (*Plan).runGrayCell},
 	// disagg runs both workloads, so it needs both shape parameters.
 	"disagg": {axes: []string{"workload", "topology"}, needsBytes: true, needsVertex: true, run: (*Plan).runDisaggCell},
+	// The paper's evaluation. variant is megammap (the default) or the
+	// app's baseline: the Spark model for kmeans and rf, MPI for dbscan and
+	// grayscott.
+	"fig5": {axes: []string{"app", "variant", "nodes"}, needs: []string{"app"}, needsBytes: true, run: (*Plan).runFig5Cell},
+	"fig6": {axes: []string{"L", "variant"}, needs: []string{"L"}, run: (*Plan).runFig6Cell},
+	"fig7": {axes: []string{"L", "dmsh"}, needs: []string{"L", "dmsh"}, run: (*Plan).runFig7Cell},
+	"fig8": {axes: []string{"app", "dram_frac"}, needs: []string{"app"}, needsBytes: true, run: (*Plan).runFig8Cell},
+	"ablation": {
+		axes:    []string{"prefetch", "worker_split", "page_size", "partial_paging", "replication", "sorted_bag"},
+		oneAxis: true, needsBytes: true, run: (*Plan).runAblationCell,
+	},
 }
 
 // is reports whether the cell's value on the axis is v.
@@ -134,4 +149,60 @@ func (p *Plan) runDisaggCell(cell Cell, _ *experiments.Report) (experiments.Repo
 		fp = experiments.PoolCrashPlan(p.Nodes)
 	}
 	return experiments.RunDisaggCell(w, p.Nodes, p.Procs, p.BytesPerNode, p.Vertices, p.Workload.Seed, dis, fp)
+}
+
+// runFig5Cell: the app axis picks the catalogue app, variant MegaMmap or
+// its baseline, nodes the cluster size (weak scaling: bytes_per_node
+// stays fixed, or the app's own rf_/grid_bytes_per_node when set).
+func (p *Plan) runFig5Cell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
+	app, _ := cell.Get("app")
+	bytes := map[string]int64{"rf": p.RFBytesPerNode, "grayscott": p.GridBytesPerNode}[app]
+	if bytes == 0 {
+		bytes = p.BytesPerNode
+	}
+	nodes := p.Nodes
+	if _, ok := cell.Get("nodes"); ok {
+		nodes = int(cell.num("nodes"))
+	}
+	return experiments.RunFig5Cell(app, cell.is("variant", "baseline"), nodes, p.Procs, bytes, p.Workload.Steps, p.Workload.Seed)
+}
+
+// runFig6Cell: the L axis is the Gray-Scott grid side, variant MegaMmap
+// or MPI. The nodes' physical DRAM is sized from the middle L of the
+// sweep, so the sweep crosses MPI's memory wall wherever it is put.
+func (p *Plan) runFig6Cell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
+	ls, _ := p.axis("L")
+	mid, _ := strconv.Atoi(ls[(len(ls)-1)/2]) // Validate has parsed every L
+	return experiments.RunFig6Cell(int(cell.num("L")), mid, cell.is("variant", "baseline"), p.Nodes, p.Procs, p.Workload.Steps)
+}
+
+// runFig7Cell: the dmsh axis is one of the paper's four storage
+// compositions, sized so the grid of side L overflows DRAM into it.
+func (p *Plan) runFig7Cell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
+	dmsh, _ := cell.Get("dmsh")
+	return experiments.RunFig7Cell(int(cell.num("L")), dmsh, p.Nodes, p.Procs, p.Workload.Steps)
+}
+
+// runFig8Cell: dram_frac is the fraction of the full-DRAM pcache bound
+// and scache DRAM tier the app runs with (absent = 1).
+func (p *Plan) runFig8Cell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
+	app, _ := cell.Get("app")
+	frac := 1.0
+	if _, ok := cell.Get("dram_frac"); ok {
+		frac = cell.num("dram_frac")
+	}
+	return experiments.RunFig8Cell(app, frac, p.Nodes, p.Procs, p.BytesPerNode, p.Workload.Steps, p.Workload.Seed)
+}
+
+// runAblationCell: the plan's one axis names the mechanism under study
+// and its values are the arms: on/off, or page sizes.
+func (p *Plan) runAblationCell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
+	study, arm := cell.axes[0], cell.vals[0]
+	var setting int64
+	if arm == "on" {
+		setting = 1
+	} else if arm != "off" {
+		setting, _ = config.ParseSizeValue(arm) // a page_size Validate has parsed
+	}
+	return experiments.RunAblationCell(study, setting, p.Nodes, p.Procs, p.BytesPerNode, p.Workload.Steps, p.Workload.Seed)
 }

@@ -6,21 +6,21 @@ import (
 	"strings"
 
 	"megammap/internal/config"
-	"megammap/internal/core"
 	"megammap/internal/faults"
 )
 
 // Load parses a plan document (the restricted YAML subset the config
-// package accepts) and validates it. A plan file carries these
-// top-level sections:
+// package accepts, walked with its field walker and scalar syntax) and
+// validates it. A plan file carries these top-level sections:
 //
 //	plan:      name, app, nodes, procs_per_node, bytes_per_node,
-//	           vertices, tolerance, baseline
+//	           rf_bytes_per_node, grid_bytes_per_node, vertices,
+//	           tolerance, baseline
 //	workload:  k, max_iter, cost_per_dist, steps, seed, source
 //	matrix:    axis: [value, value, ...]   (one key per axis, in order)
 //	faults:    named specs (spec DSL + derived crash/revive points)
-//	hints:     per-vector paging-policy hints (same schema as the
-//	           deployment config's hints section)
+//	hints:     per-vector paging-policy hints (the deployment config's
+//	           hints section: config.LoadHints)
 //	assert:    telemetry assertions over the finished cells
 func Load(doc string) (*Plan, error) {
 	d, err := config.Parse(doc)
@@ -33,32 +33,30 @@ func Load(doc string) (*Plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: missing plan section", ErrBadPlan)
 	}
-	if err := fields(ps, map[string]func(string) error{
-		"name":           func(v string) error { p.Name = v; return nil },
-		"app":            func(v string) error { p.App = v; return nil },
-		"nodes":          func(v string) error { return parseIntInto(v, &p.Nodes) },
-		"procs_per_node": func(v string) error { return parseIntInto(v, &p.Procs) },
-		"bytes_per_node": func(v string) error { return sizeInto(v, &p.BytesPerNode) },
-		"vertices":       func(v string) error { return parseI64Into(v, &p.Vertices) },
-		"tolerance":      func(v string) error { return parseFloatInto(v, &p.Tolerance) },
-		"baseline":       func(v string) error { p.Baseline = v; return nil },
+	if err := ps.Fields(map[string]func(string) error{
+		"name":                config.String(&p.Name),
+		"app":                 config.String(&p.App),
+		"nodes":               config.Int(&p.Nodes),
+		"procs_per_node":      config.Int(&p.Procs),
+		"bytes_per_node":      config.Size(&p.BytesPerNode),
+		"rf_bytes_per_node":   config.Size(&p.RFBytesPerNode),
+		"grid_bytes_per_node": config.Size(&p.GridBytesPerNode),
+		"vertices":            config.Int64(&p.Vertices),
+		"tolerance":           config.Float(&p.Tolerance),
+		"baseline":            config.String(&p.Baseline),
 	}); err != nil {
 		return nil, fmt.Errorf("%w: plan: %v", ErrBadPlan, err)
 	}
 
 	if ws, ok := d.Section("workload"); ok {
 		w := &p.Workload
-		if err := fields(ws, map[string]func(string) error{
-			"k":        func(v string) error { return parseIntInto(v, &w.K) },
-			"max_iter": func(v string) error { return parseIntInto(v, &w.MaxIter) },
-			"cost_per_dist": func(v string) error {
-				d, err := config.ParseDurationValue(v)
-				w.CostPerDist = d
-				return err
-			},
-			"steps":  func(v string) error { return parseIntInto(v, &w.Steps) },
-			"seed":   func(v string) error { return parseI64Into(v, &w.Seed) },
-			"source": func(v string) error { return parseI64Into(v, &w.Source) },
+		if err := ws.Fields(map[string]func(string) error{
+			"k":             config.Int(&w.K),
+			"max_iter":      config.Int(&w.MaxIter),
+			"cost_per_dist": config.Duration(&w.CostPerDist),
+			"steps":         config.Int(&w.Steps),
+			"seed":          config.Int64(&w.Seed),
+			"source":        config.Int64(&w.Source),
 		}); err != nil {
 			return nil, fmt.Errorf("%w: workload: %v", ErrBadPlan, err)
 		}
@@ -67,15 +65,7 @@ func Load(doc string) (*Plan, error) {
 	if ms, ok := d.Section("matrix"); ok {
 		for _, axis := range ms.Keys() {
 			v, _ := ms.Scalar(axis)
-			vals := config.FlowList(v)
-			if axis == "bound" {
-				for _, bv := range vals {
-					if _, err := config.ParseSizeValue(bv); err != nil {
-						return nil, fmt.Errorf("%w: matrix: bound value %q", ErrBadPlan, bv)
-					}
-				}
-			}
-			p.Axes = append(p.Axes, Axis{Name: axis, Values: vals})
+			p.Axes = append(p.Axes, Axis{Name: axis, Values: config.FlowList(v)})
 		}
 	}
 
@@ -86,8 +76,8 @@ func Load(doc string) (*Plan, error) {
 				return nil, fmt.Errorf("%w: faults: %s is not a mapping", ErrBadPlan, name)
 			}
 			fs := &FaultSpec{}
-			if err := fields(spec, map[string]func(string) error{
-				"spec":   func(v string) error { fs.Spec = v; return nil },
+			if err := spec.Fields(map[string]func(string) error{
+				"spec":   config.String(&fs.Spec),
 				"crash":  func(v string) error { return parsePoint(v, &fs.CrashNode, &fs.CrashFrac) },
 				"revive": func(v string) error { return parsePoint(v, &fs.ReviveNode, &fs.ReviveFrac) },
 			}); err != nil {
@@ -101,8 +91,8 @@ func Load(doc string) (*Plan, error) {
 	}
 
 	if hs, ok := d.Section("hints"); ok {
-		if err := loadHints(hs, p); err != nil {
-			return nil, err
+		if p.Hints, err = config.LoadHints(hs); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadPlan, err)
 		}
 	}
 
@@ -118,59 +108,9 @@ func Load(doc string) (*Plan, error) {
 	return p, nil
 }
 
-// loadHints parses the hints section with the same flat schema the
-// deployment config uses: a list item with a region field is a region
-// override of the named vector.
-func loadHints(hs *config.Sec, p *Plan) error {
-	for i, item := range hs.Items() {
-		h := core.VectorHint{PrefetchDepth: -1}
-		r := core.RegionHint{PrefetchDepth: -1}
-		hasRegion := false
-		err := fields(item, map[string]func(string) error{
-			"vector": func(v string) error { h.Vector = v; return nil },
-			"region": func(v string) error {
-				off, n, err := config.ParseElemRange(v)
-				r.Off, r.N = off, n
-				hasRegion = true
-				return err
-			},
-			"pattern": func(v string) error {
-				pc, err := core.ParsePatternClass(v)
-				h.Pattern, r.Pattern = pc, pc
-				return err
-			},
-			"prefetch_depth": func(v string) error {
-				d, err := config.ParseSizeValue(v)
-				if err != nil {
-					return err
-				}
-				if d < 0 {
-					return fmt.Errorf("negative prefetch depth %d", d)
-				}
-				h.PrefetchDepth, r.PrefetchDepth = d, d
-				return nil
-			},
-			"evict": func(v string) error {
-				ec, err := core.ParseEvictClass(v)
-				h.Evict, r.Evict = ec, ec
-				return err
-			},
-		})
-		if err != nil {
-			return fmt.Errorf("%w: hints[%d]: %w", ErrBadPlan, i, err)
-		}
-		if hasRegion {
-			h.PrefetchDepth = -1
-			h.Pattern, h.Evict = core.PatternDefault, core.EvictDefault
-			h.Regions = []core.RegionHint{r}
-		}
-		p.Hints = append(p.Hints, h)
-	}
-	return nil
-}
-
 // loadAsserts parses the assertion list; each item sets exactly one op
-// key (eq/min/max take a number, lt_cell/le_cell/eq_cell a cell ID).
+// key (eq/min/max take a number, lt_cell/le_cell/eq_cell a cell ID), and
+// lt_cell/le_cell may scale the comparison cell by a factor.
 func loadAsserts(as *config.Sec, p *Plan) error {
 	for i, item := range as.Items() {
 		a := Assert{}
@@ -181,21 +121,27 @@ func loadAsserts(as *config.Sec, p *Plan) error {
 				}
 				a.Op = op
 				if op == "eq" || op == "min" || op == "max" {
-					return parseFloatInto(v, &a.Value)
+					return config.Float(&a.Value)(v)
 				}
 				a.Other = v
 				return nil
 			}
 		}
-		err := fields(item, map[string]func(string) error{
-			"metric":  func(v string) error { a.Metric = v; return nil },
-			"cell":    func(v string) error { a.Cell = v; return nil },
+		err := item.Fields(map[string]func(string) error{
+			"metric":  config.String(&a.Metric),
+			"cell":    config.String(&a.Cell),
 			"eq":      setOp("eq"),
 			"min":     setOp("min"),
 			"max":     setOp("max"),
 			"lt_cell": setOp("lt_cell"),
 			"le_cell": setOp("le_cell"),
 			"eq_cell": setOp("eq_cell"),
+			"factor": func(v string) error {
+				if err := config.Float(&a.Factor)(v); err != nil || !(a.Factor > 0) {
+					return fmt.Errorf("bad factor %q (want a positive number)", v)
+				}
+				return nil
+			},
 		})
 		if err != nil {
 			return fmt.Errorf("%w: assert[%d]: %w", ErrBadAssert, i, err)
@@ -231,57 +177,5 @@ func parsePoint(v string, node *int, f *Frac) error {
 		return fmt.Errorf("bad fraction in %q", v)
 	}
 	*node, *f = n, Frac{Num: a, Den: b}
-	return nil
-}
-
-// fields applies every present key of a mapping, rejecting keys the
-// schema does not know.
-func fields(s *config.Sec, schema map[string]func(string) error) error {
-	for _, key := range s.Keys() {
-		f, ok := schema[key]
-		if !ok {
-			return fmt.Errorf("unknown key %q", key)
-		}
-		v, _ := s.Scalar(key)
-		if err := f(v); err != nil {
-			return fmt.Errorf("%s: %w", key, err)
-		}
-	}
-	return nil
-}
-
-func parseIntInto(v string, dst *int) error {
-	n, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil {
-		return err
-	}
-	*dst = n
-	return nil
-}
-
-func parseI64Into(v string, dst *int64) error {
-	n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-	if err != nil {
-		return err
-	}
-	*dst = n
-	return nil
-}
-
-func parseFloatInto(v string, dst *float64) error {
-	f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-	if err != nil {
-		return err
-	}
-	*dst = f
-	return nil
-}
-
-func sizeInto(v string, dst *int64) error {
-	n, err := config.ParseSizeValue(v)
-	if err != nil {
-		return err
-	}
-	*dst = n
 	return nil
 }

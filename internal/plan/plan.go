@@ -9,16 +9,22 @@
 //
 // Cells execute through the cell runners of internal/experiments, the
 // one package that builds clusters; the app table (exec.go) maps a
-// plan's app and a cell's axis values onto them. `mmbench -exp
-// failover|mttr|control|tenants|gray|disagg` are names for the checked-in
-// configs/plan-*.yaml.
+// plan's app and a cell's axis values onto them. Every study of the repo
+// is a checked-in configs/plan-*.yaml — the paper's Figs. 5-8 and the
+// design-choice ablations as much as the fault, control, tenant,
+// gray-failure and disaggregation studies — and `mmbench -exp <name>` is
+// a name for configs/plan-<name>.yaml.
 package plan
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 
+	"megammap/internal/config"
 	"megammap/internal/core"
 	"megammap/internal/experiments"
 	"megammap/internal/faults"
@@ -42,10 +48,15 @@ type Plan struct {
 	Name string
 	App  string // a key of the app table (exec.go)
 
-	Nodes        int
+	Nodes        int   // cluster size, unless the matrix sweeps a nodes axis
 	Procs        int   // ranks per node
-	BytesPerNode int64 // dataset bytes per node (kmeans, grayscott)
-	Vertices     int64 // graph size (bfs)
+	BytesPerNode int64 // dataset bytes per node
+	// RFBytesPerNode and GridBytesPerNode size Random Forest's dataset and
+	// Gray-Scott's grid where a plan runs the apps side by side at sizes
+	// of their own (fig5); unset, they run at BytesPerNode.
+	RFBytesPerNode   int64
+	GridBytesPerNode int64
+	Vertices         int64 // graph size (bfs)
 
 	Workload Workload
 	Axes     []Axis
@@ -66,8 +77,8 @@ type Workload struct {
 	K           int            // kmeans clusters
 	MaxIter     int            // kmeans iterations
 	CostPerDist vtime.Duration // kmeans per-distance compute (real scale)
-	Steps       int            // grayscott steps
-	Seed        int64          // bfs graph seed
+	Steps       int            // grayscott steps; serving horizon in virtual ms
+	Seed        int64          // bfs graph seed; traffic seed; rf bagging seed
 	Source      int64          // bfs root vertex
 }
 
@@ -120,13 +131,15 @@ func (fs *FaultSpec) build(clean *experiments.Report) *faults.Plan {
 // Assert is one telemetry assertion over the finished cell results.
 // Exactly one op is set: Eq/Min/Max compare the metric against a
 // constant; LtCell/LeCell/EqCell compare it against the same metric in
-// another cell.
+// another cell, which LtCell/LeCell may scale: cell <= Factor x other
+// ("within 1.5x of full DRAM"; 0.6667, "the other holds at least 1.5x").
 type Assert struct {
 	Metric string
 	Cell   string
 	Op     string // eq | min | max | lt_cell | le_cell | eq_cell
 	Value  float64
-	Other  string // comparison cell for the *_cell ops
+	Other  string  // comparison cell for the *_cell ops
+	Factor float64 // lt_cell | le_cell only; 0 = unscaled
 }
 
 // Cell is one point of the expanded matrix.
@@ -192,8 +205,11 @@ func (p *Plan) Cells() []Cell {
 	}
 }
 
-// axisValues constrains the enumerated axes ("" = free-form, validated
-// by the executor).
+// onOff is the value set of a mechanism toggle.
+var onOff = []string{"on", "off"}
+
+// axisValues constrains the enumerated axes; checkAxisValue parses the
+// numeric ones. An axis in neither (fault) is checked against the plan.
 var axisValues = map[string][]string{
 	"governor":   {"fixed", "adaptive"},
 	"scrub":      {"off", "fixed", "adaptive"},
@@ -202,6 +218,45 @@ var axisValues = map[string][]string{
 	"resilience": {"off", "on"},
 	"workload":   {"kmeans", "bfs"},
 	"topology":   {"local", "disagg"},
+	"app":        experiments.Apps,
+	"variant":    {"megammap", "baseline"},
+	"dmsh":       experiments.DMSHLabels,
+	// The ablation plans' mechanism toggles.
+	"prefetch":       onOff,
+	"worker_split":   onOff,
+	"partial_paging": onOff,
+	"replication":    onOff,
+	"sorted_bag":     onOff,
+}
+
+// checkAxisValue reports whether v is a value a numeric axis can take:
+// a node count, an even grid side, a fraction of full DRAM, a size.
+func checkAxisValue(axis, v string) bool {
+	switch axis {
+	case "nodes":
+		n, err := strconv.Atoi(v)
+		return err == nil && n >= 1
+	case "L":
+		n, err := strconv.Atoi(v)
+		return err == nil && n >= 8 && n%2 == 0
+	case "dram_frac":
+		f, err := strconv.ParseFloat(v, 64)
+		return err == nil && f > 0 && f <= 1
+	case "bound":
+		n, err := config.ParseSizeValue(v)
+		return err == nil && n >= 0
+	case "page_size":
+		n, err := config.ParseSizeValue(v)
+		return err == nil && n > 0
+	}
+	return true
+}
+
+// num is the cell's value on a numeric axis Validate has checked.
+func (c Cell) num(axis string) float64 {
+	v, _ := c.Get(axis)
+	f, _ := strconv.ParseFloat(v, 64)
+	return f
 }
 
 // Validate rejects plans that would run a degenerate or ambiguous
@@ -214,8 +269,9 @@ func (p *Plan) Validate() error {
 	if !ok {
 		return fmt.Errorf("%w %q (want one of %v)", ErrUnknownApp, p.App, sortedKeys(apps))
 	}
-	if p.Nodes < 1 || p.Procs < 1 {
-		return fmt.Errorf("%w: nodes and procs_per_node must be >= 1 (got %d, %d)", ErrBadPlan, p.Nodes, p.Procs)
+	_, sweepsNodes := p.axis("nodes")
+	if p.Procs < 1 || (!sweepsNodes && p.Nodes < 1) || (sweepsNodes && p.Nodes != 0) {
+		return fmt.Errorf("%w: procs_per_node must be >= 1, and nodes too unless the matrix sweeps it instead (got nodes %d, procs %d)", ErrBadPlan, p.Nodes, p.Procs)
 	}
 	if app.needsVertex && p.Vertices < 1 {
 		return fmt.Errorf("%w: %s needs vertices >= 1", ErrBadPlan, p.App)
@@ -229,6 +285,14 @@ func (p *Plan) Validate() error {
 	if len(p.Axes) == 0 {
 		return fmt.Errorf("%w: no matrix axes", ErrEmptyMatrix)
 	}
+	for _, need := range app.needs {
+		if _, ok := p.axis(need); !ok {
+			return fmt.Errorf("%w: app %s needs a %s axis", ErrBadPlan, p.App, need)
+		}
+	}
+	if app.oneAxis && len(p.Axes) != 1 {
+		return fmt.Errorf("%w: an %s plan sweeps exactly one axis (the mechanism under study), got %d", ErrBadPlan, p.App, len(p.Axes))
+	}
 	seen := map[string]bool{}
 	for _, a := range p.Axes {
 		if len(a.Values) == 0 {
@@ -238,22 +302,16 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("%w: duplicate axis %q", ErrBadPlan, a.Name)
 		}
 		seen[a.Name] = true
-		valid := false
-		for _, k := range app.axes {
-			valid = valid || k == a.Name
-		}
-		if !valid {
+		if !slices.Contains(app.axes, a.Name) {
 			return fmt.Errorf("%w %q for app %s (want one of %v)", ErrUnknownAxis, a.Name, p.App, app.axes)
 		}
-		if allowed, ok := axisValues[a.Name]; ok {
-			for _, v := range a.Values {
-				found := false
-				for _, av := range allowed {
-					found = found || av == v
-				}
-				if !found {
-					return fmt.Errorf("%w: axis %s value %q (want one of %v)", ErrBadPlan, a.Name, v, allowed)
-				}
+		allowed, enumerated := axisValues[a.Name]
+		for _, v := range a.Values {
+			if enumerated && !slices.Contains(allowed, v) {
+				return fmt.Errorf("%w: axis %s value %q (want one of %v)", ErrBadPlan, a.Name, v, allowed)
+			}
+			if !checkAxisValue(a.Name, v) {
+				return fmt.Errorf("%w: axis %s value %q is malformed or out of range", ErrBadPlan, a.Name, v)
 			}
 		}
 	}
@@ -276,17 +334,23 @@ func (p *Plan) Validate() error {
 	return p.validateAsserts()
 }
 
+// axis returns the values of the named matrix axis.
+func (p *Plan) axis(name string) ([]string, bool) {
+	for _, a := range p.Axes {
+		if a.Name == name {
+			return a.Values, true
+		}
+	}
+	return nil, false
+}
+
 // validateFaultAxis checks that every fault-axis value names a declared
 // spec.
 func (p *Plan) validateFaultAxis() error {
-	for _, a := range p.Axes {
-		if a.Name != "fault" {
-			continue
-		}
-		for _, v := range a.Values {
-			if _, ok := p.Faults[v]; !ok && v != "none" {
-				return fmt.Errorf("%w: %q", ErrUnknownFault, v)
-			}
+	vals, _ := p.axis("fault")
+	for _, v := range vals {
+		if _, ok := p.Faults[v]; !ok && v != "none" {
+			return fmt.Errorf("%w: %q", ErrUnknownFault, v)
 		}
 	}
 	return nil
@@ -352,6 +416,10 @@ func (p *Plan) validateAsserts() error {
 			}
 		default:
 			return fmt.Errorf("%w: assert[%d] op %q", ErrBadAssert, i, a.Op)
+		}
+		scales := a.Op == "lt_cell" || a.Op == "le_cell"
+		if a.Factor != 0 && !(scales && a.Factor > 0 && !math.IsInf(a.Factor, 1)) {
+			return fmt.Errorf("%w: assert[%d] factor %v (a positive number, on lt_cell or le_cell only)", ErrBadAssert, i, a.Factor)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -67,6 +68,35 @@ func TestCellsRowMajorExpansion(t *testing.T) {
 	}
 }
 
+// fig8Doc is a valid fig8 plan ending in an le_cell assertion, so a test
+// can append a factor line to it.
+const fig8Doc = `plan:
+  name: t
+  app: fig8
+  nodes: 2
+  procs_per_node: 2
+  bytes_per_node: 1MB
+matrix:
+  app: [kmeans]
+  dram_frac: [1, 0.5]
+assert:
+  - metric: runtime_s
+    cell: app=kmeans,dram_frac=0.5
+    le_cell: app=kmeans,dram_frac=1
+`
+
+func fig5Doc(nodesAxis string) string {
+	return "plan:\n  name: t\n  app: fig5\n  procs_per_node: 2\n  bytes_per_node: 1MB\nmatrix:\n  " + nodesAxis + "\n  app: [kmeans]\n"
+}
+
+func figLDoc(app, matrix string) string {
+	return "plan:\n  name: t\n  app: " + app + "\n  nodes: 2\n  procs_per_node: 2\nmatrix:\n  " + matrix + "\n"
+}
+
+func ablationDoc(matrix string) string {
+	return "plan:\n  name: t\n  app: ablation\n  nodes: 2\n  procs_per_node: 2\n  bytes_per_node: 1MB\nmatrix:\n  " + matrix + "\n"
+}
+
 // editPlan applies a textual mutation to the base document.
 func editPlan(old, new string) string { return strings.Replace(basePlanDoc, old, new, 1) }
 
@@ -99,6 +129,26 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"assert without op", basePlanDoc + "assert:\n  - metric: runtime_s\n    cell: fault=none\n", ErrBadAssert},
 		{"assert two ops", basePlanDoc + "assert:\n  - metric: runtime_s\n    cell: fault=none\n    min: 1\n    max: 2\n", ErrBadAssert},
 		{"unknown key", editPlan("app: kmeans", "app: kmeans\n  color: red"), ErrBadPlan},
+		{"factor zero", fig8Doc + "    factor: 0\n", ErrBadAssert},
+		{"factor negative", fig8Doc + "    factor: -1.5\n", ErrBadAssert},
+		{"factor NaN", fig8Doc + "    factor: NaN\n", ErrBadAssert},
+		{"factor on a constant op", strings.Replace(fig8Doc, "le_cell: app=kmeans,dram_frac=1", "max: 3", 1) + "    factor: 1.5\n", ErrBadAssert},
+		{"factor on eq_cell", strings.Replace(fig8Doc, "le_cell:", "eq_cell:", 1) + "    factor: 1.5\n", ErrBadAssert},
+		// The documents the cases below mutate are themselves valid.
+		{"fig8 plan, with a factor", fig8Doc + "    factor: 1.5\n", nil},
+		{"fig5 plan", fig5Doc("nodes: [1, 2]"), nil},
+		{"fig6 plan", figLDoc("fig6", "L: [32, 40]\n  variant: [megammap, baseline]"), nil},
+		{"fig7 plan", figLDoc("fig7", "L: [32]\n  dmsh: [48D-48H, 48D-48N]"), nil},
+		{"ablation plan", ablationDoc("page_size: [12KB, 48KB]"), nil},
+		{"zero on the nodes axis", fig5Doc("nodes: [1, 0]"), ErrBadPlan},
+		{"nodes stated twice", strings.Replace(fig5Doc("nodes: [1, 2]"), "app: fig5", "app: fig5\n  nodes: 2", 1), ErrBadPlan},
+		{"garbage dram_frac", strings.Replace(fig8Doc, "dram_frac: [1, 0.5]", "dram_frac: [1, half]", 1), ErrBadPlan},
+		{"dram_frac out of range", strings.Replace(fig8Doc, "dram_frac: [1, 0.5]", "dram_frac: [1.5, 1, 0.5]", 1), ErrBadPlan},
+		{"odd L", figLDoc("fig6", "L: [32, 41]"), ErrBadPlan},
+		{"unknown dmsh label", figLDoc("fig7", "L: [32]\n  dmsh: [48D-48H, 48D-48X]"), ErrBadPlan},
+		{"fig7 without its dmsh axis", figLDoc("fig7", "L: [32]"), ErrBadPlan},
+		{"zero page size", ablationDoc("page_size: [0KB]"), ErrBadPlan},
+		{"two ablation axes", ablationDoc("prefetch: [on, off]\n  worker_split: [on, off]"), ErrBadPlan},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -231,5 +281,44 @@ func TestCheckAsserts(t *testing.T) {
 	}
 	if len(ae.Failures) != 1 || !strings.Contains(ae.Failures[0], "lt") {
 		t.Fatalf("failures: %v", ae.Failures)
+	}
+
+	// factor scales the comparison cell: a=1 holds 3, a=2 holds 2.
+	for _, f := range []struct {
+		cell, op, other string
+		factor          float64
+		holds           bool
+	}{
+		{"a=1", "le_cell", "a=2", 1.5, true},     // 3 <= 1.5 x 2
+		{"a=1", "lt_cell", "a=2", 1.5, false},    // 3 <  1.5 x 2 does not
+		{"a=1", "le_cell", "a=2", 1.4, false},    // "within 1.4x" fails
+		{"a=2", "le_cell", "a=1", 0.6667, true},  // a factor below 1: a=1 holds at least 1.5x a=2
+		{"a=2", "le_cell", "a=1", 0.6, false},    // ...but not 1.67x
+		{"a=1", "le_cell", "a=2", 0.6667, false}, // and not the other way round
+	} {
+		p.Asserts = []Assert{{Metric: "x", Cell: f.cell, Op: f.op, Other: f.other, Factor: f.factor}}
+		err := p.CheckAsserts(r)
+		if (err == nil) != f.holds {
+			t.Errorf("%s %s %v x %s: holds = %v, want %v", f.cell, f.op, f.factor, f.other, err == nil, f.holds)
+		}
+		if want := fmt.Sprintf("%v x %s", f.factor, f.other); err != nil && !strings.Contains(err.Error(), want) {
+			t.Errorf("a failed scaled assertion must read %q: %v", want, err)
+		}
+	}
+	// The same through the loader: half DRAM within 1.5x of full.
+	fp, err := Load(fig8Doc + "    factor: 1.5\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := &Result{Plan: "t", Cells: []CellResult{
+		{Cell: "app=kmeans,dram_frac=1", Metrics: map[string]float64{"runtime_s": 2}},
+		{Cell: "app=kmeans,dram_frac=0.5", Metrics: map[string]float64{"runtime_s": 3}},
+	}}
+	if err := fp.CheckAsserts(fr); err != nil {
+		t.Errorf("3 within 1.5x of 2: %v", err)
+	}
+	fr.Cells[1].Metrics["runtime_s"] = 3.1
+	if err := fp.CheckAsserts(fr); err == nil {
+		t.Error("3.1 within 1.5x of 2 passed")
 	}
 }

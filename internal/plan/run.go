@@ -109,12 +109,16 @@ func (p *Plan) CheckAsserts(r *Result) error {
 				fails = append(fails, fmt.Sprintf("%s @ %s: comparison cell reports no such metric", a.Metric, a.Other))
 				continue
 			}
-			bad := (a.Op == "lt_cell" && !(got < other)) ||
-				(a.Op == "le_cell" && !(got <= other)) ||
+			scaled, by := other, ""
+			if a.Factor != 0 {
+				scaled, by = a.Factor*other, fmt.Sprintf("%v x ", a.Factor)
+			}
+			bad := (a.Op == "lt_cell" && !(got < scaled)) ||
+				(a.Op == "le_cell" && !(got <= scaled)) ||
 				(a.Op == "eq_cell" && got != other)
 			if bad {
-				fails = append(fails, fmt.Sprintf("%s: %s (%v) %s %s (%v) does not hold",
-					a.Metric, a.Cell, got, strings.TrimSuffix(a.Op, "_cell"), a.Other, other))
+				fails = append(fails, fmt.Sprintf("%s: %s (%v) %s %s%s (%v) does not hold",
+					a.Metric, a.Cell, got, strings.TrimSuffix(a.Op, "_cell"), by, a.Other, other))
 			}
 		}
 	}

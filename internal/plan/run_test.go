@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -129,21 +130,41 @@ func TestBFSHintsPlanShowsWin(t *testing.T) {
 // TestCheckedInPlansGateAgainstStoredBaselines is the golden-baseline
 // workflow over everything checked in: each configs/plan-*.yaml runs,
 // holds its own assertions, and still reproduces the baseline it names;
-// and results/plans/ holds no baseline that no plan names.
+// the paper-faithful configs/full/plan-*.yaml (minutes each: run by hand)
+// at least load; and results/plans/ holds no baseline that no plan
+// names. The plans are independent simulations, so they run as parallel
+// subtests.
 func TestCheckedInPlansGateAgainstStoredBaselines(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "configs", "plan-*.yaml"))
+	configs := filepath.Join("..", "..", "configs")
+	paths, err := filepath.Glob(filepath.Join(configs, "plan-*.yaml"))
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no checked-in plans found (%v)", err)
 	}
+	full, err := filepath.Glob(filepath.Join(configs, "full", "plan-*.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	named := map[string]bool{}
-	for _, path := range paths {
-		file := filepath.Base(path)
-		t.Run(strings.TrimSuffix(file, ".yaml"), func(t *testing.T) {
-			p := loadConfigPlan(t, file)
-			if p.Baseline == "" {
-				t.Fatal("plan names no baseline")
-			}
-			named[filepath.Base(p.Baseline)] = true
+	gated := map[string]*Plan{}
+	for _, path := range append(paths, full...) {
+		file, _ := filepath.Rel(configs, path)
+		p := loadConfigPlan(t, file)
+		if p.Baseline == "" {
+			t.Fatalf("%s names no baseline", file)
+		}
+		named[filepath.Base(p.Baseline)] = true
+		if filepath.Dir(file) == "." {
+			gated[strings.TrimSuffix(file, ".yaml")] = p
+		}
+	}
+	// Largest matrix first: the longest plan is most of the package's
+	// time, so it must not be the one left running after the others.
+	names := sortedKeys(gated)
+	sort.SliceStable(names, func(i, j int) bool { return len(gated[names[i]].Cells()) > len(gated[names[j]].Cells()) })
+	for _, name := range names {
+		p := gated[name]
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			r, err := p.Run() // fails on any declared assertion
 			if err != nil {
 				t.Fatal(err)
