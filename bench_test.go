@@ -19,6 +19,7 @@ func BenchmarkIndexingOverhead(b *testing.B) {
 	cfg := megammap.DefaultConfig()
 	cfg.DisablePrefetch = true
 	c := megammap.NewCluster(megammap.DefaultTestbed(1))
+	defer c.Close()
 	d := megammap.NewDSM(c, cfg)
 	var v *megammap.Vector[int64]
 	c.Engine.Spawn("setup", func(p *megammap.Proc) {

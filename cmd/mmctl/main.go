@@ -70,6 +70,7 @@ func printDeployment(d *megammap.Deployment) {
 
 func smoke(dep *megammap.Deployment) error {
 	c, d := dep.Build()
+	defer c.Close()
 	ranks := dep.Cluster.Nodes * 2
 	w := megammap.NewWorld(c, ranks)
 	const n = 1 << 15

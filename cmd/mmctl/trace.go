@@ -30,6 +30,7 @@ func trace(dep *megammap.Deployment, out string) error {
 	}
 	dep.Telemetry.Spans = true // the subcommand is pointless without spans
 	c, d := dep.Build()
+	defer c.Close()
 	tel := c.Telemetry()
 
 	// Generate the particle dataset on the PFS before measurement.

@@ -11,6 +11,7 @@ import (
 // bounded vector that spills to storage and persists at shutdown.
 func Example() {
 	c := megammap.NewCluster(megammap.DefaultTestbed(1))
+	defer c.Close()
 	d := megammap.NewDSM(c, megammap.DefaultConfig())
 	c.Engine.Spawn("app", func(p *megammap.Proc) {
 		cl := d.NewClient(p, 0)
@@ -52,6 +53,7 @@ func Example() {
 // prefetcher predict "random" access exactly (paper §III-A).
 func ExampleVector_RandTxBegin() {
 	c := megammap.NewCluster(megammap.DefaultTestbed(1))
+	defer c.Close()
 	d := megammap.NewDSM(c, megammap.DefaultConfig())
 	c.Engine.Spawn("app", func(p *megammap.Proc) {
 		cl := d.NewClient(p, 0)
@@ -85,6 +87,7 @@ func ExampleVector_RandTxBegin() {
 // Matrices are row-major views over shared vectors (paper §III-A).
 func ExampleOpenMatrix() {
 	c := megammap.NewCluster(megammap.DefaultTestbed(1))
+	defer c.Close()
 	d := megammap.NewDSM(c, megammap.DefaultConfig())
 	c.Engine.Spawn("app", func(p *megammap.Proc) {
 		cl := d.NewClient(p, 0)
@@ -117,6 +120,7 @@ func ExampleOpenMatrix() {
 // concurrently, then any rank scans the merged history.
 func ExampleOpenLog() {
 	c := megammap.NewCluster(megammap.DefaultTestbed(2))
+	defer c.Close()
 	d := megammap.NewDSM(c, megammap.DefaultConfig())
 	w := megammap.NewWorld(c, 4)
 	var total int64
@@ -163,6 +167,7 @@ runtime:
 		log.Fatal(err)
 	}
 	c, d := dep.Build()
+	defer c.Close()
 	fmt.Println("nodes:", len(c.Nodes))
 	fmt.Println("replicas:", dep.Runtime.Replicas)
 	c.Engine.Spawn("app", func(p *megammap.Proc) { _ = d.Shutdown(p) })

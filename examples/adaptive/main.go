@@ -37,6 +37,7 @@ func main() {
 	cfg.Control = megammap.DefaultControlConfig()
 
 	c := megammap.NewCluster(megammap.DefaultTestbed(2))
+	defer c.Close()
 	tel := c.InstallTelemetry(megammap.TelemetryOptions{Metrics: true})
 	plan, err := megammap.ParseFaultSpec(
 		fmt.Sprintf("seed=42;crash=1@%dms;revive=1@%dms",

@@ -22,6 +22,7 @@ const (
 
 func main() {
 	c := megammap.NewCluster(megammap.DefaultTestbed(nodes))
+	defer c.Close()
 	d := megammap.NewDSM(c, megammap.DefaultConfig())
 	w := megammap.NewWorld(c, ranks)
 
@@ -50,7 +51,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("checkpoint file = %d bytes on the PFS\n", c.PFSSize("/out/grid.bin"))
-	for tier, used := range d.Hermes().TierUsage() {
-		fmt.Printf("scache %-5s    = %d KiB\n", tier, used>>10)
+	usage := d.Hermes().TierUsage()           // as it stood at Shutdown, which released the tiers
+	for _, tier := range d.Hermes().Tiers() { // fastest first: map iteration would shuffle lines
+		fmt.Printf("scache %-5s    = %d KiB\n", tier, usage[tier]>>10)
 	}
 }

@@ -24,6 +24,7 @@ const (
 
 func main() {
 	c := megammap.NewCluster(megammap.DefaultTestbed(nodes))
+	defer c.Close()
 
 	// Produce the dataset (the Gadget-4 stand-in) on the PFS.
 	gen := datagen.New(datagen.DefaultSpec(points, k, 42))

@@ -26,6 +26,7 @@ const (
 
 func main() {
 	c := megammap.NewCluster(megammap.DefaultTestbed(nodes))
+	defer c.Close()
 	d := megammap.NewDSM(c, megammap.DefaultConfig())
 	w := megammap.NewWorld(c, ranks)
 

@@ -17,6 +17,7 @@ func main() {
 	spec.DRAMPer = 4 * megammap.MB                   // a deliberately small node
 	spec.Tiers[0].Profile.Capacity = 2 * megammap.MB // shrink the NVMe tier too
 	c := megammap.NewCluster(spec)
+	defer c.Close()
 
 	// Plain allocation of the 8 MB working set: the OOM killer's view.
 	if err := c.Nodes[0].Alloc(8 * megammap.MB); err != nil {

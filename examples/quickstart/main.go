@@ -14,6 +14,7 @@ import (
 func main() {
 	// A one-node testbed with the paper's (scaled) storage hierarchy.
 	c := megammap.NewCluster(megammap.DefaultTestbed(1))
+	defer c.Close()
 	d := megammap.NewDSM(c, megammap.DefaultConfig())
 
 	c.Engine.Spawn("app", func(p *megammap.Proc) {
@@ -51,8 +52,9 @@ func main() {
 		fmt.Printf("sync faults    = %d\n", faults)
 		fmt.Printf("async prefetch = %d\n", prefetches)
 		fmt.Printf("evictions      = %d\n", evictions)
-		for tier, used := range d.Hermes().TierUsage() {
-			if used > 0 {
+		usage := d.Hermes().TierUsage()
+		for _, tier := range d.Hermes().Tiers() { // fastest first: map iteration would shuffle lines
+			if used := usage[tier]; used > 0 {
 				fmt.Printf("scache %-5s   = %d KiB\n", tier, used>>10)
 			}
 		}

@@ -27,6 +27,7 @@ func replication() {
 	cfg := megammap.DefaultConfig()
 	cfg.Replicas = 1
 	c := megammap.NewCluster(megammap.DefaultTestbed(3))
+	defer c.Close()
 	d := megammap.NewDSM(c, cfg)
 	c.Engine.Spawn("app", func(p *megammap.Proc) {
 		cl := d.NewClient(p, 0)
@@ -70,6 +71,7 @@ func selfHealing() {
 	cfg.Replicas = 1
 	cfg.ChecksumPages = true
 	c := megammap.NewCluster(megammap.DefaultTestbed(2))
+	defer c.Close()
 	d := megammap.NewDSM(c, cfg)
 	c.Engine.Spawn("app", func(p *megammap.Proc) {
 		cl := d.NewClient(p, 0)
@@ -106,6 +108,7 @@ func corruption() {
 	cfg := megammap.DefaultConfig()
 	cfg.ChecksumPages = true
 	c := megammap.NewCluster(megammap.DefaultTestbed(1))
+	defer c.Close()
 	d := megammap.NewDSM(c, cfg)
 	c.Engine.Spawn("app", func(p *megammap.Proc) {
 		cl := d.NewClient(p, 0)
@@ -141,6 +144,7 @@ func revival() {
 	cfg := megammap.DefaultConfig()
 	cfg.Replicas = 1
 	c := megammap.NewCluster(megammap.DefaultTestbed(2))
+	defer c.Close()
 	plan, err := megammap.ParseFaultSpec("seed=42;crash=1@50ms;revive=1@100ms")
 	if err != nil {
 		log.Fatal(err)
@@ -213,6 +217,7 @@ func corruptFirstPage(c *megammap.Cluster, d *megammap.DSM, prefix string) {
 
 func accessControl() {
 	c := megammap.NewCluster(megammap.DefaultTestbed(1))
+	defer c.Close()
 	d := megammap.NewDSM(c, megammap.DefaultConfig())
 	c.Engine.Spawn("app", func(p *megammap.Proc) {
 		cl := d.NewClient(p, 0)

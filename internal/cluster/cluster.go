@@ -445,6 +445,16 @@ func New(spec Spec) *Cluster {
 	return c
 }
 
+// Close ends the cluster: every process still on its engine — the chaos
+// daemon, the telemetry sampler, a Monitor, whatever a deployment's
+// Shutdown did not end, ranks a failed run left blocked — is ended where
+// it is parked (vtime.Engine.Close), so nothing keeps the cluster's heap
+// reachable and no goroutine outlives it. Whoever built the cluster calls
+// it when done with it, on every path. Counters, device contents and the
+// telemetry plane stay readable; the engine runs nothing further. Closing
+// twice is a no-op.
+func (c *Cluster) Close() { c.Engine.Close() }
+
 // poolLink derives the effective pool-link profile: the fabric profile
 // with the topology's latency/bandwidth overrides applied.
 func poolLink(base simnet.LinkProfile, topo topology.Spec) simnet.LinkProfile {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestClientAccessors(t *testing.T) {
-	c, d := newTestDSM(2)
+	c, d := newTestDSM(t, 2)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 1)
 		if cl.DSM() != d {
@@ -27,7 +27,7 @@ func TestClientAccessors(t *testing.T) {
 }
 
 func TestVectorName(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, err := Open[int64](cl, "my-vector", Int64Codec{})
@@ -128,7 +128,7 @@ func TestCSVEscape(t *testing.T) {
 }
 
 func TestReplicasOfAndStats(t *testing.T) {
-	c, d := newTestDSM(2)
+	c, d := newTestDSM(t, 2)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, err := Open[int64](cl, "repl", Int64Codec{})

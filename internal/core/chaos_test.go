@@ -111,7 +111,7 @@ func runChaosKMeansSpec(t *testing.T, plan *faults.Plan, replicas, nodes, ranks 
 	if specMod != nil {
 		specMod(&spec)
 	}
-	c := cluster.New(spec)
+	c := core.NewTestCluster(t, spec)
 	const url = "pq:///data/points.parquet:pos"
 	g := datagen.New(datagen.DefaultSpec(4000, 4, 42))
 	c.Engine.Spawn("datagen", func(p *vtime.Proc) {
@@ -276,7 +276,7 @@ type kvRun struct {
 // storage to fail mid-run.
 func runChaosKV(t *testing.T, plan *faults.Plan, replicas int) kvRun {
 	t.Helper()
-	c := cluster.New(chaosSpec(2))
+	c := core.NewTestCluster(t, chaosSpec(2))
 	var inj *faults.Injector
 	if plan != nil {
 		inj = c.InstallFaults(*plan)

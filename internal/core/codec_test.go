@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"megammap/internal/cluster"
 	"megammap/internal/vtime"
 )
 
@@ -135,7 +134,7 @@ func mustRefuse[T any](t *testing.T, cl *Client, name string, codec Codec[T]) {
 }
 
 func TestFalseMemoryImageDeclarationPanicsAtOpen(t *testing.T) {
-	c := cluster.New(benchSpec())
+	c := newTestCluster(t, benchSpec())
 	d := New(c, benchConfig())
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
@@ -148,7 +147,7 @@ func TestFalseMemoryImageDeclarationPanicsAtOpen(t *testing.T) {
 // TestResidentElementAccessAllocatesNothing: Get, Set, GetRange, SetRange
 // and All over resident pages of a vector whose codec moves by copy.
 func TestResidentElementAccessAllocatesNothing(t *testing.T) {
-	c := cluster.New(benchSpec())
+	c := newTestCluster(t, benchSpec())
 	d := New(c, benchConfig())
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		v, err := Open[int64](d.NewClient(p, 0), "resident", Int64Codec{})

@@ -9,7 +9,6 @@ package core
 import (
 	"testing"
 
-	"megammap/internal/cluster"
 	"megammap/internal/control"
 	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
@@ -26,7 +25,7 @@ func controlBenchConfig() Config {
 // runs fn as the only application process.
 func controlWorld(tb testing.TB, traced bool, fn func(p *vtime.Proc, d *DSM)) {
 	tb.Helper()
-	c := cluster.New(benchSpec())
+	c := newTestCluster(tb, benchSpec())
 	if traced {
 		c.InstallTelemetry(telemetry.Options{Metrics: true, Spans: true})
 	}
@@ -119,7 +118,7 @@ func TestControlTickAllocFree(t *testing.T) {
 // all governors on, a bounded read-heavy run completes correctly, ticks
 // fire, and the knob state stays within its configured bounds.
 func TestControlActuation(t *testing.T) {
-	c := cluster.New(benchSpec())
+	c := newTestCluster(t, benchSpec())
 	cfg := controlBenchConfig()
 	cfg.DisablePrefetch = false
 	cfg.StagePeriod = 2 * vtime.Millisecond

@@ -15,6 +15,7 @@ import (
 	"megammap/internal/cluster"
 	"megammap/internal/core"
 	"megammap/internal/device"
+	"megammap/internal/leakcheck"
 	"megammap/internal/simnet"
 	"megammap/internal/vtime"
 )
@@ -64,7 +65,11 @@ func Codec[T any](t *testing.T, codec core.Codec[T]) {
 	const epp, pages = 8, 6
 	es := codec.Size()
 	n := int64(epp * pages)
-	c := cluster.New(cluster.Spec{
+	// The cluster is closed when the test ends and checked to be gone
+	// (the slack is the two files' worth of model and results t still holds).
+	var c *cluster.Cluster
+	leakcheck.AtCleanup(t, 1<<20, func() { c.Close(); c = nil })
+	c = cluster.New(cluster.Spec{
 		Nodes:    1,
 		CoresPer: 2,
 		DRAMPer:  16 * device.MB,

@@ -25,13 +25,17 @@ type DSM struct {
 	st  *stager.Stager
 
 	runtimes []*Runtime
-	vecs     map[string]*vecMeta
+	// procs are the processes this deployment spawned — workers, staging
+	// lanes, organizer, stager, governors, repair and scrub daemons — which
+	// Shutdown ends.
+	procs *vtime.Group
+	vecs  map[string]*vecMeta
 	// vecOrder caches vecNames' sorted key list between Open and Destroy
 	// (nil = stale); the stager, scrubber and shutdown walks ask for it
 	// every period.
 	vecOrder []string
 	vecByID  map[uint32]*vecMeta // interned vec -> meta (hedge CRC verify, organizer moves)
-	handles  []vectorHandle      // every open Vector, for invariant audits
+	handles  []vectorHandle      // every open Vector: invariant audits, release at Shutdown
 	barriers map[string]*barrierState
 	locks    map[string]*dsmLock
 	taskFree []*MemoryTask // recycled tasks; every fault/commit churns one
@@ -45,17 +49,20 @@ type DSM struct {
 	// hermes relay — is a getBuf buffer with exactly one owner at a time
 	// and one way back (putBuf, or recycleTask for a buffer left on a
 	// task). bufOut counts the buffers out of the pool; once every task
-	// drained it equals the pages resident in the pcaches, which the
-	// pool-balance test holds. bufPeak is its high-water mark, the pool's
-	// size bound (putBuf). Shutdown releases the pool.
+	// drained it equals the pages resident in the pcaches, so it is zero
+	// after Shutdown has released those, which the pool-balance test holds.
+	// bufPeak is its high-water mark, the pool's size bound (putBuf).
+	// Shutdown releases the pool.
 	bufFree [][]byte
 	bufOut  int64
 	bufPeak int64
 
-	// pendingMoves counts organizer relocations still queued or running;
-	// the organizer never plans from a state its own unfinished moves are
-	// about to change (replanning would duplicate the same moves every
-	// period and flood the chains).
+	// pendingMoves counts the relocations the organizer has ever planned.
+	// It was meant to count those still queued or running, so that the
+	// organizer never plans from a state its own unfinished moves are about
+	// to change, but nothing decrements it: after the first pass that plans
+	// a move, organizerLoop only decays scores (ROADMAP item 1(a), sized in
+	// EXPERIMENTS.md: the decrement alone is a regression).
 	pendingMoves int
 
 	// pendingReads coalesces collective faults: while a read of a page is
@@ -66,6 +73,9 @@ type DSM struct {
 	pendingReads map[pendingKey]*MemoryTask
 	stop         vtime.Event
 	shutdown     bool
+	// audit is what CheckInvariants found inside Shutdown, just before the
+	// state it audits was released.
+	audit []string
 	// stageWalk is held by a stager tick while it walks the dirty sets:
 	// submitting yields (a control round-trip to the page's owner), and
 	// Shutdown must not take its final walk past a page the tick has
@@ -177,6 +187,7 @@ func New(c *cluster.Cluster, cfg Config) *DSM {
 		barriers:     make(map[string]*barrierState),
 		locks:        make(map[string]*dsmLock),
 		pendingReads: make(map[pendingKey]*MemoryTask),
+		procs:        c.Engine.NewGroup(),
 	}
 	d.tel = c.Telemetry()
 	d.trc = d.tel.Tracer()
@@ -194,29 +205,29 @@ func New(c *cluster.Cluster, cfg Config) *DSM {
 	}
 	if cfg.Control.Enabled {
 		d.ctl = newController(d)
-		c.Engine.SpawnDaemon("mm-control", d.controlLoop)
+		d.procs.SpawnDaemon("mm-control", d.controlLoop)
 	}
 	if cfg.Health.Enabled {
 		d.hc = newHealthCtl(d)
-		c.Engine.SpawnDaemon("mm-health", d.healthLoop)
+		d.procs.SpawnDaemon("mm-health", d.healthLoop)
 	}
 	if cfg.Pool.Enabled && c.Pools() > 0 {
 		d.pc = newPoolCtl(d)
-		c.Engine.SpawnDaemon("mm-pool", d.poolLoop)
+		d.procs.SpawnDaemon("mm-pool", d.poolLoop)
 	}
 	if cfg.OrganizePeriod > 0 {
-		c.Engine.SpawnDaemon("mm-organizer", d.organizerLoop)
+		d.procs.SpawnDaemon("mm-organizer", d.organizerLoop)
 	}
 	if cfg.StagePeriod > 0 {
-		c.Engine.SpawnDaemon("mm-stager", d.stagerLoop)
+		d.procs.SpawnDaemon("mm-stager", d.stagerLoop)
 	}
 	// With the repair governor active the adaptive interval replaces
 	// RepairPeriod, which may then be 0 (unset).
 	if cfg.Replicas > 0 && (cfg.RepairPeriod > 0 || d.repairGoverned()) {
-		c.Engine.SpawnDaemon("mm-repair", d.repairLoop)
+		d.procs.SpawnDaemon("mm-repair", d.repairLoop)
 	}
 	if cfg.ChecksumPages && cfg.ScrubPeriod > 0 {
-		c.Engine.SpawnDaemon("mm-scrubber", d.scrubberLoop)
+		d.procs.SpawnDaemon("mm-scrubber", d.scrubberLoop)
 	}
 	return d
 }
@@ -798,8 +809,19 @@ func (d *DSM) pageDone(t *MemoryTask) {
 }
 
 // Shutdown drains all runtimes, persists every nonvolatile vector to its
-// backend, and stops background services. It must be called after all
-// application work (and client TxEnds) completed.
+// backend, ends the deployment's processes and releases the shared cache.
+// It must be called after all application work (and client TxEnds)
+// completed.
+//
+// Once the last dirty page is staged nothing in the tiers is owed to
+// anyone — a nonvolatile vector lives on through its backend — so what
+// only this deployment could read again goes: every blob hermes placed,
+// with its metadata, the pcache frames of the open handles, the pooled
+// page buffers and tasks. The teardown takes no virtual time and
+// dispatches nothing, and the engine stays usable (a later Run, another
+// DSM on the same cluster). What describes the run stays readable:
+// counters and statistics, and CheckInvariants, which reports the audit
+// taken here before the release.
 func (d *DSM) Shutdown(p *vtime.Proc) error {
 	if d.shutdown {
 		return nil
@@ -814,10 +836,16 @@ func (d *DSM) Shutdown(p *vtime.Proc) error {
 	var batch taskBatch
 	d.stageDirty(p, nil, &batch)
 	_, err := batch.wait(d, p)
-	d.bufFree = nil
 	for _, r := range d.runtimes {
 		r.close()
 	}
+	d.procs.End()
+	d.audit = d.checkInvariants()
+	for _, h := range d.handles {
+		h.release()
+	}
+	d.handles, d.bufFree, d.taskFree = nil, nil, nil
+	d.h.Release()
 	return err
 }
 

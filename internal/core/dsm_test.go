@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"megammap/internal/cluster"
 	"megammap/internal/device"
+	"megammap/internal/leakcheck"
 	"megammap/internal/simnet"
 	"megammap/internal/vtime"
 )
@@ -34,9 +37,30 @@ func testConfig() Config {
 	return cfg
 }
 
+// testSlack is the live heap a closed cluster may leave behind: what the
+// test itself still holds (results, the testing package's records), not
+// tiers, page frames or process stacks.
+const testSlack = 4 << 20
+
+// TestMain holds the package to closing every cluster it builds.
+func TestMain(m *testing.M) { leakcheck.Main(m, testSlack) }
+
+// newTestCluster builds a cluster that is closed when the test ends and
+// checked then to have left nothing behind (leakcheck): a daemon nobody
+// ends, or something Shutdown forgot to release, fails the test that
+// shows it.
+func newTestCluster(tb testing.TB, spec cluster.Spec) *cluster.Cluster {
+	tb.Helper()
+	var c *cluster.Cluster
+	leakcheck.AtCleanup(tb, testSlack, func() { c.Close(); c = nil })
+	c = cluster.New(spec)
+	return c
+}
+
 // newTestDSM builds a cluster+DSM pair.
-func newTestDSM(nodes int) (*cluster.Cluster, *DSM) {
-	c := cluster.New(testSpec(nodes))
+func newTestDSM(tb testing.TB, nodes int) (*cluster.Cluster, *DSM) {
+	tb.Helper()
+	c := newTestCluster(tb, testSpec(nodes))
 	return c, New(c, testConfig())
 }
 
@@ -67,7 +91,7 @@ func auditDSM(t *testing.T, d *DSM) {
 }
 
 func TestVolatileVectorRoundTrip(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, err := Open[int64](cl, "scratch", Int64Codec{})
@@ -92,7 +116,7 @@ func TestVolatileVectorRoundTrip(t *testing.T) {
 }
 
 func TestBoundedMemoryEvictsAndRereads(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, err := Open[int64](cl, "big", Int64Codec{})
@@ -131,7 +155,7 @@ func TestBoundedMemoryEvictsAndRereads(t *testing.T) {
 }
 
 func TestSpillCascadesDownTiers(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[byte](cl, "cascade", ByteCodec{})
@@ -154,7 +178,7 @@ func TestSpillCascadesDownTiers(t *testing.T) {
 }
 
 func TestNonvolatilePersistsOnShutdown(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	const url = "file:///data/out.bin"
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
@@ -194,9 +218,63 @@ func TestNonvolatilePersistsOnShutdown(t *testing.T) {
 	})
 }
 
+// TestSecondDSMOnAClusterStartsClean: Shutdown gives the cluster back as
+// it found it — every tier's stored bytes and blob count at their pre-DSM
+// values, the deployment's processes gone with the engine still good — so
+// a fresh DSM on it starts with empty tiers and a clean audit. (Before the
+// release the volatile vector's pages stayed on the devices, and the
+// second DSM's own audit reported each as an orphan.)
+func TestSecondDSMOnAClusterStartsClean(t *testing.T) {
+	c := newTestCluster(t, testSpec(1))
+	type usage struct {
+		used int64
+		keys int
+	}
+	tiers := func() map[string]usage {
+		out := map[string]usage{}
+		for name, dev := range c.Nodes[0].Devices {
+			out[name] = usage{dev.Used(), dev.Keys()}
+		}
+		return out
+	}
+	before, goroutines := tiers(), runtime.NumGoroutine()
+
+	d := New(c, testConfig())
+	const n = 100_000 // 800 KB: past the 512 KB dram tier, into nvme
+	var during map[string]usage
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		v, err := Open[int64](d.NewClient(p, 0), "scratch", Int64Codec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Resize(n)
+		v.SeqTxBegin(0, n, WriteOnly)
+		for i := int64(0); i < n; i++ {
+			v.Set(i, i)
+		}
+		v.TxEnd()
+		during = tiers()
+	})
+	if during["dram"].keys == 0 || during["nvme"].keys == 0 {
+		t.Fatalf("vacuous run: the vector's pages never reached dram and nvme (%v)", during)
+	}
+	if after := tiers(); !reflect.DeepEqual(after, before) {
+		t.Errorf("tiers after Shutdown = %v, want the pre-DSM %v", after, before)
+	}
+	if got := runtime.NumGoroutine(); got != goroutines {
+		t.Errorf("%d goroutines after Shutdown, %d before the DSM: Shutdown left processes of its own", got, goroutines)
+	}
+	if got := d.Hermes().TierUsage(); got["dram"] != during["dram"].used || got["nvme"] != during["nvme"].used {
+		t.Errorf("TierUsage after Shutdown = %v, want the usage at shutdown %v", got, during)
+	}
+
+	d2 := New(c, testConfig())
+	runDSM(t, c, d2, func(p *vtime.Proc) {}) // audits d2
+}
+
 func TestMultiRankPgasWriteThenGlobalRead(t *testing.T) {
 	const nodes, ranks = 2, 4
-	c, d := newTestDSM(nodes)
+	c, d := newTestDSM(t, nodes)
 	const n = 4096
 	for r := 0; r < ranks; r++ {
 		r := r
@@ -242,7 +320,7 @@ func TestMultiRankPgasWriteThenGlobalRead(t *testing.T) {
 }
 
 func TestPgasPartitioning(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[int64](cl, "parts", Int64Codec{})
@@ -270,7 +348,7 @@ func TestPgasPartitioning(t *testing.T) {
 
 func TestAppendGlobal(t *testing.T) {
 	const ranks = 3
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	for r := 0; r < ranks; r++ {
 		r := r
 		c.Engine.Spawn(fmt.Sprintf("rank%d", r), func(p *vtime.Proc) {
@@ -313,7 +391,7 @@ func TestAppendGlobal(t *testing.T) {
 
 func TestReadOnlyReplication(t *testing.T) {
 	const nodes = 2
-	c, d := newTestDSM(nodes)
+	c, d := newTestDSM(t, nodes)
 	for r := 0; r < nodes; r++ {
 		r := r
 		c.Engine.Spawn(fmt.Sprintf("rank%d", r), func(p *vtime.Proc) {
@@ -373,7 +451,7 @@ func TestReadOnlyReplication(t *testing.T) {
 
 func TestWriteInvalidatesReplicas(t *testing.T) {
 	const nodes = 2
-	c, d := newTestDSM(nodes)
+	c, d := newTestDSM(t, nodes)
 	for r := 0; r < nodes; r++ {
 		r := r
 		c.Engine.Spawn(fmt.Sprintf("rank%d", r), func(p *vtime.Proc) {
@@ -447,7 +525,7 @@ func TestPrefetchReducesSyncFaults(t *testing.T) {
 	faults := func(disable bool) int64 {
 		cfg := testConfig()
 		cfg.DisablePrefetch = disable
-		c := cluster.New(testSpec(1))
+		c := newTestCluster(t, testSpec(1))
 		d := New(c, cfg)
 		runDSM(t, c, d, func(p *vtime.Proc) {
 			cl := d.NewClient(p, 0)
@@ -480,7 +558,7 @@ func TestPrefetchReducesSyncFaults(t *testing.T) {
 }
 
 func TestDestroyRemovesPages(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[int64](cl, "temp", Int64Codec{})
@@ -507,7 +585,7 @@ func TestDestroyRemovesPages(t *testing.T) {
 }
 
 func TestResizeShrinkAndGrow(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[int64](cl, "rs", Int64Codec{})
@@ -531,7 +609,7 @@ func TestResizeShrinkAndGrow(t *testing.T) {
 }
 
 func TestDistributedLockMutualExclusion(t *testing.T) {
-	c, d := newTestDSM(2)
+	c, d := newTestDSM(t, 2)
 	counter := 0
 	done := 0
 	for r := 0; r < 4; r++ {
@@ -562,7 +640,7 @@ func TestDistributedLockMutualExclusion(t *testing.T) {
 }
 
 func TestBarrierReusable(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	var phase [3]int
 	for r := 0; r < 3; r++ {
 		r := r
@@ -594,7 +672,7 @@ func TestBarrierReusable(t *testing.T) {
 }
 
 func TestOpenValidation(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		if _, err := Open[int64](cl, "v", Int64Codec{}, WithPageSize(100)); err == nil {
@@ -615,7 +693,7 @@ func TestOpenValidation(t *testing.T) {
 func TestActiveStagingFlushesDuringCompute(t *testing.T) {
 	cfg := testConfig()
 	cfg.StagePeriod = 5 * vtime.Millisecond
-	c := cluster.New(testSpec(1))
+	c := newTestCluster(t, testSpec(1))
 	d := New(c, cfg)
 	var midrunSize int64
 	runDSM(t, c, d, func(p *vtime.Proc) {
@@ -638,7 +716,7 @@ func TestActiveStagingFlushesDuringCompute(t *testing.T) {
 }
 
 func TestTxMisuse(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	c.Engine.Spawn("app", func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[int64](cl, "x", Int64Codec{})
@@ -656,7 +734,7 @@ func TestTxMisuse(t *testing.T) {
 // array, so writes landing between Flush and the async commit's execution
 // clobbered the region list and the pre-Flush data was never committed.
 func TestFlushSnapshotIsolatedFromLaterWrites(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, err := Open[int64](cl, "flushsnap", Int64Codec{})

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"megammap/internal/cluster"
 	"megammap/internal/faults"
 	"megammap/internal/vtime"
 )
@@ -18,7 +17,7 @@ import (
 func TestReplicationSurvivesNodeFailure(t *testing.T) {
 	cfg := testConfig()
 	cfg.Replicas = 1
-	c := cluster.New(testSpec(3))
+	c := newTestCluster(t, testSpec(3))
 	d := New(c, cfg)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
@@ -52,7 +51,7 @@ func TestReplicationSurvivesNodeFailure(t *testing.T) {
 func TestReplicationKeepsBackupsCurrent(t *testing.T) {
 	cfg := testConfig()
 	cfg.Replicas = 1
-	c := cluster.New(testSpec(2))
+	c := newTestCluster(t, testSpec(2))
 	d := New(c, cfg)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
@@ -80,7 +79,7 @@ func TestReplicationKeepsBackupsCurrent(t *testing.T) {
 func TestNoReplicationLosesDataOnFailure(t *testing.T) {
 	// Without replication the paper's assumption holds: a node failure
 	// corrupts the DSM (reads return zero-filled pages or fail).
-	c, d := newTestDSM(2)
+	c, d := newTestDSM(t, 2)
 	var lost bool
 	c.Engine.Spawn("app", func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
@@ -118,7 +117,7 @@ func TestChecksumDetectsBitFlip(t *testing.T) {
 	// never silently return zeros.
 	cfg := testConfig()
 	cfg.ChecksumPages = true
-	c := cluster.New(testSpec(1))
+	c := newTestCluster(t, testSpec(1))
 	d := New(c, cfg)
 	c.Engine.Spawn("app", func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
@@ -163,7 +162,7 @@ func TestCorruptionRepairedFromReplica(t *testing.T) {
 	cfg := testConfig()
 	cfg.ChecksumPages = true
 	cfg.Replicas = 1
-	c := cluster.New(testSpec(2))
+	c := newTestCluster(t, testSpec(2))
 	d := New(c, cfg)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
@@ -203,7 +202,7 @@ func TestCorruptionRepairedFromBackend(t *testing.T) {
 	// clean: the repair re-stages the good image instead of failing.
 	cfg := testConfig()
 	cfg.ChecksumPages = true
-	c := cluster.New(testSpec(1))
+	c := newTestCluster(t, testSpec(1))
 	d := New(c, cfg)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
@@ -254,7 +253,7 @@ func TestScrubberRepairsCorruptionAtRest(t *testing.T) {
 	cfg.ChecksumPages = true
 	cfg.Replicas = 1
 	cfg.ScrubPeriod = vtime.Millisecond
-	c := cluster.New(testSpec(2))
+	c := newTestCluster(t, testSpec(2))
 	d := New(c, cfg)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
@@ -297,7 +296,7 @@ func TestScrubberRepairsCorruptionAtRest(t *testing.T) {
 func TestChecksumCleanRoundTrip(t *testing.T) {
 	cfg := testConfig()
 	cfg.ChecksumPages = true
-	c := cluster.New(testSpec(1))
+	c := newTestCluster(t, testSpec(1))
 	d := New(c, cfg)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
@@ -331,7 +330,7 @@ func TestChecksumCleanRoundTrip(t *testing.T) {
 }
 
 func TestAccessKeyProtectsVector(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		if _, err := Open[int64](cl, "classified", Int64Codec{}, WithAccessKey("s3cret")); err != nil {
@@ -359,7 +358,7 @@ func TestAccessKeyProtectsVector(t *testing.T) {
 func TestReplicationMultiRank(t *testing.T) {
 	cfg := testConfig()
 	cfg.Replicas = 1
-	c := cluster.New(testSpec(3))
+	c := newTestCluster(t, testSpec(3))
 	d := New(c, cfg)
 	const ranks, n = 3, 3072
 	for r := 0; r < ranks; r++ {
@@ -411,7 +410,7 @@ func TestCollectiveFaultCoalescing(t *testing.T) {
 	// Many ranks on one node collectively reading the same region should
 	// trigger one fetch per page per node, with the rest coalesced.
 	run := func(flags AccessFlags) (faults, coalesced int64) {
-		c, d := newTestDSM(2)
+		c, d := newTestDSM(t, 2)
 		const ranks, n = 8, 4096
 		for r := 0; r < ranks; r++ {
 			r := r
@@ -468,7 +467,7 @@ func TestCollectiveFaultCoalescing(t *testing.T) {
 func TestTaskTracing(t *testing.T) {
 	cfg := testConfig()
 	cfg.TraceTasks = true
-	c := cluster.New(testSpec(1))
+	c := newTestCluster(t, testSpec(1))
 	d := New(c, cfg)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
@@ -519,7 +518,7 @@ func TestTaskTracing(t *testing.T) {
 }
 
 func TestTracingOffByDefault(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[int64](cl, "untraced", Int64Codec{})

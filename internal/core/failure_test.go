@@ -16,7 +16,7 @@ import (
 func TestShutdownReportsStageOutFailure(t *testing.T) {
 	spec := testSpec(1)
 	spec.PFS = device.PFSProfile(4 << 10) // 4KB PFS: stage-out must fail
-	c := cluster.New(spec)
+	c := newTestCluster(t, spec)
 	cfg := testConfig()
 	cfg.StagePeriod = 0 // only the shutdown stage-out path
 	d := New(c, cfg)
@@ -57,7 +57,7 @@ func TestScacheExhaustionSurfacesOnVolatileCommit(t *testing.T) {
 		Link: simnet.RoCE40(),
 		PFS:  device.PFSProfile(device.GB),
 	}
-	c := cluster.New(spec)
+	c := newTestCluster(t, spec)
 	cfg := testConfig()
 	cfg.Tiers = []string{"dram"}
 	d := New(c, cfg)
@@ -84,7 +84,7 @@ func TestScacheExhaustionSurfacesOnVolatileCommit(t *testing.T) {
 	err := c.Engine.Run()
 	if err == nil {
 		// If the engine ran clean, reads must fail the checksum of truth:
-		c2 := cluster.New(spec)
+		c2 := newTestCluster(t, spec)
 		_ = c2
 		t.Log("engine completed; volatile overflow currently drops data at capacity — acceptable only if reads would error")
 	}
@@ -104,7 +104,7 @@ func TestNonvolatileServesFromBackendWhenScacheFull(t *testing.T) {
 		Link: simnet.RoCE40(),
 		PFS:  device.PFSProfile(device.GB),
 	}
-	c := cluster.New(spec)
+	c := newTestCluster(t, spec)
 	cfg := testConfig()
 	cfg.Tiers = []string{"dram"}
 	d := New(c, cfg)
@@ -137,7 +137,7 @@ func TestNonvolatileServesFromBackendWhenScacheFull(t *testing.T) {
 }
 
 func TestDestroyLeavesBackendIntact(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[int64](cl, "file:///keep/me.bin", Int64Codec{})
@@ -171,7 +171,7 @@ func TestDestroyLeavesBackendIntact(t *testing.T) {
 }
 
 func TestBoundsPanicOnOutOfRange(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	c.Engine.Spawn("app", func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[int64](cl, "oob", Int64Codec{})

@@ -10,7 +10,6 @@ package core_test
 import (
 	"testing"
 
-	"megammap/internal/cluster"
 	"megammap/internal/control"
 	"megammap/internal/core"
 	"megammap/internal/faults"
@@ -18,7 +17,7 @@ import (
 )
 
 func TestHealthQuarantineProbeReintegrateRoundTrip(t *testing.T) {
-	c := cluster.New(chaosSpec(3))
+	c := core.NewTestCluster(t, chaosSpec(3))
 	// Sticky 10x slowdown on node 1 from t=0: no ramp, no end time — only
 	// the mid-run Reconfigure below can make reintegration probes pass.
 	c.InstallFaults(faults.Plan{Seed: 3, Devices: []faults.DeviceFault{

@@ -50,7 +50,7 @@ func benchConfig() Config {
 // runBench drives fn as the only application process of a fresh DSM.
 func runBench(b *testing.B, fn func(p *vtime.Proc, d *DSM)) {
 	b.Helper()
-	c := cluster.New(benchSpec())
+	c := newTestCluster(b, benchSpec())
 	d := New(c, benchConfig())
 	c.Engine.Spawn("bench", func(p *vtime.Proc) {
 		fn(p, d)
@@ -65,7 +65,7 @@ func runBench(b *testing.B, fn func(p *vtime.Proc, d *DSM)) {
 // instrumented hot path.
 func runBenchTraced(b *testing.B, fn func(p *vtime.Proc, d *DSM)) {
 	b.Helper()
-	c := cluster.New(benchSpec())
+	c := newTestCluster(b, benchSpec())
 	c.InstallTelemetry(telemetry.Options{Metrics: true, Spans: true})
 	d := New(c, benchConfig())
 	c.Engine.Spawn("bench", func(p *vtime.Proc) {

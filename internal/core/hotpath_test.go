@@ -25,7 +25,7 @@ type evictionRunStats struct {
 // 2-page pcache, forcing an eviction decision on nearly every access.
 func runBoundedWorkload(t *testing.T) evictionRunStats {
 	t.Helper()
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	var out evictionRunStats
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
@@ -82,7 +82,7 @@ func TestEvictionDeterministic(t *testing.T) {
 // checks the interner hands back the same handle, that the recycled
 // name starts empty, and that an unrelated vector is untouched.
 func TestInternStableAcrossReopen(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v1, err := Open[int64](cl, "recycled", Int64Codec{})

@@ -1,22 +1,21 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // vectorHandle is the type-erased view of an open Vector[T] that the DSM
 // keeps for post-run audits; Open registers every vector here.
 type vectorHandle interface {
 	Name() string
 	dirtyResident() int
+	release()
 }
 
-// CheckInvariants audits the DSM's steady-state invariants. It is meant to
-// run after Shutdown, when no tasks are in flight: every violation of the
-// consistency contract is returned as a human-readable string (empty slice
-// means the state is clean). It inspects metadata only — no virtual time is
-// charged, so tests can call it outside the simulation.
+// CheckInvariants audits the DSM's steady-state invariants, which hold
+// when no tasks are in flight: every violation of the consistency contract
+// is returned as a human-readable string (empty slice means the state is
+// clean). It inspects metadata only — no virtual time is charged, so tests
+// can call it outside the simulation. After Shutdown, which releases the
+// state the audit reads, it returns the audit Shutdown took just before.
 //
 // Checked invariants:
 //   - no pcache page of any opened vector still carries dirty ranges
@@ -26,18 +25,20 @@ type vectorHandle interface {
 //     exactly one primary placement, indices mirror metadata, and replica
 //     counts match what SetReplicas promised (hermes.CheckIntegrity).
 func (d *DSM) CheckInvariants() []string {
+	if d.shutdown {
+		return d.audit
+	}
+	return d.checkInvariants()
+}
+
+func (d *DSM) checkInvariants() []string {
 	var out []string
 	for _, h := range d.handles {
 		if n := h.dirtyResident(); n > 0 {
 			out = append(out, fmt.Sprintf("vector %s: %d pcache page(s) still dirty after shutdown", h.Name(), n))
 		}
 	}
-	names := make([]string, 0, len(d.vecs))
-	for name := range d.vecs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range d.vecNames() {
 		m := d.vecs[name]
 		if len(m.staging) > 0 {
 			out = append(out, fmt.Sprintf("vector %s: %d page(s) marked staging after shutdown", name, len(m.staging)))

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"megammap/internal/cluster"
 	"megammap/internal/vtime"
 )
 
@@ -17,7 +16,7 @@ func TestModelRandomOpsMatchSlice(t *testing.T) {
 	for _, bound := range []int64{0, 4 << 10, 16 << 10} {
 		bound := bound
 		t.Run(fmt.Sprintf("bound=%d", bound), func(t *testing.T) {
-			c, d := newTestDSM(1)
+			c, d := newTestDSM(t, 1)
 			runDSM(t, c, d, func(p *vtime.Proc) {
 				cl := d.NewClient(p, 0)
 				v, err := Open[int64](cl, "model", Int64Codec{})
@@ -99,7 +98,7 @@ func TestModelRandomOpsMatchSlice(t *testing.T) {
 // ranks against a shared model: disjoint writes, barrier, global reads.
 func TestModelMultiRankPhases(t *testing.T) {
 	const nodes, ranks, n = 2, 4, 4096
-	c, d := newTestDSM(nodes)
+	c, d := newTestDSM(t, nodes)
 	model := make([]int64, n)
 	for round := 0; round < 3; round++ {
 		for i := range model {
@@ -157,7 +156,7 @@ func TestModelMultiRankPhases(t *testing.T) {
 // TestCloseReleasesResidency verifies Close commits dirty pages, frees
 // DRAM accounting, and the vector refaults correctly afterwards.
 func TestCloseReleasesResidency(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[int64](cl, "closeme", Int64Codec{})
@@ -185,7 +184,7 @@ func TestCloseReleasesResidency(t *testing.T) {
 // TestVolatileBlobTrimming verifies that sparse writes to volatile pages
 // store trimmed blobs (capacity saving) that read back zero-padded.
 func TestVolatileBlobTrimming(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[int64](cl, "sparse", Int64Codec{})
@@ -215,7 +214,7 @@ func TestVolatileBlobTrimming(t *testing.T) {
 // page-sized read (high-latency group) for the same page must apply in
 // submission order.
 func TestChainOrdersCommitsAcrossGroups(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[int64](cl, "race", Int64Codec{})
@@ -238,7 +237,7 @@ func TestChainOrdersCommitsAcrossGroups(t *testing.T) {
 // TestFaultsByVecDiagnostic checks the per-vector fault counters used by
 // the evaluation tooling.
 func TestFaultsByVecDiagnostic(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[int64](cl, "diag", Int64Codec{})
@@ -265,7 +264,7 @@ func TestFaultsByVecDiagnostic(t *testing.T) {
 // TestAllIterator verifies the range-over-func iterator sees the same
 // elements as Get, honors early termination, and handles empty ranges.
 func TestAllIterator(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[int64](cl, "iter", Int64Codec{})
@@ -323,7 +322,7 @@ func TestOrganizerNeverRacesCommits(t *testing.T) {
 	cfg := testConfig()
 	cfg.OrganizePeriod = vtime.Millisecond // aggressive reorganization
 	cfg.OrganizeBudget = 1 << 20
-	c := cluster.New(testSpec(2))
+	c := newTestCluster(t, testSpec(2))
 	d := New(c, cfg)
 	const ranks, n, rounds = 4, 1024, 30
 	for r := 0; r < ranks; r++ {

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"megammap/internal/cluster"
 	"megammap/internal/hermes"
 	"megammap/internal/vtime"
 )
@@ -90,7 +89,7 @@ func TestPageChainRunsInSubmissionOrder(t *testing.T) {
 	cfg.TraceTasks = true
 	cfg.OrganizePeriod = 0        // the only move is the test's
 	cfg.LowLatThreshold = 1 << 10 // region writes go low, page reads, whole writes and moves high
-	c := cluster.New(testSpec(3))
+	c := newTestCluster(t, testSpec(3))
 	d := New(c, cfg)
 	const pg = 2
 	runDSM(t, c, d, func(p *vtime.Proc) {
@@ -165,7 +164,7 @@ func TestPageChainRunsInSubmissionOrder(t *testing.T) {
 // table that grows by copying, so a busy slot with a task queued must come
 // through the growth a task for a far page causes.
 func TestPageChainSlotSurvivesTableGrowth(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		v := chainVector(t, d.NewClient(p, 0), "grown", 2)
 		m := v.m
@@ -204,7 +203,7 @@ func TestPageChainSlotSurvivesTableGrowth(t *testing.T) {
 func TestPageChainsGoWithTheirVector(t *testing.T) {
 	cfg := testConfig()
 	cfg.OrganizePeriod = 0
-	c := cluster.New(testSpec(2))
+	c := newTestCluster(t, testSpec(2))
 	d := New(c, cfg)
 	const pg = 6
 	runDSM(t, c, d, func(p *vtime.Proc) {
@@ -275,7 +274,7 @@ func TestPageChainsGoWithTheirVector(t *testing.T) {
 func TestOrganizerMovesBlobOfNoVectorUnchained(t *testing.T) {
 	cfg := testConfig()
 	cfg.OrganizePeriod = vtime.Millisecond
-	c := cluster.New(testSpec(2))
+	c := newTestCluster(t, testSpec(2))
 	d := New(c, cfg)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		h := d.Hermes()
@@ -303,7 +302,7 @@ func TestOrganizerMovesBlobOfNoVectorUnchained(t *testing.T) {
 // pools are warm. (A queue that is a slice popped with [1:] and dropped on
 // release allocates a backing array per episode.)
 func TestContendedPageChainAllocatesNothing(t *testing.T) {
-	c := cluster.New(benchSpec())
+	c := newTestCluster(t, benchSpec())
 	d := New(c, benchConfig())
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
@@ -341,7 +340,7 @@ func TestContendedPageChainAllocatesNothing(t *testing.T) {
 // ascending keys of the maps they replaced: the pcache's own page map, and
 // a fill map the test keeps by the old rules.
 func TestPageListingsMatchReferenceMap(t *testing.T) {
-	c, d := txCycleDSM()
+	c, d := txCycleDSM(t)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		const pages = 24
 		v := chainVector(t, d.NewClient(p, 0), "listed", pages)

@@ -40,7 +40,7 @@ const runtimeQueueDepth = 1 << 16
 func newRuntime(d *DSM, node *cluster.Node) *Runtime {
 	r := &Runtime{d: d, node: node}
 	spawn := func(q *vtime.Chan[*MemoryTask], name string) {
-		d.c.Engine.SpawnDaemon(name, func(p *vtime.Proc) { r.worker(p, q) })
+		d.procs.SpawnDaemon(name, func(p *vtime.Proc) { r.worker(p, q) })
 	}
 	nLow, nHigh := d.cfg.WorkersLowLat, d.cfg.WorkersHighLat
 	if d.cfg.DisableWorkerSplit {
@@ -110,7 +110,7 @@ func (r *Runtime) stageLanes() *vtime.Chan[*MemoryTask] {
 	if r.stageQ == nil {
 		r.stageQ = vtime.NewChan[*MemoryTask](runtimeQueueDepth)
 		for i := 0; i < r.d.c.Spec.PFSFanout; i++ {
-			r.d.c.Engine.SpawnDaemon(workerName(r.node.ID, "stage", i), func(p *vtime.Proc) { r.worker(p, r.stageQ) })
+			r.d.procs.SpawnDaemon(workerName(r.node.ID, "stage", i), func(p *vtime.Proc) { r.worker(p, r.stageQ) })
 		}
 	}
 	return r.stageQ
@@ -119,7 +119,8 @@ func (r *Runtime) stageLanes() *vtime.Chan[*MemoryTask] {
 // drain blocks until every submitted task completed.
 func (r *Runtime) drain(p *vtime.Proc) { r.inWork.Wait(p) }
 
-// close shuts the worker queues; workers exit after draining them.
+// close shuts the worker queues, so that a task submitted after Shutdown
+// fails loudly; Shutdown then ends the workers where they wait.
 func (r *Runtime) close() {
 	if r.closed {
 		return

@@ -22,12 +22,12 @@ const slowPFSWrite = 100 * vtime.Millisecond
 
 // lanesDSM builds a testbed whose PFS takes pfsLatency per access (0 keeps
 // the profile's) and whose stager ticks every period (0 = never).
-func lanesDSM(nodes int, pfsLatency, period vtime.Duration) (*cluster.Cluster, *DSM) {
+func lanesDSM(tb testing.TB, nodes int, pfsLatency, period vtime.Duration) (*cluster.Cluster, *DSM) {
 	spec := testSpec(nodes)
 	if pfsLatency > 0 {
 		spec.PFS.Latency = pfsLatency
 	}
-	c := cluster.New(spec)
+	c := newTestCluster(tb, spec)
 	cfg := testConfig()
 	cfg.StagePeriod = period
 	return c, New(c, cfg)
@@ -74,7 +74,7 @@ func pfsInt64s(t *testing.T, c *cluster.Cluster, path string) []int64 {
 // On the shared workers both sat behind the backend writes.
 func TestStageOutsBlockNeitherFaultsNorCommits(t *testing.T) {
 	const pages, epp = 64, 512 // 4 KB pages of int64
-	c, d := lanesDSM(1, slowPFSWrite, vtime.Millisecond)
+	c, d := lanesDSM(t, 1, slowPFSWrite, vtime.Millisecond)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		bystander := openInt64(t, cl, "lanes/bystander", 4*epp)
@@ -126,7 +126,7 @@ func TestStageOutsBlockNeitherFaultsNorCommits(t *testing.T) {
 // page is dirty again afterwards, and the last commit is what persists.
 func TestCommitBehindStageOutKeepsPageDirty(t *testing.T) {
 	const epp = 512
-	c, d := lanesDSM(1, slowPFSWrite, vtime.Millisecond)
+	c, d := lanesDSM(t, 1, slowPFSWrite, vtime.Millisecond)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v := openInt64(t, cl, "file:///lanes/chain.bin", epp)
@@ -162,7 +162,7 @@ func TestCommitBehindStageOutKeepsPageDirty(t *testing.T) {
 // PFS has servers.
 func TestLanesExistOnlyWhereSomethingStagesOut(t *testing.T) {
 	const epp = 512
-	c, d := lanesDSM(2, 0, vtime.Millisecond)
+	c, d := lanesDSM(t, 2, 0, vtime.Millisecond)
 	// A backed object to read, written by a previous life.
 	c.Engine.Spawn("seed", func(p *vtime.Proc) {
 		if err := c.PFSWrite(p, 0, "/lanes/in.bin", 0, make([]byte, 4*epp*8)); err != nil {
@@ -214,7 +214,7 @@ func stagedRun(t *testing.T) string {
 	t.Helper()
 	const nodes, ranks, steps, epp = 2, 4, 3, 512
 	const n = ranks * 8 * epp
-	c, d := lanesDSM(nodes, 0, vtime.Millisecond)
+	c, d := lanesDSM(t, nodes, 0, vtime.Millisecond)
 	var done vtime.WaitGroup
 	done.Add(ranks)
 	for r := 0; r < ranks; r++ {
@@ -289,7 +289,7 @@ func stageTickSetup(tb testing.TB, p *vtime.Proc, d *DSM, pages int64) (scratch 
 // TestStagerTickAllocatesNothing: a steady-state tick — a large dirty set,
 // every page of it already in flight — costs no allocation.
 func TestStagerTickAllocatesNothing(t *testing.T) {
-	c, d := lanesDSM(1, slowPFSWrite, 0)
+	c, d := lanesDSM(t, 1, slowPFSWrite, 0)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		scratch := stageTickSetup(t, p, d, 64)
 		if got := testing.AllocsPerRun(100, func() { scratch = d.stageDirty(p, scratch, nil) }); got != 0 {
@@ -300,7 +300,7 @@ func TestStagerTickAllocatesNothing(t *testing.T) {
 
 // BenchmarkStagerTickPath is the host cost of one such tick.
 func BenchmarkStagerTickPath(b *testing.B) {
-	c, d := lanesDSM(1, slowPFSWrite, 0)
+	c, d := lanesDSM(b, 1, slowPFSWrite, 0)
 	c.Engine.Spawn("bench", func(p *vtime.Proc) {
 		scratch := stageTickSetup(b, p, d, 512)
 		b.ReportAllocs()
@@ -322,7 +322,7 @@ func BenchmarkStagerTickPath(b *testing.B) {
 // the lanes: dirty it, commit, tick, and wait for the stage-out.
 func BenchmarkStageOutPath(b *testing.B) {
 	const pages, epp = 16, 512
-	c, d := lanesDSM(1, 0, 0)
+	c, d := lanesDSM(b, 1, 0, 0)
 	c.Engine.Spawn("bench", func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v := openInt64(b, cl, "file:///lanes/bench.bin", pages*epp)

@@ -11,7 +11,6 @@ import (
 
 	"megammap/internal/apps/kmeans"
 	"megammap/internal/blob"
-	"megammap/internal/cluster"
 	"megammap/internal/core"
 	"megammap/internal/datagen"
 	"megammap/internal/faults"
@@ -25,7 +24,7 @@ import (
 // installed before the fault plan and the DSM.
 func runTracedKMeans(t *testing.T, plan *faults.Plan) (*telemetry.Telemetry, *core.DSM, chaosRun) {
 	t.Helper()
-	c := cluster.New(chaosSpec(2))
+	c := core.NewTestCluster(t, chaosSpec(2))
 	tel := c.InstallTelemetry(telemetry.Options{
 		Metrics:      true,
 		Spans:        true,

@@ -18,8 +18,8 @@ import (
 
 // txCycleDSM is benchSpec's quiet one-node testbed with the prefetcher on,
 // so the cycle includes runPrefetcher's page lists and score tasks.
-func txCycleDSM() (*cluster.Cluster, *DSM) {
-	c := cluster.New(benchSpec())
+func txCycleDSM(tb testing.TB) (*cluster.Cluster, *DSM) {
+	c := newTestCluster(tb, benchSpec())
 	cfg := benchConfig()
 	cfg.DisablePrefetch = false
 	return c, New(c, cfg)
@@ -47,7 +47,7 @@ func txCycleVector(t testing.TB, cl *Client, name string) *Vector[int64] {
 // allocations for each built-in pattern, and for a custom Tx run through
 // the interface.
 func TestTxCycleAllocatesNothing(t *testing.T) {
-	c, d := txCycleDSM()
+	c, d := txCycleDSM(t)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v := txCycleVector(t, cl, "cycle")
@@ -117,7 +117,7 @@ func TestTxCycleAllocatesNothing(t *testing.T) {
 // they would stay resident, stay dirty, or read back stale.
 func TestSharedPageScratchLosesNoPage(t *testing.T) {
 	const ranks, pages = 2, 12
-	c, d := newTestDSM(ranks)
+	c, d := newTestDSM(t, ranks)
 	var done vtime.WaitGroup
 	done.Add(ranks)
 	for r := 0; r < ranks; r++ {
@@ -210,7 +210,7 @@ func TestSharedPageScratchLosesNoPage(t *testing.T) {
 // BenchmarkTxCyclePath is TestTxCycleAllocatesNothing's sequential cycle
 // as a benchmark: one transaction over resident pages per op.
 func BenchmarkTxCyclePath(b *testing.B) {
-	c, d := txCycleDSM()
+	c, d := txCycleDSM(b)
 	c.Engine.Spawn("bench", func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v := txCycleVector(b, cl, "bench/txcycle")
@@ -246,7 +246,7 @@ func BenchmarkTxCyclePath(b *testing.B) {
 // rebuilt only after a vector is created or destroyed; a walker holding the
 // old list keeps a valid snapshot.
 func TestVecNamesFollowsOpenAndDestroy(t *testing.T) {
-	c, d := newTestDSM(1)
+	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		open := func(name string) *Vector[int64] {

@@ -212,6 +212,19 @@ func (v *Vector[T]) dirtyResident() int {
 	return n
 }
 
+// release drops the handle's page frames, and the scratch that points at
+// them or is a page's size, at Shutdown, whoever still holds the handle.
+// The frames' buffers leave the pool's books with them (every task has
+// drained: what is still out afterwards leaked); the DRAM accounting stays
+// as the run left it.
+func (v *Vector[T]) release() {
+	v.c.d.bufOut -= int64(len(v.pc.pages))
+	clear(v.pc.pages)
+	v.pc.heap, v.pc.free = nil, nil
+	v.setLast(nil)
+	v.cpScratch, v.allBuf = nil, nil
+}
+
 // Name returns the vector's shared name.
 func (v *Vector[T]) Name() string { return v.m.name }
 

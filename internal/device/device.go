@@ -536,6 +536,16 @@ func (d *Device) Purge() {
 	clear(d.blobs)
 }
 
+// Drop removes one blob without charging virtual time; dropping an absent
+// blob is a no-op. It is how a store that is shutting down gives back the
+// space of what only it could read again.
+func (d *Device) Drop(key blob.ID) {
+	if b, ok := d.blobs[key]; ok {
+		d.note(-int64(len(b)))
+		delete(d.blobs, key)
+	}
+}
+
 // CorruptBit flips one bit of a stored blob in place, without charging
 // virtual time. It exists to inject the silent hardware corruption the
 // MegaMmap checksum extension detects (paper §V "Memory Corruption").
@@ -568,6 +578,14 @@ func (d *Device) List() []blob.ID {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 	return keys
+}
+
+// Each calls fn with every stored blob ID, in no particular order and
+// without List's copy and sort: for a caller that orders what it keeps.
+func (d *Device) Each(fn func(blob.ID)) {
+	for k := range d.blobs {
+		fn(k)
+	}
 }
 
 // Cost returns the USD cost of the device's full capacity at its $/GB.

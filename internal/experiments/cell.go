@@ -103,9 +103,9 @@ type batchCell struct {
 	body func(r *mpi.Rank, d *core.DSM) (any, error)
 }
 
-// batchRun is a finished batch cell: the cluster and the shut-down DSM
-// to read counters from, rank 0's answer, and the report opened over the
-// measured phase for the runner to fill in.
+// batchRun is a finished batch cell: the closed cluster and the shut-down
+// DSM to read counters from, rank 0's answer, and the report opened over
+// the measured phase for the runner to fill in.
 type batchRun struct {
 	c      *cluster.Cluster
 	d      *core.DSM
@@ -115,6 +115,7 @@ type batchRun struct {
 
 func (b batchCell) run() (batchRun, error) {
 	c := newCluster(b.spec)
+	defer c.Close() // on every path: an OOM-killed or deadlocked run leaves ranks parked
 	if b.metrics {
 		withMetrics(c)
 	}

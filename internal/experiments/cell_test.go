@@ -7,9 +7,18 @@ import (
 
 	"megammap/internal/core"
 	"megammap/internal/device"
+	"megammap/internal/leakcheck"
 	"megammap/internal/mpi"
 	"megammap/internal/stager"
 )
+
+// TestMain holds the cell skeletons to closing every cluster they build,
+// on every path the package's tests take through them — finished cells,
+// the failed shutdown and the OOM-killed baseline below, the chaos cells:
+// once the last test has returned no process is left and the live heap is
+// within 8 MB (reports and telemetry exports the tests kept) of where the
+// package started.
+func TestMain(m *testing.M) { leakcheck.Main(m, 8<<20) }
 
 // TestFailedShutdownFailsTheCell: a final stage-out that cannot be
 // written (64KB of a file-backed vector into a 4KB PFS) makes

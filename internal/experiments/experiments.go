@@ -100,7 +100,8 @@ func DrainTelemetry() []*telemetry.Telemetry {
 }
 
 // newCluster is the one cluster constructor of the cell runners:
-// cluster.New plus the optional telemetry plane.
+// cluster.New plus the optional telemetry plane. Whoever calls it defers
+// the cluster's Close.
 func newCluster(spec cluster.Spec) *cluster.Cluster {
 	c := cluster.New(spec)
 	if telemetryOpts != nil {

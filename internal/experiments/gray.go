@@ -79,6 +79,7 @@ func RunGrayCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int64,
 	}
 	// The hedge/quarantine counters live in the metrics registry.
 	c := newCluster(testbedSpec(nodes, poolBytes))
+	defer c.Close()
 	withMetrics(c)
 	ccfg := tieredConfig()
 	ccfg.DefaultPageSize = grayPageSize

@@ -60,6 +60,7 @@ func scaleRun(prof Profile, t *stats.Table, nodes int) error {
 	runtime.ReadMemStats(&m0)
 
 	c := newCluster(scaleSpec(nodes))
+	defer c.Close()
 	h := hermes.New(c, []string{"nvme", "ssd"})
 	h.SetReplicas(1)
 

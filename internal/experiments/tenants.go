@@ -62,6 +62,7 @@ func RunTenantsCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int
 	// A deliberately small DRAM scache tier: placement bias decides whose
 	// pages live there and whose spill to NVMe.
 	c := newCluster(testbedSpec(nodes, poolBytes))
+	defer c.Close()
 	ccfg := tieredConfig()
 	ccfg.DefaultPageSize = tenantPageSize
 	ccfg.Replicas = 1 // survive the chaos tests' node crashes

@@ -18,6 +18,7 @@ package hermes
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -176,6 +177,9 @@ type Hermes struct {
 	// SetScratch.
 	borrow   func(size int64) []byte
 	giveBack func([]byte)
+
+	// endUsage is TierUsage as it stood at Release, nil before.
+	endUsage map[string]int64
 }
 
 // bucketMember is one blob registered under a bucket namespace.
@@ -1430,9 +1434,36 @@ func (h *Hermes) move(p *vtime.Proc, id blob.ID, pl *Placement, node int, tier s
 	h.movedByte += int64(len(data))
 }
 
+// Release gives back everything the store placed: each blob its metadata
+// names leaves its device, uncharged, and the metadata, the indices over
+// it and the organizer's scratch go with it, so the tiers are as the store
+// found them and nothing it held stays reachable. The owner calls it once
+// no process will touch the store again (core's Shutdown, after ending its
+// daemons). What describes the run rather than the contents stays
+// readable: the counters, the repair queue (UnderReplicated is how many
+// blobs lacked a copy at the end) and the redundancy window; TierUsage
+// keeps answering with the usage at release.
+func (h *Hermes) Release() {
+	h.endUsage = h.TierUsage()
+	for id, pl := range h.meta {
+		if pl.dev != nil {
+			pl.dev.Drop(id) // a no-op for a placement whose bytes died with its node
+		}
+	}
+	h.meta = map[blob.ID]*Placement{}
+	h.replCnt = map[blob.ID]int{}
+	h.slab = nil
+	clear(h.byNode)
+	h.org.byWant, h.org.moves, h.org.out = nil, nil, nil
+}
+
 // TierUsage sums used bytes per tier across nodes, reading the cluster's
 // incrementally maintained per-tier aggregates (O(tiers), not O(nodes)).
+// After Release it reports the usage the store ended with.
 func (h *Hermes) TierUsage() map[string]int64 {
+	if h.endUsage != nil {
+		return maps.Clone(h.endUsage)
+	}
 	out := make(map[string]int64, len(h.tiers))
 	for _, t := range h.tiers {
 		out[t] = h.c.TierUsed(t)

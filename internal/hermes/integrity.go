@@ -2,6 +2,7 @@ package hermes
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"megammap/internal/blob"
@@ -21,42 +22,46 @@ import (
 //   - replica counters match a recount of the replica placements;
 //   - no primary has more backup copies than SetReplicas allows.
 //
-// It reads no device data and charges no virtual time; tests call it
-// after Shutdown.
+// It reads no device data and charges no virtual time; core takes it
+// inside Shutdown, so a consistent store costs a handful of allocations
+// whatever its size: the walks are unordered and only findings are sorted
+// (by blob, then in the order the checks are listed).
 func (h *Hermes) CheckIntegrity() []string {
 	var bad []string
-
-	ids := make([]blob.ID, 0, len(h.meta))
-	for id := range h.meta {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-
-	managed := make(map[string]bool, len(h.tiers)+1)
-	for _, t := range h.tiers {
-		managed[t] = true
-	}
-	if h.pools > 0 {
-		managed[topology.PoolTier] = true
+	// found collects one section's findings; flush orders them by blob.
+	var found []finding
+	flush := func() {
+		if len(found) > 1 {
+			sort.SliceStable(found, func(i, j int) bool { return found[i].id.Less(found[j].id) })
+		}
+		for _, f := range found {
+			bad = append(bad, f.msg)
+		}
+		found = found[:0]
 	}
 
 	if len(h.slab) != len(h.meta) {
 		bad = append(bad, fmt.Sprintf("slab holds %d placements, metadata holds %d", len(h.slab), len(h.meta)))
 	}
-	replCnt := make(map[blob.ID]int)
-	backups := make(map[blob.ID]int)
-	for _, id := range ids {
-		pl := h.meta[id]
+	replCnt := make(map[blob.ID]int, len(h.replCnt))
+	var backups map[blob.ID]int
+	primaries := 0
+	for id, pl := range h.meta {
 		if int(pl.slot) >= len(h.slab) || h.slab[pl.slot] != pl {
-			bad = append(bad, fmt.Sprintf("blob %q is not at its slab slot %d", h.DisplayName(id), pl.slot))
+			found = append(found, finding{id, fmt.Sprintf("blob %q is not at its slab slot %d", h.DisplayName(id), pl.slot)})
 		}
 		if pl.dev != h.device(pl.Node, pl.Tier) {
-			bad = append(bad, fmt.Sprintf("blob %q resolved to a device other than node%d/%s", h.DisplayName(id), pl.Node, pl.Tier))
+			found = append(found, finding{id, fmt.Sprintf("blob %q resolved to a device other than node%d/%s", h.DisplayName(id), pl.Node, pl.Tier)})
 		}
-		switch id.Kind {
-		case blob.KindReplica:
+		switch {
+		case id.IsPrimary():
+			primaries++
+		case id.Kind == blob.KindReplica:
 			replCnt[id.Base()]++
-		case blob.KindBackup:
+		case id.Kind == blob.KindBackup:
+			if backups == nil {
+				backups = make(map[blob.ID]int)
+			}
 			backups[id.Base()]++
 		}
 		if !h.alive(pl.Node) {
@@ -64,41 +69,45 @@ func (h *Hermes) CheckIntegrity() []string {
 		}
 		dev := pl.dev
 		if dev == nil {
-			bad = append(bad, fmt.Sprintf("blob %q placed on missing tier node%d/%s", h.DisplayName(id), pl.Node, pl.Tier))
+			found = append(found, finding{id, fmt.Sprintf("blob %q placed on missing tier node%d/%s", h.DisplayName(id), pl.Node, pl.Tier)})
 			continue
 		}
 		if got := dev.BlobSize(id); got < 0 {
-			bad = append(bad, fmt.Sprintf("blob %q placed on node%d/%s but not stored there", h.DisplayName(id), pl.Node, pl.Tier))
+			found = append(found, finding{id, fmt.Sprintf("blob %q placed on node%d/%s but not stored there", h.DisplayName(id), pl.Node, pl.Tier)})
 		} else if got != pl.Size {
-			bad = append(bad, fmt.Sprintf("blob %q placement size %d != stored size %d", h.DisplayName(id), pl.Size, got))
+			found = append(found, finding{id, fmt.Sprintf("blob %q placement size %d != stored size %d", h.DisplayName(id), pl.Size, got)})
 		}
 	}
+	flush()
 
 	// Every stored blob on a managed tier of a live node must be owned by
 	// exactly one placement that points back at it. meta is a map, so one
 	// stored blob can never have two placements; a placement elsewhere or
-	// none at all makes it an orphan.
+	// none at all makes it an orphan. Nodes in order, tiers by name.
+	managed := slices.Clone(h.tiers)
+	if h.pools > 0 {
+		managed = append(managed, topology.PoolTier)
+	}
+	sort.Strings(managed)
+	var node int
+	var tier string
+	stored := func(id blob.ID) {
+		pl, ok := h.meta[id]
+		if !ok {
+			found = append(found, finding{id, fmt.Sprintf("orphan blob %q stored on node%d/%s with no placement", h.DisplayName(id), node, tier)})
+		} else if pl.Node != node || pl.Tier != tier {
+			found = append(found, finding{id, fmt.Sprintf("blob %q stored on node%d/%s but placed on node%d/%s", h.DisplayName(id), node, tier, pl.Node, pl.Tier)})
+		}
+	}
 	for _, n := range h.c.Nodes {
 		if !h.alive(n.ID) {
 			continue
 		}
-		tiers := make([]string, 0, len(n.Devices))
-		for t := range n.Devices {
-			if managed[t] {
-				tiers = append(tiers, t)
-			}
-		}
-		sort.Strings(tiers)
-		for _, t := range tiers {
-			for _, id := range n.Devices[t].List() {
-				pl, ok := h.meta[id]
-				if !ok {
-					bad = append(bad, fmt.Sprintf("orphan blob %q stored on node%d/%s with no placement", h.DisplayName(id), n.ID, t))
-					continue
-				}
-				if pl.Node != n.ID || pl.Tier != t {
-					bad = append(bad, fmt.Sprintf("blob %q stored on node%d/%s but placed on node%d/%s", h.DisplayName(id), n.ID, t, pl.Node, pl.Tier))
-				}
+		for _, t := range managed {
+			if dev := n.Devices[t]; dev != nil {
+				node, tier = n.ID, t
+				dev.Each(stored)
+				flush()
 			}
 		}
 	}
@@ -115,12 +124,6 @@ func (h *Hermes) CheckIntegrity() []string {
 			}
 		}
 	}
-	primaries := 0
-	for _, id := range ids {
-		if id.IsPrimary() {
-			primaries++
-		}
-	}
 	if idxTotal != primaries {
 		bad = append(bad, fmt.Sprintf("primary index holds %d entries, metadata holds %d primaries", idxTotal, primaries))
 	}
@@ -128,26 +131,29 @@ func (h *Hermes) CheckIntegrity() []string {
 	// Replica counters match a recount.
 	for base, want := range replCnt {
 		if got := h.replCnt[base]; got != want {
-			bad = append(bad, fmt.Sprintf("replica counter for %q is %d, recount is %d", h.DisplayName(base), got, want))
+			found = append(found, finding{base, fmt.Sprintf("replica counter for %q is %d, recount is %d", h.DisplayName(base), got, want)})
 		}
 	}
 	for base, got := range h.replCnt {
 		if replCnt[base] == 0 {
-			bad = append(bad, fmt.Sprintf("replica counter for %q is %d with no replica placements", h.DisplayName(base), got))
+			found = append(found, finding{base, fmt.Sprintf("replica counter for %q is %d with no replica placements", h.DisplayName(base), got)})
 		}
 	}
+	flush()
 
 	// Backup counts respect the replication factor.
-	bases := make([]blob.ID, 0, len(backups))
-	for base := range backups {
-		bases = append(bases, base)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i].Less(bases[j]) })
-	for _, base := range bases {
-		if n := backups[base]; n > h.replicas {
-			bad = append(bad, fmt.Sprintf("blob %q has %d backups, replication factor is %d", h.DisplayName(base), n, h.replicas))
+	for base, n := range backups {
+		if n > h.replicas {
+			found = append(found, finding{base, fmt.Sprintf("blob %q has %d backups, replication factor is %d", h.DisplayName(base), n, h.replicas)})
 		}
 	}
+	flush()
 
 	return bad
+}
+
+// finding is one audit violation and the blob it is about.
+type finding struct {
+	id  blob.ID
+	msg string
 }

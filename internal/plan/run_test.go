@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"megammap/internal/leakcheck"
 )
 
 // loadConfigPlan loads a checked-in plan document from configs/.
@@ -135,6 +137,10 @@ func TestBFSHintsPlanShowsWin(t *testing.T) {
 // names. The plans are independent simulations, so they run as parallel
 // subtests.
 func TestCheckedInPlansGateAgainstStoredBaselines(t *testing.T) {
+	// ≈ 250 cells each build a cluster; once the last plan has returned
+	// (the cleanup runs after the parallel subtests) every one must have
+	// been closed: no process left, the heap back within 16 MB.
+	leakcheck.AtCleanup(t, 16<<20, nil)
 	configs := filepath.Join("..", "..", "configs")
 	paths, err := filepath.Glob(filepath.Join(configs, "plan-*.yaml"))
 	if err != nil || len(paths) == 0 {

@@ -39,6 +39,12 @@
 // Every structure dispatches in strict (at, seq) order, so the pop
 // sequence — and therefore every simulation result — is byte-identical to
 // a plain single-heap engine.
+//
+// A process ends when its function returns, or when the engine ends it
+// where it is parked: Engine.Close ends every process and the engine with
+// them, a Group only the processes spawned through it. An ended process
+// unwinds through its deferred calls and dispatches nothing, so a finished
+// simulation leaves no coroutine and no reachable heap behind.
 package vtime
 
 import (
@@ -337,6 +343,9 @@ type Engine struct {
 
 	free      *Proc // pooled finished processes, coroutine parked
 	freeCount int
+
+	running bool // inside Run
+	closed  bool // Close was called: no further Spawn or Run
 }
 
 // NewEngine returns an engine with the clock at zero and no processes.
@@ -381,6 +390,9 @@ func (e *Engine) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
+	if e.closed {
+		panic("vtime: Spawn on a closed engine")
+	}
 	var p *Proc
 	if e.free != nil {
 		p = e.free
@@ -561,10 +573,15 @@ const starvationLimit = 4 << 20
 // t.FailNow do in a test — therefore ends the goroutine that called Run,
 // running its deferred calls, and leaves the engine unusable.
 func (e *Engine) Run() error {
+	if e.closed {
+		panic("vtime: Run on a closed engine")
+	}
 	if e.failed != nil {
 		return e.failed
 	}
 	e.daemonOnly = 0
+	e.running = true
+	defer func() { e.running = false }() // deferred: a Goexit in a process unwinds through here
 	for e.next = e.popNext(nil); e.next != nil; {
 		e.next.resume()
 	}
@@ -599,6 +616,92 @@ func (e *Engine) drainPool() {
 	e.freeCount = 0
 }
 
+// end ends a live process where it is parked: its coroutine is stopped,
+// so the yield inside park reports false and the body unwinds from there
+// with its deferred calls run (see park). Nothing is dispatched, the
+// process is not pooled and the engine has not failed; wake-ups still
+// queued for it are dropped when they are popped. The caller must not be
+// p itself.
+//
+// Ending abandons whatever p was in the middle of: units of a Resource it
+// had acquired are given back only if the code that took them releases
+// them in a deferred call, and a Chan value sent to a receiver that is
+// ended before it runs again is lost. End idle processes, or processes
+// whose resources die with them.
+func (e *Engine) end(p *Proc) {
+	if p.done {
+		return
+	}
+	p.ended = true
+	p.stop()
+	if !p.done {
+		// The coroutine never ran its loop to the end: the process was not
+		// started yet, or left through runtime.Goexit.
+		p.retire()
+	}
+}
+
+// Close ends every process that has not finished — daemons, and
+// non-daemons left blocked by a Run that returned a DeadlockError or a
+// failure — then the pooled coroutines, and drops the pending events, so
+// that nothing the processes referenced stays reachable through the
+// engine and no coroutine outlives it. Processes end most recently spawned
+// first; their deferred calls run. The engine is unusable afterwards:
+// Spawn and Run panic. Closing twice is a no-op. Close must be called from
+// outside Run.
+func (e *Engine) Close() {
+	if e.closed {
+		return
+	}
+	if e.running {
+		panic("vtime: Close from inside Run")
+	}
+	e.closed = true
+	for e.liveHead != nil {
+		e.end(e.liveHead)
+	}
+	e.drainPool()
+	e.ready, e.pq, e.tw, e.next = readyRing{}, nil, timerWheel{}, nil
+}
+
+// Group is a set of processes spawned through it, so that whoever
+// started them can end exactly those and leave the engine running: a
+// subsystem's background services, ended when the subsystem shuts down.
+type Group struct {
+	e       *Engine
+	members []groupMember
+}
+
+// groupMember names one spawn: a finished Proc is recycled for later
+// spawns, so the pointer alone could name somebody else's process.
+type groupMember struct {
+	p  *Proc
+	id int
+}
+
+// NewGroup returns an empty group of processes on e.
+func (e *Engine) NewGroup() *Group { return &Group{e: e} }
+
+// SpawnDaemon is Engine.SpawnDaemon, with the process added to the group.
+func (g *Group) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
+	p := g.e.SpawnDaemon(name, fn)
+	g.members = append(g.members, groupMember{p, p.id})
+	return p
+}
+
+// End ends the group's processes that have not finished, in spawn order,
+// where they are parked (Engine.end has the contract), and empties the
+// group. It takes no virtual time and dispatches nothing, and may be
+// called from a process that is not a member.
+func (g *Group) End() {
+	for _, m := range g.members {
+		if m.p.id == m.id {
+			g.e.end(m.p)
+		}
+	}
+	g.members = nil
+}
+
 // Proc is a simulation process. All its methods must be called only from
 // the process body.
 //
@@ -615,6 +718,9 @@ type Proc struct {
 	pending int32
 	done    bool
 	daemon  bool
+	// ended is set when the engine ends the process before its body
+	// returned (Engine.end); park reads it.
+	ended bool
 	// waitOK, waitN and waitNext are the process's wait record (sync.go): a
 	// process blocks on at most one primitive at a time, so the primitives
 	// queue the process itself instead of allocating a record per wait.
@@ -625,7 +731,8 @@ type Proc struct {
 	span   uint32
 	// resume, yield and stop are the process's coroutine (iter.Pull over
 	// loop): Run's dispatcher calls resume to switch to the process, the
-	// process calls yield to switch back, and stop ends a pooled one.
+	// process calls yield to switch back, and stop ends a pooled one, or one
+	// parked mid-body (Engine.end).
 	resume   func() (struct{}, bool)
 	yield    func(struct{}) bool
 	waitN    int
@@ -644,20 +751,18 @@ type Proc struct {
 // loop is the body of a process coroutine: run the spawned function,
 // retire the process, leave the next event's process to the dispatcher,
 // then park for reuse by a later Spawn. The coroutine ends when the
-// process is not pooled or the engine drains the pool (yield reports
-// false).
+// process is not pooled, the engine drains the pool (yield reports
+// false), or the engine ended the process: whoever ended it holds
+// execution, so nothing is dispatched.
 func (p *Proc) loop(yield func(struct{}) bool) {
 	e := p.e
 	p.yield = yield
 	for {
 		p.body()
-		p.done = true
-		p.fn = nil
-		e.live--
-		if !p.daemon {
-			e.nonDaemon--
+		p.retire()
+		if p.ended {
+			return
 		}
-		e.unlink(p)
 		pooled := p.pending == 0 && e.freeCount < poolCap
 		if pooled {
 			p.poolNext = e.free
@@ -671,12 +776,28 @@ func (p *Proc) loop(yield func(struct{}) bool) {
 	}
 }
 
+// retire takes a process whose body is over off the engine's books.
+func (p *Proc) retire() {
+	e := p.e
+	p.done = true
+	p.fn = nil
+	e.live--
+	if !p.daemon {
+		e.nonDaemon--
+	}
+	e.unlink(p)
+}
+
+// procEnded is what park panics with to unwind a process the engine ended.
+type procEnded struct{}
+
 // body runs the process function, converting a panic into an engine
 // failure so Run can surface it (preserving the error chain for
-// errors.Is/As classification).
+// errors.Is/As classification). The unwinding of an ended process is not
+// a failure.
 func (p *Proc) body() {
 	defer func() {
-		if r := recover(); r != nil {
+		if r := recover(); r != nil && r != (procEnded{}) {
 			if p.e.failed == nil {
 				if err, ok := r.(error); ok {
 					p.e.failed = fmt.Errorf("vtime: process %q panicked: %w", p.name, err)
@@ -732,11 +853,23 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // scheduled event or a registration with a primitive that will call
 // wake). If the next event is the caller's own wake-up, park returns
 // immediately without switching.
+//
+// A process the engine ended (Engine.end) is resumed by its coroutine's
+// stop instead: yield reports false and park panics with procEnded, which
+// unwinds the body through its deferred calls to body's recover. A
+// deferred call that parks again — or a body that recovered the panic and
+// carried on — unwinds again from here before anything is popped: an
+// ended process never dispatches.
 func (p *Proc) park() {
+	if p.ended {
+		panic(procEnded{})
+	}
 	e := p.e
 	if next := e.popNext(p); next != p {
 		e.next = next
-		p.yield(struct{}{})
+		if !p.yield(struct{}{}) {
+			panic(procEnded{})
+		}
 	}
 }
 

@@ -8,6 +8,7 @@
 // intent-declaring transactions:
 //
 //	c := megammap.NewCluster(megammap.DefaultTestbed(4))
+//	defer c.Close() // ends whatever is still running on the cluster
 //	d := megammap.NewDSM(c, megammap.DefaultConfig())
 //	w := megammap.NewWorld(c, 16)
 //	err := w.Run(func(r *megammap.Rank) {
@@ -19,7 +20,7 @@
 //	    // ... iterate ...
 //	    pts.TxEnd()
 //	    if r.Rank() == 0 {
-//	        _ = d.Shutdown(r.Proc())
+//	        _ = d.Shutdown(r.Proc()) // persists, then releases the shared cache
 //	    }
 //	})
 //

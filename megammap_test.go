@@ -13,6 +13,7 @@ import (
 // layer against drifting from the internal packages.
 func TestPublicAPISmoke(t *testing.T) {
 	c := megammap.NewCluster(megammap.DefaultTestbed(2))
+	defer c.Close()
 	d := megammap.NewDSM(c, megammap.DefaultConfig())
 	w := megammap.NewWorld(c, 4)
 	const n = 4096
@@ -109,6 +110,7 @@ func TestSoakAllFeaturesTogether(t *testing.T) {
 	cfg.ChecksumPages = true
 	cfg.OrganizePeriod = 5 * megammap.Millisecond
 	c := megammap.NewCluster(megammap.DefaultTestbed(3))
+	defer c.Close()
 	d := megammap.NewDSM(c, cfg)
 	const ranks = 6
 	w := megammap.NewWorld(c, ranks)

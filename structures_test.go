@@ -7,15 +7,16 @@ import (
 	"megammap"
 )
 
-func newHarness(nodes int) (*megammap.Cluster, *megammap.DSM) {
+func newHarness(t *testing.T, nodes int) (*megammap.Cluster, *megammap.DSM) {
 	c := megammap.NewCluster(megammap.DefaultTestbed(nodes))
+	t.Cleanup(c.Close)
 	cfg := megammap.DefaultConfig()
 	cfg.DefaultPageSize = 8 << 10
 	return c, megammap.NewDSM(c, cfg)
 }
 
 func TestMatrixRoundTrip(t *testing.T) {
-	c, d := newHarness(1)
+	c, d := newHarness(t, 1)
 	c.Engine.Spawn("app", func(p *megammap.Proc) {
 		cl := d.NewClient(p, 0)
 		m, err := megammap.OpenMatrix[int64](cl, "mat", megammap.Int64Codec{}, 64, 48)
@@ -62,7 +63,7 @@ func TestMatrixRoundTrip(t *testing.T) {
 }
 
 func TestMatrixDimensionValidation(t *testing.T) {
-	c, d := newHarness(1)
+	c, d := newHarness(t, 1)
 	c.Engine.Spawn("app", func(p *megammap.Proc) {
 		cl := d.NewClient(p, 0)
 		if _, err := megammap.OpenMatrix[int64](cl, "bad", megammap.Int64Codec{}, 0, 5); err == nil {
@@ -84,7 +85,7 @@ func TestMatrixDimensionValidation(t *testing.T) {
 func TestMatrixParallelTranspose(t *testing.T) {
 	const nodes, ranks = 2, 4
 	const rows, cols = 96, 32
-	c, d := newHarness(nodes)
+	c, d := newHarness(t, nodes)
 	w := megammap.NewWorld(c, ranks)
 	err := w.Run(func(r *megammap.Rank) {
 		cl := d.NewClient(r.Proc(), r.Node().ID)
@@ -137,7 +138,7 @@ func TestMatrixParallelTranspose(t *testing.T) {
 
 func TestLogMultiRankAppend(t *testing.T) {
 	const ranks, per = 3, 200
-	c, d := newHarness(1)
+	c, d := newHarness(t, 1)
 	w := megammap.NewWorld(c, ranks)
 	err := w.Run(func(r *megammap.Rank) {
 		cl := d.NewClient(r.Proc(), r.Node().ID)
@@ -181,7 +182,7 @@ func TestLogMultiRankAppend(t *testing.T) {
 }
 
 func TestLogScanEarlyStopAndClamp(t *testing.T) {
-	c, d := newHarness(1)
+	c, d := newHarness(t, 1)
 	c.Engine.Spawn("app", func(p *megammap.Proc) {
 		cl := d.NewClient(p, 0)
 		l, _ := megammap.OpenLog[int64](cl, "short", megammap.Int64Codec{})
