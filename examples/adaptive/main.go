@@ -148,8 +148,8 @@ func main() {
 		}
 		cur.to = p.Now()
 
-		minUs := int64(cfg.Control.RepairMin / megammap.Microsecond)
-		maxUs := int64(cfg.Control.RepairMax / megammap.Microsecond)
+		minUs := int64(megammap.ControlRepairMin / megammap.Microsecond)
+		maxUs := int64(megammap.ControlRepairMax / megammap.Microsecond)
 		fmt.Printf("adaptive repair pacing (governor bounds %d..%dµs):\n", minUs, maxUs)
 		for _, ph := range phases {
 			fmt.Printf("  %-6s %5.1fms .. %5.1fms  interval %5d..%5dµs  queue peak %d\n",

@@ -4,7 +4,8 @@
 // on, port numbers, etc."). A restricted YAML subset is parsed with the
 // standard library only: two-space indentation, `key: value` mappings,
 // `- item` sequences, scalars (string, int, float, bool, sizes like
-// "48MB", durations like "20ms"), and comments.
+// "48MB", durations like "20ms"), and comments. A section or key the
+// loader does not know is an error, never a silent default.
 //
 // Example:
 //
@@ -82,7 +83,6 @@
 //	  sample_period: 1ms
 //	control:
 //	  enabled: true
-//	  tick: 500us
 //	  target_util: 0.5
 //	  repair: true
 //	  scrub: true
@@ -90,15 +90,7 @@
 //	  evict: true
 //	health:
 //	  enabled: true
-//	  tick: 5ms
-//	  slow_factor: 1.5
-//	  hedge_delay: 500us
-//	  quarantine_bias: 1
-//	pool:
-//	  enabled: true
-//	  tick: 2ms
-//	  spill_high: 0.6
-//	  spill_low: 0.2
+//	  min_ops: 4
 //	tenants:
 //	  isolation: true
 //	  list:
@@ -154,53 +146,26 @@ func Load(doc string) (*Deployment, error) {
 		Cluster: cluster.DefaultTestbed(1),
 		Runtime: core.DefaultConfig(),
 	}
-	if cn, ok := root.child("cluster"); ok {
-		if err := d.loadCluster(cn); err != nil {
-			return nil, err
-		}
+	// Sections fill disjoint parts of the deployment, so document order
+	// is as good as any.
+	loaders := map[string]func(*node) error{
+		"cluster":   d.loadCluster,
+		"topology":  d.loadTopology,
+		"runtime":   d.loadRuntime,
+		"faults":    d.loadFaults,
+		"telemetry": d.loadTelemetry,
+		"control":   d.loadControl,
+		"health":    d.loadHealth,
+		"hints":     d.loadHints,
+		"tenants":   d.loadTenants,
 	}
-	if tn, ok := root.child("topology"); ok {
-		if err := d.loadTopology(tn); err != nil {
-			return nil, err
+	for _, key := range root.order {
+		load, ok := loaders[key]
+		if !ok {
+			return nil, fmt.Errorf("config: unknown section %q", key)
 		}
-	}
-	if rn, ok := root.child("runtime"); ok {
-		if err := d.loadRuntime(rn); err != nil {
-			return nil, err
-		}
-	}
-	if fn, ok := root.child("faults"); ok {
-		if err := d.loadFaults(fn); err != nil {
-			return nil, err
-		}
-	}
-	if tn, ok := root.child("telemetry"); ok {
-		if err := d.loadTelemetry(tn); err != nil {
-			return nil, err
-		}
-	}
-	if cn, ok := root.child("control"); ok {
-		if err := d.loadControl(cn); err != nil {
-			return nil, err
-		}
-	}
-	if hn, ok := root.child("health"); ok {
-		if err := d.loadHealth(hn); err != nil {
-			return nil, err
-		}
-	}
-	if pn, ok := root.child("pool"); ok {
-		if err := d.loadPool(pn); err != nil {
-			return nil, err
-		}
-	}
-	if hn, ok := root.child("hints"); ok {
-		if err := d.loadHints(hn); err != nil {
-			return nil, err
-		}
-	}
-	if tn, ok := root.child("tenants"); ok {
-		if err := d.loadTenants(tn); err != nil {
+		n, _ := root.child(key)
+		if err := load(n); err != nil {
 			return nil, err
 		}
 	}
@@ -230,16 +195,13 @@ func (d *Deployment) validate() error {
 			return fmt.Errorf("config: cluster.tiers[%d].capacity must be >= 0", i)
 		}
 	}
-	// Explicitly written control values validate as written — defaults
-	// are not applied first, so `tick: 0` or a NaN target is an error
+	// Explicitly written governor values validate as written — defaults
+	// are not applied first, so `min_ops: 0` or a NaN target is an error
 	// rather than silently replaced.
 	if err := d.Runtime.Control.Validate(); err != nil {
 		return fmt.Errorf("config: %w", err)
 	}
 	if err := d.Runtime.Health.Validate(); err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
-	if err := d.Runtime.Pool.Validate(); err != nil {
 		return fmt.Errorf("config: %w", err)
 	}
 	return nil
@@ -262,41 +224,33 @@ func (d *Deployment) Build() (*cluster.Cluster, *core.DSM) {
 }
 
 func (d *Deployment) loadCluster(n *node) error {
-	var err error
-	set := func(key string, f func(v string) error) {
-		if err != nil {
-			return
-		}
-		if v, ok := n.scalar(key); ok {
-			if e := f(v); e != nil {
-				err = fmt.Errorf("config: cluster.%s: %w", key, e)
+	err := loadFields(n, map[string]func(string) error{
+		"nodes":          func(v string) error { return parseInt(v, &d.Cluster.Nodes) },
+		"cores_per_node": func(v string) error { return parseInt(v, &d.Cluster.CoresPer) },
+		"dram_per_node":  func(v string) error { return parseSize(v, &d.Cluster.DRAMPer) },
+		"pfs_capacity": func(v string) error {
+			var cap int64
+			if e := parseSize(v, &cap); e != nil {
+				return e
 			}
-		}
-	}
-	set("nodes", func(v string) error { return parseInt(v, &d.Cluster.Nodes) })
-	set("cores_per_node", func(v string) error { return parseInt(v, &d.Cluster.CoresPer) })
-	set("dram_per_node", func(v string) error { return parseSize(v, &d.Cluster.DRAMPer) })
-	set("pfs_capacity", func(v string) error {
-		var cap int64
-		if e := parseSize(v, &cap); e != nil {
-			return e
-		}
-		d.Cluster.PFS = device.PFSProfile(cap)
-		return nil
-	})
-	set("link", func(v string) error {
-		switch strings.ToLower(v) {
-		case "roce40", "roce":
-			d.Cluster.Link = simnet.RoCE40()
-		case "tcp10", "tcp":
-			d.Cluster.Link = simnet.TCP10()
-		default:
-			return fmt.Errorf("unknown link %q (roce40|tcp10)", v)
-		}
-		return nil
+			d.Cluster.PFS = device.PFSProfile(cap)
+			return nil
+		},
+		"link": func(v string) error {
+			switch strings.ToLower(v) {
+			case "roce40", "roce":
+				d.Cluster.Link = simnet.RoCE40()
+			case "tcp10", "tcp":
+				d.Cluster.Link = simnet.TCP10()
+			default:
+				return fmt.Errorf("unknown link %q (roce40|tcp10)", v)
+			}
+			return nil
+		},
+		"tiers": nil,
 	})
 	if err != nil {
-		return err
+		return fmt.Errorf("config: cluster: %w", err)
 	}
 	if tiers, ok := n.child("tiers"); ok {
 		d.Cluster.Tiers = nil
@@ -370,40 +324,33 @@ func tierProfile(name string, capacity int64) (device.Profile, error) {
 }
 
 func (d *Deployment) loadRuntime(n *node) error {
-	var err error
-	set := func(key string, f func(v string) error) {
-		if err != nil {
-			return
-		}
-		if v, ok := n.scalar(key); ok {
-			if e := f(v); e != nil {
-				err = fmt.Errorf("config: runtime.%s: %w", key, e)
-			}
-		}
-	}
-	set("page_size", func(v string) error { return parseSize(v, &d.Runtime.DefaultPageSize) })
-	set("workers_low_latency", func(v string) error { return parseInt(v, &d.Runtime.WorkersLowLat) })
-	set("workers_high_latency", func(v string) error { return parseInt(v, &d.Runtime.WorkersHighLat) })
-	set("low_latency_threshold", func(v string) error { return parseSize(v, &d.Runtime.LowLatThreshold) })
-	set("organize_period", func(v string) error { return parseDuration(v, &d.Runtime.OrganizePeriod) })
-	set("organize_budget", func(v string) error { return parseSize(v, &d.Runtime.OrganizeBudget) })
-	set("stage_period", func(v string) error { return parseDuration(v, &d.Runtime.StagePeriod) })
-	set("scrub_period", func(v string) error { return parseDuration(v, &d.Runtime.ScrubPeriod) })
-	set("repair_period", func(v string) error { return parseDuration(v, &d.Runtime.RepairPeriod) })
-	set("min_score", func(v string) error { return parseFloat(v, &d.Runtime.MinScore) })
-	set("score_decay", func(v string) error { return parseFloat(v, &d.Runtime.ScoreDecay) })
-	set("replicas", func(v string) error { return parseInt(v, &d.Runtime.Replicas) })
-	set("checksum_pages", func(v string) error { return parseBool(v, &d.Runtime.ChecksumPages) })
-	set("disable_prefetch", func(v string) error { return parseBool(v, &d.Runtime.DisablePrefetch) })
+	rt := &d.Runtime
+	err := loadFields(n, map[string]func(string) error{
+		"page_size":             func(v string) error { return parseSize(v, &rt.DefaultPageSize) },
+		"workers_low_latency":   func(v string) error { return parseInt(v, &rt.WorkersLowLat) },
+		"workers_high_latency":  func(v string) error { return parseInt(v, &rt.WorkersHighLat) },
+		"low_latency_threshold": func(v string) error { return parseSize(v, &rt.LowLatThreshold) },
+		"organize_period":       func(v string) error { return parseDuration(v, &rt.OrganizePeriod) },
+		"organize_budget":       func(v string) error { return parseSize(v, &rt.OrganizeBudget) },
+		"stage_period":          func(v string) error { return parseDuration(v, &rt.StagePeriod) },
+		"scrub_period":          func(v string) error { return parseDuration(v, &rt.ScrubPeriod) },
+		"repair_period":         func(v string) error { return parseDuration(v, &rt.RepairPeriod) },
+		"min_score":             func(v string) error { return parseFloat(v, &rt.MinScore) },
+		"score_decay":           func(v string) error { return parseFloat(v, &rt.ScoreDecay) },
+		"replicas":              func(v string) error { return parseInt(v, &rt.Replicas) },
+		"checksum_pages":        func(v string) error { return parseBool(v, &rt.ChecksumPages) },
+		"disable_prefetch":      func(v string) error { return parseBool(v, &rt.DisablePrefetch) },
+		"tiers":                 nil,
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("config: runtime: %w", err)
 	}
 	if v, ok := n.scalar("tiers"); ok {
-		d.Runtime.Tiers = splitFlowList(v)
+		rt.Tiers = splitFlowList(v)
 	} else if tn, ok := n.child("tiers"); ok {
-		d.Runtime.Tiers = nil
+		rt.Tiers = nil
 		for _, item := range tn.items {
-			d.Runtime.Tiers = append(d.Runtime.Tiers, item.value)
+			rt.Tiers = append(rt.Tiers, item.value)
 		}
 	}
 	return nil
@@ -411,28 +358,20 @@ func (d *Deployment) loadRuntime(n *node) error {
 
 func (d *Deployment) loadFaults(n *node) error {
 	p := &faults.Plan{Seed: 1}
-	var err error
-	set := func(key string, f func(v string) error) {
-		if err != nil {
-			return
-		}
-		if v, ok := n.scalar(key); ok {
-			if e := f(v); e != nil {
-				err = fmt.Errorf("config: faults.%s: %w", key, e)
-			}
-		}
-	}
-	set("seed", func(v string) error {
-		s, e := strconv.ParseUint(v, 10, 64)
-		p.Seed = s
-		return e
+	err := loadFields(n, map[string]func(string) error{
+		"seed": func(v string) (e error) {
+			p.Seed, e = strconv.ParseUint(v, 10, 64)
+			return e
+		},
+		"attempts":    func(v string) error { return parseInt(v, &p.Retry.Attempts) },
+		"backoff":     func(v string) error { return parseDuration(v, &p.Retry.Base) },
+		"backoff_cap": func(v string) error { return parseDuration(v, &p.Retry.Cap) },
+		"jitter":      func(v string) error { return parseFloat(v, &p.Retry.Jitter) },
+		"links":       nil, "partitions": nil, "devices": nil, "jitters": nil,
+		"flaps": nil, "crashes": nil, "revives": nil,
 	})
-	set("attempts", func(v string) error { return parseInt(v, &p.Retry.Attempts) })
-	set("backoff", func(v string) error { return parseDuration(v, &p.Retry.Base) })
-	set("backoff_cap", func(v string) error { return parseDuration(v, &p.Retry.Cap) })
-	set("jitter", func(v string) error { return parseFloat(v, &p.Retry.Jitter) })
 	if err != nil {
-		return err
+		return fmt.Errorf("config: faults: %w", err)
 	}
 	if seq, ok := n.child("links"); ok {
 		for i, item := range seq.items {
@@ -578,36 +517,16 @@ func (d *Deployment) loadTelemetry(n *node) error {
 
 // loadControl parses the adaptive control-plane section. Its presence
 // enables the plane (set `enabled: false` to keep a section around but
-// off); unset knobs keep their Default() values.
+// off); unset keys keep their Default() values.
 func (d *Deployment) loadControl(n *node) error {
 	cc := control.Default()
-	parseI64 := func(v string, dst *int64) error {
-		var x int
-		if err := parseInt(v, &x); err != nil {
-			return err
-		}
-		*dst = int64(x)
-		return nil
-	}
 	err := loadFields(n, map[string]func(string) error{
-		"enabled":         func(v string) error { return parseBool(v, &cc.Enabled) },
-		"tick":            func(v string) error { return parseDuration(v, &cc.Tick) },
-		"target_util":     func(v string) error { return parseFloat(v, &cc.TargetUtil) },
-		"repair":          func(v string) error { return parseBool(v, &cc.Repair) },
-		"scrub":           func(v string) error { return parseBool(v, &cc.Scrub) },
-		"prefetch":        func(v string) error { return parseBool(v, &cc.Prefetch) },
-		"evict":           func(v string) error { return parseBool(v, &cc.Evict) },
-		"repair_min":      func(v string) error { return parseDuration(v, &cc.RepairMin) },
-		"repair_max":      func(v string) error { return parseDuration(v, &cc.RepairMax) },
-		"repair_burst":    func(v string) error { return parseInt(v, &cc.RepairBurst) },
-		"scrub_min_pages": func(v string) error { return parseInt(v, &cc.ScrubMin) },
-		"scrub_max_pages": func(v string) error { return parseInt(v, &cc.ScrubMax) },
-		"prefetch_min":    func(v string) error { return parseI64(v, &cc.PrefetchMin) },
-		"prefetch_max":    func(v string) error { return parseI64(v, &cc.PrefetchMax) },
-		"evict_low":       func(v string) error { return parseFloat(v, &cc.EvictLow) },
-		"evict_high":      func(v string) error { return parseFloat(v, &cc.EvictHigh) },
-		"dirty_high":      func(v string) error { return parseFloat(v, &cc.DirtyHigh) },
-		"writeback_boost": func(v string) error { return parseFloat(v, &cc.WritebackBoost) },
+		"enabled":     func(v string) error { return parseBool(v, &cc.Enabled) },
+		"target_util": func(v string) error { return parseFloat(v, &cc.TargetUtil) },
+		"repair":      func(v string) error { return parseBool(v, &cc.Repair) },
+		"scrub":       func(v string) error { return parseBool(v, &cc.Scrub) },
+		"prefetch":    func(v string) error { return parseBool(v, &cc.Prefetch) },
+		"evict":       func(v string) error { return parseBool(v, &cc.Evict) },
 	})
 	if err != nil {
 		return fmt.Errorf("config: control: %w", err)
@@ -618,57 +537,17 @@ func (d *Deployment) loadControl(n *node) error {
 
 // loadHealth parses the gray-failure health-plane section. Its presence
 // enables the plane (set `enabled: false` to keep a section around but
-// off); unset knobs keep their DefaultHealth() values, so `hedge_delay:
-// 0` and `quarantine_bias: 0` are the explicit off switches for hedging
-// and placement bias.
+// off); an unset min_ops keeps its DefaultHealth() value.
 func (d *Deployment) loadHealth(n *node) error {
 	hc := control.DefaultHealth()
 	err := loadFields(n, map[string]func(string) error{
-		"enabled":          func(v string) error { return parseBool(v, &hc.Enabled) },
-		"tick":             func(v string) error { return parseDuration(v, &hc.Tick) },
-		"slow_factor":      func(v string) error { return parseFloat(v, &hc.SlowFactor) },
-		"suspect_score":    func(v string) error { return parseFloat(v, &hc.SuspectScore) },
-		"quarantine_score": func(v string) error { return parseFloat(v, &hc.QuarantineScore) },
-		"min_ops": func(v string) error {
-			var x int
-			if err := parseInt(v, &x); err != nil {
-				return err
-			}
-			hc.MinOps = int64(x)
-			return nil
-		},
-		"probe_after":     func(v string) error { return parseDuration(v, &hc.ProbeAfter) },
-		"probe_ok":        func(v string) error { return parseInt(v, &hc.ProbeOK) },
-		"hedge_delay":     func(v string) error { return parseDuration(v, &hc.HedgeDelay) },
-		"quarantine_bias": func(v string) error { return parseFloat(v, &hc.QuarantineBias) },
+		"enabled": func(v string) error { return parseBool(v, &hc.Enabled) },
+		"min_ops": Int64(&hc.MinOps),
 	})
 	if err != nil {
 		return fmt.Errorf("config: health: %w", err)
 	}
 	d.Runtime.Health = hc
-	return nil
-}
-
-// loadPool parses the spill-vs-pool governor section. Its presence
-// enables the governor (set `enabled: false` to keep a section around
-// but off); unset knobs keep their DefaultPool() values. The governor
-// only runs on a disaggregated cluster — with `topology.pools: 0` the
-// section is loaded, validated, and then ignored by the runtime.
-func (d *Deployment) loadPool(n *node) error {
-	pc := control.DefaultPool()
-	err := loadFields(n, map[string]func(string) error{
-		"enabled":        func(v string) error { return parseBool(v, &pc.Enabled) },
-		"tick":           func(v string) error { return parseDuration(v, &pc.Tick) },
-		"spill_high":     func(v string) error { return parseFloat(v, &pc.SpillHigh) },
-		"spill_low":      func(v string) error { return parseFloat(v, &pc.SpillLow) },
-		"queue_high":     func(v string) error { return parseInt(v, &pc.QueueHigh) },
-		"pool_full_frac": func(v string) error { return parseFloat(v, &pc.PoolFullFrac) },
-		"hold_ticks":     func(v string) error { return parseInt(v, &pc.HoldTicks) },
-	})
-	if err != nil {
-		return fmt.Errorf("config: pool: %w", err)
-	}
-	d.Runtime.Pool = pc
 	return nil
 }
 
@@ -755,10 +634,12 @@ func LoadHints(s *Sec) ([]core.VectorHint, error) {
 // minimal entry only needs a name and a class.
 func (d *Deployment) loadTenants(n *node) error {
 	tc := tenant.Config{Isolation: true}
-	if v, ok := n.scalar("isolation"); ok {
-		if err := parseBool(v, &tc.Isolation); err != nil {
-			return fmt.Errorf("config: tenants.isolation: %w", err)
-		}
+	err := loadFields(n, map[string]func(string) error{
+		"isolation": func(v string) error { return parseBool(v, &tc.Isolation) },
+		"list":      nil,
+	})
+	if err != nil {
+		return fmt.Errorf("config: tenants: %w", err)
 	}
 	if seq, ok := n.child("list"); ok {
 		for i, item := range seq.items {
@@ -829,14 +710,18 @@ func parseElemRange(v string, off, n *int64) error {
 	return fmt.Errorf("bad range %q (want off..end or off+n)", v)
 }
 
-// loadFields applies every present field of a sequence-item mapping,
-// rejecting keys the schema does not know (typos in fault plans must not
-// silently produce a fault-free run).
+// loadFields applies every present field of a mapping, rejecting keys
+// the schema does not know (a typo must not silently load a default, nor
+// a typo'd fault plan a fault-free run). A nil setter marks a key its
+// caller reads itself: a list or a nested mapping.
 func loadFields(item *node, schema map[string]func(string) error) error {
 	for _, key := range item.order {
 		f, ok := schema[key]
 		if !ok {
 			return fmt.Errorf("unknown key %q", key)
+		}
+		if f == nil {
+			continue
 		}
 		v, _ := item.scalar(key)
 		if err := f(v); err != nil {

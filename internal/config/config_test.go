@@ -1,6 +1,8 @@
 package config
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -354,6 +356,43 @@ func TestLoadHintsErrors(t *testing.T) {
 	for _, doc := range cases {
 		if _, err := Load("cluster:\n  nodes: 2\n" + doc); err == nil {
 			t.Errorf("Load(%q) accepted invalid hints", doc)
+		}
+	}
+}
+
+// TestLoadRejectsUnknownKeys: a typo or a retired key in any section is
+// an error, never a silently loaded default.
+func TestLoadRejectsUnknownKeys(t *testing.T) {
+	for _, tc := range []struct{ doc, want string }{
+		{"contrl:\n  enabled: true\n", `unknown section "contrl"`},
+		{"pool:\n  enabled: true\n", `unknown section "pool"`},
+		{"cluster:\n  nodez: 8\n", `cluster: unknown key "nodez"`},
+		{"runtime:\n  page_sise: 4KB\n", `runtime: unknown key "page_sise"`},
+		{"faults:\n  sed: 3\n", `faults: unknown key "sed"`},
+		{"tenants:\n  isolaton: false\n", `tenants: unknown key "isolaton"`},
+		{"control:\n  tick: 1ms\n", `control: unknown key "tick"`},
+		{"health:\n  hedge_delay: 0us\n", `health: unknown key "hedge_delay"`},
+	} {
+		if _, err := Load(tc.doc); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Load(%q) = %v, want an error containing %s", tc.doc, err, tc.want)
+		}
+	}
+}
+
+// TestCheckedInDeploymentsLoad: every deployment file in the repo loads
+// with the strict loader (plan files have their own).
+func TestCheckedInDeploymentsLoad(t *testing.T) {
+	files, err := filepath.Glob("../../bench/workloads/*.yaml")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no bench workloads found: %v", err)
+	}
+	for _, f := range append(files, "../../configs/example.yaml") {
+		doc, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(string(doc)); err != nil {
+			t.Errorf("%s: %v", f, err)
 		}
 	}
 }

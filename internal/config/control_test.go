@@ -4,29 +4,17 @@ import (
 	"strings"
 	"testing"
 
-	"megammap/internal/vtime"
+	"megammap/internal/control"
 )
 
 const controlSample = `
 control:
   enabled: true
-  tick: 250us
   target_util: 0.6
   repair: true
   scrub: true
   prefetch: false
   evict: true
-  repair_min: 100us
-  repair_max: 10ms
-  repair_burst: 4
-  scrub_min_pages: 16
-  scrub_max_pages: 128
-  prefetch_min: 2
-  prefetch_max: 64
-  evict_low: 0.8
-  evict_high: 0.95
-  dirty_high: 0.4
-  writeback_boost: 2
 `
 
 func TestLoadControlSection(t *testing.T) {
@@ -38,23 +26,11 @@ func TestLoadControlSection(t *testing.T) {
 	if !cc.Enabled {
 		t.Fatal("control section did not enable the plane")
 	}
-	if cc.Tick != 250*vtime.Microsecond || cc.TargetUtil != 0.6 {
-		t.Errorf("tick/target wrong: %v %v", cc.Tick, cc.TargetUtil)
+	if cc.TargetUtil != 0.6 {
+		t.Errorf("target wrong: %v", cc.TargetUtil)
 	}
 	if !cc.Repair || !cc.Scrub || cc.Prefetch || !cc.Evict {
 		t.Errorf("governor enables wrong: %+v", cc)
-	}
-	if cc.RepairMin != 100*vtime.Microsecond || cc.RepairMax != 10*vtime.Millisecond || cc.RepairBurst != 4 {
-		t.Errorf("repair knobs wrong: %+v", cc)
-	}
-	if cc.ScrubMin != 16 || cc.ScrubMax != 128 {
-		t.Errorf("scrub knobs wrong: %+v", cc)
-	}
-	if cc.PrefetchMin != 2 || cc.PrefetchMax != 64 {
-		t.Errorf("prefetch knobs wrong: %+v", cc)
-	}
-	if cc.EvictLow != 0.8 || cc.EvictHigh != 0.95 || cc.DirtyHigh != 0.4 || cc.WritebackBoost != 2 {
-		t.Errorf("evict knobs wrong: %+v", cc)
 	}
 }
 
@@ -72,15 +48,11 @@ func TestLoadControlDefaultsAndAbsence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := d.Runtime.Control
-	if !cc.Enabled || !cc.Repair || !cc.Scrub || !cc.Prefetch || !cc.Evict {
+	if cc := d.Runtime.Control; cc != control.Default() {
 		t.Errorf("bare section lost defaults: %+v", cc)
 	}
-	if err := cc.Validate(); err != nil {
-		t.Errorf("default control config invalid: %v", err)
-	}
 	// Explicitly disabled section stays off even with other knobs set.
-	d, err = Load("control:\n  enabled: false\n  repair_burst: 3\n")
+	d, err = Load("control:\n  enabled: false\n  target_util: 0.3\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,23 +61,25 @@ func TestLoadControlDefaultsAndAbsence(t *testing.T) {
 	}
 }
 
+// TestLoadControlRejectsDegenerate: a bad target is rejected by
+// validation; the bounds that became constants are unknown keys.
 func TestLoadControlRejectsDegenerate(t *testing.T) {
 	cases := []struct {
 		name, doc, want string
 	}{
-		{"zero-tick", "control:\n  tick: 0\n", "tick"},
-		{"negative-tick", "control:\n  tick: -1ms\n", "duration"},
-		{"nan-tick", "control:\n  tick: nan\n", "duration"},
+		{"zero-tick", "control:\n  tick: 0\n", `unknown key "tick"`},
+		{"negative-tick", "control:\n  tick: -1ms\n", `unknown key "tick"`},
+		{"nan-tick", "control:\n  tick: nan\n", `unknown key "tick"`},
 		{"nan-target", "control:\n  target_util: nan\n", "target_util"},
 		{"inf-target", "control:\n  target_util: 1e309\n", "target_util"},
 		{"negative-target", "control:\n  target_util: -0.1\n", "target_util"},
-		{"inverted-repair", "control:\n  repair_min: 10ms\n  repair_max: 1ms\n", "repair_max"},
-		{"zero-burst", "control:\n  repair_burst: 0\n", "repair_burst"},
-		{"inverted-scrub", "control:\n  scrub_min_pages: 64\n  scrub_max_pages: 8\n", "scrub_max_pages"},
-		{"zero-prefetch", "control:\n  prefetch_min: 0\n", "prefetch_min"},
-		{"inverted-evict", "control:\n  evict_low: 0.9\n  evict_high: 0.5\n", "evict_high"},
-		{"nan-dirty", "control:\n  dirty_high: nan\n", "dirty_high"},
-		{"low-boost", "control:\n  writeback_boost: 0.5\n", "writeback_boost"},
+		{"inverted-repair", "control:\n  repair_min: 10ms\n  repair_max: 1ms\n", `unknown key "repair_min"`},
+		{"zero-burst", "control:\n  repair_burst: 0\n", `unknown key "repair_burst"`},
+		{"inverted-scrub", "control:\n  scrub_min_pages: 64\n  scrub_max_pages: 8\n", `unknown key "scrub_min_pages"`},
+		{"zero-prefetch", "control:\n  prefetch_min: 0\n", `unknown key "prefetch_min"`},
+		{"inverted-evict", "control:\n  evict_low: 0.9\n  evict_high: 0.5\n", `unknown key "evict_low"`},
+		{"nan-dirty", "control:\n  dirty_high: nan\n", `unknown key "dirty_high"`},
+		{"low-boost", "control:\n  writeback_boost: 0.5\n", `unknown key "writeback_boost"`},
 		{"unknown-key", "control:\n  burst_mode: on\n", "unknown key"},
 	}
 	for _, tc := range cases {

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -8,8 +9,9 @@ import (
 // FuzzLoadControl targets the control: section loader and validator.
 // The contract: Load never panics; any accepted document yields a
 // control config that Validate accepts (so core.New cannot panic on it)
-// — in particular NaN/Inf targets, negative durations, zero-period
-// ticks, and inverted min/max bounds must all be rejected at load time.
+// and a control section made of the six keys the loader knows — NaN/Inf
+// targets are rejected by validation, and the bounds that became
+// constants (tick, repair_min, ...) are rejected as unknown keys.
 func FuzzLoadControl(f *testing.F) {
 	f.Add(controlSample)
 	f.Add("control:\n  enabled: true\n")
@@ -45,6 +47,14 @@ func FuzzLoadControl(f *testing.F) {
 		}
 		if d.Runtime.Control.Enabled && !strings.Contains(doc, "control") {
 			t.Error("control plane enabled out of nowhere")
+		}
+		p, _ := Parse(doc) // Load parsed it
+		if sec, ok := p.Section("control"); ok {
+			for _, k := range sec.Keys() {
+				if !slices.Contains([]string{"enabled", "target_util", "repair", "scrub", "prefetch", "evict"}, k) {
+					t.Errorf("accepted control key %q", k)
+				}
+			}
 		}
 	})
 }

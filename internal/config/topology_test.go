@@ -18,10 +18,6 @@ topology:
   pool_link_bandwidth: 4GB
 runtime:
   tiers: [nvme, ssd]
-pool:
-  enabled: true
-  tick: 1ms
-  spill_high: 0.7
 `
 
 func TestLoadTopology(t *testing.T) {
@@ -35,14 +31,6 @@ func TestLoadTopology(t *testing.T) {
 	}
 	if ts.PoolLatency != 2*vtime.Microsecond || ts.PoolBandwidth != 4<<30 {
 		t.Fatalf("pool link not loaded: %+v", ts)
-	}
-	if !d.Runtime.Pool.Enabled || d.Runtime.Pool.Tick != vtime.Millisecond ||
-		d.Runtime.Pool.SpillHigh != 0.7 {
-		t.Fatalf("pool governor not loaded: %+v", d.Runtime.Pool)
-	}
-	// Unset governor knobs take DefaultPool values.
-	if d.Runtime.Pool.HoldTicks != 2 {
-		t.Fatalf("pool governor defaults not applied: %+v", d.Runtime.Pool)
 	}
 	c, dsm := d.Build()
 	if c.Computes() != 4 || c.Pools() != 2 || len(c.Nodes) != 6 {
@@ -84,8 +72,7 @@ func TestLoadTopologyRejectsDegenerate(t *testing.T) {
 		"bad bandwidth":     "topology:\n  pools: 1\n  pool_link_bandwidth: -4GB\n",
 		"unknown key":       "topology:\n  pools: 1\n  racks: 3\n",
 		"non-numeric pools": "topology:\n  pools: many\n",
-		"governor zero":     "pool:\n  tick: 0us\n",
-		"governor band":     "pool:\n  spill_low: 0.9\n  spill_high: 0.3\n",
+		"pool section":      "topology:\n  pools: 1\npool:\n  enabled: true\n",
 	} {
 		if _, err := Load(doc); err == nil {
 			t.Errorf("%s: accepted; want error", name)

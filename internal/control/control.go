@@ -25,21 +25,19 @@ import (
 	"megammap/internal/vtime"
 )
 
-// Config tunes the control plane. The zero value is disabled; Default
-// returns the standard enabled configuration with every governor on.
+// Config selects the control plane and its governors. The zero value is
+// disabled; Default returns the standard enabled configuration with every
+// governor on. The bounds the governors move their knobs between are the
+// package constants below.
 type Config struct {
 	// Enabled turns the control plane on: the runtime spawns a control
 	// ticker and actuates governor decisions.
 	Enabled bool
 
-	// Tick is the control period: how often signals are sampled and the
-	// governors step. Must be > 0 when Enabled.
-	Tick vtime.Duration
-
 	// TargetUtil is the foreground utilization setpoint in (0, 1]: when
 	// the max of device and network utilization over the last tick
 	// exceeds it, background work (repair, scrub) backs off; below it,
-	// background work speeds up toward its configured ceiling.
+	// background work speeds up toward its ceiling.
 	TargetUtil float64
 
 	// Per-governor enables. Default() turns all four on; switching one
@@ -48,165 +46,74 @@ type Config struct {
 	Scrub    bool // incremental scrub budget (replaces full sweeps)
 	Prefetch bool // hit/waste-driven prefetch window depth
 	Evict    bool // dirty-ratio eviction watermarks + write-back boost
+}
+
+// The control plane's period and knob bounds.
+const (
+	// Tick is the control period: how often signals are sampled and the
+	// governors step.
+	Tick = 500 * vtime.Microsecond
 
 	// RepairMin/RepairMax bound the adaptive repair interval: the AIMD
 	// governor converges to RepairMin when the cluster is idle and backs
 	// off multiplicatively toward RepairMax under foreground load.
-	RepairMin vtime.Duration
-	RepairMax vtime.Duration
+	RepairMin = 250 * vtime.Microsecond
+	RepairMax = 20 * vtime.Millisecond
 
 	// RepairBurst caps how many repair steps one wake-up may run when
 	// the cluster is idle and the repair queue is backlogged.
-	RepairBurst int
+	RepairBurst = 8
 
 	// ScrubMin/ScrubMax bound the per-sweep page budget of the
 	// incremental scrubber's rotating cursor.
-	ScrubMin int
-	ScrubMax int
+	ScrubMin = 8
+	ScrubMax = 256
 
 	// PrefetchMin/PrefetchMax bound the prefetch window depth in pages.
-	PrefetchMin int64
-	PrefetchMax int64
+	PrefetchMin = 4
+	PrefetchMax = 128
 
 	// EvictLow/EvictHigh are pcache watermarks as fractions of the
 	// bound: crossing High*bound triggers batch eviction down to
-	// Low*bound (hysteresis — no per-page thrashing at the bound).
-	EvictLow  float64
-	EvictHigh float64
+	// Low*bound (hysteresis — no per-page thrashing at the bound). Under
+	// write-back pressure the band widens downward to pressureEvictLow,
+	// which Go folds exactly; TestWatermarkHysteresis pins it to the
+	// float64 arithmetic's result so replays stay byte-identical.
+	EvictLow         = 0.85
+	EvictHigh        = 1.0
+	pressureEvictLow = EvictLow - (EvictHigh - EvictLow)
 
 	// DirtyHigh is the dirty-page ratio that declares write-back
 	// pressure; pressure clears only once the ratio falls below
 	// DirtyHigh/2 (hysteresis — no oscillation on a constant ratio).
-	DirtyHigh float64
+	DirtyHigh = 0.5
 
 	// WritebackBoost divides the stager period while under dirty
-	// pressure, flushing modified pages faster; must be >= 1.
-	WritebackBoost float64
-}
+	// pressure, flushing modified pages faster.
+	WritebackBoost = 4.0
+)
 
 // Default returns the standard adaptive configuration with every
 // governor enabled.
 func Default() Config {
-	return Config{
-		Enabled:        true,
-		Tick:           500 * vtime.Microsecond,
-		TargetUtil:     0.5,
-		Repair:         true,
-		Scrub:          true,
-		Prefetch:       true,
-		Evict:          true,
-		RepairMin:      250 * vtime.Microsecond,
-		RepairMax:      20 * vtime.Millisecond,
-		RepairBurst:    8,
-		ScrubMin:       8,
-		ScrubMax:       256,
-		PrefetchMin:    4,
-		PrefetchMax:    128,
-		EvictLow:       0.85,
-		EvictHigh:      1.0,
-		DirtyHigh:      0.5,
-		WritebackBoost: 4,
-	}
+	return Config{Enabled: true, TargetUtil: 0.5, Repair: true, Scrub: true, Prefetch: true, Evict: true}
 }
 
-// WithDefaults fills unset numeric fields from Default. Boolean fields
+// WithDefaults fills an unset TargetUtil from Default. Boolean fields
 // are left alone (use Default() for the all-governors-on configuration).
 func (c Config) WithDefaults() Config {
-	def := Default()
-	if c.Tick == 0 {
-		c.Tick = def.Tick
-	}
 	if c.TargetUtil == 0 {
-		c.TargetUtil = def.TargetUtil
-	}
-	if c.RepairMin == 0 {
-		c.RepairMin = def.RepairMin
-	}
-	if c.RepairMax == 0 {
-		c.RepairMax = def.RepairMax
-	}
-	if c.RepairBurst == 0 {
-		c.RepairBurst = def.RepairBurst
-	}
-	if c.ScrubMin == 0 {
-		c.ScrubMin = def.ScrubMin
-	}
-	if c.ScrubMax == 0 {
-		c.ScrubMax = def.ScrubMax
-	}
-	if c.PrefetchMin == 0 {
-		c.PrefetchMin = def.PrefetchMin
-	}
-	if c.PrefetchMax == 0 {
-		c.PrefetchMax = def.PrefetchMax
-	}
-	if c.EvictLow == 0 {
-		c.EvictLow = def.EvictLow
-	}
-	if c.EvictHigh == 0 {
-		c.EvictHigh = def.EvictHigh
-	}
-	if c.DirtyHigh == 0 {
-		c.DirtyHigh = def.DirtyHigh
-	}
-	if c.WritebackBoost == 0 {
-		c.WritebackBoost = def.WritebackBoost
+		c.TargetUtil = Default().TargetUtil
 	}
 	return c
 }
 
-// finite rejects NaN and ±Inf — parseable floats that would poison
-// every comparison a governor makes (NaN compares false with
-// everything, so a NaN target silently disables back-off).
-func finite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
-}
-
-// Validate rejects configurations that would build a degenerate control
-// loop: NaN/Inf or out-of-range targets, zero-period ticks, inverted
-// min/max bounds. A disabled config always validates.
+// Validate rejects a target that would build a degenerate control loop:
+// NaN compares false with everything, so a NaN target silently disables
+// back-off. A disabled config always validates.
 func (c Config) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if c.Tick <= 0 {
-		return fmt.Errorf("control: tick must be > 0 (got %v)", c.Tick)
-	}
-	if !finite(c.TargetUtil) || c.TargetUtil <= 0 || c.TargetUtil > 1 {
+	if c.Enabled && (math.IsNaN(c.TargetUtil) || c.TargetUtil <= 0 || c.TargetUtil > 1) {
 		return fmt.Errorf("control: target_util must be in (0, 1] (got %v)", c.TargetUtil)
-	}
-	if c.RepairMin <= 0 {
-		return fmt.Errorf("control: repair_min must be > 0 (got %v)", c.RepairMin)
-	}
-	if c.RepairMax < c.RepairMin {
-		return fmt.Errorf("control: repair_max %v < repair_min %v", c.RepairMax, c.RepairMin)
-	}
-	if c.RepairBurst < 1 {
-		return fmt.Errorf("control: repair_burst must be >= 1 (got %d)", c.RepairBurst)
-	}
-	if c.ScrubMin < 1 {
-		return fmt.Errorf("control: scrub_min_pages must be >= 1 (got %d)", c.ScrubMin)
-	}
-	if c.ScrubMax < c.ScrubMin {
-		return fmt.Errorf("control: scrub_max_pages %d < scrub_min_pages %d", c.ScrubMax, c.ScrubMin)
-	}
-	if c.PrefetchMin < 1 {
-		return fmt.Errorf("control: prefetch_min must be >= 1 (got %d)", c.PrefetchMin)
-	}
-	if c.PrefetchMax < c.PrefetchMin {
-		return fmt.Errorf("control: prefetch_max %d < prefetch_min %d", c.PrefetchMax, c.PrefetchMin)
-	}
-	if !finite(c.EvictLow) || c.EvictLow <= 0 || c.EvictLow > 1 {
-		return fmt.Errorf("control: evict_low must be in (0, 1] (got %v)", c.EvictLow)
-	}
-	if !finite(c.EvictHigh) || c.EvictHigh < c.EvictLow || c.EvictHigh > 1 {
-		return fmt.Errorf("control: evict_high must be in [evict_low, 1] (got %v)", c.EvictHigh)
-	}
-	if !finite(c.DirtyHigh) || c.DirtyHigh <= 0 || c.DirtyHigh > 1 {
-		return fmt.Errorf("control: dirty_high must be in (0, 1] (got %v)", c.DirtyHigh)
-	}
-	if !finite(c.WritebackBoost) || c.WritebackBoost < 1 {
-		return fmt.Errorf("control: writeback_boost must be >= 1 (got %v)", c.WritebackBoost)
 	}
 	return nil
 }
@@ -291,17 +198,11 @@ type Plane struct {
 	stalled   bool           // repair latch: attempts aren't draining the queue
 }
 
-// NewPlane builds a plane from a defaulted, validated config. Knobs
-// start at their conservative ends: repair at RepairMax, scrub at
-// ScrubMin, prefetch at PrefetchMax (the fixed runtime's behaviour),
-// no dirty pressure.
+// NewPlane builds a plane from a validated config. Knobs start at their
+// conservative ends: repair at RepairMax, scrub at ScrubMin, prefetch at
+// PrefetchMax (the fixed runtime's behaviour), no dirty pressure.
 func NewPlane(cfg Config) *Plane {
-	return &Plane{
-		cfg:      cfg,
-		interval: cfg.RepairMax,
-		budget:   cfg.ScrubMin,
-		depth:    cfg.PrefetchMax,
-	}
+	return &Plane{cfg: cfg, interval: RepairMax, budget: ScrubMin, depth: PrefetchMax}
 }
 
 // Actions returns the knob state without advancing the governors (the
@@ -312,8 +213,8 @@ func (pl *Plane) Actions() Actions {
 		RepairBurst:    1,
 		ScrubBudget:    pl.budget,
 		PrefetchDepth:  pl.depth,
-		EvictLow:       pl.cfg.EvictLow,
-		EvictHigh:      pl.cfg.EvictHigh,
+		EvictLow:       EvictLow,
+		EvictHigh:      EvictHigh,
 		WritebackBoost: 1,
 	}
 }
@@ -323,11 +224,7 @@ func (pl *Plane) Actions() Actions {
 // of the plane's integrators and the sampled signals.
 func (pl *Plane) Step(s Signals) Actions {
 	cfg := &pl.cfg
-	util := s.DeviceUtil
-	if s.NetUtil > util {
-		util = s.NetUtil
-	}
-	busy := util > cfg.TargetUtil
+	busy := max(s.DeviceUtil, s.NetUtil) > cfg.TargetUtil
 
 	// Repair governor: AIMD on the wake-up rate. Foreground pressure —
 	// or a stall latch, set when attempts leave the queue no shorter
@@ -345,24 +242,11 @@ func (pl *Plane) Step(s Signals) Actions {
 			pl.stalled = true // latched until an attempt drains something
 		}
 		if busy || pl.stalled {
-			pl.interval *= 2
-			if pl.interval > cfg.RepairMax {
-				pl.interval = cfg.RepairMax
-			}
+			pl.interval = min(2*pl.interval, RepairMax)
 		} else {
-			step := (cfg.RepairMax - cfg.RepairMin) / aimdSteps
-			if step < 1 {
-				step = 1
-			}
-			pl.interval -= step
-			if pl.interval < cfg.RepairMin {
-				pl.interval = cfg.RepairMin
-			}
+			pl.interval = max(pl.interval-(RepairMax-RepairMin)/aimdSteps, RepairMin)
 			if s.RepairQueue > 1 {
-				burst = cfg.RepairBurst
-				if burst > s.RepairQueue {
-					burst = s.RepairQueue
-				}
+				burst = min(RepairBurst, s.RepairQueue)
 			}
 		}
 	}
@@ -372,19 +256,9 @@ func (pl *Plane) Step(s Signals) Actions {
 	// idle capacity exists and halves under foreground pressure.
 	if cfg.Scrub {
 		if busy {
-			pl.budget /= 2
-			if pl.budget < cfg.ScrubMin {
-				pl.budget = cfg.ScrubMin
-			}
+			pl.budget = max(pl.budget/2, ScrubMin)
 		} else {
-			step := (cfg.ScrubMax - cfg.ScrubMin) / aimdSteps
-			if step < 1 {
-				step = 1
-			}
-			pl.budget += step
-			if pl.budget > cfg.ScrubMax {
-				pl.budget = cfg.ScrubMax
-			}
+			pl.budget = min(pl.budget+(ScrubMax-ScrubMin)/aimdSteps, ScrubMax)
 		}
 	}
 
@@ -394,15 +268,9 @@ func (pl *Plane) Step(s Signals) Actions {
 	if cfg.Prefetch {
 		if total := s.PrefetchHits + s.PrefetchWaste; total > 0 {
 			if 4*s.PrefetchWaste > total { // more than 25% wasted
-				pl.depth /= 2
-				if pl.depth < cfg.PrefetchMin {
-					pl.depth = cfg.PrefetchMin
-				}
+				pl.depth = max(pl.depth/2, PrefetchMin)
 			} else if s.PrefetchHits > 0 {
-				pl.depth += prefetchStep
-				if pl.depth > cfg.PrefetchMax {
-					pl.depth = cfg.PrefetchMax
-				}
+				pl.depth = min(pl.depth+prefetchStep, PrefetchMax)
 			}
 		}
 	}
@@ -411,9 +279,9 @@ func (pl *Plane) Step(s Signals) Actions {
 	// ratio. The latch sets at DirtyHigh and clears at DirtyHigh/2, so
 	// a constant ratio inside the band never toggles the watermarks.
 	if cfg.Evict {
-		if s.DirtyRatio >= cfg.DirtyHigh {
+		if s.DirtyRatio >= DirtyHigh {
 			pl.pressure = true
-		} else if s.DirtyRatio <= cfg.DirtyHigh/2 {
+		} else if s.DirtyRatio <= DirtyHigh/2 {
 			pl.pressure = false
 		}
 	}
@@ -423,8 +291,8 @@ func (pl *Plane) Step(s Signals) Actions {
 		RepairBurst:    burst,
 		ScrubBudget:    pl.budget,
 		PrefetchDepth:  pl.depth,
-		EvictLow:       cfg.EvictLow,
-		EvictHigh:      cfg.EvictHigh,
+		EvictLow:       EvictLow,
+		EvictHigh:      EvictHigh,
 		WritebackBoost: 1,
 		DirtyPressure:  pl.pressure,
 	}
@@ -432,12 +300,8 @@ func (pl *Plane) Step(s Signals) Actions {
 		// Under pressure the eviction band widens downward (each batch
 		// eviction frees more pages, committing their dirty regions)
 		// and the stager flushes faster.
-		band := cfg.EvictHigh - cfg.EvictLow
-		a.EvictLow = cfg.EvictLow - band
-		if a.EvictLow <= 0 {
-			a.EvictLow = cfg.EvictLow / 2
-		}
-		a.WritebackBoost = cfg.WritebackBoost
+		a.EvictLow = pressureEvictLow
+		a.WritebackBoost = WritebackBoost
 	}
 	return a
 }

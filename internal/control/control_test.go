@@ -22,9 +22,9 @@ func TestAIMDRepairConvergence(t *testing.T) {
 		sig  Signals
 		want vtime.Duration
 	}{
-		{"idle-converges-to-min", idle(), Default().RepairMin},
-		{"busy-converges-to-max", busy(), Default().RepairMax},
-		{"net-busy-converges-to-max", Signals{Window: vtime.Millisecond, NetUtil: 0.9}, Default().RepairMax},
+		{"idle-converges-to-min", idle(), RepairMin},
+		{"busy-converges-to-max", busy(), RepairMax},
+		{"net-busy-converges-to-max", Signals{Window: vtime.Millisecond, NetUtil: 0.9}, RepairMax},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,7 +61,6 @@ func TestAIMDRepairBackoffIsMultiplicative(t *testing.T) {
 // TestRepairBurst: a backlog on an idle cluster earns a burst capped by
 // both RepairBurst and the queue depth; a busy cluster never bursts.
 func TestRepairBurst(t *testing.T) {
-	cfg := Default()
 	cases := []struct {
 		name  string
 		sig   Signals
@@ -69,13 +68,13 @@ func TestRepairBurst(t *testing.T) {
 	}{
 		{"idle-no-queue", idle(), 1},
 		{"idle-queue-1", Signals{Window: vtime.Millisecond, RepairQueue: 1}, 1},
-		{"idle-deep-queue", Signals{Window: vtime.Millisecond, RepairQueue: 100}, cfg.RepairBurst},
+		{"idle-deep-queue", Signals{Window: vtime.Millisecond, RepairQueue: 100}, RepairBurst},
 		{"idle-shallow-queue", Signals{Window: vtime.Millisecond, RepairQueue: 3}, 3},
 		{"busy-deep-queue", Signals{Window: vtime.Millisecond, DeviceUtil: 0.9, RepairQueue: 100}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pl := NewPlane(cfg)
+			pl := NewPlane(Default())
 			if a := pl.Step(tc.sig); a.RepairBurst != tc.burst {
 				t.Fatalf("burst = %d, want %d", a.RepairBurst, tc.burst)
 			}
@@ -87,8 +86,7 @@ func TestRepairBurst(t *testing.T) {
 // the governor at RepairMax with bursts off — even on an idle cluster —
 // and the first draining attempt unlatches it.
 func TestRepairStallLatch(t *testing.T) {
-	cfg := Default()
-	pl := NewPlane(cfg)
+	pl := NewPlane(Default())
 	for i := 0; i < 64; i++ {
 		pl.Step(idle()) // converge to the fast end first
 	}
@@ -97,46 +95,45 @@ func TestRepairStallLatch(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		a = pl.Step(stalledSig)
 	}
-	if a.RepairInterval != cfg.RepairMax {
-		t.Fatalf("stalled interval = %v, want RepairMax %v", a.RepairInterval, cfg.RepairMax)
+	if a.RepairInterval != RepairMax {
+		t.Fatalf("stalled interval = %v, want RepairMax %v", a.RepairInterval, RepairMax)
 	}
 	if a.RepairBurst != 1 {
 		t.Fatalf("stalled burst = %d, want 1", a.RepairBurst)
 	}
 	// Quiet ticks (no attempts) with the same backlog keep the latch set.
-	if a = pl.Step(Signals{Window: vtime.Millisecond, RepairQueue: 10}); a.RepairInterval != cfg.RepairMax {
+	if a = pl.Step(Signals{Window: vtime.Millisecond, RepairQueue: 10}); a.RepairInterval != RepairMax {
 		t.Fatalf("latch released without progress: %v", a.RepairInterval)
 	}
 	// One attempt that drains the queue clears the latch: the interval
 	// steps back down and bursts return.
 	a = pl.Step(Signals{Window: vtime.Millisecond, RepairQueue: 9, RepairAttempts: 1})
-	if a.RepairInterval >= cfg.RepairMax {
+	if a.RepairInterval >= RepairMax {
 		t.Fatalf("interval did not recover after progress: %v", a.RepairInterval)
 	}
-	if a.RepairBurst != cfg.RepairBurst {
-		t.Fatalf("burst = %d after progress, want %d", a.RepairBurst, cfg.RepairBurst)
+	if a.RepairBurst != RepairBurst {
+		t.Fatalf("burst = %d after progress, want %d", a.RepairBurst, RepairBurst)
 	}
 }
 
 // TestScrubBudgetAdapts: idle grows the budget to ScrubMax; busy shrinks
 // it back to ScrubMin; both ends are stable under constant input.
 func TestScrubBudgetAdapts(t *testing.T) {
-	cfg := Default()
-	pl := NewPlane(cfg)
+	pl := NewPlane(Default())
 	var a Actions
 	for i := 0; i < 64; i++ {
 		a = pl.Step(idle())
 	}
-	if a.ScrubBudget != cfg.ScrubMax {
-		t.Fatalf("idle budget = %d, want %d", a.ScrubBudget, cfg.ScrubMax)
+	if a.ScrubBudget != ScrubMax {
+		t.Fatalf("idle budget = %d, want %d", a.ScrubBudget, ScrubMax)
 	}
 	for i := 0; i < 64; i++ {
 		a = pl.Step(busy())
 	}
-	if a.ScrubBudget != cfg.ScrubMin {
-		t.Fatalf("busy budget = %d, want %d", a.ScrubBudget, cfg.ScrubMin)
+	if a.ScrubBudget != ScrubMin {
+		t.Fatalf("busy budget = %d, want %d", a.ScrubBudget, ScrubMin)
 	}
-	if b := pl.Step(busy()); b.ScrubBudget != cfg.ScrubMin {
+	if b := pl.Step(busy()); b.ScrubBudget != ScrubMin {
 		t.Fatalf("budget moved below floor: %d", b.ScrubBudget)
 	}
 }
@@ -144,8 +141,7 @@ func TestScrubBudgetAdapts(t *testing.T) {
 // TestPrefetchDepthGovernor: waste narrows multiplicatively, hits widen
 // additively, no activity holds the window.
 func TestPrefetchDepthGovernor(t *testing.T) {
-	cfg := Default()
-	pl := NewPlane(cfg)
+	pl := NewPlane(Default())
 
 	// Heavy waste: halves per tick down to the floor.
 	wasteful := Signals{Window: vtime.Millisecond, PrefetchHits: 1, PrefetchWaste: 9}
@@ -153,12 +149,12 @@ func TestPrefetchDepthGovernor(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		a = pl.Step(wasteful)
 	}
-	if a.PrefetchDepth != cfg.PrefetchMin {
-		t.Fatalf("wasteful depth = %d, want floor %d", a.PrefetchDepth, cfg.PrefetchMin)
+	if a.PrefetchDepth != PrefetchMin {
+		t.Fatalf("wasteful depth = %d, want floor %d", a.PrefetchDepth, PrefetchMin)
 	}
 
 	// No activity: holds.
-	if b := pl.Step(idle()); b.PrefetchDepth != cfg.PrefetchMin {
+	if b := pl.Step(idle()); b.PrefetchDepth != PrefetchMin {
 		t.Fatalf("depth moved with no fill activity: %d", b.PrefetchDepth)
 	}
 
@@ -167,8 +163,8 @@ func TestPrefetchDepthGovernor(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		a = pl.Step(productive)
 	}
-	if a.PrefetchDepth != cfg.PrefetchMax {
-		t.Fatalf("productive depth = %d, want ceiling %d", a.PrefetchDepth, cfg.PrefetchMax)
+	if a.PrefetchDepth != PrefetchMax {
+		t.Fatalf("productive depth = %d, want ceiling %d", a.PrefetchDepth, PrefetchMax)
 	}
 }
 
@@ -176,8 +172,7 @@ func TestPrefetchDepthGovernor(t *testing.T) {
 // clears at DirtyHigh/2, and a constant ratio inside the band never
 // oscillates.
 func TestWatermarkHysteresis(t *testing.T) {
-	cfg := Default() // DirtyHigh = 0.5
-	pl := NewPlane(cfg)
+	pl := NewPlane(Default()) // DirtyHigh = 0.5
 	at := func(r float64) Actions {
 		return pl.Step(Signals{Window: vtime.Millisecond, DirtyRatio: r})
 	}
@@ -196,11 +191,14 @@ func TestWatermarkHysteresis(t *testing.T) {
 	}
 	// ...and the actions under pressure widen the band + boost.
 	a := at(0.4)
-	if a.EvictLow >= cfg.EvictLow {
-		t.Fatalf("pressure did not lower EvictLow: %v", a.EvictLow)
+	// The constant-folded pressure watermark is the double float64
+	// arithmetic gives.
+	lo, hi := EvictLow, EvictHigh
+	if a.EvictLow != lo-(hi-lo) {
+		t.Fatalf("pressure EvictLow = %v, want %v", a.EvictLow, lo-(hi-lo))
 	}
-	if a.WritebackBoost != cfg.WritebackBoost {
-		t.Fatalf("boost = %v, want %v", a.WritebackBoost, cfg.WritebackBoost)
+	if a.WritebackBoost != WritebackBoost {
+		t.Fatalf("boost = %v, want %v", a.WritebackBoost, WritebackBoost)
 	}
 	// Clears only below DirtyHigh/2.
 	if a := at(0.2); a.DirtyPressure {
@@ -282,6 +280,10 @@ func TestScrubWindowFullCoverage(t *testing.T) {
 	}
 }
 
+// TestValidate: Validate guards the one configurable bound, TargetUtil.
+// Every other row names a degenerate loop Validate used to reject when
+// its bound was a field; the constant that replaced it must stay clear
+// of it.
 func TestValidate(t *testing.T) {
 	mod := func(fn func(*Config)) Config {
 		c := Default()
@@ -295,25 +297,9 @@ func TestValidate(t *testing.T) {
 	}{
 		{"default", Default(), true},
 		{"disabled-zero-value", Config{}, true},
-		{"zero-tick", mod(func(c *Config) { c.Tick = 0 }), false},
-		{"negative-tick", mod(func(c *Config) { c.Tick = -vtime.Millisecond }), false},
 		{"nan-target", mod(func(c *Config) { c.TargetUtil = math.NaN() }), false},
 		{"inf-target", mod(func(c *Config) { c.TargetUtil = math.Inf(1) }), false},
 		{"target-above-one", mod(func(c *Config) { c.TargetUtil = 1.5 }), false},
-		{"negative-repair-min", mod(func(c *Config) { c.RepairMin = -1 }), false},
-		{"repair-max-below-min", mod(func(c *Config) { c.RepairMax = c.RepairMin / 2 }), false},
-		{"zero-burst", mod(func(c *Config) { c.RepairBurst = 0 }), false},
-		{"zero-scrub-min", mod(func(c *Config) { c.ScrubMin = 0 }), false},
-		{"scrub-max-below-min", mod(func(c *Config) { c.ScrubMax = c.ScrubMin - 1 }), false},
-		{"zero-prefetch-min", mod(func(c *Config) { c.PrefetchMin = 0 }), false},
-		{"prefetch-max-below-min", mod(func(c *Config) { c.PrefetchMax = c.PrefetchMin - 1 }), false},
-		{"nan-evict-low", mod(func(c *Config) { c.EvictLow = math.NaN() }), false},
-		{"evict-high-below-low", mod(func(c *Config) { c.EvictHigh = c.EvictLow / 2 }), false},
-		{"evict-high-above-one", mod(func(c *Config) { c.EvictHigh = 1.5 }), false},
-		{"nan-dirty-high", mod(func(c *Config) { c.DirtyHigh = math.NaN() }), false},
-		{"dirty-high-above-one", mod(func(c *Config) { c.DirtyHigh = 2 }), false},
-		{"boost-below-one", mod(func(c *Config) { c.WritebackBoost = 0.5 }), false},
-		{"inf-boost", mod(func(c *Config) { c.WritebackBoost = math.Inf(1) }), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -326,6 +312,34 @@ func TestValidate(t *testing.T) {
 			}
 		})
 	}
+	unit := func(v float64) bool { return v > 0 && v <= 1 }
+	for _, tc := range []struct {
+		name       string
+		degenerate bool
+	}{
+		{"zero-tick", Tick == 0},
+		{"negative-tick", Tick < 0},
+		{"negative-repair-min", RepairMin <= 0},
+		{"repair-max-below-min", RepairMax < RepairMin},
+		{"zero-burst", RepairBurst < 1},
+		{"zero-scrub-min", ScrubMin < 1},
+		{"scrub-max-below-min", ScrubMax < ScrubMin},
+		{"zero-prefetch-min", PrefetchMin < 1},
+		{"prefetch-max-below-min", PrefetchMax < PrefetchMin},
+		{"nan-evict-low", !unit(EvictLow)},
+		{"evict-high-below-low", EvictHigh < EvictLow},
+		{"evict-high-above-one", !unit(EvictHigh)},
+		{"nan-dirty-high", !unit(DirtyHigh)},
+		{"dirty-high-above-one", DirtyHigh > 1},
+		{"boost-below-one", WritebackBoost < 1},
+		{"inf-boost", math.IsInf(WritebackBoost, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.degenerate {
+				t.Fatal("the constant bound builds a degenerate control loop")
+			}
+		})
+	}
 }
 
 func TestWithDefaultsFillsZeros(t *testing.T) {
@@ -333,13 +347,12 @@ func TestWithDefaultsFillsZeros(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("defaulted config invalid: %v", err)
 	}
-	if c.Tick != Default().Tick || c.RepairMax != Default().RepairMax {
-		t.Fatalf("defaults not applied: %+v", c)
+	if c.TargetUtil != Default().TargetUtil || !c.Repair || c.Scrub {
+		t.Fatalf("defaults not applied or enables touched: %+v", c)
 	}
 	// Explicit values survive.
-	c = Config{Enabled: true, ScrubMax: 512}.WithDefaults()
-	if c.ScrubMax != 512 {
-		t.Fatalf("explicit ScrubMax overwritten: %d", c.ScrubMax)
+	if c = (Config{Enabled: true, TargetUtil: 0.3}).WithDefaults(); c.TargetUtil != 0.3 {
+		t.Fatalf("explicit TargetUtil overwritten: %v", c.TargetUtil)
 	}
 }
 

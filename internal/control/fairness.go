@@ -10,11 +10,7 @@
 // no maps, no allocation after construction.
 package control
 
-import (
-	"fmt"
-
-	"megammap/internal/vtime"
-)
+import "megammap/internal/vtime"
 
 // TenantClass mirrors tenant.Class without importing it (control stays
 // leaf-like; the serving loop translates).
@@ -27,64 +23,19 @@ const (
 	TenantBatch
 )
 
-// FairnessConfig bounds the fairness governor.
-type FairnessConfig struct {
-	Enabled   bool
-	Tick      vtime.Duration // governor period
-	TargetP99 vtime.Duration // latency-class p99 objective
+// The fairness governor's period, objective and floors.
+const (
+	// FairnessTick is the governor period.
+	FairnessTick = 5 * vtime.Millisecond
+	// TargetP99 is the latency-class p99 objective.
+	TargetP99 = vtime.Millisecond
 	// QuotaMin is the batch starvation floor: the smallest fast-tier
 	// quota a batch tenant keeps, as a fraction of its fair share.
-	QuotaMin float64
+	QuotaMin = 0.25
 	// AdmitMin is the smallest in-flight cap a squeezed batch tenant
 	// keeps (>= 1 guarantees forward progress).
-	AdmitMin int
-}
-
-// DefaultFairness returns the fairness governor defaults.
-func DefaultFairness() FairnessConfig {
-	return FairnessConfig{
-		Enabled:   true,
-		Tick:      5 * vtime.Millisecond,
-		TargetP99: 2 * vtime.Millisecond,
-		QuotaMin:  0.25,
-		AdmitMin:  1,
-	}
-}
-
-// WithDefaults fills zero fields from DefaultFairness.
-func (c FairnessConfig) WithDefaults() FairnessConfig {
-	d := DefaultFairness()
-	if c.Tick == 0 {
-		c.Tick = d.Tick
-	}
-	if c.TargetP99 == 0 {
-		c.TargetP99 = d.TargetP99
-	}
-	if c.QuotaMin == 0 {
-		c.QuotaMin = d.QuotaMin
-	}
-	if c.AdmitMin == 0 {
-		c.AdmitMin = d.AdmitMin
-	}
-	return c
-}
-
-// Validate rejects malformed fairness configs with typed errors.
-func (c FairnessConfig) Validate() error {
-	if c.Tick <= 0 {
-		return fmt.Errorf("control: fairness tick must be > 0 (got %v)", c.Tick)
-	}
-	if c.TargetP99 <= 0 {
-		return fmt.Errorf("control: fairness target p99 must be > 0 (got %v)", c.TargetP99)
-	}
-	if !finite(c.QuotaMin) || c.QuotaMin <= 0 || c.QuotaMin > 1 {
-		return fmt.Errorf("control: fairness quota floor must be in (0, 1] (got %v)", c.QuotaMin)
-	}
-	if c.AdmitMin < 1 {
-		return fmt.Errorf("control: fairness admit floor must be >= 1 (got %d)", c.AdmitMin)
-	}
-	return nil
-}
+	AdmitMin = 1
+)
 
 // TenantSignal is one tenant's observed state at a governor tick.
 type TenantSignal struct {
@@ -105,20 +56,12 @@ type TenantAction struct {
 }
 
 // Fairness is the governor state: one squeeze integrator shared by all
-// batch tenants, plus the reusable action slice.
+// batch tenants, plus the reusable action slice. The zero value is a
+// governor at fair share.
 type Fairness struct {
-	cfg     FairnessConfig
 	squeeze float64 // 0 = everyone at fair share, 1 = batch fully squeezed
 	acts    []TenantAction
 }
-
-// NewFairness builds a governor; the config must already validate.
-func NewFairness(cfg FairnessConfig) *Fairness {
-	return &Fairness{cfg: cfg}
-}
-
-// Squeeze exposes the integrator for gauges and tests.
-func (f *Fairness) Squeeze() float64 { return f.squeeze }
 
 // Step folds one tick of signals into knob settings. The returned slice
 // is reused across calls; it is indexed like sigs.
@@ -154,11 +97,11 @@ func (f *Fairness) Step(sigs []TenantSignal) []TenantAction {
 		}
 	}
 
-	if f.cfg.Enabled && latN > 0 && batchN > 0 {
+	if latN > 0 && batchN > 0 {
 		switch {
-		case worst > f.cfg.TargetP99:
+		case worst > TargetP99:
 			f.squeeze += (1 - f.squeeze) / 2
-		case worst < f.cfg.TargetP99/2:
+		case worst < TargetP99/2:
 			f.squeeze -= 1.0 / aimdSteps
 			if f.squeeze < 0 {
 				f.squeeze = 0
@@ -169,21 +112,21 @@ func (f *Fairness) Step(sigs []TenantSignal) []TenantAction {
 	}
 
 	fair := 1.0 / float64(n)
-	batchFrac := fair * (1 - f.squeeze*(1-f.cfg.QuotaMin))
+	batchFrac := fair * (1 - f.squeeze*(1-QuotaMin))
 	latFrac := fair
 	if latN > 0 {
 		latFrac = fair + float64(batchN)*(fair-batchFrac)/float64(latN)
 	}
 	for i, s := range sigs {
 		base := s.Cap
-		if base < f.cfg.AdmitMin {
-			base = f.cfg.AdmitMin
+		if base < AdmitMin {
+			base = AdmitMin
 		}
 		if s.Class == TenantLatency {
 			f.acts[i] = TenantAction{QuotaFrac: latFrac, InFlight: base}
 			continue
 		}
-		cut := int(f.squeeze*float64(base-f.cfg.AdmitMin) + 0.5)
+		cut := int(f.squeeze*float64(base-AdmitMin) + 0.5)
 		f.acts[i] = TenantAction{QuotaFrac: batchFrac, InFlight: base - cut}
 	}
 	return f.acts

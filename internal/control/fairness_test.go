@@ -2,44 +2,10 @@ package control
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"megammap/internal/vtime"
 )
-
-func fairCfg() FairnessConfig {
-	return FairnessConfig{Enabled: true}.WithDefaults()
-}
-
-func TestFairnessConfigValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		mod  func(*FairnessConfig)
-		want string
-	}{
-		{"valid", func(c *FairnessConfig) {}, ""},
-		{"zero tick", func(c *FairnessConfig) { c.Tick = -1 }, "tick"},
-		{"zero target", func(c *FairnessConfig) { c.TargetP99 = -1 }, "target p99"},
-		{"quota floor high", func(c *FairnessConfig) { c.QuotaMin = 1.5 }, "quota floor"},
-		{"quota floor nan", func(c *FairnessConfig) { c.QuotaMin = math.NaN() }, "quota floor"},
-		{"admit floor", func(c *FairnessConfig) { c.AdmitMin = -1 }, "admit floor"},
-	}
-	for _, tc := range cases {
-		c := fairCfg()
-		tc.mod(&c)
-		err := c.Validate()
-		if tc.want == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error %v", tc.name, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
-		}
-	}
-}
 
 // twoTenants is one latency + one batch tenant with the given latency-
 // class p99 observation.
@@ -54,25 +20,24 @@ func twoTenants(p99 vtime.Duration) []TenantSignal {
 // squeeze to its maximum, batch quota to the floor, and batch admission
 // to the admit floor — and the latency tenant receives all freed quota.
 func TestFairnessConvergence(t *testing.T) {
-	cfg := fairCfg()
-	f := NewFairness(cfg)
+	var f Fairness
 	var acts []TenantAction
 	for i := 0; i < 40; i++ {
-		acts = f.Step(twoTenants(10 * cfg.TargetP99))
+		acts = f.Step(twoTenants(10 * TargetP99))
 	}
-	if f.Squeeze() < 0.999 {
-		t.Fatalf("squeeze = %v after sustained breach, want ~1", f.Squeeze())
+	if f.squeeze < 0.999 {
+		t.Fatalf("squeeze = %v after sustained breach, want ~1", f.squeeze)
 	}
 	fair := 0.5
-	wantBatch := fair * cfg.QuotaMin
+	wantBatch := fair * QuotaMin
 	if math.Abs(acts[1].QuotaFrac-wantBatch) > 1e-6 {
 		t.Fatalf("batch quota = %v, want floor %v", acts[1].QuotaFrac, wantBatch)
 	}
 	if math.Abs(acts[0].QuotaFrac-(1-wantBatch)) > 1e-6 {
 		t.Fatalf("latency quota = %v, want %v (sum to 1)", acts[0].QuotaFrac, 1-wantBatch)
 	}
-	if acts[1].InFlight != cfg.AdmitMin {
-		t.Fatalf("batch in-flight = %d, want admit floor %d", acts[1].InFlight, cfg.AdmitMin)
+	if acts[1].InFlight != AdmitMin {
+		t.Fatalf("batch in-flight = %d, want admit floor %d", acts[1].InFlight, AdmitMin)
 	}
 	if acts[0].InFlight != 8 {
 		t.Fatalf("latency in-flight = %d, want its baseline 8", acts[0].InFlight)
@@ -82,17 +47,16 @@ func TestFairnessConvergence(t *testing.T) {
 // TestFairnessRelease: after the breach clears well below target, the
 // squeeze releases additively back to fair share.
 func TestFairnessRelease(t *testing.T) {
-	cfg := fairCfg()
-	f := NewFairness(cfg)
+	var f Fairness
 	for i := 0; i < 40; i++ {
-		f.Step(twoTenants(10 * cfg.TargetP99))
+		f.Step(twoTenants(10 * TargetP99))
 	}
 	var acts []TenantAction
 	for i := 0; i < aimdSteps+1; i++ {
-		acts = f.Step(twoTenants(cfg.TargetP99 / 4))
+		acts = f.Step(twoTenants(TargetP99 / 4))
 	}
-	if f.Squeeze() != 0 {
-		t.Fatalf("squeeze = %v after sustained calm, want 0", f.Squeeze())
+	if f.squeeze != 0 {
+		t.Fatalf("squeeze = %v after sustained calm, want 0", f.squeeze)
 	}
 	if acts[0].QuotaFrac != 0.5 || acts[1].QuotaFrac != 0.5 {
 		t.Fatalf("quotas %v/%v, want fair 0.5/0.5", acts[0].QuotaFrac, acts[1].QuotaFrac)
@@ -105,20 +69,19 @@ func TestFairnessRelease(t *testing.T) {
 // TestFairnessHysteresisNoOscillation: inside the hysteresis band
 // (target/2 .. target) the squeeze holds exactly — no knob movement.
 func TestFairnessHysteresisNoOscillation(t *testing.T) {
-	cfg := fairCfg()
-	f := NewFairness(cfg)
+	var f Fairness
 	for i := 0; i < 3; i++ {
-		f.Step(twoTenants(2 * cfg.TargetP99))
+		f.Step(twoTenants(2 * TargetP99))
 	}
-	level := f.Squeeze()
+	level := f.squeeze
 	if level <= 0 {
 		t.Fatal("setup did not raise the squeeze")
 	}
-	prev := append([]TenantAction(nil), f.Step(twoTenants(3*cfg.TargetP99/4))...)
+	prev := append([]TenantAction(nil), f.Step(twoTenants(3*TargetP99/4))...)
 	for i := 0; i < 20; i++ {
-		got := f.Step(twoTenants(3 * cfg.TargetP99 / 4))
-		if f.Squeeze() != level {
-			t.Fatalf("tick %d: in-band squeeze moved %v -> %v", i, level, f.Squeeze())
+		got := f.Step(twoTenants(3 * TargetP99 / 4))
+		if f.squeeze != level {
+			t.Fatalf("tick %d: in-band squeeze moved %v -> %v", i, level, f.squeeze)
 		}
 		for j := range got {
 			if got[j] != prev[j] {
@@ -131,8 +94,7 @@ func TestFairnessHysteresisNoOscillation(t *testing.T) {
 // TestFairnessStarvationFloor: under any breach history, batch tenants
 // keep a nonzero quota and at least AdmitMin in-flight slots.
 func TestFairnessStarvationFloor(t *testing.T) {
-	cfg := fairCfg()
-	f := NewFairness(cfg)
+	var f Fairness
 	sigs := []TenantSignal{
 		{Class: TenantLatency, P99: vtime.Second, Cap: 16},
 		{Class: TenantBatch, Cap: 4},
@@ -146,14 +108,14 @@ func TestFairnessStarvationFloor(t *testing.T) {
 			if a.QuotaFrac <= 0 {
 				t.Fatalf("tick %d: tenant %d quota %v <= 0", i, j, a.QuotaFrac)
 			}
-			if a.InFlight < cfg.AdmitMin {
+			if a.InFlight < AdmitMin {
 				t.Fatalf("tick %d: tenant %d in-flight %d below floor", i, j, a.InFlight)
 			}
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("tick %d: quota fractions sum to %v, want 1", i, sum)
 		}
-		floor := cfg.QuotaMin / 3
+		floor := QuotaMin / 3
 		for _, j := range []int{1, 2} {
 			if acts[j].QuotaFrac < floor-1e-9 {
 				t.Fatalf("tick %d: batch quota %v below floor %v", i, acts[j].QuotaFrac, floor)
@@ -162,22 +124,27 @@ func TestFairnessStarvationFloor(t *testing.T) {
 	}
 }
 
-// TestFairnessDisabled: a disabled governor (or a degenerate tenant mix)
-// always reports fair shares and baseline caps.
+// TestFairnessDisabled: with nothing to protect or nobody to squeeze
+// (a one-class tenant mix) the governor reports fair shares and
+// baseline caps.
 func TestFairnessDisabled(t *testing.T) {
-	cfg := fairCfg()
-	cfg.Enabled = false
-	f := NewFairness(cfg)
-	for i := 0; i < 10; i++ {
-		acts := f.Step(twoTenants(vtime.Second))
-		if acts[0].QuotaFrac != 0.5 || acts[1].QuotaFrac != 0.5 || acts[1].InFlight != 8 {
-			t.Fatalf("disabled governor moved knobs: %+v", acts)
+	for _, class := range []TenantClass{TenantBatch, TenantLatency} {
+		var f Fairness
+		for i := 0; i < 10; i++ {
+			acts := f.Step([]TenantSignal{{Class: class, P99: vtime.Second, Cap: 4}, {Class: class, Cap: 4}})
+			if f.squeeze != 0 || acts[0].QuotaFrac != 0.5 || acts[1].InFlight != 4 {
+				t.Fatalf("class %d mix squeezed: %v %+v", class, f.squeeze, acts)
+			}
 		}
 	}
-	// All-batch mix: nothing to protect, squeeze stays zero.
-	f2 := NewFairness(fairCfg())
-	acts := f2.Step([]TenantSignal{{Class: TenantBatch, Cap: 4}, {Class: TenantBatch, Cap: 4}})
-	if f2.Squeeze() != 0 || acts[0].QuotaFrac != 0.5 {
-		t.Fatalf("all-batch mix squeezed: %v %+v", f2.Squeeze(), acts)
+}
+
+// TestFairnessStepAllocFree: the governor runs every FairnessTick inside
+// the serving loop; once its action slice is sized it must not allocate.
+func TestFairnessStepAllocFree(t *testing.T) {
+	var f Fairness
+	sigs := twoTenants(10 * TargetP99)
+	if n := testing.AllocsPerRun(200, func() { f.Step(sigs) }); n != 0 {
+		t.Errorf("Step allocates %v allocs/op, want 0", n)
 	}
 }

@@ -45,111 +45,56 @@ func (s HealthState) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// HealthConfig bounds the health governor.
+// HealthConfig selects the health governor. Every other bound is a
+// package constant below.
 type HealthConfig struct {
 	Enabled bool
-	Tick    vtime.Duration // governor period
-	// SlowFactor is the observed/nominal service-time ratio above which a
-	// window counts as degraded evidence (1.5 = node running 50% slow).
-	SlowFactor float64
-	// SuspectScore / QuarantineScore are the accrual thresholds; each
-	// degraded window adds ~1 to the score, each clean window halves it.
-	SuspectScore    float64
-	QuarantineScore float64
 	// MinOps is the fewest device operations a window needs before its
 	// ratio counts as evidence (tiny windows are noise).
 	MinOps int64
+}
+
+// The health governor's period, thresholds and actuation settings.
+const (
+	// HealthTick is the governor period.
+	HealthTick = 5 * vtime.Millisecond
+	// SlowFactor is the observed/nominal service-time ratio above which a
+	// window counts as degraded evidence (1.5 = node running 50% slow).
+	SlowFactor = 1.5
+	// SuspectScore / QuarantineScore are the accrual thresholds; each
+	// degraded window adds ~1 to the score, each clean window halves it.
+	SuspectScore    = 2.0
+	QuarantineScore = 4.0
 	// ProbeAfter is the quarantine hold before a reintegration probe; a
 	// failed probe re-arms the full hold (the anti-flap brake).
-	ProbeAfter vtime.Duration
+	ProbeAfter = 20 * vtime.Millisecond
 	// ProbeOK is how many consecutive probes must pass to reintegrate.
-	ProbeOK int
+	ProbeOK = 2
 	// HedgeDelay is how long a read against a Suspect primary waits before
-	// launching the speculative backup read (0 disables hedging).
-	HedgeDelay vtime.Duration
+	// launching the speculative backup read.
+	HedgeDelay = 500 * vtime.Microsecond
 	// QuarantineBias in (0, 1] is how strongly placement avoids
-	// quarantined nodes; 0 disables the bias (today's placement,
-	// byte-for-byte).
-	QuarantineBias float64
-}
+	// quarantined nodes.
+	QuarantineBias = 1.0
+)
 
-// DefaultHealth returns the health governor defaults.
-func DefaultHealth() HealthConfig {
-	return HealthConfig{
-		Enabled:         true,
-		Tick:            5 * vtime.Millisecond,
-		SlowFactor:      1.5,
-		SuspectScore:    2,
-		QuarantineScore: 4,
-		MinOps:          4,
-		ProbeAfter:      20 * vtime.Millisecond,
-		ProbeOK:         2,
-		HedgeDelay:      500 * vtime.Microsecond,
-		QuarantineBias:  1,
-	}
-}
+// DefaultHealth returns the health governor enabled with its default
+// evidence floor.
+func DefaultHealth() HealthConfig { return HealthConfig{Enabled: true, MinOps: 4} }
 
-// WithDefaults fills zero fields from DefaultHealth. QuarantineBias and
-// HedgeDelay are left alone: zero is a meaningful setting for both
-// (bias off / hedging off).
+// WithDefaults fills an unset MinOps from DefaultHealth.
 func (c HealthConfig) WithDefaults() HealthConfig {
-	d := DefaultHealth()
-	if c.Tick == 0 {
-		c.Tick = d.Tick
-	}
-	if c.SlowFactor == 0 {
-		c.SlowFactor = d.SlowFactor
-	}
-	if c.SuspectScore == 0 {
-		c.SuspectScore = d.SuspectScore
-	}
-	if c.QuarantineScore == 0 {
-		c.QuarantineScore = d.QuarantineScore
-	}
 	if c.MinOps == 0 {
-		c.MinOps = d.MinOps
-	}
-	if c.ProbeAfter == 0 {
-		c.ProbeAfter = d.ProbeAfter
-	}
-	if c.ProbeOK == 0 {
-		c.ProbeOK = d.ProbeOK
+		c.MinOps = DefaultHealth().MinOps
 	}
 	return c
 }
 
-// Validate rejects malformed health configs with typed errors. A
-// disabled config always validates: the zero value is the off switch.
+// Validate rejects a degenerate evidence floor. A disabled config always
+// validates: the zero value is the off switch.
 func (c HealthConfig) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if c.Tick <= 0 {
-		return fmt.Errorf("control: health tick must be > 0 (got %v)", c.Tick)
-	}
-	if !finite(c.SlowFactor) || c.SlowFactor <= 1 {
-		return fmt.Errorf("control: health slow factor must be > 1 (got %v)", c.SlowFactor)
-	}
-	if !finite(c.SuspectScore) || c.SuspectScore <= 0 {
-		return fmt.Errorf("control: health suspect score must be > 0 (got %v)", c.SuspectScore)
-	}
-	if !finite(c.QuarantineScore) || c.QuarantineScore < c.SuspectScore {
-		return fmt.Errorf("control: health quarantine score must be >= suspect score (got %v < %v)", c.QuarantineScore, c.SuspectScore)
-	}
-	if c.MinOps < 1 {
+	if c.Enabled && c.MinOps < 1 {
 		return fmt.Errorf("control: health min ops must be >= 1 (got %d)", c.MinOps)
-	}
-	if c.ProbeAfter <= 0 {
-		return fmt.Errorf("control: health probe-after must be > 0 (got %v)", c.ProbeAfter)
-	}
-	if c.ProbeOK < 1 {
-		return fmt.Errorf("control: health probe-ok must be >= 1 (got %d)", c.ProbeOK)
-	}
-	if c.HedgeDelay < 0 {
-		return fmt.Errorf("control: health hedge delay must be >= 0 (got %v)", c.HedgeDelay)
-	}
-	if !finite(c.QuarantineBias) || c.QuarantineBias < 0 || c.QuarantineBias > 1 {
-		return fmt.Errorf("control: health quarantine bias must be in [0, 1] (got %v)", c.QuarantineBias)
 	}
 	return nil
 }
@@ -202,9 +147,6 @@ func NewHealth(cfg HealthConfig, nodes int) *Health {
 // State returns a node's current health state.
 func (h *Health) State(node int) HealthState { return h.state[node] }
 
-// Score exposes a node's accrual score for gauges and tests.
-func (h *Health) Score(node int) float64 { return h.score[node] }
-
 // Step folds one tick of per-node signals into state transitions and
 // probe requests. The returned slice is reused across calls.
 //
@@ -230,9 +172,9 @@ func (h *Health) Step(now vtime.Duration, sigs []HealthSignal) []HealthAction {
 		degraded := false
 		if s.Ops >= h.cfg.MinOps && s.NomBusy > 0 {
 			ratio := float64(s.Busy) / float64(s.NomBusy)
-			if ratio >= h.cfg.SlowFactor {
+			if ratio >= SlowFactor {
 				degraded = true
-				ev := ratio / h.cfg.SlowFactor
+				ev := ratio / SlowFactor
 				if ev > 2 {
 					ev = 2
 				}
@@ -246,19 +188,19 @@ func (h *Health) Step(now vtime.Duration, sigs []HealthSignal) []HealthAction {
 		prev := h.state[i]
 		switch prev {
 		case HealthHealthy:
-			if h.score[i] >= h.cfg.QuarantineScore {
+			if h.score[i] >= QuarantineScore {
 				h.quarantine(i, now)
-			} else if h.score[i] >= h.cfg.SuspectScore {
+			} else if h.score[i] >= SuspectScore {
 				h.state[i] = HealthSuspect
 			}
 		case HealthSuspect:
-			if h.score[i] >= h.cfg.QuarantineScore {
+			if h.score[i] >= QuarantineScore {
 				h.quarantine(i, now)
-			} else if h.score[i] < h.cfg.SuspectScore/2 {
+			} else if h.score[i] < SuspectScore/2 {
 				h.state[i] = HealthHealthy
 			}
 		case HealthQuarantined:
-			if !h.probing[i] && now >= h.holdFrom[i]+h.cfg.ProbeAfter {
+			if !h.probing[i] && now >= h.holdFrom[i]+ProbeAfter {
 				h.probing[i] = true
 				h.acts = append(h.acts, HealthAction{Node: i, State: prev, Probe: true})
 			}
@@ -293,7 +235,7 @@ func (h *Health) ProbeResult(node int, now vtime.Duration, ratio float64) (Healt
 		return h.state[node], false
 	}
 	h.probing[node] = false
-	if !(ratio < h.cfg.SlowFactor) { // NaN counts as failed
+	if !(ratio < SlowFactor) { // NaN counts as failed
 		h.okProbes[node] = 0
 		h.holdFrom[node] = now
 		return HealthQuarantined, false
@@ -302,8 +244,8 @@ func (h *Health) ProbeResult(node int, now vtime.Duration, ratio float64) (Healt
 	// Passed probes retry on the governor tick cadence rather than the
 	// full hold: holdFrom slides so the next probe fires on the next
 	// tick that clears the (already elapsed) hold window.
-	h.holdFrom[node] = now - h.cfg.ProbeAfter
-	if h.okProbes[node] < h.cfg.ProbeOK {
+	h.holdFrom[node] = now - ProbeAfter
+	if h.okProbes[node] < ProbeOK {
 		return HealthQuarantined, false
 	}
 	h.state[node] = HealthHealthy

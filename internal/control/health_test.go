@@ -7,24 +7,6 @@ import (
 	"megammap/internal/vtime"
 )
 
-// healthTestConfig is a small, round-numbered config so the accrual
-// arithmetic in these tests is easy to follow: two degraded windows make
-// a node Suspect, four make it Quarantined.
-func healthTestConfig() HealthConfig {
-	return HealthConfig{
-		Enabled:         true,
-		Tick:            vtime.Millisecond,
-		SlowFactor:      2,
-		SuspectScore:    2,
-		QuarantineScore: 4,
-		MinOps:          4,
-		ProbeAfter:      10 * vtime.Millisecond,
-		ProbeOK:         2,
-		HedgeDelay:      100 * vtime.Microsecond,
-		QuarantineBias:  1,
-	}
-}
-
 // slowSig is a window running `ratio` times slower than nominal with
 // enough ops to count as evidence.
 func slowSig(ratio float64) HealthSignal {
@@ -35,7 +17,7 @@ func slowSig(ratio float64) HealthSignal {
 func cleanSig() HealthSignal { return slowSig(1) }
 
 func TestHealthAccrualWalksSuspectThenQuarantine(t *testing.T) {
-	h := NewHealth(healthTestConfig(), 2)
+	h := NewHealth(DefaultHealth(), 2)
 	now := vtime.Duration(0)
 	step := func(sig HealthSignal) []HealthAction {
 		now += vtime.Millisecond
@@ -44,16 +26,16 @@ func TestHealthAccrualWalksSuspectThenQuarantine(t *testing.T) {
 
 	// Each degraded window at exactly SlowFactor adds 1. Window 1: score 1,
 	// still healthy. Window 2: score 2, Suspect.
-	if acts := step(slowSig(2)); len(acts) != 0 {
+	if acts := step(slowSig(SlowFactor)); len(acts) != 0 {
 		t.Fatalf("one degraded window already acted: %+v", acts)
 	}
-	acts := step(slowSig(2))
+	acts := step(slowSig(SlowFactor))
 	if len(acts) != 1 || acts[0].Node != 0 || acts[0].State != HealthSuspect || !acts[0].Changed {
 		t.Fatalf("second degraded window: acts = %+v, want node 0 -> suspect", acts)
 	}
 	// Windows 3 and 4: score 3 then 4, Quarantined.
-	step(slowSig(2))
-	acts = step(slowSig(2))
+	step(slowSig(SlowFactor))
+	acts = step(slowSig(SlowFactor))
 	if len(acts) != 1 || acts[0].State != HealthQuarantined || !acts[0].Changed {
 		t.Fatalf("fourth degraded window: acts = %+v, want quarantine", acts)
 	}
@@ -63,11 +45,11 @@ func TestHealthAccrualWalksSuspectThenQuarantine(t *testing.T) {
 }
 
 func TestHealthEvidenceCappedPerTick(t *testing.T) {
-	h := NewHealth(healthTestConfig(), 1)
+	h := NewHealth(DefaultHealth(), 1)
 	// A grotesquely slow window (100x) still adds at most 2 per tick, so a
 	// single bad sample cannot jump a node straight past Suspect.
 	h.Step(vtime.Millisecond, []HealthSignal{slowSig(100)})
-	if got := h.Score(0); got != 2 {
+	if got := h.score[0]; got != 2 {
 		t.Errorf("score after one extreme window = %v, want cap 2", got)
 	}
 	if h.State(0) != HealthSuspect {
@@ -76,14 +58,14 @@ func TestHealthEvidenceCappedPerTick(t *testing.T) {
 }
 
 func TestHealthHysteresisClearsSuspectBelowHalf(t *testing.T) {
-	h := NewHealth(healthTestConfig(), 1)
+	h := NewHealth(DefaultHealth(), 1)
 	now := vtime.Duration(0)
 	step := func(sig HealthSignal) []HealthAction {
 		now += vtime.Millisecond
 		return h.Step(now, []HealthSignal{sig})
 	}
-	step(slowSig(2))
-	step(slowSig(2)) // score 2 -> Suspect
+	step(slowSig(SlowFactor))
+	step(slowSig(SlowFactor)) // score 2 -> Suspect
 	// One clean window halves the score to 1: still in the hysteresis band
 	// (>= SuspectScore/2), so the node stays Suspect.
 	if acts := step(cleanSig()); len(acts) != 0 || h.State(0) != HealthSuspect {
@@ -97,24 +79,24 @@ func TestHealthHysteresisClearsSuspectBelowHalf(t *testing.T) {
 }
 
 func TestHealthMinOpsIgnoresTinyWindows(t *testing.T) {
-	h := NewHealth(healthTestConfig(), 1)
+	h := NewHealth(DefaultHealth(), 1)
 	sig := slowSig(10)
 	sig.Ops = 1 // below MinOps: noise, not evidence
 	h.Step(vtime.Millisecond, []HealthSignal{sig})
-	if h.Score(0) != 0 || h.State(0) != HealthHealthy {
-		t.Errorf("tiny window counted as evidence: score=%v state=%v", h.Score(0), h.State(0))
+	if h.score[0] != 0 || h.State(0) != HealthHealthy {
+		t.Errorf("tiny window counted as evidence: score=%v state=%v", h.score[0], h.State(0))
 	}
 }
 
 func TestHealthDownNodesSkipScoring(t *testing.T) {
-	h := NewHealth(healthTestConfig(), 1)
-	h.Step(vtime.Millisecond, []HealthSignal{slowSig(2)})
+	h := NewHealth(DefaultHealth(), 1)
+	h.Step(vtime.Millisecond, []HealthSignal{slowSig(SlowFactor)})
 	down := HealthSignal{Down: true}
 	// Crash-failed windows neither accrue nor decay: the score is frozen
 	// until the fault plane brings the node back.
 	h.Step(2*vtime.Millisecond, []HealthSignal{down})
-	if h.Score(0) != 1 {
-		t.Errorf("down window changed the score: %v, want 1", h.Score(0))
+	if h.score[0] != 1 {
+		t.Errorf("down window changed the score: %v, want 1", h.score[0])
 	}
 }
 
@@ -122,11 +104,11 @@ func TestHealthDownNodesSkipScoring(t *testing.T) {
 // returns the governor and the virtual time of the quarantine entry.
 func quarantineNode(t *testing.T) (*Health, vtime.Duration) {
 	t.Helper()
-	h := NewHealth(healthTestConfig(), 1)
+	h := NewHealth(DefaultHealth(), 1)
 	now := vtime.Duration(0)
 	for i := 0; i < 4; i++ {
 		now += vtime.Millisecond
-		h.Step(now, []HealthSignal{slowSig(2)})
+		h.Step(now, []HealthSignal{slowSig(SlowFactor)})
 	}
 	if h.State(0) != HealthQuarantined {
 		t.Fatalf("setup: state = %v, want quarantined", h.State(0))
@@ -136,21 +118,20 @@ func quarantineNode(t *testing.T) (*Health, vtime.Duration) {
 
 func TestHealthProbeReintegration(t *testing.T) {
 	h, now := quarantineNode(t)
-	cfg := healthTestConfig()
 
 	// While quarantined, scores are ignored — even a flood of clean windows
 	// does not reintegrate, and no probe fires before the hold elapses.
-	acts := h.Step(now+cfg.ProbeAfter-1, []HealthSignal{cleanSig()})
+	acts := h.Step(now+ProbeAfter-1, []HealthSignal{cleanSig()})
 	if len(acts) != 0 {
 		t.Fatalf("probe fired before the hold elapsed: %+v", acts)
 	}
-	now += cfg.ProbeAfter
+	now += ProbeAfter
 	acts = h.Step(now, []HealthSignal{cleanSig()})
 	if len(acts) != 1 || !acts[0].Probe || acts[0].Changed {
 		t.Fatalf("hold elapsed: acts = %+v, want a probe request", acts)
 	}
 	// The probe is outstanding: further ticks must not re-issue it.
-	if acts := h.Step(now+cfg.Tick, []HealthSignal{cleanSig()}); len(acts) != 0 {
+	if acts := h.Step(now+HealthTick, []HealthSignal{cleanSig()}); len(acts) != 0 {
 		t.Fatalf("re-issued a probe while one was outstanding: %+v", acts)
 	}
 
@@ -159,7 +140,7 @@ func TestHealthProbeReintegration(t *testing.T) {
 	if st, changed := h.ProbeResult(0, now, 1.0); st != HealthQuarantined || changed {
 		t.Fatalf("first passed probe: state=%v changed=%v", st, changed)
 	}
-	now += cfg.Tick
+	now += HealthTick
 	acts = h.Step(now, []HealthSignal{cleanSig()})
 	if len(acts) != 1 || !acts[0].Probe {
 		t.Fatalf("passed probe did not re-arm on tick cadence: %+v", acts)
@@ -169,43 +150,41 @@ func TestHealthProbeReintegration(t *testing.T) {
 	if st != HealthHealthy || !changed {
 		t.Fatalf("second passed probe: state=%v changed=%v, want healthy", st, changed)
 	}
-	if h.Score(0) != 0 {
-		t.Errorf("reintegration left residual score %v", h.Score(0))
+	if h.score[0] != 0 {
+		t.Errorf("reintegration left residual score %v", h.score[0])
 	}
 }
 
 func TestHealthFailedProbeRearmsFullHold(t *testing.T) {
 	h, now := quarantineNode(t)
-	cfg := healthTestConfig()
-	now += cfg.ProbeAfter
+	now += ProbeAfter
 	h.Step(now, []HealthSignal{cleanSig()}) // issue the probe
 
 	// Pass one probe, then fail one: the streak zeroes and the full hold
 	// re-arms from the failure — this is the anti-flap brake.
 	h.ProbeResult(0, now, 1.0)
-	now += cfg.Tick
+	now += HealthTick
 	h.Step(now, []HealthSignal{cleanSig()})
 	failAt := now
-	if st, changed := h.ProbeResult(0, failAt, cfg.SlowFactor); st != HealthQuarantined || changed {
+	if st, changed := h.ProbeResult(0, failAt, SlowFactor); st != HealthQuarantined || changed {
 		t.Fatalf("failed probe: state=%v changed=%v", st, changed)
 	}
-	if acts := h.Step(failAt+cfg.ProbeAfter-1, []HealthSignal{cleanSig()}); len(acts) != 0 {
+	if acts := h.Step(failAt+ProbeAfter-1, []HealthSignal{cleanSig()}); len(acts) != 0 {
 		t.Fatalf("probe fired inside the re-armed hold: %+v", acts)
 	}
-	acts := h.Step(failAt+cfg.ProbeAfter, []HealthSignal{cleanSig()})
+	acts := h.Step(failAt+ProbeAfter, []HealthSignal{cleanSig()})
 	if len(acts) != 1 || !acts[0].Probe {
 		t.Fatalf("re-armed hold elapsed: acts = %+v, want probe", acts)
 	}
 	// The streak restarted: two fresh passes are needed again.
-	if st, _ := h.ProbeResult(0, failAt+cfg.ProbeAfter, 1.0); st != HealthQuarantined {
+	if st, _ := h.ProbeResult(0, failAt+ProbeAfter, 1.0); st != HealthQuarantined {
 		t.Errorf("failed probe did not zero the pass streak")
 	}
 }
 
 func TestHealthProbeResultNaNCountsAsFailed(t *testing.T) {
 	h, now := quarantineNode(t)
-	cfg := healthTestConfig()
-	now += cfg.ProbeAfter
+	now += ProbeAfter
 	h.Step(now, []HealthSignal{cleanSig()})
 	nan := 0.0
 	nan /= nan
@@ -215,7 +194,7 @@ func TestHealthProbeResultNaNCountsAsFailed(t *testing.T) {
 }
 
 func TestHealthProbeResultIgnoresNonQuarantined(t *testing.T) {
-	h := NewHealth(healthTestConfig(), 2)
+	h := NewHealth(DefaultHealth(), 2)
 	if st, changed := h.ProbeResult(0, 0, 1.0); st != HealthHealthy || changed {
 		t.Errorf("probe on a healthy node acted: state=%v changed=%v", st, changed)
 	}
@@ -229,8 +208,8 @@ func TestHealthResetClearsEverything(t *testing.T) {
 	if !h.Reset(0) {
 		t.Fatal("Reset on a quarantined node reported no change")
 	}
-	if h.State(0) != HealthHealthy || h.Score(0) != 0 {
-		t.Errorf("Reset left state=%v score=%v", h.State(0), h.Score(0))
+	if h.State(0) != HealthHealthy || h.score[0] != 0 {
+		t.Errorf("Reset left state=%v score=%v", h.State(0), h.score[0])
 	}
 	if h.Reset(0) {
 		t.Error("Reset on a healthy node reported a change")
@@ -242,9 +221,9 @@ func TestHealthResetClearsEverything(t *testing.T) {
 
 func TestHealthStepIsDeterministic(t *testing.T) {
 	run := func() []HealthState {
-		h := NewHealth(healthTestConfig(), 3)
+		h := NewHealth(DefaultHealth(), 3)
 		now := vtime.Duration(0)
-		sigs := []HealthSignal{slowSig(2), cleanSig(), slowSig(3)}
+		sigs := []HealthSignal{slowSig(SlowFactor), cleanSig(), slowSig(3)}
 		for i := 0; i < 20; i++ {
 			now += vtime.Millisecond
 			h.Step(now, sigs)
@@ -266,55 +245,20 @@ func TestHealthValidate(t *testing.T) {
 	if err := DefaultHealth().Validate(); err != nil {
 		t.Errorf("defaults rejected: %v", err)
 	}
-	nan := 0.0
-	nan /= nan
-	cases := []struct {
-		name string
-		mod  func(*HealthConfig)
-	}{
-		{"tick", func(c *HealthConfig) { c.Tick = 0 }},
-		{"slow factor", func(c *HealthConfig) { c.SlowFactor = 1 }},
-		{"slow factor nan", func(c *HealthConfig) { c.SlowFactor = nan }},
-		{"suspect score", func(c *HealthConfig) { c.SuspectScore = 0 }},
-		{"quarantine score", func(c *HealthConfig) { c.QuarantineScore = 1 }},
-		{"min ops", func(c *HealthConfig) { c.MinOps = 0 }},
-		{"probe-after", func(c *HealthConfig) { c.ProbeAfter = 0 }},
-		{"probe-ok", func(c *HealthConfig) { c.ProbeOK = 0 }},
-		{"hedge delay", func(c *HealthConfig) { c.HedgeDelay = -1 }},
-		{"quarantine bias", func(c *HealthConfig) { c.QuarantineBias = 1.5 }},
+	err := HealthConfig{Enabled: true}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "control: health min ops") {
+		t.Errorf("zero min ops: got %v, want a typed error", err)
 	}
-	for _, tc := range cases {
-		cfg := healthTestConfig()
-		tc.mod(&cfg)
-		err := cfg.Validate()
-		if err == nil {
-			t.Errorf("%s: bad config accepted", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "control: health") {
-			t.Errorf("%s: error not typed: %v", tc.name, err)
-		}
-	}
-}
-
-func TestHealthWithDefaultsPreservesZeroHedgeAndBias(t *testing.T) {
-	// HedgeDelay 0 (hedging off) and QuarantineBias 0 (today's placement)
-	// are meaningful settings; WithDefaults must not clobber them.
-	c := (HealthConfig{Enabled: true}).WithDefaults()
-	if c.HedgeDelay != 0 || c.QuarantineBias != 0 {
-		t.Errorf("WithDefaults overrode off switches: hedge=%v bias=%v", c.HedgeDelay, c.QuarantineBias)
-	}
-	if c.Tick == 0 || c.SlowFactor == 0 || c.SuspectScore == 0 ||
-		c.QuarantineScore == 0 || c.MinOps == 0 || c.ProbeAfter == 0 || c.ProbeOK == 0 {
-		t.Errorf("WithDefaults left zero fields: %+v", c)
+	if c := (HealthConfig{Enabled: true}).WithDefaults(); c.MinOps != DefaultHealth().MinOps {
+		t.Errorf("WithDefaults left min ops at %d", c.MinOps)
 	}
 }
 
 func TestHealthStepAllocFree(t *testing.T) {
-	h := NewHealth(healthTestConfig(), 8)
+	h := NewHealth(DefaultHealth(), 8)
 	sigs := make([]HealthSignal, 8)
 	for i := range sigs {
-		sigs[i] = slowSig(2)
+		sigs[i] = slowSig(SlowFactor)
 	}
 	now := vtime.Duration(0)
 	if n := testing.AllocsPerRun(1000, func() {

@@ -16,96 +16,29 @@
 // maps, no PRNG, no allocation.
 package control
 
-import (
-	"fmt"
+import "megammap/internal/vtime"
 
-	"megammap/internal/vtime"
-)
-
-// PoolConfig bounds the spill-vs-pool governor.
-type PoolConfig struct {
-	Enabled bool
-	Tick    vtime.Duration // governor period
+// The spill-vs-pool governor's period and bands. The governor runs on
+// every cluster with memory-pool nodes and on no other.
+const (
+	// PoolTick is the governor period.
+	PoolTick = 500 * vtime.Microsecond
 	// SpillHigh / SpillLow are the spill-tier capacity-pressure hysteresis
 	// band: pressure at or above SpillHigh argues for pooling, at or
 	// below SpillLow for reverting to local spill.
-	SpillHigh float64
-	SpillLow  float64
-	// QueueHigh is the pool-NIC queue depth (transfers waiting behind the
-	// pool nodes' NICs) above which pooling backs off: the fabric to the
-	// pools is itself congested.
-	QueueHigh int
+	SpillHigh = 0.3
+	SpillLow  = 0.05
+	// PoolQueueHigh is the pool-NIC queue depth (transfers waiting behind
+	// the pool nodes' NICs) above which pooling backs off: the fabric to
+	// the pools is itself congested.
+	PoolQueueHigh = 4
 	// PoolFullFrac stops the bias when the pools' used fraction reaches
 	// it; a nearly full pool should not attract more overflow.
-	PoolFullFrac float64
-	// HoldTicks is how many consecutive ticks a flip condition must hold
-	// before the bias actually flips (the anti-flap debounce).
-	HoldTicks int
-}
-
-// DefaultPool returns the spill-vs-pool governor defaults.
-func DefaultPool() PoolConfig {
-	return PoolConfig{
-		Enabled:      true,
-		Tick:         2 * vtime.Millisecond,
-		SpillHigh:    0.6,
-		SpillLow:     0.2,
-		QueueHigh:    4,
-		PoolFullFrac: 0.9,
-		HoldTicks:    2,
-	}
-}
-
-// WithDefaults fills zero fields from DefaultPool.
-func (c PoolConfig) WithDefaults() PoolConfig {
-	d := DefaultPool()
-	if c.Tick == 0 {
-		c.Tick = d.Tick
-	}
-	if c.SpillHigh == 0 {
-		c.SpillHigh = d.SpillHigh
-	}
-	if c.SpillLow == 0 {
-		c.SpillLow = d.SpillLow
-	}
-	if c.QueueHigh == 0 {
-		c.QueueHigh = d.QueueHigh
-	}
-	if c.PoolFullFrac == 0 {
-		c.PoolFullFrac = d.PoolFullFrac
-	}
-	if c.HoldTicks == 0 {
-		c.HoldTicks = d.HoldTicks
-	}
-	return c
-}
-
-// Validate rejects malformed pool-governor configs with typed errors. A
-// disabled config always validates: the zero value is the off switch.
-func (c PoolConfig) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if c.Tick <= 0 {
-		return fmt.Errorf("control: pool tick must be > 0 (got %v)", c.Tick)
-	}
-	if !finite(c.SpillHigh) || c.SpillHigh <= 0 || c.SpillHigh > 1 {
-		return fmt.Errorf("control: pool spill-high must be in (0, 1] (got %v)", c.SpillHigh)
-	}
-	if !finite(c.SpillLow) || c.SpillLow < 0 || c.SpillLow >= c.SpillHigh {
-		return fmt.Errorf("control: pool spill-low must be in [0, spill-high) (got %v)", c.SpillLow)
-	}
-	if c.QueueHigh < 0 {
-		return fmt.Errorf("control: pool queue-high must be >= 0 (got %d)", c.QueueHigh)
-	}
-	if !finite(c.PoolFullFrac) || c.PoolFullFrac <= 0 || c.PoolFullFrac > 1 {
-		return fmt.Errorf("control: pool full-fraction must be in (0, 1] (got %v)", c.PoolFullFrac)
-	}
-	if c.HoldTicks < 1 {
-		return fmt.Errorf("control: pool hold-ticks must be >= 1 (got %d)", c.HoldTicks)
-	}
-	return nil
-}
+	PoolFullFrac = 0.9
+	// PoolHoldTicks is how many consecutive ticks a flip condition must
+	// hold before the bias actually flips (the anti-flap debounce).
+	PoolHoldTicks = 2
+)
 
 // PoolSignals is one governor window's observations, gathered by the
 // core sampling loop from device and fabric counters.
@@ -126,38 +59,31 @@ type PoolAction struct {
 }
 
 // PoolPlane is the governor state: the current bias plus the debounce
-// streak.
+// streak. The zero value is a governor with the bias off.
 type PoolPlane struct {
-	cfg    PoolConfig
 	prefer bool
 	streak int // consecutive ticks the flip condition has held
 }
 
-// NewPoolPlane builds a governor; the config must already validate.
-func NewPoolPlane(cfg PoolConfig) *PoolPlane { return &PoolPlane{cfg: cfg} }
-
-// PreferPool reports the current bias.
-func (g *PoolPlane) PreferPool() bool { return g.prefer }
-
 // Step folds one window of signals into the bias. The flip condition
-// must hold for HoldTicks consecutive windows before the bias moves;
+// must hold for PoolHoldTicks consecutive windows before the bias moves;
 // any window that breaks the streak resets it.
 func (g *PoolPlane) Step(s PoolSignals) PoolAction {
 	var flip bool
 	if g.prefer {
-		flip = s.SpillFrac <= g.cfg.SpillLow ||
-			s.PoolQueued > g.cfg.QueueHigh ||
-			s.PoolUsedFrac >= g.cfg.PoolFullFrac
+		flip = s.SpillFrac <= SpillLow ||
+			s.PoolQueued > PoolQueueHigh ||
+			s.PoolUsedFrac >= PoolFullFrac
 	} else {
-		flip = s.SpillFrac >= g.cfg.SpillHigh &&
-			s.PoolQueued <= g.cfg.QueueHigh &&
-			s.PoolUsedFrac < g.cfg.PoolFullFrac
+		flip = s.SpillFrac >= SpillHigh &&
+			s.PoolQueued <= PoolQueueHigh &&
+			s.PoolUsedFrac < PoolFullFrac
 	}
 	if !flip {
 		g.streak = 0
 		return PoolAction{PreferPool: g.prefer}
 	}
-	if g.streak++; g.streak < g.cfg.HoldTicks {
+	if g.streak++; g.streak < PoolHoldTicks {
 		return PoolAction{PreferPool: g.prefer}
 	}
 	g.streak = 0

@@ -1,65 +1,25 @@
 package control
 
-import (
-	"math"
-	"testing"
+import "testing"
 
-	"megammap/internal/vtime"
-)
-
-func TestPoolConfigZeroValidates(t *testing.T) {
-	var c PoolConfig
-	if err := c.Validate(); err != nil {
-		t.Fatalf("disabled zero config fails validation: %v", err)
-	}
-	if err := DefaultPool().Validate(); err != nil {
-		t.Fatalf("defaults fail validation: %v", err)
-	}
-	if err := (PoolConfig{Enabled: true}).WithDefaults().Validate(); err != nil {
-		t.Fatalf("defaulted enabled config fails validation: %v", err)
-	}
-}
-
-func TestPoolConfigRejectsDegenerate(t *testing.T) {
-	base := DefaultPool()
-	for name, mut := range map[string]func(*PoolConfig){
-		"zero tick":       func(c *PoolConfig) { c.Tick = 0 },
-		"high > 1":        func(c *PoolConfig) { c.SpillHigh = 1.5 },
-		"nan high":        func(c *PoolConfig) { c.SpillHigh = math.NaN() },
-		"low >= high":     func(c *PoolConfig) { c.SpillLow = c.SpillHigh },
-		"negative low":    func(c *PoolConfig) { c.SpillLow = -0.1 },
-		"negative queue":  func(c *PoolConfig) { c.QueueHigh = -1 },
-		"full frac zero":  func(c *PoolConfig) { c.PoolFullFrac = 0 },
-		"zero hold ticks": func(c *PoolConfig) { c.HoldTicks = 0 },
-	} {
-		c := base
-		mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("%s: validated; want error", name)
-		}
-	}
-}
-
-// The governor must hold off HoldTicks windows before flipping, flip on
-// sustained spill pressure, and revert immediately when pool traffic
-// queues past the threshold for the hold again.
+// The governor must hold off PoolHoldTicks windows before flipping, flip
+// on sustained spill pressure, and revert when pool traffic queues past
+// the threshold for the hold again.
 func TestPoolPlaneHysteresis(t *testing.T) {
-	cfg := PoolConfig{Enabled: true, Tick: vtime.Millisecond, HoldTicks: 2}.WithDefaults()
-	g := NewPoolPlane(cfg)
-
+	var g PoolPlane
 	hot := PoolSignals{SpillFrac: 0.8}
 	if a := g.Step(hot); a.PreferPool || a.Changed {
 		t.Fatalf("flipped after one hot window: %+v", a)
 	}
 	if a := g.Step(hot); !a.PreferPool || !a.Changed {
-		t.Fatalf("did not flip after HoldTicks hot windows: %+v", a)
+		t.Fatalf("did not flip after PoolHoldTicks hot windows: %+v", a)
 	}
-	// Mid-band utilization holds the bias (hysteresis).
-	if a := g.Step(PoolSignals{SpillFrac: 0.4}); !a.PreferPool || a.Changed {
+	// Mid-band pressure holds the bias (hysteresis).
+	if a := g.Step(PoolSignals{SpillFrac: 0.2}); !a.PreferPool || a.Changed {
 		t.Fatalf("mid-band window moved the bias: %+v", a)
 	}
 	// Congested pool fabric reverts after the hold.
-	congested := PoolSignals{SpillFrac: 0.8, PoolQueued: cfg.QueueHigh + 1}
+	congested := PoolSignals{SpillFrac: 0.8, PoolQueued: PoolQueueHigh + 1}
 	g.Step(congested)
 	if a := g.Step(congested); a.PreferPool || !a.Changed {
 		t.Fatalf("did not revert under pool-NIC congestion: %+v", a)
@@ -68,13 +28,13 @@ func TestPoolPlaneHysteresis(t *testing.T) {
 
 // A streak broken by one clean window starts over.
 func TestPoolPlaneDebounceResets(t *testing.T) {
-	g := NewPoolPlane(PoolConfig{Enabled: true, HoldTicks: 3}.WithDefaults())
-	hot, cool := PoolSignals{SpillFrac: 0.9}, PoolSignals{SpillFrac: 0.1}
-	g.Step(hot)
+	var g PoolPlane
+	hot, cool := PoolSignals{SpillFrac: 0.9}, PoolSignals{SpillFrac: 0.01}
 	g.Step(hot)
 	g.Step(cool) // breaks the streak
-	g.Step(hot)
-	g.Step(hot)
+	if a := g.Step(hot); a.Changed {
+		t.Fatalf("flipped on a streak the cool window broke: %+v", a)
+	}
 	if a := g.Step(hot); !a.Changed {
 		t.Fatalf("streak did not complete after reset: %+v", a)
 	}
@@ -82,15 +42,24 @@ func TestPoolPlaneDebounceResets(t *testing.T) {
 
 // Nearly full pools repel the bias even under spill pressure.
 func TestPoolPlaneFullPoolBlocks(t *testing.T) {
-	g := NewPoolPlane(PoolConfig{Enabled: true, HoldTicks: 1}.WithDefaults())
+	var g PoolPlane
 	full := PoolSignals{SpillFrac: 0.9, PoolUsedFrac: 0.95}
-	if a := g.Step(full); a.PreferPool {
-		t.Fatalf("biased toward a full pool: %+v", a)
+	for range PoolHoldTicks {
+		if a := g.Step(full); a.PreferPool {
+			t.Fatalf("biased toward a full pool: %+v", a)
+		}
 	}
-	if a := g.Step(PoolSignals{SpillFrac: 0.9, PoolUsedFrac: 0.5}); !a.PreferPool {
-		t.Fatalf("did not bias with pool headroom: %+v", a)
+	roomy := PoolSignals{SpillFrac: 0.9, PoolUsedFrac: 0.5}
+	for range PoolHoldTicks {
+		g.Step(roomy)
 	}
-	if a := g.Step(full); a.PreferPool {
-		t.Fatalf("kept the bias on a full pool: %+v", a)
+	if !g.prefer {
+		t.Fatal("did not bias with pool headroom")
+	}
+	for range PoolHoldTicks {
+		g.Step(full)
+	}
+	if g.prefer {
+		t.Fatal("kept the bias on a full pool")
 	}
 }

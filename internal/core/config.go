@@ -118,15 +118,6 @@ type Config struct {
 	// probe-based reintegration. Disabled by default — the zero value
 	// leaves the read and placement paths byte-identical to older runs.
 	Health control.HealthConfig
-
-	// Pool configures the spill-vs-pool governor on disaggregated
-	// clusters: a debounced hysteresis plane that watches spill-tier
-	// device utilization against pool-link NIC queueing and steers
-	// placement overflow toward the fabric-attached memory pools while
-	// local devices are the bottleneck. Disabled by default, and ignored
-	// entirely on a uniform cluster (no pool nodes) — the zero value is
-	// byte-identical to older runs.
-	Pool control.PoolConfig
 }
 
 // DefaultConfig returns the configuration used by the evaluation unless

@@ -91,17 +91,6 @@ func newController(d *DSM) *controller {
 	return ctl
 }
 
-// controlLoop is the control ticker: sample, step, publish, repeat.
-func (d *DSM) controlLoop(p *vtime.Proc) {
-	for !d.stop.Fired() {
-		p.Sleep(d.ctl.cfg.Tick)
-		if d.stop.Fired() {
-			return
-		}
-		d.controlStep(p)
-	}
-}
-
 // controlStep runs one control tick: gather Signals, advance the
 // governor plane, publish the new Actions, and export the decision as
 // gauges plus — only when a knob actually moved — an OpControl span.
@@ -210,13 +199,4 @@ func (d *DSM) ControlTicks() int64 {
 		return 0
 	}
 	return d.ctl.ticks
-}
-
-// ControlActions returns the control plane's current knob state and
-// whether a control plane is active (diagnostics and tests).
-func (d *DSM) ControlActions() (control.Actions, bool) {
-	if d.ctl == nil {
-		return control.Actions{}, false
-	}
-	return d.ctl.acts, true
 }

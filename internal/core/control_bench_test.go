@@ -1,16 +1,17 @@
 package core
 
-// Host-time microbenchmarks and allocation guards for the adaptive
-// control plane. The control tick runs on every governor period inside
-// the simulation loop, so like the fault path it must stay
-// allocation-free in steady state — CI runs BenchmarkControlTick with
-// -benchmem and TestControlTickAllocFree as the regression guard.
+// Host-time microbenchmarks and allocation guards for the governors.
+// Each tick runs on its governor's period inside the simulation loop, so
+// like the fault path it must stay allocation-free in steady state — CI
+// runs BenchmarkControlTick with -benchmem and the *TickAllocFree tests
+// as the regression guard.
 
 import (
 	"testing"
 
 	"megammap/internal/control"
 	"megammap/internal/telemetry"
+	"megammap/internal/topology"
 	"megammap/internal/vtime"
 )
 
@@ -20,16 +21,21 @@ func controlBenchConfig() Config {
 	return cfg
 }
 
-// controlWorld builds a DSM with the control plane enabled, some vector
-// state for the dirty-ratio scan, and repair/fill counter history, then
-// runs fn as the only application process.
-func controlWorld(tb testing.TB, traced bool, fn func(p *vtime.Proc, d *DSM)) {
+// governorWorld builds a DSM with every governor running — control and
+// health by config, the pool governor by one memory-pool node — some
+// vector state for the dirty-ratio scan, and repair/fill counter
+// history, then runs fn as the only application process.
+func governorWorld(tb testing.TB, traced bool, fn func(p *vtime.Proc, d *DSM)) {
 	tb.Helper()
-	c := newTestCluster(tb, benchSpec())
+	spec := benchSpec()
+	spec.Topology = topology.Spec{Pools: 1}
+	c := newTestCluster(tb, spec)
 	if traced {
 		c.InstallTelemetry(telemetry.Options{Metrics: true, Spans: true})
 	}
-	d := New(c, controlBenchConfig())
+	cfg := controlBenchConfig()
+	cfg.Health = control.DefaultHealth()
+	d := New(c, cfg)
 	c.Engine.Spawn("bench", func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, err := Open[int64](cl, "bench/control", Int64Codec{})
@@ -60,11 +66,11 @@ func controlWorld(tb testing.TB, traced bool, fn func(p *vtime.Proc, d *DSM)) {
 // across devices/fabric/queues, the four governor steps, and gauge
 // export. Must report 0 allocs/op.
 func BenchmarkControlTick(b *testing.B) {
-	controlWorld(b, false, func(p *vtime.Proc, d *DSM) {
+	governorWorld(b, false, func(p *vtime.Proc, d *DSM) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.Sleep(d.ctl.cfg.Tick) // advance vtime so windows are nonzero
+			p.Sleep(control.Tick) // advance vtime so windows are nonzero
 			d.controlStep(p)
 		}
 		b.StopTimer()
@@ -75,11 +81,11 @@ func BenchmarkControlTick(b *testing.B) {
 // tracing installed: gauge handles are pre-registered and the OpControl
 // span only fires on a knob change, so the budget holds.
 func BenchmarkControlTickTraced(b *testing.B) {
-	controlWorld(b, true, func(p *vtime.Proc, d *DSM) {
+	governorWorld(b, true, func(p *vtime.Proc, d *DSM) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.Sleep(d.ctl.cfg.Tick)
+			p.Sleep(control.Tick)
 			d.controlStep(p)
 		}
 		b.StopTimer()
@@ -96,14 +102,14 @@ func TestControlTickAllocFree(t *testing.T) {
 			name = "traced"
 		}
 		t.Run(name, func(t *testing.T) {
-			controlWorld(t, traced, func(p *vtime.Proc, d *DSM) {
+			governorWorld(t, traced, func(p *vtime.Proc, d *DSM) {
 				// Warm up: converge the governors and fill gauge series.
 				for i := 0; i < 32; i++ {
-					p.Sleep(d.ctl.cfg.Tick)
+					p.Sleep(control.Tick)
 					d.controlStep(p)
 				}
 				allocs := testing.AllocsPerRun(100, func() {
-					p.Sleep(d.ctl.cfg.Tick)
+					p.Sleep(control.Tick)
 					d.controlStep(p)
 				})
 				if allocs != 0 {
@@ -114,6 +120,38 @@ func TestControlTickAllocFree(t *testing.T) {
 	}
 }
 
+// TestHealthTickAllocFree pins the health tick without a probe (no node
+// is slow) at zero allocations.
+func TestHealthTickAllocFree(t *testing.T) {
+	governorWorld(t, true, func(p *vtime.Proc, d *DSM) {
+		step := func() {
+			p.Sleep(control.HealthTick)
+			d.healthStep(p)
+		}
+		step()
+		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+			t.Errorf("health tick allocates: %v allocs/op", allocs)
+		}
+		if d.hc.probes != 0 {
+			t.Errorf("a probe ran in a world with no slow node")
+		}
+	})
+}
+
+// TestPoolTickAllocFree pins the spill-vs-pool tick at zero allocations.
+func TestPoolTickAllocFree(t *testing.T) {
+	governorWorld(t, true, func(p *vtime.Proc, d *DSM) {
+		step := func() {
+			p.Sleep(control.PoolTick)
+			d.poolStep(p)
+		}
+		step()
+		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+			t.Errorf("pool tick allocates: %v allocs/op", allocs)
+		}
+	})
+}
+
 // TestControlActuation exercises every actuation site end to end: with
 // all governors on, a bounded read-heavy run completes correctly, ticks
 // fire, and the knob state stays within its configured bounds.
@@ -122,7 +160,6 @@ func TestControlActuation(t *testing.T) {
 	cfg := controlBenchConfig()
 	cfg.DisablePrefetch = false
 	cfg.StagePeriod = 2 * vtime.Millisecond
-	cfg.Control.Tick = 10 * vtime.Microsecond // fine-grained: the run is short
 	d := New(c, cfg)
 	c.Engine.Spawn("app", func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
@@ -146,6 +183,7 @@ func TestControlActuation(t *testing.T) {
 			if got := v.Get(i); got != i {
 				t.Fatalf("v[%d] = %d", i, got)
 			}
+			p.Sleep(control.Tick) // a control tick between reads
 		}
 		v.TxEnd()
 		v.Close()
@@ -159,19 +197,15 @@ func TestControlActuation(t *testing.T) {
 	if d.ControlTicks() == 0 {
 		t.Fatal("control plane never ticked")
 	}
-	a, ok := d.ControlActions()
-	if !ok {
-		t.Fatal("control plane not active")
+	a := d.ctl.acts
+	if a.RepairInterval < control.RepairMin || a.RepairInterval > control.RepairMax {
+		t.Errorf("repair interval %v outside [%v, %v]", a.RepairInterval, control.RepairMin, control.RepairMax)
 	}
-	cc := cfg.Control
-	if a.RepairInterval < cc.RepairMin || a.RepairInterval > cc.RepairMax {
-		t.Errorf("repair interval %v outside [%v, %v]", a.RepairInterval, cc.RepairMin, cc.RepairMax)
+	if a.ScrubBudget < control.ScrubMin || a.ScrubBudget > control.ScrubMax {
+		t.Errorf("scrub budget %d outside [%d, %d]", a.ScrubBudget, control.ScrubMin, control.ScrubMax)
 	}
-	if a.ScrubBudget < cc.ScrubMin || a.ScrubBudget > cc.ScrubMax {
-		t.Errorf("scrub budget %d outside [%d, %d]", a.ScrubBudget, cc.ScrubMin, cc.ScrubMax)
-	}
-	if a.PrefetchDepth < cc.PrefetchMin || a.PrefetchDepth > cc.PrefetchMax {
-		t.Errorf("prefetch depth %d outside [%d, %d]", a.PrefetchDepth, cc.PrefetchMin, cc.PrefetchMax)
+	if a.PrefetchDepth < control.PrefetchMin || a.PrefetchDepth > control.PrefetchMax {
+		t.Errorf("prefetch depth %d outside [%d, %d]", a.PrefetchDepth, control.PrefetchMin, control.PrefetchMax)
 	}
 	hits, waste := d.PrefetchFillStats()
 	if hits+waste == 0 {

@@ -17,12 +17,10 @@ import (
 	"megammap/internal/vtime"
 )
 
-// governedConfig turns on all four governors with a tick fine enough to
-// fire many times inside the short chaos run, plus checksum+scrub so
+// governedConfig turns on all four governors, plus checksum+scrub so
 // the scrub governor has real work.
 func governedConfig(cfg *core.Config) {
 	cfg.Control = control.Default()
-	cfg.Control.Tick = 100 * vtime.Microsecond
 	cfg.ChecksumPages = true
 	cfg.ScrubPeriod = 2 * vtime.Millisecond
 	cfg.RepairPeriod = 0 // AIMD governor owns repair pacing
@@ -78,8 +76,7 @@ func TestControlSameSeedIsByteIdentical(t *testing.T) {
 	if a.scrubStats[3] == 0 {
 		t.Error("incremental scrub never completed a coverage cycle")
 	}
-	if max := a.scrubStats[2]; max > int64(control.Default().ScrubMax) {
-		t.Errorf("scrub sweep touched %d pages, budget cap is %d",
-			max, control.Default().ScrubMax)
+	if max := a.scrubStats[2]; max > control.ScrubMax {
+		t.Errorf("scrub sweep touched %d pages, budget cap is %d", max, control.ScrubMax)
 	}
 }

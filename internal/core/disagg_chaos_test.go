@@ -2,30 +2,23 @@ package core_test
 
 // Disaggregation regression suite, compute-only half: every pool code
 // path — the topology field on the cluster spec, the hermes pool
-// gating, the pool governor config — must be a strict no-op on a
-// uniform cluster. The contract is byte-identical replay: a run on a
-// spec with an explicit zero topology and the pool governor enabled
-// must reproduce the plain uniform run exactly (results, fault
-// counters, control ticks, virtual end time), under chaos, including
-// at 256 nodes.
+// gating, the pool governor that follows the topology — must be a
+// strict no-op on a uniform cluster. The contract is byte-identical
+// replay: a run on a spec with an explicit zero topology must reproduce
+// the plain uniform run exactly (results, fault counters, control
+// ticks, virtual end time), under chaos, including at 256 nodes.
 
 import (
 	"reflect"
 	"testing"
 
 	"megammap/internal/cluster"
-	"megammap/internal/control"
-	"megammap/internal/core"
 	"megammap/internal/topology"
 )
 
 // zeroTopology pins an explicit zero-valued topology spec onto the
 // cluster spec — the "disaggregation code present but off" shape.
 func zeroTopology(s *cluster.Spec) { s.Topology = topology.Spec{} }
-
-// enablePoolGovernor turns the spill-vs-pool governor on in the DSM
-// config; on a pool-less cluster the daemon must never spawn.
-func enablePoolGovernor(cfg *core.Config) { cfg.Pool = control.DefaultPool() }
 
 func assertSameChaosRun(t *testing.T, label string, a, b chaosRun) {
 	t.Helper()
@@ -50,8 +43,6 @@ func TestComputeOnlyTopologyIsByteIdentical(t *testing.T) {
 	base := runChaosKMeansAt(t, dropPlan(99), 1, 2, 4, nil)
 	zero := runChaosKMeansSpec(t, dropPlan(99), 1, 2, 4, zeroTopology, nil)
 	assertSameChaosRun(t, "zero topology", base, zero)
-	gov := runChaosKMeansSpec(t, dropPlan(99), 1, 2, 4, zeroTopology, enablePoolGovernor)
-	assertSameChaosRun(t, "pool governor on uniform cluster", base, gov)
 }
 
 // TestComputeOnlyTopologyIsByteIdenticalAtScale reruns the no-op
@@ -64,6 +55,6 @@ func TestComputeOnlyTopologyIsByteIdenticalAtScale(t *testing.T) {
 	}
 	const nodes, ranks = 256, 32
 	base := runChaosKMeansAt(t, dropPlan(99), 0, nodes, ranks, nil)
-	zero := runChaosKMeansSpec(t, dropPlan(99), 0, nodes, ranks, zeroTopology, enablePoolGovernor)
+	zero := runChaosKMeansSpec(t, dropPlan(99), 0, nodes, ranks, zeroTopology, nil)
 	assertSameChaosRun(t, "zero topology at 256 nodes", base, zero)
 }

@@ -61,7 +61,7 @@ type DSM struct {
 	// It was meant to count those still queued or running, so that the
 	// organizer never plans from a state its own unfinished moves are about
 	// to change, but nothing decrements it: after the first pass that plans
-	// a move, organizerLoop only decays scores (ROADMAP item 1(a), sized in
+	// a move, organize only decays scores (ROADMAP item 1(a), sized in
 	// EXPERIMENTS.md: the decrement alone is a regression).
 	pendingMoves int
 
@@ -205,18 +205,18 @@ func New(c *cluster.Cluster, cfg Config) *DSM {
 	}
 	if cfg.Control.Enabled {
 		d.ctl = newController(d)
-		d.procs.SpawnDaemon("mm-control", d.controlLoop)
+		d.every("mm-control", control.Tick, d.controlStep)
 	}
 	if cfg.Health.Enabled {
 		d.hc = newHealthCtl(d)
-		d.procs.SpawnDaemon("mm-health", d.healthLoop)
+		d.every("mm-health", control.HealthTick, d.healthStep)
 	}
-	if cfg.Pool.Enabled && c.Pools() > 0 {
+	if c.Pools() > 0 {
 		d.pc = newPoolCtl(d)
-		d.procs.SpawnDaemon("mm-pool", d.poolLoop)
+		d.every("mm-pool", control.PoolTick, d.poolStep)
 	}
 	if cfg.OrganizePeriod > 0 {
-		d.procs.SpawnDaemon("mm-organizer", d.organizerLoop)
+		d.every("mm-organizer", cfg.OrganizePeriod, d.organize)
 	}
 	if cfg.StagePeriod > 0 {
 		d.procs.SpawnDaemon("mm-stager", d.stagerLoop)
@@ -227,9 +227,23 @@ func New(c *cluster.Cluster, cfg Config) *DSM {
 		d.procs.SpawnDaemon("mm-repair", d.repairLoop)
 	}
 	if cfg.ChecksumPages && cfg.ScrubPeriod > 0 {
-		d.procs.SpawnDaemon("mm-scrubber", d.scrubberLoop)
+		d.every("mm-scrubber", cfg.ScrubPeriod, d.scrubber())
 	}
 	return d
+}
+
+// every spawns a daemon of the DSM that runs step once per period until
+// Shutdown.
+func (d *DSM) every(name string, period vtime.Duration, step func(p *vtime.Proc)) {
+	d.procs.SpawnDaemon(name, func(p *vtime.Proc) {
+		for !d.stop.Fired() {
+			p.Sleep(period)
+			if d.stop.Fired() {
+				return
+			}
+			step(p)
+		}
+	})
 }
 
 // registerMetrics builds the per-node metric handles. Without a plane
@@ -298,25 +312,20 @@ func (d *DSM) CoalescedReads() int64 { return d.coalesced }
 // phase-specific tuning; equivalent to Config.DisablePrefetch).
 func (d *DSM) DisableFill() { d.cfg.DisablePrefetch = true }
 
-// organizerLoop periodically reinterprets scores and reorganizes the
-// DMSH. Planning is pure metadata; each planned move executes as a
-// MemoryTask through the blob's chain, so reorganization can never race
-// an in-flight commit or fault of the same page (moves are reads followed
-// by writes, and an interleaved commit would be silently lost).
-func (d *DSM) organizerLoop(p *vtime.Proc) {
-	for !d.stop.Fired() {
-		p.Sleep(d.cfg.OrganizePeriod)
-		if d.stop.Fired() {
-			return
+// organize is the organizer's tick: it reinterprets scores and
+// reorganizes the DMSH. Planning is pure metadata; each planned move
+// executes as a MemoryTask through the blob's chain, so reorganization
+// can never race an in-flight commit or fault of the same page (moves
+// are reads followed by writes, and an interleaved commit would be
+// silently lost).
+func (d *DSM) organize(p *vtime.Proc) {
+	if d.pendingMoves == 0 {
+		for _, mv := range d.h.PlanOrganize(d.cfg.OrganizeBudget) {
+			d.pendingMoves++
+			d.submit(p, d.newMoveTask(mv))
 		}
-		if d.pendingMoves == 0 {
-			for _, mv := range d.h.PlanOrganize(d.cfg.OrganizeBudget) {
-				d.pendingMoves++
-				d.submit(p, d.newMoveTask(mv))
-			}
-		}
-		d.h.DecayScores(d.cfg.ScoreDecay)
 	}
+	d.h.DecayScores(d.cfg.ScoreDecay)
 }
 
 // newMoveTask wraps one planned relocation as a recycling task, queued on
@@ -465,28 +474,25 @@ type scrubTarget struct {
 	pg int64
 }
 
-// scrubberLoop re-reads checksummed pages resident in the scache, in
-// deterministic (vector name, page) order. The reads run through the
-// normal per-page chains and the fault path's verify, so a corrupted
-// page found at rest repairs — or surfaces faults.ErrCorrupt — exactly
-// like one found on access. One sweep completes before the next begins,
-// so sweeps never pile onto the chains.
+// scrubber returns the scrubber's tick, which re-reads checksummed
+// pages resident in the scache, in deterministic (vector name, page)
+// order. The reads run through the normal per-page chains and the fault
+// path's verify, so a corrupted page found at rest repairs — or surfaces
+// faults.ErrCorrupt — exactly like one found on access. One sweep
+// completes before the next begins, so sweeps never pile onto the
+// chains.
 //
 // With a fixed ScrubPeriod each sweep covers the full target set. Under
 // the scrub governor a rotating cursor covers a bounded per-sweep
 // window instead — the budget adapts to idle capacity — so a sweep
 // never floods the chains, while successive sweeps still reach every
 // page (a completed pass is one coverage cycle).
-func (d *DSM) scrubberLoop(p *vtime.Proc) {
+func (d *DSM) scrubber() func(p *vtime.Proc) {
 	var batch taskBatch
 	var list []scrubTarget
 	var pages []int64 // one vector's checksummed pages
 	cursor := 0
-	for !d.stop.Fired() {
-		p.Sleep(d.cfg.ScrubPeriod)
-		if d.stop.Fired() {
-			return
-		}
+	return func(p *vtime.Proc) {
 		sp := d.trc.Begin(telemetry.OpScrub, -1, telemetry.SpanID(p.TraceSpan()), p.Now())
 		var prev uint32
 		if sp != 0 {

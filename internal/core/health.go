@@ -22,7 +22,6 @@ import (
 // accumulators, probes run inline on the ticker proc, and the plane is
 // a pure function of its inputs.
 type healthCtl struct {
-	cfg   control.HealthConfig
 	plane *control.Health
 
 	// devs[node] lists the node's devices in configured tier order;
@@ -50,7 +49,6 @@ func newHealthCtl(d *DSM) *healthCtl {
 	}
 	n := len(d.c.Nodes)
 	hc := &healthCtl{
-		cfg:      cfg,
 		plane:    control.NewHealth(cfg, n),
 		devs:     make([][]*device.Device, n),
 		prevBusy: make([]vtime.Duration, n),
@@ -87,8 +85,8 @@ func newHealthCtl(d *DSM) *healthCtl {
 			return !ok || crc32.ChecksumIEEE(data) == want
 		}
 	}
-	d.h.SetHedge(cfg.HedgeDelay, verify)
-	d.h.SetQuarantineBias(cfg.QuarantineBias)
+	d.h.SetHedge(control.HedgeDelay, verify)
+	d.h.SetQuarantineBias(control.QuarantineBias)
 
 	// A revived node restarts on fresh hardware: clear its accrued
 	// suspicion along with the injector's sticky slowdowns.
@@ -100,17 +98,6 @@ func newHealthCtl(d *DSM) *healthCtl {
 		})
 	}
 	return hc
-}
-
-// healthLoop is the health ticker: sample, step, probe, actuate, repeat.
-func (d *DSM) healthLoop(p *vtime.Proc) {
-	for !d.stop.Fired() {
-		p.Sleep(d.hc.cfg.Tick)
-		if d.stop.Fired() {
-			return
-		}
-		d.healthStep(p)
-	}
 }
 
 // healthStep runs one health tick: gather per-node busy/nominal deltas,
@@ -202,24 +189,11 @@ func (hc *healthCtl) probe(d *DSM, p *vtime.Proc, node int) {
 		}
 	}
 	if failed {
-		worst = hc.cfg.SlowFactor * 2 // definitively failed probe
+		worst = control.SlowFactor * 2 // definitively failed probe
 	}
 	if state, changed := hc.plane.ProbeResult(node, p.Now(), worst); changed {
 		hc.actuate(d, control.HealthAction{Node: node, State: state, Changed: true})
 	}
-}
-
-// HealthStates returns each node's current health state and whether the
-// health plane is active (diagnostics and tests).
-func (d *DSM) HealthStates() ([]control.HealthState, bool) {
-	if d.hc == nil {
-		return nil, false
-	}
-	out := make([]control.HealthState, len(d.c.Nodes))
-	for i := range out {
-		out[i] = d.hc.plane.State(i)
-	}
-	return out, true
 }
 
 // HealthProbes returns how many reintegration probes have run

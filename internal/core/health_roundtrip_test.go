@@ -24,12 +24,7 @@ func TestHealthQuarantineProbeReintegrateRoundTrip(t *testing.T) {
 		{Node: 1, SlowFactor: 10},
 	}})
 	cfg := chaosConfig(1)
-	cfg.Health = control.HealthConfig{
-		Enabled: true, Tick: 2 * vtime.Millisecond,
-		SlowFactor: 2, SuspectScore: 2, QuarantineScore: 4, MinOps: 1,
-		ProbeAfter: 5 * vtime.Millisecond, ProbeOK: 2,
-		HedgeDelay: 500 * vtime.Microsecond, QuarantineBias: 1,
-	}
+	cfg.Health = control.HealthConfig{Enabled: true, MinOps: 1}
 	d := core.New(c, cfg)
 
 	var sawQuarantine, reintegrated bool
@@ -58,8 +53,8 @@ func TestHealthQuarantineProbeReintegrateRoundTrip(t *testing.T) {
 				v.Set(i, i)
 			}
 			v.TxEnd()
-			states, ok := d.HealthStates()
-			if !ok {
+			states := d.HealthStates()
+			if states == nil {
 				t.Error("health plane not active")
 				return
 			}
@@ -94,8 +89,8 @@ func TestHealthQuarantineProbeReintegrateRoundTrip(t *testing.T) {
 	if got := c.Faults().Count("quarantine.exited"); got < 1 {
 		t.Errorf("quarantine.exited = %d, want >= 1", got)
 	}
-	if got := d.HealthProbes(); got < int64(cfg.Health.ProbeOK) {
-		t.Errorf("probes = %d, want >= %d (ProbeOK consecutive passes)", got, cfg.Health.ProbeOK)
+	if got := d.HealthProbes(); got < control.ProbeOK {
+		t.Errorf("probes = %d, want >= %d (ProbeOK consecutive passes)", got, control.ProbeOK)
 	}
 	if got := c.Faults().Count("health.probe"); got != d.HealthProbes() {
 		t.Errorf("probe note count %d != HealthProbes %d", got, d.HealthProbes())

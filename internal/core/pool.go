@@ -18,32 +18,22 @@ import (
 // Everything is replay-deterministic: signals come from device byte
 // counters and the governor is a pure function of its inputs.
 type poolCtl struct {
-	cfg   control.PoolConfig
-	plane *control.PoolPlane
+	plane control.PoolPlane
 
 	spill    []*device.Device // each compute node's slowest-tier device
 	spillCap int64
 	poolCap  int64
 
-	ticks int64
 	flips int64
 
 	gBias telemetry.Gauge // 0/1 current bias (disaggregated clusters only)
 }
 
 func newPoolCtl(d *DSM) *poolCtl {
-	cfg := d.cfg.Pool.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic("core: " + err.Error())
-	}
 	tiers := d.h.Tiers()
 	spillTier := tiers[len(tiers)-1]
 	computes := d.c.Computes()
-	pc := &poolCtl{
-		cfg:   cfg,
-		plane: control.NewPoolPlane(cfg),
-		spill: make([]*device.Device, computes),
-	}
+	pc := &poolCtl{spill: make([]*device.Device, computes)}
 	for i := 0; i < computes; i++ {
 		pc.spill[i] = d.c.Nodes[i].Devices[spillTier]
 		pc.spillCap += pc.spill[i].Profile().Capacity
@@ -59,22 +49,10 @@ func newPoolCtl(d *DSM) *poolCtl {
 	return pc
 }
 
-// poolLoop is the spill-vs-pool ticker: sample, step, actuate, repeat.
-func (d *DSM) poolLoop(p *vtime.Proc) {
-	for !d.stop.Fired() {
-		p.Sleep(d.pc.cfg.Tick)
-		if d.stop.Fired() {
-			return
-		}
-		d.poolStep(p)
-	}
-}
-
 // poolStep runs one governor tick: gather the window's signals, step the
 // plane, and push the verdict into hermes placement.
 func (d *DSM) poolStep(p *vtime.Proc) {
 	pc := d.pc
-	pc.ticks++
 	var frac float64
 	if pc.spillCap > 0 {
 		var used int64
@@ -105,12 +83,11 @@ func (d *DSM) poolStep(p *vtime.Proc) {
 	}
 }
 
-// PoolBiasStats reports the spill-vs-pool governor's activity: ticks
-// run, bias flips, and the current bias. All zero/false when the
-// governor is off or the cluster is uniform.
-func (d *DSM) PoolBiasStats() (ticks, flips int64, prefer bool) {
+// PoolBiasFlips reports how often the spill-vs-pool governor flipped the
+// placement bias; 0 on a uniform cluster, where the governor never runs.
+func (d *DSM) PoolBiasFlips() int64 {
 	if d.pc == nil {
-		return 0, 0, false
+		return 0
 	}
-	return d.pc.ticks, d.pc.flips, d.pc.plane.PreferPool()
+	return d.pc.flips
 }

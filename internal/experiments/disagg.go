@@ -18,7 +18,6 @@ import (
 
 	"megammap/internal/apps/bfs"
 	"megammap/internal/cluster"
-	"megammap/internal/control"
 	"megammap/internal/core"
 	"megammap/internal/device"
 	"megammap/internal/faults"
@@ -65,25 +64,16 @@ func disaggSpec(nodes int, bytesPerNode int64, disagg bool) cluster.Spec {
 }
 
 // disaggConfig is the ablation's DSM configuration: two local tiers,
-// small pages (more faults, better percentiles), one backup replica so
-// the pool-node crash is recoverable, and — on the disaggregated shape
-// — the spill-vs-pool governor with a fast tick and a low utilization
-// threshold so the short run produces bias decisions.
-func disaggConfig(disagg bool) core.Config {
+// small pages (more faults, better percentiles), and one backup replica
+// so the pool-node crash is recoverable. The disaggregated shape's pool
+// nodes bring the spill-vs-pool governor with them.
+func disaggConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Tiers = []string{"dram", "nvme"}
 	cfg.DefaultPageSize = 12 << 10 // divisible by 24B particles and 4B edges
 	cfg.WorkersLowLat = 2
 	cfg.WorkersHighLat = 4
 	cfg.Replicas = 1
-	if disagg {
-		pc := control.DefaultPool()
-		pc.Tick = 500 * vtime.Microsecond
-		pc.SpillHigh = 0.3
-		pc.SpillLow = 0.05
-		pc.HoldTicks = 2
-		cfg.Pool = pc
-	}
 	return cfg
 }
 
@@ -154,7 +144,7 @@ func RunDisaggCell(workload string, nodes, procs int, bytesPerNode, vertices, se
 	default:
 		return Report{}, fmt.Errorf("disagg: unknown workload %q (kmeans|bfs)", workload)
 	}
-	cell.metrics, cell.config, cell.faults = true, disaggConfig(disagg), fp
+	cell.metrics, cell.config, cell.faults = true, disaggConfig(), fp
 	run, err := cell.run()
 	if err != nil {
 		return Report{}, err
@@ -167,7 +157,7 @@ func RunDisaggCell(workload string, nodes, procs int, bytesPerNode, vertices, se
 	out.Digests["p99_ns"] = reg.QuantileAcross("core.fault_ns", 0.99)
 	out.Digests["pool_reads"], out.Digests["reads"], out.Digests["pool_placed"] = d.Hermes().PoolStats()
 	out.Digests["pool_peak"] = c.PoolPeak()
-	_, out.Digests["bias_flips"], _ = d.PoolBiasStats()
+	out.Digests["bias_flips"] = d.PoolBiasFlips()
 	out.Digests["digest"] = digestOf(run.answer)
 	var spill int64
 	for i := 0; i < c.Computes(); i++ {

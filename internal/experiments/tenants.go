@@ -101,13 +101,12 @@ func RunTenantsCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int
 	// per-tenant latency and queue depth in, quotas and in-flight caps out.
 	var governor func(start vtime.Duration)
 	if isolation {
-		fcfg := control.FairnessConfig{Enabled: true, TargetP99: vtime.Millisecond}.WithDefaults()
-		gov := control.NewFairness(fcfg)
+		var gov control.Fairness
 		sigs := make([]control.TenantSignal, n)
 		governor = func(start vtime.Duration) {
 			c.Engine.SpawnDaemon("fairness", func(p *vtime.Proc) {
 				for p.Now() < start+horizon {
-					p.Sleep(fcfg.Tick)
+					p.Sleep(control.FairnessTick)
 					for i, s := range streams {
 						cls := control.TenantLatency
 						if s.spec.Class == tenant.Batch {

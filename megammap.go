@@ -154,9 +154,16 @@ func ParseEvictClass(s string) (EvictClass, error) { return core.ParseEvictClass
 // signals sampled each control tick.
 type ControlConfig = control.Config
 
-// DefaultControlConfig returns the control plane enabled with the
-// standard governor tuning.
+// DefaultControlConfig returns the control plane enabled with every
+// governor on.
 func DefaultControlConfig() ControlConfig { return control.Default() }
+
+// ControlRepairMin and ControlRepairMax bound the repair governor's
+// wake-up interval.
+const (
+	ControlRepairMin = control.RepairMin
+	ControlRepairMax = control.RepairMax
+)
 
 // Built-in codecs.
 type (
