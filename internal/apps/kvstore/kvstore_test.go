@@ -325,6 +325,43 @@ func TestRequestAllocationBudget(t *testing.T) {
 	})
 }
 
+// TestProbesWasteNoFills: a probe window is shorter than a page and its
+// chain ends within a slot or two, so a window that crosses into the next
+// page must not prefetch that page: requests over the whole key space end
+// with no wasted fill.
+func TestProbesWasteNoFills(t *testing.T) {
+	c := testCluster(2)
+	d := core.New(c, coreConfig())
+	c.Engine.Spawn("app", func(p *vtime.Proc) {
+		s, err := Open(d.NewClient(p, 0), "kv", 4096)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		rng := rand.New(rand.NewSource(5))
+		for op := 0; op < 4000; op++ {
+			key := uint64(rng.Intn(2048))
+			if op%2 == 0 {
+				if err := s.Put(key, int64(op)); err != nil {
+					t.Error(err)
+					return
+				}
+			} else {
+				s.Get(key)
+			}
+		}
+		if _, waste := d.PrefetchFillStats(); waste != 0 {
+			t.Errorf("%d prefetch fills wasted by probe windows, want 0", waste)
+		}
+		if err := d.Shutdown(p); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := c.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // BenchmarkKVGetPath measures one Get of a present key end to end.
 func BenchmarkKVGetPath(b *testing.B) {
 	quietStore(b, func(s *Store) {

@@ -557,6 +557,54 @@ func TestPrefetchReducesSyncFaults(t *testing.T) {
 	}
 }
 
+// TestShortWindowIssuesNoFills: a transaction declaring fewer accesses than
+// a page holds (a kvstore probe window) issues no prefetch fills, even when
+// it crosses into the next page; its own access faults that page, once. A
+// sweep of a page or more still prefetches.
+func TestShortWindowIssuesNoFills(t *testing.T) {
+	const epp = 128
+	c, d := newTestDSM(t, 1)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		cl := d.NewClient(p, 0)
+		v, _ := Open[int64](cl, "short", Int64Codec{}, WithPageSize(epp*8))
+		v.Resize(4 * epp)
+		v.SeqTxBegin(0, 4*epp, WriteOnly)
+		for i := int64(0); i < 4*epp; i++ {
+			v.Set(i, i)
+		}
+		v.TxEnd()
+		v.Close()
+
+		v.SeqTxBegin(100, 64, ReadWrite|Global)
+		for i := int64(100); i < epp; i++ {
+			v.Get(i)
+		}
+		before, _, _ := d.Stats()
+		for i := int64(epp); i < 164; i++ {
+			v.Get(i)
+		}
+		after, _, _ := d.Stats()
+		v.TxEnd()
+		if hits, waste := d.PrefetchFillStats(); hits != 0 || waste != 0 {
+			t.Errorf("a 64-access window on %d-element pages: %d fill hits, %d wasted, want 0/0", epp, hits, waste)
+		}
+		if after-before != 1 {
+			t.Errorf("the window's second page took %d faults, want 1", after-before)
+		}
+
+		v.Close()
+		hits0, _ := d.PrefetchFillStats()
+		v.SeqTxBegin(0, 4*epp, ReadOnly)
+		for i := int64(0); i < 4*epp; i++ {
+			v.Get(i)
+		}
+		v.TxEnd()
+		if hits, _ := d.PrefetchFillStats(); hits-hits0 != 3 {
+			t.Errorf("a 4-page sweep: %d fill hits, want 3", hits-hits0)
+		}
+	})
+}
+
 func TestDestroyRemovesPages(t *testing.T) {
 	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {

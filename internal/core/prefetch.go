@@ -24,6 +24,14 @@ import (
 //     grows without bound and never crosses MinScore; we use the clearly
 //     intended BaseTime/EstTime, which decays from 1.)
 //
+// Short-window rule: a transaction that declares fewer accesses than a
+// page holds issues no fills. It touches at most two pages, its own first
+// access faults the first, and the prefetcher runs again only after a
+// page's worth of accesses, which it never reaches; its declared length
+// is typically an upper bound (a probe chain, an adjacency list), so a
+// fill of the second page can only be waste. Scores and predictive
+// eviction are untouched: the organizer still sees the window's heat.
+//
 // Scores flow to the Data Organizer as asynchronous score MemoryTasks;
 // the node that sets a score is recorded to improve locality.
 
@@ -87,9 +95,10 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 	if v.pc.bound > 0 {
 		freePages = (v.pc.bound - v.pc.used) / ps
 	}
-	// Fills only make sense when the transaction reads: a write-only
-	// phase overwrites pages wholesale and must not read them first.
-	fillable := a.flags.Has(Read)
+	// Fills only make sense when the transaction reads (a write-only
+	// phase overwrites pages wholesale and must not read them first) and
+	// declares at least a page of accesses (the short-window rule above).
+	fillable := a.flags.Has(Read) && a.n >= epp
 	base := 0.0 // seconds to re-read the fill window from its tiers
 	filled := int64(0)
 	i := 0
