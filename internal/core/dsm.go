@@ -442,12 +442,14 @@ func (d *DSM) repairGoverned() bool { return d.ctl != nil && d.ctl.cfg.Repair }
 // redundancy to a node crash or a degraded write. Repair I/O charges
 // devices and the fabric like any foreground access, so redundancy
 // restoration contends with the workload instead of completing for
-// free. With a fixed RepairPeriod each wake-up runs one repair step;
-// under the AIMD governor the wake-up interval backs off while the
-// foreground is I/O-bound and tightens — with multi-step bursts — when
-// the cluster is idle and the queue is backlogged.
+// free. While nothing is under-replicated the loop sleeps until hermes
+// enqueues a blob. With a fixed RepairPeriod each wake-up runs one
+// repair step; under the AIMD governor the wake-up interval backs off
+// while the foreground is I/O-bound and tightens — with multi-step
+// bursts — when the cluster is idle and the queue is backlogged.
 func (d *DSM) repairLoop(p *vtime.Proc) {
 	for !d.stop.Fired() {
+		d.h.WaitRepair(p)
 		interval, burst := d.cfg.RepairPeriod, 1
 		if d.repairGoverned() {
 			interval, burst = d.ctl.acts.RepairInterval, d.ctl.acts.RepairBurst

@@ -278,9 +278,17 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 		}
 	}
 	if staged {
-		// Install near the origin so future faults stay local. A full
-		// scache falls back to serving straight from the backend.
-		_ = r.d.h.Put(p, r.node.ID, key, data, m.placeScore(0.5), t.origin)
+		if r.d.cfg.ChecksumPages && m.backend != nil {
+			// The image is the backend's, so its CRC is the page's checksum:
+			// faults and the scrubber verify the scache copy against it, and
+			// a mismatch re-stages (repairSource).
+			m.sums[t.page] = crc32.ChecksumIEEE(data)
+		}
+		// Install near the origin so future faults stay local. The backend
+		// (or zero fill) still holds this image, so it needs no backup until
+		// a commit changes it. A full scache falls back to serving straight
+		// from the backend.
+		_ = r.d.h.PutBacked(p, r.node.ID, key, data, m.placeScore(0.5), t.origin)
 	}
 	if t.replicate {
 		if node, ok := r.d.h.NodeOf(key); ok && node != t.origin {
@@ -304,10 +312,11 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 // repairPage restores a page whose image failed CRC verification: it
 // searches the backup replicas and — for clean, backed pages — the PFS
 // backend for bytes matching the recorded checksum, rewrites the primary
-// (refreshing its backups) with the good image, and counts the repair.
-// When no good copy survives, the corruption is unrepairable and the
-// fault surfaces faults.ErrCorrupt instead of silently returning zeros.
-// The good image is returned in buf, a caller-owned page buffer.
+// with the good image (with fresh backups, unless the image came from the
+// backend), and counts the repair. When no good copy survives, the
+// corruption is unrepairable and the fault surfaces faults.ErrCorrupt
+// instead of silently returning zeros. The good image is returned in buf,
+// a caller-owned page buffer.
 func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32, buf []byte) ([]byte, error) {
 	sp := r.d.trc.Begin(telemetry.OpRepair, r.node.ID, telemetry.SpanID(p.TraceSpan()), p.Now())
 	var prev uint32
@@ -316,7 +325,7 @@ func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32,
 		s.Vec, s.Arg = m.id, page
 		prev = p.SetTraceSpan(uint32(sp))
 	}
-	good, err := r.repairSource(p, m, page, want, buf)
+	good, restaged, err := r.repairSource(p, m, page, want, buf)
 	if sp != 0 {
 		p.SetTraceSpan(prev)
 		if s := r.d.trc.At(sp); s != nil {
@@ -327,10 +336,15 @@ func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32,
 	if err != nil {
 		return nil, err
 	}
-	// Rewriting through Put replaces the corrupt primary bytes and
-	// re-replicates the good image to the backup slots.
-	if perr := r.d.h.Put(p, r.node.ID, m.pageID(page), good, m.placeScore(0.6), r.node.ID); perr != nil {
-		return nil, perr
+	// Rewriting the primary replaces its corrupt bytes.
+	key := m.pageID(page)
+	if restaged {
+		err = r.d.h.PutBacked(p, r.node.ID, key, good, m.placeScore(0.6), r.node.ID)
+	} else {
+		err = r.d.h.Put(p, r.node.ID, key, good, m.placeScore(0.6), r.node.ID)
+	}
+	if err != nil {
+		return nil, err
 	}
 	r.d.pageRepairs++
 	r.d.mRepairs[r.node.ID].Inc()
@@ -340,8 +354,9 @@ func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32,
 
 // repairSource finds a page image matching the recorded checksum: backup
 // replicas first (cheapest, scache-resident), then a backend re-stage for
-// pages whose last commit was staged out. Each candidate is read over buf.
-func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint32, buf []byte) ([]byte, error) {
+// pages whose last commit was staged out (restaged reports that source).
+// Each candidate is read over buf.
+func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint32, buf []byte) (good []byte, restaged bool, err error) {
 	key := m.pageID(page)
 	for slot := 0; slot < r.d.cfg.Replicas; slot++ {
 		if data, ok := r.d.h.ReadBackup(p, r.node.ID, key, slot, buf); ok {
@@ -351,17 +366,17 @@ func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint3
 			data = fullPage(data, buf, m.pageSize)
 			if crc32.ChecksumIEEE(data) == want {
 				r.d.inj.Note("core.repair_replica")
-				return data, nil
+				return data, false, nil
 			}
 		}
 	}
 	if m.backend != nil && !m.dirty[page] {
 		if data, err := r.stageIn(p, m, page, buf); err == nil && crc32.ChecksumIEEE(data) == want {
 			r.d.inj.Note("core.repair_restage")
-			return data, nil
+			return data, true, nil
 		}
 	}
-	return nil, fmt.Errorf("core: checksum mismatch on %s page %d: %w", m.name, page, faults.ErrCorrupt)
+	return nil, false, fmt.Errorf("core: checksum mismatch on %s page %d: %w", m.name, page, faults.ErrCorrupt)
 }
 
 // fullPage returns a scache read's image as the full page in buf, the
@@ -456,30 +471,7 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 		return nil
 	}
 	if !r.d.h.Has(p, r.node.ID, key) {
-		var base []byte
-		if whole {
-			base = t.data
-		} else {
-			// Read-modify-write against the backend image (or zeros), in a
-			// buffer that only passes through to the scache.
-			buf := r.d.getBuf(m.pageSize)
-			defer r.d.putBuf(buf)
-			var err error
-			base, err = r.stageIn(p, m, t.page, buf)
-			if err != nil {
-				return err
-			}
-			for _, reg := range regions {
-				copy(base[reg.off:reg.end], t.data[reg.off:reg.end])
-			}
-			if m.backend == nil {
-				// A volatile page's tail past the last written byte is
-				// zero fill; storing it would waste tier capacity and
-				// bandwidth (readers pad short blobs back to page size).
-				base = base[:regions[len(regions)-1].end]
-			}
-		}
-		if err := r.d.h.Put(p, r.node.ID, key, base, m.placeScore(0.6), t.origin); err != nil {
+		if err := r.putOverBackend(p, t, regions, whole); err != nil {
 			return err
 		}
 	} else {
@@ -489,7 +481,16 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 			}
 		} else {
 			for _, reg := range regions {
-				if err := r.d.h.PutAt(p, r.node.ID, key, reg.off, t.data[reg.off:reg.end]); err != nil {
+				err := r.d.h.PutAt(p, r.node.ID, key, reg.off, t.data[reg.off:reg.end])
+				if errors.Is(err, faults.ErrNodeDown) && !m.dirty[t.page] {
+					// The page's only scache copy died with its node, but it
+					// was clean: the backend image is the base to merge onto.
+					if err := r.putOverBackend(p, t, regions, false); err != nil {
+						return err
+					}
+					break
+				}
+				if err != nil {
 					return err
 				}
 			}
@@ -498,6 +499,34 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 	r.d.markDirtyPage(m, t.page)
 	r.invalidateReplicas(p, m, t.page)
 	return nil
+}
+
+// putOverBackend commits a page whose scache image is absent: a whole
+// page goes in as it is; otherwise the regions are merged onto the
+// backend image (or zeros), in a buffer that only passes through to the
+// scache.
+func (r *Runtime) putOverBackend(p *vtime.Proc, t *MemoryTask, regions []dirtyRange, whole bool) error {
+	m := t.vec
+	base := t.data
+	if !whole {
+		buf := r.d.getBuf(m.pageSize)
+		defer r.d.putBuf(buf)
+		var err error
+		base, err = r.stageIn(p, m, t.page, buf)
+		if err != nil {
+			return err
+		}
+		for _, reg := range regions {
+			copy(base[reg.off:reg.end], t.data[reg.off:reg.end])
+		}
+		if m.backend == nil {
+			// A volatile page's tail past the last written byte is zero
+			// fill; storing it would waste tier capacity and bandwidth
+			// (readers pad short blobs back to page size).
+			base = base[:regions[len(regions)-1].end]
+		}
+	}
+	return r.d.h.Put(p, r.node.ID, m.pageID(t.page), base, m.placeScore(0.6), t.origin)
 }
 
 // pageImage returns the current full page image from the scache (padded)

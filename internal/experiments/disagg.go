@@ -43,11 +43,12 @@ func disaggSpec(nodes int, bytesPerNode int64, disagg bool) cluster.Spec {
 		DRAMPer:  64 * device.MB,
 		Tiers: []cluster.TierSpec{
 			{Name: "dram", Profile: scaleDev(device.DRAMProfile(bytesPerNode / 2))},
-			// The spill tier holds the dataset plus its backups with ~50%
-			// headroom: roomy enough that the local-tiered shape never hits
-			// ErrNoCapacity, tight enough that the fill wave crosses the
-			// governor's capacity-pressure threshold mid-placement.
-			{Name: "nvme", Profile: scaleDev(device.NVMeProfile(3 * bytesPerNode))},
+			// The spill tier holds the dataset with ~50% headroom (pages
+			// staged in from the PFS get no backups): roomy enough that the
+			// local-tiered shape never hits ErrNoCapacity, tight enough that
+			// the fill wave crosses the governor's capacity-pressure
+			// threshold mid-placement.
+			{Name: "nvme", Profile: scaleDev(device.NVMeProfile(3 * bytesPerNode / 2))},
 		},
 		Link:      scaleLink(simnet.RoCE40()),
 		PFS:       scaleDev(device.PFSProfile(4 * device.GB)),

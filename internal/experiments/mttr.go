@@ -4,7 +4,9 @@ import (
 	"megammap/internal/apps/kmeans"
 	"megammap/internal/control"
 	"megammap/internal/core"
+	"megammap/internal/datagen"
 	"megammap/internal/faults"
+	"megammap/internal/mpi"
 	"megammap/internal/vtime"
 )
 
@@ -26,6 +28,12 @@ func adaptiveRepairConfig(cfg *core.Config) {
 // points are derived from a clean cell's Start and Runtime); adaptive
 // hands the repair pace to the AIMD governor.
 //
+// Each rank first copies its partition of the dataset into a volatile
+// vector and clusters that copy. Pages staged in from the PFS get no
+// backups (the backend holds them), so KMeans over the dataset itself
+// would leave a crash nothing to fail over to or repair; the copy exists
+// only in the scache, which is what these plans are about.
+//
 // The report holds the time to full redundancy (mttr_s: from redundancy
 // lost at the crash to the repair queue draining; 0 when it never
 // drained), the under-replicated gauge at run end (0 = fully healed),
@@ -39,7 +47,16 @@ func RunKMeansCell(nodes, procs int, bytesPerNode int64, cfg kmeans.Config, fp *
 		adaptiveRepairConfig(&ccfg)
 	}
 	cfg.CostPerDist = scaleCost(cfg.CostPerDist)
-	cell := catalogue["kmeans"].cell(job{total: total, ranks: ranks, bound: total / int64(ranks) * 3 / 4, km: cfg}, false)
+	j := job{total: total, ranks: ranks, bound: total / int64(ranks) * 3 / 4, km: cfg}
+	cell := catalogue["kmeans"].cell(j, false)
+	cell.body = func(r *mpi.Rank, d *core.DSM) (any, error) {
+		km := j.kmeans()
+		if err := copyPartition(r, d, km.DatasetURL, scacheOnlyURL, km.BoundBytes); err != nil {
+			return nil, err
+		}
+		km.DatasetURL = scacheOnlyURL
+		return anyOf(kmeans.Mega(r, d, km))
+	}
 	cell.spec, cell.config = testbedSpec(nodes, fig5DRAMTier(total, nodes)), ccfg
 	cell.faults, cell.absolute = fp, true
 	run, err := cell.run()
@@ -62,4 +79,47 @@ func RunKMeansCell(nodes, procs int, bytesPerNode int64, cfg kmeans.Config, fp *
 		out.Digests["fault."+ct.Name] = ct.Value
 	}
 	return out, nil
+}
+
+// scacheOnlyURL names the volatile vector RunKMeansCell clusters.
+const scacheOnlyURL = "kmeans-points"
+
+// copyPartition copies this rank's partition of the particle vector from
+// into the vector to, which rank 0 sizes; both pcaches are bounded to
+// bound bytes (0 = unbounded). Every rank calls it.
+func copyPartition(r *mpi.Rank, d *core.DSM, from, to string, bound int64) error {
+	cl := d.NewClient(r.Proc(), r.Node().ID)
+	src, err := core.Open[datagen.Particle](cl, from, datagen.ParticleCodec{})
+	if err != nil {
+		return err
+	}
+	dst, err := core.Open[datagen.Particle](cl, to, datagen.ParticleCodec{})
+	if err != nil {
+		return err
+	}
+	if r.Rank() == 0 {
+		dst.Resize(src.Len())
+	}
+	r.Barrier()
+	if bound > 0 {
+		src.BoundMemory(bound)
+		dst.BoundMemory(bound)
+	}
+	src.Pgas(r.Rank(), r.Size())
+	off, n := src.LocalOff(), src.LocalLen()
+	src.SeqTxBegin(off, n, core.ReadOnly)
+	dst.SeqTxBegin(off, n, core.WriteOnly)
+	buf := make([]datagen.Particle, 1024)
+	for done := int64(0); done < n; {
+		m := min(int64(len(buf)), n-done)
+		src.GetRange(off+done, buf[:m])
+		dst.SetRange(off+done, buf[:m])
+		done += m
+	}
+	src.TxEnd()
+	dst.TxEnd()
+	src.Close()
+	dst.Close()
+	r.Barrier()
+	return nil
 }

@@ -33,7 +33,8 @@ import (
 
 // Placement locates a blob in the DMSH. The record is 64 bytes — one
 // allocator size class and one cache line, which is why the small
-// integers are 32-bit: a store allocates one per put and per backup.
+// integers are 32-bit (Inc 16-bit, to make room for backed): a store
+// allocates one per put and per backup.
 type Placement struct {
 	Node int    // node holding the bytes
 	Tier string // tier name on that node
@@ -47,7 +48,10 @@ type Placement struct {
 	// written. A revived node restarts cold under a higher incarnation,
 	// so placements from its previous life are unreachable even though
 	// the node itself is up again.
-	Inc           int32
+	Inc int16
+	// backed marks a primary whose bytes a durable backend also holds
+	// (PutBacked): it has no backups, and losing it owes no repair.
+	backed        bool
 	ScoreNode     int32
 	PrevScoreNode int32
 
@@ -92,15 +96,18 @@ type Hermes struct {
 	// life.
 	replicas int
 	failed   []bool // per node; reachable consults it on every get
-	inc      []int32
+	inc      []int16
 
 	// repairq is the anti-entropy queue: primary IDs of blobs that lost
 	// a copy (crash) or could not be fully replicated (degraded write),
 	// FIFO in deterministic enqueue order. queued dedups it. The window
 	// [degradeStart, lastDrain] brackets the most recent stretch of
 	// under-replication, which is what the MTTR experiment reports.
+	// repairSig holds a token once a blob is enqueued, so that a repair
+	// daemon parked in WaitRepair wakes for it.
 	repairq      []blob.ID
 	queued       map[blob.ID]bool
+	repairSig    *vtime.Chan[struct{}]
 	degraded     bool
 	degradeStart vtime.Duration
 	lastDrain    vtime.Duration
@@ -217,21 +224,22 @@ func New(c *cluster.Cluster, tiers []string) *Hermes {
 		}
 	}
 	h := &Hermes{
-		c:        c,
-		tiers:    tiers,
-		meta:     make(map[blob.ID]*Placement),
-		ids:      blob.NewInterner(),
-		byNode:   make([][]blob.ID, len(c.Nodes)),
-		replCnt:  make(map[blob.ID]int),
-		failed:   make([]bool, len(c.Nodes)),
-		inc:      make([]int32, len(c.Nodes)),
-		queued:   make(map[blob.ID]bool),
-		buckets:  make(map[uint32][]bucketMember),
-		memberOf: make(map[uint32]bool),
-		suspect:  make([]bool, len(c.Nodes)),
-		quar:     make([]bool, len(c.Nodes)),
-		computes: c.Computes(),
-		pools:    c.Pools(),
+		c:         c,
+		tiers:     tiers,
+		meta:      make(map[blob.ID]*Placement),
+		ids:       blob.NewInterner(),
+		byNode:    make([][]blob.ID, len(c.Nodes)),
+		replCnt:   make(map[blob.ID]int),
+		failed:    make([]bool, len(c.Nodes)),
+		inc:       make([]int16, len(c.Nodes)),
+		queued:    make(map[blob.ID]bool),
+		repairSig: vtime.NewChan[struct{}](1),
+		buckets:   make(map[uint32][]bucketMember),
+		memberOf:  make(map[uint32]bool),
+		suspect:   make([]bool, len(c.Nodes)),
+		quar:      make([]bool, len(c.Nodes)),
+		computes:  c.Computes(),
+		pools:     c.Pools(),
 	}
 	h.org.tierIdx = make(map[string]int, len(tiers)+1)
 	for i, t := range tiers {
@@ -338,7 +346,9 @@ func (h *Hermes) SetReplicas(n int) {
 // placed there fail over to a backup copy (when replication is on) and
 // new placements avoid the node. Every blob that just lost a copy —
 // primaries placed on the node, and primaries whose backup lived there —
-// is enqueued for anti-entropy repair in deterministic (sorted) order.
+// is enqueued for anti-entropy repair in deterministic (sorted) order,
+// except backed primaries: their backend still holds the bytes, and the
+// owner re-stages them on the next access.
 func (h *Hermes) FailNode(id int) {
 	if h.failed[id] {
 		return
@@ -350,7 +360,9 @@ func (h *Hermes) FailNode(id int) {
 	}
 	// Primaries on the dead node: the sorted per-node index.
 	for _, pid := range h.byNode[id] {
-		h.enqueueRepair(pid)
+		if !h.meta[pid].backed {
+			h.enqueueRepair(pid)
+		}
 	}
 	// Backups on the dead node: one pass over the metadata, sorted for a
 	// deterministic queue order (crashes are rare; O(meta) is fine).
@@ -573,21 +585,36 @@ func (h *Hermes) readRetry(p *vtime.Proc, dev *device.Device, id blob.ID, counte
 	return data, ok, err
 }
 
-// Put stores (or replaces) a blob, choosing a target near prefNode. The
-// caller runs on fromNode; data crossing nodes charges fabric time.
+// Put stores (or replaces) a blob, choosing a target near prefNode, and
+// writes its backup copies. The caller runs on fromNode; data crossing
+// nodes charges fabric time.
 func (h *Hermes) Put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int) error {
+	return h.putSpan(p, fromNode, id, data, score, prefNode, false)
+}
+
+// PutBacked is Put for bytes a durable backend also holds (a page image
+// staged in from it): the scache copy is not the only one, so it gets no
+// backups, stale backups of the blob are dropped, and losing it to a crash
+// enqueues no repair. Redundancy costs fabric and device bandwidth, which
+// is worth paying for data that exists nowhere else: a later Put or PutAt
+// writes the backups.
+func (h *Hermes) PutBacked(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int) error {
+	return h.putSpan(p, fromNode, id, data, score, prefNode, true)
+}
+
+func (h *Hermes) putSpan(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, backed bool) error {
 	sp := h.beginSpan(p, telemetry.OpScachePut, fromNode, id)
 	if sp == 0 {
-		return h.put(p, fromNode, id, data, score, prefNode)
+		return h.put(p, fromNode, id, data, score, prefNode, backed)
 	}
 	prev := p.SetTraceSpan(uint32(sp))
-	err := h.put(p, fromNode, id, data, score, prefNode)
+	err := h.put(p, fromNode, id, data, score, prefNode, backed)
 	p.SetTraceSpan(prev)
 	h.endSpan(p, sp, int64(len(data)), err != nil)
 	return err
 }
 
-func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int) error {
+func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, backed bool) error {
 	pl := h.lookup(p, fromNode, id)
 	if pl != nil && !h.reachable(pl) {
 		// The old copy died with its node; Put replaces the whole blob, so
@@ -607,7 +634,7 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 			pl.Size = int64(len(data))
 			pl.Score = score
 			pl.ScoreNode = int32(prefNode)
-			h.replicate(p, pl.Node, id, data)
+			h.protect(p, pl, id, data, backed)
 			return nil
 		}
 		// The record goes with the bytes: if no tier takes the new size,
@@ -631,8 +658,31 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 		return err
 	}
 	h.metaPut(id, pl)
-	h.replicate(p, node, id, data)
+	h.protect(p, pl, id, data, backed)
 	return nil
+}
+
+// protect gives a freshly (re)put primary the redundancy it is owed:
+// backups of its bytes, or — for bytes a backend also holds — none, with
+// any stale ones dropped.
+func (h *Hermes) protect(p *vtime.Proc, pl *Placement, id blob.ID, data []byte, backed bool) {
+	pl.backed = backed
+	if backed {
+		h.dropBackups(p, id)
+		return
+	}
+	h.replicate(p, pl.Node, id, data)
+}
+
+// dropBackups deletes every backup copy of a blob.
+func (h *Hermes) dropBackups(p *vtime.Proc, id blob.ID) {
+	for i := 0; i < h.replicas; i++ {
+		bk := id.Backup(i)
+		if bp := h.meta[bk]; bp != nil {
+			h.deleteData(p, bp, bk)
+			h.metaDelete(bk)
+		}
+	}
 }
 
 // replicate writes the backup copies of a freshly (re)put blob to
@@ -691,6 +741,24 @@ func (h *Hermes) replicate(p *vtime.Proc, primary int, id blob.ID, data []byte) 
 	}
 }
 
+// replicateStored ends a primary's backed state: its stored bytes are
+// read back and replicated, as a Put of them would have. A read that
+// fails leaves the blob to the repair queue.
+func (h *Hermes) replicateStored(p *vtime.Proc, pl *Placement, id blob.ID) {
+	pl.backed = false
+	if h.replicas == 0 {
+		return
+	}
+	buf := h.borrow(pl.Size)
+	defer h.giveBack(buf)
+	data, ok, err := h.readRetry(p, pl.dev, id, "retry.scache_read", buf)
+	if err != nil || !ok {
+		h.enqueueRepair(id)
+		return
+	}
+	h.replicate(p, pl.Node, id, data)
+}
+
 // storeBackup ships one backup copy from the primary's node to (node,
 // tier) and records it there; false when the device refused the write.
 // stale, when non-nil, is the old copy the new one replaces (repair
@@ -726,6 +794,15 @@ func (h *Hermes) enqueueRepair(id blob.ID) {
 	h.queued[id] = true
 	h.repairq = append(h.repairq, id)
 	h.gUnderRep.Set(int64(len(h.repairq)))
+	h.repairSig.TrySend(struct{}{}) // a token already waiting is enough
+}
+
+// WaitRepair blocks p until a blob awaits repair: a repair daemon parks
+// here instead of polling an empty queue.
+func (h *Hermes) WaitRepair(p *vtime.Proc) {
+	for len(h.repairq) == 0 {
+		h.repairSig.Recv(p)
+	}
 }
 
 func (h *Hermes) dequeueRepair() blob.ID {
@@ -803,8 +880,10 @@ func (h *Hermes) RepairBurst(p *vtime.Proc, n int) bool {
 // happened (the step budget).
 func (h *Hermes) repairBlob(p *vtime.Proc, id blob.ID) (requeue, worked bool) {
 	pl := h.meta[id]
-	if pl == nil {
-		return false, false // deleted since enqueue
+	if pl == nil || pl.backed {
+		// Deleted since enqueue, or backed (re-staged since): nothing is
+		// owed.
+		return false, false
 	}
 	if !h.reachable(pl) {
 		npl, err := h.recoverPrimary(p, id)
@@ -1033,6 +1112,12 @@ func (h *Hermes) putAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data 
 	if end := off + int64(len(data)); end > pl.Size {
 		pl.Size = end
 	}
+	if pl.backed {
+		// From this write on the scache holds the only copy of the merged
+		// image, and there are no backups to patch: write them whole.
+		h.replicateStored(p, pl, id)
+		return nil
+	}
 	// Keep backup replicas in sync with the modified region.
 	for i := 0; i < h.replicas; i++ {
 		bk := id.Backup(i)
@@ -1201,13 +1286,7 @@ func (h *Hermes) Delete(p *vtime.Proc, fromNode int, id blob.ID) {
 	}
 	h.deleteData(p, pl, id)
 	h.metaDelete(id)
-	for i := 0; i < h.replicas; i++ {
-		bk := id.Backup(i)
-		if bp := h.meta[bk]; bp != nil {
-			h.deleteData(p, bp, bk)
-			h.metaDelete(bk)
-		}
-	}
+	h.dropBackups(p, id)
 }
 
 func (h *Hermes) deleteData(p *vtime.Proc, pl *Placement, id blob.ID) {

@@ -12,15 +12,16 @@ import (
 // CheckIntegrity audits the store's metadata against the devices and
 // returns a deterministic list of violations (empty when consistent):
 //
-//   - every placement on a live node points at a stored blob of the
-//     recorded size;
+//   - every reachable placement (live node, current incarnation) points
+//     at a stored blob of the recorded size;
 //   - every blob stored on a managed tier of a live node is reachable
 //     from exactly one placement (no orphans, no double-registration);
 //   - the slab holds exactly the placements, each at its slot, and each
 //     placement's resolved device is the one its (node, tier) names;
 //   - the per-node primary indices mirror the primary placements;
 //   - replica counters match a recount of the replica placements;
-//   - no primary has more backup copies than SetReplicas allows.
+//   - no primary has more backup copies than SetReplicas allows, and a
+//     backed one (PutBacked) has none.
 //
 // It reads no device data and charges no virtual time; core takes it
 // inside Shutdown, so a consistent store costs a handful of allocations
@@ -64,8 +65,10 @@ func (h *Hermes) CheckIntegrity() []string {
 			}
 			backups[id.Base()]++
 		}
-		if !h.alive(pl.Node) {
-			continue // data died with the node; stale meta is tolerated
+		if !h.reachable(pl) {
+			// The bytes died with the node, or with its previous life (a
+			// cold revive): stale meta is tolerated.
+			continue
 		}
 		dev := pl.dev
 		if dev == nil {
@@ -141,10 +144,14 @@ func (h *Hermes) CheckIntegrity() []string {
 	}
 	flush()
 
-	// Backup counts respect the replication factor.
+	// Backup counts respect the replication factor, and a backed primary
+	// has none.
 	for base, n := range backups {
 		if n > h.replicas {
 			found = append(found, finding{base, fmt.Sprintf("blob %q has %d backups, replication factor is %d", h.DisplayName(base), n, h.replicas)})
+		}
+		if pl := h.meta[base]; pl != nil && pl.backed {
+			found = append(found, finding{base, fmt.Sprintf("backed blob %q has %d backups", h.DisplayName(base), n)})
 		}
 	}
 	flush()
