@@ -57,12 +57,9 @@ type DSM struct {
 	bufOut  int64
 	bufPeak int64
 
-	// pendingMoves counts the relocations the organizer has ever planned.
-	// It was meant to count those still queued or running, so that the
-	// organizer never plans from a state its own unfinished moves are about
-	// to change, but nothing decrements it: after the first pass that plans
-	// a move, organize only decays scores (ROADMAP item 1(a), sized in
-	// EXPERIMENTS.md: the decrement alone is a regression).
+	// pendingMoves counts the move tasks queued or running (newMoveTask
+	// counts one in, its completion counts it out): the organizer never
+	// plans from a state its own unfinished moves are about to change.
 	pendingMoves int
 
 	// pendingReads coalesces collective faults: while a read of a page is
@@ -321,7 +318,6 @@ func (d *DSM) DisableFill() { d.cfg.DisablePrefetch = true }
 func (d *DSM) organize(p *vtime.Proc) {
 	if d.pendingMoves == 0 {
 		for _, mv := range d.h.PlanOrganize(d.cfg.OrganizeBudget) {
-			d.pendingMoves++
 			d.submit(p, d.newMoveTask(mv))
 		}
 	}
@@ -329,8 +325,10 @@ func (d *DSM) organize(p *vtime.Proc) {
 }
 
 // newMoveTask wraps one planned relocation as a recycling task, queued on
-// the chain of the open vector the blob is a page of, if it is one.
+// the chain of the open vector the blob is a page of, if it is one, and
+// counted pending until it completes.
 func (d *DSM) newMoveTask(mv hermes.Move) *MemoryTask {
+	d.pendingMoves++
 	t := d.newTask()
 	t.kind, t.move, t.recycle = taskMove, mv, true
 	if mv.ID.Kind == blob.KindPage {
@@ -738,7 +736,9 @@ func (d *DSM) newTask() *MemoryTask {
 		d.taskFree = d.taskFree[:n-1]
 		return t
 	}
-	return &MemoryTask{}
+	t := &MemoryTask{}
+	t.regions = t.inline[:0]
+	return t
 }
 
 // recycleTask resets a completed task and returns it to the pool. Only

@@ -282,9 +282,10 @@ func TestOrganizerMovesBlobOfNoVectorUnchained(t *testing.T) {
 		if err := h.Put(p, 0, key, make([]byte, 4<<10), 0.9, 0); err != nil {
 			t.Fatal(err)
 		}
-		// Node 1 asks for the blob in two periods running: the hint sticks.
+		// A local phase on node 1 asks for the blob in two periods running:
+		// the hint sticks.
 		for i := 0; i < 2; i++ {
-			h.SetScore(p, 1, key, 1)
+			h.SetScoreHint(p, 1, key, 1, true)
 			p.Sleep(cfg.OrganizePeriod + 100*vtime.Microsecond)
 		}
 		p.Sleep(cfg.OrganizePeriod)

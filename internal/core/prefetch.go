@@ -154,7 +154,7 @@ func (v *Vector[T]) scoreAsync(pg int64, score float64) {
 	}
 	t := v.c.d.newTask()
 	t.kind, t.vec, t.page = taskScore, v.m, pg
-	t.score, t.origin, t.recycle = score, v.c.node.ID, true
+	t.score, t.local, t.origin, t.recycle = score, v.tx.flags.local(), v.c.node.ID, true
 	v.c.submitAsync(t)
 }
 

@@ -189,7 +189,7 @@ func (r *Runtime) exec(p *vtime.Proc, t *MemoryTask) {
 	case taskWrite:
 		t.err = r.writePage(p, t)
 	case taskScore:
-		r.d.h.SetScore(p, t.origin, t.vec.pageID(t.page), t.score)
+		r.d.h.SetScoreHint(p, t.origin, t.vec.pageID(t.page), t.score, t.local)
 	case taskStage:
 		t.err = r.d.stageOut(p, t.vec, t.page, r.node.ID)
 	case taskDestroy:
@@ -201,6 +201,7 @@ func (r *Runtime) exec(p *vtime.Proc, t *MemoryTask) {
 		if t.moveVec == nil || r.d.vecByID[t.moveVec.id] == t.moveVec {
 			r.d.h.ApplyMove(p, t.move)
 		}
+		r.d.pendingMoves--
 	}
 }
 

@@ -105,16 +105,21 @@ type MemoryTask struct {
 
 	// write: the dirty regions and a copy of the page bytes they cover
 	// (writes are asynchronous; the copy decouples the application from
-	// commit latency).
+	// commit latency). regions starts out in inline, so a commit of one
+	// range allocates nothing whatever the task carried before; a longer
+	// list grows past it once and the task keeps that storage.
 	regions []dirtyRange
+	inline  [1]dirtyRange
 	data    []byte // full page image for writes; result buffer for reads
 
 	// read: whether a node-local replica may be created (read-only /
 	// collective coherence).
 	replicate bool
 
-	// score: the importance in [0,1] set by the prefetcher.
+	// score: the importance in [0,1] set by the prefetcher, and whether
+	// the phase that set it was local (AccessFlags.local).
 	score float64
+	local bool
 
 	// origin: node of the submitting client (locality + replica target).
 	origin int

@@ -49,6 +49,12 @@ func (f AccessFlags) replicable() bool {
 	return (f.Has(Read|Global) && !f.Has(Write) && !f.Has(Append)) || f.Has(Collective)
 }
 
+// local reports a phase that declares neither Global nor Collective
+// access: by the Pgas contract it touches only its own rank's partition,
+// so the pages it scores belong on the rank's node (the organizer's
+// migration rule, hermes.SetScoreHint).
+func (f AccessFlags) local() bool { return f&(Global|Collective) == 0 }
+
 // Tx is the transaction interface (paper Listing 2). A transaction is a
 // predicted sequence of element accesses; ElemAt maps the i-th access of
 // the sequence to the element index it will touch. Custom access patterns

@@ -527,6 +527,43 @@ func (d *Device) Delete(p *vtime.Proc, key blob.ID) {
 	delete(d.blobs, key)
 }
 
+// Adopt moves the blob stored under key from src to d without copying it:
+// d takes src's array. It charges what Write of the blob to d followed by
+// src.Delete charges, in that order, and fails like Write (ErrNoSpace, an
+// injected write fault) with the blob left on src. ok is false when src
+// does not hold the blob, before the charge or after it.
+func (d *Device) Adopt(p *vtime.Proc, src *Device, key blob.ID) (ok bool, err error) {
+	b, ok := src.blobs[key]
+	if !ok {
+		return false, nil
+	}
+	n := int64(len(b))
+	if delta := n - int64(len(d.blobs[key])); delta > d.Free() {
+		return true, &ErrNoSpace{Device: d.name, Need: delta, Free: d.Free()}
+	}
+	sp := d.beginSpan(p, telemetry.OpDeviceWrite, key)
+	d.charge(p, n, d.prof.WriteBW)
+	if d.inj != nil {
+		if err := d.inj.DeviceWrite(d.fnode, d.ftier); err != nil {
+			d.endSpan(p, sp, n, true)
+			return true, err
+		}
+	}
+	// Looked up again: the charge yielded, and the blob may have been
+	// replaced or deleted meanwhile.
+	if b, ok = src.blobs[key]; !ok {
+		d.endSpan(p, sp, n, true)
+		return false, nil
+	}
+	d.note(int64(len(b)) - int64(len(d.blobs[key])))
+	d.blobs[key] = b
+	d.writeOps++
+	d.bytesWrite += n
+	d.endSpan(p, sp, n, false)
+	src.Delete(p, key)
+	return true, nil
+}
+
 // Purge drops every stored blob without charging virtual time. It models
 // a node restarting with cold storage: the cluster wipes a revived
 // node's devices before hermes rejoins it, so nothing stale survives the

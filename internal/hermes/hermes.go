@@ -33,16 +33,17 @@ import (
 
 // Placement locates a blob in the DMSH. The record is 64 bytes — one
 // allocator size class and one cache line, which is why the small
-// integers are 32-bit (Inc 16-bit, to make room for backed): a store
-// allocates one per put and per backup.
+// integers are 32-bit (Inc 16-bit, to make room for backed and hint): a
+// store allocates one per put and per backup.
 type Placement struct {
 	Node int    // node holding the bytes
 	Tier string // tier name on that node
 	Size int64
 	// Score is the blob's current importance in [0,1]; the organizer
-	// promotes high scores into fast tiers. ScoreNode is the node that set
-	// the score (locality hint); PrevScoreNode is the hint from the
-	// previous organization period (migration hysteresis).
+	// promoted high scores into fast tiers while its re-pack ran.
+	// ScoreNode is the node that set the score (locality hint);
+	// PrevScoreNode is the hint from the previous organization period
+	// (migration hysteresis).
 	Score float64
 	// Inc is the incarnation of the holding node when the bytes were
 	// written. A revived node restarts cold under a higher incarnation,
@@ -51,7 +52,10 @@ type Placement struct {
 	Inc int16
 	// backed marks a primary whose bytes a durable backend also holds
 	// (PutBacked): it has no backups, and losing it owes no repair.
-	backed        bool
+	backed bool
+	// hint qualifies ScoreNode: whether a local-intent phase set it, and
+	// whether the blob is on the organizer's candidate list.
+	hint          hintFlags
 	ScoreNode     int32
 	PrevScoreNode int32
 
@@ -61,6 +65,19 @@ type Placement struct {
 	slot int32
 	dev  *device.Device
 }
+
+// hintFlags qualify a placement's locality hint.
+type hintFlags uint8
+
+const (
+	// hintLocal: ScoreNode was set by a phase that declared neither Global
+	// nor Collective access, which by the Pgas contract touches only its
+	// own rank's partition: the blob belongs on that node.
+	hintLocal hintFlags = 1 << iota
+	// hintListed: the blob is on the organizer's candidate list (orgScratch.
+	// cands), so a second score update does not list it twice.
+	hintListed
+)
 
 // Hermes is a distributed, tiered blob store over the cluster's devices.
 type Hermes struct {
@@ -199,7 +216,15 @@ type bucketMember struct {
 // truncated, not freed, so steady-state passes are allocation-free; the
 // returned []Move aliases out and is valid until the next pass.
 type orgScratch struct {
-	byWant  [][]orgEntry
+	// cands lists the primaries a local-intent score named another compute
+	// node for since the last pass (SetScoreHint): the migration leg's
+	// whole input.
+	cands []blob.ID
+	// repacked ends the tier re-pack: it is set by the first pass that
+	// plans a move, and no pass re-packs after it.
+	repacked bool
+
+	entries []orgEntry // one node's primaries, re-pack only
 	moves   []Move
 	out     []Move
 	budgets []int64        // per-tier capacity budget, indexed like tiers
@@ -634,6 +659,7 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 			pl.Size = int64(len(data))
 			pl.Score = score
 			pl.ScoreNode = int32(prefNode)
+			pl.hint &^= hintLocal // a put declares no intent
 			h.protect(p, pl, id, data, backed)
 			return nil
 		}
@@ -1298,15 +1324,34 @@ func (h *Hermes) deleteData(p *vtime.Proc, pl *Placement, id blob.ID) {
 
 // SetScore updates a blob's importance score; the Data Organizer acts on
 // it at the next Organize pass. Following the paper, the maximum of
-// concurrently-set scores wins within an organization period.
+// concurrently-set scores wins within an organization period. The winning
+// score names fromNode as the blob's locality hint, but declares no
+// intent: the organizer never moves a blob for it (see SetScoreHint).
 func (h *Hermes) SetScore(p *vtime.Proc, fromNode int, id blob.ID, score float64) {
+	h.SetScoreHint(p, fromNode, id, score, false)
+}
+
+// SetScoreHint is SetScore for a score whose phase declared its intent:
+// local says the phase touches only fromNode's own partition (neither
+// Global nor Collective access). A winning local score from a node other
+// than the one holding a primary lists the blob as a candidate for the
+// organizer's next pass, which moves it home if that node keeps scoring it
+// (PlanOrganize).
+func (h *Hermes) SetScoreHint(p *vtime.Proc, fromNode int, id blob.ID, score float64, local bool) {
 	pl := h.lookup(p, fromNode, id)
-	if pl == nil {
+	if pl == nil || score < pl.Score {
 		return
 	}
-	if score >= pl.Score {
-		pl.Score = score
-		pl.ScoreNode = int32(fromNode)
+	pl.Score = score
+	pl.ScoreNode = int32(fromNode)
+	if !local {
+		pl.hint &^= hintLocal
+		return
+	}
+	pl.hint |= hintLocal
+	if fromNode != pl.Node && pl.hint&hintListed == 0 && id.IsPrimary() {
+		pl.hint |= hintListed
+		h.org.cands = append(h.org.cands, id)
 	}
 }
 
@@ -1351,60 +1396,109 @@ func (h *Hermes) DecayScores(f float64) {
 	}
 }
 
-// PlanOrganize computes one Data Organizer pass: blobs whose score node
-// differs migrate home when hot (score > 0.5), then each node's blobs
-// are re-ranked by score and greedily packed into tiers fastest-first,
-// demoting the coldest blobs down the hierarchy. budget caps the bytes
-// planned per pass (0 = unlimited) so reorganization never monopolizes
-// device bandwidth between periods. Replicas and backups are pinned
-// (node-local caches and fault-tolerance copies must not migrate); they
-// never enter the per-node primary indices, so the pass walks only
-// candidate blobs, already in deterministic order.
-// The pass reuses per-node scratch (h.org) across invocations, so a
+// PlanOrganize computes one Data Organizer pass of at most budget bytes
+// (0 = unlimited), so reorganization never monopolizes device bandwidth
+// between periods. It has two legs:
+//
+//   - The tier re-pack ranks each node's primaries by score and packs them
+//     greedily into its tiers fastest-first, promoting hot blobs and
+//     demoting the coldest. It is a one-shot: it runs on every pass until
+//     the first pass that plans a move, and never after (re-ranking a
+//     cyclic sweep every pass promotes a page for the scan that just
+//     passed and demotes it for the one arriving; a benefit test that
+//     would let it run on is not built).
+//   - Migration moves a primary home to the node whose local-intent
+//     phases keep scoring it (SetScoreHint), laterally: onto the same tier
+//     of that node, and only if that device has room now. Its input is the
+//     candidate list the score path fills, so the leg costs the candidates,
+//     not the DMSH. A candidate is admitted when its hint is local and
+//     stable across two periods (a hint that flaps between readers would
+//     ping-pong the page), the hint names a live compute node, the page has
+//     no read replicas (they already give locality) and it is not held by
+//     a memory pool (pool placement is the spill-vs-pool governor's call).
+//     How hot the hint is does not matter: a local phase's score, hot or
+//     warm, says whose partition the page is. Candidates the budget cuts
+//     off wait for the next pass; the others leave the list, and a later
+//     score lists them again.
+//
+// Replicas and backups are pinned: they never enter the per-node primary
+// indices or the candidate list. The pass reuses its scratch (h.org), so a
 // steady-state pass allocates nothing; the returned slice is valid only
 // until the next PlanOrganize call.
 func (h *Hermes) PlanOrganize(budget int64) []Move {
 	o := &h.org
-	// Group blobs by their desired node (locality first), walking the
-	// maintained per-node indices instead of re-sorting the whole DMSH.
-	if len(o.byWant) != len(h.c.Nodes) {
-		o.byWant = make([][]orgEntry, len(h.c.Nodes))
+	o.out = o.out[:0]
+	var spent int64
+	if !o.repacked {
+		spent = h.planRepack(budget)
 	}
-	for i := range o.byWant {
-		o.byWant[i] = o.byWant[i][:0]
-	}
-	for nodeID := range h.byNode {
-		if !h.alive(nodeID) {
-			continue // unreachable data cannot be reorganized
+	h.planMigrations(budget, spent)
+	o.repacked = o.repacked || len(o.out) > 0
+	return o.out
+}
+
+// planMigrations appends the pass's admitted candidates to h.org.out,
+// within what budget leaves after the spent bytes already planned.
+func (h *Hermes) planMigrations(budget, spent int64) {
+	o := &h.org
+	keep := o.cands[:0]
+	for i, id := range o.cands {
+		pl := h.meta[id]
+		if pl == nil || pl.hint&hintListed == 0 {
+			continue // deleted or replaced since it was listed, or listed twice
 		}
-		for _, id := range h.byNode[nodeID] {
-			pl := h.meta[id]
-			want := pl.Node
-			// Migrate toward a node only when its interest is stable across
-			// two periods: shared read phases flap the hint every pass, and
-			// chasing the last reader ping-pongs pages between nodes. Pages
-			// with node-local replicas are shared by construction — replicas
-			// already provide locality, so the primary stays put.
-			if hint := int(pl.ScoreNode); pl.Score > 0.5 && hint != pl.Node &&
-				pl.ScoreNode == pl.PrevScoreNode && h.alive(hint) &&
-				!h.hasReplicas(id) {
-				want = hint
-			}
-			o.byWant[want] = append(o.byWant[want], orgEntry{id: id, pl: pl})
+		home := int(pl.ScoreNode)
+		if pl.hint&hintLocal == 0 || home == pl.Node || pl.ScoreNode != pl.PrevScoreNode ||
+			home >= h.computes || !h.alive(home) ||
+			pl.Node >= h.computes || !h.reachable(pl) || h.hasReplicas(id) {
+			pl.hint &^= hintListed
+			continue
+		}
+		if budget > 0 && spent+pl.Size > budget {
+			keep = append(keep, o.cands[i:]...) // the pass is full
+			break
+		}
+		pl.hint &^= hintListed
+		if h.device(home, pl.Tier).Free()-h.inbound(home, pl.Tier) < pl.Size {
+			continue
+		}
+		spent += pl.Size
+		o.out = append(o.out, Move{ID: id, Node: home, Tier: pl.Tier})
+	}
+	o.cands = keep
+}
+
+// inbound sums the bytes the pass being planned moves onto (node, tier).
+func (h *Hermes) inbound(node int, tier string) (n int64) {
+	for _, m := range h.org.out {
+		if m.Node == node && m.Tier == tier {
+			n += h.meta[m.ID].Size
 		}
 	}
+	return n
+}
+
+// planRepack appends the tier re-pack's moves to h.org.out, demotions
+// first so that demoted blobs free the fast tiers promoted ones move into,
+// up to budget; it returns the bytes they take.
+func (h *Hermes) planRepack(budget int64) (spent int64) {
+	o := &h.org
 	o.moves = o.moves[:0]
 	if cap(o.budgets) < len(h.tiers) {
 		o.budgets = make([]int64, len(h.tiers))
 	}
 	o.budgets = o.budgets[:len(h.tiers)]
-	for nodeID, entries := range o.byWant {
-		if nodeID >= h.computes {
-			// Memory pools have no tier hierarchy to pack: pool-resident
-			// blobs stay put until the hot-migration rule above pulls them
-			// home to a compute node's tiers.
+	// Memory pools have no tier hierarchy to pack, and unreachable data
+	// cannot be reorganized.
+	for nodeID := 0; nodeID < h.computes; nodeID++ {
+		if !h.alive(nodeID) {
 			continue
 		}
+		entries := o.entries[:0]
+		for _, id := range h.byNode[nodeID] {
+			entries = append(entries, orgEntry{id: id, pl: h.meta[id]})
+		}
+		o.entries = entries
 		// Hot blobs first; ties broken by ID for determinism.
 		slices.SortStableFunc(entries, func(a, b orgEntry) int {
 			if a.pl.Score != b.pl.Score {
@@ -1438,21 +1532,17 @@ func (h *Hermes) PlanOrganize(budget int64) []Move {
 				continue // stays where it is; no capacity anywhere here
 			}
 			o.budgets[placedTier] -= e.pl.Size
-			if e.pl.Node == nodeID && e.pl.Tier == h.tiers[placedTier] {
+			if e.pl.Tier == h.tiers[placedTier] {
 				continue
 			}
 			o.moves = append(o.moves, Move{ID: e.id, Node: nodeID, Tier: h.tiers[placedTier]})
 		}
 	}
-	// Execute demotions before promotions so demoted blobs free the fast
-	// tiers the promoted blobs are moving into.
 	slices.SortStableFunc(o.moves, func(a, b Move) int {
 		da := o.tierIdx[a.Tier] - o.tierIdx[h.meta[a.ID].Tier]
 		db := o.tierIdx[b.Tier] - o.tierIdx[h.meta[b.ID].Tier]
 		return db - da // largest downward shift first
 	})
-	var spent int64
-	o.out = o.out[:0]
 	for _, m := range o.moves {
 		size := h.meta[m.ID].Size
 		if budget > 0 && spent+size > budget {
@@ -1461,7 +1551,7 @@ func (h *Hermes) PlanOrganize(budget int64) []Move {
 		spent += size
 		o.out = append(o.out, m)
 	}
-	return o.out
+	return spent
 }
 
 // Move is one planned blob relocation.
@@ -1490,8 +1580,11 @@ func (h *Hermes) Organize(p *vtime.Proc, budget int64) {
 	}
 }
 
-// move relocates a blob to (node, tier), charging the read, transfer and
-// write costs.
+// move relocates a blob to (node, tier), charging what a copy costs — the
+// read, the fabric hop, the write — while the destination takes the
+// source's stored array (device.Adopt) instead of a second one. The
+// placement is stamped with the destination's incarnation, as a put there
+// would be.
 func (h *Hermes) move(p *vtime.Proc, id blob.ID, pl *Placement, node int, tier string) {
 	src, dst := pl.dev, h.device(node, tier)
 	buf := h.borrow(pl.Size)
@@ -1503,12 +1596,15 @@ func (h *Hermes) move(p *vtime.Proc, id blob.ID, pl *Placement, node int, tier s
 	if pl.Node != node {
 		h.c.Fabric.Transfer(p, pl.Node, node, int64(len(data)))
 	}
-	if err := h.writeRetry(p, dst, id, data); err != nil {
-		return // destination filled up concurrently; keep the source copy
+	err = h.inj.Do(p, "retry.scache_write", func() (e error) {
+		ok, e = dst.Adopt(p, src, id)
+		return e
+	})
+	if err != nil || !ok {
+		return // the destination filled up concurrently, or the blob went
 	}
-	src.Delete(p, id)
 	h.reindex(id, pl.Node, node)
-	pl.Node, pl.Tier, pl.dev = node, tier, dst
+	pl.Node, pl.Tier, pl.dev, pl.Inc = node, tier, dst, h.inc[node]
 	h.moved++
 	h.movedByte += int64(len(data))
 }
@@ -1533,7 +1629,7 @@ func (h *Hermes) Release() {
 	h.replCnt = map[blob.ID]int{}
 	h.slab = nil
 	clear(h.byNode)
-	h.org.byWant, h.org.moves, h.org.out = nil, nil, nil
+	h.org.cands, h.org.entries, h.org.moves, h.org.out = nil, nil, nil, nil
 }
 
 // TierUsage sums used bytes per tier across nodes, reading the cluster's

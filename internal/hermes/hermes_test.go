@@ -289,22 +289,54 @@ func TestOrganizePromotesHotDemotesCold(t *testing.T) {
 		if !bytes.Equal(got, big) {
 			t.Error("organize corrupted blob contents")
 		}
+		// The re-pack is a one-shot: with the scores inverted again, the
+		// next pass moves nothing.
+		h.SetScore(p, 0, h.Key("hot"), 1)
+		_, before, _ := h.Stats()
+		h.Organize(p, 0)
+		if _, after, _ := h.Stats(); after != before {
+			t.Errorf("a second pass re-packed %d blob(s)", after-before)
+		}
 	})
 }
 
 func TestOrganizeMigratesTowardScoreNode(t *testing.T) {
 	c, h := newHermes(2)
 	run(t, c, func(p *vtime.Proc) {
-		if err := h.Put(p, 0, h.Key("k"), []byte("data"), 0.9, 0); err != nil {
+		// A higher-scored filler takes node 0's DRAM, so k lands on its NVMe
+		// and the re-pack has nothing to promote.
+		if err := h.Put(p, 0, h.Key("filler"), make([]byte, 900<<10), 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		h.SetScore(p, 1, h.Key("k"), 0.95) // node 1 wants it...
-		h.DecayScores(1)                   // (rotate the hysteresis history)
-		h.SetScore(p, 1, h.Key("k"), 0.95) // ...for two consecutive periods
-		h.Organize(p, 0)
-		pl, _ := h.PlacementOf(h.Key("k"))
-		if pl.Node != 1 {
-			t.Errorf("blob stayed on node %d, want migration to 1", pl.Node)
+		k, data := h.Key("k"), bytes.Repeat([]byte{7}, 200<<10)
+		if err := h.Put(p, 0, k, data, 0.9, 0); err != nil {
+			t.Fatal(err)
+		}
+		period := func(local bool) {
+			h.SetScoreHint(p, 1, k, 0.95, local)
+			h.Organize(p, 0)
+			h.DecayScores(1)
+		}
+		// Node 1 wants k for three periods running, but its phase declared
+		// Global or Collective access: k stays.
+		for range 3 {
+			period(false)
+		}
+		if pl, _ := h.PlacementOf(k); pl.Node != 0 || pl.Tier != "nvme" {
+			t.Fatalf("after non-local hints k sits on node%d/%s, want node0/nvme", pl.Node, pl.Tier)
+		}
+		// Node 1's local phase wants it for two periods: it moves there,
+		// laterally — onto the tier it held, though node 1's DRAM is empty.
+		period(true)
+		period(true)
+		if pl, _ := h.PlacementOf(k); pl.Node != 1 || pl.Tier != "nvme" {
+			t.Errorf("after local hints k sits on node%d/%s, want node1/nvme", pl.Node, pl.Tier)
+		}
+		if got, ok, err := h.Get(p, 1, k); err != nil || !ok || !bytes.Equal(got, data) {
+			t.Errorf("Get after the move: ok=%v err=%v, bytes equal %v", ok, err, bytes.Equal(got, data))
+		}
+		if bad := h.CheckIntegrity(); len(bad) != 0 {
+			t.Errorf("after the move: %v", bad)
 		}
 	})
 }
@@ -439,6 +471,11 @@ func TestOrganizeUnlimitedBudget(t *testing.T) {
 		}
 		if err := h.Put(p, 0, h.Key("c"), data, 0.7, 0); err != nil { // spills to nvme
 			t.Fatal(err)
+		}
+		// Already packed by score: the pass plans nothing, and a pass that
+		// plans nothing leaves the one-shot re-pack armed.
+		if moves := h.PlanOrganize(0); len(moves) != 0 {
+			t.Fatalf("packed store: planned %+v", moves)
 		}
 		// Scores only rise via SetScore; aging happens through decay.
 		h.DecayScores(0.1)

@@ -1,9 +1,10 @@
 package hermes
 
-// Host-time microbenchmark of the Data Organizer planning pass. Planning
-// runs every OrganizePeriod over the whole DMSH, so its per-blob cost is
-// a background tax on every workload (`go run ./bench -trace 1` reports
-// it as hermes.organize_ns).
+// Host-time microbenchmarks of the Data Organizer planning pass. Planning
+// runs every OrganizePeriod: over the whole DMSH while the one-shot re-pack
+// is armed, over the candidate list after it, so either pass is a
+// background tax on every workload (`go run ./bench -trace 1` reports it
+// as hermes.organize_ns).
 
 import (
 	"testing"
@@ -37,8 +38,9 @@ func benchCluster() *cluster.Cluster {
 }
 
 // benchStore fills a DMSH with n 4 KB blobs spread across benchCluster's 4
-// nodes with mixed scores.
-func benchStore(b *testing.B, n int) *Hermes {
+// nodes with mixed scores. Every blob fits its node's DRAM, so a re-pack
+// finds nothing to move and stays armed.
+func benchStore(tb testing.TB, n int) *Hermes {
 	c := benchCluster()
 	h := New(c, []string{"dram", "nvme"})
 	c.Engine.Spawn("setup", func(p *vtime.Proc) {
@@ -47,18 +49,50 @@ func benchStore(b *testing.B, n int) *Hermes {
 			key := keyForBench(h, i)
 			score := float64(i%10) / 10
 			if err := h.Put(p, i%4, key, blobData, score, i%4); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	})
 	if err := c.Engine.Run(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return h
 }
 
-// BenchmarkOrganizePath measures one PlanOrganize pass over a DMSH of
-// 1024 blobs.
+// idleStore is benchStore in the organizer's steady state: the one-shot
+// re-pack spent, no candidate listed.
+func idleStore(tb testing.TB, n int) *Hermes {
+	h := benchStore(tb, n)
+	h.org.repacked = true
+	return h
+}
+
+// BenchmarkOrganizeIdlePass measures a pass of the organizer's steady
+// state over 2048 placements (idleStore). It walks the candidate list, not
+// the store, so it costs nothing per placement.
+func BenchmarkOrganizeIdlePass(b *testing.B) {
+	h := idleStore(b, 2048)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if moves := h.PlanOrganize(256 << 10); len(moves) != 0 {
+			b.Fatalf("idle pass planned %+v", moves)
+		}
+	}
+}
+
+// TestOrganizeIdlePassAllocFree: the steady-state pass runs every
+// OrganizePeriod for the rest of a run, so it must allocate nothing.
+func TestOrganizeIdlePassAllocFree(t *testing.T) {
+	h := idleStore(t, 2048)
+	if n := testing.AllocsPerRun(100, func() { h.PlanOrganize(256 << 10) }); n != 0 {
+		t.Errorf("an idle organizer pass allocates %v times, want 0", n)
+	}
+}
+
+// BenchmarkOrganizePath measures one re-pack pass over a DMSH of 1024
+// blobs: the pass a workload pays every period until the re-pack first
+// plans a move.
 func BenchmarkOrganizePath(b *testing.B) {
 	h := benchStore(b, 1024)
 	b.ReportAllocs()

@@ -3,10 +3,12 @@ package hermes
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"megammap/internal/blob"
+	"megammap/internal/cluster"
 	"megammap/internal/vtime"
 )
 
@@ -237,7 +239,29 @@ func TestPlanOrganizePinsBackupsAndReplicas(t *testing.T) {
 		if len(moves) != 1 || moves[0].ID != plain || moves[0].Tier != "dram" {
 			t.Errorf("moves = %+v, want v/plain promoted to dram", moves)
 		}
+		h.ApplyMove(p, moves[0])
+		// Node 1's local phase then wants every one of them, two periods
+		// running: only the plain blob is a migration candidate.
+		stableLocalHint(p, h, 1, append(pinned, plain)...)
+		moves = h.PlanOrganize(0)
+		if len(moves) != 1 || moves[0] != (Move{ID: plain, Node: 1, Tier: "dram"}) {
+			t.Errorf("moves = %+v, want v/plain migrated to node1/dram", moves)
+		}
 	})
+}
+
+// stableLocalHint gives a blob the hint a local phase on node leaves when
+// it scores the blob hot in two periods running, with the organizer's
+// decay between them.
+func stableLocalHint(p *vtime.Proc, h *Hermes, node int, ids ...blob.ID) {
+	for i := range 2 {
+		if i > 0 {
+			h.DecayScores(1)
+		}
+		for _, id := range ids {
+			h.SetScoreHint(p, node, id, 1, true)
+		}
+	}
 }
 
 func TestPlanOrganizeMigrationNeedsStableHint(t *testing.T) {
@@ -246,8 +270,8 @@ func TestPlanOrganizeMigrationNeedsStableHint(t *testing.T) {
 		if err := h.Put(p, 0, h.Key("v/0"), bytes.Repeat([]byte{1}, 64), 0.2, 0); err != nil {
 			t.Fatal(err)
 		}
-		// A hot score from node 1 for one period only: no migration.
-		h.SetScore(p, 1, h.Key("v/0"), 0.9)
+		// A hot local score from node 1 for one period only: no migration.
+		h.SetScoreHint(p, 1, h.Key("v/0"), 0.9, true)
 		for _, m := range h.PlanOrganize(0) {
 			if m.Node == 1 {
 				t.Errorf("migrated on a one-period hint: %+v", m)
@@ -255,7 +279,7 @@ func TestPlanOrganizeMigrationNeedsStableHint(t *testing.T) {
 		}
 		// After a second period with the same interested node, it moves.
 		h.DecayScores(0.9) // rotates PrevScoreNode = ScoreNode
-		h.SetScore(p, 1, h.Key("v/0"), 0.9)
+		h.SetScoreHint(p, 1, h.Key("v/0"), 0.9, true)
 		found := false
 		for _, m := range h.PlanOrganize(0) {
 			if m.ID == h.Key("v/0") && m.Node == 1 {
@@ -269,28 +293,60 @@ func TestPlanOrganizeMigrationNeedsStableHint(t *testing.T) {
 }
 
 func TestPlanOrganizeBudgetCapsBytes(t *testing.T) {
-	c, h := newHermes(1)
-	run(t, c, func(p *vtime.Proc) {
-		// Fill dram, then mark several nvme blobs hot; a small budget must
-		// cap how many promotions are planned per pass.
-		for i := 0; i < 8; i++ {
+	// nvmeBlobs stores n hot 1 KB blobs on node 0's NVMe, behind the
+	// store's back, so DRAM has room to promote every one of them.
+	nvmeBlobs := func(p *vtime.Proc, c *cluster.Cluster, h *Hermes, n int) []blob.ID {
+		var ids []blob.ID
+		for i := range n {
 			k := h.Key(fmt.Sprintf("cold/%d", i))
 			if err := c.Nodes[0].Devices["nvme"].Write(p, k, bytes.Repeat([]byte{2}, 1024)); err != nil {
 				t.Fatal(err)
 			}
 			h.metaPut(k, h.newPlacement(0, "nvme", 1024, 0.9, 0))
+			ids = append(ids, k)
 		}
-		all := h.PlanOrganize(0)
-		capped := h.PlanOrganize(2048)
-		if len(all) <= len(capped) {
-			t.Fatalf("budget did not reduce the plan: %d vs %d", len(all), len(capped))
+		return ids
+	}
+	planned := func(h *Hermes, moves []Move) (n int64) {
+		for _, m := range moves {
+			n += h.meta[m.ID].Size
 		}
-		var bytesPlanned int64
-		for _, m := range capped {
-			bytesPlanned += h.meta[m.ID].Size
+		return n
+	}
+	c, h := newHermes(1)
+	run(t, c, func(p *vtime.Proc) {
+		nvmeBlobs(p, c, h, 8)
+		if all := h.PlanOrganize(0); len(all) != 8 {
+			t.Errorf("unbudgeted re-pack planned %d promotions, want 8", len(all))
 		}
-		if bytesPlanned > 2048 {
-			t.Errorf("planned %d bytes, budget 2048", bytesPlanned)
+	})
+	// The same store, budgeted: the re-pack plans what 2 KB allows, and,
+	// being a one-shot, nothing after that.
+	c, h = newHermes(2)
+	run(t, c, func(p *vtime.Proc) {
+		ids := nvmeBlobs(p, c, h, 8)
+		if capped := h.PlanOrganize(2048); len(capped) != 2 || planned(h, capped) > 2048 {
+			t.Errorf("re-pack under a 2 KB budget planned %+v", capped)
+		}
+		if again := h.PlanOrganize(0); len(again) != 0 {
+			t.Errorf("a second pass re-packed: %+v", again)
+		}
+		// Migration shares the budget. Candidates the budget cuts off wait
+		// for the next pass, with no new score.
+		stableLocalHint(p, h, 1, ids[:4]...)
+		var moved []blob.ID
+		for pass := range 2 {
+			moves := h.PlanOrganize(2048)
+			if len(moves) != 2 || planned(h, moves) > 2048 {
+				t.Errorf("migration pass %d under a 2 KB budget planned %+v", pass, moves)
+			}
+			for _, m := range moves {
+				h.ApplyMove(p, m)
+				moved = append(moved, m.ID)
+			}
+		}
+		if !slices.Equal(moved, ids[:4]) {
+			t.Errorf("migrated %v over two passes, want %v", moved, ids[:4])
 		}
 	})
 }
