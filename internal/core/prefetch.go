@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"megammap/internal/telemetry"
+	"megammap/internal/vtime"
 )
 
 // The private cache prefetcher (paper Algorithm 1). It runs on every page
@@ -32,6 +33,14 @@ import (
 // fill of the second page can only be waste. Scores and predictive
 // eviction are untouched: the organizer still sees the window's heat.
 //
+// Pacing (a deviation from Algorithm 1, which fills all free pcache space
+// at every transition): a handle keeps at most fillDepth fills in flight,
+// enough to cover one fill's service time at the rate the handle consumes
+// pages (Little's law, UMap's read-ahead sized to the application). A
+// window-sized burst from every rank of a node at once only queues: the
+// last rank's first page waits behind the others' whole windows. The
+// window still bounds where fills go; pacing bounds how many are out.
+//
 // Scores flow to the Data Organizer as asynchronous score MemoryTasks;
 // the node that sets a score is recorded to improve locality.
 
@@ -39,10 +48,51 @@ import (
 // looks, bounding per-transition work.
 const prefetchHorizonPages = 128
 
+// fillDepth returns how many fills a handle may have in flight: 1+⌈svc/gap⌉
+// for a fill service time svc and virtual time gap per consumed page,
+// clipped to window, the fills Algorithm 1 would have out. Without an
+// estimate of either (negative) it is 1; when pages go by in no time (no
+// compute between them, nothing to wait for) it is the whole window, which
+// keeps the devices parallel for a scan of resident or landed pages.
+func fillDepth(svc, gap vtime.Duration, window int64) int64 {
+	switch {
+	case svc < 0 || gap < 0:
+		return 1
+	case gap == 0:
+		return window
+	}
+	return min(window, 1+int64((svc+gap-1)/gap))
+}
+
+// smooth folds a sample into an estimate with gain 1/8 (TCP's SRTT); the
+// first sample (est < 0) is taken as it is.
+func smooth(est, sample vtime.Duration) vtime.Duration {
+	if est < 0 {
+		return sample
+	}
+	return est + (sample-est)/8
+}
+
+// noteFill folds a completed fill's service time into the handle's
+// estimate. It runs from worker start, not from issue: the time a fill
+// spends queued behind others would feed the queue back into the depth.
+func (v *Vector[T]) noteFill(t *MemoryTask) {
+	v.fillSvc = smooth(v.fillSvc, t.finished-t.started)
+}
+
 func (v *Vector[T]) runPrefetcher(current int64) {
 	a := v.tx
 	m := v.m
 	ps, epp := m.pageSize, m.epp
+	// The time per page consumed since this transaction's last run (head
+	// is where that run left off). The handle's own waits count: ranks
+	// sharing a node's workers then leave each other room.
+	now := v.c.p.Now()
+	if v.runAt >= 0 && a.tail > a.head {
+		gap := float64(now-v.runAt) * float64(epp) / float64(a.tail-a.head)
+		v.pageGap = smooth(v.pageGap, vtime.Duration(gap))
+	}
+	v.runAt = now
 	// An irregular-pattern hint (UMap's access-pattern class) says the
 	// declared sequence does not predict the real access order: skip
 	// predictive eviction and organizer scoring entirely, and issue fills
@@ -99,6 +149,8 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 	// phase overwrites pages wholesale and must not read them first) and
 	// declares at least a page of accesses (the short-window rule above).
 	fillable := a.flags.Has(Read) && a.n >= epp
+	out := v.fillsInFlight()
+	maxOut := fillDepth(v.fillSvc, v.pageGap, out+freePages)
 	base := 0.0 // seconds to re-read the fill window from its tiers
 	filled := int64(0)
 	i := 0
@@ -115,8 +167,11 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 		if !fillable || pg >= m.pageCount() || v.pc.get(pg) != nil || v.hasFill(pg) {
 			continue
 		}
-		v.issueFill(pg, current)
-		filled++
+		filled++ // in the window whether or not its fill goes out now
+		if out < maxOut {
+			v.issueFill(pg, current)
+			out++
+		}
 	}
 	if base <= 0 {
 		base = float64(ps) / 12e9
@@ -190,6 +245,17 @@ func (v *Vector[T]) fillAt(pg int64) (int, bool) {
 func (v *Vector[T]) hasFill(pg int64) bool {
 	_, ok := v.fillAt(pg)
 	return ok
+}
+
+// fillsInFlight counts the handle's fills that have not completed yet.
+func (v *Vector[T]) fillsInFlight() int64 {
+	n := int64(0)
+	for _, f := range v.fills {
+		if !f.t.done.Fired() {
+			n++
+		}
+	}
+	return n
 }
 
 // tierReadBW estimates the read bandwidth of the tier currently holding a

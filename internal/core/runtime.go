@@ -146,7 +146,7 @@ func (r *Runtime) worker(p *vtime.Proc, q *vtime.Chan[*MemoryTask]) {
 		if !ok {
 			return
 		}
-		start := p.Now()
+		t.started = p.Now()
 		if t.span != 0 {
 			// Execute under the task span so the hermes/device/stager
 			// spans the task triggers nest beneath it causally.
@@ -154,7 +154,7 @@ func (r *Runtime) worker(p *vtime.Proc, q *vtime.Chan[*MemoryTask]) {
 			r.exec(p, t)
 			p.SetTraceSpan(prev)
 			if s := r.d.trc.At(t.span); s != nil {
-				s.Start = start // queue delay = Start - Submit
+				s.Start = t.started // queue delay = Start - Submit
 				s.Node = int32(r.node.ID)
 				s.Origin = int32(t.origin)
 				s.Bytes = t.bytes()
@@ -164,7 +164,8 @@ func (r *Runtime) worker(p *vtime.Proc, q *vtime.Chan[*MemoryTask]) {
 		} else {
 			r.exec(p, t)
 		}
-		r.d.hTask[r.node.ID].Observe(int64(p.Now() - start))
+		t.finished = p.Now()
+		r.d.hTask[r.node.ID].Observe(int64(t.finished - t.started))
 		if t.kind != taskScore {
 			r.d.pageDone(t)
 		}

@@ -137,6 +137,8 @@ type MemoryTask struct {
 	err       error
 	notify    *vtime.WaitGroup // decremented when the task completes
 	submitted vtime.Duration   // submission stamp (tracing)
+	started   vtime.Duration   // when a worker took it up: queueing ends here
+	finished  vtime.Duration   // completion stamp; finished-started is its service time
 	span      telemetry.SpanID // task span, 0 when tracing is off
 
 	// recycle marks a fire-and-forget task: no caller holds a reference

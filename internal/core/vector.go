@@ -8,6 +8,7 @@ import (
 
 	"megammap/internal/blob"
 	"megammap/internal/telemetry"
+	"megammap/internal/vtime"
 )
 
 // Vector is MegaMmap's shared memory abstraction: a distributed,
@@ -48,6 +49,12 @@ type Vector[T any] struct {
 	cpScratch     []*cachedPage
 	future, spent []int64            // prefetcher: upcoming pages; pages just consumed
 	seen, soon    map[int64]struct{} // pagesIn's revisit filter; the evict phase's keep set
+
+	// Fill pacing (prefetch.go, fillDepth): the smoothed service time of
+	// the handle's fills and virtual time per page it consumes, each -1
+	// until first measured, and when the prefetcher last ran in the open
+	// transaction (-1 before its first run there).
+	fillSvc, pageGap, runAt vtime.Duration
 
 	// pageWrites counts local commits per page; a prefetch fill that was
 	// issued before a commit of the same page is stale and must never be
@@ -195,6 +202,9 @@ func Open[T any](c *Client, name string, codec Codec[T], opts ...VectorOpt) (*Ve
 		seen:       make(map[int64]struct{}),
 		soon:       make(map[int64]struct{}),
 		pageWrites: make(map[int64]int64),
+		fillSvc:    -1,
+		pageGap:    -1,
+		runAt:      -1,
 	}
 	c.d.handles = append(c.d.handles, v)
 	return v, nil
@@ -313,6 +323,7 @@ func (v *Vector[T]) begin(a activeTx) {
 	}
 	v.txState = a
 	v.tx = &v.txState
+	v.runAt = -1 // what passed between phases (an allreduce) is no consumption
 	if sp := v.c.d.trc.Begin(telemetry.OpTx, v.c.node.ID, telemetry.SpanID(v.c.p.TraceSpan()), v.c.p.Now()); sp != 0 {
 		s := v.c.d.trc.At(sp)
 		s.Vec, s.Arg = v.m.id, int64(a.flags)
@@ -682,6 +693,7 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		if err := f.t.Wait(v.c.p); err != nil {
 			panic(fmt.Errorf("core: prefetch of %s page %d failed: %w", m.name, pg, err))
 		}
+		v.noteFill(f.t)
 		if f.stamp != v.pageWrites[pg] {
 			// The page was committed after the fill was issued; its data
 			// is stale. Keep the reservation and fault fresh data.
@@ -879,6 +891,7 @@ func (v *Vector[T]) integrateFills() {
 			pending = append(pending, f)
 			continue
 		}
+		v.noteFill(f.t)
 		stale := f.stamp != v.pageWrites[pg]
 		if f.t.err != nil || stale || v.pc.get(pg) != nil || pg >= v.m.pageCount() {
 			// Redundant, stale, or failed: release the reserved space.
