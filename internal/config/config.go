@@ -86,7 +86,6 @@
 //	  target_util: 0.5
 //	  repair: true
 //	  scrub: true
-//	  prefetch: true
 //	  evict: true
 //	health:
 //	  enabled: true
@@ -525,7 +524,6 @@ func (d *Deployment) loadControl(n *node) error {
 		"target_util": func(v string) error { return parseFloat(v, &cc.TargetUtil) },
 		"repair":      func(v string) error { return parseBool(v, &cc.Repair) },
 		"scrub":       func(v string) error { return parseBool(v, &cc.Scrub) },
-		"prefetch":    func(v string) error { return parseBool(v, &cc.Prefetch) },
 		"evict":       func(v string) error { return parseBool(v, &cc.Evict) },
 	})
 	if err != nil {
@@ -564,7 +562,6 @@ func (d *Deployment) loadHealth(n *node) error {
 //	  - vector: pq:///graph.csr:edges
 //	    region: 0..8192
 //	    pattern: sequential
-//	    prefetch_depth: 8
 //	    evict: pin
 func (d *Deployment) loadHints(n *node) error {
 	hints, err := LoadHints(&Sec{n: n})
@@ -581,8 +578,8 @@ func (d *Deployment) loadHints(n *node) error {
 func LoadHints(s *Sec) ([]core.VectorHint, error) {
 	var hints []core.VectorHint
 	for i, item := range s.n.items {
-		h := core.VectorHint{PrefetchDepth: -1}
-		r := core.RegionHint{PrefetchDepth: -1}
+		var h core.VectorHint
+		var r core.RegionHint
 		hasRegion := false
 		e := loadFields(item, map[string]func(string) error{
 			"vector": func(v string) error { h.Vector = v; return nil },
@@ -595,17 +592,6 @@ func LoadHints(s *Sec) ([]core.VectorHint, error) {
 				h.Pattern, r.Pattern = p, p
 				return err
 			},
-			"prefetch_depth": func(v string) error {
-				var depth int64
-				if err := parseSize(v, &depth); err != nil {
-					return err
-				}
-				if depth < 0 {
-					return fmt.Errorf("negative prefetch depth %d", depth)
-				}
-				h.PrefetchDepth, r.PrefetchDepth = depth, depth
-				return nil
-			},
 			"evict": func(v string) error {
 				ec, err := core.ParseEvictClass(v)
 				h.Evict, r.Evict = ec, ec
@@ -613,7 +599,6 @@ func LoadHints(s *Sec) ([]core.VectorHint, error) {
 			},
 		})
 		if e == nil && hasRegion {
-			h.PrefetchDepth = -1
 			h.Pattern, h.Evict = core.PatternDefault, core.EvictDefault
 			h.Regions = []core.RegionHint{r}
 		}

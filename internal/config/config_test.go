@@ -313,10 +313,8 @@ hints:
   - vector: pq:///graph.csr:edges
     region: 0..8192
     pattern: sequential
-    prefetch_depth: 8
     evict: pin
   - vector: pq://*
-    prefetch_depth: 4KB
 `)
 	if err != nil {
 		t.Fatal(err)
@@ -326,20 +324,19 @@ hints:
 		t.Fatalf("hints = %+v", hs)
 	}
 	if hs[0].Vector != "pq:///graph.csr:edges" || hs[0].Pattern != core.PatternIrregular ||
-		hs[0].Evict != core.EvictStream || hs[0].PrefetchDepth != -1 || hs[0].Regions != nil {
+		hs[0].Evict != core.EvictStream || hs[0].Regions != nil {
 		t.Errorf("vector hint = %+v", hs[0])
 	}
 	// A list item with region: is a region override; the vector-level
 	// fields of that item must stay unset.
-	if hs[1].Pattern != core.PatternDefault || hs[1].PrefetchDepth != -1 || len(hs[1].Regions) != 1 {
+	if hs[1].Pattern != core.PatternDefault || len(hs[1].Regions) != 1 {
 		t.Fatalf("region item = %+v", hs[1])
 	}
 	r := hs[1].Regions[0]
-	if r.Off != 0 || r.N != 8192 || r.Pattern != core.PatternSequential ||
-		r.PrefetchDepth != 8 || r.Evict != core.EvictPin {
+	if r.Off != 0 || r.N != 8192 || r.Pattern != core.PatternSequential || r.Evict != core.EvictPin {
 		t.Errorf("region = %+v", r)
 	}
-	if hs[2].Vector != "pq://*" || hs[2].PrefetchDepth != 4<<10 {
+	if hs[2].Vector != "pq://*" || hs[2].Pattern != core.PatternDefault {
 		t.Errorf("wildcard hint = %+v", hs[2])
 	}
 }
@@ -348,7 +345,6 @@ func TestLoadHintsErrors(t *testing.T) {
 	cases := []string{
 		"hints:\n  - vector: v\n    pattern: psychic\n",
 		"hints:\n  - vector: v\n    evict: never\n",
-		"hints:\n  - vector: v\n    prefetch_depth: -4\n",
 		"hints:\n  - vector: v\n    region: 8..4\n",
 		"hints:\n  - pattern: random\n",               // no vector name
 		"hints:\n  - vector: v\n    patern: random\n", // typo'd key must not silently no-op
@@ -371,6 +367,8 @@ func TestLoadRejectsUnknownKeys(t *testing.T) {
 		{"faults:\n  sed: 3\n", `faults: unknown key "sed"`},
 		{"tenants:\n  isolaton: false\n", `tenants: unknown key "isolaton"`},
 		{"control:\n  tick: 1ms\n", `control: unknown key "tick"`},
+		{"control:\n  prefetch: true\n", `control: unknown key "prefetch"`},
+		{"hints:\n  - vector: v\n    prefetch_depth: 8\n", `unknown key "prefetch_depth"`},
 		{"health:\n  hedge_delay: 0us\n", `health: unknown key "hedge_delay"`},
 	} {
 		if _, err := Load(tc.doc); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -12,8 +12,7 @@ control:
   enabled: true
   target_util: 0.6
   repair: true
-  scrub: true
-  prefetch: false
+  scrub: false
   evict: true
 `
 
@@ -29,7 +28,7 @@ func TestLoadControlSection(t *testing.T) {
 	if cc.TargetUtil != 0.6 {
 		t.Errorf("target wrong: %v", cc.TargetUtil)
 	}
-	if !cc.Repair || !cc.Scrub || cc.Prefetch || !cc.Evict {
+	if !cc.Repair || cc.Scrub || !cc.Evict {
 		t.Errorf("governor enables wrong: %+v", cc)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // FuzzLoadControl targets the control: section loader and validator.
 // The contract: Load never panics; any accepted document yields a
 // control config that Validate accepts (so core.New cannot panic on it)
-// and a control section made of the six keys the loader knows — NaN/Inf
+// and a control section made of the five keys the loader knows — NaN/Inf
 // targets are rejected by validation, and the bounds that became
 // constants (tick, repair_min, ...) are rejected as unknown keys.
 func FuzzLoadControl(f *testing.F) {
@@ -51,7 +51,7 @@ func FuzzLoadControl(f *testing.F) {
 		p, _ := Parse(doc) // Load parsed it
 		if sec, ok := p.Section("control"); ok {
 			for _, k := range sec.Keys() {
-				if !slices.Contains([]string{"enabled", "target_util", "repair", "scrub", "prefetch", "evict"}, k) {
+				if !slices.Contains([]string{"enabled", "target_util", "repair", "scrub", "evict"}, k) {
 					t.Errorf("accepted control key %q", k)
 				}
 			}

@@ -20,6 +20,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add("a:\n  b:\n    - c: 1\n      d: 2\n    - e\n")
 	f.Add("key: value # comment\n\tbad tab\n")
 	f.Add("faults:\n  jitter: 1e309\n")
+	f.Add("hints:\n  - vector: v\n    pattern: irregular\n  - vector: v\n    region: 0..64\n    pattern: random\n    evict: pin\n")
 	f.Fuzz(func(t *testing.T, doc string) {
 		d, err := Load(doc)
 		if err != nil {

@@ -1,11 +1,11 @@
 // Package control is the adaptive control plane: a set of deterministic
 // closed-loop governors that sample utilization, backlog, and cache
 // signals each control tick and move the runtime's pacing knobs —
-// anti-entropy repair rate, scrub sweep budget, prefetch window depth,
-// and eviction/write-back watermarks. MaxMem (arXiv:2312.00647) and UMap
-// (arXiv:1910.07566) both show that tiered-memory systems need
-// feedback-driven page management rather than fixed constants; this
-// package supplies the feedback loops for the MegaMmap runtime.
+// anti-entropy repair rate, scrub sweep budget, and eviction/write-back
+// watermarks. MaxMem (arXiv:2312.00647) and UMap (arXiv:1910.07566) both
+// show that tiered-memory systems need feedback-driven page management
+// rather than fixed constants; this package supplies the feedback loops
+// for the MegaMmap runtime.
 //
 // Determinism rules (the whole package is replay-safe):
 //
@@ -40,12 +40,11 @@ type Config struct {
 	// background work speeds up toward its ceiling.
 	TargetUtil float64
 
-	// Per-governor enables. Default() turns all four on; switching one
+	// Per-governor enables. Default() turns all three on; switching one
 	// off freezes its knob at the fixed-configuration behaviour.
-	Repair   bool // AIMD repair pacing (replaces fixed RepairPeriod)
-	Scrub    bool // incremental scrub budget (replaces full sweeps)
-	Prefetch bool // hit/waste-driven prefetch window depth
-	Evict    bool // dirty-ratio eviction watermarks + write-back boost
+	Repair bool // AIMD repair pacing (replaces fixed RepairPeriod)
+	Scrub  bool // incremental scrub budget (replaces full sweeps)
+	Evict  bool // dirty-ratio eviction watermarks + write-back boost
 }
 
 // The control plane's period and knob bounds.
@@ -68,10 +67,6 @@ const (
 	// incremental scrubber's rotating cursor.
 	ScrubMin = 8
 	ScrubMax = 256
-
-	// PrefetchMin/PrefetchMax bound the prefetch window depth in pages.
-	PrefetchMin = 4
-	PrefetchMax = 128
 
 	// EvictLow/EvictHigh are pcache watermarks as fractions of the
 	// bound: crossing High*bound triggers batch eviction down to
@@ -96,7 +91,7 @@ const (
 // Default returns the standard adaptive configuration with every
 // governor enabled.
 func Default() Config {
-	return Config{Enabled: true, TargetUtil: 0.5, Repair: true, Scrub: true, Prefetch: true, Evict: true}
+	return Config{Enabled: true, TargetUtil: 0.5, Repair: true, Scrub: true, Evict: true}
 }
 
 // WithDefaults fills an unset TargetUtil from Default. Boolean fields
@@ -143,12 +138,6 @@ type Signals struct {
 	// backs off no matter how idle the cluster looks.
 	RepairAttempts int64
 
-	// PrefetchHits counts prefetch fills consumed by the application
-	// this window; PrefetchWaste counts fills discarded unused (stale,
-	// redundant, failed, or released at transaction end).
-	PrefetchHits  int64
-	PrefetchWaste int64
-
 	// DirtyRatio is the fraction of vector pages modified since their
 	// last stage-out, in [0, 1].
 	DirtyRatio float64
@@ -164,8 +153,6 @@ type Actions struct {
 	RepairBurst int
 	// ScrubBudget is the page budget of the next scrub sweep.
 	ScrubBudget int
-	// PrefetchDepth caps the prefetch window in pages.
-	PrefetchDepth int64
 	// EvictLow/EvictHigh are the active pcache watermark fractions.
 	EvictLow  float64
 	EvictHigh float64
@@ -181,10 +168,6 @@ type Actions struct {
 // many ticks.
 const aimdSteps = 8
 
-// prefetchStep is the additive widening of the prefetch window per
-// productive tick.
-const prefetchStep = 8
-
 // Plane holds the governors' integrator state. One Plane serves one
 // deployment; Step advances every enabled governor by one control tick.
 type Plane struct {
@@ -192,17 +175,16 @@ type Plane struct {
 
 	interval  vtime.Duration // adaptive repair interval
 	budget    int            // adaptive scrub page budget
-	depth     int64          // adaptive prefetch depth
 	pressure  bool           // dirty write-back hysteresis latch
 	prevQueue int            // repair queue length at the previous tick
 	stalled   bool           // repair latch: attempts aren't draining the queue
 }
 
 // NewPlane builds a plane from a validated config. Knobs start at their
-// conservative ends: repair at RepairMax, scrub at ScrubMin, prefetch at
-// PrefetchMax (the fixed runtime's behaviour), no dirty pressure.
+// conservative ends: repair at RepairMax, scrub at ScrubMin, no dirty
+// pressure.
 func NewPlane(cfg Config) *Plane {
-	return &Plane{cfg: cfg, interval: RepairMax, budget: ScrubMin, depth: PrefetchMax}
+	return &Plane{cfg: cfg, interval: RepairMax, budget: ScrubMin}
 }
 
 // Actions returns the knob state without advancing the governors (the
@@ -212,7 +194,6 @@ func (pl *Plane) Actions() Actions {
 		RepairInterval: pl.interval,
 		RepairBurst:    1,
 		ScrubBudget:    pl.budget,
-		PrefetchDepth:  pl.depth,
 		EvictLow:       EvictLow,
 		EvictHigh:      EvictHigh,
 		WritebackBoost: 1,
@@ -262,19 +243,6 @@ func (pl *Plane) Step(s Signals) Actions {
 		}
 	}
 
-	// Prefetch governor: observed waste shrinks the window
-	// multiplicatively; productive fills widen it additively. A tick
-	// with no fill activity holds the window where it is.
-	if cfg.Prefetch {
-		if total := s.PrefetchHits + s.PrefetchWaste; total > 0 {
-			if 4*s.PrefetchWaste > total { // more than 25% wasted
-				pl.depth = max(pl.depth/2, PrefetchMin)
-			} else if s.PrefetchHits > 0 {
-				pl.depth = min(pl.depth+prefetchStep, PrefetchMax)
-			}
-		}
-	}
-
 	// Eviction/write-back governor: a hysteresis latch on the dirty
 	// ratio. The latch sets at DirtyHigh and clears at DirtyHigh/2, so
 	// a constant ratio inside the band never toggles the watermarks.
@@ -290,7 +258,6 @@ func (pl *Plane) Step(s Signals) Actions {
 		RepairInterval: pl.interval,
 		RepairBurst:    burst,
 		ScrubBudget:    pl.budget,
-		PrefetchDepth:  pl.depth,
 		EvictLow:       EvictLow,
 		EvictHigh:      EvictHigh,
 		WritebackBoost: 1,

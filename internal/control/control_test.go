@@ -138,36 +138,6 @@ func TestScrubBudgetAdapts(t *testing.T) {
 	}
 }
 
-// TestPrefetchDepthGovernor: waste narrows multiplicatively, hits widen
-// additively, no activity holds the window.
-func TestPrefetchDepthGovernor(t *testing.T) {
-	pl := NewPlane(Default())
-
-	// Heavy waste: halves per tick down to the floor.
-	wasteful := Signals{Window: vtime.Millisecond, PrefetchHits: 1, PrefetchWaste: 9}
-	var a Actions
-	for i := 0; i < 16; i++ {
-		a = pl.Step(wasteful)
-	}
-	if a.PrefetchDepth != PrefetchMin {
-		t.Fatalf("wasteful depth = %d, want floor %d", a.PrefetchDepth, PrefetchMin)
-	}
-
-	// No activity: holds.
-	if b := pl.Step(idle()); b.PrefetchDepth != PrefetchMin {
-		t.Fatalf("depth moved with no fill activity: %d", b.PrefetchDepth)
-	}
-
-	// Productive fills: widens back to the ceiling.
-	productive := Signals{Window: vtime.Millisecond, PrefetchHits: 10}
-	for i := 0; i < 64; i++ {
-		a = pl.Step(productive)
-	}
-	if a.PrefetchDepth != PrefetchMax {
-		t.Fatalf("productive depth = %d, want ceiling %d", a.PrefetchDepth, PrefetchMax)
-	}
-}
-
 // TestWatermarkHysteresis: the dirty-pressure latch sets at DirtyHigh,
 // clears at DirtyHigh/2, and a constant ratio inside the band never
 // oscillates.
@@ -219,7 +189,7 @@ func TestWatermarkHysteresis(t *testing.T) {
 func TestStepIsDeterministic(t *testing.T) {
 	seq := []Signals{
 		idle(), busy(), {Window: vtime.Millisecond, DirtyRatio: 0.7, RepairQueue: 5},
-		{Window: vtime.Millisecond, PrefetchHits: 3, PrefetchWaste: 9},
+		{Window: vtime.Millisecond, RepairQueue: 3, RepairAttempts: 2},
 		idle(), idle(), busy(),
 		{Window: vtime.Millisecond, NetUtil: 0.8, DirtyRatio: 0.1},
 	}
@@ -324,8 +294,6 @@ func TestValidate(t *testing.T) {
 		{"zero-burst", RepairBurst < 1},
 		{"zero-scrub-min", ScrubMin < 1},
 		{"scrub-max-below-min", ScrubMax < ScrubMin},
-		{"zero-prefetch-min", PrefetchMin < 1},
-		{"prefetch-max-below-min", PrefetchMax < PrefetchMin},
 		{"nan-evict-low", !unit(EvictLow)},
 		{"evict-high-below-low", EvictHigh < EvictLow},
 		{"evict-high-above-one", !unit(EvictHigh)},
@@ -363,7 +331,7 @@ func TestStepAllocFree(t *testing.T) {
 	sigs := [4]Signals{
 		idle(), busy(),
 		{Window: vtime.Millisecond, DirtyRatio: 0.9, RepairQueue: 7},
-		{Window: vtime.Millisecond, PrefetchHits: 5, PrefetchWaste: 3},
+		{Window: vtime.Millisecond, NetUtil: 0.2, RepairQueue: 4, RepairAttempts: 1},
 	}
 	i := 0
 	var sink Actions
@@ -379,7 +347,7 @@ func TestStepAllocFree(t *testing.T) {
 
 func BenchmarkGovernorStep(b *testing.B) {
 	pl := NewPlane(Default())
-	s := Signals{Window: vtime.Millisecond, DeviceUtil: 0.4, DirtyRatio: 0.3, PrefetchHits: 2}
+	s := Signals{Window: vtime.Millisecond, DeviceUtil: 0.4, DirtyRatio: 0.3, RepairQueue: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink Actions

@@ -96,16 +96,16 @@ type Config struct {
 	TraceTasks bool
 
 	// Hints attaches UMap-style paging policies to vectors by name:
-	// access-pattern class, fill-window depth, eviction class, and
-	// per-region overrides (see VectorHint). Vectors without a matching
+	// access-pattern class (which sets the fill-window depth), eviction
+	// class, and per-region overrides (see VectorHint). Vectors without a matching
 	// hint behave exactly as before — an empty list is byte-identical to
 	// older runs.
 	Hints []VectorHint
 
 	// Control configures the adaptive control plane: closed-loop
 	// governors that sample utilization, backlog, and cache signals each
-	// tick and adjust repair pacing, scrub budgets, prefetch depth, and
-	// eviction/write-back watermarks. Disabled by default — the zero
+	// tick and adjust repair pacing, scrub budgets, and eviction/write-back
+	// watermarks. Disabled by default — the zero
 	// value leaves every knob fixed, byte-identical to older runs. With
 	// the repair governor active RepairPeriod is ignored, and with the
 	// scrub governor active sweeps become incremental under ScrubPeriod.

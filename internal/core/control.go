@@ -9,10 +9,10 @@ import (
 
 // controller glues the control plane to the runtime: it gathers the
 // governors' input signals from device busy-time, fabric occupancy,
-// the hermes repair queue, and the DSM's fill/dirty counters, steps the
+// the hermes repair queue, and the DSM's dirty counter, steps the
 // governor plane on a vtime ticker, and publishes the resulting knob
-// state for the actuation sites (repair loop, scrubber, prefetcher,
-// pcache, stager) to read between ticks.
+// state for the actuation sites (repair loop, scrubber, pcache, stager)
+// to read between ticks.
 //
 // Everything here is replay-deterministic: signals come from vtime
 // accumulators, the tick rides the engine's event queue, and the only
@@ -32,8 +32,7 @@ type controller struct {
 	lastTick vtime.Duration // vtime of the previous tick
 	ticks    int64
 
-	prevHits, prevWaste int64 // DSM fill counters at the last tick
-	prevAttempts        int64 // DSM repair-attempt counter at the last tick
+	prevAttempts int64 // DSM repair-attempt counter at the last tick
 
 	// Decision gauges: why a knob sits where it does, visible in the
 	// stats table next to the signals that moved it. Zero-value handles
@@ -43,7 +42,6 @@ type controller struct {
 	gIval     telemetry.Gauge // repair interval, microseconds
 	gBurst    telemetry.Gauge // repair burst allowance
 	gBudget   telemetry.Gauge // scrub page budget
-	gDepth    telemetry.Gauge // prefetch depth, pages
 	gEvictLow telemetry.Gauge // eviction low watermark, basis points
 	gBoost    telemetry.Gauge // write-back boost, x1000
 }
@@ -54,7 +52,6 @@ const (
 	ctlRepairMoved = 1 << iota
 	ctlBurstMoved
 	ctlScrubMoved
-	ctlPrefetchMoved
 	ctlEvictMoved
 	ctlBoostMoved
 )
@@ -84,7 +81,6 @@ func newController(d *DSM) *controller {
 		ctl.gIval = reg.Gauge(key("control.repair_interval_us"))
 		ctl.gBurst = reg.Gauge(key("control.repair_burst"))
 		ctl.gBudget = reg.Gauge(key("control.scrub_budget"))
-		ctl.gDepth = reg.Gauge(key("control.prefetch_depth"))
 		ctl.gEvictLow = reg.Gauge(key("control.evict_low_bp"))
 		ctl.gBoost = reg.Gauge(key("control.writeback_boost_x1000"))
 	}
@@ -130,9 +126,6 @@ func (d *DSM) controlStep(p *vtime.Proc) {
 	sig.RepairQueue = d.h.UnderReplicated()
 	sig.RepairAttempts = d.repairAttempts - ctl.prevAttempts
 	ctl.prevAttempts = d.repairAttempts
-	sig.PrefetchHits = d.fillHits - ctl.prevHits
-	sig.PrefetchWaste = d.fillWaste - ctl.prevWaste
-	ctl.prevHits, ctl.prevWaste = d.fillHits, d.fillWaste
 	var pages int64
 	for _, m := range d.vecs {
 		pages += m.pageCount() // commutative sum: map order cannot matter
@@ -156,7 +149,6 @@ func (d *DSM) controlStep(p *vtime.Proc) {
 	ctl.gIval.Set(int64(a.RepairInterval / vtime.Microsecond))
 	ctl.gBurst.Set(int64(a.RepairBurst))
 	ctl.gBudget.Set(int64(a.ScrubBudget))
-	ctl.gDepth.Set(a.PrefetchDepth)
 	ctl.gEvictLow.Set(int64(a.EvictLow * 10000))
 	ctl.gBoost.Set(int64(a.WritebackBoost * 1000))
 
@@ -176,9 +168,6 @@ func (d *DSM) controlStep(p *vtime.Proc) {
 	}
 	if a.ScrubBudget != prev.ScrubBudget {
 		moved |= ctlScrubMoved
-	}
-	if a.PrefetchDepth != prev.PrefetchDepth {
-		moved |= ctlPrefetchMoved
 	}
 	if a.EvictLow != prev.EvictLow || a.EvictHigh != prev.EvictHigh {
 		moved |= ctlEvictMoved

@@ -63,7 +63,7 @@ func governorWorld(tb testing.TB, traced bool, fn func(p *vtime.Proc, d *DSM)) {
 }
 
 // BenchmarkControlTick measures one full control tick: signal gathering
-// across devices/fabric/queues, the four governor steps, and gauge
+// across devices/fabric/queues, the three governor steps, and gauge
 // export. Must report 0 allocs/op.
 func BenchmarkControlTick(b *testing.B) {
 	governorWorld(b, false, func(p *vtime.Proc, d *DSM) {
@@ -203,9 +203,6 @@ func TestControlActuation(t *testing.T) {
 	}
 	if a.ScrubBudget < control.ScrubMin || a.ScrubBudget > control.ScrubMax {
 		t.Errorf("scrub budget %d outside [%d, %d]", a.ScrubBudget, control.ScrubMin, control.ScrubMax)
-	}
-	if a.PrefetchDepth < control.PrefetchMin || a.PrefetchDepth > control.PrefetchMax {
-		t.Errorf("prefetch depth %d outside [%d, %d]", a.PrefetchDepth, control.PrefetchMin, control.PrefetchMax)
 	}
 	hits, waste := d.PrefetchFillStats()
 	if hits+waste == 0 {

@@ -17,7 +17,7 @@ import (
 	"megammap/internal/vtime"
 )
 
-// governedConfig turns on all four governors, plus checksum+scrub so
+// governedConfig turns on all three governors, plus checksum+scrub so
 // the scrub governor has real work.
 func governedConfig(cfg *core.Config) {
 	cfg.Control = control.Default()

@@ -102,8 +102,7 @@ type DSM struct {
 
 	// fillHits/fillWaste classify prefetch fills: consumed by the
 	// application vs discarded unused (stale, redundant, failed, or
-	// released at transaction end). Their per-tick deltas drive the
-	// prefetch-depth governor.
+	// released at transaction end). They are statistics only.
 	fillHits  int64
 	fillWaste int64
 
@@ -304,10 +303,6 @@ func (d *DSM) ReplicaStats() (hits, misses int64) { return d.replicaHits, d.repl
 // sharing another rank's in-flight fetch instead of a transfer of their
 // own.
 func (d *DSM) CoalescedReads() int64 { return d.coalesced }
-
-// DisableFill turns the prefetcher off at runtime (diagnostics and
-// phase-specific tuning; equivalent to Config.DisablePrefetch).
-func (d *DSM) DisableFill() { d.cfg.DisablePrefetch = true }
 
 // organize is the organizer's tick: it reinterprets scores and
 // reorganizes the DMSH. Planning is pure metadata; each planned move

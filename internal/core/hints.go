@@ -9,11 +9,11 @@ import (
 // UMap-style application-driven paging policies. A VectorHint attaches a
 // page-management policy to one vector (matched by name) without touching
 // the application: the access-pattern class tells the prefetcher how far
-// to trust the transaction's predicted sequence, the prefetch depth caps
-// the fill window, and the eviction class biases victim selection. Region
-// hints override the vector policy for an element range — the hot hub
-// region of a power-law edge array can stay cache-resistant while the
-// tail streams through.
+// to trust the transaction's predicted sequence and how deep to fill
+// (UMap declares the pattern, not a depth), and the eviction class biases
+// victim selection. Region hints override the vector policy for an element
+// range — the hot hub region of a power-law edge array can stay
+// cache-resistant while the tail streams through.
 //
 // Hints change scheduling and caching decisions only; results are
 // byte-identical with hints on or off, and the same hints replay the same
@@ -51,8 +51,8 @@ const (
 	// PatternIrregular declares a data-dependent order the transaction
 	// cannot predict (graph traversals). The prefetcher stops trusting
 	// the declared sequence entirely: no predictive eviction of
-	// "consumed" pages, no organizer scores, and no fills unless a depth
-	// override asks for them.
+	// "consumed" pages, no organizer scores, and no fills unless a region
+	// declares another pattern.
 	PatternIrregular
 )
 
@@ -143,14 +143,13 @@ func (e EvictClass) insertScore() float64 {
 
 // VectorHint is one policy declaration. Vector names match exactly, or by
 // prefix when the pattern ends in '*' ("pq://*" covers every parquet
-// vector). Zero-valued fields inherit: PatternDefault keeps the global
-// behaviour, PrefetchDepth -1 means unset (0 is a real value: no fills).
+// vector). Zero-valued fields inherit: PatternDefault and EvictDefault
+// keep the global behaviour.
 type VectorHint struct {
-	Vector        string
-	Pattern       PatternClass
-	PrefetchDepth int64 // fill-window cap in pages; -1 = unset
-	Evict         EvictClass
-	Regions       []RegionHint
+	Vector  string
+	Pattern PatternClass
+	Evict   EvictClass
+	Regions []RegionHint
 }
 
 // RegionHint overrides the vector policy for elements [Off, Off+N).
@@ -158,29 +157,23 @@ type VectorHint struct {
 // region takes the region's policy for the whole page. The first region
 // covering a page wins (declaration order).
 type RegionHint struct {
-	Off, N        int64
-	Pattern       PatternClass
-	PrefetchDepth int64 // -1 = unset
-	Evict         EvictClass
+	Off, N  int64
+	Pattern PatternClass
+	Evict   EvictClass
 }
 
 // pagePolicy is the effective policy of one page after resolution.
 type pagePolicy struct {
 	pattern PatternClass
-	depth   int64 // -1 = unlimited
 	evict   EvictClass
 }
 
 // defaultPolicy is the policy of unhinted vectors.
-var defaultPolicy = pagePolicy{pattern: PatternDefault, depth: -1, evict: EvictDefault}
+var defaultPolicy = pagePolicy{pattern: PatternDefault, evict: EvictDefault}
 
-// effectiveDepth returns the fill-window cap implied by a pattern class
-// and an explicit depth (-1 = unset): explicit wins, then the class
-// default.
-func effectiveDepth(pattern PatternClass, depth int64) int64 {
-	if depth >= 0 {
-		return depth
-	}
+// effectiveDepth returns the fill-window cap in pages a pattern class
+// implies, or -1 for none.
+func effectiveDepth(pattern PatternClass) int64 {
 	switch pattern {
 	case PatternRandom:
 		return randPatternDepth
@@ -240,9 +233,6 @@ func resolveHints(hints []VectorHint, name string, epp int64) *resolvedHints {
 		if h.Pattern != PatternDefault {
 			rh.def.pattern = h.Pattern
 		}
-		if h.PrefetchDepth >= 0 {
-			rh.def.depth = h.PrefetchDepth
-		}
 		if h.Evict != EvictDefault {
 			rh.def.evict = h.Evict
 		}
@@ -253,7 +243,7 @@ func resolveHints(hints []VectorHint, name string, epp int64) *resolvedHints {
 			rp := regionPolicy{
 				fromPg: r.Off / epp,
 				toPg:   (r.Off+r.N-1)/epp + 1,
-				p:      pagePolicy{pattern: r.Pattern, depth: r.PrefetchDepth, evict: r.Evict},
+				p:      pagePolicy{pattern: r.Pattern, evict: r.Evict},
 			}
 			rh.regions = append(rh.regions, rp)
 		}
@@ -272,9 +262,6 @@ func (rh *resolvedHints) policyFor(pg int64) pagePolicy {
 			p := rh.def
 			if r.p.pattern != PatternDefault {
 				p.pattern = r.p.pattern
-			}
-			if r.p.depth >= 0 {
-				p.depth = r.p.depth
 			}
 			if r.p.evict != EvictDefault {
 				p.evict = r.p.evict

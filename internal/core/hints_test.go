@@ -45,7 +45,7 @@ func TestVectorHintValidate(t *testing.T) {
 	if err := h.Validate(); !errors.Is(err, ErrBadRegion) {
 		t.Errorf("zero length: got %v, want ErrBadRegion", err)
 	}
-	h.Regions = []RegionHint{{Off: 0, N: 8, PrefetchDepth: -1}}
+	h.Regions = []RegionHint{{Off: 0, N: 8}}
 	if err := h.Validate(); err != nil {
 		t.Errorf("valid region rejected: %v", err)
 	}
@@ -53,8 +53,8 @@ func TestVectorHintValidate(t *testing.T) {
 
 func TestHintMatching(t *testing.T) {
 	hints := []VectorHint{
-		{Vector: "pq://*", Pattern: PatternRandom, PrefetchDepth: -1},
-		{Vector: "file:///data/edges", Pattern: PatternIrregular, PrefetchDepth: -1},
+		{Vector: "pq://*", Pattern: PatternRandom},
+		{Vector: "file:///data/edges", Pattern: PatternIrregular},
 	}
 	if rh := resolveHints(hints, "file:///data/offsets", 1024); rh != nil {
 		t.Errorf("unmatched vector resolved hints: %+v", rh)
@@ -73,15 +73,15 @@ func TestHintMatching(t *testing.T) {
 // ones at the vector level, field by field (unset fields inherit).
 func TestHintLaterOverridesEarlier(t *testing.T) {
 	hints := []VectorHint{
-		{Vector: "v", Pattern: PatternRandom, PrefetchDepth: 4, Evict: EvictStream},
-		{Vector: "v", Pattern: PatternIrregular, PrefetchDepth: -1}, // pattern only
+		{Vector: "v", Pattern: PatternRandom, Evict: EvictStream},
+		{Vector: "v", Pattern: PatternIrregular}, // pattern only
 	}
 	rh := resolveHints(hints, "v", 1024)
 	p := rh.policyFor(0)
 	if p.pattern != PatternIrregular {
 		t.Errorf("pattern = %v, want irregular (later hint wins)", p.pattern)
 	}
-	if p.depth != 4 || p.evict != EvictStream {
+	if p.evict != EvictStream {
 		t.Errorf("unset fields must inherit: %+v", p)
 	}
 }
@@ -92,20 +92,20 @@ func TestHintLaterOverridesEarlier(t *testing.T) {
 func TestRegionOverridePrecedence(t *testing.T) {
 	const epp = 1024 // elements per page
 	hints := []VectorHint{{
-		Vector: "v", Pattern: PatternIrregular, PrefetchDepth: -1,
+		Vector: "v", Pattern: PatternIrregular,
 		Regions: []RegionHint{
-			// Hot hub prefix: pinned, explicit depth. Covers pages 0-1
-			// (element 1500 rounds up to the end of page 1).
-			{Off: 0, N: 1500, PrefetchDepth: 2, Evict: EvictPin},
+			// Hot hub prefix: pinned. Covers pages 0-1 (element 1500
+			// rounds up to the end of page 1).
+			{Off: 0, N: 1500, Evict: EvictPin},
 			// Overlapping second region must NOT win on page 1.
-			{Off: 1024, N: 2048, PrefetchDepth: 9, Evict: EvictStream},
+			{Off: 1024, N: 2048, Evict: EvictStream},
 		},
 	}}
 	rh := resolveHints(hints, "v", epp)
 
 	p := rh.policyFor(0)
-	if p.evict != EvictPin || p.depth != 2 {
-		t.Errorf("page 0: %+v, want pin/depth 2", p)
+	if p.evict != EvictPin {
+		t.Errorf("page 0: %+v, want pin", p)
 	}
 	if p.pattern != PatternIrregular {
 		t.Errorf("page 0: region with default pattern must inherit the vector's: %+v", p)
@@ -113,7 +113,7 @@ func TestRegionOverridePrecedence(t *testing.T) {
 	if got := rh.policyFor(1); got.evict != EvictPin {
 		t.Errorf("page 1: first covering region must win: %+v", got)
 	}
-	if got := rh.policyFor(2); got.evict != EvictStream || got.depth != 9 {
+	if got := rh.policyFor(2); got.evict != EvictStream {
 		t.Errorf("page 2: second region: %+v", got)
 	}
 	if got := rh.policyFor(3); got != rh.def {
@@ -131,20 +131,16 @@ func TestRegionOverridePrecedence(t *testing.T) {
 func TestEffectiveDepth(t *testing.T) {
 	cases := []struct {
 		pattern PatternClass
-		depth   int64
 		want    int64
 	}{
-		{PatternDefault, -1, -1},    // unhinted: unlimited window
-		{PatternSequential, -1, -1}, // explicit sequential = default
-		{PatternRandom, -1, 8},      // class default narrows the window
-		{PatternIrregular, -1, 0},   // no fills at all
-		{PatternIrregular, 3, 3},    // explicit depth beats the class
-		{PatternRandom, 0, 0},       // 0 is a real value, not unset
-		{PatternDefault, 16, 16},
+		{PatternDefault, -1},    // unhinted: unlimited window
+		{PatternSequential, -1}, // explicit sequential = default
+		{PatternRandom, 8},      // the class narrows the window
+		{PatternIrregular, 0},   // no fills at all
 	}
 	for _, tc := range cases {
-		if got := effectiveDepth(tc.pattern, tc.depth); got != tc.want {
-			t.Errorf("effectiveDepth(%v, %d) = %d, want %d", tc.pattern, tc.depth, got, tc.want)
+		if got := effectiveDepth(tc.pattern); got != tc.want {
+			t.Errorf("effectiveDepth(%v) = %d, want %d", tc.pattern, got, tc.want)
 		}
 	}
 }

@@ -249,7 +249,7 @@ func TestFaultsByVecDiagnostic(t *testing.T) {
 		}
 		v.TxEnd()
 		v.Close()
-		d.DisableFill() // force sync faults for the diagnostic
+		d.cfg.DisablePrefetch = true // force sync faults for the diagnostic
 		v.SeqTxBegin(0, 2048, ReadOnly)
 		for i := int64(0); i < 2048; i++ {
 			_ = v.Get(i)

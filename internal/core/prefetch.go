@@ -105,12 +105,6 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 			maxPages = 1
 		}
 	}
-	// The depth governor narrows the window when fills go to waste and
-	// widens it back while they are consumed (Algorithm 1's window,
-	// closed-loop). PrefetchMin >= 1 keeps the window open.
-	if ctl := v.c.d.ctl; ctl != nil && ctl.cfg.Prefetch && ctl.acts.PrefetchDepth < maxPages {
-		maxPages = ctl.acts.PrefetchDepth
-	}
 
 	// The page lists and sets below are the handle's (Vector.future, spent,
 	// seen, soon), refilled on every run: nothing here allocates once they
@@ -160,9 +154,8 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 		if !distrust {
 			v.scoreAsync(pg, 1)
 		}
-		pol := m.hints.policyFor(pg)
-		if depth := effectiveDepth(pol.pattern, pol.depth); depth >= 0 && int64(i) >= depth {
-			continue // the page's hint caps the fill window before here
+		if depth := effectiveDepth(m.hints.policyFor(pg).pattern); depth >= 0 && int64(i) >= depth {
+			continue // the page's pattern class caps the fill window before here
 		}
 		if !fillable || pg >= m.pageCount() || v.pc.get(pg) != nil || v.hasFill(pg) {
 			continue

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"megammap/internal/cluster"
+	"megammap/internal/control"
 	"megammap/internal/vtime"
 )
 
@@ -259,6 +260,79 @@ func TestPacedScanAllocatesNothing(t *testing.T) {
 		}
 		if hits, _ := d.PrefetchFillStats(); hits == hits0 {
 			t.Error("the scans consumed no fills")
+		}
+	})
+}
+
+// TestWastedFillsDoNotNarrowTheWindow: fills wasted in one phase leave the
+// next phase's fill window alone. A read phase releases every fill it
+// issues unused, tick after control tick; a scan that follows, whose pages
+// pass with no compute between them, then issues as many fills at its first
+// page transition as free space and pacing allow. With sixteen workers
+// reading in parallel that is more than 4, the floor a waste-driven window
+// would have shrunk to.
+func TestWastedFillsDoNotNarrowTheWindow(t *testing.T) {
+	c := newTestCluster(t, benchSpec())
+	cfg := controlBenchConfig()
+	cfg.DisablePrefetch = false
+	cfg.WorkersLowLat = 16
+	d := New(c, cfg)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		cl := d.NewClient(p, 0)
+		v, err := Open[int64](cl, "window", Int64Codec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const pages, bound = 64, 16
+		epp := v.PageSize() / 8
+		n := pages * epp
+		v.Resize(n)
+		v.SeqTxBegin(0, n, WriteOnly)
+		for i := int64(0); i < n; i++ {
+			v.Set(i, i)
+		}
+		v.TxEnd()
+		v.Close()
+		v.BoundMemory(bound * v.PageSize())
+		// scan reads every element with no compute between pages and
+		// returns how many fills its first page transition issued, and how
+		// many pacing allowed into the bound's free pages there.
+		scan := func() (issued, paced int64) {
+			v.SeqTxBegin(0, n, ReadOnly)
+			for i := int64(0); i < n; i++ {
+				if got := v.Get(i); got != i {
+					t.Fatalf("v[%d] = %d", i, got)
+				}
+				if i == 0 {
+					issued, paced = int64(len(v.fills)), fillDepth(v.fillSvc, v.pageGap, bound-1)
+				}
+			}
+			v.TxEnd()
+			v.Close()
+			return issued, paced
+		}
+		for range 2 {
+			scan() // learns the fill service time and the page gap
+		}
+		ticks0 := d.ControlTicks()
+		hits0, waste0 := d.PrefetchFillStats()
+		for d.ControlTicks() < ticks0+8 {
+			v.SeqTxBegin(0, n, ReadOnly)
+			v.Get(0)
+			v.TxEnd() // every fill the first page issued goes unused
+			v.Close()
+			p.Sleep(control.Tick)
+		}
+		hits, waste := d.PrefetchFillStats()
+		if hits, waste = hits-hits0, waste-waste0; 4*waste <= hits+waste {
+			t.Fatalf("the read phase wasted %d of %d fills, want more than 25%%", waste, hits+waste)
+		}
+		issued, paced := scan()
+		if paced <= 4 {
+			t.Fatalf("pacing allows %d fills into %d free pages: the test needs more than 4", paced, bound-1)
+		}
+		if issued != paced {
+			t.Errorf("the scan's first transition issued %d fills, want the %d pacing allows", issued, paced)
 		}
 	})
 }

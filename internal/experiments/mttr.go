@@ -16,7 +16,7 @@ import (
 func adaptiveRepairConfig(cfg *core.Config) {
 	cfg.RepairPeriod = 0
 	cc := control.Default()
-	cc.Scrub, cc.Prefetch, cc.Evict = false, false, false
+	cc.Scrub, cc.Evict = false, false
 	cfg.Control = cc
 }
 

@@ -19,7 +19,7 @@ const scrubSweep = 10 * vtime.Millisecond
 // small windows rather than matching the fixed mode's full sweeps.
 func adaptiveScrubConfig(cfg *core.Config) {
 	cc := control.Default()
-	cc.Repair, cc.Prefetch, cc.Evict = false, false, false
+	cc.Repair, cc.Evict = false, false
 	cc.TargetUtil = 0.3
 	cfg.Control = cc
 }

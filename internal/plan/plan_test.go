@@ -179,7 +179,6 @@ func TestLoadHintsRegionOverride(t *testing.T) {
   - vector: pq:///a:pts
     region: 0..4096
     pattern: sequential
-    prefetch_depth: 16
 `
 	p, err := Load(doc)
 	if err != nil {
@@ -192,7 +191,7 @@ func TestLoadHintsRegionOverride(t *testing.T) {
 		t.Fatalf("vector hint: %+v", p.Hints[0])
 	}
 	r := p.Hints[1].Regions
-	if len(r) != 1 || r[0].Off != 0 || r[0].N != 4096 || r[0].Pattern != core.PatternSequential || r[0].PrefetchDepth != 16 {
+	if len(r) != 1 || r[0].Off != 0 || r[0].N != 4096 || r[0].Pattern != core.PatternSequential {
 		t.Fatalf("region hint: %+v", p.Hints[1])
 	}
 }

@@ -112,10 +112,10 @@ type (
 )
 
 // UMap-style per-vector paging-policy hints (Config.Hints): declare how
-// a vector is accessed and the runtime adapts prefetch depth, fill
-// trust, and eviction bias — without touching the application. Hints
-// change scheduling only; results stay byte-identical with hints on or
-// off.
+// a vector is accessed and the runtime derives the fill window, fill
+// trust, and eviction bias from it — without touching the application.
+// Hints change scheduling only; results stay byte-identical with hints on
+// or off.
 type (
 	// VectorHint attaches a paging policy to one vector (matched by
 	// name, or by prefix with a trailing '*').
@@ -150,8 +150,8 @@ func ParseEvictClass(s string) (EvictClass, error) { return core.ParseEvictClass
 
 // ControlConfig tunes the adaptive control plane (Config.Control): the
 // closed-loop governors that pace anti-entropy repair, incremental
-// scrubbing, prefetch depth, and eviction/write-back from utilization
-// signals sampled each control tick.
+// scrubbing, and eviction/write-back from utilization signals sampled
+// each control tick.
 type ControlConfig = control.Config
 
 // DefaultControlConfig returns the control plane enabled with every
