@@ -2,15 +2,13 @@
 // DRAM budget, and a local slice of the Deep Memory and Storage Hierarchy
 // (DMSH), joined by a network fabric. It also models the Linux OOM killer
 // (allocations beyond physical DRAM fail the job, the paper's Fig. 6
-// behaviour) and provides the resource monitor that stands in for the
-// paper's pymonitor tool.
+// behaviour). Resource usage over time — the paper's pymonitor — is the
+// telemetry plane's sampler (InstallTelemetry).
 package cluster
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"strings"
 
 	"megammap/internal/blob"
 	"megammap/internal/device"
@@ -446,7 +444,7 @@ func New(spec Spec) *Cluster {
 }
 
 // Close ends the cluster: every process still on its engine — the chaos
-// daemon, the telemetry sampler, a Monitor, whatever a deployment's
+// daemon, the telemetry sampler, whatever a deployment's
 // Shutdown did not end, ranks a failed run left blocked — is ended where
 // it is parked (vtime.Engine.Close), so nothing keeps the cluster's heap
 // reachable and no goroutine outlives it. Whoever built the cluster calls
@@ -649,92 +647,3 @@ func (c *Cluster) PoolPeak() int64 { return c.agg.poolPeak }
 // in use by the spec (the Fig. 7 cost metric). Capacity is fixed at
 // construction, so the figure is computed once in New.
 func (c *Cluster) StorageCost() float64 { return c.agg.storageCost }
-
-// Monitor samples node resource usage over virtual time; it is the analog
-// of the paper's pymonitor tool.
-type Monitor struct {
-	c       *Cluster
-	Samples []Sample
-}
-
-// Sample is one time-series point of cluster resource usage.
-type Sample struct {
-	At        vtime.Duration
-	DRAMUsed  int64 // summed over nodes
-	DRAMPeak  int64
-	TierUsed  map[string]int64
-	NetMsgs   int64
-	NetBytes  int64
-	PFSStored int64
-}
-
-// NewMonitor creates a monitor and spawns its sampling process with the
-// given period. Sampling stops when stop fires.
-func NewMonitor(c *Cluster, period vtime.Duration, stop *vtime.Event) *Monitor {
-	m := &Monitor{c: c}
-	c.Engine.SpawnDaemon("pymonitor", func(p *vtime.Proc) {
-		for !stop.Fired() {
-			m.sample(p.Now())
-			p.Sleep(period)
-		}
-	})
-	return m
-}
-
-// WriteCSV emits the sampled time series in the paper pipeline's
-// stats-CSV shape: one row per sample with virtual time, DRAM, per-tier
-// usage, network and PFS counters.
-func (m *Monitor) WriteCSV(w io.Writer) error {
-	tiers := make(map[string]bool)
-	for _, s := range m.Samples {
-		for t := range s.TierUsed {
-			tiers[t] = true
-		}
-	}
-	names := make([]string, 0, len(tiers))
-	for t := range tiers {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	cols := []string{"t_s", "dram_used", "dram_peak"}
-	for _, t := range names {
-		cols = append(cols, "tier_"+t)
-	}
-	cols = append(cols, "net_msgs", "net_bytes", "pfs_bytes")
-	if _, err := fmt.Fprintln(w, strings.Join(cols, ",")); err != nil {
-		return err
-	}
-	for _, s := range m.Samples {
-		row := []string{
-			fmt.Sprintf("%.6f", s.At.Seconds()),
-			fmt.Sprintf("%d", s.DRAMUsed),
-			fmt.Sprintf("%d", s.DRAMPeak),
-		}
-		for _, t := range names {
-			row = append(row, fmt.Sprintf("%d", s.TierUsed[t]))
-		}
-		row = append(row,
-			fmt.Sprintf("%d", s.NetMsgs),
-			fmt.Sprintf("%d", s.NetBytes),
-			fmt.Sprintf("%d", s.PFSStored))
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m *Monitor) sample(at vtime.Duration) {
-	s := Sample{
-		At:       at,
-		DRAMUsed: m.c.agg.dramUsed,
-		DRAMPeak: m.c.agg.dramPeakSum,
-		TierUsed: make(map[string]int64, len(m.c.Spec.Tiers)),
-	}
-	for ti, ts := range m.c.Spec.Tiers {
-		s.TierUsed[ts.Name] = m.c.agg.tierUsed[ti]
-	}
-	s.NetMsgs, s.NetBytes = m.c.Fabric.Stats()
-	s.PFSStored = m.c.PFS.Used()
-	m.Samples = append(m.Samples, s)
-}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"megammap/internal/blob"
 	"megammap/internal/device"
 	"megammap/internal/vtime"
 )
@@ -173,29 +172,6 @@ func TestClusterAggregates(t *testing.T) {
 	}
 }
 
-func TestMonitorSamples(t *testing.T) {
-	c := New(smallSpec(1))
-	stop := &vtime.Event{}
-	m := NewMonitor(c, 10*vtime.Millisecond, stop)
-	c.Engine.Spawn("work", func(p *vtime.Proc) {
-		if err := c.Nodes[0].Alloc(512 * device.KB); err != nil {
-			t.Error(err)
-		}
-		p.Sleep(35 * vtime.Millisecond)
-		stop.Fire()
-	})
-	if err := c.Engine.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Samples) < 3 {
-		t.Fatalf("got %d samples, want >= 3", len(m.Samples))
-	}
-	last := m.Samples[len(m.Samples)-1]
-	if last.DRAMUsed != 512*device.KB {
-		t.Errorf("last sample DRAM = %d, want 512KB", last.DRAMUsed)
-	}
-}
-
 func TestDefaultTestbedMirrorsPaperRatios(t *testing.T) {
 	s := DefaultTestbed(1)
 	// 48GB DRAM : 128GB NVMe : 256GB SSD : 1TB HDD scaled uniformly.
@@ -205,42 +181,6 @@ func TestDefaultTestbedMirrorsPaperRatios(t *testing.T) {
 	}
 	if s.DRAMPer*1024/48 != device.GB {
 		t.Errorf("dram per node = %d, want 48MB (48GB/1024)", s.DRAMPer)
-	}
-}
-
-func TestMonitorWriteCSV(t *testing.T) {
-	c := New(smallSpec(1))
-	stop := &vtime.Event{}
-	m := NewMonitor(c, 5*vtime.Millisecond, stop)
-	c.Engine.Spawn("work", func(p *vtime.Proc) {
-		if err := c.Nodes[0].Alloc(100 * device.KB); err != nil {
-			t.Error(err)
-		}
-		c.Engine.Spawn("io", func(p2 *vtime.Proc) {
-			if err := c.Nodes[0].Devices["nvme"].Write(p2, blob.Raw(1), make([]byte, 4096)); err != nil {
-				t.Error(err)
-			}
-		})
-		p.Sleep(20 * vtime.Millisecond)
-		stop.Fire()
-	})
-	if err := c.Engine.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := m.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("csv rows = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "t_s,dram_used,dram_peak,tier_") {
-		t.Errorf("header = %q", lines[0])
-	}
-	last := lines[len(lines)-1]
-	if !strings.Contains(last, "102400") {
-		t.Errorf("final sample missing DRAM reading: %q", last)
 	}
 }
 

@@ -13,13 +13,14 @@ type Client struct {
 	d           *DSM
 	p           *vtime.Proc
 	node        *cluster.Node
+	counts      *nodeCounts // the node's paging event counts
 	outstanding vtime.WaitGroup
 }
 
 // NewClient attaches a client running on the given node. All vector
 // operations through this client must happen on process p.
 func (d *DSM) NewClient(p *vtime.Proc, nodeID int) *Client {
-	return &Client{d: d, p: p, node: d.c.Nodes[nodeID]}
+	return &Client{d: d, p: p, node: d.c.Nodes[nodeID], counts: &d.counts[nodeID]}
 }
 
 // DSM returns the deployment this client attaches to.

@@ -132,7 +132,7 @@ func TestHealthTickAllocFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 			t.Errorf("health tick allocates: %v allocs/op", allocs)
 		}
-		if d.hc.probes != 0 {
+		if d.HealthProbes() != 0 {
 			t.Errorf("a probe ran in a world with no slow node")
 		}
 	})

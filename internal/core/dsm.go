@@ -79,18 +79,16 @@ type DSM struct {
 	// marked staging but not yet queued.
 	stageWalk vtime.WaitGroup
 
-	// Counters for evaluation.
-	faults     int64
-	prefetches int64
-	evictions  int64
-	coalesced  int64
+	// counts holds each node's paging event counts, indexed by node ID;
+	// tenants holds each tenant's, by tenant name (WithTenant). They are
+	// the only copy: accessors sum them and an installed registry reads
+	// them in place (registerMetrics, tenantOf).
+	counts  []nodeCounts
+	tenants map[string]*tenantCounts
 
-	// pageRepairs counts checksum mismatches healed from a replica or the
-	// backend; scrubErr records the first unrepairable corruption a
-	// background scrub sweep hit (foreground faults surface theirs
-	// directly).
-	pageRepairs int64
-	scrubErr    error
+	// scrubErr records the first unrepairable corruption a background
+	// scrub sweep hit (foreground faults surface theirs directly).
+	scrubErr error
 
 	// Scrub-coverage accounting: sweeps run, pages read, the largest
 	// single sweep, and completed passes over the full target set (a
@@ -135,19 +133,14 @@ type DSM struct {
 	// missing) a node-local replica (diagnostics).
 	replicaHits, replicaMisses int64
 
-	// Telemetry plane. trc is nil (and the handle slices hold zero-value
-	// no-op handles) when no plane is installed, so the fault path pays
-	// one predictable branch per update.
-	tel        *telemetry.Telemetry
-	trc        *telemetry.Tracer
-	inj        *faults.Injector
-	mFaults    []telemetry.Counter // per client node
-	mEvictions []telemetry.Counter
-	mPrefetch  []telemetry.Counter
-	mCoalesced []telemetry.Counter
-	mRepairs   []telemetry.Counter   // per-node checksum page repairs
-	hFault     []telemetry.Histogram // per-node fault latency, ns
-	hTask      []telemetry.Histogram // per-node task service time, ns
+	// Telemetry plane. trc is nil (and the histogram slices hold
+	// zero-value no-op handles) when no plane is installed, so the fault
+	// path pays one predictable branch per update.
+	tel    *telemetry.Telemetry
+	trc    *telemetry.Tracer
+	inj    *faults.Injector
+	hFault []telemetry.Histogram // per-node fault latency, ns
+	hTask  []telemetry.Histogram // per-node task service time, ns
 
 	gDirtyPages telemetry.Gauge // modified-not-yet-staged pages, cluster-wide
 	gRepairQ    telemetry.Gauge // under-replicated blobs awaiting repair
@@ -180,6 +173,7 @@ func New(c *cluster.Cluster, cfg Config) *DSM {
 		st:           stager.New(c),
 		vecs:         make(map[string]*vecMeta),
 		vecByID:      make(map[uint32]*vecMeta),
+		tenants:      make(map[string]*tenantCounts),
 		barriers:     make(map[string]*barrierState),
 		locks:        make(map[string]*dsmLock),
 		pendingReads: make(map[pendingKey]*MemoryTask),
@@ -242,15 +236,27 @@ func (d *DSM) every(name string, period vtime.Duration, step func(p *vtime.Proc)
 	})
 }
 
-// registerMetrics builds the per-node metric handles. Without a plane
-// the slices hold zero-value handles whose updates no-op.
+// nodeCounts are one node's paging event counts. Each event adds to one
+// cell, once.
+type nodeCounts struct {
+	faults     int64 // synchronous faults
+	prefetches int64 // prefetch fills installed
+	evictions  int64 // pcache evictions
+	coalesced  int64 // collective faults served by another rank's fetch
+}
+
+// tenantCounts are one tenant's paging event counts, shared by its
+// vectors (WithTenant).
+type tenantCounts struct {
+	faults, evictions int64
+}
+
+// registerMetrics builds the per-node counts and histogram handles and
+// has an installed registry read the counts. Without a plane the
+// histogram slices hold zero-value handles whose updates no-op.
 func (d *DSM) registerMetrics() {
 	n := len(d.c.Nodes)
-	d.mFaults = make([]telemetry.Counter, n)
-	d.mEvictions = make([]telemetry.Counter, n)
-	d.mPrefetch = make([]telemetry.Counter, n)
-	d.mCoalesced = make([]telemetry.Counter, n)
-	d.mRepairs = make([]telemetry.Counter, n)
+	d.counts = make([]nodeCounts, n)
 	d.hFault = make([]telemetry.Histogram, n)
 	d.hTask = make([]telemetry.Histogram, n)
 	reg := d.tel.Registry()
@@ -259,17 +265,32 @@ func (d *DSM) registerMetrics() {
 	}
 	d.gDirtyPages = reg.Gauge(telemetry.Key{Name: "core.dirty_pages", Node: -1, Subsystem: "core"})
 	d.gRepairQ = reg.Gauge(telemetry.Key{Name: "core.repair_queue", Node: -1, Subsystem: "core"})
-	// Per-node handles exist for compute nodes only: memory pools run no
+	// Per-node rows exist for compute nodes only: memory pools run no
 	// clients or workers, so their rows would stay zero forever.
 	for i := 0; i < d.c.Computes(); i++ {
-		d.mFaults[i] = reg.Counter(telemetry.Key{Name: "core.faults", Node: i, Subsystem: "core"})
-		d.mEvictions[i] = reg.Counter(telemetry.Key{Name: "core.evictions", Node: i, Subsystem: "core"})
-		d.mPrefetch[i] = reg.Counter(telemetry.Key{Name: "core.prefetches", Node: i, Subsystem: "core"})
-		d.mCoalesced[i] = reg.Counter(telemetry.Key{Name: "core.coalesced_reads", Node: i, Subsystem: "core"})
-		d.mRepairs[i] = reg.Counter(telemetry.Key{Name: "core.page_repairs", Node: i, Subsystem: "core"})
-		d.hFault[i] = reg.Histogram(telemetry.Key{Name: "core.fault_ns", Node: i, Subsystem: "core"})
-		d.hTask[i] = reg.Histogram(telemetry.Key{Name: "core.task_ns", Node: i, Subsystem: "core"})
+		key := func(name string) telemetry.Key { return telemetry.Key{Name: name, Node: i, Subsystem: "core"} }
+		nc := &d.counts[i]
+		reg.CounterOf(key("core.faults"), &nc.faults)
+		reg.CounterOf(key("core.evictions"), &nc.evictions)
+		reg.CounterOf(key("core.prefetches"), &nc.prefetches)
+		reg.CounterOf(key("core.coalesced_reads"), &nc.coalesced)
+		d.hFault[i] = reg.Histogram(key("core.fault_ns"))
+		d.hTask[i] = reg.Histogram(key("core.task_ns"))
 	}
+}
+
+// tenantOf returns the named tenant's counts, creating them (and their
+// registry rows) on the tenant's first vector.
+func (d *DSM) tenantOf(name string) *tenantCounts {
+	tc := d.tenants[name]
+	if tc == nil {
+		tc = &tenantCounts{}
+		d.tenants[name] = tc
+		reg := d.tel.Registry()
+		reg.CounterOf(telemetry.Key{Name: "tenant.faults", Node: -1, Subsystem: "tenant", Tier: name}, &tc.faults)
+		reg.CounterOf(telemetry.Key{Name: "tenant.evictions", Node: -1, Subsystem: "tenant", Tier: name}, &tc.evictions)
+	}
+	return tc
 }
 
 // Cluster returns the underlying cluster.
@@ -281,19 +302,21 @@ func (d *DSM) Hermes() *hermes.Hermes { return d.h }
 // Stats returns cumulative page faults, prefetch fills and pcache
 // evictions across all clients.
 func (d *DSM) Stats() (faults, prefetches, evictions int64) {
-	return d.faults, d.prefetches, d.evictions
+	for _, nc := range d.counts {
+		faults += nc.faults
+		prefetches += nc.prefetches
+		evictions += nc.evictions
+	}
+	return faults, prefetches, evictions
 }
 
-// TenantStats sums the per-tenant accounting counters over the tenant's
-// vectors (WithTenant attribution).
+// TenantStats returns the faults and evictions of the tenant's vectors
+// (WithTenant attribution).
 func (d *DSM) TenantStats(tenant string) (faults, evictions int64) {
-	for _, m := range d.vecs {
-		if m.tenant == tenant {
-			faults += m.faults
-			evictions += m.evictions
-		}
+	if tc := d.tenants[tenant]; tc != nil {
+		return tc.faults, tc.evictions
 	}
-	return faults, evictions
+	return 0, 0
 }
 
 // ReplicaStats returns replicated-phase reads served locally vs not.
@@ -302,7 +325,12 @@ func (d *DSM) ReplicaStats() (hits, misses int64) { return d.replicaHits, d.repl
 // CoalescedReads returns how many collective faults were served by
 // sharing another rank's in-flight fetch instead of a transfer of their
 // own.
-func (d *DSM) CoalescedReads() int64 { return d.coalesced }
+func (d *DSM) CoalescedReads() (n int64) {
+	for _, nc := range d.counts {
+		n += nc.coalesced
+	}
+	return n
+}
 
 // organize is the organizer's tick: it reinterprets scores and
 // reorganizes the DMSH. Planning is pure metadata; each planned move
@@ -583,8 +611,8 @@ func (d *DSM) clearDirtyPage(m *vecMeta, pg int64) {
 }
 
 // PageRepairs returns how many checksum mismatches were healed from a
-// backup replica or the backend.
-func (d *DSM) PageRepairs() int64 { return d.pageRepairs }
+// backup replica or the backend (the injector's core.page_repair note).
+func (d *DSM) PageRepairs() int64 { return d.inj.Count("core.page_repair") }
 
 // vecNames returns the vector names in ascending order. The list is
 // shared and read-only: a vector created or destroyed while a caller walks
@@ -926,7 +954,6 @@ type vecMeta struct {
 	name     string
 	id       uint32 // interned name; all page IDs derive from it
 	home     int    // metadata home node (hash of the ID, cached at open)
-	faults   int64  // synchronous faults (diagnostics)
 	elemSize int64
 	pageSize int64
 	epp      int64 // elements per page
@@ -944,14 +971,10 @@ type vecMeta struct {
 
 	access string // access key required to open ("" = open to all)
 
-	// Tenant attribution (WithTenant): the owning tenant's name, its QoS
-	// placement bias, per-tenant accounting, and the telemetry handles
-	// (zero-value no-ops without a plane).
-	tenant     string
+	// Tenant attribution (WithTenant): the owning tenant's counts (nil
+	// for an untenanted vector) and its QoS placement bias.
+	tenant     *tenantCounts
 	tenantBias float64
-	evictions  int64
-	tFaults    telemetry.Counter
-	tEvictions telemetry.Counter
 }
 
 // insertScore is the pcache score a page of this vector is born with:
@@ -1052,17 +1075,6 @@ func hashString(s string) uint32 {
 		h *= 16777619
 	}
 	return h
-}
-
-// FaultsByVec returns a snapshot of the per-vector synchronous-fault
-// counters (diagnostics). The counters themselves live on each vecMeta so
-// the fault path never touches a string-keyed map.
-func (d *DSM) FaultsByVec() map[string]int64 {
-	out := make(map[string]int64, len(d.vecs))
-	for name, m := range d.vecs {
-		out[name] = m.faults
-	}
-	return out
 }
 
 // ReplicasOf exposes a vector's replica map for diagnostics and tests.

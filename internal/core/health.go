@@ -33,11 +33,9 @@ type healthCtl struct {
 	sigs     []control.HealthSignal
 
 	probeVec uint32 // interned probe-blob namespace
-	probes   int64
 	ticks    int64
 
 	gState []telemetry.Gauge // per-node health state (0/1/2)
-	mProbe telemetry.Counter
 }
 
 const probeBytes = 4 << 10
@@ -69,7 +67,6 @@ func newHealthCtl(d *DSM) *healthCtl {
 		for i := 0; i < n; i++ {
 			hc.gState[i] = reg.Gauge(telemetry.Key{Name: "health.state", Node: i, Subsystem: "health"})
 		}
-		hc.mProbe = reg.Counter(telemetry.Key{Name: "health.probes", Node: -1, Subsystem: "health"})
 	}
 
 	// Hedged backup results are CRC-verified against the page checksums
@@ -159,8 +156,6 @@ func (hc *healthCtl) actuate(d *DSM, act control.HealthAction) {
 // probe outright; an out-of-space device is skipped — capacity is
 // placement's problem, not slowness.
 func (hc *healthCtl) probe(d *DSM, p *vtime.Proc, node int) {
-	hc.probes++
-	hc.mProbe.Add(1)
 	d.inj.Note("health.probe")
 	id := blob.PageID(hc.probeVec, int64(node))
 	var buf [probeBytes]byte
@@ -196,11 +191,6 @@ func (hc *healthCtl) probe(d *DSM, p *vtime.Proc, node int) {
 	}
 }
 
-// HealthProbes returns how many reintegration probes have run
-// (diagnostics).
-func (d *DSM) HealthProbes() int64 {
-	if d.hc == nil {
-		return 0
-	}
-	return d.hc.probes
-}
+// HealthProbes returns how many reintegration probes have run (the
+// injector's health.probe note).
+func (d *DSM) HealthProbes() int64 { return d.inj.Count("health.probe") }

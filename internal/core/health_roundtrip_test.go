@@ -92,7 +92,4 @@ func TestHealthQuarantineProbeReintegrateRoundTrip(t *testing.T) {
 	if got := d.HealthProbes(); got < control.ProbeOK {
 		t.Errorf("probes = %d, want >= %d (ProbeOK consecutive passes)", got, control.ProbeOK)
 	}
-	if got := c.Faults().Count("health.probe"); got != d.HealthProbes() {
-		t.Errorf("probe note count %d != HealthProbes %d", got, d.HealthProbes())
-	}
 }

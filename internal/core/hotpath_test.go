@@ -17,7 +17,6 @@ type evictionRunStats struct {
 	faults     int64
 	prefetches int64
 	evictions  int64
-	vecFaults  int64
 	checksum   int64
 }
 
@@ -56,7 +55,6 @@ func runBoundedWorkload(t *testing.T) evictionRunStats {
 		}
 		v.Close()
 		out.faults, out.prefetches, out.evictions = d.Stats()
-		out.vecFaults = d.FaultsByVec()["detevict"]
 	})
 	return out
 }

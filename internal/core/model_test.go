@@ -234,33 +234,6 @@ func TestChainOrdersCommitsAcrossGroups(t *testing.T) {
 	})
 }
 
-// TestFaultsByVecDiagnostic checks the per-vector fault counters used by
-// the evaluation tooling.
-func TestFaultsByVecDiagnostic(t *testing.T) {
-	c, d := newTestDSM(t, 1)
-	runDSM(t, c, d, func(p *vtime.Proc) {
-		cl := d.NewClient(p, 0)
-		v, _ := Open[int64](cl, "diag", Int64Codec{})
-		v.Resize(2048)
-		v.BoundMemory(v.PageSize())
-		v.SeqTxBegin(0, 2048, WriteOnly)
-		for i := int64(0); i < 2048; i++ {
-			v.Set(i, i)
-		}
-		v.TxEnd()
-		v.Close()
-		d.cfg.DisablePrefetch = true // force sync faults for the diagnostic
-		v.SeqTxBegin(0, 2048, ReadOnly)
-		for i := int64(0); i < 2048; i++ {
-			_ = v.Get(i)
-		}
-		v.TxEnd()
-		if d.FaultsByVec()["diag"] == 0 {
-			t.Error("per-vector fault counter not incremented")
-		}
-	})
-}
-
 // TestAllIterator verifies the range-over-func iterator sees the same
 // elements as Get, honors early termination, and handles empty ranges.
 func TestAllIterator(t *testing.T) {

@@ -348,8 +348,6 @@ func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32,
 	if err != nil {
 		return nil, err
 	}
-	r.d.pageRepairs++
-	r.d.mRepairs[r.node.ID].Inc()
 	r.d.inj.Note("core.page_repair")
 	return good, nil
 }

@@ -7,10 +7,12 @@ package core_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"megammap/internal/apps/kmeans"
 	"megammap/internal/blob"
+	"megammap/internal/control"
 	"megammap/internal/core"
 	"megammap/internal/datagen"
 	"megammap/internal/faults"
@@ -201,8 +203,81 @@ func TestTelemetrySpanTreeWellFormed(t *testing.T) {
 	}
 }
 
-// TestTelemetryMetricsMatchStats: the per-node fault counters must sum to
-// the DSM's own aggregate counter — one event, one count, everywhere.
+// TestTelemetryExportsNotedEventsOnce: an event the runtime notes on the
+// fault injector — a health probe, a repair, a hedge, a quarantine
+// transition — is exported once, as the injector's row under subsystem
+// faults. No layer keeps a registry copy of its own. The run quarantines
+// a slow node (so probes run) and crashes a replica holder (so repairs
+// run).
+func TestTelemetryExportsNotedEventsOnce(t *testing.T) {
+	c := core.NewTestCluster(t, chaosSpec(3))
+	tel := c.InstallTelemetry(telemetry.Options{Metrics: true})
+	c.InstallFaults(faults.Plan{
+		Seed:    3,
+		Devices: []faults.DeviceFault{{Node: 1, SlowFactor: 10}},
+		Crashes: []faults.Crash{{Node: 2, At: 20 * vtime.Millisecond}},
+		Revives: []faults.Revive{{Node: 2, At: 40 * vtime.Millisecond}},
+	})
+	cfg := chaosConfig(1)
+	cfg.Health = control.HealthConfig{Enabled: true, MinOps: 1}
+	d := core.New(c, cfg)
+	c.Engine.Spawn("driver", func(p *vtime.Proc) {
+		cl := d.NewClient(p, 1)
+		v, err := core.Open[int64](cl, "hot", core.Int64Codec{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		const n = 16 << 10
+		v.Resize(n)
+		v.BoundMemory(2 * v.PageSize())
+		for p.Now() < 100*vtime.Millisecond {
+			v.SeqTxBegin(0, n, core.WriteOnly)
+			for i := int64(0); i < n; i++ {
+				v.Set(i, i)
+			}
+			v.TxEnd()
+			p.Sleep(vtime.Millisecond)
+		}
+		if err := d.Shutdown(p); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	if err := c.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	mt := tel.MetricsTable()
+	rows := make(map[string][]string) // metric -> subsystems exporting it
+	for i := 0; i < mt.Len(); i++ {
+		name := mt.Cell(i, "metric")
+		rows[name] = append(rows[name], mt.Cell(i, "subsystem"))
+	}
+	for _, note := range []string{"health.probe", "repair.replicate"} {
+		if got := rows[note]; len(got) != 1 || got[0] != "faults" {
+			t.Errorf("%s exported under %v, want once under faults", note, got)
+		}
+	}
+	for _, copyName := range []string{"health.probes", "hermes.repairs", "core.page_repairs"} {
+		if got := rows[copyName]; len(got) > 0 {
+			t.Errorf("%s exported under %v: a copy of an injector note", copyName, got)
+		}
+	}
+	for name, subs := range rows {
+		if strings.HasPrefix(name, "hedge.") || strings.HasPrefix(name, "quarantine.") {
+			if len(subs) != 1 || subs[0] != "faults" {
+				t.Errorf("%s exported under %v, want once under faults", name, subs)
+			}
+		}
+	}
+	if d.HealthProbes() == 0 || c.Faults().CountPrefix("repair.") == 0 {
+		t.Fatalf("run had %d probes and %d repairs; the check is vacuous",
+			d.HealthProbes(), c.Faults().CountPrefix("repair."))
+	}
+}
+
+// TestTelemetryMetricsMatchStats: the registry's per-node fault and
+// prefetch rows read the DSM's own counts, so they sum to Stats.
 func TestTelemetryMetricsMatchStats(t *testing.T) {
 	tel, d, run := runTracedKMeans(t, nil)
 	if run.err != nil {

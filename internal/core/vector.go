@@ -165,12 +165,8 @@ func Open[T any](c *Client, name string, codec Codec[T], opts ...VectorOpt) (*Ve
 			m.hints = resolveHints(append(append([]VectorHint(nil), c.d.cfg.Hints...), h), name, m.epp)
 		}
 		if o.tenantName != "" {
-			m.tenant = o.tenantName
+			m.tenant = c.d.tenantOf(o.tenantName)
 			m.tenantBias = o.tenantBias
-			if reg := c.d.tel.Registry(); reg != nil {
-				m.tFaults = reg.Counter(telemetry.Key{Name: "tenant.faults", Node: -1, Subsystem: "tenant", Tier: o.tenantName})
-				m.tEvictions = reg.Counter(telemetry.Key{Name: "tenant.evictions", Node: -1, Subsystem: "tenant", Tier: o.tenantName})
-			}
 		}
 		if strings.Contains(name, "://") {
 			b, err := c.d.st.Open(name)
@@ -616,10 +612,7 @@ func (v *Vector[T]) setLast(cp *cachedPage) {
 // and uncommitted local modifications overlay the fetched image.
 func (v *Vector[T]) healPartial(cp *cachedPage) {
 	m := v.m
-	v.c.d.faults++
-	m.faults++
-	m.tFaults.Inc()
-	v.c.d.mFaults[v.c.node.ID].Inc()
+	v.countFault()
 	t := v.c.d.newTask()
 	t.kind, t.vec, t.page = taskRead, m, cp.idx
 	t.origin, t.replicate = v.c.node.ID, v.replicable()
@@ -697,10 +690,7 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		if f.stamp != v.pageWrites[pg] {
 			// The page was committed after the fill was issued; its data
 			// is stale. Keep the reservation and fault fresh data.
-			v.c.d.faults++
-			m.faults++
-			m.tFaults.Inc()
-			v.c.d.mFaults[v.c.node.ID].Inc()
+			v.countFault()
 			t := v.c.d.newTask()
 			t.kind, t.vec, t.page = taskRead, m, pg
 			t.origin, t.replicate = v.c.node.ID, v.replicable()
@@ -733,8 +723,7 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		collective := v.tx != nil && v.tx.flags.Has(Collective)
 		if collective {
 			if lead, shared := v.c.d.coalesceRead(t); shared {
-				v.c.d.coalesced++
-				v.c.d.mCoalesced[v.c.node.ID].Inc()
+				v.c.counts.coalesced++
 				v.c.d.recycleTask(t)
 				if err := lead.Wait(v.c.p); err != nil {
 					panic(fmt.Errorf("core: coalesced fault on %s page %d failed: %w", m.name, pg, err))
@@ -745,10 +734,7 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 			}
 			defer v.c.d.readDone(t)
 		}
-		v.c.d.faults++
-		m.faults++
-		m.tFaults.Inc()
-		v.c.d.mFaults[v.c.node.ID].Inc()
+		v.countFault()
 		if err := v.c.submitSync(t); err != nil {
 			panic(fmt.Errorf("core: page fault on %s page %d failed: %w", m.name, pg, err))
 		}
@@ -762,6 +748,15 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 	cp := v.pc.newPage(pg, data, m.insertScore(pg), partial)
 	v.pc.insert(cp)
 	return cp
+}
+
+// countFault counts one synchronous fault: for the client's node, and for
+// the vector's tenant when it has one.
+func (v *Vector[T]) countFault() {
+	v.c.counts.faults++
+	if t := v.m.tenant; t != nil {
+		t.faults++
+	}
 }
 
 // replicable reports whether the current phase allows node-local
@@ -812,10 +807,10 @@ func (v *Vector[T]) ensureSpace(pinned int64) {
 // evict removes a page, committing dirty regions asynchronously. The
 // application pays only the cost of handing the buffer to the runtime.
 func (v *Vector[T]) evict(cp *cachedPage) {
-	v.c.d.evictions++
-	v.m.evictions++
-	v.m.tEvictions.Inc()
-	v.c.d.mEvictions[v.c.node.ID].Inc()
+	v.c.counts.evictions++
+	if t := v.m.tenant; t != nil {
+		t.evictions++
+	}
 	if cp.isDirty() {
 		v.commitPage(cp, false)
 	}
@@ -901,8 +896,7 @@ func (v *Vector[T]) integrateFills() {
 			v.c.d.fillWaste++
 			continue
 		}
-		v.c.d.prefetches++
-		v.c.d.mPrefetch[v.c.node.ID].Inc()
+		v.c.counts.prefetches++
 		v.c.d.fillHits++
 		filled := f.t.data
 		f.t.data = nil // claimed by the page

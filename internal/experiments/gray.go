@@ -24,7 +24,6 @@ import (
 	"megammap/internal/control"
 	"megammap/internal/core"
 	"megammap/internal/faults"
-	"megammap/internal/telemetry"
 	"megammap/internal/tenant"
 	"megammap/internal/vtime"
 )
@@ -77,10 +76,8 @@ func RunGrayCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int64,
 	if nodes < 2 || poolBytes < grayPageSize || horizon <= 0 {
 		return Report{}, fmt.Errorf("gray: bad cell shape (nodes=%d pool=%d horizon=%v)", nodes, poolBytes, horizon)
 	}
-	// The hedge/quarantine counters live in the metrics registry.
 	c := newCluster(testbedSpec(nodes, poolBytes))
 	defer c.Close()
-	withMetrics(c)
 	ccfg := tieredConfig()
 	ccfg.DefaultPageSize = grayPageSize
 	ccfg.Replicas = 1         // hedged reads race against backup replicas
@@ -122,15 +119,14 @@ func RunGrayCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int64,
 	out.Metrics["tput_ops_s"] = float64(s.ops) / out.Runtime.Seconds()
 	out.Digests["probes"] = d.HealthProbes()
 	out.Digests["retries"] = c.Faults().CountPrefix("retry.")
-	reg := c.Telemetry().Registry()
-	for name, metric := range map[string]string{
+	for name, note := range map[string]string{
 		"hedge_launched": "hedge.launched",
 		"hedge_won":      "hedge.won",
 		"hedge_wasted":   "hedge.wasted",
 		"quar_entered":   "quarantine.entered",
 		"quar_exited":    "quarantine.exited",
 	} {
-		out.Digests[name] = reg.Value(telemetry.Key{Name: metric, Node: -1, Subsystem: "hermes"})
+		out.Digests[name] = c.Faults().Count(note)
 	}
 	var read int64
 	for _, n := range c.Nodes {

@@ -93,7 +93,6 @@ func (b *Bucket) SetScore(p *vtime.Proc, fromNode int, blobName string, score fl
 // an existence check against the metadata map.
 func (b *Bucket) Blobs(p *vtime.Proc, fromNode int) []string {
 	b.h.mdLookups++
-	b.h.mLookups.Inc()
 	b.h.c.Fabric.RoundTrip(p, fromNode, b.h.shardOwner(b.nameID))
 	members := b.h.buckets[b.nameID.Vec]
 	out := make([]string, 0, len(members))

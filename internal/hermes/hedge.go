@@ -59,11 +59,9 @@ func (h *Hermes) SetQuarantined(node int, v bool) {
 	h.quar[node] = v
 	if v {
 		h.quarCount++
-		h.mQuarEnter.Inc()
 		h.inj.Note("quarantine.entered")
 	} else {
 		h.quarCount--
-		h.mQuarExit.Inc()
 		h.inj.Note("quarantine.exited")
 	}
 }
@@ -136,17 +134,14 @@ func (h *Hermes) getHedged(p *vtime.Proc, fromNode int, id blob.ID, pl *Placemen
 			hr.backupDone = true
 			return // primary answered within the hedge delay: nothing launched
 		}
-		h.mHedgeLaunch.Inc()
 		h.inj.Note("hedge.launched")
 		r := h.readCopy(pp, fromNode, bp, bkID)
 		hr.backupDone = true
 		if hr.winner != nil {
-			h.mHedgeWasted.Inc() // lost the race; cost already charged
-			h.inj.Note("hedge.wasted")
+			h.inj.Note("hedge.wasted") // lost the race; cost already charged
 			return
 		}
 		if r.clean() && (!r.ok || h.hedgeVerify == nil || h.hedgeVerify(id, r.data)) {
-			h.mHedgeWon.Inc()
 			h.inj.Note("hedge.won")
 			hr.win(r)
 			return
@@ -154,7 +149,6 @@ func (h *Hermes) getHedged(p *vtime.Proc, fromNode int, id blob.ID, pl *Placemen
 		// Backup unusable (failed read or CRC mismatch): the speculation
 		// was wasted. If the primary already failed too, surface its
 		// result; otherwise the primary leg will fire when it finishes.
-		h.mHedgeWasted.Inc()
 		h.inj.Note("hedge.wasted")
 		h.inj.Note("hedge.verify_fail")
 		if hr.primaryRes != nil {

@@ -273,9 +273,10 @@ func TestQuarantineBiasAvoidsNodeUntilNothingElseFits(t *testing.T) {
 }
 
 func TestHedgeAndQuarantineTelemetryExport(t *testing.T) {
-	// Satellite contract: the new counters and the hedge-wait histogram
-	// (with interpolated p50/p99 columns) must surface in the standard
-	// CSV tables, and retry.* rows ride along via the injector mirror.
+	// Export contract: hedge and quarantine events are injector notes, so
+	// each surfaces as exactly one row, under subsystem faults (with the
+	// retry.* rows), and hermes exports no copy of its own. The hedge-wait
+	// histogram (with interpolated p50/p99 columns) is hermes's.
 	c := testCluster(3)
 	tel := c.InstallTelemetry(telemetry.Options{Metrics: true})
 	h := New(c, []string{"dram", "nvme", "hdd"})
@@ -298,15 +299,20 @@ func TestHedgeAndQuarantineTelemetryExport(t *testing.T) {
 	}
 	metrics := buf.String()
 	for _, want := range []string{
-		"hedge.launched,counter,-1,hermes,,1",
-		"hedge.won,counter,-1,hermes,,1",
-		"hedge.wasted,counter,-1,hermes,,0",
-		"quarantine.entered,counter,-1,hermes,,1",
-		"quarantine.exited,counter,-1,hermes,,1",
+		"hedge.launched,counter,-1,faults,,1",
+		"hedge.won,counter,-1,faults,,1",
+		"quarantine.entered,counter,-1,faults,,1",
+		"quarantine.exited,counter,-1,faults,,1",
 		"retry.scache_read,counter,-1,faults,",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics CSV missing %q:\n%s", want, metrics)
+		}
+	}
+	for _, line := range strings.Split(metrics, "\n") {
+		if (strings.HasPrefix(line, "hedge.") || strings.HasPrefix(line, "quarantine.")) &&
+			!strings.Contains(line, ",faults,") {
+			t.Errorf("event exported outside subsystem faults: %q", line)
 		}
 	}
 

@@ -135,9 +135,7 @@ type Hermes struct {
 
 	// Telemetry plane (nil tracer / zero handles when not installed).
 	trc        *telemetry.Tracer
-	mLookups   telemetry.Counter
 	mFailovers telemetry.Counter
-	mRepairs   telemetry.Counter
 	gUnderRep  telemetry.Gauge
 
 	// Gray-failure resilience (see hedge.go). suspect nodes get hedged
@@ -150,13 +148,7 @@ type Hermes struct {
 	quarBias    float64
 	hedgeDelay  vtime.Duration
 	hedgeVerify func(id blob.ID, data []byte) bool
-
-	mHedgeLaunch telemetry.Counter
-	mHedgeWon    telemetry.Counter
-	mHedgeWasted telemetry.Counter
-	mQuarEnter   telemetry.Counter
-	mQuarExit    telemetry.Counter
-	hHedgeWait   telemetry.Histogram
+	hHedgeWait  telemetry.Histogram
 
 	// buckets indexes bucket membership: interned bucket name -> member
 	// blobs (vec + bare blob name), sorted by name. memberOf marks vecs
@@ -184,12 +176,9 @@ type Hermes struct {
 	pools    int
 	poolBias bool
 
-	poolReads  int64 // gets served from the remote_pool tier
-	readsTotal int64 // all gets observed while pools exist
-	poolPlaced int64 // primary placements that landed on a pool
-
-	mPoolReads telemetry.Counter
-	mPoolPlace telemetry.Counter
+	poolReads  int64           // gets served from the remote_pool tier
+	readsTotal int64           // all gets observed while pools exist
+	poolPlaced int64           // primary placements that landed on a pool
 	gPoolHit   telemetry.Gauge // pool hit ratio in per-mille
 
 	mdLookups int64
@@ -292,27 +281,24 @@ func (h *Hermes) SetScratch(borrow func(size int64) []byte, giveBack func([]byte
 }
 
 // SetTelemetry attaches the telemetry plane: scache operations record
-// spans, and metadata lookups / failover recoveries count into the
-// registry. New picks up the cluster's plane automatically; this exists
-// for tests composing layers by hand. A nil plane is a no-op.
+// spans, and the registry reads the metadata-lookup and pool counts in
+// place and counts failover recoveries. Events hermes notes on the fault
+// injector (hedges, quarantine transitions, repairs) are exported from
+// there, under subsystem faults. New picks up the cluster's plane
+// automatically; this exists for tests composing layers by hand. A nil
+// plane is a no-op.
 func (h *Hermes) SetTelemetry(tel *telemetry.Telemetry) {
 	h.trc = tel.Tracer()
 	reg := tel.Registry()
-	h.mLookups = reg.Counter(telemetry.Key{Name: "hermes.md_lookups", Node: -1, Subsystem: "hermes"})
+	reg.CounterOf(telemetry.Key{Name: "hermes.md_lookups", Node: -1, Subsystem: "hermes"}, &h.mdLookups)
 	h.mFailovers = reg.Counter(telemetry.Key{Name: "hermes.failovers", Node: -1, Subsystem: "hermes"})
-	h.mRepairs = reg.Counter(telemetry.Key{Name: "hermes.repairs", Node: -1, Subsystem: "hermes"})
 	h.gUnderRep = reg.Gauge(telemetry.Key{Name: "hermes.under_replicated", Node: -1, Subsystem: "hermes"})
-	h.mHedgeLaunch = reg.Counter(telemetry.Key{Name: "hedge.launched", Node: -1, Subsystem: "hermes"})
-	h.mHedgeWon = reg.Counter(telemetry.Key{Name: "hedge.won", Node: -1, Subsystem: "hermes"})
-	h.mHedgeWasted = reg.Counter(telemetry.Key{Name: "hedge.wasted", Node: -1, Subsystem: "hermes"})
-	h.mQuarEnter = reg.Counter(telemetry.Key{Name: "quarantine.entered", Node: -1, Subsystem: "hermes"})
-	h.mQuarExit = reg.Counter(telemetry.Key{Name: "quarantine.exited", Node: -1, Subsystem: "hermes"})
 	h.hHedgeWait = reg.Histogram(telemetry.Key{Name: "hermes.hedge_wait_ns", Node: -1, Subsystem: "hermes"})
 	if h.pools > 0 {
 		// Registered only on disaggregated clusters so uniform runs export
 		// exactly the tables they always did.
-		h.mPoolReads = reg.Counter(telemetry.Key{Name: "pool.reads", Node: -1, Subsystem: "hermes", Tier: topology.PoolTier})
-		h.mPoolPlace = reg.Counter(telemetry.Key{Name: "pool.placements", Node: -1, Subsystem: "hermes", Tier: topology.PoolTier})
+		reg.CounterOf(telemetry.Key{Name: "pool.reads", Node: -1, Subsystem: "hermes", Tier: topology.PoolTier}, &h.poolReads)
+		reg.CounterOf(telemetry.Key{Name: "pool.placements", Node: -1, Subsystem: "hermes", Tier: topology.PoolTier}, &h.poolPlaced)
 		h.gPoolHit = reg.Gauge(telemetry.Key{Name: "pool.hit_ratio_pm", Node: -1, Subsystem: "hermes", Tier: topology.PoolTier})
 	}
 }
@@ -532,7 +518,6 @@ func (h *Hermes) reindex(id blob.ID, from, to int) {
 // placement, or nil if the blob does not exist.
 func (h *Hermes) lookup(p *vtime.Proc, fromNode int, id blob.ID) *Placement {
 	h.mdLookups++
-	h.mLookups.Inc()
 	owner := h.shardOwner(id)
 	if owner != fromNode {
 		h.c.Fabric.RoundTrip(p, fromNode, owner)
@@ -674,7 +659,6 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 	}
 	if tier == topology.PoolTier {
 		h.poolPlaced++
-		h.mPoolPlace.Inc()
 	}
 	if node != fromNode {
 		h.c.Fabric.Transfer(p, fromNode, node, int64(len(data)))
@@ -929,7 +913,6 @@ func (h *Hermes) repairBlob(p *vtime.Proc, id blob.ID) (requeue, worked bool) {
 		}
 		pl = npl
 		h.inj.Note("repair.recover")
-		h.mRepairs.Inc()
 		worked = true
 	}
 	missing := 0
@@ -960,7 +943,6 @@ func (h *Hermes) repairBlob(p *vtime.Proc, id blob.ID) (requeue, worked bool) {
 	filled := h.repairReplicate(p, pl.Node, id, data)
 	for i := 0; i < filled; i++ {
 		h.inj.Note("repair.replicate")
-		h.mRepairs.Inc()
 	}
 	return filled < missing, true
 }
@@ -1073,6 +1055,7 @@ func (h *Hermes) recoverPrimary(p *vtime.Proc, id blob.ID) (*Placement, error) {
 }
 
 func (h *Hermes) recoverPrimaryData(p *vtime.Proc, id blob.ID) (*Placement, error) {
+	stale := h.meta[id]
 	bp, bk := h.failover(id)
 	if bp == nil {
 		return nil, h.nodeDownErr(id)
@@ -1080,6 +1063,15 @@ func (h *Hermes) recoverPrimaryData(p *vtime.Proc, id blob.ID) (*Placement, erro
 	buf := h.borrow(bp.Size)
 	defer h.giveBack(buf)
 	data, ok, err := h.readRetry(p, bp.dev, bk, "retry.scache_read", buf)
+	if cur := h.meta[id]; cur != stale {
+		// A Put (or Delete) ran while the backup read yielded: the bytes
+		// just read are older than what is placed now, and must not
+		// replace it.
+		if cur != nil && h.reachable(cur) {
+			return cur, nil
+		}
+		return nil, h.nodeDownErr(id)
+	}
 	if err != nil || !ok {
 		if err == nil {
 			err = h.nodeDownErr(id)
@@ -1237,7 +1229,6 @@ func (h *Hermes) notePoolRead(tier string) {
 	h.readsTotal++
 	if tier == topology.PoolTier {
 		h.poolReads++
-		h.mPoolReads.Inc()
 	}
 	h.gPoolHit.Set(h.poolReads * 1000 / h.readsTotal)
 }

@@ -189,12 +189,6 @@ func (f *Fabric) nicLoadScan() (inUse, queued int) {
 	return inUse, queued
 }
 
-// NodeNICLoad reports one node's NIC occupancy and queue depth.
-func (f *Fabric) NodeNICLoad(node int) (inUse, queued int) {
-	n := f.nics[node]
-	return n.egress.InUse() + n.ingress.InUse(), n.egress.Waiting() + n.ingress.Waiting()
-}
-
 // Transfer moves n bytes from node src to node dst, blocking the calling
 // process for the modeled duration. Transfers within a node cost only a
 // small software overhead (shared memory). Node indices must be valid.

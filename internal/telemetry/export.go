@@ -25,7 +25,7 @@ func (t *Telemetry) MetricsTable() *stats.Table {
 		if s.kind == kindGauge {
 			kind = "gauge"
 		}
-		tb.Add(s.key.Name, kind, s.key.Node, s.key.Subsystem, s.key.Tier, s.val)
+		tb.Add(s.key.Name, kind, s.key.Node, s.key.Subsystem, s.key.Tier, s.value())
 	})
 	return tb
 }
@@ -96,7 +96,7 @@ func (t *Telemetry) WriteJSON(w io.Writer) error {
 		m := jsonMetric{Name: s.key.Name, Node: s.key.Node, Subsystem: s.key.Subsystem, Tier: s.key.Tier}
 		switch s.kind {
 		case kindCounter:
-			m.Kind, m.Value = "counter", s.val
+			m.Kind, m.Value = "counter", s.value()
 		case kindGauge:
 			m.Kind, m.Value = "gauge", s.val
 		case kindHistogram:

@@ -44,16 +44,27 @@ const (
 const histBuckets = 64
 
 // series is the registered storage behind a metric handle. Handles update
-// it with a single pointer-chase add: no map lookup, no allocation.
+// it with a single pointer-chase add: no map lookup, no allocation. A
+// counter registered with CounterOf has a cell instead: its value is the
+// owning layer's own count, read in place.
 type series struct {
 	key     Key
 	kind    metricKind
 	val     int64
+	cell    *int64
 	count   int64
 	sum     int64
 	min     int64
 	max     int64
 	buckets *[histBuckets]int64
+}
+
+// value returns a counter's or gauge's current value.
+func (s *series) value() int64 {
+	if s.cell != nil {
+		return *s.cell
+	}
+	return s.val
 }
 
 // Registry holds metric series. Registration (Counter/Gauge/Histogram) is
@@ -92,6 +103,16 @@ func (r *Registry) lookup(k Key, kind metricKind) *series {
 // Counter registers (or finds) a monotonically increasing series.
 func (r *Registry) Counter(k Key) Counter { return Counter{s: r.lookup(k, kindCounter)} }
 
+// CounterOf registers (or finds) the counter at k and backs it by cell, a
+// count the caller owns and adds to itself: the registry keeps no copy and
+// reads *cell wherever it reads the series. Registering k again re-points
+// it. A nil registry ignores the call.
+func (r *Registry) CounterOf(k Key, cell *int64) {
+	if s := r.lookup(k, kindCounter); s != nil {
+		s.cell = cell
+	}
+}
+
 // Gauge registers (or finds) a point-in-time value series.
 func (r *Registry) Gauge(k Key) Gauge { return Gauge{s: r.lookup(k, kindGauge)} }
 
@@ -104,7 +125,7 @@ func (r *Registry) Value(k Key) int64 {
 		return 0
 	}
 	if s, ok := r.byKey[k]; ok {
-		return s.val
+		return s.value()
 	}
 	return 0
 }
@@ -145,7 +166,7 @@ func (c Counter) Value() int64 {
 	if c.s == nil {
 		return 0
 	}
-	return c.s.val
+	return c.s.value()
 }
 
 // Gauge is a point-in-time metric handle. The zero value no-ops.

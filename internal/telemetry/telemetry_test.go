@@ -95,6 +95,40 @@ func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	r.Gauge(k)
 }
 
+// TestCounterOfReadsTheCell: a cell-backed counter has no value of its
+// own; every reader — handle, registry, table, JSON — sees the caller's
+// cell as it stands.
+func TestCounterOfReadsTheCell(t *testing.T) {
+	tel := New(Options{Metrics: true})
+	r := tel.Registry()
+	k := Key{Name: "core.faults", Node: 0, Subsystem: "core"}
+	var cell int64
+	r.CounterOf(k, &cell)
+	cell += 7
+	if got := r.Value(k); got != 7 {
+		t.Errorf("registry value = %d, want the cell's 7", got)
+	}
+	if got := r.Counter(k).Value(); got != 7 {
+		t.Errorf("handle value = %d, want the cell's 7", got)
+	}
+	var buf bytes.Buffer
+	if err := tel.MetricsTable().WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "core.faults,counter,0,core,,7") {
+		t.Errorf("metrics table does not read the cell:\n%s", buf.String())
+	}
+	buf.Reset()
+	if err := tel.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"value": 7`) {
+		t.Errorf("JSON export does not read the cell:\n%s", buf.String())
+	}
+	var nilReg *Registry
+	nilReg.CounterOf(k, &cell) // no plane: a no-op
+}
+
 func TestMetricHotPathDoesNotAllocate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter(Key{Name: "c"})

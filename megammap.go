@@ -64,8 +64,6 @@ type (
 	DeviceProfile = device.Profile
 	// LinkProfile describes a network fabric class.
 	LinkProfile = simnet.LinkProfile
-	// Monitor samples cluster resource usage (pymonitor analog).
-	Monitor = cluster.Monitor
 )
 
 // Virtual time units.
@@ -254,12 +252,6 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewWorld creates nprocs ranks distributed block-wise over the nodes.
 func NewWorld(c *Cluster, nprocs int) *World { return mpi.NewWorld(c, nprocs) }
-
-// NewMonitor samples cluster resource usage with the given period until
-// stop fires.
-func NewMonitor(c *Cluster, period Duration, stop *vtime.Event) *Monitor {
-	return cluster.NewMonitor(c, period, stop)
-}
 
 // Open connects to (or creates) the shared vector identified by name; a
 // name containing "://" designates a nonvolatile vector staged to that
