@@ -8,6 +8,7 @@
 package rf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -129,6 +130,10 @@ func forestPredict(trees []*Tree, classes int, pt datagen.Particle) int32 {
 type Tree struct {
 	Nodes []Node
 }
+
+// String prints the tree as its nodes, so that a Result prints the same
+// in every run (a *Tree field would otherwise print as its address).
+func (t *Tree) String() string { return fmt.Sprint(t.Nodes) }
 
 // Node is one tree node; leaves carry Label, internal nodes split on
 // Feature < Thresh (left) vs >= (right).

@@ -72,7 +72,6 @@ func RunKMeansCell(nodes, procs int, bytesPerNode int64, cfg kmeans.Config, fp *
 	}
 	out.Metrics["mttr_s"] = mttr.Seconds()
 	out.Digests["redundancy_restored"] = healed
-	out.Digests["result"] = digestOf(run.answer)
 	out.Digests["under_replicated"] = int64(h.UnderReplicated())
 	out.Digests["page_repairs"] = run.d.PageRepairs()
 	for _, ct := range run.c.Faults().Counters() {
