@@ -243,6 +243,9 @@ type nodeCounts struct {
 	prefetches int64 // prefetch fills installed
 	evictions  int64 // pcache evictions
 	coalesced  int64 // collective faults served by another rank's fetch
+	// commitsElided counts page commits this node's workers skipped
+	// because the primary already held their bytes.
+	commitsElided int64
 }
 
 // tenantCounts are one tenant's paging event counts, shared by its
@@ -274,6 +277,7 @@ func (d *DSM) registerMetrics() {
 		reg.CounterOf(key("core.evictions"), &nc.evictions)
 		reg.CounterOf(key("core.prefetches"), &nc.prefetches)
 		reg.CounterOf(key("core.coalesced_reads"), &nc.coalesced)
+		reg.CounterOf(key("core.commits_elided"), &nc.commitsElided)
 		d.hFault[i] = reg.Histogram(key("core.fault_ns"))
 		d.hTask[i] = reg.Histogram(key("core.task_ns"))
 	}
@@ -328,6 +332,15 @@ func (d *DSM) ReplicaStats() (hits, misses int64) { return d.replicaHits, d.repl
 func (d *DSM) CoalescedReads() (n int64) {
 	for _, nc := range d.counts {
 		n += nc.coalesced
+	}
+	return n
+}
+
+// CommitsElided returns how many page commits wrote nothing because the
+// page's primary already held their bytes.
+func (d *DSM) CommitsElided() (n int64) {
+	for _, nc := range d.counts {
+		n += nc.commitsElided
 	}
 	return n
 }

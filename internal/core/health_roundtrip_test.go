@@ -47,10 +47,12 @@ func TestHealthQuarantineProbeReintegrateRoundTrip(t *testing.T) {
 		v.BoundMemory(2 * v.PageSize()) // keep the churn faulting into the scache
 		healed := false
 		deadline := p.Now() + 500*vtime.Millisecond
-		for p.Now() < deadline {
+		for round := int64(0); p.Now() < deadline; round++ {
+			// Each round writes new values: a commit of bytes the scache
+			// already holds is elided and would give node 1 no traffic.
 			v.SeqTxBegin(0, n, core.WriteOnly)
 			for i := int64(0); i < n; i++ {
-				v.Set(i, i)
+				v.Set(i, i+round)
 			}
 			v.TxEnd()
 			states := d.HealthStates()

@@ -103,6 +103,48 @@ func TestPeekReturnsCopyWithoutTime(t *testing.T) {
 	}
 }
 
+func TestEqualComparesStoredBytesWithoutTime(t *testing.T) {
+	e := vtime.NewEngine()
+	d := New("d", DRAMProfile(MB))
+	e.Spawn("p", func(p *vtime.Proc) {
+		// Four zero bytes in an array sized ahead for 64: the bytes past
+		// the blob's end are zero too, and still not the blob's.
+		if err := d.WriteAtSized(p, bid("k"), 0, make([]byte, 4), 64); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WriteAt(p, bid("k"), 1, []byte{7, 8}); err != nil {
+			t.Fatal(err)
+		}
+		before := p.Now()
+		cases := []struct {
+			key  string
+			off  int64
+			data []byte
+			want bool
+		}{
+			{"k", 0, []byte{0, 7, 8, 0}, true},
+			{"k", 1, []byte{7, 8}, true},
+			{"k", 2, []byte{8}, true},
+			{"k", 1, []byte{7, 9}, false},
+			{"k", 0, []byte{0, 7, 8, 0, 0, 0}, false}, // runs past the end into zeroed slack
+			{"k", 3, []byte{0, 0}, false},
+			{"k", -1, []byte{0}, false},
+			{"ghost", 0, nil, false},
+		}
+		for _, c := range cases {
+			if got := d.Equal(bid(c.key), c.off, c.data); got != c.want {
+				t.Errorf("Equal(%s, %d, %v) = %v, want %v", c.key, c.off, c.data, got, c.want)
+			}
+		}
+		if p.Now() != before {
+			t.Error("Equal charged virtual time")
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCorruptBitFlipsExactlyOneBit(t *testing.T) {
 	e := vtime.NewEngine()
 	d := New("d", DRAMProfile(MB))

@@ -10,6 +10,7 @@
 package device
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -299,6 +300,15 @@ func (d *Device) BlobSize(key blob.ID) int64 {
 		return -1
 	}
 	return int64(len(b))
+}
+
+// Equal reports whether the blob stored under key holds data at off. It
+// compares in place, copying nothing and charging nothing; an absent blob,
+// or a range that runs past the blob's end, is not equal.
+func (d *Device) Equal(key blob.ID, off int64, data []byte) bool {
+	b, ok := d.blobs[key]
+	end := off + int64(len(data))
+	return ok && off >= 0 && end <= int64(len(b)) && bytes.Equal(b[off:end], data)
 }
 
 // Keys returns the number of blobs stored.

@@ -530,6 +530,20 @@ func (h *Hermes) Has(p *vtime.Proc, fromNode int, id blob.ID) bool {
 	return h.lookup(p, fromNode, id) != nil
 }
 
+// Holds reports whether a blob's primary is reachable and already stores
+// data at off; with whole set the blob must also end where data ends, so
+// that it is exactly what a Put of data would leave. It charges nothing
+// and copies nothing: it stands in for a content hash kept with the
+// placement, read by a caller that has paid the lookup already, and being
+// byte-exact it never takes a change for a match.
+func (h *Hermes) Holds(id blob.ID, off int64, data []byte, whole bool) bool {
+	pl := h.meta[id]
+	if pl == nil || !h.reachable(pl) || whole && pl.Size != off+int64(len(data)) {
+		return false
+	}
+	return pl.dev.Equal(id, off, data)
+}
+
 // Stats returns cumulative metadata lookups and organizer movements.
 func (h *Hermes) Stats() (mdLookups, blobsMoved, bytesMoved int64) {
 	return h.mdLookups, h.moved, h.movedByte

@@ -57,6 +57,49 @@ func TestPutGetRoundTrip(t *testing.T) {
 	})
 }
 
+func TestHoldsIsByteExactOnAReachablePrimary(t *testing.T) {
+	c, h := newHermes(2)
+	run(t, c, func(p *vtime.Proc) {
+		id := h.Key("v/0")
+		data := []byte("page contents")
+		if err := h.Put(p, 0, id, data, 1.0, 1); err != nil {
+			t.Fatal(err)
+		}
+		lookups, _, _ := h.Stats()
+		before := p.Now()
+		cases := []struct {
+			off   int64
+			data  []byte
+			whole bool
+			want  bool
+		}{
+			{0, data, true, true},
+			{0, data[:4], true, false}, // a prefix is not the whole blob
+			{0, data[:4], false, true},
+			{5, []byte("contents"), false, true},
+			{5, []byte("Contents"), false, false},
+			{5, []byte("contents!"), false, false},
+		}
+		for _, tc := range cases {
+			if got := h.Holds(id, tc.off, tc.data, tc.whole); got != tc.want {
+				t.Errorf("Holds(%d, %q, whole=%v) = %v, want %v", tc.off, tc.data, tc.whole, got, tc.want)
+			}
+		}
+		if h.Holds(h.Key("v/1"), 0, nil, false) {
+			t.Error("Holds found a missing blob")
+		}
+		if now, _, _ := h.Stats(); p.Now() != before || now != lookups {
+			t.Error("Holds charged time or a metadata lookup")
+		}
+		// The crashed node's device still stores the bytes; they are not
+		// the blob's any more.
+		h.FailNode(1)
+		if h.Holds(id, 0, data, true) {
+			t.Error("Holds matched a primary on a crashed node")
+		}
+	})
+}
+
 func TestPlacementPrefersFastTierOnPreferredNode(t *testing.T) {
 	c, h := newHermes(2)
 	run(t, c, func(p *vtime.Proc) {
