@@ -69,7 +69,7 @@ func queued(ch *pageChain) int {
 func chainsIdle(t *testing.T, d *DSM, m *vecMeta) {
 	t.Helper()
 	for pg, ch := range m.chains {
-		if ch != (pageChain{}) {
+		if ch.busy || ch.head != nil || ch.tail != nil {
 			t.Errorf("%s page %d: chain left behind: busy %v, %d queued", m.name, pg, ch.busy, queued(&ch))
 		}
 	}

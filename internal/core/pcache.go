@@ -27,6 +27,10 @@ type cachedPage struct {
 	// regions are real, the rest is zero fill. Partial pages must never
 	// serve reads that a new read phase could direct at foreign regions.
 	partial bool
+	// version is the page's scache version (pageChain.version) the read
+	// that brought the image in saw; a global read phase drops the page
+	// once the scache's version moved past it.
+	version uint64
 }
 
 func (cp *cachedPage) isDirty() bool { return len(cp.dirty) > 0 }
@@ -93,14 +97,14 @@ func evictBefore(a, b *cachedPage) bool {
 
 // newPage returns a fresh page frame, reusing a recycled one when
 // available.
-func (pc *pcache) newPage(idx int64, data []byte, score float64, partial bool) *cachedPage {
+func (pc *pcache) newPage(idx int64, data []byte, score float64, partial bool, version uint64) *cachedPage {
 	if n := len(pc.free); n > 0 {
 		cp := pc.free[n-1]
 		pc.free = pc.free[:n-1]
-		*cp = cachedPage{idx: idx, data: data, dirty: cp.dirty[:0], score: score, partial: partial}
+		*cp = cachedPage{idx: idx, data: data, dirty: cp.dirty[:0], score: score, partial: partial, version: version}
 		return cp
 	}
-	return &cachedPage{idx: idx, data: data, score: score, partial: partial}
+	return &cachedPage{idx: idx, data: data, score: score, partial: partial, version: version}
 }
 
 // recycle returns a removed page's frame to the freelist. The data buffer
