@@ -46,6 +46,14 @@ func digestOf(v any) int64 {
 	return int64(h.Sum64())
 }
 
+// bytesDigest is digestOf for raw bytes (a persisted file), hashed as
+// they are rather than printed.
+func bytesDigest(b []byte) int64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return int64(h.Sum64())
+}
+
 // phase runs the processes spawn starts until the engine has nothing
 // left to do. A process reports failure through fail (the engine
 // serializes processes, so the plain write is safe); the phase returns

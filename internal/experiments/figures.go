@@ -60,6 +60,9 @@ func fig5DRAMTier(totalBytes int64, nodes int) int64 {
 	return totalBytes/int64(nodes)*3 + 4<<20
 }
 
+// fig6Ckpt is the PFS object a Fig. 6 cell persists its final grid to.
+const fig6Ckpt = "/out/gs-fig6.bin"
+
 // RunFig6Cell is one point of the dataset-resolution study (paper Fig.
 // 6): Gray-Scott at grid side l on a fixed cluster, the final grid
 // persisted to the PFS (the paper's simulation-output workflow: MPI pays
@@ -73,6 +76,8 @@ func fig5DRAMTier(totalBytes int64, nodes int) int64 {
 // buffers there (the grid grows ~60% per step of the sweep, so the OOM
 // point stays between midL and the next L) and for MegaMmap's pcache
 // working-set floors at the top of the sweep.
+//
+// A completed cell digests the grid file it persisted as checkpoint.
 func RunFig6Cell(l, midL int, baseline bool, nodes, procs, steps int) (Report, error) {
 	gridAt := func(l int) int64 { return int64(l) * int64(l) * int64(l) * grayscott.CellSize }
 	dram := 2 * gridAt(midL) / int64(nodes) * 8 / 5
@@ -83,13 +88,17 @@ func RunFig6Cell(l, midL int, baseline bool, nodes, procs, steps int) (Report, e
 		// Three vectors (two grids + checkpoint) per rank share the node's
 		// DRAM for their pcaches.
 		bound: dram / int64(procs) / 4,
-		gs:    grayscott.Config{L: l, Steps: steps, PlotGap: steps, CkptURL: "file:///out/gs-fig6.bin"},
+		gs:    grayscott.Config{L: l, Steps: steps, PlotGap: steps, CkptURL: "file://" + fig6Ckpt},
 	}
 	run, err := figureCell(catalogue["grayscott"], baseline, spec, tieredConfig(), j)
 	if err != nil {
 		return Report{}, err
 	}
 	run.out.Metrics["dataset_mb"] = float64(gridAt(l)) / float64(device.MB)
+	if run.c != nil { // the cell completed (an OOM-killed one has no cluster)
+		raw, _ := run.c.PFSPeek(fig6Ckpt)
+		run.out.Digests["checkpoint"] = bytesDigest(raw)
+	}
 	return run.out, nil
 }
 
