@@ -147,10 +147,3 @@ func (c Config) stepRow(dst, center, ym, yp, zm, zp []Cell) {
 		dst[x] = c.react(center[x], center[xm], center[xp], ym[x], yp[x], zm[x], zp[x])
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,6 +1,7 @@
 package grayscott
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -141,35 +142,108 @@ func TestMegaCheckpointPersists(t *testing.T) {
 // ranks on two nodes with 16 KB pages make every slab one whole page, so
 // from the third step on each handle reads halo pages it cached two steps
 // back and its neighbours have rewritten since: the global read phase
-// must drop them (Vector.begin).
+// must drop them (Vector.begin). Unbounded, and with a bound of one page,
+// under which the roles' bounds apply and shrink every step.
 func TestMegaCheckpointBytesEqualMPIs(t *testing.T) {
-	for _, steps := range []int{3, 4, 5} {
-		cfg := Config{L: 16, Steps: steps, PlotGap: 1, CkptURL: "file:///ckpt/gs.bin"}
-		_, mc := runMega(t, 2, 4, cfg)
-		mega, _ := mc.PFSPeek("/ckpt/gs.bin")
-		c := testCluster(2, 64*device.MB)
-		st := stager.New(c)
-		if err := mpi.NewWorld(c, 4).Run(func(r *mpi.Rank) {
-			if _, err := MPI(r, st, cfg); err != nil {
-				r.Fail(err)
+	for _, bound := range []int64{0, 16 * device.KB} {
+		for _, steps := range []int{3, 4, 5} {
+			cfg := Config{L: 16, Steps: steps, PlotGap: 1, CkptURL: "file:///ckpt/gs.bin", BoundBytes: bound}
+			_, mc := runMega(t, 2, 4, cfg)
+			mega, _ := mc.PFSPeek("/ckpt/gs.bin")
+			c := testCluster(2, 64*device.MB)
+			st := stager.New(c)
+			if err := mpi.NewWorld(c, 4).Run(func(r *mpi.Rank) {
+				if _, err := MPI(r, st, cfg); err != nil {
+					r.Fail(err)
+				}
+			}); err != nil {
+				t.Fatal(err)
 			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		ref, _ := c.PFSPeek("/ckpt/gs.bin")
-		if len(ref) != 16*16*16*CellSize || len(mega) != len(ref) {
-			t.Errorf("steps %d: Mega's checkpoint is %d bytes, MPI's %d", steps, len(mega), len(ref))
-			continue
-		}
-		differ := 0
-		for i := range ref {
-			if mega[i] != ref[i] {
-				differ++
+			ref, _ := c.PFSPeek("/ckpt/gs.bin")
+			if len(ref) != 16*16*16*CellSize || len(mega) != len(ref) {
+				t.Errorf("steps %d, bound %d: Mega's checkpoint is %d bytes, MPI's %d", steps, bound, len(mega), len(ref))
+				continue
+			}
+			differ := 0
+			for i := range ref {
+				if mega[i] != ref[i] {
+					differ++
+				}
+			}
+			if differ != 0 {
+				t.Errorf("steps %d, bound %d: Mega's checkpoint differs from MPI's in %d of %d bytes", steps, bound, differ, len(ref))
 			}
 		}
-		if differ != 0 {
-			t.Errorf("steps %d: Mega's checkpoint differs from MPI's in %d of %d bytes", steps, differ, len(ref))
+	}
+}
+
+// TestRoleBoundsStayInsideTheRanksBudget: over the grid side, page size,
+// bound and checkpointing of the benchmark's and every plan's Gray-Scott
+// runs, the role-sized bounds give the reader its three planes and two
+// pages (or the app's bound, if larger) and each writer two pages, and a
+// rank asks for no more than it did with every vector bounded at the app's
+// bound floored to a streaming working set (the grid's capped at 8 pages).
+// Where a plane spans more than 4 pages the reader is clipped to the
+// budget.
+func TestRoleBoundsStayInsideTheRanksBudget(t *testing.T) {
+	const KB = device.KB
+	cases := []struct {
+		where      string
+		L          int
+		ps, b      int64
+		ckpt, clip bool
+	}{
+		{where: "gs_ckpt", L: 128, ps: 64 * KB, b: 512 * KB, ckpt: true},
+		{where: "gs_ckpt -size tiny", L: 32, ps: 64 * KB, b: 32 * KB, ckpt: true},
+		{where: "fig6", L: 32, ps: 48 * KB, b: 176947, ckpt: true},
+		{where: "fig6", L: 40, ps: 48 * KB, b: 176947, ckpt: true},
+		{where: "fig6", L: 48, ps: 48 * KB, b: 176947, ckpt: true},
+		{where: "fig6", L: 56, ps: 48 * KB, b: 176947, ckpt: true},
+		{where: "fig6", L: 64, ps: 48 * KB, b: 176947, ckpt: true},
+		{where: "fig7", L: 56, ps: 48 * KB, b: 97563, ckpt: true},
+		{where: "fig8, ablation-partial-paging", L: 50, ps: 48 * KB, b: 128 * KB},
+		{where: "fig8", L: 50, ps: 48 * KB, b: 256 * KB},
+		{where: "fig8", L: 50, ps: 48 * KB, b: 384 * KB},
+		{where: "fig8", L: 50, ps: 48 * KB, b: 512 * KB},
+		{where: "fig8", L: 50, ps: 48 * KB, b: 640 * KB},
+		{where: "fig8", L: 50, ps: 48 * KB, b: 768 * KB},
+		{where: "fig8", L: 50, ps: 48 * KB, b: 1024 * KB},
+		{where: "scrub", L: 50, ps: 12 * KB, b: 512 * KB},
+		{where: "fig8-full", L: 100, ps: 48 * KB, b: 256 * KB},
+		{where: "fig8-full", L: 100, ps: 48 * KB, b: 512 * KB},
+		{where: "fig8-full", L: 100, ps: 48 * KB, b: 768 * KB},
+		{where: "fig8-full", L: 100, ps: 48 * KB, b: 1024 * KB},
+		{where: "fig8-full", L: 100, ps: 48 * KB, b: 1280 * KB},
+		{where: "fig8-full", L: 100, ps: 48 * KB, b: 1536 * KB},
+		{where: "fig8-full", L: 100, ps: 48 * KB, b: 2048 * KB},
+		{where: "a plane of 16 pages", L: 128, ps: 16 * KB, b: 16 * KB, ckpt: true, clip: true},
+		{where: "a plane of 16 pages", L: 128, ps: 16 * KB, b: 16 * KB, clip: true},
+	}
+	for _, tc := range cases {
+		window := 3*int64(tc.L)*int64(tc.L)*CellSize + 2*tc.ps
+		vectors, budget := int64(2), 2*max(tc.b, min(window, 8*tc.ps))
+		if tc.ckpt {
+			vectors, budget = 3, budget+max(tc.b, 2*tc.ps)
 		}
+		read, write := roleBounds(tc.L, tc.ps, tc.b, tc.ckpt)
+		sum := read + (vectors-1)*write
+		name := fmt.Sprintf("%s: L=%d, %d KB pages, bound %d, checkpoint %v", tc.where, tc.L, tc.ps/KB, tc.b, tc.ckpt)
+		if write != 2*tc.ps {
+			t.Errorf("%s: writers get %d bytes, want two pages", name, write)
+		}
+		if want := max(tc.b, window); !tc.clip && read != want {
+			t.Errorf("%s: the reader gets %d bytes, want %d", name, read, want)
+		}
+		if tc.clip && (read >= window || sum != budget) {
+			t.Errorf("%s: the reader gets %d of a %d-byte window and the rank %d of its %d-byte budget; want the reader clipped to the budget", name, read, window, sum, budget)
+		}
+		if sum > budget {
+			t.Errorf("%s: the rank asks for %d bytes, over its %d-byte budget", name, sum, budget)
+		}
+	}
+	// gs_ckpt's rank: 1536 KB before, 1152 KB by role.
+	if read, write := roleBounds(128, 64*KB, 512*KB, true); read+2*write != 1152*KB {
+		t.Errorf("gs_ckpt's rank asks for %d KB, want 1152", (read+2*write)/KB)
 	}
 }
 

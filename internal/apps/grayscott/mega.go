@@ -20,52 +20,32 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 	plane := int64(L) * int64(L)
 	cl := d.NewClient(r.Proc(), r.Node().ID)
 
-	open := func(name string, floor func(pageSize int64) int64) (*core.Vector[Cell], error) {
-		v, err := core.Open[Cell](cl, name, CellCodec{})
-		if err != nil {
-			return nil, err
-		}
-		if cfg.BoundBytes > 0 {
-			// BoundMemory is app-chosen (paper Listing 1): a bound below
-			// the kernel's working set thrashes every access, so the
-			// request is floored per vector role.
-			bound := cfg.BoundBytes
-			if f := floor(v.PageSize()); bound < f {
-				bound = f
-			}
-			v.BoundMemory(bound)
-		}
-		return v, nil
-	}
-	// The stencil reads rows of three Z-planes, and each plane serves as
-	// z+1, z and z-1 for three consecutive planes of output, so the read
-	// grid's working set is three whole planes plus two pages of window.
-	// The floor stops at 8 pages: once a plane spans more than two pages
-	// that is less than the three planes it reuses (12 pages at L=128
-	// with 64 KB pages), and each grid page is fetched about 2.5 times per
-	// step.
-	readFloor := func(ps int64) int64 {
-		f := 3*plane*CellSize + 2*ps
-		if cap := 8 * ps; f > cap {
-			f = cap
-		}
-		return f
-	}
-	// Write-only vectors stream: two pages of write window suffice.
-	writeFloor := func(ps int64) int64 { return 2 * ps }
-
-	cur, err := open(fmt.Sprintf("gs%d/a", L), readFloor)
+	cur, err := core.Open[Cell](cl, fmt.Sprintf("gs%d/a", L), CellCodec{})
 	if err != nil {
 		return Result{}, err
 	}
-	next, err := open(fmt.Sprintf("gs%d/b", L), readFloor)
+	next, err := core.Open[Cell](cl, fmt.Sprintf("gs%d/b", L), CellCodec{})
 	if err != nil {
 		return Result{}, err
 	}
 	var ckpt *core.Vector[Cell]
 	if cfg.PlotGap > 0 && cfg.CkptURL != "" {
-		if ckpt, err = open(cfg.CkptURL, writeFloor); err != nil {
+		if ckpt, err = core.Open[Cell](cl, cfg.CkptURL, CellCodec{}); err != nil {
 			return Result{}, err
+		}
+	}
+	// The grids swap roles every step, so their bounds follow: the writer
+	// shrinks first, and the planes the old reader kept leave before the
+	// new reader fills.
+	setRoles := func() {}
+	if cfg.BoundBytes > 0 {
+		read, write := roleBounds(L, cur.PageSize(), cfg.BoundBytes, ckpt != nil)
+		if ckpt != nil {
+			ckpt.BoundMemory(write)
+		}
+		setRoles = func() {
+			next.BoundMemory(write)
+			cur.BoundMemory(read)
 		}
 	}
 	if r.Rank() == 0 {
@@ -87,6 +67,7 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 
 	// Initialize the local slab.
 	row := make([]Cell, L)
+	setRoles()
 	cur.SeqTxBegin(lo, hi-lo, core.WriteOnly)
 	for z := z0; z < z1; z++ {
 		for y := 0; y < L; y++ {
@@ -125,6 +106,7 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 		if z1 < L {
 			rhi += plane
 		}
+		setRoles()
 		cur.SeqTxBegin(rlo, rhi-rlo, core.ReadOnly|core.Global)
 		next.SeqTxBegin(lo, hi-lo, core.WriteOnly)
 		if checkpoint {
@@ -165,6 +147,30 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 	sum = r.SumFloat64(sum)
 	r.Barrier()
 	return Result{Checksum: sum, GridBytes: n * CellSize, Checkpoints: ckpts}, nil
+}
+
+// roleBounds sizes the pcache bounds of one rank's vectors by role, for
+// grid side L, page size ps and the app-chosen bound b per vector (paper
+// Listing 1; b > 0), with or without a checkpoint vector. The stencil
+// reads rows of three Z-planes, and each plane serves as z+1, z and z-1
+// for three consecutive planes of output, so the read grid keeps three
+// whole planes plus two pages of window: with less, a page leaves before
+// the last plane that needs it and is fetched again. The write grid and the
+// checkpoint only stream, through two pages each. The three stay inside
+// the rank's budget, what it takes with every vector bounded at b floored
+// to a streaming working set (a grid's window capped at 8 pages, the
+// checkpoint's 2 pages): where the reader's share would overrun it, which
+// happens only once a plane spans more than 4 pages, the reader gets what
+// the writers leave.
+func roleBounds(L int, ps, b int64, ckpt bool) (read, write int64) {
+	window := 3*int64(L)*int64(L)*CellSize + 2*ps
+	writers, budget := int64(1), 2*max(b, min(window, 8*ps))
+	if ckpt {
+		writers++
+		budget += max(b, 2*ps)
+	}
+	write = 2 * ps
+	return min(max(b, window), budget-writers*write), write
 }
 
 type rowBufs struct {

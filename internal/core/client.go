@@ -15,6 +15,11 @@ type Client struct {
 	node        *cluster.Node
 	counts      *nodeCounts // the node's paging event counts
 	outstanding vtime.WaitGroup
+	// frames recycles page frames for all of the client's handles: bounded
+	// workloads churn one cachedPage per fault, all the same shape, and a
+	// process's handles never all peak at once, so one freelist holds what
+	// the busiest phase needs instead of each handle keeping its own peak.
+	frames []*cachedPage
 }
 
 // NewClient attaches a client running on the given node. All vector

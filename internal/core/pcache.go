@@ -74,9 +74,6 @@ type pcache struct {
 	// heap is the eviction min-heap over all resident pages, ordered by
 	// evictBefore. Positions are tracked intrusively in cachedPage.heapIdx.
 	heap []*cachedPage
-	// free recycles page frames: bounded workloads churn one cachedPage
-	// per fault, all the same shape.
-	free []*cachedPage
 }
 
 func newPCache() *pcache {
@@ -95,25 +92,26 @@ func evictBefore(a, b *cachedPage) bool {
 	return a.idx < b.idx
 }
 
-// newPage returns a fresh page frame, reusing a recycled one when
-// available.
-func (pc *pcache) newPage(idx int64, data []byte, score float64, partial bool, version uint64) *cachedPage {
-	if n := len(pc.free); n > 0 {
-		cp := pc.free[n-1]
-		pc.free = pc.free[:n-1]
+// newPage returns a fresh page frame, reusing one of the client's recycled
+// frames when available.
+func (c *Client) newPage(idx int64, data []byte, score float64, partial bool, version uint64) *cachedPage {
+	if n := len(c.frames); n > 0 {
+		cp := c.frames[n-1]
+		c.frames = c.frames[:n-1]
 		*cp = cachedPage{idx: idx, data: data, dirty: cp.dirty[:0], score: score, partial: partial, version: version}
 		return cp
 	}
 	return &cachedPage{idx: idx, data: data, score: score, partial: partial, version: version}
 }
 
-// recycle returns a removed page's frame to the freelist. The data buffer
-// has gone back to the pool or into an in-flight commit task, so its
-// reference is dropped; the dirty list never leaves the frame (commit
-// tasks carry a copy) and keeps its capacity for the frame's next page.
-func (pc *pcache) recycle(cp *cachedPage) {
+// recycle returns a removed page's frame to the client's freelist. The
+// data buffer has gone back to the pool or into an in-flight commit task,
+// so its reference is dropped; the dirty list never leaves the frame
+// (commit tasks carry a copy) and keeps its capacity for the frame's next
+// page.
+func (c *Client) recycle(cp *cachedPage) {
 	cp.data = nil
-	pc.free = append(pc.free, cp)
+	c.frames = append(c.frames, cp)
 }
 
 // get returns the resident page and bumps its LRU stamp.

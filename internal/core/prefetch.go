@@ -113,16 +113,14 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 
 	// Evict phase.
 	if !distrust {
-		clear(v.soon)
-		for _, pg := range future {
-			v.soon[pg] = struct{}{}
-		}
+		v.soon = append(v.soon[:0], future...)
+		slices.Sort(v.soon)
 		v.spent = a.pagesIn(v.spent[:0], v.seen, a.head, a.tail, epp)
 		for _, pg := range v.spent {
 			if pg == current {
 				continue
 			}
-			if _, soon := v.soon[pg]; soon {
+			if _, soon := slices.BinarySearch(v.soon, pg); soon {
 				continue // will be re-touched; keep it hot
 			}
 			v.scoreAsync(pg, 0)

@@ -48,7 +48,8 @@ type Vector[T any] struct {
 	txState       activeTx
 	cpScratch     []*cachedPage
 	future, spent []int64            // prefetcher: upcoming pages; pages just consumed
-	seen, soon    map[int64]struct{} // pagesIn's revisit filter; the evict phase's keep set
+	soon          []int64            // the evict phase's keep set: future, sorted
+	seen          map[int64]struct{} // pagesIn's revisit filter
 
 	// Fill pacing (prefetch.go, fillDepth): the smoothed service time of
 	// the handle's fills and virtual time per page it consumes, each -1
@@ -198,7 +199,6 @@ func Open[T any](c *Client, name string, codec Codec[T], opts ...VectorOpt) (*Ve
 		runs:       RunsOf(codec),
 		pc:         newPCache(),
 		seen:       make(map[int64]struct{}),
-		soon:       make(map[int64]struct{}),
 		pageWrites: make(map[int64]int64),
 		fillSvc:    -1,
 		pageGap:    -1,
@@ -222,15 +222,16 @@ func (v *Vector[T]) dirtyResident() int {
 	return n
 }
 
-// release drops the handle's page frames, and the scratch that points at
-// them or is a page's size, at Shutdown, whoever still holds the handle.
+// release drops the handle's page frames, its client's recycled ones, and
+// the scratch that points at them or is a page's size, at Shutdown,
+// whoever still holds the handle.
 // The frames' buffers leave the pool's books with them (every task has
 // drained: what is still out afterwards leaked); the DRAM accounting stays
 // as the run left it.
 func (v *Vector[T]) release() {
 	v.c.d.bufOut -= int64(len(v.pc.pages))
 	clear(v.pc.pages)
-	v.pc.heap, v.pc.free = nil, nil
+	v.pc.heap, v.c.frames = nil, nil
 	v.setLast(nil)
 	v.cpScratch, v.allBuf = nil, nil
 }
@@ -245,8 +246,21 @@ func (v *Vector[T]) Len() int64 { return v.m.length }
 func (v *Vector[T]) PageSize() int64 { return v.m.pageSize }
 
 // BoundMemory limits this process's pcache for the vector to maxBytes
-// (0 = unbounded). Exceeding the bound triggers transparent eviction.
-func (v *Vector[T]) BoundMemory(maxBytes int64) { v.pc.bound = maxBytes }
+// (0 = unbounded). Exceeding the bound triggers transparent eviction. A
+// bound below what the handle holds takes effect at once: pages leave in
+// eviction order, dirty ones committing asynchronously as any eviction
+// does, until the rest fits (space reserved for in-flight fills is freed
+// as they land). Raising the bound evicts nothing.
+func (v *Vector[T]) BoundMemory(maxBytes int64) {
+	v.pc.bound = maxBytes
+	for v.pc.needsEviction(0) {
+		victim := v.pc.victim(-1)
+		if victim == nil {
+			break // only fill reservations are left
+		}
+		v.evict(victim)
+	}
+}
 
 // Pgas logically partitions the vector evenly among nprocs processes and
 // assigns this handle partition rank (paper Listing 1).
@@ -715,7 +729,7 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 			}
 			fresh := t.data
 			t.data = nil // claimed by the page; keep recycleTask from pooling it
-			cp := v.pc.newPage(pg, fresh, m.insertScore(pg), false, t.version)
+			cp := v.c.newPage(pg, fresh, m.insertScore(pg), false, t.version)
 			v.c.d.recycleTask(t)
 			v.c.d.recycleTask(f.t) // the stale image re-pools here
 			v.c.d.fillWaste++
@@ -726,7 +740,7 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		filled := f.t.data
 		f.t.data = nil
 		v.c.d.fillHits++
-		cp := v.pc.newPage(pg, filled, m.insertScore(pg), false, f.t.version)
+		cp := v.c.newPage(pg, filled, m.insertScore(pg), false, f.t.version)
 		v.c.d.recycleTask(f.t)
 		v.pc.insert(cp)
 		return cp
@@ -762,7 +776,7 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		}
 	}
 	v.ensureSpace(pg)
-	cp := v.pc.newPage(pg, data, m.insertScore(pg), partial, version)
+	cp := v.c.newPage(pg, data, m.insertScore(pg), partial, version)
 	v.pc.insert(cp)
 	return cp
 }
@@ -846,7 +860,7 @@ func (v *Vector[T]) dropPage(cp *cachedPage) {
 		v.setLast(nil)
 	}
 	v.c.d.putBuf(cp.data)
-	v.pc.recycle(cp)
+	v.c.recycle(cp)
 }
 
 // commitPage submits an asynchronous write task carrying the page's dirty
@@ -918,7 +932,7 @@ func (v *Vector[T]) integrateFills() {
 		v.c.d.fillHits++
 		filled := f.t.data
 		f.t.data = nil // claimed by the page
-		v.pc.insert(v.pc.newPage(pg, filled, v.m.insertScore(pg), false, f.t.version))
+		v.pc.insert(v.c.newPage(pg, filled, v.m.insertScore(pg), false, f.t.version))
 		v.c.d.recycleTask(f.t)
 	}
 	clear(v.fills[len(pending):])
