@@ -105,6 +105,11 @@ type DSM struct {
 	fillHits  int64
 	fillWaste int64
 
+	// fastBW is the read bandwidth of the scache's fastest tier: a spent
+	// page whose copy is slower to refetch may stay in a bounded pcache
+	// (Vector.retainable).
+	fastBW float64
+
 	// repairAttempts counts repair wake-ups that found queued work; the
 	// governor's stall detector compares its per-tick delta against
 	// queue movement.
@@ -153,9 +158,11 @@ type DSM struct {
 func New(c *cluster.Cluster, cfg Config) *DSM {
 	cfg = cfg.withDefaults()
 	tiers := make([]string, 0, len(cfg.Tiers))
+	fastBW := 0.0
 	for _, t := range cfg.Tiers {
-		if c.Nodes[0].Devices[t] != nil {
+		if dev := c.Nodes[0].Devices[t]; dev != nil {
 			tiers = append(tiers, t)
+			fastBW = max(fastBW, dev.Profile().ReadBW)
 		}
 	}
 	if len(tiers) == 0 {
@@ -179,6 +186,7 @@ func New(c *cluster.Cluster, cfg Config) *DSM {
 		locks:        make(map[string]*dsmLock),
 		pendingReads: make(map[pendingKey]*MemoryTask),
 		procs:        c.Engine.NewGroup(),
+		fastBW:       fastBW,
 	}
 	d.tel = c.Telemetry()
 	d.trc = d.tel.Tracer()

@@ -6,9 +6,10 @@ package core
 // commit dirty regions back asynchronously.
 //
 // Victim selection is indexed: every resident page sits in a min-heap
-// ordered by (score, lastUse, idx), so an eviction costs O(log n) instead
-// of a full page-table walk — and the page-index tie-break makes victim
-// choice deterministic where a map walk would pick by random map order.
+// ordered by (retainedAt, score, lastUse, idx), so an eviction costs
+// O(log n) instead of a full page-table walk — and the page-index
+// tie-break makes victim choice deterministic where a map walk would pick
+// by random map order.
 
 // cachedPage is one page resident in a pcache.
 type cachedPage struct {
@@ -31,6 +32,10 @@ type cachedPage struct {
 	// that brought the image in saw; a global read phase drops the page
 	// once the scache's version moved past it.
 	version uint64
+	// retainedAt is the pcache clock at which the prefetcher kept the page
+	// as a spent page (prefetch.go, "Retained spent pages"), 0 while it is
+	// not one. The next use returns it to the window (pcache.get).
+	retainedAt int64
 }
 
 func (cp *cachedPage) isDirty() bool { return len(cp.dirty) > 0 }
@@ -71,6 +76,8 @@ type pcache struct {
 	bound int64 // max bytes (0 = unbounded)
 	used  int64 // bytes of resident and reserved pages
 	clock int64
+	// retained counts the pages with a retainedAt stamp.
+	retained int64
 	// heap is the eviction min-heap over all resident pages, ordered by
 	// evictBefore. Positions are tracked intrusively in cachedPage.heapIdx.
 	heap []*cachedPage
@@ -80,9 +87,13 @@ func newPCache() *pcache {
 	return &pcache{pages: make(map[int64]*cachedPage)}
 }
 
-// evictBefore is the eviction order: lowest score first, then least
-// recently used, then lowest page index (the deterministic tie-break).
+// evictBefore is the eviction order: retained spent pages first, the one
+// retained last first among them; then lowest score, then least recently
+// used, then lowest page index (the deterministic tie-break).
 func evictBefore(a, b *cachedPage) bool {
+	if a.retainedAt != b.retainedAt {
+		return a.retainedAt > b.retainedAt
+	}
 	if a.score != b.score {
 		return a.score < b.score
 	}
@@ -114,15 +125,29 @@ func (c *Client) recycle(cp *cachedPage) {
 	c.frames = append(c.frames, cp)
 }
 
-// get returns the resident page and bumps its LRU stamp.
+// get returns the resident page and bumps its LRU stamp; a retained
+// spent page is a window page again.
 func (pc *pcache) get(idx int64) *cachedPage {
 	cp := pc.pages[idx]
 	if cp != nil {
 		pc.clock++
 		cp.lastUse = pc.clock
+		if cp.retainedAt != 0 {
+			cp.retainedAt = 0
+			pc.retained--
+		}
 		pc.siftDown(cp.heapIdx) // later use = worse victim = away from root
 	}
 	return cp
+}
+
+// retain keeps a spent page resident as the first victim, ahead of every
+// page retained before it.
+func (pc *pcache) retain(cp *cachedPage) {
+	pc.clock++
+	cp.retainedAt = pc.clock
+	pc.retained++
+	pc.siftUp(cp.heapIdx)
 }
 
 // insert adds a page whose space was already reserved.
@@ -143,6 +168,9 @@ func (pc *pcache) remove(idx int64) {
 		return
 	}
 	delete(pc.pages, idx)
+	if cp.retainedAt != 0 {
+		pc.retained--
+	}
 	pc.heapRemove(cp.heapIdx)
 }
 

@@ -14,7 +14,8 @@ import (
 //
 //   - Evict phase: pages already consumed (accesses [head, tail)) that are
 //     not about to be re-touched get score 0 and are evicted from the
-//     pcache, their dirty regions committed asynchronously.
+//     pcache, their dirty regions committed asynchronously — unless a
+//     bounded handle retains them (below).
 //   - Prefetch phase: the next pages that fit the pcache's free space get
 //     score 1 and asynchronous fill reads, overlapping the fault path with
 //     computation.
@@ -40,6 +41,24 @@ import (
 // window-sized burst from every rank of a node at once only queues: the
 // last rank's first page waits behind the others' whole windows. The
 // window still bounds where fills go; pacing bounds how many are out.
+//
+// Retained spent pages (a deviation from Algorithm 1, which evicts every
+// consumed page): a bounded handle keeps a spent page resident, clean and
+// read-only, when it is neither dirty nor partial, its hint class is not
+// stream, and the tier it would be refetched from is slower than the
+// scache's fastest tier. A repeated sweep then finds in its pcache the
+// pages that only NVMe or the backend could give it again, not a second
+// copy of what the DRAM tier already holds (UMap's eviction from the
+// declared pattern, MaxMem's fast memory for what gains most from it).
+// At most the bound less the current page and the fills pacing may have
+// out is retained, so the fill window is never starved; a page is retained
+// only while one fewer is, leaving room for the next page, which in a paced
+// scan has landed before the cursor reaches it (retainBudget). Once the
+// budget is full a newly spent page is evicted rather than displacing an
+// older retained one, which keeps the pages the next identical sweep
+// reaches first. Retained pages are the pcache's first victims, the one
+// retained last first, and a use returns one to the window. Vector.begin's
+// version and partial rules apply to them as to any resident page.
 //
 // Scores flow to the Data Organizer as asynchronous score MemoryTasks;
 // the node that sets a score is recorded to improve locality.
@@ -116,6 +135,7 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 		v.soon = append(v.soon[:0], future...)
 		slices.Sort(v.soon)
 		v.spent = a.pagesIn(v.spent[:0], v.seen, a.head, a.tail, epp)
+		keep, _ := v.retainBudget()
 		for _, pg := range v.spent {
 			if pg == current {
 				continue
@@ -124,12 +144,19 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 				continue // will be re-touched; keep it hot
 			}
 			v.scoreAsync(pg, 0)
-			if cp := v.pc.pages[pg]; cp != nil {
-				cp.score = 0
-				v.pc.fix(cp)
-				v.evict(cp)
+			cp := v.pc.pages[pg]
+			if cp == nil || cp.retainedAt != 0 {
+				continue // gone, or retained already
 			}
+			if v.pc.retained < keep && v.retainable(cp) {
+				v.pc.retain(cp)
+				continue
+			}
+			cp.score = 0
+			v.pc.fix(cp)
+			v.evict(cp)
 		}
+		v.trimRetained(current)
 	}
 
 	// Prefetch phase: fill the free pcache space with upcoming pages.
@@ -190,6 +217,38 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 
 	v.future = future
 	a.head = a.tail
+}
+
+// retainBudget returns how many spent pages the handle keeps and the most
+// it may hold, none while it is unbounded. The most is its bound in pages
+// less the window pacing needs: the current page and the fills it may have
+// out. It keeps one fewer, leaving room for the next page too, which in a
+// paced scan has landed and waits for the cursor; the slack between the two
+// absorbs a depth that moves by one, so the retained set does not churn.
+func (v *Vector[T]) retainBudget() (keep, most int64) {
+	n := v.pc.bound / v.m.pageSize
+	if n <= 0 {
+		return 0, 0
+	}
+	most = max(0, n-fillDepth(v.fillSvc, v.pageGap, n)-1)
+	return max(0, most-1), most
+}
+
+// retainable reports whether a spent page may stay resident: clean, whole,
+// not streamed, and slower to refetch than the scache's fastest tier.
+func (v *Vector[T]) retainable(cp *cachedPage) bool {
+	return !cp.isDirty() && !cp.partial &&
+		v.m.hints.policyFor(cp.idx).evict != EvictStream &&
+		v.tierReadBW(cp.idx) < v.c.d.fastBW
+}
+
+// trimRetained evicts retained pages, the one retained last first, until
+// no more are held than retainBudget allows: pacing deepened, or the bound
+// shrank.
+func (v *Vector[T]) trimRetained(pinned int64) {
+	for _, most := v.retainBudget(); v.pc.retained > most; {
+		v.evict(v.pc.victim(pinned)) // retained pages are the first victims
+	}
 }
 
 // scoreAsync sends an importance score to the Data Organizer for pages

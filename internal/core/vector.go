@@ -231,7 +231,7 @@ func (v *Vector[T]) dirtyResident() int {
 func (v *Vector[T]) release() {
 	v.c.d.bufOut -= int64(len(v.pc.pages))
 	clear(v.pc.pages)
-	v.pc.heap, v.c.frames = nil, nil
+	v.pc.heap, v.pc.retained, v.c.frames = nil, 0, nil
 	v.setLast(nil)
 	v.cpScratch, v.allBuf = nil, nil
 }
@@ -250,7 +250,8 @@ func (v *Vector[T]) PageSize() int64 { return v.m.pageSize }
 // bound below what the handle holds takes effect at once: pages leave in
 // eviction order, dirty ones committing asynchronously as any eviction
 // does, until the rest fits (space reserved for in-flight fills is freed
-// as they land). Raising the bound evicts nothing.
+// as they land). Retained spent pages leave first, and beyond the smaller
+// bound's retain budget (prefetch.go). Raising the bound evicts nothing.
 func (v *Vector[T]) BoundMemory(maxBytes int64) {
 	v.pc.bound = maxBytes
 	for v.pc.needsEviction(0) {
@@ -260,6 +261,7 @@ func (v *Vector[T]) BoundMemory(maxBytes int64) {
 		}
 		v.evict(victim)
 	}
+	v.trimRetained(-1)
 }
 
 // Pgas logically partitions the vector evenly among nprocs processes and

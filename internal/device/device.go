@@ -139,6 +139,11 @@ type Device struct {
 	chans *vtime.Resource // queue depth: latency phases overlap
 	bw    *vtime.Resource // media bandwidth: transfers serialize
 	blobs map[blob.ID][]byte
+	// spare holds the arrays Purge dropped. A new blob of one's exact
+	// length takes it (Write), so a node that restarts cold and stores its
+	// pages again does not make the host allocate its storage twice. Drop,
+	// the shutdown path, releases them.
+	spare [][]byte
 
 	// Fault injection (nil when no plan is installed).
 	inj   *faults.Injector
@@ -366,7 +371,7 @@ func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) error {
 	if cur, ok := d.blobs[key]; ok && len(cur) == len(data) {
 		copy(cur, data)
 	} else {
-		d.blobs[key] = fill(nil, data)
+		d.blobs[key] = fill(d.takeSpare(len(data)), data)
 	}
 	d.note(delta)
 	d.writeOps++
@@ -577,16 +582,35 @@ func (d *Device) Adopt(p *vtime.Proc, src *Device, key blob.ID) (ok bool, err er
 // Purge drops every stored blob without charging virtual time. It models
 // a node restarting with cold storage: the cluster wipes a revived
 // node's devices before hermes rejoins it, so nothing stale survives the
-// crash.
+// crash. The dropped arrays become spares: nothing outside the device
+// holds one (reads copy, Adopt moves an array out of the map).
 func (d *Device) Purge() {
 	d.note(-d.used)
+	for _, b := range d.blobs {
+		d.spare = append(d.spare, b)
+	}
 	clear(d.blobs)
+}
+
+// takeSpare returns a spare array of exactly n bytes, removing it from
+// the spares, or nil when there is none.
+func (d *Device) takeSpare(n int) []byte {
+	for i := len(d.spare) - 1; i >= 0; i-- {
+		if b := d.spare[i]; len(b) == n {
+			last := len(d.spare) - 1
+			d.spare[i], d.spare[last] = d.spare[last], nil
+			d.spare = d.spare[:last]
+			return b
+		}
+	}
+	return nil
 }
 
 // Drop removes one blob without charging virtual time; dropping an absent
 // blob is a no-op. It is how a store that is shutting down gives back the
-// space of what only it could read again.
+// space of what only it could read again, so it releases the spares too.
 func (d *Device) Drop(key blob.ID) {
+	d.spare = nil
 	if b, ok := d.blobs[key]; ok {
 		d.note(-int64(len(b)))
 		delete(d.blobs, key)

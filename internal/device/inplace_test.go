@@ -274,3 +274,53 @@ func BenchmarkReadIntoPath(b *testing.B) {
 		}
 	})
 }
+
+// TestPurgedArraysServeTheNextWrites: the arrays a Purge drops are reused
+// by the next new blobs of their exact length, which then allocate
+// nothing and read back their own bytes; a blob of another length still
+// gets a fresh array, and Drop releases the spares.
+func TestPurgedArraysServeTheNextWrites(t *testing.T) {
+	run(t, func(p *vtime.Proc) {
+		d := New("d", DRAMProfile(MB))
+		page := bytes.Repeat([]byte{7}, 64)
+		for i := 0; i < 4; i++ {
+			if err := d.Write(p, blob.Raw(uint32(i+1)), page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.Purge()
+		if d.Used() != 0 || d.Keys() != 0 {
+			t.Fatalf("after Purge: used %d, %d keys", d.Used(), d.Keys())
+		}
+		next := uint32(100)
+		fresh := bytes.Repeat([]byte{9}, 64)
+		if got := testing.AllocsPerRun(2, func() {
+			next++
+			if err := d.Write(p, blob.Raw(next), fresh); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("a write of a purged array's length allocates %v times, want 0", got)
+		}
+		for k := uint32(101); k <= next; k++ {
+			if got, ok := d.Peek(blob.Raw(k)); !ok || !bytes.Equal(got, fresh) {
+				t.Errorf("blob %d reads %v after reusing a purged array", k, got)
+			}
+		}
+		if len(d.spare) != 1 {
+			t.Fatalf("%d spares left, want 1", len(d.spare))
+		}
+		if got := testing.AllocsPerRun(1, func() {
+			next++
+			if err := d.Write(p, blob.Raw(next), page[:32]); err != nil {
+				t.Fatal(err)
+			}
+		}); got == 0 || len(d.spare) != 1 {
+			t.Errorf("a write of another length allocated %v times and left %d spares, want a fresh array and 1", got, len(d.spare))
+		}
+		d.Drop(blob.Raw(next))
+		if d.spare != nil {
+			t.Errorf("Drop left %d spares", len(d.spare))
+		}
+	})
+}
