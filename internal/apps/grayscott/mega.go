@@ -93,9 +93,10 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 		// checksum on the last step, so no pass re-reads the grid. The
 		// checkpoint's TxEnd waits for its commits to reach the scache,
 		// not the backend: the staging engine writes the pages out on its
-		// own lanes while the next step computes. The backend's pace shows
-		// only at the next checkpoint, whose commit of a page queues behind
-		// that page's stage-out if it is still in flight.
+		// own lanes while the next step computes. A commit of a page whose
+		// stage-out is still in flight waits at most for that stage-out's
+		// scache read, never for its backend write; the page stays dirty,
+		// and a later stage-out writes whatever version is current then.
 		checkpoint := ckpt != nil && cfg.PlotGap > 0 && (step+1)%cfg.PlotGap == 0
 		last := step == cfg.Steps-1
 		// Read window includes one halo plane each side when present.

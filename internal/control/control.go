@@ -138,8 +138,9 @@ type Signals struct {
 	// backs off no matter how idle the cluster looks.
 	RepairAttempts int64
 
-	// DirtyRatio is the fraction of vector pages modified since their
-	// last stage-out, in [0, 1].
+	// DirtyRatio is the fraction of backed vector pages modified since
+	// their last stage-out, in [0, 1]. Volatile pages are never staged
+	// out, so they count in neither part.
 	DirtyRatio float64
 }
 

@@ -126,9 +126,11 @@ func (d *DSM) controlStep(p *vtime.Proc) {
 	sig.RepairQueue = d.h.UnderReplicated()
 	sig.RepairAttempts = d.repairAttempts - ctl.prevAttempts
 	ctl.prevAttempts = d.repairAttempts
-	var pages int64
+	var pages int64 // of the backed vectors, whose pages dirtyCount counts
 	for _, m := range d.vecs {
-		pages += m.pageCount() // commutative sum: map order cannot matter
+		if m.backend != nil {
+			pages += m.pageCount() // commutative sum: map order cannot matter
+		}
 	}
 	if pages > 0 {
 		sig.DirtyRatio = float64(d.dirtyCount) / float64(pages)

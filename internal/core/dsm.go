@@ -115,9 +115,10 @@ type DSM struct {
 	// queue movement.
 	repairAttempts int64
 
-	// dirtyCount tracks modified-not-yet-staged pages across all vectors
-	// (kept exact by markDirtyPage/clearDirtyPage) — the write-back
-	// governor's pressure signal, exported as core.dirty_pages.
+	// dirtyCount tracks modified-not-yet-staged pages across the backed
+	// vectors (kept exact by markDirtyPage/clearDirtyPage) — the
+	// write-back governor's pressure signal, exported as core.dirty_pages.
+	// A volatile page is never staged out, so it is not counted.
 	dirtyCount int64
 
 	// ctl is the adaptive control plane, nil unless Config.Control is
@@ -607,18 +608,22 @@ func (d *DSM) ScrubStats() (sweeps, pages, maxSweep, cycles int64) {
 // application vs discarded unused.
 func (d *DSM) PrefetchFillStats() (hits, waste int64) { return d.fillHits, d.fillWaste }
 
-// DirtyPages returns the modified-not-yet-staged page count across all
-// vectors.
+// DirtyPages returns the modified-not-yet-staged page count across the
+// backed vectors.
 func (d *DSM) DirtyPages() int64 { return d.dirtyCount }
 
 // markDirtyPage records a page modification, keeping the cluster-wide
 // dirty count (and its gauge) exact: an already-dirty page recounts
-// nothing.
+// nothing. A volatile page keeps its mark, which readPage's crash path
+// and commit elision go by, but no stage-out will ever clear it, so it
+// does not count towards write-back.
 func (d *DSM) markDirtyPage(m *vecMeta, pg int64) {
 	if !m.dirty[pg] {
 		m.dirty[pg] = true
-		d.dirtyCount++
-		d.gDirtyPages.Set(d.dirtyCount)
+		if m.backend != nil {
+			d.dirtyCount++
+			d.gDirtyPages.Set(d.dirtyCount)
+		}
 	}
 }
 
@@ -627,8 +632,10 @@ func (d *DSM) markDirtyPage(m *vecMeta, pg int64) {
 func (d *DSM) clearDirtyPage(m *vecMeta, pg int64) {
 	if m.dirty[pg] {
 		delete(m.dirty, pg)
-		d.dirtyCount--
-		d.gDirtyPages.Set(d.dirtyCount)
+		if m.backend != nil {
+			d.dirtyCount--
+			d.gDirtyPages.Set(d.dirtyCount)
+		}
 	}
 }
 
@@ -656,7 +663,9 @@ func (d *DSM) vecNames() []string {
 // order: one in flight, the followers queued behind it, linked through
 // MemoryTask.next so that queueing allocates nothing. Page-hashed workers
 // alone cannot guarantee the order, because the low/high-latency split and
-// cross-node routing may place same-page tasks on different workers.
+// cross-node routing may place same-page tasks on different workers. A
+// stage-out joins when its lane reaches it, and only for its scache read
+// (DSM.takeChain).
 //
 // version counts the changes to the page's scache bytes: every commit
 // that is not elided, and every destroy. Only the task running on the
@@ -772,7 +781,9 @@ func (d *DSM) readDone(t *MemoryTask) {
 // submit enqueues a task, serializing data-bearing tasks per page in
 // submission order: the first task of a page dispatches immediately,
 // followers wait on the page's chain and dispatch as predecessors
-// complete. Score tasks are metadata-only and bypass the chain.
+// complete. Score tasks are metadata-only and bypass the chain; a
+// stage-out goes straight to its lanes, which take the chain for its
+// scache read only (DSM.stageOutData).
 func (d *DSM) submit(p *vtime.Proc, t *MemoryTask) {
 	t.submitted = p.Now()
 	if d.trc != nil {
@@ -791,22 +802,38 @@ func (d *DSM) submit(p *vtime.Proc, t *MemoryTask) {
 	if owner != t.origin {
 		d.c.Fabric.RoundTrip(p, t.origin, owner)
 	}
-	if t.kind != taskScore {
-		if ch := d.chainOf(t); ch != nil {
-			if ch.busy {
-				if ch.tail == nil {
-					ch.head = t
-				} else {
-					ch.tail.next = t
-				}
-				ch.tail = t
-				return
-			}
-			ch.busy = true
-			d.busyChains++
+	if t.holdsChain() {
+		if ch := d.chainOf(t); ch != nil && !d.enterChain(ch, t) {
+			return
 		}
 	}
 	d.runtimes[owner].submit(t)
+}
+
+// enterChain gives t the page's chain and reports true when the chain is
+// free; otherwise it queues t behind the tasks already on it.
+func (d *DSM) enterChain(ch *pageChain, t *MemoryTask) bool {
+	if ch.busy {
+		if ch.tail == nil {
+			ch.head = t
+		} else {
+			ch.tail.next = t
+		}
+		ch.tail = t
+		return false
+	}
+	ch.busy = true
+	d.busyChains++
+	return true
+}
+
+// takeChain gives a stage-out its page's chain for the scache read: at
+// once when the chain is free, else once the tasks queued on it ahead of
+// the lane's token have run (pageDone passes the chain to the token).
+func (d *DSM) takeChain(p *vtime.Proc, t *MemoryTask) {
+	if !d.enterChain(d.chainOf(t), t) {
+		t.turn.Wait(p)
+	}
 }
 
 // newTask returns a zeroed MemoryTask, reusing a pooled one when
@@ -880,7 +907,8 @@ func (d *DSM) putBuf(b []byte) {
 
 // pageDone releases a page's chain after a task completes and dispatches
 // the next queued task (re-resolving the owner, since the completed task
-// may have moved the page).
+// may have moved the page). A stage-out's token is not dispatched: its
+// lane is waiting for it, and takes the chain over.
 func (d *DSM) pageDone(t *MemoryTask) {
 	ch := d.chainOf(t)
 	if ch == nil {
@@ -894,6 +922,10 @@ func (d *DSM) pageDone(t *MemoryTask) {
 	}
 	if ch.head, next.next = next.next, nil; ch.head == nil {
 		ch.tail = nil
+	}
+	if next.kind == taskStage {
+		next.turn.Fire()
+		return
 	}
 	d.runtimes[d.owner(next.blobID(), next.origin)].submit(next)
 }
@@ -960,29 +992,40 @@ func (d *DSM) quiesce(p *vtime.Proc) {
 }
 
 // stageOut persists one page to the vector's backend and clears its dirty
-// mark.
-func (d *DSM) stageOut(p *vtime.Proc, m *vecMeta, page int64, node int) error {
+// mark unless a commit changed the page meanwhile.
+func (d *DSM) stageOut(p *vtime.Proc, t *MemoryTask, node int) error {
+	m, page := t.vec, t.page
 	sp := d.trc.Begin(telemetry.OpStageOut, node, telemetry.SpanID(p.TraceSpan()), p.Now())
 	if sp == 0 {
-		return d.stageOutData(p, m, page, node)
+		return d.stageOutData(p, t, node)
 	}
 	s := d.trc.At(sp)
 	s.Vec, s.Arg = m.id, page
 	prev := p.SetTraceSpan(uint32(sp))
-	err := d.stageOutData(p, m, page, node)
+	err := d.stageOutData(p, t, node)
 	p.SetTraceSpan(prev)
 	s.Bytes, s.Err = m.pageSize, err != nil
 	d.trc.End(sp, p.Now())
 	return err
 }
 
-func (d *DSM) stageOutData(p *vtime.Proc, m *vecMeta, page int64, node int) error {
+// stageOutData holds the page's chain only while it copies the page out
+// of the scache, so a commit or fault waits for that read and never for
+// the backend write; the copy is of whatever version is current when the
+// lane runs. A commit that lands during the write leaves the page dirty
+// for the next tick: the mark is cleared only if the version written is
+// still the page's (DESIGN.md "Staging lanes").
+func (d *DSM) stageOutData(p *vtime.Proc, t *MemoryTask, node int) error {
+	m, page := t.vec, t.page
 	defer delete(m.staging, page)
 	// The image only passes through on its way to the backend, which
 	// stores its own copy.
 	buf := d.getBuf(m.pageSize)
 	defer d.putBuf(buf)
+	d.takeChain(p, t)
+	version, _ := m.pageVersion(page)
 	data, ok, err := d.h.GetInto(p, node, m.pageID(page), buf)
+	d.pageDone(t)
 	if err != nil {
 		return fmt.Errorf("core: staging out %s page %d: %w", m.name, page, err)
 	}
@@ -1002,7 +1045,9 @@ func (d *DSM) stageOutData(p *vtime.Proc, m *vecMeta, page int64, node int) erro
 	if err := m.backend.WriteRange(p, node, off, data[:n]); err != nil {
 		return fmt.Errorf("core: staging out %s page %d: %w", m.name, page, err)
 	}
-	d.clearDirtyPage(m, page)
+	if now, _ := m.pageVersion(page); now == version {
+		d.clearDirtyPage(m, page)
+	}
 	return nil
 }
 

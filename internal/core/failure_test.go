@@ -149,7 +149,7 @@ func TestDestroyLeavesBackendIntact(t *testing.T) {
 		v.TxEnd()
 		// Force the data out to the backend, then destroy the DSM object.
 		for pg := int64(0); pg < v.m.pageCount(); pg++ {
-			if err := d.stageOut(p, v.m, pg, 0); err != nil {
+			if err := stagePage(p, d, v.m, pg); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -218,7 +218,7 @@ func TestPagePathAllocationBudgets(t *testing.T) {
 		})
 		check("stage-out", func() {
 			i++
-			if err := d.stageOut(p, file.m, i%4, 0); err != nil {
+			if err := stagePage(p, d, file.m, i%4); err != nil {
 				t.Fatal(err)
 			}
 		})

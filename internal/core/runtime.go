@@ -21,7 +21,7 @@ import (
 // Stage-outs run beside the workers, on the staging engine's own lanes
 // (DESIGN.md "Staging lanes"): a stage task holds its process for the
 // scache read plus the queued backend write, and a fault or commit must
-// never wait behind that.
+// never wait behind that. It holds its page's chain for the read only.
 type Runtime struct {
 	d    *DSM
 	node *cluster.Node
@@ -101,9 +101,9 @@ func (r *Runtime) submit(t *MemoryTask) {
 }
 
 // stageLanes returns the queue of this node's staging lanes, spawning
-// them on first use. The lanes share one queue — the per-page chain
-// already keeps same-page tasks apart, so any free lane may take the next
-// page — and there are as many as the PFS has servers: one node alone can
+// them on first use. The lanes share one queue — m.staging admits one
+// stage-out per page, so any free lane may take the next page — and
+// there are as many as the PFS has servers: one node alone can
 // then keep every server busy, and a further lane could only queue behind
 // them.
 func (r *Runtime) stageLanes() *vtime.Chan[*MemoryTask] {
@@ -166,7 +166,7 @@ func (r *Runtime) worker(p *vtime.Proc, q *vtime.Chan[*MemoryTask]) {
 		}
 		t.finished = p.Now()
 		r.d.hTask[r.node.ID].Observe(int64(t.finished - t.started))
-		if t.kind != taskScore {
+		if t.holdsChain() {
 			r.d.pageDone(t)
 		}
 		t.done.Fire()
@@ -182,7 +182,8 @@ func (r *Runtime) worker(p *vtime.Proc, q *vtime.Chan[*MemoryTask]) {
 
 // exec performs one MemoryTask against the scache. The per-page chain in
 // DSM.submit guarantees at most one data-bearing task per page runs at a
-// time, in submission order.
+// time, in submission order; a stage-out takes the chain for its scache
+// read only (DSM.stageOutData).
 func (r *Runtime) exec(p *vtime.Proc, t *MemoryTask) {
 	switch t.kind {
 	case taskRead:
@@ -192,7 +193,7 @@ func (r *Runtime) exec(p *vtime.Proc, t *MemoryTask) {
 	case taskScore:
 		r.d.h.SetScoreHint(p, t.origin, t.vec.pageID(t.page), t.score, t.local)
 	case taskStage:
-		t.err = r.d.stageOut(p, t.vec, t.page, r.node.ID)
+		t.err = r.d.stageOut(p, t, r.node.ID)
 	case taskDestroy:
 		r.destroyPage(p, t)
 	case taskMove:

@@ -7,11 +7,14 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"testing"
 
 	"megammap/internal/cluster"
+	"megammap/internal/control"
+	"megammap/internal/faults"
 	"megammap/internal/vtime"
 )
 
@@ -68,6 +71,16 @@ func pfsInt64s(t *testing.T, c *cluster.Cluster, path string) []int64 {
 	return out
 }
 
+// stagePage stages page pg of m out on p, as a lane would, with a pooled
+// task for the chain token.
+func stagePage(p *vtime.Proc, d *DSM, m *vecMeta, pg int64) error {
+	t := d.newTask()
+	t.kind, t.vec, t.page = taskStage, m, pg
+	err := d.stageOut(p, t, 0)
+	d.recycleTask(t)
+	return err
+}
+
 // TestStageOutsBlockNeitherFaultsNorCommits: with 64 stage-outs queued on a
 // slow backend, a fault on a volatile vector and a whole write phase
 // (through TxEnd) on another nonvolatile vector complete in scache time.
@@ -120,11 +133,20 @@ func TestStageOutsBlockNeitherFaultsNorCommits(t *testing.T) {
 	}
 }
 
-// TestCommitBehindStageOutKeepsPageDirty is the chain invariant the lanes
-// must keep: a commit submitted while its page's stage-out is in flight
-// runs after it, so the backend first receives the old version whole, the
-// page is dirty again afterwards, and the last commit is what persists.
-func TestCommitBehindStageOutKeepsPageDirty(t *testing.T) {
+// awaitStageOut sleeps until page pg of m has no stage-out in flight, or
+// for ten slow backend writes at most (the caller's checks then fail).
+func awaitStageOut(p *vtime.Proc, m *vecMeta, pg int64) {
+	for end := p.Now() + 10*slowPFSWrite; m.staging[pg] && p.Now() < end; {
+		p.Sleep(10 * vtime.Microsecond)
+	}
+}
+
+// TestCommitDuringStageOutKeepsPageDirty: a stage-out holds its page's
+// chain only for its scache read, so a commit submitted during the
+// backend write returns in scache time. The write still delivers the
+// version it copied, whole; the page stays dirty afterwards, and the last
+// commit is what persists.
+func TestCommitDuringStageOutKeepsPageDirty(t *testing.T) {
 	const epp = 512
 	c, d := lanesDSM(t, 1, slowPFSWrite, vtime.Millisecond)
 	runDSM(t, c, d, func(p *vtime.Proc) {
@@ -137,11 +159,12 @@ func TestCommitBehindStageOutKeepsPageDirty(t *testing.T) {
 		}
 		start := p.Now()
 		fill(v, func(int64) int64 { return 2 })
-		if took := p.Now() - start; took < slowPFSWrite/2 {
-			t.Errorf("the second commit took %v: it did not wait for the stage-out it was chained behind", took)
+		if took := p.Now() - start; took >= slowPFSWrite/2 {
+			t.Errorf("the second commit took %v: it waited for the backend write of the stage-out in flight", took)
 		}
+		awaitStageOut(p, v.m, 0)
 		if !v.m.dirty[0] {
-			t.Error("the page is clean although a commit landed after its stage-out")
+			t.Error("the page is clean although a commit landed during its stage-out")
 		}
 		for i, got := range pfsInt64s(t, c, "/lanes/chain.bin") {
 			if got != 1 {
@@ -153,6 +176,190 @@ func TestCommitBehindStageOutKeepsPageDirty(t *testing.T) {
 		if got != 2 {
 			t.Fatalf("backend[%d] = %d after shutdown, want the last commit", i, got)
 		}
+	}
+}
+
+// oneLaneDSM is lanesDSM with a single PFS server, so one staging lane,
+// and no stager ticks: the test submits its stage-outs itself.
+func oneLaneDSM(tb testing.TB, nodes int) (*cluster.Cluster, *DSM) {
+	spec := testSpec(nodes)
+	spec.PFS.Latency = slowPFSWrite
+	spec.PFSFanout = 1
+	c := newTestCluster(tb, spec)
+	cfg := testConfig()
+	cfg.StagePeriod = 0
+	return c, New(c, cfg)
+}
+
+// writePage sets every element of page pg to val in one write-only
+// transaction.
+func writePage(v *Vector[int64], pg, val int64) {
+	epp := v.PageSize() / 8
+	v.SeqTxBegin(pg*epp, epp, WriteOnly)
+	for i := pg * epp; i < (pg+1)*epp; i++ {
+		v.Set(i, val)
+	}
+	v.TxEnd()
+}
+
+// TestQueuedStageOutWritesLatestVersionOnce: a stage-out waiting in the
+// lane queue does not hold its page's chain, so commits of the page go
+// through meanwhile, and when the lane reaches it, it writes the version
+// current then, once. The versions committed while it waited never reach
+// the backend separately.
+func TestQueuedStageOutWritesLatestVersionOnce(t *testing.T) {
+	const k = 5
+	c, d := oneLaneDSM(t, 1)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		cl := d.NewClient(p, 0)
+		v := openInt64(t, cl, "file:///lanes/queued.bin", 2*512)
+		writePage(v, 0, -1)
+		writePage(v, 1, 0)
+		before := pfsWrites(d)
+		var batch taskBatch
+		d.stageDirty(p, nil, &batch)
+		p.Sleep(vtime.Millisecond) // the lane takes page 0; page 1 waits behind it
+		if !v.m.staging[1] || pfsWrites(d) != before {
+			t.Fatal("page 1's stage-out is not queued behind page 0's (vacuous otherwise)")
+		}
+		start := p.Now()
+		for val := int64(1); val <= k; val++ {
+			writePage(v, 1, val)
+		}
+		if took := p.Now() - start; took >= slowPFSWrite/2 {
+			t.Errorf("%d commits took %v behind a queued stage-out; a backend write is %v", k, took, slowPFSWrite)
+		}
+		if _, err := batch.wait(d, p); err != nil {
+			t.Fatal(err)
+		}
+		if n := pfsWrites(d) - before; n != 2 {
+			t.Errorf("the backend got %d writes for two pages' stage-outs, want one each", n)
+		}
+		if v.m.dirty[1] {
+			t.Error("page 1 is still dirty although its stage-out wrote the last commit")
+		}
+	})
+	got := pfsInt64s(t, c, "/lanes/queued.bin")
+	for i := 512; i < len(got); i++ {
+		if got[i] != k {
+			t.Fatalf("backend[%d] = %d, want the last commit's %d", i, got[i], k)
+		}
+	}
+}
+
+// TestStageOutCopyWaitsForChainedCommit: the copy a stage-out writes is
+// taken on its page's chain, so commits already on the chain when the
+// lane arrives are in it: the backend gets the last one, whole, and the
+// page is clean.
+func TestStageOutCopyWaitsForChainedCommit(t *testing.T) {
+	const epp = 512
+	c, d := oneLaneDSM(t, 1)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		cl := d.NewClient(p, 0)
+		v := openInt64(t, cl, "file:///lanes/chained.bin", epp)
+		fill(v, func(int64) int64 { return 1 })
+		// Two asynchronous commits of the page, the first running and the
+		// second queued behind it on the chain, and then the stage-out.
+		v.SeqTxBegin(0, epp, ReadWrite)
+		for val := int64(2); val <= 3; val++ {
+			for i := int64(0); i < epp; i++ {
+				v.Set(i, val)
+			}
+			v.Flush()
+		}
+		var batch taskBatch
+		d.stageDirty(p, nil, &batch)
+		cl.Drain()
+		if _, err := batch.wait(d, p); err != nil {
+			t.Fatal(err)
+		}
+		v.TxEnd()
+		if v.m.dirty[0] {
+			t.Error("the page is dirty although its stage-out copied the last commit")
+		}
+		for i, got := range pfsInt64s(t, c, "/lanes/chained.bin") {
+			if got != 3 {
+				t.Fatalf("backend[%d] = %d, want the last chained commit's 3", i, got)
+			}
+		}
+	})
+}
+
+// TestCommitDuringStageOutWriteIsNotLostOnCrash: with no replicas, a page
+// re-committed during its stage-out's write must stay dirty, because a
+// fault on a clean page whose scache copy died re-stages it from the
+// backend (Runtime.readPage). After the crash of the page's node the
+// fault reports the loss instead of returning the backend's older bytes.
+func TestCommitDuringStageOutWriteIsNotLostOnCrash(t *testing.T) {
+	const epp = 512
+	c, d := lanesDSM(t, 1, slowPFSWrite, vtime.Millisecond)
+	var got int64 = -1
+	c.Engine.Spawn("app", func(p *vtime.Proc) {
+		cl := d.NewClient(p, 0)
+		v := openInt64(t, cl, "file:///lanes/crash.bin", epp)
+		fill(v, func(int64) int64 { return 1 })
+		p.Sleep(2 * vtime.Millisecond)
+		if !v.m.staging[0] {
+			t.Error("no stage-out in flight (vacuous otherwise)")
+			return
+		}
+		fill(v, func(int64) int64 { return 2 })
+		v.Close()
+		awaitStageOut(p, v.m, 0)
+		pl, _ := d.h.PlacementOf(v.m.pageID(0))
+		d.h.FailNode(pl.Node)
+		v.SeqTxBegin(0, epp, ReadOnly)
+		got = v.Get(0) // faults: the page is not resident
+	})
+	err := c.Engine.Run()
+	if !errors.Is(err, faults.ErrNodeDown) {
+		t.Errorf("the fault after the crash returned %d and error %v, want faults.ErrNodeDown", got, err)
+	}
+}
+
+// TestDirtyRatioCountsOnlyBackedPages: the write-back governor's dirty
+// ratio is over backed pages only. Volatile pages are never staged out,
+// so a run that only writes volatile vectors never sets write-back
+// pressure, and a volatile vector beside a backed one does not dilute the
+// backed one's ratio.
+func TestDirtyRatioCountsOnlyBackedPages(t *testing.T) {
+	for _, backed := range []bool{false, true} {
+		kind := map[bool]string{false: "volatile", true: "backed"}[backed]
+		t.Run(kind, func(t *testing.T) {
+			c := newTestCluster(t, testSpec(1))
+			cfg := testConfig()
+			cfg.Control = control.Default()
+			cfg.StagePeriod = 0 // nothing cleans a backed page
+			d := New(c, cfg)
+			pressure := false
+			runDSM(t, c, d, func(p *vtime.Proc) {
+				cl := d.NewClient(p, 0)
+				bystander := openInt64(t, cl, "dirty/bystander", 16*512)
+				name := "dirty/mem"
+				if backed {
+					name = "file:///dirty/out.bin"
+				}
+				v := openInt64(t, cl, name, 4*512)
+				fill(v, func(i int64) int64 { return i })
+				if !backed {
+					fill(bystander, func(i int64) int64 { return -i })
+				}
+				for range 10 {
+					p.Sleep(control.Tick)
+					pressure = pressure || d.ctl.acts.DirtyPressure
+				}
+				want := int64(0)
+				if backed {
+					want = 4
+				}
+				if n := d.DirtyPages(); n != want {
+					t.Errorf("DirtyPages = %d after writing %s pages, want %d", n, kind, want)
+				}
+			})
+			if pressure != backed {
+				t.Errorf("write-back pressure %v after writing only %s pages, want %v", pressure, kind, backed)
+			}
+		})
 	}
 }
 

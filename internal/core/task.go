@@ -137,6 +137,9 @@ type MemoryTask struct {
 	moveVec *vecMeta
 
 	next *MemoryTask // the task queued behind this one on its page's chain
+	// turn fires when the chain passes to a stage-out whose lane queued it
+	// as a token (DSM.takeChain).
+	turn vtime.Event
 
 	done      vtime.Event
 	err       error
@@ -152,6 +155,12 @@ type MemoryTask struct {
 	// prefetch fills) are recycled by their reader instead, or not at all.
 	recycle bool
 }
+
+// holdsChain reports whether the task holds its page's chain from
+// dispatch to completion. Scores are metadata and take no chain; a
+// stage-out takes it on its lane only for its scache read
+// (DSM.stageOutData).
+func (t *MemoryTask) holdsChain() bool { return t.kind != taskScore && t.kind != taskStage }
 
 // bytes returns the payload size: what low/high-latency routing goes by
 // (stage-outs have lanes of their own) and what the task's span reports.
