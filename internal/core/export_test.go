@@ -1,6 +1,9 @@
 package core
 
-import "megammap/internal/control"
+import (
+	"megammap/internal/blob"
+	"megammap/internal/control"
+)
 
 // NewTestCluster is newTestCluster for the package's external tests.
 var NewTestCluster = newTestCluster
@@ -17,3 +20,6 @@ func (d *DSM) HealthStates() []control.HealthState {
 	}
 	return out
 }
+
+// PageID returns the scache key of the named vector's page pg.
+func (d *DSM) PageID(name string, pg int64) blob.ID { return d.vecs[name].pageID(pg) }
