@@ -94,7 +94,9 @@ func trace(dep *megammap.Deployment, out string) error {
 	}
 
 	// Self-validate: the file must parse as Chrome trace JSON and the
-	// spans must cover the fault path end to end.
+	// spans must cover the fault path end to end. A span ring that lapped
+	// keeps only the run's newest spans, so there the file must hold
+	// exactly the ring's capacity instead.
 	raw, err := os.ReadFile(out)
 	if err != nil {
 		return err
@@ -107,6 +109,21 @@ func trace(dep *megammap.Deployment, out string) error {
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return fmt.Errorf("emitted trace is not valid Chrome trace JSON: %w", err)
+	}
+	trc := tel.Tracer()
+	if opts := tel.Options(); opts.SpanRing && trc.Len() > opts.MaxSpans {
+		spans := 0
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph == "X" {
+				spans++
+			}
+		}
+		if spans != opts.MaxSpans {
+			return fmt.Errorf("span ring holds %d spans, want its capacity %d", spans, opts.MaxSpans)
+		}
+		fmt.Printf("trace: %d spans, the newest %d kept by the ring, %d events -> %s\n",
+			trc.Len(), spans, len(doc.TraceEvents), out)
+		return nil
 	}
 	need := map[string]bool{
 		"fault":       false,
@@ -131,6 +148,6 @@ func trace(dep *megammap.Deployment, out string) error {
 		return fmt.Errorf("trace covers no %v spans; fault path not exercised", missing)
 	}
 	fmt.Printf("trace: %d spans, %d events (%d dropped) -> %s\n",
-		tel.Tracer().Len(), len(doc.TraceEvents), tel.Tracer().Dropped(), out)
+		trc.Len(), len(doc.TraceEvents), trc.Dropped(), out)
 	return nil
 }

@@ -488,12 +488,9 @@ func (c *Cluster) PFSWrite(p *vtime.Proc, node int, key string, off int64, data 
 // PFSWriteSized is PFSWrite for a writer that knows the object's final
 // extent; see device.WriteAtSized. Charges are those of PFSWrite.
 func (c *Cluster) PFSWriteSized(p *vtime.Proc, node int, key string, off int64, data []byte, extent int64) error {
-	trc := c.tel.Tracer()
-	sp := trc.Begin(telemetry.OpPFSWrite, node, telemetry.SpanID(p.TraceSpan()), p.Now())
-	var prev uint32
-	if sp != 0 {
-		prev = p.SetTraceSpan(uint32(sp))
-	}
+	// Vec stays 0: PFS keys live in the cluster's own interner, not the
+	// vector namespace the trace resolver understands.
+	sp := c.tel.Tracer().Enter(p, telemetry.OpPFSWrite, node, 0, off)
 	c.chargePFSNet(p, node, int64(len(data)))
 	id := c.pfsID(key)
 	c.pfsSrv.Acquire(p, 1)
@@ -503,14 +500,7 @@ func (c *Cluster) PFSWriteSized(p *vtime.Proc, node int, key string, off int64, 
 		err = c.PFS.WriteAtSized(p, id, off, data, extent)
 	}
 	c.pfsSrv.Release(1)
-	if sp != 0 {
-		p.SetTraceSpan(prev)
-		s := trc.At(sp)
-		// Vec stays 0: PFS keys live in the cluster's own interner, not
-		// the vector namespace the trace resolver understands.
-		s.Arg, s.Bytes, s.Err = off, int64(len(data)), err != nil
-		trc.End(sp, p.Now())
-	}
+	sp.Exit(p, int64(len(data)), err != nil)
 	return err
 }
 
@@ -530,12 +520,7 @@ func (c *Cluster) PFSReadInto(p *vtime.Proc, node int, key string, off, length i
 	if !ok {
 		return nil, false, nil
 	}
-	trc := c.tel.Tracer()
-	sp := trc.Begin(telemetry.OpPFSRead, node, telemetry.SpanID(p.TraceSpan()), p.Now())
-	var prev uint32
-	if sp != 0 {
-		prev = p.SetTraceSpan(uint32(sp))
-	}
+	sp := c.tel.Tracer().Enter(p, telemetry.OpPFSRead, node, 0, off)
 	c.pfsSrv.Acquire(p, 1)
 	data, ok, err := c.PFS.ReadAtInto(p, id, off, length, dst)
 	for attempt := 1; err != nil && faults.Transient(err) && c.inj.Allow(attempt); attempt++ {
@@ -546,12 +531,7 @@ func (c *Cluster) PFSReadInto(p *vtime.Proc, node int, key string, off, length i
 	if err == nil && ok {
 		c.chargePFSNet(p, node, int64(len(data)))
 	}
-	if sp != 0 {
-		p.SetTraceSpan(prev)
-		s := trc.At(sp)
-		s.Arg, s.Bytes, s.Err = off, int64(len(data)), err != nil
-		trc.End(sp, p.Now())
-	}
+	sp.Exit(p, int64(len(data)), err != nil)
 	if err != nil {
 		return nil, ok, fmt.Errorf("cluster: pfs read %q: %w", key, err)
 	}

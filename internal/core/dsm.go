@@ -539,11 +539,7 @@ func (d *DSM) scrubber() func(p *vtime.Proc) {
 	var pages []int64 // one vector's checksummed pages
 	cursor := 0
 	return func(p *vtime.Proc) {
-		sp := d.trc.Begin(telemetry.OpScrub, -1, telemetry.SpanID(p.TraceSpan()), p.Now())
-		var prev uint32
-		if sp != 0 {
-			prev = p.SetTraceSpan(uint32(sp))
-		}
+		sp := d.trc.Enter(p, telemetry.OpScrub, -1, 0, 0)
 		// Rebuild the target set each sweep: residency changes between
 		// sweeps, and a stale cursor simply restarts at the front.
 		list = list[:0]
@@ -583,13 +579,8 @@ func (d *DSM) scrubber() func(p *vtime.Proc) {
 		if err != nil && d.scrubErr == nil {
 			d.scrubErr = fmt.Errorf("core: scrub: %w", err)
 		}
-		if sp != 0 {
-			p.SetTraceSpan(prev)
-			if s := d.trc.At(sp); s != nil {
-				s.Arg = int64(swept)
-			}
-			d.trc.End(sp, p.Now())
-		}
+		sp.SetArg(int64(swept))
+		sp.Exit(p, 0, false)
 	}
 }
 
@@ -783,7 +774,7 @@ func (d *DSM) readDone(t *MemoryTask) {
 // followers wait on the page's chain and dispatch as predecessors
 // complete. Score tasks are metadata-only and bypass the chain; a
 // stage-out goes straight to its lanes, which take the chain for its
-// scache read only (DSM.stageOutData).
+// scache read only (DSM.stageOut).
 func (d *DSM) submit(p *vtime.Proc, t *MemoryTask) {
 	t.submitted = p.Now()
 	if d.trc != nil {
@@ -992,31 +983,17 @@ func (d *DSM) quiesce(p *vtime.Proc) {
 }
 
 // stageOut persists one page to the vector's backend and clears its dirty
-// mark unless a commit changed the page meanwhile.
-func (d *DSM) stageOut(p *vtime.Proc, t *MemoryTask, node int) error {
+// mark unless a commit changed the page meanwhile. It holds the page's
+// chain only while it copies the page out of the scache, so a commit or
+// fault waits for that read and never for the backend write; the copy is
+// of whatever version is current when the lane runs. A commit that lands
+// during the write leaves the page dirty for the next tick: the mark is
+// cleared only if the version written is still the page's (DESIGN.md
+// "Staging lanes").
+func (d *DSM) stageOut(p *vtime.Proc, t *MemoryTask, node int) (err error) {
 	m, page := t.vec, t.page
-	sp := d.trc.Begin(telemetry.OpStageOut, node, telemetry.SpanID(p.TraceSpan()), p.Now())
-	if sp == 0 {
-		return d.stageOutData(p, t, node)
-	}
-	s := d.trc.At(sp)
-	s.Vec, s.Arg = m.id, page
-	prev := p.SetTraceSpan(uint32(sp))
-	err := d.stageOutData(p, t, node)
-	p.SetTraceSpan(prev)
-	s.Bytes, s.Err = m.pageSize, err != nil
-	d.trc.End(sp, p.Now())
-	return err
-}
-
-// stageOutData holds the page's chain only while it copies the page out
-// of the scache, so a commit or fault waits for that read and never for
-// the backend write; the copy is of whatever version is current when the
-// lane runs. A commit that lands during the write leaves the page dirty
-// for the next tick: the mark is cleared only if the version written is
-// still the page's (DESIGN.md "Staging lanes").
-func (d *DSM) stageOutData(p *vtime.Proc, t *MemoryTask, node int) error {
-	m, page := t.vec, t.page
+	sp := d.trc.Enter(p, telemetry.OpStageOut, node, m.id, page)
+	defer func() { sp.Exit(p, m.pageSize, err != nil) }()
 	defer delete(m.staging, page)
 	// The image only passes through on its way to the backend, which
 	// stores its own copy.

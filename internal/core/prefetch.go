@@ -270,16 +270,9 @@ func (v *Vector[T]) issueFill(pg, pinned int64) {
 	t := v.c.d.newTask()
 	t.kind, t.vec, t.page = taskRead, v.m, pg
 	t.origin, t.replicate = v.c.node.ID, v.replicable()
-	if sp := v.c.d.trc.Begin(telemetry.OpPrefetch, v.c.node.ID, v.parentSpan(), v.c.p.Now()); sp != 0 {
-		s := v.c.d.trc.At(sp)
-		s.Vec, s.Arg, s.Bytes = v.m.id, pg, v.m.pageSize
-		prev := v.c.p.SetTraceSpan(uint32(sp))
-		v.c.submitAsync(t)
-		v.c.p.SetTraceSpan(prev)
-		v.c.d.trc.End(sp, v.c.p.Now())
-	} else {
-		v.c.submitAsync(t)
-	}
+	sp := v.c.d.trc.EnterUnder(v.c.p, v.parentSpan(), telemetry.OpPrefetch, v.c.node.ID, v.m.id, pg)
+	v.c.submitAsync(t)
+	sp.Exit(v.c.p, v.m.pageSize, false)
 	i, _ := v.fillAt(pg)
 	v.fills = slices.Insert(v.fills, i, fillReq{pg: pg, t: t, stamp: v.pageWrites[pg]})
 }

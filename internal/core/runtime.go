@@ -183,7 +183,7 @@ func (r *Runtime) worker(p *vtime.Proc, q *vtime.Chan[*MemoryTask]) {
 // exec performs one MemoryTask against the scache. The per-page chain in
 // DSM.submit guarantees at most one data-bearing task per page runs at a
 // time, in submission order; a stage-out takes the chain for its scache
-// read only (DSM.stageOutData).
+// read only (DSM.stageOut).
 func (r *Runtime) exec(p *vtime.Proc, t *MemoryTask) {
 	switch t.kind {
 	case taskRead:
@@ -324,21 +324,9 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 // instead of silently returning zeros. The good image is returned in buf,
 // a caller-owned page buffer.
 func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32, buf []byte) ([]byte, error) {
-	sp := r.d.trc.Begin(telemetry.OpRepair, r.node.ID, telemetry.SpanID(p.TraceSpan()), p.Now())
-	var prev uint32
-	if sp != 0 {
-		s := r.d.trc.At(sp)
-		s.Vec, s.Arg = m.id, page
-		prev = p.SetTraceSpan(uint32(sp))
-	}
+	sp := r.d.trc.Enter(p, telemetry.OpRepair, r.node.ID, m.id, page)
 	good, restaged, err := r.repairSource(p, m, page, want, buf)
-	if sp != 0 {
-		p.SetTraceSpan(prev)
-		if s := r.d.trc.At(sp); s != nil {
-			s.Bytes, s.Err = int64(len(good)), err != nil
-		}
-		r.d.trc.End(sp, p.Now())
-	}
+	sp.Exit(p, int64(len(good)), err != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -401,23 +389,10 @@ func fullPage(data, buf []byte, size int64) []byte {
 // stageIn materializes a page image from the vector's backend (or zeros
 // for volatile/unwritten pages) over dst, a page buffer of the caller's
 // whose contents are unspecified on entry.
-func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, dst []byte) ([]byte, error) {
-	sp := r.d.trc.Begin(telemetry.OpStageIn, r.node.ID, telemetry.SpanID(p.TraceSpan()), p.Now())
-	if sp == 0 {
-		return r.stageInData(p, m, page, dst)
-	}
-	s := r.d.trc.At(sp)
-	s.Vec, s.Arg = m.id, page
-	prev := p.SetTraceSpan(uint32(sp))
-	data, err := r.stageInData(p, m, page, dst)
-	p.SetTraceSpan(prev)
-	s.Bytes, s.Err = int64(len(data)), err != nil
-	r.d.trc.End(sp, p.Now())
-	return data, err
-}
-
-func (r *Runtime) stageInData(p *vtime.Proc, m *vecMeta, page int64, dst []byte) ([]byte, error) {
-	data := dst[:m.pageSize]
+func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, dst []byte) (data []byte, err error) {
+	sp := r.d.trc.Enter(p, telemetry.OpStageIn, r.node.ID, m.id, page)
+	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
+	data = dst[:m.pageSize]
 	var n int64 // bytes the backend holds for this page
 	if m.backend != nil {
 		off := page * m.pageSize

@@ -159,7 +159,7 @@ type MemoryTask struct {
 // holdsChain reports whether the task holds its page's chain from
 // dispatch to completion. Scores are metadata and take no chain; a
 // stage-out takes it on its lane only for its scache read
-// (DSM.stageOutData).
+// (DSM.stageOut).
 func (t *MemoryTask) holdsChain() bool { return t.kind != taskScore && t.kind != taskStage }
 
 // bytes returns the payload size: what low/high-latency routing goes by

@@ -604,7 +604,7 @@ func (v *Vector[T]) page(pg int64, forWrite bool) *cachedPage {
 		cp = v.pc.get(pg)
 	}
 	if cp == nil {
-		cp = v.faultTraced(pg, forWrite)
+		cp = v.fault(pg, forWrite)
 	}
 	if !forWrite && cp.partial && v.pageWrites[pg] > 0 {
 		v.healPartial(cp)
@@ -672,33 +672,19 @@ func (v *Vector[T]) parentSpan() telemetry.SpanID {
 	return telemetry.SpanID(v.c.p.TraceSpan())
 }
 
-// faultTraced wraps fault in an OpFault span and feeds the fault-latency
-// histogram. Tracing-off costs one nil check plus a zero-handle branch.
-func (v *Vector[T]) faultTraced(pg int64, forWrite bool) *cachedPage {
-	d := v.c.d
-	start := v.c.p.Now()
-	sp := d.trc.Begin(telemetry.OpFault, v.c.node.ID, v.parentSpan(), start)
-	var prev uint32
-	if sp != 0 {
-		s := d.trc.At(sp)
-		s.Vec, s.Arg, s.Bytes = v.m.id, pg, v.m.pageSize
-		prev = v.c.p.SetTraceSpan(uint32(sp))
-	}
-	cp := v.fault(pg, forWrite)
-	if sp != 0 {
-		v.c.p.SetTraceSpan(prev)
-		d.trc.End(sp, v.c.p.Now())
-	}
-	d.hFault[v.c.node.ID].Observe(int64(v.c.p.Now() - start))
-	return cp
-}
-
-// fault brings a page into the pcache. Write-only and append-only intent
+// fault brings a page into the pcache, under an OpFault span, and feeds
+// the fault-latency histogram. Write-only and append-only intent
 // allocates without reading (no read-before-write); otherwise the page is
 // read synchronously from the scache, waiting on an in-flight prefetch
 // when one already covers it.
 func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
-	m := v.m
+	m, d, p := v.m, v.c.d, v.c.p
+	start := p.Now()
+	sp := d.trc.EnterUnder(p, v.parentSpan(), telemetry.OpFault, v.c.node.ID, m.id, pg)
+	defer func() {
+		sp.Exit(p, m.pageSize, false)
+		d.hFault[v.c.node.ID].Observe(int64(p.Now() - start))
+	}()
 	f := AccessFlags(0)
 	if v.tx != nil {
 		f = v.tx.flags
@@ -898,16 +884,10 @@ func (v *Vector[T]) commitPage(cp *cachedPage, retain bool) {
 	cp.dirty = cp.dirty[:0]
 	t.data, t.origin, t.recycle = data, v.c.node.ID, true
 	v.pageWrites[cp.idx]++
-	if sp := v.c.d.trc.Begin(telemetry.OpCommit, v.c.node.ID, v.parentSpan(), v.c.p.Now()); sp != 0 {
-		s := v.c.d.trc.At(sp)
-		s.Vec, s.Arg, s.Bytes = v.m.id, cp.idx, t.bytes()
-		prev := v.c.p.SetTraceSpan(uint32(sp))
-		v.c.submitAsync(t)
-		v.c.p.SetTraceSpan(prev)
-		v.c.d.trc.End(sp, v.c.p.Now())
-	} else {
-		v.c.submitAsync(t)
-	}
+	n := t.bytes() // t may be done and recycled once submitted
+	sp := v.c.d.trc.EnterUnder(v.c.p, v.parentSpan(), telemetry.OpCommit, v.c.node.ID, v.m.id, cp.idx)
+	v.c.submitAsync(t)
+	sp.Exit(v.c.p, n, false)
 }
 
 // integrateFills installs completed prefetch fills into the pcache and

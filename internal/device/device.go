@@ -195,26 +195,15 @@ func (d *Device) SetTelemetry(trc *telemetry.Tracer, node int) {
 	d.trc, d.tnode = trc, node
 }
 
-// beginSpan opens a device I/O span parented on the caller's current
-// span. Returns 0 (and records nothing) when tracing is off.
-func (d *Device) beginSpan(p *vtime.Proc, op telemetry.Op, key blob.ID) telemetry.SpanID {
-	sp := d.trc.Begin(op, d.tnode, telemetry.SpanID(p.TraceSpan()), p.Now())
-	if s := d.trc.At(sp); s != nil {
-		// The PFS device (node < 0) stores keys from the cluster's own
-		// interner; its vec ids mean nothing to the trace resolver.
-		if d.tnode >= 0 {
-			s.Vec = key.Vec
-		}
-		s.Arg = key.Page
+// enter opens a device I/O span for key under the caller's current span.
+func (d *Device) enter(p *vtime.Proc, op telemetry.Op, key blob.ID) telemetry.Bracket {
+	var vec uint32
+	// The PFS device (node < 0) stores keys from the cluster's own
+	// interner; its vec ids mean nothing to the trace resolver.
+	if d.tnode >= 0 {
+		vec = key.Vec
 	}
-	return sp
-}
-
-func (d *Device) endSpan(p *vtime.Proc, sp telemetry.SpanID, n int64, failed bool) {
-	if s := d.trc.At(sp); s != nil {
-		s.Bytes, s.Err = n, failed
-		s.End = p.Now()
-	}
+	return d.trc.Enter(p, op, d.tnode, vec, key.Page)
 }
 
 // Name returns the device name.
@@ -352,17 +341,17 @@ func (d *Device) charge(p *vtime.Proc, n int64, bw float64) {
 // any other length gets a fresh array of exactly that length, so stored
 // blobs carry no capacity slack. The order is charge, injected fault, and
 // only then the copy: a failed write leaves the old contents whole.
-func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) error {
+func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) (err error) {
 	old := int64(len(d.blobs[key]))
 	delta := int64(len(data)) - old
 	if delta > d.Free() {
 		return &ErrNoSpace{Device: d.name, Need: delta, Free: d.Free()}
 	}
-	sp := d.beginSpan(p, telemetry.OpDeviceWrite, key)
+	sp := d.enter(p, telemetry.OpDeviceWrite, key)
+	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
 	d.charge(p, int64(len(data)), d.prof.WriteBW)
 	if d.inj != nil {
 		if err := d.inj.DeviceWrite(d.fnode, d.ftier); err != nil {
-			d.endSpan(p, sp, int64(len(data)), true)
 			return err
 		}
 	}
@@ -376,7 +365,6 @@ func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) error {
 	d.note(delta)
 	d.writeOps++
 	d.bytesWrite += int64(len(data))
-	d.endSpan(p, sp, int64(len(data)), false)
 	return nil
 }
 
@@ -397,7 +385,7 @@ func (d *Device) WriteAt(p *vtime.Proc, key blob.ID, off int64, data []byte) err
 // object carries at most a quarter of slack. Only the host array is
 // sized ahead; the blob's length, Used, Peak and every charge are those
 // of WriteAt.
-func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte, extent int64) error {
+func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte, extent int64) (err error) {
 	blob := d.blobs[key]
 	end := off + int64(len(data))
 	if end > int64(len(blob)) {
@@ -424,11 +412,11 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 		d.note(delta)
 		d.blobs[key] = blob
 	}
-	sp := d.beginSpan(p, telemetry.OpDeviceWrite, key)
+	sp := d.enter(p, telemetry.OpDeviceWrite, key)
+	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
 	d.charge(p, int64(len(data)), d.prof.WriteBW)
 	if d.inj != nil {
 		if err := d.inj.DeviceWrite(d.fnode, d.ftier); err != nil {
-			d.endSpan(p, sp, int64(len(data)), true)
 			return err
 		}
 	}
@@ -440,7 +428,6 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 	copy(blob[off:end], data)
 	d.writeOps++
 	d.bytesWrite += int64(len(data))
-	d.endSpan(p, sp, int64(len(data)), false)
 	return nil
 }
 
@@ -473,35 +460,28 @@ func (d *Device) Read(p *vtime.Proc, key blob.ID) ([]byte, bool, error) {
 // a fresh buffer is allocated. The returned slice is owned by the caller
 // either way (it never aliases device storage); this is the
 // allocation-free leg of the page-buffer path.
-func (d *Device) ReadInto(p *vtime.Proc, key blob.ID, dst []byte) ([]byte, bool, error) {
+func (d *Device) ReadInto(p *vtime.Proc, key blob.ID, dst []byte) (out []byte, ok bool, err error) {
 	blob, ok := d.blobs[key]
 	if !ok {
 		return nil, false, nil
 	}
-	sp := d.beginSpan(p, telemetry.OpDeviceRead, key)
+	sp := d.enter(p, telemetry.OpDeviceRead, key)
+	defer func() { sp.Exit(p, int64(len(blob)), err != nil) }()
 	d.charge(p, int64(len(blob)), d.prof.ReadBW)
 	if d.inj != nil {
 		if err := d.inj.DeviceRead(d.fnode, d.ftier); err != nil {
-			d.endSpan(p, sp, int64(len(blob)), true)
 			return nil, true, err
 		}
 	}
-	out := fill(dst, blob)
 	d.readOps++
 	d.bytesRead += int64(len(blob))
-	d.endSpan(p, sp, int64(len(blob)), false)
-	return out, true, nil
+	return fill(dst, blob), true, nil
 }
 
-// ReadAt reads length bytes of a blob starting at off and charges read
-// cost for the range. Reads past the end are truncated.
-func (d *Device) ReadAt(p *vtime.Proc, key blob.ID, off, length int64) ([]byte, bool, error) {
-	return d.ReadAtInto(p, key, off, length, nil)
-}
-
-// ReadAtInto is ReadAt reusing dst's storage when it is large enough (see
-// ReadInto).
-func (d *Device) ReadAtInto(p *vtime.Proc, key blob.ID, off, length int64, dst []byte) ([]byte, bool, error) {
+// ReadAtInto reads length bytes of a blob starting at off, reusing dst's
+// storage when it is large enough (see ReadInto), and charges read cost
+// for the range. Reads past the end are truncated.
+func (d *Device) ReadAtInto(p *vtime.Proc, key blob.ID, off, length int64, dst []byte) (out []byte, ok bool, err error) {
 	blob, ok := d.blobs[key]
 	if !ok {
 		return nil, false, nil
@@ -513,19 +493,17 @@ func (d *Device) ReadAtInto(p *vtime.Proc, key blob.ID, off, length int64, dst [
 	if end > int64(len(blob)) {
 		end = int64(len(blob))
 	}
-	sp := d.beginSpan(p, telemetry.OpDeviceRead, key)
+	sp := d.enter(p, telemetry.OpDeviceRead, key)
+	defer func() { sp.Exit(p, end-off, err != nil) }()
 	d.charge(p, end-off, d.prof.ReadBW)
 	if d.inj != nil {
 		if err := d.inj.DeviceRead(d.fnode, d.ftier); err != nil {
-			d.endSpan(p, sp, end-off, true)
 			return nil, true, err
 		}
 	}
-	out := fill(dst, blob[off:end])
 	d.readOps++
 	d.bytesRead += end - off
-	d.endSpan(p, sp, end-off, false)
-	return out, true, nil
+	return fill(dst, blob[off:end]), true, nil
 }
 
 // Delete removes a blob, freeing its space. Deleting an absent blob is a
@@ -556,25 +534,25 @@ func (d *Device) Adopt(p *vtime.Proc, src *Device, key blob.ID) (ok bool, err er
 	if delta := n - int64(len(d.blobs[key])); delta > d.Free() {
 		return true, &ErrNoSpace{Device: d.name, Need: delta, Free: d.Free()}
 	}
-	sp := d.beginSpan(p, telemetry.OpDeviceWrite, key)
+	sp := d.enter(p, telemetry.OpDeviceWrite, key)
 	d.charge(p, n, d.prof.WriteBW)
 	if d.inj != nil {
 		if err := d.inj.DeviceWrite(d.fnode, d.ftier); err != nil {
-			d.endSpan(p, sp, n, true)
+			sp.Exit(p, n, true)
 			return true, err
 		}
 	}
 	// Looked up again: the charge yielded, and the blob may have been
 	// replaced or deleted meanwhile.
-	if b, ok = src.blobs[key]; !ok {
-		d.endSpan(p, sp, n, true)
+	b, ok = src.blobs[key]
+	sp.Exit(p, n, !ok)
+	if !ok {
 		return false, nil
 	}
 	d.note(int64(len(b)) - int64(len(d.blobs[key])))
 	d.blobs[key] = b
 	d.writeOps++
 	d.bytesWrite += n
-	d.endSpan(p, sp, n, false)
 	src.Delete(p, key)
 	return true, nil
 }

@@ -122,7 +122,7 @@ func TestWriteAtAndReadAt(t *testing.T) {
 		if err := d.WriteAt(p, bid("k"), 3, []byte("XYZ")); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, _ := d.ReadAt(p, bid("k"), 2, 6)
+		got, ok, _ := d.ReadAtInto(p, bid("k"), 2, 6, nil)
 		if !ok || string(got) != "2XYZ67" {
 			t.Errorf("ReadAt = %q, %v; want 2XYZ67", got, ok)
 		}
@@ -145,11 +145,11 @@ func TestReadAtPastEnd(t *testing.T) {
 		if err := d.Write(p, bid("k"), []byte("abc")); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, _ := d.ReadAt(p, bid("k"), 2, 10)
+		got, ok, _ := d.ReadAtInto(p, bid("k"), 2, 10, nil)
 		if !ok || string(got) != "c" {
 			t.Errorf("truncated ReadAt = %q, %v", got, ok)
 		}
-		got, ok, _ = d.ReadAt(p, bid("k"), 5, 10)
+		got, ok, _ = d.ReadAtInto(p, bid("k"), 5, 10, nil)
 		if !ok || len(got) != 0 {
 			t.Errorf("ReadAt fully past end = %q, %v; want empty, true", got, ok)
 		}
@@ -176,7 +176,7 @@ func TestMissingBlob(t *testing.T) {
 		if _, ok, _ := d.Read(p, bid("nope")); ok {
 			t.Error("Read of missing blob returned ok")
 		}
-		if _, ok, _ := d.ReadAt(p, bid("nope"), 0, 10); ok {
+		if _, ok, _ := d.ReadAtInto(p, bid("nope"), 0, 10, nil); ok {
 			t.Error("ReadAt of missing blob returned ok")
 		}
 		if d.BlobSize(bid("nope")) != -1 {

@@ -392,12 +392,9 @@ func (in *Injector) Backoff(p *vtime.Proc, name string, attempt int) {
 			d = vtime.Duration(float64(d) * (1 - po.Jitter/2 + po.Jitter*u))
 		}
 	}
-	sp := trc.Begin(telemetry.OpRetry, -1, telemetry.SpanID(p.TraceSpan()), p.Now())
-	if s := trc.At(sp); s != nil {
-		s.Arg = int64(attempt)
-	}
+	sp := trc.Enter(p, telemetry.OpRetry, -1, 0, int64(attempt))
 	p.Sleep(d)
-	trc.End(sp, p.Now())
+	sp.Exit(p, 0, false)
 }
 
 // Do runs op under the retry policy, backing off between attempts while

@@ -67,11 +67,6 @@ func (b *Bucket) Get(p *vtime.Proc, fromNode int, blobName string) ([]byte, bool
 	return b.h.Get(p, fromNode, b.key(blobName))
 }
 
-// GetRange reads a byte range of a blob in the bucket.
-func (b *Bucket) GetRange(p *vtime.Proc, fromNode int, blobName string, off, length int64) ([]byte, bool, error) {
-	return b.h.GetRange(p, fromNode, b.key(blobName), off, length)
-}
-
 // Has reports whether the bucket contains the blob.
 func (b *Bucket) Has(p *vtime.Proc, fromNode int, blobName string) bool {
 	return b.h.Has(p, fromNode, b.key(blobName))

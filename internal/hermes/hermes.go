@@ -303,23 +303,6 @@ func (h *Hermes) SetTelemetry(tel *telemetry.Telemetry) {
 	}
 }
 
-// beginSpan opens a scache span parented on the caller's current span;
-// 0 (recording nothing) when tracing is off.
-func (h *Hermes) beginSpan(p *vtime.Proc, op telemetry.Op, node int, id blob.ID) telemetry.SpanID {
-	sp := h.trc.Begin(op, node, telemetry.SpanID(p.TraceSpan()), p.Now())
-	if s := h.trc.At(sp); s != nil {
-		s.Vec, s.Arg = id.Vec, id.Page
-	}
-	return sp
-}
-
-func (h *Hermes) endSpan(p *vtime.Proc, sp telemetry.SpanID, n int64, failed bool) {
-	if s := h.trc.At(sp); s != nil {
-		s.Bytes, s.Err = n, failed
-		s.End = p.Now()
-	}
-}
-
 // SetFaults attaches a fault injector: injected node crashes mark the
 // node down here (triggering replica failover), and device I/O is
 // retried under the plan's backoff policy. New picks up the cluster's
@@ -598,9 +581,9 @@ func (h *Hermes) writeAtRetry(p *vtime.Proc, dev *device.Device, id blob.ID, off
 
 // readRetry reads a blob from dev into dst's storage (see
 // device.ReadInto) under the retry policy; counter names the site's retry
-// counter. For reads that stay on one device: get, getRange and the
-// hedged legs re-check reachability (and fail over) between attempts, so
-// they loop themselves.
+// counter. For reads that stay on one device: GetInto and the hedged
+// legs re-check reachability (and fail over) between attempts, so they
+// loop themselves.
 func (h *Hermes) readRetry(p *vtime.Proc, dev *device.Device, id blob.ID, counter string, dst []byte) (data []byte, ok bool, err error) {
 	err = h.inj.Do(p, counter, func() (e error) {
 		data, ok, e = dev.ReadInto(p, id, dst)
@@ -613,7 +596,7 @@ func (h *Hermes) readRetry(p *vtime.Proc, dev *device.Device, id blob.ID, counte
 // writes its backup copies. The caller runs on fromNode; data crossing
 // nodes charges fabric time.
 func (h *Hermes) Put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int) error {
-	return h.putSpan(p, fromNode, id, data, score, prefNode, false)
+	return h.put(p, fromNode, id, data, score, prefNode, false)
 }
 
 // PutBacked is Put for bytes a durable backend also holds (a page image
@@ -623,22 +606,12 @@ func (h *Hermes) Put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 // is worth paying for data that exists nowhere else: a later Put or PutAt
 // writes the backups.
 func (h *Hermes) PutBacked(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int) error {
-	return h.putSpan(p, fromNode, id, data, score, prefNode, true)
+	return h.put(p, fromNode, id, data, score, prefNode, true)
 }
 
-func (h *Hermes) putSpan(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, backed bool) error {
-	sp := h.beginSpan(p, telemetry.OpScachePut, fromNode, id)
-	if sp == 0 {
-		return h.put(p, fromNode, id, data, score, prefNode, backed)
-	}
-	prev := p.SetTraceSpan(uint32(sp))
-	err := h.put(p, fromNode, id, data, score, prefNode, backed)
-	p.SetTraceSpan(prev)
-	h.endSpan(p, sp, int64(len(data)), err != nil)
-	return err
-}
-
-func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, backed bool) error {
+func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, backed bool) (err error) {
+	sp := h.trc.Enter(p, telemetry.OpScachePut, fromNode, id.Vec, id.Page)
+	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
 	pl := h.lookup(p, fromNode, id)
 	if pl != nil && !h.reachable(pl) {
 		// The old copy died with its node; Put replaces the whole blob, so
@@ -864,15 +837,9 @@ func (h *Hermes) RedundancyWindow() (lost, restored vtime.Duration, ok bool) {
 func (h *Hermes) RepairStep(p *vtime.Proc) bool {
 	for len(h.repairq) > 0 {
 		id := h.dequeueRepair()
-		var requeue, worked bool
-		if sp := h.beginSpan(p, telemetry.OpRepair, -1, id); sp == 0 {
-			requeue, worked = h.repairBlob(p, id)
-		} else {
-			prev := p.SetTraceSpan(uint32(sp))
-			requeue, worked = h.repairBlob(p, id)
-			p.SetTraceSpan(prev)
-			h.endSpan(p, sp, 0, requeue)
-		}
+		sp := h.trc.Enter(p, telemetry.OpRepair, -1, id.Vec, id.Page)
+		requeue, worked := h.repairBlob(p, id)
+		sp.Exit(p, 0, requeue)
 		if requeue {
 			h.enqueueRepair(id)
 		}
@@ -1023,18 +990,8 @@ func (h *Hermes) ReadBackup(p *vtime.Proc, fromNode int, id blob.ID, slot int, d
 // node-local replicas (read-only coherence), which must never displace
 // primary data to other nodes.
 func (h *Hermes) PutLocal(p *vtime.Proc, node int, id blob.ID, data []byte, score float64) bool {
-	sp := h.beginSpan(p, telemetry.OpScachePut, node, id)
-	if sp == 0 {
-		return h.putLocal(p, node, id, data, score)
-	}
-	prev := p.SetTraceSpan(uint32(sp))
-	stored := h.putLocal(p, node, id, data, score)
-	p.SetTraceSpan(prev)
-	h.endSpan(p, sp, int64(len(data)), false)
-	return stored
-}
-
-func (h *Hermes) putLocal(p *vtime.Proc, node int, id blob.ID, data []byte, score float64) bool {
+	sp := h.trc.Enter(p, telemetry.OpScachePut, node, id.Vec, id.Page)
+	defer sp.Exit(p, int64(len(data)), false)
 	ti := h.fitTier(node, int64(len(data)), len(h.tiers))
 	if ti < 0 {
 		return false
@@ -1051,24 +1008,16 @@ func (h *Hermes) putLocal(p *vtime.Proc, node int, id blob.ID, data []byte, scor
 // are read back from a live backup replica, re-placed on a live node,
 // and re-registered as the new primary. It returns the fresh placement
 // or a typed error when no replica survived.
-func (h *Hermes) recoverPrimary(p *vtime.Proc, id blob.ID) (*Placement, error) {
+func (h *Hermes) recoverPrimary(p *vtime.Proc, id blob.ID) (pl *Placement, err error) {
 	h.mFailovers.Inc()
-	sp := h.beginSpan(p, telemetry.OpFailover, -1, id)
-	if sp == 0 {
-		return h.recoverPrimaryData(p, id)
-	}
-	prev := p.SetTraceSpan(uint32(sp))
-	pl, err := h.recoverPrimaryData(p, id)
-	p.SetTraceSpan(prev)
-	var n int64
-	if pl != nil {
-		n = pl.Size
-	}
-	h.endSpan(p, sp, n, err != nil)
-	return pl, err
-}
-
-func (h *Hermes) recoverPrimaryData(p *vtime.Proc, id blob.ID) (*Placement, error) {
+	sp := h.trc.Enter(p, telemetry.OpFailover, -1, id.Vec, id.Page)
+	defer func() {
+		var n int64
+		if pl != nil {
+			n = pl.Size
+		}
+		sp.Exit(p, n, err != nil)
+	}()
 	stale := h.meta[id]
 	bp, bk := h.failover(id)
 	if bp == nil {
@@ -1100,7 +1049,7 @@ func (h *Hermes) recoverPrimaryData(p *vtime.Proc, id blob.ID) (*Placement, erro
 	if node != bp.Node {
 		h.c.Fabric.Transfer(p, bp.Node, node, int64(len(data)))
 	}
-	pl := h.newPlacement(node, tier, int64(len(data)), 0.5, node)
+	pl = h.newPlacement(node, tier, int64(len(data)), 0.5, node)
 	if err := h.writeRetry(p, pl.dev, id, data); err != nil {
 		return nil, err
 	}
@@ -1112,25 +1061,14 @@ func (h *Hermes) recoverPrimaryData(p *vtime.Proc, id blob.ID) (*Placement, erro
 // PutAt overwrites a byte range of an existing blob (partial paging: only
 // the modified region crosses the network and touches the device). If the
 // primary's node crashed, the blob is first rebuilt from a backup.
-func (h *Hermes) PutAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data []byte) error {
-	sp := h.beginSpan(p, telemetry.OpScachePut, fromNode, id)
-	if sp == 0 {
-		return h.putAt(p, fromNode, id, off, data)
-	}
-	prev := p.SetTraceSpan(uint32(sp))
-	err := h.putAt(p, fromNode, id, off, data)
-	p.SetTraceSpan(prev)
-	h.endSpan(p, sp, int64(len(data)), err != nil)
-	return err
-}
-
-func (h *Hermes) putAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data []byte) error {
+func (h *Hermes) PutAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data []byte) (err error) {
+	sp := h.trc.Enter(p, telemetry.OpScachePut, fromNode, id.Vec, id.Page)
+	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
 	pl := h.lookup(p, fromNode, id)
 	if pl == nil {
 		return fmt.Errorf("hermes: PutAt on missing blob %q", h.DisplayName(id))
 	}
 	if !h.reachable(pl) {
-		var err error
 		if pl, err = h.recoverPrimary(p, id); err != nil {
 			return err
 		}
@@ -1181,19 +1119,9 @@ func (h *Hermes) Get(p *vtime.Proc, fromNode int, id blob.ID) ([]byte, bool, err
 // GetInto is Get reusing dst's storage for the result when it is large
 // enough (see device.ReadInto). The returned slice never aliases device
 // storage; the caller owns it either way.
-func (h *Hermes) GetInto(p *vtime.Proc, fromNode int, id blob.ID, dst []byte) ([]byte, bool, error) {
-	sp := h.beginSpan(p, telemetry.OpScacheGet, fromNode, id)
-	if sp == 0 {
-		return h.get(p, fromNode, id, dst)
-	}
-	prev := p.SetTraceSpan(uint32(sp))
-	data, ok, err := h.get(p, fromNode, id, dst)
-	p.SetTraceSpan(prev)
-	h.endSpan(p, sp, int64(len(data)), err != nil)
-	return data, ok, err
-}
-
-func (h *Hermes) get(p *vtime.Proc, fromNode int, id blob.ID, dst []byte) ([]byte, bool, error) {
+func (h *Hermes) GetInto(p *vtime.Proc, fromNode int, id blob.ID, dst []byte) (data []byte, ok bool, err error) {
+	sp := h.trc.Enter(p, telemetry.OpScacheGet, fromNode, id.Vec, id.Page)
+	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
 	pl := h.lookup(p, fromNode, id)
 	if pl == nil {
 		return nil, false, nil
@@ -1214,7 +1142,7 @@ func (h *Hermes) get(p *vtime.Proc, fromNode int, id blob.ID, dst []byte) ([]byt
 			return data, ok, err
 		}
 	}
-	data, ok, err := pl.dev.ReadInto(p, readID, dst)
+	data, ok, err = pl.dev.ReadInto(p, readID, dst)
 	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
 		h.inj.Backoff(p, "retry.scache_read", attempt)
 		if !h.reachable(pl) { // a crash can land during the backoff sleep
@@ -1257,56 +1185,6 @@ func (h *Hermes) failover(id blob.ID) (*Placement, blob.ID) {
 		}
 	}
 	return nil, blob.ID{}
-}
-
-// GetRange reads a byte range of a blob, failing over to a backup when
-// the primary's node is down, with the same retry and typed-error
-// contract as Get.
-func (h *Hermes) GetRange(p *vtime.Proc, fromNode int, id blob.ID, off, length int64) ([]byte, bool, error) {
-	sp := h.beginSpan(p, telemetry.OpScacheGet, fromNode, id)
-	if sp == 0 {
-		return h.getRange(p, fromNode, id, off, length)
-	}
-	prev := p.SetTraceSpan(uint32(sp))
-	data, ok, err := h.getRange(p, fromNode, id, off, length)
-	p.SetTraceSpan(prev)
-	h.endSpan(p, sp, int64(len(data)), err != nil)
-	return data, ok, err
-}
-
-func (h *Hermes) getRange(p *vtime.Proc, fromNode int, id blob.ID, off, length int64) ([]byte, bool, error) {
-	pl := h.lookup(p, fromNode, id)
-	if pl == nil {
-		return nil, false, nil
-	}
-	readID := id
-	if !h.reachable(pl) {
-		pl, readID = h.failover(id)
-		if pl == nil {
-			return nil, false, h.nodeDownErr(id)
-		}
-	}
-	data, ok, err := pl.dev.ReadAt(p, readID, off, length)
-	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
-		h.inj.Backoff(p, "retry.scache_read", attempt)
-		if !h.reachable(pl) {
-			pl, readID = h.failover(id)
-			if pl == nil {
-				return nil, false, h.nodeDownErr(id)
-			}
-		}
-		data, ok, err = pl.dev.ReadAt(p, readID, off, length)
-	}
-	if err != nil {
-		return nil, ok, fmt.Errorf("hermes: reading blob %q: %w", h.DisplayName(id), err)
-	}
-	if ok && h.pools > 0 {
-		h.notePoolRead(pl.Tier)
-	}
-	if ok && pl.Node != fromNode {
-		h.c.Fabric.Transfer(p, pl.Node, fromNode, int64(len(data)))
-	}
-	return data, ok, nil
 }
 
 // Delete removes a blob, its metadata, and any backup replicas.

@@ -261,19 +261,6 @@ func TestPutAtPartialUpdate(t *testing.T) {
 	})
 }
 
-func TestGetRange(t *testing.T) {
-	c, h := newHermes(2)
-	run(t, c, func(p *vtime.Proc) {
-		if err := h.Put(p, 0, h.Key("k"), []byte("abcdefgh"), 1, 0); err != nil {
-			t.Fatal(err)
-		}
-		got, ok, _ := h.GetRange(p, 1, h.Key("k"), 2, 3)
-		if !ok || string(got) != "cde" {
-			t.Errorf("range = %q, %v", got, ok)
-		}
-	})
-}
-
 func TestDelete(t *testing.T) {
 	c, h := newHermes(1)
 	run(t, c, func(p *vtime.Proc) {
@@ -598,9 +585,9 @@ func TestBucketPartialOps(t *testing.T) {
 		if err := bk.PutAt(p, 0, "x", 2, []byte("AB")); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, _ := bk.GetRange(p, 0, "x", 1, 4)
-		if !ok || string(got) != "1AB4" {
-			t.Errorf("range = %q, %v", got, ok)
+		got, ok, _ := bk.Get(p, 0, "x")
+		if !ok || string(got) != "01AB456789" {
+			t.Errorf("after PutAt = %q, %v", got, ok)
 		}
 		bk.SetScore(p, 0, "x", 0.9)
 		pl, _ := h.PlacementOf(h.Key("parts#x"))

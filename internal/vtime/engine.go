@@ -828,6 +828,10 @@ func (p *Proc) SetTraceSpan(s uint32) (prev uint32) {
 	return prev
 }
 
+// Ended reports whether the engine ended the process (Engine.Close,
+// Group.End): its body is unwinding through its deferred calls.
+func (p *Proc) Ended() bool { return p.ended }
+
 // Engine returns the engine the process belongs to.
 func (p *Proc) Engine() *Engine { return p.e }
 
