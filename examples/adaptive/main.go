@@ -39,13 +39,11 @@ func main() {
 	c := megammap.NewCluster(megammap.DefaultTestbed(2))
 	defer c.Close()
 	tel := c.InstallTelemetry(megammap.TelemetryOptions{Metrics: true})
-	plan, err := megammap.ParseFaultSpec(
-		fmt.Sprintf("seed=42;crash=1@%dms;revive=1@%dms",
-			crashAt/megammap.Millisecond, reviveAt/megammap.Millisecond))
-	if err != nil {
-		log.Fatal(err)
-	}
-	c.InstallFaults(*plan)
+	c.InstallFaults(megammap.FaultPlan{
+		Seed:    42,
+		Crashes: []megammap.Crash{{Node: 1, At: crashAt}},
+		Revives: []megammap.Revive{{Node: 1, At: reviveAt}},
+	})
 	d := megammap.NewDSM(c, cfg)
 
 	var (

@@ -145,11 +145,11 @@ func revival() {
 	cfg.Replicas = 1
 	c := megammap.NewCluster(megammap.DefaultTestbed(2))
 	defer c.Close()
-	plan, err := megammap.ParseFaultSpec("seed=42;crash=1@50ms;revive=1@100ms")
-	if err != nil {
-		log.Fatal(err)
-	}
-	c.InstallFaults(*plan)
+	c.InstallFaults(megammap.FaultPlan{
+		Seed:    42,
+		Crashes: []megammap.Crash{{Node: 1, At: 50 * megammap.Millisecond}},
+		Revives: []megammap.Revive{{Node: 1, At: 100 * megammap.Millisecond}},
+	})
 	d := megammap.NewDSM(c, cfg)
 	c.Engine.Spawn("app", func(p *megammap.Proc) {
 		cl := d.NewClient(p, 0)

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"megammap/internal/config"
-	"megammap/internal/faults"
 )
 
 // Load parses a plan document (the restricted YAML subset the config
@@ -18,7 +17,8 @@ import (
 //	           tolerance, baseline
 //	workload:  k, max_iter, cost_per_dist, steps, seed, source
 //	matrix:    axis: [value, value, ...]   (one key per axis, in order)
-//	faults:    named specs (spec DSL + derived crash/revive points)
+//	faults:    named specs (the deployment config's faults section:
+//	           config.LoadFaults, plus derived crash/revive points)
 //	hints:     per-vector paging-policy hints (the deployment config's
 //	           hints section: config.LoadHints)
 //	assert:    telemetry assertions over the finished cells
@@ -76,16 +76,14 @@ func Load(doc string) (*Plan, error) {
 				return nil, fmt.Errorf("%w: faults: %s is not a mapping", ErrBadPlan, name)
 			}
 			fs := &FaultSpec{}
-			if err := spec.Fields(map[string]func(string) error{
-				"spec":   config.String(&fs.Spec),
+			sched, err := config.LoadFaults(spec, map[string]func(string) error{
 				"crash":  func(v string) error { return parsePoint(v, &fs.CrashNode, &fs.CrashFrac) },
 				"revive": func(v string) error { return parsePoint(v, &fs.ReviveNode, &fs.ReviveFrac) },
-			}); err != nil {
+			})
+			if err != nil {
 				return nil, fmt.Errorf("%w: faults: %s: %v", ErrBadPlan, name, err)
 			}
-			if fs.parsed, err = faults.ParseSpec(fs.Spec); err != nil {
-				return nil, fmt.Errorf("%w: faults: %s: %v", ErrBadPlan, name, err)
-			}
+			fs.Plan = *sched
 			p.Faults[name] = fs
 		}
 	}

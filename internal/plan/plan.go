@@ -98,24 +98,23 @@ type Axis struct {
 // unset).
 type Frac struct{ Num, Den int64 }
 
-// FaultSpec composes an explicit fault-DSL string (absolute times and
-// probabilistic rules) with crash/revive points derived from the clean
-// cell: "1@1/3" crashes node 1 a third of the way through the clean
-// cell's measured phase, counted from dataset-generation end.
+// FaultSpec composes an explicit fault schedule (absolute times and
+// probabilistic rules, in the deployment config's faults grammar) with
+// crash/revive points derived from the clean cell: "1@1/3" crashes node
+// 1 a third of the way through the clean cell's measured phase, counted
+// from dataset-generation end.
 type FaultSpec struct {
-	Spec       string
+	Plan       faults.Plan
 	CrashNode  int
 	CrashFrac  Frac
 	ReviveNode int
 	ReviveFrac Frac
-
-	parsed *faults.Plan
 }
 
 // build instantiates the fault plan against the clean cell's measured
 // phase (it starts where dataset generation ended).
 func (fs *FaultSpec) build(clean *experiments.Report) *faults.Plan {
-	p := *fs.parsed
+	p := fs.Plan
 	at := func(f Frac) vtime.Duration {
 		return clean.Start + clean.Runtime*vtime.Duration(f.Num)/vtime.Duration(f.Den)
 	}
@@ -357,20 +356,13 @@ func (p *Plan) validateFaultAxis() error {
 }
 
 // validate rejects timelines where a node revives at or before its
-// crash — in the derived fractions or in the explicit DSL schedule.
+// crash — in the derived fractions or in the explicit schedule.
 func (fs *FaultSpec) validate() error {
-	if fs.parsed == nil {
-		pp, err := faults.ParseSpec(fs.Spec)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadPlan, err)
-		}
-		fs.parsed = pp
-	}
 	if fs.CrashFrac.Den > 0 && fs.CrashFrac.Num <= 0 {
 		return fmt.Errorf("%w: crash fraction must be positive", ErrFaultTimeline)
 	}
 	if fs.ReviveFrac.Den > 0 {
-		if fs.CrashFrac.Den == 0 && len(fs.parsed.Crashes) == 0 {
+		if fs.CrashFrac.Den == 0 && len(fs.Plan.Crashes) == 0 {
 			return fmt.Errorf("%w: revive without a crash", ErrFaultTimeline)
 		}
 		if fs.CrashFrac.Den > 0 && fs.ReviveNode == fs.CrashNode &&
@@ -380,9 +372,9 @@ func (fs *FaultSpec) validate() error {
 				fs.CrashFrac.Num, fs.CrashFrac.Den)
 		}
 	}
-	for _, rv := range fs.parsed.Revives {
+	for _, rv := range fs.Plan.Revives {
 		ok := false
-		for _, cr := range fs.parsed.Crashes {
+		for _, cr := range fs.Plan.Crashes {
 			if cr.Node == rv.Node && rv.At > cr.At {
 				ok = true
 			}

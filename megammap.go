@@ -216,15 +216,16 @@ type (
 // typed errors. Install a plan with Cluster.InstallFaults before
 // constructing the DSM.
 type (
-	// FaultPlan scripts one deterministic fault schedule.
+	// FaultPlan scripts one deterministic fault schedule; a deployment
+	// file's faults section is its text form (LoadDeployment).
 	FaultPlan = faults.Plan
+	// Crash takes a node's stored data offline at a virtual time.
+	Crash = faults.Crash
+	// Revive restarts a crashed node's storage, cold, at a virtual time.
+	Revive = faults.Revive
 	// Injector applies a FaultPlan (returned by Cluster.InstallFaults).
 	Injector = faults.Injector
 )
-
-// ParseFaultSpec parses the compact fault-plan DSL, e.g.
-// "seed=7;drop=0.02;crash=1@40ms;revive=1@80ms".
-func ParseFaultSpec(spec string) (*FaultPlan, error) { return faults.ParseSpec(spec) }
 
 // Typed fault errors (match with errors.Is).
 var (
