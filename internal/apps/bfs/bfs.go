@@ -49,17 +49,6 @@ type Result struct {
 	Digest  int64 // order-independent weighted digest of the distance array
 }
 
-// Stats folds a distance array (the host-side BFSFrom output or the
-// shared vector's contents) into the Result digest fields, so tests can
-// compare the MegaMmap run against ground truth field by field.
-func Stats(dist []int32) Result {
-	var res Result
-	for i, d := range dist {
-		res.fold(int64(i), d)
-	}
-	return res
-}
-
 // fold accumulates one vertex's distance into the digest.
 func (r *Result) fold(i int64, d int32) {
 	if d < 0 {

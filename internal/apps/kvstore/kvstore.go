@@ -105,9 +105,6 @@ func Open(cl *core.Client, name string, capacity int64, opts ...core.VectorOpt) 
 	return s, nil
 }
 
-// Capacity returns the slot capacity.
-func (s *Store) Capacity() int64 { return s.capacity }
-
 // BoundMemory caps this handle's page cache at maxBytes (0 = unbounded);
 // the serving plane actuates per-tenant fast-tier quotas through it.
 func (s *Store) BoundMemory(maxBytes int64) { s.v.BoundMemory(maxBytes) }

@@ -161,26 +161,6 @@ func (t *Tree) Predict(pt datagen.Particle) int32 {
 	}
 }
 
-// Depth returns the tree depth.
-func (t *Tree) Depth() int {
-	var walk func(i, d int) int
-	walk = func(i, d int) int {
-		n := t.Nodes[i]
-		if n.Leaf {
-			return d
-		}
-		l, r := walk(n.Left, d+1), walk(n.Right, d+1)
-		if l > r {
-			return l
-		}
-		return r
-	}
-	if len(t.Nodes) == 0 {
-		return 0
-	}
-	return walk(0, 0)
-}
-
 // sample is one bagged training point.
 type sample struct {
 	pt    datagen.Particle
@@ -366,7 +346,3 @@ func accuracyOver(trees []*Tree, classes int, pts []datagen.Particle, labels []i
 	}
 	return float64(hit) / float64(len(pts))
 }
-
-// newRNG returns the deterministic generator used for shared random
-// decisions (feature subsets).
-func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

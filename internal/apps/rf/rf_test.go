@@ -2,6 +2,7 @@ package rf
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"megammap/internal/cluster"
@@ -228,7 +229,7 @@ func TestFeatureSubsetDeterministic(t *testing.T) {
 }
 
 func growTreeInputs(seed int64) []int {
-	rng := newRNG(seed)
+	rng := rand.New(rand.NewSource(seed))
 	var out []int
 	for i := 0; i < 5; i++ {
 		out = append(out, featureSubset(rng, 3)...)

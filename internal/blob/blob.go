@@ -104,10 +104,6 @@ func (id ID) Base() ID {
 // IsPrimary reports whether the blob is a primary copy (page or raw).
 func (id ID) IsPrimary() bool { return id.Kind == KindPage || id.Kind == KindRaw }
 
-// Valid reports whether the ID was produced by an interner (zero IDs
-// address nothing).
-func (id ID) Valid() bool { return id.Vec != 0 }
-
 // Hash mixes the ID into a uint32 for shard and worker selection
 // (splitmix64 finalizer over the packed fields).
 func (id ID) Hash() uint32 {
@@ -134,18 +130,6 @@ func (a ID) Less(b ID) bool {
 		return a.Page < b.Page
 	}
 	return a.Node < b.Node
-}
-
-// Compare returns -1, 0 or +1 in the Less order.
-func Compare(a, b ID) int {
-	switch {
-	case a == b:
-		return 0
-	case a.Less(b):
-		return -1
-	default:
-		return 1
-	}
 }
 
 // Interner assigns stable dense uint32 handles to names. IDs start at 1;

@@ -106,7 +106,7 @@ func TestDerivedIDs(t *testing.T) {
 	in := NewInterner()
 	vec := in.Intern("vec")
 	pg := PageID(vec, 42)
-	if !pg.IsPrimary() || !pg.Valid() {
+	if !pg.IsPrimary() || pg.Vec == 0 {
 		t.Fatalf("page id not primary/valid: %+v", pg)
 	}
 	rep := pg.Replica(3)

@@ -34,9 +34,6 @@ func (d *Doc) Section(key string) (*Sec, bool) {
 	return &Sec{n: n}, true
 }
 
-// Sections returns the top-level section keys in document order.
-func (d *Doc) Sections() []string { return append([]string(nil), d.root.order...) }
-
 // Sec is one node of a parsed document: a mapping, sequence, or scalar.
 type Sec struct{ n *node }
 
@@ -63,9 +60,6 @@ func (s *Sec) Items() []*Sec {
 	}
 	return out
 }
-
-// Value returns the node's own scalar value ("" for mappings/sequences).
-func (s *Sec) Value() string { return s.n.value }
 
 // FlowList splits "[a, b, c]" or "a, b, c" into items.
 func FlowList(v string) []string { return splitFlowList(v) }

@@ -233,7 +233,7 @@ func TestSecondDSMOnAClusterStartsClean(t *testing.T) {
 	tiers := func() map[string]usage {
 		out := map[string]usage{}
 		for name, dev := range c.Nodes[0].Devices {
-			out[name] = usage{dev.Used(), dev.Keys()}
+			out[name] = usage{dev.Used(), len(dev.List())}
 		}
 		return out
 	}

@@ -309,7 +309,7 @@ func TestCommitsElidedCountsExactlyTheElided(t *testing.T) {
 		}
 		var rows int64
 		for node := 0; node < 2; node++ {
-			rows += tel.Registry().Counter(telemetry.Key{Name: "core.commits_elided", Node: node, Subsystem: "core"}).Value()
+			rows += tel.Registry().Value(telemetry.Key{Name: "core.commits_elided", Node: node, Subsystem: "core"})
 		}
 		if rows != want {
 			t.Errorf("core.commits_elided rows sum to %d, want %d", rows, want)

@@ -315,8 +315,8 @@ func TestTelemetryMetricsMatchStats(t *testing.T) {
 	faultsN, prefetches, _ := d.Stats()
 	var mf, mp int64
 	for node := 0; node < 2; node++ {
-		mf += tel.Registry().Counter(telemetry.Key{Name: "core.faults", Node: node, Subsystem: "core"}).Value()
-		mp += tel.Registry().Counter(telemetry.Key{Name: "core.prefetches", Node: node, Subsystem: "core"}).Value()
+		mf += tel.Registry().Value(telemetry.Key{Name: "core.faults", Node: node, Subsystem: "core"})
+		mp += tel.Registry().Value(telemetry.Key{Name: "core.prefetches", Node: node, Subsystem: "core"})
 	}
 	if mf != faultsN {
 		t.Errorf("metric faults %d != DSM faults %d", mf, faultsN)

@@ -101,14 +101,11 @@ func (r *splitMix) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Vertices returns the vertex count.
-func (g *Graph) Vertices() int64 { return int64(len(g.Offsets)) - 1 }
-
 // BFSFrom computes single-source BFS distances on the host — the ground
 // truth the MegaMmap BFS app is verified against. Unreachable vertices
 // get -1.
 func (g *Graph) BFSFrom(src int64) []int32 {
-	v := g.Vertices()
+	v := int64(len(g.Offsets)) - 1
 	dist := make([]int32, v)
 	for i := range dist {
 		dist[i] = -1

@@ -305,9 +305,6 @@ func (d *Device) Equal(key blob.ID, off int64, data []byte) bool {
 	return ok && off >= 0 && end <= int64(len(b)) && bytes.Equal(b[off:end], data)
 }
 
-// Keys returns the number of blobs stored.
-func (d *Device) Keys() int { return len(d.blobs) }
-
 // charge models an n-byte access: the fixed latency overlaps across the
 // device's channels (queue depth), while the data transfer serializes on
 // the media bandwidth, so concurrent streams share the device's total

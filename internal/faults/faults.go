@@ -77,8 +77,3 @@ func (r *Rand) Uint64() uint64 {
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
-
-// Intn returns a uniform number in [0, n). n must be positive.
-func (r *Rand) Intn(n int) int {
-	return int(r.Uint64() % uint64(n))
-}

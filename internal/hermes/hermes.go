@@ -150,13 +150,6 @@ type Hermes struct {
 	hedgeVerify func(id blob.ID, data []byte) bool
 	hHedgeWait  telemetry.Histogram
 
-	// buckets indexes bucket membership: interned bucket name -> member
-	// blobs (vec + bare blob name), sorted by name. memberOf marks vecs
-	// already registered, so re-interning a member is O(1). Blobs/Size/
-	// Destroy walk a bucket's members instead of prefix-scanning the DMSH.
-	buckets  map[uint32][]bucketMember
-	memberOf map[uint32]bool
-
 	// pidx indexes per-node free space for the placement engine: first-fit
 	// queries run in O(log N) against device-hook-fed segment trees
 	// instead of scanning every node (see placeidx.go).
@@ -193,12 +186,6 @@ type Hermes struct {
 
 	// endUsage is TierUsage as it stood at Release, nil before.
 	endUsage map[string]int64
-}
-
-// bucketMember is one blob registered under a bucket namespace.
-type bucketMember struct {
-	vec  uint32 // interned "bucket#blob" vec of the member's primary ID
-	name string // bare blob name within the bucket
 }
 
 // orgScratch holds PlanOrganize working state between passes. Slices are
@@ -248,8 +235,6 @@ func New(c *cluster.Cluster, tiers []string) *Hermes {
 		inc:       make([]int16, len(c.Nodes)),
 		queued:    make(map[blob.ID]bool),
 		repairSig: vtime.NewChan[struct{}](1),
-		buckets:   make(map[uint32][]bucketMember),
-		memberOf:  make(map[uint32]bool),
 		suspect:   make([]bool, len(c.Nodes)),
 		quar:      make([]bool, len(c.Nodes)),
 		computes:  c.Computes(),
@@ -551,9 +536,6 @@ func (h *Hermes) SetPoolBias(prefer bool) {
 	}
 	h.poolBias = prefer
 }
-
-// PoolBias reports the current spill-vs-pool actuation.
-func (h *Hermes) PoolBias() bool { return h.poolBias }
 
 // PoolStats returns the disaggregation counters: gets served from the
 // remote_pool tier, total gets observed, and primary placements that
@@ -1205,21 +1187,16 @@ func (h *Hermes) deleteData(p *vtime.Proc, pl *Placement, id blob.ID) {
 	pl.dev.Delete(p, id)
 }
 
-// SetScore updates a blob's importance score; the Data Organizer acts on
-// it at the next Organize pass. Following the paper, the maximum of
-// concurrently-set scores wins within an organization period. The winning
-// score names fromNode as the blob's locality hint, but declares no
-// intent: the organizer never moves a blob for it (see SetScoreHint).
-func (h *Hermes) SetScore(p *vtime.Proc, fromNode int, id blob.ID, score float64) {
-	h.SetScoreHint(p, fromNode, id, score, false)
-}
-
-// SetScoreHint is SetScore for a score whose phase declared its intent:
-// local says the phase touches only fromNode's own partition (neither
-// Global nor Collective access). A winning local score from a node other
-// than the one holding a primary lists the blob as a candidate for the
-// organizer's next pass, which moves it home if that node keeps scoring it
-// (PlanOrganize).
+// SetScoreHint updates a blob's importance score; the Data Organizer acts
+// on it at the next Organize pass. Following the paper, the maximum of
+// concurrently-set scores wins within an organization period, and the
+// winning score names fromNode as the blob's locality hint. local says
+// the scoring phase touches only fromNode's own partition (neither
+// Global nor Collective access); a score without it declares no intent,
+// and the organizer never moves a blob for it. A winning local score
+// from a node other than the one holding a primary lists the blob as a
+// candidate for the organizer's next pass, which moves it home if that
+// node keeps scoring it (PlanOrganize).
 func (h *Hermes) SetScoreHint(p *vtime.Proc, fromNode int, id blob.ID, score float64, local bool) {
 	pl := h.lookup(p, fromNode, id)
 	if pl == nil || score < pl.Score {

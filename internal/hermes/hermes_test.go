@@ -283,8 +283,8 @@ func TestSetScoreTakesMax(t *testing.T) {
 		if err := h.Put(p, 0, h.Key("k"), []byte("x"), 0.4, 0); err != nil {
 			t.Fatal(err)
 		}
-		h.SetScore(p, 1, h.Key("k"), 0.9)
-		h.SetScore(p, 0, h.Key("k"), 0.2) // lower: ignored
+		h.SetScoreHint(p, 1, h.Key("k"), 0.9, false)
+		h.SetScoreHint(p, 0, h.Key("k"), 0.2, false) // lower: ignored
 		pl, _ := h.PlacementOf(h.Key("k"))
 		if pl.Score != 0.9 || pl.ScoreNode != 1 {
 			t.Errorf("score = %v from node %d, want 0.9 from 1", pl.Score, pl.ScoreNode)
@@ -304,8 +304,8 @@ func TestOrganizePromotesHotDemotesCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		// hot landed in dram, cold in nvme. Now invert the scores.
-		h.SetScore(p, 0, h.Key("hot"), 0.2)
-		h.SetScore(p, 0, h.Key("cold"), 0.95)
+		h.SetScoreHint(p, 0, h.Key("hot"), 0.2, false)
+		h.SetScoreHint(p, 0, h.Key("cold"), 0.95, false)
 		h.Organize(p, 0)
 		phot, _ := h.PlacementOf(h.Key("hot"))
 		pcold, _ := h.PlacementOf(h.Key("cold"))
@@ -321,7 +321,7 @@ func TestOrganizePromotesHotDemotesCold(t *testing.T) {
 		}
 		// The re-pack is a one-shot: with the scores inverted again, the
 		// next pass moves nothing.
-		h.SetScore(p, 0, h.Key("hot"), 1)
+		h.SetScoreHint(p, 0, h.Key("hot"), 1, false)
 		_, before, _ := h.Stats()
 		h.Organize(p, 0)
 		if _, after, _ := h.Stats(); after != before {
@@ -475,7 +475,7 @@ func TestOrganizeBudgetCapsMovement(t *testing.T) {
 			}
 		}
 		for i := 0; i < 10; i++ {
-			h.SetScore(p, 0, h.Key(fmt.Sprintf("b%d", i)), float64(i+1)/11)
+			h.SetScoreHint(p, 0, h.Key(fmt.Sprintf("b%d", i)), float64(i+1)/11, false)
 		}
 		_, movedBefore, _ := h.Stats()
 		h.Organize(p, int64(300*device.KB))
@@ -507,92 +507,15 @@ func TestOrganizeUnlimitedBudget(t *testing.T) {
 		if moves := h.PlanOrganize(0); len(moves) != 0 {
 			t.Fatalf("packed store: planned %+v", moves)
 		}
-		// Scores only rise via SetScore; aging happens through decay.
+		// Scores only rise via SetScoreHint; aging happens through decay.
 		h.DecayScores(0.1)
-		h.SetScore(p, 0, h.Key("b"), 0.8)
-		h.SetScore(p, 0, h.Key("c"), 0.7)
+		h.SetScoreHint(p, 0, h.Key("b"), 0.8, false)
+		h.SetScoreHint(p, 0, h.Key("c"), 0.7, false)
 		h.Organize(p, 0)
 		pa, _ := h.PlacementOf(h.Key("a"))
 		pc, _ := h.PlacementOf(h.Key("c"))
 		if pa.Tier != "nvme" || pc.Tier != "dram" {
 			t.Errorf("unbudgeted organize did not fully repack: a=%s c=%s", pa.Tier, pc.Tier)
-		}
-	})
-}
-
-func TestBucketNamespacing(t *testing.T) {
-	c, h := newHermes(2)
-	run(t, c, func(p *vtime.Proc) {
-		a := h.Bucket("jobA")
-		b := h.Bucket("jobB")
-		if err := a.Put(p, 0, "blob", []byte("from-a"), 1, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Put(p, 0, "blob", []byte("from-b"), 1, 0); err != nil {
-			t.Fatal(err)
-		}
-		got, ok, _ := a.Get(p, 0, "blob")
-		if !ok || string(got) != "from-a" {
-			t.Errorf("bucket a blob = %q, %v", got, ok)
-		}
-		got, ok, _ = b.Get(p, 1, "blob")
-		if !ok || string(got) != "from-b" {
-			t.Errorf("bucket b blob = %q, %v", got, ok)
-		}
-		if !a.Has(p, 0, "blob") || a.Has(p, 0, "missing") {
-			t.Error("Has wrong")
-		}
-	})
-}
-
-func TestBucketListingAndDestroy(t *testing.T) {
-	c, h := newHermes(1)
-	run(t, c, func(p *vtime.Proc) {
-		bk := h.Bucket("ds")
-		for _, name := range []string{"zeta", "alpha", "mid"} {
-			if err := bk.Put(p, 0, name, []byte(name), 1, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got := bk.Blobs(p, 0)
-		if len(got) != 3 || got[0] != "alpha" || got[2] != "zeta" {
-			t.Errorf("blobs = %v", got)
-		}
-		if bk.Size() != int64(len("zeta")+len("alpha")+len("mid")) {
-			t.Errorf("size = %d", bk.Size())
-		}
-		other := h.Bucket("other")
-		if err := other.Put(p, 0, "keepme", []byte("x"), 1, 0); err != nil {
-			t.Fatal(err)
-		}
-		bk.Destroy(p, 0)
-		if len(bk.Blobs(p, 0)) != 0 || bk.Size() != 0 {
-			t.Error("destroy left blobs behind")
-		}
-		if !other.Has(p, 0, "keepme") {
-			t.Error("destroy leaked into another bucket")
-		}
-	})
-}
-
-func TestBucketPartialOps(t *testing.T) {
-	c, h := newHermes(1)
-	run(t, c, func(p *vtime.Proc) {
-		bk := h.Bucket("parts")
-		if err := bk.Put(p, 0, "x", []byte("0123456789"), 0.4, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := bk.PutAt(p, 0, "x", 2, []byte("AB")); err != nil {
-			t.Fatal(err)
-		}
-		got, ok, _ := bk.Get(p, 0, "x")
-		if !ok || string(got) != "01AB456789" {
-			t.Errorf("after PutAt = %q, %v", got, ok)
-		}
-		bk.SetScore(p, 0, "x", 0.9)
-		pl, _ := h.PlacementOf(h.Key("parts#x"))
-		if pl.Score != 0.9 {
-			t.Errorf("score = %v", pl.Score)
 		}
 	})
 }

@@ -353,7 +353,7 @@ func placementChurn(t *testing.T, spec cluster.Spec, seed int64, ops, replicas i
 			size := int64(1+rng.Intn(48)) << 10
 			pref := rng.Intn(computes)
 			state := fmt.Sprintf("op %d (pool bias %v, quarantine bias %v, %d quarantined)",
-				op, h.PoolBias(), h.quarBias, h.quarCount)
+				op, h.poolBias, h.quarBias, h.quarCount)
 
 			gn, gt, gok := h.place(size, pref)
 			wn, wt, wok := liveScan(h, blob.ID{}).place(size, pref)

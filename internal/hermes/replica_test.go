@@ -374,13 +374,13 @@ func TestSetScoreMaxWins(t *testing.T) {
 		if err := h.Put(p, 0, h.Key("v/0"), []byte("x"), 0.4, 0); err != nil {
 			t.Fatal(err)
 		}
-		h.SetScore(p, 1, h.Key("v/0"), 0.8)
-		h.SetScore(p, 0, h.Key("v/0"), 0.3) // lower: ignored
+		h.SetScoreHint(p, 1, h.Key("v/0"), 0.8, false)
+		h.SetScoreHint(p, 0, h.Key("v/0"), 0.3, false) // lower: ignored
 		pl, _ := h.PlacementOf(h.Key("v/0"))
 		if pl.Score != 0.8 || pl.ScoreNode != 1 {
 			t.Errorf("score = %.2f from node %d, want 0.80 from node 1", pl.Score, pl.ScoreNode)
 		}
-		h.SetScore(p, 0, h.Key("ghost"), 1.0) // missing key: no-op
+		h.SetScoreHint(p, 0, h.Key("ghost"), 1.0, false) // missing key: no-op
 	})
 }
 
@@ -390,7 +390,7 @@ func TestDecayScoresRotatesHintHistory(t *testing.T) {
 		if err := h.Put(p, 0, h.Key("v/0"), []byte("x"), 1.0, 0); err != nil {
 			t.Fatal(err)
 		}
-		h.SetScore(p, 1, h.Key("v/0"), 1.0)
+		h.SetScoreHint(p, 1, h.Key("v/0"), 1.0, false)
 		h.DecayScores(0.5)
 		pl, _ := h.PlacementOf(h.Key("v/0"))
 		if pl.Score != 0.5 {

@@ -1,16 +1,11 @@
 package hermes
 
-// Regression tests and benchmarks for two hot-path satellites: the
-// organizer's reusable planning scratch (steady-state PlanOrganize must
-// not allocate) and the per-bucket member index (listing a bucket must
-// cost the bucket, not a prefix scan over the whole DMSH).
+// Regression test for a hot-path satellite: the organizer's reusable
+// planning scratch (steady-state PlanOrganize must not allocate).
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
-	"megammap/internal/blob"
 	"megammap/internal/vtime"
 )
 
@@ -39,82 +34,4 @@ func TestPlanOrganizeSteadyStateAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("steady-state PlanOrganize allocates %v allocs/run, want 0", n)
 	}
-}
-
-// bucketBenchSetup stores nBuckets x perBucket blobs and returns one
-// middle bucket plus the proc-driven benchmark loop runner.
-func bucketBenchSetup(b *testing.B, loop func(p *vtime.Proc, h *Hermes, bk *Bucket)) {
-	b.Helper()
-	c := benchCluster()
-	h := New(c, []string{"dram", "nvme"})
-	c.Engine.Spawn("bench", func(p *vtime.Proc) {
-		data := make([]byte, 512)
-		for bi := 0; bi < 16; bi++ {
-			bkt := h.Bucket(fmt.Sprintf("bucket%02d", bi))
-			for j := 0; j < 64; j++ {
-				if err := bkt.Put(p, 0, fmt.Sprintf("blob%03d", j), data, 0.5, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		loop(p, h, h.Bucket("bucket07"))
-	})
-	if err := c.Engine.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkBucketBlobs lists one 64-blob bucket out of a 1024-blob DMSH
-// through the member index.
-func BenchmarkBucketBlobs(b *testing.B) {
-	bucketBenchSetup(b, func(p *vtime.Proc, h *Hermes, bk *Bucket) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if got := bk.Blobs(p, 0); len(got) != 64 {
-				b.Fatalf("listed %d blobs, want 64", len(got))
-			}
-		}
-		b.StopTimer()
-	})
-}
-
-// BenchmarkBucketBlobsPrefixScan is the pre-index listing strategy —
-// reconstruct every blob name in the DMSH and filter by the bucket
-// prefix — kept as the baseline the member index is measured against.
-func BenchmarkBucketBlobsPrefixScan(b *testing.B) {
-	bucketBenchSetup(b, func(p *vtime.Proc, h *Hermes, bk *Bucket) {
-		prefix := bk.Name() + "#"
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var got []string
-			for id := range h.meta {
-				if id.Kind != blob.KindRaw {
-					continue
-				}
-				if name := h.DisplayName(id); strings.HasPrefix(name, prefix) {
-					got = append(got, strings.TrimPrefix(name, prefix))
-				}
-			}
-			if len(got) != 64 {
-				b.Fatalf("scanned %d blobs, want 64", len(got))
-			}
-		}
-		b.StopTimer()
-	})
-}
-
-// BenchmarkBucketSize sums one bucket's bytes through the member index.
-func BenchmarkBucketSize(b *testing.B) {
-	bucketBenchSetup(b, func(p *vtime.Proc, h *Hermes, bk *Bucket) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if bk.Size() != 64*512 {
-				b.Fatal("wrong bucket size")
-			}
-		}
-		b.StopTimer()
-	})
 }

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -61,12 +60,6 @@ type DriftError struct {
 func (e *DriftError) Error() string {
 	return fmt.Sprintf("plan %s drifted from baseline (%d diffs):\n  %s",
 		e.Plan, len(e.Diffs), strings.Join(e.Diffs, "\n  "))
-}
-
-// IsDrift reports whether err is (or wraps) a baseline drift.
-func IsDrift(err error) bool {
-	var de *DriftError
-	return errors.As(err, &de)
 }
 
 // Gate compares a run against the baseline: cell set and order must

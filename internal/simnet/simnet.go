@@ -137,9 +137,6 @@ func (f *Fabric) SetPoolLink(first int, prof LinkProfile) {
 // governor.
 func (f *Fabric) SetPoolWaitObserver(fn func(wait vtime.Duration)) { f.poolWait = fn }
 
-// PoolStats returns cumulative messages and bytes with a pool endpoint.
-func (f *Fabric) PoolStats() (msgs, bytes int64) { return f.poolMsgs, f.poolBytes }
-
 // PoolQueued counts transfers currently queued behind the pool nodes'
 // NICs — the governor's fabric-congestion signal. O(pools).
 func (f *Fabric) PoolQueued() int {

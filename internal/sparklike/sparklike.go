@@ -126,15 +126,6 @@ func (r *RDD[T]) Parts() int { return len(r.parts) }
 // collect-per-partition analog).
 func (r *RDD[T]) Part(i int) []T { return r.parts[i] }
 
-// Count returns the total element count.
-func (r *RDD[T]) Count() int64 {
-	var n int64
-	for _, p := range r.parts {
-		n += int64(len(p))
-	}
-	return n
-}
-
 // Unpersist frees the RDD's executor memory.
 func (r *RDD[T]) Unpersist() {
 	for i := range r.parts {
@@ -186,7 +177,7 @@ func Load[T any](p *vtime.Proc, s *Session, b stager.Backend, elemSize int64,
 	rem := elems % int64(nparts)
 	err := runTasks(p, r, func(tp *vtime.Proc, i int) error {
 		node := r.NodeOf(i)
-		off := int64(i)*per + min64(int64(i), rem)
+		off := int64(i)*per + min(int64(i), rem)
 		n := per
 		if int64(i) < rem {
 			n++
@@ -278,19 +269,3 @@ func (s *Session) Broadcast(p *vtime.Proc, bytes int64) {
 
 // Nodes returns the executor (node) count.
 func (s *Session) Nodes() int { return len(s.c.Nodes) }
-
-// MemoryUsed returns the executor-resident bytes across nodes.
-func (s *Session) MemoryUsed() int64 {
-	var sum int64
-	for _, b := range s.memo {
-		sum += b
-	}
-	return sum
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

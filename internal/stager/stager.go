@@ -65,8 +65,6 @@ func ParseURL(s string) (URL, error) {
 
 // Backend serializes and deserializes byte ranges of one logical dataset.
 type Backend interface {
-	// URL returns the backend's locator.
-	URL() URL
 	// Size returns the logical dataset size in bytes, or 0 if absent.
 	Size() int64
 	// ReadRange reads length bytes starting at off on behalf of node.
@@ -116,8 +114,6 @@ type fileBackend struct {
 	c *cluster.Cluster
 	u URL
 }
-
-func (b *fileBackend) URL() URL { return b.u }
 
 func (b *fileBackend) Size() int64 {
 	if n := b.c.PFSSize(b.u.Path); n > 0 {
@@ -177,7 +173,6 @@ func newGlobBackend(c *cluster.Cluster, u URL) (*globBackend, error) {
 	return b, nil
 }
 
-func (b *globBackend) URL() URL    { return b.u }
 func (b *globBackend) Size() int64 { return b.total }
 
 func (b *globBackend) ReadRange(p *vtime.Proc, node int, off, length int64) ([]byte, error) {
@@ -196,8 +191,8 @@ func (b *globBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, 
 	for i, name := range b.names {
 		end := base + b.sizes[i]
 		if off < end && off+length > base {
-			localOff := max64(0, off-base)
-			localLen := min64(end, off+length) - (base + localOff)
+			localOff := max(0, off-base)
+			localLen := min(end, off+length) - (base + localOff)
 			// Each member's piece lands directly in its place in out.
 			data, ok, err := b.c.PFSReadInto(p, node, name, localOff, localLen, out[n:n:n+localLen])
 			if err != nil {
@@ -230,8 +225,6 @@ type h5Backend struct {
 	u   URL
 	key string
 }
-
-func (b *h5Backend) URL() URL { return b.u }
 
 func (b *h5Backend) indexKey() string { return b.u.Path + "::#index" }
 
@@ -345,8 +338,6 @@ func newPQBackend(c *cluster.Cluster, u URL) (*pqBackend, error) {
 	return b, nil
 }
 
-func (b *pqBackend) URL() URL { return b.u }
-
 func (b *pqBackend) chunkKey(i int64) string {
 	k, ok := b.chunkKeys[i]
 	if !ok {
@@ -425,7 +416,7 @@ func (b *pqBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, ds
 	for n := int64(0); n < length; {
 		ci := (off + n) / cs
 		localOff := (off + n) % cs
-		localLen := min64(cs-localOff, length-n)
+		localLen := min(cs-localOff, length-n)
 		// Each row group's piece lands directly in its place in out.
 		piece := out[n : n+localLen : n+localLen]
 		data, ok, err := b.c.PFSReadInto(p, node, b.chunkKey(ci), localOff, localLen, piece[:0])
@@ -449,7 +440,7 @@ func (b *pqBackend) WriteRange(p *vtime.Proc, node int, off int64, data []byte) 
 	for pos := off; pos < end; {
 		ci := pos / cs
 		localOff := pos % cs
-		localLen := min64(cs-localOff, end-pos)
+		localLen := min(cs-localOff, end-pos)
 		// A row group never outgrows the chunk size, so its object is sized
 		// once instead of regrown by every extending write.
 		if err := b.c.PFSWriteSized(p, node, b.chunkKey(ci), localOff, data[pos-off:pos-off+localLen], cs); err != nil {
@@ -471,18 +462,4 @@ func sized(dst []byte, n int64) []byte {
 		return dst[:n]
 	}
 	return make([]byte, n)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,12 +1,11 @@
 // Package stats provides the experiment output machinery: ordered tables
 // emitted as CSV (the paper pipeline's stats_dict.csv analog) or aligned
-// text, plus the small aggregation helpers the harness uses.
+// text.
 package stats
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
 
@@ -24,9 +23,6 @@ func NewTable(name string, cols ...string) *Table {
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
-
-// Cols returns the column names.
-func (t *Table) Cols() []string { return t.cols }
 
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.rows) }
@@ -108,35 +104,4 @@ func (t *Table) String() string {
 		line(row)
 	}
 	return b.String()
-}
-
-// Mean returns the arithmetic mean of vals (NaN for empty input).
-func Mean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, v := range vals {
-		s += v
-	}
-	return s / float64(len(vals))
-}
-
-// Std returns the population standard deviation of vals.
-func Std(vals []float64) float64 {
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	m := Mean(vals)
-	var s float64
-	for _, v := range vals {
-		s += (v - m) * (v - m)
-	}
-	return math.Sqrt(s / float64(len(vals)))
-}
-
-// GB formats bytes as a GiB string at the paper's (unscaled) magnitude
-// when scaled by factor (e.g. 48MB with factor 1024 prints "48GB").
-func GB(bytes int64, factor int64) string {
-	return fmt.Sprintf("%.3gGB", float64(bytes*factor)/float64(1<<30))
 }

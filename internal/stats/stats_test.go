@@ -76,7 +76,7 @@ func TestTableAccessors(t *testing.T) {
 	if tb.Name() != "mytable" {
 		t.Errorf("Name = %q", tb.Name())
 	}
-	if cols := tb.Cols(); len(cols) != 2 || cols[0] != "a" || cols[1] != "b" {
+	if cols := tb.cols; len(cols) != 2 || cols[0] != "a" || cols[1] != "b" {
 		t.Errorf("Cols = %v", cols)
 	}
 	if tb.Len() != 0 {

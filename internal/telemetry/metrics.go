@@ -161,14 +161,6 @@ func (c Counter) Inc() {
 	}
 }
 
-// Value returns the current count.
-func (c Counter) Value() int64 {
-	if c.s == nil {
-		return 0
-	}
-	return c.s.value()
-}
-
 // Gauge is a point-in-time metric handle. The zero value no-ops.
 type Gauge struct{ s *series }
 
@@ -177,21 +169,6 @@ func (g Gauge) Set(v int64) {
 	if g.s != nil {
 		g.s.val = v
 	}
-}
-
-// Add adjusts the current value by d.
-func (g Gauge) Add(d int64) {
-	if g.s != nil {
-		g.s.val += d
-	}
-}
-
-// Value returns the current value.
-func (g Gauge) Value() int64 {
-	if g.s == nil {
-		return 0
-	}
-	return g.s.val
 }
 
 // Histogram is a fixed-bucket distribution handle. Observe is O(1) and
@@ -217,14 +194,6 @@ func (h Histogram) Observe(v int64) {
 		s.max = v
 	}
 	s.buckets[bits.Len64(uint64(v))]++
-}
-
-// Count returns the number of observations.
-func (h Histogram) Count() int64 {
-	if h.s == nil {
-		return 0
-	}
-	return h.s.count
 }
 
 // Quantile returns the q-quantile (q in [0, 1]) of the observed samples:

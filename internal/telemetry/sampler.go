@@ -59,14 +59,6 @@ func (s *Sampler) Len() int {
 	return len(s.rows)
 }
 
-// Columns returns the sample schema.
-func (s *Sampler) Columns() []string {
-	if s == nil {
-		return nil
-	}
-	return s.cols
-}
-
 // Table renders the samples as a stats table with a leading t_ms column.
 func (s *Sampler) Table() *stats.Table {
 	cols := []string{"t_ms"}

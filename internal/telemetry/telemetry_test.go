@@ -63,28 +63,24 @@ func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	c := r.Counter(k)
 	c.Inc()
 	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Errorf("counter = %d, want 5", got)
-	}
 	if got := r.Value(k); got != 5 {
 		t.Errorf("registry value = %d, want 5", got)
 	}
 	// Re-registration returns the same series.
 	r.Counter(k).Inc()
-	if got := c.Value(); got != 6 {
+	if got := c.s.value(); got != 6 {
 		t.Errorf("re-registered counter diverged: %d", got)
 	}
-	g := r.Gauge(Key{Name: "tier.used", Node: 0, Tier: "nvme"})
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
+	gk := Key{Name: "tier.used", Node: 0, Tier: "nvme"}
+	r.Gauge(gk).Set(7)
+	if got := r.Value(gk); got != 7 {
 		t.Errorf("gauge = %d, want 7", got)
 	}
 	h := r.Histogram(Key{Name: "fault_ns", Node: 0})
 	for _, v := range []int64{1, 2, 3, 100, 1000, -5} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 6 {
+	if got := h.s.count; got != 6 {
 		t.Errorf("histogram count = %d, want 6", got)
 	}
 	defer func() {
@@ -107,9 +103,6 @@ func TestCounterOfReadsTheCell(t *testing.T) {
 	cell += 7
 	if got := r.Value(k); got != 7 {
 		t.Errorf("registry value = %d, want the cell's 7", got)
-	}
-	if got := r.Counter(k).Value(); got != 7 {
-		t.Errorf("handle value = %d, want the cell's 7", got)
 	}
 	var buf bytes.Buffer
 	if err := tel.MetricsTable().WriteCSV(&buf); err != nil {
@@ -141,7 +134,6 @@ func TestMetricHotPathDoesNotAllocate(t *testing.T) {
 		c.Inc()
 		c.Add(3)
 		g.Set(7)
-		g.Add(1)
 		h.Observe(12345)
 		zc.Inc()
 		zg.Set(1)

@@ -228,20 +228,11 @@ func (a *Admission) SetMaxInFlight(n int) {
 	a.maxInFlight = n
 }
 
-// MaxInFlight returns the current in-flight cap.
-func (a *Admission) MaxInFlight() int { return a.maxInFlight }
-
 // Queued returns the current waiting-queue depth.
 func (a *Admission) Queued() int { return a.queued }
 
 // InFlight returns the current in-flight count.
 func (a *Admission) InFlight() int { return a.inFlight }
 
-// Admitted returns the total arrivals accepted.
-func (a *Admission) Admitted() int64 { return a.admitted }
-
 // Shed returns the total arrivals shed.
 func (a *Admission) Shed() int64 { return a.shed }
-
-// Completed returns the total requests finished.
-func (a *Admission) Completed() int64 { return a.completed }

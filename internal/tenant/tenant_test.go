@@ -96,8 +96,8 @@ func TestAdmissionCaps(t *testing.T) {
 	if !strings.Contains(err.Error(), "t0") {
 		t.Fatalf("shed error %q does not name the tenant", err)
 	}
-	if a.Shed() != 1 || a.Admitted() != 3 || a.Queued() != 3 {
-		t.Fatalf("counts after shed: shed=%d admitted=%d queued=%d", a.Shed(), a.Admitted(), a.Queued())
+	if a.Shed() != 1 || a.admitted != 3 || a.Queued() != 3 {
+		t.Fatalf("counts after shed: shed=%d admitted=%d queued=%d", a.Shed(), a.admitted, a.Queued())
 	}
 
 	if !a.Dispatch() || !a.Dispatch() {
@@ -111,8 +111,8 @@ func TestAdmissionCaps(t *testing.T) {
 	}
 
 	a.Complete()
-	if a.InFlight() != 1 || a.Completed() != 1 {
-		t.Fatalf("inflight=%d completed=%d after complete", a.InFlight(), a.Completed())
+	if a.InFlight() != 1 || a.completed != 1 {
+		t.Fatalf("inflight=%d completed=%d after complete", a.InFlight(), a.completed)
 	}
 	if !a.Dispatch() {
 		t.Fatal("freed slot not dispatchable")
@@ -184,8 +184,8 @@ func TestAdmissionGovernorActuation(t *testing.T) {
 		}
 	}
 	a.SetMaxInFlight(0) // clamps to 1
-	if a.MaxInFlight() != 1 {
-		t.Fatalf("cap = %d, want clamp to 1", a.MaxInFlight())
+	if a.maxInFlight != 1 {
+		t.Fatalf("cap = %d, want clamp to 1", a.maxInFlight)
 	}
 	if !a.Dispatch() || a.Dispatch() {
 		t.Fatal("squeezed cap dispatched wrong count")

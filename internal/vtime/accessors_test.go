@@ -81,8 +81,8 @@ func TestWaitGroupPending(t *testing.T) {
 func TestResourceAccessors(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(4)
-	if r.Capacity() != 4 || r.InUse() != 0 {
-		t.Fatalf("fresh resource: cap=%d inUse=%d", r.Capacity(), r.InUse())
+	if r.capacity != 4 || r.InUse() != 0 {
+		t.Fatalf("fresh resource: cap=%d inUse=%d", r.capacity, r.InUse())
 	}
 	e.Spawn("p", func(p *Proc) {
 		r.Acquire(p, 3)

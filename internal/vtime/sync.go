@@ -144,9 +144,6 @@ func (r *Resource) AttachLoad(sum *LoadSum) {
 	r.load = sum
 }
 
-// Capacity returns the total units of the resource.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // InUse returns the units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
@@ -402,19 +399,6 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 	v, ok = rw.v, rw.ok
 	c.freeR = append(c.freeR, rw)
 	return v, ok
-}
-
-// TryRecv receives a value without blocking. ok is false if none is ready.
-func (c *Chan[T]) TryRecv() (v T, ok bool) {
-	if c.Len() > 0 {
-		v = c.popBuf()
-		c.refill()
-		return v, true
-	}
-	if len(c.sendq) > c.sendHead {
-		return c.popSend(), true
-	}
-	return v, false
 }
 
 // refill moves a blocked sender's value into freed buffer space.
