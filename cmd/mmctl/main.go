@@ -61,10 +61,10 @@ func printDeployment(d *megammap.Deployment) {
 		fmt.Printf("  tier %-5s %6dMB  %.1fGB/s read, score %.2f\n",
 			tier.Name, tier.Profile.Capacity>>20, tier.Profile.ReadBW/1e9, tier.Profile.Score)
 	}
-	fmt.Printf("runtime: tiers %v, %dKB pages, workers %d+%d, organize %v/%dKB, stage %v, replicas %d, checksums %v\n",
+	fmt.Printf("runtime: tiers %v, %dKB pages, workers %d+%d, organize %v, stage %v, replicas %d, checksums %v\n",
 		d.Runtime.Tiers, d.Runtime.DefaultPageSize>>10,
 		d.Runtime.WorkersLowLat, d.Runtime.WorkersHighLat,
-		d.Runtime.OrganizePeriod, d.Runtime.OrganizeBudget>>10,
+		d.Runtime.OrganizePeriod,
 		d.Runtime.StagePeriod, d.Runtime.Replicas, d.Runtime.ChecksumPages)
 }
 

@@ -68,7 +68,7 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 		buf[i] = -1
 	}
 	for done := int64(0); done < ln; {
-		m := min64(int64(scanChunk), ln-done)
+		m := min(int64(scanChunk), ln-done)
 		// The source's zero is patched into its chunk so the sweep never
 		// revisits a page it already passed.
 		lo := off + done
@@ -99,7 +99,7 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 		var cands []int64
 		if len(frontier) > 0 {
 			seen := make(map[int64]struct{})
-			olen := min64(ln+1, offs.Len()-off)
+			olen := min(ln+1, offs.Len()-off)
 			offs.SeqTxBegin(off, olen, core.ReadOnly)
 			edges.SeqTxBegin(0, e, core.ReadOnly|core.Global)
 			for _, u := range frontier {
@@ -150,7 +150,7 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 	var res Result
 	dist.SeqTxBegin(off, ln, core.ReadOnly)
 	for done := int64(0); done < ln; {
-		m := min64(int64(scanChunk), ln-done)
+		m := min(int64(scanChunk), ln-done)
 		dist.GetRange(off+done, buf[:m])
 		for j, dv := range buf[:m] {
 			res.fold(off+done+int64(j), dv)
@@ -204,11 +204,4 @@ func exchange(r *mpi.Rank, cands []int64, v int64) []int64 {
 		}
 	}
 	return mine
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -295,7 +295,7 @@ func MPI(r *mpi.Rank, st *stager.Stager, cfg Config) (Result, error) {
 	}
 	per := n / int64(r.Size())
 	rem := n % int64(r.Size())
-	off := int64(r.Rank())*per + min64(int64(r.Rank()), rem)
+	off := int64(r.Rank())*per + min(int64(r.Rank()), rem)
 	ln := per
 	if int64(r.Rank()) < rem {
 		ln++
@@ -383,11 +383,4 @@ func MPI(r *mpi.Rank, st *stager.Stager, cfg Config) (Result, error) {
 	}
 	r.Barrier()
 	return Result{Clusters: clusters, Leaves: len(leaves), Noise: noise, Points: n}, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

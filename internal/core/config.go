@@ -14,35 +14,19 @@ type Config struct {
 	Tiers []string
 
 	// WorkersLowLat and WorkersHighLat size the two worker groups of
-	// every node's runtime. MemoryTasks under LowLatThreshold bytes are
+	// every node's runtime. MemoryTasks under lowLatThreshold bytes are
 	// scheduled on the low-latency group so small requests are not
 	// stalled behind bulk transfers (paper §III-B).
 	WorkersLowLat  int
 	WorkersHighLat int
 
-	// LowLatThreshold is the payload size below which a task is
-	// latency-sensitive. The paper uses 16 KB.
-	LowLatThreshold int64
-
 	// DefaultPageSize is the page size of vectors that do not choose
 	// their own (bytes).
 	DefaultPageSize int64
 
-	// MinScore is the prefetcher cutoff: future pages score down to this
-	// value before scoring stops (paper Algorithm 1).
-	MinScore float64
-
 	// OrganizePeriod is how often the Data Organizer reinterprets scores
 	// and reorganizes the DMSH. Zero disables background organization.
 	OrganizePeriod vtime.Duration
-
-	// OrganizeBudget caps the bytes the organizer moves per pass so
-	// reorganization never monopolizes tier bandwidth (0 = unlimited).
-	OrganizeBudget int64
-
-	// ScoreDecay multiplies every blob score after each organize pass so
-	// stale hints age out.
-	ScoreDecay float64
 
 	// StagePeriod is how often modified pages of nonvolatile vectors are
 	// actively flushed to their backend during computation. Zero disables
@@ -120,6 +104,25 @@ type Config struct {
 	Health control.HealthConfig
 }
 
+// Fixed runtime parameters: every evaluation runs them at these values.
+const (
+	// lowLatThreshold is the payload size below which a task is
+	// latency-sensitive. The paper uses 16 KB.
+	lowLatThreshold = 16 << 10
+
+	// minScore is the prefetcher cutoff: future pages score down to this
+	// value before scoring stops (paper Algorithm 1).
+	minScore = 0.25
+
+	// organizeBudget caps the bytes the organizer moves per pass so
+	// reorganization never monopolizes tier bandwidth.
+	organizeBudget = 256 << 10
+
+	// scoreDecay multiplies every blob score after each organize pass so
+	// stale hints age out.
+	scoreDecay = 0.5
+)
+
 // DefaultConfig returns the configuration used by the evaluation unless
 // an experiment overrides it.
 func DefaultConfig() Config {
@@ -127,12 +130,8 @@ func DefaultConfig() Config {
 		Tiers:           []string{"dram", "nvme", "ssd", "hdd"},
 		WorkersLowLat:   2,
 		WorkersHighLat:  2,
-		LowLatThreshold: 16 << 10,
 		DefaultPageSize: 64 << 10,
-		MinScore:        0.25,
 		OrganizePeriod:  20 * vtime.Millisecond,
-		OrganizeBudget:  256 << 10,
-		ScoreDecay:      0.5,
 		StagePeriod:     50 * vtime.Millisecond,
 		RepairPeriod:    5 * vtime.Millisecond,
 	}
@@ -145,17 +144,8 @@ func (c Config) withDefaults() Config {
 	if c.WorkersHighLat <= 0 {
 		c.WorkersHighLat = 2
 	}
-	if c.LowLatThreshold <= 0 {
-		c.LowLatThreshold = 16 << 10
-	}
 	if c.DefaultPageSize <= 0 {
 		c.DefaultPageSize = 64 << 10
-	}
-	if c.MinScore <= 0 {
-		c.MinScore = 0.25
-	}
-	if c.ScoreDecay <= 0 || c.ScoreDecay >= 1 {
-		c.ScoreDecay = 0.5
 	}
 	if len(c.Tiers) == 0 {
 		c.Tiers = []string{"dram", "nvme", "ssd", "hdd"}

@@ -363,11 +363,11 @@ func (d *DSM) CommitsElided() (n int64) {
 // silently lost).
 func (d *DSM) organize(p *vtime.Proc) {
 	if d.pendingMoves == 0 {
-		for _, mv := range d.h.PlanOrganize(d.cfg.OrganizeBudget) {
+		for _, mv := range d.h.PlanOrganize(organizeBudget) {
 			d.submit(p, d.newMoveTask(mv))
 		}
 	}
-	d.h.DecayScores(d.cfg.ScoreDecay)
+	d.h.DecayScores(scoreDecay)
 }
 
 // newMoveTask wraps one planned relocation as a recycling task, queued on

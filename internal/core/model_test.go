@@ -294,7 +294,6 @@ func TestAllIterator(t *testing.T) {
 func TestOrganizerNeverRacesCommits(t *testing.T) {
 	cfg := testConfig()
 	cfg.OrganizePeriod = vtime.Millisecond // aggressive reorganization
-	cfg.OrganizeBudget = 1 << 20
 	c := newTestCluster(t, testSpec(2))
 	d := New(c, cfg)
 	const ranks, n, rounds = 4, 1024, 30

@@ -97,7 +97,9 @@ func TestOrganizerBringsDisplacedPagesHome(t *testing.T) {
 	const pages = 12
 	c := newTestCluster(t, testSpec(2))
 	cfg := testConfig()
-	d0 := New(c, cfg) // writes the dataset and stages it out at shutdown
+	cfg.DefaultPageSize = organizeBudget / 2 // the organizer moves two pages a pass
+	d0 := New(c, cfg)
+	// d0 writes the dataset and stages it out at shutdown.
 	runDSM(t, c, d0, func(p *vtime.Proc) {
 		v, err := Open[int64](d0.NewClient(p, 1), url, Int64Codec{})
 		if err != nil {
@@ -112,7 +114,6 @@ func TestOrganizerBringsDisplacedPagesHome(t *testing.T) {
 		v.TxEnd()
 	})
 
-	cfg.OrganizeBudget = 2 * cfg.DefaultPageSize
 	d := New(c, cfg)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 1)

@@ -87,8 +87,8 @@ func chainsIdle(t *testing.T, d *DSM, m *vecMeta) {
 func TestPageChainRunsInSubmissionOrder(t *testing.T) {
 	cfg := testConfig()
 	cfg.TraceTasks = true
-	cfg.OrganizePeriod = 0        // the only move is the test's
-	cfg.LowLatThreshold = 1 << 10 // region writes go low, page reads, whole writes and moves high
+	cfg.OrganizePeriod = 0                // the only move is the test's
+	cfg.DefaultPageSize = lowLatThreshold // region writes go low, page reads, whole writes and moves high
 	c := newTestCluster(t, testSpec(3))
 	d := New(c, cfg)
 	const pg = 2
@@ -147,7 +147,7 @@ func TestPageChainRunsInSubmissionOrder(t *testing.T) {
 		if afterMove && e.ExecNode != 1 {
 			t.Errorf("%s task submitted behind the move ran on node %d, want the page's new node 1", e.Kind, e.ExecNode)
 		}
-		if e.Bytes < cfg.LowLatThreshold {
+		if e.Bytes < lowLatThreshold {
 			small++
 		} else {
 			large++

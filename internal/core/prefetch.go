@@ -21,9 +21,9 @@ import (
 //     computation.
 //   - Distant pages get a decreasing score proportional to how soon a
 //     fault could reach them, estimated from the bandwidth of the tier
-//     each page currently occupies, until the score falls to MinScore.
+//     each page currently occupies, until the score falls to minScore.
 //     (The paper's pseudocode computes Score = EstTime/BaseTime, which
-//     grows without bound and never crosses MinScore; we use the clearly
+//     grows without bound and never crosses minScore; we use the clearly
 //     intended BaseTime/EstTime, which decays from 1.)
 //
 // Short-window rule: a transaction that declares fewer accesses than a
@@ -195,7 +195,7 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 		base = float64(ps) / 12e9
 	}
 
-	// Distant pages: decaying score until MinScore.
+	// Distant pages: decaying score until minScore.
 	if !distrust {
 		est := base
 		scored := 0
@@ -204,7 +204,7 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 		for _, pg := range future[i:] {
 			est += float64(ps) / v.tierReadBW(pg)
 			score := base / est
-			if score <= v.c.d.cfg.MinScore {
+			if score <= minScore {
 				break
 			}
 			v.scoreAsync(pg, score)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 
 	"megammap/internal/cluster"
 	"megammap/internal/faults"
@@ -13,7 +14,7 @@ import (
 
 // Runtime is the per-node MegaMmap runtime process group: a scheduler
 // that hashes MemoryTasks onto workers (low-latency and high-latency
-// groups, split at Config.LowLatThreshold) and the workers that execute
+// groups, split at lowLatThreshold) and the workers that execute
 // scache operations (paper §III-B). Per-page hashing orders all tasks for
 // one page through one worker, giving read-after-write consistency
 // without a coherence protocol.
@@ -60,21 +61,7 @@ func newRuntime(d *DSM, node *cluster.Node) *Runtime {
 }
 
 func workerName(node int, group string, i int) string {
-	return "mm-worker-n" + itoa(node) + "-" + group + itoa(i)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return "mm-worker-n" + strconv.Itoa(node) + "-" + group + strconv.Itoa(i)
 }
 
 // submit enqueues a task: a stage-out on the node's staging lanes, any
@@ -87,7 +74,7 @@ func (r *Runtime) submit(t *MemoryTask) {
 		q = r.stageLanes()
 	} else {
 		group := r.highQ
-		if len(r.lowQ) > 0 && t.bytes() < r.d.cfg.LowLatThreshold {
+		if len(r.lowQ) > 0 && t.bytes() < lowLatThreshold {
 			group = r.lowQ
 		}
 		q = group[t.blobID().Hash()%uint32(len(group))]

@@ -271,7 +271,7 @@ func (v *Vector[T]) Pgas(rank, nprocs int) {
 	per := n / int64(nprocs)
 	rem := n % int64(nprocs)
 	r := int64(rank)
-	v.pgasOff = r*per + min64i(r, rem)
+	v.pgasOff = r*per + min(r, rem)
 	v.pgasN = per
 	if r < rem {
 		v.pgasN++
@@ -919,13 +919,6 @@ func (v *Vector[T]) integrateFills() {
 	}
 	clear(v.fills[len(pending):])
 	v.fills = pending
-}
-
-func min64i(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // sortedKeys returns m's keys in ascending order, in dst's storage when

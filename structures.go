@@ -75,7 +75,7 @@ func (m *Matrix[T]) RowPartition(rank, nprocs int) (row0, n int64) {
 	per := m.rows / int64(nprocs)
 	rem := m.rows % int64(nprocs)
 	r := int64(rank)
-	row0 = r*per + minI64(r, rem)
+	row0 = r*per + min(r, rem)
 	n = per
 	if r < rem {
 		n++
@@ -152,11 +152,4 @@ func (l *Log[T]) Scan(from, to int64, fn func(i int64, val T) bool) {
 			return
 		}
 	}
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
