@@ -37,9 +37,7 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.BoundBytes > 0 {
-		edges.BoundMemory(cfg.BoundBytes)
-	}
+	edges.BoundMemory(cfg.BoundBytes)
 	v := offs.Len() - 1 // offsets has V+1 entries
 	e := edges.Len()
 	if v < 1 {
@@ -149,13 +147,10 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 	// partition, then the pieces sum.
 	var res Result
 	dist.SeqTxBegin(off, ln, core.ReadOnly)
-	for done := int64(0); done < ln; {
-		m := min(int64(scanChunk), ln-done)
-		dist.GetRange(off+done, buf[:m])
-		for j, dv := range buf[:m] {
-			res.fold(off+done+int64(j), dv)
+	for sc := dist.Scan(off, ln, buf); sc.Next(); {
+		for j, dv := range sc.Chunk() {
+			res.fold(sc.At(j), dv)
 		}
-		done += m
 	}
 	dist.TxEnd()
 	res.Visited = r.SumInt64(res.Visited)

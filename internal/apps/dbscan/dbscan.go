@@ -16,6 +16,7 @@
 package dbscan
 
 import (
+	"encoding/binary"
 	"math"
 
 	"megammap/internal/datagen"
@@ -65,6 +66,36 @@ type Result struct {
 	Leaves   int   // µclusters produced by the k-d phase
 	Noise    int64 // points in sub-MinPts clusters
 	Points   int64
+}
+
+// idxPt is one working record of the k-d decomposition: the particle plus
+// its index in the original dataset, so leaves can label the output.
+type idxPt struct {
+	Pt  datagen.Particle
+	Idx int64
+}
+
+// idxPtSize is the encoded record size (24-byte particle + 8-byte index).
+const idxPtSize = 32
+
+// idxPtCodec encodes working records for MegaMmap vectors.
+type idxPtCodec struct{}
+
+func (idxPtCodec) Size() int { return idxPtSize }
+
+// MemoryImage: six float32s then an int64 at offset 24, no padding.
+func (idxPtCodec) MemoryImage() {}
+
+func (idxPtCodec) Encode(dst []byte, v idxPt) {
+	datagen.EncodeParticle(dst, v.Pt)
+	binary.LittleEndian.PutUint64(dst[24:], uint64(v.Idx))
+}
+
+func (idxPtCodec) Decode(src []byte) idxPt {
+	return idxPt{
+		Pt:  datagen.DecodeParticle(src),
+		Idx: int64(binary.LittleEndian.Uint64(src[24:])),
+	}
 }
 
 // axisOf extracts coordinate a (0..2) of a particle position.

@@ -20,9 +20,7 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.BoundBytes > 0 {
-		pts.BoundMemory(cfg.BoundBytes)
-	}
+	pts.BoundMemory(cfg.BoundBytes)
 	pts.Pgas(r.Rank(), r.Size())
 	n := pts.Len()
 	if n == 0 {
@@ -49,17 +47,11 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 		acc := make([]float64, cfg.K*4)
 		local := 0.0
 		pts.SeqTxBegin(off, ln, core.ReadOnly)
-		for done := int64(0); done < ln; {
-			m := int64(scanChunk)
-			if m > ln-done {
-				m = ln - done
-			}
-			pts.GetRange(off+done, buf[:m])
-			for _, pt := range buf[:m] {
+		for sc := pts.Scan(off, ln, buf); sc.Next(); {
+			for _, pt := range sc.Chunk() {
 				local += accumulate(acc, pt, centroids)
 			}
-			r.Compute(vtime.Duration(int64(cfg.CostPerDist) * m * int64(cfg.K)))
-			done += m
+			r.Compute(vtime.Duration(int64(cfg.CostPerDist) * int64(len(sc.Chunk())) * int64(cfg.K)))
 		}
 		pts.TxEnd()
 		acc = append(acc, local)
@@ -80,18 +72,12 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 		r.Barrier()
 		out.SeqTxBegin(off, ln, core.WriteOnly)
 		pts.SeqTxBegin(off, ln, core.ReadOnly)
-		for done := int64(0); done < ln; {
-			m := int64(scanChunk)
-			if m > ln-done {
-				m = ln - done
-			}
-			pts.GetRange(off+done, buf[:m])
-			for j, pt := range buf[:m] {
+		for sc := pts.Scan(off, ln, buf); sc.Next(); {
+			for j, pt := range sc.Chunk() {
 				c, _ := nearest(pt, centroids)
-				out.Set(off+done+int64(j), int32(c))
+				out.Set(sc.At(j), int32(c))
 			}
-			r.Compute(vtime.Duration(int64(cfg.CostPerDist) * m * int64(cfg.K)))
-			done += m
+			r.Compute(vtime.Duration(int64(cfg.CostPerDist) * int64(len(sc.Chunk())) * int64(cfg.K)))
 		}
 		pts.TxEnd()
 		out.TxEnd()

@@ -25,10 +25,8 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.BoundBytes > 0 {
-		pts.BoundMemory(cfg.BoundBytes)
-		labels.BoundMemory(cfg.BoundBytes / 6)
-	}
+	pts.BoundMemory(cfg.BoundBytes)
+	labels.BoundMemory(cfg.BoundBytes / 6)
 	n := pts.Len()
 
 	// Global feature ranges from each rank's partition.
@@ -93,13 +91,8 @@ func localRanges(r *mpi.Rank, pts *core.Vector[datagen.Particle], cfg Config) (l
 	off, ln := pts.LocalOff(), pts.LocalLen()
 	buf := make([]datagen.Particle, 1024)
 	pts.SeqTxBegin(off, ln, core.ReadOnly)
-	for done := int64(0); done < ln; {
-		m := int64(len(buf))
-		if m > ln-done {
-			m = ln - done
-		}
-		pts.GetRange(off+done, buf[:m])
-		for _, pt := range buf[:m] {
+	for sc := pts.Scan(off, ln, buf); sc.Next(); {
+		for _, pt := range sc.Chunk() {
 			for f := 0; f < NumFeatures; f++ {
 				v := feature(pt, f)
 				if v < lo[f] {
@@ -110,8 +103,7 @@ func localRanges(r *mpi.Rank, pts *core.Vector[datagen.Particle], cfg Config) (l
 				}
 			}
 		}
-		r.Compute(vtime.Duration(int64(cfg.CostPerSample) * m / 4))
-		done += m
+		r.Compute(vtime.Duration(int64(cfg.CostPerSample) * int64(len(sc.Chunk())) / 4))
 	}
 	pts.TxEnd()
 	return lo, hi

@@ -27,17 +27,14 @@ func Fig4() (*stats.Table, error) {
 	}
 	t := stats.NewTable("fig4-loc",
 		"app", "megammap_loc", "baseline", "baseline_loc", "shared_loc")
-	specs := []struct {
-		app      string
-		baseline string
-		baseFile string
-	}{
-		{"kmeans", "spark", "spark.go"},
-		{"rf", "spark", "spark.go"},
-		{"dbscan", "mpi", "driver.go"}, // split below
-		{"grayscott", "mpi", "mpi.go"},
-	}
-	for _, s := range specs {
+	// Every app counts by one rule: mega.go is its MegaMmap variant,
+	// <baseline>.go its baseline, and every other non-test file shared.
+	for _, s := range []struct{ app, baseline string }{
+		{"kmeans", "spark"},
+		{"rf", "spark"},
+		{"dbscan", "mpi"},
+		{"grayscott", "mpi"},
+	} {
 		dir := filepath.Join(root, s.app)
 		var megaLOC, baseLOC, sharedLOC int
 		entries, err := os.ReadDir(dir)
@@ -53,21 +50,11 @@ func Fig4() (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			switch {
-			case name == "mega.go":
+			switch name {
+			case "mega.go":
 				megaLOC += loc
-			case name == s.baseFile && s.app != "dbscan":
+			case s.baseline + ".go":
 				baseLOC += loc
-			case s.app == "dbscan" && name == "driver.go":
-				// dbscan keeps both variants in one driver file; split the
-				// count by the functions' spans.
-				m, b, sh, err := splitDBSCANDriver(filepath.Join(dir, name))
-				if err != nil {
-					return nil, err
-				}
-				megaLOC += m
-				baseLOC += b
-				sharedLOC += sh
 			default:
 				sharedLOC += loc
 			}
@@ -123,39 +110,4 @@ func CountLOC(path string) (int, error) {
 		n++
 	}
 	return n, sc.Err()
-}
-
-// splitDBSCANDriver counts the dbscan driver's Mega function as
-// MegaMmap code, its MPI function as baseline code, and the shared
-// recursion as shared.
-func splitDBSCANDriver(path string) (mega, base, shared int, err error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	section := "shared"
-	for _, line := range strings.Split(string(raw), "\n") {
-		trimmed := strings.TrimSpace(line)
-		switch {
-		case strings.HasPrefix(trimmed, "func Mega("):
-			section = "mega"
-		case strings.HasPrefix(trimmed, "func MPI("):
-			section = "mpi"
-		case strings.HasPrefix(trimmed, "func ") &&
-			!strings.HasPrefix(trimmed, "func Mega(") && !strings.HasPrefix(trimmed, "func MPI("):
-			section = "shared"
-		}
-		if trimmed == "" || strings.HasPrefix(trimmed, "//") {
-			continue
-		}
-		switch section {
-		case "mega":
-			mega++
-		case "mpi":
-			base++
-		default:
-			shared++
-		}
-	}
-	return mega, base, shared, nil
 }
