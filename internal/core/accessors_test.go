@@ -99,34 +99,6 @@ func TestTaskKindStrings(t *testing.T) {
 	}
 }
 
-func TestTraceSummaryMeans(t *testing.T) {
-	var zero TraceSummary
-	if zero.MeanQueue() != 0 || zero.MeanService() != 0 {
-		t.Error("empty summary means must be zero, not NaN/panic")
-	}
-	s := TraceSummary{Count: 4, QueueTotal: 8 * vtime.Millisecond, ServiceTotal: 2 * vtime.Millisecond}
-	if s.MeanQueue() != 2*vtime.Millisecond {
-		t.Errorf("MeanQueue = %v", s.MeanQueue())
-	}
-	if s.MeanService() != 500*vtime.Microsecond {
-		t.Errorf("MeanService = %v", s.MeanService())
-	}
-}
-
-func TestCSVEscape(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"plain", "plain"},
-		{"with,comma", `"with,comma"`},
-		{`with"quote`, `"with""quote"`},
-		{"with\nnewline", "\"with\nnewline\""},
-	}
-	for _, c := range cases {
-		if got := csvEscape(c.in); got != c.want {
-			t.Errorf("csvEscape(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
 func TestReplicasOfAndStats(t *testing.T) {
 	c, d := newTestDSM(t, 2)
 	runDSM(t, c, d, func(p *vtime.Proc) {

@@ -75,10 +75,6 @@ type Config struct {
 	// (the queue still fills; nothing drains it).
 	RepairPeriod vtime.Duration
 
-	// TraceTasks records every MemoryTask's lifecycle (submit, start,
-	// end, worker node) in DSM.Trace for diagnostics.
-	TraceTasks bool
-
 	// Hints attaches UMap-style paging policies to vectors by name:
 	// access-pattern class (which sets the fill-window depth), eviction
 	// class, and per-region overrides (see VectorHint). Vectors without a matching

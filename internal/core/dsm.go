@@ -169,12 +169,6 @@ func New(c *cluster.Cluster, cfg Config) *DSM {
 	if len(tiers) == 0 {
 		panic("core: no configured tier exists on the cluster")
 	}
-	// The legacy TraceTasks knob is implemented on the telemetry span
-	// plane: when set with no plane installed, a span-only plane is
-	// installed here so d.Trace() has spans to fold.
-	if cfg.TraceTasks && c.Telemetry() == nil {
-		c.InstallTelemetry(telemetry.Options{Spans: true})
-	}
 	d := &DSM{
 		c:            c,
 		cfg:          cfg,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"megammap/internal/faults"
+	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
 
@@ -464,14 +465,18 @@ func TestCollectiveFaultCoalescing(t *testing.T) {
 	}
 }
 
+// TestTaskTracing: with the span plane on, every MemoryTask leaves a task
+// span naming its vector, with submit <= start <= end, and a write phase
+// and a read phase leave both kinds.
 func TestTaskTracing(t *testing.T) {
-	cfg := testConfig()
-	cfg.TraceTasks = true
 	c := newTestCluster(t, testSpec(1))
-	d := New(c, cfg)
+	c.InstallTelemetry(telemetry.Options{Spans: true})
+	d := New(c, testConfig())
+	var vec uint32
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v, _ := Open[int64](cl, "traced", Int64Codec{})
+		vec = v.m.id
 		v.Resize(2048)
 		v.BoundMemory(2 * v.PageSize())
 		v.SeqTxBegin(0, 2048, WriteOnly)
@@ -485,49 +490,20 @@ func TestTaskTracing(t *testing.T) {
 		}
 		v.TxEnd()
 	})
-	tr := d.Trace()
-	if tr == nil || len(tr.Events) == 0 {
-		t.Fatal("no trace recorded")
-	}
-	sum := tr.Summary()
-	if sum["write"].Count == 0 || sum["read"].Count == 0 {
-		t.Errorf("summary missing kinds: %+v", sum)
-	}
-	for _, e := range tr.Events {
-		if e.Start < e.Submit || e.End < e.Start {
-			t.Fatalf("event timestamps out of order: %+v", e)
+	kinds := make(map[telemetry.Op]int)
+	d.trc.Each(func(_ telemetry.SpanID, s *telemetry.Span) {
+		if !s.Op.IsTask() {
+			return
 		}
-		if e.Vector != "traced" {
-			t.Fatalf("unexpected vector %q", e.Vector)
+		kinds[s.Op]++
+		if s.Start < s.Submit || s.End < s.Start {
+			t.Fatalf("%v task span out of order: submit %v, start %v, end %v", s.Op, s.Submit, s.Start, s.End)
 		}
-	}
-	var b strings.Builder
-	if err := tr.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != len(tr.Events)+1 {
-		t.Errorf("csv rows = %d, want %d", len(lines), len(tr.Events)+1)
-	}
-	if !strings.HasPrefix(lines[0], "kind,vector,page") {
-		t.Errorf("header = %q", lines[0])
-	}
-	if sum["read"].MeanService() <= 0 {
-		t.Error("read service time should be positive")
-	}
-}
-
-func TestTracingOffByDefault(t *testing.T) {
-	c, d := newTestDSM(t, 1)
-	runDSM(t, c, d, func(p *vtime.Proc) {
-		cl := d.NewClient(p, 0)
-		v, _ := Open[int64](cl, "untraced", Int64Codec{})
-		v.Resize(64)
-		v.SeqTxBegin(0, 64, WriteOnly)
-		v.Set(0, 1)
-		v.TxEnd()
+		if s.Vec != vec {
+			t.Fatalf("%v task span names vector %d, want %d", s.Op, s.Vec, vec)
+		}
 	})
-	if d.Trace() != nil {
-		t.Error("trace allocated despite TraceTasks=false")
+	if kinds[telemetry.OpTaskWrite] == 0 || kinds[telemetry.OpTaskRead] == 0 {
+		t.Errorf("task spans by kind %v: want both reads and writes", kinds)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"megammap/internal/hermes"
+	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
 
@@ -86,10 +87,10 @@ func chainsIdle(t *testing.T, d *DSM, m *vecMeta) {
 // must run where it took the page.
 func TestPageChainRunsInSubmissionOrder(t *testing.T) {
 	cfg := testConfig()
-	cfg.TraceTasks = true
 	cfg.OrganizePeriod = 0                // the only move is the test's
 	cfg.DefaultPageSize = lowLatThreshold // region writes go low, page reads, whole writes and moves high
 	c := newTestCluster(t, testSpec(3))
+	c.InstallTelemetry(telemetry.Options{Spans: true})
 	d := New(c, cfg)
 	const pg = 2
 	runDSM(t, c, d, func(p *vtime.Proc) {
@@ -132,31 +133,31 @@ func TestPageChainRunsInSubmissionOrder(t *testing.T) {
 		}
 		chainsIdle(t, d, m)
 	})
-	// One task of the page at a time, in submission order (trace events are
-	// in submission order), and on both sides of the size split.
-	var prev *TraceEvent
+	// One task of the page at a time, in submission order (task spans begin
+	// at submission), and on both sides of the size split.
+	var prev *telemetry.Span
 	small, large, afterMove := 0, 0, false
-	events := d.Trace().Events
-	for i, e := range events {
-		if e.Kind != "move" && e.Page != pg {
-			continue
+	d.trc.Each(func(_ telemetry.SpanID, s *telemetry.Span) {
+		move := s.Op == telemetry.OpTaskMove
+		if !s.Op.IsTask() || !move && s.Arg != pg {
+			return
 		}
-		if prev != nil && e.Start < prev.End {
-			t.Errorf("%s task started at %v, before the %s task submitted ahead of it ended at %v", e.Kind, e.Start, prev.Kind, prev.End)
+		if prev != nil && s.Start < prev.End {
+			t.Errorf("%v task started at %v, before the %v task submitted ahead of it ended at %v", s.Op, s.Start, prev.Op, prev.End)
 		}
-		if afterMove && e.ExecNode != 1 {
-			t.Errorf("%s task submitted behind the move ran on node %d, want the page's new node 1", e.Kind, e.ExecNode)
+		if afterMove && s.Node != 1 {
+			t.Errorf("%v task submitted behind the move ran on node %d, want the page's new node 1", s.Op, s.Node)
 		}
-		if e.Bytes < lowLatThreshold {
+		if s.Bytes < lowLatThreshold {
 			small++
 		} else {
 			large++
 		}
-		afterMove = afterMove || e.Kind == "move"
-		prev = &events[i]
-	}
+		afterMove = afterMove || move
+		prev = s
+	})
 	if small < 2 || large < 5 || !afterMove {
-		t.Errorf("trace shows %d small and %d large tasks on the page, move seen: %v", small, large, afterMove)
+		t.Errorf("task spans show %d small and %d large tasks on the page, move seen: %v", small, large, afterMove)
 	}
 }
 

@@ -71,25 +71,6 @@ func (k taskKind) op() telemetry.Op {
 	}
 }
 
-// taskOpKind is the inverse of taskKind.op, for folding task spans back
-// into the TaskTrace view.
-func taskOpKind(op telemetry.Op) taskKind {
-	switch op {
-	case telemetry.OpTaskRead:
-		return taskRead
-	case telemetry.OpTaskWrite:
-		return taskWrite
-	case telemetry.OpTaskScore:
-		return taskScore
-	case telemetry.OpTaskStage:
-		return taskStage
-	case telemetry.OpTaskDestroy:
-		return taskDestroy
-	default:
-		return taskMove
-	}
-}
-
 // dirtyRange is a modified byte span within a page.
 type dirtyRange struct {
 	off, end int64 // page-relative [off, end)

@@ -207,8 +207,6 @@ type (
 	MetricKey = telemetry.Key
 	// Span is one traced operation of the fault path.
 	Span = telemetry.Span
-	// TaskTrace is the task-level trace view (Config.TraceTasks).
-	TaskTrace = core.TaskTrace
 )
 
 // The fault plane: deterministic scripted failures (message loss, device
