@@ -119,3 +119,54 @@ func TestGlobalReadKeepsOwnWholePageCommit(t *testing.T) {
 		other.Close()
 	})
 }
+
+// TestSubPageVectorsWholeCommitClearsPartial: a vector shorter than a page
+// that one local write phase fills holds no zero fill over data once that
+// phase commits, as a whole page does, so its page is no longer partial and
+// the handle's next local read serves it without fetching the committed
+// image back. The same holds for the last page of a longer vector, which
+// the vector ends inside.
+func TestSubPageVectorsWholeCommitClearsPartial(t *testing.T) {
+	cfg := testConfig()
+	cfg.DisablePrefetch = true
+	c := newTestCluster(t, testSpec(1))
+	d := New(c, cfg)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		cl := d.NewClient(p, 0)
+		for _, tc := range []struct {
+			name string
+			n    func(epp int64) int64
+		}{
+			{"short", func(epp int64) int64 { return epp / 3 }},
+			{"ragged", func(epp int64) int64 { return 2*epp + epp/3 }},
+		} {
+			v, err := Open[int64](cl, tc.name, Int64Codec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := tc.n(v.PageSize() / 8)
+			v.Resize(n)
+			v.SeqTxBegin(0, n, WriteOnly)
+			for i := int64(0); i < n; i++ {
+				v.Set(i, i)
+			}
+			v.TxEnd()
+			last := (n - 1) / (v.PageSize() / 8)
+			if cp := v.pc.get(last); cp == nil || cp.partial {
+				t.Errorf("%s: after the whole commit the vector's last page is resident=%v and partial", tc.name, cp != nil)
+			}
+			before := v.c.counts.faults
+			v.SeqTxBegin(0, n, ReadOnly)
+			for i := int64(0); i < n; i++ {
+				if got := v.Get(i); got != i {
+					t.Fatalf("%s: element %d reads %d", tc.name, i, got)
+				}
+			}
+			v.TxEnd()
+			if got := v.c.counts.faults - before; got != 0 {
+				t.Errorf("%s: the local read after the whole commit faulted %d pages, want 0", tc.name, got)
+			}
+			v.Close()
+		}
+	})
+}
