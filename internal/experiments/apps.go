@@ -17,6 +17,7 @@ import (
 	"megammap/internal/simnet"
 	"megammap/internal/sparklike"
 	"megammap/internal/stager"
+	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
 
@@ -161,16 +162,14 @@ func (a app) cell(j job, baseline bool) batchCell {
 // is a result, not an error — Fig. 6 is about where that happens: the
 // report then has no runtime and mem_mb is the DRAM the job was bounded
 // by. Any other failure fails the cell.
-func figureCell(a app, baseline bool, spec cluster.Spec, cfg core.Config, j job) (batchRun, error) {
+func figureCell(tel *telemetry.Options, a app, baseline bool, spec cluster.Spec, cfg core.Config, j job) (batchRun, error) {
 	cell := a.cell(j, baseline)
-	cell.spec, cell.config = spec, cfg
+	cell.spec, cell.config, cell.tel = spec, cfg, tel
 	run, err := cell.run()
 	var oom *cluster.ErrOOM
 	if baseline && errors.As(err, &oom) {
-		run.out = Report{
-			Metrics: map[string]float64{"mem_mb": float64(spec.DRAMPer) / float64(device.MB)},
-			Digests: map[string]int64{"oom": 1},
-		}
+		run.out.Metrics = map[string]float64{"mem_mb": float64(spec.DRAMPer) / float64(device.MB)}
+		run.out.Digests = map[string]int64{"oom": 1}
 		return run, nil
 	}
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"megammap/internal/device"
 	"megammap/internal/mpi"
 	"megammap/internal/simnet"
+	"megammap/internal/telemetry"
 )
 
 // bfsTestbed is the BFS cells' cluster shape: a small DRAM tier backed
@@ -29,7 +30,7 @@ func bfsTestbed(nodes int) cluster.Spec {
 // runs the distributed BFS from source — the cell of the policy-hint
 // study. hints are the per-vector paging-policy hints to install (nil =
 // the default policy); bound caps the edge vector's pcache (0 = no cap).
-func RunBFSCell(nodes, procs int, vertices, seed, source, bound int64, hints []core.VectorHint) (Report, error) {
+func RunBFSCell(tel *telemetry.Options, nodes, procs int, vertices, seed, source, bound int64, hints []core.VectorHint) (Report, error) {
 	cc := core.DefaultConfig()
 	cc.Tiers = []string{"dram", "nvme"}
 	cc.DefaultPageSize = 4 << 10
@@ -39,6 +40,7 @@ func RunBFSCell(nodes, procs int, vertices, seed, source, bound int64, hints []c
 		stage:  stageGraph(vertices, seed),
 		config: cc,
 		ranks:  nodes * procs,
+		tel:    tel,
 		body: func(r *mpi.Rank, d *core.DSM) (any, error) {
 			return anyOf(bfs.Mega(r, d, bfs.Config{
 				OffsetsURL: graphOffsetsURL,

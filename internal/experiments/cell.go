@@ -23,11 +23,13 @@ import (
 // exact values (checksums, counters, percentiles of a deterministic run)
 // gated byte for byte. Start and Runtime place the measured phase on the
 // cluster clock, for a caller that derives another cell's fault schedule
-// or slowdown from this one.
+// or slowdown from this one. Telemetry is the plane the cell ran with
+// when its caller passed telemetry options, else nil.
 type Report struct {
 	Start, Runtime vtime.Duration
 	Metrics        map[string]float64
 	Digests        map[string]int64
+	Telemetry      *telemetry.Telemetry
 }
 
 func newReport(start, runtime vtime.Duration) Report {
@@ -109,6 +111,8 @@ type batchCell struct {
 	ranks    int
 	// body is one rank; what rank 0 returns is the cell's answer.
 	body func(r *mpi.Rank, d *core.DSM) (any, error)
+	// tel, when non-nil, is the telemetry plane to install on the cluster.
+	tel *telemetry.Options
 }
 
 // batchRun is a finished batch cell: the closed cluster and the shut-down
@@ -121,9 +125,14 @@ type batchRun struct {
 	out    Report
 }
 
-func (b batchCell) run() (batchRun, error) {
-	c := newCluster(b.spec)
+func (b batchCell) run() (run batchRun, err error) {
+	c := newCluster(b.spec, b.tel)
 	defer c.Close() // on every path: an OOM-killed or deadlocked run leaves ranks parked
+	if b.tel != nil {
+		// A failed cell hands its plane back too: an OOM-killed baseline
+		// is a result.
+		defer func() { run.out.Telemetry = c.Telemetry() }()
+	}
 	if b.metrics {
 		withMetrics(c)
 	}

@@ -23,6 +23,7 @@ import (
 	"megammap/internal/faults"
 	"megammap/internal/mpi"
 	"megammap/internal/simnet"
+	"megammap/internal/telemetry"
 	"megammap/internal/topology"
 	"megammap/internal/vtime"
 )
@@ -105,7 +106,7 @@ func PoolCrashPlan(nodes int) *faults.Plan {
 // peak bytes resident across the pool arenas), the bytes written to the
 // compute nodes' spill tier, the spill-vs-pool governor's bias flips, and
 // the workload answer's digest (identical across modes).
-func RunDisaggCell(workload string, nodes, procs int, bytesPerNode, vertices, seed int64, disagg bool, fp *faults.Plan) (Report, error) {
+func RunDisaggCell(tel *telemetry.Options, workload string, nodes, procs int, bytesPerNode, vertices, seed int64, disagg bool, fp *faults.Plan) (Report, error) {
 	if nodes < 2 || procs < 1 {
 		return Report{}, fmt.Errorf("disagg: bad cell shape (nodes=%d procs=%d)", nodes, procs)
 	}
@@ -145,7 +146,7 @@ func RunDisaggCell(workload string, nodes, procs int, bytesPerNode, vertices, se
 	default:
 		return Report{}, fmt.Errorf("disagg: unknown workload %q (kmeans|bfs)", workload)
 	}
-	cell.metrics, cell.config, cell.faults = true, disaggConfig(), fp
+	cell.metrics, cell.config, cell.faults, cell.tel = true, disaggConfig(), fp, tel
 	run, err := cell.run()
 	if err != nil {
 		return Report{}, err

@@ -18,11 +18,11 @@ import (
 // result digest exactly, for both workloads.
 func TestDisaggCellReplayIsByteIdentical(t *testing.T) {
 	for _, w := range []string{"kmeans", "bfs"} {
-		a, err := RunDisaggCell(w, 2, 2, 768*device.KB, 4096, 42, true, PoolCrashPlan(2))
+		a, err := RunDisaggCell(nil, w, 2, 2, 768*device.KB, 4096, 42, true, PoolCrashPlan(2))
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
-		b, err := RunDisaggCell(w, 2, 2, 768*device.KB, 4096, 42, true, PoolCrashPlan(2))
+		b, err := RunDisaggCell(nil, w, 2, 2, 768*device.KB, 4096, 42, true, PoolCrashPlan(2))
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
@@ -40,7 +40,7 @@ func TestDisaggCellReplayIsByteIdentical(t *testing.T) {
 // workload answer.
 func TestDisaggLocalCellHasNoPoolActivity(t *testing.T) {
 	for _, w := range []string{"kmeans", "bfs"} {
-		local, err := RunDisaggCell(w, 2, 2, 768*device.KB, 4096, 42, false, nil)
+		local, err := RunDisaggCell(nil, w, 2, 2, 768*device.KB, 4096, 42, false, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
@@ -49,7 +49,7 @@ func TestDisaggLocalCellHasNoPoolActivity(t *testing.T) {
 				t.Errorf("%s: local cell reports pool activity: %+v", w, local)
 			}
 		}
-		dis, err := RunDisaggCell(w, 2, 2, 768*device.KB, 4096, 42, true, PoolCrashPlan(2))
+		dis, err := RunDisaggCell(nil, w, 2, 2, 768*device.KB, 4096, 42, true, PoolCrashPlan(2))
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
@@ -69,17 +69,16 @@ func metricRow(tb *stats.Table, name string) (int, bool) {
 	return 0, false
 }
 
-// TestDisaggTelemetryExport: with the telemetry plane enabled (mmbench
+// TestDisaggTelemetryExport: with telemetry options passed in (mmplan
 // -telemetry) every kind of cell builds its cluster through newCluster,
-// so every kind leaves one plane to drain — the BFS cell used to build
-// its own cluster and export nothing. The disaggregated run's plane must
-// also export the remote_pool observables — arena used/peak gauges, the
-// hermes placement counter and hit-ratio gauge, and the fabric's
+// so every kind hands its plane back on its Report — the BFS cell used to
+// build its own cluster and export nothing. The disaggregated run's plane
+// must also export the remote_pool observables — arena used/peak gauges,
+// the hermes placement counter and hit-ratio gauge, and the fabric's
 // pool-queue wait histogram (p50/p99) — in the standard metrics and
 // histogram tables.
 func TestDisaggTelemetryExport(t *testing.T) {
-	EnableTelemetry(telemetry.Options{Metrics: true})
-	defer func() { telemetryOpts = nil; telemetryRuns = nil }()
+	opts := &telemetry.Options{Metrics: true}
 	var tel *telemetry.Telemetry
 	for _, tc := range []struct {
 		kind string
@@ -87,28 +86,28 @@ func TestDisaggTelemetryExport(t *testing.T) {
 	}{
 		{"kmeans", func() (Report, error) {
 			cfg := kmeans.Config{K: 8, MaxIter: 2, CostPerDist: 3 * vtime.Nanosecond}
-			return RunKMeansCell(2, 2, 192*device.KB, cfg, nil, false)
+			return RunKMeansCell(opts, 2, 2, 192*device.KB, cfg, nil, false)
 		}},
-		{"grayscott", func() (Report, error) { return RunScrubCell(2, 2, 256*device.KB, 1, "off") }},
-		{"bfs", func() (Report, error) { return RunBFSCell(2, 2, 4096, 42, 0, 0, nil) }},
+		{"grayscott", func() (Report, error) { return RunScrubCell(opts, 2, 2, 256*device.KB, 1, "off") }},
+		{"bfs", func() (Report, error) { return RunBFSCell(opts, 2, 2, 4096, 42, 0, 0, nil) }},
 		{"tenants", func() (Report, error) {
-			return RunTenantsCell(2, 192*device.KB, 20*vtime.Millisecond, 42, false, nil)
+			return RunTenantsCell(opts, 2, 192*device.KB, 20*vtime.Millisecond, 42, false, nil)
 		}},
 		{"gray", func() (Report, error) {
-			return RunGrayCell(3, 192*device.KB, 20*vtime.Millisecond, 42, false, nil)
+			return RunGrayCell(opts, 3, 192*device.KB, 20*vtime.Millisecond, 42, false, nil)
 		}},
 		{"disagg", func() (Report, error) {
-			return RunDisaggCell("kmeans", 2, 2, 768*device.KB, 4096, 42, true, PoolCrashPlan(2))
+			return RunDisaggCell(opts, "kmeans", 2, 2, 768*device.KB, 4096, 42, true, PoolCrashPlan(2))
 		}},
 	} {
-		if _, err := tc.run(); err != nil {
+		out, err := tc.run()
+		if err != nil {
 			t.Fatalf("%s: %v", tc.kind, err)
 		}
-		runs := DrainTelemetry()
-		if len(runs) != 1 {
-			t.Fatalf("%s cell left %d telemetry planes to drain, want 1", tc.kind, len(runs))
+		if out.Telemetry == nil || out.Telemetry.Registry() == nil {
+			t.Fatalf("%s cell's report carries no metrics plane", tc.kind)
 		}
-		tel = runs[0] // the disagg cell's, after the last round
+		tel = out.Telemetry // the disagg cell's, after the last round
 	}
 
 	mt := tel.MetricsTable()

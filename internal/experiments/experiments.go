@@ -6,8 +6,9 @@
 // gray-failure and disaggregation studies. No study has a driver here:
 // each is a configs/plan-*.yaml run by internal/plan, which states the
 // sizes, asserts the shapes and gates the numbers against a golden. The
-// two exceptions are not simulated experiments: Fig. 4 counts the repo's
-// own lines (fig4.go) and Scale times the simulator itself (scale.go).
+// one exception is not a simulated experiment: Fig. 4 counts the repo's
+// own lines (fig4.go). The simulator's own scaling is bench's
+// hermes_scale workload.
 // The simulation is deterministic, so the paper's
 // run-3-times-and-average protocol is unnecessary.
 //
@@ -55,57 +56,14 @@ func scaleLink(l simnet.LinkProfile) simnet.LinkProfile {
 	return l
 }
 
-// Profile sizes the engine-scalability sweep (mmbench -exp scale), the
-// one study that is not a plan file: it measures the host, so it has no
-// golden to state sizes beside.
-type Profile struct {
-	Name            string
-	ScaleNodes      []int // simulated node counts, weak scaling
-	ScaleOpsPerNode int   // put/get/delete rounds per node
-}
-
-// Small returns the smoke-test sweep.
-func Small() Profile {
-	return Profile{Name: "small", ScaleNodes: []int{64, 256}, ScaleOpsPerNode: 60}
-}
-
-// Full returns the sweep to 1024 simulated nodes.
-func Full() Profile {
-	return Profile{Name: "full", ScaleNodes: []int{64, 128, 256, 512, 1024}, ScaleOpsPerNode: 200}
-}
-
-// telemetryOpts, when non-nil, is installed on every cluster the cell
-// runners build (mmbench -telemetry); the resulting planes accumulate in
-// telemetryRuns for the caller to drain after each study.
-var (
-	telemetryOpts *telemetry.Options
-	telemetryRuns []*telemetry.Telemetry
-)
-
-// EnableTelemetry installs a telemetry plane with the given options on
-// every experiment cluster built from now on. Not safe once cells run
-// side by side (mmbench runs them one at a time; tests that run plans in
-// parallel leave telemetry off).
-func EnableTelemetry(opts telemetry.Options) {
-	telemetryOpts = &opts
-	telemetryRuns = nil
-}
-
-// DrainTelemetry returns the telemetry planes of the runs since the last
-// drain, in construction order.
-func DrainTelemetry() []*telemetry.Telemetry {
-	out := telemetryRuns
-	telemetryRuns = nil
-	return out
-}
-
 // newCluster is the one cluster constructor of the cell runners:
-// cluster.New plus the optional telemetry plane. Whoever calls it defers
-// the cluster's Close.
-func newCluster(spec cluster.Spec) *cluster.Cluster {
+// cluster.New plus, when tel is non-nil, the telemetry plane the cell's
+// caller asked for (Report.Telemetry hands it back). Whoever calls it
+// defers the cluster's Close.
+func newCluster(spec cluster.Spec, tel *telemetry.Options) *cluster.Cluster {
 	c := cluster.New(spec)
-	if telemetryOpts != nil {
-		telemetryRuns = append(telemetryRuns, c.InstallTelemetry(*telemetryOpts))
+	if tel != nil {
+		c.InstallTelemetry(*tel)
 	}
 	return c
 }

@@ -9,6 +9,7 @@ import (
 	"megammap/internal/datagen"
 	"megammap/internal/device"
 	"megammap/internal/mpi"
+	"megammap/internal/telemetry"
 )
 
 // The cell runners of the paper's evaluation: configs/plan-fig{5,6,7,8}.yaml
@@ -21,7 +22,7 @@ import (
 // dataset each. Everything fits in memory: MegaMmap runs with no
 // optimizations over a DRAM-only scache sized to hold the whole dataset
 // with slack.
-func RunFig5Cell(name string, baseline bool, nodes, procs int, bytesPerNode int64, steps int, seed int64) (Report, error) {
+func RunFig5Cell(tel *telemetry.Options, name string, baseline bool, nodes, procs int, bytesPerNode int64, steps int, seed int64) (Report, error) {
 	a, err := lookup(name)
 	if err != nil {
 		return Report{}, err
@@ -46,7 +47,7 @@ func RunFig5Cell(name string, baseline bool, nodes, procs int, bytesPerNode int6
 		j.gs = grayscott.Config{L: gsSideFor(total), Steps: steps}
 		resident = 2 * total // two grid copies
 	}
-	run, err := figureCell(a, baseline, testbedSpec(nodes, fig5DRAMTier(resident, nodes)), inMemoryConfig(), j)
+	run, err := figureCell(tel, a, baseline, testbedSpec(nodes, fig5DRAMTier(resident, nodes)), inMemoryConfig(), j)
 	if err != nil {
 		return Report{}, err
 	}
@@ -78,7 +79,7 @@ const fig6Ckpt = "/out/gs-fig6.bin"
 // working-set floors at the top of the sweep.
 //
 // A completed cell digests the grid file it persisted as checkpoint.
-func RunFig6Cell(l, midL int, baseline bool, nodes, procs, steps int) (Report, error) {
+func RunFig6Cell(tel *telemetry.Options, l, midL int, baseline bool, nodes, procs, steps int) (Report, error) {
 	gridAt := func(l int) int64 { return int64(l) * int64(l) * int64(l) * grayscott.CellSize }
 	dram := 2 * gridAt(midL) / int64(nodes) * 8 / 5
 	spec := testbedSpec(nodes, dram*3/4)
@@ -90,7 +91,7 @@ func RunFig6Cell(l, midL int, baseline bool, nodes, procs, steps int) (Report, e
 		bound: dram / int64(procs) / 4,
 		gs:    grayscott.Config{L: l, Steps: steps, PlotGap: steps, CkptURL: "file://" + fig6Ckpt},
 	}
-	run, err := figureCell(catalogue["grayscott"], baseline, spec, tieredConfig(), j)
+	run, err := figureCell(tel, catalogue["grayscott"], baseline, spec, tieredConfig(), j)
 	if err != nil {
 		return Report{}, err
 	}
@@ -135,7 +136,7 @@ var dmshTiers = map[string][]dmshTier{
 // reproducing its 96 GB/node dataset against 48 GB of DRAM. The report
 // also prices the composition's storage (excluding DRAM, as the paper's
 // $/GB comparison does) at the nominal capacities the label carries.
-func RunFig7Cell(l int, label string, nodes, procs, steps int) (Report, error) {
+func RunFig7Cell(tel *telemetry.Options, l int, label string, nodes, procs, steps int) (Report, error) {
 	tiers, ok := dmshTiers[label]
 	if !ok {
 		return Report{}, fmt.Errorf("fig7: unknown DMSH composition %q (want one of %v)", label, DMSHLabels)
@@ -158,7 +159,7 @@ func RunFig7Cell(l int, label string, nodes, procs, steps int) (Report, error) {
 		bound: dram / int64(procs) / 4,
 		gs:    grayscott.Config{L: l, Steps: steps, PlotGap: 1, CkptURL: "file:///out/gs-fig7.bin"},
 	}
-	run, err := figureCell(catalogue["grayscott"], false, spec, cfg, j)
+	run, err := figureCell(tel, catalogue["grayscott"], false, spec, cfg, j)
 	if err != nil {
 		return Report{}, err
 	}
@@ -174,7 +175,7 @@ func RunFig7Cell(l int, label string, nodes, procs, steps int) (Report, error) {
 // Transaction-informed prefetching and asynchronous eviction keep
 // performance near the full-DRAM point down to roughly half the memory;
 // starving the pcache further brings synchronous fault stalls.
-func RunFig8Cell(name string, frac float64, nodes, procs int, bytesPerNode int64, steps int, seed int64) (Report, error) {
+func RunFig8Cell(tel *telemetry.Options, name string, frac float64, nodes, procs int, bytesPerNode int64, steps int, seed int64) (Report, error) {
 	a, err := lookup(name)
 	if err != nil {
 		return Report{}, err
@@ -186,7 +187,7 @@ func RunFig8Cell(name string, frac float64, nodes, procs int, bytesPerNode int64
 	j := job{total: total, ranks: ranks, bound: bound}
 	j.rf.Seed = uint64(seed)
 	j.gs = grayscott.Config{L: gsSideFor(total / 2), Steps: steps}
-	run, err := figureCell(a, false, testbedSpec(nodes, tier), tieredConfig(), j)
+	run, err := figureCell(tel, a, false, testbedSpec(nodes, tier), tieredConfig(), j)
 	if err != nil {
 		return Report{}, err
 	}
@@ -236,7 +237,7 @@ var scan = app{
 //	sorted_bag      Random Forest's sorted-index bag scan against fetching
 //	                the bag in raw permutation order (one page fetch per
 //	                sample instead of per page), half the partition spilled
-func RunAblationCell(study string, setting int64, nodes, procs int, bytesPerNode int64, steps int, seed int64) (Report, error) {
+func RunAblationCell(tel *telemetry.Options, study string, setting int64, nodes, procs int, bytesPerNode int64, steps int, seed int64) (Report, error) {
 	ranks := nodes * procs
 	total := bytesPerNode * int64(nodes)
 	part := total / int64(ranks)
@@ -280,7 +281,7 @@ func RunAblationCell(study string, setting int64, nodes, procs int, bytesPerNode
 	default:
 		return Report{}, fmt.Errorf("ablation: unknown study %q", study)
 	}
-	run, err := figureCell(a, false, testbedSpec(nodes, tier), cfg, j)
+	run, err := figureCell(tel, a, false, testbedSpec(nodes, tier), cfg, j)
 	if err != nil {
 		return Report{}, err
 	}

@@ -24,6 +24,7 @@ import (
 	"megammap/internal/control"
 	"megammap/internal/core"
 	"megammap/internal/faults"
+	"megammap/internal/telemetry"
 	"megammap/internal/tenant"
 	"megammap/internal/vtime"
 )
@@ -72,11 +73,11 @@ func StragglerPlan() *faults.Plan {
 // quarantine entries and probe reintegrations, retry.* backoff events
 // across all subsystems, and the device bytes read (hedge losers
 // included).
-func RunGrayCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int64, resilience bool, fp *faults.Plan) (Report, error) {
+func RunGrayCell(tel *telemetry.Options, nodes int, poolBytes int64, horizon vtime.Duration, seed int64, resilience bool, fp *faults.Plan) (Report, error) {
 	if nodes < 2 || poolBytes < grayPageSize || horizon <= 0 {
 		return Report{}, fmt.Errorf("gray: bad cell shape (nodes=%d pool=%d horizon=%v)", nodes, poolBytes, horizon)
 	}
-	c := newCluster(testbedSpec(nodes, poolBytes))
+	c := newCluster(testbedSpec(nodes, poolBytes), tel)
 	defer c.Close()
 	ccfg := tieredConfig()
 	ccfg.DefaultPageSize = grayPageSize
@@ -113,6 +114,9 @@ func RunGrayCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int64,
 	out, err := serve(c, d, horizon, fp, []*stream{s}, nil)
 	if err != nil {
 		return Report{}, err
+	}
+	if tel != nil {
+		out.Telemetry = c.Telemetry()
 	}
 
 	s.report(out, "")

@@ -11,7 +11,7 @@ import (
 // runGray runs one cell of configs/plan-gray.yaml.
 func runGray(t *testing.T, resilience bool) Report {
 	t.Helper()
-	out, err := RunGrayCell(3, 192*device.KB, 500*vtime.Millisecond, 42, resilience, StragglerPlan())
+	out, err := RunGrayCell(nil, 3, 192*device.KB, 500*vtime.Millisecond, 42, resilience, StragglerPlan())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"megammap/internal/datagen"
 	"megammap/internal/faults"
 	"megammap/internal/mpi"
+	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
 
@@ -38,7 +39,7 @@ func adaptiveRepairConfig(cfg *core.Config) {
 // lost at the crash to the repair queue draining; 0 when it never
 // drained), the under-replicated gauge at run end (0 = fully healed),
 // and the repair and fault counters.
-func RunKMeansCell(nodes, procs int, bytesPerNode int64, cfg kmeans.Config, fp *faults.Plan, adaptive bool) (Report, error) {
+func RunKMeansCell(tel *telemetry.Options, nodes, procs int, bytesPerNode int64, cfg kmeans.Config, fp *faults.Plan, adaptive bool) (Report, error) {
 	ranks := nodes * procs
 	total := bytesPerNode * int64(nodes)
 	ccfg := inMemoryConfig()
@@ -57,7 +58,7 @@ func RunKMeansCell(nodes, procs int, bytesPerNode int64, cfg kmeans.Config, fp *
 		km.DatasetURL = scacheOnlyURL
 		return anyOf(kmeans.Mega(r, d, km))
 	}
-	cell.spec, cell.config = testbedSpec(nodes, fig5DRAMTier(total, nodes)), ccfg
+	cell.spec, cell.config, cell.tel = testbedSpec(nodes, fig5DRAMTier(total, nodes)), ccfg, tel
 	cell.faults, cell.absolute = fp, true
 	run, err := cell.run()
 	if err != nil {

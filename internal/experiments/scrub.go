@@ -6,6 +6,7 @@ import (
 	"megammap/internal/apps/grayscott"
 	"megammap/internal/control"
 	"megammap/internal/core"
+	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
 
@@ -30,7 +31,7 @@ func adaptiveScrubConfig(cfg *core.Config) {
 // "fixed" (a full sweep every scrubSweep) or "adaptive" (the incremental
 // cursor governor, which must still complete full coverage cycles while
 // holding every sweep under its page budget).
-func RunScrubCell(nodes, procs int, bytesPerNode int64, steps int, mode string) (Report, error) {
+func RunScrubCell(tel *telemetry.Options, nodes, procs int, bytesPerNode int64, steps int, mode string) (Report, error) {
 	ccfg := tieredConfig()
 	ccfg.ChecksumPages = true
 	// Small pages push the checksummed page set past ScrubMax, so a
@@ -52,7 +53,7 @@ func RunScrubCell(nodes, procs int, bytesPerNode int64, steps int, mode string) 
 		ranks: ranks, bound: total / int64(ranks),
 		gs: grayscott.Config{L: gsSideFor(total / 2), Steps: steps},
 	}, false)
-	cell.spec, cell.config = testbedSpec(nodes, bytesPerNode), ccfg
+	cell.spec, cell.config, cell.tel = testbedSpec(nodes, bytesPerNode), ccfg, tel
 	run, err := cell.run()
 	if err != nil {
 		return Report{}, err

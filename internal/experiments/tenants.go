@@ -20,6 +20,7 @@ import (
 	"megammap/internal/control"
 	"megammap/internal/core"
 	"megammap/internal/faults"
+	"megammap/internal/telemetry"
 	"megammap/internal/tenant"
 	"megammap/internal/vtime"
 )
@@ -52,7 +53,7 @@ const tenantPageSize = 128 * kvstore.SlotSize
 // percentiles, served, shed and failed requests, and the page faults and
 // pcache evictions charged to the tenant's vectors; plus the aggregate
 // served requests and throughput.
-func RunTenantsCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int64, isolation bool, fp *faults.Plan) (Report, error) {
+func RunTenantsCell(tel *telemetry.Options, nodes int, poolBytes int64, horizon vtime.Duration, seed int64, isolation bool, fp *faults.Plan) (Report, error) {
 	specs := tenantRoster()
 	n := len(specs)
 	if nodes < 1 || poolBytes < int64(n)*tenantPageSize || horizon <= 0 {
@@ -61,7 +62,7 @@ func RunTenantsCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int
 
 	// A deliberately small DRAM scache tier: placement bias decides whose
 	// pages live there and whose spill to NVMe.
-	c := newCluster(testbedSpec(nodes, poolBytes))
+	c := newCluster(testbedSpec(nodes, poolBytes), tel)
 	defer c.Close()
 	ccfg := tieredConfig()
 	ccfg.DefaultPageSize = tenantPageSize
@@ -131,6 +132,9 @@ func RunTenantsCell(nodes int, poolBytes int64, horizon vtime.Duration, seed int
 	out, err := serve(c, d, horizon, fp, streams, governor)
 	if err != nil {
 		return Report{}, err
+	}
+	if tel != nil {
+		out.Telemetry = c.Telemetry()
 	}
 
 	var agg int64

@@ -20,11 +20,11 @@ const (
 // byte-identical reports, for both isolation modes.
 func TestTenantsDeterministicReplay(t *testing.T) {
 	for _, iso := range []bool{false, true} {
-		a, err := RunTenantsCell(tenantNodes, tenantPool, tenantHorizon, 42, iso, nil)
+		a, err := RunTenantsCell(nil, tenantNodes, tenantPool, tenantHorizon, 42, iso, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunTenantsCell(tenantNodes, tenantPool, tenantHorizon, 42, iso, nil)
+		b, err := RunTenantsCell(nil, tenantNodes, tenantPool, tenantHorizon, 42, iso, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,11 +39,11 @@ func TestTenantsDeterministicReplay(t *testing.T) {
 // equal-or-better aggregate throughput, and batch tenants never fully
 // starve.
 func TestTenantsIsolationAblation(t *testing.T) {
-	off, err := RunTenantsCell(tenantNodes, tenantPool, tenantHorizon, 42, false, nil)
+	off, err := RunTenantsCell(nil, tenantNodes, tenantPool, tenantHorizon, 42, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := RunTenantsCell(tenantNodes, tenantPool, tenantHorizon, 42, true, nil)
+	on, err := RunTenantsCell(nil, tenantNodes, tenantPool, tenantHorizon, 42, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,16 +80,16 @@ func TestTenantsChaosReplay(t *testing.T) {
 		Crashes: []faults.Crash{{Node: 1, At: tenantHorizon / 3}},
 		Revives: []faults.Revive{{Node: 1, At: 2 * tenantHorizon / 3}},
 	}
-	unpartitioned, err := RunTenantsCell(tenantNodes, tenantPool, tenantHorizon, 42, true, fp)
+	unpartitioned, err := RunTenantsCell(nil, tenantNodes, tenantPool, tenantHorizon, 42, true, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp.Partitions = []faults.Partition{{Src: 0, Dst: faults.AnyNode, From: tenantHorizon / 10, To: tenantHorizon / 5}}
-	a, err := RunTenantsCell(tenantNodes, tenantPool, tenantHorizon, 42, true, fp)
+	a, err := RunTenantsCell(nil, tenantNodes, tenantPool, tenantHorizon, 42, true, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTenantsCell(tenantNodes, tenantPool, tenantHorizon, 42, true, fp)
+	b, err := RunTenantsCell(nil, tenantNodes, tenantPool, tenantHorizon, 42, true, fp)
 	if err != nil {
 		t.Fatal(err)
 	}

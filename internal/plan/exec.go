@@ -7,6 +7,7 @@ import (
 	"megammap/internal/config"
 	"megammap/internal/experiments"
 	"megammap/internal/faults"
+	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
 
@@ -24,7 +25,7 @@ type appDef struct {
 	// checksum_match, and every derived fault time, are measured against
 	// it. nil = the app's cells are not compared with one.
 	reference func(Cell) bool
-	run       func(p *Plan, c Cell, ref *experiments.Report) (experiments.Report, error)
+	run       func(p *Plan, c Cell, ref *experiments.Report, tel *telemetry.Options) (experiments.Report, error)
 }
 
 // apps is the one place an app is declared: Validate rejects a plan
@@ -78,7 +79,7 @@ func (c Cell) faulted() bool {
 // fault-free), whose derived crash/revive points count from the
 // reference cell's measured phase (ref, nil only for that cell itself);
 // the governor axis swaps fixed repair pacing for the AIMD governor.
-func (p *Plan) runKMeansCell(cell Cell, ref *experiments.Report) (experiments.Report, error) {
+func (p *Plan) runKMeansCell(cell Cell, ref *experiments.Report, tel *telemetry.Options) (experiments.Report, error) {
 	var fp *faults.Plan
 	if cell.faulted() {
 		fname, _ := cell.Get("fault")
@@ -86,18 +87,18 @@ func (p *Plan) runKMeansCell(cell Cell, ref *experiments.Report) (experiments.Re
 	}
 	w := p.Workload
 	cfg := kmeans.Config{K: w.K, MaxIter: w.MaxIter, CostPerDist: w.CostPerDist}
-	return experiments.RunKMeansCell(p.Nodes, p.Procs, p.BytesPerNode, cfg, fp, cell.is("governor", "adaptive"))
+	return experiments.RunKMeansCell(tel, p.Nodes, p.Procs, p.BytesPerNode, cfg, fp, cell.is("governor", "adaptive"))
 }
 
 // runScrubCell: the scrub axis is the cell's scrub mode.
-func (p *Plan) runScrubCell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
+func (p *Plan) runScrubCell(cell Cell, _ *experiments.Report, tel *telemetry.Options) (experiments.Report, error) {
 	mode, _ := cell.Get("scrub")
-	return experiments.RunScrubCell(p.Nodes, p.Procs, p.BytesPerNode, p.Workload.Steps, mode)
+	return experiments.RunScrubCell(tel, p.Nodes, p.Procs, p.BytesPerNode, p.Workload.Steps, mode)
 }
 
 // runBFSCell: the hints axis toggles the plan's policy hints; the bound
 // axis caps the edge vector's pcache.
-func (p *Plan) runBFSCell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
+func (p *Plan) runBFSCell(cell Cell, _ *experiments.Report, tel *telemetry.Options) (experiments.Report, error) {
 	var bound int64
 	if bv, ok := cell.Get("bound"); ok {
 		b, err := config.ParseSizeValue(bv)
@@ -111,7 +112,7 @@ func (p *Plan) runBFSCell(cell Cell, _ *experiments.Report) (experiments.Report,
 		hints = nil
 	}
 	w := p.Workload
-	return experiments.RunBFSCell(p.Nodes, p.Procs, p.Vertices, w.Seed, w.Source, bound, hints)
+	return experiments.RunBFSCell(tel, p.Nodes, p.Procs, p.Vertices, w.Seed, w.Source, bound, hints)
 }
 
 // horizon is the serving cells' reading of workload.steps: the serving
@@ -123,16 +124,16 @@ func (p *Plan) horizon() vtime.Duration {
 // runTenantsCell: the isolation axis toggles the QoS machinery (quotas,
 // placement bias, fairness governor); bytes_per_node is the pooled
 // pcache budget, workload.seed the traffic seed.
-func (p *Plan) runTenantsCell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
-	return experiments.RunTenantsCell(p.Nodes, p.BytesPerNode, p.horizon(), p.Workload.Seed, cell.is("isolation", "on"), nil)
+func (p *Plan) runTenantsCell(cell Cell, _ *experiments.Report, tel *telemetry.Options) (experiments.Report, error) {
+	return experiments.RunTenantsCell(tel, p.Nodes, p.BytesPerNode, p.horizon(), p.Workload.Seed, cell.is("isolation", "on"), nil)
 }
 
 // runGrayCell: the resilience axis toggles the health plane (hedged
 // reads, quarantine-aware placement); bytes_per_node is the DRAM scache
 // tier, workload.seed the traffic seed. The straggler schedule is the
 // scripted experiments.StragglerPlan.
-func (p *Plan) runGrayCell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
-	return experiments.RunGrayCell(p.Nodes, p.BytesPerNode, p.horizon(), p.Workload.Seed, cell.is("resilience", "on"), experiments.StragglerPlan())
+func (p *Plan) runGrayCell(cell Cell, _ *experiments.Report, tel *telemetry.Options) (experiments.Report, error) {
+	return experiments.RunGrayCell(tel, p.Nodes, p.BytesPerNode, p.horizon(), p.Workload.Seed, cell.is("resilience", "on"), experiments.StragglerPlan())
 }
 
 // runDisaggCell: the workload axis picks the app (kmeans or bfs), the
@@ -141,20 +142,20 @@ func (p *Plan) runGrayCell(cell Cell, _ *experiments.Report) (experiments.Report
 // spill-vs-pool governor, run under the scripted pool-node crash and
 // revive); bytes_per_node sizes the kmeans dataset, vertices the bfs
 // graph, workload.seed the graph seed.
-func (p *Plan) runDisaggCell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
+func (p *Plan) runDisaggCell(cell Cell, _ *experiments.Report, tel *telemetry.Options) (experiments.Report, error) {
 	w, _ := cell.Get("workload")
 	dis := cell.is("topology", "disagg")
 	var fp *faults.Plan
 	if dis {
 		fp = experiments.PoolCrashPlan(p.Nodes)
 	}
-	return experiments.RunDisaggCell(w, p.Nodes, p.Procs, p.BytesPerNode, p.Vertices, p.Workload.Seed, dis, fp)
+	return experiments.RunDisaggCell(tel, w, p.Nodes, p.Procs, p.BytesPerNode, p.Vertices, p.Workload.Seed, dis, fp)
 }
 
 // runFig5Cell: the app axis picks the catalogue app, variant MegaMmap or
 // its baseline, nodes the cluster size (weak scaling: bytes_per_node
 // stays fixed, or the app's own rf_/grid_bytes_per_node when set).
-func (p *Plan) runFig5Cell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
+func (p *Plan) runFig5Cell(cell Cell, _ *experiments.Report, tel *telemetry.Options) (experiments.Report, error) {
 	app, _ := cell.Get("app")
 	bytes := map[string]int64{"rf": p.RFBytesPerNode, "grayscott": p.GridBytesPerNode}[app]
 	if bytes == 0 {
@@ -164,39 +165,39 @@ func (p *Plan) runFig5Cell(cell Cell, _ *experiments.Report) (experiments.Report
 	if _, ok := cell.Get("nodes"); ok {
 		nodes = int(cell.num("nodes"))
 	}
-	return experiments.RunFig5Cell(app, cell.is("variant", "baseline"), nodes, p.Procs, bytes, p.Workload.Steps, p.Workload.Seed)
+	return experiments.RunFig5Cell(tel, app, cell.is("variant", "baseline"), nodes, p.Procs, bytes, p.Workload.Steps, p.Workload.Seed)
 }
 
 // runFig6Cell: the L axis is the Gray-Scott grid side, variant MegaMmap
 // or MPI. The nodes' physical DRAM is sized from the middle L of the
 // sweep, so the sweep crosses MPI's memory wall wherever it is put.
-func (p *Plan) runFig6Cell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
+func (p *Plan) runFig6Cell(cell Cell, _ *experiments.Report, tel *telemetry.Options) (experiments.Report, error) {
 	ls, _ := p.axis("L")
 	mid, _ := strconv.Atoi(ls[(len(ls)-1)/2]) // Validate has parsed every L
-	return experiments.RunFig6Cell(int(cell.num("L")), mid, cell.is("variant", "baseline"), p.Nodes, p.Procs, p.Workload.Steps)
+	return experiments.RunFig6Cell(tel, int(cell.num("L")), mid, cell.is("variant", "baseline"), p.Nodes, p.Procs, p.Workload.Steps)
 }
 
 // runFig7Cell: the dmsh axis is one of the paper's four storage
 // compositions, sized so the grid of side L overflows DRAM into it.
-func (p *Plan) runFig7Cell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
+func (p *Plan) runFig7Cell(cell Cell, _ *experiments.Report, tel *telemetry.Options) (experiments.Report, error) {
 	dmsh, _ := cell.Get("dmsh")
-	return experiments.RunFig7Cell(int(cell.num("L")), dmsh, p.Nodes, p.Procs, p.Workload.Steps)
+	return experiments.RunFig7Cell(tel, int(cell.num("L")), dmsh, p.Nodes, p.Procs, p.Workload.Steps)
 }
 
 // runFig8Cell: dram_frac is the fraction of the full-DRAM pcache bound
 // and scache DRAM tier the app runs with (absent = 1).
-func (p *Plan) runFig8Cell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
+func (p *Plan) runFig8Cell(cell Cell, _ *experiments.Report, tel *telemetry.Options) (experiments.Report, error) {
 	app, _ := cell.Get("app")
 	frac := 1.0
 	if _, ok := cell.Get("dram_frac"); ok {
 		frac = cell.num("dram_frac")
 	}
-	return experiments.RunFig8Cell(app, frac, p.Nodes, p.Procs, p.BytesPerNode, p.Workload.Steps, p.Workload.Seed)
+	return experiments.RunFig8Cell(tel, app, frac, p.Nodes, p.Procs, p.BytesPerNode, p.Workload.Steps, p.Workload.Seed)
 }
 
 // runAblationCell: the plan's one axis names the mechanism under study
 // and its values are the arms: on/off, or page sizes.
-func (p *Plan) runAblationCell(cell Cell, _ *experiments.Report) (experiments.Report, error) {
+func (p *Plan) runAblationCell(cell Cell, _ *experiments.Report, tel *telemetry.Options) (experiments.Report, error) {
 	study, arm := cell.axes[0], cell.vals[0]
 	var setting int64
 	if arm == "on" {
@@ -204,5 +205,5 @@ func (p *Plan) runAblationCell(cell Cell, _ *experiments.Report) (experiments.Re
 	} else if arm != "off" {
 		setting, _ = config.ParseSizeValue(arm) // a page_size Validate has parsed
 	}
-	return experiments.RunAblationCell(study, setting, p.Nodes, p.Procs, p.BytesPerNode, p.Workload.Steps, p.Workload.Seed)
+	return experiments.RunAblationCell(tel, study, setting, p.Nodes, p.Procs, p.BytesPerNode, p.Workload.Steps, p.Workload.Seed)
 }

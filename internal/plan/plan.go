@@ -12,8 +12,7 @@
 // plan's app and a cell's axis values onto them. Every study of the repo
 // is a checked-in configs/plan-*.yaml — the paper's Figs. 5-8 and the
 // design-choice ablations as much as the fault, control, tenant,
-// gray-failure and disaggregation studies — and `mmbench -exp <name>` is
-// a name for configs/plan-<name>.yaml.
+// gray-failure and disaggregation studies — and cmd/mmplan runs them.
 package plan
 
 import (

@@ -7,16 +7,19 @@ import (
 
 	"megammap/internal/experiments"
 	"megammap/internal/stats"
+	"megammap/internal/telemetry"
 )
 
 // CellResult is one cell's outcome. Metrics are time-derived values
 // compared against baselines within a tolerance band; Digests are
 // byte-exact values (checksums, fault/paging counters, telemetry
-// digests) that must reproduce exactly.
+// digests) that must reproduce exactly. Telemetry is the cell's plane
+// when the run asked for one; baselines do not store it.
 type CellResult struct {
-	Cell    string             `json:"cell"`
-	Metrics map[string]float64 `json:"metrics"`
-	Digests map[string]int64   `json:"digests"`
+	Cell      string               `json:"cell"`
+	Metrics   map[string]float64   `json:"metrics"`
+	Digests   map[string]int64     `json:"digests"`
+	Telemetry *telemetry.Telemetry `json:"-"`
 }
 
 // Result is one plan run: the cells in matrix order.
@@ -37,8 +40,10 @@ func (r *Result) Cell(id string) (CellResult, bool) {
 
 // Run expands the matrix and executes every cell in order, then checks
 // the plan's assertions. Cells run on fresh clusters under virtual
-// time, so a re-run of the same plan is byte-identical.
-func (p *Plan) Run() (*Result, error) {
+// time, so a re-run of the same plan is byte-identical. tel, when
+// non-nil, is installed on every cell's cluster and each plane comes back
+// on its CellResult; telemetry does not move a cell's numbers.
+func (p *Plan) Run(tel *telemetry.Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -46,7 +51,7 @@ func (p *Plan) Run() (*Result, error) {
 	res := &Result{Plan: p.Name}
 	var ref *experiments.Report
 	for _, cell := range p.Cells() {
-		out, err := app.run(p, cell, ref)
+		out, err := app.run(p, cell, ref, tel)
 		if err != nil {
 			return nil, fmt.Errorf("plan %s: cell %s: %w", p.Name, cell.ID(), err)
 		}
@@ -62,7 +67,7 @@ func (p *Plan) Run() (*Result, error) {
 				}
 			}
 		}
-		res.Cells = append(res.Cells, CellResult{Cell: cell.ID(), Metrics: out.Metrics, Digests: out.Digests})
+		res.Cells = append(res.Cells, CellResult{Cell: cell.ID(), Metrics: out.Metrics, Digests: out.Digests, Telemetry: out.Telemetry})
 	}
 	if err := p.CheckAsserts(res); err != nil {
 		return res, err

@@ -57,7 +57,7 @@ func TestPlanSameSeedIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := p1.Run()
+	r1, err := p1.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestPlanSameSeedIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := p2.Run()
+	r2, err := p2.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestPlanSameSeedIsByteIdentical(t *testing.T) {
 // the results must still match the stored golden baseline.
 func TestBFSHintsPlanShowsWin(t *testing.T) {
 	p := loadConfigPlan(t, "plan-bfs-hints.yaml")
-	r, err := p.Run() // fails on any declared assertion
+	r, err := p.Run(nil) // fails on any declared assertion
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestCheckedInPlansGateAgainstStoredBaselines(t *testing.T) {
 		p := gated[name]
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			r, err := p.Run() // fails on any declared assertion
+			r, err := p.Run(nil) // fails on any declared assertion
 			if err != nil {
 				t.Fatal(err)
 			}
