@@ -1151,11 +1151,3 @@ func hashString(s string) uint32 {
 	}
 	return h
 }
-
-// ReplicasOf exposes a vector's replica map for diagnostics and tests.
-func ReplicasOf(d *DSM, name string) map[int64]map[int]bool {
-	if m := d.vecs[name]; m != nil {
-		return m.replicas
-	}
-	return nil
-}

@@ -21,5 +21,13 @@ func (d *DSM) HealthStates() []control.HealthState {
 	return out
 }
 
+// ReplicasOf returns the named vector's replica map: page -> nodes.
+func ReplicasOf(d *DSM, name string) map[int64]map[int]bool {
+	if m := d.vecs[name]; m != nil {
+		return m.replicas
+	}
+	return nil
+}
+
 // PageID returns the scache key of the named vector's page pg.
 func (d *DSM) PageID(name string, pg int64) blob.ID { return d.vecs[name].pageID(pg) }

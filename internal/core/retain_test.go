@@ -24,8 +24,9 @@ const (
 
 // retainDSM is a one-node deployment whose DRAM tier holds dramPages pages
 // and whose NVMe tier holds the rest. No organizer or stager runs, so a
-// page stays on the tier its first commit placed it on.
-func retainDSM(t *testing.T, dramPages int64) (*cluster.Cluster, *DSM) {
+// page stays on the tier its first commit placed it on. hints are the
+// deployment's paging-policy hints.
+func retainDSM(t *testing.T, dramPages int64, hints ...VectorHint) (*cluster.Cluster, *DSM) {
 	spec := cluster.Spec{
 		Nodes:    1,
 		CoresPer: 8,
@@ -42,6 +43,7 @@ func retainDSM(t *testing.T, dramPages int64) (*cluster.Cluster, *DSM) {
 	cfg.DefaultPageSize = 4 << 10
 	cfg.OrganizePeriod = 0
 	cfg.StagePeriod = 0
+	cfg.Hints = hints
 	c := newTestCluster(t, spec)
 	return c, New(c, cfg)
 }
@@ -49,9 +51,9 @@ func retainDSM(t *testing.T, dramPages int64) (*cluster.Cluster, *DSM) {
 // retainVector writes a retainPages-page vector (element i holds i) through
 // a client of its own and opens it again on cl, bounded at retainBound
 // pages.
-func retainVector(t *testing.T, d *DSM, p *vtime.Proc, cl *Client, name string, opts ...VectorOpt) *Vector[int64] {
+func retainVector(t *testing.T, d *DSM, p *vtime.Proc, cl *Client, name string) *Vector[int64] {
 	t.Helper()
-	w, err := Open[int64](d.NewClient(p, 0), name, Int64Codec{}, opts...)
+	w, err := Open[int64](d.NewClient(p, 0), name, Int64Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +261,11 @@ func TestRetainedPageRewrittenElsewhereIsNotServed(t *testing.T) {
 // write-allocated (partial) or hinted stream leaves the pcache however much
 // budget is left, while a clean read sweep of the same vector retains.
 func TestDirtyPartialAndStreamPagesAreNotRetained(t *testing.T) {
-	c, d := retainDSM(t, 2)
+	c, d := retainDSM(t, 2, VectorHint{Vector: "retain-stream", Evict: EvictStream})
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v := retainVector(t, d, p, cl, "retain-kinds")
-		s := retainVector(t, d, p, cl, "retain-stream", WithHint(VectorHint{Evict: EvictStream}))
+		s := retainVector(t, d, p, cl, "retain-stream")
 		none := func(what string, h *Vector[int64]) func(int64) {
 			return func(cur int64) {
 				if h.pc.retained != 0 {

@@ -83,7 +83,6 @@ type VectorOpt func(*vectorOpts)
 type vectorOpts struct {
 	pageSize   int64
 	accessKey  string
-	hint       *VectorHint
 	tenantName string
 	tenantBias float64
 }
@@ -99,14 +98,6 @@ func WithPageSize(n int64) VectorOpt {
 // buffered data keeps the access level of the original content).
 func WithAccessKey(key string) VectorOpt {
 	return func(o *vectorOpts) { o.accessKey = key }
-}
-
-// WithHint attaches a paging-policy hint to the vector at creation,
-// overriding any matching Config.Hints entry (the hint's Vector field is
-// ignored; it always applies). Hints are shared vector state: the
-// creating Open resolves them, later opens inherit.
-func WithHint(h VectorHint) VectorOpt {
-	return func(o *vectorOpts) { o.hint = &h }
 }
 
 // WithTenant attributes the vector to a serving tenant at creation and
@@ -162,11 +153,6 @@ func Open[T any](c *Client, name string, codec Codec[T], opts ...VectorOpt) (*Ve
 		m.id = c.d.h.Intern(name)
 		m.home = int(blob.Raw(m.id).Hash() % uint32(len(c.d.c.Nodes)))
 		m.hints = resolveHints(c.d.cfg.Hints, name, m.epp)
-		if o.hint != nil {
-			h := *o.hint
-			h.Vector = name
-			m.hints = resolveHints(append(append([]VectorHint(nil), c.d.cfg.Hints...), h), name, m.epp)
-		}
 		if o.tenantName != "" {
 			m.tenant = c.d.tenantOf(o.tenantName)
 			m.tenantBias = o.tenantBias
@@ -676,18 +662,8 @@ func (v *Vector[T]) setLast(cp *cachedPage) {
 // resident copy would mask it. The fetch counts as a fault (it is one),
 // and uncommitted local modifications overlay the fetched image.
 func (v *Vector[T]) healPartial(cp *cachedPage) {
-	m := v.m
-	v.countFault()
-	t := v.c.d.newTask()
-	t.kind, t.vec, t.page = taskRead, m, cp.idx
-	t.origin, t.replicate = v.c.node.ID, v.replicable()
-	if err := v.c.submitSync(t); err != nil {
-		panic(fmt.Errorf("core: heal of %s page %d failed: %w", m.name, cp.idx, err))
-	}
-	data := t.data
-	t.data = nil
-	cp.version = t.version
-	v.c.d.recycleTask(t)
+	var data []byte
+	data, cp.version = v.readPage(cp.idx)
 	cp.dirty = mergeRanges(cp.dirty)
 	for _, r := range cp.dirty {
 		copy(data[r.off:r.end], cp.data[r.off:r.end])
@@ -743,17 +719,8 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		if f.stamp != v.pageWrites[pg] {
 			// The page was committed after the fill was issued; its data
 			// is stale. Keep the reservation and fault fresh data.
-			v.countFault()
-			t := v.c.d.newTask()
-			t.kind, t.vec, t.page = taskRead, m, pg
-			t.origin, t.replicate = v.c.node.ID, v.replicable()
-			if err := v.c.submitSync(t); err != nil {
-				panic(fmt.Errorf("core: page fault on %s page %d failed: %w", m.name, pg, err))
-			}
-			fresh := t.data
-			t.data = nil // claimed by the page; keep recycleTask from pooling it
-			cp := v.c.newPage(pg, fresh, m.insertScore(pg), false, t.version)
-			v.c.d.recycleTask(t)
+			fresh, version := v.readPage(pg)
+			cp := v.c.newPage(pg, fresh, m.insertScore(pg), false, version)
 			v.c.d.recycleTask(f.t) // the stale image re-pools here
 			v.c.d.fillWaste++
 			v.pc.insert(cp)
@@ -767,41 +734,54 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		v.c.d.recycleTask(f.t)
 		v.pc.insert(cp)
 		return cp
+	case v.tx == nil || !v.tx.flags.Has(Collective):
+		data, version = v.readPage(pg)
 	default:
+		// Collective phases coalesce faults: one fetch per (page, node),
+		// later ranks share the arriving data (Fig. 3's tree pattern). The
+		// leading read's task lives until readDone, for the ranks sharing it.
 		t := v.c.d.newTask()
 		t.kind, t.vec, t.page = taskRead, m, pg
 		t.origin, t.replicate = v.c.node.ID, v.replicable()
-		// Collective phases coalesce faults: one fetch per (page, node),
-		// later ranks share the arriving data (Fig. 3's tree pattern).
-		collective := v.tx != nil && v.tx.flags.Has(Collective)
-		if collective {
-			if lead, shared := v.c.d.coalesceRead(t); shared {
-				v.c.counts.coalesced++
-				v.c.d.recycleTask(t)
-				if err := lead.Wait(v.c.p); err != nil {
-					panic(fmt.Errorf("core: coalesced fault on %s page %d failed: %w", m.name, pg, err))
-				}
-				data = v.c.d.getBuf(int64(len(lead.data)))
-				copy(data, lead.data)
-				version = lead.version
-				break
+		if lead, shared := v.c.d.coalesceRead(t); shared {
+			v.c.counts.coalesced++
+			v.c.d.recycleTask(t)
+			if err := lead.Wait(v.c.p); err != nil {
+				panic(fmt.Errorf("core: coalesced fault on %s page %d failed: %w", m.name, pg, err))
 			}
-			defer v.c.d.readDone(t)
+			data = v.c.d.getBuf(int64(len(lead.data)))
+			copy(data, lead.data)
+			version = lead.version
+			break
 		}
+		defer v.c.d.readDone(t)
 		v.countFault()
 		if err := v.c.submitSync(t); err != nil {
 			panic(fmt.Errorf("core: page fault on %s page %d failed: %w", m.name, pg, err))
 		}
 		data, version = t.data, t.version
-		if !collective {
-			t.data = nil // claimed by the page
-			v.c.d.recycleTask(t)
-		}
 	}
 	v.ensureSpace(pg)
 	cp := v.c.newPage(pg, data, m.insertScore(pg), partial, version)
 	v.pc.insert(cp)
 	return cp
+}
+
+// readPage is one synchronous fault of page pg from the scache: it counts
+// the fault, reads the page and returns its image, which the caller now
+// owns, with the commit version it was read at.
+func (v *Vector[T]) readPage(pg int64) ([]byte, uint64) {
+	v.countFault()
+	t := v.c.d.newTask()
+	t.kind, t.vec, t.page = taskRead, v.m, pg
+	t.origin, t.replicate = v.c.node.ID, v.replicable()
+	if err := v.c.submitSync(t); err != nil {
+		panic(fmt.Errorf("core: page fault on %s page %d failed: %w", v.m.name, pg, err))
+	}
+	data, version := t.data, t.version
+	t.data = nil // claimed by the caller; keep recycleTask from pooling it
+	v.c.d.recycleTask(t)
+	return data, version
 }
 
 // countFault counts one synchronous fault: for the client's node, and for
