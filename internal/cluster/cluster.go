@@ -398,6 +398,9 @@ func New(spec Spec) *Cluster {
 	c.inj = faults.NewInjector(faults.Plan{}, c.Engine.Now)
 	c.Fabric.SetFaults(c.inj)
 	c.agg.tierUsed = make([]int64, len(spec.Tiers))
+	// One array recycler for every node and pool device: a blob deleted
+	// or resized on one node hands its array to the next write anywhere.
+	arrays := device.NewArrays()
 	for i := 0; i < spec.Nodes; i++ {
 		n := &Node{
 			ID:      i,
@@ -408,6 +411,7 @@ func New(spec Spec) *Cluster {
 		}
 		for ti, ts := range spec.Tiers {
 			d := device.New(fmt.Sprintf("node%d/%s", i, ts.Name), ts.Profile)
+			d.ShareArrays(arrays)
 			used := &c.agg.tierUsed[ti]
 			d.OnUsedChange(func(delta int64) { *used += delta })
 			c.agg.storageCost += d.Cost()
@@ -425,6 +429,7 @@ func New(spec Spec) *Cluster {
 			agg:     &c.agg,
 		}
 		d := device.New(fmt.Sprintf("node%d/%s", i, topology.PoolTier), device.RemotePoolProfile(topo.PoolBytes))
+		d.ShareArrays(arrays)
 		d.OnUsedChange(func(delta int64) {
 			c.agg.poolUsed += delta
 			if c.agg.poolUsed > c.agg.poolPeak {

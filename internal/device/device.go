@@ -139,11 +139,13 @@ type Device struct {
 	chans *vtime.Resource // queue depth: latency phases overlap
 	bw    *vtime.Resource // media bandwidth: transfers serialize
 	blobs map[blob.ID][]byte
-	// spare holds the arrays Purge dropped. A new blob of one's exact
-	// length takes it (Write), so a node that restarts cold and stores its
-	// pages again does not make the host allocate its storage twice. Drop,
-	// the shutdown path, releases them.
-	spare [][]byte
+	// arrays recycles the arrays of deleted, resized and purged blobs into
+	// the next writes of a new length (shared cluster-wide by
+	// ShareArrays). lent holds the arrays Adopt moved off this device
+	// while the source's delete is still charging: they are still stored
+	// here, and another device owns them.
+	arrays *Arrays
+	lent   [][]byte
 
 	// Fault injection (nil when no plan is installed).
 	inj   *faults.Injector
@@ -174,12 +176,34 @@ func New(name string, prof Profile) *Device {
 		prof.Channels = 1
 	}
 	return &Device{
-		prof:  prof,
-		name:  name,
-		chans: vtime.NewResource(prof.Channels),
-		bw:    vtime.NewResource(1),
-		blobs: make(map[blob.ID][]byte),
+		prof:   prof,
+		name:   name,
+		chans:  vtime.NewResource(prof.Channels),
+		bw:     vtime.NewResource(1),
+		blobs:  make(map[blob.ID][]byte),
+		arrays: NewArrays(),
 	}
+}
+
+// ShareArrays makes the device recycle stored arrays through a, which
+// other devices may share (cluster.New gives every node and pool device
+// one). Call it before the device stores anything.
+func (d *Device) ShareArrays(a *Arrays) { d.arrays = a }
+
+// recycle hands the array of a blob this device no longer stores to the
+// recycler, unless Adopt lent it to another device.
+func (d *Device) recycle(b []byte, bulk bool) {
+	for _, l := range d.lent {
+		if sameArray(l, b) {
+			return
+		}
+	}
+	d.arrays.put(b, bulk)
+}
+
+// sameArray reports whether a and b share their first byte of storage.
+func sameArray(a, b []byte) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
 // SetFaults attaches a fault injector. node and tier identify this
@@ -214,6 +238,16 @@ func (d *Device) Profile() Profile { return d.prof }
 
 // Used returns the bytes currently stored.
 func (d *Device) Used() int64 { return d.used }
+
+// StoredBytes sums the lengths of the stored blobs, without charging
+// virtual time or allocating: what Used must equal, for an audit.
+func (d *Device) StoredBytes() int64 {
+	var n int64
+	for _, b := range d.blobs {
+		n += int64(len(b))
+	}
+	return n
+}
 
 // Free returns the remaining capacity in bytes.
 func (d *Device) Free() int64 { return d.prof.Capacity - d.used }
@@ -334,14 +368,13 @@ func (d *Device) charge(p *vtime.Proc, n int64, bw float64) {
 //
 // The device always stores its own copy, never the caller's slice. A
 // payload of the stored blob's length is copied over the stored bytes in
-// place (every whole-page commit and replica reinstall);
-// any other length gets a fresh array of exactly that length, so stored
-// blobs carry no capacity slack. The order is charge, injected fault, and
+// place (every whole-page commit and replica reinstall); any other length
+// takes an array of its size class from the recycler (or a fresh one) and
+// hands the replaced array back, so the array's capacity is what the heap
+// charges for the length anyway. The order is charge, injected fault, and
 // only then the copy: a failed write leaves the old contents whole.
 func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) (err error) {
-	old := int64(len(d.blobs[key]))
-	delta := int64(len(data)) - old
-	if delta > d.Free() {
+	if delta := int64(len(data)) - int64(len(d.blobs[key])); delta > d.Free() {
 		return &ErrNoSpace{Device: d.name, Need: delta, Free: d.Free()}
 	}
 	sp := d.enter(p, telemetry.OpDeviceWrite, key)
@@ -352,14 +385,20 @@ func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) (err error) {
 			return err
 		}
 	}
-	// Looked up again: the charge yielded, and the blob may have been
-	// replaced or deleted meanwhile.
-	if cur, ok := d.blobs[key]; ok && len(cur) == len(data) {
+	// Looked up again, and accounted from what is replaced: the charge
+	// yielded, and the blob may have been replaced or deleted meanwhile.
+	cur, ok := d.blobs[key]
+	if ok && len(cur) == len(data) {
 		copy(cur, data)
 	} else {
-		d.blobs[key] = fill(d.takeSpare(len(data)), data)
+		if ok {
+			d.recycle(cur, false) // first: a resize within its class gets it back
+		}
+		b := d.arrays.take(len(data))
+		copy(b, data)
+		d.blobs[key] = b
 	}
-	d.note(delta)
+	d.note(int64(len(data)) - int64(len(cur)))
 	d.writeOps++
 	d.bytesWrite += int64(len(data))
 	return nil
@@ -417,12 +456,13 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 			return err
 		}
 	}
-	// Looked up again: the charge yielded, and a concurrent write that
-	// grew the object past its capacity moved it to a new array.
+	// Looked up again: the charge yielded, and a concurrent write may have
+	// moved the object to a new array, or replaced or deleted it (then its
+	// old array may already serve another blob, and the range lands
+	// nowhere, as it would have in an array no blob holds).
 	if cur := d.blobs[key]; int64(len(cur)) >= end {
-		blob = cur
+		copy(cur[off:end], data)
 	}
-	copy(blob[off:end], data)
 	d.writeOps++
 	d.bytesWrite += int64(len(data))
 	return nil
@@ -431,8 +471,9 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 // fill copies src into dst's storage when it is large enough, else into a
 // fresh array of exactly len(src) bytes, and returns the copy. Every read
 // goes through it: stored bytes are overwritten in place by Write, WriteAt
-// and CorruptBit, so a slice aliasing them would change under its holder.
-// A nil dst always allocates, so even an empty blob reads as non-nil.
+// and CorruptBit, and a deleted blob's array serves the next write, so a
+// slice aliasing them would change under its holder. A nil dst always
+// allocates, so even an empty blob reads as non-nil.
 func fill(dst, src []byte) []byte {
 	if dst != nil && cap(dst) >= len(src) {
 		dst = dst[:len(src)]
@@ -457,27 +498,40 @@ func (d *Device) Read(p *vtime.Proc, key blob.ID) ([]byte, bool, error) {
 // a fresh buffer is allocated. The returned slice is owned by the caller
 // either way (it never aliases device storage); this is the
 // allocation-free leg of the page-buffer path.
+//
+// The copy is taken when the read starts, before its charge yields: the
+// read returns the bytes stored then, and holds no stored array across
+// the yield (a blob deleted meanwhile hands its array to the next write).
+// A failed read may leave dst overwritten.
 func (d *Device) ReadInto(p *vtime.Proc, key blob.ID, dst []byte) (out []byte, ok bool, err error) {
 	blob, ok := d.blobs[key]
 	if !ok {
 		return nil, false, nil
 	}
+	return d.finishRead(p, key, fill(dst, blob))
+}
+
+// finishRead charges a read of data, a copy taken as the read started,
+// and returns it, or the injected fault the read meets.
+func (d *Device) finishRead(p *vtime.Proc, key blob.ID, data []byte) (out []byte, ok bool, err error) {
+	n := int64(len(data))
 	sp := d.enter(p, telemetry.OpDeviceRead, key)
-	defer func() { sp.Exit(p, int64(len(blob)), err != nil) }()
-	d.charge(p, int64(len(blob)), d.prof.ReadBW)
+	defer func() { sp.Exit(p, n, err != nil) }()
+	d.charge(p, n, d.prof.ReadBW)
 	if d.inj != nil {
 		if err := d.inj.DeviceRead(d.fnode, d.ftier); err != nil {
 			return nil, true, err
 		}
 	}
 	d.readOps++
-	d.bytesRead += int64(len(blob))
-	return fill(dst, blob), true, nil
+	d.bytesRead += n
+	return data, true, nil
 }
 
 // ReadAtInto reads length bytes of a blob starting at off, reusing dst's
-// storage when it is large enough (see ReadInto), and charges read cost
-// for the range. Reads past the end are truncated.
+// storage when it is large enough, and charges read cost for the range.
+// Reads past the end are truncated. Like ReadInto it copies when the read
+// starts.
 func (d *Device) ReadAtInto(p *vtime.Proc, key blob.ID, off, length int64, dst []byte) (out []byte, ok bool, err error) {
 	blob, ok := d.blobs[key]
 	if !ok {
@@ -486,35 +540,25 @@ func (d *Device) ReadAtInto(p *vtime.Proc, key blob.ID, off, length int64, dst [
 	if off >= int64(len(blob)) {
 		return nil, true, nil
 	}
-	end := off + length
-	if end > int64(len(blob)) {
-		end = int64(len(blob))
-	}
-	sp := d.enter(p, telemetry.OpDeviceRead, key)
-	defer func() { sp.Exit(p, end-off, err != nil) }()
-	d.charge(p, end-off, d.prof.ReadBW)
-	if d.inj != nil {
-		if err := d.inj.DeviceRead(d.fnode, d.ftier); err != nil {
-			return nil, true, err
-		}
-	}
-	d.readOps++
-	d.bytesRead += end - off
-	return fill(dst, blob[off:end]), true, nil
+	return d.finishRead(p, key, fill(dst, blob[off:min(off+length, int64(len(blob)))]))
 }
 
-// Delete removes a blob, freeing its space. Deleting an absent blob is a
-// no-op. Deletion charges only the fixed latency (metadata update).
+// Delete removes a blob, freeing its space, and hands its array to the
+// recycler. Deleting an absent blob is a no-op. Deletion charges only the
+// fixed latency (metadata update); what it removes and accounts is the
+// blob stored when that latency ends.
 func (d *Device) Delete(p *vtime.Proc, key blob.ID) {
-	blob, ok := d.blobs[key]
-	if !ok {
+	if _, ok := d.blobs[key]; !ok {
 		return
 	}
 	d.chans.Acquire(p, 1)
 	p.Sleep(d.prof.Latency)
 	d.chans.Release(1)
-	d.note(-int64(len(blob)))
-	delete(d.blobs, key)
+	if b, ok := d.blobs[key]; ok {
+		d.note(-int64(len(b)))
+		delete(d.blobs, key)
+		d.recycle(b, false)
+	}
 }
 
 // Adopt moves the blob stored under key from src to d without copying it:
@@ -546,46 +590,49 @@ func (d *Device) Adopt(p *vtime.Proc, src *Device, key blob.ID) (ok bool, err er
 	if !ok {
 		return false, nil
 	}
-	d.note(int64(len(b)) - int64(len(d.blobs[key])))
+	old, had := d.blobs[key]
+	d.note(int64(len(b)) - int64(len(old)))
 	d.blobs[key] = b
+	if had {
+		d.recycle(old, false)
+	}
 	d.writeOps++
 	d.bytesWrite += n
+	// src keeps b until its delete's latency ends; lent keeps it out of
+	// src's recycler meanwhile, whatever removes it.
+	src.lent = append(src.lent, b)
 	src.Delete(p, key)
+	for i, l := range src.lent {
+		if sameArray(l, b) {
+			last := len(src.lent) - 1
+			src.lent[i], src.lent[last] = src.lent[last], nil
+			src.lent = src.lent[:last]
+			break
+		}
+	}
 	return true, nil
 }
 
 // Purge drops every stored blob without charging virtual time. It models
 // a node restarting with cold storage: the cluster wipes a revived
 // node's devices before hermes rejoins it, so nothing stale survives the
-// crash. The dropped arrays become spares: nothing outside the device
-// holds one (reads copy, Adopt moves an array out of the map).
+// crash. The dropped arrays all go to the recycler, past its per-class
+// stock: the revived node stores about what it held again, and reuses
+// them.
 func (d *Device) Purge() {
 	d.note(-d.used)
 	for _, b := range d.blobs {
-		d.spare = append(d.spare, b)
+		d.recycle(b, true)
 	}
 	clear(d.blobs)
 }
 
-// takeSpare returns a spare array of exactly n bytes, removing it from
-// the spares, or nil when there is none.
-func (d *Device) takeSpare(n int) []byte {
-	for i := len(d.spare) - 1; i >= 0; i-- {
-		if b := d.spare[i]; len(b) == n {
-			last := len(d.spare) - 1
-			d.spare[i], d.spare[last] = d.spare[last], nil
-			d.spare = d.spare[:last]
-			return b
-		}
-	}
-	return nil
-}
-
 // Drop removes one blob without charging virtual time; dropping an absent
 // blob is a no-op. It is how a store that is shutting down gives back the
-// space of what only it could read again, so it releases the spares too.
+// space of what only it could read again, so it also empties the
+// recycler.
 func (d *Device) Drop(key blob.ID) {
-	d.spare = nil
+	d.arrays.release()
 	if b, ok := d.blobs[key]; ok {
 		d.note(-int64(len(b)))
 		delete(d.blobs, key)

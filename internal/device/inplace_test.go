@@ -275,10 +275,10 @@ func BenchmarkReadIntoPath(b *testing.B) {
 	})
 }
 
-// TestPurgedArraysServeTheNextWrites: the arrays a Purge drops are reused
-// by the next new blobs of their exact length, which then allocate
-// nothing and read back their own bytes; a blob of another length still
-// gets a fresh array, and Drop releases the spares.
+// TestPurgedArraysServeTheNextWrites: the arrays a Purge drops go to the
+// recycler and serve the next new blobs of their size class, which then
+// allocate nothing and read back their own bytes; a blob of another class
+// still gets a fresh array, and Drop empties the recycler.
 func TestPurgedArraysServeTheNextWrites(t *testing.T) {
 	run(t, func(p *vtime.Proc) {
 		d := New("d", DRAMProfile(MB))
@@ -291,6 +291,9 @@ func TestPurgedArraysServeTheNextWrites(t *testing.T) {
 		d.Purge()
 		if d.Used() != 0 || len(d.blobs) != 0 {
 			t.Fatalf("after Purge: used %d, %d blobs", d.Used(), len(d.blobs))
+		}
+		if n := len(d.arrays.free[64]); n != 4 {
+			t.Fatalf("Purge left %d arrays of 64 B in the recycler, want 4", n)
 		}
 		next := uint32(100)
 		fresh := bytes.Repeat([]byte{9}, 64)
@@ -307,20 +310,20 @@ func TestPurgedArraysServeTheNextWrites(t *testing.T) {
 				t.Errorf("blob %d reads %v after reusing a purged array", k, got)
 			}
 		}
-		if len(d.spare) != 1 {
-			t.Fatalf("%d spares left, want 1", len(d.spare))
+		if n := len(d.arrays.free[64]); n != 1 {
+			t.Fatalf("%d purged arrays left, want 1", n)
 		}
 		if got := testing.AllocsPerRun(1, func() {
 			next++
 			if err := d.Write(p, blob.Raw(next), page[:32]); err != nil {
 				t.Fatal(err)
 			}
-		}); got == 0 || len(d.spare) != 1 {
-			t.Errorf("a write of another length allocated %v times and left %d spares, want a fresh array and 1", got, len(d.spare))
+		}); got == 0 || len(d.arrays.free[64]) != 1 {
+			t.Errorf("a write of another class allocated %v times and left %d purged arrays, want a fresh array and 1", got, len(d.arrays.free[64]))
 		}
 		d.Drop(blob.Raw(next))
-		if d.spare != nil {
-			t.Errorf("Drop left %d spares", len(d.spare))
+		if len(d.arrays.free) != 0 {
+			t.Errorf("Drop left %d classes in the recycler", len(d.arrays.free))
 		}
 	})
 }

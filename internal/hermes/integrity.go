@@ -21,7 +21,10 @@ import (
 //   - the per-node primary indices mirror the primary placements;
 //   - replica counters match a recount of the replica placements;
 //   - no primary has more backup copies than SetReplicas allows, and a
-//     backed one (PutBacked) has none.
+//     backed one (PutBacked) has none;
+//   - every managed device's Used equals the sum of its stored blobs'
+//     lengths (concurrent writes and deletes of one key account from
+//     what they replace).
 //
 // It reads no device data and charges no virtual time; core takes it
 // inside Shutdown, so a consistent store costs a handful of allocations
@@ -155,6 +158,18 @@ func (h *Hermes) CheckIntegrity() []string {
 		}
 	}
 	flush()
+
+	// Every managed device, on live and crashed nodes alike, accounts
+	// the bytes it stores. Nodes in order, tiers by name.
+	for _, n := range h.c.Nodes {
+		for _, t := range managed {
+			if dev := n.Devices[t]; dev != nil {
+				if used, stored := dev.Used(), dev.StoredBytes(); used != stored {
+					bad = append(bad, fmt.Sprintf("device node%d/%s accounts %d bytes used but stores %d", n.ID, t, used, stored))
+				}
+			}
+		}
+	}
 
 	return bad
 }

@@ -2,8 +2,10 @@ package hermes
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"megammap/internal/blob"
 	"megammap/internal/vtime"
 )
 
@@ -43,6 +45,69 @@ func TestOverwriteAndGetIntoAllocateNothing(t *testing.T) {
 			t.Error("GetInto returned stale bytes after in-place overwrites")
 		}
 	})
+}
+
+// TestReplicatedPutAllocatesOnlyTheBackupPlacement: a replicated Put
+// whose payload changes size class every call replaces the primary's
+// array and deletes and stores its backup again. The cluster's array
+// recycler serves both arrays, so once it holds each class the Put
+// allocates one object, the backup's placement record.
+func TestReplicatedPutAllocatesOnlyTheBackupPlacement(t *testing.T) {
+	c, h := newHermes(4)
+	h.SetReplicas(1)
+	run(t, c, func(p *vtime.Proc) {
+		var keys [8]blob.ID
+		for i := range keys {
+			keys[i] = h.Key(fmt.Sprintf("k%d", i))
+		}
+		sizes := []int{300, 700, 1500, 3000}
+		payload := bytes.Repeat([]byte{3}, 3000)
+		i := 0
+		put := func() {
+			if err := h.Put(p, i%4, keys[i%8], payload[:sizes[i%len(sizes)]], 0.5, i%4); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		// Warm-up: the timer wheel, the metadata maps and the recycler's
+		// classes reach their size.
+		for range 2048 {
+			put()
+		}
+		if n := testing.AllocsPerRun(200, put); n > 1 {
+			t.Errorf("a replicated Put of a new size allocates %v per call, want at most 1 (the backup's placement)", n)
+		}
+		if bad := h.CheckIntegrity(); len(bad) != 0 {
+			t.Errorf("integrity: %v", bad)
+		}
+	})
+}
+
+// TestOverlappingPutsKeepDeviceUsedExact: two Puts that resize one blob
+// in place, the second starting while the first is charging, leave the
+// device's Used equal to the bytes it stores, which CheckIntegrity audits.
+func TestOverlappingPutsKeepDeviceUsedExact(t *testing.T) {
+	c, h := newHermes(2)
+	k := h.Key("resized")
+	c.Engine.Spawn("setup", func(p *vtime.Proc) {
+		if err := h.Put(p, 0, k, make([]byte, 100), 0.5, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i, size := range []int{300, 500} {
+			c.Engine.Spawn("put", func(p *vtime.Proc) {
+				p.Sleep(vtime.Duration(10 * i))
+				if err := h.Put(p, 0, k, make([]byte, size), 0.5, 0); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	})
+	if err := c.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if bad := h.CheckIntegrity(); len(bad) != 0 {
+		t.Errorf("integrity: %v", bad)
+	}
 }
 
 // TestScratchBuffersAllComeBack: the reads hermes makes only to relay a
