@@ -59,31 +59,63 @@ type Result struct {
 	Points    int64
 }
 
-// nearest returns the closest centroid index and squared distance for a
-// particle position.
-func nearest(pt datagen.Particle, centroids [][3]float64) (int, float64) {
-	best, bestD := 0, math.MaxFloat64
-	for c, ctr := range centroids {
-		dx := float64(pt.X) - ctr[0]
-		dy := float64(pt.Y) - ctr[1]
-		dz := float64(pt.Z) - ctr[2]
-		d := dx*dx + dy*dy + dz*dz
-		if d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best, bestD
+// centroidSet is one iteration's centroids stored per axis, the
+// assignment step's one kernel: the loop over centroids indexes three
+// flat arrays instead of copying a [3]float64 out of a slice of arrays.
+// A run makes one set and loads it once per iteration, so the kernel
+// allocates nothing per iteration.
+type centroidSet struct {
+	x, y, z []float64
 }
 
-// accumulate folds one particle into per-cluster position sums/counts.
-// The buffer layout is [k*(x,y,z,count)] so it allreduces as one vector.
-func accumulate(acc []float64, pt datagen.Particle, centroids [][3]float64) float64 {
-	c, d := nearest(pt, centroids)
-	acc[c*4+0] += float64(pt.X)
-	acc[c*4+1] += float64(pt.Y)
-	acc[c*4+2] += float64(pt.Z)
-	acc[c*4+3]++
-	return d
+func newCentroidSet(k int) centroidSet {
+	buf := make([]float64, 3*k)
+	return centroidSet{x: buf[:k:k], y: buf[k : 2*k : 2*k], z: buf[2*k:]}
+}
+
+// load copies this iteration's centroids into the set.
+func (s centroidSet) load(centroids [][3]float64) {
+	for c, ctr := range centroids {
+		s.x[c], s.y[c], s.z[c] = ctr[0], ctr[1], ctr[2]
+	}
+}
+
+// fold assigns each point of pts to its nearest centroid, adds it to that
+// centroid's position sum and count in acc, laid out [k*(x,y,z,count)] so
+// it allreduces as one vector, and returns local plus the points' squared
+// distances. labels, unless nil, receives each point's cluster.
+//
+// The comparison is strict from math.MaxFloat64, so the lowest index wins
+// a tie and a point whose every distance is NaN or +Inf joins cluster 0
+// at math.MaxFloat64. acc and local are updated in point order, so
+// threading local through a sweep's chunks gives the bits of one pass
+// over all of its points.
+func (s centroidSet) fold(acc []float64, local float64, pts []datagen.Particle, labels []int32) float64 {
+	xs := s.x
+	ys, zs := s.y[:len(xs)], s.z[:len(xs)]
+	for j, pt := range pts {
+		px, py, pz := float64(pt.X), float64(pt.Y), float64(pt.Z)
+		best, bestD := 0, math.MaxFloat64
+		for c := range xs {
+			dx := px - xs[c]
+			dy := py - ys[c]
+			dz := pz - zs[c]
+			d := dx*dx + dy*dy + dz*dz
+			if d < bestD {
+				best, bestD = c, d
+			}
+		}
+		a := acc[best*4 : best*4+4 : best*4+4]
+		a[0] += px
+		a[1] += py
+		a[2] += pz
+		a[3]++
+		local += bestD
+		if labels != nil {
+			labels[j] = int32(best)
+		}
+	}
+	return local
 }
 
 // recompute turns summed accumulators into new centroids, keeping the old

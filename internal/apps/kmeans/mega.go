@@ -42,22 +42,23 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 
 	var inertia float64
 	buf := make([]datagen.Particle, scanChunk)
+	set := newCentroidSet(cfg.K)
+	acc := make([]float64, cfg.K*4+1) // [k*(x,y,z,count), inertia]
 	off, ln := pts.LocalOff(), pts.LocalLen()
 	for it := 0; it < cfg.MaxIter; it++ {
-		acc := make([]float64, cfg.K*4)
+		set.load(centroids)
+		clear(acc)
 		local := 0.0
 		pts.SeqTxBegin(off, ln, core.ReadOnly)
 		for sc := pts.Scan(off, ln, buf); sc.Next(); {
-			for _, pt := range sc.Chunk() {
-				local += accumulate(acc, pt, centroids)
-			}
+			local = set.fold(acc, local, sc.Chunk(), nil)
 			r.Compute(vtime.Duration(int64(cfg.CostPerDist) * int64(len(sc.Chunk())) * int64(cfg.K)))
 		}
 		pts.TxEnd()
-		acc = append(acc, local)
-		acc = r.SumFloat64s(acc)
-		inertia = acc[len(acc)-1]
-		centroids = recompute(acc[:len(acc)-1], centroids)
+		acc[cfg.K*4] = local
+		sum := r.SumFloat64s(acc)
+		inertia = sum[cfg.K*4]
+		centroids = recompute(sum[:cfg.K*4], centroids)
 	}
 
 	// Persist assignments through a nonvolatile shared vector.
@@ -70,12 +71,14 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 			out.Resize(n)
 		}
 		r.Barrier()
+		set.load(centroids)
 		out.SeqTxBegin(off, ln, core.WriteOnly)
 		pts.SeqTxBegin(off, ln, core.ReadOnly)
+		labels := make([]int32, scanChunk)
 		for sc := pts.Scan(off, ln, buf); sc.Next(); {
-			for j, pt := range sc.Chunk() {
-				c, _ := nearest(pt, centroids)
-				out.Set(sc.At(j), int32(c))
+			set.fold(acc, 0, sc.Chunk(), labels) // only the labels are kept
+			for j := range sc.Chunk() {
+				out.Set(sc.At(j), labels[j])
 			}
 			r.Compute(vtime.Duration(int64(cfg.CostPerDist) * int64(len(sc.Chunk())) * int64(cfg.K)))
 		}

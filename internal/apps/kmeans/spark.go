@@ -47,22 +47,25 @@ func Spark(p *vtime.Proc, s *sparklike.Session, st *stager.Stager, cfg Config) (
 		return datagen.DecodeParticle(raw)
 	})
 
+	// Both stages fold each element through the iteration's centroid set;
+	// the assignment stage's sums go unused.
+	set := newCentroidSet(cfg.K)
+	zero := func() aggState { return aggState{acc: make([]float64, cfg.K*4)} }
+	add := func(a aggState, pt datagen.Particle) aggState {
+		a.inertia = set.fold(a.acc, a.inertia, []datagen.Particle{pt}, nil)
+		return a
+	}
+	merge := func(a, b aggState) aggState {
+		for i := range a.acc {
+			a.acc[i] += b.acc[i]
+		}
+		a.inertia += b.inertia
+		return a
+	}
 	var inertia float64
 	for it := 0; it < cfg.MaxIter; it++ {
-		ctr := centroids
-		res, aerr := sparklike.Aggregate(p, rdd,
-			func() aggState { return aggState{acc: make([]float64, cfg.K*4)} },
-			func(a aggState, pt datagen.Particle) aggState {
-				a.inertia += accumulate(a.acc, pt, ctr)
-				return a
-			},
-			func(a, b aggState) aggState {
-				for i := range a.acc {
-					a.acc[i] += b.acc[i]
-				}
-				a.inertia += b.inertia
-				return a
-			},
+		set.load(centroids)
+		res, aerr := sparklike.Aggregate(p, rdd, zero, add, merge,
 			vtime.Duration(int64(cfg.CostPerDist)*int64(cfg.K)),
 			int64(cfg.K*4*8))
 		if aerr != nil {
@@ -80,14 +83,8 @@ func Spark(p *vtime.Proc, s *sparklike.Session, st *stager.Stager, cfg Config) (
 		if oerr != nil {
 			return Result{}, oerr
 		}
-		ctr := centroids
-		if _, aerr := sparklike.Aggregate(p, rdd,
-			func() int64 { return 0 },
-			func(acc int64, pt datagen.Particle) int64 {
-				c, _ := nearest(pt, ctr)
-				return acc + int64(c)
-			},
-			func(a, b int64) int64 { return a + b },
+		set.load(centroids)
+		if _, aerr := sparklike.Aggregate(p, rdd, zero, add, merge,
 			vtime.Duration(int64(cfg.CostPerDist)*int64(cfg.K)),
 			n*4/int64(parts)); aerr != nil {
 			return Result{}, aerr

@@ -105,10 +105,14 @@ func (g *Generator) Next() (Particle, int) {
 	r := g.spec.Radius * g.rng.ExpFloat64()
 	theta := g.rng.Float64() * 2 * math.Pi
 	phi := math.Acos(2*g.rng.Float64() - 1)
+	// Sincos shares Sin's and Cos's range reduction and polynomials, so
+	// each value has the bits the two separate calls give.
+	sinT, cosT := math.Sincos(theta)
+	sinP, cosP := math.Sincos(phi)
 	return Particle{
-		X:  c.X + float32(r*math.Sin(phi)*math.Cos(theta)),
-		Y:  c.Y + float32(r*math.Sin(phi)*math.Sin(theta)),
-		Z:  c.Z + float32(r*math.Cos(phi)),
+		X:  c.X + float32(r*sinP*cosT),
+		Y:  c.Y + float32(r*sinP*sinT),
+		Z:  c.Z + float32(r*cosP),
 		VX: c.VX + float32(g.rng.NormFloat64()*10),
 		VY: c.VY + float32(g.rng.NormFloat64()*10),
 		VZ: c.VZ + float32(g.rng.NormFloat64()*10),
