@@ -220,7 +220,8 @@ func TestNonvolatilePersistsOnShutdown(t *testing.T) {
 
 // TestSecondDSMOnAClusterStartsClean: Shutdown gives the cluster back as
 // it found it — every tier's stored bytes and blob count at their pre-DSM
-// values, the deployment's processes gone with the engine still good — so
+// values, no placement record held (the free list emptied too), the
+// deployment's processes gone with the engine still good — so
 // a fresh DSM on it starts with empty tiers and a clean audit. (Before the
 // release the volatile vector's pages stayed on the devices, and the
 // second DSM's own audit reported each as an orphan.)
@@ -253,6 +254,18 @@ func TestSecondDSMOnAClusterStartsClean(t *testing.T) {
 			v.Set(i, i)
 		}
 		v.TxEnd()
+		// A destroyed vector leaves its pages' records on the free list.
+		doomed, err := Open[int64](d.NewClient(p, 0), "doomed", Int64Codec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		doomed.Resize(4096)
+		doomed.SeqTxBegin(0, 4096, WriteOnly)
+		for i := int64(0); i < 4096; i++ {
+			doomed.Set(i, i)
+		}
+		doomed.TxEnd()
+		doomed.Destroy()
 		during = tiers()
 	})
 	if during["dram"].keys == 0 || during["nvme"].keys == 0 {
@@ -266,6 +279,10 @@ func TestSecondDSMOnAClusterStartsClean(t *testing.T) {
 	}
 	if got := d.Hermes().TierUsage(); got["dram"] != during["dram"].used || got["nvme"] != during["nvme"].used {
 		t.Errorf("TierUsage after Shutdown = %v, want the usage at shutdown %v", got, during)
+	}
+	// The released store holds no placement record, free ones included.
+	if bad := d.Hermes().CheckIntegrity(); len(bad) != 0 {
+		t.Errorf("store audit after Shutdown: %v", bad)
 	}
 
 	d2 := New(c, testConfig())

@@ -102,17 +102,21 @@ func (hr *hedgeRace) win(r *hedgeResult) {
 // caller should take the normal path. Both legs read into fresh buffers
 // (never the caller's dst — the loser keeps running after the caller
 // has reclaimed its buffer) and charge their own device and fabric
-// costs; the caller observes only the winner's end-to-end latency.
+// costs; the caller observes only the winner's end-to-end latency. The
+// legs outlive the call, so each pins the record it reads until it ends.
 func (h *Hermes) getHedged(p *vtime.Proc, fromNode int, id blob.ID, pl *Placement) (data []byte, ok bool, err error, hedged bool) {
 	bp, bkID := h.failover(id)
 	if bp == nil || bp.Node == pl.Node {
 		return nil, false, nil, false
 	}
+	h.pin(pl)
+	h.pin(bp)
 	hr := &hedgeRace{}
 	span := p.TraceSpan()
 	start := p.Now()
 
 	h.c.Engine.Spawn("hedge-primary", func(pp *vtime.Proc) {
+		defer h.unpin(pl)
 		pp.SetTraceSpan(span)
 		r := h.readCopy(pp, fromNode, pl, id)
 		if hr.winner != nil {
@@ -128,6 +132,7 @@ func (h *Hermes) getHedged(p *vtime.Proc, fromNode int, id blob.ID, pl *Placemen
 	})
 
 	h.c.Engine.Spawn("hedge-backup", func(pp *vtime.Proc) {
+		defer h.unpin(bp)
 		pp.SetTraceSpan(span)
 		pp.Sleep(h.hedgeDelay)
 		if hr.winner != nil {

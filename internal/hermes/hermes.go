@@ -33,8 +33,10 @@ import (
 
 // Placement locates a blob in the DMSH. The record is 64 bytes — one
 // allocator size class and one cache line, which is why the small
-// integers are 32-bit (Inc 16-bit, to make room for backed and hint): a
-// store allocates one per put and per backup.
+// integers are 32-bit (Inc 16-bit, to make room for flags and pins).
+// Records are recycled: a dropped record goes on the store's free list,
+// and newPlacement hands it out again for the next put or backup. So a
+// record is read or written after a yield only while it is pinned (pin).
 type Placement struct {
 	Node int    // node holding the bytes
 	Tier string // tier name on that node
@@ -50,12 +52,10 @@ type Placement struct {
 	// so placements from its previous life are unreachable even though
 	// the node itself is up again.
 	Inc int16
-	// backed marks a primary whose bytes a durable backend also holds
-	// (PutBacked): it has no backups, and losing it owes no repair.
-	backed bool
-	// hint qualifies ScoreNode: whether a local-intent phase set it, and
-	// whether the blob is on the organizer's candidate list.
-	hint          hintFlags
+	// flags qualify ScoreNode and mark a backed primary and a dropped
+	// record; pins counts the holders keeping the record across a yield.
+	flags         placeFlags
+	pins          uint8
 	ScoreNode     int32
 	PrevScoreNode int32
 
@@ -66,18 +66,40 @@ type Placement struct {
 	dev  *device.Device
 }
 
-// hintFlags qualify a placement's locality hint.
-type hintFlags uint8
+// placeFlags qualify a placement's locality hint and record its state.
+type placeFlags uint8
 
 const (
 	// hintLocal: ScoreNode was set by a phase that declared neither Global
 	// nor Collective access, which by the Pgas contract touches only its
 	// own rank's partition: the blob belongs on that node.
-	hintLocal hintFlags = 1 << iota
+	hintLocal placeFlags = 1 << iota
 	// hintListed: the blob is on the organizer's candidate list (orgScratch.
 	// cands), so a second score update does not list it twice.
 	hintListed
+	// flagBacked marks a primary whose bytes a durable backend also holds
+	// (PutBacked): it has no backups, and losing it owes no repair.
+	flagBacked
+	// flagDropped marks a record that has left the metadata: it is on the
+	// free list, or pinned and waiting for its last unpin to go there.
+	flagDropped
 )
+
+// backed reports whether the backend also holds the blob's bytes.
+func (pl *Placement) backed() bool { return pl.flags&flagBacked != 0 }
+
+// setBacked marks or clears the backed state.
+func (pl *Placement) setBacked(v bool) {
+	if v {
+		pl.flags |= flagBacked
+	} else {
+		pl.flags &^= flagBacked
+	}
+}
+
+// pinSticky is the pin count a record keeps for good once reached: it is
+// never recycled, and once dropped the collector takes it.
+const pinSticky = 255
 
 // Hermes is a distributed, tiered blob store over the cluster's devices.
 type Hermes struct {
@@ -93,6 +115,12 @@ type Hermes struct {
 	// over meta costs the map iterator — DecayScores does it every period.
 	slab []*Placement
 	ids  *blob.Interner // blob/vector name table
+
+	// free holds dropped records for newPlacement to hand out again.
+	// pinnedDrops counts the records dropped while pinned whose last unpin
+	// has not come yet (sticky ones aside).
+	free        []*Placement
+	pinnedDrops int
 
 	// byNode indexes the primary blobs currently placed on each node,
 	// sorted in blob.Less order. The organizer walks these instead of
@@ -339,7 +367,7 @@ func (h *Hermes) FailNode(id int) {
 	}
 	// Primaries on the dead node: the sorted per-node index.
 	for _, pid := range h.byNode[id] {
-		if !h.meta[pid].backed {
+		if !h.meta[pid].backed() {
 			h.enqueueRepair(pid)
 		}
 	}
@@ -402,9 +430,57 @@ func (h *Hermes) device(node int, tier string) *device.Device {
 
 // newPlacement builds the record of size bytes about to be written to
 // (node, tier); the caller writes through its dev and then installs it
-// with metaPut.
+// with metaPut, or hands it back to recycle if the write fails. It takes
+// a record off the free list when there is one, every field overwritten,
+// and allocates only when the list is empty.
 func (h *Hermes) newPlacement(node int, tier string, size int64, score float64, scoreNode int) *Placement {
-	return &Placement{Node: node, Tier: tier, Size: size, Score: score, ScoreNode: int32(scoreNode), dev: h.device(node, tier)}
+	var pl *Placement
+	if n := len(h.free); n > 0 {
+		pl = h.free[n-1]
+		h.free[n-1] = nil
+		h.free = h.free[:n-1]
+	} else {
+		pl = new(Placement)
+	}
+	*pl = Placement{Node: node, Tier: tier, Size: size, Score: score, ScoreNode: int32(scoreNode), dev: h.device(node, tier)}
+	return pl
+}
+
+// recycle gives back a record that has left the metadata (or never
+// entered it): onto the free list, or, while a holder has it pinned,
+// marked dropped for the last unpin to free. A dropped record keeps its
+// fields until newPlacement hands it out again.
+func (h *Hermes) recycle(pl *Placement) {
+	pl.flags |= flagDropped
+	switch pl.pins {
+	case 0:
+		h.free = append(h.free, pl)
+	case pinSticky:
+	default:
+		h.pinnedDrops++
+	}
+}
+
+// pin keeps a record from being recycled while its holder yields: a
+// record is read or written after a yield only while it is pinned. Take
+// the pin before the first yield the record must outlive, with no yield
+// since the record was read from the metadata (or built), and end it with
+// one unpin.
+func (h *Hermes) pin(pl *Placement) {
+	if pl.pins < pinSticky {
+		pl.pins++
+	}
+}
+
+// unpin ends one pin. The last one frees a record dropped meanwhile.
+func (h *Hermes) unpin(pl *Placement) {
+	if pl.pins == pinSticky {
+		return
+	}
+	if pl.pins--; pl.pins == 0 && pl.flags&flagDropped != 0 {
+		h.pinnedDrops--
+		h.free = append(h.free, pl)
+	}
 }
 
 // metaPut installs (or replaces) a blob's placement, maintaining the
@@ -447,6 +523,7 @@ func (h *Hermes) metaDrop(id blob.ID, pl *Placement) {
 			delete(h.replCnt, base)
 		}
 	}
+	h.recycle(pl)
 }
 
 // idxInsert adds id to a node's sorted primary index.
@@ -604,6 +681,8 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 	if pl != nil {
 		// Replace in place if the target still fits the new size.
 		if int64(len(data))-pl.Size <= pl.dev.Free() {
+			h.pin(pl) // its fields are set once the write has yielded
+			defer h.unpin(pl)
 			if pl.Node != fromNode {
 				h.c.Fabric.Transfer(p, fromNode, pl.Node, int64(len(data)))
 			}
@@ -613,7 +692,7 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 			pl.Size = int64(len(data))
 			pl.Score = score
 			pl.ScoreNode = int32(prefNode)
-			pl.hint &^= hintLocal // a put declares no intent
+			pl.flags &^= hintLocal // a put declares no intent
 			h.protect(p, pl, id, data, backed)
 			return nil
 		}
@@ -634,6 +713,7 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 	}
 	pl = h.newPlacement(node, tier, int64(len(data)), score, prefNode)
 	if err := h.writeRetry(p, pl.dev, id, data); err != nil {
+		h.recycle(pl)
 		return err
 	}
 	h.metaPut(id, pl)
@@ -643,9 +723,9 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 
 // protect gives a freshly (re)put primary the redundancy it is owed:
 // backups of its bytes, or — for bytes a backend also holds — none, with
-// any stale ones dropped.
+// any stale ones dropped. It reads and writes pl before it first yields.
 func (h *Hermes) protect(p *vtime.Proc, pl *Placement, id blob.ID, data []byte, backed bool) {
-	pl.backed = backed
+	pl.setBacked(backed)
 	if backed {
 		h.dropBackups(p, id)
 		return
@@ -722,9 +802,10 @@ func (h *Hermes) replicate(p *vtime.Proc, primary int, id blob.ID, data []byte) 
 
 // replicateStored ends a primary's backed state: its stored bytes are
 // read back and replicated, as a Put of them would have. A read that
-// fails leaves the blob to the repair queue.
+// fails leaves the blob to the repair queue. The caller (PutAt) holds pl
+// pinned: its node is read after the read yields.
 func (h *Hermes) replicateStored(p *vtime.Proc, pl *Placement, id blob.ID) {
-	pl.backed = false
+	pl.setBacked(false)
 	if h.replicas == 0 {
 		return
 	}
@@ -742,12 +823,17 @@ func (h *Hermes) replicateStored(p *vtime.Proc, pl *Placement, id blob.ID) {
 // tier) and records it there; false when the device refused the write.
 // stale, when non-nil, is the old copy the new one replaces (repair
 // moving a backup off the primary's node): its bytes are freed once the
-// new ones are down.
+// new ones are down, so it stays pinned until then.
 func (h *Hermes) storeBackup(p *vtime.Proc, primary int, bk blob.ID, node int, tier string, data []byte, stale *Placement) bool {
+	if stale != nil {
+		h.pin(stale)
+		defer h.unpin(stale)
+	}
 	size := int64(len(data))
 	h.c.Fabric.Transfer(p, primary, node, size)
 	bp := h.newPlacement(node, tier, size, 0.05, node)
 	if err := h.writeRetry(p, bp.dev, bk, data); err != nil {
+		h.recycle(bp)
 		return false
 	}
 	if stale != nil {
@@ -853,7 +939,7 @@ func (h *Hermes) RepairBurst(p *vtime.Proc, n int) bool {
 // happened (the step budget).
 func (h *Hermes) repairBlob(p *vtime.Proc, id blob.ID) (requeue, worked bool) {
 	pl := h.meta[id]
-	if pl == nil || pl.backed {
+	if pl == nil || pl.backed() {
 		// Deleted since enqueue, or backed (re-staged since): nothing is
 		// owed.
 		return false, false
@@ -878,6 +964,8 @@ func (h *Hermes) repairBlob(p *vtime.Proc, id blob.ID) (requeue, worked bool) {
 		h.inj.Note("repair.recover")
 		worked = true
 	}
+	h.pin(pl) // its node is read after the relay read yields
+	defer h.unpin(pl)
 	missing := 0
 	for i := 0; i < h.replicas; i++ {
 		// A backup on the primary's own node (a failover can promote the
@@ -957,6 +1045,8 @@ func (h *Hermes) ReadBackup(p *vtime.Proc, fromNode int, id blob.ID, slot int, d
 	if bp == nil || !h.reachable(bp) {
 		return nil, false
 	}
+	h.pin(bp) // its node is read after the read yields
+	defer h.unpin(bp)
 	data, ok, err := h.readRetry(p, bp.dev, bk, "retry.scache_read", dst)
 	if err != nil || !ok {
 		return nil, false
@@ -980,6 +1070,7 @@ func (h *Hermes) PutLocal(p *vtime.Proc, node int, id blob.ID, data []byte, scor
 	}
 	pl := h.newPlacement(node, h.tiers[ti], int64(len(data)), score, node)
 	if h.writeRetry(p, pl.dev, id, data) != nil {
+		h.recycle(pl)
 		return false
 	}
 	h.metaPut(id, pl)
@@ -1005,6 +1096,13 @@ func (h *Hermes) recoverPrimary(p *vtime.Proc, id blob.ID) (pl *Placement, err e
 	if bp == nil {
 		return nil, h.nodeDownErr(id)
 	}
+	// Both records are read after the backup read yields. A pinned stale
+	// cannot come back as a new Put's record, which is what keeps the
+	// identity check below sound.
+	h.pin(stale)
+	defer h.unpin(stale)
+	h.pin(bp)
+	defer h.unpin(bp)
 	buf := h.borrow(bp.Size)
 	defer h.giveBack(buf)
 	data, ok, err := h.readRetry(p, bp.dev, bk, "retry.scache_read", buf)
@@ -1033,6 +1131,7 @@ func (h *Hermes) recoverPrimary(p *vtime.Proc, id blob.ID) (pl *Placement, err e
 	}
 	pl = h.newPlacement(node, tier, int64(len(data)), 0.5, node)
 	if err := h.writeRetry(p, pl.dev, id, data); err != nil {
+		h.recycle(pl)
 		return nil, err
 	}
 	h.metaPut(id, pl)
@@ -1055,6 +1154,8 @@ func (h *Hermes) PutAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data 
 			return err
 		}
 	}
+	h.pin(pl) // read and written after the write yields
+	defer h.unpin(pl)
 	if pl.Node != fromNode {
 		h.c.Fabric.Transfer(p, fromNode, pl.Node, int64(len(data)))
 	}
@@ -1064,7 +1165,7 @@ func (h *Hermes) PutAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data 
 	if end := off + int64(len(data)); end > pl.Size {
 		pl.Size = end
 	}
-	if pl.backed {
+	if pl.backed() {
 		// From this write on the scache holds the only copy of the merged
 		// image, and there are no backups to patch: write them whole.
 		h.replicateStored(p, pl, id)
@@ -1077,6 +1178,7 @@ func (h *Hermes) PutAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data 
 		if bp == nil || !h.reachable(bp) {
 			continue
 		}
+		h.pin(bp)
 		if bp.Node != pl.Node {
 			h.c.Fabric.Transfer(p, pl.Node, bp.Node, int64(len(data)))
 		}
@@ -1085,6 +1187,7 @@ func (h *Hermes) PutAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data 
 				bp.Size = end
 			}
 		}
+		h.unpin(bp)
 	}
 	return nil
 }
@@ -1115,6 +1218,14 @@ func (h *Hermes) GetInto(p *vtime.Proc, fromNode int, id blob.ID, dst []byte) (d
 			return nil, false, h.nodeDownErr(id)
 		}
 	}
+	// The record read from (the primary's, or a failover's) is read again
+	// after each yield below.
+	h.pin(pl)
+	defer func() {
+		if pl != nil {
+			h.unpin(pl)
+		}
+	}()
 	// A primary read against a suspected-slow node races a speculative
 	// backup read after the hedge delay (see hedge.go). hedgeDelay == 0
 	// (health plane off) skips this branch entirely, so the default read
@@ -1128,10 +1239,12 @@ func (h *Hermes) GetInto(p *vtime.Proc, fromNode int, id blob.ID, dst []byte) (d
 	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
 		h.inj.Backoff(p, "retry.scache_read", attempt)
 		if !h.reachable(pl) { // a crash can land during the backoff sleep
+			h.unpin(pl)
 			pl, readID = h.failover(id)
 			if pl == nil {
 				return nil, false, h.nodeDownErr(id)
 			}
+			h.pin(pl)
 		}
 		data, ok, err = pl.dev.ReadInto(p, readID, dst)
 	}
@@ -1205,12 +1318,12 @@ func (h *Hermes) SetScoreHint(p *vtime.Proc, fromNode int, id blob.ID, score flo
 	pl.Score = score
 	pl.ScoreNode = int32(fromNode)
 	if !local {
-		pl.hint &^= hintLocal
+		pl.flags &^= hintLocal
 		return
 	}
-	pl.hint |= hintLocal
-	if fromNode != pl.Node && pl.hint&hintListed == 0 && id.IsPrimary() {
-		pl.hint |= hintListed
+	pl.flags |= hintLocal
+	if fromNode != pl.Node && pl.flags&hintListed == 0 && id.IsPrimary() {
+		pl.flags |= hintListed
 		h.org.cands = append(h.org.cands, id)
 	}
 }
@@ -1304,21 +1417,21 @@ func (h *Hermes) planMigrations(budget, spent int64) {
 	keep := o.cands[:0]
 	for i, id := range o.cands {
 		pl := h.meta[id]
-		if pl == nil || pl.hint&hintListed == 0 {
+		if pl == nil || pl.flags&hintListed == 0 {
 			continue // deleted or replaced since it was listed, or listed twice
 		}
 		home := int(pl.ScoreNode)
-		if pl.hint&hintLocal == 0 || home == pl.Node || pl.ScoreNode != pl.PrevScoreNode ||
+		if pl.flags&hintLocal == 0 || home == pl.Node || pl.ScoreNode != pl.PrevScoreNode ||
 			home >= h.computes || !h.alive(home) ||
 			pl.Node >= h.computes || !h.reachable(pl) || h.hasReplicas(id) {
-			pl.hint &^= hintListed
+			pl.flags &^= hintListed
 			continue
 		}
 		if budget > 0 && spent+pl.Size > budget {
 			keep = append(keep, o.cands[i:]...) // the pass is full
 			break
 		}
-		pl.hint &^= hintListed
+		pl.flags &^= hintListed
 		if h.device(home, pl.Tier).Free()-h.inbound(home, pl.Tier) < pl.Size {
 			continue
 		}
@@ -1446,6 +1559,8 @@ func (h *Hermes) Organize(p *vtime.Proc, budget int64) {
 // placement is stamped with the destination's incarnation, as a put there
 // would be.
 func (h *Hermes) move(p *vtime.Proc, id blob.ID, pl *Placement, node int, tier string) {
+	h.pin(pl) // re-pointed once the read and the adopt have yielded
+	defer h.unpin(pl)
 	src, dst := pl.dev, h.device(node, tier)
 	buf := h.borrow(pl.Size)
 	defer h.giveBack(buf)
@@ -1487,7 +1602,7 @@ func (h *Hermes) Release() {
 	}
 	h.meta = map[blob.ID]*Placement{}
 	h.replCnt = map[blob.ID]int{}
-	h.slab = nil
+	h.slab, h.free = nil, nil
 	clear(h.byNode)
 	h.org.cands, h.org.entries, h.org.moves, h.org.out = nil, nil, nil, nil
 }

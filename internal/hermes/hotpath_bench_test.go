@@ -1,12 +1,14 @@
 package hermes
 
-// Host-time microbenchmarks of the Data Organizer planning pass. Planning
-// runs every OrganizePeriod: over the whole DMSH while the one-shot re-pack
-// is armed, over the candidate list after it, so either pass is a
-// background tax on every workload (`go run ./bench -trace 1` reports it
-// as hermes.organize_ns).
+// Host-time microbenchmarks of the Data Organizer planning pass and of the
+// replicated put path. Planning runs every OrganizePeriod: over the whole
+// DMSH while the one-shot re-pack is armed, over the candidate list after
+// it, so either pass is a background tax on every workload (`go run
+// ./bench -trace 1` reports it as hermes.organize_ns).
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"megammap/internal/blob"
@@ -116,5 +118,55 @@ func BenchmarkDecayScoresPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.DecayScores(1)
+	}
+}
+
+// putCycle returns one op of hermes_scale's loop on a replicated store: a
+// Put of size(i) bytes over one of 8 reused keys from a rotating node, and
+// a Delete of the key every 8th op, so that both of its records go to the
+// free list and the next Put of the key builds them anew.
+func putCycle(tb testing.TB, h *Hermes, p *vtime.Proc, size func(i int) int) func() {
+	var keys [8]blob.ID
+	for k := range keys {
+		keys[k] = h.Key(fmt.Sprintf("k%d", k))
+	}
+	payload := bytes.Repeat([]byte{3}, 4096)
+	i := 0
+	return func() {
+		id, node := keys[i%8], i%4
+		if err := h.Put(p, node, id, payload[:size(i)], 0.5, node); err != nil {
+			tb.Fatal(err)
+		}
+		if i%8 == 7 {
+			h.Delete(p, node, id)
+		}
+		i++
+	}
+}
+
+// BenchmarkPutReplicatedPath measures one op of hermes_scale's loop
+// shape: a replicated Put (replicas = 1) of 256-1024 B over 8 reused keys
+// on 4 nodes, with a Delete every 8th op. The primary is rewritten in
+// place, its backup slot deleted and stored again, and a deleted key's
+// next Put places both copies anew; the array recycler and the record free
+// list serve all of it, so it allocates nothing.
+func BenchmarkPutReplicatedPath(b *testing.B) {
+	c := benchCluster()
+	h := New(c, []string{"dram", "nvme"})
+	h.SetReplicas(1)
+	c.Engine.Spawn("bench", func(p *vtime.Proc) {
+		op := putCycle(b, h, p, func(i int) int { return 256 + i*389%769 })
+		for range 2048 { // warm-up, as in TestReplicatedPutAllocatesNothing
+			op()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			op()
+		}
+		b.StopTimer()
+	})
+	if err := c.Engine.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -24,7 +24,13 @@ import (
 //     backed one (PutBacked) has none;
 //   - every managed device's Used equals the sum of its stored blobs'
 //     lengths (concurrent writes and deletes of one key account from
-//     what they replace).
+//     what they replace);
+//   - the record lifecycle: no record in the metadata is marked dropped,
+//     and every record on the free list is marked dropped, unpinned and
+//     out of the slab (so no free record is reachable from the metadata,
+//     which the slab mirrors); with no process in flight nothing is
+//     pinned, in the metadata or dropped; after Release no record is held
+//     at all.
 //
 // It reads no device data and charges no virtual time; core takes it
 // inside Shutdown, so a consistent store costs a handful of allocations
@@ -50,7 +56,14 @@ func (h *Hermes) CheckIntegrity() []string {
 	replCnt := make(map[blob.ID]int, len(h.replCnt))
 	var backups map[blob.ID]int
 	primaries := 0
+	idle := h.c.Engine.Live() == 0
 	for id, pl := range h.meta {
+		if pl.flags&flagDropped != 0 {
+			found = append(found, finding{id, fmt.Sprintf("blob %q has a record marked dropped", h.DisplayName(id))})
+		}
+		if idle && pl.pins != 0 {
+			found = append(found, finding{id, fmt.Sprintf("blob %q's record is pinned %d times with no process in flight", h.DisplayName(id), pl.pins)})
+		}
 		if int(pl.slot) >= len(h.slab) || h.slab[pl.slot] != pl {
 			found = append(found, finding{id, fmt.Sprintf("blob %q is not at its slab slot %d", h.DisplayName(id), pl.slot)})
 		}
@@ -153,7 +166,7 @@ func (h *Hermes) CheckIntegrity() []string {
 		if n > h.replicas {
 			found = append(found, finding{base, fmt.Sprintf("blob %q has %d backups, replication factor is %d", h.DisplayName(base), n, h.replicas)})
 		}
-		if pl := h.meta[base]; pl != nil && pl.backed {
+		if pl := h.meta[base]; pl != nil && pl.backed() {
 			found = append(found, finding{base, fmt.Sprintf("backed blob %q has %d backups", h.DisplayName(base), n)})
 		}
 	}
@@ -169,6 +182,25 @@ func (h *Hermes) CheckIntegrity() []string {
 				}
 			}
 		}
+	}
+
+	// Recycled records.
+	for i, pl := range h.free {
+		if pl.flags&flagDropped == 0 {
+			bad = append(bad, fmt.Sprintf("free record %d is not marked dropped", i))
+		}
+		if pl.pins != 0 {
+			bad = append(bad, fmt.Sprintf("free record %d is pinned %d times", i, pl.pins))
+		}
+		if int(pl.slot) < len(h.slab) && h.slab[pl.slot] == pl {
+			bad = append(bad, fmt.Sprintf("free record %d is still in the slab at slot %d", i, pl.slot))
+		}
+	}
+	if idle && h.pinnedDrops != 0 {
+		bad = append(bad, fmt.Sprintf("%d dropped records are still pinned with no process in flight", h.pinnedDrops))
+	}
+	if h.endUsage != nil && len(h.meta)+len(h.slab)+len(h.free) != 0 {
+		bad = append(bad, fmt.Sprintf("released store still holds %d placements and %d free records", len(h.meta), len(h.free)))
 	}
 
 	return bad

@@ -2,10 +2,8 @@ package hermes
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
-	"megammap/internal/blob"
 	"megammap/internal/vtime"
 )
 
@@ -47,35 +45,25 @@ func TestOverwriteAndGetIntoAllocateNothing(t *testing.T) {
 	})
 }
 
-// TestReplicatedPutAllocatesOnlyTheBackupPlacement: a replicated Put
-// whose payload changes size class every call replaces the primary's
-// array and deletes and stores its backup again. The cluster's array
-// recycler serves both arrays, so once it holds each class the Put
-// allocates one object, the backup's placement record.
-func TestReplicatedPutAllocatesOnlyTheBackupPlacement(t *testing.T) {
+// TestReplicatedPutAllocatesNothing: a replicated Put whose payload
+// changes size class at every visit of its key replaces the primary's
+// array and deletes and stores its backup again, and every 8th op deletes
+// a key, so its next Put builds both records anew. The cluster's array
+// recycler serves the arrays and the store's free list the records, so
+// once both hold what the cycle needs the Put allocates nothing.
+func TestReplicatedPutAllocatesNothing(t *testing.T) {
 	c, h := newHermes(4)
 	h.SetReplicas(1)
 	run(t, c, func(p *vtime.Proc) {
-		var keys [8]blob.ID
-		for i := range keys {
-			keys[i] = h.Key(fmt.Sprintf("k%d", i))
-		}
 		sizes := []int{300, 700, 1500, 3000}
-		payload := bytes.Repeat([]byte{3}, 3000)
-		i := 0
-		put := func() {
-			if err := h.Put(p, i%4, keys[i%8], payload[:sizes[i%len(sizes)]], 0.5, i%4); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		}
-		// Warm-up: the timer wheel, the metadata maps and the recycler's
-		// classes reach their size.
+		op := putCycle(t, h, p, func(i int) int { return sizes[(i+i/8)%len(sizes)] })
+		// Warm-up: the timer wheel, the metadata maps, the recycler's
+		// classes and the free list reach their size.
 		for range 2048 {
-			put()
+			op()
 		}
-		if n := testing.AllocsPerRun(200, put); n > 1 {
-			t.Errorf("a replicated Put of a new size allocates %v per call, want at most 1 (the backup's placement)", n)
+		if n := testing.AllocsPerRun(200, op); n != 0 {
+			t.Errorf("a replicated Put (and a Delete every 8th op) allocates %v per call, want 0", n)
 		}
 		if bad := h.CheckIntegrity(); len(bad) != 0 {
 			t.Errorf("integrity: %v", bad)
