@@ -12,6 +12,7 @@ package device
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"megammap/internal/blob"
@@ -134,7 +135,8 @@ var (
 type Device struct {
 	prof  Profile
 	name  string
-	used  int64
+	used  int64 // stored bytes, as peak
+	held  int64 // reserved by writes in flight (Reserve)
 	peak  int64
 	chans *vtime.Resource // queue depth: latency phases overlap
 	bw    *vtime.Resource // media bandwidth: transfers serialize
@@ -164,9 +166,9 @@ type Device struct {
 	busy                  vtime.Duration
 	nomBusy               vtime.Duration
 
-	// onUsed observers fire on every change to the stored-byte count;
-	// cluster aggregates and the hermes placement index subscribe so
-	// capacity queries never walk devices.
+	// onUsed observers fire on every change to the stored-byte count or
+	// to Free; cluster aggregates and the hermes placement index subscribe
+	// so capacity queries never walk devices.
 	onUsed []func(delta int64)
 }
 
@@ -249,28 +251,63 @@ func (d *Device) StoredBytes() int64 {
 	return n
 }
 
-// Free returns the remaining capacity in bytes.
-func (d *Device) Free() int64 { return d.prof.Capacity - d.used }
+// Free returns the capacity in bytes neither stored nor reserved.
+func (d *Device) Free() int64 { return d.prof.Capacity - d.used - d.held }
+
+// Held returns the bytes reserved for writes in flight.
+func (d *Device) Held() int64 { return d.held }
 
 // Peak returns the high-water mark of stored bytes.
 func (d *Device) Peak() int64 { return d.peak }
 
-// OnUsedChange registers an observer of the device's stored-byte count:
-// fn fires with the signed delta on every write, grow, delete, and purge.
-// Observers must not perform device I/O.
+// OnUsedChange registers an observer of the device's space: fn fires with
+// the stored-byte delta on every write, grow, delete, and purge, and with
+// 0 when only a reservation moved Free. Observers must not perform I/O.
 func (d *Device) OnUsedChange(fn func(delta int64)) { d.onUsed = append(d.onUsed, fn) }
 
-func (d *Device) note(delta int64) {
-	if delta == 0 {
+func (d *Device) note(used, held int64) {
+	if used == 0 && held == 0 {
 		return
 	}
-	d.used += delta
-	if d.used > d.peak {
-		d.peak = d.used
-	}
+	d.used += used
+	d.held += held
+	d.peak = max(d.peak, d.used)
 	for _, fn := range d.onUsed {
-		fn(delta)
+		fn(used)
 	}
+}
+
+// Reserve is the device's one capacity check: it holds room for what
+// storing n bytes under key adds to the blob stored now, and returns the
+// bytes held (0 if nothing grows) or ErrNoSpace. A writer reserves before
+// its first yield, writes with WriteHeld, which settles the hold, and
+// defers Unreserve, which gives back what no write settled.
+func (d *Device) Reserve(key blob.ID, n int64) (int64, error) {
+	delta := n - int64(len(d.blobs[key]))
+	if delta <= 0 {
+		return 0, nil
+	}
+	if delta > d.Free() {
+		return 0, &ErrNoSpace{Device: d.name, Need: delta, Free: d.Free()}
+	}
+	d.note(0, delta)
+	return delta, nil
+}
+
+// Unreserve gives back what is left of a hold, and zeroes it.
+func (d *Device) Unreserve(held *int64) { d.settle(held, 0) }
+
+// settle turns a hold into the delta its write adds to the blob stored
+// as it lands, which a concurrent write or delete of the key may have
+// changed. It fails, the hold kept, when delta outgrows the hold and Free
+// together, so Used never passes Capacity.
+func (d *Device) settle(held *int64, delta int64) error {
+	if room := *held + d.Free(); delta > room {
+		return &ErrNoSpace{Device: d.name, Need: delta, Free: room}
+	}
+	d.note(delta, -*held)
+	*held = 0
+	return nil
 }
 
 // Busy returns the cumulative virtual time spent servicing requests.
@@ -373,10 +410,18 @@ func (d *Device) charge(p *vtime.Proc, n int64, bw float64) {
 // hands the replaced array back, so the array's capacity is what the heap
 // charges for the length anyway. The order is charge, injected fault, and
 // only then the copy: a failed write leaves the old contents whole.
-func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) (err error) {
-	if delta := int64(len(data)) - int64(len(d.blobs[key])); delta > d.Free() {
-		return &ErrNoSpace{Device: d.name, Need: delta, Free: d.Free()}
+func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) error {
+	held, err := d.Reserve(key, int64(len(data)))
+	if err != nil {
+		return err
 	}
+	defer d.Unreserve(&held)
+	return d.WriteHeld(p, key, data, &held)
+}
+
+// WriteHeld is Write through a hold its caller took with Reserve. A write
+// that lands settles it; a failed one leaves it for a retry or Unreserve.
+func (d *Device) WriteHeld(p *vtime.Proc, key blob.ID, data []byte, held *int64) (err error) {
 	sp := d.enter(p, telemetry.OpDeviceWrite, key)
 	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
 	d.charge(p, int64(len(data)), d.prof.WriteBW)
@@ -385,9 +430,12 @@ func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) (err error) {
 			return err
 		}
 	}
-	// Looked up again, and accounted from what is replaced: the charge
-	// yielded, and the blob may have been replaced or deleted meanwhile.
+	// Settled from what is replaced: the charge yielded, and the blob may
+	// have been replaced or deleted meanwhile.
 	cur, ok := d.blobs[key]
+	if err := d.settle(held, int64(len(data))-int64(len(cur))); err != nil {
+		return err
+	}
 	if ok && len(cur) == len(data) {
 		copy(cur, data)
 	} else {
@@ -398,7 +446,6 @@ func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) (err error) {
 		copy(b, data)
 		d.blobs[key] = b
 	}
-	d.note(int64(len(data)) - int64(len(cur)))
 	d.writeOps++
 	d.bytesWrite += int64(len(data))
 	return nil
@@ -425,10 +472,11 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 	blob := d.blobs[key]
 	end := off + int64(len(data))
 	if end > int64(len(blob)) {
-		delta := end - int64(len(blob))
-		if delta > d.Free() {
-			return &ErrNoSpace{Device: d.name, Need: delta, Free: d.Free()}
+		held, err := d.Reserve(key, end)
+		if err != nil {
+			return err
 		}
+		d.note(held, -held) // the zero-filled growth is stored at once
 		if end <= int64(cap(blob)) {
 			blob = blob[:end] // sized ahead and never written: still zero
 		} else {
@@ -445,7 +493,6 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 			copy(grown, blob)
 			blob = grown
 		}
-		d.note(delta)
 		d.blobs[key] = blob
 	}
 	sp := d.enter(p, telemetry.OpDeviceWrite, key)
@@ -555,7 +602,7 @@ func (d *Device) Delete(p *vtime.Proc, key blob.ID) {
 	p.Sleep(d.prof.Latency)
 	d.chans.Release(1)
 	if b, ok := d.blobs[key]; ok {
-		d.note(-int64(len(b)))
+		d.note(-int64(len(b)), 0)
 		delete(d.blobs, key)
 		d.recycle(b, false)
 	}
@@ -572,26 +619,28 @@ func (d *Device) Adopt(p *vtime.Proc, src *Device, key blob.ID) (ok bool, err er
 		return false, nil
 	}
 	n := int64(len(b))
-	if delta := n - int64(len(d.blobs[key])); delta > d.Free() {
-		return true, &ErrNoSpace{Device: d.name, Need: delta, Free: d.Free()}
+	held, err := d.Reserve(key, n)
+	if err != nil {
+		return true, err
 	}
+	defer d.Unreserve(&held)
 	sp := d.enter(p, telemetry.OpDeviceWrite, key)
 	d.charge(p, n, d.prof.WriteBW)
 	if d.inj != nil {
-		if err := d.inj.DeviceWrite(d.fnode, d.ftier); err != nil {
-			sp.Exit(p, n, true)
-			return true, err
-		}
+		err = d.inj.DeviceWrite(d.fnode, d.ftier)
 	}
 	// Looked up again: the charge yielded, and the blob may have been
 	// replaced or deleted meanwhile.
-	b, ok = src.blobs[key]
-	sp.Exit(p, n, !ok)
-	if !ok {
-		return false, nil
+	if err == nil {
+		if b, ok = src.blobs[key]; ok {
+			err = d.settle(&held, int64(len(b))-int64(len(d.blobs[key])))
+		}
+	}
+	sp.Exit(p, n, !ok || err != nil)
+	if !ok || err != nil {
+		return ok, err
 	}
 	old, had := d.blobs[key]
-	d.note(int64(len(b)) - int64(len(old)))
 	d.blobs[key] = b
 	if had {
 		d.recycle(old, false)
@@ -602,14 +651,7 @@ func (d *Device) Adopt(p *vtime.Proc, src *Device, key blob.ID) (ok bool, err er
 	// src's recycler meanwhile, whatever removes it.
 	src.lent = append(src.lent, b)
 	src.Delete(p, key)
-	for i, l := range src.lent {
-		if sameArray(l, b) {
-			last := len(src.lent) - 1
-			src.lent[i], src.lent[last] = src.lent[last], nil
-			src.lent = src.lent[:last]
-			break
-		}
-	}
+	src.lent = slices.DeleteFunc(src.lent, func(l []byte) bool { return sameArray(l, b) })
 	return true, nil
 }
 
@@ -620,7 +662,7 @@ func (d *Device) Adopt(p *vtime.Proc, src *Device, key blob.ID) (ok bool, err er
 // stock: the revived node stores about what it held again, and reuses
 // them.
 func (d *Device) Purge() {
-	d.note(-d.used)
+	d.note(-d.used, 0)
 	for _, b := range d.blobs {
 		d.recycle(b, true)
 	}
@@ -634,7 +676,7 @@ func (d *Device) Purge() {
 func (d *Device) Drop(key blob.ID) {
 	d.arrays.release()
 	if b, ok := d.blobs[key]; ok {
-		d.note(-int64(len(b)))
+		d.note(-int64(len(b)), 0)
 		delete(d.blobs, key)
 	}
 }

@@ -45,11 +45,6 @@ func (h *Hermes) SetSuspect(node int, v bool) {
 	}
 }
 
-// Suspected reports whether a node is currently suspected-slow.
-func (h *Hermes) Suspected(node int) bool {
-	return node >= 0 && node < len(h.suspect) && h.suspect[node]
-}
-
 // SetQuarantined marks or clears a node as quarantined (placement
 // avoidance) and counts the transition.
 func (h *Hermes) SetQuarantined(node int, v bool) {
@@ -64,11 +59,6 @@ func (h *Hermes) SetQuarantined(node int, v bool) {
 		h.quarCount--
 		h.inj.Note("quarantine.exited")
 	}
-}
-
-// Quarantined reports whether a node is currently quarantined.
-func (h *Hermes) Quarantined(node int) bool {
-	return node >= 0 && node < len(h.quar) && h.quar[node]
 }
 
 // hedgeResult is one leg's outcome in a hedged-read race.

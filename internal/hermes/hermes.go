@@ -16,6 +16,7 @@
 package hermes
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -35,7 +36,7 @@ import (
 // allocator size class and one cache line, which is why the small
 // integers are 32-bit (Inc 16-bit, to make room for flags and pins).
 // Records are recycled: a dropped record goes on the store's free list,
-// and newPlacement hands it out again for the next put or backup. So a
+// and store hands it out again for the next put or backup. So a
 // record is read or written after a yield only while it is pinned (pin).
 type Placement struct {
 	Node int    // node holding the bytes
@@ -116,7 +117,7 @@ type Hermes struct {
 	slab []*Placement
 	ids  *blob.Interner // blob/vector name table
 
-	// free holds dropped records for newPlacement to hand out again.
+	// free holds dropped records for store to hand out again.
 	// pinnedDrops counts the records dropped while pinned whose last unpin
 	// has not come yet (sticky ones aside).
 	free        []*Placement
@@ -428,28 +429,10 @@ func (h *Hermes) device(node int, tier string) *device.Device {
 	return h.c.Nodes[node].Devices[tier]
 }
 
-// newPlacement builds the record of size bytes about to be written to
-// (node, tier); the caller writes through its dev and then installs it
-// with metaPut, or hands it back to recycle if the write fails. It takes
-// a record off the free list when there is one, every field overwritten,
-// and allocates only when the list is empty.
-func (h *Hermes) newPlacement(node int, tier string, size int64, score float64, scoreNode int) *Placement {
-	var pl *Placement
-	if n := len(h.free); n > 0 {
-		pl = h.free[n-1]
-		h.free[n-1] = nil
-		h.free = h.free[:n-1]
-	} else {
-		pl = new(Placement)
-	}
-	*pl = Placement{Node: node, Tier: tier, Size: size, Score: score, ScoreNode: int32(scoreNode), dev: h.device(node, tier)}
-	return pl
-}
-
-// recycle gives back a record that has left the metadata (or never
-// entered it): onto the free list, or, while a holder has it pinned,
-// marked dropped for the last unpin to free. A dropped record keeps its
-// fields until newPlacement hands it out again.
+// recycle gives back a record that has left the metadata: onto the free
+// list, or, while a holder has it pinned, marked dropped for the last
+// unpin to free. A dropped record keeps its fields until store hands it
+// out again.
 func (h *Hermes) recycle(pl *Placement) {
 	pl.flags |= flagDropped
 	switch pl.pins {
@@ -530,13 +513,9 @@ func (h *Hermes) metaDrop(id blob.ID, pl *Placement) {
 func (h *Hermes) idxInsert(node int, id blob.ID) {
 	s := h.byNode[node]
 	i := sort.Search(len(s), func(i int) bool { return !s[i].Less(id) })
-	if i < len(s) && s[i] == id {
-		return
+	if i == len(s) || s[i] != id {
+		h.byNode[node] = slices.Insert(s, i, id)
 	}
-	s = append(s, blob.ID{})
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	h.byNode[node] = s
 }
 
 // idxRemove drops id from a node's sorted primary index.
@@ -547,16 +526,6 @@ func (h *Hermes) idxRemove(node int, id blob.ID) {
 		return
 	}
 	h.byNode[node] = append(s[:i], s[i+1:]...)
-}
-
-// reindex moves a primary id between node indices when its placement
-// migrates.
-func (h *Hermes) reindex(id blob.ID, from, to int) {
-	if !id.IsPrimary() || from == to {
-		return
-	}
-	h.idxRemove(from, id)
-	h.idxInsert(to, id)
 }
 
 // lookup charges a metadata access from the given node and returns the
@@ -626,16 +595,12 @@ func (h *Hermes) nodeDownErr(id blob.ID) error {
 	return fmt.Errorf("hermes: blob %q unreachable, no live replica: %w", h.DisplayName(id), faults.ErrNodeDown)
 }
 
-// writeRetry writes a blob to dev, absorbing injected transient faults
-// under the retry policy. (The closures here and below never outlive the
-// call, so they stay on the stack: the put path allocates nothing more.)
-func (h *Hermes) writeRetry(p *vtime.Proc, dev *device.Device, id blob.ID, data []byte) error {
-	return h.inj.Do(p, "retry.scache_write", func() error { return dev.Write(p, id, data) })
-}
-
-// writeAtRetry is writeRetry for partial-range writes.
-func (h *Hermes) writeAtRetry(p *vtime.Proc, dev *device.Device, id blob.ID, off int64, data []byte) error {
-	return h.inj.Do(p, "retry.scache_write", func() error { return dev.WriteAt(p, id, off, data) })
+// writeRetry writes a blob to dev through its caller's hold there
+// (device.Reserve), every attempt with that one hold, absorbing injected
+// transient faults under the retry policy. (The closures here and below
+// never outlive the call, so they stay on the stack.)
+func (h *Hermes) writeRetry(p *vtime.Proc, dev *device.Device, id blob.ID, data []byte, held *int64) error {
+	return h.inj.Do(p, "retry.scache_write", func() error { return dev.WriteHeld(p, id, data, held) })
 }
 
 // readRetry reads a blob from dev into dst's storage (see
@@ -679,14 +644,15 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 		pl = nil
 	}
 	if pl != nil {
-		// Replace in place if the target still fits the new size.
-		if int64(len(data))-pl.Size <= pl.dev.Free() {
+		// Replace in place if the target has room for the growth.
+		if held, err := pl.dev.Reserve(id, int64(len(data))); err == nil {
+			defer pl.dev.Unreserve(&held)
 			h.pin(pl) // its fields are set once the write has yielded
 			defer h.unpin(pl)
 			if pl.Node != fromNode {
 				h.c.Fabric.Transfer(p, fromNode, pl.Node, int64(len(data)))
 			}
-			if err := h.writeRetry(p, pl.dev, id, data); err != nil {
+			if err := h.writeRetry(p, pl.dev, id, data, &held); err != nil {
 				return err
 			}
 			pl.Size = int64(len(data))
@@ -708,17 +674,42 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 	if tier == topology.PoolTier {
 		h.poolPlaced++
 	}
-	if node != fromNode {
-		h.c.Fabric.Transfer(p, fromNode, node, int64(len(data)))
-	}
-	pl = h.newPlacement(node, tier, int64(len(data)), score, prefNode)
-	if err := h.writeRetry(p, pl.dev, id, data); err != nil {
-		h.recycle(pl)
+	if pl, err = h.store(p, fromNode, id, node, tier, data, score, prefNode); err != nil {
 		return err
 	}
-	h.metaPut(id, pl)
 	h.protect(p, pl, id, data, backed)
 	return nil
+}
+
+// store is the one path for a new copy (primary, backup, replica,
+// recovered primary): it ships id's bytes from node from to the (node,
+// tier) a walk just picked and installs the record. The bytes are
+// reserved there before the transfer, the first yield, so no other writer
+// takes the room the walk found; a failed write releases the hold.
+func (h *Hermes) store(p *vtime.Proc, from int, id blob.ID, node int, tier string, data []byte, score float64, scoreNode int) (*Placement, error) {
+	size := int64(len(data))
+	dev := h.device(node, tier)
+	held, err := dev.Reserve(id, size)
+	if err != nil {
+		return nil, err
+	}
+	defer dev.Unreserve(&held)
+	if node != from {
+		h.c.Fabric.Transfer(p, from, node, size)
+	}
+	if err := h.writeRetry(p, dev, id, data, &held); err != nil {
+		return nil, err
+	}
+	var pl *Placement // off the free list, every field overwritten
+	if n := len(h.free); n > 0 {
+		pl, h.free[n-1] = h.free[n-1], nil
+		h.free = h.free[:n-1]
+	} else {
+		pl = new(Placement)
+	}
+	*pl = Placement{Node: node, Tier: tier, Size: size, Score: score, ScoreNode: int32(scoreNode), dev: dev}
+	h.metaPut(id, pl)
+	return pl, nil
 }
 
 // protect gives a freshly (re)put primary the redundancy it is owed:
@@ -829,18 +820,11 @@ func (h *Hermes) storeBackup(p *vtime.Proc, primary int, bk blob.ID, node int, t
 		h.pin(stale)
 		defer h.unpin(stale)
 	}
-	size := int64(len(data))
-	h.c.Fabric.Transfer(p, primary, node, size)
-	bp := h.newPlacement(node, tier, size, 0.05, node)
-	if err := h.writeRetry(p, bp.dev, bk, data); err != nil {
-		h.recycle(bp)
-		return false
-	}
-	if stale != nil {
+	_, err := h.store(p, primary, bk, node, tier, data, 0.05, node)
+	if err == nil && stale != nil {
 		h.deleteData(p, stale, bk)
 	}
-	h.metaPut(bk, bp)
-	return true
+	return err == nil
 }
 
 // ------------------------------------------------- anti-entropy repair --
@@ -1068,13 +1052,8 @@ func (h *Hermes) PutLocal(p *vtime.Proc, node int, id blob.ID, data []byte, scor
 	if ti < 0 {
 		return false
 	}
-	pl := h.newPlacement(node, h.tiers[ti], int64(len(data)), score, node)
-	if h.writeRetry(p, pl.dev, id, data) != nil {
-		h.recycle(pl)
-		return false
-	}
-	h.metaPut(id, pl)
-	return true
+	_, err := h.store(p, node, id, node, h.tiers[ti], data, score, node)
+	return err == nil
 }
 
 // recoverPrimary rebuilds a blob whose primary node crashed: the bytes
@@ -1126,15 +1105,9 @@ func (h *Hermes) recoverPrimary(p *vtime.Proc, id blob.ID) (pl *Placement, err e
 	if !found {
 		return nil, &ErrNoCapacity{Key: h.DisplayName(id), Size: int64(len(data))}
 	}
-	if node != bp.Node {
-		h.c.Fabric.Transfer(p, bp.Node, node, int64(len(data)))
-	}
-	pl = h.newPlacement(node, tier, int64(len(data)), 0.5, node)
-	if err := h.writeRetry(p, pl.dev, id, data); err != nil {
-		h.recycle(pl)
+	if pl, err = h.store(p, bp.Node, id, node, tier, data, 0.5, node); err != nil {
 		return nil, err
 	}
-	h.metaPut(id, pl)
 	h.inj.Note("hermes.failover_recover")
 	return pl, nil
 }
@@ -1159,7 +1132,7 @@ func (h *Hermes) PutAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data 
 	if pl.Node != fromNode {
 		h.c.Fabric.Transfer(p, fromNode, pl.Node, int64(len(data)))
 	}
-	if err := h.writeAtRetry(p, pl.dev, id, off, data); err != nil {
+	if err := h.inj.Do(p, "retry.scache_write", func() error { return pl.dev.WriteAt(p, id, off, data) }); err != nil {
 		return err
 	}
 	if end := off + int64(len(data)); end > pl.Size {
@@ -1182,7 +1155,7 @@ func (h *Hermes) PutAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data 
 		if bp.Node != pl.Node {
 			h.c.Fabric.Transfer(p, pl.Node, bp.Node, int64(len(data)))
 		}
-		if err := h.writeAtRetry(p, bp.dev, bk, off, data); err == nil {
+		if err := h.inj.Do(p, "retry.scache_write", func() error { return bp.dev.WriteAt(p, bk, off, data) }); err == nil {
 			if end := off + int64(len(data)); end > bp.Size {
 				bp.Size = end
 			}
@@ -1441,7 +1414,8 @@ func (h *Hermes) planMigrations(budget, spent int64) {
 	o.cands = keep
 }
 
-// inbound sums the bytes the pass being planned moves onto (node, tier).
+// inbound sums the bytes the pass being planned moves onto (node, tier):
+// plan-time arithmetic, not a reservation, as no yield spans the plan.
 func (h *Hermes) inbound(node int, tier string) (n int64) {
 	for _, m := range h.org.out {
 		if m.Node == node && m.Tier == tier {
@@ -1472,22 +1446,8 @@ func (h *Hermes) planRepack(budget int64) (spent int64) {
 			entries = append(entries, orgEntry{id: id, pl: h.meta[id]})
 		}
 		o.entries = entries
-		// Hot blobs first; ties broken by ID for determinism.
-		slices.SortStableFunc(entries, func(a, b orgEntry) int {
-			if a.pl.Score != b.pl.Score {
-				if a.pl.Score > b.pl.Score {
-					return -1
-				}
-				return 1
-			}
-			if a.id.Less(b.id) {
-				return -1
-			}
-			if b.id.Less(a.id) {
-				return 1
-			}
-			return 0
-		})
+		// Hot blobs first; ties stay in the index's blob order.
+		slices.SortStableFunc(entries, func(a, b orgEntry) int { return cmp.Compare(b.pl.Score, a.pl.Score) })
 		// Greedy pack into tiers fastest-first using capacity budgets that
 		// assume all of this node's blobs were lifted out.
 		for ti, t := range h.tiers {
@@ -1557,7 +1517,7 @@ func (h *Hermes) Organize(p *vtime.Proc, budget int64) {
 // read, the fabric hop, the write — while the destination takes the
 // source's stored array (device.Adopt) instead of a second one. The
 // placement is stamped with the destination's incarnation, as a put there
-// would be.
+// would be. No hold spans its read: a put that takes the room first wins.
 func (h *Hermes) move(p *vtime.Proc, id blob.ID, pl *Placement, node int, tier string) {
 	h.pin(pl) // re-pointed once the read and the adopt have yielded
 	defer h.unpin(pl)
@@ -1578,7 +1538,10 @@ func (h *Hermes) move(p *vtime.Proc, id blob.ID, pl *Placement, node int, tier s
 	if err != nil || !ok {
 		return // the destination filled up concurrently, or the blob went
 	}
-	h.reindex(id, pl.Node, node)
+	if id.IsPrimary() && pl.Node != node {
+		h.idxRemove(pl.Node, id)
+		h.idxInsert(node, id)
+	}
 	pl.Node, pl.Tier, pl.dev, pl.Inc = node, tier, dst, h.inc[node]
 	h.moved++
 	h.movedByte += int64(len(data))

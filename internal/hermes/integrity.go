@@ -16,15 +16,16 @@ import (
 //     at a stored blob of the recorded size;
 //   - every blob stored on a managed tier of a live node is reachable
 //     from exactly one placement (no orphans, no double-registration);
+//   - every managed device's Used equals the sum of its stored blobs'
+//     lengths (concurrent writes and deletes of one key account from
+//     what they replace) and is at most its Capacity; with no process in
+//     flight it holds no reservation (device.Reserve);
 //   - the slab holds exactly the placements, each at its slot, and each
 //     placement's resolved device is the one its (node, tier) names;
 //   - the per-node primary indices mirror the primary placements;
 //   - replica counters match a recount of the replica placements;
 //   - no primary has more backup copies than SetReplicas allows, and a
 //     backed one (PutBacked) has none;
-//   - every managed device's Used equals the sum of its stored blobs'
-//     lengths (concurrent writes and deletes of one key account from
-//     what they replace);
 //   - the record lifecycle: no record in the metadata is marked dropped,
 //     and every record on the free list is marked dropped, unpinned and
 //     out of the slab (so no free record is reachable from the metadata,
@@ -99,10 +100,11 @@ func (h *Hermes) CheckIntegrity() []string {
 	}
 	flush()
 
-	// Every stored blob on a managed tier of a live node must be owned by
-	// exactly one placement that points back at it. meta is a map, so one
-	// stored blob can never have two placements; a placement elsewhere or
-	// none at all makes it an orphan. Nodes in order, tiers by name.
+	// Every managed device accounts the bytes it stores, within its
+	// capacity, and holds nothing at rest. On a live node each stored blob
+	// must be owned by exactly one placement that points back at it: meta
+	// is a map, so a blob never has two, and one placed elsewhere or not at
+	// all is an orphan. Nodes in order, tiers by name.
 	managed := slices.Clone(h.tiers)
 	if h.pools > 0 {
 		managed = append(managed, topology.PoolTier)
@@ -119,11 +121,22 @@ func (h *Hermes) CheckIntegrity() []string {
 		}
 	}
 	for _, n := range h.c.Nodes {
-		if !h.alive(n.ID) {
-			continue
-		}
 		for _, t := range managed {
-			if dev := n.Devices[t]; dev != nil {
+			dev := n.Devices[t]
+			if dev == nil {
+				continue
+			}
+			used, c := dev.Used(), dev.Profile().Capacity
+			if s := dev.StoredBytes(); used != s {
+				bad = append(bad, fmt.Sprintf("device node%d/%s accounts %d bytes used but stores %d", n.ID, t, used, s))
+			}
+			if used > c {
+				bad = append(bad, fmt.Sprintf("device node%d/%s stores %d bytes, over its capacity of %d", n.ID, t, used, c))
+			}
+			if idle && dev.Held() != 0 {
+				bad = append(bad, fmt.Sprintf("device node%d/%s holds a reservation of %d bytes with no process in flight", n.ID, t, dev.Held()))
+			}
+			if h.alive(n.ID) {
 				node, tier = n.ID, t
 				dev.Each(stored)
 				flush()
@@ -171,18 +184,6 @@ func (h *Hermes) CheckIntegrity() []string {
 		}
 	}
 	flush()
-
-	// Every managed device, on live and crashed nodes alike, accounts
-	// the bytes it stores. Nodes in order, tiers by name.
-	for _, n := range h.c.Nodes {
-		for _, t := range managed {
-			if dev := n.Devices[t]; dev != nil {
-				if used, stored := dev.Used(), dev.StoredBytes(); used != stored {
-					bad = append(bad, fmt.Sprintf("device node%d/%s accounts %d bytes used but stores %d", n.ID, t, used, stored))
-				}
-			}
-		}
-	}
 
 	// Recycled records.
 	for i, pl := range h.free {

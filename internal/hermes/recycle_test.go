@@ -1,6 +1,6 @@
 package hermes
 
-// Placement records are recycled (newPlacement takes them off the free
+// Placement records are recycled (store takes them off the free
 // list), so a holder that keeps a record across a yield pins it. These
 // tests drive each hazard the pin rule closes: a record dropped while its
 // holder yields would otherwise come back as another blob's record before

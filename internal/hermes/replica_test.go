@@ -217,11 +217,9 @@ func TestPlanOrganizePinsBackupsAndReplicas(t *testing.T) {
 		pinned := []blob.ID{h.Key("v/0").Backup(0), h.Key("v/0").Replica(1)}
 		plain := h.Key("v/plain")
 		for _, k := range append(pinned, plain) {
-			node, tier := 0, "hdd"
-			if err := c.Nodes[node].Devices[tier].Write(p, k, big); err != nil {
+			if _, err := h.store(p, 0, k, 0, "hdd", big, 1.0, 0); err != nil {
 				t.Fatal(err)
 			}
-			h.metaPut(k, h.newPlacement(node, tier, 1024, 1.0, node))
 		}
 		moves := h.PlanOrganize(0)
 		for _, m := range moves {
@@ -292,10 +290,9 @@ func TestPlanOrganizeBudgetCapsBytes(t *testing.T) {
 		var ids []blob.ID
 		for i := range n {
 			k := h.Key(fmt.Sprintf("cold/%d", i))
-			if err := c.Nodes[0].Devices["nvme"].Write(p, k, bytes.Repeat([]byte{2}, 1024)); err != nil {
+			if _, err := h.store(p, 0, k, 0, "nvme", bytes.Repeat([]byte{2}, 1024), 0.9, 0); err != nil {
 				t.Fatal(err)
 			}
-			h.metaPut(k, h.newPlacement(0, "nvme", 1024, 0.9, 0))
 			ids = append(ids, k)
 		}
 		return ids
