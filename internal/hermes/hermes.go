@@ -1159,6 +1159,13 @@ func (h *Hermes) PutAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data 
 			if end := off + int64(len(data)); end > bp.Size {
 				bp.Size = end
 			}
+		} else if h.meta[bk] == bp {
+			// A backup that missed the patch (its device full, or faulty
+			// past the retries) holds stale bytes a failover would serve:
+			// drop it, and the repair queue writes a fresh one.
+			h.metaDelete(bk)
+			h.deleteData(p, bp, bk)
+			h.enqueueRepair(id)
 		}
 		h.unpin(bp)
 	}

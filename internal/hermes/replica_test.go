@@ -2,6 +2,7 @@ package hermes
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -9,6 +10,9 @@ import (
 
 	"megammap/internal/blob"
 	"megammap/internal/cluster"
+	"megammap/internal/device"
+	"megammap/internal/faults"
+	"megammap/internal/simnet"
 	"megammap/internal/vtime"
 )
 
@@ -438,6 +442,64 @@ func TestPutLocalRefusesWhenFull(t *testing.T) {
 		}
 		if h.PutLocal(p, 0, h.Key("v/0").Replica(0), []byte("no room"), 0.1) {
 			t.Error("PutLocal claimed success on a full node")
+		}
+	})
+}
+
+// TestFailedBackupPatchNeverServesStaleBytes: a PutAt that grows a blob
+// whose backup's node has no room left cannot patch the backup. The
+// backup then holds the old bytes, so it is dropped (and queued for
+// repair) rather than kept: once the primary's node crashes, a read
+// returns the new bytes or ErrNodeDown, never the old ones.
+func TestFailedBackupPatchNeverServesStaleBytes(t *testing.T) {
+	c := cluster.New(cluster.Spec{
+		Nodes:    2,
+		CoresPer: 4,
+		DRAMPer:  4 * device.MB,
+		Tiers: []cluster.TierSpec{
+			{Name: "dram", Profile: device.DRAMProfile(64 * device.KB)},
+			{Name: "nvme", Profile: device.NVMeProfile(64 * device.KB)},
+		},
+		Link: simnet.RoCE40(),
+		PFS:  device.PFSProfile(device.GB),
+	})
+	defer c.Close()
+	h := New(c, []string{"dram", "nvme"})
+	h.SetReplicas(1)
+	run(t, c, func(p *vtime.Proc) {
+		id := h.Key("v/0")
+		old := bytes.Repeat([]byte("o"), 4096)
+		if err := h.Put(p, 0, id, old, 1.0, 0); err != nil {
+			t.Fatal(err)
+		}
+		pri, _ := h.PlacementOf(id)
+		bk, ok := h.PlacementOf(id.Backup(0))
+		if !ok || bk.Node == pri.Node {
+			t.Fatalf("setup: backup %v, %v on the primary's node %d", bk, ok, pri.Node)
+		}
+		// Fill every tier of the backup's node.
+		for _, tier := range h.Tiers() {
+			dev := c.Nodes[bk.Node].Devices[tier]
+			if err := dev.Write(p, h.Key("filler/"+tier), make([]byte, dev.Free())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		patch := bytes.Repeat([]byte("n"), 4096)
+		if err := h.PutAt(p, pri.Node, id, 2048, patch); err != nil {
+			t.Fatal(err)
+		}
+		want := append(bytes.Clone(old[:2048]), patch...)
+		h.FailNode(pri.Node)
+		got, ok, err := h.Get(p, bk.Node, id)
+		switch {
+		case errors.Is(err, faults.ErrNodeDown):
+		case err != nil || !ok:
+			t.Fatalf("Get after the crash = %v, %v; want the new bytes or ErrNodeDown", ok, err)
+		case !bytes.Equal(got, want):
+			t.Fatalf("Get after the crash served %d bytes that are not the patched blob (stale backup)", len(got))
+		}
+		if h.UnderReplicated() != 1 {
+			t.Errorf("UnderReplicated = %d, want 1: the dropped backup is owed a repair", h.UnderReplicated())
 		}
 	})
 }
