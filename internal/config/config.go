@@ -559,20 +559,12 @@ func (d *Deployment) loadHealth(n *node) error {
 	return nil
 }
 
-// loadHints parses the UMap-style paging-policy section into
-// core.VectorHint entries. The flat schema keeps the restricted YAML
-// subset happy: a list item with a `region:` field is a region override
-// of the nearest preceding vector-level entry for the same vector name
-// (entries apply in declaration order).
+// loadHints parses the UMap-style paging-hint section into
+// core.VectorHint entries:
 //
 //	hints:
 //	  - vector: pq:///graph.csr:edges
 //	    pattern: irregular
-//	    evict: stream
-//	  - vector: pq:///graph.csr:edges
-//	    region: 0..8192
-//	    pattern: sequential
-//	    evict: pin
 func (d *Deployment) loadHints(n *node) error {
 	hints, err := LoadHints(&Sec{n: n})
 	if err != nil {
@@ -583,35 +575,20 @@ func (d *Deployment) loadHints(n *node) error {
 }
 
 // LoadHints parses a hints section — the one schema deployment files and
-// scenario plans share. A list item with a region field is a region
-// override of the named vector; every hint is validated.
+// scenario plans share. Each list item names a vector and its pattern;
+// every hint is validated.
 func LoadHints(s *Sec) ([]core.VectorHint, error) {
 	var hints []core.VectorHint
 	for i, item := range s.n.items {
 		var h core.VectorHint
-		var r core.RegionHint
-		hasRegion := false
 		e := loadFields(item, map[string]func(string) error{
 			"vector": func(v string) error { h.Vector = v; return nil },
-			"region": func(v string) error {
-				hasRegion = true
-				return parseElemRange(v, &r.Off, &r.N)
-			},
 			"pattern": func(v string) error {
 				p, err := core.ParsePatternClass(v)
-				h.Pattern, r.Pattern = p, p
-				return err
-			},
-			"evict": func(v string) error {
-				ec, err := core.ParseEvictClass(v)
-				h.Evict, r.Evict = ec, ec
+				h.Pattern = p
 				return err
 			},
 		})
-		if e == nil && hasRegion {
-			h.Pattern, h.Evict = core.PatternDefault, core.EvictDefault
-			h.Regions = []core.RegionHint{r}
-		}
 		if e == nil {
 			e = h.Validate()
 		}
@@ -669,40 +646,6 @@ func (d *Deployment) loadTenants(n *node) error {
 	}
 	d.Tenants = &tc
 	return nil
-}
-
-// parseElemRange parses an element range "off..end" (end exclusive) or
-// "off+n".
-func parseElemRange(v string, off, n *int64) error {
-	if lo, hi, ok := strings.Cut(v, ".."); ok {
-		var a, b int64
-		if err := parseSize(lo, &a); err != nil {
-			return fmt.Errorf("bad range %q", v)
-		}
-		if err := parseSize(hi, &b); err != nil {
-			return fmt.Errorf("bad range %q", v)
-		}
-		if b <= a || a < 0 {
-			return fmt.Errorf("empty range %q", v)
-		}
-		*off, *n = a, b-a
-		return nil
-	}
-	if lo, ln, ok := strings.Cut(v, "+"); ok {
-		var a, b int64
-		if err := parseSize(lo, &a); err != nil {
-			return fmt.Errorf("bad range %q", v)
-		}
-		if err := parseSize(ln, &b); err != nil {
-			return fmt.Errorf("bad range %q", v)
-		}
-		if b <= 0 || a < 0 {
-			return fmt.Errorf("empty range %q", v)
-		}
-		*off, *n = a, b
-		return nil
-	}
-	return fmt.Errorf("bad range %q (want off..end or off+n)", v)
 }
 
 // loadFields applies every present field of a mapping, rejecting keys

@@ -468,49 +468,50 @@ func TestLoadHints(t *testing.T) {
 hints:
   - vector: pq:///graph.csr:edges
     pattern: irregular
-    evict: stream
-  - vector: pq:///graph.csr:edges
-    region: 0..8192
-    pattern: sequential
-    evict: pin
   - vector: pq://*
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hs := d.Runtime.Hints
-	if len(hs) != 3 {
+	if len(hs) != 2 {
 		t.Fatalf("hints = %+v", hs)
 	}
-	if hs[0].Vector != "pq:///graph.csr:edges" || hs[0].Pattern != core.PatternIrregular ||
-		hs[0].Evict != core.EvictStream || hs[0].Regions != nil {
+	if hs[0] != (core.VectorHint{Vector: "pq:///graph.csr:edges", Pattern: core.PatternIrregular}) {
 		t.Errorf("vector hint = %+v", hs[0])
 	}
-	// A list item with region: is a region override; the vector-level
-	// fields of that item must stay unset.
-	if hs[1].Pattern != core.PatternDefault || len(hs[1].Regions) != 1 {
-		t.Fatalf("region item = %+v", hs[1])
-	}
-	r := hs[1].Regions[0]
-	if r.Off != 0 || r.N != 8192 || r.Pattern != core.PatternSequential || r.Evict != core.EvictPin {
-		t.Errorf("region = %+v", r)
-	}
-	if hs[2].Vector != "pq://*" || hs[2].Pattern != core.PatternDefault {
-		t.Errorf("wildcard hint = %+v", hs[2])
+	if hs[1] != (core.VectorHint{Vector: "pq://*"}) {
+		t.Errorf("wildcard hint = %+v", hs[1])
 	}
 }
 
 func TestLoadHintsErrors(t *testing.T) {
 	cases := []string{
 		"hints:\n  - vector: v\n    pattern: psychic\n",
-		"hints:\n  - vector: v\n    evict: never\n",
-		"hints:\n  - vector: v\n    region: 8..4\n",
-		"hints:\n  - pattern: random\n",               // no vector name
-		"hints:\n  - vector: v\n    patern: random\n", // typo'd key must not silently no-op
+		"hints:\n  - pattern: irregular\n",               // no vector name
+		"hints:\n  - vector: v\n    patern: irregular\n", // typo'd key must not silently no-op
 	}
 	for _, doc := range cases {
 		if _, err := Load("cluster:\n  nodes: 2\n" + doc); err == nil {
 			t.Errorf("Load(%q) accepted invalid hints", doc)
+		}
+	}
+}
+
+// TestLoadRejectsRetiredHintKeys: the eviction classes, region overrides
+// and the sequential and random pattern classes are gone, so a hint that
+// declares one fails to load instead of silently meaning nothing.
+func TestLoadRejectsRetiredHintKeys(t *testing.T) {
+	for _, tc := range []struct{ hint, want string }{
+		{"    evict: stream\n", `unknown key "evict"`},
+		{"    evict: pin\n", `unknown key "evict"`},
+		{"    region: 0..64\n", `unknown key "region"`},
+		{"    pattern: random\n", `unknown access-pattern class "random"`},
+		{"    pattern: sequential\n", `unknown access-pattern class "sequential"`},
+	} {
+		doc := "hints:\n  - vector: v\n" + tc.hint
+		if _, err := Load(doc); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Load(%q) = %v, want an error containing %s", doc, err, tc.want)
 		}
 	}
 }

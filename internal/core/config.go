@@ -33,8 +33,9 @@ type Config struct {
 	// active flushing (data still persists at Shutdown).
 	StagePeriod vtime.Duration
 
-	// DisablePrefetch turns the transaction-informed prefetcher off
-	// (ablation and the paper's "no optimizations" baseline mode).
+	// DisablePrefetch turns the transaction-informed prefetcher off for
+	// every vector (ablation and the paper's "no optimizations" baseline
+	// mode).
 	DisablePrefetch bool
 
 	// DisableWorkerSplit schedules every task on one merged worker group
@@ -78,9 +79,9 @@ type Config struct {
 	// (the queue still fills; nothing drains it).
 	RepairPeriod vtime.Duration
 
-	// Hints attaches UMap-style paging policies to vectors by name:
-	// access-pattern class (which sets the fill-window depth), eviction
-	// class, and per-region overrides (see VectorHint). Vectors without a matching
+	// Hints declare vectors' access patterns by name (see VectorHint). A
+	// vector a hint declares irregular runs no prefetcher, as if
+	// DisablePrefetch were set for it alone. Vectors without a matching
 	// hint behave exactly as before — an empty list is byte-identical to
 	// older runs.
 	Hints []VectorHint

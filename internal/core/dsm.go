@@ -1051,7 +1051,7 @@ type vecMeta struct {
 	sums     map[int64]uint32       // page CRC-32s (ChecksumPages mode)
 	chains   []pageChain            // page table of task chains, indexed by page (chainOf)
 	flags    AccessFlags            // current phase intent (last TxBegin)
-	hints    *resolvedHints         // paging policy (nil = default behaviour)
+	prefetch bool                   // run the prefetcher (off: DisablePrefetch or an irregular hint)
 
 	appendsSinceRT int64 // appends since the last length-reservation round-trip
 
@@ -1064,10 +1064,10 @@ type vecMeta struct {
 }
 
 // insertScore is the pcache score a page of this vector is born with:
-// the hint-class score shifted by the tenant bias, so latency tenants'
-// pages outrank batch tenants' in the eviction heap.
-func (m *vecMeta) insertScore(pg int64) float64 {
-	return m.hints.insertScore(pg) + m.tenantBias
+// 1 shifted by the tenant bias, so latency tenants' pages outrank batch
+// tenants' in the eviction heap.
+func (m *vecMeta) insertScore() float64 {
+	return 1 + m.tenantBias
 }
 
 // placeScore shifts a scache placement score by the tenant bias, clamped

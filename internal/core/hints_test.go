@@ -3,33 +3,26 @@ package core
 import (
 	"errors"
 	"testing"
+
+	"megammap/internal/cluster"
+	"megammap/internal/telemetry"
+	"megammap/internal/vtime"
 )
 
 func TestParseHintClasses(t *testing.T) {
 	for in, want := range map[string]PatternClass{
 		"": PatternDefault, "default": PatternDefault,
-		"sequential": PatternSequential, "seq": PatternSequential,
-		"random": PatternRandom, " Rand ": PatternRandom,
-		"irregular": PatternIrregular, "graph": PatternIrregular,
+		"irregular": PatternIrregular, " Irregular ": PatternIrregular,
 	} {
 		got, err := ParsePatternClass(in)
 		if err != nil || got != want {
 			t.Errorf("ParsePatternClass(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := ParsePatternClass("psychic"); !errors.Is(err, ErrUnknownPattern) {
-		t.Errorf("got %v, want ErrUnknownPattern", err)
-	}
-	for in, want := range map[string]EvictClass{
-		"": EvictDefault, "score": EvictDefault, "stream": EvictStream, "pin": EvictPin,
-	} {
-		got, err := ParseEvictClass(in)
-		if err != nil || got != want {
-			t.Errorf("ParseEvictClass(%q) = %v, %v", in, got, err)
+	for _, in := range []string{"psychic", "sequential", "random", "graph"} {
+		if _, err := ParsePatternClass(in); !errors.Is(err, ErrUnknownPattern) {
+			t.Errorf("ParsePatternClass(%q): got %v, want ErrUnknownPattern", in, err)
 		}
-	}
-	if _, err := ParseEvictClass("never"); !errors.Is(err, ErrUnknownEvict) {
-		t.Errorf("got %v, want ErrUnknownEvict", err)
 	}
 }
 
@@ -37,110 +30,63 @@ func TestVectorHintValidate(t *testing.T) {
 	if err := (VectorHint{}).Validate(); err == nil {
 		t.Error("empty vector name accepted")
 	}
-	h := VectorHint{Vector: "x", Regions: []RegionHint{{Off: -1, N: 4}}}
-	if err := h.Validate(); !errors.Is(err, ErrBadRegion) {
-		t.Errorf("negative offset: got %v, want ErrBadRegion", err)
-	}
-	h.Regions = []RegionHint{{Off: 0, N: 0}}
-	if err := h.Validate(); !errors.Is(err, ErrBadRegion) {
-		t.Errorf("zero length: got %v, want ErrBadRegion", err)
-	}
-	h.Regions = []RegionHint{{Off: 0, N: 8}}
-	if err := h.Validate(); err != nil {
-		t.Errorf("valid region rejected: %v", err)
+	if err := (VectorHint{Vector: "x", Pattern: PatternIrregular}).Validate(); err != nil {
+		t.Errorf("valid hint rejected: %v", err)
 	}
 }
 
 func TestHintMatching(t *testing.T) {
 	hints := []VectorHint{
-		{Vector: "pq://*", Pattern: PatternRandom},
+		{Vector: "pq://*", Pattern: PatternIrregular},
 		{Vector: "file:///data/edges", Pattern: PatternIrregular},
+		{Vector: "file:///data/offsets"},
 	}
-	if rh := resolveHints(hints, "file:///data/offsets", 1024); rh != nil {
-		t.Errorf("unmatched vector resolved hints: %+v", rh)
-	}
-	rh := resolveHints(hints, "pq:///warehouse/pts:pos", 1024)
-	if rh == nil || rh.def.pattern != PatternRandom {
-		t.Fatalf("wildcard match failed: %+v", rh)
-	}
-	rh = resolveHints(hints, "file:///data/edges", 1024)
-	if rh == nil || rh.def.pattern != PatternIrregular || !rh.distrustsPrediction() {
-		t.Fatalf("exact match failed: %+v", rh)
-	}
-}
-
-// TestHintLaterOverridesEarlier: later matching hints override earlier
-// ones at the vector level, field by field (unset fields inherit).
-func TestHintLaterOverridesEarlier(t *testing.T) {
-	hints := []VectorHint{
-		{Vector: "v", Pattern: PatternRandom, Evict: EvictStream},
-		{Vector: "v", Pattern: PatternIrregular}, // pattern only
-	}
-	rh := resolveHints(hints, "v", 1024)
-	p := rh.policyFor(0)
-	if p.pattern != PatternIrregular {
-		t.Errorf("pattern = %v, want irregular (later hint wins)", p.pattern)
-	}
-	if p.evict != EvictStream {
-		t.Errorf("unset fields must inherit: %+v", p)
-	}
-}
-
-// TestRegionOverridePrecedence: the first covering region's explicit
-// fields win over the vector default; pages outside every region keep
-// the default; region bounds resolve at page granularity.
-func TestRegionOverridePrecedence(t *testing.T) {
-	const epp = 1024 // elements per page
-	hints := []VectorHint{{
-		Vector: "v", Pattern: PatternIrregular,
-		Regions: []RegionHint{
-			// Hot hub prefix: pinned. Covers pages 0-1 (element 1500
-			// rounds up to the end of page 1).
-			{Off: 0, N: 1500, Evict: EvictPin},
-			// Overlapping second region must NOT win on page 1.
-			{Off: 1024, N: 2048, Evict: EvictStream},
-		},
-	}}
-	rh := resolveHints(hints, "v", epp)
-
-	p := rh.policyFor(0)
-	if p.evict != EvictPin {
-		t.Errorf("page 0: %+v, want pin", p)
-	}
-	if p.pattern != PatternIrregular {
-		t.Errorf("page 0: region with default pattern must inherit the vector's: %+v", p)
-	}
-	if got := rh.policyFor(1); got.evict != EvictPin {
-		t.Errorf("page 1: first covering region must win: %+v", got)
-	}
-	if got := rh.policyFor(2); got.evict != EvictStream {
-		t.Errorf("page 2: second region: %+v", got)
-	}
-	if got := rh.policyFor(3); got != rh.def {
-		t.Errorf("page 3: outside all regions, want vector default: %+v", got)
-	}
-
-	if s := rh.insertScore(0); s != 2 {
-		t.Errorf("pinned page insert score = %v, want 2", s)
-	}
-	if s := rh.insertScore(3); s != 1 {
-		t.Errorf("default page insert score = %v, want 1", s)
-	}
-}
-
-func TestEffectiveDepth(t *testing.T) {
-	cases := []struct {
-		pattern PatternClass
-		want    int64
-	}{
-		{PatternDefault, -1},    // unhinted: unlimited window
-		{PatternSequential, -1}, // explicit sequential = default
-		{PatternRandom, 8},      // the class narrows the window
-		{PatternIrregular, 0},   // no fills at all
-	}
-	for _, tc := range cases {
-		if got := effectiveDepth(tc.pattern); got != tc.want {
-			t.Errorf("effectiveDepth(%v) = %d, want %d", tc.pattern, got, tc.want)
+	for name, want := range map[string]bool{
+		"pq:///warehouse/pts:pos": true,  // prefix match
+		"file:///data/edges":      true,  // exact match
+		"file:///data/edges2":     false, // exact names do not prefix-match
+		"file:///data/offsets":    false, // matched, but declared default
+		"file:///data/other":      false, // unmatched
+	} {
+		if got := declaredIrregular(hints, name); got != want {
+			t.Errorf("declaredIrregular(%q) = %v, want %v", name, got, want)
 		}
+	}
+}
+
+// TestIrregularVectorRunsNoPrefetcher: over the same read sweep through a
+// bounded handle, a vector hinted irregular issues no fill and sends no
+// score task, while its unhinted twin does both.
+func TestIrregularVectorRunsNoPrefetcher(t *testing.T) {
+	c, d := retainDSM(t, retainPages/2, func(c *cluster.Cluster, cfg *Config) {
+		c.InstallTelemetry(telemetry.Options{Spans: true})
+		cfg.Hints = []VectorHint{{Vector: "hinted-*", Pattern: PatternIrregular}}
+	})
+	fills, scores := map[uint32]int{}, map[uint32]int{}
+	ids := map[string]uint32{}
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		cl := d.NewClient(p, 0)
+		for _, name := range []string{"hinted-edges", "plain-edges"} {
+			v := retainVector(t, d, p, cl, name)
+			ids[name] = v.m.id
+			from := telemetry.SpanID(d.trc.Len())
+			sweep(t, p, v, ReadOnly, nil)
+			v.Close()
+			d.trc.Each(func(id telemetry.SpanID, s *telemetry.Span) {
+				switch {
+				case id <= from || s.Vec != v.m.id:
+				case s.Op == telemetry.OpPrefetch:
+					fills[s.Vec]++
+				case s.Op == telemetry.OpTaskScore:
+					scores[s.Vec]++
+				}
+			})
+		}
+	})
+	if h := ids["hinted-edges"]; fills[h] != 0 || scores[h] != 0 {
+		t.Errorf("the irregular vector issued %d fills and %d score tasks, want none", fills[h], scores[h])
+	}
+	if u := ids["plain-edges"]; fills[u] == 0 || scores[u] == 0 {
+		t.Errorf("the unhinted twin issued %d fills and %d score tasks: the sweep shows nothing", fills[u], scores[u])
 	}
 }

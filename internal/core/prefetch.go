@@ -9,8 +9,9 @@ import (
 )
 
 // The private cache prefetcher (paper Algorithm 1). It runs on every page
-// transition of an active transaction and, using the transaction's
-// predicted access sequence:
+// transition of an active transaction, unless the vector's prefetch switch
+// is off (Config.DisablePrefetch, or a hint declaring the vector irregular),
+// and, using the transaction's predicted access sequence:
 //
 //   - Evict phase: pages already consumed (accesses [head, tail)) that are
 //     not about to be re-touched get score 0 and are evicted from the
@@ -44,12 +45,12 @@ import (
 //
 // Retained spent pages (a deviation from Algorithm 1, which evicts every
 // consumed page): a bounded handle keeps a spent page resident, clean and
-// read-only, when it is neither dirty nor partial, its hint class is not
-// stream, and the tier it would be refetched from is slower than the
-// scache's fastest tier. A repeated sweep then finds in its pcache the
-// pages that only NVMe or the backend could give it again, not a second
-// copy of what the DRAM tier already holds (UMap's eviction from the
-// declared pattern, MaxMem's fast memory for what gains most from it).
+// read-only, when it is neither dirty nor partial and the tier it would be
+// refetched from is slower than the scache's fastest tier. A repeated
+// sweep then finds in its pcache the pages that only NVMe or the backend
+// could give it again, not a second copy of what the DRAM tier already
+// holds (UMap's eviction from the declared pattern, MaxMem's fast memory
+// for what gains most from it).
 // At most the bound less the current page and the fills pacing may have
 // out is retained, so the fill window is never starved; a page is retained
 // only while one fewer is, leaving room for the next page, which in a paced
@@ -112,11 +113,6 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 		v.pageGap = smooth(v.pageGap, vtime.Duration(gap))
 	}
 	v.runAt = now
-	// An irregular-pattern hint (UMap's access-pattern class) says the
-	// declared sequence does not predict the real access order: skip
-	// predictive eviction and organizer scoring entirely, and issue fills
-	// only where a region override re-enables them.
-	distrust := m.hints.distrustsPrediction()
 	maxPages := int64(prefetchHorizonPages)
 	if v.pc.bound > 0 {
 		maxPages = v.pc.bound / ps
@@ -131,33 +127,31 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 	future := a.pagesIn(v.future[:0], v.seen, a.tail, a.tail+maxPages*epp, epp)
 
 	// Evict phase.
-	if !distrust {
-		v.soon = append(v.soon[:0], future...)
-		slices.Sort(v.soon)
-		v.spent = a.pagesIn(v.spent[:0], v.seen, a.head, a.tail, epp)
-		keep, _ := v.retainBudget()
-		for _, pg := range v.spent {
-			if pg == current {
-				continue
-			}
-			if _, soon := slices.BinarySearch(v.soon, pg); soon {
-				continue // will be re-touched; keep it hot
-			}
-			v.scoreAsync(pg, 0)
-			cp := v.pc.pages[pg]
-			if cp == nil || cp.retainedAt != 0 {
-				continue // gone, or retained already
-			}
-			if v.pc.retained < keep && v.retainable(cp) {
-				v.pc.retain(cp)
-				continue
-			}
-			cp.score = 0
-			v.pc.fix(cp)
-			v.evict(cp)
+	v.soon = append(v.soon[:0], future...)
+	slices.Sort(v.soon)
+	v.spent = a.pagesIn(v.spent[:0], v.seen, a.head, a.tail, epp)
+	keep, _ := v.retainBudget()
+	for _, pg := range v.spent {
+		if pg == current {
+			continue
 		}
-		v.trimRetained(current)
+		if _, soon := slices.BinarySearch(v.soon, pg); soon {
+			continue // will be re-touched; keep it hot
+		}
+		v.scoreAsync(pg, 0)
+		cp := v.pc.pages[pg]
+		if cp == nil || cp.retainedAt != 0 {
+			continue // gone, or retained already
+		}
+		if v.pc.retained < keep && v.retainable(cp) {
+			v.pc.retain(cp)
+			continue
+		}
+		cp.score = 0
+		v.pc.fix(cp)
+		v.evict(cp)
 	}
+	v.trimRetained(current)
 
 	// Prefetch phase: fill the free pcache space with upcoming pages.
 	freePages := int64(len(future))
@@ -176,12 +170,7 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 	for ; i < len(future) && filled < freePages; i++ {
 		pg := future[i]
 		base += float64(ps) / v.tierReadBW(pg)
-		if !distrust {
-			v.scoreAsync(pg, 1)
-		}
-		if depth := effectiveDepth(m.hints.policyFor(pg).pattern); depth >= 0 && int64(i) >= depth {
-			continue // the page's pattern class caps the fill window before here
-		}
+		v.scoreAsync(pg, 1)
 		if !fillable || pg >= m.pageCount() || v.pc.get(pg) != nil || v.hasFill(pg) {
 			continue
 		}
@@ -196,22 +185,20 @@ func (v *Vector[T]) runPrefetcher(current int64) {
 	}
 
 	// Distant pages: decaying score until minScore.
-	if !distrust {
-		est := base
-		scored := 0
-		horizon := a.tail + maxPages*epp
-		future = a.pagesIn(future, v.seen, horizon, horizon+maxPages*epp, epp)
-		for _, pg := range future[i:] {
-			est += float64(ps) / v.tierReadBW(pg)
-			score := base / est
-			if score <= minScore {
-				break
-			}
-			v.scoreAsync(pg, score)
-			scored++
-			if scored >= prefetchHorizonPages {
-				break
-			}
+	est := base
+	scored := 0
+	horizon := a.tail + maxPages*epp
+	future = a.pagesIn(future, v.seen, horizon, horizon+maxPages*epp, epp)
+	for _, pg := range future[i:] {
+		est += float64(ps) / v.tierReadBW(pg)
+		score := base / est
+		if score <= minScore {
+			break
+		}
+		v.scoreAsync(pg, score)
+		scored++
+		if scored >= prefetchHorizonPages {
+			break
 		}
 	}
 
@@ -235,11 +222,9 @@ func (v *Vector[T]) retainBudget() (keep, most int64) {
 }
 
 // retainable reports whether a spent page may stay resident: clean, whole,
-// not streamed, and slower to refetch than the scache's fastest tier.
+// and slower to refetch than the scache's fastest tier.
 func (v *Vector[T]) retainable(cp *cachedPage) bool {
-	return !cp.isDirty() && !cp.partial &&
-		v.m.hints.policyFor(cp.idx).evict != EvictStream &&
-		v.tierReadBW(cp.idx) < v.c.d.fastBW
+	return !cp.isDirty() && !cp.partial && v.tierReadBW(cp.idx) < v.c.d.fastBW
 }
 
 // trimRetained evicts retained pages, the one retained last first, until

@@ -24,9 +24,9 @@ const (
 
 // retainDSM is a one-node deployment whose DRAM tier holds dramPages pages
 // and whose NVMe tier holds the rest. No organizer or stager runs, so a
-// page stays on the tier its first commit placed it on. hints are the
-// deployment's paging-policy hints.
-func retainDSM(t *testing.T, dramPages int64, hints ...VectorHint) (*cluster.Cluster, *DSM) {
+// page stays on the tier its first commit placed it on. mods adjust the
+// cluster and the configuration before the DSM starts.
+func retainDSM(t *testing.T, dramPages int64, mods ...func(*cluster.Cluster, *Config)) (*cluster.Cluster, *DSM) {
 	spec := cluster.Spec{
 		Nodes:    1,
 		CoresPer: 8,
@@ -43,8 +43,10 @@ func retainDSM(t *testing.T, dramPages int64, hints ...VectorHint) (*cluster.Clu
 	cfg.DefaultPageSize = 4 << 10
 	cfg.OrganizePeriod = 0
 	cfg.StagePeriod = 0
-	cfg.Hints = hints
 	c := newTestCluster(t, spec)
+	for _, mod := range mods {
+		mod(c, &cfg)
+	}
 	return c, New(c, cfg)
 }
 
@@ -257,20 +259,17 @@ func TestRetainedPageRewrittenElsewhereIsNotServed(t *testing.T) {
 	})
 }
 
-// TestDirtyPartialAndStreamPagesAreNotRetained: a spent page that is dirty,
-// write-allocated (partial) or hinted stream leaves the pcache however much
-// budget is left, while a clean read sweep of the same vector retains.
-func TestDirtyPartialAndStreamPagesAreNotRetained(t *testing.T) {
-	c, d := retainDSM(t, 2, VectorHint{Vector: "retain-stream", Evict: EvictStream})
+// TestDirtyAndPartialPagesAreNotRetained: a spent page that is dirty or
+// write-allocated (partial) leaves the pcache however much budget is left,
+// while a clean read sweep of the same vector retains.
+func TestDirtyAndPartialPagesAreNotRetained(t *testing.T) {
+	c, d := retainDSM(t, 2)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
 		v := retainVector(t, d, p, cl, "retain-kinds")
-		s := retainVector(t, d, p, cl, "retain-stream")
-		none := func(what string, h *Vector[int64]) func(int64) {
-			return func(cur int64) {
-				if h.pc.retained != 0 {
-					t.Fatalf("%s: %d pages retained at page %d", what, h.pc.retained, cur)
-				}
+		none := func(what string, cur int64) {
+			if v.pc.retained != 0 {
+				t.Fatalf("%s: %d pages retained at page %d", what, v.pc.retained, cur)
 			}
 		}
 		n, epp := v.Len(), v.PageSize()/8
@@ -280,7 +279,7 @@ func TestDirtyPartialAndStreamPagesAreNotRetained(t *testing.T) {
 		for i := int64(0); i < n; i++ {
 			v.Set(i, i)
 			if i%epp == 0 {
-				none("dirty", v)(i / epp)
+				none("dirty", i/epp)
 			}
 		}
 		v.TxEnd()
@@ -295,13 +294,10 @@ func TestDirtyPartialAndStreamPagesAreNotRetained(t *testing.T) {
 				v.Set(j, j)
 			}
 			v.Flush()
-			none("partial", v)(i / epp)
+			none("partial", i/epp)
 		}
 		v.TxEnd()
 		v.Close()
-
-		sweep(t, p, s, ReadOnly, none("stream", s))
-		s.Close()
 
 		sweep(t, p, v, ReadOnly, nil)
 		if v.pc.retained == 0 {

@@ -168,33 +168,31 @@ func TestLoadRejectsUnknownHintClasses(t *testing.T) {
 	if !errors.Is(err, core.ErrUnknownPattern) {
 		t.Fatalf("got %v, want core.ErrUnknownPattern", err)
 	}
-	doc = basePlanDoc + "hints:\n  - vector: x\n    evict: never\n"
-	if _, err := Load(doc); !errors.Is(err, core.ErrUnknownEvict) {
-		t.Fatalf("got %v, want core.ErrUnknownEvict", err)
-	}
 }
 
-func TestLoadHintsRegionOverride(t *testing.T) {
-	doc := basePlanDoc + `hints:
-  - vector: pq:///a:pts
-    pattern: random
-  - vector: pq:///a:pts
-    region: 0..4096
-    pattern: sequential
-`
-	p, err := Load(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Hints) != 2 {
-		t.Fatalf("hints: %+v", p.Hints)
-	}
-	if p.Hints[0].Pattern != core.PatternRandom {
-		t.Fatalf("vector hint: %+v", p.Hints[0])
-	}
-	r := p.Hints[1].Regions
-	if len(r) != 1 || r[0].Off != 0 || r[0].N != 4096 || r[0].Pattern != core.PatternSequential {
-		t.Fatalf("region hint: %+v", p.Hints[1])
+// TestLoadRejectsRetiredHintKeys: a plan's hints section is the deployment
+// schema, so the retired eviction classes, region overrides and sequential
+// and random pattern classes fail a plan too.
+func TestLoadRejectsRetiredHintKeys(t *testing.T) {
+	for _, tc := range []struct {
+		hint string
+		want error
+	}{
+		{"    evict: stream\n", nil},
+		{"    region: 0..4096\n", nil},
+		{"    pattern: random\n", core.ErrUnknownPattern},
+		{"    pattern: sequential\n", core.ErrUnknownPattern},
+	} {
+		doc := basePlanDoc + "hints:\n  - vector: x\n" + tc.hint
+		_, err := Load(doc)
+		switch {
+		case err == nil:
+			t.Errorf("Load accepted the hint %q", tc.hint)
+		case tc.want != nil && !errors.Is(err, tc.want):
+			t.Errorf("hint %q: got %v, want %v", tc.hint, err, tc.want)
+		case tc.want == nil && !strings.Contains(err.Error(), "unknown key"):
+			t.Errorf("hint %q: got %v, want an unknown key", tc.hint, err)
+		}
 	}
 }
 

@@ -109,42 +109,28 @@ type (
 	MemoryTask = core.MemoryTask
 )
 
-// UMap-style per-vector paging-policy hints (Config.Hints): declare how
-// a vector is accessed and the runtime derives the fill window, fill
-// trust, and eviction bias from it — without touching the application.
-// Hints change scheduling only; results stay byte-identical with hints on
-// or off.
+// UMap-style per-vector paging hints (Config.Hints): declare that a
+// vector is accessed in an order its transactions cannot predict (a graph
+// traversal) and the runtime runs no prefetcher for it, without touching
+// the application. Hints change scheduling only; results stay
+// byte-identical with hints on or off.
 type (
-	// VectorHint attaches a paging policy to one vector (matched by
-	// name, or by prefix with a trailing '*').
+	// VectorHint declares one vector's access pattern (matched by name,
+	// or by prefix with a trailing '*').
 	VectorHint = core.VectorHint
-	// RegionHint overrides the vector policy for an element range.
-	RegionHint = core.RegionHint
 	// PatternClass declares a vector's access pattern.
 	PatternClass = core.PatternClass
-	// EvictClass biases pcache victim selection.
-	EvictClass = core.EvictClass
 )
 
-// Access-pattern and eviction classes.
+// Access-pattern classes.
 const (
-	PatternDefault    = core.PatternDefault
-	PatternSequential = core.PatternSequential
-	PatternRandom     = core.PatternRandom
-	PatternIrregular  = core.PatternIrregular
-
-	EvictDefault = core.EvictDefault
-	EvictStream  = core.EvictStream
-	EvictPin     = core.EvictPin
+	PatternDefault   = core.PatternDefault
+	PatternIrregular = core.PatternIrregular
 )
 
 // ParsePatternClass parses the config spelling of an access-pattern
-// class (sequential|random|irregular).
+// class (default|irregular).
 func ParsePatternClass(s string) (PatternClass, error) { return core.ParsePatternClass(s) }
-
-// ParseEvictClass parses the config spelling of an eviction class
-// (default|stream|pin).
-func ParseEvictClass(s string) (EvictClass, error) { return core.ParseEvictClass(s) }
 
 // ControlConfig tunes the adaptive control plane (Config.Control): the
 // closed-loop governors that pace anti-entropy repair, incremental
