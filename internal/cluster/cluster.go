@@ -499,11 +499,7 @@ func (c *Cluster) PFSWriteSized(p *vtime.Proc, node int, key string, off int64, 
 	c.chargePFSNet(p, node, int64(len(data)))
 	id := c.pfsID(key)
 	c.pfsSrv.Acquire(p, 1)
-	err := c.PFS.WriteAtSized(p, id, off, data, extent)
-	for attempt := 1; err != nil && faults.Transient(err) && c.inj.Allow(attempt); attempt++ {
-		c.inj.Backoff(p, "retry.pfs_write", attempt)
-		err = c.PFS.WriteAtSized(p, id, off, data, extent)
-	}
+	err := c.inj.Do(p, "retry.pfs_write", func() error { return c.PFS.WriteAtSized(p, id, off, data, extent) })
 	c.pfsSrv.Release(1)
 	sp.Exit(p, int64(len(data)), err != nil)
 	return err
@@ -527,11 +523,11 @@ func (c *Cluster) PFSReadInto(p *vtime.Proc, node int, key string, off, length i
 	}
 	sp := c.tel.Tracer().Enter(p, telemetry.OpPFSRead, node, 0, off)
 	c.pfsSrv.Acquire(p, 1)
-	data, ok, err := c.PFS.ReadAtInto(p, id, off, length, dst)
-	for attempt := 1; err != nil && faults.Transient(err) && c.inj.Allow(attempt); attempt++ {
-		c.inj.Backoff(p, "retry.pfs_read", attempt)
+	var data []byte
+	err := c.inj.Do(p, "retry.pfs_read", func() (err error) {
 		data, ok, err = c.PFS.ReadAtInto(p, id, off, length, dst)
-	}
+		return err
+	})
 	c.pfsSrv.Release(1)
 	if err == nil && ok {
 		c.chargePFSNet(p, node, int64(len(data)))

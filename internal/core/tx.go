@@ -198,22 +198,6 @@ type activeTx struct {
 	span telemetry.SpanID
 }
 
-// newActiveTx unpacks a pattern. The built-in value types are recognised
-// so a SeqTx handed to TxBegin is enumerated analytically like one begun
-// with SeqTxBegin.
-func newActiveTx(tx Tx) activeTx {
-	switch tx := tx.(type) {
-	case SeqTx:
-		return activeTx{kind: txSeq, flags: tx.F, off: tx.Off, n: tx.N}
-	case RandTx:
-		return activeTx{kind: txRand, flags: tx.F, off: tx.Off, n: tx.N, seed: tx.Seed}
-	case StrideTx:
-		return activeTx{kind: txStride, flags: tx.F, off: tx.Off, n: tx.N, stride: tx.Stride}
-	default:
-		return activeTx{kind: txCustom, flags: tx.Flags(), n: tx.Count(), custom: tx}
-	}
-}
-
 // elemAt returns the element index touched by access i.
 func (a *activeTx) elemAt(i int64) int64 {
 	switch a.kind {

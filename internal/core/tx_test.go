@@ -116,9 +116,24 @@ func (o opaqueTx) Flags() AccessFlags   { return o.inner.Flags() }
 func (o opaqueTx) Count() int64         { return o.inner.Count() }
 func (o opaqueTx) ElemAt(i int64) int64 { return o.inner.ElemAt(i) }
 
+// activeOf unpacks tx the way its Begin method would: a built-in pattern
+// by value, so pagesIn takes its analytic path, anything else as TxBegin
+// does.
+func activeOf(tx Tx) activeTx {
+	switch tx := tx.(type) {
+	case SeqTx:
+		return activeTx{kind: txSeq, flags: tx.F, off: tx.Off, n: tx.N}
+	case RandTx:
+		return activeTx{kind: txRand, flags: tx.F, off: tx.Off, n: tx.N, seed: tx.Seed}
+	case StrideTx:
+		return activeTx{kind: txStride, flags: tx.F, off: tx.Off, n: tx.N, stride: tx.Stride}
+	}
+	return activeTx{kind: txCustom, flags: tx.Flags(), n: tx.Count(), custom: tx}
+}
+
 // pagesOf runs pagesIn for tx the way a fresh handle would.
 func pagesOf(tx Tx, from, to, epp int64) []int64 {
-	a := newActiveTx(tx)
+	a := activeOf(tx)
 	return a.pagesIn(nil, make(map[int64]struct{}), from, to, epp)
 }
 
@@ -206,7 +221,7 @@ func TestPagesInMatchesReference(t *testing.T) {
 	}
 	const epp = 16
 	for name, tx := range txs {
-		a := newActiveTx(tx)
+		a := activeOf(tx)
 		seen := make(map[int64]struct{})
 		var future, spent []int64
 		for tail := int64(0); tail < tx.Count()+40; tail += 23 {

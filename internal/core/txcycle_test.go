@@ -283,3 +283,54 @@ func TestVecNamesFollowsOpenAndDestroy(t *testing.T) {
 		}
 	})
 }
+
+// TestTxBeginBuiltInValueMatchesItsBeginMethod: a built-in pattern passed
+// to TxBegin is enumerated through its ElemAt, and a read phase under it
+// faults, fills, evicts and takes the virtual time it takes under the
+// pattern's own Begin method.
+func TestTxBeginBuiltInValueMatchesItsBeginMethod(t *testing.T) {
+	const epp = 4 << 10 / 8
+	const n = retainPages * epp
+	for _, tc := range []struct {
+		name  string
+		tx    Tx
+		begin func(v *Vector[int64])
+	}{
+		{"seq", SeqTx{F: ReadOnly, Off: 5, N: n - 5},
+			func(v *Vector[int64]) { v.SeqTxBegin(5, n-5, ReadOnly) }},
+		{"rand", RandTx{F: ReadOnly, Off: epp, N: 8 * epp, Seed: 11},
+			func(v *Vector[int64]) { v.RandTxBegin(epp, 8*epp, 11, ReadOnly) }},
+		{"stride", StrideTx{F: ReadOnly, Off: 3, N: retainPages, Stride: epp},
+			func(v *Vector[int64]) { v.StrideTxBegin(3, retainPages, epp, ReadOnly) }},
+	} {
+		run := func(begin func(v *Vector[int64])) (got [5]int64) {
+			c, d := retainDSM(t, retainPages/2)
+			runDSM(t, c, d, func(p *vtime.Proc) {
+				v := retainVector(t, d, p, d.NewClient(p, 0), "tx-"+tc.name)
+				begin(v)
+				if v.RandomAt(0) != tc.tx.ElemAt(0) {
+					t.Fatalf("%s: access 0 touches %d, want %d", tc.name, v.RandomAt(0), tc.tx.ElemAt(0))
+				}
+				for a := int64(0); a < tc.tx.Count(); a++ {
+					got[0] += v.Get(v.RandomAt(a))
+					if a%epp == 0 {
+						p.Sleep(retainCompute)
+					}
+				}
+				v.TxEnd()
+				got[1], got[2], got[3] = d.Stats()
+				got[4] = int64(p.Now())
+				v.Close()
+			})
+			return got
+		}
+		viaMethod := run(tc.begin)
+		viaTx := run(func(v *Vector[int64]) { v.TxBegin(tc.tx) })
+		if viaTx != viaMethod {
+			t.Errorf("%s: TxBegin gives sum, faults, fills, evictions, vtime %v; its Begin method %v", tc.name, viaTx, viaMethod)
+		}
+		if viaMethod[2] == 0 && tc.name != "stride" { // stride: 32 accesses, a short window
+			t.Errorf("%s: the phase issued no fill, so the comparison shows little", tc.name)
+		}
+	}
+}

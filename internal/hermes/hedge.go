@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"megammap/internal/blob"
-	"megammap/internal/faults"
 	"megammap/internal/vtime"
 )
 
@@ -165,19 +164,20 @@ func (h *Hermes) getHedged(p *vtime.Proc, fromNode int, id blob.ID, pl *Placemen
 // the reader's node. Each leg charges its own costs so the loser's
 // spend is honestly accounted.
 func (h *Hermes) readCopy(p *vtime.Proc, fromNode int, pl *Placement, rid blob.ID) *hedgeResult {
-	if !h.reachable(pl) {
-		return &hedgeResult{err: h.nodeDownErr(rid)}
-	}
 	dev := pl.dev
-	data, ok, err := dev.Read(p, rid)
-	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
-		h.inj.Backoff(p, "retry.scache_read", attempt)
-		if !h.reachable(pl) {
-			return &hedgeResult{err: h.nodeDownErr(rid)}
+	var data []byte
+	var ok, down bool
+	err := h.inj.Do(p, "retry.scache_read", func() (err error) {
+		if down = !h.reachable(pl); down { // a crash can land during a backoff sleep
+			return h.nodeDownErr(rid)
 		}
 		data, ok, err = dev.Read(p, rid)
-	}
-	if err != nil {
+		return err
+	})
+	switch {
+	case down:
+		return &hedgeResult{err: err}
+	case err != nil:
 		return &hedgeResult{ok: ok, err: fmt.Errorf("hermes: reading blob %q: %w", h.DisplayName(rid), err)}
 	}
 	if ok && pl.Node != fromNode {

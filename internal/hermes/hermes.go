@@ -1216,6 +1216,7 @@ func (h *Hermes) GetInto(p *vtime.Proc, fromNode int, id blob.ID, dst []byte) (d
 		}
 	}
 	data, ok, err = pl.dev.ReadInto(p, readID, dst)
+	// Its own loop, not Injector.Do: it fails over to a backup between attempts.
 	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
 		h.inj.Backoff(p, "retry.scache_read", attempt)
 		if !h.reachable(pl) { // a crash can land during the backoff sleep
