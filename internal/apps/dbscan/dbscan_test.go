@@ -158,14 +158,15 @@ func TestMegaFindsHaloClusters(t *testing.T) {
 	}
 }
 
-func TestMPIMatchesMega(t *testing.T) {
-	mres, _, _ := runMega(t, 2, 4, 6000, 3, Config{})
-
-	c := testCluster(2)
-	url := genDataset(t, c, 6000, 3)
-	w := mpi.NewWorld(c, 4)
+// runMPI runs the MPI variant on the dataset runMega generates for the
+// same n and k and returns rank 0's result.
+func runMPI(t *testing.T, nodes, ranks, n, k int) Result {
+	t.Helper()
+	c := testCluster(nodes)
+	url := genDataset(t, c, n, k)
+	w := mpi.NewWorld(c, ranks)
 	st := stager.New(c)
-	var pres Result
+	var res Result
 	err := w.Run(func(r *mpi.Rank) {
 		out, err := MPI(r, st, Config{DatasetURL: url})
 		if err != nil {
@@ -173,17 +174,38 @@ func TestMPIMatchesMega(t *testing.T) {
 			return
 		}
 		if r.Rank() == 0 {
-			pres = out
+			res = out
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestMPIMatchesMega(t *testing.T) {
+	mres, _, _ := runMega(t, 2, 4, 6000, 3, Config{})
+	pres := runMPI(t, 2, 4, 6000, 3)
 	if mres.Clusters != pres.Clusters || mres.Leaves != pres.Leaves || mres.Noise != pres.Noise {
 		t.Errorf("variants disagree: mega %+v vs mpi %+v", mres, pres)
 	}
 	if pres.Clusters != 3 {
 		t.Errorf("clusters = %d, want 3", pres.Clusters)
+	}
+}
+
+// TestMegaLabelsEqualMPIs: the per-point labels MegaMmap reads back from
+// dbscan/leafids sum to what MPI's in-memory labels do, unbounded and
+// under a bound that pages the label vector, and the sum is not zero.
+func TestMegaLabelsEqualMPIs(t *testing.T) {
+	want := runMPI(t, 2, 4, 6000, 3).Labels
+	if want == 0 {
+		t.Fatal("MPI's label sum is 0")
+	}
+	for _, bound := range []int64{0, 24 << 10} {
+		if got, _, _ := runMega(t, 2, 4, 6000, 3, Config{BoundBytes: bound}); got.Labels != want {
+			t.Errorf("bound %d: Mega's label sum %#x, MPI's %#x", bound, got.Labels, want)
+		}
 	}
 }
 

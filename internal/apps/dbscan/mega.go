@@ -198,8 +198,10 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 	if final != nil {
 		final.SeqTxBegin(ooff, oln, core.WriteOnly)
 	}
+	var labels uint64
 	for i := ooff; i < ooff+oln; i++ {
 		lbl := leafLabels[out.Get(i)]
+		labels += labelTerm(i, lbl)
 		if final != nil {
 			final.Set(i, lbl)
 		}
@@ -214,5 +216,6 @@ func Mega(r *mpi.Rank, d *core.DSM, cfg Config) (Result, error) {
 		out.Destroy()
 	}
 	r.Barrier()
-	return Result{Clusters: clusters, Leaves: len(leaves), Noise: noise, Points: n}, nil
+	labels = sumLabels(r, labels)
+	return Result{Clusters: clusters, Leaves: len(leaves), Noise: noise, Points: n, Labels: labels}, nil
 }

@@ -98,6 +98,10 @@ func MPI(r *mpi.Rank, st *stager.Stager, cfg Config) (Result, error) {
 	}
 
 	leafLabels, clusters, noise := mergeLeaves(cfg, leaves)
+	var sum uint64
+	for i, id := range labels {
+		sum += labelTerm(off+int64(i), leafLabels[id])
+	}
 	if cfg.AssignURL != "" {
 		ob, oerr := st.Open(cfg.AssignURL)
 		if oerr != nil {
@@ -113,5 +117,5 @@ func MPI(r *mpi.Rank, st *stager.Stager, cfg Config) (Result, error) {
 		}
 	}
 	r.Barrier()
-	return Result{Clusters: clusters, Leaves: len(leaves), Noise: noise, Points: n}, nil
+	return Result{Clusters: clusters, Leaves: len(leaves), Noise: noise, Points: n, Labels: sumLabels(r, sum)}, nil
 }

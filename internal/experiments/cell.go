@@ -164,8 +164,12 @@ func (b batchCell) run() (run batchRun, err error) {
 	}
 	out := newReport(start, runtime)
 	// Every batch cell states its answer: a change that moves only cost
-	// leaves it byte-identical.
+	// leaves it byte-identical. A MegaMmap cell also states how many page
+	// commits failed, whose bytes the answer may then lack.
 	out.Digests["result"] = digestOf(answer)
+	if d != nil {
+		out.Digests["commit_errors"] = d.CommitErrors()
+	}
 	return batchRun{c, d, answer, out}, nil
 }
 

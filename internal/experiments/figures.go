@@ -192,7 +192,6 @@ func RunFig8Cell(tel *telemetry.Options, name string, frac float64, nodes, procs
 		return Report{}, err
 	}
 	run.out.Digests["bound_kb_per_rank"] = bound >> 10
-	run.out.Digests["commit_errors"] = run.d.CommitErrors()
 	return run.out, nil
 }
 
