@@ -379,8 +379,9 @@ func nearest(pt datagen.Particle, centroids [][3]float64) (int, float64) {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestCentroidSetMatchesOracle folds points through centroidSet in
-// chunks of 1, 7 and 1024 and requires acc, the inertia and each
-// point's label to equal the oracle's bit for bit.
+// chunks from 1 to 1024, which cut the kernel's two-point passes and
+// 64-point blocks at every kind of edge, and requires acc, the inertia
+// and each point's label to equal the oracle's bit for bit.
 func TestCentroidSetMatchesOracle(t *testing.T) {
 	g := datagen.New(datagen.DefaultSpec(3000, 8, 3))
 	data := make([]datagen.Particle, 3000)
@@ -389,6 +390,8 @@ func TestCentroidSetMatchesOracle(t *testing.T) {
 	}
 	at := func(x, y, z float32) datagen.Particle { return datagen.Particle{X: x, Y: y, Z: z} }
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := math.Copysign(0, -1)
+	nz := float32(negZero)
 	var many [][3]float64
 	for c := 0; c < 20; c++ {
 		pt := data[c*97]
@@ -410,6 +413,17 @@ func TestCentroidSetMatchesOracle(t *testing.T) {
 		{"nan and inf", [][3]float64{{0, 0, 0}, {1, 1, 1}, {math.Inf(-1), 0, 0}},
 			[]datagen.Particle{at(nan, 0, 0), at(0, nan, 1), at(inf, 0, 0), at(-inf, 0, 0), at(0, 0, inf), at(0.4, 0.4, 0.4), at(nan, inf, -inf)}},
 		{"nan and inf centroids", [][3]float64{{math.NaN(), 0, 0}, {math.Inf(1), 0, 0}, {2, 2, 2}}, data[:100]},
+		// Each two-point pass pairs a NaN or ±Inf point with a finite one.
+		{"nan and inf beside finite", [][3]float64{{0, 0, 0}, {1, 1, 1}, {-2, 0, 0}},
+			[]datagen.Particle{at(0.9, 1, 1), at(nan, 0, 0), at(inf, 0, 0), at(-1.5, 0, 0), at(0.1, 0, 0), at(-inf, 1, 1),
+				at(0, nan, 0), at(1, 1, 1.2), at(0, 0, -inf), at(nan, nan, nan), at(2, 2, 2)}},
+		// One point that wins nowhere keeps the inertia finite at MaxFloat64.
+		{"one nan point", [][3]float64{{0, 0, 0}, {1, 1, 1}},
+			[]datagen.Particle{at(0.5, 0, 0), at(nan, 0, 0), at(1, 1, 0.9)}},
+		// Every squared distance overflows to +Inf: each point joins cluster 0.
+		{"all distances overflow", [][3]float64{{1e155, 0, 0}, {-1e155, 0, 0}, {0, 1e155, 1e155}}, data[:200]},
+		{"negative zero", [][3]float64{{negZero, 0, negZero}, {0, 0, 0}, {1, negZero, 1}},
+			[]datagen.Particle{at(nz, nz, nz), at(0, 0, 0), at(nz, 0, nz), at(1, nz, 1), at(0.5, nz, 0.5)}},
 	}
 	for _, tc := range cases {
 		k := len(tc.centroids)
@@ -427,7 +441,7 @@ func TestCentroidSetMatchesOracle(t *testing.T) {
 		}
 		set := newCentroidSet(k)
 		set.load(tc.centroids)
-		for _, chunk := range []int{1, 7, 1024} {
+		for _, chunk := range []int{1, 2, 3, 7, 63, 64, 65, 129, 1024} {
 			acc := make([]float64, k*4)
 			labels := make([]int32, len(tc.pts))
 			local := 0.0
@@ -454,22 +468,103 @@ func TestCentroidSetMatchesOracle(t *testing.T) {
 	}
 }
 
-// BenchmarkAccumulate folds one 1024-point chunk of generated particles
-// into eight centroids, Mega's sweep step; it allocates nothing.
-func BenchmarkAccumulate(b *testing.B) {
-	g := datagen.New(datagen.DefaultSpec(scanChunk, 8, 1))
-	pts := make([]datagen.Particle, scanChunk)
+// TestDistanceBitsOrderLikeFloats checks the kernel's comparison: against
+// a running minimum, which stays in +0…math.MaxFloat64, the uint64 order
+// of a squared distance's bits agrees with the strict float <, and the
+// bits' min is the bits of the value the float compare keeps. Every NaN
+// and +Inf sorts above maxDistBits, so it never wins.
+func TestDistanceBitsOrderLikeFloats(t *testing.T) {
+	if maxDistBits != math.Float64bits(math.MaxFloat64) {
+		t.Fatalf("maxDistBits = %#x, want math.MaxFloat64's bits %#x", uint64(maxDistBits), math.Float64bits(math.MaxFloat64))
+	}
+	vals := []float64{
+		0,
+		math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), // largest subnormal
+		0x1p-1022,                                // smallest normal
+		1, 2.5, 1e300,
+		math.Nextafter(math.MaxFloat64, 0),
+		math.MaxFloat64,
+		math.Inf(1),
+		math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), // signalling NaN
+		math.Float64frombits(0xfff8000000000000), // negative NaN, x86's default
+		math.Float64frombits(0xffffffffffffffff),
+	}
+	for _, best := range vals {
+		if !(best <= math.MaxFloat64) {
+			continue // a running minimum never leaves +0…MaxFloat64
+		}
+		for _, d := range vals {
+			db, bb := math.Float64bits(d), math.Float64bits(best)
+			if got, want := db < bb, d < best; got != want {
+				t.Errorf("%v (%#x) below %v (%#x): bits say %v, floats %v", d, db, best, bb, got, want)
+			}
+			keep := best
+			if d < best {
+				keep = d
+			}
+			if got := min(db, bb); got != math.Float64bits(keep) {
+				t.Errorf("min of %#x and %#x = %#x, float compare keeps %#x", db, bb, got, math.Float64bits(keep))
+			}
+		}
+	}
+}
+
+// convergedSet returns 64 Ki generated particles and eight centroids
+// after four Lloyd iterations over them: what a kmeans_ooc sweep folds
+// once its clusters settle, where the nearest centroid changes from point
+// to point unpredictably.
+func convergedSet() (centroidSet, []datagen.Particle) {
+	const n = 64 << 10
+	g := datagen.New(datagen.DefaultSpec(n, 8, 1))
+	pts := make([]datagen.Particle, n)
 	for i := range pts {
 		pts[i], _ = g.Next()
 	}
+	centroids := initialCentroids(8, n, 1, func(i int64) datagen.Particle { return pts[i] })
 	set := newCentroidSet(8)
-	set.load(initialCentroids(8, scanChunk, 1, func(i int64) datagen.Particle { return pts[i] }))
+	for it := 0; it < 4; it++ {
+		set.load(centroids)
+		acc := make([]float64, 8*4)
+		set.fold(acc, 0, pts, nil)
+		centroids = recompute(acc, centroids)
+	}
+	set.load(centroids)
+	return set, pts
+}
+
+// BenchmarkAccumulate folds the points into eight converged centroids in
+// 1024-point chunks, Mega's sweep step; it allocates nothing.
+func BenchmarkAccumulate(b *testing.B) {
+	set, pts := convergedSet()
 	acc := make([]float64, 8*4)
 	local := 0.0
 	b.ReportAllocs()
 	for b.Loop() {
-		local = set.fold(acc, local, pts, nil)
+		for lo := 0; lo < len(pts); lo += scanChunk {
+			local = set.fold(acc, local, pts[lo:lo+scanChunk], nil)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/pt")
+	if local == 0 {
+		b.Fatal("no distance accumulated")
+	}
+}
+
+// BenchmarkAccumulateOne folds the same points one per call, the shape of
+// the Spark baseline's add; it allocates nothing.
+func BenchmarkAccumulateOne(b *testing.B) {
+	set, pts := convergedSet()
+	acc := make([]float64, 8*4)
+	local := 0.0
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, pt := range pts {
+			local = set.fold(acc, local, []datagen.Particle{pt}, nil)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/pt")
 	if local == 0 {
 		b.Fatal("no distance accumulated")
 	}
