@@ -140,5 +140,6 @@ func RunGrayCell(tel *telemetry.Options, nodes int, poolBytes int64, horizon vti
 		}
 	}
 	out.Digests["read_bytes"] = read
+	out.Digests["commit_errors"] = d.CommitErrors()
 	return out, nil
 }

@@ -146,6 +146,7 @@ func RunTenantsCell(tel *telemetry.Options, nodes int, poolBytes int64, horizon 
 		agg += s.ops
 	}
 	out.Digests["agg_ops"] = agg
+	out.Digests["commit_errors"] = d.CommitErrors()
 	out.Metrics["agg_tput_ops_s"] = float64(agg) / out.Runtime.Seconds()
 	return out, nil
 }
