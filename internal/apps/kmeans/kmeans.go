@@ -97,11 +97,39 @@ const maxDistBits = 0x7fefffffffffffff
 // at math.MaxFloat64. acc and local are updated in point order, so
 // threading local through a sweep's chunks gives the bits of one pass
 // over all of its points.
+//
+// With AVX2, whole octets of points go through foldOcts and the last
+// len(pts)%8 through foldGo; both give foldBlock's bits.
 func (s centroidSet) fold(acc []float64, local float64, pts []datagen.Particle, labels []int32) float64 {
 	if len(pts) == 1 { // the Spark baseline's add: zero no 64-label block
 		var lab [1]int32
 		return s.foldBlock(acc, local, pts, lab[:], labels)
 	}
+	if n := len(pts) &^ 7; useAVX2 && n > 0 {
+		local = s.foldOctets(acc, local, pts[:n], labels)
+		pts = pts[n:]
+		if labels != nil {
+			labels = labels[n:]
+		}
+	}
+	return s.foldGo(acc, local, pts, labels)
+}
+
+// foldOctets folds pts, a positive multiple of eight points, through the
+// AVX2 kernel. The kernel indexes acc by label unchecked, so acc is cut to
+// its k rows here; s.y and s.z follow s.x in newCentroidSet's buffer.
+func (s centroidSet) foldOctets(acc []float64, local float64, pts []datagen.Particle, labels []int32) float64 {
+	k := len(s.x)
+	acc = acc[:4*k]
+	var lab *int32
+	if labels != nil {
+		lab = &labels[:len(pts)][0]
+	}
+	return foldOcts(&s.x[0], k, &pts[0], len(pts), &acc[0], lab, local)
+}
+
+// foldGo is fold in Go alone: foldBlock over blocks of up to 64 points.
+func (s centroidSet) foldGo(acc []float64, local float64, pts []datagen.Particle, labels []int32) float64 {
 	var blk [block]int32
 	for len(pts) > 0 {
 		n := min(len(pts), block)

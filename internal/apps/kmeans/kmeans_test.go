@@ -1,8 +1,10 @@
 package kmeans
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -378,11 +380,17 @@ func nearest(pt datagen.Particle, centroids [][3]float64) (int, float64) {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestCentroidSetMatchesOracle folds points through centroidSet in
-// chunks from 1 to 1024, which cut the kernel's two-point passes and
-// 64-point blocks at every kind of edge, and requires acc, the inertia
-// and each point's label to equal the oracle's bit for bit.
-func TestCentroidSetMatchesOracle(t *testing.T) {
+// oracleCase is a centroid set and the points folded through it.
+type oracleCase struct {
+	name      string
+	centroids [][3]float64
+	pts       []datagen.Particle
+}
+
+// oracleCases are TestCentroidSetMatchesOracle's cases: ties, duplicate
+// centroids, k=1 and k=20, NaN and ±Inf points and centroids, overflowing
+// distances and -0.
+func oracleCases() []oracleCase {
 	g := datagen.New(datagen.DefaultSpec(3000, 8, 3))
 	data := make([]datagen.Particle, 3000)
 	for i := range data {
@@ -397,11 +405,7 @@ func TestCentroidSetMatchesOracle(t *testing.T) {
 		pt := data[c*97]
 		many = append(many, [3]float64{float64(pt.X), float64(pt.Y), float64(pt.Z)})
 	}
-	cases := []struct {
-		name      string
-		centroids [][3]float64
-		pts       []datagen.Particle
-	}{
+	return []oracleCase{
 		// (0,0,0) and (0,0,5) tie all four centroids, (±0.5,±0.5,0) two.
 		{"equidistant", [][3]float64{{-1, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, -1, 0}},
 			[]datagen.Particle{at(0, 0, 0), at(0, 0, 5), at(0.5, 0.5, 0), at(-0.5, 0.5, 0), at(0.5, -0.5, 0), at(-3, 0, 0)}},
@@ -425,6 +429,14 @@ func TestCentroidSetMatchesOracle(t *testing.T) {
 		{"negative zero", [][3]float64{{negZero, 0, negZero}, {0, 0, 0}, {1, negZero, 1}},
 			[]datagen.Particle{at(nz, nz, nz), at(0, 0, 0), at(nz, 0, nz), at(1, nz, 1), at(0.5, nz, 0.5)}},
 	}
+}
+
+// TestCentroidSetMatchesOracle folds points through centroidSet in
+// chunks from 1 to 1024, which cut the kernel's two-point passes and
+// 64-point blocks at every kind of edge, and requires acc, the inertia
+// and each point's label to equal the oracle's bit for bit.
+func TestCentroidSetMatchesOracle(t *testing.T) {
+	cases := oracleCases()
 	for _, tc := range cases {
 		k := len(tc.centroids)
 		want := make([]float64, k*4)
@@ -507,6 +519,120 @@ func TestDistanceBitsOrderLikeFloats(t *testing.T) {
 			if got := min(db, bb); got != math.Float64bits(keep) {
 				t.Errorf("min of %#x and %#x = %#x, float compare keeps %#x", db, bb, got, math.Float64bits(keep))
 			}
+		}
+	}
+}
+
+// TestFoldKernelsAgree runs the AVX2 octet kernel, which fold hands every
+// whole octet, and the Go kernel foldGo on the same inputs, with and without
+// labels, from an acc and a local away from zero. It requires the same
+// labels and the same bits in acc and local. The inputs are every oracle
+// case, a short one tiled to eight times its length; generated blocks of
+// every length 8…64 at k = 1, 3, 8 and 20; and octets with a NaN, ±Inf,
+// MaxFloat32 or -0 point in each of the eight lanes, against centroid sets
+// whose distances are finite, infinite, NaN or overflow.
+//
+// One thing is compared as NaN-ness only: a sum in acc where both kernels
+// hold a NaN. Each NaN point has its own payload and joins cluster 0
+// after another, and x86 keeps the first operand's payload when it adds
+// two NaNs; but Go does not fix which operand of a float add comes first.
+// The same foldBlock adds the point to acc in a plain build and acc to
+// the point under -race, so no fixed order in the assembly matches both.
+func TestFoldKernelsAgree(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 on this CPU or architecture: fold runs foldGo alone")
+	}
+	agree := func(name string, centroids [][3]float64, pts []datagen.Particle) {
+		t.Helper()
+		k := len(centroids)
+		set := newCentroidSet(k)
+		set.load(centroids)
+		for _, withLabels := range []bool{true, false} {
+			acc, goAcc := make([]float64, k*4), make([]float64, k*4)
+			for i := range acc {
+				acc[i], goAcc[i] = float64(i)-2.5, float64(i)-2.5
+			}
+			var labels, goLabels []int32
+			if withLabels {
+				labels, goLabels = make([]int32, len(pts)), make([]int32, len(pts))
+			}
+			local := set.fold(acc, 0.5, pts, labels)
+			goLocal := set.foldGo(goAcc, 0.5, pts, goLabels)
+			for i := range labels {
+				if labels[i] != goLabels[i] {
+					t.Errorf("%s, %d points: point %d %+v: AVX2 cluster %d, Go %d", name, len(pts), i, pts[i], labels[i], goLabels[i])
+				}
+			}
+			if !sameBits(local, goLocal) {
+				t.Errorf("%s, %d points: AVX2 inertia %#x, Go %#x", name, len(pts), math.Float64bits(local), math.Float64bits(goLocal))
+			}
+			for i := range acc {
+				if !sameBits(acc[i], goAcc[i]) && !(math.IsNaN(acc[i]) && math.IsNaN(goAcc[i])) {
+					t.Errorf("%s, %d points: AVX2 acc[%d] = %#x, Go %#x", name, len(pts), i, math.Float64bits(acc[i]), math.Float64bits(goAcc[i]))
+				}
+			}
+		}
+	}
+
+	for _, tc := range oracleCases() {
+		pts := tc.pts
+		if len(pts) < block {
+			for len(pts) < 8*len(tc.pts) {
+				pts = append(pts, tc.pts[len(pts)%len(tc.pts)])
+			}
+		}
+		agree(tc.name, tc.centroids, pts)
+	}
+
+	data := make([]datagen.Particle, 64)
+	g := datagen.New(datagen.DefaultSpec(len(data), 8, 5))
+	for i := range data {
+		data[i], _ = g.Next()
+	}
+	for _, k := range []int{1, 3, 8, 20} {
+		centroids := initialCentroids(k, int64(len(data)), 5, func(i int64) datagen.Particle { return data[i] })
+		for n := 8; n <= len(data); n++ {
+			agree(fmt.Sprintf("generated, k=%d", k), centroids, data[:n])
+		}
+	}
+
+	inf := math.Inf(1)
+	sets := map[string][][3]float64{
+		"finite":          {{0, 0, 0}, {1, 1, 1}, {-2, 0, 0}, {0.5, 0.5, 0.5}},
+		"from the data":   {{float64(data[0].X), float64(data[0].Y), float64(data[0].Z)}, {float64(data[9].X), float64(data[9].Y), float64(data[9].Z)}},
+		"inf and nan":     {{math.NaN(), 0, 0}, {inf, 0, 0}, {2, 2, 2}, {-inf, 1, 1}},
+		"all overflow":    {{1e155, 0, 0}, {-1e155, 0, 0}, {0, 1e155, 1e155}},
+		"one overflows":   {{1.3e154, 1.3e154, 1.3e154}, {1, 2, 3}},
+		"negative zeroes": {{math.Copysign(0, -1), 0, math.Copysign(0, -1)}, {0, 0, 0}, {1, math.Copysign(0, -1), 1}},
+	}
+	specials := map[string]func(lane int) float32{
+		"nan": func(lane int) float32 { // its own payload and sign per lane
+			return math.Float32frombits(0x7fc00000 | uint32(lane+1) | uint32(lane&1)<<31)
+		},
+		"+inf":       func(int) float32 { return float32(inf) },
+		"-inf":       func(int) float32 { return float32(-inf) },
+		"maxfloat32": func(int) float32 { return math.MaxFloat32 },
+		"-0":         func(int) float32 { return float32(math.Copysign(0, -1)) },
+	}
+	for sname, special := range specials {
+		// Octet lane holds the special value, on axis lane%3; the other
+		// points are finite.
+		var pts []datagen.Particle
+		for lane := range 8 {
+			octet := slices.Clone(data[8*lane : 8*lane+8])
+			v := special(lane)
+			switch lane % 3 {
+			case 0:
+				octet[lane].X = v
+			case 1:
+				octet[lane].Y = v
+			case 2:
+				octet[lane].Z = v
+			}
+			pts = append(pts, octet...)
+		}
+		for cname, centroids := range sets {
+			agree(sname+" point, "+cname+" centroids", centroids, pts)
 		}
 	}
 }

@@ -35,7 +35,7 @@ type DSM struct {
 	// every period.
 	vecOrder []string
 	vecByID  map[uint32]*vecMeta // interned vec -> meta (hedge CRC verify, organizer moves)
-	handles  []vectorHandle      // every open Vector: invariant audits, release at Shutdown
+	handles  []vectorHandle      // every open, undestroyed Vector: invariant audits, release at Shutdown
 	lastID   uint64              // the last Vector.id handed out
 	barriers map[string]*barrierState
 	locks    map[string]*dsmLock

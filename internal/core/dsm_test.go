@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"megammap/internal/cluster"
@@ -645,6 +646,64 @@ func TestDestroyRemovesPages(t *testing.T) {
 		}
 		if d.vecs["temp"] != nil {
 			t.Error("vector meta survived destroy")
+		}
+	})
+}
+
+// TestDestroyDropsItsHandle opens, fills and destroys a vector hundreds
+// of times mid-run, as DBSCAN does per kd-tree node: DSM.handles and the
+// live heap stay flat, and the handles around the destroyed ones keep
+// their order.
+func TestDestroyDropsItsHandle(t *testing.T) {
+	const cycles = 400
+	c, d := newTestDSM(t, 1)
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		cl := d.NewClient(p, 0)
+		open := func(name string) *Vector[int64] {
+			v, err := Open[int64](cl, name, Int64Codec{})
+			if err != nil {
+				t.Error(err) // not Fatal: this is the simulated process's goroutine
+			}
+			return v
+		}
+		cycle := func() {
+			v := open("scratch")
+			v.Resize(1024)
+			v.SeqTxBegin(0, 1024, WriteOnly)
+			for i := int64(0); i < 1024; i++ {
+				v.Set(i, i)
+			}
+			v.TxEnd()
+			v.Destroy()
+		}
+		first, second := open("first"), open("second")
+		for range cycles / 8 { // warm the pools and free lists
+			cycle()
+		}
+		handles, before := len(d.handles), heap()
+		for range cycles {
+			cycle()
+		}
+		if len(d.handles) != handles {
+			t.Errorf("%d handles after %d Open/Destroy cycles, %d before", len(d.handles), cycles, handles)
+		}
+		if grew := heap() - before; grew > 64<<10 {
+			t.Errorf("live heap grew %d KB over %d Open/Destroy cycles", grew>>10, cycles)
+		}
+		third := open("third")
+		second.Destroy()
+		if want := []vectorHandle{first, third}; !slices.Equal(d.handles, want) {
+			var names []string
+			for _, h := range d.handles {
+				names = append(names, h.Name())
+			}
+			t.Errorf("%d handles after destroying the second of three, named %q; want first and third", len(names), names[:min(len(names), 4)])
 		}
 	})
 }

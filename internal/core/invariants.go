@@ -1,13 +1,26 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // vectorHandle is the type-erased view of an open Vector[T] that the DSM
-// keeps for post-run audits; Open registers every vector here.
+// keeps for post-run audits; Open registers every handle here and Destroy
+// removes it.
 type vectorHandle interface {
 	Name() string
 	dirtyResident() int
 	release()
+}
+
+// dropHandle removes a destroyed handle from the handles, keeping the
+// others' order, so it takes its pcache and maps with it rather than
+// holding them until Shutdown.
+func (d *DSM) dropHandle(h vectorHandle) {
+	if i := slices.Index(d.handles, h); i >= 0 {
+		d.handles = slices.Delete(d.handles, i, i+1)
+	}
 }
 
 // CheckInvariants audits the DSM's steady-state invariants, which hold

@@ -596,6 +596,7 @@ func (v *Vector[T]) Destroy() {
 	delete(v.c.d.vecs, v.m.name)
 	v.c.d.vecOrder = nil
 	delete(v.c.d.vecByID, v.m.id)
+	v.c.d.dropHandle(v)
 }
 
 // checkBounds panics on out-of-range access (a programming error in the

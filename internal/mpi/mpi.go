@@ -141,9 +141,7 @@ func (r *Rank) Fail(err error) {
 func (r *Rank) Send(dst, tag int, payload any, bytes int64) {
 	r.w.c.Fabric.Transfer(r.p, r.w.NodeOf(r.rank), r.w.NodeOf(dst), bytes)
 	k := mkey{dst: dst, src: r.rank, tag: tag}
-	if q := r.w.recvers[k]; len(q) > 0 {
-		rw := q[0]
-		r.w.recvers[k] = q[1:]
+	if rw := pop(r.w.recvers, k); rw != nil {
 		rw.msg = &message{payload: payload, bytes: bytes}
 		rw.ev.Fire()
 		return
@@ -151,13 +149,30 @@ func (r *Rank) Send(dst, tag int, payload any, bytes int64) {
 	r.w.boxes[k] = append(r.w.boxes[k], &message{payload: payload, bytes: bytes})
 }
 
+// pop takes the head of k's queue, or returns nil if it has none. It
+// clears the head's slot and deletes k once its queue is empty: every
+// collective takes a fresh tag, so a drained queue that stayed would keep
+// its key and its last message for the rest of the run.
+func pop[T any](queues map[mkey][]*T, k mkey) *T {
+	q := queues[k]
+	if len(q) == 0 {
+		return nil
+	}
+	head := q[0]
+	q[0] = nil
+	if len(q) == 1 {
+		delete(queues, k)
+	} else {
+		queues[k] = q[1:]
+	}
+	return head
+}
+
 // Recv blocks until a message from src with the given tag arrives and
 // returns its payload and size.
 func (r *Rank) Recv(src, tag int) (any, int64) {
 	k := mkey{dst: r.rank, src: src, tag: tag}
-	if q := r.w.boxes[k]; len(q) > 0 {
-		m := q[0]
-		r.w.boxes[k] = q[1:]
+	if m := pop(r.w.boxes, k); m != nil {
 		return m.payload, m.bytes
 	}
 	rw := &recvWaiter{}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"megammap/internal/cluster"
@@ -348,5 +349,56 @@ func TestScalarAllreduceHelpers(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMailboxesForgetDrainedKeys runs many allreduces and barriers, each
+// under a fresh tag, then one tag whose queue is kept one message deep:
+// both mailbox maps stay as small as one collective's keys, end empty, and
+// keep no drained message's payload reachable.
+func TestMailboxesForgetDrainedKeys(t *testing.T) {
+	const rounds, payload = 200, 8 << 10
+	w := testWorld(t, 2, 4)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	peak := 0
+	err := w.Run(func(r *Rank) {
+		for i := 0; i < rounds; i++ {
+			r.SumFloat64s(make([]float64, payload/8))
+			r.Barrier()
+			peak = max(peak, len(w.boxes)+len(w.recvers))
+		}
+		// Rank 0 stays one message ahead of rank 1 on one tag, so its
+		// queue drains only at the end.
+		switch r.Rank() {
+		case 0:
+			for i := 0; i < rounds; i++ {
+				r.Send(1, 9, make([]byte, payload), payload)
+			}
+		case 1:
+			for i := 0; i < rounds; i++ {
+				r.Recv(0, 9)
+				peak = max(peak, len(w.boxes)+len(w.recvers))
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak > 16 {
+		t.Errorf("mailbox maps peaked at %d keys over %d collectives, want at most 16: drained keys stay", peak, 2*rounds)
+	}
+	if n, m := len(w.boxes), len(w.recvers); n+m != 0 {
+		t.Errorf("after every message was received: %d mailbox keys, %d waiter keys, want none", n, m)
+	}
+	grew := int64(heap()) - int64(before)
+	runtime.KeepAlive(w) // the world, mailboxes included, is live at the measurement
+	if grew > rounds*payload/4 {
+		t.Errorf("live heap grew %d KB over %d rounds of %d KB messages: drained messages stay reachable", grew>>10, rounds, payload>>10)
 	}
 }
