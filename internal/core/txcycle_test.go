@@ -89,7 +89,7 @@ func TestTxCycleAllocatesNothing(t *testing.T) {
 				touch()
 			}
 			// Steady state: pools, scratch lists and the engine's timer
-			// wheel buckets have grown to what the cycle needs.
+			// heap have grown to what the cycle needs.
 			for i := 0; i < 400; i++ {
 				cycle()
 			}

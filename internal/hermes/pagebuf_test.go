@@ -17,8 +17,8 @@ func TestOverwriteAndGetIntoAllocateNothing(t *testing.T) {
 		id := h.Key("page")
 		page := bytes.Repeat([]byte{7}, 16<<10)
 		dst := make([]byte, len(page))
-		// Warm-up: the engine's timer wheel allocates each slot the first
-		// time virtual time passes through it.
+		// Warm-up: the engine's timer heap and ready ring grow to what the
+		// loop keeps pending on first use.
 		for i := 0; i < 512; i++ {
 			if err := h.Put(p, 0, id, page, 0.5, 0); err != nil {
 				t.Fatal(err)
@@ -57,8 +57,8 @@ func TestReplicatedPutAllocatesNothing(t *testing.T) {
 	run(t, c, func(p *vtime.Proc) {
 		sizes := []int{300, 700, 1500, 3000}
 		op := putCycle(t, h, p, func(i int) int { return sizes[(i+i/8)%len(sizes)] })
-		// Warm-up: the timer wheel, the metadata maps, the recycler's
-		// classes and the free list reach their size.
+		// Warm-up: the engine's timer heap, the metadata maps, the
+		// recycler's classes and the free list reach their size.
 		for range 2048 {
 			op()
 		}

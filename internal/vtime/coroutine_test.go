@@ -46,7 +46,7 @@ func TestSwitchesCountsEventsThatChangeProcess(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("sleeper", func(p *Proc) {
 		for i := 0; i < 100; i++ {
-			p.Sleep(Duration(1+i) * Microsecond) // wheel and heap timers
+			p.Sleep(Duration(1+i) * Microsecond) // timers on both sides of 16384 ns
 		}
 		if e.Switches() != 1 {
 			t.Errorf("a lone sleeping process switched %d times beyond its start by Run", e.Switches()-1)

@@ -9,7 +9,8 @@ import (
 
 // TestDispatchOrderGolden pins the engine's pop sequence. One program
 // exercises every lane an event can take — the same-instant ready ring,
-// wheel timers, heap timers that migrate across the wheel boundary, a
+// heap timers on both sides of 16384 ns (the span of the timer wheel the
+// heap replaced, whose boundary this program was written to cross), a
 // contended Resource, rendezvous and buffered Chans, spawn churn through
 // the process pool and a daemon ticker — and every process logs (now, id)
 // each time it is resumed. The digest of that log is the order in which
@@ -57,12 +58,11 @@ func TestDispatchOrderGolden(t *testing.T) {
 		})
 	}
 
-	// Timers on both sides of the wheel boundary, with equal-at ties
-	// between wheel-resident and heap-migrated events.
+	// Timers on both sides of 16384 ns, with equal-at ties between them.
 	sleeps := []Duration{
 		10, 63, 64, 65, Microsecond, 7 * Microsecond,
-		wheelSpan - 65, wheelSpan - 1, wheelSpan, wheelSpan + 1, wheelSpan + 64,
-		2*wheelSpan - 1, 3 * wheelSpan, 100 * Microsecond, Millisecond,
+		16384 - 65, 16384 - 1, 16384, 16384 + 1, 16384 + 64,
+		2*16384 - 1, 3 * 16384, 100 * Microsecond, Millisecond,
 	}
 	for i, d := range sleeps {
 		e.Spawn(fmt.Sprintf("timer%d", i), func(p *Proc) {

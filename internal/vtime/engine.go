@@ -13,7 +13,7 @@
 // storage devices, network fabrics, the MegaMmap runtime, and the baseline
 // systems all charge their costs to this clock. Its per-event cost is the
 // hardware ceiling of every experiment, so the scheduler is engineered for
-// throughput at five points (see DESIGN.md "Engine & cluster scalability"):
+// throughput at four points (see DESIGN.md "Engine & cluster scalability"):
 //
 //   - coroutine processes: a process is an iter.Pull coroutine and Run's
 //     goroutine is the one dispatcher. A parking process pops the next
@@ -22,23 +22,19 @@
 //     coroutine switches, which hand the thread over directly and never
 //     enter the Go scheduler, where a channel handoff pays a send, a
 //     park, a wake-up and a run-queue pass;
-//   - a same-instant ready ring in front of the binary heap: wake-ups and
-//     yields at the current instant (the synchronization fast path — every
+//   - a same-instant ready ring in front of the heap: wake-ups and yields
+//     at the current instant (the synchronization fast path — every
 //     resource grant, channel op and rendezvous) enqueue FIFO in O(1)
 //     instead of paying two O(log n) heap operations;
 //   - pooled processes: finished Procs park their coroutine and are reused
 //     by later Spawns, so short-lived worker processes cost no coroutine
 //     allocation in steady state;
-//   - a timer wheel for near-future timers (the µs-scale device, NIC and
-//     runtime delays that dominate simulation activity): 256 slots of 64ns
-//     hold the next 16.4µs in insertion-sorted buckets with a bitmap
-//     occupancy scan, so the common Sleep never touches the heap;
-//   - a typed 4-ary min-heap for far-future timers, ordered by (at, seq),
-//     which migrate into the wheel exactly once as the clock approaches.
+//   - one typed 4-ary min-heap, ordered by (at, seq), for every timer due
+//     after the current instant.
 //
-// Every structure dispatches in strict (at, seq) order, so the pop
-// sequence — and therefore every simulation result — is byte-identical to
-// a plain single-heap engine.
+// The ring and the heap together dispatch in strict (at, seq) order, so
+// the pop sequence — and therefore every simulation result — is
+// byte-identical to a plain single-heap engine.
 //
 // A process ends when its function returns, or when the engine ends it
 // where it is parked: Engine.Close ends every process and the engine with
@@ -50,7 +46,6 @@ package vtime
 import (
 	"fmt"
 	"iter"
-	"math/bits"
 	"sort"
 )
 
@@ -95,19 +90,9 @@ func BytesAt(n int64, bw float64) Duration {
 	return FromSeconds(float64(n) / bw)
 }
 
-// event is a pending wake-up in the ready ring or the timer wheel. It
-// carries no sequence number: both structures preserve arrival order
-// internally (FIFO ring; append-ordered buckets), and arrival order IS
-// seq order, so the field would be redundant — dropping it packs four
-// events per cache line.
-type event struct {
-	at Duration
-	p  *Proc
-}
-
-// heapEvent is a pending far-future wake-up. The heap is the one
-// structure that reorders freely, so equal-at ties need an explicit
-// arrival sequence to stay deterministic.
+// heapEvent is a pending wake-up after the current instant, the engine's
+// one event type. The heap reorders freely, so equal-at ties need an
+// explicit arrival sequence to stay deterministic.
 type heapEvent struct {
 	at  Duration
 	seq uint64
@@ -176,128 +161,31 @@ func (h *eventHeap) pop() heapEvent {
 	return top
 }
 
-// Timer wheel geometry: wheelSlots buckets of 2^wheelShift nanoseconds,
-// covering the next wheelSpan of virtual time. 64ns × 256 slots spans
-// 16.4µs — wide enough that DRAM, NIC and page-transfer delays (the bulk
-// of all timers) stay inside the wheel, narrow enough that the slot
-// headers and occupancy bitmap stay cache-resident.
-const (
-	wheelShift = 6
-	wheelSlots = 256
-	wheelWords = wheelSlots / 64
-	wheelSpan  = Duration(wheelSlots << wheelShift)
-
-	// wheelCarve is how many entries of each bucket NewEngine carves out of
-	// one shared array. Buckets otherwise grow 1 → 2 → 4 on first use —
-	// three allocations for each of the 256, the largest allocation site of
-	// a short run — and few ever hold more than four.
-	wheelCarve = 4
-)
-
-// timerWheel holds timers due within wheelSpan of the current instant in
-// at-indexed buckets: slot i holds events with at>>wheelShift ≡ i
-// (mod wheelSlots). Every stored event's bucket lies within wheelSlots
-// buckets of now's (and at >= now), so the mapping is injective — no lap
-// ambiguity — and a circular bitmap scan from now's slot visits buckets
-// in time order. Each bucket keeps its events insertion-sorted by at,
-// stably — arrivals come in seq order (schedule's calls, then heap
-// migrations, are both monotonic per bucket), so equal-at events sit in
-// seq order without storing seq — and pop order across the wheel is the
-// same strict total order as the heap's. Insert, peek and pop are all
-// O(1) apart from the (few-element) bucket insertion sort; none of them
-// depend on the number of pending timers, which is what removes the
-// heap's O(log n) from the per-event path at thousands of simulated
-// nodes.
-type timerWheel struct {
-	n    int // total events stored
-	occ  [wheelWords]uint64
-	head [wheelSlots]int32 // first un-popped index per bucket
-	slot [wheelSlots][]event
-}
-
-// insert stores ev; ev.at must be after now and within wheelSlots
-// buckets of now's bucket.
-func (w *timerWheel) insert(ev event) {
-	idx := int(uint64(ev.at)>>wheelShift) & (wheelSlots - 1)
-	s := append(w.slot[idx], ev)
-	// Stable insertion sort from the tail: an equal-at event never
-	// shifts (FIFO preserves arrival = seq order), and later timestamps
-	// — the common case — cost zero compares beyond the first.
-	i := len(s) - 1
-	for h := int(w.head[idx]); i > h; i-- {
-		prev := s[i-1]
-		if prev.at <= ev.at {
-			break
-		}
-		s[i] = prev
-	}
-	s[i] = ev
-	w.slot[idx] = s
-	w.occ[idx>>6] |= 1 << uint(idx&63)
-	w.n++
-}
-
-// scan returns the first occupied bucket at or after cursor, circularly.
-// The wheel must be non-empty.
-func (w *timerWheel) scan(cursor int) int {
-	word := cursor >> 6
-	b := w.occ[word] & (^uint64(0) << uint(cursor&63))
-	for b == 0 {
-		word = (word + 1) & (wheelWords - 1)
-		b = w.occ[word]
-	}
-	return word<<6 | bits.TrailingZeros64(b)
-}
-
-// pop removes and returns the earliest event; cursor is the current
-// instant's bucket. The wheel must be non-empty.
-func (w *timerWheel) pop(cursor int) event {
-	return w.popSlot(w.scan(cursor))
-}
-
-// popSlot removes and returns the head event of bucket idx, which must
-// be the bucket scan would find.
-func (w *timerWheel) popSlot(idx int) event {
-	h := w.head[idx]
-	s := w.slot[idx]
-	ev := s[h]
-	s[h] = event{}
-	h++
-	if int(h) == len(s) {
-		w.slot[idx] = s[:0]
-		w.head[idx] = 0
-		w.occ[idx>>6] &^= 1 << uint(idx&63)
-	} else {
-		w.head[idx] = h
-	}
-	w.n--
-	return ev
-}
-
-// readyRing is a FIFO of events scheduled at the current instant. Pushes
-// arrive in seq order, and the ring is always drained before the clock
-// advances, so FIFO order here IS (at, seq) order — the ring is the O(1)
-// batch-dispatch lane in front of the timer wheel and heap.
+// readyRing is a FIFO of processes scheduled at the current instant.
+// Pushes arrive in seq order, and the ring is always drained before the
+// clock advances, so an entry needs no timestamp and FIFO order here IS
+// (at, seq) order — the ring is the O(1) batch-dispatch lane in front of
+// the heap.
 type readyRing struct {
-	buf  []event // power-of-two length
+	buf  []*Proc // power-of-two length
 	head int
 	n    int
 }
 
-func (r *readyRing) push(ev event) {
+func (r *readyRing) push(p *Proc) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = ev
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
 	r.n++
 }
 
-func (r *readyRing) pop() event {
-	ev := r.buf[r.head]
-	r.buf[r.head] = event{}
+func (r *readyRing) pop() *Proc {
+	p := r.buf[r.head]
+	r.buf[r.head] = nil
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return ev
+	return p
 }
 
 func (r *readyRing) grow() {
@@ -305,7 +193,7 @@ func (r *readyRing) grow() {
 	if size == 0 {
 		size = 64
 	}
-	buf := make([]event, size)
+	buf := make([]*Proc, size)
 	for i := 0; i < r.n; i++ {
 		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
@@ -322,10 +210,9 @@ const poolCap = 1 << 14
 // usable; construct with NewEngine.
 type Engine struct {
 	now   Duration
-	seq   uint64     // arrival counter for heap ties (equal-at far timers)
-	tw    timerWheel // timers within the wheel's bucket-aligned window
-	pq    eventHeap  // far-future timers (beyond the wheel window)
-	ready readyRing  // events at the current instant, FIFO
+	seq   uint64    // arrival counter for heap ties (equal-at timers)
+	pq    eventHeap // timers after the current instant
+	ready readyRing // events at the current instant, FIFO
 
 	// next is the process Run's dispatcher resumes next. A process that
 	// parks or finishes leaves the owner of the event it popped here (nil
@@ -349,14 +236,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero and no processes.
-func NewEngine() *Engine {
-	e := &Engine{}
-	first := make([]event, wheelSlots*wheelCarve)
-	for i := range e.tw.slot {
-		e.tw.slot[i] = first[i*wheelCarve : i*wheelCarve : (i+1)*wheelCarve]
-	}
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Duration { return e.now }
@@ -444,16 +324,10 @@ func (e *Engine) unlink(p *Proc) {
 }
 
 // schedule enqueues a wake-up for p at time at. Events at or before the
-// current instant take the O(1) ready ring; near timers take the wheel;
-// far timers overflow to the heap (and migrate into the wheel later).
+// current instant take the O(1) ready ring; later timers take the heap.
 func (e *Engine) schedule(p *Proc, at Duration) {
 	if at <= e.now {
-		e.ready.push(event{at: e.now, p: p})
-	} else if uint64(at)>>wheelShift-uint64(e.now)>>wheelShift < wheelSlots {
-		// Bucket distance, not time distance: the wheel's window must be
-		// bucket-aligned, or a timer almost a full span ahead would lap
-		// into the current bucket and pop ahead of nearer timers.
-		e.tw.insert(event{at: at, p: p})
+		e.ready.push(p)
 	} else {
 		e.pq.push(heapEvent{at: at, seq: e.seq, p: p})
 		e.seq++
@@ -461,29 +335,12 @@ func (e *Engine) schedule(p *Proc, at Duration) {
 	p.pending++
 }
 
-// migrate moves heap timers whose bucket has come within the wheel's
-// window of the (just advanced) clock into the wheel. Together with
-// schedule's split this maintains the invariant that every heap event's
-// bucket is at least wheelSlots past now's bucket — so the wheel's
-// maximum is always below the heap's minimum, and each timer passes
-// through the heap at most once.
-func (e *Engine) migrate() {
-	horizon := uint64(e.now) >> wheelShift
-	for len(e.pq) > 0 && uint64(e.pq[0].at)>>wheelShift-horizon < wheelSlots {
-		he := e.pq.pop()
-		// Heap pops come in (at, seq) order, so equal-at events reach
-		// their bucket in seq order, which buckets preserve.
-		e.tw.insert(event{at: he.at, p: he.p})
-	}
-}
-
 // popNext pops the next event, in strict (at, seq) order across the ready
-// ring, the timer wheel and the overflow heap, and returns the process it
-// resumes. When dispatching must stop — no events left, every non-daemon
-// process finished, a failure, or daemon starvation — it returns nil. It
-// is called by whoever holds execution (a parking or finishing process, or
-// Run itself) with that process as self (nil for Run and finished
-// processes).
+// ring and the heap, and returns the process it resumes. When dispatching
+// must stop — no events left, every non-daemon process finished, a
+// failure, or daemon starvation — it returns nil. It is called by whoever
+// holds execution (a parking or finishing process, or Run itself) with
+// that process as self (nil for Run and finished processes).
 //
 // When the event belongs to self — a Sleep whose wake-up is the earliest
 // pending event, the single-process fast path — the caller simply keeps
@@ -492,42 +349,25 @@ func (e *Engine) migrate() {
 func (e *Engine) popNext(self *Proc) *Proc {
 	if e.failed == nil && e.nonDaemon > 0 && e.daemonOnly <= starvationLimit {
 		for {
-			var ev event
-			cursor := int(uint64(e.now)>>wheelShift) & (wheelSlots - 1)
-			if e.ready.n > 0 {
-				// A wheel timer that has reached the current instant was
-				// scheduled while this instant was still the future —
-				// before every ready entry, which are pushed only at the
-				// instant itself — so it always precedes the ring in
-				// arrival (seq) order. Heap timers sit beyond the wheel
-				// window and never compete with the ring at all.
-				if e.tw.n > 0 {
-					idx := e.tw.scan(cursor)
-					if e.tw.slot[idx][e.tw.head[idx]].at <= e.now {
-						ev = e.tw.popSlot(idx)
-					} else {
-						ev = e.ready.pop()
-					}
-				} else {
-					ev = e.ready.pop()
-				}
-			} else if e.tw.n > 0 {
-				ev = e.tw.pop(cursor)
-			} else if len(e.pq) > 0 {
-				he := e.pq.pop()
-				ev = event{at: he.at, p: he.p}
+			var p *Proc
+			at := e.now
+			// A heap timer that has reached the current instant was
+			// scheduled while this instant was still the future — before
+			// every ready entry, which are pushed only at the instant
+			// itself — so it precedes the ring in arrival (seq) order.
+			if len(e.pq) > 0 && (e.ready.n == 0 || e.pq[0].at <= e.now) {
+				ev := e.pq.pop()
+				p, at = ev.p, ev.at
+			} else if e.ready.n > 0 {
+				p = e.ready.pop()
 			} else {
 				break
 			}
-			p := ev.p
 			p.pending--
 			if p.done {
 				continue
 			}
-			e.now = ev.at
-			if len(e.pq) > 0 {
-				e.migrate()
-			}
+			e.now = at
 			e.events++
 			if p.daemon {
 				e.daemonOnly++
@@ -661,7 +501,7 @@ func (e *Engine) Close() {
 		e.end(e.liveHead)
 	}
 	e.drainPool()
-	e.ready, e.pq, e.tw, e.next = readyRing{}, nil, timerWheel{}, nil
+	e.ready, e.pq, e.next = readyRing{}, nil, nil
 }
 
 // Group is a set of processes spawned through it, so that whoever
