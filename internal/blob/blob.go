@@ -89,8 +89,8 @@ func (id ID) Backup(i int) ID {
 // Base strips the role, returning the primary ID shared by a primary
 // and all of its replicas and backups: KindRaw for raw-derived IDs
 // (page -1), KindPage otherwise. It keys role-independent bookkeeping
-// such as replica counters, and recovers the metadata key of a backup's
-// primary for repair enqueueing.
+// such as the audit's backup counts, and recovers the metadata key of a
+// backup's primary for repair enqueueing.
 func (id ID) Base() ID {
 	if id.Page < 0 {
 		id.Kind = KindRaw

@@ -806,21 +806,22 @@ func (v *Vector[T]) replicable() bool {
 }
 
 // ensureSpace reserves one page of pcache space, evicting victims while
-// over the bound, and charges the node's DRAM. With the eviction
-// governor active, crossing the high watermark evicts in one batch down
-// to the low watermark (structural hysteresis: faults then proceed
-// eviction-free until the high watermark is reached again, and under
-// dirty pressure the governor widens the band so each batch commits
-// more dirty regions).
+// over the bound, and charges the node's DRAM. Crossing the high
+// watermark evicts in one batch down to the low watermark. Without the
+// eviction governor the band is one page wide at the bound (high = bound,
+// low = bound − page): evict while the next page would not fit. With it,
+// the band is structural hysteresis: faults then proceed eviction-free
+// until the high watermark is reached again, and under dirty pressure the
+// governor widens the band so each batch commits more dirty regions.
 func (v *Vector[T]) ensureSpace(pinned int64) {
 	ps := v.m.pageSize
-	if ctl := v.c.d.ctl; ctl != nil && ctl.cfg.Evict && v.pc.bound > 0 {
-		high := int64(ctl.acts.EvictHigh * float64(v.pc.bound))
+	if bound := v.pc.bound; bound > 0 {
+		high, low := bound, bound-ps
+		if ctl := v.c.d.ctl; ctl != nil && ctl.cfg.Evict {
+			high = int64(ctl.acts.EvictHigh * float64(bound))
+			low = min(int64(ctl.acts.EvictLow*float64(bound)), high-ps)
+		}
 		if v.pc.used+ps > high {
-			low := int64(ctl.acts.EvictLow * float64(v.pc.bound))
-			if low > high-ps {
-				low = high - ps
-			}
 			for v.pc.used > low {
 				victim := v.pc.victim(pinned)
 				if victim == nil {
@@ -828,14 +829,6 @@ func (v *Vector[T]) ensureSpace(pinned int64) {
 				}
 				v.evict(victim)
 			}
-		}
-	} else {
-		for v.pc.needsEviction(ps) {
-			victim := v.pc.victim(pinned)
-			if victim == nil {
-				break // everything else is pinned; soft bound overrun
-			}
-			v.evict(victim)
 		}
 	}
 	if err := v.c.node.Alloc(ps); err != nil {

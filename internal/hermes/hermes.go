@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"megammap/internal/blob"
 	"megammap/internal/cluster"
@@ -110,11 +109,11 @@ type Hermes struct {
 	// The map itself is process-wide (the simulation is single-threaded);
 	// the owning shard determines the charged lookup cost.
 	meta map[blob.ID]*Placement
-	// slab holds exactly meta's values, each at its Placement.slot, in no
-	// particular order (metaDrop swap-removes): the walk for whoever needs
-	// every placement and no order, which costs a slice scan where ranging
-	// over meta costs the map iterator — DecayScores does it every period.
-	slab []*Placement
+	// slab holds exactly meta's entries, each at its Placement.slot, in no
+	// particular order (metaDrop swap-removes): meta serves lookups, the
+	// slab every walk, a slice scan where ranging over meta costs the map
+	// iterator. A walk that needs an order sorts what it collects.
+	slab []slabEntry
 	ids  *blob.Interner // blob/vector name table
 
 	// free holds dropped records for store to hand out again.
@@ -122,17 +121,6 @@ type Hermes struct {
 	// has not come yet (sticky ones aside).
 	free        []*Placement
 	pinnedDrops int
-
-	// byNode indexes the primary blobs currently placed on each node,
-	// sorted in blob.Less order. The organizer walks these instead of
-	// collecting and re-sorting every key in the DMSH each period; they
-	// are maintained incrementally on placement changes.
-	byNode [][]blob.ID
-
-	// replCnt counts live node-local read replicas per primary blob
-	// (keyed by ID.Base()), so "does this blob have replicas?" is O(1)
-	// instead of probing one synthesized key per node.
-	replCnt map[blob.ID]int
 
 	// replicas is the number of backup copies kept on other nodes (the
 	// paper's §V node-failure extension); failed marks nodes whose data
@@ -229,14 +217,16 @@ type orgScratch struct {
 	// plans a move, and no pass re-packs after it.
 	repacked bool
 
-	entries []orgEntry // one node's primaries, re-pack only
+	entries []slabEntry // the live compute nodes' primaries, re-pack only
+	ends    []int       // where each node's run in entries ends, re-pack only
 	moves   []Move
 	out     []Move
-	budgets []int64        // per-tier capacity budget, indexed like tiers
+	budgets []int64        // per-tier capacity budget, indexed like tiers, built once
 	tierIdx map[string]int // tier name -> rank, built once
 }
 
-type orgEntry struct {
+// slabEntry is one slab slot: a blob's ID and its placement.
+type slabEntry struct {
 	id blob.ID
 	pl *Placement
 }
@@ -258,8 +248,6 @@ func New(c *cluster.Cluster, tiers []string) *Hermes {
 		tiers:     tiers,
 		meta:      make(map[blob.ID]*Placement),
 		ids:       blob.NewInterner(),
-		byNode:    make([][]blob.ID, len(c.Nodes)),
-		replCnt:   make(map[blob.ID]int),
 		failed:    make([]bool, len(c.Nodes)),
 		inc:       make([]int16, len(c.Nodes)),
 		queued:    make(map[blob.ID]bool),
@@ -269,6 +257,7 @@ func New(c *cluster.Cluster, tiers []string) *Hermes {
 		computes:  c.Computes(),
 		pools:     c.Pools(),
 	}
+	h.org.budgets = make([]int64, len(tiers))
 	h.org.tierIdx = make(map[string]int, len(tiers)+1)
 	for i, t := range tiers {
 		h.org.tierIdx[t] = i
@@ -366,23 +355,26 @@ func (h *Hermes) FailNode(id int) {
 	if h.replicas == 0 {
 		return // nothing to restore: no redundancy was configured
 	}
-	// Primaries on the dead node: the sorted per-node index.
-	for _, pid := range h.byNode[id] {
-		if !h.meta[pid].backed() {
+	// One slab pass collects the primaries on the dead node and those whose
+	// backups it held, each list sorted for a deterministic queue order,
+	// primaries first (crashes are rare; O(meta) is fine).
+	var prims, backs []blob.ID
+	for _, e := range h.slab {
+		switch {
+		case e.pl.Node != id:
+		case e.id.IsPrimary():
+			if !e.pl.backed() {
+				prims = append(prims, e.id)
+			}
+		case e.id.Kind == blob.KindBackup:
+			backs = append(backs, e.id.Base())
+		}
+	}
+	for _, lost := range [][]blob.ID{prims, backs} {
+		slices.SortFunc(lost, compareIDs)
+		for _, pid := range lost {
 			h.enqueueRepair(pid)
 		}
-	}
-	// Backups on the dead node: one pass over the metadata, sorted for a
-	// deterministic queue order (crashes are rare; O(meta) is fine).
-	var lost []blob.ID
-	for bid, pl := range h.meta {
-		if bid.Kind == blob.KindBackup && pl.Node == id {
-			lost = append(lost, bid.Base())
-		}
-	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i].Less(lost[j]) })
-	for _, pid := range lost {
-		h.enqueueRepair(pid)
 	}
 }
 
@@ -410,8 +402,15 @@ func (h *Hermes) reachable(pl *Placement) bool {
 }
 
 // hasReplicas reports whether any node-local read replica of the blob
-// exists.
-func (h *Hermes) hasReplicas(id blob.ID) bool { return h.replCnt[id.Base()] > 0 }
+// exists, probing one replica ID per node.
+func (h *Hermes) hasReplicas(id blob.ID) bool {
+	for n := range h.c.Nodes {
+		if _, ok := h.meta[id.Replica(n)]; ok {
+			return true
+		}
+	}
+	return false
+}
 
 // Tiers returns the managed tier names, fastest first.
 func (h *Hermes) Tiers() []string { return h.tiers }
@@ -466,66 +465,34 @@ func (h *Hermes) unpin(pl *Placement) {
 	}
 }
 
-// metaPut installs (or replaces) a blob's placement, maintaining the
-// slab, the per-node primary index and the replica counter. The placement
-// is stamped with its node's current incarnation.
+// metaPut installs (or replaces) a blob's placement and its slab slot.
+// The placement is stamped with its node's current incarnation.
 func (h *Hermes) metaPut(id blob.ID, pl *Placement) {
 	if old, ok := h.meta[id]; ok {
-		h.metaDrop(id, old)
+		h.metaDrop(old)
 	}
 	pl.Inc = h.inc[pl.Node]
 	pl.slot = int32(len(h.slab))
-	h.slab = append(h.slab, pl)
+	h.slab = append(h.slab, slabEntry{id, pl})
 	h.meta[id] = pl
-	if id.IsPrimary() {
-		h.idxInsert(pl.Node, id)
-	} else if id.Kind == blob.KindReplica {
-		h.replCnt[id.Base()]++
-	}
 }
 
-// metaDelete removes a blob's placement and its index contributions.
+// metaDelete removes a blob's placement and its slab slot.
 func (h *Hermes) metaDelete(id blob.ID) {
 	if pl, ok := h.meta[id]; ok {
-		h.metaDrop(id, pl)
+		h.metaDrop(pl)
 		delete(h.meta, id)
 	}
 }
 
-func (h *Hermes) metaDrop(id blob.ID, pl *Placement) {
+// metaDrop swap-removes a placement's slab slot and recycles the record.
+func (h *Hermes) metaDrop(pl *Placement) {
 	last := len(h.slab) - 1
 	h.slab[pl.slot] = h.slab[last]
-	h.slab[pl.slot].slot = pl.slot
-	h.slab[last] = nil
+	h.slab[pl.slot].pl.slot = pl.slot
+	h.slab[last] = slabEntry{}
 	h.slab = h.slab[:last]
-	if id.IsPrimary() {
-		h.idxRemove(pl.Node, id)
-	} else if id.Kind == blob.KindReplica {
-		base := id.Base()
-		if h.replCnt[base]--; h.replCnt[base] <= 0 {
-			delete(h.replCnt, base)
-		}
-	}
 	h.recycle(pl)
-}
-
-// idxInsert adds id to a node's sorted primary index.
-func (h *Hermes) idxInsert(node int, id blob.ID) {
-	s := h.byNode[node]
-	i := sort.Search(len(s), func(i int) bool { return !s[i].Less(id) })
-	if i == len(s) || s[i] != id {
-		h.byNode[node] = slices.Insert(s, i, id)
-	}
-}
-
-// idxRemove drops id from a node's sorted primary index.
-func (h *Hermes) idxRemove(node int, id blob.ID) {
-	s := h.byNode[node]
-	i := sort.Search(len(s), func(i int) bool { return !s[i].Less(id) })
-	if i >= len(s) || s[i] != id {
-		return
-	}
-	h.byNode[node] = append(s[:i], s[i+1:]...)
 }
 
 // lookup charges a metadata access from the given node and returns the
@@ -1344,9 +1311,9 @@ func (h *Hermes) DeviceOf(id blob.ID) *device.Device {
 // calls it between periods so stale hints age out. It also rotates the
 // locality hint history used for migration hysteresis.
 func (h *Hermes) DecayScores(f float64) {
-	for _, pl := range h.slab {
-		pl.Score *= f
-		pl.PrevScoreNode = pl.ScoreNode
+	for _, e := range h.slab {
+		e.pl.Score *= f
+		e.pl.PrevScoreNode = e.pl.ScoreNode
 	}
 }
 
@@ -1375,8 +1342,8 @@ func (h *Hermes) DecayScores(f float64) {
 //     off wait for the next pass; the others leave the list, and a later
 //     score lists them again.
 //
-// Replicas and backups are pinned: they never enter the per-node primary
-// indices or the candidate list. The pass reuses its scratch (h.org), so a
+// Replicas and backups are pinned: they never enter the re-pack's ranking
+// or the candidate list. The pass reuses its scratch (h.org), so a
 // steady-state pass allocates nothing; the returned slice is valid only
 // until the next PlanOrganize call.
 func (h *Hermes) PlanOrganize(budget int64) []Move {
@@ -1439,29 +1406,45 @@ func (h *Hermes) inbound(node int, tier string) (n int64) {
 func (h *Hermes) planRepack(budget int64) (spent int64) {
 	o := &h.org
 	o.moves = o.moves[:0]
-	if cap(o.budgets) < len(h.tiers) {
-		o.budgets = make([]int64, len(h.tiers))
-	}
-	o.budgets = o.budgets[:len(h.tiers)]
 	// Memory pools have no tier hierarchy to pack, and unreachable data
-	// cannot be reorganized.
-	for nodeID := 0; nodeID < h.computes; nodeID++ {
-		if !h.alive(nodeID) {
-			continue
+	// cannot be reorganized. One slab pass counts the primaries on each
+	// live compute node and a second lays them out node by node, so that
+	// ends[n] is where node n's run ends.
+	ends := slices.Grow(o.ends[:0], h.computes+1)[:h.computes+1]
+	clear(ends)
+	for _, e := range h.slab {
+		if h.repackable(e) {
+			ends[e.pl.Node+1]++
 		}
-		entries := o.entries[:0]
-		for _, id := range h.byNode[nodeID] {
-			entries = append(entries, orgEntry{id: id, pl: h.meta[id]})
+	}
+	for n := range h.computes {
+		ends[n+1] += ends[n]
+	}
+	entries := slices.Grow(o.entries[:0], ends[h.computes])[:ends[h.computes]]
+	for _, e := range h.slab {
+		if h.repackable(e) {
+			entries[ends[e.pl.Node]] = e
+			ends[e.pl.Node]++
 		}
-		o.entries = entries
-		// Hot blobs first; ties stay in the index's blob order.
-		slices.SortStableFunc(entries, func(a, b orgEntry) int { return cmp.Compare(b.pl.Score, a.pl.Score) })
+	}
+	o.ends, o.entries = ends, entries
+	start := 0
+	for nodeID := range h.computes {
+		run := entries[start:ends[nodeID]]
+		start = ends[nodeID]
+		// Hot blobs first, ties in blob order.
+		slices.SortFunc(run, func(a, b slabEntry) int {
+			if c := cmp.Compare(b.pl.Score, a.pl.Score); c != 0 {
+				return c
+			}
+			return compareIDs(a.id, b.id)
+		})
 		// Greedy pack into tiers fastest-first using capacity budgets that
 		// assume all of this node's blobs were lifted out.
 		for ti, t := range h.tiers {
 			o.budgets[ti] = h.c.Nodes[nodeID].Devices[t].Profile().Capacity
 		}
-		for _, e := range entries {
+		for _, e := range run {
 			placedTier := -1
 			for ti := range h.tiers {
 				if o.budgets[ti] >= e.pl.Size {
@@ -1493,6 +1476,23 @@ func (h *Hermes) planRepack(budget int64) (spent int64) {
 		o.out = append(o.out, m)
 	}
 	return spent
+}
+
+// repackable reports whether the tier re-pack ranks a slab entry: a
+// primary on a live compute node.
+func (h *Hermes) repackable(e slabEntry) bool {
+	return e.id.IsPrimary() && e.pl.Node < h.computes && h.alive(e.pl.Node)
+}
+
+// compareIDs is blob.Less as a three-way comparison, for slices.SortFunc.
+func compareIDs(a, b blob.ID) int {
+	switch {
+	case a == b:
+		return 0
+	case a.Less(b):
+		return -1
+	}
+	return 1
 }
 
 // Move is one planned blob relocation.
@@ -1546,18 +1546,14 @@ func (h *Hermes) move(p *vtime.Proc, id blob.ID, pl *Placement, node int, tier s
 	if err != nil || !ok {
 		return // the destination filled up concurrently, or the blob went
 	}
-	if id.IsPrimary() && pl.Node != node {
-		h.idxRemove(pl.Node, id)
-		h.idxInsert(node, id)
-	}
 	pl.Node, pl.Tier, pl.dev, pl.Inc = node, tier, dst, h.inc[node]
 	h.moved++
 	h.movedByte += int64(len(data))
 }
 
 // Release gives back everything the store placed: each blob its metadata
-// names leaves its device, uncharged, and the metadata, the indices over
-// it and the organizer's scratch go with it, so the tiers are as the store
+// names leaves its device, uncharged, and the metadata, the slab and the
+// organizer's scratch go with it, so the tiers are as the store
 // found them and nothing it held stays reachable. The owner calls it once
 // no process will touch the store again (core's Shutdown, after ending its
 // daemons). What describes the run rather than the contents stays
@@ -1566,16 +1562,14 @@ func (h *Hermes) move(p *vtime.Proc, id blob.ID, pl *Placement, node int, tier s
 // keeps answering with the usage at release.
 func (h *Hermes) Release() {
 	h.endUsage = h.TierUsage()
-	for id, pl := range h.meta {
-		if pl.dev != nil {
-			pl.dev.Drop(id) // a no-op for a placement whose bytes died with its node
+	for _, e := range h.slab {
+		if e.pl.dev != nil {
+			e.pl.dev.Drop(e.id) // a no-op for a placement whose bytes died with its node
 		}
 	}
 	h.meta = map[blob.ID]*Placement{}
-	h.replCnt = map[blob.ID]int{}
 	h.slab, h.free = nil, nil
-	clear(h.byNode)
-	h.org.cands, h.org.entries, h.org.moves, h.org.out = nil, nil, nil, nil
+	h.org.cands, h.org.entries, h.org.ends, h.org.moves, h.org.out = nil, nil, nil, nil, nil
 }
 
 // TierUsage sums used bytes per tier across nodes, reading the cluster's

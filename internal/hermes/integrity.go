@@ -20,10 +20,9 @@ import (
 //     lengths (concurrent writes and deletes of one key account from
 //     what they replace) and is at most its Capacity; with no process in
 //     flight it holds no reservation (device.Reserve);
-//   - the slab holds exactly the placements, each at its slot, and each
-//     placement's resolved device is the one its (node, tier) names;
-//   - the per-node primary indices mirror the primary placements;
-//   - replica counters match a recount of the replica placements;
+//   - the slab holds exactly the placements, each at its slot beside its
+//     ID, and each placement's resolved device is the one its (node, tier)
+//     names;
 //   - no primary has more backup copies than SetReplicas allows, and a
 //     backed one (PutBacked) has none;
 //   - the record lifecycle: no record in the metadata is marked dropped,
@@ -54,9 +53,7 @@ func (h *Hermes) CheckIntegrity() []string {
 	if len(h.slab) != len(h.meta) {
 		bad = append(bad, fmt.Sprintf("slab holds %d placements, metadata holds %d", len(h.slab), len(h.meta)))
 	}
-	replCnt := make(map[blob.ID]int, len(h.replCnt))
 	var backups map[blob.ID]int
-	primaries := 0
 	idle := h.c.Engine.Live() == 0
 	for id, pl := range h.meta {
 		if pl.flags&flagDropped != 0 {
@@ -65,18 +62,13 @@ func (h *Hermes) CheckIntegrity() []string {
 		if idle && pl.pins != 0 {
 			found = append(found, finding{id, fmt.Sprintf("blob %q's record is pinned %d times with no process in flight", h.DisplayName(id), pl.pins)})
 		}
-		if int(pl.slot) >= len(h.slab) || h.slab[pl.slot] != pl {
+		if int(pl.slot) >= len(h.slab) || h.slab[pl.slot] != (slabEntry{id, pl}) {
 			found = append(found, finding{id, fmt.Sprintf("blob %q is not at its slab slot %d", h.DisplayName(id), pl.slot)})
 		}
 		if pl.dev != h.device(pl.Node, pl.Tier) {
 			found = append(found, finding{id, fmt.Sprintf("blob %q resolved to a device other than node%d/%s", h.DisplayName(id), pl.Node, pl.Tier)})
 		}
-		switch {
-		case id.IsPrimary():
-			primaries++
-		case id.Kind == blob.KindReplica:
-			replCnt[id.Base()]++
-		case id.Kind == blob.KindBackup:
+		if id.Kind == blob.KindBackup {
 			if backups == nil {
 				backups = make(map[blob.ID]int)
 			}
@@ -144,35 +136,6 @@ func (h *Hermes) CheckIntegrity() []string {
 		}
 	}
 
-	// Primary indices mirror the primary placements.
-	idxTotal := 0
-	for node := range h.byNode {
-		for _, id := range h.byNode[node] {
-			idxTotal++
-			if pl, ok := h.meta[id]; !ok {
-				bad = append(bad, fmt.Sprintf("index entry %q on node %d has no placement", h.DisplayName(id), node))
-			} else if pl.Node != node {
-				bad = append(bad, fmt.Sprintf("index entry %q on node %d but placed on node %d", h.DisplayName(id), node, pl.Node))
-			}
-		}
-	}
-	if idxTotal != primaries {
-		bad = append(bad, fmt.Sprintf("primary index holds %d entries, metadata holds %d primaries", idxTotal, primaries))
-	}
-
-	// Replica counters match a recount.
-	for base, want := range replCnt {
-		if got := h.replCnt[base]; got != want {
-			found = append(found, finding{base, fmt.Sprintf("replica counter for %q is %d, recount is %d", h.DisplayName(base), got, want)})
-		}
-	}
-	for base, got := range h.replCnt {
-		if replCnt[base] == 0 {
-			found = append(found, finding{base, fmt.Sprintf("replica counter for %q is %d with no replica placements", h.DisplayName(base), got)})
-		}
-	}
-	flush()
-
 	// Backup counts respect the replication factor, and a backed primary
 	// has none.
 	for base, n := range backups {
@@ -193,7 +156,7 @@ func (h *Hermes) CheckIntegrity() []string {
 		if pl.pins != 0 {
 			bad = append(bad, fmt.Sprintf("free record %d is pinned %d times", i, pl.pins))
 		}
-		if int(pl.slot) < len(h.slab) && h.slab[pl.slot] == pl {
+		if int(pl.slot) < len(h.slab) && h.slab[pl.slot].pl == pl {
 			bad = append(bad, fmt.Sprintf("free record %d is still in the slab at slot %d", i, pl.slot))
 		}
 	}

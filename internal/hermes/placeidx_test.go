@@ -307,14 +307,14 @@ func churnSpec(computes int, topo topology.Spec) cluster.Spec {
 
 // slabMirrorsMeta is the placement slab's oracle, the map it shadows: the
 // slab is as long as meta, and every placement in meta sits at its own
-// slot (so the slab holds exactly meta's values) with the device its
-// (node, tier) names resolved.
+// slot beside its ID (so the slab holds exactly meta's entries) with the
+// device its (node, tier) names resolved.
 func slabMirrorsMeta(h *Hermes) error {
 	if len(h.slab) != len(h.meta) {
 		return fmt.Errorf("slab holds %d placements, meta %d", len(h.slab), len(h.meta))
 	}
 	for id, pl := range h.meta {
-		if int(pl.slot) >= len(h.slab) || h.slab[pl.slot] != pl {
+		if int(pl.slot) >= len(h.slab) || h.slab[pl.slot] != (slabEntry{id, pl}) {
 			return fmt.Errorf("%s is not at its slab slot %d", h.DisplayName(id), pl.slot)
 		}
 		if pl.dev != h.c.Nodes[pl.Node].Devices[pl.Tier] {

@@ -3,8 +3,11 @@ package hermes
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
+	"megammap/internal/blob"
 	"megammap/internal/vtime"
 )
 
@@ -23,22 +26,52 @@ func drainRepairs(t *testing.T, h *Hermes, p *vtime.Proc) {
 	}
 }
 
+// TestFailNodeEnqueuesLostCopies holds the repair queue's order after a
+// crash: the non-backed primaries that were on the dead node in blob
+// order, then the primaries whose backups it held, in blob order. The
+// blobs are put in an order other than their IDs', so the metadata holds
+// them out of blob order, and a backed primary on the node is skipped.
 func TestFailNodeEnqueuesLostCopies(t *testing.T) {
 	c, h := newHermes(3)
 	h.SetReplicas(1)
 	run(t, c, func(p *vtime.Proc) {
-		for i := 0; i < 6; i++ {
+		keys := make([]blob.ID, 9)
+		for i := range keys {
+			keys[i] = h.Key(fmt.Sprintf("v/%d", i))
+		}
+		for _, i := range []int{7, 2, 5, 0, 8, 3, 1, 6, 4} {
 			data := bytes.Repeat([]byte{byte(i)}, 512)
-			if err := h.Put(p, 0, h.Key(fmt.Sprintf("v/%d", i)), data, 1.0, i%3); err != nil {
+			if err := h.Put(p, 0, keys[i], data, 1.0, i%3); err != nil {
 				t.Fatal(err)
 			}
+		}
+		backed := h.Key("v/backed")
+		if err := h.PutBacked(p, 1, backed, []byte("backend holds these"), 1.0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if pl, _ := h.PlacementOf(backed); pl.Node != 1 {
+			t.Fatalf("setup: backed blob on node %d, want 1", pl.Node)
 		}
 		if got := h.UnderReplicated(); got != 0 {
 			t.Fatalf("under-replicated = %d before any failure", got)
 		}
+		var prims, backs []blob.ID
+		for _, id := range keys {
+			if pl, _ := h.PlacementOf(id); pl.Node == 1 {
+				prims = append(prims, id)
+			}
+			if bk, ok := h.PlacementOf(id.Backup(0)); ok && bk.Node == 1 {
+				backs = append(backs, id)
+			}
+		}
+		if len(prims) < 2 || len(backs) < 2 {
+			t.Fatalf("setup: node 1 holds %d primaries and %d backups, want 2 or more of each", len(prims), len(backs))
+		}
+		sort.Slice(prims, func(i, j int) bool { return prims[i].Less(prims[j]) })
+		sort.Slice(backs, func(i, j int) bool { return backs[i].Less(backs[j]) })
 		h.FailNode(1)
-		if h.UnderReplicated() == 0 {
-			t.Fatal("node 1 held copies, but nothing was enqueued for repair")
+		if want := append(prims, backs...); !slices.Equal(h.repairq, want) {
+			t.Errorf("repair queue %v, want %v", h.repairq, want)
 		}
 	})
 }
