@@ -30,26 +30,16 @@ func TestAggregatesMatchWalks(t *testing.T) {
 
 	check := func(stage string) {
 		t.Helper()
-		var used, peakSum, peakMax int64
+		var used int64
 		tierUsed := map[string]int64{}
 		for _, n := range c.Nodes {
 			used += n.dramUsed
-			peakSum += n.dramPeak
-			if n.dramPeak > peakMax {
-				peakMax = n.dramPeak
-			}
 			for name, d := range n.Devices {
 				tierUsed[name] += d.Used()
 			}
 		}
-		if got := c.DRAMUsed(); got != used {
-			t.Errorf("%s: DRAMUsed = %d, walk = %d", stage, got, used)
-		}
-		if got := c.TotalDRAMPeak(); got != peakSum {
-			t.Errorf("%s: TotalDRAMPeak = %d, walk = %d", stage, got, peakSum)
-		}
-		if got := c.MaxDRAMPeak(); got != peakMax {
-			t.Errorf("%s: MaxDRAMPeak = %d, walk = %d", stage, got, peakMax)
+		if got := c.agg.dramUsed; got != used {
+			t.Errorf("%s: dramUsed = %d, walk = %d", stage, got, used)
 		}
 		for _, ts := range spec.Tiers {
 			if got := c.TierUsed(ts.Name); got != tierUsed[ts.Name] {

@@ -79,8 +79,6 @@ func (e *ErrOOM) Error() string {
 // accounting are O(1) in the node count instead of per-node walks.
 type aggregates struct {
 	dramUsed    int64
-	dramPeakSum int64   // sum of per-node DRAM high-water marks
-	dramPeakMax int64   // largest per-node DRAM high-water mark
 	tierUsed    []int64 // per-tier stored bytes, indexed like Spec.Tiers
 	poolUsed    int64   // bytes stored across all memory-pool arenas
 	poolPeak    int64   // high-water mark of poolUsed
@@ -121,14 +119,8 @@ func (n *Node) Alloc(bytes int64) error {
 		return &ErrOOM{Node: n.ID, Need: bytes, Free: n.dramCap - n.dramUsed}
 	}
 	n.dramUsed += bytes
-	if a := n.agg; a != nil {
-		a.dramUsed += bytes
-		if n.dramUsed > n.dramPeak {
-			a.dramPeakSum += n.dramUsed - n.dramPeak
-			if n.dramUsed > a.dramPeakMax {
-				a.dramPeakMax = n.dramUsed
-			}
-		}
+	if n.agg != nil {
+		n.agg.dramUsed += bytes
 	}
 	if n.dramUsed > n.dramPeak {
 		n.dramPeak = n.dramUsed
@@ -582,18 +574,6 @@ func (c *Cluster) chargePFSNet(p *vtime.Proc, node int, bytes int64) {
 	prof := c.Fabric.Profile()
 	p.Sleep(prof.Latency + prof.PerMsg + vtime.BytesAt(bytes, prof.Bandwidth))
 }
-
-// TotalDRAMPeak sums the per-node DRAM high-water marks (maintained
-// incrementally; O(1)).
-func (c *Cluster) TotalDRAMPeak() int64 { return c.agg.dramPeakSum }
-
-// MaxDRAMPeak returns the largest per-node DRAM high-water mark
-// (maintained incrementally; O(1)).
-func (c *Cluster) MaxDRAMPeak() int64 { return c.agg.dramPeakMax }
-
-// DRAMUsed returns the bytes of DRAM currently allocated across all
-// nodes (maintained incrementally; O(1)).
-func (c *Cluster) DRAMUsed() int64 { return c.agg.dramUsed }
 
 // TierUsed returns the bytes currently stored on the named tier summed
 // across all nodes (maintained incrementally; O(1)). Unknown tiers

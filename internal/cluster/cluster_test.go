@@ -164,11 +164,11 @@ func TestClusterAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Nodes[1].Free(300)
-	if got := c.TotalDRAMPeak(); got != 400 {
-		t.Errorf("total peak = %d, want 400", got)
+	if got := c.agg.dramUsed; got != 100 {
+		t.Errorf("cluster DRAM used = %d, want 100", got)
 	}
-	if got := c.MaxDRAMPeak(); got != 300 {
-		t.Errorf("max peak = %d, want 300", got)
+	if p0, p1 := c.Nodes[0].DRAMPeak(), c.Nodes[1].DRAMPeak(); p0 != 100 || p1 != 300 {
+		t.Errorf("node peaks = %d, %d, want 100, 300", p0, p1)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"megammap/internal/blob"
@@ -40,7 +39,7 @@ type DSM struct {
 	barriers map[string]*barrierState
 	locks    map[string]*dsmLock
 	taskFree []*MemoryTask // recycled tasks; every fault/commit churns one
-	// busyChains counts the page chains (vecMeta.chains) with a task in
+	// busyChains counts the page chains (pageState.busy) with a task in
 	// flight; quiesce waits for zero.
 	busyChains int
 
@@ -74,7 +73,7 @@ type DSM struct {
 	// audit is what CheckInvariants found inside Shutdown, just before the
 	// state it audits was released.
 	audit []string
-	// stageWalk is held by a stager tick while it walks the dirty sets:
+	// stageWalk is held by a stager tick while it walks the page tables:
 	// submitting yields (a control round-trip to the page's owner), and
 	// Shutdown must not take its final walk past a page the tick has
 	// marked staging but not yet queued.
@@ -425,21 +424,19 @@ func (d *DSM) stagerLoop(p *vtime.Proc) {
 func (d *DSM) stageDirty(p *vtime.Proc, pages []int64, batch *taskBatch) []int64 {
 	for _, name := range d.vecNames() {
 		m := d.vecs[name]
-		if m == nil || m.backend == nil {
+		if m == nil || m.backend == nil || m.ndirty == 0 {
 			continue
 		}
-		// Pages with a stage-out in flight are left out before the sort,
-		// not after: while the backend is the bottleneck that is nearly
-		// every dirty page on nearly every tick.
+		// The vector's pages are taken before the first submit, which
+		// yields: a commit landing mid-walk waits for the next tick.
 		pages = pages[:0]
-		for pg := range m.dirty {
-			if !m.staging[pg] {
-				pages = append(pages, pg)
+		for pg := range m.pages {
+			if s := &m.pages[pg]; s.dirty && !s.staging {
+				pages = append(pages, int64(pg))
 			}
 		}
-		slices.Sort(pages)
 		for _, pg := range pages {
-			m.staging[pg] = true
+			m.pages[pg].staging = true
 			t := d.newTask()
 			t.kind, t.vec, t.page = taskStage, m, pg
 			if batch == nil {
@@ -541,7 +538,6 @@ type scrubTarget struct {
 func (d *DSM) scrubber() func(p *vtime.Proc) {
 	var batch taskBatch
 	var list []scrubTarget
-	var pages []int64 // one vector's checksummed pages
 	cursor := 0
 	return func(p *vtime.Proc) {
 		sp := d.trc.Enter(p, telemetry.OpScrub, -1, 0, 0)
@@ -550,15 +546,17 @@ func (d *DSM) scrubber() func(p *vtime.Proc) {
 		list = list[:0]
 		for _, name := range d.vecNames() {
 			m := d.vecs[name]
-			if m == nil || len(m.sums) == 0 {
+			if m == nil {
 				continue
 			}
-			pages = sortedKeys(pages, m.sums)
-			for _, pg := range pages {
-				if _, ok := d.h.NodeOf(m.pageID(pg)); !ok {
+			for pg := range m.pages {
+				if !m.pages[pg].summed {
+					continue
+				}
+				if _, ok := d.h.NodeOf(m.pageID(int64(pg))); !ok {
 					continue // not scache-resident; nothing at rest to verify
 				}
-				list = append(list, scrubTarget{m, pg})
+				list = append(list, scrubTarget{m, int64(pg)})
 			}
 		}
 		from, n, next := 0, len(list), 0
@@ -614,8 +612,9 @@ func (d *DSM) DirtyPages() int64 { return d.dirtyCount }
 // and commit elision go by, but no stage-out will ever clear it, so it
 // does not count towards write-back.
 func (d *DSM) markDirtyPage(m *vecMeta, pg int64) {
-	if !m.dirty[pg] {
-		m.dirty[pg] = true
+	if s := m.state(pg); !s.dirty {
+		s.dirty = true
+		m.ndirty++
 		if m.backend != nil {
 			d.dirtyCount++
 			d.gDirtyPages.Set(d.dirtyCount)
@@ -626,8 +625,9 @@ func (d *DSM) markDirtyPage(m *vecMeta, pg int64) {
 // clearDirtyPage removes a page's dirty mark after stage-out or
 // destruction, mirroring markDirtyPage's accounting.
 func (d *DSM) clearDirtyPage(m *vecMeta, pg int64) {
-	if m.dirty[pg] {
-		delete(m.dirty, pg)
+	if s := m.state(pg); s.dirty {
+		s.dirty = false
+		m.ndirty--
 		if m.backend != nil {
 			d.dirtyCount--
 			d.gDirtyPages.Set(d.dirtyCount)
@@ -655,13 +655,21 @@ func (d *DSM) vecNames() []string {
 	return d.vecOrder
 }
 
-// pageChain serializes the data-bearing tasks of one page in submission
-// order: one in flight, the followers queued behind it, linked through
-// MemoryTask.next so that queueing allocates nothing. Page-hashed workers
-// alone cannot guarantee the order, because the low/high-latency split and
-// cross-node routing may place same-page tasks on different workers. A
-// stage-out joins when its lane reaches it, and only for its scache read
-// (DSM.takeChain).
+// pageState is one slot of a vector's page table (vecMeta.pages): what
+// core knows of one page. Which nodes hold read replicas of it is hermes'
+// record alone (Hermes.NodeOf on the replica IDs).
+//
+// dirty marks a page modified since its last stage-out (vecMeta.ndirty
+// counts the marks), staging one with a stage-out in flight, and summed
+// one whose CRC-32 is recorded in sum (Config.ChecksumPages).
+//
+// busy, head and tail are the page's chain. It serializes the
+// data-bearing tasks of the page in submission order: one in flight, the
+// followers queued behind it, linked through MemoryTask.next so that
+// queueing allocates nothing. Page-hashed workers alone cannot guarantee
+// the order, because the low/high-latency split and cross-node routing
+// may place same-page tasks on different workers. A stage-out joins when
+// its lane reaches it, and only for its scache read (DSM.takeChain).
 //
 // version counts the changes to the page's scache bytes: every commit
 // that is not elided, and every destroy. Only the task running on the
@@ -671,43 +679,52 @@ func (d *DSM) vecNames() []string {
 // handle (Vector.id) whose cached image the bytes at this version are,
 // because its commit of the whole page was the last to reach them, or is
 // 0: that handle's copy stays current although its version lags.
-type pageChain struct {
-	busy       bool
-	head, tail *MemoryTask
-	version    uint64
-	writer     uint64
+//
+// The table holds values, so a slot pointer (state, chainOf) is good until
+// the table next grows: callers use it before they yield.
+type pageState struct {
+	busy, dirty, staging, summed bool
+	sum                          uint32
+	head, tail                   *MemoryTask
+	version, writer              uint64
+}
+
+// state returns page pg's slot, growing the table to cover the page and
+// the vector's length.
+func (m *vecMeta) state(pg int64) *pageState {
+	if n := max(pg+1, m.pageCount()); pg >= int64(len(m.pages)) {
+		m.pages = append(m.pages, make([]pageState, n-int64(len(m.pages)))...)
+	}
+	return &m.pages[pg]
 }
 
 // pageVersion returns page pg's scache version and writer
-// (pageChain.version, pageChain.writer): zero for a page no task has
+// (pageState.version, pageState.writer): zero for a page no task has
 // reached yet.
 func (m *vecMeta) pageVersion(pg int64) (version, writer uint64) {
-	if pg < int64(len(m.chains)) {
-		return m.chains[pg].version, m.chains[pg].writer
-	}
-	return 0, 0
+	s := m.state(pg)
+	return s.version, s.writer
 }
 
 // pageChanged bumps the version of a page whose scache bytes the task
 // running on its chain has just changed, and records the handle whose
 // cached image they now equal (0 for none).
 func (m *vecMeta) pageChanged(pg int64, writer uint64) {
-	m.chains[pg].version++
-	m.chains[pg].writer = writer
+	s := m.state(pg)
+	s.version++
+	s.writer = writer
 }
 
 // pageHeld records that an elided commit found page pg's scache bytes
 // equal to writer's cached image already; writer 0 records nothing.
 func (m *vecMeta) pageHeld(pg int64, writer uint64) {
 	if writer != 0 {
-		m.chains[pg].writer = writer
+		m.state(pg).writer = writer
 	}
 }
 
-// chainOf returns the chain of the page a task addresses: a slot of its
-// vector's page table, reached through the vecMeta the task carries and
-// grown here to cover the page. Slots are values, so the pointer is good
-// until the table next grows: callers use it before they yield.
+// chainOf returns the slot of the page a task addresses, whose busy, head
+// and tail are its chain, reached through the vecMeta the task carries.
 //
 // It is nil for the one task with no vector behind it, an organizer move
 // of a blob that is not a page of an open vector. Only a blob put through
@@ -717,7 +734,7 @@ func (m *vecMeta) pageHeld(pg int64, writer uint64) {
 // vecMeta), the organizer plans at most one move per blob per pass and no
 // pass while a move is pending, so the move has nothing to be ordered
 // against and runs unchained.
-func (d *DSM) chainOf(t *MemoryTask) *pageChain {
+func (d *DSM) chainOf(t *MemoryTask) *pageState {
 	m, pg := t.vec, t.page
 	if t.kind == taskMove {
 		m, pg = t.moveVec, t.move.ID.Page
@@ -725,10 +742,7 @@ func (d *DSM) chainOf(t *MemoryTask) *pageChain {
 	if m == nil {
 		return nil
 	}
-	if n := max(pg+1, m.pageCount()); pg >= int64(len(m.chains)) {
-		m.chains = append(m.chains, make([]pageChain, n-int64(len(m.chains)))...)
-	}
-	return &m.chains[pg]
+	return m.state(pg)
 }
 
 // owner returns the node whose runtime executes a task on id submitted
@@ -808,7 +822,7 @@ func (d *DSM) submit(p *vtime.Proc, t *MemoryTask) {
 
 // enterChain gives t the page's chain and reports true when the chain is
 // free; otherwise it queues t behind the tasks already on it.
-func (d *DSM) enterChain(ch *pageChain, t *MemoryTask) bool {
+func (d *DSM) enterChain(ch *pageState, t *MemoryTask) bool {
 	if ch.busy {
 		if ch.tail == nil {
 			ch.head = t
@@ -999,7 +1013,7 @@ func (d *DSM) stageOut(p *vtime.Proc, t *MemoryTask, node int) (err error) {
 	m, page := t.vec, t.page
 	sp := d.trc.Enter(p, telemetry.OpStageOut, node, m.id, page)
 	defer func() { sp.Exit(p, m.pageSize, err != nil) }()
-	defer delete(m.staging, page)
+	defer func() { m.state(page).staging = false }()
 	// The image only passes through on its way to the backend, which
 	// stores its own copy.
 	buf := d.getBuf(m.pageSize)
@@ -1045,13 +1059,9 @@ type vecMeta struct {
 	epp      int64 // elements per page
 	length   int64 // logical length in elements
 	backend  stager.Backend
-	dirty    map[int64]bool         // pages modified since last stage-out
-	staging  map[int64]bool         // pages with an in-flight stage task
-	replicas map[int64]map[int]bool // page -> nodes holding replicas
-	sums     map[int64]uint32       // page CRC-32s (ChecksumPages mode)
-	chains   []pageChain            // page table of task chains, indexed by page (chainOf)
-	flags    AccessFlags            // current phase intent (last TxBegin)
-	prefetch bool                   // run the prefetcher (off: DisablePrefetch or an irregular hint)
+	pages    []pageState // page table, indexed by page (state)
+	ndirty   int64       // slots marked dirty
+	prefetch bool        // run the prefetcher (off: DisablePrefetch or an irregular hint)
 
 	appendsSinceRT int64 // appends since the last length-reservation round-trip
 

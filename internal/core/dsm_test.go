@@ -445,8 +445,7 @@ func TestReadOnlyReplication(t *testing.T) {
 				// should have been installed locally.
 				reps := 0
 				for pg := int64(0); pg < 2; pg++ {
-					m := d.vecs["shared"]
-					if m.replicas[pg] != nil && m.replicas[pg][1] {
+					if ReplicasOf(d, "shared")[pg][1] {
 						reps++
 					}
 				}
@@ -467,8 +466,11 @@ func TestReadOnlyReplication(t *testing.T) {
 	}
 }
 
+// TestWriteInvalidatesReplicas: a read-only global phase leaves a replica
+// of each page on both reading nodes; a rewrite deletes every one of them,
+// as hermes records them, and a reread on either node sees the new values.
 func TestWriteInvalidatesReplicas(t *testing.T) {
-	const nodes = 2
+	const nodes, n = 3, 1024 // two 4 KB pages, their primaries on node 0
 	c, d := newTestDSM(t, nodes)
 	for r := 0; r < nodes; r++ {
 		r := r
@@ -480,50 +482,59 @@ func TestWriteInvalidatesReplicas(t *testing.T) {
 				return
 			}
 			if r == 0 {
-				v.Resize(512)
-				v.SeqTxBegin(0, 512, WriteOnly)
-				for i := int64(0); i < 512; i++ {
+				v.Resize(n)
+				v.SeqTxBegin(0, n, WriteOnly)
+				for i := int64(0); i < n; i++ {
 					v.Set(i, 1)
 				}
 				v.TxEnd()
 			}
 			cl.Barrier("init", nodes)
-			// Read-only phase replicates onto node 1.
-			v.SeqTxBegin(0, 512, ReadOnly|Global)
+			// Read-only phase replicates onto nodes 1 and 2.
+			v.SeqTxBegin(0, n, ReadOnly|Global)
 			var sum int64
-			for i := int64(0); i < 512; i++ {
+			for i := int64(0); i < n; i++ {
 				sum += v.Get(i)
 			}
 			v.TxEnd()
-			if sum != 512 {
-				t.Errorf("rank %d: first-phase sum = %d, want 512", r, sum)
+			if sum != n {
+				t.Errorf("rank %d: first-phase sum = %d, want %d", r, sum, n)
 			}
 			cl.Barrier("phase1", nodes)
 			// Phase change: rank 0 rewrites; replicas must be invalidated.
 			if r == 0 {
-				v.SeqTxBegin(0, 512, WriteOnly)
-				for i := int64(0); i < 512; i++ {
+				pages := v.m.pageCount()
+				for pg := range pages {
+					if reps := ReplicasOf(d, "inv")[pg]; len(reps) != nodes-1 || reps[0] {
+						t.Errorf("page %d: replicas on %v before the rewrite, want nodes 1 and 2", pg, reps)
+					}
+				}
+				v.SeqTxBegin(0, n, WriteOnly)
+				for i := int64(0); i < n; i++ {
 					v.Set(i, 2)
 				}
 				v.TxEnd()
+				for pg := range pages {
+					if reps := ReplicasOf(d, "inv")[pg]; len(reps) != 0 {
+						t.Errorf("page %d: replicas on %v after the rewrite, want none", pg, reps)
+					}
+				}
 			}
 			cl.Barrier("phase2", nodes)
-			if r == 1 {
-				v.BoundMemory(v.PageSize()) // drop pcache residency quickly
-				// Drop everything currently cached so reads refault.
-				v.Resize(512) // no-op resize; pcache untouched
+			if r != 0 {
+				// Drop everything cached so reads refault.
 				for _, cp := range v.pc.pages {
 					v.dropPage(cp)
 				}
 				v.setLast(nil)
-				v.SeqTxBegin(0, 512, ReadOnly|Global)
+				v.SeqTxBegin(0, n, ReadOnly|Global)
 				sum = 0
-				for i := int64(0); i < 512; i++ {
+				for i := int64(0); i < n; i++ {
 					sum += v.Get(i)
 				}
 				v.TxEnd()
-				if sum != 1024 {
-					t.Errorf("stale replica served: sum = %d, want 1024", sum)
+				if sum != 2*n {
+					t.Errorf("rank %d: stale replica served: sum = %d, want %d", r, sum, 2*n)
 				}
 			}
 			cl.Barrier("done", nodes)
@@ -537,6 +548,7 @@ func TestWriteInvalidatesReplicas(t *testing.T) {
 	if err := c.Engine.Run(); err != nil {
 		t.Fatal(err)
 	}
+	auditDSM(t, d)
 }
 
 func TestPrefetchReducesSyncFaults(t *testing.T) {

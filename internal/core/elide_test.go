@@ -245,7 +245,7 @@ func TestChecksummedCommitElision(t *testing.T) {
 				if !whole {
 					pick = one(v)
 				}
-				sum, ok := v.m.sums[1]
+				sum, ok := v.m.pages[1].sum, v.m.pages[1].summed
 				if !ok {
 					t.Fatal("staged page 1 has no recorded CRC")
 				}
@@ -254,7 +254,7 @@ func TestChecksummedCommitElision(t *testing.T) {
 				if got := scacheWrites(d); got != writes {
 					t.Errorf("an unchanged checksummed commit wrote the scache %d times", got-writes)
 				}
-				if v.m.sums[1] != sum {
+				if v.m.pages[1].sum != sum {
 					t.Error("an unchanged commit changed the stored CRC")
 				}
 				if n, dirty := d.CommitsElided(), d.DirtyPages(); n != 1 || dirty != 0 {
@@ -265,7 +265,7 @@ func TestChecksummedCommitElision(t *testing.T) {
 				if scacheWrites(d) == writes {
 					t.Error("a changed checksummed commit wrote nothing")
 				}
-				if v.m.sums[1] == sum {
+				if v.m.pages[1].sum == sum {
 					t.Error("a changed commit kept the old CRC")
 				}
 				if n, dirty := d.CommitsElided(), d.DirtyPages(); n != 1 || dirty != 1 {

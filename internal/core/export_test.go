@@ -21,12 +21,25 @@ func (d *DSM) HealthStates() []control.HealthState {
 	return out
 }
 
-// ReplicasOf returns the named vector's replica map: page -> nodes.
+// ReplicasOf returns the nodes holding a read replica of each page of the
+// named vector, as hermes records them: page -> nodes.
 func ReplicasOf(d *DSM, name string) map[int64]map[int]bool {
-	if m := d.vecs[name]; m != nil {
-		return m.replicas
+	m := d.vecs[name]
+	if m == nil {
+		return nil
 	}
-	return nil
+	out := make(map[int64]map[int]bool)
+	for pg := range int64(len(m.pages)) {
+		for n := range d.c.Nodes {
+			if _, ok := d.h.NodeOf(m.replicaID(pg, n)); ok {
+				if out[pg] == nil {
+					out[pg] = make(map[int]bool)
+				}
+				out[pg][n] = true
+			}
+		}
+	}
+	return out
 }
 
 // PageID returns the scache key of the named vector's page pg.

@@ -219,7 +219,7 @@ func TestCorruptionRepairedFromBackend(t *testing.T) {
 		v.Close()
 		// Wait for the background stager to persist every page: the repair
 		// only trusts the backend for clean (staged-out) pages.
-		for i := 0; len(d.vecs[url].dirty) > 0; i++ {
+		for i := 0; d.vecs[url].ndirty > 0; i++ {
 			if i > 100 {
 				t.Fatal("stager did not drain dirty pages")
 			}

@@ -34,9 +34,12 @@ func (d *DSM) dropHandle(h vectorHandle) {
 //   - no pcache page of any opened vector still carries dirty ranges
 //     (Shutdown must have committed everything);
 //   - no vector has an in-flight staging task recorded;
-//   - the scache is internally consistent: every blob reachable from
-//     exactly one primary placement, indices mirror metadata, and replica
-//     counts match what SetReplicas promised (hermes.CheckIntegrity).
+//   - the scache is internally consistent (hermes.CheckIntegrity): every
+//     reachable placement points at a stored blob of its size, every
+//     stored blob is reachable from exactly one placement, device usage
+//     adds up, the slab mirrors the metadata, no primary has more backups
+//     than SetReplicas allows, and no placement record is leaked or
+//     reachable once freed.
 func (d *DSM) CheckInvariants() []string {
 	if d.shutdown {
 		return d.audit
@@ -52,9 +55,14 @@ func (d *DSM) checkInvariants() []string {
 		}
 	}
 	for _, name := range d.vecNames() {
-		m := d.vecs[name]
-		if len(m.staging) > 0 {
-			out = append(out, fmt.Sprintf("vector %s: %d page(s) marked staging after shutdown", name, len(m.staging)))
+		staging := 0
+		for _, s := range d.vecs[name].pages {
+			if s.staging {
+				staging++
+			}
+		}
+		if staging > 0 {
+			out = append(out, fmt.Sprintf("vector %s: %d page(s) marked staging after shutdown", name, staging))
 		}
 	}
 	out = append(out, d.h.CheckIntegrity()...)

@@ -2,12 +2,14 @@ package core
 
 // Tests of the structures a page operation finds by index instead of by
 // hashing its ID (DESIGN.md "what a fault still looks up, and why"): the
-// per-vector table of page chains, and the handle's page listings, each
+// per-vector page table, and the handle's page listings, each
 // held against what the map it replaced would have answered.
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"megammap/internal/hermes"
 	"megammap/internal/telemetry"
@@ -57,7 +59,7 @@ func writeTask(d *DSM, m *vecMeta, pg int64, origin int, val int64, whole bool) 
 }
 
 // queued counts the tasks waiting behind a chain's running one.
-func queued(ch *pageChain) int {
+func queued(ch *pageState) int {
 	n := 0
 	for t := ch.head; t != nil; t = t.next {
 		n++
@@ -65,11 +67,34 @@ func queued(ch *pageChain) int {
 	return n
 }
 
-// chainsIdle reports every slot of a vector's chain table that is busy or
+// stagingCount counts the slots of a vector's page table with a stage-out
+// in flight.
+func stagingCount(m *vecMeta) int {
+	n := 0
+	for _, s := range m.pages {
+		if s.staging {
+			n++
+		}
+	}
+	return n
+}
+
+// sortedKeys returns m's keys in ascending order, in dst's storage when
+// it is large enough (dst's contents are overwritten; nil is fine).
+func sortedKeys[V any](dst []int64, m map[int64]V) []int64 {
+	dst = slices.Grow(dst[:0], len(m))
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+// chainsIdle reports every slot of a vector's page table that is busy or
 // has a task queued.
 func chainsIdle(t *testing.T, d *DSM, m *vecMeta) {
 	t.Helper()
-	for pg, ch := range m.chains {
+	for pg, ch := range m.pages {
 		if ch.busy || ch.head != nil || ch.tail != nil {
 			t.Errorf("%s page %d: chain left behind: busy %v, %d queued", m.name, pg, ch.busy, queued(&ch))
 		}
@@ -114,7 +139,7 @@ func TestPageChainRunsInSubmissionOrder(t *testing.T) {
 		for _, task := range tasks {
 			d.submit(p, task)
 		}
-		if ch := &m.chains[pg]; !ch.busy || queued(ch) != len(tasks)-1 {
+		if ch := &m.pages[pg]; !ch.busy || queued(ch) != len(tasks)-1 {
 			t.Fatalf("after %d submissions the chain is busy=%v with %d queued: the first read did not hold the page", len(tasks), ch.busy, queued(ch))
 		}
 		for i, task := range tasks {
@@ -172,17 +197,17 @@ func TestPageChainSlotSurvivesTableGrowth(t *testing.T) {
 		running, waiting := readTask(d, m, 1, 0), readTask(d, m, 1, 0)
 		d.submit(p, running) // same node: nothing yields, so it is still in flight below
 		d.submit(p, waiting)
-		room := cap(m.chains)
+		room := cap(m.pages)
 		v.Resize(64 * m.epp)
 		far := readTask(d, m, int64(room)+7, 0)
 		d.submit(p, far)
-		if cap(m.chains) == room {
+		if cap(m.pages) == room {
 			t.Fatalf("a task for page %d did not grow a table with room for %d", far.page, room)
 		}
-		if ch := m.chains[1]; !ch.busy || ch.head != waiting || ch.tail != waiting {
+		if ch := m.pages[1]; !ch.busy || ch.head != waiting || ch.tail != waiting {
 			t.Errorf("page 1's chain after the table grew: busy %v, head %p, tail %p; want busy with %p queued", ch.busy, ch.head, ch.tail, waiting)
 		}
-		if !m.chains[far.page].busy {
+		if !m.pages[far.page].busy {
 			t.Errorf("page %d's chain is not busy with its task in flight", far.page)
 		}
 		for _, task := range []*MemoryTask{running, waiting, far} {
@@ -212,8 +237,8 @@ func TestPageChainsGoWithTheirVector(t *testing.T) {
 		v := chainVector(t, cl, "reborn", 8)
 		m, id := v.m, v.m.pageID(pg)
 		v.Resize(4 * m.epp) // pages 4..7 stay in the scache
-		if len(m.chains) < 8 {
-			t.Errorf("chain table has %d slots after Resize down, want the 8 it grew to", len(m.chains))
+		if len(m.pages) < 8 {
+			t.Errorf("page table has %d slots after Resize down, want the 8 it grew to", len(m.pages))
 		}
 		chainsIdle(t, d, m)
 
@@ -226,8 +251,8 @@ func TestPageChainsGoWithTheirVector(t *testing.T) {
 		mv := d.newMoveTask(hermes.Move{ID: id, Node: 0, Tier: "nvme"})
 		mv.recycle = false
 		d.submit(p, mv)
-		if mv.moveVec != m || m.chains[pg].head != mv {
-			t.Fatalf("the move is not queued on its vector's chain (moveVec %p, head %p)", mv.moveVec, m.chains[pg].head)
+		if mv.moveVec != m || m.pages[pg].head != mv {
+			t.Fatalf("the move is not queued on its vector's chain (moveVec %p, head %p)", mv.moveVec, m.pages[pg].head)
 		}
 		v.Destroy()
 
@@ -235,8 +260,8 @@ func TestPageChainsGoWithTheirVector(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v2.m == m || len(v2.m.chains) != 0 {
-			t.Fatalf("re-Open: same meta %v, %d chain slots; want a new vector with none", v2.m == m, len(v2.m.chains))
+		if v2.m == m || len(v2.m.pages) != 0 {
+			t.Fatalf("re-Open: same meta %v, %d chain slots; want a new vector with none", v2.m == m, len(v2.m.pages))
 		}
 		v2.Resize(8 * m.epp)
 		w := writeTask(d, v2.m, pg, 0, 77, true)
@@ -244,10 +269,10 @@ func TestPageChainsGoWithTheirVector(t *testing.T) {
 		if mv.done.Fired() {
 			t.Fatal("the move ran before the vector was destroyed and opened again: the blocker was too fast for the scenario")
 		}
-		if ch := v2.m.chains[pg]; !ch.busy || ch.head != nil {
+		if ch := v2.m.pages[pg]; !ch.busy || ch.head != nil {
 			t.Errorf("the new vector's first task on page %d: busy %v, %d queued; want it dispatched at once", pg, ch.busy, queued(&ch))
 		}
-		if m.chains[pg].head != mv {
+		if m.pages[pg].head != mv {
 			t.Error("the destroyed vector's chain no longer holds its move")
 		}
 		for _, task := range []*MemoryTask{w, blocker, mv} {
@@ -317,7 +342,7 @@ func TestContendedPageChainAllocatesNothing(t *testing.T) {
 				task.recycle = true
 				cl.submitAsync(task)
 			}
-			if queued(&v.m.chains[3]) != depth-1 {
+			if queued(&v.m.pages[3]) != depth-1 {
 				uncontended++
 			}
 			cl.Drain()
@@ -417,5 +442,93 @@ func TestPageListingsMatchReferenceMap(t *testing.T) {
 			}
 		}
 		v.Close()
+	})
+}
+
+// TestPageTableCountsMatchFlags: at every point of rest the page table's
+// counts agree with its slots — each vector's ndirty with its dirty slots,
+// DirtyPages with the backed vectors' ndirty — and no slot is left
+// staging, through commits, stage-outs, a Resize and a Destroy. A slot
+// stays 40 bytes.
+func TestPageTableCountsMatchFlags(t *testing.T) {
+	if n := unsafe.Sizeof(pageState{}); n != 40 {
+		t.Errorf("pageState is %d bytes, want 40", n)
+	}
+	const epp = 512 // 4 KB pages of int64
+	c, d := lanesDSM(t, 2, 0, 0)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		check := func(when string, wantDirty int64) {
+			t.Helper()
+			var backed int64
+			for _, name := range d.vecNames() {
+				m := d.vecs[name]
+				var dirty int64
+				for pg, s := range m.pages {
+					if s.dirty {
+						dirty++
+					}
+					if s.staging {
+						t.Errorf("%s: %s page %d still marked staging", when, name, pg)
+					}
+				}
+				if m.ndirty != dirty {
+					t.Errorf("%s: %s counts %d dirty pages, its slots mark %d", when, name, m.ndirty, dirty)
+				}
+				if m.backend != nil {
+					backed += m.ndirty
+				}
+			}
+			if got := d.DirtyPages(); got != backed || got != wantDirty {
+				t.Errorf("%s: DirtyPages %d, backed vectors count %d, want %d", when, got, backed, wantDirty)
+			}
+		}
+		stage := func() {
+			var batch taskBatch
+			d.stageDirty(p, nil, &batch)
+			if _, err := batch.wait(d, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Each rewrite stores new values: a commit of the bytes the scache
+		// holds already is elided and dirties nothing.
+		round := int64(0)
+		writeRange := func(v *Vector[int64], off, n int64) {
+			round++
+			v.SeqTxBegin(off, n, WriteOnly)
+			for i := off; i < off+n; i++ {
+				v.Set(i, i+round<<32)
+			}
+			v.TxEnd()
+		}
+		cl := d.NewClient(p, 0)
+		a := openInt64(t, cl, "file:///table/a.bin", 8*epp)
+		b := openInt64(t, cl, "file:///table/b.bin", 4*epp)
+		vol := openInt64(t, cl, "table/volatile", 4*epp)
+		check("opened", 0)
+		fill(a, func(i int64) int64 { return i })
+		fill(b, func(i int64) int64 { return -i })
+		fill(vol, func(i int64) int64 { return 2 * i })
+		check("after the first commits", 12)
+		if vol.m.ndirty != 4 {
+			t.Errorf("the volatile vector counts %d dirty pages, want 4", vol.m.ndirty)
+		}
+		stage()
+		check("after a stage-out", 0)
+		writeRange(a, 2*epp, 5*epp) // pages 2..6
+		check("after a rewrite", 5)
+		a.Resize(3 * epp) // pages 3..6 stay dirty beyond the end
+		check("after Resize down", 5)
+		stage()
+		check("after the stage-out past the end", 0)
+		writeRange(b, 0, 2*epp)
+		writeRange(a, 0, epp)
+		check("before Destroy", 3)
+		b.Destroy()
+		check("after Destroy", 1)
+		a.Resize(6 * epp)
+		writeRange(a, 4*epp, 2*epp)
+		check("after Resize up", 3)
+		stage()
+		check("after the last stage-out", 0)
 	})
 }

@@ -213,15 +213,13 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 	// requesting node.
 	if t.replicate {
 		rkey := m.replicaID(t.page, t.origin)
-		if nodes := m.replicas[t.page]; nodes != nil && nodes[t.origin] {
+		if _, held := r.d.h.NodeOf(rkey); held {
 			if data, ok, err := r.d.h.GetInto(p, t.origin, rkey, buf); err == nil && ok {
 				data = fullPage(data, buf, m.pageSize)
-				want, sok := m.sums[t.page]
-				if r.d.cfg.ChecksumPages && sok && crc32.ChecksumIEEE(data) != want {
+				if s := m.state(t.page); r.d.cfg.ChecksumPages && s.summed && crc32.ChecksumIEEE(data) != s.sum {
 					// Corrupt local replica: drop it and fall through to
 					// the primary, whose verify-and-repair runs below.
 					r.d.h.Delete(p, t.origin, rkey)
-					delete(m.replicas[t.page], t.origin)
 				} else {
 					r.d.replicaHits++
 					return data, nil
@@ -231,7 +229,7 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 		r.d.replicaMisses++
 	}
 	data, ok, err := r.d.h.GetInto(p, r.node.ID, key, buf)
-	if err != nil && errors.Is(err, faults.ErrNodeDown) && !m.dirty[t.page] {
+	if err != nil && errors.Is(err, faults.ErrNodeDown) && !m.state(t.page).dirty {
 		// The primary died with its node, but the page was not modified
 		// since its last stage-out, so the backend (or zero fill, for a
 		// never-written volatile page) still holds the truth: recover by
@@ -256,7 +254,7 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 		data = fullPage(data, buf, m.pageSize)
 	}
 	if r.d.cfg.ChecksumPages {
-		if want, ok := m.sums[t.page]; ok && crc32.ChecksumIEEE(data) != want {
+		if s := m.state(t.page); s.summed && crc32.ChecksumIEEE(data) != s.sum {
 			// Verify BEFORE any reinstall: if the scache lost the primary
 			// (e.g. a node restarted between commits) the staged image is
 			// stale or zero fill, and re-Putting it would propagate the
@@ -264,7 +262,7 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 			// good copy instead; repairPage reinstalls the primary itself.
 			// buf's corrupt image is no use to anyone: the repair reads its
 			// candidates over it.
-			good, rerr := r.repairPage(p, m, t.page, want, buf)
+			good, rerr := r.repairPage(p, m, t.page, s.sum, buf)
 			if rerr != nil {
 				r.d.putBuf(buf)
 				return nil, rerr
@@ -278,7 +276,8 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 			// The image is the backend's, so its CRC is the page's checksum:
 			// faults and the scrubber verify the scache copy against it, and
 			// a mismatch re-stages (repairSource).
-			m.sums[t.page] = crc32.ChecksumIEEE(data)
+			s := m.state(t.page)
+			s.sum, s.summed = crc32.ChecksumIEEE(data), true
 		}
 		// Install near the origin so future faults stay local. The backend
 		// (or zero fill) still holds this image, so it needs no backup until
@@ -288,13 +287,7 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 	}
 	if t.replicate {
 		if node, ok := r.d.h.NodeOf(key); ok && node != t.origin {
-			rkey := m.replicaID(t.page, t.origin)
-			if r.d.h.PutLocal(p, t.origin, rkey, data, 0.4) {
-				if m.replicas[t.page] == nil {
-					m.replicas[t.page] = make(map[int]bool)
-				}
-				m.replicas[t.page][t.origin] = true
-			}
+			r.d.h.PutLocal(p, t.origin, m.replicaID(t.page, t.origin), data, 0.4)
 		}
 	}
 	// The requester sits on t.origin; hermes charged movement relative to
@@ -352,7 +345,7 @@ func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint3
 			}
 		}
 	}
-	if m.backend != nil && !m.dirty[page] {
+	if m.backend != nil && !m.state(page).dirty {
 		if data, err := r.stageIn(p, m, page, buf); err == nil && crc32.ChecksumIEEE(data) == want {
 			r.d.inj.Note("core.repair_restage")
 			return data, true, nil
@@ -417,7 +410,7 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 	key := m.pageID(t.page)
 	whole := len(t.regions) == 1 && t.regions[0].off == 0 && t.regions[0].end >= m.pageSize
 	// A whole-page commit leaves the scache holding the committer's cached
-	// image, elided or not (pageChain.writer).
+	// image, elided or not (pageState.writer).
 	var writer uint64
 	if whole {
 		writer = t.writer
@@ -440,7 +433,7 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 		if err := r.d.h.PutAt(p, r.node.ID, key, reg.off, t.data[reg.off:reg.end]); err != nil {
 			// A clean page's lost copy merges onto the backend image; a
 			// device that cannot take the growth, onto the stored copy.
-			lost := errors.Is(err, faults.ErrNodeDown) && !m.dirty[t.page]
+			lost := errors.Is(err, faults.ErrNodeDown) && !m.state(t.page).dirty
 			if !lost && !outgrown(err) {
 				return err
 			}
@@ -462,7 +455,7 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 		var sum uint32
 		if sums {
 			sum = crc32.ChecksumIEEE(image)
-			if want, ok := m.sums[t.page]; ok && sum == want && r.holds(m, t.page, image, nil, true) {
+			if s := m.state(t.page); s.summed && sum == s.sum && r.holds(m, t.page, image, nil, true) {
 				r.d.counts[r.node.ID].commitsElided++
 				m.pageHeld(t.page, writer)
 				return nil
@@ -472,12 +465,13 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 			return err
 		}
 		if sums {
-			m.sums[t.page] = sum
+			s := m.state(t.page)
+			s.sum, s.summed = sum, true
 		}
 	}
 	m.pageChanged(t.page, writer)
 	r.d.markDirtyPage(m, t.page)
-	r.invalidateReplicas(p, m, t.page)
+	r.d.h.DeleteReplicas(p, r.node.ID, key)
 	return nil
 }
 
@@ -508,7 +502,7 @@ func (r *Runtime) holds(m *vecMeta, page int64, data []byte, regions []dirtyRang
 			}
 		}
 	}
-	return m.backend == nil || m.dirty[page] || min((page+1)*m.pageSize, m.sizeBytes()) <= m.backend.Size()
+	return m.backend == nil || m.state(page).dirty || min((page+1)*m.pageSize, m.sizeBytes()) <= m.backend.Size()
 }
 
 // mergeImage lays a commit's dirty regions over the page's base image in
@@ -523,7 +517,7 @@ func (r *Runtime) mergeImage(p *vtime.Proc, t *MemoryTask, held bool, buf []byte
 	ok := false
 	if held {
 		image, ok, err = r.d.h.GetInto(p, r.node.ID, m.pageID(t.page), buf)
-		if err != nil && !(errors.Is(err, faults.ErrNodeDown) && !m.dirty[t.page]) {
+		if err != nil && !(errors.Is(err, faults.ErrNodeDown) && !m.state(t.page).dirty) {
 			return nil, err
 		}
 	}
@@ -541,24 +535,12 @@ func (r *Runtime) mergeImage(p *vtime.Proc, t *MemoryTask, held bool, buf []byte
 	return image[:end], nil
 }
 
-// invalidateReplicas removes every replica of a page (write-after-read
-// phase change coherence).
-func (r *Runtime) invalidateReplicas(p *vtime.Proc, m *vecMeta, page int64) {
-	nodes := m.replicas[page]
-	if len(nodes) == 0 {
-		return
-	}
-	for node := range nodes {
-		r.d.h.Delete(p, r.node.ID, m.replicaID(page, node))
-	}
-	delete(m.replicas, page)
-}
-
 // destroyPage removes a page and its replicas from the scache.
 func (r *Runtime) destroyPage(p *vtime.Proc, t *MemoryTask) {
 	m := t.vec
-	r.d.h.Delete(p, r.node.ID, m.pageID(t.page))
+	key := m.pageID(t.page)
+	r.d.h.Delete(p, r.node.ID, key)
 	m.pageChanged(t.page, 0)
-	r.invalidateReplicas(p, m, t.page)
+	r.d.h.DeleteReplicas(p, r.node.ID, key)
 	r.d.clearDirtyPage(m, t.page)
 }

@@ -98,7 +98,7 @@ func TestStageOutsBlockNeitherFaultsNorCommits(t *testing.T) {
 		other := openInt64(t, cl, "file:///lanes/other.bin", 8*epp)
 		fill(a, func(i int64) int64 { return i })
 		p.Sleep(2 * vtime.Millisecond) // a tick queues every page of a
-		if got := len(a.m.staging); got != pages {
+		if got := stagingCount(a.m); got != pages {
 			t.Fatalf("%d stage-outs in flight, want %d (vacuous otherwise)", got, pages)
 		}
 
@@ -117,7 +117,7 @@ func TestStageOutsBlockNeitherFaultsNorCommits(t *testing.T) {
 		if took := p.Now() - start; took > slowPFSWrite/10 {
 			t.Errorf("a write phase through TxEnd took %v behind queued stage-outs; a backend write is %v", took, slowPFSWrite)
 		}
-		if got := len(a.m.staging); got < pages-8 {
+		if got := stagingCount(a.m); got < pages-8 {
 			t.Errorf("only %d stage-outs still in flight: the backend was not the bottleneck", got)
 		}
 	})
@@ -136,7 +136,7 @@ func TestStageOutsBlockNeitherFaultsNorCommits(t *testing.T) {
 // awaitStageOut sleeps until page pg of m has no stage-out in flight, or
 // for ten slow backend writes at most (the caller's checks then fail).
 func awaitStageOut(p *vtime.Proc, m *vecMeta, pg int64) {
-	for end := p.Now() + 10*slowPFSWrite; m.staging[pg] && p.Now() < end; {
+	for end := p.Now() + 10*slowPFSWrite; m.pages[pg].staging && p.Now() < end; {
 		p.Sleep(10 * vtime.Microsecond)
 	}
 }
@@ -154,7 +154,7 @@ func TestCommitDuringStageOutKeepsPageDirty(t *testing.T) {
 		v := openInt64(t, cl, "file:///lanes/chain.bin", epp)
 		fill(v, func(int64) int64 { return 1 })
 		p.Sleep(2 * vtime.Millisecond)
-		if !v.m.staging[0] {
+		if !v.m.pages[0].staging {
 			t.Fatal("no stage-out in flight (vacuous otherwise)")
 		}
 		start := p.Now()
@@ -163,7 +163,7 @@ func TestCommitDuringStageOutKeepsPageDirty(t *testing.T) {
 			t.Errorf("the second commit took %v: it waited for the backend write of the stage-out in flight", took)
 		}
 		awaitStageOut(p, v.m, 0)
-		if !v.m.dirty[0] {
+		if !v.m.pages[0].dirty {
 			t.Error("the page is clean although a commit landed during its stage-out")
 		}
 		for i, got := range pfsInt64s(t, c, "/lanes/chain.bin") {
@@ -219,7 +219,7 @@ func TestQueuedStageOutWritesLatestVersionOnce(t *testing.T) {
 		var batch taskBatch
 		d.stageDirty(p, nil, &batch)
 		p.Sleep(vtime.Millisecond) // the lane takes page 0; page 1 waits behind it
-		if !v.m.staging[1] || pfsWrites(d) != before {
+		if !v.m.pages[1].staging || pfsWrites(d) != before {
 			t.Fatal("page 1's stage-out is not queued behind page 0's (vacuous otherwise)")
 		}
 		start := p.Now()
@@ -235,7 +235,7 @@ func TestQueuedStageOutWritesLatestVersionOnce(t *testing.T) {
 		if n := pfsWrites(d) - before; n != 2 {
 			t.Errorf("the backend got %d writes for two pages' stage-outs, want one each", n)
 		}
-		if v.m.dirty[1] {
+		if v.m.pages[1].dirty {
 			t.Error("page 1 is still dirty although its stage-out wrote the last commit")
 		}
 	})
@@ -274,7 +274,7 @@ func TestStageOutCopyWaitsForChainedCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 		v.TxEnd()
-		if v.m.dirty[0] {
+		if v.m.pages[0].dirty {
 			t.Error("the page is dirty although its stage-out copied the last commit")
 		}
 		for i, got := range pfsInt64s(t, c, "/lanes/chained.bin") {
@@ -299,7 +299,7 @@ func TestCommitDuringStageOutWriteIsNotLostOnCrash(t *testing.T) {
 		v := openInt64(t, cl, "file:///lanes/crash.bin", epp)
 		fill(v, func(int64) int64 { return 1 })
 		p.Sleep(2 * vtime.Millisecond)
-		if !v.m.staging[0] {
+		if !v.m.pages[0].staging {
 			t.Error("no stage-out in flight (vacuous otherwise)")
 			return
 		}
@@ -487,7 +487,7 @@ func stageTickSetup(tb testing.TB, p *vtime.Proc, d *DSM, pages int64) (scratch 
 	v := openInt64(tb, d.NewClient(p, 0), "file:///lanes/tick.bin", pages*epp)
 	fill(v, func(i int64) int64 { return i })
 	scratch = d.stageDirty(p, nil, nil)
-	if got := int64(len(v.m.staging)); got != pages {
+	if got := int64(stagingCount(v.m)); got != pages {
 		tb.Fatalf("%d stage-outs in flight, want %d", got, pages)
 	}
 	return scratch

@@ -66,7 +66,7 @@ type Vector[T any] struct {
 
 	pgasOff, pgasN int64
 
-	id uint64 // names the handle to the page chains (pageChain.writer); never 0
+	id uint64 // names the handle to the page table (pageState.writer); never 0
 }
 
 // fillReq is an asynchronous prefetch read of page pg plus the page-write
@@ -144,10 +144,6 @@ func Open[T any](c *Client, name string, codec Codec[T], opts ...VectorOpt) (*Ve
 			elemSize: es,
 			pageSize: o.pageSize,
 			epp:      o.pageSize / es,
-			dirty:    make(map[int64]bool),
-			staging:  make(map[int64]bool),
-			replicas: make(map[int64]map[int]bool),
-			sums:     make(map[int64]uint32),
 			access:   o.accessKey,
 		}
 		m.id = c.d.h.Intern(name)
@@ -345,7 +341,6 @@ func (v *Vector[T]) begin(a activeTx) {
 		s.Vec, s.Arg = v.m.id, int64(a.flags)
 		v.tx.span = sp
 	}
-	v.m.flags = a.flags
 }
 
 // TxEnd commits all unflushed modifications made during the transaction
@@ -936,15 +931,4 @@ func (v *Vector[T]) integrateFills() {
 	}
 	clear(v.fills[len(pending):])
 	v.fills = pending
-}
-
-// sortedKeys returns m's keys in ascending order, in dst's storage when
-// it is large enough (dst's contents are overwritten; nil is fine).
-func sortedKeys[V any](dst []int64, m map[int64]V) []int64 {
-	dst = slices.Grow(dst[:0], len(m))
-	for k := range m {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst)
-	return dst
 }

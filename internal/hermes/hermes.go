@@ -1230,7 +1230,9 @@ func (h *Hermes) failover(id blob.ID) (*Placement, blob.ID) {
 	return nil, blob.ID{}
 }
 
-// Delete removes a blob, its metadata, and any backup replicas.
+// Delete removes a blob, its metadata, and, for a primary, its backup
+// copies. A replica's or a backup's ID derives the same backup IDs as its
+// primary's (ID.Backup), so deleting one leaves the backups alone.
 func (h *Hermes) Delete(p *vtime.Proc, fromNode int, id blob.ID) {
 	pl := h.lookup(p, fromNode, id)
 	if pl == nil {
@@ -1238,7 +1240,20 @@ func (h *Hermes) Delete(p *vtime.Proc, fromNode int, id blob.ID) {
 	}
 	h.deleteData(p, pl, id)
 	h.metaDelete(id)
-	h.dropBackups(p, id)
+	if id.IsPrimary() {
+		h.dropBackups(p, id)
+	}
+}
+
+// DeleteReplicas deletes every node-local read replica of a blob
+// (id.Replica), in node order, each through Delete, probing one replica
+// ID per node as hasReplicas does. The blob and its backups stay.
+func (h *Hermes) DeleteReplicas(p *vtime.Proc, fromNode int, id blob.ID) {
+	for n := range h.c.Nodes {
+		if rid := id.Replica(n); h.meta[rid] != nil {
+			h.Delete(p, fromNode, rid)
+		}
+	}
 }
 
 func (h *Hermes) deleteData(p *vtime.Proc, pl *Placement, id blob.ID) {

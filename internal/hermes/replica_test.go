@@ -503,3 +503,56 @@ func TestFailedBackupPatchNeverServesStaleBytes(t *testing.T) {
 		}
 	})
 }
+
+// TestDeleteReplicasKeepsPrimaryAndBackups: DeleteReplicas removes the
+// read replica of every node that holds one, one charged Delete each, and
+// leaves the primary and its backup as they were.
+func TestDeleteReplicasKeepsPrimaryAndBackups(t *testing.T) {
+	c, h := newHermes(4)
+	h.SetReplicas(1)
+	run(t, c, func(p *vtime.Proc) {
+		id := h.Key("v/0")
+		data := bytes.Repeat([]byte{9}, 1024)
+		if err := h.Put(p, 0, id, data, 1.0, 0); err != nil {
+			t.Fatal(err)
+		}
+		pri, _ := h.PlacementOf(id)
+		placed := 0
+		for n := range 4 {
+			if n != pri.Node && h.PutLocal(p, n, id.Replica(n), data, 0.4) {
+				placed++
+			}
+		}
+		if placed != 3 || !h.hasReplicas(id) {
+			t.Fatalf("placed %d replicas (hasReplicas %v), want 3", placed, h.hasReplicas(id))
+		}
+		backup, ok := h.PlacementOf(id.Backup(0))
+		if !ok {
+			t.Fatal("the primary has no backup")
+		}
+		lookups, _, _ := h.Stats()
+		h.DeleteReplicas(p, 0, id)
+		if got, _, _ := h.Stats(); got-lookups != 3 {
+			t.Errorf("DeleteReplicas made %d metadata lookups, want one per replica (3)", got-lookups)
+		}
+		if h.hasReplicas(id) {
+			t.Error("a replica survived DeleteReplicas")
+		}
+		if now, ok := h.PlacementOf(id); !ok || now.Node != pri.Node || now.Size != pri.Size {
+			t.Errorf("primary after DeleteReplicas: %+v, %v; want it on node %d", now, ok, pri.Node)
+		}
+		if now, ok := h.PlacementOf(id.Backup(0)); !ok || now.Node != backup.Node {
+			t.Errorf("backup after DeleteReplicas: %+v, %v; want it on node %d", now, ok, backup.Node)
+		}
+		if got, ok, err := h.Get(p, 0, id); err != nil || !ok || !bytes.Equal(got, data) {
+			t.Errorf("primary read after DeleteReplicas: ok %v, err %v", ok, err)
+		}
+		buf := make([]byte, len(data))
+		if got, ok := h.ReadBackup(p, 0, id, 0, buf); !ok || !bytes.Equal(got, data) {
+			t.Errorf("backup read after DeleteReplicas: ok %v", ok)
+		}
+		if bad := h.CheckIntegrity(); len(bad) != 0 {
+			t.Errorf("integrity after DeleteReplicas: %v", bad)
+		}
+	})
+}

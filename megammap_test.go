@@ -68,7 +68,11 @@ func TestPublicAPISmoke(t *testing.T) {
 	if got := c.PFSSize("/api/smoke.bin"); got != n*8 {
 		t.Errorf("persisted %d bytes, want %d", got, n*8)
 	}
-	if c.MaxDRAMPeak() <= 0 {
+	var peak int64
+	for _, n := range c.Nodes {
+		peak = max(peak, n.DRAMPeak())
+	}
+	if peak <= 0 {
 		t.Error("no DRAM usage recorded")
 	}
 }
