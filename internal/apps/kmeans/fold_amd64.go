@@ -1,10 +1,12 @@
 package kmeans
 
-import "megammap/internal/datagen"
+import (
+	"megammap/internal/datagen"
+	"megammap/internal/simd"
+)
 
-// useAVX2 is whether fold runs its whole octets through foldOcts. It is
-// read once, from CPUID, when the package loads.
-var useAVX2 = cpuHasAVX2()
+// useAVX2 is whether fold runs its whole octets through foldOcts.
+var useAVX2 = simd.AVX2
 
 // foldOcts is foldBlock's search and accumulation for n points, n a
 // positive multiple of eight, eight at a time in AVX2 (fold_amd64.s). cen
@@ -14,25 +16,3 @@ var useAVX2 = cpuHasAVX2()
 //
 //go:noescape
 func foldOcts(cen *float64, k int, pts *datagen.Particle, n int, acc *float64, lab *int32, local float64) float64
-
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
-
-// cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers: OSXSAVE and AVX in leaf 1, XMM and YMM state in XCR0, AVX2 in
-// leaf 7.
-func cpuHasAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
-}

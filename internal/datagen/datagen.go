@@ -68,6 +68,25 @@ type Generator struct {
 	spec    Spec
 	centers []Particle
 	rng     *rand.Rand
+	d       draws
+	// ahead and aheadH are the particles and halos Next has drawn but not
+	// yet returned, a tail of d.pts and d.halo.
+	ahead  []Particle
+	aheadH []int
+}
+
+// chunk is how many particles draw takes from the RNG before it computes
+// their directions in one pass.
+const chunk = 256
+
+// draws is one chunk's RNG values and directions, field by field, and the
+// chunk Next draws ahead.
+type draws struct {
+	r, theta, u            [chunk]float64
+	vx, vy, vz             [chunk]float64
+	sinT, cosT, sinP, cosP [chunk]float64
+	pts                    [chunk]Particle
+	halo                   [chunk]int
 }
 
 // New returns a generator for the spec.
@@ -98,50 +117,77 @@ func New(spec Spec) *Generator {
 // Centers returns the true halo centers (ground truth for verification).
 func (g *Generator) Centers() []Particle { return g.centers }
 
-// Next returns the next particle and the halo it belongs to.
+// Next returns the next particle of the stream and the halo it belongs
+// to. The stream is one sequence whichever of Next and WriteTo reads it:
+// after k calls of Next, WriteTo writes what a fresh generator's calls
+// k+1 to k+Particles of Next return. Next draws a chunk ahead, which only
+// the generator's own RNG sees.
 func (g *Generator) Next() (Particle, int) {
-	h := g.rng.Intn(len(g.centers))
-	c := g.centers[h]
-	r := g.spec.Radius * g.rng.ExpFloat64()
-	theta := g.rng.Float64() * 2 * math.Pi
-	phi := math.Acos(2*g.rng.Float64() - 1)
-	// Sincos shares Sin's and Cos's range reduction and polynomials, so
-	// each value has the bits the two separate calls give.
-	sinT, cosT := math.Sincos(theta)
-	sinP, cosP := math.Sincos(phi)
-	return Particle{
-		X:  c.X + float32(r*sinP*cosT),
-		Y:  c.Y + float32(r*sinP*sinT),
-		Z:  c.Z + float32(r*cosP),
-		VX: c.VX + float32(g.rng.NormFloat64()*10),
-		VY: c.VY + float32(g.rng.NormFloat64()*10),
-		VZ: c.VZ + float32(g.rng.NormFloat64()*10),
-	}, h
+	if len(g.ahead) == 0 {
+		g.draw(g.d.pts[:], g.d.halo[:])
+		g.ahead, g.aheadH = g.d.pts[:], g.d.halo[:]
+	}
+	pt, h := g.ahead[0], g.aheadH[0]
+	g.ahead, g.aheadH = g.ahead[1:], g.aheadH[1:]
+	return pt, h
 }
 
-// WriteTo streams the whole snapshot to a stager backend in chunks,
+// draw fills pts and halos with the stream's next fresh particles, at
+// most chunk at a time: per particle, its RNG values in the order Next
+// always drew them (halo, radius, θ, cos φ, three velocity deviates);
+// then the chunk's directions in one pass; then the particles.
+func (g *Generator) draw(pts []Particle, halos []int) {
+	d := &g.d
+	for len(pts) > 0 {
+		n := min(len(pts), chunk)
+		for i := range n {
+			halos[i] = g.rng.Intn(len(g.centers))
+			d.r[i] = g.spec.Radius * g.rng.ExpFloat64()
+			d.theta[i] = g.rng.Float64() * 2 * math.Pi
+			d.u[i] = 2*g.rng.Float64() - 1
+			d.vx[i] = g.rng.NormFloat64() * 10
+			d.vy[i] = g.rng.NormFloat64() * 10
+			d.vz[i] = g.rng.NormFloat64() * 10
+		}
+		directions(d.theta[:n], d.u[:n], d.sinT[:n], d.cosT[:n], d.sinP[:n], d.cosP[:n])
+		for i := range n {
+			c, r := g.centers[halos[i]], d.r[i]
+			pts[i] = Particle{
+				X:  c.X + float32(r*d.sinP[i]*d.cosT[i]),
+				Y:  c.Y + float32(r*d.sinP[i]*d.sinT[i]),
+				Z:  c.Z + float32(r*d.cosP[i]),
+				VX: c.VX + float32(d.vx[i]),
+				VY: c.VY + float32(d.vy[i]),
+				VZ: c.VZ + float32(d.vz[i]),
+			}
+		}
+		pts, halos = pts[n:], halos[n:]
+	}
+}
+
+// WriteTo streams the snapshot's Particles next particles (all of them,
+// unless Next has read some first) to a stager backend in chunks,
 // charging realistic write time, and returns the true halo label of each
-// particle (for verification).
+// particle (for verification). Its buffers are allocated once per call.
 func (g *Generator) WriteTo(p *vtime.Proc, b stager.Backend, node int) ([]int, error) {
 	labels := make([]int, g.spec.Particles)
-	const chunk = 4096 // particles per write
+	const perWrite = 4096 // particles per write
 	runs := core.RunsOf[Particle](ParticleCodec{})
-	pts := make([]Particle, 0, chunk)
-	buf := make([]byte, chunk*ParticleSize)
+	pts := make([]Particle, perWrite)
+	buf := make([]byte, perWrite*ParticleSize)
 	var off int64
-	for i := range labels {
-		pt, h := g.Next()
-		labels[i] = h
-		pts = append(pts, pt)
-		if len(pts) == chunk || i == len(labels)-1 {
-			enc := buf[:len(pts)*ParticleSize]
-			runs.Encode(enc, pts)
-			if err := b.WriteRange(p, node, off, enc); err != nil {
-				return nil, err
-			}
-			off += int64(len(enc))
-			pts = pts[:0]
+	for i := 0; i < len(labels); i += perWrite {
+		n := min(perWrite, len(labels)-i)
+		ahead := copy(pts[:n], g.ahead)
+		copy(labels[i:], g.aheadH[:ahead])
+		g.ahead, g.aheadH = g.ahead[ahead:], g.aheadH[ahead:]
+		g.draw(pts[ahead:n], labels[i+ahead:i+n])
+		enc := buf[:n*ParticleSize]
+		runs.Encode(enc, pts[:n])
+		if err := b.WriteRange(p, node, off, enc); err != nil {
+			return nil, err
 		}
+		off += int64(len(enc))
 	}
 	return labels, nil
 }

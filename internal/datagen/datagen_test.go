@@ -163,3 +163,103 @@ func TestGeneratorBytesArePinned(t *testing.T) {
 		}
 	}
 }
+
+// writeStream reads the first k particles of a seed's stream with Next and
+// the next 20 003 with WriteTo through a pq:// backend. It returns the
+// FNV-64a hash of the k particles' encodings, the backend's bytes and every
+// label, and the labels in stream order.
+func writeStream(t testing.TB, seed int64, k int) (uint64, []int) {
+	const n = 20_003 // a multiple of neither 4 nor the chunk
+	g := New(DefaultSpec(n, 8, seed))
+	h := fnv.New64a()
+	var buf [ParticleSize]byte
+	var halos []int
+	for range k {
+		pt, l := g.Next()
+		EncodeParticle(buf[:], pt)
+		h.Write(buf[:])
+		halos = append(halos, l)
+	}
+	c := cluster.New(cluster.DefaultTestbed(1))
+	c.Engine.Spawn("gen", func(p *vtime.Proc) {
+		b, err := stager.New(c).Open("pq:///data/particles.parquet:pts")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		labels, err := g.WriteTo(p, b, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		raw, err := b.ReadRange(p, 0, 0, b.Size())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		h.Write(raw)
+		halos = append(halos, labels...)
+	})
+	if err := c.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range halos {
+		h.Write([]byte{byte(l)})
+	}
+	return h.Sum64(), halos
+}
+
+// TestWriteToBytesArePinned pins what WriteTo leaves in a backend, after k
+// calls of Next, against values recorded before the generator drew its
+// particles a chunk at a time: the stream is one sequence whichever
+// method reads it, and the bytes did not move.
+func TestWriteToBytesArePinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		k    int
+		want uint64
+	}{
+		{1, 0, 0xebacea36088413bb},
+		{1, 3, 0xbc8f7fda5e549f07},
+		{1, 4097, 0x7f1261989bac8362},
+		{2, 0, 0x8345364132e8010c},
+		{2, 3, 0x4f7c8956018ad051},
+		{2, 4097, 0x4fc172842b227a0e},
+	} {
+		got, halos := writeStream(t, tc.seed, tc.k)
+		if got != tc.want {
+			t.Errorf("seed %d, k %d: stream hashes to %#016x, want %#016x", tc.seed, tc.k, got, tc.want)
+		}
+		// The labels are the halos of a fresh generator's Next stream.
+		g := New(DefaultSpec(20_003, 8, tc.seed))
+		for i, l := range halos {
+			if _, h := g.Next(); h != l {
+				t.Fatalf("seed %d, k %d: label %d is %d, Next says %d", tc.seed, tc.k, i, l, h)
+			}
+		}
+	}
+}
+
+// BenchmarkWriteTo writes 1 M particles through a pq:// backend, as the
+// kmeans benchmark's set-up does, and reports ns per particle.
+func BenchmarkWriteTo(b *testing.B) {
+	const n = 1 << 20
+	b.ReportAllocs()
+	for range b.N {
+		c := cluster.New(cluster.DefaultTestbed(1))
+		c.Engine.Spawn("gen", func(p *vtime.Proc) {
+			be, err := stager.New(c).Open("pq:///data/particles.parquet:pts")
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if _, err := New(DefaultSpec(n, 8, 1)).WriteTo(p, be, 0); err != nil {
+				b.Error(err)
+			}
+		})
+		if err := c.Engine.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/particle")
+}
