@@ -152,11 +152,14 @@ func (n *Node) Compute(p *vtime.Proc, d vtime.Duration) {
 // first and any memory-pool nodes after them; Computes() is the split
 // point.
 type Cluster struct {
-	Spec     Spec
-	Engine   *vtime.Engine
-	Nodes    []*Node
-	Fabric   *simnet.Fabric
-	PFS      *device.Device
+	Spec   Spec
+	Engine *vtime.Engine
+	Nodes  []*Node
+	Fabric *simnet.Fabric
+	PFS    *device.Device
+	// Arrays is the one array recycler of every node and pool device, and
+	// the lease table of the arrays their reads lend (device.ReadLease).
+	Arrays   *device.Arrays
 	pfsSrv   *vtime.Resource
 	pfsIDs   *blob.Interner // PFS object names; devices store by blob.ID
 	inj      *faults.Injector
@@ -393,6 +396,7 @@ func New(spec Spec) *Cluster {
 	// One array recycler for every node and pool device: a blob deleted
 	// or resized on one node hands its array to the next write anywhere.
 	arrays := device.NewArrays()
+	c.Arrays = arrays
 	for i := 0; i < spec.Nodes; i++ {
 		n := &Node{
 			ID:      i,
@@ -544,6 +548,14 @@ func (c *Cluster) PFSSize(key string) int64 {
 func (c *Cluster) PFSDelete(p *vtime.Proc, key string) {
 	if id, ok := c.pfsLookup(key); ok {
 		c.PFS.Delete(p, id)
+	}
+}
+
+// PFSTruncate cuts a PFS object to size bytes, charging a metadata update
+// as PFSDelete does; a shorter or absent object is left alone.
+func (c *Cluster) PFSTruncate(p *vtime.Proc, key string, size int64) {
+	if id, ok := c.pfsLookup(key); ok {
+		c.PFS.Truncate(p, id, size)
 	}
 }
 

@@ -865,15 +865,26 @@ func (d *DSM) newTask() *MemoryTask {
 // list is emptied rather than dropped, so a pooled task's next commit
 // copies the page's dirty ranges into storage it already has.
 //
-// Buffer-ownership rule: a non-nil t.data here is unclaimed and reverts
-// to the buffer pool. Readers that keep a result buffer (the fault path
-// installing it as page data) must nil t.data before recycling; commit
-// payloads stay set and re-pool here once the scache holds its own copy
-// (devices always store copies, never the caller's slice).
+// Buffer-ownership rule: a non-nil t.data here is unclaimed and goes back
+// where it came from (giveBack). Readers that keep a result buffer (the
+// fault path installing it as page data) must nil t.data before
+// recycling; commit payloads stay set and re-pool here once the scache
+// holds its own copy (devices store copies of what Put is given).
 func (d *DSM) recycleTask(t *MemoryTask) {
-	d.putBuf(t.data)
+	d.giveBack(t.data, t.leased)
 	*t = MemoryTask{regions: t.regions[:0]}
 	d.taskFree = append(d.taskFree, t)
+}
+
+// giveBack returns a page image its holder is done with: a leased array's
+// lease to the cluster's Arrays, whose last release recycles an array the
+// scache let go of meanwhile, and a pooled buffer to the pool.
+func (d *DSM) giveBack(b []byte, leased bool) {
+	if leased {
+		d.c.Arrays.Release(b)
+		return
+	}
+	d.putBuf(b)
 }
 
 // getBuf takes a buffer of length size out of the pool, reusing the most
@@ -978,6 +989,11 @@ func (d *DSM) Shutdown(p *vtime.Proc) error {
 	}
 	d.handles, d.bufFree, d.taskFree = nil, nil, nil
 	d.h.Release()
+	// Every frame and task gave its lease back by now: one still out was
+	// dropped by a holder that never released it.
+	if n := d.c.Arrays.Leases(); n > 0 {
+		d.audit = append(d.audit, fmt.Sprintf("%d array lease(s) outstanding after shutdown", n))
+	}
 	return err
 }
 
@@ -1044,6 +1060,13 @@ func (d *DSM) stageOut(p *vtime.Proc, t *MemoryTask, node int) (err error) {
 	if now, _ := m.pageVersion(page); now == version {
 		d.clearDirtyPage(m, page)
 	}
+	if off+n > m.sizeBytes() {
+		// A Resize cut the vector during the write, and may have truncated
+		// the backend before it landed.
+		if err := m.truncate(p, node); err != nil {
+			return fmt.Errorf("core: staging out %s page %d: %w", m.name, page, err)
+		}
+	}
 	return nil
 }
 
@@ -1109,6 +1132,15 @@ func (m *vecMeta) sizeBytes() int64 { return m.length * m.elemSize }
 // pageCount returns the number of pages covering the logical size.
 func (m *vecMeta) pageCount() int64 {
 	return (m.sizeBytes() + m.pageSize - 1) / m.pageSize
+}
+
+// truncate cuts a backend the vector owns whole (stager.Truncater) down to
+// the vector's size, once it may hold bytes past the end.
+func (m *vecMeta) truncate(p *vtime.Proc, node int) error {
+	if tr, ok := m.backend.(stager.Truncater); ok && m.backend.Size() > m.sizeBytes() {
+		return tr.Truncate(p, node, m.sizeBytes())
+	}
+	return nil
 }
 
 // --------------------------------------------------- distributed sync --

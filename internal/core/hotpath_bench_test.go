@@ -201,3 +201,43 @@ func BenchmarkEvictPath(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkReadOnlyFaultPath is the fault loop at the KMeans page size
+// (48 KB): one synchronous fault per op under a ReadOnly transaction,
+// served by the scache, the pcache bounded to 2 pages of the 8 it cycles
+// over. Besides ns/op and B/op it reports copiedB/fault, the bytes device
+// reads copied out of stored arrays per fault: a leased page copies none.
+func BenchmarkReadOnlyFaultPath(b *testing.B) {
+	runBench(b, func(p *vtime.Proc, d *DSM) {
+		cl := d.NewClient(p, 0)
+		v, err := Open[int64](cl, "bench/rofault", Int64Codec{}, WithPageSize(48<<10))
+		if err != nil {
+			b.Fatal(err)
+		}
+		const pages = 8
+		epp := v.PageSize() / 8
+		n := pages * epp
+		v.Resize(n)
+		v.SeqTxBegin(0, n, WriteOnly)
+		for i := int64(0); i < n; i++ {
+			v.Set(i, i)
+		}
+		v.TxEnd()
+		v.Close()
+		v.BoundMemory(2 * v.PageSize())
+		v.SeqTxBegin(0, n, ReadOnly)
+		copied := copiedBytes(d.c)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v.Get(int64(i%pages) * epp)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(copiedBytes(d.c)-copied)/float64(b.N), "copiedB/fault")
+		v.TxEnd()
+		v.Close()
+		if err := d.Shutdown(p); err != nil {
+			b.Fatal(err)
+		}
+	})
+}

@@ -1,0 +1,270 @@
+package core
+
+import (
+	"encoding/binary"
+	"strings"
+	"testing"
+
+	"megammap/internal/cluster"
+	"megammap/internal/vtime"
+)
+
+// copiedBytes sums the bytes every node device's reads copied out of
+// stored arrays.
+func copiedBytes(c *cluster.Cluster) (n int64) {
+	for _, node := range c.Nodes {
+		for _, dev := range node.Devices {
+			n += dev.CopiedBytes()
+		}
+	}
+	return n
+}
+
+// leasedFrames counts a handle's resident leased frames.
+func leasedFrames(v *Vector[int64]) (n int) {
+	for _, cp := range v.pc.pages {
+		if cp.leased {
+			n++
+		}
+	}
+	return n
+}
+
+// isStored reports whether the scache's array of page pg is data: a lease
+// read of the page returns the stored array itself.
+func isStored(p *vtime.Proc, d *DSM, m *vecMeta, pg int64, data []byte) bool {
+	got, ok, err := d.h.GetLease(p, 0, m.pageID(pg))
+	if err != nil || !ok {
+		return false
+	}
+	d.c.Arrays.Release(got)
+	return &got[0] == &data[0]
+}
+
+// TestReadOnlyReadsInstallLeasedFrames: under a ReadOnly transaction a
+// fault served by the scache, a prefetch fill and a stage-in from the
+// backend each install the scache's own array as the page, leased, and no
+// device read copies a byte for them.
+func TestReadOnlyReadsInstallLeasedFrames(t *testing.T) {
+	const epp = 512
+	c, d := newTestDSM(t, 1)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		cl := d.NewClient(p, 0)
+		check := func(what string, v *Vector[int64], pg int64, before int64) {
+			t.Helper()
+			cp := v.pc.pages[pg]
+			if cp == nil || !cp.leased {
+				t.Fatalf("%s: page %d is not a leased frame", what, pg)
+			}
+			if !isStored(p, d, v.m, pg, cp.data) {
+				t.Errorf("%s: the frame is not the scache's array", what)
+			}
+			if n := copiedBytes(c) - before; n != 0 {
+				t.Errorf("%s: device reads copied %d bytes, want 0", what, n)
+			}
+		}
+
+		// A fault served by the scache.
+		v := openInt64(t, cl, "lease/scache", 4*epp)
+		fill(v, func(i int64) int64 { return i })
+		v.Close()
+		v.m.prefetch = false
+		before := copiedBytes(c)
+		v.SeqTxBegin(0, 4*epp, ReadOnly)
+		if got := v.Get(epp + 1); got != epp+1 {
+			t.Fatalf("read %d, want %d", got, epp+1)
+		}
+		check("scache fault", v, 1, before)
+		v.TxEnd()
+		v.Close()
+
+		// Prefetch fills.
+		v.m.prefetch = true
+		before = copiedBytes(c)
+		hits0, _ := d.PrefetchFillStats()
+		v.SeqTxBegin(0, 4*epp, ReadOnly)
+		for i := int64(0); i < 4*epp; i += epp {
+			v.Get(i)
+			p.Sleep(100 * vtime.Microsecond)
+		}
+		if hits, _ := d.PrefetchFillStats(); hits == hits0 {
+			t.Fatal("the scan consumed no fills")
+		}
+		check("prefetch fill", v, 3, before)
+		v.TxEnd()
+
+		// A stage-in of a backed page.
+		raw := make([]byte, 4*epp*8)
+		for i := range 4 * epp {
+			binary.LittleEndian.PutUint64(raw[8*i:], uint64(3*i))
+		}
+		if err := c.PFSWrite(p, 0, "/lease/backed.bin", 0, raw); err != nil {
+			t.Fatal(err)
+		}
+		b := openInt64(t, cl, "file:///lease/backed.bin", 0)
+		b.m.prefetch = false
+		before = copiedBytes(c)
+		b.SeqTxBegin(0, 4*epp, ReadOnly)
+		if got := b.Get(2*epp + 5); got != 3*(2*epp+5) {
+			t.Fatalf("staged read %d, want %d", got, 3*(2*epp+5))
+		}
+		check("stage-in", b, 2, before)
+		b.TxEnd()
+	})
+}
+
+// TestSetOnLeasedFrameCopiesFirst: a Set on a leased page gives the frame
+// a pooled buffer of its own before it writes, so the scache's copy keeps
+// its bytes until the commit.
+func TestSetOnLeasedFrameCopiesFirst(t *testing.T) {
+	const epp = 512
+	c, d := newTestDSM(t, 1)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		v := openInt64(t, d.NewClient(p, 0), "lease/set", 2*epp)
+		fill(v, func(i int64) int64 { return 7 })
+		v.Close()
+		v.SeqTxBegin(0, 2*epp, ReadOnly)
+		v.Get(0)
+		if cp := v.pc.pages[0]; !cp.leased {
+			t.Fatal("the fault did not install a leased frame")
+		}
+		v.Set(3, 99)
+		cp := v.pc.pages[0]
+		if cp.leased || isStored(p, d, v.m, 0, cp.data) {
+			t.Fatal("the Set wrote into the scache's array")
+		}
+		if got, _, _ := d.h.Get(p, 0, v.m.pageID(0)); binary.LittleEndian.Uint64(got[24:]) != 7 {
+			t.Errorf("the scache copy reads %d before the commit, want its old 7", binary.LittleEndian.Uint64(got[24:]))
+		}
+		v.SetRange(epp+1, []int64{5, 6}) // a leased page written by a range
+		if v.pc.pages[1].leased {
+			t.Error("SetRange left page 1 leased")
+		}
+		v.TxEnd()
+		if got, _, _ := d.h.Get(p, 0, v.m.pageID(0)); binary.LittleEndian.Uint64(got[24:]) != 99 {
+			t.Error("the commit did not reach the scache")
+		}
+	})
+}
+
+// TestWritingPhasesStillCopy: ReadWrite and WriteOnly transactions keep
+// the copy path: their frames are pooled buffers, and a ReadWrite fault
+// copies its page out of the device.
+func TestWritingPhasesStillCopy(t *testing.T) {
+	const epp = 512
+	c, d := newTestDSM(t, 1)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		v := openInt64(t, d.NewClient(p, 0), "lease/copy", 2*epp)
+		fill(v, func(i int64) int64 { return i })
+		v.Close()
+		v.m.prefetch = false
+		before := copiedBytes(c)
+		v.SeqTxBegin(0, 2*epp, ReadWrite)
+		v.Get(0)
+		if v.pc.pages[0].leased {
+			t.Error("a ReadWrite fault installed a leased frame")
+		}
+		if n := copiedBytes(c) - before; n != v.m.pageSize {
+			t.Errorf("a ReadWrite fault copied %d bytes, want a page", n)
+		}
+		v.TxEnd()
+		v.Close()
+		v.SeqTxBegin(0, 2*epp, WriteOnly)
+		v.Set(epp, 1)
+		if v.pc.pages[1].leased {
+			t.Error("a WriteOnly write installed a leased frame")
+		}
+		v.TxEnd()
+	})
+}
+
+// TestEvictionAndDestroyReleaseLeases: every lease out is a resident
+// leased frame's; evicting frames gives theirs back, and Destroy the rest.
+func TestEvictionAndDestroyReleaseLeases(t *testing.T) {
+	const epp = 512
+	c, d := newTestDSM(t, 1)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		v := openInt64(t, d.NewClient(p, 0), "lease/evict", 16*epp)
+		fill(v, func(i int64) int64 { return i })
+		v.Close()
+		v.BoundMemory(4 * v.PageSize())
+		v.SeqTxBegin(0, 16*epp, ReadOnly)
+		for i := int64(0); i < 16*epp; i += epp {
+			v.Get(i)
+		}
+		v.TxEnd()
+		leased := leasedFrames(v)
+		if ev := d.counts[0].evictions; ev == 0 || leased == 0 {
+			t.Fatalf("%d evictions, %d leased frames: the scan did not exercise both", ev, leased)
+		}
+		if n := c.Arrays.Leases(); n != leased {
+			t.Errorf("%d leases out with %d leased frames resident: evictions kept some", n, leased)
+		}
+		v.Destroy()
+		if n := c.Arrays.Leases(); n != 0 {
+			t.Errorf("%d leases out after Destroy", n)
+		}
+	})
+}
+
+// TestAuditFindsALeakedLease: a run through every lease holder — faults,
+// fills, stage-ins, evictions, a write to a leased page, a collective
+// read, Destroy and Shutdown's release — leaves no lease out, which the
+// audit checks; one lease a holder never gives back is named by
+// CheckInvariants after Shutdown.
+func TestAuditFindsALeakedLease(t *testing.T) {
+	const epp = 512
+	for _, leak := range []bool{false, true} {
+		c, d := newTestDSM(t, 2)
+		c.Engine.Spawn("app", func(p *vtime.Proc) {
+			raw := make([]byte, 8*epp*8)
+			if err := c.PFSWrite(p, 0, "/audit/backed.bin", 0, raw); err != nil {
+				t.Error(err)
+			}
+			cl := d.NewClient(p, 0)
+			b := openInt64(t, cl, "file:///audit/backed.bin", 0)
+			b.BoundMemory(3 * b.PageSize())
+			b.SeqTxBegin(0, b.Len(), ReadOnly)
+			for i := int64(0); i < b.Len(); i += 100 {
+				b.Get(i)
+			}
+			b.TxEnd()
+			b.SeqTxBegin(0, b.Len(), ReadOnly|Collective)
+			b.Get(b.Len() - 1)
+			b.Set(b.Len()-1, 4)
+			b.TxEnd()
+			v := openInt64(t, cl, "audit/volatile", 8*epp)
+			fill(v, func(i int64) int64 { return i })
+			v.Close()
+			v.SeqTxBegin(0, 8*epp, ReadOnly|Global)
+			for i := int64(0); i < 8*epp; i += epp {
+				v.Get(i)
+			}
+			if leak {
+				c.Arrays.Lease(v.pc.pages[0].data) // a holder that never gives it back
+			}
+			v.TxEnd()
+			v.Destroy()
+			b.SeqTxBegin(0, b.Len(), ReadOnly) // resident at Shutdown
+			b.Get(0)
+			b.TxEnd()
+			if err := d.Shutdown(p); err != nil {
+				t.Error(err)
+			}
+		})
+		if err := c.Engine.Run(); err != nil {
+			t.Fatal(err)
+		}
+		found := d.CheckInvariants()
+		named := len(found) == 1 && strings.Contains(found[0], "1 array lease(s) outstanding")
+		switch {
+		case !leak && len(found) != 0:
+			t.Errorf("a clean run's audit found %v", found)
+		case leak && !named:
+			t.Errorf("the audit after a leaked lease found %v, want the lease named", found)
+		}
+		if !leak && c.Arrays.Leases() != 0 {
+			t.Errorf("%d leases out after a clean run", c.Arrays.Leases())
+		}
+	}
+}

@@ -236,11 +236,19 @@ func TestPageChainsGoWithTheirVector(t *testing.T) {
 		cl := d.NewClient(p, 0)
 		v := chainVector(t, cl, "reborn", 8)
 		m, id := v.m, v.m.pageID(pg)
-		v.Resize(4 * m.epp) // pages 4..7 stay in the scache
+		v.Resize(4 * m.epp) // pages 4..7 leave the scache
 		if len(m.pages) < 8 {
 			t.Errorf("page table has %d slots after Resize down, want the 8 it grew to", len(m.pages))
 		}
 		chainsIdle(t, d, m)
+		if _, ok := d.h.NodeOf(id); ok {
+			t.Fatalf("page %d is still in the scache after Resize down", pg)
+		}
+		// A page blob past the end, put behind core's back, is what a
+		// stale organizer plan can still name.
+		if err := d.h.Put(p, 0, id, make([]byte, m.pageSize), 0.5, 0); err != nil {
+			t.Fatal(err)
+		}
 
 		// A read from the disk tier holds page 6's chain across the Destroy —
 		// on node 1, whose workers the destroys of pages 0..3 do not queue on.
@@ -516,10 +524,10 @@ func TestPageTableCountsMatchFlags(t *testing.T) {
 		check("after a stage-out", 0)
 		writeRange(a, 2*epp, 5*epp) // pages 2..6
 		check("after a rewrite", 5)
-		a.Resize(3 * epp) // pages 3..6 stay dirty beyond the end
-		check("after Resize down", 5)
+		a.Resize(3 * epp) // pages 3..6 leave with their dirty marks
+		check("after Resize down", 1)
 		stage()
-		check("after the stage-out past the end", 0)
+		check("after the stage-out", 0)
 		writeRange(b, 0, 2*epp)
 		writeRange(a, 0, epp)
 		check("before Destroy", 3)
@@ -530,5 +538,27 @@ func TestPageTableCountsMatchFlags(t *testing.T) {
 		check("after Resize up", 3)
 		stage()
 		check("after the last stage-out", 0)
+		// Shrink into a page, then grow back: the pages cut off leave
+		// clean, and zeroing the cut page's tail dirties that page only.
+		a.SeqTxBegin(2*epp+99, 1, ReadOnly)
+		kept := a.Get(2*epp + 99)
+		a.TxEnd()
+		a.Resize(2*epp + 100)
+		check("after a shrink into a page", 1)
+		a.Resize(6 * epp)
+		check("after growing back", 1)
+		a.SeqTxBegin(0, 6*epp, ReadOnly)
+		for _, i := range []int64{2*epp + 99, 2*epp + 100, 4 * epp, 6*epp - 1} {
+			want := int64(0)
+			if i < 2*epp+100 {
+				want = kept
+			}
+			if got := a.Get(i); got != want {
+				t.Errorf("after shrinking and growing back a[%d] = %d, want %d", i, got, want)
+			}
+		}
+		a.TxEnd()
+		stage()
+		check("after the stage-out of the cut page", 0)
 	})
 }

@@ -28,6 +28,11 @@ type cachedPage struct {
 	// regions are real, the rest is zero fill. Partial pages must never
 	// serve reads that a new read phase could direct at foreign regions.
 	partial bool
+	// leased marks a frame whose data is the scache's own array, held
+	// under a lease (a read-only phase's read): immutable, so a write
+	// first copies it into a pooled buffer (Vector.own), and dropping the
+	// frame gives the lease back instead of pooling the array.
+	leased bool
 	// version is the page's scache version (pageChain.version) the read
 	// that brought the image in saw; a global read phase drops the page
 	// once the scache's version moved past it.
@@ -105,21 +110,21 @@ func evictBefore(a, b *cachedPage) bool {
 
 // newPage returns a fresh page frame, reusing one of the client's recycled
 // frames when available.
-func (c *Client) newPage(idx int64, data []byte, score float64, partial bool, version uint64) *cachedPage {
+func (c *Client) newPage(idx int64, data []byte, score float64, partial bool, version uint64, leased bool) *cachedPage {
 	if n := len(c.frames); n > 0 {
 		cp := c.frames[n-1]
 		c.frames = c.frames[:n-1]
-		*cp = cachedPage{idx: idx, data: data, dirty: cp.dirty[:0], score: score, partial: partial, version: version}
+		*cp = cachedPage{idx: idx, data: data, dirty: cp.dirty[:0], score: score, partial: partial, version: version, leased: leased}
 		return cp
 	}
-	return &cachedPage{idx: idx, data: data, score: score, partial: partial, version: version}
+	return &cachedPage{idx: idx, data: data, score: score, partial: partial, version: version, leased: leased}
 }
 
 // recycle returns a removed page's frame to the client's freelist. The
 // data buffer has gone back to the pool or into an in-flight commit task,
-// so its reference is dropped; the dirty list never leaves the frame
-// (commit tasks carry a copy) and keeps its capacity for the frame's next
-// page.
+// or its lease back to the scache, so its reference is dropped; the dirty
+// list never leaves the frame (commit tasks carry a copy) and keeps its
+// capacity for the frame's next page.
 func (c *Client) recycle(cp *cachedPage) {
 	cp.data = nil
 	c.frames = append(c.frames, cp)

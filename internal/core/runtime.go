@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"strconv"
 
+	"megammap/internal/blob"
 	"megammap/internal/cluster"
 	"megammap/internal/device"
 	"megammap/internal/faults"
@@ -199,36 +200,45 @@ func (r *Runtime) exec(p *vtime.Proc, t *MemoryTask) {
 
 // readPage returns the page bytes, staging in from the backend on a cold
 // miss and creating node-local replicas when the coherence mode allows.
+//
+// A read that may lease (t.lease, a read-only phase's) returns the
+// scache's own array of a full page under a lease, and lends a staged-in
+// image to the scache (PutBacked), so that it stays the one host array of
+// the page; t.leased then says the result is held that way. Every other
+// leg fills one pooled buffer — scache get, stage-in or checksum repair —
+// which leaves as the page's data (dropPage returns it); each leg
+// overwrites all of it. A read that does not lease takes the buffer at
+// once, one that may takes it when a leg first needs it.
 func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 	m := t.vec
 	key := m.pageID(t.page)
 	// The read runs on the page's chain: no commit changes the bytes, or
 	// their version, until it returns.
 	t.version, _ = m.pageVersion(t.page)
-	// One pooled buffer serves the whole read — scache get, stage-in or
-	// checksum repair all fill it — and it leaves as the page's data
-	// (dropPage returns it). Every leg below overwrites all of it.
-	buf := r.d.getBuf(m.pageSize)
+	var buf []byte
+	if !t.lease {
+		buf = r.d.getBuf(m.pageSize)
+	}
 	// Replicated phase: serve from (or install) a replica local to the
 	// requesting node.
 	if t.replicate {
 		rkey := m.replicaID(t.page, t.origin)
 		if _, held := r.d.h.NodeOf(rkey); held {
-			if data, ok, err := r.d.h.GetInto(p, t.origin, rkey, buf); err == nil && ok {
-				data = fullPage(data, buf, m.pageSize)
+			if data, ok, err := r.scacheRead(p, t, t.origin, rkey, &buf); err == nil && ok {
 				if s := m.state(t.page); r.d.cfg.ChecksumPages && s.summed && crc32.ChecksumIEEE(data) != s.sum {
 					// Corrupt local replica: drop it and fall through to
 					// the primary, whose verify-and-repair runs below.
+					r.unlease(t, data)
 					r.d.h.Delete(p, t.origin, rkey)
 				} else {
 					r.d.replicaHits++
-					return data, nil
+					return r.done(t, data, buf), nil
 				}
 			}
 		}
 		r.d.replicaMisses++
 	}
-	data, ok, err := r.d.h.GetInto(p, r.node.ID, key, buf)
+	data, ok, err := r.scacheRead(p, t, r.node.ID, key, &buf)
 	if err != nil && errors.Is(err, faults.ErrNodeDown) && !m.state(t.page).dirty {
 		// The primary died with its node, but the page was not modified
 		// since its last stage-out, so the backend (or zero fill, for a
@@ -242,16 +252,12 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 	}
 	staged := false
 	if !ok {
-		data, err = r.stageIn(p, m, t.page, buf)
+		data, err = r.stageIn(p, m, t.page, r.buffer(m, &buf))
 		if err != nil {
 			r.d.putBuf(buf)
 			return nil, err
 		}
 		staged = true
-	} else {
-		// Volatile blobs are stored trimmed to their written extent; pad
-		// the image back to page size.
-		data = fullPage(data, buf, m.pageSize)
 	}
 	if r.d.cfg.ChecksumPages {
 		if s := m.state(t.page); s.summed && crc32.ChecksumIEEE(data) != s.sum {
@@ -260,9 +266,10 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 			// stale or zero fill, and re-Putting it would propagate the
 			// bad bytes over the surviving backup replicas. Repair from a
 			// good copy instead; repairPage reinstalls the primary itself.
-			// buf's corrupt image is no use to anyone: the repair reads its
-			// candidates over it.
-			good, rerr := r.repairPage(p, m, t.page, s.sum, buf)
+			// The corrupt image is no use to anyone: the repair reads its
+			// candidates over buf.
+			r.unlease(t, data)
+			good, rerr := r.repairPage(p, m, t.page, s.sum, r.buffer(m, &buf))
 			if rerr != nil {
 				r.d.putBuf(buf)
 				return nil, rerr
@@ -282,8 +289,13 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 		// Install near the origin so future faults stay local. The backend
 		// (or zero fill) still holds this image, so it needs no backup until
 		// a commit changes it. A full scache falls back to serving straight
-		// from the backend.
-		_ = r.d.h.PutBacked(p, r.node.ID, key, data, m.placeScore(0.5), t.origin)
+		// from the backend. A read that may lease lends the image: the
+		// scache stores buf itself and the page keeps it under a lease, so
+		// the buffer leaves the pool's books.
+		if r.d.h.PutBacked(p, r.node.ID, key, data, m.placeScore(0.5), t.origin, t.lease) == nil && t.lease {
+			t.leased, buf = true, nil
+			r.d.bufOut--
+		}
 	}
 	if t.replicate {
 		if node, ok := r.d.h.NodeOf(key); ok && node != t.origin {
@@ -295,7 +307,59 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 	if r.node.ID != t.origin {
 		r.d.c.Fabric.Transfer(p, r.node.ID, t.origin, int64(len(data)))
 	}
-	return data, nil
+	return r.done(t, data, buf), nil
+}
+
+// scacheRead reads blob id's image for t as a full page: the stored array
+// itself under a lease (t.leased) when t may lease and the blob is the
+// whole page, else padded into *buf, which it takes from the pool if t
+// has none yet (fullPage).
+func (r *Runtime) scacheRead(p *vtime.Proc, t *MemoryTask, from int, id blob.ID, buf *[]byte) ([]byte, bool, error) {
+	size := t.vec.pageSize
+	if !t.lease {
+		data, ok, err := r.d.h.GetInto(p, from, id, *buf)
+		if err == nil && ok {
+			data = fullPage(data, *buf, size)
+		}
+		return data, ok, err
+	}
+	data, ok, err := r.d.h.GetLease(p, from, id)
+	if err != nil || !ok {
+		return nil, ok, err
+	}
+	if int64(len(data)) == size {
+		t.leased = true
+		return data, true, nil
+	}
+	full := fullPage(data, r.buffer(t.vec, buf), size) // a volatile blob stored trimmed
+	r.d.c.Arrays.Release(data)
+	return full, true, nil
+}
+
+// buffer returns *buf, taking a page buffer from the pool first if the
+// read has none yet.
+func (r *Runtime) buffer(m *vecMeta, buf *[]byte) []byte {
+	if *buf == nil {
+		*buf = r.d.getBuf(m.pageSize)
+	}
+	return *buf
+}
+
+// unlease gives back the lease on a leased image the read discards.
+func (r *Runtime) unlease(t *MemoryTask, data []byte) {
+	if t.leased {
+		r.d.c.Arrays.Release(data)
+		t.leased = false
+	}
+}
+
+// done returns a read's result: a leased image leaves the pooled buffer
+// a leg took but did not end up returning to the pool.
+func (r *Runtime) done(t *MemoryTask, data, buf []byte) []byte {
+	if t.leased {
+		r.d.putBuf(buf)
+	}
+	return data
 }
 
 // repairPage restores a page whose image failed CRC verification: it
@@ -316,7 +380,7 @@ func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32,
 	// Rewriting the primary replaces its corrupt bytes.
 	key := m.pageID(page)
 	if restaged {
-		err = r.d.h.PutBacked(p, r.node.ID, key, good, m.placeScore(0.6), r.node.ID)
+		err = r.d.h.PutBacked(p, r.node.ID, key, good, m.placeScore(0.6), r.node.ID, false)
 	} else {
 		err = r.d.h.Put(p, r.node.ID, key, good, m.placeScore(0.6), r.node.ID)
 	}
@@ -535,12 +599,15 @@ func (r *Runtime) mergeImage(p *vtime.Proc, t *MemoryTask, held bool, buf []byte
 	return image[:end], nil
 }
 
-// destroyPage removes a page and its replicas from the scache.
+// destroyPage removes a page and its replicas from the scache and clears
+// its slot: no dirty mark, no checksum, no writer (Destroy, and a Resize
+// that cuts the page off).
 func (r *Runtime) destroyPage(p *vtime.Proc, t *MemoryTask) {
 	m := t.vec
 	key := m.pageID(t.page)
 	r.d.h.Delete(p, r.node.ID, key)
 	m.pageChanged(t.page, 0)
+	m.state(t.page).summed = false
 	r.d.h.DeleteReplicas(p, r.node.ID, key)
 	r.d.clearDirtyPage(m, t.page)
 }

@@ -98,9 +98,12 @@ type MemoryTask struct {
 
 	// read: whether a node-local replica may be created (read-only /
 	// collective coherence), and the page's scache version the read saw
-	// (pageChain.version), which the page it installs carries.
-	replicate bool
-	version   uint64
+	// (pageChain.version), which the page it installs carries. lease asks
+	// for the scache's own array (a read-only phase's read); leased says
+	// data is one, held under a lease rather than a pooled buffer.
+	replicate     bool
+	lease, leased bool
+	version       uint64
 
 	// score: the importance in [0,1] set by the prefetcher, and whether
 	// the phase that set it was local (AccessFlags.local).

@@ -49,6 +49,12 @@ func (f AccessFlags) replicable() bool {
 	return (f.Has(Read|Global) && !f.Has(Write) && !f.Has(Append)) || f.Has(Collective)
 }
 
+// readOnly reports a phase that declares no write: it reads pages it
+// never modifies, so its faults, fills and stage-ins may install the
+// scache's own arrays under a lease instead of copies (DESIGN.md "Page
+// frame ownership").
+func (f AccessFlags) readOnly() bool { return f.Has(Read) && f&(Write|Append) == 0 }
+
 // local reports a phase that declares neither Global nor Collective
 // access: by the Pgas contract it touches only its own rank's partition,
 // so the pages it scores belong on the rank's node (the organizer's

@@ -208,10 +208,23 @@ func (v *Vector[T]) dirtyResident() int {
 // the scratch that points at them or is a page's size, at Shutdown,
 // whoever still holds the handle.
 // The frames' buffers leave the pool's books with them (every task has
-// drained: what is still out afterwards leaked); the DRAM accounting stays
-// as the run left it.
+// drained: what is still out afterwards leaked), and leased frames and
+// fills give their leases back; the DRAM accounting stays as the run left
+// it.
 func (v *Vector[T]) release() {
-	v.c.d.bufOut -= int64(len(v.pc.pages))
+	for _, cp := range v.pc.pages {
+		if cp.leased {
+			v.c.d.c.Arrays.Release(cp.data)
+		} else {
+			v.c.d.bufOut--
+		}
+	}
+	for _, f := range v.fills {
+		if f.t.done.Fired() && f.t.leased {
+			v.c.d.c.Arrays.Release(f.t.data)
+			f.t.data, f.t.leased = nil, false
+		}
+	}
 	clear(v.pc.pages)
 	v.pc.heap, v.pc.retained, v.c.frames = nil, 0, nil
 	v.setLast(nil)
@@ -268,15 +281,64 @@ func (v *Vector[T]) LocalLen() int64 { return v.pgasN }
 
 // Resize sets the logical length to n elements, growing with zeroes or
 // truncating. Callers coordinate resizes with barriers.
+//
+// Shrinking is one step on the page table: the handle drops its resident
+// pages past the end, and, through the pages' chains (so after every
+// commit already queued), the scache loses their copies and read replicas
+// and their slots their dirty marks, checksums and writers; the new last
+// page's bytes past the end become zero, in the handle's frame and in the
+// scache; and a backend the vector owns whole (stager.Truncater) is cut to
+// the new size. It returns once all of that landed, so a later grow reads
+// zeros past the old end.
 func (v *Vector[T]) Resize(n int64) {
+	old := v.m.length
 	v.m.length = n
-	maxPage := v.m.pageCount()
+	if n < old {
+		v.shrink(old)
+	}
+	v.setLast(v.last) // the window is clipped to the length
+}
+
+// shrink is Resize's step from old elements down to the current length.
+func (v *Vector[T]) shrink(old int64) {
+	m, d := v.m, v.c.d
+	pages := m.pageCount()
 	for _, cp := range v.residentPages() {
-		if cp.idx >= maxPage {
+		if cp.idx >= pages {
 			v.dropPage(cp)
 		}
 	}
-	v.setLast(v.last) // dropPage cleared a dropped one; the window is clipped to the length
+	if tail := m.sizeBytes() - (pages-1)*m.pageSize; pages > 0 && tail < m.pageSize {
+		last := pages - 1
+		if cp := v.pc.pages[last]; cp != nil {
+			if cp.leased {
+				v.own(cp)
+			}
+			clear(cp.data[tail:])
+		}
+		// A commit of zeros over the tail, which the scache merges onto its
+		// copy (or onto the backend's bytes, for a page it does not hold).
+		t := d.newTask()
+		t.kind, t.vec, t.page = taskWrite, m, last
+		t.data = d.getBuf(m.pageSize)
+		clear(t.data[tail:])
+		t.regions = append(t.regions[:0], dirtyRange{off: tail, end: m.pageSize})
+		t.origin, t.recycle = v.c.node.ID, true
+		v.pageWrites[last]++ // a fill issued before now is stale
+		v.c.submitAsync(t)
+	}
+	for pg := pages; pg < (old*m.elemSize+m.pageSize-1)/m.pageSize; pg++ {
+		t := d.newTask()
+		t.kind, t.vec, t.page, t.origin, t.recycle = taskDestroy, m, pg, v.c.node.ID, true
+		v.c.submitAsync(t)
+	}
+	v.c.Drain()
+	// Every fill completed with the drain: those of cut pages, and the cut
+	// page's now stale one, go before a grow could install them.
+	v.integrateFills()
+	if err := m.truncate(v.c.p, v.c.node.ID); err != nil {
+		panic(fmt.Errorf("core: truncating %s: %w", m.name, err))
+	}
 }
 
 // SeqTxBegin starts a sequential transaction over elements [off, off+n)
@@ -616,7 +678,10 @@ func (v *Vector[T]) page(pg int64, forWrite bool) *cachedPage {
 		if !forWrite && v.last.partial && v.pageWrites[pg] > 0 {
 			v.healPartial(v.last)
 		}
-		v.setLast(v.last) // the heal, a commit or an Append may have widened the window
+		if forWrite && v.last.leased {
+			v.own(v.last)
+		}
+		v.setLast(v.last) // the heal, a commit, an Append or own may have widened the window
 		return v.last
 	}
 	cp := v.pc.get(pg)
@@ -629,6 +694,9 @@ func (v *Vector[T]) page(pg int64, forWrite bool) *cachedPage {
 	}
 	if !forWrite && cp.partial && v.pageWrites[pg] > 0 {
 		v.healPartial(cp)
+	}
+	if forWrite && cp.leased {
+		v.own(cp)
 	}
 	v.setLast(cp)
 	// Run the prefetcher on page transitions while the vector's switch is
@@ -643,18 +711,36 @@ func (v *Vector[T]) page(pg int64, forWrite bool) *cachedPage {
 }
 
 // setLast makes cp (nil for none) the page Get and Set try first and
-// derives its window.
+// derives its window. A leased page's winSet is 0, so a Set takes page(),
+// which gives it a buffer of its own first (own).
 func (v *Vector[T]) setLast(cp *cachedPage) {
 	v.last, v.winGet, v.winSet = cp, 0, 0
 	if cp == nil {
 		return
 	}
 	v.winLo = cp.idx * v.m.epp
-	v.winSet = min(v.m.epp, v.m.length-v.winLo)
+	w := min(v.m.epp, v.m.length-v.winLo)
 	if !cp.partial {
-		v.winGet = v.winSet
+		v.winGet = w
+	}
+	if !cp.leased {
+		v.winSet = w
 	}
 }
+
+// own copies a leased page into a pooled buffer of its own before a
+// write and gives the lease back: the leased array is the scache's, and
+// the scache copy must keep its bytes until a commit changes them.
+func (v *Vector[T]) own(cp *cachedPage) {
+	buf := v.c.d.getBuf(int64(len(cp.data)))
+	copy(buf, cp.data)
+	v.c.d.c.Arrays.Release(cp.data)
+	cp.data, cp.leased = buf, false
+}
+
+// leaseReads reports whether the open transaction declares no write, so
+// its reads may install the scache's arrays under a lease.
+func (v *Vector[T]) leaseReads() bool { return v.tx != nil && v.tx.flags.readOnly() }
 
 // healPartial replaces a write-allocated page's zero fill with the
 // committed page image before a local read. A page this handle committed
@@ -664,7 +750,7 @@ func (v *Vector[T]) setLast(cp *cachedPage) {
 // and uncommitted local modifications overlay the fetched image.
 func (v *Vector[T]) healPartial(cp *cachedPage) {
 	var data []byte
-	data, cp.version = v.readPage(cp.idx)
+	data, cp.version, _ = v.readPage(cp.idx, false)
 	cp.dirty = mergeRanges(cp.dirty)
 	for _, r := range cp.dirty {
 		copy(data[r.off:r.end], cp.data[r.off:r.end])
@@ -704,7 +790,7 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 	writeAlloc := forWrite && (f.Has(Write) || f.Has(Append)) && !f.Has(Read)
 	var data []byte
 	var version uint64
-	partial := false
+	partial, leased := false, false
 	switch fi, filling := v.fillAt(pg); {
 	case writeAlloc:
 		data = v.c.d.getBuf(m.pageSize)
@@ -720,9 +806,9 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		if f.stamp != v.pageWrites[pg] {
 			// The page was committed after the fill was issued; its data
 			// is stale. Keep the reservation and fault fresh data.
-			fresh, version := v.readPage(pg)
-			cp := v.c.newPage(pg, fresh, m.insertScore(), false, version)
-			v.c.d.recycleTask(f.t) // the stale image re-pools here
+			fresh, version, leased := v.readPage(pg, v.leaseReads())
+			cp := v.c.newPage(pg, fresh, m.insertScore(), false, version, leased)
+			v.c.d.recycleTask(f.t) // the stale image goes back here
 			v.c.d.fillWaste++
 			v.pc.insert(cp)
 			return cp
@@ -731,19 +817,20 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		filled := f.t.data
 		f.t.data = nil
 		v.c.d.fillHits++
-		cp := v.c.newPage(pg, filled, m.insertScore(), false, f.t.version)
+		cp := v.c.newPage(pg, filled, m.insertScore(), false, f.t.version, f.t.leased)
+		f.t.leased = false
 		v.c.d.recycleTask(f.t)
 		v.pc.insert(cp)
 		return cp
 	case v.tx == nil || !v.tx.flags.Has(Collective):
-		data, version = v.readPage(pg)
+		data, version, leased = v.readPage(pg, v.leaseReads())
 	default:
 		// Collective phases coalesce faults: one fetch per (page, node),
 		// later ranks share the arriving data (Fig. 3's tree pattern). The
 		// leading read's task lives until readDone, for the ranks sharing it.
 		t := v.c.d.newTask()
 		t.kind, t.vec, t.page = taskRead, m, pg
-		t.origin, t.replicate = v.c.node.ID, v.replicable()
+		t.origin, t.replicate, t.lease = v.c.node.ID, v.replicable(), v.leaseReads()
 		if lead, shared := v.c.d.coalesceRead(t); shared {
 			v.c.counts.coalesced++
 			v.c.d.recycleTask(t)
@@ -760,29 +847,30 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		if err := v.c.submitSync(t); err != nil {
 			panic(fmt.Errorf("core: page fault on %s page %d failed: %w", m.name, pg, err))
 		}
-		data, version = t.data, t.version
+		data, version, leased = t.data, t.version, t.leased
 	}
 	v.ensureSpace(pg)
-	cp := v.c.newPage(pg, data, m.insertScore(), partial, version)
+	cp := v.c.newPage(pg, data, m.insertScore(), partial, version, leased)
 	v.pc.insert(cp)
 	return cp
 }
 
 // readPage is one synchronous fault of page pg from the scache: it counts
 // the fault, reads the page and returns its image, which the caller now
-// owns, with the commit version it was read at.
-func (v *Vector[T]) readPage(pg int64) ([]byte, uint64) {
+// owns, with the commit version it was read at. A read with lease may
+// return the scache's own array instead, held under a lease (leased).
+func (v *Vector[T]) readPage(pg int64, lease bool) (data []byte, version uint64, leased bool) {
 	v.countFault()
 	t := v.c.d.newTask()
 	t.kind, t.vec, t.page = taskRead, v.m, pg
-	t.origin, t.replicate = v.c.node.ID, v.replicable()
+	t.origin, t.replicate, t.lease = v.c.node.ID, v.replicable(), lease
 	if err := v.c.submitSync(t); err != nil {
 		panic(fmt.Errorf("core: page fault on %s page %d failed: %w", v.m.name, pg, err))
 	}
-	data, version := t.data, t.version
-	t.data = nil // claimed by the caller; keep recycleTask from pooling it
+	data, version, leased = t.data, t.version, t.leased
+	t.data, t.leased = nil, false // claimed by the caller; keep recycleTask from giving it back
 	v.c.d.recycleTask(t)
-	return data, version
+	return data, version, leased
 }
 
 // countFault counts one synchronous fault: for the client's node, and for
@@ -848,7 +936,7 @@ func (v *Vector[T]) evict(cp *cachedPage) {
 // dropPage releases a page's pcache residency and DRAM accounting. The
 // page's buffer re-pools here, unless an eviction commit took it (then
 // cp.data is nil and recycleTask pools it after the device copied the
-// payload).
+// payload); a leased page gives its lease back instead.
 func (v *Vector[T]) dropPage(cp *cachedPage) {
 	v.pc.remove(cp.idx)
 	v.pc.used -= v.m.pageSize
@@ -856,7 +944,7 @@ func (v *Vector[T]) dropPage(cp *cachedPage) {
 	if v.last == cp {
 		v.setLast(nil)
 	}
-	v.c.d.putBuf(cp.data)
+	v.c.d.giveBack(cp.data, cp.leased)
 	v.c.recycle(cp)
 }
 
@@ -926,7 +1014,8 @@ func (v *Vector[T]) integrateFills() {
 		v.c.d.fillHits++
 		filled := f.t.data
 		f.t.data = nil // claimed by the page
-		v.pc.insert(v.c.newPage(pg, filled, v.m.insertScore(), false, f.t.version))
+		v.pc.insert(v.c.newPage(pg, filled, v.m.insertScore(), false, f.t.version, f.t.leased))
+		f.t.leased = false
 		v.c.d.recycleTask(f.t)
 	}
 	clear(v.fills[len(pending):])

@@ -17,15 +17,99 @@ const arraysPerClass = 16
 // stops allocating once its classes are stocked. cluster.New shares one
 // with every node and pool device.
 //
-// A device may recycle an array only once nothing else can reach it:
-// reads copy out before they yield, and a blob Adopt moves away is never
-// recycled by its source (see Device.lent).
+// A device may recycle an array only once nothing else can reach it. A
+// read either copies out before it yields (ReadInto) or leases the stored
+// array (ReadLease), and the lease table keeps a leased array out of the
+// recycler: a device that lets go of one (Delete, a replacing Write,
+// Purge) only marks it, and the last Release recycles it. Adopt leases
+// the array it moves while its source's delete charges.
 type Arrays struct {
 	free map[int][][]byte // by class size; each array's capacity is at least that size
+	// leases holds every leased array, keyed by its first byte; nil until
+	// the first lease (every device makes a recycler of its own before
+	// cluster.New shares one).
+	leases map[*byte]lease
+}
+
+// lease is one leased array's entry: its holders, and whether its device
+// let go of it meanwhile (and with which put mode), so the last Release
+// recycles it.
+type lease struct {
+	n             int32
+	dropped, bulk bool
 }
 
 // NewArrays returns an empty recycler.
 func NewArrays() *Arrays { return &Arrays{free: make(map[int][][]byte)} }
+
+// Lease adds a holder to b's lease. While b is leased it is immutable:
+// every device writer that would change it in place copies it to an
+// array of its own first, and no device recycles it. An array of no
+// capacity holds no bytes to protect, and leasing or releasing one does
+// nothing.
+func (a *Arrays) Lease(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	if a.leases == nil {
+		a.leases = make(map[*byte]lease)
+	}
+	k := &b[:1][0]
+	l := a.leases[k]
+	l.n++
+	a.leases[k] = l
+}
+
+// Release gives back one holder's lease on b. The last one recycles b if
+// its device let go of it while it was leased. Releasing an array that is
+// not leased panics: a holder gave its lease back twice.
+func (a *Arrays) Release(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	k := &b[:1][0]
+	l, ok := a.leases[k]
+	if !ok {
+		panic("device: release of an array that is not leased")
+	}
+	if l.n--; l.n > 0 {
+		a.leases[k] = l
+		return
+	}
+	delete(a.leases, k)
+	if l.dropped {
+		a.put(b, l.bulk)
+	}
+}
+
+// Leases returns the holders of leases outstanding, summed over arrays:
+// zero once every reader gave its lease back (an audit's check).
+func (a *Arrays) Leases() int {
+	n := 0
+	for _, l := range a.leases {
+		n += int(l.n)
+	}
+	return n
+}
+
+// leased reports whether b is leased. It costs one length check while
+// nothing is.
+func (a *Arrays) leased(b []byte) bool {
+	if len(a.leases) == 0 || cap(b) == 0 {
+		return false
+	}
+	_, ok := a.leases[&b[:1][0]]
+	return ok
+}
+
+// restored clears the mark of a leased array that a device stores again
+// (Adopt's destination), so its last Release does not recycle it.
+func (a *Arrays) restored(b []byte) {
+	k := &b[:1][0]
+	l := a.leases[k]
+	l.dropped = false
+	a.leases[k] = l
+}
 
 // take returns an array of length n whose bytes past n, up to its
 // capacity, are zero (WriteAtSized extends into them in place). Its
@@ -45,8 +129,16 @@ func (a *Arrays) take(n int) []byte {
 
 // put offers b to the recycler. It is kept under the largest class its
 // capacity covers, unless that class is stocked already; bulk keeps it
-// whatever the stock (see Device.Purge).
+// whatever the stock (see Device.Purge). A leased b is only marked: its
+// last Release offers it.
 func (a *Arrays) put(b []byte, bulk bool) {
+	if len(a.leases) > 0 && cap(b) > 0 {
+		if l, ok := a.leases[&b[:1][0]]; ok {
+			l.dropped, l.bulk = true, bulk
+			a.leases[&b[:1][0]] = l
+			return
+		}
+	}
 	c := classBelow(cap(b))
 	if c == 0 {
 		return
@@ -60,7 +152,8 @@ func (a *Arrays) put(b []byte, bulk bool) {
 	}
 }
 
-// release drops every free array.
+// release drops every free array. Leases stay: their holders give them
+// back.
 func (a *Arrays) release() { clear(a.free) }
 
 // The Go allocator's size classes for objects up to 32 KB

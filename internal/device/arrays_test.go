@@ -150,8 +150,8 @@ func TestAdoptedArrayIsNotRecycled(t *testing.T) {
 		if ok, err := dst.Adopt(p, src, k); !ok || err != nil {
 			t.Fatalf("Adopt: ok=%v err=%v", ok, err)
 		}
-		if src.Has(k) || len(src.lent) != 0 {
-			t.Fatalf("after Adopt the source holds the blob (%v) or lends %d arrays", src.Has(k), len(src.lent))
+		if src.Has(k) || arrays.Leases() != 0 {
+			t.Fatalf("after Adopt the source holds the blob (%v) or %d leases are out", src.Has(k), arrays.Leases())
 		}
 		for i, dev := range []*Device{src, dst, src, dst} {
 			if err := dev.Write(p, blob.Raw(uint32(1000+i)), bytes.Repeat([]byte{byte(i)}, 500)); err != nil {

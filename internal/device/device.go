@@ -12,7 +12,6 @@ package device
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sort"
 
 	"megammap/internal/blob"
@@ -142,12 +141,9 @@ type Device struct {
 	bw    *vtime.Resource // media bandwidth: transfers serialize
 	blobs map[blob.ID][]byte
 	// arrays recycles the arrays of deleted, resized and purged blobs into
-	// the next writes of a new length (shared cluster-wide by
-	// ShareArrays). lent holds the arrays Adopt moved off this device
-	// while the source's delete is still charging: they are still stored
-	// here, and another device owns them.
+	// the next writes of a new length, and holds the leases that keep
+	// read arrays out of it (shared cluster-wide by ShareArrays).
 	arrays *Arrays
-	lent   [][]byte
 
 	// Fault injection (nil when no plan is installed).
 	inj   *faults.Injector
@@ -163,6 +159,7 @@ type Device struct {
 	// experienced degradation ratio the health scorer feeds on.
 	readOps, writeOps     int64
 	bytesRead, bytesWrite int64
+	copied                int64 // bytes reads copied out of stored arrays
 	busy                  vtime.Duration
 	nomBusy               vtime.Duration
 
@@ -193,14 +190,22 @@ func New(name string, prof Profile) *Device {
 func (d *Device) ShareArrays(a *Arrays) { d.arrays = a }
 
 // recycle hands the array of a blob this device no longer stores to the
-// recycler, unless Adopt lent it to another device.
-func (d *Device) recycle(b []byte, bulk bool) {
-	for _, l := range d.lent {
-		if sameArray(l, b) {
-			return
-		}
+// recycler; a leased one waits there for its last Release.
+func (d *Device) recycle(b []byte, bulk bool) { d.arrays.put(b, bulk) }
+
+// own returns b, the array stored under key, as one no lease holds: a
+// leased array is copied to one of its own class first, which the blob
+// keeps, and the device lets go of the leased one. Every writer that
+// changes stored bytes in place goes through it.
+func (d *Device) own(key blob.ID, b []byte) []byte {
+	if !d.arrays.leased(b) {
+		return b
 	}
-	d.arrays.put(b, bulk)
+	nb := d.arrays.take(len(b))
+	copy(nb, b)
+	d.recycle(b, false)
+	d.blobs[key] = nb
+	return nb
 }
 
 // sameArray reports whether a and b share their first byte of storage.
@@ -341,6 +346,10 @@ func (d *Device) Stats() (readOps, writeOps, bytesRead, bytesWritten int64) {
 	return d.readOps, d.writeOps, d.bytesRead, d.bytesWrite
 }
 
+// CopiedBytes returns the bytes reads copied out of stored arrays
+// (ReadInto, ReadAtInto); a ReadLease copies none.
+func (d *Device) CopiedBytes() int64 { return d.copied }
+
 // ErrNoSpace reports that a write would exceed device capacity.
 type ErrNoSpace struct {
 	Device string
@@ -405,11 +414,12 @@ func (d *Device) charge(p *vtime.Proc, n int64, bw float64) {
 //
 // The device always stores its own copy, never the caller's slice. A
 // payload of the stored blob's length is copied over the stored bytes in
-// place (every whole-page commit and replica reinstall); any other length
-// takes an array of its size class from the recycler (or a fresh one) and
-// hands the replaced array back, so the array's capacity is what the heap
-// charges for the length anyway. The order is charge, injected fault, and
-// only then the copy: a failed write leaves the old contents whole.
+// place (every whole-page commit and replica reinstall) unless they are
+// leased; any other length, or a leased array, takes an array of its size
+// class from the recycler (or a fresh one) and hands the replaced array
+// back, so the array's capacity is what the heap charges for the length
+// anyway. The order is charge, injected fault, and only then the copy: a
+// failed write leaves the old contents whole.
 func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) error {
 	held, err := d.Reserve(key, int64(len(data)))
 	if err != nil {
@@ -421,7 +431,24 @@ func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) error {
 
 // WriteHeld is Write through a hold its caller took with Reserve. A write
 // that lands settles it; a failed one leaves it for a retry or Unreserve.
-func (d *Device) WriteHeld(p *vtime.Proc, key blob.ID, data []byte, held *int64) (err error) {
+func (d *Device) WriteHeld(p *vtime.Proc, key blob.ID, data []byte, held *int64) error {
+	return d.write(p, key, data, held, nil)
+}
+
+// WriteLent is WriteHeld storing data itself instead of a copy: a write
+// that lands keeps the caller's array as the blob and leaves the caller
+// holding a lease on it (Arrays.Release gives it back), so the array is
+// immutable from then on and the caller may go on reading it. It charges
+// what WriteHeld charges. A failed write stores nothing and leases
+// nothing: data stays the caller's.
+func (d *Device) WriteLent(p *vtime.Proc, key blob.ID, data []byte, held *int64) error {
+	return d.write(p, key, data, held, data)
+}
+
+// write is WriteHeld, or WriteLent when lent (then data itself) is not
+// nil: a parameter of its own, so that WriteHeld's payload never escapes
+// its caller's frame.
+func (d *Device) write(p *vtime.Proc, key blob.ID, data []byte, held *int64, lent []byte) (err error) {
 	sp := d.enter(p, telemetry.OpDeviceWrite, key)
 	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
 	d.charge(p, int64(len(data)), d.prof.WriteBW)
@@ -436,9 +463,16 @@ func (d *Device) WriteHeld(p *vtime.Proc, key blob.ID, data []byte, held *int64)
 	if err := d.settle(held, int64(len(data))-int64(len(cur))); err != nil {
 		return err
 	}
-	if ok && len(cur) == len(data) {
+	switch {
+	case lent != nil:
+		if ok {
+			d.recycle(cur, false)
+		}
+		d.arrays.Lease(lent)
+		d.blobs[key] = lent[:len(lent):len(lent)] // nothing past its length to extend into
+	case ok && len(cur) == len(data) && !d.arrays.leased(cur):
 		copy(cur, data)
-	} else {
+	default:
 		if ok {
 			d.recycle(cur, false) // first: a resize within its class gets it back
 		}
@@ -506,9 +540,10 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 	// Looked up again: the charge yielded, and a concurrent write may have
 	// moved the object to a new array, or replaced or deleted it (then its
 	// old array may already serve another blob, and the range lands
-	// nowhere, as it would have in an array no blob holds).
+	// nowhere, as it would have in an array no blob holds). A lease taken
+	// meanwhile makes the write copy the array first.
 	if cur := d.blobs[key]; int64(len(cur)) >= end {
-		copy(cur[off:end], data)
+		copy(d.own(key, cur)[off:end], data)
 	}
 	d.writeOps++
 	d.bytesWrite += int64(len(data))
@@ -517,10 +552,11 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 
 // fill copies src into dst's storage when it is large enough, else into a
 // fresh array of exactly len(src) bytes, and returns the copy. Every read
-// goes through it: stored bytes are overwritten in place by Write, WriteAt
-// and CorruptBit, and a deleted blob's array serves the next write, so a
-// slice aliasing them would change under its holder. A nil dst always
-// allocates, so even an empty blob reads as non-nil.
+// but ReadLease goes through it: stored bytes are overwritten in place by
+// Write, WriteAt and CorruptBit, and a deleted blob's array serves the
+// next write, so a slice aliasing them would change under its holder
+// unless a lease holds it. A nil dst always allocates, so even an empty
+// blob reads as non-nil.
 func fill(dst, src []byte) []byte {
 	if dst != nil && cap(dst) >= len(src) {
 		dst = dst[:len(src)]
@@ -555,7 +591,26 @@ func (d *Device) ReadInto(p *vtime.Proc, key blob.ID, dst []byte) (out []byte, o
 	if !ok {
 		return nil, false, nil
 	}
+	d.copied += int64(len(blob))
 	return d.finishRead(p, key, fill(dst, blob))
+}
+
+// ReadLease is ReadInto for a reader that only reads the bytes: it
+// charges exactly what ReadInto charges, but returns the stored array
+// itself, with a lease taken when the read starts (Arrays.Lease), so it
+// returns the bytes stored then, as ReadInto does. The caller gives the
+// lease back with Arrays.Release once it is done with them. A failed read
+// holds no lease.
+func (d *Device) ReadLease(p *vtime.Proc, key blob.ID) (out []byte, ok bool, err error) {
+	blob, ok := d.blobs[key]
+	if !ok {
+		return nil, false, nil
+	}
+	d.arrays.Lease(blob)
+	if out, ok, err = d.finishRead(p, key, blob); err != nil {
+		d.arrays.Release(blob)
+	}
+	return out, ok, err
 }
 
 // finishRead charges a read of data, a copy taken as the read started,
@@ -587,7 +642,9 @@ func (d *Device) ReadAtInto(p *vtime.Proc, key blob.ID, off, length int64, dst [
 	if off >= int64(len(blob)) {
 		return nil, true, nil
 	}
-	return d.finishRead(p, key, fill(dst, blob[off:min(off+length, int64(len(blob)))]))
+	src := blob[off:min(off+length, int64(len(blob)))]
+	d.copied += int64(len(src))
+	return d.finishRead(p, key, fill(dst, src))
 }
 
 // Delete removes a blob, freeing its space, and hands its array to the
@@ -647,11 +704,15 @@ func (d *Device) Adopt(p *vtime.Proc, src *Device, key blob.ID) (ok bool, err er
 	}
 	d.writeOps++
 	d.bytesWrite += n
-	// src keeps b until its delete's latency ends; lent keeps it out of
-	// src's recycler meanwhile, whatever removes it.
-	src.lent = append(src.lent, b)
+	// src keeps b until its delete's latency ends; a lease keeps it out of
+	// the recycler meanwhile, whatever removes it. Stored here still, it is
+	// no longer let go of.
+	src.arrays.Lease(b)
 	src.Delete(p, key)
-	src.lent = slices.DeleteFunc(src.lent, func(l []byte) bool { return sameArray(l, b) })
+	if sameArray(d.blobs[key], b) {
+		src.arrays.restored(b)
+	}
+	src.arrays.Release(b)
 	return true, nil
 }
 
@@ -690,8 +751,27 @@ func (d *Device) CorruptBit(key blob.ID, byteOff int64, bit uint) bool {
 	if !ok || byteOff >= int64(len(blob)) {
 		return false
 	}
-	blob[byteOff] ^= 1 << (bit % 8)
+	d.own(key, blob)[byteOff] ^= 1 << (bit % 8) // a lease holder keeps the bytes it read
 	return true
+}
+
+// Truncate cuts a blob to size bytes, charging only the fixed latency (a
+// metadata update, as Delete); a blob of at most size bytes, or an absent
+// one, is left alone. The array keeps its capacity, zero past the new
+// length, so a later extending WriteAt reads zeros there.
+func (d *Device) Truncate(p *vtime.Proc, key blob.ID, size int64) {
+	if b, ok := d.blobs[key]; !ok || int64(len(b)) <= size {
+		return
+	}
+	d.chans.Acquire(p, 1)
+	p.Sleep(d.prof.Latency)
+	d.chans.Release(1)
+	if b := d.blobs[key]; int64(len(b)) > size {
+		b = d.own(key, b)
+		clear(b[size:])
+		d.blobs[key] = b[:size]
+		d.note(size-int64(len(b)), 0)
+	}
 }
 
 // Peek returns a copy of a blob's bytes without charging any virtual

@@ -564,10 +564,18 @@ func (h *Hermes) nodeDownErr(id blob.ID) error {
 
 // writeRetry writes a blob to dev through its caller's hold there
 // (device.Reserve), every attempt with that one hold, absorbing injected
-// transient faults under the retry policy. (The closures here and below
-// never outlive the call, so they stay on the stack.)
-func (h *Hermes) writeRetry(p *vtime.Proc, dev *device.Device, id blob.ID, data []byte, held *int64) error {
-	return h.inj.Do(p, "retry.scache_write", func() error { return dev.WriteHeld(p, id, data, held) })
+// transient faults under the retry policy. lent is nil, or data when the
+// device is to keep the array itself (device.WriteLent, PutBacked's lend):
+// a parameter of its own, so that the payload of every other write never
+// escapes its caller's frame. (The closures here and below never outlive
+// the call, so they stay on the stack.)
+func (h *Hermes) writeRetry(p *vtime.Proc, dev *device.Device, id blob.ID, data []byte, held *int64, lent []byte) error {
+	return h.inj.Do(p, "retry.scache_write", func() error {
+		if lent != nil {
+			return dev.WriteLent(p, id, lent, held)
+		}
+		return dev.WriteHeld(p, id, data, held)
+	})
 }
 
 // readRetry reads a blob from dev into dst's storage (see
@@ -587,7 +595,7 @@ func (h *Hermes) readRetry(p *vtime.Proc, dev *device.Device, id blob.ID, counte
 // writes its backup copies. The caller runs on fromNode; data crossing
 // nodes charges fabric time.
 func (h *Hermes) Put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int) error {
-	return h.put(p, fromNode, id, data, score, prefNode, false)
+	return h.put(p, fromNode, id, data, score, prefNode, false, nil)
 }
 
 // PutBacked is Put for bytes a durable backend also holds (a page image
@@ -596,11 +604,22 @@ func (h *Hermes) Put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 // enqueues no repair. Redundancy costs fabric and device bandwidth, which
 // is worth paying for data that exists nowhere else: a later Put or PutAt
 // writes the backups.
-func (h *Hermes) PutBacked(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int) error {
-	return h.put(p, fromNode, id, data, score, prefNode, true)
+//
+// With lend the device stores the staged image it is given instead of a
+// copy (device.WriteLent): a put that lands leaves the caller holding a
+// lease on data, a second holder beside the store, which it gives back
+// with the cluster's Arrays.Release; data is immutable from then on. A
+// put that fails stores nothing and leaves data the caller's.
+func (h *Hermes) PutBacked(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, lend bool) error {
+	var lent []byte
+	if lend {
+		lent = data
+	}
+	return h.put(p, fromNode, id, data, score, prefNode, true, lent)
 }
 
-func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, backed bool) (err error) {
+// put is Put and PutBacked; lent is as for writeRetry.
+func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, backed bool, lent []byte) (err error) {
 	sp := h.trc.Enter(p, telemetry.OpScachePut, fromNode, id.Vec, id.Page)
 	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
 	pl := h.lookup(p, fromNode, id)
@@ -619,7 +638,7 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 			if pl.Node != fromNode {
 				h.c.Fabric.Transfer(p, fromNode, pl.Node, int64(len(data)))
 			}
-			if err := h.writeRetry(p, pl.dev, id, data, &held); err != nil {
+			if err := h.writeRetry(p, pl.dev, id, data, &held, lent); err != nil {
 				return err
 			}
 			pl.Size = int64(len(data))
@@ -641,7 +660,7 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 	if tier == topology.PoolTier {
 		h.poolPlaced++
 	}
-	if pl, err = h.store(p, fromNode, id, node, tier, data, score, prefNode); err != nil {
+	if pl, err = h.store(p, fromNode, id, node, tier, data, score, prefNode, lent); err != nil {
 		return err
 	}
 	h.protect(p, pl, id, data, backed)
@@ -652,8 +671,9 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 // recovered primary): it ships id's bytes from node from to the (node,
 // tier) a walk just picked and installs the record. The bytes are
 // reserved there before the transfer, the first yield, so no other writer
-// takes the room the walk found; a failed write releases the hold.
-func (h *Hermes) store(p *vtime.Proc, from int, id blob.ID, node int, tier string, data []byte, score float64, scoreNode int) (*Placement, error) {
+// takes the room the walk found; a failed write releases the hold. lent
+// is as for writeRetry.
+func (h *Hermes) store(p *vtime.Proc, from int, id blob.ID, node int, tier string, data []byte, score float64, scoreNode int, lent []byte) (*Placement, error) {
 	size := int64(len(data))
 	dev := h.device(node, tier)
 	held, err := dev.Reserve(id, size)
@@ -664,7 +684,7 @@ func (h *Hermes) store(p *vtime.Proc, from int, id blob.ID, node int, tier strin
 	if node != from {
 		h.c.Fabric.Transfer(p, from, node, size)
 	}
-	if err := h.writeRetry(p, dev, id, data, &held); err != nil {
+	if err := h.writeRetry(p, dev, id, data, &held, lent); err != nil {
 		return nil, err
 	}
 	var pl *Placement // off the free list, every field overwritten
@@ -787,7 +807,7 @@ func (h *Hermes) storeBackup(p *vtime.Proc, primary int, bk blob.ID, node int, t
 		h.pin(stale)
 		defer h.unpin(stale)
 	}
-	_, err := h.store(p, primary, bk, node, tier, data, 0.05, node)
+	_, err := h.store(p, primary, bk, node, tier, data, 0.05, node, nil)
 	if err == nil && stale != nil {
 		h.deleteData(p, stale, bk)
 	}
@@ -1019,7 +1039,7 @@ func (h *Hermes) PutLocal(p *vtime.Proc, node int, id blob.ID, data []byte, scor
 	if ti < 0 {
 		return false
 	}
-	_, err := h.store(p, node, id, node, h.tiers[ti], data, score, node)
+	_, err := h.store(p, node, id, node, h.tiers[ti], data, score, node, nil)
 	return err == nil
 }
 
@@ -1072,7 +1092,7 @@ func (h *Hermes) recoverPrimary(p *vtime.Proc, id blob.ID) (pl *Placement, err e
 	if !found {
 		return nil, &ErrNoCapacity{Key: h.DisplayName(id), Size: int64(len(data))}
 	}
-	if pl, err = h.store(p, bp.Node, id, node, tier, data, 0.5, node); err != nil {
+	if pl, err = h.store(p, bp.Node, id, node, tier, data, 0.5, node, nil); err != nil {
 		return nil, err
 	}
 	h.inj.Note("hermes.failover_recover")
@@ -1152,6 +1172,29 @@ func (h *Hermes) Get(p *vtime.Proc, fromNode int, id blob.ID) ([]byte, bool, err
 // enough (see device.ReadInto). The returned slice never aliases device
 // storage; the caller owns it either way.
 func (h *Hermes) GetInto(p *vtime.Proc, fromNode int, id blob.ID, dst []byte) (data []byte, ok bool, err error) {
+	return h.get(p, fromNode, id, dst, false)
+}
+
+// GetLease is Get for a reader that only reads the bytes: the primary and
+// failover reads lease the stored array instead of copying it
+// (device.ReadLease), and a hedged read's winner, a copy of its own, is
+// leased too, so a read that returns bytes always returns them under one
+// lease, which the caller gives back with the cluster's Arrays.Release.
+// The bytes are immutable while leased. It charges what GetInto charges;
+// a read that fails or finds nothing holds no lease.
+func (h *Hermes) GetLease(p *vtime.Proc, fromNode int, id blob.ID) (data []byte, ok bool, err error) {
+	return h.get(p, fromNode, id, nil, true)
+}
+
+// readOnce is one device read of a GetInto (lease false) or GetLease.
+func readOnce(p *vtime.Proc, dev *device.Device, id blob.ID, dst []byte, lease bool) ([]byte, bool, error) {
+	if lease {
+		return dev.ReadLease(p, id)
+	}
+	return dev.ReadInto(p, id, dst)
+}
+
+func (h *Hermes) get(p *vtime.Proc, fromNode int, id blob.ID, dst []byte, lease bool) (data []byte, ok bool, err error) {
 	sp := h.trc.Enter(p, telemetry.OpScacheGet, fromNode, id.Vec, id.Page)
 	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
 	pl := h.lookup(p, fromNode, id)
@@ -1179,10 +1222,13 @@ func (h *Hermes) GetInto(p *vtime.Proc, fromNode int, id blob.ID, dst []byte) (d
 	// path is byte-for-byte unchanged.
 	if h.hedgeDelay > 0 && readID == id && h.suspect[pl.Node] {
 		if data, ok, err, hedged := h.getHedged(p, fromNode, id, pl); hedged {
+			if lease && ok && err == nil {
+				h.c.Arrays.Lease(data) // the winner's own copy: its last Release forgets it
+			}
 			return data, ok, err
 		}
 	}
-	data, ok, err = pl.dev.ReadInto(p, readID, dst)
+	data, ok, err = readOnce(p, pl.dev, readID, dst, lease)
 	// Its own loop, not Injector.Do: it fails over to a backup between attempts.
 	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
 		h.inj.Backoff(p, "retry.scache_read", attempt)
@@ -1194,7 +1240,7 @@ func (h *Hermes) GetInto(p *vtime.Proc, fromNode int, id blob.ID, dst []byte) (d
 			}
 			h.pin(pl)
 		}
-		data, ok, err = pl.dev.ReadInto(p, readID, dst)
+		data, ok, err = readOnce(p, pl.dev, readID, dst, lease)
 	}
 	if err != nil {
 		return nil, ok, fmt.Errorf("hermes: reading blob %q: %w", h.DisplayName(id), err)

@@ -1,0 +1,154 @@
+package hermes
+
+import (
+	"bytes"
+	"testing"
+
+	"megammap/internal/vtime"
+)
+
+// same reports whether a and b share their first byte of storage.
+func same(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+// TestPutBackedKeepsTheCallersImage: a lending PutBacked stores the
+// caller's array itself and leaves the caller a lease holder. A later
+// read leases that very array; a whole-page Put and a PutAt of new bytes
+// copy it first, so the caller keeps its image while the scache serves
+// the new bytes; and the audit stays clean throughout.
+func TestPutBackedKeepsTheCallersImage(t *testing.T) {
+	c, h := newHermes(2)
+	run(t, c, func(p *vtime.Proc) {
+		audit := func(when string) {
+			t.Helper()
+			if bad := h.CheckIntegrity(); len(bad) != 0 {
+				t.Errorf("%s: integrity: %v", when, bad)
+			}
+		}
+		id := h.Key("v/0")
+		img := bytes.Repeat([]byte{0x42}, 4096)
+		if err := h.PutBacked(p, 0, id, img, 0.5, 0, true); err != nil {
+			t.Fatal(err)
+		}
+		audit("after the lending put")
+		if n := c.Arrays.Leases(); n != 1 {
+			t.Fatalf("%d leases after the lending put, want the caller's 1", n)
+		}
+		got, ok, err := h.GetLease(p, 1, id)
+		if !ok || err != nil || !same(got, img) {
+			t.Fatalf("GetLease: ok=%v err=%v, or it did not return the stored image", ok, err)
+		}
+		c.Arrays.Release(got)
+		if err := h.Put(p, 0, id, bytes.Repeat([]byte{0x43}, 4096), 0.5, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.PutAt(p, 0, id, 10, []byte{1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+		audit("after the rewrites")
+		if !bytes.Equal(img, bytes.Repeat([]byte{0x42}, 4096)) {
+			t.Error("a rewrite changed the caller's leased image")
+		}
+		want := bytes.Repeat([]byte{0x43}, 4096)
+		copy(want[10:], []byte{1, 2, 3})
+		if got, _, _ := h.Get(p, 0, id); !bytes.Equal(got, want) {
+			t.Error("the scache does not serve the rewritten bytes")
+		}
+		c.Arrays.Release(img)
+		h.Delete(p, 0, id)
+		audit("after the delete")
+		if n := c.Arrays.Leases(); n != 0 {
+			t.Errorf("%d leases out at the end", n)
+		}
+	})
+}
+
+// TestFailedLendingPutLeasesNothing: a PutBacked that finds no room
+// stores nothing and leaves the image the caller's, with no lease.
+func TestFailedLendingPutLeasesNothing(t *testing.T) {
+	c, h := newHermes(1)
+	run(t, c, func(p *vtime.Proc) {
+		big := make([]byte, 32*1024*1024) // past every tier
+		if err := h.PutBacked(p, 0, h.Key("v/0"), big, 0.5, 0, true); err == nil {
+			t.Fatal("an oversized put landed")
+		}
+		if n := c.Arrays.Leases(); n != 0 {
+			t.Errorf("%d leases after a failed put", n)
+		}
+	})
+}
+
+// TestGetLeaseChargesWhatGetIntoCharges: the primary read and the
+// failover read each lease the stored array, at the virtual cost of a
+// copying read.
+func TestGetLeaseChargesWhatGetIntoCharges(t *testing.T) {
+	var took [2][2]vtime.Duration // [lease][primary, failover]
+	for li, lease := range []bool{false, true} {
+		c, h := newHermes(3)
+		h.SetReplicas(1)
+		run(t, c, func(p *vtime.Proc) {
+			id := h.Key("v/0")
+			data := bytes.Repeat([]byte{7}, 8192)
+			if err := h.Put(p, 0, id, data, 1.0, 0); err != nil {
+				t.Fatal(err)
+			}
+			for i := range 2 {
+				if i == 1 {
+					pl, _ := h.PlacementOf(id)
+					h.FailNode(pl.Node)
+				}
+				start := p.Now()
+				var got []byte
+				var err error
+				if lease {
+					got, _, err = h.GetLease(p, 2, id)
+				} else {
+					got, _, err = h.GetInto(p, 2, id, nil)
+				}
+				took[li][i] = p.Now() - start
+				if err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("lease=%v read %d: err=%v", lease, i, err)
+				}
+				if lease {
+					if n := c.Arrays.Leases(); n != 1 {
+						t.Errorf("read %d: %d leases out, want 1", i, n)
+					}
+					c.Arrays.Release(got)
+				}
+			}
+		})
+		if n := c.Arrays.Leases(); n != 0 {
+			t.Errorf("lease=%v: %d leases out at the end", lease, n)
+		}
+	}
+	if took[0] != took[1] {
+		t.Errorf("GetInto took %v (primary, failover), GetLease %v", took[0], took[1])
+	}
+}
+
+// TestHedgedLeaseReadIsACopy: a hedged read's legs keep copying, so a
+// lease read that a backup leg wins returns a copy of its own, leased like
+// any GetLease result, and the stored arrays stay unleased.
+func TestHedgedLeaseReadIsACopy(t *testing.T) {
+	c, h := newHermes(3)
+	h.SetReplicas(1)
+	run(t, c, func(p *vtime.Proc) {
+		data := bytes.Repeat([]byte{9}, 4096)
+		_, reader := hedgeSetup(t, c, h, p, data, 1000)
+		h.SetHedge(5*vtime.Microsecond, nil)
+		got, ok, err := h.GetLease(p, reader, h.Key("v/0"))
+		if err != nil || !ok || !bytes.Equal(got, data) {
+			t.Fatalf("hedged lease read = %v bytes, ok=%v, err=%v", len(got), ok, err)
+		}
+		if n := c.Arrays.Leases(); n != 1 {
+			t.Errorf("%d leases out, want the winner's 1", n)
+		}
+		c.Arrays.Release(got)
+		bp, _ := h.PlacementOf(h.Key("v/0").Backup(0))
+		if n := c.Nodes[bp.Node].Devices[bp.Tier].CopiedBytes(); n != int64(len(data)) {
+			t.Errorf("the winning backup leg copied %d bytes, want %d", n, len(data))
+		}
+	})
+	if h.hedgesWon() != 1 {
+		t.Errorf("hedges won %d, want 1", h.hedgesWon())
+	}
+}

@@ -221,7 +221,7 @@ func TestPlanOrganizePinsBackupsAndReplicas(t *testing.T) {
 		pinned := []blob.ID{h.Key("v/0").Backup(0), h.Key("v/0").Replica(1)}
 		plain := h.Key("v/plain")
 		for _, k := range append(pinned, plain) {
-			if _, err := h.store(p, 0, k, 0, "hdd", big, 1.0, 0); err != nil {
+			if _, err := h.store(p, 0, k, 0, "hdd", big, 1.0, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -294,7 +294,7 @@ func TestPlanOrganizeBudgetCapsBytes(t *testing.T) {
 		var ids []blob.ID
 		for i := range n {
 			k := h.Key(fmt.Sprintf("cold/%d", i))
-			if _, err := h.store(p, 0, k, 0, "nvme", bytes.Repeat([]byte{2}, 1024), 0.9, 0); err != nil {
+			if _, err := h.store(p, 0, k, 0, "nvme", bytes.Repeat([]byte{2}, 1024), 0.9, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids, k)

@@ -79,6 +79,14 @@ type Backend interface {
 	WriteRange(p *vtime.Proc, node int, off int64, data []byte) error
 }
 
+// Truncater is a Backend a vector owns whole, which shrinks with it
+// (core's Vector.Resize): Truncate cuts the dataset to size bytes, and a
+// later write past the new end leaves zeros between. A glob-mapped
+// dataset, read-only, is not one.
+type Truncater interface {
+	Truncate(p *vtime.Proc, node int, size int64) error
+}
+
 // Stager opens URL-addressed backends over the cluster's PFS.
 type Stager struct {
 	c *cluster.Cluster
@@ -139,6 +147,12 @@ func (b *fileBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, 
 
 func (b *fileBackend) WriteRange(p *vtime.Proc, node int, off int64, data []byte) error {
 	return b.c.PFSWrite(p, node, b.u.Path, off, data)
+}
+
+// Truncate implements Truncater.
+func (b *fileBackend) Truncate(p *vtime.Proc, node int, size int64) error {
+	b.c.PFSTruncate(p, b.u.Path, size)
+	return nil
 }
 
 // ---------------------------------------------------------------- glob --
@@ -258,6 +272,12 @@ func (b *h5Backend) WriteRange(p *vtime.Proc, node int, off int64, data []byte) 
 	if isNew {
 		return b.addToIndex(p, node)
 	}
+	return nil
+}
+
+// Truncate implements Truncater: the group is one object.
+func (b *h5Backend) Truncate(p *vtime.Proc, node int, size int64) error {
+	b.c.PFSTruncate(p, b.key, size)
 	return nil
 }
 
@@ -453,6 +473,23 @@ func (b *pqBackend) WriteRange(p *vtime.Proc, node int, off int64, data []byte) 
 		return b.flushFooter(p, node)
 	}
 	return nil
+}
+
+// Truncate implements Truncater: every row group past the new end is cut
+// to what it still holds, empty past it (kept, so that a later write
+// beyond leaves a row group that reads as zeros, not a missing one), and
+// the footer records the new size.
+func (b *pqBackend) Truncate(p *vtime.Proc, node int, size int64) error {
+	b.loadFooter(p, node)
+	if size >= b.footer.Size {
+		return nil
+	}
+	cs := b.footer.ChunkSize
+	for ci := size / cs; ci*cs < b.footer.Size; ci++ {
+		b.c.PFSTruncate(p, b.chunkKey(ci), max(0, size-ci*cs))
+	}
+	b.footer.Size = size
+	return b.flushFooter(p, node)
 }
 
 // sized returns dst resliced to n bytes when its storage is large enough,

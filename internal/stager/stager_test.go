@@ -313,3 +313,51 @@ func TestPropertyPQMatchesFile(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTruncateThenExtendReadsZeros: every backend a vector owns whole
+// shrinks to a cut (a pq cut mid-chunk drops the row groups past it and
+// records the size in its footer, seen again on reopen), and a write past
+// the cut leaves zeros between, never the old bytes.
+func TestTruncateThenExtendReadsZeros(t *testing.T) {
+	c, s := newStager()
+	run(t, c, func(p *vtime.Proc) {
+		for _, url := range []string{"file:///tr/f.bin", "h5:///tr/c.h5:g", "pq:///tr/t.parquet:col"} {
+			b, err := s.Open(url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := bytes.Repeat([]byte{0xEE}, int(pqChunkSize)*2+100)
+			if err := b.WriteRange(p, 0, 0, old); err != nil {
+				t.Fatal(err)
+			}
+			cut := pqChunkSize - 10
+			if err := b.(Truncater).Truncate(p, 0, cut); err != nil {
+				t.Fatal(err)
+			}
+			if b.Size() != cut {
+				t.Errorf("%s: size %d after the cut, want %d", url, b.Size(), cut)
+			}
+			if again, _ := s.Open(url); again.Size() != cut {
+				t.Errorf("%s: reopened at size %d, want %d", url, again.Size(), cut)
+			}
+			end := int64(len(old))
+			if err := b.WriteRange(p, 0, end-1, []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := b.ReadRange(p, 0, 0, end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]byte, end)
+			copy(want, old[:cut])
+			want[end-1] = 1
+			if !bytes.Equal(got, want) {
+				i := 0
+				for i < len(got) && i < len(want) && got[i] == want[i] {
+					i++
+				}
+				t.Errorf("%s: after cut and extend, byte %d of %d reads %v, want %v", url, i, len(got), got[min(i, len(got)-1)], want[min(i, len(want)-1)])
+			}
+		}
+	})
+}
