@@ -393,10 +393,13 @@ func New(spec Spec) *Cluster {
 	c.inj = faults.NewInjector(faults.Plan{}, c.Engine.Now)
 	c.Fabric.SetFaults(c.inj)
 	c.agg.tierUsed = make([]int64, len(spec.Tiers))
-	// One array recycler for every node and pool device: a blob deleted
-	// or resized on one node hands its array to the next write anywhere.
+	// One array recycler and lease table for every node and pool device
+	// and the PFS: a blob deleted or resized on one node hands its array
+	// to the next write anywhere, and a range the PFS lends a node device
+	// (PFSReadLease) stays leased wherever it is stored.
 	arrays := device.NewArrays()
 	c.Arrays = arrays
+	c.PFS.ShareArrays(arrays)
 	for i := 0; i < spec.Nodes; i++ {
 		n := &Node{
 			ID:      i,
@@ -513,6 +516,20 @@ func (c *Cluster) PFSRead(p *vtime.Proc, node int, key string, off, length int64
 // large enough (see device.ReadInto); the caller owns the returned slice
 // either way.
 func (c *Cluster) PFSReadInto(p *vtime.Proc, node int, key string, off, length int64, dst []byte) ([]byte, bool, error) {
+	return c.pfsRead(p, node, key, off, length, dst, false)
+}
+
+// PFSReadLease is PFSReadInto for a reader that only reads the bytes: it
+// charges exactly what PFSReadInto charges, but returns the object's
+// stored bytes themselves under a lease (device.ReadAtLease), which the
+// caller gives back with the cluster's Arrays.Release. Each attempt takes
+// its lease when it starts, and a failed one holds none.
+func (c *Cluster) PFSReadLease(p *vtime.Proc, node int, key string, off, length int64) ([]byte, bool, error) {
+	return c.pfsRead(p, node, key, off, length, nil, true)
+}
+
+// pfsRead is PFSReadInto, or PFSReadLease when lease is set.
+func (c *Cluster) pfsRead(p *vtime.Proc, node int, key string, off, length int64, dst []byte, lease bool) ([]byte, bool, error) {
 	id, ok := c.pfsLookup(key)
 	if !ok {
 		return nil, false, nil
@@ -521,7 +538,11 @@ func (c *Cluster) PFSReadInto(p *vtime.Proc, node int, key string, off, length i
 	c.pfsSrv.Acquire(p, 1)
 	var data []byte
 	err := c.inj.Do(p, "retry.pfs_read", func() (err error) {
-		data, ok, err = c.PFS.ReadAtInto(p, id, off, length, dst)
+		if lease {
+			data, ok, err = c.PFS.ReadAtLease(p, id, off, length)
+		} else {
+			data, ok, err = c.PFS.ReadAtInto(p, id, off, length, dst)
+		}
 		return err
 	})
 	c.pfsSrv.Release(1)

@@ -1,0 +1,121 @@
+package core
+
+import (
+	"hash/crc32"
+	"testing"
+
+	"megammap/internal/stager"
+	"megammap/internal/vtime"
+)
+
+// pqRowGroup is the PFS object of row group 0 of backedURLs[1], and
+// pqFooter the object of its footer, which the first read loads through a
+// copy.
+const (
+	pqRowGroup = "/data/backed.parquet::v::rg0"
+	pqFooter   = "/data/backed.parquet::v::#footer"
+)
+
+// TestCorruptBorrowedPageRestagesTheBackendsBytes: a read-only stage-in
+// of a pq:// page lends the row group's bytes to the scache, so a bit
+// flipped in the scache's copy must not reach the backend. Under
+// ChecksumPages the next fault catches the flip, re-stages the page and
+// reads the original bytes, and the row group's CRC never moves.
+func TestCorruptBorrowedPageRestagesTheBackendsBytes(t *testing.T) {
+	runBacked(t, backedURLs[1], true, func(p *vtime.Proc, d *DSM, v *Vector[int64]) {
+		raw, _ := d.c.PFSPeek(pqRowGroup)
+		want := crc32.ChecksumIEEE(raw)
+		copied := d.c.PFS.CopiedBytes()
+		readBack(t, v, 0, backedLen, backedValue)
+		if n := d.c.PFS.CopiedBytes() - copied; n != d.c.PFSSize(pqFooter) {
+			t.Fatalf("the read-only stage-ins copied %d bytes out of the PFS, want only the footer's %d", n, d.c.PFSSize(pqFooter))
+		}
+		key := v.m.pageID(1)
+		pl, _ := d.h.PlacementOf(key)
+		if !d.c.Nodes[pl.Node].Devices[pl.Tier].CorruptBit(key, 100, 3) {
+			t.Fatal("corruption injection failed")
+		}
+		if raw, _ := d.c.PFSPeek(pqRowGroup); crc32.ChecksumIEEE(raw) != want {
+			t.Fatal("a bit flipped in the scache's copy reached the row group")
+		}
+		readBack(t, v, 0, backedLen, backedValue)
+		if d.PageRepairs() != 1 {
+			t.Errorf("page repairs = %d, want 1", d.PageRepairs())
+		}
+		if raw, _ := d.c.PFSPeek(pqRowGroup); crc32.ChecksumIEEE(raw) != want {
+			t.Error("the repair changed the row group")
+		}
+	})
+}
+
+// TestPQWriteUnderABorrowedFrameKeepsItsBytes: a pq:// write into a row
+// group while a frame holds a page of it lent copies the row group first:
+// the frame and the scache keep the bytes the page was staged with, and
+// the backend serves the new ones.
+func TestPQWriteUnderABorrowedFrameKeepsItsBytes(t *testing.T) {
+	runBacked(t, backedURLs[1], false, func(p *vtime.Proc, d *DSM, v *Vector[int64]) {
+		v.m.prefetch = false
+		epp := v.PageSize() / 8
+		v.SeqTxBegin(0, backedLen, ReadOnly)
+		if got := v.Get(epp + 3); got != backedValue(epp+3) {
+			t.Fatalf("v[%d] = %d, want %d", epp+3, got, backedValue(epp+3))
+		}
+		if cp := v.pc.pages[1]; cp == nil || !cp.leased {
+			t.Fatal("page 1 is not a leased frame")
+		}
+		b, err := stager.New(d.c).Open(backedURLs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc [8]byte
+		Int64Codec{}.Encode(enc[:], -1)
+		if err := b.WriteRange(p, 0, (epp+3)*8, enc[:]); err != nil {
+			t.Fatal(err)
+		}
+		if got := v.Get(epp + 3); got != backedValue(epp+3) {
+			t.Errorf("the frame reads %d after the backend write, want its staged %d", got, backedValue(epp+3))
+		}
+		v.TxEnd()
+		if got, _, _ := d.h.Get(p, 0, v.m.pageID(1)); (Int64Codec{}).Decode(got[24:]) != backedValue(epp+3) {
+			t.Error("the backend write reached the scache's copy")
+		}
+		if got, err := b.ReadRange(p, 0, (epp+3)*8, 8); err != nil || (Int64Codec{}).Decode(got) != -1 {
+			t.Errorf("the backend does not serve its write: %v", err)
+		}
+	})
+}
+
+// TestStraddlingAndShortPagesStageInThroughACopy: a read-only scan of a
+// pq:// dataset lends every page that lies inside one row group and copies
+// the rest — the page straddling the row-group boundary and the short
+// last page — into page buffers, and every element reads right.
+func TestStraddlingAndShortPagesStageInThroughACopy(t *testing.T) {
+	const pageSize = 48 << 10
+	const url = "pq:///borrow/in.pq:t"
+	c, d := newTestDSM(t, 1)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		b, err := stager.New(c).Open(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int64((1<<20)+pageSize+1000) / 8 // page 21 straddles, page 22 is short
+		raw := make([]byte, n*8)
+		for i := range n {
+			Int64Codec{}.Encode(raw[i*8:], backedValue(i))
+		}
+		if err := b.WriteRange(p, 0, 0, raw); err != nil {
+			t.Fatal(err)
+		}
+		v, err := Open[int64](d.NewClient(p, 0), url, Int64Codec{}, WithPageSize(pageSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied := c.PFS.CopiedBytes()
+		readBack(t, v, 0, n, backedValue)
+		footer, straddling, short := c.PFSSize("/borrow/in.pq::t::#footer"), int64(pageSize), n*8-22*pageSize
+		if got := c.PFS.CopiedBytes() - copied; got != footer+straddling+short {
+			t.Errorf("the scan copied %d bytes out of the PFS, want the footer's, the straddling page's and the short page's %d",
+				got, footer+straddling+short)
+		}
+	})
+}

@@ -210,11 +210,11 @@ func TestEvictionAndDestroyReleaseLeases(t *testing.T) {
 // TestAuditFindsALeakedLease: a run through every lease holder — faults,
 // fills, stage-ins, evictions, a write to a leased page, a collective
 // read, Destroy and Shutdown's release — leaves no lease out, which the
-// audit checks; one lease a holder never gives back is named by
-// CheckInvariants after Shutdown.
+// audit checks; one lease a holder never gives back, on a scache array or
+// on a range the PFS lent, is named by CheckInvariants after Shutdown.
 func TestAuditFindsALeakedLease(t *testing.T) {
 	const epp = 512
-	for _, leak := range []bool{false, true} {
+	for _, leak := range []string{"", "array", "range"} {
 		c, d := newTestDSM(t, 2)
 		c.Engine.Spawn("app", func(p *vtime.Proc) {
 			raw := make([]byte, 8*epp*8)
@@ -229,6 +229,9 @@ func TestAuditFindsALeakedLease(t *testing.T) {
 				b.Get(i)
 			}
 			b.TxEnd()
+			if n := c.PFS.CopiedBytes(); n != 0 {
+				t.Errorf("the read-only stage-ins copied %d bytes: the scache stores no range the PFS lent", n)
+			}
 			b.SeqTxBegin(0, b.Len(), ReadOnly|Collective)
 			b.Get(b.Len() - 1)
 			b.Set(b.Len()-1, 4)
@@ -240,13 +243,20 @@ func TestAuditFindsALeakedLease(t *testing.T) {
 			for i := int64(0); i < 8*epp; i += epp {
 				v.Get(i)
 			}
-			if leak {
+			if leak == "array" {
 				c.Arrays.Lease(v.pc.pages[0].data) // a holder that never gives it back
 			}
 			v.TxEnd()
 			v.Destroy()
 			b.SeqTxBegin(0, b.Len(), ReadOnly) // resident at Shutdown
 			b.Get(0)
+			if leak == "range" {
+				b.Get(b.PageSize() / 8 * 5) // the scache's copy: a range the PFS lent
+				if !b.pc.pages[5].leased {
+					t.Fatal("the fault did not install a leased frame")
+				}
+				c.Arrays.Lease(b.pc.pages[5].data)
+			}
 			b.TxEnd()
 			if err := d.Shutdown(p); err != nil {
 				t.Error(err)
@@ -258,12 +268,12 @@ func TestAuditFindsALeakedLease(t *testing.T) {
 		found := d.CheckInvariants()
 		named := len(found) == 1 && strings.Contains(found[0], "1 array lease(s) outstanding")
 		switch {
-		case !leak && len(found) != 0:
+		case leak == "" && len(found) != 0:
 			t.Errorf("a clean run's audit found %v", found)
-		case leak && !named:
-			t.Errorf("the audit after a leaked lease found %v, want the lease named", found)
+		case leak != "" && !named:
+			t.Errorf("the audit after a leaked %s lease found %v, want the lease named", leak, found)
 		}
-		if !leak && c.Arrays.Leases() != 0 {
+		if leak == "" && c.Arrays.Leases() != 0 {
 			t.Errorf("%d leases out after a clean run", c.Arrays.Leases())
 		}
 	}

@@ -241,7 +241,7 @@ func TestPagePathAllocationBudgets(t *testing.T) {
 		check("pq:// stage-in", func() {
 			i++
 			buf := d.getBuf(pageSize)
-			if _, err := d.runtimes[0].stageIn(p, in.m, i%pages, buf); err != nil {
+			if _, _, err := d.runtimes[0].stageIn(p, in.m, i%pages, &buf, false); err != nil {
 				t.Fatal(err)
 			}
 			d.putBuf(buf)

@@ -10,6 +10,7 @@ import (
 	"megammap/internal/cluster"
 	"megammap/internal/device"
 	"megammap/internal/faults"
+	"megammap/internal/stager"
 	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
@@ -202,9 +203,10 @@ func (r *Runtime) exec(p *vtime.Proc, t *MemoryTask) {
 // miss and creating node-local replicas when the coherence mode allows.
 //
 // A read that may lease (t.lease, a read-only phase's) returns the
-// scache's own array of a full page under a lease, and lends a staged-in
-// image to the scache (PutBacked), so that it stays the one host array of
-// the page; t.leased then says the result is held that way. Every other
+// scache's own array of a full page under a lease, stages in a range the
+// backend lends (stager.Lender), and lends a staged-in image to the scache
+// (PutBacked), so that the backend's array stays the one host array of the
+// page; t.leased then says the result is held that way. Every other
 // leg fills one pooled buffer — scache get, stage-in or checksum repair —
 // which leaves as the page's data (dropPage returns it); each leg
 // overwrites all of it. A read that does not lease takes the buffer at
@@ -250,14 +252,14 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 		r.d.putBuf(buf)
 		return nil, err
 	}
-	staged := false
+	staged, lent := false, false
 	if !ok {
-		data, err = r.stageIn(p, m, t.page, r.buffer(m, &buf))
+		data, lent, err = r.stageIn(p, m, t.page, &buf, t.lease)
 		if err != nil {
 			r.d.putBuf(buf)
 			return nil, err
 		}
-		staged = true
+		staged, t.leased = true, lent
 	}
 	if r.d.cfg.ChecksumPages {
 		if s := m.state(t.page); s.summed && crc32.ChecksumIEEE(data) != s.sum {
@@ -290,11 +292,16 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 		// (or zero fill) still holds this image, so it needs no backup until
 		// a commit changes it. A full scache falls back to serving straight
 		// from the backend. A read that may lease lends the image: the
-		// scache stores buf itself and the page keeps it under a lease, so
-		// the buffer leaves the pool's books.
+		// scache stores it itself and the page keeps it under a lease. A
+		// range the backend lent already has the stage-in's lease, which
+		// the put's stands in for; buf leaves the pool's books.
 		if r.d.h.PutBacked(p, r.node.ID, key, data, m.placeScore(0.5), t.origin, t.lease) == nil && t.lease {
-			t.leased, buf = true, nil
-			r.d.bufOut--
+			if lent {
+				r.d.c.Arrays.Release(data)
+			} else {
+				t.leased, buf = true, nil
+				r.d.bufOut--
+			}
 		}
 	}
 	if t.replicate {
@@ -410,7 +417,7 @@ func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint3
 		}
 	}
 	if m.backend != nil && !m.state(page).dirty {
-		if data, err := r.stageIn(p, m, page, buf); err == nil && crc32.ChecksumIEEE(data) == want {
+		if data, _, err := r.stageIn(p, m, page, &buf, false); err == nil && crc32.ChecksumIEEE(data) == want {
 			r.d.inj.Note("core.repair_restage")
 			return data, true, nil
 		}
@@ -434,28 +441,46 @@ func fullPage(data, buf []byte, size int64) []byte {
 }
 
 // stageIn materializes a page image from the vector's backend (or zeros
-// for volatile/unwritten pages) over dst, a page buffer of the caller's
-// whose contents are unspecified on entry.
-func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, dst []byte) (data []byte, err error) {
+// for volatile/unwritten pages) over *buf, a page buffer of the caller's
+// whose contents are unspecified on entry, taken from the pool first if
+// *buf is nil. With lend (a read-only fault's), a backend that lends the
+// whole page (stager.Lender) serves it instead: data is then its stored
+// bytes themselves under a lease the caller holds (lent), and *buf is not
+// taken. A page that straddles two objects, a short or sparse tail, and a
+// backend that cannot lend land in *buf.
+func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, buf *[]byte, lend bool) (data []byte, lent bool, err error) {
 	sp := r.d.trc.Enter(p, telemetry.OpStageIn, r.node.ID, m.id, page)
 	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
-	data = dst[:m.pageSize]
 	var n int64 // bytes the backend holds for this page
 	if m.backend != nil {
 		off := page * m.pageSize
 		if have := m.backend.Size(); off < have {
 			n = min(m.pageSize, have-off)
-			// Backend bytes land straight in the page buffer: data is
-			// large enough, so got is data[:len(got)].
-			got, err := m.backend.ReadRangeInto(p, r.node.ID, off, n, data)
-			if err != nil {
-				return nil, err
+			var got []byte
+			if l, ok := m.backend.(stager.Lender); ok && lend && n == m.pageSize {
+				if got, err = l.ReadRangeLease(p, r.node.ID, off, n); err != nil {
+					return nil, false, err
+				}
+				if int64(len(got)) == n {
+					return got, true, nil
+				}
 			}
-			n = int64(len(got))
+			data = r.buffer(m, buf)[:m.pageSize]
+			if got != nil { // its object shrank while the lending read queued
+				n = int64(copy(data, got))
+				r.d.c.Arrays.Release(got)
+			} else if got, err = m.backend.ReadRangeInto(p, r.node.ID, off, n, data); err != nil {
+				return nil, false, err
+			} else {
+				n = int64(len(got)) // the bytes landed in data, large enough for them
+			}
 		}
 	}
-	clear(data[n:]) // dst holds stale bytes past what the backend filled
-	return data, nil
+	if data == nil {
+		data = r.buffer(m, buf)[:m.pageSize]
+	}
+	clear(data[n:]) // the buffer holds stale bytes past what the backend filled
+	return data, false, nil
 }
 
 // writePage commits modified regions of a page to the scache. A page the
@@ -588,7 +613,7 @@ func (r *Runtime) mergeImage(p *vtime.Proc, t *MemoryTask, held bool, buf []byte
 	end := m.pageSize
 	if err == nil && ok {
 		image = fullPage(image, buf, m.pageSize)
-	} else if image, err = r.stageIn(p, m, t.page, buf); err != nil {
+	} else if image, _, err = r.stageIn(p, m, t.page, &buf, false); err != nil {
 		return nil, err
 	} else if m.backend == nil && !r.d.cfg.ChecksumPages {
 		end = t.regions[len(t.regions)-1].end

@@ -186,11 +186,13 @@ func New(name string, prof Profile) *Device {
 
 // ShareArrays makes the device recycle stored arrays through a, which
 // other devices may share (cluster.New gives every node and pool device
-// one). Call it before the device stores anything.
+// and the PFS one, so that a range one lends another may store). Call it
+// before the device stores anything.
 func (d *Device) ShareArrays(a *Arrays) { d.arrays = a }
 
 // recycle hands the array of a blob this device no longer stores to the
-// recycler; a leased one waits there for its last Release.
+// recycler; a leased one waits there for its last Release, and a borrowed
+// range only loses this device's hold.
 func (d *Device) recycle(b []byte, bulk bool) { d.arrays.put(b, bulk) }
 
 // own returns b, the array stored under key, as one no lease holds: a
@@ -347,7 +349,8 @@ func (d *Device) Stats() (readOps, writeOps, bytesRead, bytesWritten int64) {
 }
 
 // CopiedBytes returns the bytes reads copied out of stored arrays
-// (ReadInto, ReadAtInto); a ReadLease copies none.
+// (ReadInto, ReadAtInto); a ReadLease copies none, and a ReadAtLease none
+// when it lends the range.
 func (d *Device) CopiedBytes() int64 { return d.copied }
 
 // ErrNoSpace reports that a write would exceed device capacity.
@@ -438,9 +441,11 @@ func (d *Device) WriteHeld(p *vtime.Proc, key blob.ID, data []byte, held *int64)
 // WriteLent is WriteHeld storing data itself instead of a copy: a write
 // that lands keeps the caller's array as the blob and leaves the caller
 // holding a lease on it (Arrays.Release gives it back), so the array is
-// immutable from then on and the caller may go on reading it. It charges
-// what WriteHeld charges. A failed write stores nothing and leases
-// nothing: data stays the caller's.
+// immutable from then on and the caller may go on reading it. data may be
+// a range the caller borrowed (ReadAtLease): the device then holds the
+// range too, until it lets go of the blob, and the caller holds a second
+// lease beside its first. It charges what WriteHeld charges. A failed
+// write stores nothing and leases nothing: data stays the caller's.
 func (d *Device) WriteLent(p *vtime.Proc, key blob.ID, data []byte, held *int64) error {
 	return d.write(p, key, data, held, data)
 }
@@ -465,10 +470,12 @@ func (d *Device) write(p *vtime.Proc, key blob.ID, data []byte, held *int64, len
 	}
 	switch {
 	case lent != nil:
+		// Held first: a re-put of the range the blob stores keeps its entry.
+		d.arrays.Lease(lent)
+		d.arrays.store(lent)
 		if ok {
 			d.recycle(cur, false)
 		}
-		d.arrays.Lease(lent)
 		d.blobs[key] = lent[:len(lent):len(lent)] // nothing past its length to extend into
 	case ok && len(cur) == len(data) && !d.arrays.leased(cur):
 		copy(cur, data)
@@ -525,6 +532,7 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 			}
 			grown := make([]byte, end, max(end, room))
 			copy(grown, blob)
+			d.arrays.unstore(blob) // a borrowed range, outgrown, loses this device's hold
 			blob = grown
 		}
 		d.blobs[key] = blob
@@ -552,10 +560,10 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 
 // fill copies src into dst's storage when it is large enough, else into a
 // fresh array of exactly len(src) bytes, and returns the copy. Every read
-// but ReadLease goes through it: stored bytes are overwritten in place by
-// Write, WriteAt and CorruptBit, and a deleted blob's array serves the
-// next write, so a slice aliasing them would change under its holder
-// unless a lease holds it. A nil dst always allocates, so even an empty
+// but ReadLease and ReadAtLease goes through it: stored bytes are
+// overwritten in place by Write, WriteAt and CorruptBit, and a deleted
+// blob's array serves the next write, so a slice aliasing them would
+// change under its holder unless a lease holds it. A nil dst always allocates, so even an empty
 // blob reads as non-nil.
 func fill(dst, src []byte) []byte {
 	if dst != nil && cap(dst) >= len(src) {
@@ -613,8 +621,9 @@ func (d *Device) ReadLease(p *vtime.Proc, key blob.ID) (out []byte, ok bool, err
 	return out, ok, err
 }
 
-// finishRead charges a read of data, a copy taken as the read started,
-// and returns it, or the injected fault the read meets.
+// finishRead charges a read of data, taken as the read started (a copy,
+// or stored bytes under a lease), and returns it, or the injected fault
+// the read meets.
 func (d *Device) finishRead(p *vtime.Proc, key blob.ID, data []byte) (out []byte, ok bool, err error) {
 	n := int64(len(data))
 	sp := d.enter(p, telemetry.OpDeviceRead, key)
@@ -645,6 +654,35 @@ func (d *Device) ReadAtInto(p *vtime.Proc, key blob.ID, off, length int64, dst [
 	src := blob[off:min(off+length, int64(len(blob)))]
 	d.copied += int64(len(src))
 	return d.finishRead(p, key, fill(dst, src))
+}
+
+// ReadAtLease is ReadAtInto for a reader that only reads the bytes: it
+// charges exactly what ReadAtInto charges, but returns the stored bytes
+// themselves, blob[off:end:end], as a range borrowed under a lease taken
+// when the read starts (Arrays), so it returns the bytes stored then. A
+// range that cannot be told apart from its array (all of the array's
+// capacity) or that lies in a borrowed range is copied instead, into an
+// array of its own under a lease of its own. Either way the caller gives
+// the lease back with Arrays.Release. A failed read holds no lease.
+func (d *Device) ReadAtLease(p *vtime.Proc, key blob.ID, off, length int64) (out []byte, ok bool, err error) {
+	blob, ok := d.blobs[key]
+	if !ok {
+		return nil, false, nil
+	}
+	if off >= int64(len(blob)) {
+		return nil, true, nil
+	}
+	end := min(off+length, int64(len(blob)))
+	data := d.arrays.lend(blob, off, end)
+	if data == nil {
+		data = fill(nil, blob[off:end])
+		d.copied += int64(len(data))
+		d.arrays.Lease(data)
+	}
+	if out, ok, err = d.finishRead(p, key, data); err != nil {
+		d.arrays.Release(data)
+	}
+	return out, ok, err
 }
 
 // Delete removes a blob, freeing its space, and hands its array to the
@@ -699,6 +737,7 @@ func (d *Device) Adopt(p *vtime.Proc, src *Device, key blob.ID) (ok bool, err er
 	}
 	old, had := d.blobs[key]
 	d.blobs[key] = b
+	d.arrays.store(b) // a borrowed range gains d's hold before anything lets go of it
 	if had {
 		d.recycle(old, false)
 	}
@@ -733,13 +772,14 @@ func (d *Device) Purge() {
 // Drop removes one blob without charging virtual time; dropping an absent
 // blob is a no-op. It is how a store that is shutting down gives back the
 // space of what only it could read again, so it also empties the
-// recycler.
+// recycler, and recycles nothing: a borrowed range's hold is given back.
 func (d *Device) Drop(key blob.ID) {
-	d.arrays.release()
 	if b, ok := d.blobs[key]; ok {
 		d.note(-int64(len(b)), 0)
 		delete(d.blobs, key)
+		d.arrays.unstore(b)
 	}
+	d.arrays.release()
 }
 
 // CorruptBit flips one bit of a stored blob in place, without charging

@@ -608,8 +608,10 @@ func (h *Hermes) Put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 // With lend the device stores the staged image it is given instead of a
 // copy (device.WriteLent): a put that lands leaves the caller holding a
 // lease on data, a second holder beside the store, which it gives back
-// with the cluster's Arrays.Release; data is immutable from then on. A
-// put that fails stores nothing and leaves data the caller's.
+// with the cluster's Arrays.Release; data is immutable from then on. data
+// may be a range the PFS lent (cluster.PFSReadLease), which the caller
+// then holds twice. A put that fails stores nothing and leaves data the
+// caller's.
 func (h *Hermes) PutBacked(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, lend bool) error {
 	var lent []byte
 	if lend {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"megammap/internal/blob"
+	"megammap/internal/device"
 	"megammap/internal/vtime"
 )
 
@@ -151,4 +153,111 @@ func TestHedgedLeaseReadIsACopy(t *testing.T) {
 	if h.hedgesWon() != 1 {
 		t.Errorf("hedges won %d, want 1", h.hedgesWon())
 	}
+}
+
+// TestPutBackedStoresABorrowedRange: a lending PutBacked of a range the
+// PFS lent stores the PFS's bytes themselves, and a lease read returns
+// them; the organizer's move hands the range on; a PFS write into the row
+// group while the range is stored leaves both the holder's and the
+// scache's bytes alone; a replacing Put copies, and a purge and the store's
+// Release let go of what they hold. No lease is left out, and every
+// device, the PFS included, uses the bytes it stores.
+func TestPutBackedStoresABorrowedRange(t *testing.T) {
+	const page = 48 << 10
+	c, h := newHermes(2)
+	row := make([]byte, 1<<20)
+	for i := range row {
+		row[i] = byte(i%251 + 1)
+	}
+	old := bytes.Clone(row[page : 2*page])
+	checkUsed := func(when string) {
+		t.Helper()
+		devs := []*device.Device{c.PFS}
+		for _, n := range c.Nodes {
+			for _, d := range n.Devices {
+				devs = append(devs, d)
+			}
+		}
+		for _, d := range devs {
+			if d.Used() != d.StoredBytes() {
+				t.Errorf("%s: %s uses %d bytes, stores %d", when, d.Name(), d.Used(), d.StoredBytes())
+			}
+		}
+		if bad := h.CheckIntegrity(); len(bad) != 0 {
+			t.Errorf("%s: integrity: %v", when, bad)
+		}
+	}
+	run(t, c, func(p *vtime.Proc) {
+		if err := c.PFSWriteSized(p, 0, "rg0", 0, row, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		stage := func(id blob.ID) []byte {
+			r, ok, err := c.PFSReadLease(p, 0, "rg0", page, page)
+			if !ok || err != nil {
+				t.Fatalf("PFSReadLease: ok=%v err=%v", ok, err)
+			}
+			if err := h.PutBacked(p, 0, id, r, 0.5, 0, true); err != nil {
+				t.Fatal(err)
+			}
+			c.Arrays.Release(r) // the stage-in's lease; the put's stands in for it
+			return r
+		}
+		id := h.Key("v/1")
+		r := stage(id)
+		if got, ok, err := h.GetLease(p, 1, id); !ok || err != nil || !same(got, r) {
+			t.Fatalf("GetLease: ok=%v err=%v, or it did not return the borrowed range", ok, err)
+		} else {
+			c.Arrays.Release(got)
+		}
+		h.move(p, id, h.meta[id], 1, "nvme")
+		if pl, _ := h.PlacementOf(id); pl.Node != 1 {
+			t.Fatalf("the move left the blob on node %d", pl.Node)
+		}
+		checkUsed("after the move")
+		if err := c.PFSWriteSized(p, 0, "rg0", page+10, []byte{0, 0, 0}, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, _ := h.Get(p, 0, id); !bytes.Equal(got, old) || !bytes.Equal(r, old) {
+			t.Error("a PFS write reached the scache's or the holder's bytes")
+		}
+		if got, _, _ := c.PFSRead(p, 0, "rg0", page+10, 3); !bytes.Equal(got, []byte{0, 0, 0}) {
+			t.Error("the PFS does not serve its own write")
+		}
+		checkUsed("after the PFS write")
+		if err := h.Put(p, 0, id, bytes.Repeat([]byte{7}, page), 0.5, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(r, old) {
+			t.Error("a replacing Put wrote into the borrowed range")
+		}
+		c.Arrays.Release(r)
+		h.Delete(p, 0, id)
+		checkUsed("after the replacement")
+
+		// A node that crashes and comes back cold lets go of the range it
+		// stored.
+		r = stage(h.Key("v/2"))
+		pl, _ := h.PlacementOf(h.Key("v/2"))
+		c.Arrays.Release(r)
+		h.FailNode(pl.Node)
+		for _, d := range c.Nodes[pl.Node].Devices {
+			d.Purge()
+		}
+		h.ReviveNode(pl.Node)
+		checkUsed("after the purge")
+
+		// So does the store's Release.
+		r = stage(h.Key("v/3"))
+		c.Arrays.Release(r)
+		h.Release()
+		if n := c.Arrays.Leases(); n != 0 {
+			t.Errorf("%d leases out at the end", n)
+		}
+		if err := c.PFSWriteSized(p, 0, "rg0", page, bytes.Repeat([]byte{9}, page), 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, _ := c.PFSRead(p, 0, "rg0", page, page); !bytes.Equal(got, bytes.Repeat([]byte{9}, page)) {
+			t.Error("the PFS lost a write after every range went")
+		}
+	})
 }

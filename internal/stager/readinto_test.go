@@ -121,7 +121,16 @@ func TestPQRangeReadAllocatesNothing(t *testing.T) {
 
 // BenchmarkStageInPath is the backend leg of a cold page fault on a pq://
 // dataset: one page read into the caller's buffer, nothing allocated.
-func BenchmarkStageInPath(b *testing.B) {
+// copied-B/op is what the PFS device copied out of its row groups.
+func BenchmarkStageInPath(b *testing.B) { benchStageIn(b, false) }
+
+// BenchmarkStageInLeasePath is BenchmarkStageInPath's reads as a
+// read-only fault makes them: each page lent by its row group and given
+// back, and a page that straddles two row groups (2 of the 85) read into the
+// caller's buffer instead.
+func BenchmarkStageInLeasePath(b *testing.B) { benchStageIn(b, true) }
+
+func benchStageIn(b *testing.B, lease bool) {
 	const page = 48 << 10
 	c, s := newStager()
 	c.Engine.Spawn("bench", func(p *vtime.Proc) {
@@ -134,14 +143,28 @@ func BenchmarkStageInPath(b *testing.B) {
 		}
 		pages := be.Size() / page
 		buf := make([]byte, page)
+		l := be.(Lender)
 		b.ReportAllocs()
 		b.SetBytes(page)
 		b.ResetTimer()
+		copied := c.PFS.CopiedBytes()
 		for i := 0; i < b.N; i++ {
-			if _, err := be.ReadRangeInto(p, 0, int64(i)%pages*page, page, buf); err != nil {
+			off := int64(i) % pages * page
+			if lease {
+				got, err := l.ReadRangeLease(p, 0, off, page)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got != nil {
+					c.Arrays.Release(got)
+					continue
+				}
+			}
+			if _, err := be.ReadRangeInto(p, 0, off, page, buf); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(c.PFS.CopiedBytes()-copied)/float64(b.N), "copied-B/op")
 	})
 	if err := c.Engine.Run(); err != nil {
 		b.Fatal(err)

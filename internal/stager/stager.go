@@ -87,6 +87,20 @@ type Truncater interface {
 	Truncate(p *vtime.Proc, node int, size int64) error
 }
 
+// Lender is a Backend that can lend a range it stores in one piece
+// instead of copying it out (core's read-only stage-in): ReadRangeLease
+// returns the PFS's own bytes of [off, off+length) under a lease
+// (cluster.PFSReadLease), which the caller gives back with the cluster's
+// Arrays.Release, and charges what ReadRangeInto charges for the range.
+// It returns nil, having charged nothing ReadRangeInto would not charge
+// first, when the range is not stored whole in one object: it straddles
+// two, or runs past the stored bytes (a short or sparse tail); the caller
+// then reads it with ReadRangeInto. A lent range may come back short if
+// its object shrank while the read queued.
+type Lender interface {
+	ReadRangeLease(p *vtime.Proc, node int, off, length int64) ([]byte, error)
+}
+
 // Stager opens URL-addressed backends over the cluster's PFS.
 type Stager struct {
 	c *cluster.Cluster
@@ -135,7 +149,19 @@ func (b *fileBackend) ReadRange(p *vtime.Proc, node int, off, length int64) ([]b
 }
 
 func (b *fileBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, dst []byte) ([]byte, error) {
-	data, ok, err := b.c.PFSReadInto(p, node, b.u.Path, off, length, dst)
+	return b.result(b.c.PFSReadInto(p, node, b.u.Path, off, length, dst))
+}
+
+// ReadRangeLease implements Lender: the dataset is one object.
+func (b *fileBackend) ReadRangeLease(p *vtime.Proc, node int, off, length int64) ([]byte, error) {
+	if b.c.PFSSize(b.u.Path) < off+length {
+		return nil, nil
+	}
+	return b.result(b.c.PFSReadLease(p, node, b.u.Path, off, length))
+}
+
+// result is a range read's answer from the PFS read's.
+func (b *fileBackend) result(data []byte, ok bool, err error) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stager: %s: %w", b.u, err)
 	}
@@ -451,6 +477,26 @@ func (b *pqBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, ds
 		n += localLen
 	}
 	return out, nil
+}
+
+// ReadRangeLease implements Lender for a range its row group stores up to
+// the range's end. A row group never outgrows the chunk size, so that
+// leaves out a range that straddles two.
+func (b *pqBackend) ReadRangeLease(p *vtime.Proc, node int, off, length int64) ([]byte, error) {
+	b.loadFooter(p, node)
+	cs := b.footer.ChunkSize
+	ci, localOff := off/cs, off%cs
+	if off+length > b.footer.Size || b.c.PFSSize(b.chunkKey(ci)) < localOff+length {
+		return nil, nil
+	}
+	data, ok, err := b.c.PFSReadLease(p, node, b.chunkKey(ci), localOff, length)
+	if err != nil {
+		return nil, fmt.Errorf("stager: %s: %w", b.u, err)
+	}
+	if !ok {
+		return nil, fmt.Errorf("stager: %s: missing row group %d", b.u, ci)
+	}
+	return data, nil
 }
 
 func (b *pqBackend) WriteRange(p *vtime.Proc, node int, off int64, data []byte) error {
