@@ -67,11 +67,13 @@ func ExampleVector_RandTxBegin() {
 		v.Close()
 		v.BoundMemory(64 << 10)
 
-		// Out-of-order bagging: 1000 seeded-random draws.
+		// Out-of-order bagging: 1000 seeded-random draws, in the order
+		// the transaction declares.
 		v.RandTxBegin(0, 50000, 42, megammap.ReadOnly)
+		bag := megammap.RandTx{N: 50000, Seed: 42}
 		var sum int64
 		for i := int64(0); i < 1000; i++ {
-			sum += v.Get(v.RandomAt(i))
+			sum += v.Get(bag.ElemAt(i))
 		}
 		v.TxEnd()
 		fmt.Println("bag sum:", sum)

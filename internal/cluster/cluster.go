@@ -99,17 +99,11 @@ type Node struct {
 	agg      *aggregates // cluster totals, nil for a free-standing node
 }
 
-// DRAMCap returns the node's physical DRAM in bytes.
-func (n *Node) DRAMCap() int64 { return n.dramCap }
-
 // DRAMUsed returns the bytes currently allocated.
 func (n *Node) DRAMUsed() int64 { return n.dramUsed }
 
 // DRAMPeak returns the high-water mark of DRAM allocation.
 func (n *Node) DRAMPeak() int64 { return n.dramPeak }
-
-// OOM reports whether this node has already OOM-killed the job.
-func (n *Node) OOM() bool { return n.oom }
 
 // Alloc reserves bytes of DRAM, failing with ErrOOM if the node would
 // exceed physical memory.
@@ -590,17 +584,6 @@ func (c *Cluster) PFSPeek(key string) ([]byte, bool) {
 	return c.PFS.Peek(id)
 }
 
-// PFSList returns the names of all PFS objects in sorted order.
-func (c *Cluster) PFSList() []string {
-	ids := c.PFS.List()
-	keys := make([]string, 0, len(ids))
-	for _, id := range ids {
-		keys = append(keys, c.pfsIDs.Name(id.Vec))
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // chargePFSNet charges the network hop between a compute node and the
 // storage rack: wire time on the node's NIC plus one-way latency.
 func (c *Cluster) chargePFSNet(p *vtime.Proc, node int, bytes int64) {
@@ -636,8 +619,3 @@ func (c *Cluster) PoolUsed() int64 { return c.agg.poolUsed }
 
 // PoolPeak returns the high-water mark of PoolUsed.
 func (c *Cluster) PoolPeak() int64 { return c.agg.poolPeak }
-
-// StorageCost returns the total USD cost of all node-local tier capacity
-// in use by the spec (the Fig. 7 cost metric). Capacity is fixed at
-// construction, so the figure is computed once in New.
-func (c *Cluster) StorageCost() float64 { return c.agg.storageCost }

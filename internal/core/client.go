@@ -28,15 +28,6 @@ func (d *DSM) NewClient(p *vtime.Proc, nodeID int) *Client {
 	return &Client{d: d, p: p, node: d.c.Nodes[nodeID], counts: &d.counts[nodeID]}
 }
 
-// DSM returns the deployment this client attaches to.
-func (c *Client) DSM() *DSM { return c.d }
-
-// Proc returns the client's simulation process.
-func (c *Client) Proc() *vtime.Proc { return c.p }
-
-// Node returns the node hosting the client.
-func (c *Client) Node() *cluster.Node { return c.node }
-
 // Drain blocks until every asynchronous commit issued by this client has
 // been applied to the scache.
 func (c *Client) Drain() { c.outstanding.Wait(c.p) }

@@ -302,9 +302,6 @@ func (d *DSM) tenantOf(name string) *tenantCounts {
 	return tc
 }
 
-// Cluster returns the underlying cluster.
-func (d *DSM) Cluster() *cluster.Cluster { return d.c }
-
 // Hermes exposes the scache substrate (diagnostics and tests).
 func (d *DSM) Hermes() *hermes.Hermes { return d.h }
 
@@ -337,15 +334,6 @@ func (d *DSM) ReplicaStats() (hits, misses int64) { return d.replicaHits, d.repl
 func (d *DSM) CoalescedReads() (n int64) {
 	for _, nc := range d.counts {
 		n += nc.coalesced
-	}
-	return n
-}
-
-// CommitsElided returns how many page commits wrote nothing because the
-// page's primary already held their bytes.
-func (d *DSM) CommitsElided() (n int64) {
-	for _, nc := range d.counts {
-		n += nc.commitsElided
 	}
 	return n
 }
@@ -587,10 +575,6 @@ func (d *DSM) scrubber() func(p *vtime.Proc) {
 	}
 }
 
-// ScrubError returns the first unrepairable corruption a background
-// scrub sweep encountered, or nil.
-func (d *DSM) ScrubError() error { return d.scrubErr }
-
 // ScrubStats reports scrub coverage: sweeps run, pages read in total,
 // the largest single sweep (bounded by the governor's budget in
 // adaptive mode), and completed passes over the full target set.
@@ -601,10 +585,6 @@ func (d *DSM) ScrubStats() (sweeps, pages, maxSweep, cycles int64) {
 // PrefetchFillStats classifies prefetch fills: consumed by the
 // application vs discarded unused.
 func (d *DSM) PrefetchFillStats() (hits, waste int64) { return d.fillHits, d.fillWaste }
-
-// DirtyPages returns the modified-not-yet-staged page count across the
-// backed vectors.
-func (d *DSM) DirtyPages() int64 { return d.dirtyCount }
 
 // markDirtyPage records a page modification, keeping the cluster-wide
 // dirty count (and its gauge) exact: an already-dirty page recounts
@@ -1134,11 +1114,11 @@ func (m *vecMeta) pageCount() int64 {
 	return (m.sizeBytes() + m.pageSize - 1) / m.pageSize
 }
 
-// truncate cuts a backend the vector owns whole (stager.Truncater) down to
-// the vector's size, once it may hold bytes past the end.
+// truncate cuts the vector's backend down to the vector's size, once it
+// may hold bytes past the end.
 func (m *vecMeta) truncate(p *vtime.Proc, node int) error {
-	if tr, ok := m.backend.(stager.Truncater); ok && m.backend.Size() > m.sizeBytes() {
-		return tr.Truncate(p, node, m.sizeBytes())
+	if m.backend != nil && m.backend.Size() > m.sizeBytes() {
+		return m.backend.Truncate(p, node, m.sizeBytes())
 	}
 	return nil
 }

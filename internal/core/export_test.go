@@ -2,7 +2,9 @@ package core
 
 import (
 	"megammap/internal/blob"
+	"megammap/internal/cluster"
 	"megammap/internal/control"
+	"megammap/internal/vtime"
 )
 
 // NewTestCluster is newTestCluster for the package's external tests.
@@ -44,3 +46,32 @@ func ReplicasOf(d *DSM, name string) map[int64]map[int]bool {
 
 // PageID returns the scache key of the named vector's page pg.
 func (d *DSM) PageID(name string, pg int64) blob.ID { return d.vecs[name].pageID(pg) }
+
+// DSM returns the deployment this client attaches to.
+func (c *Client) DSM() *DSM { return c.d }
+
+// Cluster returns the underlying cluster.
+func (d *DSM) Cluster() *cluster.Cluster { return d.c }
+
+// CommitsElided returns how many page commits wrote nothing because the
+// page's primary already held their bytes.
+func (d *DSM) CommitsElided() (n int64) {
+	for _, nc := range d.counts {
+		n += nc.commitsElided
+	}
+	return n
+}
+
+// DirtyPages returns the modified-not-yet-staged page count across the
+// backed vectors.
+func (d *DSM) DirtyPages() int64 { return d.dirtyCount }
+
+// ScrubError returns the first unrepairable corruption a background
+// scrub sweep encountered, or nil.
+func (d *DSM) ScrubError() error { return d.scrubErr }
+
+// Node returns the node hosting the client.
+func (c *Client) Node() *cluster.Node { return c.node }
+
+// Proc returns the client's simulation process.
+func (c *Client) Proc() *vtime.Proc { return c.p }

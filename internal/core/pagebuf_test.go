@@ -69,7 +69,7 @@ func TestPoolBalance(t *testing.T) {
 					v.TxEnd()
 					v.RandTxBegin(off, ln, uint64(round), ReadWrite)
 					for i := int64(0); i < 200; i++ {
-						idx := v.RandomAt(i)
+						idx := v.tx.elemAt(i)
 						v.Set(idx, v.Get(idx)+1)
 					}
 					v.TxEnd()

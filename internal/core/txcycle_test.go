@@ -57,7 +57,7 @@ func TestTxCycleAllocatesNothing(t *testing.T) {
 		// and dirtying alternately (every element holds its own index).
 		touch := func() {
 			for a := int64(0); a < 8; a++ {
-				i := v.RandomAt(a)
+				i := v.tx.elemAt(a)
 				if a%2 == 0 {
 					sum += v.Get(i)
 					want += i
@@ -308,11 +308,11 @@ func TestTxBeginBuiltInValueMatchesItsBeginMethod(t *testing.T) {
 			runDSM(t, c, d, func(p *vtime.Proc) {
 				v := retainVector(t, d, p, d.NewClient(p, 0), "tx-"+tc.name)
 				begin(v)
-				if v.RandomAt(0) != tc.tx.ElemAt(0) {
-					t.Fatalf("%s: access 0 touches %d, want %d", tc.name, v.RandomAt(0), tc.tx.ElemAt(0))
+				if v.tx.elemAt(0) != tc.tx.ElemAt(0) {
+					t.Fatalf("%s: access 0 touches %d, want %d", tc.name, v.tx.elemAt(0), tc.tx.ElemAt(0))
 				}
 				for a := int64(0); a < tc.tx.Count(); a++ {
-					got[0] += v.Get(v.RandomAt(a))
+					got[0] += v.Get(v.tx.elemAt(a))
 					if a%epp == 0 {
 						p.Sleep(retainCompute)
 					}

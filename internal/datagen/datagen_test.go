@@ -74,7 +74,7 @@ func TestWriteToBackend(t *testing.T) {
 	c := cluster.New(cluster.DefaultTestbed(1))
 	st := stager.New(c)
 	c.Engine.Spawn("gen", func(p *vtime.Proc) {
-		b, err := st.Open("h5:///sim/snap.h5:particles")
+		b, err := st.Open("pq:///sim/snap.parquet:particles")
 		if err != nil {
 			t.Error(err)
 			return

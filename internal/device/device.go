@@ -364,12 +364,6 @@ func (e *ErrNoSpace) Error() string {
 	return fmt.Sprintf("device %s: need %d bytes, %d free", e.Device, e.Need, e.Free)
 }
 
-// Has reports whether a blob exists.
-func (d *Device) Has(key blob.ID) bool {
-	_, ok := d.blobs[key]
-	return ok
-}
-
 // BlobSize returns the size of a blob, or -1 if absent.
 func (d *Device) BlobSize(key blob.ID) int64 {
 	b, ok := d.blobs[key]
@@ -563,8 +557,8 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 // but ReadLease and ReadAtLease goes through it: stored bytes are
 // overwritten in place by Write, WriteAt and CorruptBit, and a deleted
 // blob's array serves the next write, so a slice aliasing them would
-// change under its holder unless a lease holds it. A nil dst always allocates, so even an empty
-// blob reads as non-nil.
+// change under its holder unless a lease holds it. A nil dst always
+// allocates, so even an empty blob reads as non-nil.
 func fill(dst, src []byte) []byte {
 	if dst != nil && cap(dst) >= len(src) {
 		dst = dst[:len(src)]

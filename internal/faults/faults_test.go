@@ -210,12 +210,3 @@ func TestDropCapped(t *testing.T) {
 		t.Errorf("Resend = %d, want cap %d", eff.Resend, maxResends)
 	}
 }
-
-func TestTable(t *testing.T) {
-	in := NewInjector(Plan{Seed: 1}, func() vtime.Duration { return 0 })
-	in.CrashNode(0)
-	tb := in.Table()
-	if tb.Len() != 1 || tb.Cell(0, "event") != "crash" || tb.Cell(0, "count") != "1" {
-		t.Errorf("table = %v", tb)
-	}
-}

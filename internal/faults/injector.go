@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 
-	"megammap/internal/stats"
 	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
@@ -427,13 +426,4 @@ func (in *Injector) Counters() []Counter {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Table renders the counters as a stats table for report output.
-func (in *Injector) Table() *stats.Table {
-	t := stats.NewTable("faults", "event", "count")
-	for _, c := range in.Counters() {
-		t.Add(c.Name, c.Value)
-	}
-	return t
 }

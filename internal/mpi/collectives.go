@@ -80,48 +80,6 @@ func (r *Rank) Allreduce(contribution any, bytes int64, op func(a, b any) any) a
 	return r.Bcast(0, red, bytes)
 }
 
-// Gather collects every rank's contribution at root along a binomial
-// tree. It returns rank-indexed contributions on root and nil elsewhere.
-func (r *Rank) Gather(root int, contribution any, bytes int64) []any {
-	tag := r.nextCollTag()
-	p := r.w.nprocs
-	vr := (r.rank - root + p) % p
-	acc := map[int]any{r.rank: contribution}
-	accBytes := bytes
-	for mask := 1; mask < p; mask <<= 1 {
-		if vr&mask != 0 {
-			dst := (vr - mask + root) % p
-			r.Send(dst, tag, acc, accBytes)
-			break
-		}
-		srcVR := vr | mask
-		if srcVR < p {
-			v, n := r.Recv((srcVR+root)%p, tag)
-			for rank, c := range v.(map[int]any) {
-				acc[rank] = c
-			}
-			accBytes += n
-		}
-	}
-	if r.rank != root {
-		return nil
-	}
-	out := make([]any, p)
-	for rank, c := range acc {
-		out[rank] = c
-	}
-	return out
-}
-
-// Allgather collects every rank's contribution on all ranks
-// (gather-to-root followed by a tree broadcast, the MPICH pattern for
-// large worlds).
-func (r *Rank) Allgather(contribution any, bytes int64) []any {
-	all := r.Gather(0, contribution, bytes)
-	got := r.Bcast(0, all, bytes*int64(r.w.nprocs))
-	return got.([]any)
-}
-
 // Alltoall sends contributions[i] to rank i and returns what every rank
 // sent here, using p-1 rounds of pairwise shifts.
 func (r *Rank) Alltoall(contributions []any, bytesEach int64) []any {

@@ -60,9 +60,6 @@ func NewWorld(c *cluster.Cluster, nprocs int) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.nprocs }
-
 // NodeOf returns the node index hosting the given rank.
 func (w *World) NodeOf(rank int) int { return rank / w.perNode }
 

@@ -187,32 +187,6 @@ func TestAllreduceFloat64s(t *testing.T) {
 	}
 }
 
-func TestGatherAndAllgather(t *testing.T) {
-	p := 5
-	w := testWorld(t, 2, p)
-	err := w.Run(func(r *Rank) {
-		got := r.Gather(2, r.Rank()*10, 8)
-		if r.Rank() == 2 {
-			for i := 0; i < p; i++ {
-				if got[i].(int) != i*10 {
-					t.Errorf("gather[%d] = %v, want %d", i, got[i], i*10)
-				}
-			}
-		} else if got != nil {
-			t.Errorf("rank %d: non-root gather should return nil", r.Rank())
-		}
-		all := r.Allgather(r.Rank()*100, 8)
-		for i := 0; i < p; i++ {
-			if all[i].(int) != i*100 {
-				t.Errorf("rank %d: allgather[%d] = %v", r.Rank(), i, all[i])
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlltoall(t *testing.T) {
 	p := 4
 	w := testWorld(t, 2, p)

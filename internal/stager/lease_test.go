@@ -7,12 +7,11 @@ import (
 	"megammap/internal/vtime"
 )
 
-// TestLendingReadsMatchCopyingReads: on the backends that lend (pq and
-// file), a range stored whole in one object comes back as the PFS's own
-// bytes: equal to ReadRangeInto's, in the same virtual time, with nothing
-// copied, and under one lease. A range across two row groups, or past the
-// bytes stored (a sparse row group, the dataset's end), is not lent; h5
-// and glob-mapped datasets do not lend at all.
+// TestLendingReadsMatchCopyingReads: on both backends (pq and file), a
+// range stored whole in one object comes back as the PFS's own bytes:
+// equal to ReadRangeInto's, in the same virtual time, with nothing copied,
+// and under one lease. A range across two row groups, or past the bytes
+// stored (a sparse row group, the dataset's end), is not lent.
 func TestLendingReadsMatchCopyingReads(t *testing.T) {
 	const page = 48 << 10
 	c, s := newStager()
@@ -21,7 +20,7 @@ func TestLendingReadsMatchCopyingReads(t *testing.T) {
 		for i := range data {
 			data[i] = byte(i%251 + 1)
 		}
-		for _, url := range []string{"file:///lend/flat.bin", "h5:///lend/c.h5:g", "pq:///lend/t.pq:t", "file:///lend/part.0"} {
+		for _, url := range []string{"file:///lend/flat.bin", "pq:///lend/t.pq:t"} {
 			b, _ := s.Open(url)
 			if err := b.WriteRange(p, 0, 0, data); err != nil {
 				t.Fatal(err)
@@ -52,7 +51,6 @@ func TestLendingReadsMatchCopyingReads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l := b.(Lender)
 			if _, err := b.ReadRangeInto(p, 0, 0, 1, nil); err != nil { // the pq footer loads
 				t.Fatal(err)
 			}
@@ -65,7 +63,7 @@ func TestLendingReadsMatchCopyingReads(t *testing.T) {
 				took := p.Now() - start
 				copied := c.PFS.CopiedBytes()
 				start = p.Now()
-				got, err := l.ReadRangeLease(p, 0, pr.off, pr.length)
+				got, err := b.ReadRangeLease(p, 0, pr.off, pr.length)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,12 +87,6 @@ func TestLendingReadsMatchCopyingReads(t *testing.T) {
 					t.Errorf("%s [%d,+%d): copied %d bytes, %d leases out", tc.url, pr.off, pr.length, c.PFS.CopiedBytes()-copied, c.Arrays.Leases())
 				}
 				c.Arrays.Release(got)
-			}
-		}
-		for _, url := range []string{"h5:///lend/c.h5:g", "file:///lend/part.*"} {
-			b, _ := s.Open(url)
-			if _, ok := b.(Lender); ok {
-				t.Errorf("%s lends", url)
 			}
 		}
 	})

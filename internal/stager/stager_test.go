@@ -2,7 +2,6 @@ package stager
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -30,9 +29,8 @@ func TestParseURL(t *testing.T) {
 		err  bool
 	}{
 		{"file:///data/pts.bin", URL{"file", "/data/pts.bin", ""}, false},
-		{"h5:///path/to/df.h5:mygroup", URL{"h5", "/path/to/df.h5", "mygroup"}, false},
 		{"pq:///d/x.parquet:points", URL{"pq", "/d/x.parquet", "points"}, false},
-		{"file:///path/dataset.parquet*", URL{"file", "/path/dataset.parquet*", ""}, false},
+		{"pq:///c:/d/x.parquet:points", URL{"pq", "/c:/d/x.parquet", "points"}, false},
 		{"nourl", URL{}, true},
 		{"://nopath", URL{}, true},
 	}
@@ -49,8 +47,8 @@ func TestParseURL(t *testing.T) {
 }
 
 func TestURLString(t *testing.T) {
-	u := URL{"h5", "/a/b.h5", "grp"}
-	if got := u.String(); got != "h5:///a/b.h5:grp" {
+	u := URL{"pq", "/a/b.parquet", "tbl"}
+	if got := u.String(); got != "pq:///a/b.parquet:tbl" {
 		t.Errorf("String = %q", got)
 	}
 	if got := (URL{"file", "/x", ""}).String(); got != "file:///x" {
@@ -60,8 +58,10 @@ func TestURLString(t *testing.T) {
 
 func TestUnknownProtocol(t *testing.T) {
 	_, s := newStager()
-	if _, err := s.Open("ftp:///x"); err == nil {
-		t.Error("expected error for unknown protocol")
+	for _, url := range []string{"ftp:///x", "h5:///sim/out.h5:grid"} {
+		if _, err := s.Open(url); err == nil {
+			t.Errorf("%s: expected error for unknown protocol", url)
+		}
 	}
 }
 
@@ -105,11 +105,11 @@ func TestFileBackendSparseWrite(t *testing.T) {
 	})
 }
 
-func TestH5GroupsIndependent(t *testing.T) {
+func TestPQTablesIndependent(t *testing.T) {
 	c, s := newStager()
 	run(t, c, func(p *vtime.Proc) {
-		g1, _ := s.Open("h5:///sim/out.h5:positions")
-		g2, _ := s.Open("h5:///sim/out.h5:velocities")
+		g1, _ := s.Open("pq:///sim/out.parquet:positions")
+		g2, _ := s.Open("pq:///sim/out.parquet:velocities")
 		if err := g1.WriteRange(p, 0, 0, []byte("ppp")); err != nil {
 			t.Fatal(err)
 		}
@@ -121,21 +121,17 @@ func TestH5GroupsIndependent(t *testing.T) {
 		}
 		got, err := g1.ReadRange(p, 1, 0, 3)
 		if err != nil || string(got) != "ppp" {
-			t.Errorf("group read = %q %v", got, err)
-		}
-		groups, err := ListGroups(p, c, 0, "/sim/out.h5")
-		if err != nil || len(groups) != 2 {
-			t.Errorf("groups = %v, %v; want 2 groups", groups, err)
+			t.Errorf("table read = %q %v", got, err)
 		}
 	})
 }
 
-func TestH5MissingGroup(t *testing.T) {
+func TestFileMissingObject(t *testing.T) {
 	c, s := newStager()
 	run(t, c, func(p *vtime.Proc) {
-		g, _ := s.Open("h5:///sim/none.h5:g")
-		if _, err := g.ReadRange(p, 0, 0, 4); err == nil {
-			t.Error("expected error reading missing group")
+		f, _ := s.Open("file:///sim/none.bin")
+		if _, err := f.ReadRange(p, 0, 0, 4); err == nil {
+			t.Error("expected error reading missing object")
 		}
 	})
 }
@@ -205,38 +201,29 @@ func TestPQReadPastEnd(t *testing.T) {
 	})
 }
 
-func TestGlobBackendConcatenates(t *testing.T) {
+// TestFilePathIsOneObject: a file:// path is the name of one object,
+// whatever characters it holds; a '*' matches nothing.
+func TestFilePathIsOneObject(t *testing.T) {
 	c, s := newStager()
 	run(t, c, func(p *vtime.Proc) {
-		// File-per-process outputs.
-		for i := 0; i < 3; i++ {
-			f, _ := s.Open(fmt.Sprintf("file:///out/part.%d", i))
-			if err := f.WriteRange(p, 0, 0, []byte(fmt.Sprintf("<%d>", i))); err != nil {
-				t.Fatal(err)
-			}
+		part, _ := s.Open("file:///out/part.0")
+		if err := part.WriteRange(p, 0, 0, []byte("<0>")); err != nil {
+			t.Fatal(err)
 		}
-		g, err := s.Open("file:///out/part.*")
+		star, err := s.Open("file:///out/part.*")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.Size() != 9 {
-			t.Errorf("glob size = %d, want 9", g.Size())
+		if star.Size() != 0 {
+			t.Errorf("part.* size = %d, want 0", star.Size())
 		}
-		got, err := g.ReadRange(p, 0, 2, 5)
-		if err != nil || string(got) != "><1><" {
-			t.Errorf("glob read = %q, %v", got, err)
+		if err := star.WriteRange(p, 0, 0, []byte("x")); err != nil {
+			t.Fatal(err)
 		}
-		if err := g.WriteRange(p, 0, 0, []byte("x")); err == nil {
-			t.Error("glob backend must be read-only")
+		if got, err := part.ReadRange(p, 0, 0, 3); err != nil || string(got) != "<0>" || star.Size() != 1 {
+			t.Errorf("part.0 reads %q, %v; part.* size %d", got, err, star.Size())
 		}
 	})
-}
-
-func TestGlobNoMatch(t *testing.T) {
-	_, s := newStager()
-	if _, err := s.Open("file:///nothing/here.*"); err == nil {
-		t.Error("expected error for empty glob")
-	}
 }
 
 func TestPropertyFileRangesRoundTrip(t *testing.T) {
@@ -314,14 +301,13 @@ func TestPropertyPQMatchesFile(t *testing.T) {
 	}
 }
 
-// TestTruncateThenExtendReadsZeros: every backend a vector owns whole
-// shrinks to a cut (a pq cut mid-chunk drops the row groups past it and
+// TestTruncateThenExtendReadsZeros: every backend shrinks to a cut (a pq cut mid-chunk drops the row groups past it and
 // records the size in its footer, seen again on reopen), and a write past
 // the cut leaves zeros between, never the old bytes.
 func TestTruncateThenExtendReadsZeros(t *testing.T) {
 	c, s := newStager()
 	run(t, c, func(p *vtime.Proc) {
-		for _, url := range []string{"file:///tr/f.bin", "h5:///tr/c.h5:g", "pq:///tr/t.parquet:col"} {
+		for _, url := range []string{"file:///tr/f.bin", "pq:///tr/t.parquet:col"} {
 			b, err := s.Open(url)
 			if err != nil {
 				t.Fatal(err)
@@ -331,7 +317,7 @@ func TestTruncateThenExtendReadsZeros(t *testing.T) {
 				t.Fatal(err)
 			}
 			cut := pqChunkSize - 10
-			if err := b.(Truncater).Truncate(p, 0, cut); err != nil {
+			if err := b.Truncate(p, 0, cut); err != nil {
 				t.Fatal(err)
 			}
 			if b.Size() != cut {

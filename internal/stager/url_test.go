@@ -10,18 +10,8 @@ import (
 func TestBackendsReportTheirURL(t *testing.T) {
 	c, s := newStager()
 	run(t, c, func(p *vtime.Proc) {
-		// Globs only open over existing objects; seed one shard.
-		seed, err := s.Open("file:///data/url-part0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := seed.WriteRange(p, 0, 0, []byte("shard")); err != nil {
-			t.Fatal(err)
-		}
 		for _, raw := range []string{
 			"file:///data/url.bin",
-			"file:///data/url-part*",
-			"h5:///data/url.h5:grp",
 			"pq:///data/url.parquet:tbl",
 		} {
 			b, err := s.Open(raw)
@@ -42,10 +32,6 @@ func urlOf(b Backend) URL {
 	switch b := b.(type) {
 	case *fileBackend:
 		return b.u
-	case *globBackend:
-		return b.u
-	case *h5Backend:
-		return b.u
 	case *pqBackend:
 		return b.u
 	}
@@ -58,7 +44,7 @@ func TestURLStringFormats(t *testing.T) {
 		want string
 	}{
 		{URL{"file", "/a/b.bin", ""}, "file:///a/b.bin"},
-		{URL{"h5", "/a/b.h5", "grp"}, "h5:///a/b.h5:grp"},
+		{URL{"pq", "/a/b.parquet", "tbl"}, "pq:///a/b.parquet:tbl"},
 	}
 	for _, c := range cases {
 		if got := c.u.String(); got != c.want {

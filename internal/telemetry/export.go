@@ -68,54 +68,6 @@ func (t *Telemetry) Tables() []*stats.Table {
 	return out
 }
 
-// jsonMetric is the WriteJSON shape of one metric series.
-type jsonMetric struct {
-	Name      string  `json:"name"`
-	Kind      string  `json:"kind"`
-	Node      int     `json:"node"`
-	Subsystem string  `json:"subsystem,omitempty"`
-	Tier      string  `json:"tier,omitempty"`
-	Value     int64   `json:"value,omitempty"`
-	Count     int64   `json:"count,omitempty"`
-	MeanNs    float64 `json:"mean_ns,omitempty"`
-	P50Ns     int64   `json:"p50_ns,omitempty"`
-	P99Ns     int64   `json:"p99_ns,omitempty"`
-	P999Ns    int64   `json:"p999_ns,omitempty"`
-}
-
-// WriteJSON emits a machine-readable summary of the whole plane: metric
-// values, histogram digests, and span/sample counts.
-func (t *Telemetry) WriteJSON(w io.Writer) error {
-	doc := struct {
-		Metrics []jsonMetric `json:"metrics"`
-		Spans   int          `json:"spans"`
-		Dropped int64        `json:"spans_dropped"`
-		Samples int          `json:"samples"`
-	}{Metrics: []jsonMetric{}}
-	t.Registry().each(func(s *series) {
-		m := jsonMetric{Name: s.key.Name, Node: s.key.Node, Subsystem: s.key.Subsystem, Tier: s.key.Tier}
-		switch s.kind {
-		case kindCounter:
-			m.Kind, m.Value = "counter", s.value()
-		case kindGauge:
-			m.Kind, m.Value = "gauge", s.val
-		case kindHistogram:
-			m.Kind, m.Count = "histogram", s.count
-			if s.count > 0 {
-				m.MeanNs = float64(s.sum) / float64(s.count)
-			}
-			m.P50Ns, m.P99Ns, m.P999Ns = s.quantile(0.50), s.quantile(0.99), s.quantile(0.999)
-		}
-		doc.Metrics = append(doc.Metrics, m)
-	})
-	doc.Spans = t.Tracer().Len()
-	doc.Dropped = t.Tracer().Dropped()
-	doc.Samples = t.Sampler().Len()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
 // chromeEvent is one entry of the Chrome trace-event JSON array.
 type chromeEvent struct {
 	Name string         `json:"name"`

@@ -688,10 +688,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.park()
 }
 
-// Yield reschedules the process after all events already queued at the
-// current instant.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // park hands execution to the next event's process and blocks until this
 // process is next resumed. The caller must have arranged a wake-up (a
 // scheduled event or a registration with a primitive that will call

@@ -12,3 +12,7 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	}
 	return v, false
 }
+
+// Yield reschedules the process after all events already queued at the
+// current instant.
+func (p *Proc) Yield() { p.Sleep(0) }

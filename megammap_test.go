@@ -78,11 +78,11 @@ func TestPublicAPISmoke(t *testing.T) {
 }
 
 func TestPublicURLParsing(t *testing.T) {
-	u, err := megammap.ParseURL("h5:///sim/out.h5:grid")
+	u, err := megammap.ParseURL("pq:///sim/out.parquet:grid")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.Proto != "h5" || u.Path != "/sim/out.h5" || u.Param != "grid" {
+	if u.Proto != "pq" || u.Path != "/sim/out.parquet" || u.Param != "grid" {
 		t.Errorf("parsed %+v", u)
 	}
 }
