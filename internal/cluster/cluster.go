@@ -151,8 +151,9 @@ type Cluster struct {
 	Nodes  []*Node
 	Fabric *simnet.Fabric
 	PFS    *device.Device
-	// Arrays is the one array recycler of every node and pool device, and
-	// the lease table of the arrays their reads lend (device.ReadLease).
+	// Arrays is the one array recycler of every node and pool device and
+	// the PFS, and hands out the handles their stored arrays are held
+	// through (device.Lease).
 	Arrays   *device.Arrays
 	pfsSrv   *vtime.Resource
 	pfsIDs   *blob.Interner // PFS object names; devices store by blob.ID
@@ -387,10 +388,9 @@ func New(spec Spec) *Cluster {
 	c.inj = faults.NewInjector(faults.Plan{}, c.Engine.Now)
 	c.Fabric.SetFaults(c.inj)
 	c.agg.tierUsed = make([]int64, len(spec.Tiers))
-	// One array recycler and lease table for every node and pool device
-	// and the PFS: a blob deleted or resized on one node hands its array
-	// to the next write anywhere, and a range the PFS lends a node device
-	// (PFSReadLease) stays leased wherever it is stored.
+	// One array recycler for every node and pool device and the PFS: a
+	// blob deleted or resized on one node hands its array to the next
+	// write anywhere.
 	arrays := device.NewArrays()
 	c.Arrays = arrays
 	c.PFS.ShareArrays(arrays)
@@ -510,7 +510,8 @@ func (c *Cluster) PFSRead(p *vtime.Proc, node int, key string, off, length int64
 // large enough (see device.ReadInto); the caller owns the returned slice
 // either way.
 func (c *Cluster) PFSReadInto(p *vtime.Proc, node int, key string, off, length int64, dst []byte) ([]byte, bool, error) {
-	return c.pfsRead(p, node, key, off, length, dst, false)
+	data, _, ok, err := c.pfsRead(p, node, key, off, length, dst, false)
+	return data, ok, err
 }
 
 // PFSReadLease is PFSReadInto for a reader that only reads the bytes: it
@@ -518,22 +519,24 @@ func (c *Cluster) PFSReadInto(p *vtime.Proc, node int, key string, off, length i
 // stored bytes themselves under a lease (device.ReadAtLease), which the
 // caller gives back with the cluster's Arrays.Release. Each attempt takes
 // its lease when it starts, and a failed one holds none.
-func (c *Cluster) PFSReadLease(p *vtime.Proc, node int, key string, off, length int64) ([]byte, bool, error) {
-	return c.pfsRead(p, node, key, off, length, nil, true)
+func (c *Cluster) PFSReadLease(p *vtime.Proc, node int, key string, off, length int64) (*device.Lease, bool, error) {
+	_, h, ok, err := c.pfsRead(p, node, key, off, length, nil, true)
+	return h, ok, err
 }
 
-// pfsRead is PFSReadInto, or PFSReadLease when lease is set.
-func (c *Cluster) pfsRead(p *vtime.Proc, node int, key string, off, length int64, dst []byte, lease bool) ([]byte, bool, error) {
+// pfsRead is PFSReadInto, or PFSReadLease when lease is set: then h holds
+// data.
+func (c *Cluster) pfsRead(p *vtime.Proc, node int, key string, off, length int64, dst []byte, lease bool) (data []byte, h *device.Lease, ok bool, err error) {
 	id, ok := c.pfsLookup(key)
 	if !ok {
-		return nil, false, nil
+		return nil, nil, false, nil
 	}
 	sp := c.tel.Tracer().Enter(p, telemetry.OpPFSRead, node, 0, off)
 	c.pfsSrv.Acquire(p, 1)
-	var data []byte
-	err := c.inj.Do(p, "retry.pfs_read", func() (err error) {
+	err = c.inj.Do(p, "retry.pfs_read", func() (err error) {
 		if lease {
-			data, ok, err = c.PFS.ReadAtLease(p, id, off, length)
+			h, ok, err = c.PFS.ReadAtLease(p, id, off, length)
+			data = h.Bytes()
 		} else {
 			data, ok, err = c.PFS.ReadAtInto(p, id, off, length, dst)
 		}
@@ -545,9 +548,9 @@ func (c *Cluster) pfsRead(p *vtime.Proc, node int, key string, off, length int64
 	}
 	sp.Exit(p, int64(len(data)), err != nil)
 	if err != nil {
-		return nil, ok, fmt.Errorf("cluster: pfs read %q: %w", key, err)
+		return nil, nil, ok, fmt.Errorf("cluster: pfs read %q: %w", key, err)
 	}
-	return data, ok, nil
+	return data, h, ok, nil
 }
 
 // PFSSize returns the size of a PFS object, or -1 if absent.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"megammap/internal/device"
 	"megammap/internal/faults"
 	"megammap/internal/vtime"
 )
@@ -36,14 +37,16 @@ func TestPFSReadLeaseChargesWhatPFSReadIntoCharges(t *testing.T) {
 				t.Fatal(err)
 			}
 			copied := c.PFS.CopiedBytes()
-			var held [][]byte
+			var held []*device.Lease
 			for i := range 16 {
 				off := int64(i%20) * page
 				start := p.Now()
 				var got []byte
+				var l *device.Lease
 				var err error
 				if lease {
-					got, _, err = c.PFSReadLease(p, 1, "rg0", off, page)
+					l, _, err = c.PFSReadLease(p, 1, "rg0", off, page)
+					got = l.Bytes()
 				} else {
 					got, _, err = c.PFSReadInto(p, 1, "rg0", off, page, nil)
 				}
@@ -59,15 +62,15 @@ func TestPFSReadLeaseChargesWhatPFSReadIntoCharges(t *testing.T) {
 					t.Fatalf("read %d returned the wrong bytes", i)
 				}
 				if lease {
-					held = append(held, got)
+					held = append(held, l)
 				}
 			}
 			if lease {
 				if n := c.Arrays.Leases(); n != len(held) {
 					t.Errorf("%d leases out with %d reads succeeded", n, len(held))
 				}
-				for _, b := range held {
-					c.Arrays.Release(b)
+				for _, l := range held {
+					c.Arrays.Release(l)
 				}
 			}
 			r.copied = c.PFS.CopiedBytes() - copied
@@ -100,8 +103,8 @@ func TestPFSReadLeaseChargesWhatPFSReadIntoCharges(t *testing.T) {
 }
 
 // TestPFSSharesTheClusterArrays: the PFS recycles and leases through the
-// cluster's one Arrays, so a range it lends is leased in the table every
-// node device checks.
+// cluster's one Arrays, so a range it lends counts among the cluster's
+// leases.
 func TestPFSSharesTheClusterArrays(t *testing.T) {
 	c := New(smallSpec(1))
 	c.Engine.Spawn("io", func(p *vtime.Proc) {

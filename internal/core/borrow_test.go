@@ -4,6 +4,7 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"megammap/internal/device"
 	"megammap/internal/stager"
 	"megammap/internal/vtime"
 )
@@ -60,7 +61,7 @@ func TestPQWriteUnderABorrowedFrameKeepsItsBytes(t *testing.T) {
 		if got := v.Get(epp + 3); got != backedValue(epp+3) {
 			t.Fatalf("v[%d] = %d, want %d", epp+3, got, backedValue(epp+3))
 		}
-		if cp := v.pc.pages[1]; cp == nil || !cp.leased {
+		if cp := v.pc.pages[1]; cp == nil || cp.lease == nil {
 			t.Fatal("page 1 is not a leased frame")
 		}
 		b, err := stager.New(d.c).Open(backedURLs[1])
@@ -88,7 +89,9 @@ func TestPQWriteUnderABorrowedFrameKeepsItsBytes(t *testing.T) {
 // TestStraddlingAndShortPagesStageInThroughACopy: a read-only scan of a
 // pq:// dataset lends every page that lies inside one row group and copies
 // the rest — the page straddling the row-group boundary and the short
-// last page — into page buffers, and every element reads right.
+// last page — into page buffers, which the scache then stores through
+// their handles, off the pool's books, the frame holding them too; and
+// every element reads right.
 func TestStraddlingAndShortPagesStageInThroughACopy(t *testing.T) {
 	const pageSize = 48 << 10
 	const url = "pq:///borrow/in.pq:t"
@@ -111,11 +114,52 @@ func TestStraddlingAndShortPagesStageInThroughACopy(t *testing.T) {
 			t.Fatal(err)
 		}
 		copied := c.PFS.CopiedBytes()
+		epp := v.PageSize() / 8
+		v.SeqTxBegin(21*epp, epp, ReadOnly)
+		v.Get(21 * epp)
+		if cp := v.pc.pages[21]; cp.lease == nil || !isStored(p, d, v.m, 21, cp.data) {
+			t.Error("the straddling page's buffer is not the array the scache stores")
+		}
+		v.TxEnd()
+		v.Close()
 		readBack(t, v, 0, n, backedValue)
 		footer, straddling, short := c.PFSSize("/borrow/in.pq::t::#footer"), int64(pageSize), n*8-22*pageSize
 		if got := c.PFS.CopiedBytes() - copied; got != footer+straddling+short {
 			t.Errorf("the scan copied %d bytes out of the PFS, want the footer's, the straddling page's and the short page's %d",
 				got, footer+straddling+short)
+		}
+	})
+	// The two copied pages' pooled buffers left the pool's books when the
+	// scache took their handles, and went back to Arrays with the frames.
+	if d.bufOut != 0 {
+		t.Errorf("%d buffers out of the pool after Shutdown", d.bufOut)
+	}
+}
+
+// shortLender is a backend whose lent ranges come back 8 bytes short, as
+// one whose object shrank while the lending read queued.
+type shortLender struct{ stager.Backend }
+
+func (s shortLender) ReadRangeLease(p *vtime.Proc, node int, off, length int64) (*device.Lease, error) {
+	return s.Backend.ReadRangeLease(p, node, off, length-8)
+}
+
+// TestShortLentRangeStagesInThroughACopy: a lent range shorter than the
+// page is copied into a page buffer, the rest of the page zero as past a
+// shrunk object's end, and its lease is given back (Shutdown's audit
+// names one left out).
+func TestShortLentRangeStagesInThroughACopy(t *testing.T) {
+	runBacked(t, backedURLs[0], false, func(p *vtime.Proc, d *DSM, v *Vector[int64]) {
+		v.m.backend = shortLender{v.m.backend}
+		epp := v.PageSize() / 8
+		readBack(t, v, 0, epp-1, backedValue)
+		v.SeqTxBegin(0, epp, ReadOnly)
+		if got := v.Get(epp - 1); got != 0 {
+			t.Errorf("the page's last element reads %d past the lent range, want 0", got)
+		}
+		v.TxEnd()
+		if n := d.c.Arrays.Leases(); n != leasedFrames(v) {
+			t.Errorf("%d leases out with %d leased frames resident", n, leasedFrames(v))
 		}
 	})
 }

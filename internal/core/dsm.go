@@ -7,6 +7,7 @@ import (
 	"megammap/internal/blob"
 	"megammap/internal/cluster"
 	"megammap/internal/control"
+	"megammap/internal/device"
 	"megammap/internal/faults"
 	"megammap/internal/hermes"
 	"megammap/internal/stager"
@@ -851,17 +852,17 @@ func (d *DSM) newTask() *MemoryTask {
 // recycling; commit payloads stay set and re-pool here once the scache
 // holds its own copy (devices store copies of what Put is given).
 func (d *DSM) recycleTask(t *MemoryTask) {
-	d.giveBack(t.data, t.leased)
+	d.giveBack(t.data, t.lease)
 	*t = MemoryTask{regions: t.regions[:0]}
 	d.taskFree = append(d.taskFree, t)
 }
 
 // giveBack returns a page image its holder is done with: a leased array's
-// lease to the cluster's Arrays, whose last release recycles an array the
-// scache let go of meanwhile, and a pooled buffer to the pool.
-func (d *DSM) giveBack(b []byte, leased bool) {
-	if leased {
-		d.c.Arrays.Release(b)
+// lease (l) to the cluster's Arrays, whose last holder recycles it, and a
+// pooled buffer to the pool.
+func (d *DSM) giveBack(b []byte, l *device.Lease) {
+	if l != nil {
+		d.c.Arrays.Release(l)
 		return
 	}
 	d.putBuf(b)

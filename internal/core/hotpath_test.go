@@ -146,7 +146,7 @@ func TestMarkDirtyMergeThrottled(t *testing.T) {
 	if got := len(cp.dirty); got != mergeThreshold+1 {
 		t.Fatalf("merge lost ranges: %d, want %d", got, mergeThreshold+1)
 	}
-	want := 2 * (mergeThreshold + 1)
+	want := int32(2 * (mergeThreshold + 1))
 	if cp.nextMerge != want {
 		t.Fatalf("nextMerge = %d, want %d (2x last merge result)", cp.nextMerge, want)
 	}
@@ -161,7 +161,7 @@ func TestMarkDirtyMergeThrottled(t *testing.T) {
 	// Once the list doubles, the merge runs again and the bound doubles.
 	for i := int64(1000); cp.nextMerge == want; i++ {
 		cp.markDirty(i*4, i*4+2)
-		if len(cp.dirty) > 4*want {
+		if len(cp.dirty) > 4*int(want) {
 			t.Fatalf("merge never re-ran after 2x growth: %d ranges, nextMerge still %d", len(cp.dirty), want)
 		}
 	}

@@ -23,7 +23,7 @@ func copiedBytes(c *cluster.Cluster) (n int64) {
 // leasedFrames counts a handle's resident leased frames.
 func leasedFrames(v *Vector[int64]) (n int) {
 	for _, cp := range v.pc.pages {
-		if cp.leased {
+		if cp.lease != nil {
 			n++
 		}
 	}
@@ -38,7 +38,7 @@ func isStored(p *vtime.Proc, d *DSM, m *vecMeta, pg int64, data []byte) bool {
 		return false
 	}
 	d.c.Arrays.Release(got)
-	return &got[0] == &data[0]
+	return &got.Bytes()[0] == &data[0]
 }
 
 // TestReadOnlyReadsInstallLeasedFrames: under a ReadOnly transaction a
@@ -53,7 +53,7 @@ func TestReadOnlyReadsInstallLeasedFrames(t *testing.T) {
 		check := func(what string, v *Vector[int64], pg int64, before int64) {
 			t.Helper()
 			cp := v.pc.pages[pg]
-			if cp == nil || !cp.leased {
+			if cp == nil || cp.lease == nil {
 				t.Fatalf("%s: page %d is not a leased frame", what, pg)
 			}
 			if !isStored(p, d, v.m, pg, cp.data) {
@@ -125,19 +125,19 @@ func TestSetOnLeasedFrameCopiesFirst(t *testing.T) {
 		v.Close()
 		v.SeqTxBegin(0, 2*epp, ReadOnly)
 		v.Get(0)
-		if cp := v.pc.pages[0]; !cp.leased {
+		if cp := v.pc.pages[0]; cp.lease == nil {
 			t.Fatal("the fault did not install a leased frame")
 		}
 		v.Set(3, 99)
 		cp := v.pc.pages[0]
-		if cp.leased || isStored(p, d, v.m, 0, cp.data) {
+		if cp.lease != nil || isStored(p, d, v.m, 0, cp.data) {
 			t.Fatal("the Set wrote into the scache's array")
 		}
 		if got, _, _ := d.h.Get(p, 0, v.m.pageID(0)); binary.LittleEndian.Uint64(got[24:]) != 7 {
 			t.Errorf("the scache copy reads %d before the commit, want its old 7", binary.LittleEndian.Uint64(got[24:]))
 		}
 		v.SetRange(epp+1, []int64{5, 6}) // a leased page written by a range
-		if v.pc.pages[1].leased {
+		if v.pc.pages[1].lease != nil {
 			t.Error("SetRange left page 1 leased")
 		}
 		v.TxEnd()
@@ -161,7 +161,7 @@ func TestWritingPhasesStillCopy(t *testing.T) {
 		before := copiedBytes(c)
 		v.SeqTxBegin(0, 2*epp, ReadWrite)
 		v.Get(0)
-		if v.pc.pages[0].leased {
+		if v.pc.pages[0].lease != nil {
 			t.Error("a ReadWrite fault installed a leased frame")
 		}
 		if n := copiedBytes(c) - before; n != v.m.pageSize {
@@ -171,7 +171,7 @@ func TestWritingPhasesStillCopy(t *testing.T) {
 		v.Close()
 		v.SeqTxBegin(0, 2*epp, WriteOnly)
 		v.Set(epp, 1)
-		if v.pc.pages[1].leased {
+		if v.pc.pages[1].lease != nil {
 			t.Error("a WriteOnly write installed a leased frame")
 		}
 		v.TxEnd()
@@ -244,7 +244,7 @@ func TestAuditFindsALeakedLease(t *testing.T) {
 				v.Get(i)
 			}
 			if leak == "array" {
-				c.Arrays.Lease(v.pc.pages[0].data) // a holder that never gives it back
+				c.Arrays.Lease(v.pc.pages[0].lease) // a holder that never gives it back
 			}
 			v.TxEnd()
 			v.Destroy()
@@ -252,10 +252,10 @@ func TestAuditFindsALeakedLease(t *testing.T) {
 			b.Get(0)
 			if leak == "range" {
 				b.Get(b.PageSize() / 8 * 5) // the scache's copy: a range the PFS lent
-				if !b.pc.pages[5].leased {
+				if b.pc.pages[5].lease == nil {
 					t.Fatal("the fault did not install a leased frame")
 				}
-				c.Arrays.Lease(b.pc.pages[5].data)
+				c.Arrays.Lease(b.pc.pages[5].lease)
 			}
 			b.TxEnd()
 			if err := d.Shutdown(p); err != nil {
@@ -276,5 +276,33 @@ func TestAuditFindsALeakedLease(t *testing.T) {
 		if leak == "" && c.Arrays.Leases() != 0 {
 			t.Errorf("%d leases out after a clean run", c.Arrays.Leases())
 		}
+	}
+}
+
+// TestShutdownReleasesFinishedFills: a handle still open at Shutdown
+// whose prefetch fills finished but were never consumed gives their
+// leases back with its frames.
+func TestShutdownReleasesFinishedFills(t *testing.T) {
+	const epp = 512
+	c, d := newTestDSM(t, 1)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		v := openInt64(t, d.NewClient(p, 0), "lease/fills", 16*epp)
+		fill(v, func(i int64) int64 { return i })
+		v.Close()
+		v.SeqTxBegin(0, 16*epp, ReadOnly)
+		v.Get(0)
+		p.Sleep(vtime.Second) // the fills the fault issued finish
+		finished := 0
+		for _, f := range v.fills {
+			if f.t.done.Fired() && f.t.lease != nil {
+				finished++
+			}
+		}
+		if finished == 0 {
+			t.Fatal("no finished leased fill is pending at Shutdown: the run does not exercise its release")
+		}
+	})
+	if n := c.Arrays.Leases(); n != 0 {
+		t.Errorf("%d leases out after Shutdown", n)
 	}
 }

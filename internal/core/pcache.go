@@ -11,6 +11,8 @@ package core
 // tie-break makes victim choice deterministic where a map walk would pick
 // by random map order.
 
+import "megammap/internal/device"
+
 // cachedPage is one page resident in a pcache.
 type cachedPage struct {
 	idx     int64
@@ -18,21 +20,23 @@ type cachedPage struct {
 	dirty   []dirtyRange
 	lastUse int64   // pcache clock at last access (LRU)
 	score   float64 // local priority; 0 means evict first
-	// nextMerge is the dirty-list length at which the next mergeRanges
-	// pass runs; it doubles after a merge that can't shrink the list, so
-	// scattered strided writes don't re-merge O(n) on every append.
-	nextMerge int
 	// heapIdx is the page's position in the pcache eviction heap.
 	heapIdx int
+	// nextMerge is the dirty-list length at which the next mergeRanges
+	// pass runs; it doubles after a merge that can't shrink the list, so
+	// scattered strided writes don't re-merge O(n) on every append. It
+	// shares a word with partial, which keeps the frame at 112 bytes.
+	nextMerge int32
 	// partial marks a write-allocated page: only the locally written
 	// regions are real, the rest is zero fill. Partial pages must never
 	// serve reads that a new read phase could direct at foreign regions.
 	partial bool
-	// leased marks a frame whose data is the scache's own array, held
-	// under a lease (a read-only phase's read): immutable, so a write
-	// first copies it into a pooled buffer (Vector.own), and dropping the
-	// frame gives the lease back instead of pooling the array.
-	leased bool
+	// lease is the handle of a frame whose data is the scache's own array
+	// (a read-only phase's read), nil for a pooled buffer: the bytes are
+	// immutable, so a write first copies them into a pooled buffer
+	// (Vector.own), and dropping the frame gives the lease back instead of
+	// pooling the array.
+	lease *device.Lease
 	// version is the page's scache version (pageChain.version) the read
 	// that brought the image in saw; a global read phase drops the page
 	// once the scache's version moved past it.
@@ -68,9 +72,9 @@ func (cp *cachedPage) markDirty(off, end int64) {
 		}
 	}
 	cp.dirty = append(cp.dirty, dirtyRange{off: off, end: end})
-	if len(cp.dirty) > mergeThreshold && len(cp.dirty) >= cp.nextMerge {
+	if len(cp.dirty) > mergeThreshold && len(cp.dirty) >= int(cp.nextMerge) {
 		cp.dirty = mergeRanges(cp.dirty)
-		cp.nextMerge = 2 * len(cp.dirty)
+		cp.nextMerge = int32(2 * len(cp.dirty))
 	}
 }
 
@@ -110,14 +114,14 @@ func evictBefore(a, b *cachedPage) bool {
 
 // newPage returns a fresh page frame, reusing one of the client's recycled
 // frames when available.
-func (c *Client) newPage(idx int64, data []byte, score float64, partial bool, version uint64, leased bool) *cachedPage {
+func (c *Client) newPage(idx int64, data []byte, score float64, partial bool, version uint64, lease *device.Lease) *cachedPage {
 	if n := len(c.frames); n > 0 {
 		cp := c.frames[n-1]
 		c.frames = c.frames[:n-1]
-		*cp = cachedPage{idx: idx, data: data, dirty: cp.dirty[:0], score: score, partial: partial, version: version, leased: leased}
+		*cp = cachedPage{idx: idx, data: data, dirty: cp.dirty[:0], score: score, partial: partial, version: version, lease: lease}
 		return cp
 	}
-	return &cachedPage{idx: idx, data: data, score: score, partial: partial, version: version, leased: leased}
+	return &cachedPage{idx: idx, data: data, score: score, partial: partial, version: version, lease: lease}
 }
 
 // recycle returns a removed page's frame to the client's freelist. The

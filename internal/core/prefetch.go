@@ -254,7 +254,7 @@ func (v *Vector[T]) issueFill(pg, pinned int64) {
 	v.ensureSpace(pinned)
 	t := v.c.d.newTask()
 	t.kind, t.vec, t.page = taskRead, v.m, pg
-	t.origin, t.replicate, t.lease = v.c.node.ID, v.replicable(), v.leaseReads()
+	t.origin, t.replicate, t.mayLease = v.c.node.ID, v.replicable(), v.leaseReads()
 	sp := v.c.d.trc.EnterUnder(v.c.p, v.parentSpan(), telemetry.OpPrefetch, v.c.node.ID, v.m.id, pg)
 	v.c.submitAsync(t)
 	sp.Exit(v.c.p, v.m.pageSize, false)

@@ -201,11 +201,11 @@ func (r *Runtime) exec(p *vtime.Proc, t *MemoryTask) {
 // readPage returns the page bytes, staging in from the backend on a cold
 // miss and creating node-local replicas when the coherence mode allows.
 //
-// A read that may lease (t.lease, a read-only phase's) returns the
+// A read that may lease (t.mayLease, a read-only phase's) returns the
 // scache's own array of a full page under a lease, stages in a range the
 // backend lends (Backend.ReadRangeLease), and lends a staged-in image to
 // the scache (PutBacked), so that the backend's array stays the one host
-// array of the page; t.leased then says the result is held that way.
+// array of the page; t.lease is then the handle the result is held by.
 // Every other leg fills one pooled buffer — scache get, stage-in or
 // checksum repair — which leaves as the page's data (dropPage returns
 // it); each leg overwrites all of it. A read that does not lease takes
@@ -217,7 +217,7 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 	// their version, until it returns.
 	t.version, _ = m.pageVersion(t.page)
 	var buf []byte
-	if !t.lease {
+	if !t.mayLease {
 		buf = r.d.getBuf(m.pageSize)
 	}
 	// Replicated phase: serve from (or install) a replica local to the
@@ -229,7 +229,7 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 				if s := m.state(t.page); r.d.cfg.ChecksumPages && s.summed && crc32.ChecksumIEEE(data) != s.sum {
 					// Corrupt local replica: drop it and fall through to
 					// the primary, whose verify-and-repair runs below.
-					r.unlease(t, data)
+					r.unlease(t)
 					r.d.h.Delete(p, t.origin, rkey)
 				} else {
 					r.d.replicaHits++
@@ -251,14 +251,14 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 		r.d.putBuf(buf)
 		return nil, err
 	}
-	staged, lent := false, false
+	staged := false
 	if !ok {
-		data, lent, err = r.stageIn(p, m, t.page, &buf, t.lease)
+		data, t.lease, err = r.stageIn(p, m, t.page, &buf, t.mayLease)
 		if err != nil {
 			r.d.putBuf(buf)
 			return nil, err
 		}
-		staged, t.leased = true, lent
+		staged = true
 	}
 	if r.d.cfg.ChecksumPages {
 		if s := m.state(t.page); s.summed && crc32.ChecksumIEEE(data) != s.sum {
@@ -269,7 +269,7 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 			// good copy instead; repairPage reinstalls the primary itself.
 			// The corrupt image is no use to anyone: the repair reads its
 			// candidates over buf.
-			r.unlease(t, data)
+			r.unlease(t)
 			good, rerr := r.repairPage(p, m, t.page, s.sum, r.buffer(m, &buf))
 			if rerr != nil {
 				r.d.putBuf(buf)
@@ -291,17 +291,14 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 		// (or zero fill) still holds this image, so it needs no backup until
 		// a commit changes it. A full scache falls back to serving straight
 		// from the backend. A read that may lease lends the image: the
-		// scache stores it itself and the page keeps it under a lease. A
-		// range the backend lent already has the stage-in's lease, which
-		// the put's stands in for; buf leaves the pool's books.
-		if r.d.h.PutBacked(p, r.node.ID, key, data, m.placeScore(0.5), t.origin, t.lease) == nil && t.lease {
-			if lent {
-				r.d.c.Arrays.Release(data)
-			} else {
-				t.leased, buf = true, nil
-				r.d.bufOut--
-			}
+		// scache stores its handle and the page holds it too, whether the
+		// put lands or not. An image in buf gets a handle first, and buf
+		// leaves the pool's books.
+		if t.mayLease && t.lease == nil {
+			t.lease, buf = r.d.c.Arrays.Wrap(data), nil
+			r.d.bufOut--
 		}
+		r.d.h.PutBacked(p, r.node.ID, key, data, m.placeScore(0.5), t.origin, t.lease)
 	}
 	if t.replicate {
 		if node, ok := r.d.h.NodeOf(key); ok && node != t.origin {
@@ -317,28 +314,28 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 }
 
 // scacheRead reads blob id's image for t as a full page: the stored array
-// itself under a lease (t.leased) when t may lease and the blob is the
+// itself under a lease (t.lease) when t may lease and the blob is the
 // whole page, else padded into *buf, which it takes from the pool if t
 // has none yet (fullPage).
 func (r *Runtime) scacheRead(p *vtime.Proc, t *MemoryTask, from int, id blob.ID, buf *[]byte) ([]byte, bool, error) {
 	size := t.vec.pageSize
-	if !t.lease {
+	if !t.mayLease {
 		data, ok, err := r.d.h.GetInto(p, from, id, *buf)
 		if err == nil && ok {
 			data = fullPage(data, *buf, size)
 		}
 		return data, ok, err
 	}
-	data, ok, err := r.d.h.GetLease(p, from, id)
+	l, ok, err := r.d.h.GetLease(p, from, id)
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	if int64(len(data)) == size {
-		t.leased = true
+	if data := l.Bytes(); int64(len(data)) == size {
+		t.lease = l
 		return data, true, nil
 	}
-	full := fullPage(data, r.buffer(t.vec, buf), size) // a volatile blob stored trimmed
-	r.d.c.Arrays.Release(data)
+	full := fullPage(l.Bytes(), r.buffer(t.vec, buf), size) // a volatile blob stored trimmed
+	r.d.c.Arrays.Release(l)
 	return full, true, nil
 }
 
@@ -352,17 +349,17 @@ func (r *Runtime) buffer(m *vecMeta, buf *[]byte) []byte {
 }
 
 // unlease gives back the lease on a leased image the read discards.
-func (r *Runtime) unlease(t *MemoryTask, data []byte) {
-	if t.leased {
-		r.d.c.Arrays.Release(data)
-		t.leased = false
+func (r *Runtime) unlease(t *MemoryTask) {
+	if t.lease != nil {
+		r.d.c.Arrays.Release(t.lease)
+		t.lease = nil
 	}
 }
 
 // done returns a read's result: a leased image leaves the pooled buffer
 // a leg took but did not end up returning to the pool.
 func (r *Runtime) done(t *MemoryTask, data, buf []byte) []byte {
-	if t.leased {
+	if t.lease != nil {
 		r.d.putBuf(buf)
 	}
 	return data
@@ -386,7 +383,7 @@ func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32,
 	// Rewriting the primary replaces its corrupt bytes.
 	key := m.pageID(page)
 	if restaged {
-		err = r.d.h.PutBacked(p, r.node.ID, key, good, m.placeScore(0.6), r.node.ID, false)
+		err = r.d.h.PutBacked(p, r.node.ID, key, good, m.placeScore(0.6), r.node.ID, nil)
 	} else {
 		err = r.d.h.Put(p, r.node.ID, key, good, m.placeScore(0.6), r.node.ID)
 	}
@@ -445,9 +442,9 @@ func fullPage(data, buf []byte, size int64) []byte {
 // *buf is nil. With lend (a read-only fault's), the backend lends the
 // whole page if it stores it in one piece (Backend.ReadRangeLease): data
 // is then its stored bytes themselves under a lease the caller holds
-// (lent), and *buf is not taken. A page that straddles two objects and a
-// short or sparse tail land in *buf.
-func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, buf *[]byte, lend bool) (data []byte, lent bool, err error) {
+// (lent, their handle), and *buf is not taken. A page that straddles two
+// objects and a short or sparse tail land in *buf.
+func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, buf *[]byte, lend bool) (data []byte, lent *device.Lease, err error) {
 	sp := r.d.trc.Enter(p, telemetry.OpStageIn, r.node.ID, m.id, page)
 	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
 	var n int64 // bytes the backend holds for this page
@@ -455,21 +452,21 @@ func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, buf *[]byte, le
 		off := page * m.pageSize
 		if have := m.backend.Size(); off < have {
 			n = min(m.pageSize, have-off)
-			var got []byte
 			if lend && n == m.pageSize {
-				if got, err = m.backend.ReadRangeLease(p, r.node.ID, off, n); err != nil {
-					return nil, false, err
+				if lent, err = m.backend.ReadRangeLease(p, r.node.ID, off, n); err != nil {
+					return nil, nil, err
 				}
-				if int64(len(got)) == n {
-					return got, true, nil
+				if int64(len(lent.Bytes())) == n {
+					return lent.Bytes(), lent, nil
 				}
 			}
 			data = r.buffer(m, buf)[:m.pageSize]
-			if got != nil { // its object shrank while the lending read queued
-				n = int64(copy(data, got))
-				r.d.c.Arrays.Release(got)
-			} else if got, err = m.backend.ReadRangeInto(p, r.node.ID, off, n, data); err != nil {
-				return nil, false, err
+			if lent != nil { // its object shrank while the lending read queued
+				n = int64(copy(data, lent.Bytes()))
+				r.d.c.Arrays.Release(lent)
+				lent = nil
+			} else if got, err := m.backend.ReadRangeInto(p, r.node.ID, off, n, data); err != nil {
+				return nil, nil, err
 			} else {
 				n = int64(len(got)) // the bytes landed in data, large enough for them
 			}
@@ -479,7 +476,7 @@ func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, buf *[]byte, le
 		data = r.buffer(m, buf)[:m.pageSize]
 	}
 	clear(data[n:]) // the buffer holds stale bytes past what the backend filled
-	return data, false, nil
+	return data, nil, nil
 }
 
 // writePage commits modified regions of a page to the scache. A page the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"megammap/internal/device"
 	"megammap/internal/hermes"
 	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
@@ -98,12 +99,12 @@ type MemoryTask struct {
 
 	// read: whether a node-local replica may be created (read-only /
 	// collective coherence), and the page's scache version the read saw
-	// (pageChain.version), which the page it installs carries. lease asks
-	// for the scache's own array (a read-only phase's read); leased says
-	// data is one, held under a lease rather than a pooled buffer.
-	replicate     bool
-	lease, leased bool
-	version       uint64
+	// (pageChain.version), which the page it installs carries. mayLease
+	// asks for the scache's own array (a read-only phase's read); lease is
+	// then the handle data is held under, nil for a pooled buffer.
+	replicate, mayLease bool
+	lease               *device.Lease
+	version             uint64
 
 	// score: the importance in [0,1] set by the prefetcher, and whether
 	// the phase that set it was local (AccessFlags.local).

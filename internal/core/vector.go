@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"megammap/internal/blob"
+	"megammap/internal/device"
 	"megammap/internal/telemetry"
 	"megammap/internal/vtime"
 )
@@ -213,16 +214,16 @@ func (v *Vector[T]) dirtyResident() int {
 // it.
 func (v *Vector[T]) release() {
 	for _, cp := range v.pc.pages {
-		if cp.leased {
-			v.c.d.c.Arrays.Release(cp.data)
+		if cp.lease != nil {
+			v.c.d.c.Arrays.Release(cp.lease)
 		} else {
 			v.c.d.bufOut--
 		}
 	}
 	for _, f := range v.fills {
-		if f.t.done.Fired() && f.t.leased {
-			v.c.d.c.Arrays.Release(f.t.data)
-			f.t.data, f.t.leased = nil, false
+		if f.t.done.Fired() && f.t.lease != nil {
+			v.c.d.c.Arrays.Release(f.t.lease)
+			f.t.data, f.t.lease = nil, nil
 		}
 	}
 	clear(v.pc.pages)
@@ -310,7 +311,7 @@ func (v *Vector[T]) shrink(old int64) {
 	if tail := m.sizeBytes() - (pages-1)*m.pageSize; pages > 0 && tail < m.pageSize {
 		last := pages - 1
 		if cp := v.pc.pages[last]; cp != nil {
-			if cp.leased {
+			if cp.lease != nil {
 				v.own(cp)
 			}
 			clear(cp.data[tail:])
@@ -668,7 +669,7 @@ func (v *Vector[T]) page(pg int64, forWrite bool) *cachedPage {
 		if !forWrite && v.last.partial && v.pageWrites[pg] > 0 {
 			v.healPartial(v.last)
 		}
-		if forWrite && v.last.leased {
+		if forWrite && v.last.lease != nil {
 			v.own(v.last)
 		}
 		v.setLast(v.last) // the heal, a commit, an Append or own may have widened the window
@@ -685,7 +686,7 @@ func (v *Vector[T]) page(pg int64, forWrite bool) *cachedPage {
 	if !forWrite && cp.partial && v.pageWrites[pg] > 0 {
 		v.healPartial(cp)
 	}
-	if forWrite && cp.leased {
+	if forWrite && cp.lease != nil {
 		v.own(cp)
 	}
 	v.setLast(cp)
@@ -713,7 +714,7 @@ func (v *Vector[T]) setLast(cp *cachedPage) {
 	if !cp.partial {
 		v.winGet = w
 	}
-	if !cp.leased {
+	if cp.lease == nil {
 		v.winSet = w
 	}
 }
@@ -724,8 +725,8 @@ func (v *Vector[T]) setLast(cp *cachedPage) {
 func (v *Vector[T]) own(cp *cachedPage) {
 	buf := v.c.d.getBuf(int64(len(cp.data)))
 	copy(buf, cp.data)
-	v.c.d.c.Arrays.Release(cp.data)
-	cp.data, cp.leased = buf, false
+	v.c.d.c.Arrays.Release(cp.lease)
+	cp.data, cp.lease = buf, nil
 }
 
 // leaseReads reports whether the open transaction declares no write, so
@@ -780,7 +781,8 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 	writeAlloc := forWrite && (f.Has(Write) || f.Has(Append)) && !f.Has(Read)
 	var data []byte
 	var version uint64
-	partial, leased := false, false
+	var lease *device.Lease
+	partial := false
 	switch fi, filling := v.fillAt(pg); {
 	case writeAlloc:
 		data = v.c.d.getBuf(m.pageSize)
@@ -796,8 +798,8 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		if f.stamp != v.pageWrites[pg] {
 			// The page was committed after the fill was issued; its data
 			// is stale. Keep the reservation and fault fresh data.
-			fresh, version, leased := v.readPage(pg, v.leaseReads())
-			cp := v.c.newPage(pg, fresh, m.insertScore(), false, version, leased)
+			fresh, version, lease := v.readPage(pg, v.leaseReads())
+			cp := v.c.newPage(pg, fresh, m.insertScore(), false, version, lease)
 			v.c.d.recycleTask(f.t) // the stale image goes back here
 			v.c.d.fillWaste++
 			v.pc.insert(cp)
@@ -807,20 +809,20 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		filled := f.t.data
 		f.t.data = nil
 		v.c.d.fillHits++
-		cp := v.c.newPage(pg, filled, m.insertScore(), false, f.t.version, f.t.leased)
-		f.t.leased = false
+		cp := v.c.newPage(pg, filled, m.insertScore(), false, f.t.version, f.t.lease)
+		f.t.lease = nil
 		v.c.d.recycleTask(f.t)
 		v.pc.insert(cp)
 		return cp
 	case v.tx == nil || !v.tx.flags.Has(Collective):
-		data, version, leased = v.readPage(pg, v.leaseReads())
+		data, version, lease = v.readPage(pg, v.leaseReads())
 	default:
 		// Collective phases coalesce faults: one fetch per (page, node),
 		// later ranks share the arriving data (Fig. 3's tree pattern). The
 		// leading read's task lives until readDone, for the ranks sharing it.
 		t := v.c.d.newTask()
 		t.kind, t.vec, t.page = taskRead, m, pg
-		t.origin, t.replicate, t.lease = v.c.node.ID, v.replicable(), v.leaseReads()
+		t.origin, t.replicate, t.mayLease = v.c.node.ID, v.replicable(), v.leaseReads()
 		if lead, shared := v.c.d.coalesceRead(t); shared {
 			v.c.counts.coalesced++
 			v.c.d.recycleTask(t)
@@ -837,10 +839,10 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		if err := v.c.submitSync(t); err != nil {
 			panic(fmt.Errorf("core: page fault on %s page %d failed: %w", m.name, pg, err))
 		}
-		data, version, leased = t.data, t.version, t.leased
+		data, version, lease = t.data, t.version, t.lease
 	}
 	v.ensureSpace(pg)
-	cp := v.c.newPage(pg, data, m.insertScore(), partial, version, leased)
+	cp := v.c.newPage(pg, data, m.insertScore(), partial, version, lease)
 	v.pc.insert(cp)
 	return cp
 }
@@ -848,19 +850,19 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 // readPage is one synchronous fault of page pg from the scache: it counts
 // the fault, reads the page and returns its image, which the caller now
 // owns, with the commit version it was read at. A read with lease may
-// return the scache's own array instead, held under a lease (leased).
-func (v *Vector[T]) readPage(pg int64, lease bool) (data []byte, version uint64, leased bool) {
+// return the scache's own array instead, held under a lease (l).
+func (v *Vector[T]) readPage(pg int64, lease bool) (data []byte, version uint64, l *device.Lease) {
 	v.countFault()
 	t := v.c.d.newTask()
 	t.kind, t.vec, t.page = taskRead, v.m, pg
-	t.origin, t.replicate, t.lease = v.c.node.ID, v.replicable(), lease
+	t.origin, t.replicate, t.mayLease = v.c.node.ID, v.replicable(), lease
 	if err := v.c.submitSync(t); err != nil {
 		panic(fmt.Errorf("core: page fault on %s page %d failed: %w", v.m.name, pg, err))
 	}
-	data, version, leased = t.data, t.version, t.leased
-	t.data, t.leased = nil, false // claimed by the caller; keep recycleTask from giving it back
+	data, version, l = t.data, t.version, t.lease
+	t.data, t.lease = nil, nil // claimed by the caller; keep recycleTask from giving it back
 	v.c.d.recycleTask(t)
-	return data, version, leased
+	return data, version, l
 }
 
 // countFault counts one synchronous fault: for the client's node, and for
@@ -934,7 +936,7 @@ func (v *Vector[T]) dropPage(cp *cachedPage) {
 	if v.last == cp {
 		v.setLast(nil)
 	}
-	v.c.d.giveBack(cp.data, cp.leased)
+	v.c.d.giveBack(cp.data, cp.lease)
 	v.c.recycle(cp)
 }
 
@@ -1004,8 +1006,8 @@ func (v *Vector[T]) integrateFills() {
 		v.c.d.fillHits++
 		filled := f.t.data
 		f.t.data = nil // claimed by the page
-		v.pc.insert(v.c.newPage(pg, filled, v.m.insertScore(), false, f.t.version, f.t.leased))
-		f.t.leased = false
+		v.pc.insert(v.c.newPage(pg, filled, v.m.insertScore(), false, f.t.version, f.t.lease))
+		f.t.lease = nil
 		v.c.d.recycleTask(f.t)
 	}
 	clear(v.fills[len(pending):])

@@ -10,238 +10,150 @@ import "sort"
 const arraysPerClass = 16
 
 // Arrays recycles the byte arrays of stored blobs by the allocator's size
-// class. A Device gives it the array of every blob it deletes or replaces
-// with one of another length, and takes the array of every blob of a new
-// length from it, so a store whose blobs change size or come and go (a
-// primary rewritten at a new length, a backup deleted and stored again)
-// stops allocating once its classes are stocked. cluster.New shares one
-// with every node and pool device and the PFS.
+// class, and hands out the counted handles (Lease) every stored array is
+// held through. A Device gives it the array of every blob it deletes or
+// replaces with one of another length, and takes the array of every blob
+// of a new length from it, so a store whose blobs change size or come and
+// go (a primary rewritten at a new length, a backup deleted and stored
+// again) stops allocating once its classes are stocked. cluster.New shares
+// one with every node and pool device and the PFS.
 //
 // A device may recycle an array only once nothing else can reach it. A
-// read either copies out before it yields (ReadInto), leases the stored
-// array (ReadLease), or borrows a range of it (ReadAtLease), and the lease
-// table keeps a leased array out of the recycler: a device that lets go
-// of one (Delete, a replacing Write, Purge) only marks it, and the last
-// Release recycles it. Adopt leases the array it moves while its source's
-// delete charges.
-//
-// A borrowed range is an entry of its own, keyed by its first byte and
-// its length: one at offset 0 shares its first byte with its array, never
-// its length (ReadAtLease copies a range that would span the whole
-// array's capacity). A range is never recycled. Its entry counts its
-// readers and the devices that store it (WriteLent, Adopt), and lives
-// while either does; while it lives, its array counts as leased. A device
-// that lets go of a stored range releases its hold on it.
+// read either copies out before it yields (ReadInto), or takes a holder's
+// place on the stored array's handle (ReadLease) or on a handle of its own
+// for a range of it (ReadAtLease). The device storing a blob is one holder
+// of its handle, and letting go of the blob gives that hold back; the last
+// holder of an array recycles it, and the last holder of a range lets go
+// of the array it lies in.
 type Arrays struct {
 	free map[int][][]byte // by class size; each array's capacity is at least that size
-	// leases holds every array leased, or of which a range is borrowed,
-	// keyed by its first byte; nil until the first lease (every device
-	// makes a recycler of its own before cluster.New shares one).
-	leases map[*byte]lease
-	// ranges holds every borrowed range; nil until the first one.
-	ranges map[span]borrow
+	// spare holds freed handles for reuse, and slab the handles not yet
+	// handed out, so a handle costs no allocation of its own.
+	spare []*Lease
+	slab  []Lease
+	// leases counts the holders that are not devices: the audit's check.
+	leases int
 }
 
-// lease is one array's entry: its holders — its readers, and one for each
-// range of it borrowed — and whether its device let go of it meanwhile
-// (and with which put mode), so the last holder recycles it.
-type lease struct {
-	n             int32
-	dropped, bulk bool
+// Lease is a counted handle on a stored array or on a range of one (a
+// borrowed range, whose parent is the array's handle). Every holder — the
+// device that stores it, a reader, a page frame — points at the one
+// handle. While a handle has a holder besides the device storing it, or
+// is a range, its bytes are immutable: every device writer that would
+// change them in place copies them to an array of its own first.
+type Lease struct {
+	buf    []byte
+	refs   int32
+	parent *Lease
 }
 
-// span keys a borrowed range: its first byte and its length (which is
-// its capacity).
-type span struct {
-	first *byte
-	n     int
+// Bytes returns the bytes h holds; nil for a nil h.
+func (h *Lease) Bytes() []byte {
+	if h == nil {
+		return nil
+	}
+	return h.buf
 }
 
-// borrow is one borrowed range's entry: its readers, the devices storing
-// it, and the array it lies in, as its device stores it.
-type borrow struct {
-	n, stores int32
-	array     []byte
-}
+// shared reports whether a writer must copy h's bytes before changing
+// them: another holder reads them, or they lie in someone else's array.
+func (h *Lease) shared() bool { return h.refs > 1 || h.parent != nil }
+
+// letGo says what the last holder of an array does with it (drop): offer
+// it to the recycler within its class's stock, whatever the stock
+// (Purge), or not at all (an outgrown array, a store shutting down), when
+// its handle is left to the collector too.
+type letGo int8
+
+const (
+	recycle letGo = iota
+	recycleAll
+	forget
+)
 
 // NewArrays returns an empty recycler.
 func NewArrays() *Arrays { return &Arrays{free: make(map[int][][]byte)} }
 
-// Lease adds a holder to b's lease, b an array or a borrowed range. While
-// b is leased it is immutable: every device writer that would change it
-// in place copies it to an array of its own first, and no device recycles
-// it. An array of no capacity holds no bytes to protect, and leasing or
-// releasing one does nothing.
-func (a *Arrays) Lease(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	if k, r, ok := a.rangeOf(b); ok {
-		r.n++
-		a.ranges[k] = r
-		return
-	}
-	a.hold(b)
+// Wrap returns a handle on b, an array of the caller's, with the caller
+// its one holder: what a caller gives WriteLent to store. b's capacity is
+// cut to its length: no device extends into it.
+func (a *Arrays) Wrap(b []byte) *Lease {
+	a.leases++
+	return a.handle(b[:len(b):len(b)], nil)
 }
 
-// Release gives back one holder's lease on b. The last holder of an
-// array recycles it if its device let go of it while it was leased; the
-// last holder of a range no device stores forgets the range. Releasing
-// what is not leased panics: a holder gave its lease back twice.
-func (a *Arrays) Release(b []byte) {
-	if cap(b) == 0 {
-		return
+// Lease adds a holder to h.
+func (a *Arrays) Lease(h *Lease) {
+	a.leases++
+	h.refs++
+}
+
+// Release gives back one holder's lease on h. The last holder of an array
+// recycles it, and the last holder of a range lets go of its array.
+// Releasing what no one holds panics: a holder gave its lease back twice.
+func (a *Arrays) Release(h *Lease) {
+	if a.leases == 0 {
+		panic("device: release of a lease that is not out")
 	}
-	if k, r, ok := a.rangeOf(b); ok {
-		if r.n == 0 {
-			panic("device: release of a range that is not leased")
+	a.leases--
+	a.drop(h, recycle)
+}
+
+// Leases returns the leases outstanding: zero once every holder but the
+// devices gave its lease back (an audit's check).
+func (a *Arrays) Leases() int { return a.leases }
+
+// handle returns a fresh handle on b with one holder, from the spare
+// handles or the slab.
+func (a *Arrays) handle(b []byte, parent *Lease) *Lease {
+	var h *Lease
+	if n := len(a.spare); n > 0 {
+		h = a.spare[n-1]
+		a.spare[n-1] = nil
+		a.spare = a.spare[:n-1]
+	} else {
+		if len(a.slab) == 0 {
+			a.slab = make([]Lease, slabHandles)
 		}
-		r.n--
-		a.setRange(k, r)
+		h = &a.slab[0]
+		a.slab = a.slab[1:]
+	}
+	*h = Lease{buf: b, refs: 1, parent: parent}
+	return h
+}
+
+// slabHandles is how many handles one allocation makes.
+const slabHandles = 64
+
+// drop takes one holder off h. The last frees h and lets go of its bytes:
+// a range's parent loses the range's hold, and an array goes to the
+// recycler as how says.
+func (a *Arrays) drop(h *Lease, how letGo) {
+	if h.refs <= 0 {
+		panic("device: release of a lease no one holds")
+	}
+	if h.refs--; h.refs > 0 {
 		return
 	}
-	a.unhold(b)
-}
-
-// Leases returns the holders of leases outstanding, summed over arrays
-// and ranges: zero once every reader gave its lease back (an audit's
-// check). A device storing a borrowed range is not a reader.
-func (a *Arrays) Leases() int {
-	n := -len(a.ranges) // each range's hold on its array
-	for _, l := range a.leases {
-		n += int(l.n)
+	b, parent := h.buf, h.parent
+	*h = Lease{}
+	if how != forget {
+		a.spare = append(a.spare, h)
 	}
-	for _, r := range a.ranges {
-		n += int(r.n)
-	}
-	return n
-}
-
-// hold adds a holder to array b's entry.
-func (a *Arrays) hold(b []byte) {
-	if a.leases == nil {
-		a.leases = make(map[*byte]lease)
-	}
-	k := &b[:1][0]
-	l := a.leases[k]
-	l.n++
-	a.leases[k] = l
-}
-
-// unhold takes a holder off array b's entry; the last one recycles b if
-// its device let go of it meanwhile.
-func (a *Arrays) unhold(b []byte) {
-	k := &b[:1][0]
-	l, ok := a.leases[k]
-	if !ok {
-		panic("device: release of an array that is not leased")
-	}
-	if l.n--; l.n > 0 {
-		a.leases[k] = l
-		return
-	}
-	delete(a.leases, k)
-	if l.dropped {
-		a.put(b, l.bulk)
+	switch {
+	case parent != nil:
+		a.drop(parent, recycle)
+	case how != forget:
+		a.put(b, how == recycleAll)
 	}
 }
 
-// rangeOf looks b up as a borrowed range. It costs one length check while
-// no range is borrowed.
-func (a *Arrays) rangeOf(b []byte) (span, borrow, bool) {
-	if len(a.ranges) == 0 || cap(b) == 0 {
-		return span{}, borrow{}, false
-	}
-	k := span{&b[:1][0], cap(b)}
-	r, ok := a.ranges[k]
-	return k, r, ok
-}
-
-// setRange stores r under k, or, when neither a reader nor a device holds
-// the range any more, forgets it and gives back its hold on its array.
-func (a *Arrays) setRange(k span, r borrow) {
-	if r.n > 0 || r.stores > 0 {
-		a.ranges[k] = r
-		return
-	}
-	delete(a.ranges, k)
-	a.unhold(r.array)
-}
-
-// lend returns array[off:end] as a borrowed range with one reader, or
-// nil when the range is empty or cannot be told apart from what holds it:
-// the whole of the array's capacity, or a range of a range.
-func (a *Arrays) lend(array []byte, off, end int64) []byte {
-	if end <= off || off == 0 && end == int64(cap(array)) {
-		return nil
-	}
-	if _, _, ok := a.rangeOf(array); ok {
-		return nil
-	}
-	r := array[off:end:end]
-	k := span{&r[0], cap(r)}
-	b, ok := a.ranges[k]
-	if !ok {
-		if a.ranges == nil {
-			a.ranges = make(map[span]borrow)
-		}
-		b.array = array
-		a.hold(array)
-	}
-	b.n++
-	a.ranges[k] = b
-	return r
-}
-
-// store adds a device's hold to b if b is a borrowed range: the device
-// stores it (WriteLent, Adopt). A device stores an array without one.
-func (a *Arrays) store(b []byte) {
-	if k, r, ok := a.rangeOf(b); ok {
-		r.stores++
-		a.ranges[k] = r
-	}
-}
-
-// unstore gives back a device's hold on b, which it no longer stores, if
-// b is a borrowed range, and reports whether it was one.
-func (a *Arrays) unstore(b []byte) bool {
-	k, r, ok := a.rangeOf(b)
-	if !ok {
-		return false
-	}
-	if r.stores == 0 {
-		panic("device: a range no device stores was let go of")
-	}
-	r.stores--
-	a.setRange(k, r)
-	return true
-}
-
-// leased reports whether b is leased: an array a reader holds or of which
-// a range is borrowed, or a borrowed range. It costs one length check
-// while nothing is.
-func (a *Arrays) leased(b []byte) bool {
-	if len(a.leases) == 0 || cap(b) == 0 {
-		return false
-	}
-	if _, ok := a.leases[&b[:1][0]]; ok {
-		return true
-	}
-	_, _, ok := a.rangeOf(b)
-	return ok
-}
-
-// restored clears the mark of a leased array that a device stores again
-// (Adopt's destination), so its last Release does not recycle it. A range
-// has no mark: its new device took a hold of its own (store).
-func (a *Arrays) restored(b []byte) {
-	if _, _, ok := a.rangeOf(b); ok {
-		return
-	}
-	k := &b[:1][0]
-	l := a.leases[k]
-	l.dropped = false
-	a.leases[k] = l
+// lend returns a handle on array h's bytes [off, end) with one reader,
+// which holds h until it is let go of.
+func (a *Arrays) lend(h *Lease, off, end int64) *Lease {
+	a.leases++
+	h.refs++
+	return a.handle(h.buf[off:end:end], h)
 }
 
 // take returns an array of length n whose bytes past n, up to its
@@ -260,22 +172,10 @@ func (a *Arrays) take(n int) []byte {
 	return make([]byte, n, c)
 }
 
-// put offers b, an array a device let go of, to the recycler. It is kept
-// under the largest class its capacity covers, unless that class is
-// stocked already; bulk keeps it whatever the stock (see Device.Purge). A
-// leased b is only marked: its last Release offers it. A borrowed range
-// is never offered: its device gives back its hold on it.
+// put offers b, an array no one holds any more, to the recycler. It is
+// kept under the largest class its capacity covers, unless that class is
+// stocked already; bulk keeps it whatever the stock (see Device.Purge).
 func (a *Arrays) put(b []byte, bulk bool) {
-	if len(a.leases) > 0 && cap(b) > 0 {
-		if a.unstore(b) {
-			return
-		}
-		if l, ok := a.leases[&b[:1][0]]; ok {
-			l.dropped, l.bulk = true, bulk
-			a.leases[&b[:1][0]] = l
-			return
-		}
-	}
 	c := classBelow(cap(b))
 	if c == 0 {
 		return
@@ -289,17 +189,11 @@ func (a *Arrays) put(b []byte, bulk bool) {
 	}
 }
 
-// release drops every free array, and the lease tables once empty (a map
-// keeps the room of the most entries it held). Leases stay: their holders
-// give them back.
+// release drops every free array and spare handle. Leases stay: their
+// holders give them back.
 func (a *Arrays) release() {
 	clear(a.free)
-	if len(a.leases) == 0 {
-		a.leases = nil
-	}
-	if len(a.ranges) == 0 {
-		a.ranges = nil
-	}
+	a.spare, a.slab = nil, nil
 }
 
 // The Go allocator's size classes for objects up to 32 KB

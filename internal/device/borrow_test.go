@@ -43,28 +43,37 @@ func lending(t *testing.T, p *vtime.Proc) (pfs, node *Device, arrays *Arrays, rg
 }
 
 // lendRange leases [off, off+n) of the PFS object rg.
-func lendRange(t *testing.T, p *vtime.Proc, pfs *Device, rg blob.ID, off, n int64) []byte {
+func lendRange(t *testing.T, p *vtime.Proc, pfs *Device, rg blob.ID, off, n int64) *Lease {
 	t.Helper()
 	r, ok, err := pfs.ReadAtLease(p, rg, off, n)
-	if !ok || err != nil || int64(len(r)) != n {
-		t.Fatalf("ReadAtLease [%d,+%d): %d bytes, ok=%v, err=%v", off, n, len(r), ok, err)
+	if !ok || err != nil || int64(len(r.Bytes())) != n {
+		t.Fatalf("ReadAtLease [%d,+%d): %d bytes, ok=%v, err=%v", off, n, len(r.Bytes()), ok, err)
 	}
 	return r
 }
 
 // lendTo stores r on d under key with WriteLent, as a lending PutBacked
 // does.
-func lendTo(t *testing.T, p *vtime.Proc, d *Device, key blob.ID, r []byte) {
+func lendTo(t *testing.T, p *vtime.Proc, d *Device, key blob.ID, r *Lease) {
 	t.Helper()
-	held, err := d.Reserve(key, int64(len(r)))
+	held, err := d.Reserve(key, int64(len(r.buf)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.WriteLent(p, key, r, &held); err != nil {
 		t.Fatal(err)
 	}
-	if !sameArray(d.blobs[key], r) {
+	if d.blobs[key] != r {
 		t.Fatal("WriteLent stored a copy of the range")
+	}
+}
+
+// alone fails the test unless every lease was given back and the PFS
+// object rg is held by the PFS alone again.
+func alone(t *testing.T, when string, a *Arrays, pfs *Device, rg blob.ID) {
+	t.Helper()
+	if n, refs := a.Leases(), pfs.blobs[rg].refs; n != 0 || refs != 1 {
+		t.Errorf("%s: %d leases out, the row group has %d holders, want 0 and 1", when, n, refs)
 	}
 }
 
@@ -83,8 +92,8 @@ func inFree(a *Arrays, b []byte) bool {
 
 // TestReadAtLeaseLendsTheStoredRange: a lease read of a range returns the
 // stored bytes themselves, at the virtual cost and with the counters of a
-// copying read, copying nothing; a range that would span its array's whole
-// capacity, which no key could tell from the array, is a leased copy.
+// copying read, copying nothing; so does a range that spans its array's
+// whole capacity, which its handle tells from the array's.
 func TestReadAtLeaseLendsTheStoredRange(t *testing.T) {
 	var took [2]vtime.Duration
 	for i, lease := range []bool{false, true} {
@@ -92,10 +101,12 @@ func TestReadAtLeaseLendsTheStoredRange(t *testing.T) {
 			pfs, _, arrays, rg := lending(t, p)
 			start := p.Now()
 			var got []byte
+			var r *Lease
 			if lease {
-				got = lendRange(t, p, pfs, rg, 8192, 49152)
-				if !sameArray(got, pfs.blobs[rg][8192:]) || cap(got) != 49152 {
-					t.Error("ReadAtLease returned a copy, or a range its holder could extend")
+				r = lendRange(t, p, pfs, rg, 8192, 49152)
+				got = r.buf
+				if !sameArray(got, pfs.blobs[rg].buf[8192:]) || cap(got) != 49152 || r.parent != pfs.blobs[rg] {
+					t.Error("ReadAtLease returned a copy, a range its holder could extend, or one that holds no parent")
 				}
 			} else {
 				got, _, _ = pfs.ReadAtInto(p, rg, 8192, 49152, nil)
@@ -111,11 +122,8 @@ func TestReadAtLeaseLendsTheStoredRange(t *testing.T) {
 				t.Errorf("lease=%v: copied %d bytes, want %d", lease, pfs.CopiedBytes(), want)
 			}
 			if lease {
-				arrays.Release(got)
-				if arrays.Leases() != 0 || len(arrays.ranges) != 0 || len(arrays.leases) != 0 {
-					t.Errorf("entries left after the release: %d leases, %d ranges, %d arrays",
-						arrays.Leases(), len(arrays.ranges), len(arrays.leases))
-				}
+				arrays.Release(r)
+				alone(t, "after the release", arrays, pfs, rg)
 			}
 		})
 	}
@@ -130,18 +138,19 @@ func TestReadAtLeaseLendsTheStoredRange(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := lendRange(t, p, d, k, 0, 4096)
-		if sameArray(got, d.blobs[k]) || d.CopiedBytes() != 4096 {
-			t.Errorf("a range of the whole capacity was lent (copied %d bytes)", d.CopiedBytes())
+		if !sameArray(got.buf, d.blobs[k].buf) || d.CopiedBytes() != 0 {
+			t.Errorf("a range of the whole capacity was copied (%d bytes)", d.CopiedBytes())
 		}
-		if d.arrays.Leases() != 1 || d.arrays.leased(d.blobs[k]) {
-			t.Errorf("the copy holds %d leases, and the stored array is leased: %v", d.arrays.Leases(), d.arrays.leased(d.blobs[k]))
+		if d.arrays.Leases() != 1 || d.blobs[k].refs != 2 {
+			t.Errorf("%d leases out and %d holders of the stored array, want 1 and 2", d.arrays.Leases(), d.blobs[k].refs)
 		}
 		d.arrays.Release(got)
+		alone(t, "after the release", d.arrays, d, k)
 	})
 }
 
 // TestOffsetZeroRangeIsNotItsArray: a range at offset 0 shares its first
-// byte with its row group, but the two are separate entries. A lease on
+// byte with its row group, but the two are separate handles. A lease on
 // the array and one on the range are given back separately; a node that
 // stores the range lets go of it as a range, and the PFS that deletes the
 // row group lets go of it as an array, recycled only once the range is
@@ -149,8 +158,9 @@ func TestReadAtLeaseLendsTheStoredRange(t *testing.T) {
 func TestOffsetZeroRangeIsNotItsArray(t *testing.T) {
 	run(t, func(p *vtime.Proc) {
 		pfs, node, arrays, rg := lending(t, p)
-		chunk := pfs.blobs[rg]
-		r := lendRange(t, p, pfs, rg, 0, 4096)
+		chunk := pfs.blobs[rg].buf
+		rh := lendRange(t, p, pfs, rg, 0, 4096)
+		r := rh.buf
 		if !sameArray(r, chunk) {
 			t.Fatal("the offset-0 range does not start at its row group's first byte")
 		}
@@ -159,14 +169,13 @@ func TestOffsetZeroRangeIsNotItsArray(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := bid("page0")
-		lendTo(t, p, node, k, r)
-		arrays.Release(r) // ReadAtLease's
-		arrays.Release(r) // WriteLent's
+		lendTo(t, p, node, k, rh)
+		arrays.Release(rh) // ReadAtLease's; the node holds it still
 		if n := arrays.Leases(); n != 1 {
 			t.Fatalf("%d leases out, want the array's 1", n)
 		}
 		arrays.Release(whole)
-		if !arrays.leased(chunk) || !arrays.leased(node.blobs[k]) {
+		if pfs.blobs[rg].refs != 2 || node.blobs[k] != rh || rh.refs != 1 {
 			t.Fatal("releasing the array's lease let go of the range the node stores")
 		}
 		pfs.Delete(p, rg)
@@ -174,7 +183,7 @@ func TestOffsetZeroRangeIsNotItsArray(t *testing.T) {
 		if inFree(arrays, chunk) {
 			t.Fatal("the row group was recycled while the node stores a range of it")
 		}
-		if !bytes.Equal(node.blobs[k], pattern(4096)) {
+		if !bytes.Equal(node.blobs[k].buf, pattern(4096)) {
 			t.Fatal("the node's range changed")
 		}
 		node.Delete(p, k)
@@ -185,8 +194,8 @@ func TestOffsetZeroRangeIsNotItsArray(t *testing.T) {
 		if inFree(arrays, r) {
 			t.Error("the range reached the recycler")
 		}
-		if arrays.Leases() != 0 || len(arrays.ranges) != 0 || len(arrays.leases) != 0 {
-			t.Errorf("entries left: %d leases, %d ranges, %d arrays", arrays.Leases(), len(arrays.ranges), len(arrays.leases))
+		if n := arrays.Leases(); n != 0 {
+			t.Errorf("%d leases out at the end", n)
 		}
 	})
 }
@@ -198,10 +207,10 @@ func TestBorrowedRangeNeverComesOutOfTake(t *testing.T) {
 	run(t, func(p *vtime.Proc) {
 		pfs, node, arrays, rg := lending(t, p)
 		k := bid("page2")
-		r := lendRange(t, p, pfs, rg, 8192, 4096)
-		lendTo(t, p, node, k, r)
-		arrays.Release(r)
-		arrays.Release(r)
+		rh := lendRange(t, p, pfs, rg, 8192, 4096)
+		r := rh.buf
+		lendTo(t, p, node, k, rh)
+		arrays.Release(rh)
 		node.Delete(p, k)
 		for i := range 8 {
 			dev := []*Device{node, pfs}[i%2]
@@ -209,7 +218,7 @@ func TestBorrowedRangeNeverComesOutOfTake(t *testing.T) {
 			if err := dev.Write(p, key, bytes.Repeat([]byte{0xEE}, 4096)); err != nil {
 				t.Fatal(err)
 			}
-			if sameArray(dev.blobs[key], r) {
+			if sameArray(dev.blobs[key].buf, r) {
 				t.Fatalf("write %d took the range's bytes", i)
 			}
 		}
@@ -222,9 +231,10 @@ func TestBorrowedRangeNeverComesOutOfTake(t *testing.T) {
 
 // TestBorrowedRangeHolderKeepsBytesAcrossParentWriters: while a range is
 // held, every writer that changes its row group in place copies the row
-// group first: the holder keeps the bytes it borrowed, the PFS serves the
-// new ones, and Used stays the bytes stored. A writer of the node's copy
-// of the range copies it too, leaving the PFS's bytes alone.
+// group first: the holder keeps the bytes it borrowed, a holder of the
+// whole row group its bytes and length, the PFS serves the new ones, and
+// Used stays the bytes stored. A writer of the node's copy of the range
+// copies it too, leaving the PFS's bytes alone.
 func TestBorrowedRangeHolderKeepsBytesAcrossParentWriters(t *testing.T) {
 	old := pattern(rowBytes)
 	for _, tc := range []struct {
@@ -253,32 +263,35 @@ func TestBorrowedRangeHolderKeepsBytesAcrossParentWriters(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run(t, func(p *vtime.Proc) {
 				pfs, node, arrays, rg := lending(t, p)
-				chunk := pfs.blobs[rg]
-				r := lendRange(t, p, pfs, rg, 8192, 4096)
+				chunk := pfs.blobs[rg].buf
+				rh := lendRange(t, p, pfs, rg, 8192, 4096)
+				r := rh.buf
 				k := bid("page2")
-				lendTo(t, p, node, k, r)
+				lendTo(t, p, node, k, rh)
+				whole, _, _ := pfs.ReadLease(p, rg)
 				if err := tc.write(p, pfs, rg); err != nil {
 					t.Fatal(err)
 				}
 				checkUsed(t, "after the write", pfs, node)
-				if !bytes.Equal(r, old[8192:8192+4096]) || !bytes.Equal(node.blobs[k], r) {
+				if !bytes.Equal(whole.buf, old) {
+					t.Errorf("the row group's holder reads %d bytes after the write, want its %d", len(whole.buf), len(old))
+				}
+				arrays.Release(whole)
+				if !bytes.Equal(r, old[8192:8192+4096]) || !bytes.Equal(node.blobs[k].buf, r) {
 					t.Error("the holder or the node reads new bytes after the PFS write")
 				}
 				if got, _ := pfs.Peek(rg); !bytes.Equal(got, tc.want()) {
 					t.Error("the PFS serves the old bytes after the write")
 				}
-				if sameArray(pfs.blobs[rg], chunk) {
+				if sameArray(pfs.blobs[rg].buf, chunk) {
 					t.Error("the PFS still stores the row group a range of which is lent")
 				}
 				node.CorruptBit(k, 0, 3)
-				if !bytes.Equal(r, old[8192:8192+4096]) || sameArray(node.blobs[k], r) {
+				if !bytes.Equal(r, old[8192:8192+4096]) || sameArray(node.blobs[k].buf, r) {
 					t.Error("a CorruptBit on the node's range wrote into the borrowed bytes")
 				}
-				arrays.Release(r)
-				arrays.Release(r)
-				if arrays.Leases() != 0 || len(arrays.ranges) != 0 || len(arrays.leases) != 0 {
-					t.Errorf("entries left: %d leases, %d ranges, %d arrays", arrays.Leases(), len(arrays.ranges), len(arrays.leases))
-				}
+				arrays.Release(rh)
+				alone(t, "after the release", arrays, pfs, rg)
 				if !inFree(arrays, chunk) {
 					t.Error("the row group the PFS let go of was not recycled after its range went")
 				}
@@ -314,11 +327,11 @@ func TestLettingGoOfAStoredRangeReleasesIt(t *testing.T) {
 			if ok, err := other.Adopt(p, node, k); !ok || err != nil {
 				panic(err)
 			}
-			if !bytes.Equal(other.blobs[k], pattern(rowBytes)[8192:8192+4096]) {
+			if !bytes.Equal(other.blobs[k].buf, pattern(rowBytes)[8192:8192+4096]) {
 				panic("the adopted range lost its bytes")
 			}
-			if !other.arrays.leased(other.blobs[k]) {
-				panic("the adopted range is not held by its new device")
+			if h := other.blobs[k]; h.parent == nil || h.refs != 1 {
+				panic("the adopted range is not held by its new device alone")
 			}
 			other.Delete(p, k)
 		}},
@@ -328,24 +341,22 @@ func TestLettingGoOfAStoredRangeReleasesIt(t *testing.T) {
 				pfs, node, arrays, rg := lending(t, p)
 				other := New("node1/nvme", NVMeProfile(8*MB))
 				other.ShareArrays(arrays)
-				chunk := pfs.blobs[rg]
-				r := lendRange(t, p, pfs, rg, 8192, 4096)
+				chunk := pfs.blobs[rg].buf
+				rh := lendRange(t, p, pfs, rg, 8192, 4096)
+				r := rh.buf
 				k := bid("page2")
-				lendTo(t, p, node, k, r)
-				arrays.Release(r)
-				arrays.Release(r)
+				lendTo(t, p, node, k, rh)
+				arrays.Release(rh)
 				tc.letGo(p, node, other, k)
 				checkUsed(t, "after letting go", pfs, node, other)
-				if arrays.Leases() != 0 || len(arrays.ranges) != 0 || len(arrays.leases) != 0 {
-					t.Fatalf("entries left: %d leases, %d ranges, %d arrays", arrays.Leases(), len(arrays.ranges), len(arrays.leases))
-				}
+				alone(t, "after letting go", arrays, pfs, rg)
 				if inFree(arrays, r) {
 					t.Error("the range reached the recycler")
 				}
 				if err := pfs.WriteAt(p, rg, 0, []byte{9}); err != nil {
 					t.Fatal(err)
 				}
-				if !sameArray(pfs.blobs[rg], chunk) {
+				if !sameArray(pfs.blobs[rg].buf, chunk) {
 					t.Error("the row group is still leased: an in-place write copied it")
 				}
 			})
@@ -364,8 +375,29 @@ func TestFailedReadAtLeaseHoldsNoLease(t *testing.T) {
 		if _, ok, err := pfs.ReadAtLease(p, rg, 8192, 4096); !ok || !faults.Transient(err) {
 			t.Fatalf("the read did not fail: ok=%v err=%v", ok, err)
 		}
-		if arrays.Leases() != 0 || len(arrays.ranges) != 0 || len(arrays.leases) != 0 {
-			t.Errorf("a failed read left %d leases, %d ranges, %d arrays", arrays.Leases(), len(arrays.ranges), len(arrays.leases))
+		alone(t, "after the failed read", arrays, pfs, rg)
+	})
+}
+
+// TestFreedHandleHoldsNothing: a handle on the spare list keeps neither
+// its array nor its parent reachable: once no one holds an array, the
+// recycler alone decides what becomes of it.
+func TestFreedHandleHoldsNothing(t *testing.T) {
+	run(t, func(p *vtime.Proc) {
+		pfs, node, arrays, rg := lending(t, p)
+		k := bid("page2")
+		r := lendRange(t, p, pfs, rg, 8192, 4096)
+		lendTo(t, p, node, k, r)
+		arrays.Release(r)
+		node.Delete(p, k)
+		pfs.Delete(p, rg)
+		if len(arrays.spare) != 2 {
+			t.Fatalf("%d spare handles, want the range's and the row group's", len(arrays.spare))
+		}
+		for _, h := range arrays.spare {
+			if h.buf != nil || h.parent != nil || h.refs != 0 {
+				t.Errorf("a spare handle keeps %d bytes, a parent %v and %d holders", cap(h.buf), h.parent != nil, h.refs)
+			}
 		}
 	})
 }

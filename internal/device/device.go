@@ -139,10 +139,12 @@ type Device struct {
 	peak  int64
 	chans *vtime.Resource // queue depth: latency phases overlap
 	bw    *vtime.Resource // media bandwidth: transfers serialize
-	blobs map[blob.ID][]byte
+	// blobs holds each stored blob's handle, of which the device is one
+	// holder.
+	blobs map[blob.ID]*Lease
 	// arrays recycles the arrays of deleted, resized and purged blobs into
-	// the next writes of a new length, and holds the leases that keep
-	// read arrays out of it (shared cluster-wide by ShareArrays).
+	// the next writes of a new length, and hands out the handles (shared
+	// cluster-wide by ShareArrays).
 	arrays *Arrays
 
 	// Fault injection (nil when no plan is installed).
@@ -179,7 +181,7 @@ func New(name string, prof Profile) *Device {
 		name:   name,
 		chans:  vtime.NewResource(prof.Channels),
 		bw:     vtime.NewResource(1),
-		blobs:  make(map[blob.ID][]byte),
+		blobs:  make(map[blob.ID]*Lease),
 		arrays: NewArrays(),
 	}
 }
@@ -190,29 +192,20 @@ func New(name string, prof Profile) *Device {
 // before the device stores anything.
 func (d *Device) ShareArrays(a *Arrays) { d.arrays = a }
 
-// recycle hands the array of a blob this device no longer stores to the
-// recycler; a leased one waits there for its last Release, and a borrowed
-// range only loses this device's hold.
-func (d *Device) recycle(b []byte, bulk bool) { d.arrays.put(b, bulk) }
-
-// own returns b, the array stored under key, as one no lease holds: a
-// leased array is copied to one of its own class first, which the blob
-// keeps, and the device lets go of the leased one. Every writer that
-// changes stored bytes in place goes through it.
-func (d *Device) own(key blob.ID, b []byte) []byte {
-	if !d.arrays.leased(b) {
-		return b
+// own returns h, the handle stored under key, as one only the device
+// holds: a shared handle's bytes are copied to an array of their own class
+// first, under a fresh handle the blob keeps, and the device lets go of
+// the shared one. Every writer that changes stored bytes in place goes
+// through it.
+func (d *Device) own(key blob.ID, h *Lease) *Lease {
+	if !h.shared() {
+		return h
 	}
-	nb := d.arrays.take(len(b))
-	copy(nb, b)
-	d.recycle(b, false)
-	d.blobs[key] = nb
-	return nb
-}
-
-// sameArray reports whether a and b share their first byte of storage.
-func sameArray(a, b []byte) bool {
-	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+	nh := d.arrays.handle(d.arrays.take(len(h.buf)), nil)
+	copy(nh.buf, h.buf)
+	d.arrays.drop(h, recycle)
+	d.blobs[key] = nh
+	return nh
 }
 
 // SetFaults attaches a fault injector. node and tier identify this
@@ -252,8 +245,8 @@ func (d *Device) Used() int64 { return d.used }
 // virtual time or allocating: what Used must equal, for an audit.
 func (d *Device) StoredBytes() int64 {
 	var n int64
-	for _, b := range d.blobs {
-		n += int64(len(b))
+	for _, h := range d.blobs {
+		n += int64(len(h.buf))
 	}
 	return n
 }
@@ -290,7 +283,7 @@ func (d *Device) note(used, held int64) {
 // its first yield, writes with WriteHeld, which settles the hold, and
 // defers Unreserve, which gives back what no write settled.
 func (d *Device) Reserve(key blob.ID, n int64) (int64, error) {
-	delta := n - int64(len(d.blobs[key]))
+	delta := n - int64(len(d.blobs[key].Bytes()))
 	if delta <= 0 {
 		return 0, nil
 	}
@@ -366,20 +359,20 @@ func (e *ErrNoSpace) Error() string {
 
 // BlobSize returns the size of a blob, or -1 if absent.
 func (d *Device) BlobSize(key blob.ID) int64 {
-	b, ok := d.blobs[key]
+	h, ok := d.blobs[key]
 	if !ok {
 		return -1
 	}
-	return int64(len(b))
+	return int64(len(h.buf))
 }
 
 // Equal reports whether the blob stored under key holds data at off. It
 // compares in place, copying nothing and charging nothing; an absent blob,
 // or a range that runs past the blob's end, is not equal.
 func (d *Device) Equal(key blob.ID, off int64, data []byte) bool {
-	b, ok := d.blobs[key]
+	h, ok := d.blobs[key]
 	end := off + int64(len(data))
-	return ok && off >= 0 && end <= int64(len(b)) && bytes.Equal(b[off:end], data)
+	return ok && off >= 0 && end <= int64(len(h.buf)) && bytes.Equal(h.buf[off:end], data)
 }
 
 // charge models an n-byte access: the fixed latency overlaps across the
@@ -412,9 +405,9 @@ func (d *Device) charge(p *vtime.Proc, n int64, bw float64) {
 // The device always stores its own copy, never the caller's slice. A
 // payload of the stored blob's length is copied over the stored bytes in
 // place (every whole-page commit and replica reinstall) unless they are
-// leased; any other length, or a leased array, takes an array of its size
-// class from the recycler (or a fresh one) and hands the replaced array
-// back, so the array's capacity is what the heap charges for the length
+// shared; any other length, or a shared array, takes an array of its size
+// class from the recycler (or a fresh one) and lets go of the replaced
+// one, so the array's capacity is what the heap charges for the length
 // anyway. The order is charge, injected fault, and only then the copy: a
 // failed write leaves the old contents whole.
 func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) error {
@@ -432,22 +425,20 @@ func (d *Device) WriteHeld(p *vtime.Proc, key blob.ID, data []byte, held *int64)
 	return d.write(p, key, data, held, nil)
 }
 
-// WriteLent is WriteHeld storing data itself instead of a copy: a write
-// that lands keeps the caller's array as the blob and leaves the caller
-// holding a lease on it (Arrays.Release gives it back), so the array is
-// immutable from then on and the caller may go on reading it. data may be
-// a range the caller borrowed (ReadAtLease): the device then holds the
-// range too, until it lets go of the blob, and the caller holds a second
-// lease beside its first. It charges what WriteHeld charges. A failed
-// write stores nothing and leases nothing: data stays the caller's.
-func (d *Device) WriteLent(p *vtime.Proc, key blob.ID, data []byte, held *int64) error {
-	return d.write(p, key, data, held, data)
+// WriteLent is WriteHeld storing the bytes of h, a handle the caller
+// holds (Arrays.Wrap, ReadAtLease), instead of a copy: a write that lands
+// makes the device a holder of h beside the caller, so its bytes are
+// immutable from then on and the caller may go on reading them. It
+// charges what WriteHeld charges. A failed write stores nothing and
+// leaves h as it was.
+func (d *Device) WriteLent(p *vtime.Proc, key blob.ID, h *Lease, held *int64) error {
+	return d.write(p, key, h.buf, held, h)
 }
 
-// write is WriteHeld, or WriteLent when lent (then data itself) is not
-// nil: a parameter of its own, so that WriteHeld's payload never escapes
-// its caller's frame.
-func (d *Device) write(p *vtime.Proc, key blob.ID, data []byte, held *int64, lent []byte) (err error) {
+// write is WriteHeld, or WriteLent when lent (then data's handle) is not
+// nil: data is the payload either way, and never escapes its caller's
+// frame.
+func (d *Device) write(p *vtime.Proc, key blob.ID, data []byte, held *int64, lent *Lease) (err error) {
 	sp := d.enter(p, telemetry.OpDeviceWrite, key)
 	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
 	d.charge(p, int64(len(data)), d.prof.WriteBW)
@@ -459,27 +450,29 @@ func (d *Device) write(p *vtime.Proc, key blob.ID, data []byte, held *int64, len
 	// Settled from what is replaced: the charge yielded, and the blob may
 	// have been replaced or deleted meanwhile.
 	cur, ok := d.blobs[key]
-	if err := d.settle(held, int64(len(data))-int64(len(cur))); err != nil {
+	if err := d.settle(held, int64(len(data))-int64(len(cur.Bytes()))); err != nil {
 		return err
 	}
 	switch {
 	case lent != nil:
-		// Held first: a re-put of the range the blob stores keeps its entry.
-		d.arrays.Lease(lent)
-		d.arrays.store(lent)
+		lent.refs++ // first: a re-put of the handle the blob stores keeps it
 		if ok {
-			d.recycle(cur, false)
+			d.arrays.drop(cur, recycle)
 		}
-		d.blobs[key] = lent[:len(lent):len(lent)] // nothing past its length to extend into
-	case ok && len(cur) == len(data) && !d.arrays.leased(cur):
-		copy(cur, data)
+		d.blobs[key] = lent
+	case ok && !cur.shared():
+		if len(cur.buf) != len(data) {
+			d.arrays.put(cur.buf, false) // first: a resize within its class gets it back
+			cur.buf = d.arrays.take(len(data))
+		}
+		copy(cur.buf, data)
 	default:
 		if ok {
-			d.recycle(cur, false) // first: a resize within its class gets it back
+			d.arrays.drop(cur, recycle)
 		}
-		b := d.arrays.take(len(data))
-		copy(b, data)
-		d.blobs[key] = b
+		h := d.arrays.handle(d.arrays.take(len(data)), nil)
+		copy(h.buf, data)
+		d.blobs[key] = h
 	}
 	d.writeOps++
 	d.bytesWrite += int64(len(data))
@@ -504,7 +497,8 @@ func (d *Device) WriteAt(p *vtime.Proc, key blob.ID, off int64, data []byte) err
 // sized ahead; the blob's length, Used, Peak and every charge are those
 // of WriteAt.
 func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte, extent int64) (err error) {
-	blob := d.blobs[key]
+	h := d.blobs[key]
+	blob := h.Bytes()
 	end := off + int64(len(data))
 	if end > int64(len(blob)) {
 		held, err := d.Reserve(key, end)
@@ -512,8 +506,8 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 			return err
 		}
 		d.note(held, -held) // the zero-filled growth is stored at once
-		if end <= int64(cap(blob)) {
-			blob = blob[:end] // sized ahead and never written: still zero
+		if end <= int64(cap(blob)) && !h.shared() {
+			h.buf = blob[:end] // sized ahead and never written: still zero
 		} else {
 			room := extent
 			if room < end {
@@ -524,12 +518,13 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 					room += room / 4
 				}
 			}
-			grown := make([]byte, end, max(end, room))
-			copy(grown, blob)
-			d.arrays.unstore(blob) // a borrowed range, outgrown, loses this device's hold
-			blob = grown
+			grown := d.arrays.handle(make([]byte, end, max(end, room)), nil)
+			copy(grown.buf, blob)
+			if h != nil {
+				d.arrays.drop(h, forget)
+			}
+			d.blobs[key] = grown
 		}
-		d.blobs[key] = blob
 	}
 	sp := d.enter(p, telemetry.OpDeviceWrite, key)
 	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
@@ -542,10 +537,10 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 	// Looked up again: the charge yielded, and a concurrent write may have
 	// moved the object to a new array, or replaced or deleted it (then its
 	// old array may already serve another blob, and the range lands
-	// nowhere, as it would have in an array no blob holds). A lease taken
-	// meanwhile makes the write copy the array first.
-	if cur := d.blobs[key]; int64(len(cur)) >= end {
-		copy(d.own(key, cur)[off:end], data)
+	// nowhere, as it would have in an array no blob holds). A holder that
+	// came meanwhile makes the write copy the array first.
+	if cur, ok := d.blobs[key]; ok && int64(len(cur.buf)) >= end {
+		copy(d.own(key, cur).buf[off:end], data)
 	}
 	d.writeOps++
 	d.bytesWrite += int64(len(data))
@@ -557,7 +552,7 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 // but ReadLease and ReadAtLease goes through it: stored bytes are
 // overwritten in place by Write, WriteAt and CorruptBit, and a deleted
 // blob's array serves the next write, so a slice aliasing them would
-// change under its holder unless a lease holds it. A nil dst always
+// change under its holder unless it holds their handle. A nil dst always
 // allocates, so even an empty blob reads as non-nil.
 func fill(dst, src []byte) []byte {
 	if dst != nil && cap(dst) >= len(src) {
@@ -589,48 +584,52 @@ func (d *Device) Read(p *vtime.Proc, key blob.ID) ([]byte, bool, error) {
 // the yield (a blob deleted meanwhile hands its array to the next write).
 // A failed read may leave dst overwritten.
 func (d *Device) ReadInto(p *vtime.Proc, key blob.ID, dst []byte) (out []byte, ok bool, err error) {
-	blob, ok := d.blobs[key]
+	h, ok := d.blobs[key]
 	if !ok {
 		return nil, false, nil
 	}
-	d.copied += int64(len(blob))
-	return d.finishRead(p, key, fill(dst, blob))
+	d.copied += int64(len(h.buf))
+	out = fill(dst, h.buf)
+	if err = d.finishRead(p, key, int64(len(out))); err != nil {
+		return nil, true, err
+	}
+	return out, true, nil
 }
 
 // ReadLease is ReadInto for a reader that only reads the bytes: it
-// charges exactly what ReadInto charges, but returns the stored array
-// itself, with a lease taken when the read starts (Arrays.Lease), so it
-// returns the bytes stored then, as ReadInto does. The caller gives the
-// lease back with Arrays.Release once it is done with them. A failed read
-// holds no lease.
-func (d *Device) ReadLease(p *vtime.Proc, key blob.ID) (out []byte, ok bool, err error) {
-	blob, ok := d.blobs[key]
+// charges exactly what ReadInto charges, but returns the stored blob's
+// handle itself, with the caller made a holder when the read starts
+// (Arrays.Lease), so it returns the bytes stored then, as ReadInto does.
+// The caller gives the lease back with Arrays.Release once it is done
+// with them. A failed read holds no lease.
+func (d *Device) ReadLease(p *vtime.Proc, key blob.ID) (h *Lease, ok bool, err error) {
+	h, ok = d.blobs[key]
 	if !ok {
 		return nil, false, nil
 	}
-	d.arrays.Lease(blob)
-	if out, ok, err = d.finishRead(p, key, blob); err != nil {
-		d.arrays.Release(blob)
+	d.arrays.Lease(h)
+	if err = d.finishRead(p, key, int64(len(h.buf))); err != nil {
+		d.arrays.Release(h)
+		return nil, true, err
 	}
-	return out, ok, err
+	return h, true, nil
 }
 
-// finishRead charges a read of data, taken as the read started (a copy,
-// or stored bytes under a lease), and returns it, or the injected fault
+// finishRead charges a read of n bytes, taken as the read started (a
+// copy, or stored bytes under a lease), and returns the injected fault
 // the read meets.
-func (d *Device) finishRead(p *vtime.Proc, key blob.ID, data []byte) (out []byte, ok bool, err error) {
-	n := int64(len(data))
+func (d *Device) finishRead(p *vtime.Proc, key blob.ID, n int64) (err error) {
 	sp := d.enter(p, telemetry.OpDeviceRead, key)
 	defer func() { sp.Exit(p, n, err != nil) }()
 	d.charge(p, n, d.prof.ReadBW)
 	if d.inj != nil {
 		if err := d.inj.DeviceRead(d.fnode, d.ftier); err != nil {
-			return nil, true, err
+			return err
 		}
 	}
 	d.readOps++
 	d.bytesRead += n
-	return data, true, nil
+	return nil
 }
 
 // ReadAtInto reads length bytes of a blob starting at off, reusing dst's
@@ -638,49 +637,46 @@ func (d *Device) finishRead(p *vtime.Proc, key blob.ID, data []byte) (out []byte
 // Reads past the end are truncated. Like ReadInto it copies when the read
 // starts.
 func (d *Device) ReadAtInto(p *vtime.Proc, key blob.ID, off, length int64, dst []byte) (out []byte, ok bool, err error) {
-	blob, ok := d.blobs[key]
+	h, ok := d.blobs[key]
 	if !ok {
 		return nil, false, nil
 	}
-	if off >= int64(len(blob)) {
+	if off >= int64(len(h.buf)) {
 		return nil, true, nil
 	}
-	src := blob[off:min(off+length, int64(len(blob)))]
+	src := h.buf[off:min(off+length, int64(len(h.buf)))]
 	d.copied += int64(len(src))
-	return d.finishRead(p, key, fill(dst, src))
+	out = fill(dst, src)
+	if err = d.finishRead(p, key, int64(len(out))); err != nil {
+		return nil, true, err
+	}
+	return out, true, nil
 }
 
 // ReadAtLease is ReadAtInto for a reader that only reads the bytes: it
 // charges exactly what ReadAtInto charges, but returns the stored bytes
-// themselves, blob[off:end:end], as a range borrowed under a lease taken
-// when the read starts (Arrays), so it returns the bytes stored then. A
-// range that cannot be told apart from its array (all of the array's
-// capacity) or that lies in a borrowed range is copied instead, into an
-// array of its own under a lease of its own. Either way the caller gives
-// the lease back with Arrays.Release. A failed read holds no lease.
-func (d *Device) ReadAtLease(p *vtime.Proc, key blob.ID, off, length int64) (out []byte, ok bool, err error) {
-	blob, ok := d.blobs[key]
+// themselves, blob[off:end:end], as a range borrowed under a handle of its
+// own made when the read starts (Arrays), which holds the stored blob's
+// handle, so it returns the bytes stored then. The caller gives the lease
+// back with Arrays.Release. A failed read holds no lease.
+func (d *Device) ReadAtLease(p *vtime.Proc, key blob.ID, off, length int64) (r *Lease, ok bool, err error) {
+	h, ok := d.blobs[key]
 	if !ok {
 		return nil, false, nil
 	}
-	if off >= int64(len(blob)) {
+	if off >= int64(len(h.buf)) {
 		return nil, true, nil
 	}
-	end := min(off+length, int64(len(blob)))
-	data := d.arrays.lend(blob, off, end)
-	if data == nil {
-		data = fill(nil, blob[off:end])
-		d.copied += int64(len(data))
-		d.arrays.Lease(data)
+	r = d.arrays.lend(h, off, min(off+length, int64(len(h.buf))))
+	if err = d.finishRead(p, key, int64(len(r.buf))); err != nil {
+		d.arrays.Release(r)
+		return nil, true, err
 	}
-	if out, ok, err = d.finishRead(p, key, data); err != nil {
-		d.arrays.Release(data)
-	}
-	return out, ok, err
+	return r, true, nil
 }
 
-// Delete removes a blob, freeing its space, and hands its array to the
-// recycler. Deleting an absent blob is a no-op. Deletion charges only the
+// Delete removes a blob, freeing its space, and lets go of its handle,
+// whose last holder recycles the array. Deleting an absent blob is a no-op. Deletion charges only the
 // fixed latency (metadata update); what it removes and accounts is the
 // blob stored when that latency ends.
 func (d *Device) Delete(p *vtime.Proc, key blob.ID) {
@@ -690,24 +686,24 @@ func (d *Device) Delete(p *vtime.Proc, key blob.ID) {
 	d.chans.Acquire(p, 1)
 	p.Sleep(d.prof.Latency)
 	d.chans.Release(1)
-	if b, ok := d.blobs[key]; ok {
-		d.note(-int64(len(b)), 0)
+	if h, ok := d.blobs[key]; ok {
+		d.note(-int64(len(h.buf)), 0)
 		delete(d.blobs, key)
-		d.recycle(b, false)
+		d.arrays.drop(h, recycle)
 	}
 }
 
 // Adopt moves the blob stored under key from src to d without copying it:
-// d takes src's array. It charges what Write of the blob to d followed by
+// d becomes a holder of src's handle, and src lets go of it. It charges what Write of the blob to d followed by
 // src.Delete charges, in that order, and fails like Write (ErrNoSpace, an
 // injected write fault) with the blob left on src. ok is false when src
 // does not hold the blob, before the charge or after it.
 func (d *Device) Adopt(p *vtime.Proc, src *Device, key blob.ID) (ok bool, err error) {
-	b, ok := src.blobs[key]
+	h, ok := src.blobs[key]
 	if !ok {
 		return false, nil
 	}
-	n := int64(len(b))
+	n := int64(len(h.buf))
 	held, err := d.Reserve(key, n)
 	if err != nil {
 		return true, err
@@ -721,31 +717,22 @@ func (d *Device) Adopt(p *vtime.Proc, src *Device, key blob.ID) (ok bool, err er
 	// Looked up again: the charge yielded, and the blob may have been
 	// replaced or deleted meanwhile.
 	if err == nil {
-		if b, ok = src.blobs[key]; ok {
-			err = d.settle(&held, int64(len(b))-int64(len(d.blobs[key])))
+		if h, ok = src.blobs[key]; ok {
+			err = d.settle(&held, int64(len(h.buf))-int64(len(d.blobs[key].Bytes())))
 		}
 	}
 	sp.Exit(p, n, !ok || err != nil)
 	if !ok || err != nil {
 		return ok, err
 	}
-	old, had := d.blobs[key]
-	d.blobs[key] = b
-	d.arrays.store(b) // a borrowed range gains d's hold before anything lets go of it
-	if had {
-		d.recycle(old, false)
+	h.refs++ // d's hold, before anything lets go of it
+	if old, had := d.blobs[key]; had {
+		d.arrays.drop(old, recycle)
 	}
+	d.blobs[key] = h
 	d.writeOps++
 	d.bytesWrite += n
-	// src keeps b until its delete's latency ends; a lease keeps it out of
-	// the recycler meanwhile, whatever removes it. Stored here still, it is
-	// no longer let go of.
-	src.arrays.Lease(b)
 	src.Delete(p, key)
-	if sameArray(d.blobs[key], b) {
-		src.arrays.restored(b)
-	}
-	src.arrays.Release(b)
 	return true, nil
 }
 
@@ -757,8 +744,8 @@ func (d *Device) Adopt(p *vtime.Proc, src *Device, key blob.ID) (ok bool, err er
 // them.
 func (d *Device) Purge() {
 	d.note(-d.used, 0)
-	for _, b := range d.blobs {
-		d.recycle(b, true)
+	for _, h := range d.blobs {
+		d.arrays.drop(h, recycleAll)
 	}
 	clear(d.blobs)
 }
@@ -766,12 +753,12 @@ func (d *Device) Purge() {
 // Drop removes one blob without charging virtual time; dropping an absent
 // blob is a no-op. It is how a store that is shutting down gives back the
 // space of what only it could read again, so it also empties the
-// recycler, and recycles nothing: a borrowed range's hold is given back.
+// recycler, and recycles nothing: it only gives back its hold.
 func (d *Device) Drop(key blob.ID) {
-	if b, ok := d.blobs[key]; ok {
-		d.note(-int64(len(b)), 0)
+	if h, ok := d.blobs[key]; ok {
+		d.note(-int64(len(h.buf)), 0)
 		delete(d.blobs, key)
-		d.arrays.unstore(b)
+		d.arrays.drop(h, forget)
 	}
 	d.arrays.release()
 }
@@ -781,11 +768,11 @@ func (d *Device) Drop(key blob.ID) {
 // MegaMmap checksum extension detects (paper §V "Memory Corruption").
 // It reports whether the blob existed and was long enough.
 func (d *Device) CorruptBit(key blob.ID, byteOff int64, bit uint) bool {
-	blob, ok := d.blobs[key]
-	if !ok || byteOff >= int64(len(blob)) {
+	h, ok := d.blobs[key]
+	if !ok || byteOff >= int64(len(h.buf)) {
 		return false
 	}
-	d.own(key, blob)[byteOff] ^= 1 << (bit % 8) // a lease holder keeps the bytes it read
+	d.own(key, h).buf[byteOff] ^= 1 << (bit % 8) // another holder keeps the bytes it read
 	return true
 }
 
@@ -794,17 +781,17 @@ func (d *Device) CorruptBit(key blob.ID, byteOff int64, bit uint) bool {
 // one, is left alone. The array keeps its capacity, zero past the new
 // length, so a later extending WriteAt reads zeros there.
 func (d *Device) Truncate(p *vtime.Proc, key blob.ID, size int64) {
-	if b, ok := d.blobs[key]; !ok || int64(len(b)) <= size {
+	if h, ok := d.blobs[key]; !ok || int64(len(h.buf)) <= size {
 		return
 	}
 	d.chans.Acquire(p, 1)
 	p.Sleep(d.prof.Latency)
 	d.chans.Release(1)
-	if b := d.blobs[key]; int64(len(b)) > size {
-		b = d.own(key, b)
-		clear(b[size:])
-		d.blobs[key] = b[:size]
-		d.note(size-int64(len(b)), 0)
+	if h := d.blobs[key]; int64(len(h.Bytes())) > size {
+		h = d.own(key, h)
+		clear(h.buf[size:])
+		d.note(size-int64(len(h.buf)), 0)
+		h.buf = h.buf[:size]
 	}
 }
 
@@ -812,11 +799,11 @@ func (d *Device) Truncate(p *vtime.Proc, key blob.ID, size int64) {
 // time. It exists for simulation setup and metadata snooping (e.g. sizing
 // a dataset at open) where modeling an access would distort results.
 func (d *Device) Peek(key blob.ID) ([]byte, bool) {
-	blob, ok := d.blobs[key]
+	h, ok := d.blobs[key]
 	if !ok {
 		return nil, false
 	}
-	return fill(nil, blob), true
+	return fill(nil, h.buf), true
 }
 
 // List returns all blob IDs in blob.Less order (deterministic).

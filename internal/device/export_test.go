@@ -7,3 +7,8 @@ func (d *Device) Has(key blob.ID) bool {
 	_, ok := d.blobs[key]
 	return ok
 }
+
+// sameArray reports whether a and b share their first byte of storage.
+func sameArray(a, b []byte) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+}

@@ -196,12 +196,12 @@ func TestUnsizedExtendingWritesGrowGeometrically(t *testing.T) {
 				if err := d.WriteAtSized(p, k, i*chunk, bytes.Repeat([]byte{byte(i + 1)}, int(chunk)), extent); err != nil {
 					t.Fatal(err)
 				}
-				if b := d.blobs[k]; &b[0] != last {
+				if b := d.blobs[k].buf; &b[0] != last {
 					arrays, last = arrays+1, &b[0]
 				}
 				out = append(out, obs{d.BlobSize(k), d.Used(), d.Peak(), d.Busy(), p.Now()})
 			}
-			slack = int64(cap(d.blobs[k]) - len(d.blobs[k]))
+			slack = int64(cap(d.blobs[k].buf) - len(d.blobs[k].buf))
 			data, _ = d.Peek(k)
 		})
 		return

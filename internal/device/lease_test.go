@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"megammap/internal/blob"
+	"megammap/internal/faults"
 	"megammap/internal/vtime"
 )
 
@@ -50,10 +51,11 @@ func TestLeaseHolderKeepsBytesAcrossInPlaceWriters(t *testing.T) {
 				if err := d.Write(p, k, old); err != nil {
 					t.Fatal(err)
 				}
-				held, ok, err := d.ReadLease(p, k)
-				if !ok || err != nil || !sameArray(held, d.blobs[k]) {
-					t.Fatalf("ReadLease: ok=%v err=%v, or it returned a copy", ok, err)
+				h, ok, err := d.ReadLease(p, k)
+				if !ok || err != nil || h != d.blobs[k] {
+					t.Fatalf("ReadLease: ok=%v err=%v, or it returned another handle", ok, err)
 				}
+				held := h.buf
 				if err := tc.write(p, d, k); err != nil {
 					t.Fatal(err)
 				}
@@ -64,10 +66,10 @@ func TestLeaseHolderKeepsBytesAcrossInPlaceWriters(t *testing.T) {
 				if got, _ := d.Peek(k); !bytes.Equal(got, tc.want()) {
 					t.Errorf("the device serves the old bytes after the write")
 				}
-				if sameArray(held, d.blobs[k]) {
+				if sameArray(held, d.blobs[k].buf) {
 					t.Error("the blob still stores the leased array")
 				}
-				d.arrays.Release(held)
+				d.arrays.Release(h)
 				if n := d.arrays.Leases(); n != 0 {
 					t.Errorf("%d leases out after the release", n)
 				}
@@ -79,9 +81,8 @@ func TestLeaseHolderKeepsBytesAcrossInPlaceWriters(t *testing.T) {
 // TestLeasedArrayIsNotRecycledWhileLeased: a device that lets go of a
 // leased array — Delete, a Write of another length, Purge, Drop, or the
 // source of an Adopt — never hands it to a later write while the lease
-// is out. The last Release recycles what Delete, replacement and Purge let
-// go of; an adopted array stays its new device's blob, and Drop, which
-// empties the recycler at shutdown, recycles nothing.
+// is out. The last Release recycles what the devices let go of; an
+// adopted array stays its new device's blob.
 func TestLeasedArrayIsNotRecycledWhileLeased(t *testing.T) {
 	const size = 4096
 	for _, tc := range []struct {
@@ -96,7 +97,7 @@ func TestLeasedArrayIsNotRecycledWhileLeased(t *testing.T) {
 			}
 		}, true},
 		{"Purge", func(p *vtime.Proc, d, _ *Device, k blob.ID) { d.Purge() }, true},
-		{"Drop", func(p *vtime.Proc, d, _ *Device, k blob.ID) { d.Drop(k) }, false},
+		{"Drop", func(p *vtime.Proc, d, _ *Device, k blob.ID) { d.Drop(k) }, true},
 		{"Adopt", func(p *vtime.Proc, d, other *Device, k blob.ID) {
 			if ok, err := other.Adopt(p, d, k); !ok || err != nil {
 				panic(err)
@@ -114,10 +115,11 @@ func TestLeasedArrayIsNotRecycledWhileLeased(t *testing.T) {
 				if err := d.Write(p, k, want); err != nil {
 					t.Fatal(err)
 				}
-				held, _, err := d.ReadLease(p, k)
+				h, _, err := d.ReadLease(p, k)
 				if err != nil {
 					t.Fatal(err)
 				}
+				held := h.buf
 				tc.letGo(p, d, other, k)
 				checkUsed(t, "after letting go", d, other)
 				// Same-class writes on both devices take whatever the
@@ -128,14 +130,14 @@ func TestLeasedArrayIsNotRecycledWhileLeased(t *testing.T) {
 					if err := dev.Write(p, key, bytes.Repeat([]byte{byte(i)}, size)); err != nil {
 						t.Fatal(err)
 					}
-					if sameArray(dev.blobs[key], held) {
+					if sameArray(dev.blobs[key].buf, held) {
 						t.Fatalf("write %d took the leased array", i)
 					}
 				}
 				if !bytes.Equal(held, want) {
 					t.Fatalf("the holder reads %x... while leased, want its bytes", held[:4])
 				}
-				arrays.Release(held)
+				arrays.Release(h)
 				checkUsed(t, "after the release", d, other)
 				inFree := false
 				for _, b := range arrays.free[classBelow(size)] {
@@ -169,8 +171,8 @@ func TestReadLeaseChargesWhatReadIntoCharges(t *testing.T) {
 			}
 			start := p.Now()
 			if lease {
-				b, _, _ := d.ReadLease(p, k)
-				d.arrays.Release(b)
+				h, _, _ := d.ReadLease(p, k)
+				d.arrays.Release(h)
 			} else if _, _, err := d.ReadInto(p, k, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -189,23 +191,24 @@ func TestReadLeaseChargesWhatReadIntoCharges(t *testing.T) {
 	}
 }
 
-// TestWriteLentStoresTheCallersArray: WriteLent keeps the caller's array
-// as the blob and leaves the caller a lease holder; a failed one stores
-// and leases nothing.
+// TestWriteLentStoresTheCallersArray: WriteLent keeps the caller's handle
+// as the blob, the caller still its holder; a failed one stores nothing
+// and leaves the handle the caller's alone.
 func TestWriteLentStoresTheCallersArray(t *testing.T) {
 	run(t, func(p *vtime.Proc) {
 		d := New("dram", DRAMProfile(8192))
 		k := bid("lent")
 		img := bytes.Repeat([]byte{0x42}, 4096)
+		h := d.arrays.Wrap(img)
 		held, err := d.Reserve(k, int64(len(img)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.WriteLent(p, k, img, &held); err != nil {
+		if err := d.WriteLent(p, k, h, &held); err != nil {
 			t.Fatal(err)
 		}
-		if !sameArray(d.blobs[k], img) || d.arrays.Leases() != 1 {
-			t.Fatalf("the blob stores a copy, or %d leases are out, want the caller's array and 1", d.arrays.Leases())
+		if d.blobs[k] != h || !sameArray(h.buf, img) || h.refs != 2 || d.arrays.Leases() != 1 {
+			t.Fatalf("the blob stores a copy, or %d holders and %d leases, want the caller's array, 2 and 1", h.refs, d.arrays.Leases())
 		}
 		if err := d.WriteAt(p, k, 0, []byte{9}); err != nil {
 			t.Fatal(err)
@@ -214,11 +217,130 @@ func TestWriteLentStoresTheCallersArray(t *testing.T) {
 			t.Error("a patch changed the caller's leased image")
 		}
 		checkUsed(t, "after the patch", d)
-		d.arrays.Release(img)
-		big := make([]byte, 16384)
+		d.arrays.Release(h)
+		big := d.arrays.Wrap(make([]byte, 16384))
 		var none int64
-		if err := d.WriteLent(p, bid("big"), big, &none); err == nil || d.Has(bid("big")) || d.arrays.Leases() != 0 {
-			t.Errorf("a write past capacity: err=%v, stored %v, %d leases", err, d.Has(bid("big")), d.arrays.Leases())
+		if err := d.WriteLent(p, bid("big"), big, &none); err == nil || d.Has(bid("big")) || big.refs != 1 {
+			t.Errorf("a write past capacity: err=%v, stored %v, %d holders", err, d.Has(bid("big")), big.refs)
+		}
+		d.arrays.Release(big)
+		if n := d.arrays.Leases(); n != 0 {
+			t.Errorf("%d leases out at the end", n)
+		}
+	})
+}
+
+// TestDoubleReleasePanics: a holder that gives its lease back twice is a
+// fault the handle catches, whether the first release freed the handle or
+// left it to other holders.
+func TestDoubleReleasePanics(t *testing.T) {
+	for _, stored := range []bool{false, true} {
+		run(t, func(p *vtime.Proc) {
+			d := New("dram", DRAMProfile(MB))
+			k := bid("page")
+			if err := d.Write(p, k, make([]byte, 4096)); err != nil {
+				t.Fatal(err)
+			}
+			h, _, _ := d.ReadLease(p, k)
+			if !stored {
+				d.Delete(p, k)
+			}
+			d.arrays.Release(h)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("stored=%v: a second release of one lease did not panic", stored)
+				}
+			}()
+			d.arrays.Release(h)
+		})
+	}
+}
+
+// TestLeasePairAllocatesNothing: once warm, a lease read and its release
+// cost no allocation, whether the read takes a holder's place on a stored
+// array's handle (ReadLease) or borrows a row group's range under a handle
+// of its own (ReadAtLease), and each pair leaves no lease out.
+func TestLeasePairAllocatesNothing(t *testing.T) {
+	run(t, func(p *vtime.Proc) {
+		pfs, _, arrays, rg := lending(t, p)
+		k := bid("page")
+		if err := pfs.Write(p, k, make([]byte, 4096)); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			read func() (*Lease, bool, error)
+		}{
+			{"ReadLease", func() (*Lease, bool, error) { return pfs.ReadLease(p, k) }},
+			{"ReadAtLease", func() (*Lease, bool, error) { return pfs.ReadAtLease(p, rg, 8192, 4096) }},
+		} {
+			pair := func() {
+				h, ok, err := tc.read()
+				if !ok || err != nil {
+					t.Fatalf("%s: ok=%v err=%v", tc.name, ok, err)
+				}
+				arrays.Release(h)
+				if n := arrays.Leases(); n != 0 {
+					t.Fatalf("%s: %d leases out after the pair", tc.name, n)
+				}
+			}
+			pair() // warm: the first handle comes from a fresh slab
+			if n := testing.AllocsPerRun(100, pair); n != 0 {
+				t.Errorf("%s+Release allocates %v times a pair, want 0", tc.name, n)
+			}
+		}
+	})
+}
+
+// TestFailedReadLeaseHoldsNoLease: an injected read fault fails a lease
+// read after its charge, and the holder's place it took when it started
+// is given back.
+func TestFailedReadLeaseHoldsNoLease(t *testing.T) {
+	run(t, func(p *vtime.Proc) {
+		d := New("nvme", NVMeProfile(MB))
+		k := bid("page")
+		if err := d.Write(p, k, make([]byte, 4096)); err != nil {
+			t.Fatal(err)
+		}
+		plan := faults.Plan{Devices: []faults.DeviceFault{{Node: 0, Tier: "nvme", ReadErr: 1}}}
+		d.SetFaults(faults.NewInjector(plan, p.Now), 0, "nvme")
+		if h, ok, err := d.ReadLease(p, k); h != nil || !ok || !faults.Transient(err) {
+			t.Fatalf("the read did not fail: handle %v, ok=%v, err=%v", h != nil, ok, err)
+		}
+		if n, refs := d.arrays.Leases(), d.blobs[k].refs; n != 0 || refs != 1 {
+			t.Errorf("a failed read left %d leases and %d holders, want 0 and the device's 1", n, refs)
+		}
+	})
+}
+
+// TestWrappedArrayIsNotExtendedIntoItsTail: a caller's array stored
+// through Wrap and WriteLent is extended like any other blob once the
+// device holds it alone: the hole reads zeros, never the stale bytes the
+// caller's buffer held past its length, and those bytes stay the
+// caller's.
+func TestWrappedArrayIsNotExtendedIntoItsTail(t *testing.T) {
+	run(t, func(p *vtime.Proc) {
+		d := New("dram", DRAMProfile(MB))
+		k := bid("lent")
+		buf := bytes.Repeat([]byte{0x77}, 8192)
+		h := d.arrays.Wrap(buf[:4096]) // a pooled buffer: stale bytes past its length
+		held, err := d.Reserve(k, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WriteLent(p, k, h, &held); err != nil {
+			t.Fatal(err)
+		}
+		d.arrays.Release(h)
+		if err := d.WriteAt(p, k, 5000, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := d.Peek(k)
+		if len(got) != 5001 || !bytes.Equal(got[4096:5000], make([]byte, 904)) {
+			t.Errorf("the extended blob reads %d bytes, hole %x..., want 5001 and zeros", len(got), got[4096:4104])
+		}
+		if !bytes.Equal(buf[4096:], bytes.Repeat([]byte{0x77}, 4096)) {
+			t.Error("the extension wrote into the caller's buffer past its length")
 		}
 	})
 }

@@ -32,7 +32,7 @@ func TestPutBackedWritesNoBackup(t *testing.T) {
 	h.SetReplicas(1)
 	run(t, c, func(p *vtime.Proc) {
 		id := h.Key("v/0")
-		if err := h.PutBacked(p, 0, id, bytes.Repeat([]byte{1}, 512), 0.5, 0, false); err != nil {
+		if err := h.PutBacked(p, 0, id, bytes.Repeat([]byte{1}, 512), 0.5, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := h.PlacementOf(id.Backup(0)); ok {
@@ -48,7 +48,7 @@ func TestPutBackedWritesNoBackup(t *testing.T) {
 		if !ok {
 			t.Fatal("a plain put wrote no backup copy")
 		}
-		if err := h.PutBacked(p, 0, other, bytes.Repeat([]byte{3}, 512), 0.5, 1, false); err != nil {
+		if err := h.PutBacked(p, 0, other, bytes.Repeat([]byte{3}, 512), 0.5, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := h.PlacementOf(other.Backup(0)); ok {
@@ -71,7 +71,7 @@ func TestWriteAfterPutBackedReplicatesTheImage(t *testing.T) {
 			run(t, c, func(p *vtime.Proc) {
 				id := h.Key("v/0")
 				want := bytes.Repeat([]byte{7}, 1024)
-				if err := h.PutBacked(p, 0, id, want, 0.5, 0, false); err != nil {
+				if err := h.PutBacked(p, 0, id, want, 0.5, 0, nil); err != nil {
 					t.Fatal(err)
 				}
 				if partial {
@@ -110,7 +110,7 @@ func TestFailNodeOwesNoRepairForBackedBlobs(t *testing.T) {
 	h.SetReplicas(1)
 	run(t, c, func(p *vtime.Proc) {
 		backed, plain := h.Key("v/backed"), h.Key("v/plain")
-		if err := h.PutBacked(p, 1, backed, []byte("backend holds these"), 0.5, 1, false); err != nil {
+		if err := h.PutBacked(p, 1, backed, []byte("backend holds these"), 0.5, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.Put(p, 1, plain, []byte("only the scache holds these"), 0.5, 1); err != nil {

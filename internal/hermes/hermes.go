@@ -564,12 +564,11 @@ func (h *Hermes) nodeDownErr(id blob.ID) error {
 
 // writeRetry writes a blob to dev through its caller's hold there
 // (device.Reserve), every attempt with that one hold, absorbing injected
-// transient faults under the retry policy. lent is nil, or data when the
-// device is to keep the array itself (device.WriteLent, PutBacked's lend):
-// a parameter of its own, so that the payload of every other write never
-// escapes its caller's frame. (The closures here and below never outlive
-// the call, so they stay on the stack.)
-func (h *Hermes) writeRetry(p *vtime.Proc, dev *device.Device, id blob.ID, data []byte, held *int64, lent []byte) error {
+// transient faults under the retry policy. lent is nil, or data's handle
+// when the device is to keep the array itself (device.WriteLent,
+// PutBacked's lent). (The closures here and below never outlive the call,
+// so they stay on the stack.)
+func (h *Hermes) writeRetry(p *vtime.Proc, dev *device.Device, id blob.ID, data []byte, held *int64, lent *device.Lease) error {
 	return h.inj.Do(p, "retry.scache_write", func() error {
 		if lent != nil {
 			return dev.WriteLent(p, id, lent, held)
@@ -605,23 +604,17 @@ func (h *Hermes) Put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 // is worth paying for data that exists nowhere else: a later Put or PutAt
 // writes the backups.
 //
-// With lend the device stores the staged image it is given instead of a
-// copy (device.WriteLent): a put that lands leaves the caller holding a
-// lease on data, a second holder beside the store, which it gives back
-// with the cluster's Arrays.Release; data is immutable from then on. data
-// may be a range the PFS lent (cluster.PFSReadLease), which the caller
-// then holds twice. A put that fails stores nothing and leaves data the
-// caller's.
-func (h *Hermes) PutBacked(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, lend bool) error {
-	var lent []byte
-	if lend {
-		lent = data
-	}
+// lent, when not nil, is a handle on data the caller holds (a range the
+// PFS lent, cluster.PFSReadLease, or its own image, Arrays.Wrap): the
+// device then stores the handle instead of a copy (device.WriteLent),
+// a holder beside the caller, and data is immutable from then on. A put
+// that fails stores nothing and leaves the handle as it was.
+func (h *Hermes) PutBacked(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, lent *device.Lease) error {
 	return h.put(p, fromNode, id, data, score, prefNode, true, lent)
 }
 
 // put is Put and PutBacked; lent is as for writeRetry.
-func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, backed bool, lent []byte) (err error) {
+func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, backed bool, lent *device.Lease) (err error) {
 	sp := h.trc.Enter(p, telemetry.OpScachePut, fromNode, id.Vec, id.Page)
 	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
 	pl := h.lookup(p, fromNode, id)
@@ -675,7 +668,7 @@ func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 // reserved there before the transfer, the first yield, so no other writer
 // takes the room the walk found; a failed write releases the hold. lent
 // is as for writeRetry.
-func (h *Hermes) store(p *vtime.Proc, from int, id blob.ID, node int, tier string, data []byte, score float64, scoreNode int, lent []byte) (*Placement, error) {
+func (h *Hermes) store(p *vtime.Proc, from int, id blob.ID, node int, tier string, data []byte, score float64, scoreNode int, lent *device.Lease) (*Placement, error) {
 	size := int64(len(data))
 	dev := h.device(node, tier)
 	held, err := dev.Reserve(id, size)
@@ -1174,40 +1167,46 @@ func (h *Hermes) Get(p *vtime.Proc, fromNode int, id blob.ID) ([]byte, bool, err
 // enough (see device.ReadInto). The returned slice never aliases device
 // storage; the caller owns it either way.
 func (h *Hermes) GetInto(p *vtime.Proc, fromNode int, id blob.ID, dst []byte) (data []byte, ok bool, err error) {
-	return h.get(p, fromNode, id, dst, false)
+	data, _, ok, err = h.get(p, fromNode, id, dst, false)
+	return data, ok, err
 }
 
 // GetLease is Get for a reader that only reads the bytes: the primary and
-// failover reads lease the stored array instead of copying it
+// failover reads lease the stored blob's handle instead of copying it
 // (device.ReadLease), and a hedged read's winner, a copy of its own, is
-// leased too, so a read that returns bytes always returns them under one
-// lease, which the caller gives back with the cluster's Arrays.Release.
-// The bytes are immutable while leased. It charges what GetInto charges;
-// a read that fails or finds nothing holds no lease.
-func (h *Hermes) GetLease(p *vtime.Proc, fromNode int, id blob.ID) (data []byte, ok bool, err error) {
-	return h.get(p, fromNode, id, nil, true)
+// wrapped in a handle too, so a read that returns bytes always returns
+// them under one lease, which the caller gives back with the cluster's
+// Arrays.Release. The bytes are immutable while leased. It charges what
+// GetInto charges; a read that fails or finds nothing holds no lease.
+func (h *Hermes) GetLease(p *vtime.Proc, fromNode int, id blob.ID) (l *device.Lease, ok bool, err error) {
+	_, l, ok, err = h.get(p, fromNode, id, nil, true)
+	return l, ok, err
 }
 
-// readOnce is one device read of a GetInto (lease false) or GetLease.
-func readOnce(p *vtime.Proc, dev *device.Device, id blob.ID, dst []byte, lease bool) ([]byte, bool, error) {
+// readOnce is one device read of a GetInto (lease false) or GetLease
+// (then l holds data).
+func readOnce(p *vtime.Proc, dev *device.Device, id blob.ID, dst []byte, lease bool) (data []byte, l *device.Lease, ok bool, err error) {
 	if lease {
-		return dev.ReadLease(p, id)
+		l, ok, err = dev.ReadLease(p, id)
+		return l.Bytes(), l, ok, err
 	}
-	return dev.ReadInto(p, id, dst)
+	data, ok, err = dev.ReadInto(p, id, dst)
+	return data, nil, ok, err
 }
 
-func (h *Hermes) get(p *vtime.Proc, fromNode int, id blob.ID, dst []byte, lease bool) (data []byte, ok bool, err error) {
+// get is GetInto, or GetLease when lease is set: then l holds data.
+func (h *Hermes) get(p *vtime.Proc, fromNode int, id blob.ID, dst []byte, lease bool) (data []byte, l *device.Lease, ok bool, err error) {
 	sp := h.trc.Enter(p, telemetry.OpScacheGet, fromNode, id.Vec, id.Page)
 	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
 	pl := h.lookup(p, fromNode, id)
 	if pl == nil {
-		return nil, false, nil
+		return nil, nil, false, nil
 	}
 	readID := id
 	if !h.reachable(pl) {
 		pl, readID = h.failover(id)
 		if pl == nil {
-			return nil, false, h.nodeDownErr(id)
+			return nil, nil, false, h.nodeDownErr(id)
 		}
 	}
 	// The record read from (the primary's, or a failover's) is read again
@@ -1225,12 +1224,12 @@ func (h *Hermes) get(p *vtime.Proc, fromNode int, id blob.ID, dst []byte, lease 
 	if h.hedgeDelay > 0 && readID == id && h.suspect[pl.Node] {
 		if data, ok, err, hedged := h.getHedged(p, fromNode, id, pl); hedged {
 			if lease && ok && err == nil {
-				h.c.Arrays.Lease(data) // the winner's own copy: its last Release forgets it
+				l = h.c.Arrays.Wrap(data) // the winner's own copy
 			}
-			return data, ok, err
+			return data, l, ok, err
 		}
 	}
-	data, ok, err = readOnce(p, pl.dev, readID, dst, lease)
+	data, l, ok, err = readOnce(p, pl.dev, readID, dst, lease)
 	// Its own loop, not Injector.Do: it fails over to a backup between attempts.
 	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
 		h.inj.Backoff(p, "retry.scache_read", attempt)
@@ -1238,14 +1237,14 @@ func (h *Hermes) get(p *vtime.Proc, fromNode int, id blob.ID, dst []byte, lease 
 			h.unpin(pl)
 			pl, readID = h.failover(id)
 			if pl == nil {
-				return nil, false, h.nodeDownErr(id)
+				return nil, nil, false, h.nodeDownErr(id)
 			}
 			h.pin(pl)
 		}
-		data, ok, err = readOnce(p, pl.dev, readID, dst, lease)
+		data, l, ok, err = readOnce(p, pl.dev, readID, dst, lease)
 	}
 	if err != nil {
-		return nil, ok, fmt.Errorf("hermes: reading blob %q: %w", h.DisplayName(id), err)
+		return nil, nil, ok, fmt.Errorf("hermes: reading blob %q: %w", h.DisplayName(id), err)
 	}
 	if ok && h.pools > 0 {
 		h.notePoolRead(pl.Tier)
@@ -1253,7 +1252,7 @@ func (h *Hermes) get(p *vtime.Proc, fromNode int, id blob.ID, dst []byte, lease 
 	if ok && pl.Node != fromNode {
 		h.c.Fabric.Transfer(p, pl.Node, fromNode, int64(len(data)))
 	}
-	return data, ok, nil
+	return data, l, ok, nil
 }
 
 // notePoolRead maintains the pool hit-ratio counters (disaggregated

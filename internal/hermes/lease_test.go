@@ -9,12 +9,9 @@ import (
 	"megammap/internal/vtime"
 )
 
-// same reports whether a and b share their first byte of storage.
-func same(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
-
 // TestPutBackedKeepsTheCallersImage: a lending PutBacked stores the
-// caller's array itself and leaves the caller a lease holder. A later
-// read leases that very array; a whole-page Put and a PutAt of new bytes
+// caller's handle itself, the caller still a holder. A later read leases
+// that very handle; a whole-page Put and a PutAt of new bytes
 // copy it first, so the caller keeps its image while the scache serves
 // the new bytes; and the audit stays clean throughout.
 func TestPutBackedKeepsTheCallersImage(t *testing.T) {
@@ -28,7 +25,8 @@ func TestPutBackedKeepsTheCallersImage(t *testing.T) {
 		}
 		id := h.Key("v/0")
 		img := bytes.Repeat([]byte{0x42}, 4096)
-		if err := h.PutBacked(p, 0, id, img, 0.5, 0, true); err != nil {
+		lent := c.Arrays.Wrap(img)
+		if err := h.PutBacked(p, 0, id, img, 0.5, 0, lent); err != nil {
 			t.Fatal(err)
 		}
 		audit("after the lending put")
@@ -36,8 +34,8 @@ func TestPutBackedKeepsTheCallersImage(t *testing.T) {
 			t.Fatalf("%d leases after the lending put, want the caller's 1", n)
 		}
 		got, ok, err := h.GetLease(p, 1, id)
-		if !ok || err != nil || !same(got, img) {
-			t.Fatalf("GetLease: ok=%v err=%v, or it did not return the stored image", ok, err)
+		if !ok || err != nil || got != lent {
+			t.Fatalf("GetLease: ok=%v err=%v, or it did not return the stored handle", ok, err)
 		}
 		c.Arrays.Release(got)
 		if err := h.Put(p, 0, id, bytes.Repeat([]byte{0x43}, 4096), 0.5, 0); err != nil {
@@ -55,7 +53,7 @@ func TestPutBackedKeepsTheCallersImage(t *testing.T) {
 		if got, _, _ := h.Get(p, 0, id); !bytes.Equal(got, want) {
 			t.Error("the scache does not serve the rewritten bytes")
 		}
-		c.Arrays.Release(img)
+		c.Arrays.Release(lent)
 		h.Delete(p, 0, id)
 		audit("after the delete")
 		if n := c.Arrays.Leases(); n != 0 {
@@ -65,16 +63,19 @@ func TestPutBackedKeepsTheCallersImage(t *testing.T) {
 }
 
 // TestFailedLendingPutLeasesNothing: a PutBacked that finds no room
-// stores nothing and leaves the image the caller's, with no lease.
+// stores nothing and leaves the handle the caller's alone: its one
+// release gives back the only lease.
 func TestFailedLendingPutLeasesNothing(t *testing.T) {
 	c, h := newHermes(1)
 	run(t, c, func(p *vtime.Proc) {
 		big := make([]byte, 32*1024*1024) // past every tier
-		if err := h.PutBacked(p, 0, h.Key("v/0"), big, 0.5, 0, true); err == nil {
+		lent := c.Arrays.Wrap(big)
+		if err := h.PutBacked(p, 0, h.Key("v/0"), big, 0.5, 0, lent); err == nil {
 			t.Fatal("an oversized put landed")
 		}
+		c.Arrays.Release(lent)
 		if n := c.Arrays.Leases(); n != 0 {
-			t.Errorf("%d leases after a failed put", n)
+			t.Errorf("%d leases after a failed put and the caller's release", n)
 		}
 	})
 }
@@ -100,9 +101,11 @@ func TestGetLeaseChargesWhatGetIntoCharges(t *testing.T) {
 				}
 				start := p.Now()
 				var got []byte
+				var l *device.Lease
 				var err error
 				if lease {
-					got, _, err = h.GetLease(p, 2, id)
+					l, _, err = h.GetLease(p, 2, id)
+					got = l.Bytes()
 				} else {
 					got, _, err = h.GetInto(p, 2, id, nil)
 				}
@@ -114,7 +117,7 @@ func TestGetLeaseChargesWhatGetIntoCharges(t *testing.T) {
 					if n := c.Arrays.Leases(); n != 1 {
 						t.Errorf("read %d: %d leases out, want 1", i, n)
 					}
-					c.Arrays.Release(got)
+					c.Arrays.Release(l)
 				}
 			}
 		})
@@ -138,8 +141,8 @@ func TestHedgedLeaseReadIsACopy(t *testing.T) {
 		_, reader := hedgeSetup(t, c, h, p, data, 1000)
 		h.SetHedge(5*vtime.Microsecond, nil)
 		got, ok, err := h.GetLease(p, reader, h.Key("v/0"))
-		if err != nil || !ok || !bytes.Equal(got, data) {
-			t.Fatalf("hedged lease read = %v bytes, ok=%v, err=%v", len(got), ok, err)
+		if err != nil || !ok || !bytes.Equal(got.Bytes(), data) {
+			t.Fatalf("hedged lease read = %v bytes, ok=%v, err=%v", len(got.Bytes()), ok, err)
 		}
 		if n := c.Arrays.Leases(); n != 1 {
 			t.Errorf("%d leases out, want the winner's 1", n)
@@ -191,20 +194,20 @@ func TestPutBackedStoresABorrowedRange(t *testing.T) {
 		if err := c.PFSWriteSized(p, 0, "rg0", 0, row, 1<<20); err != nil {
 			t.Fatal(err)
 		}
-		stage := func(id blob.ID) []byte {
+		stage := func(id blob.ID) *device.Lease {
 			r, ok, err := c.PFSReadLease(p, 0, "rg0", page, page)
 			if !ok || err != nil {
 				t.Fatalf("PFSReadLease: ok=%v err=%v", ok, err)
 			}
-			if err := h.PutBacked(p, 0, id, r, 0.5, 0, true); err != nil {
+			if err := h.PutBacked(p, 0, id, r.Bytes(), 0.5, 0, r); err != nil {
 				t.Fatal(err)
 			}
-			c.Arrays.Release(r) // the stage-in's lease; the put's stands in for it
 			return r
 		}
 		id := h.Key("v/1")
-		r := stage(id)
-		if got, ok, err := h.GetLease(p, 1, id); !ok || err != nil || !same(got, r) {
+		rl := stage(id)
+		r := rl.Bytes()
+		if got, ok, err := h.GetLease(p, 1, id); !ok || err != nil || got != rl {
 			t.Fatalf("GetLease: ok=%v err=%v, or it did not return the borrowed range", ok, err)
 		} else {
 			c.Arrays.Release(got)
@@ -230,15 +233,15 @@ func TestPutBackedStoresABorrowedRange(t *testing.T) {
 		if !bytes.Equal(r, old) {
 			t.Error("a replacing Put wrote into the borrowed range")
 		}
-		c.Arrays.Release(r)
+		c.Arrays.Release(rl)
 		h.Delete(p, 0, id)
 		checkUsed("after the replacement")
 
 		// A node that crashes and comes back cold lets go of the range it
 		// stored.
-		r = stage(h.Key("v/2"))
+		rl = stage(h.Key("v/2"))
 		pl, _ := h.PlacementOf(h.Key("v/2"))
-		c.Arrays.Release(r)
+		c.Arrays.Release(rl)
 		h.FailNode(pl.Node)
 		for _, d := range c.Nodes[pl.Node].Devices {
 			d.Purge()
@@ -247,8 +250,7 @@ func TestPutBackedStoresABorrowedRange(t *testing.T) {
 		checkUsed("after the purge")
 
 		// So does the store's Release.
-		r = stage(h.Key("v/3"))
-		c.Arrays.Release(r)
+		c.Arrays.Release(stage(h.Key("v/3")))
 		h.Release()
 		if n := c.Arrays.Leases(); n != 0 {
 			t.Errorf("%d leases out at the end", n)

@@ -63,10 +63,11 @@ func TestLendingReadsMatchCopyingReads(t *testing.T) {
 				took := p.Now() - start
 				copied := c.PFS.CopiedBytes()
 				start = p.Now()
-				got, err := b.ReadRangeLease(p, 0, pr.off, pr.length)
+				l, err := b.ReadRangeLease(p, 0, pr.off, pr.length)
 				if err != nil {
 					t.Fatal(err)
 				}
+				got := l.Bytes()
 				if lent := got != nil; lent != pr.lends {
 					t.Errorf("%s [%d,+%d): lent %v, want %v", tc.url, pr.off, pr.length, lent, pr.lends)
 					continue
@@ -86,7 +87,7 @@ func TestLendingReadsMatchCopyingReads(t *testing.T) {
 				if c.PFS.CopiedBytes() != copied || c.Arrays.Leases() != 1 {
 					t.Errorf("%s [%d,+%d): copied %d bytes, %d leases out", tc.url, pr.off, pr.length, c.PFS.CopiedBytes()-copied, c.Arrays.Leases())
 				}
-				c.Arrays.Release(got)
+				c.Arrays.Release(l)
 			}
 		}
 	})

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"megammap/internal/cluster"
+	"megammap/internal/device"
 	"megammap/internal/vtime"
 )
 
@@ -82,7 +83,7 @@ type Backend interface {
 	// past the stored bytes (a short or sparse tail); the caller then reads
 	// it with ReadRangeInto. A lent range may come back short if its object
 	// shrank while the read queued.
-	ReadRangeLease(p *vtime.Proc, node int, off, length int64) ([]byte, error)
+	ReadRangeLease(p *vtime.Proc, node int, off, length int64) (*device.Lease, error)
 	// Truncate cuts the dataset to size bytes when its vector shrinks
 	// (core's Vector.Resize); a later write past the new end leaves zeros
 	// between.
@@ -136,11 +137,15 @@ func (b *fileBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, 
 }
 
 // ReadRangeLease lends any range of the one object that it stores whole.
-func (b *fileBackend) ReadRangeLease(p *vtime.Proc, node int, off, length int64) ([]byte, error) {
+func (b *fileBackend) ReadRangeLease(p *vtime.Proc, node int, off, length int64) (*device.Lease, error) {
 	if b.c.PFSSize(b.u.Path) < off+length {
 		return nil, nil
 	}
-	return b.result(b.c.PFSReadLease(p, node, b.u.Path, off, length))
+	h, ok, err := b.c.PFSReadLease(p, node, b.u.Path, off, length)
+	if _, err := b.result(nil, ok, err); err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
 // result is a range read's answer from the PFS read's.
@@ -297,21 +302,21 @@ func (b *pqBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, ds
 // ReadRangeLease lends a range its row group stores up to the range's
 // end. A row group never outgrows the chunk size, so that leaves out a
 // range that straddles two.
-func (b *pqBackend) ReadRangeLease(p *vtime.Proc, node int, off, length int64) ([]byte, error) {
+func (b *pqBackend) ReadRangeLease(p *vtime.Proc, node int, off, length int64) (*device.Lease, error) {
 	b.loadFooter(p, node)
 	cs := b.footer.ChunkSize
 	ci, localOff := off/cs, off%cs
 	if off+length > b.footer.Size || b.c.PFSSize(b.chunkKey(ci)) < localOff+length {
 		return nil, nil
 	}
-	data, ok, err := b.c.PFSReadLease(p, node, b.chunkKey(ci), localOff, length)
+	h, ok, err := b.c.PFSReadLease(p, node, b.chunkKey(ci), localOff, length)
 	if err != nil {
 		return nil, fmt.Errorf("stager: %s: %w", b.u, err)
 	}
 	if !ok {
 		return nil, fmt.Errorf("stager: %s: missing row group %d", b.u, ci)
 	}
-	return data, nil
+	return h, nil
 }
 
 func (b *pqBackend) WriteRange(p *vtime.Proc, node int, off int64, data []byte) error {

@@ -4,11 +4,32 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // The tests below hold the end of life of a process: Engine.Close and
 // Group.End stop a parked coroutine, the body unwinds through its deferred
 // calls, and nothing is dispatched on the way.
+
+// goroutines reads runtime.NumGoroutine until it reads want, or, with
+// want < 0, until two readings a millisecond apart agree, and returns the
+// last reading; after 5 s it returns whatever it reads. A goroutine whose
+// process ended may still be on its way out when Run or Close returns
+// (often so under -race), so a count taken at once can read high, a
+// baseline's too. The count it returns is exact: a goroutine that never
+// ends still fails the test.
+func goroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	last := -1
+	for {
+		n := runtime.NumGoroutine()
+		if n == want || want < 0 && n == last || time.Now().After(deadline) {
+			return n
+		}
+		last = n
+		time.Sleep(time.Millisecond)
+	}
+}
 
 // wantPanic runs fn and reports whether it panicked.
 func wantPanic(fn func()) (panicked bool) {
@@ -53,7 +74,7 @@ func (k *parker) closeAndCheck(parked, goroutinesBefore int) {
 	if k.e.Events() != events {
 		k.t.Errorf("Close dispatched %d events", k.e.Events()-events)
 	}
-	if got := runtime.NumGoroutine(); got != goroutinesBefore {
+	if got := goroutines(goroutinesBefore); got != goroutinesBefore {
 		k.t.Errorf("%d goroutines after Close, %d before the engine", got, goroutinesBefore)
 	}
 }
@@ -62,7 +83,7 @@ func (k *parker) closeAndCheck(parked, goroutinesBefore int) {
 // Resource and queued for it when Run returns, and one spawned but never
 // started, all end at Close; afterwards the engine refuses work.
 func TestCloseEndsProcessesParkedOnTimers(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutines(-1)
 	k := &parker{t: t, e: NewEngine()}
 	e := k.e
 	res := NewResource(1)
@@ -95,7 +116,7 @@ func TestCloseEndsProcessesParkedOnTimers(t *testing.T) {
 // Chan.Recv, a WaitGroup and an Event that nobody will ever serve — ends
 // at Close.
 func TestCloseEndsDeadlockedProcesses(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutines(-1)
 	k := &parker{t: t, e: NewEngine()}
 	never := NewChan[int](0)
 	var wg WaitGroup
@@ -116,7 +137,7 @@ func TestCloseEndsDeadlockedProcesses(t *testing.T) {
 // through runtime.Goexit never drained its pool; Close ends the pooled
 // coroutines with the parked processes.
 func TestCloseAfterGoexitEndsPooledCoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutines(-1)
 	k := &parker{t: t, e: NewEngine()}
 	e := k.e
 	k.park("bystander", false, func(p *Proc) { p.Sleep(Second) })

@@ -136,13 +136,13 @@ func TestRunLeavesOnlyParkedProcesses(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
+			base := goroutines(-1)
 			e := NewEngine()
 			tc.build(e)
 			if err := e.Run(); !tc.check(err) {
 				t.Fatalf("Run returned %v", err)
 			}
-			if got := runtime.NumGoroutine() - base; got != tc.parked {
+			if got := goroutines(base+tc.parked) - base; got != tc.parked {
 				t.Errorf("%d goroutines outlive Run, want the %d processes parked mid-body", got, tc.parked)
 			}
 			if e.free != nil || e.freeCount != 0 {
