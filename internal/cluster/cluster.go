@@ -498,59 +498,36 @@ func (c *Cluster) PFSWriteSized(p *vtime.Proc, node int, key string, off int64, 
 	return err
 }
 
-// PFSRead reads a blob range from the shared parallel filesystem into
-// the given node. Injected transient faults are retried under the
-// cluster's backoff policy; a persistent fault surfaces as an error with
-// ok=true (the object exists but cannot be served).
-func (c *Cluster) PFSRead(p *vtime.Proc, node int, key string, off, length int64) ([]byte, bool, error) {
-	return c.PFSReadInto(p, node, key, off, length, nil)
-}
-
-// PFSReadInto is PFSRead reusing dst's storage for the result when it is
-// large enough (see device.ReadInto); the caller owns the returned slice
-// either way.
-func (c *Cluster) PFSReadInto(p *vtime.Proc, node int, key string, off, length int64, dst []byte) ([]byte, bool, error) {
-	data, _, ok, err := c.pfsRead(p, node, key, off, length, dst, false)
-	return data, ok, err
-}
-
-// PFSReadLease is PFSReadInto for a reader that only reads the bytes: it
-// charges exactly what PFSReadInto charges, but returns the object's
+// PFSReadLease reads a blob range from the shared parallel filesystem
+// into the given node, charging a slot of the PFS's servers, the PFS
+// device's read of the range and the network hop. It returns the object's
 // stored bytes themselves under a lease (device.ReadAtLease), which the
-// caller gives back with the cluster's Arrays.Release. Each attempt takes
-// its lease when it starts, and a failed one holds none.
-func (c *Cluster) PFSReadLease(p *vtime.Proc, node int, key string, off, length int64) (*device.Lease, bool, error) {
-	_, h, ok, err := c.pfsRead(p, node, key, off, length, nil, true)
-	return h, ok, err
-}
-
-// pfsRead is PFSReadInto, or PFSReadLease when lease is set: then h holds
-// data.
-func (c *Cluster) pfsRead(p *vtime.Proc, node int, key string, off, length int64, dst []byte, lease bool) (data []byte, h *device.Lease, ok bool, err error) {
+// caller gives back with the cluster's Arrays.Release, copying them first
+// if it keeps them. Injected transient faults are retried under the
+// cluster's backoff policy; each attempt takes its lease when it starts,
+// and a failed one holds none. A persistent fault surfaces as an error
+// with ok=true (the object exists but cannot be served).
+func (c *Cluster) PFSReadLease(p *vtime.Proc, node int, key string, off, length int64) (h *device.Lease, ok bool, err error) {
 	id, ok := c.pfsLookup(key)
 	if !ok {
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
 	sp := c.tel.Tracer().Enter(p, telemetry.OpPFSRead, node, 0, off)
 	c.pfsSrv.Acquire(p, 1)
 	err = c.inj.Do(p, "retry.pfs_read", func() (err error) {
-		if lease {
-			h, ok, err = c.PFS.ReadAtLease(p, id, off, length)
-			data = h.Bytes()
-		} else {
-			data, ok, err = c.PFS.ReadAtInto(p, id, off, length, dst)
-		}
+		h, ok, err = c.PFS.ReadAtLease(p, id, off, length)
 		return err
 	})
 	c.pfsSrv.Release(1)
+	n := int64(len(h.Bytes()))
 	if err == nil && ok {
-		c.chargePFSNet(p, node, int64(len(data)))
+		c.chargePFSNet(p, node, n)
 	}
-	sp.Exit(p, int64(len(data)), err != nil)
+	sp.Exit(p, n, err != nil)
 	if err != nil {
-		return nil, nil, ok, fmt.Errorf("cluster: pfs read %q: %w", key, err)
+		return nil, ok, fmt.Errorf("cluster: pfs read %q: %w", key, err)
 	}
-	return data, h, ok, nil
+	return h, ok, nil
 }
 
 // PFSSize returns the size of a PFS object, or -1 if absent.

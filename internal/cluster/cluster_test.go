@@ -106,10 +106,11 @@ func TestPFSRoundTrip(t *testing.T) {
 		if err := c.PFSWrite(p, 0, "f", 0, []byte("persistent")); err != nil {
 			t.Error(err)
 		}
-		data, ok, _ := c.PFSRead(p, 1, "f", 0, 10)
-		if !ok || string(data) != "persistent" {
-			t.Errorf("read = %q, %v", data, ok)
+		l, ok, _ := c.PFSReadLease(p, 1, "f", 0, 10)
+		if !ok || string(l.Bytes()) != "persistent" {
+			t.Errorf("read = %q, %v", l.Bytes(), ok)
 		}
+		c.Arrays.Release(l)
 		if c.PFSSize("f") != 10 {
 			t.Errorf("size = %d", c.PFSSize("f"))
 		}

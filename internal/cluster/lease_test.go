@@ -9,96 +9,105 @@ import (
 	"megammap/internal/vtime"
 )
 
-// TestPFSReadLeaseChargesWhatPFSReadIntoCharges: under a PFS that fails
-// reads at random, a lending read and a copying read retry alike, take
-// the same virtual time and return the same bytes; every lending read
-// that succeeds holds one lease and a failed one none, and the PFS copies
-// nothing for the lending reads. Used stays the bytes stored on every
-// device, the PFS included.
-func TestPFSReadLeaseChargesWhatPFSReadIntoCharges(t *testing.T) {
+// TestPFSReadChargesTheServerSlotAndTheFabricHop: a PFS read of n bytes
+// holds one of the PFS's server slots for the PFS device's read (latency
+// plus n at its read bandwidth) and then crosses the fabric to the reader
+// (latency, per-message cost and n at the link bandwidth). Two reads
+// behind one server slot: the second starts its device read when the
+// first ends it, and both get the stored bytes themselves.
+func TestPFSReadChargesTheServerSlotAndTheFabricHop(t *testing.T) {
+	const n = 48 << 10
+	spec := smallSpec(3)
+	spec.PFSFanout = 1
+	c := New(spec)
+	payload := bytes.Repeat([]byte{7}, 1<<20)
+	var wg vtime.WaitGroup
+	var done [2]vtime.Duration
+	var start vtime.Duration
+	c.Engine.Spawn("io", func(p *vtime.Proc) {
+		if err := c.PFSWriteSized(p, 0, "rg0", 0, payload, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		start = p.Now()
+		wg.Add(2)
+		for i := range 2 {
+			c.Engine.Spawn("read", func(p *vtime.Proc) {
+				defer wg.Done()
+				l, ok, err := c.PFSReadLease(p, 1+i, "rg0", int64(i)*n, n)
+				if !ok || err != nil || !bytes.Equal(l.Bytes(), payload[:n]) {
+					t.Errorf("read %d: ok=%v err=%v", i, ok, err)
+					return
+				}
+				done[i] = p.Now() - start
+				c.Arrays.Release(l)
+			})
+		}
+		wg.Wait(p)
+	})
+	if err := c.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	dp, fp := c.PFS.Profile(), c.Fabric.Profile()
+	dev := dp.Latency + vtime.BytesAt(n, dp.ReadBW)
+	hop := fp.Latency + fp.PerMsg + vtime.BytesAt(n, fp.Bandwidth)
+	if want := [2]vtime.Duration{dev + hop, 2*dev + hop}; done != want {
+		t.Errorf("reads ended at %v, want slot + device + hop = %v", done, want)
+	}
+	if n := c.Arrays.Leases(); n != 0 {
+		t.Errorf("%d leases out at the end", n)
+	}
+}
+
+// TestPFSReadLeaseRetriesFaults: under a PFS that fails reads at random,
+// every read that succeeds returns the stored bytes under one lease, a
+// failed one holds none, and Used stays the bytes stored on the PFS.
+func TestPFSReadLeaseRetriesFaults(t *testing.T) {
 	const page = 48 << 10
 	payload := make([]byte, 1<<20)
 	for i := range payload {
 		payload[i] = byte(i%251 + 1)
 	}
-	type result struct {
-		took    []vtime.Duration
-		failed  int
-		retries int64
-		copied  int64
-	}
-	var res [2]result
-	for li, lease := range []bool{false, true} {
-		c := New(smallSpec(2))
-		c.InstallFaults(faults.Plan{Seed: 7, Devices: []faults.DeviceFault{{Node: faults.PFSNode, ReadErr: 0.6}}})
-		r := &res[li]
-		c.Engine.Spawn("io", func(p *vtime.Proc) {
-			if err := c.PFSWriteSized(p, 0, "rg0", 0, payload, 1<<20); err != nil {
-				t.Fatal(err)
-			}
-			copied := c.PFS.CopiedBytes()
-			var held []*device.Lease
-			for i := range 16 {
-				off := int64(i%20) * page
-				start := p.Now()
-				var got []byte
-				var l *device.Lease
-				var err error
-				if lease {
-					l, _, err = c.PFSReadLease(p, 1, "rg0", off, page)
-					got = l.Bytes()
-				} else {
-					got, _, err = c.PFSReadInto(p, 1, "rg0", off, page, nil)
-				}
-				r.took = append(r.took, p.Now()-start)
-				if err != nil {
-					if !faults.Transient(err) {
-						t.Fatalf("read %d: %v", i, err)
-					}
-					r.failed++
-					continue
-				}
-				if !bytes.Equal(got, payload[off:off+page]) {
-					t.Fatalf("read %d returned the wrong bytes", i)
-				}
-				if lease {
-					held = append(held, l)
-				}
-			}
-			if lease {
-				if n := c.Arrays.Leases(); n != len(held) {
-					t.Errorf("%d leases out with %d reads succeeded", n, len(held))
-				}
-				for _, l := range held {
-					c.Arrays.Release(l)
-				}
-			}
-			r.copied = c.PFS.CopiedBytes() - copied
-		})
-		if err := c.Engine.Run(); err != nil {
+	c := New(smallSpec(2))
+	c.InstallFaults(faults.Plan{Seed: 7, Devices: []faults.DeviceFault{{Node: faults.PFSNode, ReadErr: 0.6}}})
+	failed, reads := 0, 16
+	c.Engine.Spawn("io", func(p *vtime.Proc) {
+		if err := c.PFSWriteSized(p, 0, "rg0", 0, payload, 1<<20); err != nil {
 			t.Fatal(err)
 		}
-		r.retries = c.Faults().Count("retry.pfs_read")
-		if n := c.Arrays.Leases(); n != 0 {
-			t.Errorf("lease=%v: %d leases out at the end", lease, n)
+		var held []*device.Lease
+		for i := range reads {
+			off := int64(i%20) * page
+			l, _, err := c.PFSReadLease(p, 1, "rg0", off, page)
+			if err != nil {
+				if !faults.Transient(err) {
+					t.Fatalf("read %d: %v", i, err)
+				}
+				failed++
+				continue
+			}
+			if !bytes.Equal(l.Bytes(), payload[off:off+page]) {
+				t.Fatalf("read %d returned the wrong bytes", i)
+			}
+			held = append(held, l)
 		}
-		if c.PFS.Used() != c.PFS.StoredBytes() {
-			t.Errorf("lease=%v: the PFS uses %d bytes and stores %d", lease, c.PFS.Used(), c.PFS.StoredBytes())
+		if n := c.Arrays.Leases(); n != len(held) {
+			t.Errorf("%d leases out with %d reads succeeded", n, len(held))
 		}
-	}
-	if res[0].failed == 0 || res[0].retries == 0 || res[0].failed == len(res[0].took) {
-		t.Fatalf("the fault plan did not exercise both outcomes: %d of %d reads failed, %d retries", res[0].failed, len(res[0].took), res[0].retries)
-	}
-	for i := range res[0].took {
-		if res[0].took[i] != res[1].took[i] {
-			t.Errorf("read %d: PFSReadInto took %v, PFSReadLease %v", i, res[0].took[i], res[1].took[i])
+		for _, l := range held {
+			c.Arrays.Release(l)
 		}
+	})
+	if err := c.Engine.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if res[0].failed != res[1].failed || res[0].retries != res[1].retries {
-		t.Errorf("copying reads failed %d times with %d retries, lending reads %d with %d", res[0].failed, res[0].retries, res[1].failed, res[1].retries)
+	if retries := c.Faults().Count("retry.pfs_read"); failed == 0 || retries == 0 || failed == reads {
+		t.Fatalf("the fault plan did not exercise both outcomes: %d of %d reads failed, %d retries", failed, reads, retries)
 	}
-	if res[1].copied != 0 || res[0].copied == 0 {
-		t.Errorf("the PFS copied %d bytes for copying reads and %d for lending ones, want some and 0", res[0].copied, res[1].copied)
+	if n := c.Arrays.Leases(); n != 0 {
+		t.Errorf("%d leases out at the end", n)
+	}
+	if c.PFS.Used() != c.PFS.StoredBytes() {
+		t.Errorf("the PFS uses %d bytes and stores %d", c.PFS.Used(), c.PFS.StoredBytes())
 	}
 }
 

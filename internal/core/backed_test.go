@@ -127,15 +127,17 @@ func TestFirstCommitOfStagedPageWritesBackup(t *testing.T) {
 						v.TxEnd()
 						v.Close()
 						key := v.m.pageID(1)
-						img, ok := d.h.ReadBackup(p, 0, key, 0, nil)
+						l, ok := d.h.ReadBackup(p, 0, key, 0)
 						if !ok {
 							t.Fatal("the first commit of a staged page wrote no backup")
 						}
+						img := l.Bytes()
 						for i := epp; i < 2*epp; i++ {
 							if got := (Int64Codec{}).Decode(img[(i-epp)*8:]); got != want(i) {
 								t.Fatalf("backup of page 1 holds %d at element %d, want %d", got, i, want(i))
 							}
 						}
+						d.c.Arrays.Release(l)
 						if _, ok := d.h.PlacementOf(v.m.pageID(0).Backup(0)); ok {
 							t.Error("committing page 1 wrote a backup of page 0")
 						}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"hash/crc32"
 	"testing"
 
@@ -9,13 +10,20 @@ import (
 	"megammap/internal/vtime"
 )
 
-// pqRowGroup is the PFS object of row group 0 of backedURLs[1], and
-// pqFooter the object of its footer, which the first read loads through a
-// copy.
-const (
-	pqRowGroup = "/data/backed.parquet::v::rg0"
-	pqFooter   = "/data/backed.parquet::v::#footer"
-)
+// pqRowGroup is the PFS object of row group 0 of backedURLs[1].
+const pqRowGroup = "/data/backed.parquet::v::rg0"
+
+// scacheLent reports whether the scache's array of page pg is the PFS's
+// own array of object key at off.
+func scacheLent(p *vtime.Proc, d *DSM, m *vecMeta, pg int64, key string, off int64) bool {
+	l, ok, err := d.h.GetLease(p, 0, m.pageID(pg))
+	if err != nil || !ok {
+		return false
+	}
+	lent := isLent(p, d, key, off, l.Bytes())
+	d.c.Arrays.Release(l)
+	return lent
+}
 
 // TestCorruptBorrowedPageRestagesTheBackendsBytes: a read-only stage-in
 // of a pq:// page lends the row group's bytes to the scache, so a bit
@@ -26,10 +34,11 @@ func TestCorruptBorrowedPageRestagesTheBackendsBytes(t *testing.T) {
 	runBacked(t, backedURLs[1], true, func(p *vtime.Proc, d *DSM, v *Vector[int64]) {
 		raw, _ := d.c.PFSPeek(pqRowGroup)
 		want := crc32.ChecksumIEEE(raw)
-		copied := d.c.PFS.CopiedBytes()
 		readBack(t, v, 0, backedLen, backedValue)
-		if n := d.c.PFS.CopiedBytes() - copied; n != d.c.PFSSize(pqFooter) {
-			t.Fatalf("the read-only stage-ins copied %d bytes out of the PFS, want only the footer's %d", n, d.c.PFSSize(pqFooter))
+		for pg := int64(0); pg < backedLen*8/v.m.pageSize; pg++ {
+			if !scacheLent(p, d, v.m, pg, pqRowGroup, pg*v.m.pageSize) {
+				t.Fatalf("the read-only stage-in copied page %d: the scache's array is not the row group's", pg)
+			}
 		}
 		key := v.m.pageID(1)
 		pl, _ := d.h.PlacementOf(key)
@@ -113,7 +122,6 @@ func TestStraddlingAndShortPagesStageInThroughACopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		copied := c.PFS.CopiedBytes()
 		epp := v.PageSize() / 8
 		v.SeqTxBegin(21*epp, epp, ReadOnly)
 		v.Get(21 * epp)
@@ -123,10 +131,11 @@ func TestStraddlingAndShortPagesStageInThroughACopy(t *testing.T) {
 		v.TxEnd()
 		v.Close()
 		readBack(t, v, 0, n, backedValue)
-		footer, straddling, short := c.PFSSize("/borrow/in.pq::t::#footer"), int64(pageSize), n*8-22*pageSize
-		if got := c.PFS.CopiedBytes() - copied; got != footer+straddling+short {
-			t.Errorf("the scan copied %d bytes out of the PFS, want the footer's, the straddling page's and the short page's %d",
-				got, footer+straddling+short)
+		for pg := int64(0); pg <= 22; pg++ {
+			rg, off := (pg*pageSize)>>20, (pg*pageSize)&(1<<20-1)
+			if lent := scacheLent(p, d, v.m, pg, fmt.Sprintf("/borrow/in.pq::t::rg%d", rg), off); lent != (pg < 21) {
+				t.Errorf("page %d: the scache's array is the row group's = %v, want %v (only the straddling and the short page are copies)", pg, lent, pg < 21)
+			}
 		}
 	})
 	// The two copied pages' pooled buffers left the pool's books when the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -45,13 +46,14 @@ type DSM struct {
 	busyChains int
 
 	// bufFree is the one page-buffer pool of the data path (DESIGN.md
-	// "Page-buffer ownership"): every page image that crosses a layer
-	// boundary — fault, fill, commit payload, stage-in, stage-out, repair,
-	// hermes relay — is a getBuf buffer with exactly one owner at a time
-	// and one way back (putBuf, or recycleTask for a buffer left on a
-	// task). bufOut counts the buffers out of the pool; once every task
-	// drained it equals the pages resident in the pcaches, so it is zero
-	// after Shutdown has released those, which the pool-balance test holds.
+	// "Page-buffer ownership"): every page image core copies — a fault's
+	// or fill's that may not lease, a commit payload, a merged image, a
+	// straddling stage-in, a repair candidate — is a getBuf buffer with
+	// exactly one owner at a time and one way back (putBuf, or recycleTask
+	// for a buffer left on a task); every other image is leased. bufOut
+	// counts the buffers out of the pool; once every task drained it equals
+	// the pages resident in the pcaches, so it is zero after Shutdown has
+	// released those, which the pool-balance test holds.
 	// bufPeak is its high-water mark, the pool's size bound (putBuf).
 	// Shutdown releases the pool.
 	bufFree [][]byte
@@ -88,7 +90,8 @@ type DSM struct {
 	tenants map[string]*tenantCounts
 
 	// scrubErr records the first unrepairable corruption a background
-	// scrub sweep hit (foreground faults surface theirs directly).
+	// scrub sweep hit (foreground faults surface theirs directly); Shutdown
+	// returns it.
 	scrubErr error
 
 	// Scrub-coverage accounting: sweeps run, pages read, the largest
@@ -187,7 +190,6 @@ func New(c *cluster.Cluster, cfg Config) *DSM {
 	d.trc = d.tel.Tracer()
 	d.inj = c.Faults()
 	d.registerMetrics()
-	d.h.SetScratch(d.getBuf, d.putBuf)
 	if cfg.Replicas > 0 {
 		d.h.SetReplicas(cfg.Replicas)
 	}
@@ -559,7 +561,22 @@ func (d *DSM) scrubber() func(p *vtime.Proc) {
 			batch.submit(d, p, t)
 		}
 		cursor = next
-		swept, err := batch.wait(d, p)
+		// A read that fails ErrCorrupt found a page no copy can repair: a
+		// loss, counted, failing the sweep's span and kept for Shutdown.
+		// Other failures (a node down, a device fault past its retries)
+		// lose nothing the next sweep cannot read again.
+		batch.wg.Wait(p)
+		lost := false
+		for _, t := range batch.tasks {
+			if t.err != nil && errors.Is(t.err, faults.ErrCorrupt) {
+				lost = true
+				d.inj.Note("core.scrub_lost")
+				if d.scrubErr == nil {
+					d.scrubErr = fmt.Errorf("core: scrub: %w", t.err)
+				}
+			}
+		}
+		swept, _ := batch.wait(d, p)
 		d.scrubSweeps++
 		d.scrubPages += int64(swept)
 		if int64(swept) > d.scrubMaxSweep {
@@ -568,11 +585,8 @@ func (d *DSM) scrubber() func(p *vtime.Proc) {
 		if n > 0 && from+n >= len(list) {
 			d.scrubCycles++ // the window touched the end of the set
 		}
-		if err != nil && d.scrubErr == nil {
-			d.scrubErr = fmt.Errorf("core: scrub: %w", err)
-		}
 		sp.SetArg(int64(swept))
-		sp.Exit(p, 0, false)
+		sp.Exit(p, 0, lost)
 	}
 }
 
@@ -933,9 +947,11 @@ func (d *DSM) pageDone(t *MemoryTask) {
 }
 
 // Shutdown drains all runtimes, persists every nonvolatile vector to its
-// backend, ends the deployment's processes and releases the shared cache.
-// It must be called after all application work (and client TxEnds)
-// completed.
+// backend, ends the deployment's processes, waits for a hedged read's
+// losing leg still reading (it holds a lease), and releases the shared
+// cache. It must be called after all application work (and client TxEnds)
+// completed. It returns the first final stage-out error joined with the
+// first loss the scrubber found (an unrepairable corruption at rest).
 //
 // Once the last dirty page is staged nothing in the tiers is owed to
 // anyone — a nonvolatile vector lives on through its backend — so what
@@ -964,6 +980,7 @@ func (d *DSM) Shutdown(p *vtime.Proc) error {
 		r.close()
 	}
 	d.procs.End()
+	d.h.WaitLegs(p) // a hedged read's loser holds a lease until its read ends
 	d.audit = d.checkInvariants()
 	for _, h := range d.handles {
 		h.release()
@@ -975,7 +992,7 @@ func (d *DSM) Shutdown(p *vtime.Proc) error {
 	if n := d.c.Arrays.Leases(); n > 0 {
 		d.audit = append(d.audit, fmt.Sprintf("%d array lease(s) outstanding after shutdown", n))
 	}
-	return err
+	return errors.Join(err, d.scrubErr)
 }
 
 // quiesce blocks until no task is queued, running or chained. Chained
@@ -1000,24 +1017,23 @@ func (d *DSM) quiesce(p *vtime.Proc) {
 
 // stageOut persists one page to the vector's backend and clears its dirty
 // mark unless a commit changed the page meanwhile. It holds the page's
-// chain only while it copies the page out of the scache, so a commit or
-// fault waits for that read and never for the backend write; the copy is
-// of whatever version is current when the lane runs. A commit that lands
-// during the write leaves the page dirty for the next tick: the mark is
-// cleared only if the version written is still the page's (DESIGN.md
-// "Staging lanes").
+// chain only while it leases the page's image from the scache, so a
+// commit or fault waits for that read and never for the backend write;
+// the image is of whatever version is current when the lane runs, and a
+// commit that lands during the write copies the scache's array before
+// changing it (device.Lease), so the write stores what was read. Such a
+// commit leaves the page dirty for the next tick: the mark is cleared only
+// if the version written is still the page's (DESIGN.md "Staging lanes").
 func (d *DSM) stageOut(p *vtime.Proc, t *MemoryTask, node int) (err error) {
 	m, page := t.vec, t.page
 	sp := d.trc.Enter(p, telemetry.OpStageOut, node, m.id, page)
 	defer func() { sp.Exit(p, m.pageSize, err != nil) }()
 	defer func() { m.state(page).staging = false }()
 	// The image only passes through on its way to the backend, which
-	// stores its own copy.
-	buf := d.getBuf(m.pageSize)
-	defer d.putBuf(buf)
+	// stores its own copy: the scache's bytes go to it under their lease.
 	d.takeChain(p, t)
 	version, _ := m.pageVersion(page)
-	data, ok, err := d.h.GetInto(p, node, m.pageID(page), buf)
+	l, ok, err := d.h.GetLease(p, node, m.pageID(page))
 	d.pageDone(t)
 	if err != nil {
 		return fmt.Errorf("core: staging out %s page %d: %w", m.name, page, err)
@@ -1025,6 +1041,8 @@ func (d *DSM) stageOut(p *vtime.Proc, t *MemoryTask, node int) (err error) {
 	if !ok {
 		return nil // page was destroyed or never materialized
 	}
+	defer d.c.Arrays.Release(l)
+	data := l.Bytes()
 	off := page * m.pageSize
 	total := m.sizeBytes()
 	if off >= total {

@@ -66,10 +66,6 @@ func (d *DSM) CommitsElided() (n int64) {
 // backed vectors.
 func (d *DSM) DirtyPages() int64 { return d.dirtyCount }
 
-// ScrubError returns the first unrepairable corruption a background
-// scrub sweep encountered, or nil.
-func (d *DSM) ScrubError() error { return d.scrubErr }
-
 // Node returns the node hosting the client.
 func (c *Client) Node() *cluster.Node { return c.node }
 

@@ -280,8 +280,8 @@ func TestScrubberRepairsCorruptionAtRest(t *testing.T) {
 		if d.PageRepairs() == 0 {
 			t.Fatal("scrubber did not repair the at-rest corruption")
 		}
-		if err := d.ScrubError(); err != nil {
-			t.Fatalf("scrub surfaced an error despite a repair source: %v", err)
+		if n := d.inj.Count("core.scrub_lost"); n != 0 {
+			t.Fatalf("scrub counted %d losses despite a repair source", n)
 		}
 		// The healed page reads back intact.
 		v.SeqTxBegin(0, n, ReadOnly)
@@ -292,6 +292,56 @@ func TestScrubberRepairsCorruptionAtRest(t *testing.T) {
 		}
 		v.TxEnd()
 	})
+}
+
+// TestScrubLossReachesShutdown: a corruption at rest on an unreplicated,
+// volatile checksummed page has no repair source, so the scrubber that
+// finds it counts a loss (core.scrub_lost), fails its sweep's span, and
+// Shutdown returns the ErrCorrupt it met.
+func TestScrubLossReachesShutdown(t *testing.T) {
+	cfg := testConfig()
+	cfg.ChecksumPages = true
+	cfg.ScrubPeriod = vtime.Millisecond
+	c := newTestCluster(t, testSpec(1))
+	tel := c.InstallTelemetry(telemetry.Options{Spans: true})
+	d := New(c, cfg)
+	var shutErr error
+	c.Engine.Spawn("app", func(p *vtime.Proc) {
+		v, _ := Open[int64](d.NewClient(p, 0), "lost", Int64Codec{})
+		const n = 1024
+		v.Resize(n)
+		v.SeqTxBegin(0, n, WriteOnly)
+		for i := int64(0); i < n; i++ {
+			v.Set(i, i)
+		}
+		v.TxEnd()
+		v.Close()
+		key := d.vecs["lost"].pageID(0)
+		pl, ok := d.h.PlacementOf(key)
+		if !ok || !c.Nodes[pl.Node].Devices[pl.Tier].CorruptBit(key, 64, 1) {
+			t.Fatal("corruption injection failed")
+		}
+		p.Sleep(5 * vtime.Millisecond) // several scrub sweeps
+		shutErr = d.Shutdown(p)
+	})
+	if err := c.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(shutErr, faults.ErrCorrupt) {
+		t.Errorf("Shutdown returned %v, want the scrub's ErrCorrupt", shutErr)
+	}
+	if n := d.inj.Count("core.scrub_lost"); n == 0 {
+		t.Error("the scrub counted no loss")
+	}
+	failed := 0
+	tel.Tracer().Each(func(_ telemetry.SpanID, s *telemetry.Span) {
+		if s.Op == telemetry.OpScrub && s.Err {
+			failed++
+		}
+	})
+	if failed == 0 {
+		t.Error("no scrub span exited failed")
+	}
 }
 
 func TestChecksumCleanRoundTrip(t *testing.T) {

@@ -172,7 +172,10 @@ func (hc *healthCtl) probe(d *DSM, p *vtime.Proc, node int) {
 			failed = true
 			break
 		}
-		_, _, rerr := dev.Read(p, id)
+		l, _, rerr := dev.ReadLease(p, id)
+		if l != nil {
+			d.c.Arrays.Release(l)
+		}
 		dev.Delete(p, id)
 		if rerr != nil {
 			failed = true

@@ -205,8 +205,7 @@ func BenchmarkEvictPath(b *testing.B) {
 // BenchmarkReadOnlyFaultPath is the fault loop at the KMeans page size
 // (48 KB): one synchronous fault per op under a ReadOnly transaction,
 // served by the scache, the pcache bounded to 2 pages of the 8 it cycles
-// over. Besides ns/op and B/op it reports copiedB/fault, the bytes device
-// reads copied out of stored arrays per fault: a leased page copies none.
+// over. A leased page copies nothing: B/op stays at 0.
 func BenchmarkReadOnlyFaultPath(b *testing.B) {
 	runBench(b, func(p *vtime.Proc, d *DSM) {
 		cl := d.NewClient(p, 0)
@@ -226,14 +225,12 @@ func BenchmarkReadOnlyFaultPath(b *testing.B) {
 		v.Close()
 		v.BoundMemory(2 * v.PageSize())
 		v.SeqTxBegin(0, n, ReadOnly)
-		copied := copiedBytes(d.c)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			v.Get(int64(i%pages) * epp)
 		}
 		b.StopTimer()
-		b.ReportMetric(float64(copiedBytes(d.c)-copied)/float64(b.N), "copiedB/fault")
 		v.TxEnd()
 		v.Close()
 		if err := d.Shutdown(p); err != nil {

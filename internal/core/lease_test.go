@@ -2,23 +2,15 @@ package core
 
 import (
 	"encoding/binary"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
-	"megammap/internal/cluster"
+	"megammap/internal/control"
+	"megammap/internal/faults"
 	"megammap/internal/vtime"
 )
-
-// copiedBytes sums the bytes every node device's reads copied out of
-// stored arrays.
-func copiedBytes(c *cluster.Cluster) (n int64) {
-	for _, node := range c.Nodes {
-		for _, dev := range node.Devices {
-			n += dev.CopiedBytes()
-		}
-	}
-	return n
-}
 
 // leasedFrames counts a handle's resident leased frames.
 func leasedFrames(v *Vector[int64]) (n int) {
@@ -41,16 +33,28 @@ func isStored(p *vtime.Proc, d *DSM, m *vecMeta, pg int64, data []byte) bool {
 	return &got.Bytes()[0] == &data[0]
 }
 
+// isLent reports whether data is the PFS's own array of object key at
+// off: a lease read of the range returns the stored bytes themselves.
+func isLent(p *vtime.Proc, d *DSM, key string, off int64, data []byte) bool {
+	l, ok, err := d.c.PFSReadLease(p, 0, key, off, int64(len(data)))
+	if err != nil || !ok || l == nil {
+		return false
+	}
+	same := len(data) > 0 && len(l.Bytes()) == len(data) && &l.Bytes()[0] == &data[0]
+	d.c.Arrays.Release(l)
+	return same
+}
+
 // TestReadOnlyReadsInstallLeasedFrames: under a ReadOnly transaction a
 // fault served by the scache, a prefetch fill and a stage-in from the
-// backend each install the scache's own array as the page, leased, and no
-// device read copies a byte for them.
+// backend each install the scache's own array as the page, leased, and a
+// stage-in's array is the PFS's own: no read copied the page.
 func TestReadOnlyReadsInstallLeasedFrames(t *testing.T) {
 	const epp = 512
 	c, d := newTestDSM(t, 1)
 	runDSM(t, c, d, func(p *vtime.Proc) {
 		cl := d.NewClient(p, 0)
-		check := func(what string, v *Vector[int64], pg int64, before int64) {
+		check := func(what string, v *Vector[int64], pg int64) {
 			t.Helper()
 			cp := v.pc.pages[pg]
 			if cp == nil || cp.lease == nil {
@@ -59,9 +63,6 @@ func TestReadOnlyReadsInstallLeasedFrames(t *testing.T) {
 			if !isStored(p, d, v.m, pg, cp.data) {
 				t.Errorf("%s: the frame is not the scache's array", what)
 			}
-			if n := copiedBytes(c) - before; n != 0 {
-				t.Errorf("%s: device reads copied %d bytes, want 0", what, n)
-			}
 		}
 
 		// A fault served by the scache.
@@ -69,18 +70,16 @@ func TestReadOnlyReadsInstallLeasedFrames(t *testing.T) {
 		fill(v, func(i int64) int64 { return i })
 		v.Close()
 		v.m.prefetch = false
-		before := copiedBytes(c)
 		v.SeqTxBegin(0, 4*epp, ReadOnly)
 		if got := v.Get(epp + 1); got != epp+1 {
 			t.Fatalf("read %d, want %d", got, epp+1)
 		}
-		check("scache fault", v, 1, before)
+		check("scache fault", v, 1)
 		v.TxEnd()
 		v.Close()
 
 		// Prefetch fills.
 		v.m.prefetch = true
-		before = copiedBytes(c)
 		hits0, _ := d.PrefetchFillStats()
 		v.SeqTxBegin(0, 4*epp, ReadOnly)
 		for i := int64(0); i < 4*epp; i += epp {
@@ -90,7 +89,7 @@ func TestReadOnlyReadsInstallLeasedFrames(t *testing.T) {
 		if hits, _ := d.PrefetchFillStats(); hits == hits0 {
 			t.Fatal("the scan consumed no fills")
 		}
-		check("prefetch fill", v, 3, before)
+		check("prefetch fill", v, 3)
 		v.TxEnd()
 
 		// A stage-in of a backed page.
@@ -103,12 +102,14 @@ func TestReadOnlyReadsInstallLeasedFrames(t *testing.T) {
 		}
 		b := openInt64(t, cl, "file:///lease/backed.bin", 0)
 		b.m.prefetch = false
-		before = copiedBytes(c)
 		b.SeqTxBegin(0, 4*epp, ReadOnly)
 		if got := b.Get(2*epp + 5); got != 3*(2*epp+5) {
 			t.Fatalf("staged read %d, want %d", got, 3*(2*epp+5))
 		}
-		check("stage-in", b, 2, before)
+		check("stage-in", b, 2)
+		if !isLent(p, d, "/lease/backed.bin", 2*b.m.pageSize, b.pc.pages[2].data) {
+			t.Error("stage-in: the frame is not the PFS's array")
+		}
 		b.TxEnd()
 	})
 }
@@ -149,7 +150,7 @@ func TestSetOnLeasedFrameCopiesFirst(t *testing.T) {
 
 // TestWritingPhasesStillCopy: ReadWrite and WriteOnly transactions keep
 // the copy path: their frames are pooled buffers, and a ReadWrite fault
-// copies its page out of the device.
+// copies its page out of the scache's array.
 func TestWritingPhasesStillCopy(t *testing.T) {
 	const epp = 512
 	c, d := newTestDSM(t, 1)
@@ -158,14 +159,12 @@ func TestWritingPhasesStillCopy(t *testing.T) {
 		fill(v, func(i int64) int64 { return i })
 		v.Close()
 		v.m.prefetch = false
-		before := copiedBytes(c)
 		v.SeqTxBegin(0, 2*epp, ReadWrite)
-		v.Get(0)
-		if v.pc.pages[0].lease != nil {
-			t.Error("a ReadWrite fault installed a leased frame")
+		if got := v.Get(5); got != 5 {
+			t.Errorf("a ReadWrite fault read %d, want 5", got)
 		}
-		if n := copiedBytes(c) - before; n != v.m.pageSize {
-			t.Errorf("a ReadWrite fault copied %d bytes, want a page", n)
+		if cp := v.pc.pages[0]; cp.lease != nil || isStored(p, d, v.m, 0, cp.data) {
+			t.Error("a ReadWrite fault installed the scache's array, not a copy")
 		}
 		v.TxEnd()
 		v.Close()
@@ -228,10 +227,12 @@ func TestAuditFindsALeakedLease(t *testing.T) {
 			for i := int64(0); i < b.Len(); i += 100 {
 				b.Get(i)
 			}
-			b.TxEnd()
-			if n := c.PFS.CopiedBytes(); n != 0 {
-				t.Errorf("the read-only stage-ins copied %d bytes: the scache stores no range the PFS lent", n)
+			for _, pg := range slices.Sorted(maps.Keys(b.pc.pages)) {
+				if cp := b.pc.pages[pg]; cp.lease == nil || !isLent(p, d, "/audit/backed.bin", pg*b.m.pageSize, cp.data) {
+					t.Errorf("page %d's read-only stage-in copied it: its frame is not the PFS's array", pg)
+				}
 			}
+			b.TxEnd()
 			b.SeqTxBegin(0, b.Len(), ReadOnly|Collective)
 			b.Get(b.Len() - 1)
 			b.Set(b.Len()-1, 4)
@@ -305,4 +306,62 @@ func TestShutdownReleasesFinishedFills(t *testing.T) {
 	if n := c.Arrays.Leases(); n != 0 {
 		t.Errorf("%d leases out after Shutdown", n)
 	}
+}
+
+// TestShutdownWaitsForAHedgeLoser: a hedged read's losing leg outlives
+// the read it raced for and holds a lease while it reads. A read-only
+// fault from a suspect, slowed primary's page is won by the backup leg;
+// Shutdown, called while the primary leg still reads, waits for it, so
+// the lease audit finds nothing and no lease is out at the end.
+func TestShutdownWaitsForAHedgeLoser(t *testing.T) {
+	const epp = 512
+	c := newTestCluster(t, testSpec(2))
+	c.InstallFaults(faults.Plan{Seed: 1, Devices: []faults.DeviceFault{{Node: 0, SlowFactor: 1000}}})
+	cfg := testConfig()
+	cfg.Replicas = 1
+	d := New(c, cfg)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		v := openInt64(t, d.NewClient(p, 0), "hedge/loser", epp)
+		fill(v, func(i int64) int64 { return i })
+		v.Close()
+		key := v.m.pageID(0)
+		pl, _ := d.h.PlacementOf(key)
+		if bp, ok := d.h.PlacementOf(key.Backup(0)); pl.Node != 0 || !ok || bp.Node == 0 {
+			t.Fatalf("primary on node %d, backup on node %d: the read would not hedge", pl.Node, bp.Node)
+		}
+		r := openInt64(t, d.NewClient(p, 1), "hedge/loser", 0)
+		d.h.SetSuspect(0, true)
+		d.h.SetHedge(5*vtime.Microsecond, nil)
+		r.SeqTxBegin(0, epp, ReadOnly)
+		if got := r.Get(7); got != 7 {
+			t.Fatalf("read %d, want 7", got)
+		}
+		r.TxEnd()
+		if c.Faults().Count("hedge.won") != 1 || c.Arrays.Leases() != leasedFrames(r)+1 {
+			t.Fatalf("hedges won %d, %d leases out with %d leased frames: no loser is reading",
+				c.Faults().Count("hedge.won"), c.Arrays.Leases(), leasedFrames(r))
+		}
+	})
+	if n := c.Arrays.Leases(); n != 0 {
+		t.Errorf("%d leases out after Shutdown", n)
+	}
+}
+
+// TestHealthProbeGivesItsLeaseBack: a reintegration probe leases each of
+// the node's devices' probe blobs and gives every lease back.
+func TestHealthProbeGivesItsLeaseBack(t *testing.T) {
+	c := newTestCluster(t, testSpec(2))
+	cfg := testConfig()
+	cfg.Health = control.HealthConfig{Enabled: true, MinOps: 1}
+	d := New(c, cfg)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		before := c.Arrays.Leases()
+		d.hc.probe(d, p, 1)
+		if d.HealthProbes() != 1 {
+			t.Fatalf("%d probes ran, want 1", d.HealthProbes())
+		}
+		if n := c.Arrays.Leases(); n != before {
+			t.Errorf("%d leases out after the probe, want %d", n, before)
+		}
+	})
 }

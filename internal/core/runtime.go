@@ -315,26 +315,19 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 
 // scacheRead reads blob id's image for t as a full page: the stored array
 // itself under a lease (t.lease) when t may lease and the blob is the
-// whole page, else padded into *buf, which it takes from the pool if t
-// has none yet (fullPage).
+// whole page, else copied into *buf, which it takes from the pool if t
+// has none yet, and padded (fullPage): a volatile blob is stored trimmed.
 func (r *Runtime) scacheRead(p *vtime.Proc, t *MemoryTask, from int, id blob.ID, buf *[]byte) ([]byte, bool, error) {
-	size := t.vec.pageSize
-	if !t.mayLease {
-		data, ok, err := r.d.h.GetInto(p, from, id, *buf)
-		if err == nil && ok {
-			data = fullPage(data, *buf, size)
-		}
-		return data, ok, err
-	}
 	l, ok, err := r.d.h.GetLease(p, from, id)
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	if data := l.Bytes(); int64(len(data)) == size {
+	size := t.vec.pageSize
+	if data := l.Bytes(); t.mayLease && int64(len(data)) == size {
 		t.lease = l
 		return data, true, nil
 	}
-	full := fullPage(l.Bytes(), r.buffer(t.vec, buf), size) // a volatile blob stored trimmed
+	full := fullPage(l.Bytes(), r.buffer(t.vec, buf), size)
 	r.d.c.Arrays.Release(l)
 	return full, true, nil
 }
@@ -397,15 +390,16 @@ func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32,
 // repairSource finds a page image matching the recorded checksum: backup
 // replicas first (cheapest, scache-resident), then a backend re-stage for
 // pages whose last commit was staged out (restaged reports that source).
-// Each candidate is read over buf.
+// Each candidate is copied or read over buf.
 func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint32, buf []byte) (good []byte, restaged bool, err error) {
 	key := m.pageID(page)
 	for slot := 0; slot < r.d.cfg.Replicas; slot++ {
-		if data, ok := r.d.h.ReadBackup(p, r.node.ID, key, slot, buf); ok {
+		if l, ok := r.d.h.ReadBackup(p, r.node.ID, key, slot); ok {
 			// Backups of volatile pages are stored trimmed like their
 			// primaries; pad before checksumming or a good short copy
 			// would never match the full-page CRC.
-			data = fullPage(data, buf, m.pageSize)
+			data := fullPage(l.Bytes(), buf, m.pageSize)
+			r.d.c.Arrays.Release(l)
 			if crc32.ChecksumIEEE(data) == want {
 				r.d.inj.Note("core.repair_replica")
 				return data, false, nil
@@ -421,18 +415,13 @@ func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint3
 	return nil, false, fmt.Errorf("core: checksum mismatch on %s page %d: %w", m.name, page, faults.ErrCorrupt)
 }
 
-// fullPage returns a scache read's image as the full page in buf, the
-// pooled buffer the read was given. data normally aliases buf (device
-// reads copy into the caller's buffer); an image that arrived elsewhere —
-// a hedged read's winner — is copied in, so the page's buffer is always
-// the pooled one. Volatile blobs are stored trimmed to their written
-// extent: the tail past the blob is cleared (buf holds stale bytes).
+// fullPage copies a scache read's leased image into buf, the pooled
+// buffer the read was given, as the full page. Volatile blobs are stored
+// trimmed to their written extent: the tail past the blob is cleared (buf
+// holds stale bytes).
 func fullPage(data, buf []byte, size int64) []byte {
 	full := buf[:size]
-	if len(data) > 0 && &full[0] != &data[0] {
-		copy(full, data)
-	}
-	clear(full[min(int64(len(data)), size):])
+	clear(full[copy(full, data):])
 	return full
 }
 
@@ -600,15 +589,17 @@ func (r *Runtime) holds(m *vecMeta, page int64, data []byte, regions []dirtyRang
 func (r *Runtime) mergeImage(p *vtime.Proc, t *MemoryTask, held bool, buf []byte) (image []byte, err error) {
 	m := t.vec
 	ok := false
+	var l *device.Lease
 	if held {
-		image, ok, err = r.d.h.GetInto(p, r.node.ID, m.pageID(t.page), buf)
+		l, ok, err = r.d.h.GetLease(p, r.node.ID, m.pageID(t.page))
 		if err != nil && !(errors.Is(err, faults.ErrNodeDown) && !m.state(t.page).dirty) {
 			return nil, err
 		}
 	}
 	end := m.pageSize
 	if err == nil && ok {
-		image = fullPage(image, buf, m.pageSize)
+		image = fullPage(l.Bytes(), buf, m.pageSize)
+		r.d.c.Arrays.Release(l)
 	} else if image, _, err = r.stageIn(p, m, t.page, &buf, false); err != nil {
 		return nil, err
 	} else if m.backend == nil && !r.d.cfg.ChecksumPages {

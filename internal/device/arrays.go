@@ -19,12 +19,13 @@ const arraysPerClass = 16
 // one with every node and pool device and the PFS.
 //
 // A device may recycle an array only once nothing else can reach it. A
-// read either copies out before it yields (ReadInto), or takes a holder's
-// place on the stored array's handle (ReadLease) or on a handle of its own
-// for a range of it (ReadAtLease). The device storing a blob is one holder
-// of its handle, and letting go of the blob gives that hold back; the last
-// holder of an array recycles it, and the last holder of a range lets go
-// of the array it lies in.
+// read takes a holder's place on the stored array's handle (ReadLease) or
+// on a handle of its own for a range of it (ReadAtLease) before it
+// yields; a caller that keeps the bytes past its release copies them
+// (Read does, for callers with no use for a lease). The device storing a
+// blob is one holder of its handle, and letting go of the blob gives that
+// hold back; the last holder of an array recycles it, and the last holder
+// of a range lets go of the array it lies in.
 type Arrays struct {
 	free map[int][][]byte // by class size; each array's capacity is at least that size
 	// spare holds freed handles for reuse, and slab the handles not yet

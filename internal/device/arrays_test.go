@@ -88,11 +88,13 @@ func TestOverlappingWritesAndDeleteKeepUsedExact(t *testing.T) {
 
 // TestReadCopiesBeforeItsCharge: a read whose charge overlaps a delete of
 // its key and a write of another key of the same size class returns its
-// own key's bytes, although the write reuses the deleted blob's array
-// before the read's transfer ends. On NVMe at t=0 the delete starts, the
-// write starts, and 1 ns later the read does; the delete's latency ends
-// first and recycles A's array, the write's transfer queues ahead of the
-// read's and stores B in that array, then the read's transfer ends.
+// own key's bytes. Read leases A's array before its charge and copies it
+// after: the lease keeps the delete from recycling the array, so the
+// write, which would reuse it, stores B elsewhere. On NVMe at t=0 the
+// delete starts, the write starts, and 1 ns later the read does; the
+// delete's latency ends first and lets go of A's array, the write's
+// transfer queues ahead of the read's and stores B, then the read's
+// transfer ends.
 func TestReadCopiesBeforeItsCharge(t *testing.T) {
 	e := vtime.NewEngine()
 	d := New("nvme", NVMeProfile(MB))
@@ -111,7 +113,7 @@ func TestReadCopiesBeforeItsCharge(t *testing.T) {
 		})
 		e.Spawn("read", func(p *vtime.Proc) {
 			p.Sleep(1)
-			data, ok, err := d.ReadInto(p, a, nil)
+			data, ok, err := d.Read(p, a)
 			if !ok || err != nil {
 				t.Errorf("read of a: ok=%v err=%v", ok, err)
 			}

@@ -91,45 +91,30 @@ func inFree(a *Arrays, b []byte) bool {
 }
 
 // TestReadAtLeaseLendsTheStoredRange: a lease read of a range returns the
-// stored bytes themselves, at the virtual cost and with the counters of a
-// copying read, copying nothing; so does a range that spans its array's
-// whole capacity, which its handle tells from the array's.
+// stored bytes themselves, charging the device's latency plus the range at
+// its read bandwidth and counting one read of the range; so does a range
+// that spans its array's whole capacity, which its handle tells from the
+// array's.
 func TestReadAtLeaseLendsTheStoredRange(t *testing.T) {
-	var took [2]vtime.Duration
-	for i, lease := range []bool{false, true} {
-		run(t, func(p *vtime.Proc) {
-			pfs, _, arrays, rg := lending(t, p)
-			start := p.Now()
-			var got []byte
-			var r *Lease
-			if lease {
-				r = lendRange(t, p, pfs, rg, 8192, 49152)
-				got = r.buf
-				if !sameArray(got, pfs.blobs[rg].buf[8192:]) || cap(got) != 49152 || r.parent != pfs.blobs[rg] {
-					t.Error("ReadAtLease returned a copy, a range its holder could extend, or one that holds no parent")
-				}
-			} else {
-				got, _, _ = pfs.ReadAtInto(p, rg, 8192, 49152, nil)
-			}
-			took[i] = p.Now() - start
-			if !bytes.Equal(got, pattern(rowBytes)[8192:8192+49152]) {
-				t.Errorf("lease=%v: the range reads the wrong bytes", lease)
-			}
-			if ops, _, n, _ := pfs.Stats(); ops != 1 || n != 49152 {
-				t.Errorf("lease=%v: %d reads of %d bytes counted, want 1 of 49152", lease, ops, n)
-			}
-			if want := map[bool]int64{false: 49152, true: 0}[lease]; pfs.CopiedBytes() != want {
-				t.Errorf("lease=%v: copied %d bytes, want %d", lease, pfs.CopiedBytes(), want)
-			}
-			if lease {
-				arrays.Release(r)
-				alone(t, "after the release", arrays, pfs, rg)
-			}
-		})
-	}
-	if took[0] != took[1] {
-		t.Errorf("ReadAtInto took %v, ReadAtLease %v", took[0], took[1])
-	}
+	run(t, func(p *vtime.Proc) {
+		pfs, _, arrays, rg := lending(t, p)
+		start := p.Now()
+		r := lendRange(t, p, pfs, rg, 8192, 49152)
+		if took, want := p.Now()-start, pfs.prof.Latency+vtime.BytesAt(49152, pfs.prof.ReadBW); took != want {
+			t.Errorf("the range read took %v, want latency + n/ReadBW = %v", took, want)
+		}
+		if !sameArray(r.buf, pfs.blobs[rg].buf[8192:]) || cap(r.buf) != 49152 || r.parent != pfs.blobs[rg] {
+			t.Error("ReadAtLease returned a copy, a range its holder could extend, or one that holds no parent")
+		}
+		if !bytes.Equal(r.buf, pattern(rowBytes)[8192:8192+49152]) {
+			t.Error("the range reads the wrong bytes")
+		}
+		if ops, _, n, _ := pfs.Stats(); ops != 1 || n != 49152 {
+			t.Errorf("%d reads of %d bytes counted, want 1 of 49152", ops, n)
+		}
+		arrays.Release(r)
+		alone(t, "after the release", arrays, pfs, rg)
+	})
 
 	run(t, func(p *vtime.Proc) {
 		d := New("pfs", PFSProfile(MB))
@@ -138,8 +123,8 @@ func TestReadAtLeaseLendsTheStoredRange(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := lendRange(t, p, d, k, 0, 4096)
-		if !sameArray(got.buf, d.blobs[k].buf) || d.CopiedBytes() != 0 {
-			t.Errorf("a range of the whole capacity was copied (%d bytes)", d.CopiedBytes())
+		if !sameArray(got.buf, d.blobs[k].buf) {
+			t.Error("a range of the whole capacity was copied")
 		}
 		if d.arrays.Leases() != 1 || d.blobs[k].refs != 2 {
 			t.Errorf("%d leases out and %d holders of the stored array, want 1 and 2", d.arrays.Leases(), d.blobs[k].refs)

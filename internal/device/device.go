@@ -161,7 +161,6 @@ type Device struct {
 	// experienced degradation ratio the health scorer feeds on.
 	readOps, writeOps     int64
 	bytesRead, bytesWrite int64
-	copied                int64 // bytes reads copied out of stored arrays
 	busy                  vtime.Duration
 	nomBusy               vtime.Duration
 
@@ -340,11 +339,6 @@ func (d *Device) UtilSince(prevBusy, window vtime.Duration) float64 {
 func (d *Device) Stats() (readOps, writeOps, bytesRead, bytesWritten int64) {
 	return d.readOps, d.writeOps, d.bytesRead, d.bytesWrite
 }
-
-// CopiedBytes returns the bytes reads copied out of stored arrays
-// (ReadInto, ReadAtInto); a ReadLease copies none, and a ReadAtLease none
-// when it lends the range.
-func (d *Device) CopiedBytes() int64 { return d.copied }
 
 // ErrNoSpace reports that a write would exceed device capacity.
 type ErrNoSpace struct {
@@ -547,61 +541,29 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 	return nil
 }
 
-// fill copies src into dst's storage when it is large enough, else into a
-// fresh array of exactly len(src) bytes, and returns the copy. Every read
-// but ReadLease and ReadAtLease goes through it: stored bytes are
-// overwritten in place by Write, WriteAt and CorruptBit, and a deleted
-// blob's array serves the next write, so a slice aliasing them would
-// change under its holder unless it holds their handle. A nil dst always
-// allocates, so even an empty blob reads as non-nil.
-func fill(dst, src []byte) []byte {
-	if dst != nil && cap(dst) >= len(src) {
-		dst = dst[:len(src)]
-		copy(dst, src)
-		return dst
-	}
-	out := make([]byte, len(src)) // make+copy compiles to one unzeroed allocation
-	copy(out, src)
-	return out
-}
-
 // Read returns a copy of the blob and charges read cost. It returns
 // ok=false if the blob is absent (no cost is charged for a miss). An
 // injected transient fault charges the failed attempt's cost and returns
-// (nil, true, err).
+// (nil, true, err). It is ReadLease with the copy the caller would make:
+// the bytes are those stored when the read started.
 func (d *Device) Read(p *vtime.Proc, key blob.ID) ([]byte, bool, error) {
-	return d.ReadInto(p, key, nil)
-}
-
-// ReadInto is Read reusing dst's storage when it is large enough: the
-// blob is copied into dst[:len(blob)] and that slice returned, otherwise
-// a fresh buffer is allocated. The returned slice is owned by the caller
-// either way (it never aliases device storage); this is the
-// allocation-free leg of the page-buffer path.
-//
-// The copy is taken when the read starts, before its charge yields: the
-// read returns the bytes stored then, and holds no stored array across
-// the yield (a blob deleted meanwhile hands its array to the next write).
-// A failed read may leave dst overwritten.
-func (d *Device) ReadInto(p *vtime.Proc, key blob.ID, dst []byte) (out []byte, ok bool, err error) {
-	h, ok := d.blobs[key]
-	if !ok {
-		return nil, false, nil
+	h, ok, err := d.ReadLease(p, key)
+	if !ok || err != nil {
+		return nil, ok, err
 	}
-	d.copied += int64(len(h.buf))
-	out = fill(dst, h.buf)
-	if err = d.finishRead(p, key, int64(len(out))); err != nil {
-		return nil, true, err
-	}
+	out := make([]byte, len(h.buf)) // make+copy compiles to one unzeroed allocation
+	copy(out, h.buf)
+	d.arrays.Release(h)
 	return out, true, nil
 }
 
-// ReadLease is ReadInto for a reader that only reads the bytes: it
-// charges exactly what ReadInto charges, but returns the stored blob's
-// handle itself, with the caller made a holder when the read starts
-// (Arrays.Lease), so it returns the bytes stored then, as ReadInto does.
-// The caller gives the lease back with Arrays.Release once it is done
-// with them. A failed read holds no lease.
+// ReadLease is the device's read: it charges latency plus the blob's
+// bytes at the read bandwidth, and returns the stored blob's handle
+// itself, with the caller made a holder when the read starts
+// (Arrays.Lease), so it returns the bytes stored then: a writer that
+// changes them meanwhile copies them first. The caller gives the lease
+// back with Arrays.Release once it is done with them, and copies them
+// first if it keeps them longer. A failed read holds no lease.
 func (d *Device) ReadLease(p *vtime.Proc, key blob.ID) (h *Lease, ok bool, err error) {
 	h, ok = d.blobs[key]
 	if !ok {
@@ -615,9 +577,8 @@ func (d *Device) ReadLease(p *vtime.Proc, key blob.ID) (h *Lease, ok bool, err e
 	return h, true, nil
 }
 
-// finishRead charges a read of n bytes, taken as the read started (a
-// copy, or stored bytes under a lease), and returns the injected fault
-// the read meets.
+// finishRead charges a read of n bytes, leased as the read started, and
+// returns the injected fault the read meets.
 func (d *Device) finishRead(p *vtime.Proc, key blob.ID, n int64) (err error) {
 	sp := d.enter(p, telemetry.OpDeviceRead, key)
 	defer func() { sp.Exit(p, n, err != nil) }()
@@ -632,33 +593,13 @@ func (d *Device) finishRead(p *vtime.Proc, key blob.ID, n int64) (err error) {
 	return nil
 }
 
-// ReadAtInto reads length bytes of a blob starting at off, reusing dst's
-// storage when it is large enough, and charges read cost for the range.
-// Reads past the end are truncated. Like ReadInto it copies when the read
-// starts.
-func (d *Device) ReadAtInto(p *vtime.Proc, key blob.ID, off, length int64, dst []byte) (out []byte, ok bool, err error) {
-	h, ok := d.blobs[key]
-	if !ok {
-		return nil, false, nil
-	}
-	if off >= int64(len(h.buf)) {
-		return nil, true, nil
-	}
-	src := h.buf[off:min(off+length, int64(len(h.buf)))]
-	d.copied += int64(len(src))
-	out = fill(dst, src)
-	if err = d.finishRead(p, key, int64(len(out))); err != nil {
-		return nil, true, err
-	}
-	return out, true, nil
-}
-
-// ReadAtLease is ReadAtInto for a reader that only reads the bytes: it
-// charges exactly what ReadAtInto charges, but returns the stored bytes
-// themselves, blob[off:end:end], as a range borrowed under a handle of its
-// own made when the read starts (Arrays), which holds the stored blob's
-// handle, so it returns the bytes stored then. The caller gives the lease
-// back with Arrays.Release. A failed read holds no lease.
+// ReadAtLease reads length bytes of a blob starting at off, truncated at
+// the blob's end, and charges read cost for the range. It returns the
+// stored bytes themselves, blob[off:end:end], as a range borrowed under a
+// handle of its own made when the read starts (Arrays), which holds the
+// stored blob's handle, so it returns the bytes stored then. The caller
+// gives the lease back with Arrays.Release. A read that starts past the
+// end returns no lease and charges nothing; a failed read holds none.
 func (d *Device) ReadAtLease(p *vtime.Proc, key blob.ID, off, length int64) (r *Lease, ok bool, err error) {
 	h, ok := d.blobs[key]
 	if !ok {
@@ -803,7 +744,7 @@ func (d *Device) Peek(key blob.ID) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return fill(nil, h.buf), true
+	return bytes.Clone(h.buf), true
 }
 
 // List returns all blob IDs in blob.Less order (deterministic).

@@ -27,6 +27,17 @@ func run(t *testing.T, fn func(p *vtime.Proc)) {
 	}
 }
 
+// readAt is ReadAtLease with a copy of the range, the lease given back.
+func readAt(p *vtime.Proc, d *Device, key blob.ID, off, length int64) ([]byte, bool) {
+	r, ok, _ := d.ReadAtLease(p, key, off, length)
+	if r == nil {
+		return nil, ok
+	}
+	got := bytes.Clone(r.buf)
+	d.arrays.Release(r)
+	return got, ok
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	run(t, func(p *vtime.Proc) {
 		d := New("nvme0", NVMeProfile(MB))
@@ -122,7 +133,7 @@ func TestWriteAtAndReadAt(t *testing.T) {
 		if err := d.WriteAt(p, bid("k"), 3, []byte("XYZ")); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, _ := d.ReadAtInto(p, bid("k"), 2, 6, nil)
+		got, ok := readAt(p, d, bid("k"), 2, 6)
 		if !ok || string(got) != "2XYZ67" {
 			t.Errorf("ReadAt = %q, %v; want 2XYZ67", got, ok)
 		}
@@ -145,11 +156,11 @@ func TestReadAtPastEnd(t *testing.T) {
 		if err := d.Write(p, bid("k"), []byte("abc")); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, _ := d.ReadAtInto(p, bid("k"), 2, 10, nil)
+		got, ok := readAt(p, d, bid("k"), 2, 10)
 		if !ok || string(got) != "c" {
 			t.Errorf("truncated ReadAt = %q, %v", got, ok)
 		}
-		got, ok, _ = d.ReadAtInto(p, bid("k"), 5, 10, nil)
+		got, ok = readAt(p, d, bid("k"), 5, 10)
 		if !ok || len(got) != 0 {
 			t.Errorf("ReadAt fully past end = %q, %v; want empty, true", got, ok)
 		}
@@ -176,7 +187,7 @@ func TestMissingBlob(t *testing.T) {
 		if _, ok, _ := d.Read(p, bid("nope")); ok {
 			t.Error("Read of missing blob returned ok")
 		}
-		if _, ok, _ := d.ReadAtInto(p, bid("nope"), 0, 10, nil); ok {
+		if _, ok := readAt(p, d, bid("nope"), 0, 10); ok {
 			t.Error("ReadAt of missing blob returned ok")
 		}
 		if d.BlobSize(bid("nope")) != -1 {

@@ -22,15 +22,16 @@ func TestSameLengthWriteKeepsCallerAndReadersApart(t *testing.T) {
 			t.Fatal(err)
 		}
 		read1, _, _ := d.Read(p, k)
-		into1, _, _ := d.ReadInto(p, k, make([]byte, 0, 8))
+		lease1, _, _ := d.ReadLease(p, k)
 
 		second := []byte{5, 6, 7, 8}
 		if err := d.Write(p, k, second); err != nil { // same length: in place
 			t.Fatal(err)
 		}
-		if !bytes.Equal(read1, first) || !bytes.Equal(into1, first) {
-			t.Errorf("a later same-length Write changed earlier reads: Read=%v ReadInto=%v", read1, into1)
+		if !bytes.Equal(read1, first) || !bytes.Equal(lease1.buf, first) {
+			t.Errorf("a later same-length Write changed earlier reads: Read=%v ReadLease=%v", read1, lease1.buf)
 		}
+		d.arrays.Release(lease1)
 		second[0] = 99 // the caller's slice after Write
 		first[1] = 98  // and the first payload, whose array the device must not have kept
 		got, _, _ := d.Read(p, k)
@@ -255,9 +256,9 @@ func BenchmarkOverwritePath(b *testing.B) {
 	})
 }
 
-// BenchmarkReadIntoPath is the page fault at the device: a read into the
-// caller's buffer, which must allocate nothing.
-func BenchmarkReadIntoPath(b *testing.B) {
+// BenchmarkReadLeasePath is the page fault at the device: a lease read and
+// its release, which must allocate nothing.
+func BenchmarkReadLeasePath(b *testing.B) {
 	benchDevice(b, func(p *vtime.Proc, d *Device) {
 		page := make([]byte, 64*KB)
 		k := bid("page")
@@ -268,9 +269,11 @@ func BenchmarkReadIntoPath(b *testing.B) {
 		b.SetBytes(int64(len(page)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, ok, err := d.ReadInto(p, k, page); !ok || err != nil {
+			h, ok, err := d.ReadLease(p, k)
+			if !ok || err != nil {
 				b.Fatal(ok, err)
 			}
+			d.arrays.Release(h)
 		}
 	})
 }

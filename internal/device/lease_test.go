@@ -156,38 +156,44 @@ func TestLeasedArrayIsNotRecycledWhileLeased(t *testing.T) {
 	}
 }
 
-// TestReadLeaseChargesWhatReadIntoCharges: a lease read costs the same
-// virtual time and counts the same operation as a copying read; only the
-// copy is gone.
-func TestReadLeaseChargesWhatReadIntoCharges(t *testing.T) {
-	var took [2]vtime.Duration
-	var copied [2]int64
-	for i, lease := range []bool{false, true} {
+// TestReadChargesLatencyPlusBytesAtReadBW: on an idle device a read of n
+// bytes takes the device's latency plus n at its read bandwidth and counts
+// one read of n bytes. ReadLease returns the stored array itself, and
+// Read, the same read, a copy of it.
+func TestReadChargesLatencyPlusBytesAtReadBW(t *testing.T) {
+	const n = 48 << 10
+	for _, copying := range []bool{false, true} {
 		run(t, func(p *vtime.Proc) {
 			d := New("nvme", NVMeProfile(MB))
 			k := bid("page")
-			if err := d.Write(p, k, make([]byte, 48<<10)); err != nil {
+			if err := d.Write(p, k, pattern(n)); err != nil {
 				t.Fatal(err)
 			}
 			start := p.Now()
-			if lease {
+			var got []byte
+			if copying {
+				got, _, _ = d.Read(p, k)
+				if sameArray(got, d.blobs[k].buf) {
+					t.Error("Read returned the stored array, not a copy")
+				}
+			} else {
 				h, _, _ := d.ReadLease(p, k)
+				got = h.buf
+				if h != d.blobs[k] {
+					t.Error("ReadLease returned a handle other than the stored blob's")
+				}
 				d.arrays.Release(h)
-			} else if _, _, err := d.ReadInto(p, k, nil); err != nil {
-				t.Fatal(err)
 			}
-			took[i] = p.Now() - start
-			if ops, _, n, _ := d.Stats(); ops != 1 || n != 48<<10 {
-				t.Errorf("lease=%v: %d reads of %d bytes counted, want 1 of %d", lease, ops, n, 48<<10)
+			if took, want := p.Now()-start, d.prof.Latency+vtime.BytesAt(n, d.prof.ReadBW); took != want {
+				t.Errorf("copying=%v: the read took %v, want latency + n/ReadBW = %v", copying, took, want)
 			}
-			copied[i] = d.CopiedBytes()
+			if !bytes.Equal(got, pattern(n)) {
+				t.Errorf("copying=%v: the read returned the wrong bytes", copying)
+			}
+			if ops, _, nb, _ := d.Stats(); ops != 1 || nb != n {
+				t.Errorf("copying=%v: %d reads of %d bytes counted, want 1 of %d", copying, ops, nb, n)
+			}
 		})
-	}
-	if took[0] != took[1] {
-		t.Errorf("ReadInto took %v, ReadLease %v", took[0], took[1])
-	}
-	if copied != [2]int64{48 << 10, 0} {
-		t.Errorf("copied bytes %v, want [%d 0]", copied, 48<<10)
 	}
 }
 

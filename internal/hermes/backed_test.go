@@ -20,10 +20,12 @@ func backupOf(p *vtime.Proc, h *Hermes, id blob.ID) []byte {
 	if _, ok := h.PlacementOf(id.Backup(0)); !ok {
 		return nil
 	}
-	data, ok := h.ReadBackup(p, 0, id, 0, nil)
+	l, ok := h.ReadBackup(p, 0, id, 0)
 	if !ok {
 		return nil
 	}
+	data := bytes.Clone(l.Bytes())
+	h.c.Arrays.Release(l)
 	return data
 }
 

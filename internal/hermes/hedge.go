@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"megammap/internal/blob"
+	"megammap/internal/device"
 	"megammap/internal/vtime"
 )
 
@@ -60,11 +61,13 @@ func (h *Hermes) SetQuarantined(node int, v bool) {
 	}
 }
 
-// hedgeResult is one leg's outcome in a hedged-read race.
+// hedgeResult is one leg's outcome in a hedged-read race: a clean read
+// that found the blob holds a lease on it, which the caller takes over if
+// the leg wins and the leg gives back if it loses.
 type hedgeResult struct {
-	data []byte
-	ok   bool
-	err  error
+	l   *device.Lease
+	ok  bool
+	err error
 }
 
 // clean reports a usable answer: no error (ok=false with no error is a
@@ -88,27 +91,31 @@ func (hr *hedgeRace) win(r *hedgeResult) {
 
 // getHedged races the primary read against a delayed speculative backup
 // read. hedged=false means no eligible backup replica exists and the
-// caller should take the normal path. Both legs read into fresh buffers
-// (never the caller's dst — the loser keeps running after the caller
-// has reclaimed its buffer) and charge their own device and fabric
-// costs; the caller observes only the winner's end-to-end latency. The
-// legs outlive the call, so each pins the record it reads until it ends.
-func (h *Hermes) getHedged(p *vtime.Proc, fromNode int, id blob.ID, pl *Placement) (data []byte, ok bool, err error, hedged bool) {
+// caller should take the normal path. Each leg leases what it reads and
+// charges its own device and fabric costs; the caller observes only the
+// winner's end-to-end latency and takes over the winner's lease as is.
+// The legs outlive the call, so each pins the record it reads until it
+// ends, a loser gives its lease back when its read ends, and the store
+// counts them in flight (legs) so its owner can wait for them.
+func (h *Hermes) getHedged(p *vtime.Proc, fromNode int, id blob.ID, pl *Placement) (l *device.Lease, ok bool, err error, hedged bool) {
 	bp, bkID := h.failover(id)
 	if bp == nil || bp.Node == pl.Node {
 		return nil, false, nil, false
 	}
 	h.pin(pl)
 	h.pin(bp)
+	h.legs.Add(2)
 	hr := &hedgeRace{}
 	span := p.TraceSpan()
 	start := p.Now()
 
 	h.c.Engine.Spawn("hedge-primary", func(pp *vtime.Proc) {
+		defer h.legs.Done()
 		defer h.unpin(pl)
 		pp.SetTraceSpan(span)
-		r := h.readCopy(pp, fromNode, pl, id)
+		r := h.readLeg(pp, fromNode, pl, id)
 		if hr.winner != nil {
+			h.lose(r)
 			return // backup already won; this leg's cost is the hedge tax
 		}
 		if r.clean() || hr.backupDone {
@@ -121,6 +128,7 @@ func (h *Hermes) getHedged(p *vtime.Proc, fromNode int, id blob.ID, pl *Placemen
 	})
 
 	h.c.Engine.Spawn("hedge-backup", func(pp *vtime.Proc) {
+		defer h.legs.Done()
 		defer h.unpin(bp)
 		pp.SetTraceSpan(span)
 		pp.Sleep(h.hedgeDelay)
@@ -129,17 +137,19 @@ func (h *Hermes) getHedged(p *vtime.Proc, fromNode int, id blob.ID, pl *Placemen
 			return // primary answered within the hedge delay: nothing launched
 		}
 		h.inj.Note("hedge.launched")
-		r := h.readCopy(pp, fromNode, bp, bkID)
+		r := h.readLeg(pp, fromNode, bp, bkID)
 		hr.backupDone = true
 		if hr.winner != nil {
+			h.lose(r)
 			h.inj.Note("hedge.wasted") // lost the race; cost already charged
 			return
 		}
-		if r.clean() && (!r.ok || h.hedgeVerify == nil || h.hedgeVerify(id, r.data)) {
+		if r.clean() && (!r.ok || h.hedgeVerify == nil || h.hedgeVerify(id, r.l.Bytes())) {
 			h.inj.Note("hedge.won")
 			hr.win(r)
 			return
 		}
+		h.lose(r)
 		// Backup unusable (failed read or CRC mismatch): the speculation
 		// was wasted. If the primary already failed too, surface its
 		// result; otherwise the primary leg will fire when it finishes.
@@ -153,25 +163,29 @@ func (h *Hermes) getHedged(p *vtime.Proc, fromNode int, id blob.ID, pl *Placemen
 	hr.done.Wait(p)
 	h.hHedgeWait.Observe(int64(p.Now() - start))
 	r := hr.winner
-	if r.err != nil {
-		return nil, r.ok, r.err, true
-	}
-	return r.data, r.ok, nil, true
+	return r.l, r.ok, r.err, true
 }
 
-// readCopy reads one placement's bytes on behalf of a hedged-read leg:
+// lose gives back a losing leg's lease, if its read took one.
+func (h *Hermes) lose(r *hedgeResult) {
+	if r.l != nil {
+		h.c.Arrays.Release(r.l)
+	}
+}
+
+// readLeg leases one placement's bytes on behalf of a hedged-read leg:
 // device read with the plan's retry policy, then the fabric transfer to
 // the reader's node. Each leg charges its own costs so the loser's
 // spend is honestly accounted.
-func (h *Hermes) readCopy(p *vtime.Proc, fromNode int, pl *Placement, rid blob.ID) *hedgeResult {
+func (h *Hermes) readLeg(p *vtime.Proc, fromNode int, pl *Placement, rid blob.ID) *hedgeResult {
 	dev := pl.dev
-	var data []byte
+	var l *device.Lease
 	var ok, down bool
 	err := h.inj.Do(p, "retry.scache_read", func() (err error) {
 		if down = !h.reachable(pl); down { // a crash can land during a backoff sleep
 			return h.nodeDownErr(rid)
 		}
-		data, ok, err = dev.Read(p, rid)
+		l, ok, err = dev.ReadLease(p, rid)
 		return err
 	})
 	switch {
@@ -181,7 +195,7 @@ func (h *Hermes) readCopy(p *vtime.Proc, fromNode int, pl *Placement, rid blob.I
 		return &hedgeResult{ok: ok, err: fmt.Errorf("hermes: reading blob %q: %w", h.DisplayName(rid), err)}
 	}
 	if ok && pl.Node != fromNode {
-		h.c.Fabric.Transfer(p, pl.Node, fromNode, int64(len(data)))
+		h.c.Fabric.Transfer(p, pl.Node, fromNode, int64(len(l.Bytes())))
 	}
-	return &hedgeResult{data: data, ok: ok}
+	return &hedgeResult{l: l, ok: ok}
 }

@@ -166,6 +166,9 @@ type Hermes struct {
 	hedgeDelay  vtime.Duration
 	hedgeVerify func(id blob.ID, data []byte) bool
 	hHedgeWait  telemetry.Histogram
+	// legs counts the hedged-read legs in flight: a loser outlives its
+	// caller, holding a lease while it reads (WaitLegs).
+	legs vtime.WaitGroup
 
 	// pidx indexes per-node free space for the placement engine: first-fit
 	// queries run in O(log N) against device-hook-fed segment trees
@@ -194,12 +197,6 @@ type Hermes struct {
 	mdLookups int64
 	moved     int64
 	movedByte int64
-
-	// borrow/giveBack lend page buffers for reads whose bytes hermes
-	// discards before returning (move, repair, primary recovery); see
-	// SetScratch.
-	borrow   func(size int64) []byte
-	giveBack func([]byte)
 
 	// endUsage is TierUsage as it stood at Release, nil before.
 	endUsage map[string]int64
@@ -266,21 +263,9 @@ func New(c *cluster.Cluster, tiers []string) *Hermes {
 		h.org.tierIdx[topology.PoolTier] = len(tiers) // pool ranks below every local tier
 	}
 	h.idxInit()
-	h.SetScratch(func(int64) []byte { return nil }, func([]byte) {})
 	h.SetFaults(c.Faults())
 	h.SetTelemetry(c.Telemetry())
 	return h
-}
-
-// SetScratch lends hermes the owner's page-buffer pool (core's DSM pool)
-// for internal reads that only relay a blob between devices: borrow must
-// return a buffer of at least size bytes whose contents hermes may
-// overwrite (or nil: the read then allocates), and every borrowed buffer
-// goes back through giveBack once the destination device has stored its
-// own copy. Raw hermes deployments have no owner: New installs a lender
-// that returns nil.
-func (h *Hermes) SetScratch(borrow func(size int64) []byte, giveBack func([]byte)) {
-	h.borrow, h.giveBack = borrow, giveBack
 }
 
 // SetTelemetry attaches the telemetry plane: scache operations record
@@ -577,17 +562,17 @@ func (h *Hermes) writeRetry(p *vtime.Proc, dev *device.Device, id blob.ID, data 
 	})
 }
 
-// readRetry reads a blob from dev into dst's storage (see
-// device.ReadInto) under the retry policy; counter names the site's retry
-// counter. For reads that stay on one device: GetInto and the hedged
-// legs re-check reachability (and fail over) between attempts, so they
-// loop themselves.
-func (h *Hermes) readRetry(p *vtime.Proc, dev *device.Device, id blob.ID, counter string, dst []byte) (data []byte, ok bool, err error) {
+// readRetry leases a blob from dev (device.ReadLease) under the retry
+// policy; counter names the site's retry counter. The caller gives the
+// lease back with the cluster's Arrays.Release. For reads that stay on one
+// device: GetLease and the hedged legs re-check reachability (and fail
+// over) between attempts, so they loop themselves.
+func (h *Hermes) readRetry(p *vtime.Proc, dev *device.Device, id blob.ID, counter string) (l *device.Lease, ok bool, err error) {
 	err = h.inj.Do(p, counter, func() (e error) {
-		data, ok, e = dev.ReadInto(p, id, dst)
+		l, ok, e = dev.ReadLease(p, id)
 		return e
 	})
-	return data, ok, err
+	return l, ok, err
 }
 
 // Put stores (or replaces) a blob, choosing a target near prefNode, and
@@ -782,14 +767,13 @@ func (h *Hermes) replicateStored(p *vtime.Proc, pl *Placement, id blob.ID) {
 	if h.replicas == 0 {
 		return
 	}
-	buf := h.borrow(pl.Size)
-	defer h.giveBack(buf)
-	data, ok, err := h.readRetry(p, pl.dev, id, "retry.scache_read", buf)
+	l, ok, err := h.readRetry(p, pl.dev, id, "retry.scache_read")
 	if err != nil || !ok {
 		h.enqueueRepair(id)
 		return
 	}
-	h.replicate(p, pl.Node, id, data)
+	h.replicate(p, pl.Node, id, l.Bytes())
+	h.c.Arrays.Release(l)
 }
 
 // storeBackup ships one backup copy from the primary's node to (node,
@@ -951,13 +935,12 @@ func (h *Hermes) repairBlob(p *vtime.Proc, id blob.ID) (requeue, worked bool) {
 	if _, _, ok := h.placeBackup(pl.Size, pl.Node, id); !ok {
 		return true, worked
 	}
-	buf := h.borrow(pl.Size)
-	defer h.giveBack(buf)
-	data, ok, err := h.readRetry(p, pl.dev, id, "retry.repair_read", buf)
+	l, ok, err := h.readRetry(p, pl.dev, id, "retry.repair_read")
 	if err != nil || !ok {
 		return true, true
 	}
-	filled := h.repairReplicate(p, pl.Node, id, data)
+	filled := h.repairReplicate(p, pl.Node, id, l.Bytes())
+	h.c.Arrays.Release(l)
 	for i := 0; i < filled; i++ {
 		h.inj.Note("repair.replicate")
 	}
@@ -1000,12 +983,12 @@ func (h *Hermes) holdsCopy(node int, id blob.ID) bool {
 	return false
 }
 
-// ReadBackup reads backup slot's bytes into dst's storage (see GetInto),
-// charging device and fabric costs. The corruption-repair path uses it to
-// fetch replica bytes and verify their checksum before rewriting a
-// mismatched primary. ok is false when the slot is missing, unreachable,
-// or unreadable.
-func (h *Hermes) ReadBackup(p *vtime.Proc, fromNode int, id blob.ID, slot int, dst []byte) ([]byte, bool) {
+// ReadBackup leases backup slot's stored bytes as GetLease does,
+// charging device and fabric costs; the caller gives the lease back. The
+// corruption-repair path uses it to fetch replica bytes and verify their
+// checksum before rewriting a mismatched primary. ok is false, with no
+// lease, when the slot is missing, unreachable, or unreadable.
+func (h *Hermes) ReadBackup(p *vtime.Proc, fromNode int, id blob.ID, slot int) (*device.Lease, bool) {
 	bk := id.Backup(slot)
 	bp := h.meta[bk]
 	if bp == nil || !h.reachable(bp) {
@@ -1013,14 +996,14 @@ func (h *Hermes) ReadBackup(p *vtime.Proc, fromNode int, id blob.ID, slot int, d
 	}
 	h.pin(bp) // its node is read after the read yields
 	defer h.unpin(bp)
-	data, ok, err := h.readRetry(p, bp.dev, bk, "retry.scache_read", dst)
+	l, ok, err := h.readRetry(p, bp.dev, bk, "retry.scache_read")
 	if err != nil || !ok {
 		return nil, false
 	}
 	if bp.Node != fromNode {
-		h.c.Fabric.Transfer(p, bp.Node, fromNode, int64(len(data)))
+		h.c.Fabric.Transfer(p, bp.Node, fromNode, int64(len(l.Bytes())))
 	}
-	return data, true
+	return l, true
 }
 
 // PutLocal stores a blob only if a tier on the given node has capacity;
@@ -1064,9 +1047,11 @@ func (h *Hermes) recoverPrimary(p *vtime.Proc, id blob.ID) (pl *Placement, err e
 	defer h.unpin(stale)
 	h.pin(bp)
 	defer h.unpin(bp)
-	buf := h.borrow(bp.Size)
-	defer h.giveBack(buf)
-	data, ok, err := h.readRetry(p, bp.dev, bk, "retry.scache_read", buf)
+	l, ok, err := h.readRetry(p, bp.dev, bk, "retry.scache_read")
+	if l != nil {
+		defer h.c.Arrays.Release(l)
+	}
+	data := l.Bytes()
 	if cur := h.meta[id]; cur != stale {
 		// A Put (or Delete) ran while the backup read yielded: the bytes
 		// just read are older than what is placed now, and must not
@@ -1154,59 +1139,41 @@ func (h *Hermes) PutAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data 
 	return nil
 }
 
-// Get returns a copy of the blob's bytes, charging device and network
-// costs, or ok=false if the blob does not exist. If the primary copy's
-// node has failed, the read fails over to a backup replica; when no live
-// copy remains the error wraps faults.ErrNodeDown. Injected transient
-// device faults are retried under the backoff policy.
+// Get returns a copy of the blob's bytes: GetLease with the copy the
+// caller would make.
 func (h *Hermes) Get(p *vtime.Proc, fromNode int, id blob.ID) ([]byte, bool, error) {
-	return h.GetInto(p, fromNode, id, nil)
-}
-
-// GetInto is Get reusing dst's storage for the result when it is large
-// enough (see device.ReadInto). The returned slice never aliases device
-// storage; the caller owns it either way.
-func (h *Hermes) GetInto(p *vtime.Proc, fromNode int, id blob.ID, dst []byte) (data []byte, ok bool, err error) {
-	data, _, ok, err = h.get(p, fromNode, id, dst, false)
-	return data, ok, err
-}
-
-// GetLease is Get for a reader that only reads the bytes: the primary and
-// failover reads lease the stored blob's handle instead of copying it
-// (device.ReadLease), and a hedged read's winner, a copy of its own, is
-// wrapped in a handle too, so a read that returns bytes always returns
-// them under one lease, which the caller gives back with the cluster's
-// Arrays.Release. The bytes are immutable while leased. It charges what
-// GetInto charges; a read that fails or finds nothing holds no lease.
-func (h *Hermes) GetLease(p *vtime.Proc, fromNode int, id blob.ID) (l *device.Lease, ok bool, err error) {
-	_, l, ok, err = h.get(p, fromNode, id, nil, true)
-	return l, ok, err
-}
-
-// readOnce is one device read of a GetInto (lease false) or GetLease
-// (then l holds data).
-func readOnce(p *vtime.Proc, dev *device.Device, id blob.ID, dst []byte, lease bool) (data []byte, l *device.Lease, ok bool, err error) {
-	if lease {
-		l, ok, err = dev.ReadLease(p, id)
-		return l.Bytes(), l, ok, err
+	l, ok, err := h.GetLease(p, fromNode, id)
+	if l == nil {
+		return nil, ok, err
 	}
-	data, ok, err = dev.ReadInto(p, id, dst)
-	return data, nil, ok, err
+	data := make([]byte, len(l.Bytes()))
+	copy(data, l.Bytes())
+	h.c.Arrays.Release(l)
+	return data, true, nil
 }
 
-// get is GetInto, or GetLease when lease is set: then l holds data.
-func (h *Hermes) get(p *vtime.Proc, fromNode int, id blob.ID, dst []byte, lease bool) (data []byte, l *device.Lease, ok bool, err error) {
+// GetLease is hermes's read: it returns the blob's stored bytes under a
+// lease on their handle (device.ReadLease), charging device and network
+// costs, or ok=false if the blob does not exist. The bytes are immutable
+// while leased; the caller gives the lease back with the cluster's
+// Arrays.Release, and copies them first if it keeps them. If the primary
+// copy's node has failed, the read fails over to a backup replica; when
+// no live copy remains the error wraps faults.ErrNodeDown. Injected
+// transient device faults are retried under the backoff policy. A hedged
+// read returns its winning leg's lease. A read that fails or finds
+// nothing holds no lease.
+func (h *Hermes) GetLease(p *vtime.Proc, fromNode int, id blob.ID) (l *device.Lease, ok bool, err error) {
 	sp := h.trc.Enter(p, telemetry.OpScacheGet, fromNode, id.Vec, id.Page)
-	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
+	defer func() { sp.Exit(p, int64(len(l.Bytes())), err != nil) }()
 	pl := h.lookup(p, fromNode, id)
 	if pl == nil {
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
 	readID := id
 	if !h.reachable(pl) {
 		pl, readID = h.failover(id)
 		if pl == nil {
-			return nil, nil, false, h.nodeDownErr(id)
+			return nil, false, h.nodeDownErr(id)
 		}
 	}
 	// The record read from (the primary's, or a failover's) is read again
@@ -1222,14 +1189,12 @@ func (h *Hermes) get(p *vtime.Proc, fromNode int, id blob.ID, dst []byte, lease 
 	// (health plane off) skips this branch entirely, so the default read
 	// path is byte-for-byte unchanged.
 	if h.hedgeDelay > 0 && readID == id && h.suspect[pl.Node] {
-		if data, ok, err, hedged := h.getHedged(p, fromNode, id, pl); hedged {
-			if lease && ok && err == nil {
-				l = h.c.Arrays.Wrap(data) // the winner's own copy
-			}
-			return data, l, ok, err
+		var hedged bool
+		if l, ok, err, hedged = h.getHedged(p, fromNode, id, pl); hedged {
+			return l, ok, err
 		}
 	}
-	data, l, ok, err = readOnce(p, pl.dev, readID, dst, lease)
+	l, ok, err = pl.dev.ReadLease(p, readID)
 	// Its own loop, not Injector.Do: it fails over to a backup between attempts.
 	for attempt := 1; err != nil && faults.Transient(err) && h.inj.Allow(attempt); attempt++ {
 		h.inj.Backoff(p, "retry.scache_read", attempt)
@@ -1237,22 +1202,22 @@ func (h *Hermes) get(p *vtime.Proc, fromNode int, id blob.ID, dst []byte, lease 
 			h.unpin(pl)
 			pl, readID = h.failover(id)
 			if pl == nil {
-				return nil, nil, false, h.nodeDownErr(id)
+				return nil, false, h.nodeDownErr(id)
 			}
 			h.pin(pl)
 		}
-		data, l, ok, err = readOnce(p, pl.dev, readID, dst, lease)
+		l, ok, err = pl.dev.ReadLease(p, readID)
 	}
 	if err != nil {
-		return nil, nil, ok, fmt.Errorf("hermes: reading blob %q: %w", h.DisplayName(id), err)
+		return nil, ok, fmt.Errorf("hermes: reading blob %q: %w", h.DisplayName(id), err)
 	}
 	if ok && h.pools > 0 {
 		h.notePoolRead(pl.Tier)
 	}
 	if ok && pl.Node != fromNode {
-		h.c.Fabric.Transfer(p, pl.Node, fromNode, int64(len(data)))
+		h.c.Fabric.Transfer(p, pl.Node, fromNode, int64(len(l.Bytes())))
 	}
-	return data, l, ok, nil
+	return l, ok, nil
 }
 
 // notePoolRead maintains the pool hit-ratio counters (disaggregated
@@ -1592,14 +1557,14 @@ func (h *Hermes) move(p *vtime.Proc, id blob.ID, pl *Placement, node int, tier s
 	h.pin(pl) // re-pointed once the read and the adopt have yielded
 	defer h.unpin(pl)
 	src, dst := pl.dev, h.device(node, tier)
-	buf := h.borrow(pl.Size)
-	defer h.giveBack(buf)
-	data, ok, err := h.readRetry(p, src, id, "retry.organize", buf)
+	l, ok, err := h.readRetry(p, src, id, "retry.organize")
 	if !ok || err != nil {
 		return // unreadable right now; the next pass can retry the move
 	}
+	n := int64(len(l.Bytes()))
+	h.c.Arrays.Release(l) // the read only charges: Adopt hands the array over
 	if pl.Node != node {
-		h.c.Fabric.Transfer(p, pl.Node, node, int64(len(data)))
+		h.c.Fabric.Transfer(p, pl.Node, node, n)
 	}
 	err = h.inj.Do(p, "retry.scache_write", func() (e error) {
 		ok, e = dst.Adopt(p, src, id)
@@ -1610,8 +1575,13 @@ func (h *Hermes) move(p *vtime.Proc, id blob.ID, pl *Placement, node int, tier s
 	}
 	pl.Node, pl.Tier, pl.dev, pl.Inc = node, tier, dst, h.inc[node]
 	h.moved++
-	h.movedByte += int64(len(data))
+	h.movedByte += n
 }
+
+// WaitLegs blocks p until every hedged-read leg has ended, and with it
+// the lease a losing leg holds while it reads. The owner calls it before
+// it audits leases (core's Shutdown).
+func (h *Hermes) WaitLegs(p *vtime.Proc) { h.legs.Wait(p) }
 
 // Release gives back everything the store placed: each blob its metadata
 // names leaves its device, uncharged, and the metadata, the slab and the

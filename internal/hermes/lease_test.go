@@ -5,9 +5,22 @@ import (
 	"testing"
 
 	"megammap/internal/blob"
+	"megammap/internal/cluster"
 	"megammap/internal/device"
 	"megammap/internal/vtime"
 )
+
+// pfsRead returns a copy of the PFS object's bytes [off, off+n), read
+// from node 0, the lease given back.
+func pfsRead(p *vtime.Proc, c *cluster.Cluster, key string, off, n int64) []byte {
+	l, _, _ := c.PFSReadLease(p, 0, key, off, n)
+	if l == nil {
+		return nil
+	}
+	got := bytes.Clone(l.Bytes())
+	c.Arrays.Release(l)
+	return got
+}
 
 // TestPutBackedKeepsTheCallersImage: a lending PutBacked stores the
 // caller's handle itself, the caller still a holder. A later read leases
@@ -80,60 +93,71 @@ func TestFailedLendingPutLeasesNothing(t *testing.T) {
 	})
 }
 
-// TestGetLeaseChargesWhatGetIntoCharges: the primary read and the
-// failover read each lease the stored array, at the virtual cost of a
-// copying read.
-func TestGetLeaseChargesWhatGetIntoCharges(t *testing.T) {
-	var took [2][2]vtime.Duration // [lease][primary, failover]
-	for li, lease := range []bool{false, true} {
-		c, h := newHermes(3)
-		h.SetReplicas(1)
-		run(t, c, func(p *vtime.Proc) {
-			id := h.Key("v/0")
-			data := bytes.Repeat([]byte{7}, 8192)
-			if err := h.Put(p, 0, id, data, 1.0, 0); err != nil {
-				t.Fatal(err)
-			}
-			for i := range 2 {
-				if i == 1 {
-					pl, _ := h.PlacementOf(id)
-					h.FailNode(pl.Node)
-				}
-				start := p.Now()
-				var got []byte
-				var l *device.Lease
-				var err error
-				if lease {
-					l, _, err = h.GetLease(p, 2, id)
-					got = l.Bytes()
-				} else {
-					got, _, err = h.GetInto(p, 2, id, nil)
-				}
-				took[li][i] = p.Now() - start
-				if err != nil || !bytes.Equal(got, data) {
-					t.Fatalf("lease=%v read %d: err=%v", lease, i, err)
-				}
-				if lease {
-					if n := c.Arrays.Leases(); n != 1 {
-						t.Errorf("read %d: %d leases out, want 1", i, n)
-					}
-					c.Arrays.Release(l)
-				}
-			}
-		})
-		if n := c.Arrays.Leases(); n != 0 {
-			t.Errorf("lease=%v: %d leases out at the end", lease, n)
+// TestGetLeaseChargesLookupDeviceAndHop: a read costs its metadata
+// lookup (what Has charges for the same blob and reader), the storing
+// device's read (latency plus n at its read bandwidth) and the fabric hop
+// to the reader (a Transfer of n bytes on the idle fabric), for the
+// primary read and for the failover read of a backup alike; each returns
+// the stored blob's own handle under one lease.
+func TestGetLeaseChargesLookupDeviceAndHop(t *testing.T) {
+	const n = 8192
+	c, h := newHermes(3)
+	h.SetReplicas(1)
+	run(t, c, func(p *vtime.Proc) {
+		id := h.Key("v/0")
+		data := bytes.Repeat([]byte{7}, n)
+		if err := h.Put(p, 0, id, data, 1.0, 0); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if took[0] != took[1] {
-		t.Errorf("GetInto took %v (primary, failover), GetLease %v", took[0], took[1])
+		took := func(f func()) vtime.Duration {
+			start := p.Now()
+			f()
+			return p.Now() - start
+		}
+		pri, _ := h.PlacementOf(id)
+		bp, _ := h.PlacementOf(id.Backup(0))
+		reader := 3 - pri.Node - bp.Node // the node holding no copy
+		for i, rid := range []blob.ID{id, id.Backup(0)} {
+			pl := pri
+			if i == 1 {
+				pl = bp
+				h.FailNode(pri.Node)
+			}
+			dev := c.Nodes[pl.Node].Devices[pl.Tier]
+			var l *device.Lease
+			var err error
+			got := took(func() { l, _, err = h.GetLease(p, reader, id) })
+			if err != nil || !bytes.Equal(l.Bytes(), data) {
+				t.Fatalf("read %d: err=%v", i, err)
+			}
+			if stored, _, _ := dev.ReadLease(p, rid); stored != l {
+				t.Errorf("read %d did not return the stored blob's handle", i)
+			} else {
+				c.Arrays.Release(stored)
+			}
+			if n := c.Arrays.Leases(); n != 1 {
+				t.Errorf("read %d: %d leases out, want 1", i, n)
+			}
+			c.Arrays.Release(l)
+			lookup := took(func() { h.Has(p, reader, id) })
+			hop := took(func() { c.Fabric.Transfer(p, pl.Node, reader, n) })
+			read := dev.Profile().Latency + vtime.BytesAt(n, dev.Profile().ReadBW)
+			if want := lookup + read + hop; got != want {
+				t.Errorf("read %d took %v, want lookup %v + device %v + hop %v = %v", i, got, lookup, read, hop, want)
+			}
+		}
+	})
+	if n := c.Arrays.Leases(); n != 0 {
+		t.Errorf("%d leases out at the end", n)
 	}
 }
 
-// TestHedgedLeaseReadIsACopy: a hedged read's legs keep copying, so a
-// lease read that a backup leg wins returns a copy of its own, leased like
-// any GetLease result, and the stored arrays stay unleased.
-func TestHedgedLeaseReadIsACopy(t *testing.T) {
+// TestHedgedLeaseReadHandsOverTheWinner: a hedged read's legs lease what
+// they read, and the caller takes over the winning leg's lease as is: a
+// lease read that a backup leg wins returns the backup's stored handle
+// itself, and the slow primary leg, the loser, gives its lease back when
+// its read ends, after the caller has moved on.
+func TestHedgedLeaseReadHandsOverTheWinner(t *testing.T) {
 	c, h := newHermes(3)
 	h.SetReplicas(1)
 	run(t, c, func(p *vtime.Proc) {
@@ -144,13 +168,20 @@ func TestHedgedLeaseReadIsACopy(t *testing.T) {
 		if err != nil || !ok || !bytes.Equal(got.Bytes(), data) {
 			t.Fatalf("hedged lease read = %v bytes, ok=%v, err=%v", len(got.Bytes()), ok, err)
 		}
-		if n := c.Arrays.Leases(); n != 1 {
-			t.Errorf("%d leases out, want the winner's 1", n)
+		if n := c.Arrays.Leases(); n != 2 {
+			t.Errorf("%d leases out, want the winner's and the reading loser's 2", n)
+		}
+		bp, _ := h.PlacementOf(h.Key("v/0").Backup(0))
+		bdev := c.Nodes[bp.Node].Devices[bp.Tier]
+		if stored, _, _ := bdev.ReadLease(p, h.Key("v/0").Backup(0)); stored != got {
+			t.Error("the winner's lease is not the backup's stored handle")
+		} else {
+			c.Arrays.Release(stored)
 		}
 		c.Arrays.Release(got)
-		bp, _ := h.PlacementOf(h.Key("v/0").Backup(0))
-		if n := c.Nodes[bp.Node].Devices[bp.Tier].CopiedBytes(); n != int64(len(data)) {
-			t.Errorf("the winning backup leg copied %d bytes, want %d", n, len(data))
+		h.WaitLegs(p)
+		if n := c.Arrays.Leases(); n != 0 {
+			t.Errorf("%d leases out once the loser ended, want 0", n)
 		}
 	})
 	if h.hedgesWon() != 1 {
@@ -223,7 +254,7 @@ func TestPutBackedStoresABorrowedRange(t *testing.T) {
 		if got, _, _ := h.Get(p, 0, id); !bytes.Equal(got, old) || !bytes.Equal(r, old) {
 			t.Error("a PFS write reached the scache's or the holder's bytes")
 		}
-		if got, _, _ := c.PFSRead(p, 0, "rg0", page+10, 3); !bytes.Equal(got, []byte{0, 0, 0}) {
+		if got := pfsRead(p, c, "rg0", page+10, 3); !bytes.Equal(got, []byte{0, 0, 0}) {
 			t.Error("the PFS does not serve its own write")
 		}
 		checkUsed("after the PFS write")
@@ -258,7 +289,7 @@ func TestPutBackedStoresABorrowedRange(t *testing.T) {
 		if err := c.PFSWriteSized(p, 0, "rg0", page, bytes.Repeat([]byte{9}, page), 1<<20); err != nil {
 			t.Fatal(err)
 		}
-		if got, _, _ := c.PFSRead(p, 0, "rg0", page, page); !bytes.Equal(got, bytes.Repeat([]byte{9}, page)) {
+		if got := pfsRead(p, c, "rg0", page, page); !bytes.Equal(got, bytes.Repeat([]byte{9}, page)) {
 			t.Error("the PFS lost a write after every range went")
 		}
 	})

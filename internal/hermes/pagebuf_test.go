@@ -4,19 +4,19 @@ import (
 	"bytes"
 	"testing"
 
+	"megammap/internal/blob"
 	"megammap/internal/vtime"
 )
 
-// TestOverwriteAndGetIntoAllocateNothing holds hermes to its share of the
-// page-buffer budget: replacing a blob with one of the same length and
-// reading it into the caller's buffer allocate nothing at all — the
-// device overwrites its stored copy in place and fills the destination.
-func TestOverwriteAndGetIntoAllocateNothing(t *testing.T) {
+// TestOverwriteAndGetLeaseAllocateNothing holds hermes to its share of
+// the page-buffer budget: replacing a blob with one of the same length and
+// leasing it allocate nothing at all — the device overwrites its stored
+// copy in place, and the read hands out the stored array's handle.
+func TestOverwriteAndGetLeaseAllocateNothing(t *testing.T) {
 	c, h := newHermes(2)
 	run(t, c, func(p *vtime.Proc) {
 		id := h.Key("page")
 		page := bytes.Repeat([]byte{7}, 16<<10)
-		dst := make([]byte, len(page))
 		// Warm-up: the engine's timer heap and ready ring grow to what the
 		// loop keeps pending on first use.
 		for i := 0; i < 512; i++ {
@@ -32,15 +32,19 @@ func TestOverwriteAndGetIntoAllocateNothing(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("same-length Put allocates %v per call, want 0", n)
 		}
+		var got []byte
 		if n := testing.AllocsPerRun(100, func() {
-			if got, ok, err := h.GetInto(p, 1, id, dst); !ok || err != nil || &got[0] != &dst[0] {
-				t.Fatalf("GetInto: ok=%v err=%v aliases dst=%v", ok, err, ok && &got[0] == &dst[0])
+			l, ok, err := h.GetLease(p, 1, id)
+			if !ok || err != nil {
+				t.Fatalf("GetLease: ok=%v err=%v", ok, err)
 			}
+			got = l.Bytes()
+			c.Arrays.Release(l)
 		}); n != 0 {
-			t.Errorf("GetInto with a destination allocates %v per call, want 0", n)
+			t.Errorf("a lease read and its release allocate %v per call, want 0", n)
 		}
-		if !bytes.Equal(dst, page) {
-			t.Error("GetInto returned stale bytes after in-place overwrites")
+		if !bytes.Equal(got, page) {
+			t.Error("GetLease returned stale bytes after in-place overwrites")
 		}
 	})
 }
@@ -98,52 +102,50 @@ func TestOverlappingPutsKeepDeviceUsedExact(t *testing.T) {
 	}
 }
 
-// TestScratchBuffersAllComeBack: the reads hermes makes only to relay a
-// blob between devices (organizer move, primary recovery, backup repair)
-// borrow from the owner's pool and return every buffer, on success and
-// on failure, and relay the right bytes.
-func TestScratchBuffersAllComeBack(t *testing.T) {
+// TestRelayReadsGiveTheirLeasesBack: the reads hermes makes only to
+// relay a blob between devices — the organizer's move, primary recovery,
+// backup repair, and the replication of a backed primary a PutAt patched —
+// lease the stored array, give the lease back and relay the right bytes.
+func TestRelayReadsGiveTheirLeasesBack(t *testing.T) {
 	c, h := newHermes(3)
 	h.SetReplicas(1)
-	out := map[*byte]bool{}
-	borrowed := 0
-	h.SetScratch(func(size int64) []byte {
-		b := bytes.Repeat([]byte{0xEE}, int(size)) // stale contents, exactly sized
-		out[&b[0]] = true
-		borrowed++
-		return b
-	}, func(b []byte) {
-		if b == nil {
-			return
-		}
-		if !out[&b[0]] {
-			t.Error("a buffer that was never borrowed (or already returned) came back")
-		}
-		delete(out, &b[0])
-	})
 	run(t, c, func(p *vtime.Proc) {
-		id := h.Key("relay")
 		data := bytes.Repeat([]byte{3}, 4<<10)
-		check := func(step string, want int) {
+		check := func(step string, id blob.ID, want []byte) {
 			t.Helper()
-			got, ok, err := h.Get(p, 0, id)
-			if err != nil || !ok || !bytes.Equal(got, data) {
+			if n := c.Arrays.Leases(); n != 0 {
+				t.Fatalf("%s: %d leases out, want 0", step, n)
+			}
+			got, ok, err := h.Get(p, 1, id)
+			if err != nil || !ok || !bytes.Equal(got, want) {
 				t.Fatalf("%s: blob unreadable or changed: ok=%v err=%v", step, ok, err)
 			}
-			if borrowed != want || len(out) != 0 {
-				t.Fatalf("%s: %d buffers borrowed (want %d), %d still out", step, borrowed, want, len(out))
-			}
 		}
+		id := h.Key("relay")
 		if err := h.Put(p, 0, id, data, 0.5, 0); err != nil {
 			t.Fatal(err)
 		}
-		check("put", 0)
+		check("put", id, data)
 
 		h.ApplyMove(p, Move{ID: id, Node: 0, Tier: "nvme"})
 		if pl, _ := h.PlacementOf(id); pl.Tier != "nvme" {
 			t.Fatalf("move did not happen: %+v", pl)
 		}
-		check("move", 1)
+		check("move", id, data)
+
+		// A backed primary patched by PutAt replicates its stored bytes.
+		backed := h.Key("backed")
+		if err := h.PutBacked(p, 1, backed, data, 0.5, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.PutAt(p, 1, backed, 0, []byte{9}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := h.PlacementOf(backed.Backup(0)); !ok {
+			t.Fatal("the patched backed primary wrote no backup")
+		}
+		patched := append([]byte{9}, data[1:]...)
+		check("replicate stored", backed, patched)
 
 		// Crash the primary's node: repair recovers the primary from the
 		// backup (one relay read) and refills the backup slot (another).
@@ -152,6 +154,57 @@ func TestScratchBuffersAllComeBack(t *testing.T) {
 		if h.UnderReplicated() != 0 {
 			t.Fatal("repair did not restore redundancy")
 		}
-		check("recover + repair", 3)
+		if got := c.Faults().Count("repair.recover"); got != 1 {
+			t.Fatalf("%d primaries recovered, want 1", got)
+		}
+		check("recover + repair", id, data)
 	})
+}
+
+// TestHedgedLegsGiveTheirLeasesBack: a hedged read's winning leg hands its
+// lease to the caller, and every other leg that read gives its lease back
+// when its read ends, whoever won: a backup leg beating a slow primary, a
+// primary beating a launched backup, and a backup the verifier rejects.
+// WaitLegs ends with no lease out but the caller's.
+func TestHedgedLegsGiveTheirLeasesBack(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		slow        float64
+		delay       vtime.Duration
+		reject      bool
+		won, wasted int64
+	}{
+		{"backup wins", 1000, 5 * vtime.Microsecond, false, 1, 0},
+		{"primary wins", 1, vtime.Nanosecond, false, 0, 1},
+		{"backup rejected", 1000, 5 * vtime.Microsecond, true, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, h := newHermes(3)
+			h.SetReplicas(1)
+			run(t, c, func(p *vtime.Proc) {
+				data := bytes.Repeat([]byte{9}, 4096)
+				_, reader := hedgeSetup(t, c, h, p, data, tc.slow)
+				var verify func(blob.ID, []byte) bool
+				if tc.reject {
+					verify = func(blob.ID, []byte) bool { return false }
+				}
+				h.SetHedge(tc.delay, verify)
+				l, ok, err := h.GetLease(p, reader, h.Key("v/0"))
+				if err != nil || !ok || !bytes.Equal(l.Bytes(), data) {
+					t.Fatalf("hedged read: ok=%v err=%v", ok, err)
+				}
+				h.WaitLegs(p)
+				if n := c.Arrays.Leases(); n != 1 {
+					t.Errorf("%d leases out once both legs ended, want the caller's 1", n)
+				}
+				c.Arrays.Release(l)
+			})
+			if h.hedgesWon() != tc.won || h.hedgesWasted() != tc.wasted {
+				t.Errorf("won/wasted = %d/%d, want %d/%d", h.hedgesWon(), h.hedgesWasted(), tc.won, tc.wasted)
+			}
+			if n := c.Arrays.Leases(); n != 0 {
+				t.Errorf("%d leases out at the end", n)
+			}
+		})
+	}
 }

@@ -130,7 +130,7 @@ func TestHedgeLoserChargesTheNodeItRead(t *testing.T) {
 
 // TestFailoverGetChargesTheNodeItRead: a Get whose primary's node is down
 // reads the backup, and a Put of the blob rewrites that backup slot while
-// the read yields, placing the new backup on the reader's node. GetInto
+// the read yields, placing the new backup on the reader's node. GetLease
 // keeps the failover record pinned, so the read charges its transfer from
 // the node it read.
 func TestFailoverGetChargesTheNodeItRead(t *testing.T) {

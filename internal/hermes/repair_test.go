@@ -271,16 +271,20 @@ func TestReadBackupReturnsSlotBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for slot := 0; slot < 2; slot++ {
-			got, ok := h.ReadBackup(p, 0, h.Key("v/0"), slot, nil)
-			if !ok || !bytes.Equal(got, data) {
-				t.Errorf("ReadBackup slot %d = %q ok=%v", slot, got, ok)
+			l, ok := h.ReadBackup(p, 0, h.Key("v/0"), slot)
+			if !ok || !bytes.Equal(l.Bytes(), data) {
+				t.Fatalf("ReadBackup slot %d = %q ok=%v", slot, l.Bytes(), ok)
 			}
+			c.Arrays.Release(l)
 		}
-		if _, ok := h.ReadBackup(p, 0, h.Key("v/0"), 2, nil); ok {
+		if _, ok := h.ReadBackup(p, 0, h.Key("v/0"), 2); ok {
 			t.Error("ReadBackup returned a slot that was never placed")
 		}
-		if _, ok := h.ReadBackup(p, 0, h.Key("ghost"), 0, nil); ok {
+		if _, ok := h.ReadBackup(p, 0, h.Key("ghost"), 0); ok {
 			t.Error("ReadBackup returned bytes for a missing blob")
+		}
+		if n := c.Arrays.Leases(); n != 0 {
+			t.Errorf("%d leases out", n)
 		}
 	})
 }

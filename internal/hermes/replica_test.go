@@ -547,9 +547,8 @@ func TestDeleteReplicasKeepsPrimaryAndBackups(t *testing.T) {
 		if got, ok, err := h.Get(p, 0, id); err != nil || !ok || !bytes.Equal(got, data) {
 			t.Errorf("primary read after DeleteReplicas: ok %v, err %v", ok, err)
 		}
-		buf := make([]byte, len(data))
-		if got, ok := h.ReadBackup(p, 0, id, 0, buf); !ok || !bytes.Equal(got, data) {
-			t.Errorf("backup read after DeleteReplicas: ok %v", ok)
+		if got := backupOf(p, h, id); !bytes.Equal(got, data) {
+			t.Errorf("backup read after DeleteReplicas: %q", got)
 		}
 		if bad := h.CheckIntegrity(); len(bad) != 0 {
 			t.Errorf("integrity after DeleteReplicas: %v", bad)

@@ -63,26 +63,27 @@ func ParseURL(s string) (URL, error) {
 type Backend interface {
 	// Size returns the logical dataset size in bytes, or 0 if absent.
 	Size() int64
-	// ReadRange reads length bytes starting at off on behalf of node.
-	// Short reads happen at end of dataset.
+	// ReadRange returns a copy of length bytes starting at off, read on
+	// behalf of node. Short reads happen at end of dataset.
 	ReadRange(p *vtime.Proc, node int, off, length int64) ([]byte, error)
-	// ReadRangeInto is ReadRange reusing dst's storage for the result
-	// when it is large enough (the page-fault path reads straight into
-	// its pooled page buffer); otherwise a fresh buffer is allocated. The
-	// caller owns the returned slice either way.
+	// ReadRangeInto is ReadRange copying into dst's storage when it is
+	// large enough (the page-fault path copies into its pooled page
+	// buffer); otherwise a fresh buffer is allocated. The caller owns the
+	// returned slice either way. Each object's bytes are read under a
+	// lease (cluster.PFSReadLease), copied, and the lease given back.
 	ReadRangeInto(p *vtime.Proc, node int, off, length int64, dst []byte) ([]byte, error)
 	// WriteRange writes data at off, growing the dataset if needed.
 	WriteRange(p *vtime.Proc, node int, off int64, data []byte) error
 	// ReadRangeLease lends a range the dataset stores in one piece instead
 	// of copying it out (core's read-only stage-in): it returns the PFS's
-	// own bytes of [off, off+length) under a lease (cluster.PFSReadLease),
-	// which the caller gives back with the cluster's Arrays.Release, and
-	// charges what ReadRangeInto charges for the range. It returns nil,
-	// having charged nothing ReadRangeInto would not charge first, when the
-	// range is not stored whole in one object: it straddles two, or runs
-	// past the stored bytes (a short or sparse tail); the caller then reads
-	// it with ReadRangeInto. A lent range may come back short if its object
-	// shrank while the read queued.
+	// own bytes of [off, off+length) under the lease of the one PFS read
+	// that serves it (cluster.PFSReadLease), which the caller gives back
+	// with the cluster's Arrays.Release. It returns nil, having charged
+	// nothing but the pq footer's first load, when the range is not stored
+	// whole in one object: it straddles two, or runs past the stored bytes
+	// (a short or sparse tail); the caller then reads it with
+	// ReadRangeInto. A lent range may come back short if its object shrank
+	// while the read queued.
 	ReadRangeLease(p *vtime.Proc, node int, off, length int64) (*device.Lease, error)
 	// Truncate cuts the dataset to size bytes when its vector shrinks
 	// (core's Vector.Resize); a later write past the new end leaves zeros
@@ -133,7 +134,14 @@ func (b *fileBackend) ReadRange(p *vtime.Proc, node int, off, length int64) ([]b
 }
 
 func (b *fileBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, dst []byte) ([]byte, error) {
-	return b.result(b.c.PFSReadInto(p, node, b.u.Path, off, length, dst))
+	h, err := b.read(p, node, off, length)
+	if h == nil {
+		return nil, err
+	}
+	out := sized(dst, int64(len(h.Bytes())))
+	copy(out, h.Bytes())
+	b.c.Arrays.Release(h)
+	return out, nil
 }
 
 // ReadRangeLease lends any range of the one object that it stores whole.
@@ -141,22 +149,20 @@ func (b *fileBackend) ReadRangeLease(p *vtime.Proc, node int, off, length int64)
 	if b.c.PFSSize(b.u.Path) < off+length {
 		return nil, nil
 	}
-	h, ok, err := b.c.PFSReadLease(p, node, b.u.Path, off, length)
-	if _, err := b.result(nil, ok, err); err != nil {
-		return nil, err
-	}
-	return h, nil
+	return b.read(p, node, off, length)
 }
 
-// result is a range read's answer from the PFS read's.
-func (b *fileBackend) result(data []byte, ok bool, err error) ([]byte, error) {
+// read is the object's lease read of [off, off+length); nil, with no
+// error, for a range that starts past the object's end.
+func (b *fileBackend) read(p *vtime.Proc, node int, off, length int64) (*device.Lease, error) {
+	h, ok, err := b.c.PFSReadLease(p, node, b.u.Path, off, length)
 	if err != nil {
 		return nil, fmt.Errorf("stager: %s: %w", b.u, err)
 	}
 	if !ok {
 		return nil, fmt.Errorf("stager: %s: no such object", b.u)
 	}
-	return data, nil
+	return h, nil
 }
 
 func (b *fileBackend) WriteRange(p *vtime.Proc, node int, off int64, data []byte) error {
@@ -225,7 +231,10 @@ func (b *pqBackend) loadFooter(p *vtime.Proc, node int) {
 		b.loaded = true
 		return
 	}
-	raw, ok, err := b.c.PFSRead(p, node, b.footerKey, 0, n)
+	h, ok, err := b.c.PFSReadLease(p, node, b.footerKey, 0, n)
+	if h != nil {
+		defer b.c.Arrays.Release(h)
+	}
 	if b.loaded {
 		return // a concurrent reader finished first
 	}
@@ -234,7 +243,7 @@ func (b *pqBackend) loadFooter(p *vtime.Proc, node int) {
 		return
 	}
 	var f pqFooter
-	if err := json.Unmarshal(raw, &f); err == nil && f.ChunkSize > 0 {
+	if err := json.Unmarshal(h.Bytes(), &f); err == nil && f.ChunkSize > 0 {
 		b.footer = f
 	}
 }
@@ -283,17 +292,17 @@ func (b *pqBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, ds
 		ci := (off + n) / cs
 		localOff := (off + n) % cs
 		localLen := min(cs-localOff, length-n)
-		// Each row group's piece lands directly in its place in out.
-		piece := out[n : n+localLen : n+localLen]
-		data, ok, err := b.c.PFSReadInto(p, node, b.chunkKey(ci), localOff, localLen, piece[:0])
+		h, err := b.readGroup(p, node, ci, localOff, localLen)
 		if err != nil {
-			return nil, fmt.Errorf("stager: %s: %w", b.u, err)
+			return nil, err
 		}
-		if !ok {
-			return nil, fmt.Errorf("stager: %s: missing row group %d", b.u, ci)
+		// Each row group's piece is copied to its place in out, and a
+		// sparse tail inside a chunk zero-filled (out may hold stale bytes).
+		piece := out[n : n+localLen]
+		clear(piece[copy(piece, h.Bytes()):])
+		if h != nil {
+			b.c.Arrays.Release(h)
 		}
-		// Sparse tail inside a chunk: zero-fill (out may hold stale bytes).
-		clear(piece[len(data):])
 		n += localLen
 	}
 	return out, nil
@@ -309,7 +318,13 @@ func (b *pqBackend) ReadRangeLease(p *vtime.Proc, node int, off, length int64) (
 	if off+length > b.footer.Size || b.c.PFSSize(b.chunkKey(ci)) < localOff+length {
 		return nil, nil
 	}
-	h, ok, err := b.c.PFSReadLease(p, node, b.chunkKey(ci), localOff, length)
+	return b.readGroup(p, node, ci, localOff, length)
+}
+
+// readGroup is row group ci's lease read of [off, off+length); nil, with
+// no error, for a range that starts past what the group stores.
+func (b *pqBackend) readGroup(p *vtime.Proc, node int, ci, off, length int64) (*device.Lease, error) {
+	h, ok, err := b.c.PFSReadLease(p, node, b.chunkKey(ci), off, length)
 	if err != nil {
 		return nil, fmt.Errorf("stager: %s: %w", b.u, err)
 	}

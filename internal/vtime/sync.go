@@ -238,7 +238,8 @@ type Chan[T any] struct {
 	// Queues pop from a head index instead of re-slicing: a [1:] pop
 	// burns backing-array capacity, so the next append reallocates on
 	// every park/wake cycle — one hidden allocation per page fault for
-	// worker loops that live in Recv.
+	// worker loops that live in Recv. A queue that never empties slides
+	// back to the front of its array (slide).
 	bufHead  int
 	sendHead int
 	recvHead int
@@ -269,6 +270,12 @@ func NewChan[T any](capacity int) *Chan[T] {
 
 // Len returns the number of buffered values.
 func (c *Chan[T]) Len() int { return len(c.buf) - c.bufHead }
+
+// push buffers v behind the buffered values.
+func (c *Chan[T]) push(v T) {
+	c.buf, c.bufHead = slide(c.buf, c.bufHead)
+	c.buf = append(c.buf, v)
+}
 
 // popBuf removes and returns the oldest buffered value.
 func (c *Chan[T]) popBuf() T {
@@ -339,10 +346,11 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 		return
 	}
 	if c.Len() < c.capacity {
-		c.buf = append(c.buf, v)
+		c.push(v)
 		return
 	}
 	p.waitOK = false
+	c.sendq, c.sendHead = slide(c.sendq, c.sendHead)
 	c.sendq = append(c.sendq, chanSender[T]{p: p, v: v})
 	for !p.waitOK {
 		p.park()
@@ -364,7 +372,7 @@ func (c *Chan[T]) TrySend(v T) bool {
 		return true
 	}
 	if c.Len() < c.capacity {
-		c.buf = append(c.buf, v)
+		c.push(v)
 		return true
 	}
 	return false
@@ -392,6 +400,7 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 	} else {
 		rw = &chanReceiver[T]{p: p}
 	}
+	c.recvq, c.recvHead = slide(c.recvq, c.recvHead)
 	c.recvq = append(c.recvq, rw)
 	for !rw.ready {
 		p.park()
@@ -401,9 +410,24 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 	return v, ok
 }
 
+// slide makes room at the tail of a queue popped from head before an
+// append: a queue that never drains moves along its array, and without
+// this append would grow and copy it each time it reached the end. It
+// moves the live entries to the front once the array is full and at
+// least half of it is popped, so each move frees as many slots as it
+// copies; a fuller array grows as before.
+func slide[E any](q []E, head int) ([]E, int) {
+	if len(q) < cap(q) || head == 0 || head < len(q)/2 {
+		return q, head
+	}
+	n := copy(q, q[head:])
+	clear(q[n:])
+	return q[:n], 0
+}
+
 // refill moves a blocked sender's value into freed buffer space.
 func (c *Chan[T]) refill() {
 	for len(c.sendq) > c.sendHead && c.Len() < c.capacity {
-		c.buf = append(c.buf, c.popSend())
+		c.push(c.popSend())
 	}
 }

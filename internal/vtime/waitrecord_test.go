@@ -257,3 +257,44 @@ func BenchmarkResourceContended(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestQueuesThatNeverDrainKeepTheirArrays: a channel's queues pop from a
+// head index and start over only once empty, so a queue that always holds
+// someone — two receivers taking turns, two senders taking turns, a
+// buffer never read empty — slides along its array. Each keeps an array
+// the size of what it holds instead of growing one as it slides.
+func TestQueuesThatNeverDrainKeepTheirArrays(t *testing.T) {
+	const cycles = 10_000
+	e := NewEngine()
+	recv, send, buf := NewChan[int](0), NewChan[int](0), NewChan[int](2)
+	for range 2 {
+		e.SpawnDaemon("receiver", func(p *Proc) {
+			for {
+				recv.Recv(p)
+			}
+		})
+		e.SpawnDaemon("sender", func(p *Proc) {
+			for {
+				send.Send(p, 1)
+			}
+		})
+	}
+	steady(t, e, func(p *Proc) {
+		p.Yield() // the receivers and senders park
+		buf.Send(p, 0)
+		for i := range cycles {
+			recv.Send(p, i)
+			send.Recv(p)
+			buf.Send(p, i)
+			buf.Recv(p)
+			p.Yield()
+		}
+		if len(recv.recvq)-recv.recvHead == 0 || len(send.sendq)-send.sendHead == 0 {
+			t.Fatal("a queue drained: the cycle does not slide it")
+		}
+		if cap(recv.recvq) > 4 || cap(send.sendq) > 4 || cap(buf.buf) > 4 {
+			t.Errorf("after %d cycles the arrays hold %d receivers, %d senders and %d values, want at most 4 each",
+				cycles, cap(recv.recvq), cap(send.sendq), cap(buf.buf))
+		}
+	})
+}
