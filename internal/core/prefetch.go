@@ -259,7 +259,7 @@ func (v *Vector[T]) issueFill(pg, pinned int64) {
 	v.c.submitAsync(t)
 	sp.Exit(v.c.p, v.m.pageSize, false)
 	i, _ := v.fillAt(pg)
-	v.fills = slices.Insert(v.fills, i, fillReq{pg: pg, t: t, stamp: v.pageWrites[pg]})
+	v.fills = slices.Insert(v.fills, i, fillReq{pg: pg, t: t, stamp: v.pageWrites.get(pg)})
 }
 
 // fillAt returns where pg's fill sits in v.fills, or would be inserted,

@@ -61,13 +61,51 @@ type Vector[T any] struct {
 	// pageWrites counts local commits per page; a prefetch fill that was
 	// issued before a commit of the same page is stale and must never be
 	// installed.
-	pageWrites map[int64]int64
+	pageWrites pageCounts
 
 	allBuf []T // All's chunk buffer, absent while an All loop has it
 
 	pgasOff, pgasN int64
 
 	id uint64 // names the handle to the page table (pageState.writer); never 0
+}
+
+// pageCounts is a count per page over the span of pages that have one:
+// counts[i] is page lo+i's, and a page outside the span reads 0. The span
+// grows at either end, so a handle that commits only its slab of a large
+// vector holds only its slab's counts.
+type pageCounts struct {
+	lo     int64
+	counts []int64
+}
+
+func (c *pageCounts) get(pg int64) int64 {
+	if i := pg - c.lo; i >= 0 && i < int64(len(c.counts)) {
+		return c.counts[i]
+	}
+	return 0
+}
+
+func (c *pageCounts) inc(pg int64) {
+	if len(c.counts) == 0 {
+		c.lo = pg
+	}
+	n := int64(len(c.counts))
+	switch {
+	case pg < c.lo:
+		// Grow downwards by at least the span's length (but not below
+		// page 0), so a slab committed back to front copies its counts a
+		// logarithmic number of times.
+		lo := max(0, min(pg, c.lo-n))
+		grown := make([]int64, c.lo-lo+n)
+		copy(grown[c.lo-lo:], c.counts)
+		c.lo, c.counts = lo, grown
+	case pg >= c.lo+n:
+		more := int(pg - c.lo - n + 1)
+		c.counts = slices.Grow(c.counts, more)[:int(n)+more]
+		clear(c.counts[n:])
+	}
+	c.counts[pg-c.lo]++
 }
 
 // fillReq is an asynchronous prefetch read of page pg plus the page-write
@@ -177,15 +215,14 @@ func Open[T any](c *Client, name string, codec Codec[T], opts ...VectorOpt) (*Ve
 		}
 	}
 	v := &Vector[T]{
-		c:          c,
-		m:          m,
-		runs:       RunsOf(codec),
-		pc:         newPCache(),
-		seen:       make(map[int64]struct{}),
-		pageWrites: make(map[int64]int64),
-		fillSvc:    -1,
-		pageGap:    -1,
-		runAt:      -1,
+		c:       c,
+		m:       m,
+		runs:    RunsOf(codec),
+		pc:      newPCache(),
+		seen:    make(map[int64]struct{}),
+		fillSvc: -1,
+		pageGap: -1,
+		runAt:   -1,
 	}
 	c.d.lastID++
 	v.id = c.d.lastID
@@ -324,7 +361,7 @@ func (v *Vector[T]) shrink(old int64) {
 		clear(t.data[tail:])
 		t.regions = append(t.regions[:0], dirtyRange{off: tail, end: m.pageSize})
 		t.origin, t.recycle = v.c.node.ID, true
-		v.pageWrites[last]++ // a fill issued before now is stale
+		v.pageWrites.inc(last) // a fill issued before now is stale
 		v.c.submitAsync(t)
 	}
 	for pg := pages; pg < (old*m.elemSize+m.pageSize-1)/m.pageSize; pg++ {
@@ -666,7 +703,7 @@ func (v *Vector[T]) step() {
 // prefetcher on page transitions.
 func (v *Vector[T]) page(pg int64, forWrite bool) *cachedPage {
 	if v.last != nil && v.last.idx == pg {
-		if !forWrite && v.last.partial && v.pageWrites[pg] > 0 {
+		if !forWrite && v.last.partial && v.pageWrites.get(pg) > 0 {
 			v.healPartial(v.last)
 		}
 		if forWrite && v.last.lease != nil {
@@ -683,7 +720,7 @@ func (v *Vector[T]) page(pg int64, forWrite bool) *cachedPage {
 	if cp == nil {
 		cp = v.fault(pg, forWrite)
 	}
-	if !forWrite && cp.partial && v.pageWrites[pg] > 0 {
+	if !forWrite && cp.partial && v.pageWrites.get(pg) > 0 {
 		v.healPartial(cp)
 	}
 	if forWrite && cp.lease != nil {
@@ -795,7 +832,7 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 			panic(fmt.Errorf("core: prefetch of %s page %d failed: %w", m.name, pg, err))
 		}
 		v.noteFill(f.t)
-		if f.stamp != v.pageWrites[pg] {
+		if f.stamp != v.pageWrites.get(pg) {
 			// The page was committed after the fill was issued; its data
 			// is stale. Keep the reservation and fault fresh data.
 			fresh, version, lease := v.readPage(pg, v.leaseReads())
@@ -975,7 +1012,7 @@ func (v *Vector[T]) commitPage(cp *cachedPage, retain bool) {
 	t.regions = append(t.regions[:0], regions...)
 	cp.dirty = cp.dirty[:0]
 	t.data, t.origin, t.recycle = data, v.c.node.ID, true
-	v.pageWrites[cp.idx]++
+	v.pageWrites.inc(cp.idx)
 	n := t.bytes() // t may be done and recycled once submitted
 	sp := v.c.d.trc.EnterUnder(v.c.p, v.parentSpan(), telemetry.OpCommit, v.c.node.ID, v.m.id, cp.idx)
 	v.c.submitAsync(t)
@@ -993,7 +1030,7 @@ func (v *Vector[T]) integrateFills() {
 			continue
 		}
 		v.noteFill(f.t)
-		stale := f.stamp != v.pageWrites[pg]
+		stale := f.stamp != v.pageWrites.get(pg)
 		if f.t.err != nil || stale || v.pc.get(pg) != nil || pg >= v.m.pageCount() {
 			// Redundant, stale, or failed: release the reserved space.
 			v.pc.used -= v.m.pageSize

@@ -1,5 +1,7 @@
 package mpi
 
+import "math"
+
 // Tree-based collective operations. All ranks must call each collective in
 // the same program order (SPMD); a per-rank sequence number isolates the
 // tag space of successive collectives. Point-to-point sends are eager
@@ -29,6 +31,10 @@ func (r *Rank) Barrier() {
 // Bcast distributes payload (bytes long) from root to every rank along a
 // binomial tree and returns the received value (root returns its own).
 func (r *Rank) Bcast(root int, payload any, bytes int64) any {
+	return r.bcast(root, value{any: payload}, bytes).any
+}
+
+func (r *Rank) bcast(root int, v value, bytes int64) value {
 	tag := r.nextCollTag()
 	p := r.w.nprocs
 	vr := (r.rank - root + p) % p
@@ -36,7 +42,7 @@ func (r *Rank) Bcast(root int, payload any, bytes int64) any {
 	for mask < p {
 		if vr&mask != 0 {
 			src := (r.rank - mask + p) % p
-			payload, _ = r.Recv(src, tag)
+			v, _ = r.recv(src, tag)
 			break
 		}
 		mask <<= 1
@@ -45,30 +51,39 @@ func (r *Rank) Bcast(root int, payload any, bytes int64) any {
 	for mask > 0 {
 		if vr+mask < p {
 			dst := (r.rank + mask) % p
-			r.Send(dst, tag, payload, bytes)
+			r.send(dst, tag, v, bytes)
 		}
 		mask >>= 1
 	}
-	return payload
+	return v
 }
 
 // Reduce combines every rank's contribution with op along a binomial tree.
 // The returned value is the full reduction on root and partial elsewhere.
 func (r *Rank) Reduce(root int, contribution any, bytes int64, op func(a, b any) any) any {
+	return r.reduce(root, value{any: contribution}, bytes, func(acc, in value) value {
+		acc.any = op(acc.any, in.any)
+		return acc
+	}).any
+}
+
+// reduce folds each child's value into acc (fold(acc, child)) before
+// sending acc to the parent. fold takes and returns values, not pointers:
+// a pointer handed to a func value would move acc to the heap.
+func (r *Rank) reduce(root int, acc value, bytes int64, fold func(acc, in value) value) value {
 	tag := r.nextCollTag()
 	p := r.w.nprocs
 	vr := (r.rank - root + p) % p
-	acc := contribution
 	for mask := 1; mask < p; mask <<= 1 {
 		if vr&mask != 0 {
 			dst := (vr - mask + root) % p
-			r.Send(dst, tag, acc, bytes)
+			r.send(dst, tag, acc, bytes)
 			break
 		}
 		srcVR := vr | mask
 		if srcVR < p {
-			v, _ := r.Recv((srcVR+root)%p, tag)
-			acc = op(acc, v)
+			in, _ := r.recv((srcVR+root)%p, tag)
+			acc = fold(acc, in)
 		}
 	}
 	return acc
@@ -102,19 +117,19 @@ func (r *Rank) Alltoall(contributions []any, bytesEach int64) []any {
 
 // AllreduceFloat64s element-wise reduces a float64 slice across ranks with
 // op and returns the combined slice on every rank. The input is not
-// modified.
+// modified: each rank copies it once and reduces its children's slices
+// into that copy, and every rank returns rank 0's copy.
 func (r *Rank) AllreduceFloat64s(vals []float64, op func(a, b float64) float64) []float64 {
-	contrib := make([]float64, len(vals))
-	copy(contrib, vals)
-	res := r.Allreduce(contrib, int64(8*len(vals)), func(a, b any) any {
-		av, bv := a.([]float64), b.([]float64)
-		out := make([]float64, len(av))
-		for i := range av {
-			out[i] = op(av[i], bv[i])
+	acc := make([]float64, len(vals))
+	copy(acc, vals)
+	bytes := int64(8 * len(vals))
+	red := r.reduce(0, value{floats: acc}, bytes, func(acc, in value) value {
+		for i := range acc.floats {
+			acc.floats[i] = op(acc.floats[i], in.floats[i])
 		}
-		return out
+		return acc
 	})
-	return res.([]float64)
+	return r.bcast(0, red, bytes).floats
 }
 
 // SumFloat64s is an allreduce-sum over float64 slices.
@@ -122,10 +137,20 @@ func (r *Rank) SumFloat64s(vals []float64) []float64 {
 	return r.AllreduceFloat64s(vals, func(a, b float64) float64 { return a + b })
 }
 
+// allreduceWord is Allreduce over one 8-byte value carried unboxed.
+func (r *Rank) allreduceWord(w uint64, op func(a, b uint64) uint64) uint64 {
+	red := r.reduce(0, value{word: w}, 8, func(acc, in value) value {
+		acc.word = op(acc.word, in.word)
+		return acc
+	})
+	return r.bcast(0, red, 8).word
+}
+
 // AllreduceFloat64 reduces one float64 across ranks.
 func (r *Rank) AllreduceFloat64(v float64, op func(a, b float64) float64) float64 {
-	res := r.Allreduce(v, 8, func(a, b any) any { return op(a.(float64), b.(float64)) })
-	return res.(float64)
+	return math.Float64frombits(r.allreduceWord(math.Float64bits(v), func(a, b uint64) uint64 {
+		return math.Float64bits(op(math.Float64frombits(a), math.Float64frombits(b)))
+	}))
 }
 
 // SumFloat64 is an allreduce-sum of one float64.
@@ -135,17 +160,15 @@ func (r *Rank) SumFloat64(v float64) float64 {
 
 // SumInt64 is an allreduce-sum of one int64.
 func (r *Rank) SumInt64(v int64) int64 {
-	res := r.Allreduce(v, 8, func(a, b any) any { return a.(int64) + b.(int64) })
-	return res.(int64)
+	return int64(r.allreduceWord(uint64(v), func(a, b uint64) uint64 { return uint64(int64(a) + int64(b)) }))
 }
 
 // MaxInt64 is an allreduce-max of one int64.
 func (r *Rank) MaxInt64(v int64) int64 {
-	res := r.Allreduce(v, 8, func(a, b any) any {
-		if a.(int64) > b.(int64) {
+	return int64(r.allreduceWord(uint64(v), func(a, b uint64) uint64 {
+		if int64(a) > int64(b) {
 			return a
 		}
 		return b
-	})
-	return res.(int64)
+	}))
 }

@@ -10,6 +10,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"megammap/internal/cluster"
 	"megammap/internal/vtime"
@@ -20,25 +21,26 @@ type World struct {
 	c       *cluster.Cluster
 	nprocs  int
 	perNode int
-	boxes   map[mkey][]*message
-	recvers map[mkey][]*recvWaiter
-	ranks   []*Rank
+	ranks   []Rank
 	wg      vtime.WaitGroup
 	failed  error
 }
 
-type mkey struct {
-	dst, src, tag int
+// value is what a message carries. A scalar collective's value travels
+// unboxed in word and a vector allreduce's slice in floats, so neither
+// converts to an interface; any holds Send's payload.
+type value struct {
+	any    any
+	floats []float64
+	word   uint64
 }
 
+// message is one sent message that no Recv has taken yet, held by value
+// in its destination's inbox.
 type message struct {
-	payload any
-	bytes   int64
-}
-
-type recvWaiter struct {
-	ev  vtime.Event
-	msg *message
+	src, tag int
+	bytes    int64
+	value
 }
 
 // NewWorld creates a world of nprocs ranks distributed block-wise over
@@ -53,9 +55,10 @@ func NewWorld(c *cluster.Cluster, nprocs int) *World {
 		c:       c,
 		nprocs:  nprocs,
 		perNode: perNode,
-		boxes:   make(map[mkey][]*message),
-		recvers: make(map[mkey][]*recvWaiter),
-		ranks:   make([]*Rank, nprocs),
+		ranks:   make([]Rank, nprocs),
+	}
+	for i := range w.ranks {
+		w.ranks[i] = Rank{w: w, rank: i, node: c.Nodes[w.NodeOf(i)]}
 	}
 	return w
 }
@@ -84,8 +87,8 @@ func (w *World) Launch(body func(r *Rank)) {
 		i := i
 		w.wg.Add(1)
 		w.c.Engine.Spawn(fmt.Sprintf("rank%d", i), func(p *vtime.Proc) {
-			r := &Rank{w: w, rank: i, p: p, node: w.c.Nodes[w.NodeOf(i)]}
-			w.ranks[i] = r
+			r := &w.ranks[i]
+			r.p = p
 			defer w.wg.Done()
 			body(r)
 		})
@@ -106,6 +109,18 @@ type Rank struct {
 	p    *vtime.Proc
 	node *cluster.Node
 	seq  int // collective sequence number (SPMD ordering)
+
+	// inbox holds the messages sent to this rank that no Recv has taken,
+	// in arrival order. Its array is reused for the whole run.
+	inbox []message
+	// The rank is its own wait record: a Recv that finds no match in the
+	// inbox sets waiting with the (wantSrc, wantTag) it waits for and
+	// parks on woke, and the Send that matches leaves its message in got
+	// and fires woke instead of queueing.
+	waiting          bool
+	wantSrc, wantTag int
+	got              message
+	woke             vtime.Event
 }
 
 // Rank returns the rank index.
@@ -136,44 +151,45 @@ func (r *Rank) Fail(err error) {
 // Send delivers payload (bytes long on the wire) to rank dst with the
 // given tag, blocking for the modeled transfer time.
 func (r *Rank) Send(dst, tag int, payload any, bytes int64) {
-	r.w.c.Fabric.Transfer(r.p, r.w.NodeOf(r.rank), r.w.NodeOf(dst), bytes)
-	k := mkey{dst: dst, src: r.rank, tag: tag}
-	if rw := pop(r.w.recvers, k); rw != nil {
-		rw.msg = &message{payload: payload, bytes: bytes}
-		rw.ev.Fire()
-		return
-	}
-	r.w.boxes[k] = append(r.w.boxes[k], &message{payload: payload, bytes: bytes})
-}
-
-// pop takes the head of k's queue, or returns nil if it has none. It
-// clears the head's slot and deletes k once its queue is empty: every
-// collective takes a fresh tag, so a drained queue that stayed would keep
-// its key and its last message for the rest of the run.
-func pop[T any](queues map[mkey][]*T, k mkey) *T {
-	q := queues[k]
-	if len(q) == 0 {
-		return nil
-	}
-	head := q[0]
-	q[0] = nil
-	if len(q) == 1 {
-		delete(queues, k)
-	} else {
-		queues[k] = q[1:]
-	}
-	return head
+	r.send(dst, tag, value{any: payload}, bytes)
 }
 
 // Recv blocks until a message from src with the given tag arrives and
 // returns its payload and size.
 func (r *Rank) Recv(src, tag int) (any, int64) {
-	k := mkey{dst: r.rank, src: src, tag: tag}
-	if m := pop(r.w.boxes, k); m != nil {
-		return m.payload, m.bytes
+	v, bytes := r.recv(src, tag)
+	return v.any, bytes
+}
+
+// send charges the fabric, then hands the message to dst's Recv if it
+// waits for exactly this source and tag, or appends it to dst's inbox.
+func (r *Rank) send(dst, tag int, v value, bytes int64) {
+	r.w.c.Fabric.Transfer(r.p, r.w.NodeOf(r.rank), r.w.NodeOf(dst), bytes)
+	m := message{src: r.rank, tag: tag, bytes: bytes, value: v}
+	to := &r.w.ranks[dst]
+	if to.waiting && to.wantSrc == m.src && to.wantTag == m.tag {
+		to.waiting = false
+		to.got = m
+		to.woke.Fire()
+		return
 	}
-	rw := &recvWaiter{}
-	r.w.recvers[k] = append(r.w.recvers[k], rw)
-	rw.ev.Wait(r.p)
-	return rw.msg.payload, rw.msg.bytes
+	to.inbox = append(to.inbox, m)
+}
+
+// recv takes the oldest message from src with tag, waiting for it if the
+// inbox holds none. A taken message's slot is cleared (slices.Delete
+// zeroes the vacated tail), so no drained payload stays reachable.
+func (r *Rank) recv(src, tag int) (value, int64) {
+	for i := range r.inbox {
+		if m := r.inbox[i]; m.src == src && m.tag == tag {
+			r.inbox = slices.Delete(r.inbox, i, i+1)
+			return m.value, m.bytes
+		}
+	}
+	r.waiting, r.wantSrc, r.wantTag = true, src, tag
+	r.woke = vtime.Event{}
+	r.woke.Wait(r.p)
+	m := r.got
+	r.got = message{}
+	return m.value, m.bytes
 }

@@ -328,8 +328,9 @@ func TestScalarAllreduceHelpers(t *testing.T) {
 
 // TestMailboxesForgetDrainedKeys runs many allreduces and barriers, each
 // under a fresh tag, then one tag whose queue is kept one message deep:
-// both mailbox maps stay as small as one collective's keys, end empty, and
-// keep no drained message's payload reachable.
+// the messages pending in the ranks' inboxes stay as few as one
+// collective's, none is left at the end, and no drained message's payload
+// stays reachable through an inbox's reused array.
 func TestMailboxesForgetDrainedKeys(t *testing.T) {
 	const rounds, payload = 200, 8 << 10
 	w := testWorld(t, 2, 4)
@@ -340,12 +341,13 @@ func TestMailboxesForgetDrainedKeys(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := heap()
-	peak := 0
+	peak, stale := 0, 0
 	err := w.Run(func(r *Rank) {
 		for i := 0; i < rounds; i++ {
 			r.SumFloat64s(make([]float64, payload/8))
 			r.Barrier()
-			peak = max(peak, len(w.boxes)+len(w.recvers))
+			peak = max(peak, w.pending())
+			stale = max(stale, w.stale())
 		}
 		// Rank 0 stays one message ahead of rank 1 on one tag, so its
 		// queue drains only at the end.
@@ -357,7 +359,8 @@ func TestMailboxesForgetDrainedKeys(t *testing.T) {
 		case 1:
 			for i := 0; i < rounds; i++ {
 				r.Recv(0, 9)
-				peak = max(peak, len(w.boxes)+len(w.recvers))
+				peak = max(peak, w.pending())
+				stale = max(stale, w.stale())
 			}
 		}
 	})
@@ -365,13 +368,16 @@ func TestMailboxesForgetDrainedKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	if peak > 16 {
-		t.Errorf("mailbox maps peaked at %d keys over %d collectives, want at most 16: drained keys stay", peak, 2*rounds)
+		t.Errorf("inboxes peaked at %d pending messages over %d collectives, want at most 16: drained messages stay", peak, 2*rounds)
 	}
-	if n, m := len(w.boxes), len(w.recvers); n+m != 0 {
-		t.Errorf("after every message was received: %d mailbox keys, %d waiter keys, want none", n, m)
+	if n := w.pending(); n != 0 {
+		t.Errorf("after every message was received: %d messages or waiting receives pending, want none", n)
+	}
+	if stale > 0 {
+		t.Errorf("%d drained payloads stayed referenced from an inbox's reused array or a handed-over slot", stale)
 	}
 	grew := int64(heap()) - int64(before)
-	runtime.KeepAlive(w) // the world, mailboxes included, is live at the measurement
+	runtime.KeepAlive(w) // the world, inboxes included, is live at the measurement
 	if grew > rounds*payload/4 {
 		t.Errorf("live heap grew %d KB over %d rounds of %d KB messages: drained messages stay reachable", grew>>10, rounds, payload>>10)
 	}
