@@ -70,7 +70,7 @@ func TestPQWriteUnderABorrowedFrameKeepsItsBytes(t *testing.T) {
 		if got := v.Get(epp + 3); got != backedValue(epp+3) {
 			t.Fatalf("v[%d] = %d, want %d", epp+3, got, backedValue(epp+3))
 		}
-		if cp := v.pc.pages[1]; cp == nil || cp.lease == nil {
+		if cp := v.pc.pages[1]; cp == nil || !cp.img.Shared() {
 			t.Fatal("page 1 is not a leased frame")
 		}
 		b, err := stager.New(d.c).Open(backedURLs[1])
@@ -98,9 +98,9 @@ func TestPQWriteUnderABorrowedFrameKeepsItsBytes(t *testing.T) {
 // TestStraddlingAndShortPagesStageInThroughACopy: a read-only scan of a
 // pq:// dataset lends every page that lies inside one row group and copies
 // the rest — the page straddling the row-group boundary and the short
-// last page — into page buffers, which the scache then stores through
-// their handles, off the pool's books, the frame holding them too; and
-// every element reads right.
+// last page — into images of their own, which the scache then stores
+// through their handles, the frame holding them too; and every element
+// reads right.
 func TestStraddlingAndShortPagesStageInThroughACopy(t *testing.T) {
 	const pageSize = 48 << 10
 	const url = "pq:///borrow/in.pq:t"
@@ -125,7 +125,7 @@ func TestStraddlingAndShortPagesStageInThroughACopy(t *testing.T) {
 		epp := v.PageSize() / 8
 		v.SeqTxBegin(21*epp, epp, ReadOnly)
 		v.Get(21 * epp)
-		if cp := v.pc.pages[21]; cp.lease == nil || !isStored(p, d, v.m, 21, cp.data) {
+		if cp := v.pc.pages[21]; !cp.img.Shared() || !isStored(p, d, v.m, 21, cp.data) {
 			t.Error("the straddling page's buffer is not the array the scache stores")
 		}
 		v.TxEnd()
@@ -138,10 +138,9 @@ func TestStraddlingAndShortPagesStageInThroughACopy(t *testing.T) {
 			}
 		}
 	})
-	// The two copied pages' pooled buffers left the pool's books when the
-	// scache took their handles, and went back to Arrays with the frames.
-	if d.bufOut != 0 {
-		t.Errorf("%d buffers out of the pool after Shutdown", d.bufOut)
+	// The two copied pages' images went back to Arrays with the frames.
+	if n := c.Arrays.Leases(); n != 0 {
+		t.Errorf("%d leases out after Shutdown", n)
 	}
 }
 
@@ -154,7 +153,7 @@ func (s shortLender) ReadRangeLease(p *vtime.Proc, node int, off, length int64) 
 }
 
 // TestShortLentRangeStagesInThroughACopy: a lent range shorter than the
-// page is copied into a page buffer, the rest of the page zero as past a
+// page is copied into an image of its own, the rest of the page zero as past a
 // shrunk object's end, and its lease is given back (Shutdown's audit
 // names one left out).
 func TestShortLentRangeStagesInThroughACopy(t *testing.T) {

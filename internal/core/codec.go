@@ -111,8 +111,9 @@ func (r Runs[T]) Decode(dst []T, src []byte) {
 }
 
 // put and get are Encode and Decode for one element. The image move is a
-// plain store or load: page buffers start at an allocation (DSM.getBuf)
-// and elements sit at multiples of their size, so it is aligned.
+// plain store or load: page images start at an allocation (Arrays.Take),
+// or a page's offset into one, and elements sit at multiples of their
+// size, so it is aligned.
 func (r Runs[T]) put(dst []byte, x T) {
 	if r.image {
 		*(*T)(unsafe.Pointer(unsafe.SliceData(dst[:r.es]))) = x

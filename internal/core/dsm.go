@@ -8,7 +8,6 @@ import (
 	"megammap/internal/blob"
 	"megammap/internal/cluster"
 	"megammap/internal/control"
-	"megammap/internal/device"
 	"megammap/internal/faults"
 	"megammap/internal/hermes"
 	"megammap/internal/stager"
@@ -44,21 +43,6 @@ type DSM struct {
 	// busyChains counts the page chains (pageState.busy) with a task in
 	// flight; quiesce waits for zero.
 	busyChains int
-
-	// bufFree is the one page-buffer pool of the data path (DESIGN.md
-	// "Page-buffer ownership"): every page image core copies — a fault's
-	// or fill's that may not lease, a commit payload, a merged image, a
-	// straddling stage-in, a repair candidate — is a getBuf buffer with
-	// exactly one owner at a time and one way back (putBuf, or recycleTask
-	// for a buffer left on a task); every other image is leased. bufOut
-	// counts the buffers out of the pool; once every task drained it equals
-	// the pages resident in the pcaches, so it is zero after Shutdown has
-	// released those, which the pool-balance test holds.
-	// bufPeak is its high-water mark, the pool's size bound (putBuf).
-	// Shutdown releases the pool.
-	bufFree [][]byte
-	bufOut  int64
-	bufPeak int64
 
 	// pendingMoves counts the move tasks queued or running (newMoveTask
 	// counts one in, its completion counts it out): the organizer never
@@ -456,7 +440,7 @@ func (b *taskBatch) submit(d *DSM, p *vtime.Proc, t *MemoryTask) {
 }
 
 // wait blocks until every task of the batch completed, recycles them
-// (an unclaimed t.data re-pools there) and empties the batch. It returns
+// (an unclaimed t.img is given back there) and empties the batch. It returns
 // how many there were and the first error in submission order.
 func (b *taskBatch) wait(d *DSM, p *vtime.Proc) (n int, first error) {
 	b.wg.Wait(p)
@@ -860,65 +844,16 @@ func (d *DSM) newTask() *MemoryTask {
 // list is emptied rather than dropped, so a pooled task's next commit
 // copies the page's dirty ranges into storage it already has.
 //
-// Buffer-ownership rule: a non-nil t.data here is unclaimed and goes back
-// where it came from (giveBack). Readers that keep a result buffer (the
-// fault path installing it as page data) must nil t.data before
-// recycling; commit payloads stay set and re-pool here once the scache
-// holds its own copy (devices store copies of what Put is given).
+// A hold on a page image still on the task (t.img) is given back here: a
+// commit's, once the scache stored the image or its own copy of it, and a
+// read's result no one claimed (a scrub read, a stale or abandoned fill).
+// A reader that keeps the result takes t.img over and nils it first.
 func (d *DSM) recycleTask(t *MemoryTask) {
-	d.giveBack(t.data, t.lease)
+	if t.img != nil {
+		d.c.Arrays.Release(t.img)
+	}
 	*t = MemoryTask{regions: t.regions[:0]}
 	d.taskFree = append(d.taskFree, t)
-}
-
-// giveBack returns a page image its holder is done with: a leased array's
-// lease (l) to the cluster's Arrays, whose last holder recycles it, and a
-// pooled buffer to the pool.
-func (d *DSM) giveBack(b []byte, l *device.Lease) {
-	if l != nil {
-		d.c.Arrays.Release(l)
-		return
-	}
-	d.putBuf(b)
-}
-
-// getBuf takes a buffer of length size out of the pool, reusing the most
-// recently returned one that fits. Its contents are unspecified: the
-// caller overwrites every byte (a read fills it, fullPage and stageIn
-// clear what the read left) or clears it itself (write-allocate). The
-// caller owns it until it hands it on — to the pcache as page data, to a
-// task as t.data — or returns it with putBuf.
-func (d *DSM) getBuf(size int64) []byte {
-	d.bufOut++
-	d.bufPeak = max(d.bufPeak, d.bufOut)
-	for i := len(d.bufFree) - 1; i >= 0; i-- {
-		if b := d.bufFree[i]; int64(cap(b)) >= size {
-			// Buffers of a smaller page size stay pooled for their own vector.
-			last := len(d.bufFree) - 1
-			d.bufFree[i] = d.bufFree[last]
-			d.bufFree[last] = nil
-			d.bufFree = d.bufFree[:last]
-			return b[:size]
-		}
-	}
-	return make([]byte, size)
-}
-
-// putBuf returns a getBuf buffer to the pool. The caller guarantees no
-// other reference to it remains (rule: whoever nils the owning pointer
-// pools the buffer). nil is accepted and ignored. The pool sizes itself:
-// buffers pooled plus buffers out never exceed bufPeak, the most the
-// deployment has had out at once, so a burst it has absorbed before costs
-// no allocation again and nothing beyond that is hoarded — the rest goes
-// to the garbage collector.
-func (d *DSM) putBuf(b []byte) {
-	if b == nil {
-		return
-	}
-	d.bufOut--
-	if int64(len(d.bufFree))+d.bufOut < d.bufPeak {
-		d.bufFree = append(d.bufFree, b)
-	}
 }
 
 // pageDone releases a page's chain after a task completes and dispatches
@@ -956,8 +891,8 @@ func (d *DSM) pageDone(t *MemoryTask) {
 // Once the last dirty page is staged nothing in the tiers is owed to
 // anyone — a nonvolatile vector lives on through its backend — so what
 // only this deployment could read again goes: every blob hermes placed,
-// with its metadata, the pcache frames of the open handles, the pooled
-// page buffers and tasks. The teardown takes no virtual time and
+// with its metadata, the pcache frames of the open handles and their page
+// images, and the pooled tasks. The teardown takes no virtual time and
 // dispatches nothing, and the engine stays usable (a later Run, another
 // DSM on the same cluster). What describes the run stays readable:
 // counters and statistics, and CheckInvariants, which reports the audit
@@ -985,7 +920,7 @@ func (d *DSM) Shutdown(p *vtime.Proc) error {
 	for _, h := range d.handles {
 		h.release()
 	}
-	d.handles, d.bufFree, d.taskFree = nil, nil, nil
+	d.handles, d.taskFree = nil, nil
 	d.h.Release()
 	// Every frame and task gave its lease back by now: one still out was
 	// dropped by a holder that never released it.

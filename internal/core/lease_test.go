@@ -15,7 +15,7 @@ import (
 // leasedFrames counts a handle's resident leased frames.
 func leasedFrames(v *Vector[int64]) (n int) {
 	for _, cp := range v.pc.pages {
-		if cp.lease != nil {
+		if cp.img.Shared() {
 			n++
 		}
 	}
@@ -57,7 +57,7 @@ func TestReadOnlyReadsInstallLeasedFrames(t *testing.T) {
 		check := func(what string, v *Vector[int64], pg int64) {
 			t.Helper()
 			cp := v.pc.pages[pg]
-			if cp == nil || cp.lease == nil {
+			if cp == nil || !cp.img.Shared() {
 				t.Fatalf("%s: page %d is not a leased frame", what, pg)
 			}
 			if !isStored(p, d, v.m, pg, cp.data) {
@@ -115,8 +115,8 @@ func TestReadOnlyReadsInstallLeasedFrames(t *testing.T) {
 }
 
 // TestSetOnLeasedFrameCopiesFirst: a Set on a leased page gives the frame
-// a pooled buffer of its own before it writes, so the scache's copy keeps
-// its bytes until the commit.
+// an image of its own before it writes, so the scache's copy keeps its
+// bytes until the commit.
 func TestSetOnLeasedFrameCopiesFirst(t *testing.T) {
 	const epp = 512
 	c, d := newTestDSM(t, 1)
@@ -126,19 +126,19 @@ func TestSetOnLeasedFrameCopiesFirst(t *testing.T) {
 		v.Close()
 		v.SeqTxBegin(0, 2*epp, ReadOnly)
 		v.Get(0)
-		if cp := v.pc.pages[0]; cp.lease == nil {
+		if cp := v.pc.pages[0]; !cp.img.Shared() {
 			t.Fatal("the fault did not install a leased frame")
 		}
 		v.Set(3, 99)
 		cp := v.pc.pages[0]
-		if cp.lease != nil || isStored(p, d, v.m, 0, cp.data) {
+		if cp.img.Shared() || isStored(p, d, v.m, 0, cp.data) {
 			t.Fatal("the Set wrote into the scache's array")
 		}
 		if got, _, _ := d.h.Get(p, 0, v.m.pageID(0)); binary.LittleEndian.Uint64(got[24:]) != 7 {
 			t.Errorf("the scache copy reads %d before the commit, want its old 7", binary.LittleEndian.Uint64(got[24:]))
 		}
 		v.SetRange(epp+1, []int64{5, 6}) // a leased page written by a range
-		if v.pc.pages[1].lease != nil {
+		if v.pc.pages[1].img.Shared() {
 			t.Error("SetRange left page 1 leased")
 		}
 		v.TxEnd()
@@ -149,7 +149,7 @@ func TestSetOnLeasedFrameCopiesFirst(t *testing.T) {
 }
 
 // TestWritingPhasesStillCopy: ReadWrite and WriteOnly transactions keep
-// the copy path: their frames are pooled buffers, and a ReadWrite fault
+// the copy path: their frames are images of their own, and a ReadWrite fault
 // copies its page out of the scache's array.
 func TestWritingPhasesStillCopy(t *testing.T) {
 	const epp = 512
@@ -163,14 +163,14 @@ func TestWritingPhasesStillCopy(t *testing.T) {
 		if got := v.Get(5); got != 5 {
 			t.Errorf("a ReadWrite fault read %d, want 5", got)
 		}
-		if cp := v.pc.pages[0]; cp.lease != nil || isStored(p, d, v.m, 0, cp.data) {
+		if cp := v.pc.pages[0]; cp.img.Shared() || isStored(p, d, v.m, 0, cp.data) {
 			t.Error("a ReadWrite fault installed the scache's array, not a copy")
 		}
 		v.TxEnd()
 		v.Close()
 		v.SeqTxBegin(0, 2*epp, WriteOnly)
 		v.Set(epp, 1)
-		if v.pc.pages[1].lease != nil {
+		if v.pc.pages[1].img.Shared() {
 			t.Error("a WriteOnly write installed a leased frame")
 		}
 		v.TxEnd()
@@ -228,7 +228,7 @@ func TestAuditFindsALeakedLease(t *testing.T) {
 				b.Get(i)
 			}
 			for _, pg := range slices.Sorted(maps.Keys(b.pc.pages)) {
-				if cp := b.pc.pages[pg]; cp.lease == nil || !isLent(p, d, "/audit/backed.bin", pg*b.m.pageSize, cp.data) {
+				if cp := b.pc.pages[pg]; !cp.img.Shared() || !isLent(p, d, "/audit/backed.bin", pg*b.m.pageSize, cp.data) {
 					t.Errorf("page %d's read-only stage-in copied it: its frame is not the PFS's array", pg)
 				}
 			}
@@ -245,7 +245,7 @@ func TestAuditFindsALeakedLease(t *testing.T) {
 				v.Get(i)
 			}
 			if leak == "array" {
-				c.Arrays.Lease(v.pc.pages[0].lease) // a holder that never gives it back
+				c.Arrays.Lease(v.pc.pages[0].img) // a holder that never gives it back
 			}
 			v.TxEnd()
 			v.Destroy()
@@ -253,10 +253,10 @@ func TestAuditFindsALeakedLease(t *testing.T) {
 			b.Get(0)
 			if leak == "range" {
 				b.Get(b.PageSize() / 8 * 5) // the scache's copy: a range the PFS lent
-				if b.pc.pages[5].lease == nil {
+				if !b.pc.pages[5].img.Shared() {
 					t.Fatal("the fault did not install a leased frame")
 				}
-				c.Arrays.Lease(b.pc.pages[5].lease)
+				c.Arrays.Lease(b.pc.pages[5].img)
 			}
 			b.TxEnd()
 			if err := d.Shutdown(p); err != nil {
@@ -295,7 +295,7 @@ func TestShutdownReleasesFinishedFills(t *testing.T) {
 		p.Sleep(vtime.Second) // the fills the fault issued finish
 		finished := 0
 		for _, f := range v.fills {
-			if f.t.done.Fired() && f.t.lease != nil {
+			if f.t.done.Fired() && f.t.img != nil {
 				finished++
 			}
 		}

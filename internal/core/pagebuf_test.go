@@ -1,8 +1,8 @@
 package core
 
-// Tests of the page-buffer ownership rule (DESIGN.md "Page-buffer
-// ownership"): nothing leaks from the pool, and the steady-state commit,
-// stage-out and stage-in paths allocate no page-sized buffer.
+// Tests of the page-image rule (DESIGN.md "Page images"): no hold on an
+// image leaks, and the steady-state commit, stage-out and stage-in paths
+// allocate no page-sized array.
 
 import (
 	"fmt"
@@ -16,8 +16,8 @@ import (
 // TestPoolBalance drives several ranks through sequential and random
 // transactions with the prefetcher on and the pcache bounded (faults,
 // fills consumed and abandoned, evictions, retained commits, stage-outs),
-// drains everything, and then demands that every buffer taken from the
-// pool and not returned is the data of a page still resident.
+// drains everything, and then demands that every hold on a page image
+// still out after Shutdown released the resident pages was given back.
 func TestPoolBalance(t *testing.T) {
 	const nodes, ranks, n = 2, 4, 16 << 10
 	c, d := newTestDSM(t, nodes)
@@ -56,7 +56,7 @@ func TestPoolBalance(t *testing.T) {
 				for round := 0; round < 6; round++ {
 					// A read phase that stops after one access abandons the
 					// fills the prefetcher issued into the emptied pcache:
-					// TxEnd must re-pool them, tasks and buffers.
+					// TxEnd must re-pool them, tasks and images.
 					v.Close()
 					v.SeqTxBegin(off, ln, ReadOnly)
 					v.Get(off)
@@ -95,63 +95,10 @@ func TestPoolBalance(t *testing.T) {
 	if hits == 0 || evictions == 0 || waste == 0 {
 		t.Fatalf("vacuous run: %d fill hits, %d evictions, %d wasted fills", hits, evictions, waste)
 	}
-	// Shutdown released the resident pages, frames and buffers; a buffer
-	// still out of the pool belonged to no page.
-	if d.bufOut != 0 {
-		t.Errorf("%d buffers are out of the pool after Shutdown released every resident page: leaked", d.bufOut)
-	}
-}
-
-// TestGetBufKeepsSmallerBuffers: a request too big for the newest pooled
-// buffer must not cost the pool its smaller ones.
-func TestGetBufKeepsSmallerBuffers(t *testing.T) {
-	_, d := newTestDSM(t, 1)
-	small, big := d.getBuf(1<<10), d.getBuf(8<<10)
-	d.putBuf(big)
-	d.putBuf(small)
-	got := d.getBuf(8 << 10)
-	if &got[0] != &big[0] {
-		t.Error("getBuf allocated although a pooled buffer fits")
-	}
-	if len(d.bufFree) != 1 || &d.bufFree[0][0] != &small[0] {
-		t.Errorf("the smaller buffer left the pool: %d pooled", len(d.bufFree))
-	}
-	if d.bufOut != 1 {
-		t.Errorf("bufOut = %d with one buffer out", d.bufOut)
-	}
-}
-
-// TestPoolKeepsWhatABurstNeeded: the pool holds as many buffers as the
-// deployment has had out at once and no more, so a burst it has absorbed
-// before allocates nothing the second time; Shutdown lets the pool go.
-func TestPoolKeepsWhatABurstNeeded(t *testing.T) {
-	const burst = 600 // past the fixed cap the pool used to have
-	c, d := newTestDSM(t, 1)
-	out := make([][]byte, 0, burst)
-	take := func(n int) {
-		for i := 0; i < n; i++ {
-			out = append(out, d.getBuf(4<<10))
-		}
-	}
-	giveBack := func() {
-		for _, b := range out {
-			d.putBuf(b)
-		}
-		out = out[:0]
-	}
-	take(burst)
-	giveBack()
-	if got := testing.AllocsPerRun(5, func() { take(burst); giveBack() }); got != 0 {
-		t.Errorf("a repeated burst of %d buffers allocates %v times, want 0", burst, got)
-	}
-	take(burst / 2)
-	if got := len(d.bufFree) + len(out); got != burst {
-		t.Errorf("%d buffers pooled or out after a burst of %d", got, burst)
-	}
-	giveBack()
-	runDSM(t, c, d, func(*vtime.Proc) {})
-	if len(d.bufFree) != 0 {
-		t.Errorf("%d buffers still pooled after Shutdown", len(d.bufFree))
+	// Shutdown released the resident pages and their images; a hold still
+	// out belonged to no page.
+	if n := c.Arrays.Leases(); n != 0 {
+		t.Errorf("%d holds on page images are out after Shutdown released every resident page: leaked", n)
 	}
 }
 
@@ -174,7 +121,7 @@ func allocBytesPerOp(op func()) float64 {
 
 // TestPagePathAllocationBudgets holds the data path to its budget: a
 // Flush of a resident dirty page, a stage-out and a pq:// stage-in each
-// allocate no page-sized buffer once the pool is warm. The limit is a
+// allocate no page-sized array once the recycler is warm. The limit is a
 // quarter page per op; one leaked make([]byte, pageSize) is a whole one.
 func TestPagePathAllocationBudgets(t *testing.T) {
 	const pageSize = 32 << 10
@@ -184,7 +131,7 @@ func TestPagePathAllocationBudgets(t *testing.T) {
 		check := func(name string, op func()) {
 			t.Helper()
 			if got := allocBytesPerOp(op); got >= pageSize/4 {
-				t.Errorf("%s allocates %.0f B/op in steady state; a %d B page buffer is being allocated", name, got, pageSize)
+				t.Errorf("%s allocates %.0f B/op in steady state; a %d B page image is being allocated", name, got, pageSize)
 			}
 		}
 		epp := int64(pageSize / 8)
@@ -240,11 +187,11 @@ func TestPagePathAllocationBudgets(t *testing.T) {
 		pages := in.m.pageCount()
 		check("pq:// stage-in", func() {
 			i++
-			buf := d.getBuf(pageSize)
-			if _, _, err := d.runtimes[0].stageIn(p, in.m, i%pages, &buf, false); err != nil {
+			img, err := d.runtimes[0].stageIn(p, in.m, i%pages, false)
+			if err != nil {
 				t.Fatal(err)
 			}
-			d.putBuf(buf)
+			c.Arrays.Release(img)
 		})
 	})
 }

@@ -47,9 +47,9 @@ func readTask(d *DSM, m *vecMeta, pg int64, origin int) *MemoryTask {
 func writeTask(d *DSM, m *vecMeta, pg int64, origin int, val int64, whole bool) *MemoryTask {
 	t := d.newTask()
 	t.kind, t.vec, t.page, t.origin = taskWrite, m, pg, origin
-	t.data = d.getBuf(m.pageSize)
-	clear(t.data)
-	Int64Codec{}.Encode(t.data, val)
+	t.img = d.c.Arrays.Take(int(m.pageSize))
+	clear(t.img.Bytes())
+	Int64Codec{}.Encode(t.img.Bytes(), val)
 	end := int64(8)
 	if whole {
 		end = m.pageSize
@@ -147,7 +147,7 @@ func TestPageChainRunsInSubmissionOrder(t *testing.T) {
 				t.Fatalf("task %d (%v): %v", i, task.kind, err)
 			}
 			if want, isRead := wantRead[i]; isRead {
-				if got := (Int64Codec{}).Decode(task.data); got != want {
+				if got := (Int64Codec{}).Decode(task.img.Bytes()); got != want {
 					t.Errorf("task %d read %d, want %d: it ran out of submission order", i, got, want)
 				}
 			}

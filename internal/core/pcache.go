@@ -15,7 +15,13 @@ import "megammap/internal/device"
 
 // cachedPage is one page resident in a pcache.
 type cachedPage struct {
-	idx     int64
+	idx int64
+	// img is the frame's hold on its page image, and data img's bytes,
+	// cached for Get and Set. A frame never holds bytes without a handle;
+	// while img is shared — a commit in flight, a device storing it, a
+	// read-only phase's scache array — the bytes are immutable and a write
+	// copies them into an image of the frame's own first (Vector.own).
+	img     *device.Lease
 	data    []byte
 	dirty   []dirtyRange
 	lastUse int64   // pcache clock at last access (LRU)
@@ -31,12 +37,6 @@ type cachedPage struct {
 	// regions are real, the rest is zero fill. Partial pages must never
 	// serve reads that a new read phase could direct at foreign regions.
 	partial bool
-	// lease is the handle of a frame whose data is the scache's own array
-	// (a read-only phase's read), nil for a pooled buffer: the bytes are
-	// immutable, so a write first copies them into a pooled buffer
-	// (Vector.own), and dropping the frame gives the lease back instead of
-	// pooling the array.
-	lease *device.Lease
 	// version is the page's scache version (pageChain.version) the read
 	// that brought the image in saw; a global read phase drops the page
 	// once the scache's version moved past it.
@@ -112,25 +112,24 @@ func evictBefore(a, b *cachedPage) bool {
 	return a.idx < b.idx
 }
 
-// newPage returns a fresh page frame, reusing one of the client's recycled
-// frames when available.
-func (c *Client) newPage(idx int64, data []byte, score float64, partial bool, version uint64, lease *device.Lease) *cachedPage {
+// newPage returns a fresh page frame holding img, reusing one of the
+// client's recycled frames when available.
+func (c *Client) newPage(idx int64, img *device.Lease, score float64, partial bool, version uint64) *cachedPage {
 	if n := len(c.frames); n > 0 {
 		cp := c.frames[n-1]
 		c.frames = c.frames[:n-1]
-		*cp = cachedPage{idx: idx, data: data, dirty: cp.dirty[:0], score: score, partial: partial, version: version, lease: lease}
+		*cp = cachedPage{idx: idx, img: img, data: img.Bytes(), dirty: cp.dirty[:0], score: score, partial: partial, version: version}
 		return cp
 	}
-	return &cachedPage{idx: idx, data: data, score: score, partial: partial, version: version, lease: lease}
+	return &cachedPage{idx: idx, img: img, data: img.Bytes(), score: score, partial: partial, version: version}
 }
 
-// recycle returns a removed page's frame to the client's freelist. The
-// data buffer has gone back to the pool or into an in-flight commit task,
-// or its lease back to the scache, so its reference is dropped; the dirty
-// list never leaves the frame (commit tasks carry a copy) and keeps its
-// capacity for the frame's next page.
+// recycle returns a removed page's frame to the client's freelist. Its
+// hold on the image was given back, so its references are dropped; the
+// dirty list never leaves the frame (commit tasks carry a copy) and keeps
+// its capacity for the frame's next page.
 func (c *Client) recycle(cp *cachedPage) {
-	cp.data = nil
+	cp.img, cp.data = nil, nil
 	c.frames = append(c.frames, cp)
 }
 

@@ -176,7 +176,7 @@ func (r *Runtime) worker(p *vtime.Proc, q *vtime.Chan[*MemoryTask]) {
 func (r *Runtime) exec(p *vtime.Proc, t *MemoryTask) {
 	switch t.kind {
 	case taskRead:
-		t.data, t.err = r.readPage(p, t)
+		t.img, t.err = r.readPage(p, t)
 	case taskWrite:
 		if t.err = r.writePage(p, t); t.err != nil {
 			r.d.counts[r.node.ID].commitErrors++
@@ -198,48 +198,43 @@ func (r *Runtime) exec(p *vtime.Proc, t *MemoryTask) {
 	}
 }
 
-// readPage returns the page bytes, staging in from the backend on a cold
-// miss and creating node-local replicas when the coherence mode allows.
+// readPage returns the page's image, staging in from the backend on a
+// cold miss and creating node-local replicas when the coherence mode
+// allows.
 //
 // A read that may lease (t.mayLease, a read-only phase's) returns the
 // scache's own array of a full page under a lease, stages in a range the
 // backend lends (Backend.ReadRangeLease), and lends a staged-in image to
-// the scache (PutBacked), so that the backend's array stays the one host
-// array of the page; t.lease is then the handle the result is held by.
-// Every other leg fills one pooled buffer — scache get, stage-in or
-// checksum repair — which leaves as the page's data (dropPage returns
-// it); each leg overwrites all of it. A read that does not lease takes
-// the buffer at once, one that may takes it when a leg first needs it.
-func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
+// the scache (PutLent), so that the page keeps one host array. Every other
+// leg — scache get, stage-in or checksum repair — fills an image of its
+// own (Arrays.Take), overwriting all of it, and gives it back if the
+// read discards it.
+func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) (*device.Lease, error) {
 	m := t.vec
 	key := m.pageID(t.page)
 	// The read runs on the page's chain: no commit changes the bytes, or
 	// their version, until it returns.
 	t.version, _ = m.pageVersion(t.page)
-	var buf []byte
-	if !t.mayLease {
-		buf = r.d.getBuf(m.pageSize)
-	}
 	// Replicated phase: serve from (or install) a replica local to the
 	// requesting node.
 	if t.replicate {
 		rkey := m.replicaID(t.page, t.origin)
 		if _, held := r.d.h.NodeOf(rkey); held {
-			if data, ok, err := r.scacheRead(p, t, t.origin, rkey, &buf); err == nil && ok {
-				if s := m.state(t.page); r.d.cfg.ChecksumPages && s.summed && crc32.ChecksumIEEE(data) != s.sum {
+			if img, ok, err := r.scacheRead(p, t, t.origin, rkey); err == nil && ok {
+				if s := m.state(t.page); r.d.cfg.ChecksumPages && s.summed && crc32.ChecksumIEEE(img.Bytes()) != s.sum {
 					// Corrupt local replica: drop it and fall through to
 					// the primary, whose verify-and-repair runs below.
-					r.unlease(t)
+					r.d.c.Arrays.Release(img)
 					r.d.h.Delete(p, t.origin, rkey)
 				} else {
 					r.d.replicaHits++
-					return r.done(t, data, buf), nil
+					return img, nil
 				}
 			}
 		}
 		r.d.replicaMisses++
 	}
-	data, ok, err := r.scacheRead(p, t, r.node.ID, key, &buf)
+	img, ok, err := r.scacheRead(p, t, r.node.ID, key)
 	if err != nil && errors.Is(err, faults.ErrNodeDown) && !m.state(t.page).dirty {
 		// The primary died with its node, but the page was not modified
 		// since its last stage-out, so the backend (or zero fill, for a
@@ -248,37 +243,30 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 		ok, err = false, nil
 	}
 	if err != nil {
-		r.d.putBuf(buf)
 		return nil, err
 	}
 	staged := false
 	if !ok {
-		data, t.lease, err = r.stageIn(p, m, t.page, &buf, t.mayLease)
-		if err != nil {
-			r.d.putBuf(buf)
+		if img, err = r.stageIn(p, m, t.page, t.mayLease); err != nil {
 			return nil, err
 		}
 		staged = true
 	}
 	if r.d.cfg.ChecksumPages {
-		if s := m.state(t.page); s.summed && crc32.ChecksumIEEE(data) != s.sum {
+		if s := m.state(t.page); s.summed && crc32.ChecksumIEEE(img.Bytes()) != s.sum {
 			// Verify BEFORE any reinstall: if the scache lost the primary
 			// (e.g. a node restarted between commits) the staged image is
 			// stale or zero fill, and re-Putting it would propagate the
 			// bad bytes over the surviving backup replicas. Repair from a
 			// good copy instead; repairPage reinstalls the primary itself.
-			// The corrupt image is no use to anyone: the repair reads its
-			// candidates over buf.
-			r.unlease(t)
-			good, rerr := r.repairPage(p, m, t.page, s.sum, r.buffer(m, &buf))
-			if rerr != nil {
-				r.d.putBuf(buf)
-				return nil, rerr
+			r.d.c.Arrays.Release(img)
+			if img, err = r.repairPage(p, m, t.page, s.sum); err != nil {
+				return nil, err
 			}
-			data = good
 			staged = false
 		}
 	}
+	data := img.Bytes()
 	if staged {
 		if r.d.cfg.ChecksumPages && m.backend != nil {
 			// The image is the backend's, so its CRC is the page's checksum:
@@ -292,13 +280,12 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 		// a commit changes it. A full scache falls back to serving straight
 		// from the backend. A read that may lease lends the image: the
 		// scache stores its handle and the page holds it too, whether the
-		// put lands or not. An image in buf gets a handle first, and buf
-		// leaves the pool's books.
-		if t.mayLease && t.lease == nil {
-			t.lease, buf = r.d.c.Arrays.Wrap(data), nil
-			r.d.bufOut--
+		// put lands or not.
+		var lent *device.Lease
+		if t.mayLease {
+			lent = img
 		}
-		r.d.h.PutBacked(p, r.node.ID, key, data, m.placeScore(0.5), t.origin, t.lease)
+		r.d.h.PutLent(p, r.node.ID, key, data, m.placeScore(0.5), t.origin, lent, true)
 	}
 	if t.replicate {
 		if node, ok := r.d.h.NodeOf(key); ok && node != t.origin {
@@ -310,52 +297,25 @@ func (r *Runtime) readPage(p *vtime.Proc, t *MemoryTask) ([]byte, error) {
 	if r.node.ID != t.origin {
 		r.d.c.Fabric.Transfer(p, r.node.ID, t.origin, int64(len(data)))
 	}
-	return r.done(t, data, buf), nil
+	return img, nil
 }
 
 // scacheRead reads blob id's image for t as a full page: the stored array
-// itself under a lease (t.lease) when t may lease and the blob is the
-// whole page, else copied into *buf, which it takes from the pool if t
-// has none yet, and padded (fullPage): a volatile blob is stored trimmed.
-func (r *Runtime) scacheRead(p *vtime.Proc, t *MemoryTask, from int, id blob.ID, buf *[]byte) ([]byte, bool, error) {
+// itself under a lease when t may lease and the blob is the whole page,
+// else a copy in an image of its own, padded (fullPage): a volatile blob
+// is stored trimmed.
+func (r *Runtime) scacheRead(p *vtime.Proc, t *MemoryTask, from int, id blob.ID) (*device.Lease, bool, error) {
 	l, ok, err := r.d.h.GetLease(p, from, id)
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	size := t.vec.pageSize
-	if data := l.Bytes(); t.mayLease && int64(len(data)) == size {
-		t.lease = l
-		return data, true, nil
+	if t.mayLease && int64(len(l.Bytes())) == t.vec.pageSize {
+		return l, true, nil
 	}
-	full := fullPage(l.Bytes(), r.buffer(t.vec, buf), size)
+	img := r.d.c.Arrays.Take(int(t.vec.pageSize))
+	fullPage(img.Bytes(), l.Bytes())
 	r.d.c.Arrays.Release(l)
-	return full, true, nil
-}
-
-// buffer returns *buf, taking a page buffer from the pool first if the
-// read has none yet.
-func (r *Runtime) buffer(m *vecMeta, buf *[]byte) []byte {
-	if *buf == nil {
-		*buf = r.d.getBuf(m.pageSize)
-	}
-	return *buf
-}
-
-// unlease gives back the lease on a leased image the read discards.
-func (r *Runtime) unlease(t *MemoryTask) {
-	if t.lease != nil {
-		r.d.c.Arrays.Release(t.lease)
-		t.lease = nil
-	}
-}
-
-// done returns a read's result: a leased image leaves the pooled buffer
-// a leg took but did not end up returning to the pool.
-func (r *Runtime) done(t *MemoryTask, data, buf []byte) []byte {
-	if t.lease != nil {
-		r.d.putBuf(buf)
-	}
-	return data
+	return img, true, nil
 }
 
 // repairPage restores a page whose image failed CRC verification: it
@@ -364,23 +324,18 @@ func (r *Runtime) done(t *MemoryTask, data, buf []byte) []byte {
 // with the good image (with fresh backups, unless the image came from the
 // backend), and counts the repair. When no good copy survives, the
 // corruption is unrepairable and the fault surfaces faults.ErrCorrupt
-// instead of silently returning zeros. The good image is returned in buf,
-// a caller-owned page buffer.
-func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32, buf []byte) ([]byte, error) {
+// instead of silently returning zeros. The good image is returned in an
+// image of the caller's own.
+func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32) (*device.Lease, error) {
 	sp := r.d.trc.Enter(p, telemetry.OpRepair, r.node.ID, m.id, page)
-	good, restaged, err := r.repairSource(p, m, page, want, buf)
-	sp.Exit(p, int64(len(good)), err != nil)
+	good, restaged, err := r.repairSource(p, m, page, want)
+	sp.Exit(p, int64(len(good.Bytes())), err != nil)
 	if err != nil {
 		return nil, err
 	}
 	// Rewriting the primary replaces its corrupt bytes.
-	key := m.pageID(page)
-	if restaged {
-		err = r.d.h.PutBacked(p, r.node.ID, key, good, m.placeScore(0.6), r.node.ID, nil)
-	} else {
-		err = r.d.h.Put(p, r.node.ID, key, good, m.placeScore(0.6), r.node.ID)
-	}
-	if err != nil {
+	if err := r.d.h.PutLent(p, r.node.ID, m.pageID(page), good.Bytes(), m.placeScore(0.6), r.node.ID, nil, restaged); err != nil {
+		r.d.c.Arrays.Release(good)
 		return nil, err
 	}
 	r.d.inj.Note("core.page_repair")
@@ -390,82 +345,84 @@ func (r *Runtime) repairPage(p *vtime.Proc, m *vecMeta, page int64, want uint32,
 // repairSource finds a page image matching the recorded checksum: backup
 // replicas first (cheapest, scache-resident), then a backend re-stage for
 // pages whose last commit was staged out (restaged reports that source).
-// Each candidate is copied or read over buf.
-func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint32, buf []byte) (good []byte, restaged bool, err error) {
+// Each candidate is copied or read into an image of its own, given back
+// when it does not match.
+func (r *Runtime) repairSource(p *vtime.Proc, m *vecMeta, page int64, want uint32) (good *device.Lease, restaged bool, err error) {
 	key := m.pageID(page)
 	for slot := 0; slot < r.d.cfg.Replicas; slot++ {
 		if l, ok := r.d.h.ReadBackup(p, r.node.ID, key, slot); ok {
 			// Backups of volatile pages are stored trimmed like their
 			// primaries; pad before checksumming or a good short copy
 			// would never match the full-page CRC.
-			data := fullPage(l.Bytes(), buf, m.pageSize)
+			img := r.d.c.Arrays.Take(int(m.pageSize))
+			fullPage(img.Bytes(), l.Bytes())
 			r.d.c.Arrays.Release(l)
-			if crc32.ChecksumIEEE(data) == want {
+			if crc32.ChecksumIEEE(img.Bytes()) == want {
 				r.d.inj.Note("core.repair_replica")
-				return data, false, nil
+				return img, false, nil
 			}
+			r.d.c.Arrays.Release(img)
 		}
 	}
 	if m.backend != nil && !m.state(page).dirty {
-		if data, _, err := r.stageIn(p, m, page, &buf, false); err == nil && crc32.ChecksumIEEE(data) == want {
-			r.d.inj.Note("core.repair_restage")
-			return data, true, nil
+		if img, err := r.stageIn(p, m, page, false); err == nil {
+			if crc32.ChecksumIEEE(img.Bytes()) == want {
+				r.d.inj.Note("core.repair_restage")
+				return img, true, nil
+			}
+			r.d.c.Arrays.Release(img)
 		}
 	}
 	return nil, false, fmt.Errorf("core: checksum mismatch on %s page %d: %w", m.name, page, faults.ErrCorrupt)
 }
 
-// fullPage copies a scache read's leased image into buf, the pooled
-// buffer the read was given, as the full page. Volatile blobs are stored
-// trimmed to their written extent: the tail past the blob is cleared (buf
-// holds stale bytes).
-func fullPage(data, buf []byte, size int64) []byte {
-	full := buf[:size]
-	clear(full[copy(full, data):])
-	return full
+// fullPage copies a scache read's leased image into page, a full page of
+// the reader's own. Volatile blobs are stored trimmed to their written
+// extent: the tail past the blob is cleared (page holds stale bytes).
+func fullPage(page, data []byte) {
+	clear(page[copy(page, data):])
 }
 
 // stageIn materializes a page image from the vector's backend (or zeros
-// for volatile/unwritten pages) over *buf, a page buffer of the caller's
-// whose contents are unspecified on entry, taken from the pool first if
-// *buf is nil. With lend (a read-only fault's), the backend lends the
-// whole page if it stores it in one piece (Backend.ReadRangeLease): data
-// is then its stored bytes themselves under a lease the caller holds
-// (lent, their handle), and *buf is not taken. A page that straddles two
-// objects and a short or sparse tail land in *buf.
-func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, buf *[]byte, lend bool) (data []byte, lent *device.Lease, err error) {
+// for volatile/unwritten pages) in an image of the caller's own. With
+// lend (a read-only fault's), the backend lends the whole page if it
+// stores it in one piece (Backend.ReadRangeLease): img is then a lease on
+// its stored bytes themselves. A page that straddles two objects and a
+// short or sparse tail land in an image of the caller's own.
+func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, lend bool) (img *device.Lease, err error) {
 	sp := r.d.trc.Enter(p, telemetry.OpStageIn, r.node.ID, m.id, page)
-	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
+	defer func() { sp.Exit(p, int64(len(img.Bytes())), err != nil) }()
 	var n int64 // bytes the backend holds for this page
 	if m.backend != nil {
 		off := page * m.pageSize
 		if have := m.backend.Size(); off < have {
 			n = min(m.pageSize, have-off)
+			var lent *device.Lease
 			if lend && n == m.pageSize {
 				if lent, err = m.backend.ReadRangeLease(p, r.node.ID, off, n); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				if int64(len(lent.Bytes())) == n {
-					return lent.Bytes(), lent, nil
+					return lent, nil
 				}
 			}
-			data = r.buffer(m, buf)[:m.pageSize]
+			img = r.d.c.Arrays.Take(int(m.pageSize))
 			if lent != nil { // its object shrank while the lending read queued
-				n = int64(copy(data, lent.Bytes()))
+				n = int64(copy(img.Bytes(), lent.Bytes()))
 				r.d.c.Arrays.Release(lent)
-				lent = nil
-			} else if got, err := m.backend.ReadRangeInto(p, r.node.ID, off, n, data); err != nil {
-				return nil, nil, err
+			} else if got, err := m.backend.ReadRangeInto(p, r.node.ID, off, n, img.Bytes()); err != nil {
+				r.d.c.Arrays.Release(img)
+				return nil, err
 			} else {
-				n = int64(len(got)) // the bytes landed in data, large enough for them
+				n = int64(len(got)) // the bytes landed in img, large enough for them
 			}
 		}
 	}
-	if data == nil {
-		data = r.buffer(m, buf)[:m.pageSize]
+	if img == nil {
+		img = r.d.c.Arrays.Take(int(m.pageSize))
 	}
-	clear(data[n:]) // the buffer holds stale bytes past what the backend filled
-	return data, nil, nil
+	clear(img.Bytes()[n:]) // the image holds stale bytes past what the backend filled
+	return img, nil
 }
 
 // writePage commits modified regions of a page to the scache. A page the
@@ -495,16 +452,17 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 	held, patched := true, false
 	if !sums {
 		held = r.d.h.Has(p, r.node.ID, key)
-		if held && r.holds(m, t.page, t.data, t.regions, whole) {
+		if held && r.holds(m, t.page, t.img.Bytes(), t.regions, whole) {
 			r.d.counts[r.node.ID].commitsElided++
 			m.pageHeld(t.page, writer)
 			return nil
 		}
 		patched = held && !whole && !r.d.cfg.DisablePartialPaging
 	}
+	data := t.img.Bytes()
 	for i := 0; patched && i < len(t.regions); i++ {
 		reg := t.regions[i]
-		if err := r.d.h.PutAt(p, r.node.ID, key, reg.off, t.data[reg.off:reg.end]); err != nil {
+		if err := r.d.h.PutAt(p, r.node.ID, key, reg.off, data[reg.off:reg.end]); err != nil {
 			// A clean page's lost copy merges onto the backend image; a
 			// device that cannot take the growth, onto the stored copy.
 			lost := errors.Is(err, faults.ErrNodeDown) && !m.state(t.page).dirty
@@ -515,14 +473,19 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 		}
 	}
 	if !patched {
-		image := t.data
+		// The scache stores the image itself (PutLent): the task's for a
+		// whole page, else the merged one, unless it is cut short.
+		img, image := t.img, data
 		if !whole {
-			buf := r.d.getBuf(m.pageSize) // the scache stores its own copy
-			defer r.d.putBuf(buf)
 			var err error
-			if image, err = r.mergeImage(p, t, held, buf); err != nil {
+			if img, image, err = r.mergeImage(p, t, held); err != nil {
 				return err
 			}
+			defer r.d.c.Arrays.Release(img)
+		}
+		lent := img
+		if len(image) != len(img.Bytes()) {
+			lent = nil
 		}
 		// The recorded CRC is the page's content hash: only an image that
 		// matches it can be elided, so the stored sum stays the page's.
@@ -535,7 +498,7 @@ func (r *Runtime) writePage(p *vtime.Proc, t *MemoryTask) error {
 				return nil
 			}
 		}
-		if err := r.d.h.Put(p, r.node.ID, key, image, m.placeScore(0.6), t.origin); err != nil {
+		if err := r.d.h.PutLent(p, r.node.ID, key, image, m.placeScore(0.6), t.origin, lent, false); err != nil {
 			return err
 		}
 		if sums {
@@ -580,35 +543,37 @@ func (r *Runtime) holds(m *vecMeta, page int64, data []byte, regions []dirtyRang
 }
 
 // mergeImage lays a commit's dirty regions over the page's base image in
-// buf, a page buffer of the caller's. The base is the scache's copy,
-// padded to the page size, when held and not lost with its node while
-// clean; otherwise the backend's bytes or zeros (stageIn), and then a
-// volatile page is cut after its last written byte, as readers pad the
-// zero fill back (fullPage). A checksummed page is stored whole: its CRC
-// and elision cover the whole image.
-func (r *Runtime) mergeImage(p *vtime.Proc, t *MemoryTask, held bool, buf []byte) (image []byte, err error) {
+// img, an image of its own it returns with image, the bytes to store. The
+// base is the scache's copy, padded to the page size, when held and not
+// lost with its node while clean; otherwise the backend's bytes or zeros
+// (stageIn), and then a volatile page is cut after its last written byte,
+// as readers pad the zero fill back (fullPage). A checksummed page is
+// stored whole: its CRC and elision cover the whole image.
+func (r *Runtime) mergeImage(p *vtime.Proc, t *MemoryTask, held bool) (img *device.Lease, image []byte, err error) {
 	m := t.vec
 	ok := false
 	var l *device.Lease
 	if held {
 		l, ok, err = r.d.h.GetLease(p, r.node.ID, m.pageID(t.page))
 		if err != nil && !(errors.Is(err, faults.ErrNodeDown) && !m.state(t.page).dirty) {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	end := m.pageSize
 	if err == nil && ok {
-		image = fullPage(l.Bytes(), buf, m.pageSize)
+		img = r.d.c.Arrays.Take(int(m.pageSize))
+		fullPage(img.Bytes(), l.Bytes())
 		r.d.c.Arrays.Release(l)
-	} else if image, _, err = r.stageIn(p, m, t.page, &buf, false); err != nil {
-		return nil, err
+	} else if img, err = r.stageIn(p, m, t.page, false); err != nil {
+		return nil, nil, err
 	} else if m.backend == nil && !r.d.cfg.ChecksumPages {
 		end = t.regions[len(t.regions)-1].end
 	}
+	image, data := img.Bytes(), t.img.Bytes()
 	for _, reg := range t.regions {
-		copy(image[reg.off:reg.end], t.data[reg.off:reg.end])
+		copy(image[reg.off:reg.end], data[reg.off:reg.end])
 	}
-	return image[:end], nil
+	return img, image[:end], nil
 }
 
 // destroyPage removes a page and its replicas from the scache and clears

@@ -85,14 +85,18 @@ type MemoryTask struct {
 	vec  *vecMeta
 	page int64
 
-	// write: the dirty regions and a copy of the page bytes they cover
-	// (writes are asynchronous; the copy decouples the application from
-	// commit latency). regions starts out in inline, so a commit of one
-	// range allocates nothing whatever the task carried before; a longer
-	// list grows past it once and the task keeps that storage.
+	// write: the dirty regions, and img, a hold on the page image they lie
+	// in (writes are asynchronous; the hold decouples the application from
+	// commit latency: a write to the frame meanwhile copies it first).
+	// regions starts out in inline, so a commit of one range allocates
+	// nothing whatever the task carried before; a longer list grows past it
+	// once and the task keeps that storage.
 	regions []dirtyRange
 	inline  [1]dirtyRange
-	data    []byte // full page image for writes; result buffer for reads
+	// img is the page image the task holds: a commit's payload, or a read's
+	// result (DESIGN.md "Page images"). Whoever claims a read's result takes
+	// the field over and nils it; recycleTask gives back a hold left here.
+	img *device.Lease
 	// writer is the handle (Vector.id) that keeps the page cached with the
 	// image a write carries, 0 for an eviction's commit (pageChain.writer).
 	writer uint64
@@ -100,10 +104,9 @@ type MemoryTask struct {
 	// read: whether a node-local replica may be created (read-only /
 	// collective coherence), and the page's scache version the read saw
 	// (pageChain.version), which the page it installs carries. mayLease
-	// asks for the scache's own array (a read-only phase's read); lease is
-	// then the handle data is held under, nil for a pooled buffer.
+	// lets img be the scache's or the backend's own array (a read-only
+	// phase's read) instead of an image of the task's own.
 	replicate, mayLease bool
-	lease               *device.Lease
 	version             uint64
 
 	// score: the importance in [0,1] set by the prefetcher, and whether

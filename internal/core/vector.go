@@ -244,23 +244,17 @@ func (v *Vector[T]) dirtyResident() int {
 
 // release drops the handle's page frames, its client's recycled ones, and
 // the scratch that points at them or is a page's size, at Shutdown,
-// whoever still holds the handle.
-// The frames' buffers leave the pool's books with them (every task has
-// drained: what is still out afterwards leaked), and leased frames and
-// fills give their leases back; the DRAM accounting stays as the run left
-// it.
+// whoever still holds the handle. The frames and finished fills give
+// their holds on their images back (every task has drained: a hold still
+// out afterwards leaked); the DRAM accounting stays as the run left it.
 func (v *Vector[T]) release() {
 	for _, cp := range v.pc.pages {
-		if cp.lease != nil {
-			v.c.d.c.Arrays.Release(cp.lease)
-		} else {
-			v.c.d.bufOut--
-		}
+		v.c.d.c.Arrays.Release(cp.img)
 	}
 	for _, f := range v.fills {
-		if f.t.done.Fired() && f.t.lease != nil {
-			v.c.d.c.Arrays.Release(f.t.lease)
-			f.t.data, f.t.lease = nil, nil
+		if f.t.done.Fired() && f.t.img != nil {
+			v.c.d.c.Arrays.Release(f.t.img)
+			f.t.img = nil
 		}
 	}
 	clear(v.pc.pages)
@@ -348,7 +342,7 @@ func (v *Vector[T]) shrink(old int64) {
 	if tail := m.sizeBytes() - (pages-1)*m.pageSize; pages > 0 && tail < m.pageSize {
 		last := pages - 1
 		if cp := v.pc.pages[last]; cp != nil {
-			if cp.lease != nil {
+			if cp.img.Shared() {
 				v.own(cp)
 			}
 			clear(cp.data[tail:])
@@ -357,8 +351,8 @@ func (v *Vector[T]) shrink(old int64) {
 		// copy (or onto the backend's bytes, for a page it does not hold).
 		t := d.newTask()
 		t.kind, t.vec, t.page = taskWrite, m, last
-		t.data = d.getBuf(m.pageSize)
-		clear(t.data[tail:])
+		t.img = d.c.Arrays.Take(int(m.pageSize))
+		clear(t.img.Bytes()[tail:])
 		t.regions = append(t.regions[:0], dirtyRange{off: tail, end: m.pageSize})
 		t.origin, t.recycle = v.c.node.ID, true
 		v.pageWrites.inc(last) // a fill issued before now is stale
@@ -469,14 +463,16 @@ func (v *Vector[T]) TxEnd() {
 
 // releaseFills drops every pending prefetch fill (all complete after a
 // Drain) so fills never leak across transaction phases: the reservation
-// is released and the fill's task and page buffer re-pool.
+// is released and the fill's task re-pools, giving its image back.
 func (v *Vector[T]) releaseFills() {
 	for _, f := range v.fills {
 		v.pc.used -= v.m.pageSize
 		v.c.node.Free(v.m.pageSize)
 		v.c.d.fillWaste++
-		if f.t.done.Fired() { // else a worker still holds the task
+		if f.t.done.Fired() {
 			v.c.d.recycleTask(f.t)
+		} else {
+			f.t.recycle = true // a worker still holds it: it recycles it when done
 		}
 	}
 	clear(v.fills)
@@ -706,7 +702,7 @@ func (v *Vector[T]) page(pg int64, forWrite bool) *cachedPage {
 		if !forWrite && v.last.partial && v.pageWrites.get(pg) > 0 {
 			v.healPartial(v.last)
 		}
-		if forWrite && v.last.lease != nil {
+		if forWrite && v.last.img.Shared() {
 			v.own(v.last)
 		}
 		v.setLast(v.last) // the heal, a commit, an Append or own may have widened the window
@@ -723,7 +719,7 @@ func (v *Vector[T]) page(pg int64, forWrite bool) *cachedPage {
 	if !forWrite && cp.partial && v.pageWrites.get(pg) > 0 {
 		v.healPartial(cp)
 	}
-	if forWrite && cp.lease != nil {
+	if forWrite && cp.img.Shared() {
 		v.own(cp)
 	}
 	v.setLast(cp)
@@ -739,8 +735,9 @@ func (v *Vector[T]) page(pg int64, forWrite bool) *cachedPage {
 }
 
 // setLast makes cp (nil for none) the page Get and Set try first and
-// derives its window. A leased page's winSet is 0, so a Set takes page(),
-// which gives it a buffer of its own first (own).
+// derives its window. A page whose image is shared has winSet 0, so a Set
+// takes page(), which gives it an image of its own first (own). Whatever
+// shares a frame's image afterwards (commitPage) calls it again.
 func (v *Vector[T]) setLast(cp *cachedPage) {
 	v.last, v.winGet, v.winSet = cp, 0, 0
 	if cp == nil {
@@ -751,23 +748,24 @@ func (v *Vector[T]) setLast(cp *cachedPage) {
 	if !cp.partial {
 		v.winGet = w
 	}
-	if cp.lease == nil {
+	if !cp.img.Shared() {
 		v.winSet = w
 	}
 }
 
-// own copies a leased page into a pooled buffer of its own before a
-// write and gives the lease back: the leased array is the scache's, and
-// the scache copy must keep its bytes until a commit changes them.
+// own copies a page whose image is shared into an image of its own before
+// a write and gives its hold on the shared one back: the scache, a commit
+// in flight or a borrowed range's backend must keep the bytes they hold
+// until a commit changes them.
 func (v *Vector[T]) own(cp *cachedPage) {
-	buf := v.c.d.getBuf(int64(len(cp.data)))
-	copy(buf, cp.data)
-	v.c.d.c.Arrays.Release(cp.lease)
-	cp.data, cp.lease = buf, nil
+	img := v.c.d.c.Arrays.Take(len(cp.data))
+	copy(img.Bytes(), cp.data)
+	v.c.d.c.Arrays.Release(cp.img)
+	cp.img, cp.data = img, img.Bytes()
 }
 
 // leaseReads reports whether the open transaction declares no write, so
-// its reads may install the scache's arrays under a lease.
+// its reads may install the scache's arrays themselves.
 func (v *Vector[T]) leaseReads() bool { return v.tx != nil && v.tx.flags.readOnly() }
 
 // healPartial replaces a write-allocated page's zero fill with the
@@ -777,14 +775,15 @@ func (v *Vector[T]) leaseReads() bool { return v.tx != nil && v.tx.flags.readOnl
 // resident copy would mask it. The fetch counts as a fault (it is one),
 // and uncommitted local modifications overlay the fetched image.
 func (v *Vector[T]) healPartial(cp *cachedPage) {
-	var data []byte
-	data, cp.version, _ = v.readPage(cp.idx, false)
+	var img *device.Lease
+	img, cp.version = v.readPage(cp.idx, false)
+	data := img.Bytes()
 	cp.dirty = mergeRanges(cp.dirty)
 	for _, r := range cp.dirty {
 		copy(data[r.off:r.end], cp.data[r.off:r.end])
 	}
-	v.c.d.putBuf(cp.data)
-	cp.data = data
+	v.c.d.c.Arrays.Release(cp.img)
+	cp.img, cp.data = img, data
 	cp.partial = false
 }
 
@@ -816,14 +815,13 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		f = v.tx.flags
 	}
 	writeAlloc := forWrite && (f.Has(Write) || f.Has(Append)) && !f.Has(Read)
-	var data []byte
+	var img *device.Lease
 	var version uint64
-	var lease *device.Lease
 	partial := false
 	switch fi, filling := v.fillAt(pg); {
 	case writeAlloc:
-		data = v.c.d.getBuf(m.pageSize)
-		clear(data) // write-allocate: the unwritten rest of the page is zero fill
+		img = v.c.d.c.Arrays.Take(int(m.pageSize))
+		clear(img.Bytes()) // write-allocate: the unwritten rest of the page is zero fill
 		partial = true
 	case filling:
 		f := v.fills[fi]
@@ -835,24 +833,22 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		if f.stamp != v.pageWrites.get(pg) {
 			// The page was committed after the fill was issued; its data
 			// is stale. Keep the reservation and fault fresh data.
-			fresh, version, lease := v.readPage(pg, v.leaseReads())
-			cp := v.c.newPage(pg, fresh, m.insertScore(), false, version, lease)
+			fresh, version := v.readPage(pg, v.leaseReads())
+			cp := v.c.newPage(pg, fresh, m.insertScore(), false, version)
 			v.c.d.recycleTask(f.t) // the stale image goes back here
 			v.c.d.fillWaste++
 			v.pc.insert(cp)
 			return cp
 		}
-		// The fill already reserved space; hand its buffer over.
-		filled := f.t.data
-		f.t.data = nil
+		// The fill already reserved space; hand its image over.
+		cp := v.c.newPage(pg, f.t.img, m.insertScore(), false, f.t.version)
+		f.t.img = nil
 		v.c.d.fillHits++
-		cp := v.c.newPage(pg, filled, m.insertScore(), false, f.t.version, f.t.lease)
-		f.t.lease = nil
 		v.c.d.recycleTask(f.t)
 		v.pc.insert(cp)
 		return cp
 	case v.tx == nil || !v.tx.flags.Has(Collective):
-		data, version, lease = v.readPage(pg, v.leaseReads())
+		img, version = v.readPage(pg, v.leaseReads())
 	default:
 		// Collective phases coalesce faults: one fetch per (page, node),
 		// later ranks share the arriving data (Fig. 3's tree pattern). The
@@ -866,8 +862,8 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 			if err := lead.Wait(v.c.p); err != nil {
 				panic(fmt.Errorf("core: coalesced fault on %s page %d failed: %w", m.name, pg, err))
 			}
-			data = v.c.d.getBuf(int64(len(lead.data)))
-			copy(data, lead.data)
+			img = v.c.d.c.Arrays.Take(int(m.pageSize))
+			copy(img.Bytes(), lead.img.Bytes())
 			version = lead.version
 			break
 		}
@@ -876,19 +872,21 @@ func (v *Vector[T]) fault(pg int64, forWrite bool) *cachedPage {
 		if err := v.c.submitSync(t); err != nil {
 			panic(fmt.Errorf("core: page fault on %s page %d failed: %w", m.name, pg, err))
 		}
-		data, version, lease = t.data, t.version, t.lease
+		// The page takes the task's hold; the task is never recycled, so
+		// the sharers copy the image from it without a hold of their own.
+		img, version = t.img, t.version
 	}
 	v.ensureSpace(pg)
-	cp := v.c.newPage(pg, data, m.insertScore(), partial, version, lease)
+	cp := v.c.newPage(pg, img, m.insertScore(), partial, version)
 	v.pc.insert(cp)
 	return cp
 }
 
 // readPage is one synchronous fault of page pg from the scache: it counts
-// the fault, reads the page and returns its image, which the caller now
-// owns, with the commit version it was read at. A read with lease may
-// return the scache's own array instead, held under a lease (l).
-func (v *Vector[T]) readPage(pg int64, lease bool) (data []byte, version uint64, l *device.Lease) {
+// the fault, reads the page and returns the caller's hold on its image,
+// with the commit version it was read at. A read with lease may return the
+// scache's own array instead of an image of the caller's own.
+func (v *Vector[T]) readPage(pg int64, lease bool) (img *device.Lease, version uint64) {
 	v.countFault()
 	t := v.c.d.newTask()
 	t.kind, t.vec, t.page = taskRead, v.m, pg
@@ -896,10 +894,10 @@ func (v *Vector[T]) readPage(pg int64, lease bool) (data []byte, version uint64,
 	if err := v.c.submitSync(t); err != nil {
 		panic(fmt.Errorf("core: page fault on %s page %d failed: %w", v.m.name, pg, err))
 	}
-	data, version, l = t.data, t.version, t.lease
-	t.data, t.lease = nil, nil // claimed by the caller; keep recycleTask from giving it back
+	img, version = t.img, t.version
+	t.img = nil // claimed by the caller; keep recycleTask from giving it back
 	v.c.d.recycleTask(t)
-	return data, version, l
+	return img, version
 }
 
 // countFault counts one synchronous fault: for the client's node, and for
@@ -950,7 +948,7 @@ func (v *Vector[T]) ensureSpace(pinned int64) {
 }
 
 // evict removes a page, committing dirty regions asynchronously. The
-// application pays only the cost of handing the buffer to the runtime.
+// application pays only the cost of handing the image to the runtime.
 func (v *Vector[T]) evict(cp *cachedPage) {
 	v.c.counts.evictions++
 	if t := v.m.tenant; t != nil {
@@ -962,10 +960,9 @@ func (v *Vector[T]) evict(cp *cachedPage) {
 	v.dropPage(cp)
 }
 
-// dropPage releases a page's pcache residency and DRAM accounting. The
-// page's buffer re-pools here, unless an eviction commit took it (then
-// cp.data is nil and recycleTask pools it after the device copied the
-// payload); a leased page gives its lease back instead.
+// dropPage releases a page's pcache residency and DRAM accounting, and
+// gives the frame's hold on its image back (an eviction's commit holds it
+// on until the scache stored it).
 func (v *Vector[T]) dropPage(cp *cachedPage) {
 	v.pc.remove(cp.idx)
 	v.pc.used -= v.m.pageSize
@@ -973,15 +970,16 @@ func (v *Vector[T]) dropPage(cp *cachedPage) {
 	if v.last == cp {
 		v.setLast(nil)
 	}
-	v.c.d.giveBack(cp.data, cp.lease)
+	v.c.d.c.Arrays.Release(cp.img)
 	v.c.recycle(cp)
 }
 
 // commitPage submits an asynchronous write task carrying the page's dirty
-// regions. With retain the page stays cached: the buffer is snapshotted
-// into a pooled one so later writes don't race the commit. Without retain
-// (eviction) the buffer's ownership transfers to the task. Either way
-// recycleTask pools the payload once the scache holds its own copy.
+// regions and a hold on its image, for an eviction and a Flush alike. With
+// retain the page stays cached, its image shared with the commit until the
+// scache has stored it: a write meanwhile copies the image first (own), so
+// the commit carries the bytes of the moment it was taken. A whole-page
+// commit hands the image itself to the scache (Runtime.writePage).
 func (v *Vector[T]) commitPage(cp *cachedPage, retain bool) {
 	regions := mergeRanges(cp.dirty)
 	// A write-allocated page whose every byte was locally written holds
@@ -994,16 +992,15 @@ func (v *Vector[T]) commitPage(cp *cachedPage, retain bool) {
 	if cp.partial && len(regions) == 1 && regions[0].off == 0 && regions[0].end >= whole {
 		cp.partial = false
 	}
-	data := cp.data
 	t := v.c.d.newTask()
+	v.c.d.c.Arrays.Lease(cp.img)
 	if retain {
-		data = v.c.d.getBuf(int64(len(cp.data)))
-		copy(data, cp.data)
 		t.writer = v.id
-	} else {
-		cp.data = nil // the task owns the buffer now
+		if v.last == cp {
+			v.setLast(cp) // the image is shared now: Set goes through own
+		}
 	}
-	t.kind, t.vec, t.page = taskWrite, v.m, cp.idx
+	t.kind, t.vec, t.page, t.img = taskWrite, v.m, cp.idx, cp.img
 	// mergeRanges coalesced in place, so regions aliases cp.dirty's backing
 	// array, which stays with the page frame (writes landing between Flush
 	// and the async commit's execution append to it, and a dropped frame
@@ -1011,7 +1008,7 @@ func (v *Vector[T]) commitPage(cp *cachedPage, retain bool) {
 	// list its pooled MemoryTask kept from earlier commits.
 	t.regions = append(t.regions[:0], regions...)
 	cp.dirty = cp.dirty[:0]
-	t.data, t.origin, t.recycle = data, v.c.node.ID, true
+	t.origin, t.recycle = v.c.node.ID, true
 	v.pageWrites.inc(cp.idx)
 	n := t.bytes() // t may be done and recycled once submitted
 	sp := v.c.d.trc.EnterUnder(v.c.p, v.parentSpan(), telemetry.OpCommit, v.c.node.ID, v.m.id, cp.idx)
@@ -1041,10 +1038,8 @@ func (v *Vector[T]) integrateFills() {
 		}
 		v.c.counts.prefetches++
 		v.c.d.fillHits++
-		filled := f.t.data
-		f.t.data = nil // claimed by the page
-		v.pc.insert(v.c.newPage(pg, filled, v.m.insertScore(), false, f.t.version, f.t.lease))
-		f.t.lease = nil
+		v.pc.insert(v.c.newPage(pg, f.t.img, v.m.insertScore(), false, f.t.version))
+		f.t.img = nil // claimed by the page
 		v.c.d.recycleTask(f.t)
 	}
 	clear(v.fills[len(pending):])

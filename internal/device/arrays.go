@@ -2,21 +2,25 @@ package device
 
 import "sort"
 
-// arraysPerClass bounds how many free arrays an Arrays keeps of one size
-// class. A resize or delete hands its array to the next write of its
-// class, which usually comes within a few operations, so a small stock
-// serves the churn while the memory kept idle stays a few arrays per
-// class in use.
+// arraysPerClass is the stock an Arrays keeps of one size class for the
+// devices' own churn: a resize or delete hands its array to the next write
+// of its class, which usually comes within a few operations, so a small
+// stock serves it while the memory kept idle stays a few arrays per class
+// in use. Arrays taken by their holders (Take) add what they ever held at
+// once to it (put).
 const arraysPerClass = 16
 
-// Arrays recycles the byte arrays of stored blobs by the allocator's size
-// class, and hands out the counted handles (Lease) every stored array is
-// held through. A Device gives it the array of every blob it deletes or
-// replaces with one of another length, and takes the array of every blob
-// of a new length from it, so a store whose blobs change size or come and
-// go (a primary rewritten at a new length, a backup deleted and stored
-// again) stops allocating once its classes are stocked. cluster.New shares
-// one with every node and pool device and the PFS.
+// Arrays recycles the byte arrays of stored blobs and page images by the
+// allocator's size class, and hands out the counted handles (Lease) every
+// such array is held through. A Device gives it the array of every blob it
+// deletes or replaces with one of another length, and takes the array of
+// every blob of a new length from it, so a store whose blobs change size or
+// come and go (a primary rewritten at a new length, a backup deleted and
+// stored again) stops allocating once its classes are stocked; a holder
+// that needs an image of its own (core's page frames and tasks) takes one
+// with Take and gives it back with Release, or hands it to a device
+// (WriteLent). cluster.New shares one with every node and pool device and
+// the PFS.
 //
 // A device may recycle an array only once nothing else can reach it. A
 // read takes a holder's place on the stored array's handle (ReadLease) or
@@ -27,7 +31,7 @@ const arraysPerClass = 16
 // hold back; the last holder of an array recycles it, and the last holder
 // of a range lets go of the array it lies in.
 type Arrays struct {
-	free map[int][][]byte // by class size; each array's capacity is at least that size
+	classes map[int]*class // by class size
 	// spare holds freed handles for reuse, and slab the handles not yet
 	// handed out, so a handle costs no allocation of its own.
 	spare []*Lease
@@ -36,15 +40,27 @@ type Arrays struct {
 	leases int
 }
 
-// Lease is a counted handle on a stored array or on a range of one (a
-// borrowed range, whose parent is the array's handle). Every holder — the
-// device that stores it, a reader, a page frame — points at the one
-// handle. While a handle has a holder besides the device storing it, or
-// is a range, its bytes are immutable: every device writer that would
-// change them in place copies them to an array of its own first.
+// class is one size class's stock, free, each array's capacity at least
+// the class size, and the arrays of the class that Take handed out and no
+// device stores yet (Lease.loose): taken now, and peak at most ever. The
+// taken counts size the stock (put).
+type class struct {
+	free        [][]byte
+	taken, peak int
+}
+
+// Lease is a counted handle on an array or on a range of one (a borrowed
+// range, whose parent is the array's handle). Every holder — the device
+// that stores it, a reader, a page frame, a task — points at the one
+// handle. While a handle has more than one holder, or is a range, its
+// bytes are immutable: every writer that would change them in place
+// copies them to an array of its own first.
 type Lease struct {
-	buf    []byte
-	refs   int32
+	buf  []byte
+	refs int32
+	// loose marks an array from Take that no device has stored yet: it
+	// counts in its class's taken.
+	loose  bool
 	parent *Lease
 }
 
@@ -56,9 +72,9 @@ func (h *Lease) Bytes() []byte {
 	return h.buf
 }
 
-// shared reports whether a writer must copy h's bytes before changing
+// Shared reports whether a writer must copy h's bytes before changing
 // them: another holder reads them, or they lie in someone else's array.
-func (h *Lease) shared() bool { return h.refs > 1 || h.parent != nil }
+func (h *Lease) Shared() bool { return h.refs > 1 || h.parent != nil }
 
 // letGo says what the last holder of an array does with it (drop): offer
 // it to the recycler within its class's stock, whatever the stock
@@ -73,15 +89,47 @@ const (
 )
 
 // NewArrays returns an empty recycler.
-func NewArrays() *Arrays { return &Arrays{free: make(map[int][][]byte)} }
-
-// Wrap returns a handle on b, an array of the caller's, with the caller
-// its one holder: what a caller gives WriteLent to store. b's capacity is
-// cut to its length: no device extends into it.
-func (a *Arrays) Wrap(b []byte) *Lease {
-	a.leases++
-	return a.handle(b[:len(b):len(b)], nil)
+func NewArrays() *Arrays {
+	return &Arrays{classes: make(map[int]*class)}
 }
+
+// class returns the stock of class size c, making it on first use.
+func (a *Arrays) class(c int) *class {
+	cl := a.classes[c]
+	if cl == nil {
+		cl = &class{free: make([][]byte, 0, arraysPerClass)}
+		a.classes[c] = cl
+	}
+	return cl
+}
+
+// Take returns a handle on an array of length n with the caller its one
+// holder: a page image of the caller's own, which it writes in place while
+// no one else holds it, stores without a copy (WriteLent), and gives back
+// with Release. Its bytes are unspecified: the caller overwrites them.
+func (a *Arrays) Take(n int) *Lease {
+	b := a.take(n)
+	cl := a.class(classBelow(cap(b)))
+	cl.taken++
+	cl.peak = max(cl.peak, cl.taken)
+	a.leases++
+	h := a.handle(b, nil)
+	h.loose = true
+	return h
+}
+
+// store makes a device a holder of h: a taken array is then held inside a
+// device and counts out of its class's taken.
+func (a *Arrays) store(h *Lease) {
+	h.refs++
+	if h.loose {
+		h.loose = false
+		a.untake(h.buf)
+	}
+}
+
+// untake counts b, a taken array, out of its class's taken.
+func (a *Arrays) untake(b []byte) { a.classes[classBelow(cap(b))].taken-- }
 
 // Lease adds a holder to h.
 func (a *Arrays) Lease(h *Lease) {
@@ -137,6 +185,9 @@ func (a *Arrays) drop(h *Lease, how letGo) {
 		return
 	}
 	b, parent := h.buf, h.parent
+	if h.loose {
+		a.untake(b)
+	}
 	*h = Lease{}
 	if how != forget {
 		a.spare = append(a.spare, h)
@@ -163,10 +214,11 @@ func (a *Arrays) lend(h *Lease, off, end int64) *Lease {
 // The first n bytes are unspecified: the caller overwrites them.
 func (a *Arrays) take(n int) []byte {
 	c := classAbove(n)
-	if s := a.free[c]; len(s) > 0 {
+	if cl := a.classes[c]; cl != nil && len(cl.free) > 0 {
+		s := cl.free
 		b := s[len(s)-1]
 		s[len(s)-1] = nil
-		a.free[c] = s[:len(s)-1]
+		cl.free = s[:len(s)-1]
 		clear(b[n:cap(b)])
 		return b[:n]
 	}
@@ -175,25 +227,31 @@ func (a *Arrays) take(n int) []byte {
 
 // put offers b, an array no one holds any more, to the recycler. It is
 // kept under the largest class its capacity covers, unless that class is
-// stocked already; bulk keeps it whatever the stock (see Device.Purge).
+// stocked already: its stock plus its arrays taken and held outside
+// devices stay below the devices' arraysPerClass plus the most ever taken
+// and held at once, so a burst of images absorbed before costs no
+// allocation the second time and nothing beyond it is hoarded. bulk keeps
+// it whatever the stock (see Device.Purge).
 func (a *Arrays) put(b []byte, bulk bool) {
 	c := classBelow(cap(b))
 	if c == 0 {
 		return
 	}
-	s := a.free[c]
-	if s == nil {
-		s = make([][]byte, 0, arraysPerClass)
-	}
-	if bulk || len(s) < arraysPerClass {
-		a.free[c] = append(s, b)
+	if cl := a.class(c); bulk || len(cl.free)+cl.taken < arraysPerClass+cl.peak {
+		cl.free = append(cl.free, b)
 	}
 }
 
 // release drops every free array and spare handle. Leases stay: their
-// holders give them back.
+// holders give them back, and a class with taken arrays its counts.
 func (a *Arrays) release() {
-	clear(a.free)
+	for c, cl := range a.classes {
+		if cl.taken == 0 {
+			delete(a.classes, c)
+		} else {
+			cl.free = nil
+		}
+	}
 	a.spare, a.slab = nil, nil
 }
 

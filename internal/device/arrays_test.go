@@ -180,7 +180,7 @@ func TestReusedArrayReadsZeroPastItsLength(t *testing.T) {
 		if err := d.Write(p, k, bytes.Repeat([]byte{0x11}, 290)); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(d.arrays.free[320]); n != 0 {
+		if n := len(d.arrays.stock(320)); n != 0 {
 			t.Fatalf("the 290-byte write left %d arrays of 320 B in the recycler: it did not reuse the deleted one", n)
 		}
 		if err := d.WriteAt(p, k, 300, bytes.Repeat([]byte{0x22}, 10)); err != nil {
@@ -220,4 +220,52 @@ func BenchmarkResizePath(b *testing.B) {
 			step(i)
 		}
 	})
+}
+
+// TestArraysKeepWhatABurstHeld: the recycler keeps as many arrays of a
+// class as its holders have had taken at once, past the devices' own
+// stock of arraysPerClass, so a burst it has absorbed before allocates
+// nothing the second time; the stock never exceeds the devices' share
+// plus the most held, and release lets it go.
+func TestArraysKeepWhatABurstHeld(t *testing.T) {
+	const burst, size = 600, 4096
+	a := NewArrays()
+	out := make([]*Lease, 0, burst)
+	take := func(n int) {
+		for i := 0; i < n; i++ {
+			out = append(out, a.Take(size))
+		}
+	}
+	giveBack := func() {
+		for _, h := range out {
+			a.Release(h)
+		}
+		out = out[:0]
+	}
+	take(burst)
+	giveBack()
+	if n := len(a.stock(size)); n != burst {
+		t.Errorf("%d arrays stocked after a burst of %d held, want %d", n, burst, burst)
+	}
+	if got := testing.AllocsPerRun(5, func() { take(burst); giveBack() }); got != 0 {
+		t.Errorf("a repeated burst of %d arrays allocates %v times, want 0", burst, got)
+	}
+	take(burst / 2)
+	if got := len(a.stock(size)) + len(out); got != burst {
+		t.Errorf("%d arrays stocked or held after a burst of %d", got, burst)
+	}
+	giveBack()
+	if n := a.Leases(); n != 0 {
+		t.Errorf("%d leases out after every holder gave its array back", n)
+	}
+	for i := 0; i < 100; i++ {
+		a.put(make([]byte, size), false) // devices letting go of theirs
+	}
+	if n := len(a.stock(size)); n != arraysPerClass+burst {
+		t.Errorf("%d arrays stocked after devices offered 100 more, want the devices' %d plus the %d held at most", n, arraysPerClass, burst)
+	}
+	a.release()
+	if n := len(a.stock(size)); n != 0 {
+		t.Errorf("%d arrays still stocked after release", n)
+	}
 }

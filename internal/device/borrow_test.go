@@ -80,8 +80,8 @@ func alone(t *testing.T, when string, a *Arrays, pfs *Device, rg blob.ID) {
 // inFree reports whether the recycler holds an array that starts at b's
 // first byte with b's capacity.
 func inFree(a *Arrays, b []byte) bool {
-	for _, s := range a.free {
-		for _, f := range s {
+	for _, cl := range a.classes {
+		for _, f := range cl.free {
 			if sameArray(f, b) && cap(f) == cap(b) {
 				return true
 			}

@@ -197,7 +197,7 @@ func (d *Device) ShareArrays(a *Arrays) { d.arrays = a }
 // the shared one. Every writer that changes stored bytes in place goes
 // through it.
 func (d *Device) own(key blob.ID, h *Lease) *Lease {
-	if !h.shared() {
+	if !h.Shared() {
 		return h
 	}
 	nh := d.arrays.handle(d.arrays.take(len(h.buf)), nil)
@@ -420,7 +420,7 @@ func (d *Device) WriteHeld(p *vtime.Proc, key blob.ID, data []byte, held *int64)
 }
 
 // WriteLent is WriteHeld storing the bytes of h, a handle the caller
-// holds (Arrays.Wrap, ReadAtLease), instead of a copy: a write that lands
+// holds (Arrays.Take, ReadAtLease), instead of a copy: a write that lands
 // makes the device a holder of h beside the caller, so its bytes are
 // immutable from then on and the caller may go on reading them. It
 // charges what WriteHeld charges. A failed write stores nothing and
@@ -449,12 +449,12 @@ func (d *Device) write(p *vtime.Proc, key blob.ID, data []byte, held *int64, len
 	}
 	switch {
 	case lent != nil:
-		lent.refs++ // first: a re-put of the handle the blob stores keeps it
+		d.arrays.store(lent) // first: a re-put of the handle the blob stores keeps it
 		if ok {
 			d.arrays.drop(cur, recycle)
 		}
 		d.blobs[key] = lent
-	case ok && !cur.shared():
+	case ok && !cur.Shared():
 		if len(cur.buf) != len(data) {
 			d.arrays.put(cur.buf, false) // first: a resize within its class gets it back
 			cur.buf = d.arrays.take(len(data))
@@ -500,7 +500,7 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 			return err
 		}
 		d.note(held, -held) // the zero-filled growth is stored at once
-		if end <= int64(cap(blob)) && !h.shared() {
+		if end <= int64(cap(blob)) && !h.Shared() {
 			h.buf = blob[:end] // sized ahead and never written: still zero
 		} else {
 			room := extent

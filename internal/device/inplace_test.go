@@ -295,7 +295,7 @@ func TestPurgedArraysServeTheNextWrites(t *testing.T) {
 		if d.Used() != 0 || len(d.blobs) != 0 {
 			t.Fatalf("after Purge: used %d, %d blobs", d.Used(), len(d.blobs))
 		}
-		if n := len(d.arrays.free[64]); n != 4 {
+		if n := len(d.arrays.stock(64)); n != 4 {
 			t.Fatalf("Purge left %d arrays of 64 B in the recycler, want 4", n)
 		}
 		next := uint32(100)
@@ -313,7 +313,7 @@ func TestPurgedArraysServeTheNextWrites(t *testing.T) {
 				t.Errorf("blob %d reads %v after reusing a purged array", k, got)
 			}
 		}
-		if n := len(d.arrays.free[64]); n != 1 {
+		if n := len(d.arrays.stock(64)); n != 1 {
 			t.Fatalf("%d purged arrays left, want 1", n)
 		}
 		if got := testing.AllocsPerRun(1, func() {
@@ -321,12 +321,12 @@ func TestPurgedArraysServeTheNextWrites(t *testing.T) {
 			if err := d.Write(p, blob.Raw(next), page[:32]); err != nil {
 				t.Fatal(err)
 			}
-		}); got == 0 || len(d.arrays.free[64]) != 1 {
-			t.Errorf("a write of another class allocated %v times and left %d purged arrays, want a fresh array and 1", got, len(d.arrays.free[64]))
+		}); got == 0 || len(d.arrays.stock(64)) != 1 {
+			t.Errorf("a write of another class allocated %v times and left %d purged arrays, want a fresh array and 1", got, len(d.arrays.stock(64)))
 		}
 		d.Drop(blob.Raw(next))
-		if len(d.arrays.free) != 0 {
-			t.Errorf("Drop left %d classes in the recycler", len(d.arrays.free))
+		if len(d.arrays.classes) != 0 {
+			t.Errorf("Drop left %d classes in the recycler", len(d.arrays.classes))
 		}
 	})
 }

@@ -140,7 +140,7 @@ func TestLeasedArrayIsNotRecycledWhileLeased(t *testing.T) {
 				arrays.Release(h)
 				checkUsed(t, "after the release", d, other)
 				inFree := false
-				for _, b := range arrays.free[classBelow(size)] {
+				for _, b := range arrays.stock(classBelow(size)) {
 					inFree = inFree || sameArray(b, held)
 				}
 				if inFree != tc.recycled {
@@ -204,8 +204,9 @@ func TestWriteLentStoresTheCallersArray(t *testing.T) {
 	run(t, func(p *vtime.Proc) {
 		d := New("dram", DRAMProfile(8192))
 		k := bid("lent")
-		img := bytes.Repeat([]byte{0x42}, 4096)
-		h := d.arrays.Wrap(img)
+		h := d.arrays.Take(4096)
+		img := h.Bytes()
+		copy(img, bytes.Repeat([]byte{0x42}, 4096))
 		held, err := d.Reserve(k, int64(len(img)))
 		if err != nil {
 			t.Fatal(err)
@@ -224,7 +225,7 @@ func TestWriteLentStoresTheCallersArray(t *testing.T) {
 		}
 		checkUsed(t, "after the patch", d)
 		d.arrays.Release(h)
-		big := d.arrays.Wrap(make([]byte, 16384))
+		big := d.arrays.Take(16384)
 		var none int64
 		if err := d.WriteLent(p, bid("big"), big, &none); err == nil || d.Has(bid("big")) || big.refs != 1 {
 			t.Errorf("a write past capacity: err=%v, stored %v, %d holders", err, d.Has(bid("big")), big.refs)
@@ -319,18 +320,20 @@ func TestFailedReadLeaseHoldsNoLease(t *testing.T) {
 	})
 }
 
-// TestWrappedArrayIsNotExtendedIntoItsTail: a caller's array stored
-// through Wrap and WriteLent is extended like any other blob once the
-// device holds it alone: the hole reads zeros, never the stale bytes the
-// caller's buffer held past its length, and those bytes stay the
-// caller's.
-func TestWrappedArrayIsNotExtendedIntoItsTail(t *testing.T) {
+// TestTakenArrayIsExtendedOverZeros: an array from Take stored through
+// WriteLent is extended like any other blob once the device holds it
+// alone: the hole reads zeros, never the stale bytes a recycled array held
+// past the length Take cut it to.
+func TestTakenArrayIsExtendedOverZeros(t *testing.T) {
 	run(t, func(p *vtime.Proc) {
 		d := New("dram", DRAMProfile(MB))
 		k := bid("lent")
-		buf := bytes.Repeat([]byte{0x77}, 8192)
-		h := d.arrays.Wrap(buf[:4096]) // a pooled buffer: stale bytes past its length
-		held, err := d.Reserve(k, 4096)
+		d.arrays.put(bytes.Repeat([]byte{0x77}, 5376), false) // stale bytes in its class
+		h := d.arrays.Take(5000)
+		if cap(h.buf) != 5376 || h.buf[0] != 0x77 {
+			t.Fatalf("Take(5000) did not reuse the stocked array: cap %d", cap(h.buf))
+		}
+		held, err := d.Reserve(k, 5000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,15 +341,12 @@ func TestWrappedArrayIsNotExtendedIntoItsTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.arrays.Release(h)
-		if err := d.WriteAt(p, k, 5000, []byte{1}); err != nil {
+		if err := d.WriteAt(p, k, 5300, []byte{1}); err != nil {
 			t.Fatal(err)
 		}
 		got, _ := d.Peek(k)
-		if len(got) != 5001 || !bytes.Equal(got[4096:5000], make([]byte, 904)) {
-			t.Errorf("the extended blob reads %d bytes, hole %x..., want 5001 and zeros", len(got), got[4096:4104])
-		}
-		if !bytes.Equal(buf[4096:], bytes.Repeat([]byte{0x77}, 4096)) {
-			t.Error("the extension wrote into the caller's buffer past its length")
+		if len(got) != 5301 || !bytes.Equal(got[5000:5300], make([]byte, 300)) {
+			t.Errorf("the extended blob reads %d bytes, hole %x..., want 5301 and zeros", len(got), got[5000:5008])
 		}
 	})
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // Tests of the replication policy: a blob whose bytes a durable backend
-// also holds (PutBacked) gets no backup copy and owes no repair; the first
+// also holds (a backed PutLent) gets no backup copy and owes no repair; the first
 // write that makes the scache the only holder (Put, PutAt) writes its
 // backups.
 
@@ -34,7 +34,7 @@ func TestPutBackedWritesNoBackup(t *testing.T) {
 	h.SetReplicas(1)
 	run(t, c, func(p *vtime.Proc) {
 		id := h.Key("v/0")
-		if err := h.PutBacked(p, 0, id, bytes.Repeat([]byte{1}, 512), 0.5, 0, nil); err != nil {
+		if err := h.PutLent(p, 0, id, bytes.Repeat([]byte{1}, 512), 0.5, 0, nil, true); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := h.PlacementOf(id.Backup(0)); ok {
@@ -50,7 +50,7 @@ func TestPutBackedWritesNoBackup(t *testing.T) {
 		if !ok {
 			t.Fatal("a plain put wrote no backup copy")
 		}
-		if err := h.PutBacked(p, 0, other, bytes.Repeat([]byte{3}, 512), 0.5, 1, nil); err != nil {
+		if err := h.PutLent(p, 0, other, bytes.Repeat([]byte{3}, 512), 0.5, 1, nil, true); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := h.PlacementOf(other.Backup(0)); ok {
@@ -73,7 +73,7 @@ func TestWriteAfterPutBackedReplicatesTheImage(t *testing.T) {
 			run(t, c, func(p *vtime.Proc) {
 				id := h.Key("v/0")
 				want := bytes.Repeat([]byte{7}, 1024)
-				if err := h.PutBacked(p, 0, id, want, 0.5, 0, nil); err != nil {
+				if err := h.PutLent(p, 0, id, want, 0.5, 0, nil, true); err != nil {
 					t.Fatal(err)
 				}
 				if partial {
@@ -112,7 +112,7 @@ func TestFailNodeOwesNoRepairForBackedBlobs(t *testing.T) {
 	h.SetReplicas(1)
 	run(t, c, func(p *vtime.Proc) {
 		backed, plain := h.Key("v/backed"), h.Key("v/plain")
-		if err := h.PutBacked(p, 1, backed, []byte("backend holds these"), 0.5, 1, nil); err != nil {
+		if err := h.PutLent(p, 1, backed, []byte("backend holds these"), 0.5, 1, nil, true); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.Put(p, 1, plain, []byte("only the scache holds these"), 0.5, 1); err != nil {

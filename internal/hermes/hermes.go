@@ -78,7 +78,7 @@ const (
 	// cands), so a second score update does not list it twice.
 	hintListed
 	// flagBacked marks a primary whose bytes a durable backend also holds
-	// (PutBacked): it has no backups, and losing it owes no repair.
+	// (PutLent's backed): it has no backups, and losing it owes no repair.
 	flagBacked
 	// flagDropped marks a record that has left the metadata: it is on the
 	// free list, or pinned and waiting for its last unpin to go there.
@@ -551,7 +551,7 @@ func (h *Hermes) nodeDownErr(id blob.ID) error {
 // (device.Reserve), every attempt with that one hold, absorbing injected
 // transient faults under the retry policy. lent is nil, or data's handle
 // when the device is to keep the array itself (device.WriteLent,
-// PutBacked's lent). (The closures here and below never outlive the call,
+// PutLent's lent). (The closures here and below never outlive the call,
 // so they stay on the stack.)
 func (h *Hermes) writeRetry(p *vtime.Proc, dev *device.Device, id blob.ID, data []byte, held *int64, lent *device.Lease) error {
 	return h.inj.Do(p, "retry.scache_write", func() error {
@@ -582,23 +582,24 @@ func (h *Hermes) Put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 	return h.put(p, fromNode, id, data, score, prefNode, false, nil)
 }
 
-// PutBacked is Put for bytes a durable backend also holds (a page image
-// staged in from it): the scache copy is not the only one, so it gets no
-// backups, stale backups of the blob are dropped, and losing it to a crash
-// enqueues no repair. Redundancy costs fabric and device bandwidth, which
-// is worth paying for data that exists nowhere else: a later Put or PutAt
-// writes the backups.
+// PutLent is Put storing lent, a handle on data the caller holds, instead
+// of a copy (device.WriteLent): the device becomes a holder beside the
+// caller, and data is immutable from then on. It is how core hands a page
+// image it holds to the scache (a committed page, a range the PFS lent,
+// cluster.PFSReadLease). A nil lent stores a copy, as Put does. A put that
+// fails stores nothing and leaves the handle as it was.
 //
-// lent, when not nil, is a handle on data the caller holds (a range the
-// PFS lent, cluster.PFSReadLease, or its own image, Arrays.Wrap): the
-// device then stores the handle instead of a copy (device.WriteLent),
-// a holder beside the caller, and data is immutable from then on. A put
-// that fails stores nothing and leaves the handle as it was.
-func (h *Hermes) PutBacked(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, lent *device.Lease) error {
-	return h.put(p, fromNode, id, data, score, prefNode, true, lent)
+// backed marks bytes a durable backend also holds (a page image staged in
+// from it): the scache copy is not the only one, so it gets no backups,
+// stale backups of the blob are dropped, and losing it to a crash
+// enqueues no repair. Redundancy costs fabric and device bandwidth, which
+// is worth paying for data that exists nowhere else: a later Put, PutAt
+// or unbacked PutLent writes the backups.
+func (h *Hermes) PutLent(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, lent *device.Lease, backed bool) error {
+	return h.put(p, fromNode, id, data, score, prefNode, backed, lent)
 }
 
-// put is Put and PutBacked; lent is as for writeRetry.
+// put is Put and PutLent; lent is as for writeRetry.
 func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, backed bool, lent *device.Lease) (err error) {
 	sp := h.trc.Enter(p, telemetry.OpScachePut, fromNode, id.Vec, id.Page)
 	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()

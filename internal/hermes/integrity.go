@@ -24,7 +24,7 @@ import (
 //     ID, and each placement's resolved device is the one its (node, tier)
 //     names;
 //   - no primary has more backup copies than SetReplicas allows, and a
-//     backed one (PutBacked) has none;
+//     backed one (PutLent's backed) has none;
 //   - the record lifecycle: no record in the metadata is marked dropped,
 //     and every record on the free list is marked dropped, unpinned and
 //     out of the slab (so no free record is reachable from the metadata,

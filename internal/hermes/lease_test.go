@@ -22,7 +22,7 @@ func pfsRead(p *vtime.Proc, c *cluster.Cluster, key string, off, n int64) []byte
 	return got
 }
 
-// TestPutBackedKeepsTheCallersImage: a lending PutBacked stores the
+// TestPutBackedKeepsTheCallersImage: a lending PutLent stores the
 // caller's handle itself, the caller still a holder. A later read leases
 // that very handle; a whole-page Put and a PutAt of new bytes
 // copy it first, so the caller keeps its image while the scache serves
@@ -37,9 +37,10 @@ func TestPutBackedKeepsTheCallersImage(t *testing.T) {
 			}
 		}
 		id := h.Key("v/0")
-		img := bytes.Repeat([]byte{0x42}, 4096)
-		lent := c.Arrays.Wrap(img)
-		if err := h.PutBacked(p, 0, id, img, 0.5, 0, lent); err != nil {
+		lent := c.Arrays.Take(4096)
+		img := lent.Bytes()
+		copy(img, bytes.Repeat([]byte{0x42}, 4096))
+		if err := h.PutLent(p, 0, id, img, 0.5, 0, lent, true); err != nil {
 			t.Fatal(err)
 		}
 		audit("after the lending put")
@@ -75,15 +76,15 @@ func TestPutBackedKeepsTheCallersImage(t *testing.T) {
 	})
 }
 
-// TestFailedLendingPutLeasesNothing: a PutBacked that finds no room
+// TestFailedLendingPutLeasesNothing: a PutLent that finds no room
 // stores nothing and leaves the handle the caller's alone: its one
 // release gives back the only lease.
 func TestFailedLendingPutLeasesNothing(t *testing.T) {
 	c, h := newHermes(1)
 	run(t, c, func(p *vtime.Proc) {
-		big := make([]byte, 32*1024*1024) // past every tier
-		lent := c.Arrays.Wrap(big)
-		if err := h.PutBacked(p, 0, h.Key("v/0"), big, 0.5, 0, lent); err == nil {
+		lent := c.Arrays.Take(32 * 1024 * 1024) // past every tier
+		big := lent.Bytes()
+		if err := h.PutLent(p, 0, h.Key("v/0"), big, 0.5, 0, lent, true); err == nil {
 			t.Fatal("an oversized put landed")
 		}
 		c.Arrays.Release(lent)
@@ -189,7 +190,7 @@ func TestHedgedLeaseReadHandsOverTheWinner(t *testing.T) {
 	}
 }
 
-// TestPutBackedStoresABorrowedRange: a lending PutBacked of a range the
+// TestPutBackedStoresABorrowedRange: a lending backed PutLent of a range the
 // PFS lent stores the PFS's bytes themselves, and a lease read returns
 // them; the organizer's move hands the range on; a PFS write into the row
 // group while the range is stored leaves both the holder's and the
@@ -230,7 +231,7 @@ func TestPutBackedStoresABorrowedRange(t *testing.T) {
 			if !ok || err != nil {
 				t.Fatalf("PFSReadLease: ok=%v err=%v", ok, err)
 			}
-			if err := h.PutBacked(p, 0, id, r.Bytes(), 0.5, 0, r); err != nil {
+			if err := h.PutLent(p, 0, id, r.Bytes(), 0.5, 0, r, true); err != nil {
 				t.Fatal(err)
 			}
 			return r

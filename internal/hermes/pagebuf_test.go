@@ -135,7 +135,7 @@ func TestRelayReadsGiveTheirLeasesBack(t *testing.T) {
 
 		// A backed primary patched by PutAt replicates its stored bytes.
 		backed := h.Key("backed")
-		if err := h.PutBacked(p, 1, backed, data, 0.5, 1, nil); err != nil {
+		if err := h.PutLent(p, 1, backed, data, 0.5, 1, nil, true); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.PutAt(p, 1, backed, 0, []byte{9}); err != nil {

@@ -46,7 +46,7 @@ func TestFailNodeEnqueuesLostCopies(t *testing.T) {
 			}
 		}
 		backed := h.Key("v/backed")
-		if err := h.PutBacked(p, 1, backed, []byte("backend holds these"), 1.0, 1, nil); err != nil {
+		if err := h.PutLent(p, 1, backed, []byte("backend holds these"), 1.0, 1, nil, true); err != nil {
 			t.Fatal(err)
 		}
 		if pl, _ := h.PlacementOf(backed); pl.Node != 1 {

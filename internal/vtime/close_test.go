@@ -12,24 +12,33 @@ import (
 // calls, and nothing is dispatched on the way.
 
 // goroutines reads runtime.NumGoroutine until it reads want, or, with
-// want < 0, until two readings a millisecond apart agree, and returns the
-// last reading; after 5 s it returns whatever it reads. A goroutine whose
-// process ended may still be on its way out when Run or Close returns
-// (often so under -race), so a count taken at once can read high, a
-// baseline's too. The count it returns is exact: a goroutine that never
-// ends still fails the test.
+// want < 0, until it has read the same count for settleReads readings a
+// millisecond apart, and returns the last reading; after 5 s it returns
+// whatever it reads. A goroutine whose process ended may still be on its
+// way out when Run or Close returns (often so under -race, and slower
+// while other packages' tests load the machine), so a count taken at once
+// can read high, a baseline's too. The count it returns is exact: a
+// goroutine that never ends still fails the test.
 func goroutines(want int) int {
 	deadline := time.Now().Add(5 * time.Second)
-	last := -1
+	last, same := -1, 0
 	for {
 		n := runtime.NumGoroutine()
-		if n == want || want < 0 && n == last || time.Now().After(deadline) {
+		if n == last {
+			same++
+		} else {
+			same = 0
+		}
+		if n == want || want < 0 && same >= settleReads || time.Now().After(deadline) {
 			return n
 		}
 		last = n
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// settleReads is how many agreeing readings make a baseline.
+const settleReads = 20
 
 // wantPanic runs fn and reports whether it panicked.
 func wantPanic(fn func()) (panicked bool) {

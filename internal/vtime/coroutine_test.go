@@ -148,6 +148,12 @@ func TestRunLeavesOnlyParkedProcesses(t *testing.T) {
 			if e.free != nil || e.freeCount != 0 {
 				t.Errorf("pool still holds %d processes after Run", e.freeCount)
 			}
+			// The parked processes end with their engine, so the next
+			// case's baseline counts none of this one's goroutines.
+			e.Close()
+			if got := goroutines(base); got != base {
+				t.Errorf("%d goroutines outlive Close, want the %d before Run", got, base)
+			}
 		})
 	}
 }
