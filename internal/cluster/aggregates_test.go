@@ -86,7 +86,7 @@ func TestAggregatesMatchWalks(t *testing.T) {
 			case 0, 1:
 				_ = d.Write(p, key, make([]byte, 1+rng.Intn(32<<10)))
 			case 2:
-				_ = d.WriteAt(p, key, int64(rng.Intn(8<<10)), make([]byte, 1+rng.Intn(8<<10)))
+				_ = d.WriteAtSized(p, key, int64(rng.Intn(8<<10)), make([]byte, 1+rng.Intn(8<<10)), 0)
 			default:
 				d.Delete(p, key)
 			}

@@ -144,6 +144,78 @@ func TestStraddlingAndShortPagesStageInThroughACopy(t *testing.T) {
 	}
 }
 
+// TestWritingPhaseStagesInAnImageOfItsOwn: on both backends a writing
+// phase's stage-in of a whole page the backend stores in one piece copies
+// the lent range into an image of the frame's own: writers that change an
+// image in place without asking whether it is shared (healPartial's merge)
+// must never reach the PFS's array.
+func TestWritingPhaseStagesInAnImageOfItsOwn(t *testing.T) {
+	for _, url := range backedURLs {
+		runBacked(t, url, false, func(p *vtime.Proc, d *DSM, v *Vector[int64]) {
+			v.m.prefetch = false
+			v.SeqTxBegin(0, backedLen, ReadWrite)
+			if got := v.Get(5); got != backedValue(5) {
+				t.Errorf("%s: a ReadWrite stage-in read %d, want %d", url, got, backedValue(5))
+			}
+			if cp := v.pc.pages[0]; cp.img.Shared() {
+				t.Errorf("%s: a ReadWrite stage-in installed a shared range, not an image of its own", url)
+			}
+			v.TxEnd()
+		})
+	}
+}
+
+// recordingBackend remembers the lease its backend's last read returned.
+type recordingBackend struct {
+	stager.Backend
+	last *device.Lease
+}
+
+func (r *recordingBackend) ReadRangeLease(p *vtime.Proc, node int, off, length int64) (*device.Lease, error) {
+	l, err := r.Backend.ReadRangeLease(p, node, off, length)
+	r.last = l
+	return l, err
+}
+
+// TestWritingPhaseKeepsAnAssembledImage: a page straddling two pq row
+// groups comes back from the backend assembled in an image of the
+// caller's own, so even a writing phase's stage-in keeps it as the frame's
+// image instead of copying it again.
+func TestWritingPhaseKeepsAnAssembledImage(t *testing.T) {
+	const pageSize = 48 << 10
+	const url = "pq:///borrow/rw.pq:t"
+	c, d := newTestDSM(t, 1)
+	runDSM(t, c, d, func(p *vtime.Proc) {
+		b, err := stager.New(c).Open(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int64((1<<20)+pageSize) / 8 // page 21 straddles row groups 0 and 1
+		raw := make([]byte, n*8)
+		for i := range n {
+			Int64Codec{}.Encode(raw[i*8:], backedValue(i))
+		}
+		if err := b.WriteRange(p, 0, 0, raw); err != nil {
+			t.Fatal(err)
+		}
+		v, err := Open[int64](d.NewClient(p, 0), url, Int64Codec{}, WithPageSize(pageSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recordingBackend{Backend: v.m.backend}
+		v.m.backend, v.m.prefetch = rec, false
+		epp := v.PageSize() / 8
+		v.SeqTxBegin(21*epp, epp, ReadWrite)
+		if got := v.Get(21 * epp); got != backedValue(21*epp) {
+			t.Errorf("the straddling page reads %d, want %d", got, backedValue(21*epp))
+		}
+		if cp := v.pc.pages[21]; cp.img != rec.last || cp.img.Shared() {
+			t.Error("the writing phase copied the image the backend assembled")
+		}
+		v.TxEnd()
+	})
+}
+
 // shortLender is a backend whose lent ranges come back 8 bytes short, as
 // one whose object shrank while the lending read queued.
 type shortLender struct{ stager.Backend }

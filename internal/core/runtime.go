@@ -384,11 +384,12 @@ func fullPage(page, data []byte) {
 }
 
 // stageIn materializes a page image from the vector's backend (or zeros
-// for volatile/unwritten pages) in an image of the caller's own. With
-// lend (a read-only fault's), the backend lends the whole page if it
-// stores it in one piece (Backend.ReadRangeLease): img is then a lease on
-// its stored bytes themselves. A page that straddles two objects and a
-// short or sparse tail land in an image of the caller's own.
+// for volatile/unwritten pages) with one backend read
+// (Backend.ReadRangeLease). The backend's lease is the page image itself
+// when it is a whole page the caller may keep: an image the backend
+// assembled is the caller's own, and a range of the stored bytes is kept
+// only with lend (a read-only fault's). A short page, or a shared range
+// without lend, is copied into an image of the caller's own.
 func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, lend bool) (img *device.Lease, err error) {
 	sp := r.d.trc.Enter(p, telemetry.OpStageIn, r.node.ID, m.id, page)
 	defer func() { sp.Exit(p, int64(len(img.Bytes())), err != nil) }()
@@ -396,25 +397,17 @@ func (r *Runtime) stageIn(p *vtime.Proc, m *vecMeta, page int64, lend bool) (img
 	if m.backend != nil {
 		off := page * m.pageSize
 		if have := m.backend.Size(); off < have {
-			n = min(m.pageSize, have-off)
-			var lent *device.Lease
-			if lend && n == m.pageSize {
-				if lent, err = m.backend.ReadRangeLease(p, r.node.ID, off, n); err != nil {
-					return nil, err
-				}
-				if int64(len(lent.Bytes())) == n {
-					return lent, nil
-				}
+			got, err := m.backend.ReadRangeLease(p, r.node.ID, off, min(m.pageSize, have-off))
+			if err != nil {
+				return nil, err
+			}
+			if n = int64(len(got.Bytes())); n == m.pageSize && (lend || !got.Shared()) {
+				return got, nil
 			}
 			img = r.d.c.Arrays.Take(int(m.pageSize))
-			if lent != nil { // its object shrank while the lending read queued
-				n = int64(copy(img.Bytes(), lent.Bytes()))
-				r.d.c.Arrays.Release(lent)
-			} else if got, err := m.backend.ReadRangeInto(p, r.node.ID, off, n, img.Bytes()); err != nil {
-				r.d.c.Arrays.Release(img)
-				return nil, err
-			} else {
-				n = int64(len(got)) // the bytes landed in img, large enough for them
+			copy(img.Bytes(), got.Bytes())
+			if got != nil {
+				r.d.c.Arrays.Release(got)
 			}
 		}
 	}

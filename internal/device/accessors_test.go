@@ -112,7 +112,7 @@ func TestEqualComparesStoredBytesWithoutTime(t *testing.T) {
 		if err := d.WriteAtSized(p, bid("k"), 0, make([]byte, 4), 64); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.WriteAt(p, bid("k"), 1, []byte{7, 8}); err != nil {
+		if err := d.WriteAtSized(p, bid("k"), 1, []byte{7, 8}, 0); err != nil {
 			t.Fatal(err)
 		}
 		before := p.Now()

@@ -19,7 +19,7 @@ const arraysPerClass = 16
 // stored again) stops allocating once its classes are stocked; a holder
 // that needs an image of its own (core's page frames and tasks) takes one
 // with Take and gives it back with Release, or hands it to a device
-// (WriteLent). cluster.New shares one with every node and pool device and
+// (WriteHeld's lent). cluster.New shares one with every node and pool device and
 // the PFS.
 //
 // A device may recycle an array only once nothing else can reach it. A
@@ -105,7 +105,7 @@ func (a *Arrays) class(c int) *class {
 
 // Take returns a handle on an array of length n with the caller its one
 // holder: a page image of the caller's own, which it writes in place while
-// no one else holds it, stores without a copy (WriteLent), and gives back
+// no one else holds it, stores without a copy (WriteHeld), and gives back
 // with Release. Its bytes are unspecified: the caller overwrites them.
 func (a *Arrays) Take(n int) *Lease {
 	b := a.take(n)

@@ -166,8 +166,54 @@ func TestAdoptedArrayIsNotRecycled(t *testing.T) {
 	})
 }
 
+// TestAdoptMovesTheBytesStoredAfterItsCharge: a blob rewritten on its
+// source while Adopt's write is charged moves with the new bytes. Adopt
+// installs the handle the source stores once the charge has yielded, not
+// one it saw before: a reader's lease makes the rewrite replace the
+// source's handle, and the reader keeps the old bytes.
+func TestAdoptMovesTheBytesStoredAfterItsCharge(t *testing.T) {
+	arrays := NewArrays()
+	src, dst := New("node0/dram", DRAMProfile(MB)), New("node1/hdd", HDDProfile(MB))
+	src.ShareArrays(arrays)
+	dst.ShareArrays(arrays)
+	k := bid("moved")
+	old, cur := bytes.Repeat([]byte{0x11}, 512), bytes.Repeat([]byte{0x22}, 512)
+	e := vtime.NewEngine()
+	e.Spawn("mover", func(p *vtime.Proc) {
+		if err := src.Write(p, k, old); err != nil {
+			t.Error(err)
+			return
+		}
+		r, _, _ := src.ReadLease(p, k)
+		e.Spawn("writer", func(p *vtime.Proc) {
+			p.Sleep(vtime.Microsecond) // inside the HDD's 5 ms charge
+			if err := src.Write(p, k, cur); err != nil {
+				t.Error(err)
+			}
+		})
+		if ok, err := dst.Adopt(p, src, k); !ok || err != nil {
+			t.Errorf("Adopt: ok=%v err=%v", ok, err)
+		}
+		if !bytes.Equal(r.buf, old) {
+			t.Error("the reader's bytes changed under it")
+		}
+		arrays.Release(r)
+		if got, _ := dst.Peek(k); !bytes.Equal(got, cur) {
+			t.Error("Adopt moved the bytes stored before its charge, not the rewritten ones")
+		}
+		if src.Has(k) || arrays.Leases() != 0 {
+			t.Errorf("after Adopt the source holds the blob (%v) or %d leases are out", src.Has(k), arrays.Leases())
+		}
+		checkUsed(t, "source", src)
+		checkUsed(t, "destination", dst)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReusedArrayReadsZeroPastItsLength: an array taken from the recycler
-// is zero past the new blob's length, so a WriteAt that extends the blob
+// is zero past the new blob's length, so a range write that extends the blob
 // inside the array's capacity leaves its hole zero, as in a fresh array.
 func TestReusedArrayReadsZeroPastItsLength(t *testing.T) {
 	run(t, func(p *vtime.Proc) {
@@ -183,7 +229,7 @@ func TestReusedArrayReadsZeroPastItsLength(t *testing.T) {
 		if n := len(d.arrays.stock(320)); n != 0 {
 			t.Fatalf("the 290-byte write left %d arrays of 320 B in the recycler: it did not reuse the deleted one", n)
 		}
-		if err := d.WriteAt(p, k, 300, bytes.Repeat([]byte{0x22}, 10)); err != nil {
+		if err := d.WriteAtSized(p, k, 300, bytes.Repeat([]byte{0x22}, 10), 0); err != nil {
 			t.Fatal(err)
 		}
 		got, _ := d.Peek(k)

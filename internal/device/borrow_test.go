@@ -52,19 +52,19 @@ func lendRange(t *testing.T, p *vtime.Proc, pfs *Device, rg blob.ID, off, n int6
 	return r
 }
 
-// lendTo stores r on d under key with WriteLent, as a lending PutBacked
-// does.
+// lendTo stores r on d under key with WriteHeld lending its handle, as a
+// lending PutLent does.
 func lendTo(t *testing.T, p *vtime.Proc, d *Device, key blob.ID, r *Lease) {
 	t.Helper()
 	held, err := d.Reserve(key, int64(len(r.buf)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WriteLent(p, key, r, &held); err != nil {
+	if err := d.WriteHeld(p, key, r.Bytes(), &held, r); err != nil {
 		t.Fatal(err)
 	}
 	if d.blobs[key] != r {
-		t.Fatal("WriteLent stored a copy of the range")
+		t.Fatal("the lent write stored a copy of the range")
 	}
 }
 
@@ -231,7 +231,7 @@ func TestBorrowedRangeHolderKeepsBytesAcrossParentWriters(t *testing.T) {
 			return d.Write(p, k, bytes.Repeat([]byte{0x22}, rowBytes))
 		}, func() []byte { return bytes.Repeat([]byte{0x22}, rowBytes) }},
 		{"WriteAt", func(p *vtime.Proc, d *Device, k blob.ID) error {
-			return d.WriteAt(p, k, 8200, []byte{1, 2, 3})
+			return d.WriteAtSized(p, k, 8200, []byte{1, 2, 3}, 0)
 		}, func() []byte { b := bytes.Clone(old); copy(b[8200:], []byte{1, 2, 3}); return b }},
 		{"WriteAtSized", func(p *vtime.Proc, d *Device, k blob.ID) error {
 			return d.WriteAtSized(p, k, rowBytes-100, bytes.Repeat([]byte{0x33}, 200), rowGroup)
@@ -338,7 +338,7 @@ func TestLettingGoOfAStoredRangeReleasesIt(t *testing.T) {
 				if inFree(arrays, r) {
 					t.Error("the range reached the recycler")
 				}
-				if err := pfs.WriteAt(p, rg, 0, []byte{9}); err != nil {
+				if err := pfs.WriteAtSized(p, rg, 0, []byte{9}, 0); err != nil {
 					t.Fatal(err)
 				}
 				if !sameArray(pfs.blobs[rg].buf, chunk) {

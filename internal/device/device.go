@@ -11,6 +11,7 @@ package device
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -395,102 +396,105 @@ func (d *Device) charge(p *vtime.Proc, n int64, bw float64) {
 
 // Write stores data under key, replacing any previous contents, and
 // charges write cost. It fails with ErrNoSpace if the device is full.
-//
-// The device always stores its own copy, never the caller's slice. A
-// payload of the stored blob's length is copied over the stored bytes in
-// place (every whole-page commit and replica reinstall) unless they are
-// shared; any other length, or a shared array, takes an array of its size
-// class from the recycler (or a fresh one) and lets go of the replaced
-// one, so the array's capacity is what the heap charges for the length
-// anyway. The order is charge, injected fault, and only then the copy: a
-// failed write leaves the old contents whole.
+// It is Reserve, WriteHeld storing a copy, and Unreserve.
 func (d *Device) Write(p *vtime.Proc, key blob.ID, data []byte) error {
 	held, err := d.Reserve(key, int64(len(data)))
 	if err != nil {
 		return err
 	}
 	defer d.Unreserve(&held)
-	return d.WriteHeld(p, key, data, &held)
+	return d.WriteHeld(p, key, data, &held, nil)
 }
 
-// WriteHeld is Write through a hold its caller took with Reserve. A write
-// that lands settles it; a failed one leaves it for a retry or Unreserve.
-func (d *Device) WriteHeld(p *vtime.Proc, key blob.ID, data []byte, held *int64) error {
-	return d.write(p, key, data, held, nil)
+// WriteHeld is the device's whole-blob write, through a hold its caller
+// took with Reserve: it stores data under key, replacing any previous
+// contents. A write that lands settles the hold; a failed one leaves it
+// for a retry or Unreserve, and the old contents whole. The order is
+// charge, injected fault, and only then the store (landWrite).
+//
+// With lent nil the device stores its own copy, never the caller's slice.
+// A payload of the stored blob's length is copied over the stored bytes
+// in place (every whole-page commit and replica reinstall) unless they
+// are shared; any other length, or a shared array, takes an array of its
+// size class from the recycler (or a fresh one) and lets go of the
+// replaced one, so the array's capacity is what the heap charges for the
+// length anyway.
+//
+// lent, when not nil, is data's handle, held by the caller (Arrays.Take,
+// ReadAtLease), and the device stores it instead of a copy: a write that
+// lands makes the device a holder of lent beside the caller, so its
+// bytes are immutable from then on and the caller may go on reading
+// them. A failed write leaves lent as it was. The payload and its handle
+// stay two parameters so that data never escapes its caller's frame.
+func (d *Device) WriteHeld(p *vtime.Proc, key blob.ID, data []byte, held *int64, lent *Lease) error {
+	return d.landWrite(p, key, int64(len(data)), func() error {
+		// Settled from what is replaced: the charge yielded, and the blob
+		// may have been replaced or deleted meanwhile.
+		cur, ok := d.blobs[key]
+		if err := d.settle(held, int64(len(data))-int64(len(cur.Bytes()))); err != nil {
+			return err
+		}
+		switch {
+		case lent != nil:
+			d.arrays.store(lent) // first: a re-put of the handle the blob stores keeps it
+			if ok {
+				d.arrays.drop(cur, recycle)
+			}
+			d.blobs[key] = lent
+		case ok && !cur.Shared():
+			if len(cur.buf) != len(data) {
+				d.arrays.put(cur.buf, false) // first: a resize within its class gets it back
+				cur.buf = d.arrays.take(len(data))
+			}
+			copy(cur.buf, data)
+		default:
+			if ok {
+				d.arrays.drop(cur, recycle)
+			}
+			h := d.arrays.handle(d.arrays.take(len(data)), nil)
+			copy(h.buf, data)
+			d.blobs[key] = h
+		}
+		return nil
+	})
 }
 
-// WriteLent is WriteHeld storing the bytes of h, a handle the caller
-// holds (Arrays.Take, ReadAtLease), instead of a copy: a write that lands
-// makes the device a holder of h beside the caller, so its bytes are
-// immutable from then on and the caller may go on reading them. It
-// charges what WriteHeld charges. A failed write stores nothing and
-// leaves h as it was.
-func (d *Device) WriteLent(p *vtime.Proc, key blob.ID, h *Lease, held *int64) error {
-	return d.write(p, key, h.buf, held, h)
-}
-
-// write is WriteHeld, or WriteLent when lent (then data's handle) is not
-// nil: data is the payload either way, and never escapes its caller's
-// frame.
-func (d *Device) write(p *vtime.Proc, key blob.ID, data []byte, held *int64, lent *Lease) (err error) {
+// landWrite is the step every write shares: under a device-write span for
+// key it charges an n-byte write, meets the injected write fault, and
+// only then runs land, which puts the bytes in place or fails (a hold
+// the write outgrew, a source that let go of its blob); a write that
+// lands counts n bytes written. A write fails with the first error.
+func (d *Device) landWrite(p *vtime.Proc, key blob.ID, n int64, land func() error) (err error) {
 	sp := d.enter(p, telemetry.OpDeviceWrite, key)
-	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
-	d.charge(p, int64(len(data)), d.prof.WriteBW)
+	defer func() { sp.Exit(p, n, err != nil) }()
+	d.charge(p, n, d.prof.WriteBW)
 	if d.inj != nil {
 		if err := d.inj.DeviceWrite(d.fnode, d.ftier); err != nil {
 			return err
 		}
 	}
-	// Settled from what is replaced: the charge yielded, and the blob may
-	// have been replaced or deleted meanwhile.
-	cur, ok := d.blobs[key]
-	if err := d.settle(held, int64(len(data))-int64(len(cur.Bytes()))); err != nil {
+	if err := land(); err != nil {
 		return err
 	}
-	switch {
-	case lent != nil:
-		d.arrays.store(lent) // first: a re-put of the handle the blob stores keeps it
-		if ok {
-			d.arrays.drop(cur, recycle)
-		}
-		d.blobs[key] = lent
-	case ok && !cur.Shared():
-		if len(cur.buf) != len(data) {
-			d.arrays.put(cur.buf, false) // first: a resize within its class gets it back
-			cur.buf = d.arrays.take(len(data))
-		}
-		copy(cur.buf, data)
-	default:
-		if ok {
-			d.arrays.drop(cur, recycle)
-		}
-		h := d.arrays.handle(d.arrays.take(len(data)), nil)
-		copy(h.buf, data)
-		d.blobs[key] = h
-	}
 	d.writeOps++
-	d.bytesWrite += int64(len(data))
+	d.bytesWrite += n
 	return nil
 }
 
-// WriteAt overwrites a byte range of an existing blob, extending it if the
-// range runs past the current end, and charges write cost for the range.
-func (d *Device) WriteAt(p *vtime.Proc, key blob.ID, off int64, data []byte) error {
-	return d.WriteAtSized(p, key, off, data, 0)
-}
-
-// WriteAtSized is WriteAt for a writer that knows the object's final
-// extent (a row group, a preallocated file): when the write has to grow
-// the object, its array is allocated once with exactly extent bytes of
-// capacity, and later extending writes up to that extent reslice instead
-// of reallocating and copying the whole object. A writer that names no
-// extent (or one below the write's end) gets geometric growth instead:
-// the array doubles up to 1 MB and grows by a quarter beyond, so N
-// extending writes copy the object O(log N) times, not N, and a large
-// object carries at most a quarter of slack. Only the host array is
-// sized ahead; the blob's length, Used, Peak and every charge are those
-// of WriteAt.
-func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte, extent int64) (err error) {
+// WriteAtSized is the device's range write: it overwrites a byte range of
+// a blob, extending it (creating an absent one) if the range runs past
+// the current end, and charges write cost for the range. extent is the
+// object's final extent, for a writer that knows it (a row group, a
+// preallocated file): when the write has to grow the object, its array is
+// allocated once with exactly extent bytes of capacity, and later
+// extending writes up to that extent reslice instead of reallocating and
+// copying the whole object. An extent of 0 (or one below the write's end)
+// gets geometric growth instead: the array doubles up to 1 MB and grows
+// by a quarter beyond, so N extending writes copy the object O(log N)
+// times, not N, and a large object carries at most a quarter of slack.
+// Only the host array is sized ahead; the blob's length, Used, Peak and
+// every charge are the range's whatever the extent.
+func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte, extent int64) error {
 	h := d.blobs[key]
 	blob := h.Bytes()
 	end := off + int64(len(data))
@@ -520,25 +524,18 @@ func (d *Device) WriteAtSized(p *vtime.Proc, key blob.ID, off int64, data []byte
 			d.blobs[key] = grown
 		}
 	}
-	sp := d.enter(p, telemetry.OpDeviceWrite, key)
-	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
-	d.charge(p, int64(len(data)), d.prof.WriteBW)
-	if d.inj != nil {
-		if err := d.inj.DeviceWrite(d.fnode, d.ftier); err != nil {
-			return err
+	return d.landWrite(p, key, int64(len(data)), func() error {
+		// Looked up again: the charge yielded, and a concurrent write may
+		// have moved the object to a new array, or replaced or deleted it
+		// (then its old array may already serve another blob, and the
+		// range lands nowhere, as it would have in an array no blob
+		// holds). A holder that came meanwhile makes the write copy the
+		// array first.
+		if cur, ok := d.blobs[key]; ok && int64(len(cur.buf)) >= end {
+			copy(d.own(key, cur).buf[off:end], data)
 		}
-	}
-	// Looked up again: the charge yielded, and a concurrent write may have
-	// moved the object to a new array, or replaced or deleted it (then its
-	// old array may already serve another blob, and the range lands
-	// nowhere, as it would have in an array no blob holds). A holder that
-	// came meanwhile makes the write copy the array first.
-	if cur, ok := d.blobs[key]; ok && int64(len(cur.buf)) >= end {
-		copy(d.own(key, cur).buf[off:end], data)
-	}
-	d.writeOps++
-	d.bytesWrite += int64(len(data))
-	return nil
+		return nil
+	})
 }
 
 // Read returns a copy of the blob and charges read cost. It returns
@@ -635,10 +632,13 @@ func (d *Device) Delete(p *vtime.Proc, key blob.ID) {
 }
 
 // Adopt moves the blob stored under key from src to d without copying it:
-// d becomes a holder of src's handle, and src lets go of it. It charges what Write of the blob to d followed by
-// src.Delete charges, in that order, and fails like Write (ErrNoSpace, an
-// injected write fault) with the blob left on src. ok is false when src
-// does not hold the blob, before the charge or after it.
+// d becomes a holder of src's handle, and src lets go of it. It charges
+// what Write of the blob to d followed by src.Delete charges, in that
+// order, and fails like Write (ErrNoSpace, an injected write fault) with
+// the blob left on src. ok is false when src does not hold the blob,
+// before the charge or after it. The handle d holds is the one src stores
+// once the charge has yielded, not one leased before it: an in-place
+// writer may have replaced src's array meanwhile.
 func (d *Device) Adopt(p *vtime.Proc, src *Device, key blob.ID) (ok bool, err error) {
 	h, ok := src.blobs[key]
 	if !ok {
@@ -650,32 +650,33 @@ func (d *Device) Adopt(p *vtime.Proc, src *Device, key blob.ID) (ok bool, err er
 		return true, err
 	}
 	defer d.Unreserve(&held)
-	sp := d.enter(p, telemetry.OpDeviceWrite, key)
-	d.charge(p, n, d.prof.WriteBW)
-	if d.inj != nil {
-		err = d.inj.DeviceWrite(d.fnode, d.ftier)
-	}
-	// Looked up again: the charge yielded, and the blob may have been
-	// replaced or deleted meanwhile.
-	if err == nil {
-		if h, ok = src.blobs[key]; ok {
-			err = d.settle(&held, int64(len(h.buf))-int64(len(d.blobs[key].Bytes())))
+	err = d.landWrite(p, key, n, func() error {
+		if h, ok = src.blobs[key]; !ok {
+			return errGone
 		}
+		if err := d.settle(&held, int64(len(h.buf))-int64(len(d.blobs[key].Bytes()))); err != nil {
+			return err
+		}
+		h.refs++ // d's hold, before anything lets go of it
+		if old, had := d.blobs[key]; had {
+			d.arrays.drop(old, recycle)
+		}
+		d.blobs[key] = h
+		return nil
+	})
+	if !ok {
+		return false, nil
 	}
-	sp.Exit(p, n, !ok || err != nil)
-	if !ok || err != nil {
-		return ok, err
+	if err != nil {
+		return true, err
 	}
-	h.refs++ // d's hold, before anything lets go of it
-	if old, had := d.blobs[key]; had {
-		d.arrays.drop(old, recycle)
-	}
-	d.blobs[key] = h
-	d.writeOps++
-	d.bytesWrite += n
 	src.Delete(p, key)
 	return true, nil
 }
+
+// errGone fails an Adopt whose source let go of the blob while the write
+// was charged; Adopt reports it as ok=false.
+var errGone = errors.New("device: adopted blob gone from its source")
 
 // Purge drops every stored blob without charging virtual time. It models
 // a node restarting with cold storage: the cluster wipes a revived
@@ -720,7 +721,7 @@ func (d *Device) CorruptBit(key blob.ID, byteOff int64, bit uint) bool {
 // Truncate cuts a blob to size bytes, charging only the fixed latency (a
 // metadata update, as Delete); a blob of at most size bytes, or an absent
 // one, is left alone. The array keeps its capacity, zero past the new
-// length, so a later extending WriteAt reads zeros there.
+// length, so a later extending WriteAtSized reads zeros there.
 func (d *Device) Truncate(p *vtime.Proc, key blob.ID, size int64) {
 	if h, ok := d.blobs[key]; !ok || int64(len(h.buf)) <= size {
 		return

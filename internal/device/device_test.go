@@ -130,7 +130,7 @@ func TestWriteAtAndReadAt(t *testing.T) {
 		if err := d.Write(p, bid("k"), []byte("0123456789")); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.WriteAt(p, bid("k"), 3, []byte("XYZ")); err != nil {
+		if err := d.WriteAtSized(p, bid("k"), 3, []byte("XYZ"), 0); err != nil {
 			t.Fatal(err)
 		}
 		got, ok := readAt(p, d, bid("k"), 2, 6)
@@ -138,7 +138,7 @@ func TestWriteAtAndReadAt(t *testing.T) {
 			t.Errorf("ReadAt = %q, %v; want 2XYZ67", got, ok)
 		}
 		// Extend past end.
-		if err := d.WriteAt(p, bid("k"), 10, []byte("ab")); err != nil {
+		if err := d.WriteAtSized(p, bid("k"), 10, []byte("ab"), 0); err != nil {
 			t.Fatal(err)
 		}
 		if d.BlobSize(bid("k")) != 12 {

@@ -102,7 +102,7 @@ func TestConcurrentExtendingWritesKeepEveryRange(t *testing.T) {
 	const chunk = 100
 	for i := 0; i < 4; i++ {
 		e.Spawn("writer", func(p *vtime.Proc) {
-			if err := d.WriteAt(p, k, int64(i)*chunk, bytes.Repeat([]byte{byte(i + 1)}, chunk)); err != nil {
+			if err := d.WriteAtSized(p, k, int64(i)*chunk, bytes.Repeat([]byte{byte(i + 1)}, chunk), 0); err != nil {
 				t.Error(err)
 			}
 		})

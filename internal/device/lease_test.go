@@ -34,7 +34,7 @@ func TestLeaseHolderKeepsBytesAcrossInPlaceWriters(t *testing.T) {
 			return d.Write(p, k, bytes.Repeat([]byte{0x22}, 4096))
 		}, func() []byte { return bytes.Repeat([]byte{0x22}, 4096) }},
 		{"WriteAt", func(p *vtime.Proc, d *Device, k blob.ID) error {
-			return d.WriteAt(p, k, 100, []byte{1, 2, 3})
+			return d.WriteAtSized(p, k, 100, []byte{1, 2, 3}, 0)
 		}, func() []byte { b := bytes.Clone(old); copy(b[100:], []byte{1, 2, 3}); return b }},
 		{"WriteAtSized", func(p *vtime.Proc, d *Device, k blob.ID) error {
 			return d.WriteAtSized(p, k, 4000, bytes.Repeat([]byte{0x33}, 200), 8192)
@@ -197,10 +197,71 @@ func TestReadChargesLatencyPlusBytesAtReadBW(t *testing.T) {
 	}
 }
 
-// TestWriteLentStoresTheCallersArray: WriteLent keeps the caller's handle
-// as the blob, the caller still its holder; a failed one stores nothing
-// and leaves the handle the caller's alone.
-func TestWriteLentStoresTheCallersArray(t *testing.T) {
+// TestWriteChargesLatencyPlusBytesAtWriteBW: on an idle device each way
+// of writing n bytes takes the device's latency plus n at its write
+// bandwidth and counts one write of n bytes: a whole write, a lent one,
+// a range write that grows the blob and one that overwrites it in place.
+func TestWriteChargesLatencyPlusBytesAtWriteBW(t *testing.T) {
+	const n = 48 << 10
+	for _, tc := range []struct {
+		name  string
+		setup int64 // bytes stored under the key before the write
+		off   int64 // where the written bytes land
+		write func(p *vtime.Proc, d *Device, k blob.ID) error
+	}{
+		{"whole", 0, 0, func(p *vtime.Proc, d *Device, k blob.ID) error { return d.Write(p, k, pattern(n)) }},
+		{"lent", 0, 0, func(p *vtime.Proc, d *Device, k blob.ID) error {
+			h := d.arrays.Take(n)
+			copy(h.buf, pattern(n))
+			defer d.arrays.Release(h)
+			held, err := d.Reserve(k, n)
+			if err != nil {
+				return err
+			}
+			defer d.Unreserve(&held)
+			return d.WriteHeld(p, k, h.buf, &held, h)
+		}},
+		{"growing range", 0, 0, func(p *vtime.Proc, d *Device, k blob.ID) error {
+			return d.WriteAtSized(p, k, 0, pattern(n), 0)
+		}},
+		{"in-place range", 2 * n, n / 2, func(p *vtime.Proc, d *Device, k blob.ID) error {
+			return d.WriteAtSized(p, k, n/2, pattern(n), 0)
+		}},
+	} {
+		run(t, func(p *vtime.Proc) {
+			d := New("nvme", NVMeProfile(MB))
+			k := bid("page")
+			if tc.setup > 0 {
+				if err := d.Write(p, k, make([]byte, tc.setup)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, ops0, _, nb0 := d.Stats()
+			start := p.Now()
+			if err := tc.write(p, d, k); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if took, want := p.Now()-start, d.prof.Latency+vtime.BytesAt(n, d.prof.WriteBW); took != want {
+				t.Errorf("%s: the write took %v, want latency + n/WriteBW = %v", tc.name, took, want)
+			}
+			if _, ops, _, nb := d.Stats(); ops-ops0 != 1 || nb-nb0 != n {
+				t.Errorf("%s: %d writes of %d bytes counted, want 1 of %d", tc.name, ops-ops0, nb-nb0, n)
+			}
+			if got, _ := d.Peek(k); int64(len(got)) != max(tc.setup, n) || !bytes.Equal(got[tc.off:tc.off+n], pattern(n)) {
+				t.Errorf("%s: the blob does not hold the written bytes", tc.name)
+			}
+			checkUsed(t, tc.name, d)
+			if l := d.arrays.Leases(); l != 0 {
+				t.Errorf("%s: %d leases out", tc.name, l)
+			}
+		})
+	}
+}
+
+// TestLentWriteStoresTheCallersArray: WriteHeld with a lent handle keeps
+// the caller's handle as the blob, the caller still its holder; a failed
+// one stores nothing and leaves the handle the caller's alone.
+func TestLentWriteStoresTheCallersArray(t *testing.T) {
 	run(t, func(p *vtime.Proc) {
 		d := New("dram", DRAMProfile(8192))
 		k := bid("lent")
@@ -211,13 +272,13 @@ func TestWriteLentStoresTheCallersArray(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.WriteLent(p, k, h, &held); err != nil {
+		if err := d.WriteHeld(p, k, h.Bytes(), &held, h); err != nil {
 			t.Fatal(err)
 		}
 		if d.blobs[k] != h || !sameArray(h.buf, img) || h.refs != 2 || d.arrays.Leases() != 1 {
 			t.Fatalf("the blob stores a copy, or %d holders and %d leases, want the caller's array, 2 and 1", h.refs, d.arrays.Leases())
 		}
-		if err := d.WriteAt(p, k, 0, []byte{9}); err != nil {
+		if err := d.WriteAtSized(p, k, 0, []byte{9}, 0); err != nil {
 			t.Fatal(err)
 		}
 		if img[0] != 0x42 {
@@ -227,7 +288,7 @@ func TestWriteLentStoresTheCallersArray(t *testing.T) {
 		d.arrays.Release(h)
 		big := d.arrays.Take(16384)
 		var none int64
-		if err := d.WriteLent(p, bid("big"), big, &none); err == nil || d.Has(bid("big")) || big.refs != 1 {
+		if err := d.WriteHeld(p, bid("big"), big.Bytes(), &none, big); err == nil || d.Has(bid("big")) || big.refs != 1 {
 			t.Errorf("a write past capacity: err=%v, stored %v, %d holders", err, d.Has(bid("big")), big.refs)
 		}
 		d.arrays.Release(big)
@@ -321,7 +382,7 @@ func TestFailedReadLeaseHoldsNoLease(t *testing.T) {
 }
 
 // TestTakenArrayIsExtendedOverZeros: an array from Take stored through
-// WriteLent is extended like any other blob once the device holds it
+// WriteHeld's lent handle is extended like any other blob once the device holds it
 // alone: the hole reads zeros, never the stale bytes a recycled array held
 // past the length Take cut it to.
 func TestTakenArrayIsExtendedOverZeros(t *testing.T) {
@@ -337,11 +398,11 @@ func TestTakenArrayIsExtendedOverZeros(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.WriteLent(p, k, h, &held); err != nil {
+		if err := d.WriteHeld(p, k, h.Bytes(), &held, h); err != nil {
 			t.Fatal(err)
 		}
 		d.arrays.Release(h)
-		if err := d.WriteAt(p, k, 5300, []byte{1}); err != nil {
+		if err := d.WriteAtSized(p, k, 5300, []byte{1}, 0); err != nil {
 			t.Fatal(err)
 		}
 		got, _ := d.Peek(k)

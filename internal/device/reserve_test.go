@@ -154,14 +154,14 @@ func TestWriteFaultReleasesTheHold(t *testing.T) {
 		if err != nil || held != onePage {
 			t.Fatalf("Reserve = %d, %v", held, err)
 		}
-		if err := d.WriteHeld(p, bid("r"), make([]byte, onePage), &held); !faults.Transient(err) {
+		if err := d.WriteHeld(p, bid("r"), make([]byte, onePage), &held, nil); !faults.Transient(err) {
 			t.Fatalf("WriteHeld under WriteErr=1 returned %v", err)
 		}
 		if d.Held() != onePage {
 			t.Errorf("held %d after a failed WriteHeld, want the caller's %d", d.Held(), onePage)
 		}
 		d.SetFaults(nil, 0, "dram")
-		if err := d.WriteHeld(p, bid("r"), make([]byte, onePage), &held); err != nil {
+		if err := d.WriteHeld(p, bid("r"), make([]byte, onePage), &held, nil); err != nil {
 			t.Fatal(err)
 		}
 		if d.Held() != 0 || held != 0 || d.Used() != onePage {

@@ -29,7 +29,7 @@ func backupOf(p *vtime.Proc, h *Hermes, id blob.ID) []byte {
 	return data
 }
 
-func TestPutBackedWritesNoBackup(t *testing.T) {
+func TestBackedPutLentWritesNoBackup(t *testing.T) {
 	c, h := newHermes(3)
 	h.SetReplicas(1)
 	run(t, c, func(p *vtime.Proc) {
@@ -65,7 +65,7 @@ func TestPutBackedWritesNoBackup(t *testing.T) {
 	})
 }
 
-func TestWriteAfterPutBackedReplicatesTheImage(t *testing.T) {
+func TestWriteAfterBackedPutLentReplicatesTheImage(t *testing.T) {
 	for _, partial := range []bool{false, true} {
 		t.Run(fmt.Sprintf("partial=%v", partial), func(t *testing.T) {
 			c, h := newHermes(3)

@@ -550,16 +550,11 @@ func (h *Hermes) nodeDownErr(id blob.ID) error {
 // writeRetry writes a blob to dev through its caller's hold there
 // (device.Reserve), every attempt with that one hold, absorbing injected
 // transient faults under the retry policy. lent is nil, or data's handle
-// when the device is to keep the array itself (device.WriteLent,
+// when the device is to keep the array itself (device.WriteHeld,
 // PutLent's lent). (The closures here and below never outlive the call,
 // so they stay on the stack.)
 func (h *Hermes) writeRetry(p *vtime.Proc, dev *device.Device, id blob.ID, data []byte, held *int64, lent *device.Lease) error {
-	return h.inj.Do(p, "retry.scache_write", func() error {
-		if lent != nil {
-			return dev.WriteLent(p, id, lent, held)
-		}
-		return dev.WriteHeld(p, id, data, held)
-	})
+	return h.inj.Do(p, "retry.scache_write", func() error { return dev.WriteHeld(p, id, data, held, lent) })
 }
 
 // readRetry leases a blob from dev (device.ReadLease) under the retry
@@ -577,17 +572,18 @@ func (h *Hermes) readRetry(p *vtime.Proc, dev *device.Device, id blob.ID, counte
 
 // Put stores (or replaces) a blob, choosing a target near prefNode, and
 // writes its backup copies. The caller runs on fromNode; data crossing
-// nodes charges fabric time.
+// nodes charges fabric time. It is PutLent storing a copy, not backed.
 func (h *Hermes) Put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int) error {
-	return h.put(p, fromNode, id, data, score, prefNode, false, nil)
+	return h.PutLent(p, fromNode, id, data, score, prefNode, nil, false)
 }
 
-// PutLent is Put storing lent, a handle on data the caller holds, instead
-// of a copy (device.WriteLent): the device becomes a holder beside the
-// caller, and data is immutable from then on. It is how core hands a page
-// image it holds to the scache (a committed page, a range the PFS lent,
-// cluster.PFSReadLease). A nil lent stores a copy, as Put does. A put that
-// fails stores nothing and leaves the handle as it was.
+// PutLent is the scache's put. lent, when not nil, is a handle on data the
+// caller holds, which the device stores instead of a copy
+// (device.WriteHeld): the device becomes a holder beside the caller, and
+// data is immutable from then on. It is how core hands a page image it
+// holds to the scache (a committed page, a range the PFS lent,
+// cluster.PFSReadLease). A nil lent stores a copy. A put that fails
+// stores nothing and leaves the handle as it was.
 //
 // backed marks bytes a durable backend also holds (a page image staged in
 // from it): the scache copy is not the only one, so it gets no backups,
@@ -595,12 +591,7 @@ func (h *Hermes) Put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score
 // enqueues no repair. Redundancy costs fabric and device bandwidth, which
 // is worth paying for data that exists nowhere else: a later Put, PutAt
 // or unbacked PutLent writes the backups.
-func (h *Hermes) PutLent(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, lent *device.Lease, backed bool) error {
-	return h.put(p, fromNode, id, data, score, prefNode, backed, lent)
-}
-
-// put is Put and PutLent; lent is as for writeRetry.
-func (h *Hermes) put(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, backed bool, lent *device.Lease) (err error) {
+func (h *Hermes) PutLent(p *vtime.Proc, fromNode int, id blob.ID, data []byte, score float64, prefNode int, lent *device.Lease, backed bool) (err error) {
 	sp := h.trc.Enter(p, telemetry.OpScachePut, fromNode, id.Vec, id.Page)
 	defer func() { sp.Exit(p, int64(len(data)), err != nil) }()
 	pl := h.lookup(p, fromNode, id)
@@ -1100,7 +1091,7 @@ func (h *Hermes) PutAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data 
 	if pl.Node != fromNode {
 		h.c.Fabric.Transfer(p, fromNode, pl.Node, int64(len(data)))
 	}
-	if err := h.inj.Do(p, "retry.scache_write", func() error { return pl.dev.WriteAt(p, id, off, data) }); err != nil {
+	if err := h.inj.Do(p, "retry.scache_write", func() error { return pl.dev.WriteAtSized(p, id, off, data, 0) }); err != nil {
 		return err
 	}
 	if end := off + int64(len(data)); end > pl.Size {
@@ -1123,7 +1114,7 @@ func (h *Hermes) PutAt(p *vtime.Proc, fromNode int, id blob.ID, off int64, data 
 		if bp.Node != pl.Node {
 			h.c.Fabric.Transfer(p, pl.Node, bp.Node, int64(len(data)))
 		}
-		if err := h.inj.Do(p, "retry.scache_write", func() error { return bp.dev.WriteAt(p, bk, off, data) }); err == nil {
+		if err := h.inj.Do(p, "retry.scache_write", func() error { return bp.dev.WriteAtSized(p, bk, off, data, 0) }); err == nil {
 			if end := off + int64(len(data)); end > bp.Size {
 				bp.Size = end
 			}

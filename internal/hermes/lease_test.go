@@ -22,12 +22,12 @@ func pfsRead(p *vtime.Proc, c *cluster.Cluster, key string, off, n int64) []byte
 	return got
 }
 
-// TestPutBackedKeepsTheCallersImage: a lending PutLent stores the
+// TestPutLentKeepsTheCallersImage: a lending PutLent stores the
 // caller's handle itself, the caller still a holder. A later read leases
 // that very handle; a whole-page Put and a PutAt of new bytes
 // copy it first, so the caller keeps its image while the scache serves
 // the new bytes; and the audit stays clean throughout.
-func TestPutBackedKeepsTheCallersImage(t *testing.T) {
+func TestPutLentKeepsTheCallersImage(t *testing.T) {
 	c, h := newHermes(2)
 	run(t, c, func(p *vtime.Proc) {
 		audit := func(when string) {
@@ -190,14 +190,14 @@ func TestHedgedLeaseReadHandsOverTheWinner(t *testing.T) {
 	}
 }
 
-// TestPutBackedStoresABorrowedRange: a lending backed PutLent of a range the
+// TestPutLentStoresABorrowedRange: a lending backed PutLent of a range the
 // PFS lent stores the PFS's bytes themselves, and a lease read returns
 // them; the organizer's move hands the range on; a PFS write into the row
 // group while the range is stored leaves both the holder's and the
 // scache's bytes alone; a replacing Put copies, and a purge and the store's
 // Release let go of what they hold. No lease is left out, and every
 // device, the PFS included, uses the bytes it stores.
-func TestPutBackedStoresABorrowedRange(t *testing.T) {
+func TestPutLentStoresABorrowedRange(t *testing.T) {
 	const page = 48 << 10
 	c, h := newHermes(2)
 	row := make([]byte, 1<<20)

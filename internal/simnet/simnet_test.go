@@ -184,3 +184,31 @@ func TestRoundTripLocalVsRemote(t *testing.T) {
 		t.Errorf("remote RTT = %v", remote)
 	}
 }
+
+// TestSaturatedLinkDeliversNominalBandwidth: k n-byte transfers queued at
+// once on one link leave the sender back to back, each holding its egress
+// for PerMsg + n/BW, and the last lands one latency and one ingress wire
+// time after it leaves: k·(PerMsg + n/BW) + Latency + n/BW, whatever the
+// profile and size.
+func TestSaturatedLinkDeliversNominalBandwidth(t *testing.T) {
+	for _, prof := range []LinkProfile{RoCE40(), TCP10()} {
+		for _, n := range []int64{4 << 10, 1 << 20, 64 << 20} {
+			for _, k := range []int{1, 2, 8, 32} {
+				f := New(2, prof)
+				got := elapsed(t, func(e *vtime.Engine, done func(vtime.Duration)) {
+					for i := 0; i < k; i++ {
+						e.Spawn(fmt.Sprintf("x%d", i), func(p *vtime.Proc) {
+							f.Transfer(p, 0, 1, n)
+							done(p.Now())
+						})
+					}
+				})
+				wire := vtime.BytesAt(n, prof.Bandwidth)
+				if want := vtime.Duration(k)*(prof.PerMsg+wire) + prof.Latency + wire; got != want {
+					t.Errorf("%s: %d transfers of %d bytes end at %v, want k·(PerMsg + n/BW) + Latency + n/BW = %v",
+						prof.Name, k, n, got, want)
+				}
+			}
+		}
+	}
+}

@@ -64,26 +64,22 @@ type Backend interface {
 	// Size returns the logical dataset size in bytes, or 0 if absent.
 	Size() int64
 	// ReadRange returns a copy of length bytes starting at off, read on
-	// behalf of node. Short reads happen at end of dataset.
+	// behalf of node: ReadRangeLease's bytes, copied and the lease given
+	// back. Short reads happen at end of dataset.
 	ReadRange(p *vtime.Proc, node int, off, length int64) ([]byte, error)
-	// ReadRangeInto is ReadRange copying into dst's storage when it is
-	// large enough (the page-fault path copies into its pooled page
-	// buffer); otherwise a fresh buffer is allocated. The caller owns the
-	// returned slice either way. Each object's bytes are read under a
-	// lease (cluster.PFSReadLease), copied, and the lease given back.
-	ReadRangeInto(p *vtime.Proc, node int, off, length int64, dst []byte) ([]byte, error)
 	// WriteRange writes data at off, growing the dataset if needed.
 	WriteRange(p *vtime.Proc, node int, off int64, data []byte) error
-	// ReadRangeLease lends a range the dataset stores in one piece instead
-	// of copying it out (core's read-only stage-in): it returns the PFS's
-	// own bytes of [off, off+length) under the lease of the one PFS read
-	// that serves it (cluster.PFSReadLease), which the caller gives back
-	// with the cluster's Arrays.Release. It returns nil, having charged
-	// nothing but the pq footer's first load, when the range is not stored
-	// whole in one object: it straddles two, or runs past the stored bytes
-	// (a short or sparse tail); the caller then reads it with
-	// ReadRangeInto. A lent range may come back short if its object shrank
-	// while the read queued.
+	// ReadRangeLease is the backend's read: it returns [off, off+length)
+	// under a lease the caller gives back with the cluster's
+	// Arrays.Release, short at the end of the dataset and nil past it. A
+	// range one object stores whole is lent: the lease is on the PFS's own
+	// bytes, from the one PFS read that serves it (cluster.PFSReadLease),
+	// and is a shared range (device.Lease.Shared). Any other range — one
+	// that straddles two row groups, or runs into a sparse row group's
+	// unwritten tail — is assembled into an image from Arrays.Take, each
+	// object's piece read under its own lease, copied and given back, and
+	// the unwritten tail zeroed: the image is the caller's own. A lent range
+	// may come back short if its object shrank while the read queued.
 	ReadRangeLease(p *vtime.Proc, node int, off, length int64) (*device.Lease, error)
 	// Truncate cuts the dataset to size bytes when its vector shrinks
 	// (core's Vector.Resize); a later write past the new end leaves zeros
@@ -130,25 +126,12 @@ func (b *fileBackend) Size() int64 {
 }
 
 func (b *fileBackend) ReadRange(p *vtime.Proc, node int, off, length int64) ([]byte, error) {
-	return b.ReadRangeInto(p, node, off, length, nil)
+	h, err := b.ReadRangeLease(p, node, off, length)
+	return copied(b.c, h), err
 }
 
-func (b *fileBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, dst []byte) ([]byte, error) {
-	h, err := b.read(p, node, off, length)
-	if h == nil {
-		return nil, err
-	}
-	out := sized(dst, int64(len(h.Bytes())))
-	copy(out, h.Bytes())
-	b.c.Arrays.Release(h)
-	return out, nil
-}
-
-// ReadRangeLease lends any range of the one object that it stores whole.
+// ReadRangeLease lends any range of the one object, short at its end.
 func (b *fileBackend) ReadRangeLease(p *vtime.Proc, node int, off, length int64) (*device.Lease, error) {
-	if b.c.PFSSize(b.u.Path) < off+length {
-		return nil, nil
-	}
 	return b.read(p, node, off, length)
 }
 
@@ -275,29 +258,35 @@ func (b *pqBackend) Size() int64 {
 }
 
 func (b *pqBackend) ReadRange(p *vtime.Proc, node int, off, length int64) ([]byte, error) {
-	return b.ReadRangeInto(p, node, off, length, nil)
+	h, err := b.ReadRangeLease(p, node, off, length)
+	return copied(b.c, h), err
 }
 
-func (b *pqBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, dst []byte) ([]byte, error) {
+// ReadRangeLease lends a range its row group stores up to the range's
+// end, and assembles any other: a row group never outgrows the chunk
+// size, so the lent ranges leave out one that straddles two.
+func (b *pqBackend) ReadRangeLease(p *vtime.Proc, node int, off, length int64) (*device.Lease, error) {
 	b.loadFooter(p, node)
-	if off >= b.footer.Size {
+	if length = min(length, b.footer.Size-off); length <= 0 {
 		return nil, nil
 	}
-	if off+length > b.footer.Size {
-		length = b.footer.Size - off
-	}
 	cs := b.footer.ChunkSize
-	out := sized(dst, length)
+	if ci, localOff := off/cs, off%cs; b.c.PFSSize(b.chunkKey(ci)) >= localOff+length {
+		return b.readGroup(p, node, ci, localOff, length)
+	}
+	img := b.c.Arrays.Take(int(length))
+	out := img.Bytes()
 	for n := int64(0); n < length; {
 		ci := (off + n) / cs
 		localOff := (off + n) % cs
 		localLen := min(cs-localOff, length-n)
 		h, err := b.readGroup(p, node, ci, localOff, localLen)
 		if err != nil {
+			b.c.Arrays.Release(img)
 			return nil, err
 		}
-		// Each row group's piece is copied to its place in out, and a
-		// sparse tail inside a chunk zero-filled (out may hold stale bytes).
+		// Each row group's piece is copied to its place in the image, and a
+		// sparse tail inside a chunk zero-filled (the image holds stale bytes).
 		piece := out[n : n+localLen]
 		clear(piece[copy(piece, h.Bytes()):])
 		if h != nil {
@@ -305,20 +294,7 @@ func (b *pqBackend) ReadRangeInto(p *vtime.Proc, node int, off, length int64, ds
 		}
 		n += localLen
 	}
-	return out, nil
-}
-
-// ReadRangeLease lends a range its row group stores up to the range's
-// end. A row group never outgrows the chunk size, so that leaves out a
-// range that straddles two.
-func (b *pqBackend) ReadRangeLease(p *vtime.Proc, node int, off, length int64) (*device.Lease, error) {
-	b.loadFooter(p, node)
-	cs := b.footer.ChunkSize
-	ci, localOff := off/cs, off%cs
-	if off+length > b.footer.Size || b.c.PFSSize(b.chunkKey(ci)) < localOff+length {
-		return nil, nil
-	}
-	return b.readGroup(p, node, ci, localOff, length)
+	return img, nil
 }
 
 // readGroup is row group ci's lease read of [off, off+length); nil, with
@@ -373,11 +349,13 @@ func (b *pqBackend) Truncate(p *vtime.Proc, node int, size int64) error {
 	return b.flushFooter(p, node)
 }
 
-// sized returns dst resliced to n bytes when its storage is large enough,
-// else a fresh buffer; contents are unspecified until the caller fills it.
-func sized(dst []byte, n int64) []byte {
-	if int64(cap(dst)) >= n {
-		return dst[:n]
+// copied returns a copy of h's bytes and gives h back; nil for a nil h.
+func copied(c *cluster.Cluster, h *device.Lease) []byte {
+	if h == nil {
+		return nil
 	}
-	return make([]byte, n)
+	out := make([]byte, len(h.Bytes())) // make+copy compiles to one unzeroed allocation
+	copy(out, h.Bytes())
+	c.Arrays.Release(h)
+	return out
 }
